@@ -5,8 +5,8 @@
 // The figure sweeps run their (system, size) grids on all cores by
 // default (see internal/cluster.RunCells); -seq forces the sequential
 // path, and -compare runs both and reports the speedup. Wall-clock
-// timings are printed per figure and written as JSON for tracking across
-// commits.
+// timings are printed per experiment, and every report is written as
+// BENCH_<name>.json under -out-dir for tracking across commits.
 //
 // Usage:
 //
@@ -15,83 +15,364 @@
 //	nicebench -experiment fig5 -compare   # parallel vs sequential wall clock
 //	nicebench -experiment kernel          # kernel + switch-scale micro-benchmarks -> BENCH_kernel.json, BENCH_switch.json
 //	nicebench -experiment chaos           # randomized fault schedules + consistency checker
+//	nicebench -experiment readscale -out-dir ""   # run a sweep, write nothing
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
-// experimentRegistry is the single source of truth for -experiment
-// names: the flag's usage string, the "all" selection (extended
-// experiments run only when named) and the unknown-experiment error are
-// all generated from it. Adding an experiment means adding a row here
-// and a `want(name)` block in main.
-var experimentRegistry = []struct {
-	name     string
-	extended bool
-}{
-	{"fig4", false},
-	{"fig5", false},
-	{"fig6", false},
-	{"fig7", false},
-	{"fig8", false},
-	{"fig9", false},
-	{"fig10", false},
-	{"fig11", false},
-	{"fig12", false},
-	{"tables", false},
-	{"tab-switch", false},
-	{"tab-membership", false},
-	{"ycsb-all", true},
-	{"scale-out", true},
-	{"fabric", true},
-	{"quorum-read", true},
-	{"kernel", true},
-	{"cachesweep", true},
-	{"chaos", true},
-	{"heavytraffic", true},
-	{"storagesweep", true},
-	{"batchsweep", true},
-	{"ctrlsweep", true},
-	{"readscale", true},
+// config is everything the flags set; experiments read it through run.
+type config struct {
+	pr           cluster.Params
+	compare      bool
+	ycsbOps      int
+	clients      int
+	chaosN       int
+	chaosCtrl    float64
+	heavyClients int
+	trafficSizes string
+	kernelBase   string
+	outDir       string
 }
 
-// isExtended reports whether name runs only when named (never under
-// -experiment all).
-func isExtended(name string) bool {
-	for _, e := range experimentRegistry {
-		if e.name == name {
-			return e.extended
+// run is one experiment invocation: the config, what -experiment named,
+// the registry row being run, and where its tables go.
+type run struct {
+	*config
+	exp  string
+	name string
+	out  io.Writer
+}
+
+// experiment is one registry row. The registry is the single source of
+// truth for -experiment: the usage string, the "all" selection (extended
+// experiments run only when named), the unknown-name error and the
+// per-experiment timing all come from it. Adding an experiment is one row
+// here plus one cell function in internal/cluster.
+type experiment struct {
+	name string
+	// parts are the figure IDs a multi-figure experiment also answers to,
+	// showing just that figure (fig6 of the shared fig5-7 sweep).
+	parts    []string
+	extended bool
+	run      func(r *run, pr cluster.Params) error
+}
+
+var registry = []experiment{
+	{name: "fig4", run: oneFigure(cluster.Fig4RequestRouting)},
+	{name: "fig5-7", parts: []string{"fig5", "fig6", "fig7"}, run: func(r *run, pr cluster.Params) error {
+		f5, f6, f7, err := cluster.ReplicationFigures(pr)
+		return r.show(err, f5, f6, f7)
+	}},
+	{name: "fig8", run: func(r *run, pr cluster.Params) error {
+		if r.exp == "all" && pr.Ops > 100 {
+			pr.Ops = 100 // 1 MB x 1000 puts x 8 configs is slow; cap in 'all' mode
+		}
+		a, b, err := cluster.Fig8Quorum(pr)
+		return r.show(err, a, b)
+	}},
+	{name: "fig9", run: func(r *run, pr cluster.Params) error {
+		figs, err := cluster.Fig9Consistency(pr)
+		return r.show(err, figs[cluster.ConsistencySizes[0]], figs[cluster.ConsistencySizes[1]])
+	}},
+	{name: "fig10", run: func(r *run, pr cluster.Params) error {
+		figs, err := cluster.Fig10LoadBalancing(pr)
+		return r.show(err, figs[cluster.ConsistencySizes[0]], figs[cluster.ConsistencySizes[1]])
+	}},
+	{name: "fig11", run: func(r *run, pr cluster.Params) error {
+		res, err := cluster.Fig11FaultTolerance(cluster.DefaultFTParams())
+		if err != nil {
+			return err
+		}
+		return r.show(nil, res.Figure())
+	}},
+	{name: "fig12", run: func(r *run, pr cluster.Params) error {
+		pr.Ops = r.ycsbOps
+		fig, err := cluster.Fig12YCSB(pr, r.clients)
+		return r.show(err, fig)
+	}},
+	{name: "tables", parts: []string{"tab-switch", "tab-membership"}, run: func(r *run, pr cluster.Params) error {
+		sw, err := cluster.SwitchScalabilityTable()
+		if err != nil {
+			return err
+		}
+		mem, err := cluster.MembershipScalabilityTable()
+		return r.show(err, sw, mem)
+	}},
+	{name: "ycsb-all", extended: true, run: func(r *run, pr cluster.Params) error {
+		pr.Ops = r.ycsbOps
+		fig, err := cluster.YCSBAllWorkloads(pr, r.clients)
+		return r.show(err, fig)
+	}},
+	{name: "scale-out", extended: true, run: oneFigure(cluster.ScaleOutThroughput)},
+	{name: "fabric", extended: true, run: oneFigure(cluster.FabricComparison)},
+	{name: "quorum-read", extended: true, run: oneFigure(cluster.QuorumReadOverhead)},
+	{name: "kernel", extended: true, run: func(r *run, pr cluster.Params) error {
+		benchmarks := kernelBenchmarks()
+		r.table("", benchmarks)
+		if err := r.write("kernel", struct {
+			Benchmarks []kernelResult `json:"benchmarks"`
+		}{benchmarks}); err != nil {
+			return err
+		}
+		// The switch-scale sweep exists for its file; skip it when nothing
+		// is written.
+		if r.outDir != "" {
+			if err := r.write("switch", struct {
+				Points []switchPoint `json:"points"`
+			}{switchBenchmarks(r.out)}); err != nil {
+				return err
+			}
+		}
+		if r.kernelBase != "" {
+			return checkKernelBaseline(r.out, r.kernelBase, benchmarks)
+		}
+		return nil
+	}},
+	{name: "cachesweep", extended: true, run: func(r *run, pr cluster.Params) error {
+		figs, err := cluster.CacheSweep(pr)
+		return r.show(err, figs...)
+	}},
+	{name: "chaos", extended: true, run: func(r *run, pr cluster.Params) error {
+		rep, err := cluster.RunChaos(pr, r.chaosN, r.chaosCtrl)
+		if err != nil {
+			return err
+		}
+		rep.Fprint(r.out)
+		if n := len(rep.Violating()); n > 0 || !rep.DeterminismOK {
+			return fmt.Errorf("%d violating cells, determinism ok=%v", n, rep.DeterminismOK)
+		}
+		return nil
+	}},
+	{name: "heavytraffic", extended: true, run: func(r *run, pr cluster.Params) error {
+		sizes, err := parseSizes(r.trafficSizes)
+		if err != nil {
+			return err
+		}
+		cells, err := cluster.HeavyTrafficSweep(pr, sizes)
+		if err != nil {
+			return err
+		}
+		r.table("heavytraffic: open-loop fleet sweep (aggregate offered load held constant)", cells)
+		return r.write("traffic", struct {
+			Cells []cluster.TrafficCell `json:"cells"`
+		}{cells})
+	}},
+	{name: "storagesweep", extended: true, run: func(r *run, pr cluster.Params) error {
+		rep, err := cluster.StorageSweep(pr, r.heavyClients)
+		if err != nil {
+			return err
+		}
+		r.table(fmt.Sprintf("storagesweep: durable engine under memory pressure (%d records x %dB, R=3, %d nodes)",
+			rep.Records, rep.ValueSize, rep.Nodes), rep.Cells)
+		r.table("", rep.Heavy)
+		return r.write("storage", rep)
+	}},
+	{name: "batchsweep", extended: true, run: func(r *run, pr cluster.Params) error {
+		rep, err := cluster.BatchSweep(pr, r.heavyClients)
+		if err != nil {
+			return err
+		}
+		r.table(fmt.Sprintf("batchsweep: end-to-end batching (%d clients x %d ops, %dB values, %d nodes)",
+			rep.Clients, rep.OpsPerClient, rep.ValueSize, rep.Nodes), rep.Cells)
+		r.table("", rep.Heavy)
+		fmt.Fprintf(r.out, "durable put speedup vs per-op fsync baseline: %.2fx\n", rep.DurableSpeedup)
+		fmt.Fprintf(r.out, "determinism recheck: ok=%v\n", rep.DeterminismOK)
+		if err := r.write("batch", rep); err != nil {
+			return err
+		}
+		if !rep.DeterminismOK {
+			return errors.New("determinism recheck failed")
+		}
+		return nil
+	}},
+	{name: "ctrlsweep", extended: true, run: func(r *run, pr cluster.Params) error {
+		rep, err := cluster.CtrlFailoverSweep(pr, 10)
+		if err != nil {
+			return err
+		}
+		rep.Fprint(r.out)
+		return r.write("ctrl", rep)
+	}},
+	{name: "readscale", extended: true, run: func(r *run, pr cluster.Params) error {
+		rep, err := cluster.ReadScaleSweep(pr)
+		if err != nil {
+			return err
+		}
+		r.table(fmt.Sprintf("readscale: get scaling vs replication factor (%d nodes, %d clients, %d keys on one partition)",
+			rep.Nodes, rep.Clients, rep.Keys), rep.Cells)
+		maxR := rep.Replicas[len(rep.Replicas)-1]
+		for _, c := range rep.Cells {
+			if c.R == maxR && c.PutFrac == 0 {
+				fmt.Fprintf(r.out, "read-only speedup at R=%d: %-18s %.2fx\n", maxR, c.System, rep.SpeedupAtMaxR[c.System])
+			}
+		}
+		cluster.ReadScaleFigure(rep).Fprint(r.out)
+		return r.write("readscale", rep)
+	}},
+}
+
+// oneFigure adapts a single-figure runner to a registry row.
+func oneFigure(f func(cluster.Params) (*cluster.Figure, error)) func(*run, cluster.Params) error {
+	return func(r *run, pr cluster.Params) error {
+		fig, err := f(pr)
+		return r.show(err, fig)
+	}
+}
+
+// selected reports whether -experiment exp runs e: by name, by one of
+// its parts, or — for the paper's own figures and tables — under "all".
+func (e experiment) selected(exp string) bool {
+	if exp == e.name || (exp == "all" && !e.extended) {
+		return true
+	}
+	for _, part := range e.parts {
+		if exp == part {
+			return true
 		}
 	}
 	return false
 }
 
-// experimentNames lists every registered name, core experiments first.
+// experimentNames lists every -experiment value in registry order (the
+// paper's own experiments first).
 func experimentNames() string {
 	var names []string
-	for _, extended := range []bool{false, true} {
-		for _, e := range experimentRegistry {
-			if e.extended == extended {
-				names = append(names, e.name)
-			}
-		}
+	for _, e := range registry {
+		names = append(append(names, e.name), e.parts...)
 	}
 	return strings.Join(names, " ")
+}
+
+// errUnknownExperiment makes main exit 2 (usage) instead of 1.
+var errUnknownExperiment = errors.New("unknown experiment")
+
+// figResult is one experiment's wall-clock measurement.
+type figResult struct {
+	Name    string  `json:"name"`
+	Seconds float64 `json:"seconds"`
+	// SecondsSequential and Speedup are filled by -compare.
+	SecondsSequential float64 `json:"seconds_sequential,omitempty"`
+	Speedup           float64 `json:"speedup,omitempty"`
+}
+
+// runExperiments runs every registry row exp selects, timing each. With
+// -compare it re-runs the row sequentially (discarding the repeated
+// output and files) so the timing carries both numbers and their ratio.
+// The paper's own figures' timings go to BENCH_figures.json.
+func runExperiments(cfg *config, exp string, out io.Writer) error {
+	var timings []figResult
+	ran := false
+	for _, e := range registry {
+		if !e.selected(exp) {
+			continue
+		}
+		ran = true
+		r := &run{config: cfg, exp: exp, name: e.name, out: out}
+		t0 := time.Now()
+		if err := e.run(r, cfg.pr); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		res := figResult{Name: e.name, Seconds: time.Since(t0).Seconds()}
+		if cfg.compare && !cfg.pr.Seq {
+			quiet, seq := *cfg, cfg.pr
+			quiet.outDir, seq.Seq = "", true
+			t1 := time.Now()
+			if err := e.run(&run{config: &quiet, exp: exp, name: e.name, out: io.Discard}, seq); err != nil {
+				return fmt.Errorf("%s (sequential): %w", e.name, err)
+			}
+			res.SecondsSequential = time.Since(t1).Seconds()
+			if res.Seconds > 0 {
+				res.Speedup = res.SecondsSequential / res.Seconds
+			}
+			fmt.Fprintf(out, "-- %s: %.2fs wall (parallel), %.2fs (sequential), %.2fx speedup\n\n",
+				e.name, res.Seconds, res.SecondsSequential, res.Speedup)
+		} else {
+			fmt.Fprintf(out, "-- %s: %.2fs wall\n\n", e.name, res.Seconds)
+		}
+		if !e.extended {
+			timings = append(timings, res)
+		}
+	}
+	if !ran {
+		return fmt.Errorf("%w %q (want one of: all %s)", errUnknownExperiment, exp, experimentNames())
+	}
+	if len(timings) == 0 {
+		return nil
+	}
+	r := &run{config: cfg, out: out}
+	return r.write("figures", struct {
+		Ops      int         `json:"ops"`
+		Parallel bool        `json:"parallel"`
+		Figures  []figResult `json:"figures"`
+	}{cfg.pr.Ops, !cfg.pr.Seq, timings})
+}
+
+// show prints the figures -experiment asked for: all of them under
+// "all" or the experiment's own name, just the matching one when a part
+// (fig6, tab-switch) was named. It passes err through so registry rows
+// stay one statement.
+func (r *run) show(err error, figs ...*cluster.Figure) error {
+	if err != nil {
+		return err
+	}
+	for _, f := range figs {
+		if r.exp == "all" || r.exp == r.name || r.exp == f.ID {
+			f.Fprint(r.out)
+		}
+	}
+	return nil
+}
+
+// table prints rows — a slice of flat structs — as an aligned table with
+// one column per field, headed by the field's json tag.
+func (r *run) table(title string, rows any) {
+	if title != "" {
+		fmt.Fprintln(r.out, title)
+	}
+	v := reflect.ValueOf(rows)
+	if v.Len() == 0 {
+		return
+	}
+	tw := tabwriter.NewWriter(r.out, 0, 0, 2, ' ', 0)
+	t := v.Index(0).Type()
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		fmt.Fprintf(tw, "%s\t", name)
+	}
+	fmt.Fprintln(tw)
+	for ri := 0; ri < v.Len(); ri++ {
+		for i := 0; i < t.NumField(); i++ {
+			if f := v.Index(ri).Field(i); f.Kind() == reflect.Float64 {
+				fmt.Fprintf(tw, "%.6g\t", f.Float())
+			} else {
+				fmt.Fprintf(tw, "%v\t", f.Interface())
+			}
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
 }
 
 // benchEnv records where a measurement was taken; a speedup number is
@@ -103,26 +384,109 @@ type benchEnv struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-func env() benchEnv {
-	return benchEnv{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+// write is the one JSON envelope: BENCH_<name>.json under -out-dir holds
+// {env, seed, ...report's own fields}. An empty -out-dir writes nothing.
+func (r *run) write(name string, report any) error {
+	if r.outDir == "" {
+		return nil
+	}
+	head, err := json.Marshal(struct {
+		Env  benchEnv `json:"env"`
+		Seed int64    `json:"seed"`
+	}{benchEnv{runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0)}, r.pr.Seed})
+	if err != nil {
+		return err
+	}
+	body, err := json.Marshal(report)
+	if err != nil {
+		return err
+	}
+	if len(body) < 3 || body[0] != '{' {
+		return fmt.Errorf("report %s is not a non-empty JSON object", name)
+	}
+	// Splice the report's fields in after the envelope's.
+	var buf bytes.Buffer
+	joined := append(append(head[:len(head)-1], ','), body[1:]...)
+	if err := json.Indent(&buf, joined, "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	path := filepath.Join(r.outDir, "BENCH_"+name+".json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(r.out, "wrote %s\n", path)
+	return nil
 }
 
-// figResult is one figure's wall-clock measurement.
-type figResult struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-	// SecondsSequential and Speedup are filled by -compare.
-	SecondsSequential float64 `json:"seconds_sequential,omitempty"`
-	Speedup           float64 `json:"speedup,omitempty"`
+func main() {
+	var cfg config
+	exp := flag.String("experiment", "all", "which experiment: all, or one of: "+experimentNames())
+	flag.IntVar(&cfg.pr.Ops, "ops", 1000, "operations per measurement point (paper: 1000)")
+	flag.Int64Var(&cfg.pr.Seed, "seed", 42, "simulation seed")
+	flag.BoolVar(&cfg.pr.Seq, "seq", false, "run grid cells sequentially instead of on all cores (same results)")
+	flag.BoolVar(&cfg.compare, "compare", false, "time each experiment both parallel and sequential")
+	flag.IntVar(&cfg.ycsbOps, "ycsb-ops", 2000, "YCSB operations per client (paper: 20000)")
+	flag.IntVar(&cfg.clients, "clients", 10, "YCSB client count (paper: 10)")
+	flag.IntVar(&cfg.chaosN, "chaos-schedules", 50, "fault schedules per system for -experiment chaos")
+	flag.Float64Var(&cfg.chaosCtrl, "chaos-ctrl", 1, "controller-fault weight multiplier for the ctrlchain chaos cell (1 = default mix)")
+	flag.IntVar(&cfg.heavyClients, "heavy-clients", 100_000, "virtual-client fleet size for the storagesweep and batchsweep heavytraffic arms")
+	flag.StringVar(&cfg.trafficSizes, "traffic-sizes", "", "comma-separated virtual-client fleet sizes for -experiment heavytraffic (default 10000,100000,1000000)")
+	flag.StringVar(&cfg.kernelBase, "kernel-baseline", "", "compare kernel benchmarks against this JSON baseline; exit non-zero on >2x regression of a gated row")
+	flag.StringVar(&cfg.outDir, "out-dir", ".", "directory for the BENCH_<name>.json reports (empty: write nothing)")
+	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run here (view with: go tool pprof -top <file>)")
+	memProf := flag.String("memprofile", "", "write a heap profile at exit here")
+	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err == nil {
+		err = runExperiments(&cfg, *exp, os.Stdout)
+		// Flush the profiles before any exit path so a failing sweep still
+		// leaves a usable profile.
+		stopProfiles()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nicebench:", err)
+		if errors.Is(err, errUnknownExperiment) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
 }
 
-type figuresReport struct {
-	Env      benchEnv    `json:"env"`
-	Ops      int         `json:"ops"`
-	Seed     int64       `json:"seed"`
-	Parallel bool        `json:"parallel"`
-	Figures  []figResult `json:"figures"`
+// startProfiles begins the requested pprof outputs and returns the
+// function that flushes them.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
+			fmt.Printf("wrote %s\n", cpuPath)
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err == nil {
+			runtime.GC()
+			err = pprof.WriteHeapProfile(f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "nicebench:", err)
+			return
+		}
+		fmt.Printf("wrote %s\n", memPath)
+	}, nil
 }
 
 type kernelResult struct {
@@ -130,506 +494,6 @@ type kernelResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-type kernelReport struct {
-	Env        benchEnv       `json:"env"`
-	Benchmarks []kernelResult `json:"benchmarks"`
-}
-
-func main() {
-	var (
-		exp      = flag.String("experiment", "all", "which experiment: all, or one of: "+experimentNames())
-		ops      = flag.Int("ops", 1000, "operations per measurement point (paper: 1000)")
-		ycsbOps  = flag.Int("ycsb-ops", 2000, "YCSB operations per client (paper: 20000)")
-		clients  = flag.Int("clients", 10, "YCSB client count (paper: 10)")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		parallel = flag.Bool("parallel", true, "run figure grid cells on all cores")
-		seq      = flag.Bool("seq", false, "force sequential cell execution (overrides -parallel)")
-		compare  = flag.Bool("compare", false, "time each figure both parallel and sequential")
-		figOut   = flag.String("figures-out", "BENCH_figures.json", "write figure wall-clock timings here (empty: skip)")
-		kernOut  = flag.String("kernel-out", "BENCH_kernel.json", "write kernel micro-benchmarks here (empty: skip)")
-		swOut    = flag.String("switch-out", "BENCH_switch.json", "write switch-scale lookup benchmarks here (empty: skip running them)")
-		chaosN   = flag.Int("chaos-schedules", 50, "fault schedules per system for -experiment chaos")
-		chaosCB  = flag.Float64("chaos-ctrl", 1, "controller-fault weight multiplier for the ctrlchain chaos cell (1 = default mix)")
-		ctrlOut  = flag.String("ctrl-out", "BENCH_ctrl.json", "write ctrlsweep failover results here (empty: skip)")
-		trafOut  = flag.String("traffic-out", "BENCH_traffic.json", "write heavytraffic sweep results here (empty: skip)")
-		storOut  = flag.String("storage-out", "BENCH_storage.json", "write storagesweep results here (empty: skip)")
-		batchOut = flag.String("batch-out", "BENCH_batch.json", "write batchsweep results here (empty: skip)")
-		batchHv  = flag.Int("batch-heavy-clients", 100_000, "virtual-client fleet size for the batchsweep heavytraffic arm")
-		rsOut    = flag.String("readscale-out", "BENCH_readscale.json", "write readscale sweep results here (empty: skip)")
-		storHeav = flag.Int("storage-heavy-clients", 100_000, "virtual-client fleet size for the storagesweep heavytraffic arm")
-		trafSize = flag.String("traffic-sizes", "", "comma-separated virtual-client fleet sizes for -experiment heavytraffic (default 10000,100000,1000000)")
-		kernBase = flag.String("kernel-baseline", "", "compare kernel benchmarks against this JSON baseline; exit non-zero on >2x SleepWake/EventChurn regression")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run here (view with: go tool pprof -top <file>)")
-		memProf  = flag.String("memprofile", "", "write a heap profile at exit here")
-	)
-	flag.Parse()
-
-	// stopProfiles flushes any requested pprof output; it runs before every
-	// exit path so a failing sweep still leaves a usable profile.
-	stopProfiles := func() {}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nicebench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "nicebench:", err)
-			os.Exit(1)
-		}
-		stopProfiles = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Printf("wrote %s\n", *cpuProf)
-		}
-	}
-	if *memProf != "" {
-		prev := stopProfiles
-		stopProfiles = func() {
-			prev()
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nicebench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "nicebench:", err)
-				return
-			}
-			fmt.Printf("wrote %s\n", *memProf)
-		}
-	}
-
-	pr := cluster.Params{Ops: *ops, Seed: *seed, Seq: *seq || !*parallel}
-	// "all" covers the paper's figures and tables; the extended
-	// experiments and the kernel micro-benchmarks run when named (see
-	// experimentRegistry).
-	want := func(name string) bool {
-		if *exp == name {
-			return true
-		}
-		return *exp == "all" && !isExtended(name)
-	}
-	ran := 0
-
-	fail := func(err error) {
-		stopProfiles()
-		fmt.Fprintln(os.Stderr, "nicebench:", err)
-		os.Exit(1)
-	}
-	show := func(figs ...*cluster.Figure) {
-		for _, f := range figs {
-			f.Fprint(os.Stdout)
-		}
-		ran++
-	}
-
-	var timings []figResult
-	// timeIt measures fn's wall clock under the selected mode. With
-	// -compare it re-runs the sweep sequentially (discarding the repeated
-	// output) so the report carries both numbers and their ratio.
-	timeIt := func(name string, fn func(p cluster.Params) error) {
-		t0 := time.Now()
-		if err := fn(pr); err != nil {
-			fail(err)
-		}
-		res := figResult{Name: name, Seconds: time.Since(t0).Seconds()}
-		if *compare && !pr.Seq {
-			sp := pr
-			sp.Seq = true
-			t1 := time.Now()
-			if err := fn(sp); err != nil {
-				fail(err)
-			}
-			res.SecondsSequential = time.Since(t1).Seconds()
-			if res.Seconds > 0 {
-				res.Speedup = res.SecondsSequential / res.Seconds
-			}
-			fmt.Printf("-- %s: %.2fs wall (parallel), %.2fs (sequential), %.2fx speedup\n\n",
-				name, res.Seconds, res.SecondsSequential, res.Speedup)
-		} else {
-			fmt.Printf("-- %s: %.2fs wall\n\n", name, res.Seconds)
-		}
-		timings = append(timings, res)
-	}
-
-	if want("fig4") {
-		shown := false
-		timeIt("fig4", func(p cluster.Params) error {
-			fig, err := cluster.Fig4RequestRouting(p)
-			if err == nil && !shown {
-				shown = true
-				show(fig)
-			}
-			return err
-		})
-	}
-	if want("fig5") || want("fig6") || want("fig7") {
-		shown := false
-		timeIt("fig5-7", func(p cluster.Params) error {
-			f5, f6, f7, err := cluster.ReplicationFigures(p)
-			if err != nil || shown {
-				return err
-			}
-			shown = true
-			switch {
-			case *exp == "all":
-				show(f5, f6, f7)
-			case want("fig5"):
-				show(f5)
-			case want("fig6"):
-				show(f6)
-			default:
-				show(f7)
-			}
-			return nil
-		})
-	}
-	if want("fig8") {
-		qp := pr
-		if *exp == "all" && qp.Ops > 100 {
-			qp.Ops = 100 // 1 MB x 1000 puts x 8 configs is slow; cap in 'all' mode
-		}
-		shown := false
-		timeIt("fig8", func(p cluster.Params) error {
-			p.Ops = qp.Ops
-			a, b, err := cluster.Fig8Quorum(p)
-			if err == nil && !shown {
-				shown = true
-				show(a, b)
-			}
-			return err
-		})
-	}
-	if want("fig9") {
-		shown := false
-		timeIt("fig9", func(p cluster.Params) error {
-			figs, err := cluster.Fig9Consistency(p)
-			if err == nil && !shown {
-				shown = true
-				for _, size := range cluster.ConsistencySizes {
-					show(figs[size])
-				}
-			}
-			return err
-		})
-	}
-	if want("fig10") {
-		shown := false
-		timeIt("fig10", func(p cluster.Params) error {
-			figs, err := cluster.Fig10LoadBalancing(p)
-			if err == nil && !shown {
-				shown = true
-				for _, size := range cluster.ConsistencySizes {
-					show(figs[size])
-				}
-			}
-			return err
-		})
-	}
-	if want("fig11") {
-		t0 := time.Now()
-		res, err := cluster.Fig11FaultTolerance(cluster.DefaultFTParams())
-		if err != nil {
-			fail(err)
-		}
-		show(res.Figure())
-		dt := time.Since(t0).Seconds()
-		fmt.Printf("-- fig11: %.2fs wall\n\n", dt)
-		timings = append(timings, figResult{Name: "fig11", Seconds: dt})
-	}
-	if want("fig12") {
-		shown := false
-		timeIt("fig12", func(p cluster.Params) error {
-			p.Ops = *ycsbOps
-			fig, err := cluster.Fig12YCSB(p, *clients)
-			if err == nil && !shown {
-				shown = true
-				show(fig)
-			}
-			return err
-		})
-	}
-	if want("ycsb-all") {
-		fig, err := cluster.YCSBAllWorkloads(cluster.Params{Ops: *ycsbOps, Seed: *seed, Seq: pr.Seq}, *clients)
-		if err != nil {
-			fail(err)
-		}
-		show(fig)
-	}
-	if want("scale-out") {
-		fig, err := cluster.ScaleOutThroughput(pr)
-		if err != nil {
-			fail(err)
-		}
-		show(fig)
-	}
-	if want("quorum-read") {
-		fig, err := cluster.QuorumReadOverhead(pr)
-		if err != nil {
-			fail(err)
-		}
-		show(fig)
-	}
-	if want("cachesweep") {
-		shown := false
-		timeIt("cachesweep", func(p cluster.Params) error {
-			figs, err := cluster.CacheSweep(p)
-			if err == nil && !shown {
-				shown = true
-				show(figs...)
-			}
-			return err
-		})
-	}
-	if want("chaos") {
-		t0 := time.Now()
-		rep, err := cluster.RunChaos(pr, *chaosN, *chaosCB)
-		if err != nil {
-			fail(err)
-		}
-		rep.Fprint(os.Stdout)
-		fmt.Printf("-- chaos: %.2fs wall\n\n", time.Since(t0).Seconds())
-		ran++
-		if len(rep.Violating()) > 0 || !rep.DeterminismOK {
-			stopProfiles()
-			os.Exit(1)
-		}
-	}
-	if want("ctrlsweep") {
-		t0 := time.Now()
-		rep, err := cluster.CtrlFailoverSweep(pr, 10)
-		if err != nil {
-			fail(err)
-		}
-		rep.Fprint(os.Stdout)
-		fmt.Printf("-- ctrlsweep: %.2fs wall\n\n", time.Since(t0).Seconds())
-		if *ctrlOut != "" {
-			report := struct {
-				Env  benchEnv `json:"env"`
-				Seed int64    `json:"seed"`
-				*cluster.CtrlReport
-			}{env(), *seed, rep}
-			if err := writeJSON(*ctrlOut, report); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *ctrlOut)
-		}
-		ran++
-	}
-	if want("heavytraffic") {
-		sizes, err := parseSizes(*trafSize)
-		if err != nil {
-			fail(err)
-		}
-		t0 := time.Now()
-		cells, err := cluster.HeavyTrafficSweep(pr, sizes)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("heavytraffic: open-loop fleet sweep (aggregate offered load held constant)")
-		fmt.Printf("%-16s %9s %11s %11s %9s %9s %8s %8s\n",
-			"system", "clients", "offered/s", "achieved/s", "p50us", "p99us", "timeout", "cachehit")
-		for _, c := range cells {
-			fmt.Printf("%-16s %9d %11.0f %11.0f %9.1f %9.1f %7.2f%% %7.2f%%\n",
-				c.System, c.Clients, c.Offered, c.Achieved, c.P50Micros, c.P99Micros,
-				100*c.TimeoutFrac, 100*c.CacheHit)
-		}
-		fmt.Printf("-- heavytraffic: %.2fs wall\n\n", time.Since(t0).Seconds())
-		if *trafOut != "" {
-			report := struct {
-				Env   benchEnv              `json:"env"`
-				Seed  int64                 `json:"seed"`
-				Cells []cluster.TrafficCell `json:"cells"`
-			}{env(), *seed, cells}
-			if err := writeJSON(*trafOut, report); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *trafOut)
-		}
-		ran++
-	}
-	if want("storagesweep") {
-		t0 := time.Now()
-		rep, err := cluster.StorageSweep(pr, *storHeav)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("storagesweep: durable engine under memory pressure (%d records x %dB, R=3, %d nodes)\n",
-			rep.Records, rep.ValueSize, rep.Nodes)
-		fmt.Printf("%-14s %6s %10s %9s %8s %8s %7s %8s %7s %6s %8s\n",
-			"system", "ws/bud", "budget", "ops/s", "getp99us", "putp99us", "memhit", "evict", "fsync", "snaps", "cachehit")
-		for _, c := range rep.Cells {
-			fmt.Printf("%-14s %6.1f %10s %9.0f %8.1f %8.1f %6.1f%% %8d %7d %6d %7.2f%%\n",
-				c.System, c.Ratio, metrics.FormatBytes(c.BudgetBytes), c.Tput,
-				c.GetP99Micros, c.PutP99Micros, 100*c.MemHitRatio,
-				c.Evictions, c.Fsyncs, c.Snapshots, 100*c.CacheHit)
-		}
-		for _, h := range rep.Heavy {
-			fmt.Printf("%-14s clients=%d offered/s=%.0f achieved/s=%.0f p99us=%.1f timeout=%.2f%% memhit=%.1f%% evictions=%d\n",
-				h.System, h.Clients, h.Offered, h.Achieved, h.P99Micros,
-				100*h.TimeoutFrac, 100*h.MemHitFrac, h.Evictions)
-		}
-		fmt.Printf("-- storagesweep: %.2fs wall\n\n", time.Since(t0).Seconds())
-		if *storOut != "" {
-			report := struct {
-				Env  benchEnv `json:"env"`
-				Seed int64    `json:"seed"`
-				*cluster.StorageReport
-			}{env(), *seed, rep}
-			if err := writeJSON(*storOut, report); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *storOut)
-		}
-		ran++
-	}
-	if want("batchsweep") {
-		t0 := time.Now()
-		rep, err := cluster.BatchSweep(pr, *batchHv)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("batchsweep: end-to-end batching (%d clients x %d ops, %dB values, %d nodes)\n",
-			rep.Clients, rep.OpsPerClient, rep.ValueSize, rep.Nodes)
-		fmt.Printf("%-18s %5s %3s %9s %8s %9s %8s %7s %6s %7s %7s %7s %6s\n",
-			"system", "batch", "gc", "puts/s", "putp99us", "gets/s", "getp99us",
-			"commits", "mean", "coalget", "fsyncs", "coalfs", "sync/b")
-		for _, c := range rep.Cells {
-			gc := "-"
-			if c.GroupCommit {
-				gc = "on"
-			}
-			fmt.Printf("%-18s %5d %3s %9.0f %8.1f %9.0f %8.1f %7d %6.2f %7d %7d %7d %6.2f\n",
-				c.System, c.Batch, gc, c.PutTput, c.PutP99Micros, c.GetTput, c.GetP99Micros,
-				c.BatchCommits, c.MeanPutBatch, c.GetsCoalesced,
-				c.Fsyncs, c.CoalescedSyncs, c.MeanSyncBatch)
-		}
-		for _, h := range rep.Heavy {
-			fmt.Printf("%-18s clients=%d offered/s=%.0f achieved/s=%.0f p99us=%.1f timeout=%.2f%% memhit=%.1f%%\n",
-				h.System, h.Clients, h.Offered, h.Achieved, h.P99Micros,
-				100*h.TimeoutFrac, 100*h.MemHitFrac)
-		}
-		fmt.Printf("durable put speedup vs per-op fsync baseline: %.2fx\n", rep.DurableSpeedup)
-		fmt.Printf("determinism recheck: ok=%v\n", rep.DeterminismOK)
-		fmt.Printf("-- batchsweep: %.2fs wall\n\n", time.Since(t0).Seconds())
-		if *batchOut != "" {
-			report := struct {
-				Env  benchEnv `json:"env"`
-				Seed int64    `json:"seed"`
-				*cluster.BatchReport
-			}{env(), *seed, rep}
-			if err := writeJSON(*batchOut, report); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *batchOut)
-		}
-		ran++
-		if !rep.DeterminismOK {
-			stopProfiles()
-			fmt.Fprintln(os.Stderr, "nicebench: batchsweep determinism recheck failed")
-			os.Exit(1)
-		}
-	}
-	if want("readscale") {
-		t0 := time.Now()
-		rep, err := cluster.ReadScaleSweep(pr)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("readscale: get scaling vs replication factor (%d nodes, %d clients, %d keys on one partition)\n",
-			rep.Nodes, rep.Clients, rep.Keys)
-		fmt.Printf("%-18s %3s %7s %10s %9s %9s %9s %9s %9s\n",
-			"system", "R", "putfrac", "gets/s", "p99us", "local", "replica", "routed", "fallback")
-		for _, c := range rep.Cells {
-			fmt.Printf("%-18s %3d %6.0f%% %10.0f %9.1f %9d %9d %9d %9d\n",
-				c.System, c.R, 100*c.PutFrac, c.GetTput, c.GetP99Micros,
-				c.ServedLocal, c.ServedReplica, c.Routed, c.Fallbacks)
-		}
-		for _, sys := range []string{"NICEKV", "NICEKV+quorum", "NICEKV+LB", "NICEKV+harmonia"} {
-			if v, ok := rep.SpeedupAtMaxR[sys]; ok {
-				fmt.Printf("read-only speedup at R=%d: %-18s %.2fx\n",
-					rep.Replicas[len(rep.Replicas)-1], sys, v)
-			}
-		}
-		cluster.ReadScaleFigure(rep).Fprint(os.Stdout)
-		fmt.Printf("-- readscale: %.2fs wall\n\n", time.Since(t0).Seconds())
-		if *rsOut != "" {
-			report := struct {
-				Env  benchEnv `json:"env"`
-				Seed int64    `json:"seed"`
-				*cluster.ReadScaleReport
-			}{env(), *seed, rep}
-			if err := writeJSON(*rsOut, report); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *rsOut)
-		}
-		ran++
-	}
-	if want("fabric") {
-		fig, err := cluster.FabricComparison(pr)
-		if err != nil {
-			fail(err)
-		}
-		show(fig)
-	}
-	if want("tables") || want("tab-switch") || want("tab-membership") {
-		sw, err := cluster.SwitchScalabilityTable()
-		if err != nil {
-			fail(err)
-		}
-		mem, err := cluster.MembershipScalabilityTable()
-		if err != nil {
-			fail(err)
-		}
-		show(sw, mem)
-	}
-	if *exp == "kernel" {
-		report := kernelReport{Env: env(), Benchmarks: kernelBenchmarks()}
-		for _, b := range report.Benchmarks {
-			fmt.Printf("%-22s %12.1f ns/op %6d B/op %4d allocs/op\n",
-				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
-		}
-		if *kernOut != "" {
-			if err := writeJSON(*kernOut, report); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *kernOut)
-		}
-		if *swOut != "" {
-			if err := writeJSON(*swOut, switchBenchmarks()); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *swOut)
-		}
-		if *kernBase != "" {
-			if err := checkKernelBaseline(*kernBase, report.Benchmarks); err != nil {
-				fail(err)
-			}
-		}
-		ran++
-	}
-
-	if ran == 0 {
-		stopProfiles()
-		fmt.Fprintf(os.Stderr, "nicebench: unknown experiment %q (want one of: all %s)\n",
-			*exp, experimentNames())
-		os.Exit(2)
-	}
-
-	if len(timings) > 0 && *figOut != "" {
-		report := figuresReport{Env: env(), Ops: *ops, Seed: *seed, Parallel: !pr.Seq, Figures: timings}
-		if err := writeJSON(*figOut, report); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *figOut)
-	}
-	stopProfiles()
 }
 
 // kernelGates are the benchmarks whose regression fails a -kernel-baseline
@@ -647,12 +511,14 @@ var kernelGates = map[string]bool{
 // checkKernelBaseline compares measured kernel benchmarks against a
 // committed baseline file and errors when a gated benchmark regressed by
 // more than 2x.
-func checkKernelBaseline(path string, got []kernelResult) error {
+func checkKernelBaseline(w io.Writer, path string, got []kernelResult) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var base kernelReport
+	var base struct {
+		Benchmarks []kernelResult `json:"benchmarks"`
+	}
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing %s: %w", path, err)
 	}
@@ -661,11 +527,11 @@ func checkKernelBaseline(path string, got []kernelResult) error {
 		baseline[b.Name] = b
 	}
 	var regressed []string
-	fmt.Printf("kernel benchmark delta vs %s:\n", path)
+	fmt.Fprintf(w, "kernel benchmark delta vs %s:\n", path)
 	for _, g := range got {
 		b, ok := baseline[g.Name]
 		if !ok || b.NsPerOp <= 0 {
-			fmt.Printf("  %-22s %10.1f ns/op (no baseline)\n", g.Name, g.NsPerOp)
+			fmt.Fprintf(w, "  %-22s %10.1f ns/op (no baseline)\n", g.Name, g.NsPerOp)
 			continue
 		}
 		ratio := g.NsPerOp / b.NsPerOp
@@ -673,7 +539,7 @@ func checkKernelBaseline(path string, got []kernelResult) error {
 		if kernelGates[g.Name] {
 			gate = "*"
 		}
-		fmt.Printf("  %s %-20s %10.1f ns/op vs %10.1f baseline (%.2fx)\n",
+		fmt.Fprintf(w, "  %s %-20s %10.1f ns/op vs %10.1f baseline (%.2fx)\n",
 			gate, g.Name, g.NsPerOp, b.NsPerOp, ratio)
 		if kernelGates[g.Name] && ratio > 2 {
 			regressed = append(regressed, fmt.Sprintf("%s %.2fx", g.Name, ratio))
@@ -687,27 +553,15 @@ func checkKernelBaseline(path string, got []kernelResult) error {
 
 // parseSizes parses the -traffic-sizes list; empty means the sweep's
 // default 10^4..10^6 decades.
-func parseSizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var sizes []int
-	for _, f := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n <= 0 {
+func parseSizes(s string) (sizes []int, err error) {
+	for _, f := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' }) {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("bad -traffic-sizes entry %q", f)
 		}
 		sizes = append(sizes, n)
 	}
 	return sizes, nil
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // benchDisk is the disk model under the GroupCommit kernel benchmark: a

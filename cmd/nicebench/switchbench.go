@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/openflow"
@@ -21,17 +22,12 @@ type switchPoint struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-type switchReport struct {
-	Env    benchEnv      `json:"env"`
-	Points []switchPoint `json:"points"`
-}
-
 // switchBenchmarks sweeps datapath lookup cost over deployment sizes and
 // rule mixes (plain NICEKV vs NICEKV with the hot-key cache tier),
 // measuring the two-tier indexed FlowTable against the linear-scan
 // ReferenceTable on identical rules and packets.
-func switchBenchmarks() switchReport {
-	rep := switchReport{Env: env()}
+func switchBenchmarks(w io.Writer) []switchPoint {
+	var points []switchPoint
 	for _, nodes := range []int{8, 32, 64, 128, 256} {
 		for _, cache := range []bool{false, true} {
 			mix := "nicekv"
@@ -84,10 +80,10 @@ func switchBenchmarks() switchReport {
 			if pt.IndexedNsPerOp > 0 {
 				pt.Speedup = pt.LinearNsPerOp / pt.IndexedNsPerOp
 			}
-			rep.Points = append(rep.Points, pt)
-			fmt.Printf("switch-scale nodes=%-4d mix=%-13s rules=%-5d indexed %8.1f ns/op (%d allocs) linear %9.1f ns/op  %6.1fx\n",
+			points = append(points, pt)
+			fmt.Fprintf(w, "switch-scale nodes=%-4d mix=%-13s rules=%-5d indexed %8.1f ns/op (%d allocs) linear %9.1f ns/op  %6.1fx\n",
 				pt.Nodes, pt.Mix, pt.Rules, pt.IndexedNsPerOp, pt.IndexedAllocsPerOp, pt.LinearNsPerOp, pt.Speedup)
 		}
 	}
-	return rep
+	return points
 }

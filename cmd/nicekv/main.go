@@ -80,37 +80,6 @@ func main() {
 		})
 	}
 
-	var putLat, getLat metrics.Histogram
-	var putFail, getFail int
-	g := sim.NewGroup(d.Sim)
-	for i := 0; i < *clients; i++ {
-		i := i
-		c := d.Clients[i]
-		rng := rand.New(rand.NewSource(*seed + int64(i)))
-		g.Add(1)
-		d.Sim.Spawn(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
-			defer g.Done()
-			stored := 0
-			for n := 0; n < *ops; n++ {
-				if stored == 0 || rng.Float64() < *putRatio {
-					key := fmt.Sprintf("c%d-k%d", i, stored)
-					if res, err := c.Put(p, key, n, *size); err != nil {
-						putFail++
-					} else {
-						putLat.Add(res.Latency)
-						stored++
-					}
-				} else {
-					key := fmt.Sprintf("c%d-k%d", i, rng.Intn(stored))
-					if res, err := c.Get(p, key); err != nil || !res.Found {
-						getFail++
-					} else {
-						getLat.Add(res.Latency)
-					}
-				}
-			}
-		})
-	}
 	if *failNode >= 0 && *failNode < *nodes {
 		d.Sim.After(100*time.Millisecond, func() {
 			fmt.Printf("  [harness] crashing node %d\n", *failNode)
@@ -121,8 +90,33 @@ func main() {
 			d.Nodes[*failNode].Restart()
 		})
 	}
-	d.Sim.Spawn("join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-	if err := d.Sim.Run(); err != nil {
+	var putLat, getLat metrics.Histogram
+	var putFail, getFail int
+	err := cluster.RunClients(d.Sim, *clients, func(i int, p *sim.Proc) error {
+		c := d.Clients[i]
+		rng := rand.New(rand.NewSource(*seed + int64(i)))
+		stored := 0
+		for n := 0; n < *ops; n++ {
+			if stored == 0 || rng.Float64() < *putRatio {
+				key := fmt.Sprintf("c%d-k%d", i, stored)
+				if res, err := c.Put(p, key, n, *size); err != nil {
+					putFail++
+				} else {
+					putLat.Add(res.Latency)
+					stored++
+				}
+			} else {
+				key := fmt.Sprintf("c%d-k%d", i, rng.Intn(stored))
+				if res, err := c.Get(p, key); err != nil || !res.Found {
+					getFail++
+				} else {
+					getLat.Add(res.Latency)
+				}
+			}
+		}
+		return nil // failed ops are counted, not fatal
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "nicekv:", err)
 		os.Exit(1)
 	}

@@ -34,35 +34,27 @@ func run(lb bool) {
 
 	const key = "celebrity-profile"
 	// Seed the hot object.
-	d.Sim.Spawn("seed", func(p *sim.Proc) {
-		if _, err := d.Clients[0].Put(p, key, "pic", objSize); err != nil {
-			log.Fatal(err)
-		}
-		d.Sim.Stop()
+	err := cluster.RunClients(d.Sim, 1, func(_ int, p *sim.Proc) error {
+		_, err := d.Clients[0].Put(p, key, "pic", objSize)
+		return err
 	})
-	if err := d.Sim.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 
 	start := d.Sim.Now()
-	g := sim.NewGroup(d.Sim)
 	var total sim.Time
-	for i := 0; i < clients; i++ {
-		c := d.Clients[i]
-		g.Add(1)
-		d.Sim.Spawn("getter", func(p *sim.Proc) {
-			defer g.Done()
-			for n := 0; n < gets; n++ {
-				res, err := c.Get(p, key)
-				if err != nil {
-					log.Fatal(err)
-				}
-				total += res.Latency
+	err = cluster.RunClients(d.Sim, clients, func(c int, p *sim.Proc) error {
+		for n := 0; n < gets; n++ {
+			res, err := d.Clients[c].Get(p, key)
+			if err != nil {
+				return err
 			}
-		})
-	}
-	d.Sim.Spawn("join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-	if err := d.Sim.Run(); err != nil {
+			total += res.Latency
+		}
+		return nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 

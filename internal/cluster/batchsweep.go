@@ -94,10 +94,10 @@ func batchGrid() []BatchCell {
 	return grid
 }
 
-// batchSweepOpts builds one cell's deployment.
-func batchSweepOpts(cell BatchCell, seed int64) (Options, error) {
-	opts := DefaultOptions()
-	opts.Seed = seed
+// batchSweepBase builds one cell's base deployment; the cell's system
+// arm (plus "+groupcommit" for that column) is applied on top.
+func batchSweepBase(cell BatchCell, seed int64) Options {
+	opts := seededOptions(seed)
 	opts.Nodes = batchSweepNodes
 	opts.Clients = batchSweepClients
 	// Keep the cells disk-bound, not CPU-bound (as the heavytraffic sweep
@@ -105,26 +105,12 @@ func batchSweepOpts(cell BatchCell, seed int64) (Options, error) {
 	// per disk-read time, which would serialize the very co-arrivals the
 	// batching stack exists to exploit.
 	opts.CPUPerOp = 10 * time.Microsecond
-	switch cell.System {
-	case "NICEKV":
-	case "NICEKV+LB":
-		opts.LoadBalance = true
-	case "NICEKV+LB+durable":
-		opts.LoadBalance = true
-		opts.DurableStore = true
-		// Budget under even the hot set so the measured phase is disk-bound
-		// on both sides: puts queue on WAL writes (what the accumulator and
-		// group commit recover) and hot-set gets keep faulting in from disk
-		// (the window duplicate-get coalescing collapses — memory-tier hits
-		// are free and need no coalescing).
-		opts.StoreMemoryBudget = 8 << 10
-	default:
-		return opts, fmt.Errorf("cluster: unknown batchsweep system %q", cell.System)
-	}
-	if cell.GroupCommit {
-		opts.GroupCommit = true
-		opts.MaxSyncDelay = 20 * time.Microsecond
-	}
+	// "+durable" arms: budget under even the hot set so the measured phase
+	// is disk-bound on both sides: puts queue on WAL writes (what the
+	// accumulator and group commit recover) and hot-set gets keep faulting
+	// in from disk (the window duplicate-get coalescing collapses —
+	// memory-tier hits are free and need no coalescing).
+	opts.StoreMemoryBudget = 8 << 10
 	if cell.Batch > 1 {
 		// Batch > 1 arms the whole server-side stack alongside the client
 		// API: the primaries' commit accumulator (sized past the client
@@ -137,155 +123,111 @@ func batchSweepOpts(cell BatchCell, seed int64) (Options, error) {
 		opts.PutBatchMax = 4 * cell.Batch
 		opts.CoalesceGets = true
 	}
-	return opts, nil
+	return opts
 }
 
 // runBatchCell drives one cell: a closed-loop put storm (every client
 // writes its own key range, MultiPut batches of cell.Batch), then a
 // zipfian-hot get storm (MultiGet batches against a shared hot set).
-func runBatchCell(pr Params, seed int64, cell BatchCell) (BatchCell, error) {
-	opts, err := batchSweepOpts(cell, seed)
-	if err != nil {
-		return cell, err
+func runBatchCell(pr Params, cell BatchCell) (BatchCell, error) {
+	arm := cell.System
+	if cell.GroupCommit {
+		arm += "+groupcommit"
 	}
-	d := NewNICE(opts)
-	defer d.Close()
-	if err := d.Settle(); err != nil {
-		return cell, err
-	}
-
-	perClient := pr.Ops
-	if perClient < cell.Batch {
-		perClient = cell.Batch
-	}
-	key := func(c, i int) string { return fmt.Sprintf("batch%d-%d", c, i) }
-
-	// Put storm: closed-loop, concurrent across the real clients — the
-	// concurrency is what gives the accumulator and group commit
-	// something to coalesce. Distinct per-client keys keep the protocol
-	// free of lock conflicts, so the cell measures batching, not
-	// contention.
-	var putHist, getHist metrics.Histogram
-	var opErr error
-	start := d.Sim.Now()
-	g := sim.NewGroup(d.Sim)
-	for c := range d.Clients {
-		c := c
-		g.Add(1)
-		d.Sim.Spawn(fmt.Sprintf("batch-put%d", c), func(p *sim.Proc) {
-			defer g.Done()
-			for i := 0; i < perClient; i += cell.Batch {
-				if cell.Batch == 1 {
-					res, err := d.Clients[c].Put(p, key(c, i), "v", batchSweepValue)
-					if err != nil {
-						opErr = err
-						return
+	err := withBench(arm, batchSweepBase(cell, pr.Seed), 0, func(b *bench) error {
+		d := b.NICE
+		perClient := max(pr.Ops, cell.Batch)
+		key := func(c, i int) string { return fmt.Sprintf("batch%d-%d", c, i) }
+		// storm drives every client closed-loop through perClient ops,
+		// cell.Batch per call, and returns the phase's virtual seconds;
+		// call issues client c's ops [lo, hi) and reports them per op.
+		storm := func(h *metrics.Histogram,
+			call func(c int, p *sim.Proc, rng *rand.Rand, lo, hi int) ([]core.OpResult, []error)) (float64, error) {
+			return b.Run(len(d.Clients), func(c int, p *sim.Proc) error {
+				rng := clientRNG(pr.Seed, 3000, c)
+				for lo := 0; lo < perClient; lo += cell.Batch {
+					results, errs := call(c, p, rng, lo, min(lo+cell.Batch, perClient))
+					for oi := range results {
+						if errs[oi] != nil {
+							return errs[oi]
+						}
+						h.Add(results[oi].Latency)
 					}
-					putHist.Add(res.Latency)
-					continue
 				}
-				ops := make([]core.PutOp, 0, cell.Batch)
-				for j := i; j < i+cell.Batch && j < perClient; j++ {
-					ops = append(ops, core.PutOp{Key: key(c, j), Value: "v", Size: batchSweepValue})
-				}
-				results, errs := d.Clients[c].MultiPut(p, ops)
-				for oi := range results {
-					if errs[oi] != nil {
-						opErr = errs[oi]
-						return
-					}
-					putHist.Add(results[oi].Latency)
-				}
+				return nil
+			})
+		}
+
+		// Put storm: concurrent across the real clients — the concurrency is
+		// what gives the accumulator and group commit something to coalesce.
+		// Distinct per-client keys keep the protocol free of lock conflicts,
+		// so the cell measures batching, not contention. Batch 1 stays on the
+		// single-op API: it is the bit-identical legacy path.
+		var putHist, getHist metrics.Histogram
+		seconds, err := storm(&putHist, func(c int, p *sim.Proc, _ *rand.Rand, lo, hi int) ([]core.OpResult, []error) {
+			if cell.Batch == 1 {
+				res, err := d.Clients[c].Put(p, key(c, lo), "v", batchSweepValue)
+				return []core.OpResult{res}, []error{err}
 			}
-		})
-	}
-	d.Sim.Spawn("batch-put-join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	if opErr != nil {
-		return cell, opErr
-	}
-	if elapsed := (d.Sim.Now() - start).Seconds(); elapsed > 0 {
-		cell.PutTput = float64(len(d.Clients)*perClient) / elapsed
-	}
-	cell.PutP50Micros = putHist.Percentile(50) * 1e6
-	cell.PutP99Micros = putHist.Percentile(99) * 1e6
-
-	// Get storm: every client reads the zipfian head of client 0's key
-	// range, so concurrent same-key reads pile onto the same nodes —
-	// exactly the thundering herd get coalescing exists to absorb.
-	hot := batchSweepHotKeys
-	if hot > perClient {
-		hot = perClient
-	}
-	start = d.Sim.Now()
-	gets := 0
-	g = sim.NewGroup(d.Sim)
-	for c := range d.Clients {
-		c := c
-		chooser := workload.NewZipfian(hot)
-		rng := rand.New(rand.NewSource(seed + 3000*int64(c+1)))
-		g.Add(1)
-		d.Sim.Spawn(fmt.Sprintf("batch-get%d", c), func(p *sim.Proc) {
-			defer g.Done()
-			for i := 0; i < perClient; i += cell.Batch {
-				if cell.Batch == 1 {
-					res, err := d.Clients[c].Get(p, key(0, chooser.Next(rng)))
-					if err != nil {
-						opErr = err
-						return
-					}
-					getHist.Add(res.Latency)
-					continue
-				}
-				keys := make([]string, 0, cell.Batch)
-				for j := i; j < i+cell.Batch && j < perClient; j++ {
-					keys = append(keys, key(0, chooser.Next(rng)))
-				}
-				results, errs := d.Clients[c].MultiGet(p, keys)
-				for oi := range results {
-					if errs[oi] != nil {
-						opErr = errs[oi]
-						return
-					}
-					getHist.Add(results[oi].Latency)
-				}
+			ops := make([]core.PutOp, 0, hi-lo)
+			for j := lo; j < hi; j++ {
+				ops = append(ops, core.PutOp{Key: key(c, j), Value: "v", Size: batchSweepValue})
 			}
-			gets += perClient
+			return d.Clients[c].MultiPut(p, ops)
 		})
-	}
-	d.Sim.Spawn("batch-get-join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	if opErr != nil {
-		return cell, opErr
-	}
-	if elapsed := (d.Sim.Now() - start).Seconds(); elapsed > 0 {
-		cell.GetTput = float64(gets) / elapsed
-	}
-	cell.GetP50Micros = getHist.Percentile(50) * 1e6
-	cell.GetP99Micros = getHist.Percentile(99) * 1e6
+		if err != nil {
+			return err
+		}
+		if seconds > 0 {
+			cell.PutTput = float64(len(d.Clients)*perClient) / seconds
+		}
+		cell.PutP50Micros = putHist.Percentile(50) * 1e6
+		cell.PutP99Micros = putHist.Percentile(99) * 1e6
 
-	var batched int64
-	for _, n := range d.Nodes {
-		st := n.Stats()
-		cell.BatchCommits += st.BatchCommits
-		batched += st.BatchedPuts
-		cell.GetsCoalesced += st.GetsCoalesced
-	}
-	if cell.BatchCommits > 0 {
-		cell.MeanPutBatch = float64(batched) / float64(cell.BatchCommits)
-	}
-	sc := d.StorageCounters()
-	cell.WALAppends = sc.WALAppends
-	cell.Fsyncs = sc.Fsyncs
-	cell.CoalescedSyncs = sc.CoalescedSyncs
-	if sc.Fsyncs > 0 {
-		cell.MeanSyncBatch = float64(sc.FsyncedRecords) / float64(sc.Fsyncs)
-	}
-	return cell, nil
+		// Get storm: every client reads the zipfian head of client 0's key
+		// range, so concurrent same-key reads pile onto the same nodes —
+		// exactly the thundering herd get coalescing exists to absorb.
+		chooser := workload.NewZipfian(min(batchSweepHotKeys, perClient))
+		seconds, err = storm(&getHist, func(c int, p *sim.Proc, rng *rand.Rand, lo, hi int) ([]core.OpResult, []error) {
+			if cell.Batch == 1 {
+				res, err := d.Clients[c].Get(p, key(0, chooser.Next(rng)))
+				return []core.OpResult{res}, []error{err}
+			}
+			keys := make([]string, 0, hi-lo)
+			for j := lo; j < hi; j++ {
+				keys = append(keys, key(0, chooser.Next(rng)))
+			}
+			return d.Clients[c].MultiGet(p, keys)
+		})
+		if err != nil {
+			return err
+		}
+		if seconds > 0 {
+			cell.GetTput = float64(len(d.Clients)*perClient) / seconds
+		}
+		cell.GetP50Micros = getHist.Percentile(50) * 1e6
+		cell.GetP99Micros = getHist.Percentile(99) * 1e6
+
+		var batched int64
+		for _, n := range d.Nodes {
+			st := n.Stats()
+			cell.BatchCommits += st.BatchCommits
+			batched += st.BatchedPuts
+			cell.GetsCoalesced += st.GetsCoalesced
+		}
+		if cell.BatchCommits > 0 {
+			cell.MeanPutBatch = float64(batched) / float64(cell.BatchCommits)
+		}
+		sc := d.StorageCounters()
+		cell.WALAppends = sc.WALAppends
+		cell.Fsyncs = sc.Fsyncs
+		cell.CoalescedSyncs = sc.CoalescedSyncs
+		if sc.Fsyncs > 0 {
+			cell.MeanSyncBatch = float64(sc.FsyncedRecords) / float64(sc.Fsyncs)
+		}
+		return nil
+	})
+	return cell, err
 }
 
 // BatchSweep runs the grid on the RunCells worker pool, re-runs the
@@ -293,20 +235,19 @@ func runBatchCell(pr Params, seed int64, cell BatchCell) (BatchCell, error) {
 // heavytraffic arm: heavyClients virtual clients issuing batched gets
 // against a durable group-commit deployment.
 func BatchSweep(pr Params, heavyClients int) (*BatchReport, error) {
-	grid := batchGrid()
+	cells := batchGrid()
+	g := grid[BatchCell]{
+		Dims: []int{len(cells)},
+		Cell: func(pr Params, ix []int) (BatchCell, error) { return runBatchCell(pr, cells[ix[0]]) },
+	}
 	rep := &BatchReport{
 		Nodes:        batchSweepNodes,
 		Clients:      batchSweepClients,
 		ValueSize:    batchSweepValue,
 		OpsPerClient: pr.Ops,
-		Cells:        make([]BatchCell, len(grid)),
 	}
-	err := RunCells(pr, len(grid), func(i int, seed int64) error {
-		c, cerr := runBatchCell(pr, seed, grid[i])
-		rep.Cells[i] = c
-		return cerr
-	})
-	if err != nil {
+	var err error
+	if rep.Cells, err = g.Run(pr); err != nil {
 		return nil, err
 	}
 
@@ -334,25 +275,14 @@ func BatchSweep(pr Params, heavyClients int) (*BatchReport, error) {
 	// reproduce every number bit-identically — batching must not have
 	// introduced scheduling nondeterminism.
 	if baseIdx >= 0 {
-		again, err := runBatchCell(pr, DeriveSeed(pr.Seed, baseIdx), grid[baseIdx])
+		again, err := g.Rerun(pr, baseIdx)
 		if err != nil {
 			return nil, err
 		}
 		rep.DeterminismOK = again == rep.Cells[baseIdx]
 	}
 
-	if heavyClients <= 0 {
-		heavyClients = 100_000
-	}
-	hopts, err := heavyTrafficOptions("nicekv+lb", DeriveSeed(pr.Seed, len(grid)))
-	if err != nil {
-		return nil, err
-	}
-	hopts.DurableStore = true
-	hopts.GroupCommit = true
-	hopts.MaxSyncDelay = 20 * time.Microsecond
-	hopts.StoreMemoryBudget = 512 << 10
-	heavy, err := runTrafficCellBatched(hopts, "nicekv+lb+durable+batch", heavyClients, 60_000, 400*time.Millisecond, 16)
+	heavy, err := durableHeavyCell("nicekv+lb+durable+batch", DeriveSeed(pr.Seed, len(cells)), heavyClients, 16)
 	if err != nil {
 		return nil, err
 	}

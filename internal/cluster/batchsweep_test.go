@@ -12,9 +12,7 @@ import (
 // accumulator must form multi-op batches, and hot-key MultiGets must
 // coalesce duplicate reads.
 func TestBatchSweepSmoke(t *testing.T) {
-	pr := Params{Seed: 42, Ops: 48}
-
-	base, err := runBatchCell(pr, DeriveSeed(pr.Seed, 0),
+	base, err := runBatchCell(Params{Seed: DeriveSeed(42, 0), Ops: 48},
 		BatchCell{System: "NICEKV+LB+durable", Batch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +24,7 @@ func TestBatchSweepSmoke(t *testing.T) {
 		t.Errorf("baseline cell must run the legacy path, got batching counters: %+v", base)
 	}
 
-	batched, err := runBatchCell(pr, DeriveSeed(pr.Seed, 1),
+	batched, err := runBatchCell(Params{Seed: DeriveSeed(42, 1), Ops: 48},
 		BatchCell{System: "NICEKV+LB+durable", Batch: 16, GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
@@ -56,13 +54,13 @@ func TestBatchSweepSmoke(t *testing.T) {
 // fan-out, accumulator drains, group-commit leadership, get coalescing)
 // must not introduce scheduling nondeterminism.
 func TestBatchSweepDeterminism(t *testing.T) {
-	pr := Params{Seed: 7, Ops: 32}
+	pr := Params{Seed: DeriveSeed(7, 9), Ops: 32}
 	cell := BatchCell{System: "NICEKV+LB+durable", Batch: 4, GroupCommit: true}
-	a, err := runBatchCell(pr, DeriveSeed(pr.Seed, 9), cell)
+	a, err := runBatchCell(pr, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runBatchCell(pr, DeriveSeed(pr.Seed, 9), cell)
+	b, err := runBatchCell(pr, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +85,10 @@ func TestChaosDurableGroupCommit(t *testing.T) {
 	if sys.name == "" {
 		t.Fatal("NICEKV+durable missing from chaosSystems")
 	}
-	opts := chaosOptions(1)
-	sys.tune(&opts)
+	opts, _, err := resolveArm(sys.arm, chaosCellOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !opts.GroupCommit || opts.MaxSyncDelay == 0 {
 		t.Fatalf("+durable chaos cell must run with group commit on, got %+v/%v",
 			opts.GroupCommit, opts.MaxSyncDelay)

@@ -38,173 +38,97 @@ type cacheCellResult struct {
 	hitRate float64 // switch cache hit rate (0 for cacheless systems)
 }
 
-// cacheSweepOpts builds one system variant's deployment options.
-func cacheSweepOpts(system string, seed int64, nodes, clients int) Options {
-	opts := DefaultOptions()
-	opts.Seed = seed
+// cacheSweepBase is the deployment every cachesweep (and storagesweep)
+// arm starts from, including how a "+cache" arm's switch cache behaves.
+func cacheSweepBase(seed int64, nodes, clients int) Options {
+	opts := seededOptions(seed)
 	opts.Nodes = nodes
 	opts.Clients = clients
 	if opts.R > nodes {
 		opts.R = nodes
 	}
-	switch system {
-	case "NICEKV+LB":
-		opts.LoadBalance = true
-	case "NICEKV+cache":
-		opts.Cache = true
-		opts.CacheCapacity = 64
-		opts.CacheSampleEvery = 1
-		// Install quickly: the sweeps run far fewer ops than a production
-		// trace, so the detector must react within the measured window.
-		opts.CacheHotThreshold = 4
-		opts.CacheDecayEvery = 10 * time.Second
-	}
+	opts.CacheCapacity = 64
+	opts.CacheSampleEvery = 1
+	// Install quickly: the sweeps run far fewer ops than a production
+	// trace, so the detector must react within the measured window.
+	opts.CacheHotThreshold = 4
+	opts.CacheDecayEvery = 10 * time.Second
 	return opts
+}
+
+// userKeys adapts a record chooser to the sweeps' "user<i>" keyspace.
+func userKeys(chooser workload.KeyChooser) func(*rand.Rand) string {
+	return func(rng *rand.Rand) string { return fmt.Sprintf("user%d", chooser.Next(rng)) }
+}
+
+// loadUserKeys writes records user0..user<n-1> through client 0.
+func (b *bench) loadUserKeys(n, size int) error {
+	_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+		for i := 0; i < n; i++ {
+			if _, err := b.Clients[0].Put(p, fmt.Sprintf("user%d", i), "v", size); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return err
 }
 
 // cacheRun loads the keyspace, warms the detector, then drives a
 // read-mostly phase measuring get throughput and latency.
-func cacheRun(pr Params, seed int64, system string, nodes, clients int,
-	chooser workload.KeyChooser, putFrac float64) (cacheCellResult, error) {
+func cacheRun(pr Params, system string, nodes, clients int,
+	chooser workload.KeyChooser, putFrac float64) (out cacheCellResult, err error) {
 
-	opts := cacheSweepOpts(system, seed, nodes, clients)
-	d := NewNICE(opts)
-	defer d.Close()
-	if err := d.Settle(); err != nil {
-		return cacheCellResult{}, err
-	}
-
-	key := func(i int) string { return fmt.Sprintf("user%d", i) }
-	const valueSize = workload.DefaultValueSize
-
-	// Load phase: client 0 writes every record.
-	var loadErr error
-	d.Sim.Spawn("cache-load", func(p *sim.Proc) {
-		for i := 0; i < cacheSweepRecords; i++ {
-			if _, err := d.Clients[0].Put(p, key(i), "v", valueSize); err != nil {
-				loadErr = err
-				break
-			}
+	err = withBench(system, cacheSweepBase(pr.Seed, nodes, clients), 0, func(b *bench) error {
+		const valueSize = workload.DefaultValueSize
+		if err := b.loadUserKeys(cacheSweepRecords, valueSize); err != nil {
+			return err
 		}
-		d.Sim.Stop()
+
+		// Warm phase: unmeasured gets let the sampled miss stream push hot
+		// keys over the detector threshold and the installs land.
+		warm := max(pr.Ops/4, 32)
+		next := userKeys(chooser)
+		if _, err := b.Run(len(b.Clients), func(c int, p *sim.Proc) error {
+			rng := clientRNG(pr.Seed, 1000, c)
+			for n := 0; n < warm; n++ {
+				if _, err := b.Clients[c].Get(p, next(rng)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+
+		// Measured phase: read-mostly mixed traffic.
+		var gets, puts metrics.Histogram
+		seconds, err := b.mixedPhase(pr.Seed, 2000, pr.Ops, putFrac, valueSize, next, &gets, &puts)
+		if err != nil {
+			return err
+		}
+		out.p99 = gets.Percentile(99)
+		if seconds > 0 {
+			out.tput = float64(gets.N()) / seconds
+		}
+		if b.NICE.Cache != nil {
+			out.hitRate = b.NICE.Cache.Stats().HitRate()
+		}
+		return nil
 	})
-	if err := d.Sim.Run(); err != nil {
-		return cacheCellResult{}, err
-	}
-	if loadErr != nil {
-		return cacheCellResult{}, loadErr
-	}
-
-	// Warm phase: unmeasured gets let the sampled miss stream push hot
-	// keys over the detector threshold and the installs land.
-	warm := pr.Ops / 4
-	if warm < 32 {
-		warm = 32
-	}
-	var warmErr error
-	{
-		g := sim.NewGroup(d.Sim)
-		for c := range d.Clients {
-			c := c
-			rng := rand.New(rand.NewSource(seed + 1000*int64(c+1)))
-			g.Add(1)
-			d.Sim.Spawn(fmt.Sprintf("cache-warm%d", c), func(p *sim.Proc) {
-				defer g.Done()
-				for n := 0; n < warm; n++ {
-					if _, err := d.Clients[c].Get(p, key(chooser.Next(rng))); err != nil {
-						warmErr = err
-						return
-					}
-				}
-			})
-		}
-		d.Sim.Spawn("cache-warm-join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-		if err := d.Sim.Run(); err != nil {
-			return cacheCellResult{}, err
-		}
-		if warmErr != nil {
-			return cacheCellResult{}, warmErr
-		}
-	}
-
-	// Measured phase: read-mostly mixed traffic.
-	var hist metrics.Histogram
-	gets := 0
-	start := d.Sim.Now()
-	var opErr error
-	g := sim.NewGroup(d.Sim)
-	for c := range d.Clients {
-		c := c
-		rng := rand.New(rand.NewSource(seed + 2000*int64(c+1)))
-		g.Add(1)
-		d.Sim.Spawn(fmt.Sprintf("cache-client%d", c), func(p *sim.Proc) {
-			defer g.Done()
-			for n := 0; n < pr.Ops; n++ {
-				k := key(chooser.Next(rng))
-				if rng.Float64() < putFrac {
-					if _, err := d.Clients[c].Put(p, k, "v", valueSize); err != nil {
-						opErr = err
-						return
-					}
-					continue
-				}
-				res, err := d.Clients[c].Get(p, k)
-				if err != nil {
-					opErr = err
-					return
-				}
-				hist.Add(res.Latency)
-				gets++
-			}
-		})
-	}
-	d.Sim.Spawn("cache-join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-	if err := d.Sim.Run(); err != nil {
-		return cacheCellResult{}, err
-	}
-	if opErr != nil {
-		return cacheCellResult{}, opErr
-	}
-
-	elapsed := (d.Sim.Now() - start).Seconds()
-	out := cacheCellResult{p99: hist.Percentile(99)}
-	if elapsed > 0 {
-		out.tput = float64(gets) / elapsed
-	}
-	if d.Cache != nil {
-		out.hitRate = d.Cache.Stats().HitRate()
-	}
-	return out, nil
+	return out, err
 }
 
-// cacheGrid runs one sweep axis as a (system, x) RunCells grid and
-// assembles throughput and p99 series in grid order.
-func cacheGrid(pr Params, xs []string,
-	cell func(seed int64, system string, xi int) (cacheCellResult, error)) (tput, p99 []Series, err error) {
+// cacheGrid runs one sweep axis as a (system, x) grid.
+func cacheGrid(pr Params, nx int,
+	cell func(pr Params, system string, xi int) (cacheCellResult, error)) ([]cacheCellResult, error) {
 
-	results := make([]cacheCellResult, len(cacheSweepSystems)*len(xs))
-	err = RunCells(pr, len(results), func(i int, seed int64) error {
-		sys := cacheSweepSystems[i/len(xs)]
-		xi := i % len(xs)
-		r, cerr := cell(seed, sys, xi)
-		results[i] = r
-		return cerr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for si, sys := range cacheSweepSystems {
-		st := Series{System: sys}
-		sp := Series{System: sys}
-		for xi, x := range xs {
-			r := results[si*len(xs)+xi]
-			st.Points = append(st.Points, Point{X: x, Value: r.tput})
-			sp.Points = append(sp.Points, Point{X: x, Value: r.p99 * 1e3}) // ms
-		}
-		tput = append(tput, st)
-		p99 = append(p99, sp)
-	}
-	return tput, p99, nil
+	return grid[cacheCellResult]{
+		Dims: []int{len(cacheSweepSystems), nx},
+		Cell: func(pr Params, ix []int) (cacheCellResult, error) {
+			return cell(pr, cacheSweepSystems[ix[0]], ix[1])
+		},
+	}.Run(pr)
 }
 
 // CacheSweep runs the full experiment. The sweeps are read-mostly
@@ -219,28 +143,20 @@ func CacheSweep(pr Params) ([]*Figure, error) {
 	)
 
 	// Axis 1: skew. Fixed cluster, rising Zipf theta.
-	thetaXs := make([]string, len(CacheSweepThetas))
-	for i, t := range CacheSweepThetas {
-		thetaXs[i] = fmt.Sprintf("%.2f", t)
-	}
-	thetaT, thetaP, err := cacheGrid(pr, thetaXs,
-		func(seed int64, system string, xi int) (cacheCellResult, error) {
+	byTheta, err := cacheGrid(pr, len(CacheSweepThetas),
+		func(pr Params, system string, xi int) (cacheCellResult, error) {
 			ch := workload.NewZipfianTheta(cacheSweepRecords, CacheSweepThetas[xi])
-			return cacheRun(pr, seed, system, sweepNodes, sweepClients, ch, putFrac)
+			return cacheRun(pr, system, sweepNodes, sweepClients, ch, putFrac)
 		})
 	if err != nil {
 		return nil, err
 	}
 
 	// Axis 2: cluster size at YCSB skew.
-	nodeXs := make([]string, len(CacheSweepNodes))
-	for i, n := range CacheSweepNodes {
-		nodeXs[i] = fmt.Sprintf("%d", n)
-	}
-	nodesT, _, err := cacheGrid(pr, nodeXs,
-		func(seed int64, system string, xi int) (cacheCellResult, error) {
+	byNodes, err := cacheGrid(pr, len(CacheSweepNodes),
+		func(pr Params, system string, xi int) (cacheCellResult, error) {
 			ch := workload.NewZipfianTheta(cacheSweepRecords, theta)
-			return cacheRun(pr, seed, system, CacheSweepNodes[xi], sweepClients, ch, putFrac)
+			return cacheRun(pr, system, CacheSweepNodes[xi], sweepClients, ch, putFrac)
 		})
 	if err != nil {
 		return nil, err
@@ -253,21 +169,23 @@ func CacheSweep(pr Params) ([]*Figure, error) {
 		workload.NewZipfianTheta(cacheSweepRecords, theta),
 		workload.NewHotSpot(cacheSweepRecords, 0.9, 0.1),
 	}
-	distT, _, err := cacheGrid(pr, distXs,
-		func(seed int64, system string, xi int) (cacheCellResult, error) {
-			return cacheRun(pr, seed, system, sweepNodes, sweepClients, choosers[xi], putFrac)
+	byDist, err := cacheGrid(pr, len(distXs),
+		func(pr Params, system string, xi int) (cacheCellResult, error) {
+			return cacheRun(pr, system, sweepNodes, sweepClients, choosers[xi], putFrac)
 		})
 	if err != nil {
 		return nil, err
 	}
 
+	tput := func(r cacheCellResult) float64 { return r.tput }
+	thetaXs := labels("%.2f", CacheSweepThetas)
 	figs := []*Figure{
 		{
 			ID:     "cache-theta",
 			Title:  "In-switch caching vs load balancing under rising skew",
 			XLabel: "zipf theta",
 			YLabel: "gets per second, aggregate",
-			Series: thetaT,
+			Series: seriesOf(cacheSweepSystems, thetaXs, byTheta, tput),
 			Notes: []string{
 				fmt.Sprintf("%d nodes, %d clients, %d keys, 5%% puts; cache: 64 entries, write-invalidate",
 					sweepNodes, sweepClients, cacheSweepRecords),
@@ -279,14 +197,14 @@ func CacheSweep(pr Params) ([]*Figure, error) {
 			Title:  "Get tail latency under rising skew",
 			XLabel: "zipf theta",
 			YLabel: "get p99 latency, ms",
-			Series: thetaP,
+			Series: seriesOf(cacheSweepSystems, thetaXs, byTheta, func(r cacheCellResult) float64 { return r.p99 * 1e3 }),
 		},
 		{
 			ID:     "cache-nodes",
 			Title:  "In-switch caching vs cluster size (theta = 0.99)",
 			XLabel: "nodes",
 			YLabel: "gets per second, aggregate",
-			Series: nodesT,
+			Series: seriesOf(cacheSweepSystems, labels("%d", CacheSweepNodes), byNodes, tput),
 			Notes:  []string{"hot-key throughput with the cache is decoupled from node count"},
 		},
 		{
@@ -294,7 +212,7 @@ func CacheSweep(pr Params) ([]*Figure, error) {
 			Title:  "In-switch caching across key distributions",
 			XLabel: "distribution",
 			YLabel: "gets per second, aggregate",
-			Series: distT,
+			Series: seriesOf(cacheSweepSystems, distXs, byDist, tput),
 		},
 	}
 	return figs, nil

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"time"
 
@@ -40,16 +41,15 @@ var chaosKeys = []string{
 
 // chaosSystem is one system configuration under test.
 type chaosSystem struct {
-	name string
-	tune func(*Options)
+	// name labels the cell in reports and repro lines; arm is the feature
+	// list resolveArm builds it from, on top of chaosCellOptions.
+	name, arm string
 	// maxOutages overrides the generator's concurrent-outage cap when
 	// non-zero.
 	maxOutages int
-	// leafspine builds the cell on the four-leaf spine fabric instead of
-	// the single-switch deployment.
-	leafspine bool
-	// traffic (implies leafspine) runs the open-loop engine offering
-	// background load while the chaos clients record the checked history.
+	// traffic builds the cell on the four-leaf spine fabric and runs the
+	// open-loop engine offering background load while the chaos clients
+	// record the checked history.
 	traffic bool
 	// weights reshapes the generator's fault mix (index by
 	// faultinject.Kind); nil keeps the default bias.
@@ -70,23 +70,14 @@ type chaosSystem struct {
 // window the protocol does not claim to survive.
 func chaosSystems() []chaosSystem {
 	return []chaosSystem{
-		{name: "NICEKV/2PC", tune: func(o *Options) { o.LoadBalance = true }},
-		{name: "NICEKV+cache", tune: func(o *Options) {
-			o.LoadBalance = true
-			o.Cache = true
-			o.CacheHotThreshold = 4
-			o.CacheSampleEvery = 1
-			o.CacheDecayEvery = 200 * time.Millisecond
-		}},
-		{name: "NICEKV+quorum", tune: func(o *Options) { o.QuorumK = 2 }, maxOutages: 1},
+		{name: "NICEKV/2PC", arm: "NICEKV+LB"},
+		{name: "NICEKV+cache", arm: "NICEKV+LB+cache"},
+		{name: "NICEKV+quorum", arm: "NICEKV+quorum", maxOutages: 1},
 		// The heavytraffic cell answers "does the open-loop engine change
 		// what the checker sees?": same invariants, but every fault lands
 		// while thousands of virtual-client gets are crossing the same
 		// leaf-spine fabric as the recorded history.
-		{name: "NICEKV+heavytraffic", tune: func(o *Options) {
-			o.LoadBalance = true
-			o.TrafficGateways = true
-		}, traffic: true},
+		{name: "NICEKV+heavytraffic", arm: "NICEKV+LB", traffic: true},
 		// The durable cell puts the storage engine under the harshest mix
 		// it faces: a crash really wipes memory and the unfsynced WAL tail
 		// (no state resurrection — recovery is snapshot + log replay), the
@@ -94,21 +85,13 @@ func chaosSystems() []chaosSystem {
 		// promotion churn constantly, and the fault mix is reshaped toward
 		// crash and slowdisk. The post-run durability audit (CheckDurability
 		// against the union of the nodes' final stores) holds in addition
-		// to the standard invariants. Appended last: cell seeds derive from
-		// sweep position, so inserting mid-list would reseed the
-		// longstanding systems' schedules.
-		{name: "NICEKV+durable", tune: func(o *Options) {
-			o.LoadBalance = true
-			o.DurableStore = true
-			o.StoreMemoryBudget = int64(len(chaosKeys) * chaosValSize / 2)
-			o.StoreShards = 2
-			o.StoreSnapshotEvery = 100 * time.Millisecond
-			// Group commit stays on under chaos: coalesced fsyncs must not
-			// weaken fsync-before-ack (a crash mid-batch tears the whole
-			// batch), and the durability audit proves it.
-			o.GroupCommit = true
-			o.MaxSyncDelay = 20 * time.Microsecond
-		}, weights: durableWeights()},
+		// to the standard invariants. Group commit stays on under chaos:
+		// coalesced fsyncs must not weaken fsync-before-ack (a crash
+		// mid-batch tears the whole batch), and the durability audit proves
+		// it. Appended last: cell seeds derive from sweep position, so
+		// inserting mid-list would reseed the longstanding systems'
+		// schedules.
+		{name: "NICEKV+durable", arm: "NICEKV+LB+durable+groupcommit", weights: durableWeights()},
 		// The ctrlchain cell kills the control plane itself: the active
 		// metadata host crashes mid-run (ctrlcrash), chain replicas
 		// fail-stop under it (chainkill), and storage nodes crash alongside
@@ -116,15 +99,7 @@ func chaosSystems() []chaosSystem {
 		// and fence the returning zombie. The in-switch cache is on with a
 		// hair trigger so takeovers land mid-install. Appended last: cell
 		// seeds derive from sweep position (see the durable cell's note).
-		{name: "NICEKV+ctrlchain", tune: func(o *Options) {
-			o.LoadBalance = true
-			o.Standby = true
-			o.CtrlChain = true
-			o.Cache = true
-			o.CacheHotThreshold = 4
-			o.CacheSampleEvery = 1
-			o.CacheDecayEvery = 200 * time.Millisecond
-		}, weights: ctrlWeights(), chainNodes: 3},
+		{name: "NICEKV+ctrlchain", arm: "NICEKV+LB+cache+ctrlchain", weights: ctrlWeights(), chainNodes: 3},
 		// The harmonia cell routes reads through the in-switch dirty set
 		// under the mode's most adversarial write protocol: any-k quorum
 		// puts, where an acknowledged commit can leave laggard replicas
@@ -132,10 +107,7 @@ func chaosSystems() []chaosSystem {
 		// stale from. Outages capped at one for the same any-k durability
 		// reason as the quorum cell. Appended last: cell seeds derive from
 		// sweep position (see the durable cell's note).
-		{name: "NICEKV+harmonia", tune: func(o *Options) {
-			o.Harmonia = true
-			o.QuorumK = 2
-		}, maxOutages: 1},
+		{name: "NICEKV+harmonia", arm: "NICEKV+harmonia+quorum", maxOutages: 1},
 	}
 }
 
@@ -188,6 +160,20 @@ func chaosOptions(seed int64) Options {
 	opts.RetryWait = 5 * time.Millisecond
 	opts.RetryMaxWait = 40 * time.Millisecond
 	opts.MaxRetries = 8
+	return opts
+}
+
+// chaosCellOptions adds how each subsystem behaves when a chaos system's
+// arm switches it on: a hair-trigger cache detector, and a durable engine
+// whose memory budget covers half the working set.
+func chaosCellOptions(seed int64) Options {
+	opts := chaosOptions(seed)
+	opts.CacheHotThreshold = 4
+	opts.CacheSampleEvery = 1
+	opts.CacheDecayEvery = 200 * time.Millisecond
+	opts.StoreMemoryBudget = int64(len(chaosKeys) * chaosValSize / 2)
+	opts.StoreShards = 2
+	opts.StoreSnapshotEvery = 100 * time.Millisecond
 	return opts
 }
 
@@ -338,145 +324,131 @@ func (c *ChaosCell) Repro() string {
 // one number.
 func runChaosCell(sys chaosSystem, sched faultinject.Schedule) (ChaosCell, error) {
 	cell := ChaosCell{System: sys.name, Schedule: sched}
-	opts := chaosOptions(sched.Seed)
-	sys.tune(&opts)
-	var d *NICE
-	if sys.traffic || sys.leafspine {
-		d = NewNICELeafSpine(opts, 4)
-	} else {
-		d = NewNICE(opts)
-	}
-	defer d.Close()
-	if core.Debug {
-		d.Service.SetTrace(func(format string, args ...any) {
-			fmt.Printf("CTRL "+format+"\n", args...)
-		})
-	}
-	if err := d.Settle(); err != nil {
-		return cell, err
-	}
-	faultinject.Install(d.Sim, newNiceFabric(d), sched)
-
-	var eng *TrafficEngine
+	opts := chaosCellOptions(sched.Seed)
+	leaves := 0
 	if sys.traffic {
-		eng = NewTrafficEngine(d, TrafficOptions{
-			Clients:  2000,
-			Rate:     20_000,
-			Duration: chaosHorizon,
-			Records:  512,
-			Seed:     sched.Seed,
-		})
-		d.Sim.Spawn("chaos-traffic", func(p *sim.Proc) {
-			// Preload shares the chaos clients (ops multiplex by ReqID);
-			// if faults beat it, the cell still runs its checked workload.
-			if eng.Preload(p) != nil {
-				return
-			}
-			eng.Run(p)
-		})
+		opts.TrafficGateways = true
+		leaves = 4
 	}
+	err := withBench(sys.arm, opts, leaves, func(b *bench) error {
+		d := b.NICE
+		if core.Debug {
+			d.Service.SetTrace(func(format string, args ...any) {
+				fmt.Printf("CTRL "+format+"\n", args...)
+			})
+		}
+		if err := b.Settle(); err != nil {
+			return err
+		}
+		faultinject.Install(d.Sim, newNiceFabric(d), sched)
 
-	hist := &checker.History{}
-	failed := 0
-	done := sim.NewQueue[int](d.Sim)
-	for i := range d.Clients {
-		ci := i
-		cl := d.Clients[ci]
-		d.Sim.Spawn(fmt.Sprintf("chaos-client-%d", ci), func(p *sim.Proc) {
+		var eng *TrafficEngine
+		if sys.traffic {
+			eng = NewTrafficEngine(d, TrafficOptions{
+				Clients:  2000,
+				Rate:     20_000,
+				Duration: chaosHorizon,
+				Records:  512,
+				Seed:     sched.Seed,
+			})
+			d.Sim.Spawn("chaos-traffic", func(p *sim.Proc) {
+				// Preload shares the chaos clients (ops multiplex by ReqID);
+				// if faults beat it, the cell still runs its checked workload.
+				if eng.Preload(p) != nil {
+					return
+				}
+				eng.Run(p)
+			})
+		}
+
+		hist := &checker.History{}
+		if _, err := b.Run(len(d.Clients), func(ci int, p *sim.Proc) error {
+			cl := d.Clients[ci]
 			start := p.Now()
 			for j := 0; p.Now()-start < chaosHorizon; j++ {
 				key := chaosKeys[(ci+j)%len(chaosKeys)]
-				inv := p.Now()
+				ev := checker.Event{Client: ci, Kind: checker.OpGet, Key: key, Invoke: p.Now()}
+				var res core.OpResult
+				var err error
 				if j%2 == 0 {
-					res, err := cl.Put(p, key, fmt.Sprintf("c%d-%d", ci, j), chaosValSize)
-					hist.Record(checker.Event{
-						Client: ci, Kind: checker.OpPut, Key: key,
-						Invoke: inv, Return: p.Now(), OK: err == nil, Ver: res.Version,
-					})
-					if err != nil {
-						failed++
-					}
+					ev.Kind = checker.OpPut
+					res, err = cl.Put(p, key, fmt.Sprintf("c%d-%d", ci, j), chaosValSize)
 				} else {
-					res, err := cl.Get(p, key)
-					hist.Record(checker.Event{
-						Client: ci, Kind: checker.OpGet, Key: key,
-						Invoke: inv, Return: p.Now(), OK: err == nil,
-						Found: res.Found, Ver: res.Version,
-					})
-					if err != nil {
-						failed++
-					}
+					res, err = cl.Get(p, key)
+					ev.Found = res.Found
+				}
+				ev.Return, ev.OK, ev.Ver = p.Now(), err == nil, res.Version
+				hist.Record(ev)
+				if err != nil {
+					// Legal under faults: a failed op constrains nothing.
+					cell.Failed++
 				}
 				p.Sleep(chaosThink)
 			}
-			done.Push(ci)
-		})
-	}
-	d.Sim.Spawn("chaos-driver", func(p *sim.Proc) {
-		for range d.Clients {
-			done.Pop(p)
+			return nil
+		}); err != nil {
+			return err
 		}
-		p.Sleep(150 * time.Millisecond) // drain recoveries and trailing acks
-		d.Sim.Stop()
-	})
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	cell.Ops = hist.Len()
-	cell.Failed = failed
-	cell.Hash = hist.Hash()
-	cell.Violations = hist.Check()
-	if eng != nil {
-		cell.TrafficOps = eng.issued
-	}
-	if opts.DurableStore {
-		// Durability audit: the newest committed version of every chaos
-		// key anywhere in the cluster (main namespaces and handoff
-		// directories) must cover every acked put — what snapshot + log
-		// replay recovery promises.
-		final := map[string]uint64{}
-		observe := func(key string, ver uint64) {
-			if ver > final[key] {
-				final[key] = ver
-			}
+		// Drain recoveries and trailing acks.
+		if err := d.Sim.RunUntil(d.Sim.Now() + 150*time.Millisecond); err != nil {
+			return err
 		}
-		for _, n := range d.Nodes {
-			st := n.Store()
-			for _, key := range chaosKeys {
-				if obj, ok := st.Peek(key); ok {
-					observe(key, obj.Version.PrimarySeq)
+		cell.Ops = hist.Len()
+		cell.Hash = hist.Hash()
+		cell.Violations = hist.Check()
+		if eng != nil {
+			cell.TrafficOps = eng.issued
+		}
+		if d.Opts.DurableStore {
+			// Durability audit: the newest committed version of every chaos
+			// key anywhere in the cluster (main namespaces and handoff
+			// directories) must cover every acked put — what snapshot + log
+			// replay recovery promises.
+			final := map[string]uint64{}
+			observe := func(key string, ver uint64) {
+				if ver > final[key] {
+					final[key] = ver
 				}
 			}
-			for _, obj := range st.HandoffObjects() {
-				observe(obj.Key, obj.Version.PrimarySeq)
+			for _, n := range d.Nodes {
+				st := n.Store()
+				for _, key := range chaosKeys {
+					if obj, ok := st.Peek(key); ok {
+						observe(key, obj.Version.PrimarySeq)
+					}
+				}
+				for _, obj := range st.HandoffObjects() {
+					observe(obj.Key, obj.Version.PrimarySeq)
+				}
+				if es, ok := st.StorageStats(); ok {
+					cell.Recoveries += es.Recoveries
+					cell.Replayed += es.ReplayedRecords
+				}
 			}
-			if es, ok := st.StorageStats(); ok {
-				cell.Recoveries += es.Recoveries
-				cell.Replayed += es.ReplayedRecords
+			cell.Violations = append(cell.Violations, hist.CheckDurability(final)...)
+		}
+		if d.Harmonia != nil {
+			hs := d.Harmonia.Stats()
+			cell.HarmoniaRouted = hs.Routed
+			cell.HarmoniaFallbacks = hs.DirtyFallbacks + hs.TaintFallbacks
+			cell.HarmoniaFlushes = hs.Flushes
+			for _, n := range d.Nodes {
+				cell.HarmoniaReplicaGets += n.Stats().GetsServedAsReplica
 			}
 		}
-		cell.Violations = append(cell.Violations, hist.CheckDurability(final)...)
-	}
-	if d.Harmonia != nil {
-		hs := d.Harmonia.Stats()
-		cell.HarmoniaRouted = hs.Routed
-		cell.HarmoniaFallbacks = hs.DirtyFallbacks + hs.TaintFallbacks
-		cell.HarmoniaFlushes = hs.Flushes
-		for _, n := range d.Nodes {
-			cell.HarmoniaReplicaGets += n.Stats().GetsServedAsReplica
+		if d.Standby != nil {
+			cell.Fenced = d.Service.Stats().FencedWrites + d.Core.Stats().FencedMods
+			if d.Chain != nil {
+				cell.Fenced += d.Chain.Stats().Fenced
+			}
+			if promoted := d.Standby.Promoted(); promoted != nil {
+				cell.Takeovers = 1
+				cell.Fenced += promoted.Stats().FencedWrites
+			}
 		}
-	}
-	if opts.Standby {
-		cell.Fenced = d.Service.Stats().FencedWrites + d.Core.Stats().FencedMods
-		if d.Chain != nil {
-			cell.Fenced += d.Chain.Stats().Fenced
-		}
-		if promoted := d.Standby.Promoted(); promoted != nil {
-			cell.Takeovers = 1
-			cell.Fenced += promoted.Stats().FencedWrites
-		}
-	}
-	return cell, nil
+		return nil
+	})
+	return cell, err
 }
 
 // ReplayChaos re-executes a repro line printed by a chaos run
@@ -526,40 +498,37 @@ func (r *ChaosReport) Violating() []*ChaosCell {
 func (r *ChaosReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== chaos: %d fault schedules per system ==\n", r.Schedules)
 	for si, name := range r.Systems {
-		ops, failed, faults, bad := 0, 0, 0, 0
-		traffic, recov, replayed := int64(0), int64(0), int64(0)
-		takeovers, fenced := int64(0), int64(0)
-		routed, replicaGets, fallbacks, flushes := int64(0), int64(0), int64(0), int64(0)
-		for i := si * r.Schedules; i < (si+1)*r.Schedules; i++ {
-			c := &r.Cells[i]
-			ops += c.Ops
-			failed += c.Failed
+		var sum ChaosCell
+		faults, bad := 0, 0
+		for _, c := range r.Cells[si*r.Schedules : (si+1)*r.Schedules] {
 			faults += len(c.Schedule.Events)
 			bad += len(c.Violations)
-			traffic += c.TrafficOps
-			recov += c.Recoveries
-			replayed += c.Replayed
-			takeovers += c.Takeovers
-			fenced += c.Fenced
-			routed += c.HarmoniaRouted
-			replicaGets += c.HarmoniaReplicaGets
-			fallbacks += c.HarmoniaFallbacks
-			flushes += c.HarmoniaFlushes
+			sum.Ops += c.Ops
+			sum.Failed += c.Failed
+			sum.TrafficOps += c.TrafficOps
+			sum.Recoveries += c.Recoveries
+			sum.Replayed += c.Replayed
+			sum.Takeovers += c.Takeovers
+			sum.Fenced += c.Fenced
+			sum.HarmoniaRouted += c.HarmoniaRouted
+			sum.HarmoniaReplicaGets += c.HarmoniaReplicaGets
+			sum.HarmoniaFallbacks += c.HarmoniaFallbacks
+			sum.HarmoniaFlushes += c.HarmoniaFlushes
 		}
 		fmt.Fprintf(w, "%-20s ops=%-6d failed=%-5d faults=%-4d violations=%d",
-			name, ops, failed, faults, bad)
-		if traffic > 0 {
-			fmt.Fprintf(w, " traffic=%d", traffic)
+			name, sum.Ops, sum.Failed, faults, bad)
+		if sum.TrafficOps > 0 {
+			fmt.Fprintf(w, " traffic=%d", sum.TrafficOps)
 		}
-		if recov > 0 {
-			fmt.Fprintf(w, " recoveries=%d replayed=%d", recov, replayed)
+		if sum.Recoveries > 0 {
+			fmt.Fprintf(w, " recoveries=%d replayed=%d", sum.Recoveries, sum.Replayed)
 		}
-		if takeovers > 0 {
-			fmt.Fprintf(w, " takeovers=%d fenced=%d", takeovers, fenced)
+		if sum.Takeovers > 0 {
+			fmt.Fprintf(w, " takeovers=%d fenced=%d", sum.Takeovers, sum.Fenced)
 		}
-		if routed > 0 || fallbacks > 0 {
+		if sum.HarmoniaRouted > 0 || sum.HarmoniaFallbacks > 0 {
 			fmt.Fprintf(w, " routed=%d replica-gets=%d fallbacks=%d flushes=%d",
-				routed, replicaGets, fallbacks, flushes)
+				sum.HarmoniaRouted, sum.HarmoniaReplicaGets, sum.HarmoniaFallbacks, sum.HarmoniaFlushes)
 		}
 		fmt.Fprintln(w)
 	}
@@ -590,41 +559,30 @@ func RunChaos(pr Params, schedules int, ctrlBias float64) (*ChaosReport, error) 
 	for _, s := range systems {
 		rep.Systems = append(rep.Systems, s.name)
 	}
-	rep.Cells = make([]ChaosCell, len(systems)*schedules)
-	err := RunCells(pr, len(rep.Cells), func(i int, seed int64) error {
-		sys := systems[i/schedules]
-		sched := faultinject.Generate(seed, chaosGenConfig(sys, ctrlBias))
-		cell, err := runChaosCell(sys, sched)
-		rep.Cells[i] = cell
-		return err
-	})
-	if err != nil {
+	g := grid[ChaosCell]{
+		Dims: []int{len(systems), schedules},
+		Cell: func(pr Params, ix []int) (ChaosCell, error) {
+			sys := systems[ix[0]]
+			return runChaosCell(sys, faultinject.Generate(pr.Seed, chaosGenConfig(sys, ctrlBias)))
+		},
+	}
+	var err error
+	if rep.Cells, err = g.Run(pr); err != nil {
 		return nil, err
 	}
 	rep.DeterminismOK = true
 	for si, sys := range systems {
 		first := &rep.Cells[si*schedules]
-		again, err := runChaosCell(sys, first.Schedule)
+		again, err := g.Rerun(pr, si*schedules)
 		if err != nil {
 			return nil, err
 		}
-		if again.Hash != first.Hash || again.TrafficOps != first.TrafficOps ||
-			again.Recoveries != first.Recoveries || again.Replayed != first.Replayed ||
-			again.Takeovers != first.Takeovers || again.Fenced != first.Fenced ||
-			again.HarmoniaRouted != first.HarmoniaRouted ||
-			again.HarmoniaReplicaGets != first.HarmoniaReplicaGets ||
-			again.HarmoniaFallbacks != first.HarmoniaFallbacks ||
-			again.HarmoniaFlushes != first.HarmoniaFlushes {
+		// The replay must reproduce the history hash and every telemetry
+		// counter of the cell.
+		if !reflect.DeepEqual(*first, again) {
 			rep.DeterminismOK = false
 			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: hash %x vs replay %x, traffic %d vs %d, recoveries %d vs %d, replayed %d vs %d, takeovers %d vs %d, fenced %d vs %d, routed %d vs %d, replica-gets %d vs %d, fallbacks %d vs %d, flushes %d vs %d (%s)",
-					sys.name, first.Hash, again.Hash, first.TrafficOps, again.TrafficOps,
-					first.Recoveries, again.Recoveries, first.Replayed, again.Replayed,
-					first.Takeovers, again.Takeovers, first.Fenced, again.Fenced,
-					first.HarmoniaRouted, again.HarmoniaRouted,
-					first.HarmoniaReplicaGets, again.HarmoniaReplicaGets,
-					first.HarmoniaFallbacks, again.HarmoniaFallbacks,
-					first.HarmoniaFlushes, again.HarmoniaFlushes, first.Repro()))
+				fmt.Sprintf("%s: %+v vs replay %+v (%s)", sys.name, *first, again, first.Repro()))
 		}
 	}
 	return rep, nil

@@ -33,8 +33,13 @@ import (
 // that misses the cap is reported in Unrecovered, not in the summary.
 const ctrlSweepCap = 3 * time.Second
 
-// CtrlArms lists the sweep arms in report order.
-var CtrlArms = []string{"none", "hot-standby", "ctrlchain"}
+// ctrlArms lists the sweep arms in report order; every arm runs the
+// in-switch cache.
+var ctrlArms = []system{
+	{"none", "NICEKV+cache"},
+	{"hot-standby", "NICEKV+cache+standby"},
+	{"ctrlchain", "NICEKV+cache+ctrlchain"},
+}
 
 // ctrlCell is one (arm, seed) measurement; negative latencies mean the
 // event never happened before ctrlSweepCap.
@@ -69,9 +74,9 @@ type CtrlReport struct {
 	Arms  []CtrlArmResult `json:"arms"`
 }
 
-// ctrlSweepOptions is the cell deployment: the chaos cluster shape with
+// ctrlSweepBase is the cell deployment: the chaos cluster shape with
 // the hair-trigger cache and fast failure detection.
-func ctrlSweepOptions(arm string, seed int64) Options {
+func ctrlSweepBase(seed int64) Options {
 	opts := chaosOptions(seed)
 	opts.Clients = 1
 	// One attempt per probe call: the prober loop does its own retrying,
@@ -80,101 +85,87 @@ func ctrlSweepOptions(arm string, seed int64) Options {
 	opts.MaxRetries = 1
 	opts.RetryWait = 2 * time.Millisecond
 	opts.RetryMaxWait = 4 * time.Millisecond
-	opts.Cache = true
 	opts.CacheHotThreshold = 4
 	opts.CacheSampleEvery = 1
-	switch arm {
-	case "hot-standby":
-		opts.Standby = true
-	case "ctrlchain":
-		opts.Standby = true
-		opts.CtrlChain = true
-	}
 	return opts
 }
 
 // runCtrlCell executes one (arm, seed) failover measurement.
-func runCtrlCell(arm string, seed int64) (ctrlCell, error) {
+func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
 	cell := ctrlCell{takeover: -1, handoff: -1, put: -1, cache: -1}
-	opts := ctrlSweepOptions(arm, seed)
-	d := NewNICE(opts)
-	defer d.Close()
-	if err := d.Settle(); err != nil {
-		return cell, err
-	}
-
-	const part = 0
-	victim := d.Service.View(part).Replicas[0].Index // partition primary
-	keys := d.keysInPartition(part, 4)
-	hotKey := d.keysInPartition(1, 1)[0] // healthy partition: cache target
-
-	var t0 sim.Time
-	var runErr error
-	d.Sim.Spawn("ctrlsweep-driver", func(p *sim.Proc) {
-		defer d.Sim.Stop()
-		c := d.Clients[0]
-		for _, k := range append(keys, hotKey) {
-			if _, err := c.Put(p, k, "warm", chaosValSize); err != nil {
-				runErr = fmt.Errorf("warmup put: %w", err)
-				return
-			}
+	err := withBench(arm, ctrlSweepBase(pr.Seed), 0, func(b *bench) error {
+		if err := b.Settle(); err != nil {
+			return err
 		}
-		t0 = p.Now()
-		d.MetaHost.SetDown(true)
-		d.Nodes[victim].Crash()
+		d := b.NICE
+		const part = 0
+		victim := b.replicas(part)[0] // partition primary
+		keys := d.keysInPartition(part, 4)
+		hotKey := d.keysInPartition(1, 1)[0] // healthy partition: cache target
 
-		// Watcher: promotion and the replacement view, polled fine-grained
-		// so the put prober's timeouts don't quantize them.
-		if d.Standby != nil {
-			d.Sim.Spawn("ctrlsweep-watch", func(wp *sim.Proc) {
-				for wp.Now()-t0 < sim.Time(ctrlSweepCap) {
-					if svc := d.Standby.Promoted(); svc != nil {
-						if cell.takeover < 0 {
-							cell.takeover = wp.Now() - t0
-						}
-						v := svc.View(part)
-						if v != nil && !v.HasReplica(victim) && v.Handoff != nil {
-							cell.handoff = wp.Now() - t0
-							return
-						}
-					}
-					wp.Sleep(500 * time.Microsecond)
+		_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			c := b.Clients[0]
+			for _, k := range append(keys, hotKey) {
+				if _, err := c.Put(p, k, "warm", chaosValSize); err != nil {
+					return fmt.Errorf("warmup put: %w", err)
 				}
-			})
-		}
-
-		// Put prober: availability of the orphaned partition.
-		for p.Now()-t0 < sim.Time(ctrlSweepCap) {
-			if _, err := c.Put(p, keys[0], "probe", chaosValSize); err == nil {
-				cell.put = p.Now() - t0
-				break
 			}
-			p.Sleep(5 * time.Millisecond)
-		}
-		if cell.put < 0 {
-			return // never recovered; cache metric is moot
-		}
+			t0 := p.Now()
+			d.MetaHost.SetDown(true)
+			d.Nodes[victim].Crash()
 
-		// Cache prober: heat hotKey from cold. Installs recorded after
-		// promotion can only come from the new controller's manager — the
-		// zombie's in-flight installs are fenced at the switch.
-		base := d.Cache.Stats().Installs
-		for p.Now()-t0 < sim.Time(ctrlSweepCap) {
-			if _, err := c.Get(p, hotKey); err != nil {
+			// Watcher: promotion and the replacement view, polled fine-grained
+			// so the put prober's timeouts don't quantize them.
+			if d.Standby != nil {
+				d.Sim.Spawn("ctrlsweep-watch", func(wp *sim.Proc) {
+					for wp.Now()-t0 < sim.Time(ctrlSweepCap) {
+						if svc := d.Standby.Promoted(); svc != nil {
+							if cell.takeover < 0 {
+								cell.takeover = wp.Now() - t0
+							}
+							v := svc.View(part)
+							if v != nil && !v.HasReplica(victim) && v.Handoff != nil {
+								cell.handoff = wp.Now() - t0
+								return
+							}
+						}
+						wp.Sleep(500 * time.Microsecond)
+					}
+				})
+			}
+
+			// Put prober: availability of the orphaned partition.
+			for p.Now()-t0 < sim.Time(ctrlSweepCap) {
+				if _, err := c.Put(p, keys[0], "probe", chaosValSize); err == nil {
+					cell.put = p.Now() - t0
+					break
+				}
+				p.Sleep(5 * time.Millisecond)
+			}
+			if cell.put < 0 {
+				return nil // never recovered; cache metric is moot
+			}
+
+			// Cache prober: heat hotKey from cold. Installs recorded after
+			// promotion can only come from the new controller's manager — the
+			// zombie's in-flight installs are fenced at the switch.
+			base := d.Cache.Stats().Installs
+			for p.Now()-t0 < sim.Time(ctrlSweepCap) {
+				if _, err := c.Get(p, hotKey); err != nil {
+					p.Sleep(time.Millisecond)
+					continue
+				}
+				if d.Cache.Stats().Installs > base {
+					cell.cache = p.Now() - t0
+					return nil
+				}
 				p.Sleep(time.Millisecond)
-				continue
 			}
-			if d.Cache.Stats().Installs > base {
-				cell.cache = p.Now() - t0
-				return
-			}
-			p.Sleep(time.Millisecond)
-		}
+			return nil
+		})
+		return err
 	})
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	return cell, runErr
+	return cell, err
 }
 
 // CtrlFailoverSweep runs `seeds` failover measurements per arm on the
@@ -183,39 +174,34 @@ func CtrlFailoverSweep(pr Params, seeds int) (*CtrlReport, error) {
 	if seeds <= 0 {
 		seeds = 10
 	}
-	cells := make([]ctrlCell, len(CtrlArms)*seeds)
-	err := RunCells(pr, len(cells), func(i int, seed int64) error {
-		cell, err := runCtrlCell(CtrlArms[i/seeds], seed)
-		cells[i] = cell
-		return err
-	})
+	cells, err := grid[ctrlCell]{
+		Dims: []int{len(ctrlArms), seeds},
+		Cell: func(pr Params, ix []int) (ctrlCell, error) { return runCtrlCell(pr, ctrlArms[ix[0]].Arm) },
+	}.Run(pr)
 	if err != nil {
 		return nil, err
 	}
 	rep := &CtrlReport{Seeds: seeds}
-	for ai, arm := range CtrlArms {
-		res := CtrlArmResult{Arm: arm, Seeds: seeds}
-		var tk, ho, pt, ca metrics.Histogram
-		for i := ai * seeds; i < (ai+1)*seeds; i++ {
-			c := cells[i]
-			if c.takeover >= 0 {
-				tk.Add(c.takeover)
+	for ai, arm := range ctrlArms {
+		// summarize covers only the seeds where the event happened.
+		summarize := func(latency func(ctrlCell) sim.Time) metrics.Summary {
+			var h metrics.Histogram
+			for _, c := range cells[ai*seeds : (ai+1)*seeds] {
+				if v := latency(c); v >= 0 {
+					h.Add(v)
+				}
 			}
-			if c.handoff >= 0 {
-				ho.Add(c.handoff)
-			}
-			if c.put >= 0 {
-				pt.Add(c.put)
-				res.Recovered++
-			}
-			if c.cache >= 0 {
-				ca.Add(c.cache)
-			}
+			return h.Summary()
 		}
-		res.Takeover = tk.Summary()
-		res.Handoff = ho.Summary()
-		res.Put = pt.Summary()
-		res.CacheInstall = ca.Summary()
+		res := CtrlArmResult{
+			Arm:          arm.Name,
+			Seeds:        seeds,
+			Takeover:     summarize(func(c ctrlCell) sim.Time { return c.takeover }),
+			Handoff:      summarize(func(c ctrlCell) sim.Time { return c.handoff }),
+			Put:          summarize(func(c ctrlCell) sim.Time { return c.put }),
+			CacheInstall: summarize(func(c ctrlCell) sim.Time { return c.cache }),
+		}
+		res.Recovered = res.Put.N
 		rep.Arms = append(rep.Arms, res)
 	}
 	return rep, nil

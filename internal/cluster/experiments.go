@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/noob"
 	"repro/internal/sim"
 )
 
@@ -59,11 +59,13 @@ func (f *Figure) Fprint(w io.Writer) {
 	if len(f.Series) == 0 {
 		return
 	}
+	// One tab-separated line per row; the last cell carries no padding.
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	header := []string{f.XLabel}
 	for _, s := range f.Series {
 		header = append(header, s.System)
 	}
-	rows := [][]string{header}
+	fmt.Fprintln(tw, strings.Join(header, "\t"))
 	for i, pt := range f.Series[0].Points {
 		row := []string{pt.X}
 		for _, s := range f.Series {
@@ -73,23 +75,9 @@ func (f *Figure) Fprint(w io.Writer) {
 				row = append(row, "-")
 			}
 		}
-		rows = append(rows, row)
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
-	widths := make([]int, len(header))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		var b strings.Builder
-		for i, cell := range row {
-			fmt.Fprintf(&b, "%-*s  ", widths[i], cell)
-		}
-		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-	}
+	tw.Flush()
 	fmt.Fprintf(w, "   (%s)\n\n", f.YLabel)
 }
 
@@ -110,13 +98,15 @@ func (f *Figure) SeriesValue(sys, x string) (float64, bool) {
 
 // keysInPartition returns n distinct keys hashing into partition part.
 func (d *NICE) keysInPartition(part, n int) []string {
-	return keysIn(d.Space.PartitionOf, part, n)
+	return keysIn(d.Space.PartitionOf, "obj-%d", part, n)
 }
 
-func keysIn(partOf func(string) int, part, n int) []string {
+// keysIn returns the first n keys of the format's sequence that hash
+// into partition part.
+func keysIn(partOf func(string) int, format string, part, n int) []string {
 	keys := make([]string, 0, n)
 	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("obj-%d", i)
+		k := fmt.Sprintf(format, i)
 		if partOf(k) == part {
 			keys = append(keys, k)
 		}
@@ -124,249 +114,99 @@ func keysIn(partOf func(string) int, part, n int) []string {
 	return keys
 }
 
-// noobVariants is the §6.1/§6.2 access-mechanism matrix.
-var noobVariants = []struct {
-	Name   string
-	Access noob.AccessMode
-	GW     noob.GatewayMode
-}{
-	{"NOOB+ROG", noob.ViaGateway, noob.ROG},
-	{"NOOB+RAG", noob.ViaGateway, noob.RAG},
-	{"NOOB+RAC", noob.RAC, noob.RAG},
+// fig4Systems is the system axis of Figs. 4-7: NICE, then the NOOB
+// baseline under each §6.1/§6.2 access mechanism. The names are arms.
+var fig4Systems = []string{"NICE", "NOOB+ROG", "NOOB+RAG", "NOOB+RAC"}
+
+// sizeLabels renders an object-size axis.
+func sizeLabels(sizes []int) []string {
+	out := make([]string, len(sizes))
+	for i, size := range sizes {
+		out[i] = metrics.FormatSize(size)
+	}
+	return out
 }
 
-// driveNICE runs fn as the workload driver and stops the simulation when
-// it returns.
-func driveNICE(d *NICE, fn func(p *sim.Proc)) error {
-	if err := d.Settle(); err != nil {
+// getLatencyCell writes one object of the given size and measures the
+// mean latency of pr.Ops gets of it.
+func getLatencyCell(pr Params, arm string, size int) (float64, error) {
+	var h metrics.Histogram
+	err := withBench(arm, seededOptions(pr.Seed), 0, func(b *bench) error {
+		_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			if _, err := b.Clients[0].Put(p, "routed", "v", size); err != nil {
+				return err
+			}
+			return getRepeat(b.Clients[0], p, "routed", pr.Ops, &h)
+		})
 		return err
-	}
-	d.Sim.Spawn("exp-driver", func(p *sim.Proc) {
-		fn(p)
-		d.Sim.Stop()
 	})
-	return d.Sim.Run()
-}
-
-func driveNOOB(d *NOOB, fn func(p *sim.Proc)) error {
-	d.Sim.Spawn("exp-driver", func(p *sim.Proc) {
-		fn(p)
-		d.Sim.Stop()
-	})
-	return d.Sim.Run()
-}
-
-// fig4Systems is Fig. 4's system axis: NICE then the NOOB variants.
-func fig4Systems() []string {
-	names := []string{"NICE"}
-	for _, v := range noobVariants {
-		names = append(names, v.Name)
-	}
-	return names
-}
-
-// fig4NICEGet measures mean get latency for one (NICE, size) cell.
-func fig4NICEGet(pr Params, size int) (float64, error) {
-	opts := DefaultOptions()
-	opts.Seed = pr.Seed
-	d := NewNICE(opts)
-	var h metrics.Histogram
-	err := driveNICE(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		if _, err := c.Put(p, "routed", "v", size); err != nil {
-			return
-		}
-		for i := 0; i < pr.Ops; i++ {
-			res, err := c.Get(p, "routed")
-			if err != nil || !res.Found {
-				return
-			}
-			h.Add(res.Latency)
-		}
-	})
-	d.Close()
-	if err != nil {
-		return 0, err
-	}
-	if h.N() != pr.Ops {
-		return 0, fmt.Errorf("fig4: NICE size %d completed %d/%d gets", size, h.N(), pr.Ops)
-	}
-	return h.Mean(), nil
-}
-
-// fig4NOOBGet measures mean get latency for one (NOOB variant, size) cell.
-func fig4NOOBGet(pr Params, size int, access noob.AccessMode, gw noob.GatewayMode) (float64, error) {
-	opts := DefaultNOOBOptions()
-	opts.Seed = pr.Seed
-	opts.Access = access
-	opts.Gateway = gw
-	d := NewNOOB(opts)
-	var h metrics.Histogram
-	err := driveNOOB(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		if _, err := c.Put(p, "routed", "v", size); err != nil {
-			return
-		}
-		for i := 0; i < pr.Ops; i++ {
-			res, err := c.Get(p, "routed")
-			if err != nil || !res.Found {
-				return
-			}
-			h.Add(res.Latency)
-		}
-	})
-	d.Close()
-	if err != nil {
-		return 0, err
-	}
-	if h.N() != pr.Ops {
-		return 0, fmt.Errorf("fig4: NOOB size %d completed %d/%d gets", size, h.N(), pr.Ops)
-	}
-	return h.Mean(), nil
+	return h.Mean(), err
 }
 
 // Fig4RequestRouting reproduces Fig. 4: mean get latency vs object size
 // for NICE and the three NOOB access mechanisms. The (system, size) grid
 // runs on the RunCells worker pool.
 func Fig4RequestRouting(pr Params) (*Figure, error) {
-	fig := &Figure{
+	vals, err := grid[float64]{
+		Dims: []int{len(fig4Systems), len(ObjectSizes)},
+		Cell: func(pr Params, ix []int) (float64, error) {
+			return getLatencyCell(pr, fig4Systems[ix[0]], ObjectSizes[ix[1]])
+		},
+	}.Run(pr)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
 		ID:     "fig4",
 		Title:  "Request routing performance (get latency)",
 		XLabel: "size",
 		YLabel: "seconds per get, mean",
-	}
-	systems := fig4Systems()
-	nsizes := len(ObjectSizes)
-	vals := make([]float64, len(systems)*nsizes)
-	err := RunCells(pr, len(vals), func(i int, seed int64) error {
-		sysIdx, sizeIdx := i/nsizes, i%nsizes
-		cpr := pr
-		cpr.Seed = seed
-		size := ObjectSizes[sizeIdx]
-		var v float64
-		var err error
-		if sysIdx == 0 {
-			v, err = fig4NICEGet(cpr, size)
-		} else {
-			variant := noobVariants[sysIdx-1]
-			v, err = fig4NOOBGet(cpr, size, variant.Access, variant.GW)
-		}
-		vals[i] = v
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, name := range systems {
-		s := Series{System: name}
-		for zi, size := range ObjectSizes {
-			s.Points = append(s.Points, Point{X: metrics.FormatSize(size), Value: vals[si*nsizes+zi]})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+		Series: seriesOf(fig4Systems, sizeLabels(ObjectSizes), vals, identity),
+	}, nil
 }
 
-// replicationRun measures puts of one size into a single partition and
-// returns (mean latency, link bytes/op, primary:secondary load ratio).
+// replicationRun is one cell of Figs. 5-7: puts of one size into a
+// single partition.
 type replicationRun struct {
-	lat       float64
-	linkBytes float64
-	loadRatio float64
+	lat       float64 // mean put latency
+	linkBytes float64 // bytes over all links per put
+	loadRatio float64 // primary : mean-secondary bytes moved
 }
 
-func nicePutRun(pr Params, size int) (replicationRun, error) {
-	opts := DefaultOptions()
-	opts.Seed = pr.Seed
-	d := NewNICE(opts)
-	part := 0
-	keys := d.keysInPartition(part, pr.Ops)
-	var h metrics.Histogram
-	fail := false
-	err := driveNICE(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		d.Net.ResetLinkStats()
-		d.Net.ResetHostStats()
-		for _, k := range keys {
-			res, err := c.Put(p, k, "v", size)
-			if err != nil {
-				fail = true
-				return
+func putRun(pr Params, arm string, size int) (run replicationRun, err error) {
+	err = withBench(arm, seededOptions(pr.Seed), 0, func(b *bench) error {
+		const part = 0
+		keys := keysIn(b.Space.PartitionOf, "obj-%d", part, pr.Ops)
+		var h metrics.Histogram
+		if _, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			b.Net.ResetLinkStats()
+			b.Net.ResetHostStats()
+			if err := putEach(b.Clients[0], p, keys, size, &h); err != nil {
+				return err
 			}
-			h.Add(res.Latency)
+			p.Sleep(5 * time.Millisecond) // drain trailing acks into the counters
+			return nil
+		}); err != nil {
+			return err
 		}
-		p.Sleep(5 * time.Millisecond) // drain trailing acks into the counters
-	})
-	if err == nil && fail {
-		err = fmt.Errorf("nice put run failed (size %d)", size)
-	}
-	if err != nil {
-		d.Close()
-		return replicationRun{}, err
-	}
-	view := d.Service.View(part)
-	primary := d.Stacks[view.Primary().Index].Host().Stats()
-	var secBytes float64
-	for _, r := range view.Replicas[1:] {
-		st := d.Stacks[r.Index].Host().Stats()
-		secBytes += float64(st.BytesRecv + st.BytesSent)
-	}
-	secBytes /= float64(len(view.Replicas) - 1)
-	run := replicationRun{
-		lat:       h.Mean(),
-		linkBytes: float64(d.Net.TotalLinkBytes()) / float64(pr.Ops),
-		loadRatio: float64(primary.BytesRecv+primary.BytesSent) / secBytes,
-	}
-	d.Close()
-	return run, nil
-}
-
-func noobPutRun(pr Params, size int, access noob.AccessMode, gw noob.GatewayMode) (replicationRun, error) {
-	opts := DefaultNOOBOptions()
-	opts.Seed = pr.Seed
-	opts.Access = access
-	opts.Gateway = gw
-	d := NewNOOB(opts)
-	part := 0
-	keys := keysIn(d.Space.PartitionOf, part, pr.Ops)
-	var h metrics.Histogram
-	fail := false
-	err := driveNOOB(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		d.Net.ResetLinkStats()
-		d.Net.ResetHostStats()
-		for _, k := range keys {
-			res, err := c.Put(p, k, "v", size)
-			if err != nil {
-				fail = true
-				return
-			}
-			h.Add(res.Latency)
+		moved := func(node int) float64 {
+			st := b.Stacks[node].Host().Stats()
+			return float64(st.BytesRecv + st.BytesSent)
 		}
-		p.Sleep(5 * time.Millisecond)
+		reps := b.replicas(part)
+		var secBytes float64
+		for _, idx := range reps[1:] {
+			secBytes += moved(idx)
+		}
+		secBytes /= float64(len(reps) - 1)
+		run = replicationRun{
+			lat:       h.Mean(),
+			linkBytes: float64(b.Net.TotalLinkBytes()) / float64(pr.Ops),
+			loadRatio: moved(reps[0]) / secBytes,
+		}
+		return nil
 	})
-	if err == nil && fail {
-		err = fmt.Errorf("noob put run failed (size %d)", size)
-	}
-	if err != nil {
-		d.Close()
-		return replicationRun{}, err
-	}
-	reps := d.Placement.Replicas(part)
-	primary := d.Stacks[reps[0]].Host().Stats()
-	var secBytes float64
-	for _, idx := range reps[1:] {
-		st := d.Stacks[idx].Host().Stats()
-		secBytes += float64(st.BytesRecv + st.BytesSent)
-	}
-	secBytes /= float64(len(reps) - 1)
-	run := replicationRun{
-		lat:       h.Mean(),
-		linkBytes: float64(d.Net.TotalLinkBytes()) / float64(pr.Ops),
-		loadRatio: float64(primary.BytesRecv+primary.BytesSent) / secBytes,
-	}
-	d.Close()
-	return run, nil
+	return run, err
 }
 
 // ReplicationFigures reproduces Figs. 5, 6 and 7 from one sweep: put
@@ -374,46 +214,21 @@ func noobPutRun(pr Params, size int, access noob.AccessMode, gw noob.GatewayMode
 // storage-load ratio, for NICE vs the NOOB primary-only design under
 // ROG/RAG/RAC routing.
 func ReplicationFigures(pr Params) (fig5, fig6, fig7 *Figure, err error) {
-	fig5 = &Figure{ID: "fig5", Title: "Replication performance (put latency)", XLabel: "size", YLabel: "seconds per put, mean"}
-	fig6 = &Figure{ID: "fig6", Title: "Network link load per put", XLabel: "size", YLabel: "bytes over all links per put"}
-	fig7 = &Figure{ID: "fig7", Title: "Storage load ratio (primary:secondary)", XLabel: "size", YLabel: "ratio of bytes moved"}
-
-	systems := fig4Systems()
-	nsizes := len(ObjectSizes)
-	runs := make([]replicationRun, len(systems)*nsizes)
-	err = RunCells(pr, len(runs), func(i int, seed int64) error {
-		sysIdx, sizeIdx := i/nsizes, i%nsizes
-		cpr := pr
-		cpr.Seed = seed
-		size := ObjectSizes[sizeIdx]
-		var run replicationRun
-		var err error
-		if sysIdx == 0 {
-			run, err = nicePutRun(cpr, size)
-		} else {
-			variant := noobVariants[sysIdx-1]
-			run, err = noobPutRun(cpr, size, variant.Access, variant.GW)
-		}
-		runs[i] = run
-		return err
-	})
+	runs, err := grid[replicationRun]{
+		Dims: []int{len(fig4Systems), len(ObjectSizes)},
+		Cell: func(pr Params, ix []int) (replicationRun, error) {
+			return putRun(pr, fig4Systems[ix[0]], ObjectSizes[ix[1]])
+		},
+	}.Run(pr)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for si, name := range systems {
-		s5 := Series{System: name}
-		s6 := Series{System: name}
-		s7 := Series{System: name}
-		for zi, size := range ObjectSizes {
-			run := runs[si*nsizes+zi]
-			x := metrics.FormatSize(size)
-			s5.Points = append(s5.Points, Point{X: x, Value: run.lat})
-			s6.Points = append(s6.Points, Point{X: x, Value: run.linkBytes})
-			s7.Points = append(s7.Points, Point{X: x, Value: run.loadRatio})
-		}
-		fig5.Series = append(fig5.Series, s5)
-		fig6.Series = append(fig6.Series, s6)
-		fig7.Series = append(fig7.Series, s7)
-	}
+	names, xs := fig4Systems, sizeLabels(ObjectSizes)
+	fig5 = &Figure{ID: "fig5", Title: "Replication performance (put latency)", XLabel: "size", YLabel: "seconds per put, mean",
+		Series: seriesOf(names, xs, runs, func(r replicationRun) float64 { return r.lat })}
+	fig6 = &Figure{ID: "fig6", Title: "Network link load per put", XLabel: "size", YLabel: "bytes over all links per put",
+		Series: seriesOf(names, xs, runs, func(r replicationRun) float64 { return r.linkBytes })}
+	fig7 = &Figure{ID: "fig7", Title: "Storage load ratio (primary:secondary)", XLabel: "size", YLabel: "ratio of bytes moved",
+		Series: seriesOf(names, xs, runs, func(r replicationRun) float64 { return r.loadRatio })}
 	return fig5, fig6, fig7, nil
 }

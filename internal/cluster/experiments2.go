@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/noob"
 	"repro/internal/sim"
 )
 
@@ -17,7 +15,7 @@ var QuorumSizes = []int{1, 3, 5, 7}
 // quorumObjSize is Fig. 8's object size (1 MB).
 const quorumObjSize = 1 << 20
 
-// slowReplicas and slowRate reproduce Fig. 8's heterogeneity: three
+// slowReplicas and slowLink reproduce Fig. 8's heterogeneity: three
 // replicas throttled to 50 Mbps.
 const slowReplicas = 3
 
@@ -27,122 +25,47 @@ func slowLink() netsim.LinkConfig { return netsim.Mbps(50, 5*time.Microsecond) }
 // under quorum replication, R=7, three slow replicas, quorum size
 // in {1,3,5,7}.
 func Fig8Quorum(pr Params) (figTime, figBW *Figure, err error) {
-	figTime = &Figure{ID: "fig8a", Title: "Quorum replication: put time (R=7, 3 slow replicas)",
-		XLabel: "quorum", YLabel: "seconds per put, mean"}
-	figBW = &Figure{ID: "fig8b", Title: "Quorum replication: bandwidth (R=7, 3 slow replicas)",
-		XLabel: "quorum", YLabel: "MB/s per put"}
-
-	// Grid: 2 systems (NICE, NOOB) x quorum sizes.
-	nq := len(QuorumSizes)
-	lats := make([]float64, 2*nq)
-	err = RunCells(pr, len(lats), func(i int, seed int64) error {
-		sysIdx, qIdx := i/nq, i%nq
-		cpr := pr
-		cpr.Seed = seed
-		var lat float64
-		var err error
-		if sysIdx == 0 {
-			lat, err = niceQuorumRun(cpr, QuorumSizes[qIdx])
-		} else {
-			lat, err = noobQuorumRun(cpr, QuorumSizes[qIdx])
-		}
-		lats[i] = lat
-		return err
-	})
+	names := []string{"NICE", "NOOB"}
+	lats, err := grid[float64]{
+		Dims: []int{len(names), len(QuorumSizes)},
+		Cell: func(pr Params, ix []int) (float64, error) {
+			return quorumRun(pr, names[ix[0]], QuorumSizes[ix[1]])
+		},
+	}.Run(pr)
 	if err != nil {
 		return nil, nil, err
 	}
-	for sysIdx, name := range []string{"NICE", "NOOB"} {
-		st := Series{System: name}
-		sb := Series{System: name}
-		for qIdx, k := range QuorumSizes {
-			lat := lats[sysIdx*nq+qIdx]
-			st.Points = append(st.Points, Point{X: fmt.Sprintf("%d", k), Value: lat})
-			sb.Points = append(sb.Points, Point{X: fmt.Sprintf("%d", k), Value: float64(quorumObjSize) / lat / 1e6})
-		}
-		figTime.Series = append(figTime.Series, st)
-		figBW.Series = append(figBW.Series, sb)
-	}
+	xs := labels("%d", QuorumSizes)
+	figTime = &Figure{ID: "fig8a", Title: "Quorum replication: put time (R=7, 3 slow replicas)",
+		XLabel: "quorum", YLabel: "seconds per put, mean",
+		Series: seriesOf(names, xs, lats, identity)}
+	figBW = &Figure{ID: "fig8b", Title: "Quorum replication: bandwidth (R=7, 3 slow replicas)",
+		XLabel: "quorum", YLabel: "MB/s per put",
+		Series: seriesOf(names, xs, lats, func(lat float64) float64 { return float64(quorumObjSize) / lat / 1e6 })}
 	return figTime, figBW, nil
 }
 
-// throttleSecondaries slows the last `slowReplicas` secondaries of
-// partition part.
-func throttle(stacksOf func(int) *netsim.Host, replicas []int) {
-	for _, idx := range replicas[len(replicas)-slowReplicas:] {
-		stacksOf(idx).Port().Link().SetConfig(slowLink())
-	}
-}
-
-func niceQuorumRun(pr Params, k int) (float64, error) {
-	opts := DefaultOptions()
-	opts.Seed = pr.Seed
+// quorumRun measures mean 1 MB any-k put latency into one partition
+// whose last slowReplicas replicas sit behind throttled links.
+func quorumRun(pr Params, arm string, k int) (float64, error) {
+	opts := seededOptions(pr.Seed)
 	opts.R = 7
 	opts.QuorumK = k
 	opts.OpTimeout = 5 * time.Second
-	d := NewNICE(opts)
-	part := 0
-	view := d.Service.View(part)
-	var reps []int
-	for _, r := range view.Replicas {
-		reps = append(reps, r.Index)
-	}
-	throttle(func(i int) *netsim.Host { return d.Stacks[i].Host() }, reps)
-	keys := d.keysInPartition(part, pr.Ops)
 	var h metrics.Histogram
-	fail := false
-	err := driveNICE(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		for _, key := range keys {
-			res, err := c.Put(p, key, "v", quorumObjSize)
-			if err != nil {
-				fail = true
-				return
-			}
-			h.Add(res.Latency)
+	err := withBench(arm, opts, 0, func(b *bench) error {
+		const part = 0
+		reps := b.replicas(part)
+		for _, idx := range reps[len(reps)-slowReplicas:] {
+			b.Stacks[idx].Host().Port().Link().SetConfig(slowLink())
 		}
+		keys := keysIn(b.Space.PartitionOf, "obj-%d", part, pr.Ops)
+		_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			return putEach(b.Clients[0], p, keys, quorumObjSize, &h)
+		})
+		return err
 	})
-	d.Close()
-	if err != nil {
-		return 0, err
-	}
-	if fail {
-		return 0, fmt.Errorf("fig8: NICE quorum %d put failed", k)
-	}
-	return h.Mean(), nil
-}
-
-func noobQuorumRun(pr Params, k int) (float64, error) {
-	opts := DefaultNOOBOptions()
-	opts.Seed = pr.Seed
-	opts.R = 7
-	opts.QuorumK = k
-	d := NewNOOB(opts)
-	part := 0
-	reps := d.Placement.Replicas(part)
-	throttle(func(i int) *netsim.Host { return d.Stacks[i].Host() }, reps)
-	keys := keysIn(d.Space.PartitionOf, part, pr.Ops)
-	var h metrics.Histogram
-	fail := false
-	err := driveNOOB(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		for _, key := range keys {
-			res, err := c.Put(p, key, "v", quorumObjSize)
-			if err != nil {
-				fail = true
-				return
-			}
-			h.Add(res.Latency)
-		}
-	})
-	d.Close()
-	if err != nil {
-		return 0, err
-	}
-	if fail {
-		return 0, fmt.Errorf("fig8: NOOB quorum %d put failed", k)
-	}
-	return h.Mean(), nil
+	return h.Mean(), err
 }
 
 // ReplicationLevels is Fig. 9/10's x-axis.
@@ -151,114 +74,68 @@ var ReplicationLevels = []int{1, 3, 5, 7, 9}
 // ConsistencySizes are Fig. 9/10's two object sizes.
 var ConsistencySizes = []int{4, 1 << 20}
 
-// Fig9Consistency reproduces Fig. 9: put time vs replication level for
-// NICE, NOOB primary-only, and NOOB 2PC (RAC routing), at 4 B and 1 MB.
-func Fig9Consistency(pr Params) (map[int]*Figure, error) {
-	// Grid: sizes x 3 systems x replication levels.
-	names := []string{"NICE", "NOOB primary-only", "NOOB 2PC"}
+// consistencyFigures runs a sizes x systems x replication-levels grid of
+// mean latencies and renders one figure per object size from tmpl, whose
+// ID and Title are formats taking the size label.
+func consistencyFigures(pr Params, ss []system, tmpl Figure,
+	cell func(pr Params, sys, r, size int) (float64, error)) (map[int]*Figure, error) {
+
 	nr := len(ReplicationLevels)
-	cells := len(ConsistencySizes) * len(names) * nr
-	lats := make([]float64, cells)
-	err := RunCells(pr, cells, func(i int, seed int64) error {
-		rIdx := i % nr
-		sysIdx := (i / nr) % len(names)
-		sizeIdx := i / (nr * len(names))
-		cpr := pr
-		cpr.Seed = seed
-		r, size := ReplicationLevels[rIdx], ConsistencySizes[sizeIdx]
-		var lat float64
-		var err error
-		switch sysIdx {
-		case 0:
-			lat, err = nicePutLatency(cpr, r, size)
-		case 1:
-			lat, err = noobPutLatency(cpr, r, size, noob.PrimaryOnly)
-		default:
-			lat, err = noobPutLatency(cpr, r, size, noob.TwoPC)
-		}
-		lats[i] = lat
-		return err
-	})
+	lats, err := grid[float64]{
+		Dims: []int{len(ConsistencySizes), len(ss), nr},
+		Cell: func(pr Params, ix []int) (float64, error) {
+			return cell(pr, ix[1], ReplicationLevels[ix[2]], ConsistencySizes[ix[0]])
+		},
+	}.Run(pr)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[int]*Figure)
-	for sizeIdx, size := range ConsistencySizes {
-		fig := &Figure{
-			ID:     fmt.Sprintf("fig9-%s", metrics.FormatSize(size)),
-			Title:  fmt.Sprintf("Consistency mechanism: put time, %s objects", metrics.FormatSize(size)),
-			XLabel: "R",
-			YLabel: "seconds per put, mean",
-		}
-		for sysIdx, name := range names {
-			s := Series{System: name}
-			for rIdx, r := range ReplicationLevels {
-				i := (sizeIdx*len(names)+sysIdx)*nr + rIdx
-				s.Points = append(s.Points, Point{X: fmt.Sprintf("%d", r), Value: lats[i]})
-			}
-			fig.Series = append(fig.Series, s)
-		}
-		out[size] = fig
+	for zi, size := range ConsistencySizes {
+		fig := tmpl
+		fig.ID = fmt.Sprintf(tmpl.ID, metrics.FormatSize(size))
+		fig.Title = fmt.Sprintf(tmpl.Title, metrics.FormatSize(size))
+		fig.Series = seriesOf(systemNames(ss), labels("%d", ReplicationLevels), lats[zi*len(ss)*nr:], identity)
+		out[size] = &fig
 	}
 	return out, nil
 }
 
-func nicePutLatency(pr Params, r, size int) (float64, error) {
-	opts := DefaultOptions()
-	opts.Seed = pr.Seed
-	opts.R = r
-	d := NewNICE(opts)
-	var h metrics.Histogram
-	fail := false
-	err := driveNICE(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		for i := 0; i < pr.Ops; i++ {
-			res, err := c.Put(p, fmt.Sprintf("k-%d", i), "v", size)
-			if err != nil {
-				fail = true
-				return
-			}
-			h.Add(res.Latency)
-		}
+// Fig9Consistency reproduces Fig. 9: put time vs replication level for
+// NICE, NOOB primary-only, and NOOB 2PC (RAC routing), at 4 B and 1 MB.
+func Fig9Consistency(pr Params) (map[int]*Figure, error) {
+	ss := []system{{"NICE", "NICE"}, {"NOOB primary-only", "NOOB"}, {"NOOB 2PC", "NOOB+2PC"}}
+	tmpl := Figure{ID: "fig9-%s", Title: "Consistency mechanism: put time, %s objects",
+		XLabel: "R", YLabel: "seconds per put, mean"}
+	return consistencyFigures(pr, ss, tmpl, func(pr Params, sys, r, size int) (float64, error) {
+		return putLatency(pr, ss[sys].Arm, r, size)
 	})
-	d.Close()
-	if err != nil {
-		return 0, err
-	}
-	if fail {
-		return 0, fmt.Errorf("fig9: NICE R=%d size=%d put failed", r, size)
-	}
-	return h.Mean(), nil
 }
 
-func noobPutLatency(pr Params, r, size int, cons noob.Consistency) (float64, error) {
-	opts := DefaultNOOBOptions()
-	opts.Seed = pr.Seed
+// putLatency measures the mean latency of pr.Ops puts of distinct keys
+// at replication level r.
+func putLatency(pr Params, arm string, r, size int) (float64, error) {
+	opts := seededOptions(pr.Seed)
 	opts.R = r
-	opts.Consistency = cons
-	d := NewNOOB(opts)
+	keys := make([]string, pr.Ops)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k-%d", i)
+	}
 	var h metrics.Histogram
-	fail := false
-	err := driveNOOB(d, func(p *sim.Proc) {
-		c := d.Clients[0]
-		for i := 0; i < pr.Ops; i++ {
-			res, err := c.Put(p, fmt.Sprintf("k-%d", i), "v", size)
-			if err != nil {
-				fail = true
-				return
-			}
-			h.Add(res.Latency)
-		}
+	err := withBench(arm, opts, 0, func(b *bench) error {
+		_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			return putEach(b.Clients[0], p, keys, size, &h)
+		})
+		return err
 	})
-	d.Close()
-	if err != nil {
-		return 0, err
-	}
-	if fail {
-		return 0, fmt.Errorf("fig9: NOOB R=%d size=%d put failed", r, size)
-	}
-	return h.Mean(), nil
+	return h.Mean(), err
 }
+
+// lbSystems is the system axis of Figs. 10 and 12: every deployment
+// spreads reads — NICE in the switch, the 2PC baseline through a
+// replica-aware round-robin gateway (§6.5, §6.7: "added load-balancing
+// latency").
+var lbSystems = []system{{"NICE", "NICE+LB"}, {"NOOB primary-only", "NOOB"}, {"NOOB 2PC", "NOOB+2PC+RAG+roundrobin"}}
 
 // Fig10LoadBalancing reproduces Fig. 10: weak scaling on one hot key —
 // one put client plus R-1 get clients, all hammering the same object,
@@ -266,195 +143,56 @@ func noobPutLatency(pr Params, r, size int, cons noob.Consistency) (float64, err
 // "get-only" series is the paper's line marker (workload without the put
 // client). Values are mean operation latencies.
 func Fig10LoadBalancing(pr Params) (map[int]*Figure, error) {
-	systems := []struct {
-		name    string
-		getOnly bool
-	}{
-		{"NICE", false}, {"NICE get-only", true},
-		{"NOOB primary-only", false}, {"NOOB primary-only get-only", true},
-		{"NOOB 2PC", false}, {"NOOB 2PC get-only", true},
+	// Every system is followed by its get-only marker row (odd indices).
+	var ss []system
+	for _, s := range lbSystems {
+		ss = append(ss, s, system{s.Name + " get-only", s.Arm})
 	}
-	// Grid: sizes x 6 systems x replication levels.
-	nr := len(ReplicationLevels)
-	cells := len(ConsistencySizes) * len(systems) * nr
-	lats := make([]float64, cells)
-	err := RunCells(pr, cells, func(i int, seed int64) error {
-		rIdx := i % nr
-		sysIdx := (i / nr) % len(systems)
-		sizeIdx := i / (nr * len(systems))
-		cpr := pr
-		cpr.Seed = seed
-		r, size := ReplicationLevels[rIdx], ConsistencySizes[sizeIdx]
-		sys := systems[sysIdx]
-		var lat float64
-		var err error
-		switch {
-		case strings.HasPrefix(sys.name, "NICE"):
-			lat, err = niceHotKeyRun(cpr, r, size, sys.getOnly)
-		case strings.HasPrefix(sys.name, "NOOB primary-only"):
-			lat, err = noobHotKeyRun(cpr, r, size, noob.PrimaryOnly, sys.getOnly)
-		default:
-			lat, err = noobHotKeyRun(cpr, r, size, noob.TwoPC, sys.getOnly)
+	tmpl := Figure{ID: "fig10-%s", Title: "Load balancing weak scaling, %s objects",
+		XLabel: "R (= clients)", YLabel: "seconds per op, mean",
+		Notes: []string{
+			"get-only rows are the paper's line markers (no put client); R=1 get-only has no clients and reads 0"}}
+	return consistencyFigures(pr, ss, tmpl, func(pr Params, sys, r, size int) (float64, error) {
+		return hotKeyCell(pr, ss[sys].Arm, r, size, sys%2 == 1)
+	})
+}
+
+// hotKeyCell is one Fig. 10 cell: seed the hot object, then client 0 puts
+// it (unless getOnly) while clients 1..r-1 get it, everyone pr.Ops times.
+func hotKeyCell(pr Params, arm string, r, size int, getOnly bool) (float64, error) {
+	opts := seededOptions(pr.Seed)
+	opts.R = r
+	opts.Clients = r
+	var h metrics.Histogram
+	err := withBench(arm, opts, 0, func(b *bench) error {
+		const key = "hot"
+		if _, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			_, err := b.Clients[0].Put(p, key, "v", size)
+			return err
+		}); err != nil {
+			return fmt.Errorf("fig10 seed: %w", err)
 		}
-		lats[i] = lat
+		first := 0
+		if getOnly {
+			first = 1
+		}
+		_, err := b.Run(r-first, func(c int, p *sim.Proc) error {
+			if c += first; c > 0 {
+				return getRepeat(b.Clients[c], p, key, pr.Ops, &h)
+			}
+			for i := 0; i < pr.Ops; i++ {
+				res, err := b.Clients[0].Put(p, key, "v", size)
+				if err != nil {
+					return err
+				}
+				h.Add(res.Latency)
+			}
+			return nil
+		})
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]*Figure)
-	for sizeIdx, size := range ConsistencySizes {
-		fig := &Figure{
-			ID:     fmt.Sprintf("fig10-%s", metrics.FormatSize(size)),
-			Title:  fmt.Sprintf("Load balancing weak scaling, %s objects", metrics.FormatSize(size)),
-			XLabel: "R (= clients)",
-			YLabel: "seconds per op, mean",
-		}
-		series := make([]Series, len(systems))
-		for sysIdx, sys := range systems {
-			series[sysIdx].System = sys.name
-			for rIdx, r := range ReplicationLevels {
-				i := (sizeIdx*len(systems)+sysIdx)*nr + rIdx
-				series[sysIdx].Points = append(series[sysIdx].Points,
-					Point{X: fmt.Sprintf("%d", r), Value: lats[i]})
-			}
-		}
-		fig.Series = series
-		fig.Notes = append(fig.Notes,
-			"get-only rows are the paper's line markers (no put client); R=1 get-only has no clients and reads 0")
-		out[size] = fig
-	}
-	return out, nil
-}
-
-// hotKeyLoad runs the Fig. 10 workload given started clients: client 0
-// puts (unless getOnly), the rest get, everyone pr.Ops times.
-func hotKeyRun(s *sim.Simulator, put func(p *sim.Proc) (sim.Time, error),
-	gets []func(p *sim.Proc) (sim.Time, error), ops int) (float64, error) {
-
-	var h metrics.Histogram
-	var firstErr error
-	g := sim.NewGroup(s)
-	runner := func(name string, op func(p *sim.Proc) (sim.Time, error)) {
-		g.Add(1)
-		s.Spawn(name, func(p *sim.Proc) {
-			defer g.Done()
-			for i := 0; i < ops; i++ {
-				lat, err := op(p)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				h.Add(lat)
-			}
-		})
-	}
-	if put != nil {
-		runner("putter", put)
-	}
-	for i, get := range gets {
-		runner(fmt.Sprintf("getter%d", i), get)
-	}
-	done := false
-	s.Spawn("join", func(p *sim.Proc) {
-		g.Wait(p)
-		done = true
-		s.Stop()
-	})
-	if err := s.Run(); err != nil {
+	if err != nil || h.N() == 0 {
 		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	if !done {
-		return 0, fmt.Errorf("hot-key workload did not finish")
-	}
-	if h.N() == 0 {
-		return 0, nil
 	}
 	return h.Mean(), nil
-}
-
-func niceHotKeyRun(pr Params, r, size int, getOnly bool) (float64, error) {
-	opts := DefaultOptions()
-	opts.Seed = pr.Seed
-	opts.R = r
-	opts.Clients = r
-	opts.LoadBalance = true
-	d := NewNICE(opts)
-	const key = "hot"
-	// Seed the object and settle.
-	err := driveNICE(d, func(p *sim.Proc) {
-		if _, err := d.Clients[0].Put(p, key, "v", size); err != nil {
-			panic(fmt.Sprintf("fig10 seed failed: %v", err))
-		}
-	})
-	if err != nil {
-		d.Close()
-		return 0, err
-	}
-	var put func(p *sim.Proc) (sim.Time, error)
-	if !getOnly {
-		put = func(p *sim.Proc) (sim.Time, error) {
-			res, err := d.Clients[0].Put(p, key, "v", size)
-			return res.Latency, err
-		}
-	}
-	var gets []func(p *sim.Proc) (sim.Time, error)
-	for i := 1; i < r; i++ {
-		c := d.Clients[i]
-		gets = append(gets, func(p *sim.Proc) (sim.Time, error) {
-			res, err := c.Get(p, key)
-			return res.Latency, err
-		})
-	}
-	lat, err := hotKeyRun(d.Sim, put, gets, pr.Ops)
-	d.Close()
-	return lat, err
-}
-
-func noobHotKeyRun(pr Params, r, size int, cons noob.Consistency, getOnly bool) (float64, error) {
-	opts := DefaultNOOBOptions()
-	opts.Seed = pr.Seed
-	opts.R = r
-	opts.Clients = r
-	opts.Consistency = cons
-	if cons == noob.TwoPC {
-		// The 2PC deployment load balances reads via the RAG gateway.
-		opts.Access = noob.ViaGateway
-		opts.Gateway = noob.RAG
-		opts.Gets = noob.GetRoundRobin
-	}
-	d := NewNOOB(opts)
-	const key = "hot"
-	err := driveNOOB(d, func(p *sim.Proc) {
-		if _, err := d.Clients[0].Put(p, key, "v", size); err != nil {
-			panic(fmt.Sprintf("fig10 noob seed failed: %v", err))
-		}
-	})
-	if err != nil {
-		d.Close()
-		return 0, err
-	}
-	var put func(p *sim.Proc) (sim.Time, error)
-	if !getOnly {
-		put = func(p *sim.Proc) (sim.Time, error) {
-			res, err := d.Clients[0].Put(p, key, "v", size)
-			return res.Latency, err
-		}
-	}
-	var gets []func(p *sim.Proc) (sim.Time, error)
-	for i := 1; i < r; i++ {
-		c := d.Clients[i]
-		gets = append(gets, func(p *sim.Proc) (sim.Time, error) {
-			res, err := c.Get(p, key)
-			return res.Latency, err
-		})
-	}
-	lat, err := hotKeyRun(d.Sim, put, gets, pr.Ops)
-	d.Close()
-	return lat, err
 }

@@ -53,91 +53,85 @@ func (r *FTResult) Figure() *Figure {
 		YLabel: "operations per second",
 		Notes:  r.Events,
 	}
-	puts := Series{System: "puts/s"}
-	gets := Series{System: "gets/s"}
-	fails := Series{System: "failed-puts/s"}
-	n := len(r.PutRate)
-	if len(r.GetRate) > n {
-		n = len(r.GetRate)
-	}
-	at := func(v []float64, i int) float64 {
-		if i < len(v) {
-			return v[i]
+	n := max(len(r.PutRate), len(r.GetRate))
+	for _, s := range []struct {
+		name string
+		rate []float64
+	}{{"puts/s", r.PutRate}, {"gets/s", r.GetRate}, {"failed-puts/s", r.FailRate}} {
+		series := Series{System: s.name}
+		for i := 0; i < n; i++ {
+			pt := Point{X: fmt.Sprintf("%d", i)}
+			if i < len(s.rate) {
+				pt.Value = s.rate[i]
+			}
+			series.Points = append(series.Points, pt)
 		}
-		return 0
+		fig.Series = append(fig.Series, series)
 	}
-	for i := 0; i < n; i++ {
-		x := fmt.Sprintf("%d", i)
-		puts.Points = append(puts.Points, Point{X: x, Value: at(r.PutRate, i)})
-		gets.Points = append(gets.Points, Point{X: x, Value: at(r.GetRate, i)})
-		fails.Points = append(fails.Points, Point{X: x, Value: at(r.FailRate, i)})
-	}
-	fig.Series = []Series{puts, gets, fails}
 	return fig
 }
 
-// Fig11FaultTolerance reproduces Fig. 11 on a NICE deployment.
+// Fig11FaultTolerance reproduces Fig. 11 on a NICE deployment. The
+// clients run against the clock, not an op count, so the run ends at the
+// simulator's time limit instead of a client join.
 func Fig11FaultTolerance(fp FTParams) (*FTResult, error) {
-	opts := DefaultOptions()
-	opts.Seed = fp.Seed
+	opts := seededOptions(fp.Seed)
 	opts.Clients = fp.Clients
-	opts.LoadBalance = true // gets spread over replicas, including the handoff
-	d := NewNICE(opts)
-
 	res := &FTResult{}
-	d.Service.SetTrace(func(f string, a ...any) {
-		res.Events = append(res.Events, fmt.Sprintf(f, a...))
-	})
-	if err := d.Settle(); err != nil {
-		d.Close()
-		return nil, err
-	}
-
-	const part = 0
-	view := d.Service.View(part)
-	victim := view.Replicas[1].Index // a secondary
-	keys := d.keysInPartition(part, 200)
-
-	puts := metrics.NewTimeSeries(time.Second)
-	gets := metrics.NewTimeSeries(time.Second)
-	fails := metrics.NewTimeSeries(time.Second)
-
-	for i := 0; i < fp.Clients; i++ {
-		c := d.Clients[i]
-		rng := rand.New(rand.NewSource(fp.Seed + int64(i)))
-		d.Sim.Spawn(fmt.Sprintf("ft-client%d", i), func(p *sim.Proc) {
-			if _, err := c.Put(p, keys[0], 0, 1<<10); err != nil {
-				return
-			}
-			for p.Now() < fp.Duration {
-				k := keys[rng.Intn(len(keys))]
-				if rng.Float64() < 0.2 {
-					if _, err := c.Put(p, k, 1, 1<<10); err != nil {
-						fails.Add(p.Now(), 1)
-					} else {
-						puts.Add(p.Now(), 1)
-					}
-				} else {
-					if _, err := c.Get(p, k); err == nil {
-						gets.Add(p.Now(), 1)
-					}
-				}
-				p.Sleep(fp.ThinkTime)
-			}
+	// +LB: gets spread over replicas, including the handoff.
+	err := withBench("NICE+LB", opts, 0, func(b *bench) error {
+		d := b.NICE
+		d.Service.SetTrace(func(f string, a ...any) {
+			res.Events = append(res.Events, fmt.Sprintf(f, a...))
 		})
-	}
-	d.Sim.At(fp.FailAt, func() { d.Nodes[victim].Crash() })
-	d.Sim.At(fp.RejoinAt, func() { d.Nodes[victim].Restart() })
-	d.Sim.SetLimit(fp.Duration + time.Second)
-	if err := d.Sim.Run(); err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.Close()
-	res.PutRate = puts.Values()
-	res.GetRate = gets.Values()
-	res.FailRate = fails.Values()
-	return res, nil
+		if err := b.Settle(); err != nil {
+			return err
+		}
+
+		const part = 0
+		victim := b.replicas(part)[1] // a secondary
+		keys := d.keysInPartition(part, 200)
+
+		puts := metrics.NewTimeSeries(time.Second)
+		gets := metrics.NewTimeSeries(time.Second)
+		fails := metrics.NewTimeSeries(time.Second)
+
+		for i := 0; i < fp.Clients; i++ {
+			c := b.Clients[i]
+			rng := rand.New(rand.NewSource(fp.Seed + int64(i)))
+			d.Sim.Spawn(fmt.Sprintf("ft-client%d", i), func(p *sim.Proc) {
+				if _, err := c.Put(p, keys[0], 0, 1<<10); err != nil {
+					return
+				}
+				for p.Now() < fp.Duration {
+					k := keys[rng.Intn(len(keys))]
+					if rng.Float64() < 0.2 {
+						if _, err := c.Put(p, k, 1, 1<<10); err != nil {
+							fails.Add(p.Now(), 1)
+						} else {
+							puts.Add(p.Now(), 1)
+						}
+					} else {
+						if _, err := c.Get(p, k); err == nil {
+							gets.Add(p.Now(), 1)
+						}
+					}
+					p.Sleep(fp.ThinkTime)
+				}
+			})
+		}
+		d.Sim.At(fp.FailAt, func() { d.Nodes[victim].Crash() })
+		d.Sim.At(fp.RejoinAt, func() { d.Nodes[victim].Restart() })
+		d.Sim.SetLimit(fp.Duration + time.Second)
+		if err := d.Sim.Run(); err != nil {
+			return err
+		}
+		res.PutRate = puts.Values()
+		res.GetRate = gets.Values()
+		res.FailRate = fails.Values()
+		return nil
+	})
+	return res, err
 }
 
 // YCSBWorkloads are the paper's §6.7 choices.
@@ -150,178 +144,78 @@ const YCSBRecords = 1000
 // for NICE, NOOB primary-only, and NOOB 2PC. pr.Ops is per client;
 // the paper uses 10 clients x 20K operations on 1 KB objects.
 func Fig12YCSB(pr Params, clients int) (*Figure, error) {
-	fig := &Figure{
+	tputs, err := grid[float64]{
+		Dims: []int{len(lbSystems), len(YCSBWorkloads)},
+		Cell: func(pr Params, ix []int) (float64, error) {
+			return ycsbCell(pr, lbSystems[ix[0]].Arm, clients, YCSBWorkloads[ix[1]])
+		},
+	}.Run(pr)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
 		ID:     "fig12",
 		Title:  fmt.Sprintf("YCSB (zipfian, 1KB objects, %d clients x %d ops)", clients, pr.Ops),
 		XLabel: "workload",
 		YLabel: "operations per second, aggregate",
-	}
-	// Grid: 3 systems x workloads.
-	names := []string{"NICE", "NOOB primary-only", "NOOB 2PC"}
-	nwl := len(YCSBWorkloads)
-	tputs := make([]float64, len(names)*nwl)
-	err := RunCells(pr, len(tputs), func(i int, seed int64) error {
-		sysIdx, wlIdx := i/nwl, i%nwl
-		cpr := pr
-		cpr.Seed = seed
-		wl := YCSBWorkloads[wlIdx]
-		var tput float64
-		var err error
-		switch sysIdx {
-		case 0:
-			tput, err = niceYCSB(cpr, clients, wl)
-		case 1:
-			tput, err = noobYCSB(cpr, clients, wl, noob.PrimaryOnly)
-		default:
-			tput, err = noobYCSB(cpr, clients, wl, noob.TwoPC)
-		}
-		tputs[i] = tput
+		Series: seriesOf(systemNames(lbSystems), YCSBWorkloads, tputs, identity),
+	}, nil
+}
+
+// ycsbCell runs one workload on one system with `clients` clients.
+func ycsbCell(pr Params, arm string, clients int, wlName string) (tput float64, err error) {
+	opts := seededOptions(pr.Seed)
+	opts.Clients = clients
+	err = withBench(arm, opts, 0, func(b *bench) error {
+		tput, err = ycsbRun(b, pr, wlName)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	for sysIdx, name := range names {
-		s := Series{System: name}
-		for wlIdx, wl := range YCSBWorkloads {
-			s.Points = append(s.Points, Point{X: wl, Value: tputs[sysIdx*nwl+wlIdx]})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	return tput, err
 }
 
-// ycsbDriver runs the workload on generic put/get closures and returns
-// aggregate throughput (ops/sec of simulated time).
-func ycsbDriver(s *sim.Simulator, clients int, pr Params, wlName string,
-	put func(c int, p *sim.Proc, key string, size int) error,
-	get func(c int, p *sim.Proc, key string) error,
-	load func(p *sim.Proc, key string, size int) error) (float64, error) {
-
-	// Load phase.
+// ycsbRun loads the records through client 0, then drives every client
+// through pr.Ops workload operations and returns aggregate throughput
+// (ops/sec of simulated time).
+func ycsbRun(b *bench, pr Params, wlName string) (float64, error) {
 	w := workload.MustDefine(wlName, YCSBRecords)
-	loadErr := error(nil)
-	s.Spawn("ycsb-load", func(p *sim.Proc) {
+	if _, err := b.Run(1, func(_ int, p *sim.Proc) error {
 		for i := 0; i < YCSBRecords; i++ {
-			if err := load(p, w.Key(i), w.ValueSize); err != nil {
-				loadErr = err
-				return
+			if _, err := b.Clients[0].Put(p, w.Key(i), "v", w.ValueSize); err != nil {
+				return err
 			}
 		}
-		s.Stop()
-	})
-	if err := s.Run(); err != nil {
+		return nil
+	}); err != nil {
 		return 0, err
 	}
-	if loadErr != nil {
-		return 0, loadErr
-	}
 
-	// Run phase.
-	start := s.Now()
-	var opErr error
-	completed := 0
-	g := sim.NewGroup(s)
-	for i := 0; i < clients; i++ {
-		i := i
-		rng := rand.New(rand.NewSource(pr.Seed + int64(i)))
+	seconds, err := b.Run(len(b.Clients), func(c int, p *sim.Proc) error {
+		rng := rand.New(rand.NewSource(pr.Seed + int64(c)))
 		cw := workload.MustDefine(wlName, YCSBRecords)
-		g.Add(1)
-		s.Spawn(fmt.Sprintf("ycsb-client%d", i), func(p *sim.Proc) {
-			defer g.Done()
-			for n := 0; n < pr.Ops; n++ {
-				op := cw.Next(rng)
-				var err error
-				switch op.Type {
-				case workload.Read:
-					err = get(i, p, op.Key)
-				case workload.Update, workload.Insert:
-					err = put(i, p, op.Key, cw.ValueSize)
-				case workload.ReadModifyWrite:
-					if err = get(i, p, op.Key); err == nil {
-						err = put(i, p, op.Key, cw.ValueSize)
-					}
+		cl := b.Clients[c]
+		for n := 0; n < pr.Ops; n++ {
+			op := cw.Next(rng)
+			var err error
+			switch op.Type {
+			case workload.Read:
+				_, err = cl.Get(p, op.Key)
+			case workload.Update, workload.Insert:
+				_, err = cl.Put(p, op.Key, "v", cw.ValueSize)
+			case workload.ReadModifyWrite:
+				if _, err = cl.Get(p, op.Key); err == nil {
+					_, err = cl.Put(p, op.Key, "v", cw.ValueSize)
 				}
-				if err != nil {
-					if opErr == nil {
-						opErr = err
-					}
-					return
-				}
-				completed++
 			}
-		})
-	}
-	s.Spawn("ycsb-join", func(p *sim.Proc) { g.Wait(p); s.Stop() })
-	if err := s.Run(); err != nil {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	if opErr != nil {
-		return 0, opErr
-	}
-	want := clients * pr.Ops
-	if completed != want {
-		return 0, fmt.Errorf("ycsb %s: completed %d/%d ops", wlName, completed, want)
-	}
-	elapsed := (s.Now() - start).Seconds()
-	return float64(completed) / elapsed, nil
-}
-
-func niceYCSB(pr Params, clients int, wlName string) (float64, error) {
-	opts := DefaultOptions()
-	opts.Seed = pr.Seed
-	opts.Clients = clients
-	opts.LoadBalance = true
-	d := NewNICE(opts)
-	if err := d.Settle(); err != nil {
-		d.Close()
-		return 0, err
-	}
-	tput, err := ycsbDriver(d.Sim, clients, pr, wlName,
-		func(c int, p *sim.Proc, key string, size int) error {
-			_, err := d.Clients[c].Put(p, key, "v", size)
-			return err
-		},
-		func(c int, p *sim.Proc, key string) error {
-			_, err := d.Clients[c].Get(p, key)
-			return err
-		},
-		func(p *sim.Proc, key string, size int) error {
-			_, err := d.Clients[0].Put(p, key, "v", size)
-			return err
-		})
-	d.Close()
-	return tput, err
-}
-
-func noobYCSB(pr Params, clients int, wlName string, cons noob.Consistency) (float64, error) {
-	opts := DefaultNOOBOptions()
-	opts.Seed = pr.Seed
-	opts.Clients = clients
-	opts.Consistency = cons
-	if cons == noob.TwoPC {
-		// The 2PC deployment load balances reads through a replica-aware
-		// gateway (§6.5, §6.7: "added load-balancing latency").
-		opts.Access = noob.ViaGateway
-		opts.Gateway = noob.RAG
-		opts.Gets = noob.GetRoundRobin
-	}
-	d := NewNOOB(opts)
-	tput, err := ycsbDriver(d.Sim, clients, pr, wlName,
-		func(c int, p *sim.Proc, key string, size int) error {
-			_, err := d.Clients[c].Put(p, key, "v", size)
-			return err
-		},
-		func(c int, p *sim.Proc, key string) error {
-			_, err := d.Clients[c].Get(p, key)
-			return err
-		},
-		func(p *sim.Proc, key string, size int) error {
-			_, err := d.Clients[0].Put(p, key, "v", size)
-			return err
-		})
-	d.Close()
-	return tput, err
+	return float64(len(b.Clients)*pr.Ops) / seconds, nil
 }
 
 // SwitchScalabilityTable reproduces the §4.6 arithmetic with measured
@@ -337,22 +231,20 @@ func SwitchScalabilityTable() (*Figure, error) {
 	const tableCapacity = 128 * 1024
 	entries := Series{System: "entries/partition"}
 	maxNodes := Series{System: "max nodes @128K"}
-	for _, lb := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.LoadBalance = lb
-		d := NewNICE(opts)
-		if err := d.Settle(); err != nil {
-			d.Close()
+	opts := DefaultOptions()
+	for _, sys := range []system{{"no LB", "NICE"}, {fmt.Sprintf("LB, R=%d", opts.R), "NICE+LB"}} {
+		err := withBench(sys.Arm, opts, 0, func(b *bench) error {
+			if err := b.Settle(); err != nil {
+				return err
+			}
+			per := b.NICE.Service.Stats().RulesPerPart
+			entries.Points = append(entries.Points, Point{X: sys.Name, Value: float64(per)})
+			maxNodes.Points = append(maxNodes.Points, Point{X: sys.Name, Value: float64(tableCapacity / per)})
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		per := d.Service.Stats().RulesPerPart
-		label := "no LB"
-		if lb {
-			label = fmt.Sprintf("LB, R=%d", opts.R)
-		}
-		entries.Points = append(entries.Points, Point{X: label, Value: float64(per)})
-		maxNodes.Points = append(maxNodes.Points, Point{X: label, Value: float64(tableCapacity / per)})
-		d.Close()
 	}
 	fig.Series = []Series{entries, maxNodes}
 	fig.Notes = append(fig.Notes,
@@ -377,45 +269,47 @@ func MembershipScalabilityTable() (*Figure, error) {
 	gossipMsgs := Series{System: "NOOB msgs (epidemic)"}
 	gossipRounds := Series{System: "NOOB gossip rounds"}
 	for _, n := range []int{5, 15, 30} {
+		x := fmt.Sprintf("%d", n)
 		opts := DefaultOptions()
 		opts.Nodes = n
-		opts.Heartbeat = 100 * time.Millisecond
-		d := NewNICE(opts)
-		if err := d.Settle(); err != nil {
-			d.Close()
-			return nil, err
+		opts.Heartbeat = 100 * time.Millisecond // NICE only: the NOOB baseline has no heartbeats
+		err := withBench("NICE", opts, 0, func(b *bench) error {
+			if err := b.Settle(); err != nil {
+				return err
+			}
+			d := b.NICE
+			mods := func() int64 { return d.Core.Stats().FlowMods + d.Core.Stats().GroupMods }
+			beforeMsgs, beforeFlow := d.Service.Stats().NodeMsgs, mods()
+			d.Nodes[1].Crash()
+			if err := d.Sim.RunUntil(d.Sim.Now() + time.Second); err != nil {
+				return err
+			}
+			st := d.Service.Stats()
+			if st.Failures != 1 {
+				return fmt.Errorf("membership table: failure not detected at N=%d", n)
+			}
+			niceNode.Points = append(niceNode.Points, Point{X: x, Value: float64(st.NodeMsgs - beforeMsgs)})
+			niceFlow.Points = append(niceFlow.Points, Point{X: x, Value: float64(mods() - beforeFlow)})
+			return nil
+		})
+		if err == nil {
+			err = withBench("NOOB", opts, 0, func(b *bench) error {
+				b.NOOB.Member.BroadcastChange([]int{1})
+				noobMsgs.Points = append(noobMsgs.Points, Point{X: x, Value: float64(b.NOOB.Member.MsgsSent())})
+				return nil
+			})
 		}
-		beforeMsgs := d.Service.Stats().NodeMsgs
-		beforeFlow := d.Core.Stats().FlowMods + d.Core.Stats().GroupMods
-		d.Nodes[1].Crash()
-		if err := d.Sim.RunUntil(d.Sim.Now() + time.Second); err != nil {
-			d.Close()
-			return nil, err
+		if err == nil {
+			err = withBench("NOOB", opts, 0, func(b *bench) error {
+				msgs, rounds, err := gossipDissemination(b.NOOB)
+				gossipMsgs.Points = append(gossipMsgs.Points, Point{X: x, Value: float64(msgs)})
+				gossipRounds.Points = append(gossipRounds.Points, Point{X: x, Value: float64(rounds)})
+				return err
+			})
 		}
-		st := d.Service.Stats()
-		if st.Failures != 1 {
-			d.Close()
-			return nil, fmt.Errorf("membership table: failure not detected at N=%d", n)
-		}
-		x := fmt.Sprintf("%d", n)
-		niceNode.Points = append(niceNode.Points, Point{X: x, Value: float64(st.NodeMsgs - beforeMsgs)})
-		niceFlow.Points = append(niceFlow.Points, Point{X: x,
-			Value: float64(d.Core.Stats().FlowMods + d.Core.Stats().GroupMods - beforeFlow)})
-		d.Close()
-
-		nopts := DefaultNOOBOptions()
-		nopts.Nodes = n
-		nd := NewNOOB(nopts)
-		nd.Member.BroadcastChange([]int{1})
-		noobMsgs.Points = append(noobMsgs.Points, Point{X: x, Value: float64(nd.Member.MsgsSent())})
-		nd.Close()
-
-		msgs, rounds, err := gossipDissemination(n)
 		if err != nil {
 			return nil, err
 		}
-		gossipMsgs.Points = append(gossipMsgs.Points, Point{X: x, Value: float64(msgs)})
-		gossipRounds.Points = append(gossipRounds.Points, Point{X: x, Value: float64(rounds)})
 	}
 	fig.Series = []Series{niceNode, niceFlow, noobMsgs, gossipMsgs, gossipRounds}
 	fig.Notes = append(fig.Notes,
@@ -424,13 +318,10 @@ func MembershipScalabilityTable() (*Figure, error) {
 	return fig, nil
 }
 
-// gossipDissemination measures one epidemic membership change at scale
-// n: total messages and the simulated rounds until every member knows.
-func gossipDissemination(n int) (msgs int64, rounds int, err error) {
-	nopts := DefaultNOOBOptions()
-	nopts.Nodes = n
-	d := NewNOOB(nopts)
-	defer d.Close()
+// gossipDissemination measures one epidemic membership change on d:
+// total messages and the simulated rounds until every member knows.
+func gossipDissemination(d *NOOB) (msgs int64, rounds int, err error) {
+	n := len(d.Stacks)
 	var ips []netsim.IP
 	for _, st := range d.Stacks {
 		ips = append(ips, st.IP())

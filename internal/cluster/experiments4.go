@@ -4,45 +4,36 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/noob"
 	"repro/internal/sim"
 )
 
 // Extended experiments beyond the paper's figures: the full YCSB core
-// suite, and the abstract's scalability claim measured directly.
+// suite, and the abstract's scalability claim measured directly. Their
+// cells run in sequence under pr.Seed itself rather than as a RunCells
+// grid.
 
 // YCSBAllWorkloads runs the remaining YCSB core workloads (A update-heavy,
 // B read-mostly, D read-latest) alongside the paper's C and F, for NICE
 // and both NOOB baselines.
 func YCSBAllWorkloads(pr Params, clients int) (*Figure, error) {
-	fig := &Figure{
+	workloads := []string{"A", "B", "C", "D", "F"}
+	tputs := make([]float64, len(lbSystems)*len(workloads))
+	for wi, wl := range workloads {
+		for si, sys := range lbSystems {
+			tput, err := ycsbCell(pr, sys.Arm, clients, wl)
+			if err != nil {
+				return nil, err
+			}
+			tputs[si*len(workloads)+wi] = tput
+		}
+	}
+	return &Figure{
 		ID:     "ycsb-all",
 		Title:  fmt.Sprintf("YCSB core suite (zipfian, 1KB, %d clients x %d ops)", clients, pr.Ops),
 		XLabel: "workload",
 		YLabel: "operations per second, aggregate",
-	}
-	nice := Series{System: "NICE"}
-	prim := Series{System: "NOOB primary-only"}
-	twopc := Series{System: "NOOB 2PC"}
-	for _, wl := range []string{"A", "B", "C", "D", "F"} {
-		tput, err := niceYCSB(pr, clients, wl)
-		if err != nil {
-			return nil, err
-		}
-		nice.Points = append(nice.Points, Point{X: wl, Value: tput})
-		tput, err = noobYCSB(pr, clients, wl, noob.PrimaryOnly)
-		if err != nil {
-			return nil, err
-		}
-		prim.Points = append(prim.Points, Point{X: wl, Value: tput})
-		tput, err = noobYCSB(pr, clients, wl, noob.TwoPC)
-		if err != nil {
-			return nil, err
-		}
-		twopc.Points = append(twopc.Points, Point{X: wl, Value: tput})
-	}
-	fig.Series = []Series{nice, prim, twopc}
-	return fig, nil
+		Series: seriesOf(systemNames(lbSystems), workloads, tputs, identity),
+	}, nil
 }
 
 // ScaleOutThroughput measures the abstract's scalability claim: grow the
@@ -50,165 +41,94 @@ func YCSBAllWorkloads(pr Params, clients int) (*Figure, error) {
 // put throughput. NICE has no shared chokepoint; NOOB routed through a
 // gateway stops scaling at the gateway.
 func ScaleOutThroughput(pr Params) (*Figure, error) {
-	fig := &Figure{
+	const objSize = 64 << 10
+	sizes := []int{6, 12, 24}
+	ss := []system{{"NICE", "NICE"}, {"NOOB+RAG (gateway)", "NOOB+RAG"}}
+	tputs := make([]float64, len(ss)*len(sizes))
+	for ni, n := range sizes {
+		for si, sys := range ss {
+			opts := seededOptions(pr.Seed)
+			opts.Nodes = n
+			opts.Clients = n / 2
+			err := withBench(sys.Arm, opts, 0, func(b *bench) error {
+				// Every client writes its own keys as fast as it can.
+				seconds, err := b.Run(len(b.Clients), func(c int, p *sim.Proc) error {
+					for k := 0; k < pr.Ops; k++ {
+						if _, err := b.Clients[c].Put(p, fmt.Sprintf("c%d-k%d", c, k), "v", objSize); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+				if seconds <= 0 {
+					return fmt.Errorf("scale-out: no simulated time elapsed")
+				}
+				tputs[si*len(sizes)+ni] = float64(len(b.Clients)*pr.Ops) / seconds
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &Figure{
 		ID:     "scale-out",
 		Title:  "Weak scaling: aggregate 64KB put throughput as nodes and clients double",
 		XLabel: "nodes",
 		YLabel: "puts per second, aggregate",
-	}
-	const objSize = 64 << 10
-	sizes := []int{6, 12, 24}
-
-	nice := Series{System: "NICE"}
-	rag := Series{System: "NOOB+RAG (gateway)"}
-	for _, n := range sizes {
-		clients := n / 2
-		x := fmt.Sprintf("%d", n)
-
-		opts := DefaultOptions()
-		opts.Seed = pr.Seed
-		opts.Nodes = n
-		opts.Clients = clients
-		d := NewNICE(opts)
-		tput, err := putStorm(d.Sim, func() error { return d.Settle() }, clients, pr.Ops,
-			func(i int, p *sim.Proc, key string) error {
-				_, err := d.Clients[i].Put(p, key, "v", objSize)
-				return err
-			})
-		d.Close()
-		if err != nil {
-			return nil, err
-		}
-		nice.Points = append(nice.Points, Point{X: x, Value: tput})
-
-		nopts := DefaultNOOBOptions()
-		nopts.Seed = pr.Seed
-		nopts.Nodes = n
-		nopts.Clients = clients
-		nopts.Access = noob.ViaGateway
-		nopts.Gateway = noob.RAG
-		nd := NewNOOB(nopts)
-		tput, err = putStorm(nd.Sim, func() error { return nil }, clients, pr.Ops,
-			func(i int, p *sim.Proc, key string) error {
-				_, err := nd.Clients[i].Put(p, key, "v", objSize)
-				return err
-			})
-		nd.Close()
-		if err != nil {
-			return nil, err
-		}
-		rag.Points = append(rag.Points, Point{X: x, Value: tput})
-	}
-	fig.Series = []Series{nice, rag}
-	fig.Notes = append(fig.Notes,
-		"weak scaling: clients = nodes/2, each issuing the same op count;",
-		"flat or rising per-node throughput means no shared bottleneck (the abstract's scalability claim)")
-	return fig, nil
-}
-
-// putStorm drives `clients` concurrent writers and returns aggregate
-// throughput over simulated time.
-func putStorm(s *sim.Simulator, settle func() error, clients, ops int,
-	put func(i int, p *sim.Proc, key string) error) (float64, error) {
-
-	if err := settle(); err != nil {
-		return 0, err
-	}
-	start := s.Now()
-	var firstErr error
-	completed := 0
-	g := sim.NewGroup(s)
-	for i := 0; i < clients; i++ {
-		i := i
-		g.Add(1)
-		s.Spawn(fmt.Sprintf("storm%d", i), func(p *sim.Proc) {
-			defer g.Done()
-			for k := 0; k < ops; k++ {
-				if err := put(i, p, fmt.Sprintf("c%d-k%d", i, k)); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				completed++
-			}
-		})
-	}
-	s.Spawn("join", func(p *sim.Proc) { g.Wait(p); s.Stop() })
-	if err := s.Run(); err != nil {
-		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	elapsed := (s.Now() - start).Seconds()
-	if elapsed <= 0 {
-		return 0, fmt.Errorf("putStorm: no simulated time elapsed")
-	}
-	return float64(completed) / elapsed, nil
+		Series: seriesOf(systemNames(ss), labels("%d", sizes), tputs, identity),
+		Notes: []string{
+			"weak scaling: clients = nodes/2, each issuing the same op count;",
+			"flat or rising per-node throughput means no shared bottleneck (the abstract's scalability claim)"},
+	}, nil
 }
 
 // FabricComparison contrasts the three supported fabrics on the same
 // workload: single hardware switch (the paper's platform), client-edge
 // OVS (§5.1 workaround), and leaf-spine (multi-switch, §6 note).
 func FabricComparison(pr Params) (*Figure, error) {
-	fig := &Figure{
+	const size = 64 << 10
+	fabrics := []struct {
+		name, arm string
+		leaves    int
+	}{{"single-switch", "NICE", 0}, {"edge-ovs", "NICE+edgeovs", 0}, {"leaf-spine(3)", "NICE", 3}}
+	puts := Series{System: "put"}
+	gets := Series{System: "get"}
+	for _, f := range fabrics {
+		var ph, gh metrics.Histogram
+		err := withBench(f.arm, seededOptions(pr.Seed), f.leaves, func(b *bench) error {
+			_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+				for i := 0; i < pr.Ops; i++ {
+					key := fmt.Sprintf("k%d", i)
+					res, err := b.Clients[0].Put(p, key, "v", size)
+					if err != nil {
+						return err
+					}
+					ph.Add(res.Latency)
+					if err := getRepeat(b.Clients[0], p, key, 1, &gh); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fabric %s: %w", f.name, err)
+		}
+		puts.Points = append(puts.Points, Point{X: f.name, Value: ph.Mean()})
+		gets.Points = append(gets.Points, Point{X: f.name, Value: gh.Mean()})
+	}
+	return &Figure{
 		ID:     "fabric",
 		Title:  "Fabric comparison: 64KB put/get latency across switch topologies",
 		XLabel: "fabric",
 		YLabel: "seconds per op, mean",
-	}
-	const size = 64 << 10
-	puts := Series{System: "put"}
-	gets := Series{System: "get"}
-	run := func(name string, d *NICE) error {
-		var ph, gh metrics.Histogram
-		err := driveNICE(d, func(p *sim.Proc) {
-			c := d.Clients[0]
-			for i := 0; i < pr.Ops; i++ {
-				key := fmt.Sprintf("k%d", i)
-				res, err := c.Put(p, key, "v", size)
-				if err != nil {
-					return
-				}
-				ph.Add(res.Latency)
-				got, err := c.Get(p, key)
-				if err != nil || !got.Found {
-					return
-				}
-				gh.Add(got.Latency)
-			}
-		})
-		d.Close()
-		if err != nil {
-			return err
-		}
-		if ph.N() != pr.Ops || gh.N() != pr.Ops {
-			return fmt.Errorf("fabric %s: incomplete run (%d/%d puts)", name, ph.N(), pr.Ops)
-		}
-		puts.Points = append(puts.Points, Point{X: name, Value: ph.Mean()})
-		gets.Points = append(gets.Points, Point{X: name, Value: gh.Mean()})
-		return nil
-	}
-
-	opts := DefaultOptions()
-	opts.Seed = pr.Seed
-	if err := run("single-switch", NewNICE(opts)); err != nil {
-		return nil, err
-	}
-	eopts := DefaultOptions()
-	eopts.Seed = pr.Seed
-	eopts.EdgeOVS = true
-	if err := run("edge-ovs", NewNICE(eopts)); err != nil {
-		return nil, err
-	}
-	lopts := DefaultOptions()
-	lopts.Seed = pr.Seed
-	if err := run("leaf-spine(3)", NewNICELeafSpine(lopts, 3)); err != nil {
-		return nil, err
-	}
-	fig.Series = []Series{puts, gets}
-	return fig, nil
+		Series: []Series{puts, gets},
+	}, nil
 }
 
 // QuorumReadOverhead quantifies §3.3's motivation: majority-based
@@ -216,85 +136,37 @@ func FabricComparison(pr Params) (*Figure, error) {
 // read, while NICE's consistency-aware fault tolerance lets one replica
 // answer. Reported per get: latency and total network bytes.
 func QuorumReadOverhead(pr Params) (*Figure, error) {
+	const size = 1 << 10
 	fig := &Figure{
 		ID:     "quorum-read",
 		Title:  "Read-side cost of quorum consistency (R=5, 1KB objects)",
 		XLabel: "metric",
 		YLabel: "per-get value",
+		Notes: []string{
+			"§3.3: quorum designs pay a majority of replica touches on every read;",
+			"consistency-aware fault tolerance answers from any single consistent replica"},
 	}
-	const size = 1 << 10
-	run := func(quorum bool) (lat, bytes float64, err error) {
+	opts := seededOptions(pr.Seed)
+	opts.R = 5
+	for _, sys := range []system{{"NICE (1 replica/read)", "NICE+LB"}, {"NOOB quorum (majority/read)", "NOOB+quorumrw"}} {
 		var h metrics.Histogram
 		var linkBytes int64
-		if quorum {
-			opts := DefaultNOOBOptions()
-			opts.Seed = pr.Seed
-			opts.R = 5
-			opts.Consistency = noob.QuorumRW
-			d := NewNOOB(opts)
-			err = driveNOOB(d, func(p *sim.Proc) {
-				c := d.Clients[0]
-				if _, err := c.Put(p, "q", "v", size); err != nil {
-					return
+		err := withBench(sys.Arm, opts, 0, func(b *bench) error {
+			_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+				if _, err := b.Clients[0].Put(p, "q", "v", size); err != nil {
+					return err
 				}
-				d.Net.ResetLinkStats()
-				for i := 0; i < pr.Ops; i++ {
-					res, gerr := c.Get(p, "q")
-					if gerr != nil || !res.Found {
-						return
-					}
-					h.Add(res.Latency)
-				}
+				b.Net.ResetLinkStats()
+				return getRepeat(b.Clients[0], p, "q", pr.Ops, &h)
 			})
-			linkBytes = d.Net.TotalLinkBytes()
-			d.Close()
-		} else {
-			opts := DefaultOptions()
-			opts.Seed = pr.Seed
-			opts.R = 5
-			opts.LoadBalance = true
-			d := NewNICE(opts)
-			err = driveNICE(d, func(p *sim.Proc) {
-				c := d.Clients[0]
-				if _, err := c.Put(p, "q", "v", size); err != nil {
-					return
-				}
-				d.Net.ResetLinkStats()
-				for i := 0; i < pr.Ops; i++ {
-					res, gerr := c.Get(p, "q")
-					if gerr != nil || !res.Found {
-						return
-					}
-					h.Add(res.Latency)
-				}
-			})
-			linkBytes = d.Net.TotalLinkBytes()
-			d.Close()
-		}
+			linkBytes = b.Net.TotalLinkBytes()
+			return err
+		})
 		if err != nil {
-			return 0, 0, err
+			return nil, fmt.Errorf("quorum-read %s: %w", sys.Arm, err)
 		}
-		if h.N() != pr.Ops {
-			return 0, 0, fmt.Errorf("quorum-read: completed %d/%d gets (quorum=%v)", h.N(), pr.Ops, quorum)
-		}
-		return h.Mean(), float64(linkBytes) / float64(pr.Ops), nil
+		fig.Series = append(fig.Series, Series{System: sys.Name, Points: []Point{
+			{X: "latency-s", Value: h.Mean()}, {X: "net-bytes", Value: float64(linkBytes) / float64(pr.Ops)}}})
 	}
-	nLat, nBytes, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	qLat, qBytes, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	fig.Series = []Series{
-		{System: "NICE (1 replica/read)", Points: []Point{
-			{X: "latency-s", Value: nLat}, {X: "net-bytes", Value: nBytes}}},
-		{System: "NOOB quorum (majority/read)", Points: []Point{
-			{X: "latency-s", Value: qLat}, {X: "net-bytes", Value: qBytes}}},
-	}
-	fig.Notes = append(fig.Notes,
-		"§3.3: quorum designs pay a majority of replica touches on every read;",
-		"consistency-aware fault tolerance answers from any single consistent replica")
 	return fig, nil
 }

@@ -37,92 +37,91 @@ type TrafficCell struct {
 // HeavyTrafficArms is the sweep's system axis.
 var HeavyTrafficArms = []string{"nicekv", "nicekv+lb", "nicekv+lb+cache"}
 
-// heavyTrafficOptions builds the deployment options for one arm.
-func heavyTrafficOptions(system string, seed int64) (Options, error) {
-	opts := DefaultOptions()
+// heavyRate and heavyDuration are the operating point of every
+// heavytraffic arm (see HeavyTrafficSweep).
+const (
+	heavyRate     = 60_000
+	heavyDuration = 400 * time.Millisecond
+)
+
+// heavyTrafficBase is the deployment under every open-loop cell.
+func heavyTrafficBase(seed int64) Options {
+	opts := seededOptions(seed)
 	opts.Nodes = 6
 	opts.R = 3
 	opts.Clients = 4 // preloaders only; the fleet is virtual
-	opts.Seed = seed
 	opts.CPUPerOp = 10 * time.Microsecond
 	opts.TrafficGateways = true
-	switch system {
-	case "nicekv":
-	case "nicekv+lb":
-		opts.LoadBalance = true
-	case "nicekv+lb+cache":
-		opts.LoadBalance = true
-		opts.Cache = true
-		opts.CacheCapacity = 512
-	default:
-		return opts, fmt.Errorf("cluster: unknown heavytraffic system %q", system)
+	opts.CacheCapacity = 512
+	return opts
+}
+
+// durableHeavyCell is the heavytraffic arm the storagesweep and the
+// batchsweep append: an open-loop fleet (default 100k virtual clients)
+// against a durable group-commit +LB deployment. The traffic engine
+// preloads 4096 records x 512 B, replicated R=3 over 6 nodes = 1 MiB per
+// node; budget half of it so the fleet's zipfian tail constantly
+// promotes and evicts.
+func durableHeavyCell(label string, seed int64, clients, batch int) (TrafficCell, error) {
+	if clients <= 0 {
+		clients = 100_000
 	}
-	return opts, nil
+	base := heavyTrafficBase(seed)
+	base.StoreMemoryBudget = 512 << 10
+	return runTrafficCell(label, "nicekv+lb+durable+groupcommit", base, clients, heavyRate, heavyDuration, batch)
 }
 
 // RunHeavyTrafficCell builds one leaf-spine deployment, preloads the
 // keyspace, offers rate req/s from a fleet of the given size for the
 // given duration, and reports the cell.
 func RunHeavyTrafficCell(system string, clients int, seed int64, rate float64, duration sim.Time) (TrafficCell, error) {
-	opts, err := heavyTrafficOptions(system, seed)
-	if err != nil {
-		return TrafficCell{}, err
-	}
-	return runTrafficCell(opts, system, clients, rate, duration)
+	return runTrafficCell(system, system, heavyTrafficBase(seed), clients, rate, duration, 0)
 }
 
-// runTrafficCell builds a four-leaf spine deployment from opts and
-// drives the open-loop fleet against it — the shared machinery behind
-// the heavytraffic sweep and the storagesweep's heavytraffic arm.
-func runTrafficCell(opts Options, system string, clients int, rate float64, duration sim.Time) (TrafficCell, error) {
-	return runTrafficCellBatched(opts, system, clients, rate, duration, 0)
-}
-
-// runTrafficCellBatched is runTrafficCell with the engine's get batching
-// set (0/1 = unbatched); the batchsweep's heavytraffic arm uses it.
-func runTrafficCellBatched(opts Options, system string, clients int, rate float64, duration sim.Time, batch int) (TrafficCell, error) {
-	d := NewNICELeafSpine(opts, 4)
-	eng := NewTrafficEngine(d, TrafficOptions{
-		Clients:   clients,
-		Rate:      rate,
-		Duration:  duration,
-		Seed:      opts.Seed,
-		BatchSize: batch,
-	})
-	var res TrafficResult
-	var loadErr error
-	if err := driveNICE(d, func(p *sim.Proc) {
-		if loadErr = eng.Preload(p); loadErr != nil {
-			return
+// runTrafficCell builds arm on a four-leaf spine deployment from base
+// and drives the open-loop fleet against it (batch > 1 sets the engine's
+// get batching) — the shared machinery behind the heavytraffic sweep and
+// the storagesweep's and batchsweep's heavytraffic arms, which report
+// under their own label.
+func runTrafficCell(label, arm string, base Options, clients int, rate float64, duration sim.Time, batch int) (TrafficCell, error) {
+	cell := TrafficCell{System: label, Clients: clients, Offered: rate}
+	err := withBench(arm, base, 4, func(b *bench) error {
+		d := b.NICE
+		eng := NewTrafficEngine(d, TrafficOptions{
+			Clients:   clients,
+			Rate:      rate,
+			Duration:  duration,
+			Seed:      base.Seed,
+			BatchSize: batch,
+		})
+		var res TrafficResult
+		if _, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			if err := eng.Preload(p); err != nil {
+				return fmt.Errorf("heavytraffic %s/%d preload: %w", label, clients, err)
+			}
+			res = eng.Run(p)
+			return nil
+		}); err != nil {
+			return err
 		}
-		res = eng.Run(p)
-	}); err != nil {
-		return TrafficCell{}, err
-	}
-	if loadErr != nil {
-		return TrafficCell{}, fmt.Errorf("heavytraffic %s/%d preload: %w", system, clients, loadErr)
-	}
-	cell := TrafficCell{
-		System:    system,
-		Clients:   clients,
-		Offered:   rate,
-		Achieved:  res.Achieved,
-		P50Micros: float64(res.P50) / 1e3,
-		P99Micros: float64(res.P99) / 1e3,
-		Issued:    res.Issued,
-	}
-	if res.Issued > 0 {
-		cell.TimeoutFrac = float64(res.TimedOut) / float64(res.Issued)
-	}
-	if t := res.CacheHits + res.CacheMisses; t > 0 {
-		cell.CacheHit = float64(res.CacheHits) / float64(t)
-	}
-	if opts.DurableStore {
-		sc := d.StorageCounters()
-		cell.MemHitFrac = sc.HitRate()
-		cell.Evictions = sc.Evictions
-	}
-	return cell, nil
+		cell.Achieved = res.Achieved
+		cell.P50Micros = float64(res.P50) / 1e3
+		cell.P99Micros = float64(res.P99) / 1e3
+		cell.Issued = res.Issued
+		if res.Issued > 0 {
+			cell.TimeoutFrac = float64(res.TimedOut) / float64(res.Issued)
+		}
+		if t := res.CacheHits + res.CacheMisses; t > 0 {
+			cell.CacheHit = float64(res.CacheHits) / float64(t)
+		}
+		if d.Opts.DurableStore {
+			sc := d.StorageCounters()
+			cell.MemHitFrac = sc.HitRate()
+			cell.Evictions = sc.Evictions
+		}
+		return nil
+	})
+	return cell, err
 }
 
 // HeavyTrafficSweep runs the arms x sizes grid on the RunCells worker
@@ -137,19 +136,10 @@ func HeavyTrafficSweep(pr Params, sizes []int) ([]TrafficCell, error) {
 	if len(sizes) == 0 {
 		sizes = []int{10_000, 100_000, 1_000_000}
 	}
-	const rate = 60_000
-	duration := 400 * time.Millisecond
-	n := len(HeavyTrafficArms) * len(sizes)
-	cells := make([]TrafficCell, n)
-	err := RunCells(pr, n, func(i int, seed int64) error {
-		sys := HeavyTrafficArms[i/len(sizes)]
-		size := sizes[i%len(sizes)]
-		c, err := RunHeavyTrafficCell(sys, size, seed, rate, duration)
-		if err != nil {
-			return err
-		}
-		cells[i] = c
-		return nil
-	})
-	return cells, err
+	return grid[TrafficCell]{
+		Dims: []int{len(HeavyTrafficArms), len(sizes)},
+		Cell: func(pr Params, ix []int) (TrafficCell, error) {
+			return RunHeavyTrafficCell(HeavyTrafficArms[ix[0]], sizes[ix[1]], pr.Seed, heavyRate, heavyDuration)
+		},
+	}.Run(pr)
 }

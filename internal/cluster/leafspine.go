@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -43,7 +45,7 @@ func NewNICELeafSpine(opts Options, leaves int) *NICE {
 	}
 	leafDPs := make([]*leafInfo, leaves)
 	for i := 0; i < leaves; i++ {
-		sw := nw.NewSwitch("leaf"+itoa(i), perLeaf+1, opts.SwitchLatency)
+		sw := nw.NewSwitch("leaf"+strconv.Itoa(i), perLeaf+1, opts.SwitchLatency)
 		dp := openflow.Attach(sw, opts.CtrlDelay)
 		nw.Connect(sw.Port(0), spineSw.Port(i), opts.Link)
 		topo.AddLeaf(dp, 0, i)
@@ -61,7 +63,7 @@ func NewNICELeafSpine(opts Options, leaves int) *NICE {
 
 	var addrs []controller.NodeAddr
 	for i := 0; i < opts.Nodes; i++ {
-		h := nw.NewHost("node"+itoa(i), netsim.IPv4(10, 0, byte(i>>8), byte(i&0xff)).Add(1))
+		h := nw.NewHost("node"+strconv.Itoa(i), netsim.IPv4(10, 0, byte(i>>8), byte(i&0xff)).Add(1))
 		d.NodeLinks = append(d.NodeLinks, place(h))
 		st := transport.NewStack(h)
 		d.Stacks = append(d.Stacks, st)
@@ -78,7 +80,7 @@ func NewNICELeafSpine(opts Options, leaves int) *NICE {
 		if i < len(opts.ClientIPs) {
 			ip = opts.ClientIPs[i]
 		}
-		h := nw.NewHost("client"+itoa(i), ip)
+		h := nw.NewHost("client"+strconv.Itoa(i), ip)
 		place(h)
 		d.CStacks = append(d.CStacks, transport.NewStack(h))
 	}
@@ -89,7 +91,7 @@ func NewNICELeafSpine(opts Options, leaves int) *NICE {
 		// gateway, so each gateway must terminate its own leaf's flows.
 		for i := 0; i < leaves; i++ {
 			li := leafDPs[i]
-			h := nw.NewHost("gw"+itoa(i), netsim.IPv4(10, 20, 0, byte(i+1)))
+			h := nw.NewHost("gw"+strconv.Itoa(i), netsim.IPv4(10, 20, 0, byte(i+1)))
 			nw.Connect(h.Port(), li.dp.Switch().Port(li.next), opts.Link)
 			topo.AttachHost(li.dp, h.IP(), li.next)
 			d.Gateways = append(d.Gateways, Gateway{

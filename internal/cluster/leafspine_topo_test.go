@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestLeafSpineTopologyInvariants(t *testing.T) {
 	// nodes first, in order), so replica sets of adjacent ring indices
 	// spread across racks instead of stacking in one.
 	for i, st := range d.Stacks {
-		want := "leaf" + itoa(i%leaves)
+		want := "leaf" + strconv.Itoa(i%leaves)
 		if got := leafOf(t, st.Host()); got != want {
 			t.Errorf("node %d on %s, want %s", i, got, want)
 		}
@@ -121,7 +122,7 @@ func TestLeafSpineTopologyInvariants(t *testing.T) {
 		t.Fatalf("%d gateways, want %d", len(d.Gateways), leaves)
 	}
 	for i, g := range d.Gateways {
-		want := "leaf" + itoa(i)
+		want := "leaf" + strconv.Itoa(i)
 		if got := leafOf(t, g.Stack.Host()); got != want {
 			t.Errorf("gateway %d on %s, want %s", i, got, want)
 		}

@@ -5,6 +5,7 @@
 package cluster
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/controller"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ctrlchain"
 	"repro/internal/harmonia"
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
 	"repro/internal/ring"
@@ -202,13 +204,6 @@ func clientIP(i, r int) netsim.IP {
 	return netsim.MustParseIP("192.168.0.0").Add(div*width + off)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // NICE is a complete NICEKV deployment.
 type NICE struct {
 	Opts     Options
@@ -267,7 +262,7 @@ func NewNICE(opts Options) *NICE {
 	// Storage nodes on ports [0, Nodes).
 	var addrs []controller.NodeAddr
 	for i := 0; i < opts.Nodes; i++ {
-		h := nw.NewHost("node"+itoa(i), netsim.IPv4(10, 0, byte(i>>8), byte(i&0xff)).Add(1))
+		h := nw.NewHost("node"+strconv.Itoa(i), netsim.IPv4(10, 0, byte(i>>8), byte(i&0xff)).Add(1))
 		d.NodeLinks = append(d.NodeLinks, nw.Connect(h.Port(), sw.Port(i), opts.Link))
 		attach(h.IP(), i)
 		st := transport.NewStack(h)
@@ -300,10 +295,10 @@ func NewNICE(opts Options) *NICE {
 		if i < len(opts.ClientIPs) {
 			ip = opts.ClientIPs[i]
 		}
-		h := nw.NewHost("client"+itoa(i), ip)
+		h := nw.NewHost("client"+strconv.Itoa(i), ip)
 		port := opts.Nodes + 1 + i
 		if opts.EdgeOVS {
-			ovs := nw.NewSwitch("ovs"+itoa(i), 2, opts.EdgeLatency)
+			ovs := nw.NewSwitch("ovs"+strconv.Itoa(i), 2, opts.EdgeLatency)
 			dp := openflow.Attach(ovs, opts.CtrlDelay)
 			nw.Connect(h.Port(), ovs.Port(0), opts.Link)
 			nw.Connect(ovs.Port(1), sw.Port(port), opts.Link)
@@ -472,24 +467,28 @@ func (d *NICE) Settle() error {
 // Close reaps all simulation processes.
 func (d *NICE) Close() { d.Sim.Shutdown() }
 
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
+// StorageCounters sums the durable engines' counters across the
+// deployment's nodes (all zero for legacy-store deployments).
+func (d *NICE) StorageCounters() metrics.StorageCounters {
+	var out metrics.StorageCounters
+	for _, n := range d.Nodes {
+		st, ok := n.Store().StorageStats()
+		if !ok {
+			continue
+		}
+		out.MemHits += st.MemHits
+		out.DiskReads += st.DiskReads
+		out.Evictions += st.Evictions
+		out.WALAppends += st.WALAppends
+		out.Fsyncs += st.Fsyncs
+		out.FsyncedRecords += st.FsyncedRecords
+		out.CoalescedSyncs += st.CoalescedSyncs
+		out.Snapshots += st.Snapshots
+		out.Recoveries += st.Recoveries
+		out.ReplayedRecords += st.ReplayedRecords
+		out.LostRecords += st.LostRecords
+		out.MemBytes += st.MemBytes
+		out.WALRecords += int64(st.WALRecords)
 	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var b [12]byte
-	pos := len(b)
-	for i > 0 {
-		pos--
-		b[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		pos--
-		b[pos] = '-'
-	}
-	return string(b[pos:])
+	return out
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+
 	"repro/internal/netsim"
 	"repro/internal/noob"
 	"repro/internal/ring"
@@ -18,7 +20,6 @@ type NOOBOptions struct {
 	Consistency noob.Consistency
 	Replication noob.Replication
 	Gets        noob.GetPolicy
-	QuorumK     int
 }
 
 // DefaultNOOBOptions mirrors the paper's baseline defaults: RAC access,
@@ -49,9 +50,6 @@ type NOOB struct {
 	Addrs     []noob.Addr
 	Placement ring.Placement
 }
-
-// placement returns the replica layout.
-func (d *NOOB) placement() ring.Placement { return d.Placement }
 
 // NewNOOB builds and boots a NOOB deployment.
 func NewNOOB(opts NOOBOptions) *NOOB {
@@ -89,7 +87,7 @@ func NewNOOB(opts NOOBOptions) *NOOB {
 
 	// Storage nodes on ports [0, Nodes).
 	for i := 0; i < opts.Nodes; i++ {
-		h := nw.NewHost("node"+itoa(i), netsim.IPv4(10, 0, byte(i>>8), byte(i&0xff)).Add(1))
+		h := nw.NewHost("node"+strconv.Itoa(i), netsim.IPv4(10, 0, byte(i>>8), byte(i&0xff)).Add(1))
 		attach(h, i)
 		st := transport.NewStack(h)
 		d.Stacks = append(d.Stacks, st)
@@ -134,7 +132,7 @@ func NewNOOB(opts NOOBOptions) *NOOB {
 
 	// Clients on ports [Nodes+1, ...).
 	for i := 0; i < opts.Clients; i++ {
-		h := nw.NewHost("client"+itoa(i), clientIP(i, opts.R))
+		h := nw.NewHost("client"+strconv.Itoa(i), clientIP(i, opts.R))
 		attach(h, opts.Nodes+1+i)
 		st := transport.NewStack(h)
 		d.CStacks = append(d.CStacks, st)

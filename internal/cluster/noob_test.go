@@ -94,14 +94,14 @@ func TestNOOBReplicationReachesAllReplicas(t *testing.T) {
 			p.Sleep(ms(20))
 		})
 		part := d.Space.PartitionOf("obj")
-		for _, idx := range d.placement().Replicas(part) {
+		for _, idx := range d.Placement.Replicas(part) {
 			if _, ok := d.Nodes[idx].Store().Peek("obj"); !ok {
 				t.Errorf("consistency=%v: replica %d missing object", cons, idx)
 			}
 		}
 		for i := range d.Nodes {
 			isReplica := false
-			for _, idx := range d.placement().Replicas(part) {
+			for _, idx := range d.Placement.Replicas(part) {
 				if idx == i {
 					isReplica = true
 				}
@@ -159,7 +159,7 @@ func TestNOOBChainReplication(t *testing.T) {
 		}
 	})
 	part := d.Space.PartitionOf("chained")
-	for _, idx := range d.placement().Replicas(part) {
+	for _, idx := range d.Placement.Replicas(part) {
 		if _, ok := d.Nodes[idx].Store().Peek("chained"); !ok {
 			t.Errorf("chain replica %d missing object", idx)
 		}
@@ -179,7 +179,7 @@ func TestNOOBQuorumReturnsEarly(t *testing.T) {
 		d := NewNOOB(opts)
 		// Throttle three replicas of the key's partition.
 		part := d.Space.PartitionOf("big")
-		reps := d.placement().Replicas(part)
+		reps := d.Placement.Replicas(part)
 		for _, idx := range reps[4:7] {
 			d.Stacks[idx].Host().Port().Link().SetConfig(netsim.Mbps(50, 5*time.Microsecond))
 		}
@@ -223,7 +223,7 @@ func TestNOOBGetRoundRobinSpreadsLoad(t *testing.T) {
 		}
 	})
 	part := d.Space.PartitionOf("hot")
-	for _, idx := range d.placement().Replicas(part) {
+	for _, idx := range d.Placement.Replicas(part) {
 		if d.Nodes[idx].Stats().Gets == 0 {
 			t.Errorf("replica %d served no gets under round robin", idx)
 		}

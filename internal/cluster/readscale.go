@@ -70,145 +70,64 @@ type ReadScaleReport struct {
 	SpeedupAtMaxR map[string]float64 `json:"speedup_at_max_r"`
 }
 
-// readScaleOpts builds one arm's deployment options.
-func readScaleOpts(system string, seed int64, r int) Options {
-	opts := DefaultOptions()
-	opts.Seed = seed
+// readScaleRun measures one cell: load the working set, let the write
+// in-flight state drain, then drive a closed-loop mixed workload.
+func readScaleRun(pr Params, system string, r int, putFrac float64) (ReadScaleCell, error) {
+	cell := ReadScaleCell{System: system, R: r, PutFrac: putFrac}
+	opts := seededOptions(pr.Seed)
 	opts.Nodes = readScaleNodes
 	opts.R = r
 	opts.Clients = readScaleClients
-	switch system {
-	case "NICEKV+quorum":
-		if r > 1 {
-			opts.QuorumK = (r / 2) + 1
-		}
-	case "NICEKV+LB":
-		opts.LoadBalance = true
-	case "NICEKV+harmonia":
-		opts.Harmonia = true
-	}
-	return opts
-}
+	err := withBench(system, opts, 0, func(b *bench) error {
+		d := b.NICE
+		// Every key hashes to one partition, so every get competes for the
+		// same primary when reads are not spread.
+		keys := keysIn(b.Space.PartitionOf, "rs-%d", b.Space.PartitionOf("rs-0"), readScaleKeys)
+		const valueSize = workload.DefaultValueSize
 
-// readScaleKeySet returns keys that all hash to the same partition, so
-// every get competes for the same primary when reads are not spread.
-func readScaleKeySet(space interface{ PartitionOf(string) int }) []string {
-	keys := make([]string, 0, readScaleKeys)
-	part := -1
-	for i := 0; len(keys) < readScaleKeys; i++ {
-		k := fmt.Sprintf("rs-%d", i)
-		if part == -1 {
-			part = space.PartitionOf(k)
+		// Load phase, then a drain sleep: with harmonia every loaded key must
+		// leave the dirty set before the measured reads start.
+		var sink metrics.Histogram
+		if _, err := b.Run(1, func(_ int, p *sim.Proc) error {
+			err := putEach(b.Clients[0], p, keys, valueSize, &sink)
+			p.Sleep(20 * time.Millisecond)
+			return err
+		}); err != nil {
+			return err
 		}
-		if space.PartitionOf(k) == part {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// readScaleRun measures one cell: load the working set, let the write
-// in-flight state drain, then drive a closed-loop mixed workload.
-func readScaleRun(pr Params, seed int64, system string, r int, putFrac float64) (ReadScaleCell, error) {
-	cell := ReadScaleCell{System: system, R: r, PutFrac: putFrac}
-	opts := readScaleOpts(system, seed, r)
-	d := NewNICE(opts)
-	defer d.Close()
-	if err := d.Settle(); err != nil {
-		return cell, err
-	}
-	keys := readScaleKeySet(d.Space)
-	const valueSize = workload.DefaultValueSize
-
-	// Load phase, then a drain sleep: with harmonia every loaded key must
-	// leave the dirty set before the measured reads start.
-	var loadErr error
-	d.Sim.Spawn("rs-load", func(p *sim.Proc) {
-		for _, k := range keys {
-			if _, err := d.Clients[0].Put(p, k, "v", valueSize); err != nil {
-				loadErr = err
-				break
+		served := func() (local, replica int64) {
+			for _, n := range d.Nodes {
+				ns := n.Stats()
+				local += ns.GetsServedLocal
+				replica += ns.GetsServedAsReplica
 			}
+			return local, replica
 		}
-		p.Sleep(20 * time.Millisecond)
-		d.Sim.Stop()
+		baseLocal, baseReplica := served()
+
+		// Measured phase: closed-loop clients, uniform key choice over the
+		// single-partition working set.
+		perClient := max(pr.Ops/4, 50)
+		var gets metrics.Histogram
+		next := func(rng *rand.Rand) string { return keys[rng.Intn(len(keys))] }
+		seconds, err := b.mixedPhase(pr.Seed, 7000, perClient, putFrac, valueSize, next, &gets, &sink)
+		if err != nil {
+			return err
+		}
+		if seconds > 0 {
+			cell.GetTput = float64(gets.N()) / seconds
+		}
+		cell.GetP99Micros = gets.Percentile(99) * 1e6
+		local, replica := served()
+		cell.ServedLocal, cell.ServedReplica = local-baseLocal, replica-baseReplica
+		if d.Harmonia != nil {
+			st := d.Harmonia.Stats()
+			cell.Routed = st.Routed
+			cell.Fallbacks = st.DirtyFallbacks + st.TaintFallbacks
+		}
+		return nil
 	})
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	if loadErr != nil {
-		return cell, loadErr
-	}
-
-	baseLocal, baseReplica := int64(0), int64(0)
-	for _, n := range d.Nodes {
-		ns := n.Stats()
-		baseLocal += ns.GetsServedLocal
-		baseReplica += ns.GetsServedAsReplica
-	}
-
-	// Measured phase: closed-loop clients, uniform key choice over the
-	// single-partition working set.
-	perClient := pr.Ops / 4
-	if perClient < 50 {
-		perClient = 50
-	}
-	var hist metrics.Histogram
-	gets := 0
-	start := d.Sim.Now()
-	var opErr error
-	g := sim.NewGroup(d.Sim)
-	for c := range d.Clients {
-		c := c
-		rng := rand.New(rand.NewSource(seed + 7000*int64(c+1)))
-		g.Add(1)
-		d.Sim.Spawn(fmt.Sprintf("rs-client%d", c), func(p *sim.Proc) {
-			defer g.Done()
-			for n := 0; n < perClient; n++ {
-				k := keys[rng.Intn(len(keys))]
-				if rng.Float64() < putFrac {
-					if _, err := d.Clients[c].Put(p, k, n, valueSize); err != nil {
-						opErr = err
-						return
-					}
-					continue
-				}
-				res, err := d.Clients[c].Get(p, k)
-				if err != nil {
-					opErr = err
-					return
-				}
-				hist.Add(res.Latency)
-				gets++
-			}
-		})
-	}
-	d.Sim.Spawn("rs-join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	if opErr != nil {
-		return cell, opErr
-	}
-
-	elapsed := (d.Sim.Now() - start).Seconds()
-	if elapsed > 0 {
-		cell.GetTput = float64(gets) / elapsed
-	}
-	cell.GetP99Micros = hist.Percentile(99) * 1e6
-	for _, n := range d.Nodes {
-		ns := n.Stats()
-		cell.ServedLocal += ns.GetsServedLocal
-		cell.ServedReplica += ns.GetsServedAsReplica
-	}
-	cell.ServedLocal -= baseLocal
-	cell.ServedReplica -= baseReplica
-	if d.Harmonia != nil {
-		st := d.Harmonia.Stats()
-		cell.Routed = st.Routed
-		cell.Fallbacks = st.DirtyFallbacks + st.TaintFallbacks
-	}
-	return cell, nil
+	return cell, err
 }
 
 // ReadScaleSweep runs the full grid on the RunCells worker pool.
@@ -220,31 +139,27 @@ func ReadScaleSweep(pr Params) (*ReadScaleReport, error) {
 		Replicas: ReadScaleReplicas,
 		PutFracs: ReadScalePutFracs,
 	}
-	nR, nF := len(ReadScaleReplicas), len(ReadScalePutFracs)
-	cells := make([]ReadScaleCell, len(readScaleSystems)*nR*nF)
-	err := RunCells(pr, len(cells), func(i int, seed int64) error {
-		sys := readScaleSystems[i/(nR*nF)]
-		ri := (i / nF) % nR
-		fi := i % nF
-		c, cerr := readScaleRun(pr, seed, sys, ReadScaleReplicas[ri], ReadScalePutFracs[fi])
-		cells[i] = c
-		return cerr
-	})
+	var err error
+	rep.Cells, err = grid[ReadScaleCell]{
+		Dims: []int{len(readScaleSystems), len(ReadScaleReplicas), len(ReadScalePutFracs)},
+		Cell: func(pr Params, ix []int) (ReadScaleCell, error) {
+			return readScaleRun(pr, readScaleSystems[ix[0]], ReadScaleReplicas[ix[1]], ReadScalePutFracs[ix[2]])
+		},
+	}.Run(pr)
 	if err != nil {
 		return nil, err
 	}
-	rep.Cells = cells
 
 	rep.SpeedupAtMaxR = make(map[string]float64)
-	maxR := ReadScaleReplicas[nR-1]
+	maxR := ReadScaleReplicas[len(ReadScaleReplicas)-1]
 	var base float64
-	for _, c := range cells {
+	for _, c := range rep.Cells {
 		if c.System == "NICEKV" && c.R == maxR && c.PutFrac == 0 {
 			base = c.GetTput
 		}
 	}
 	if base > 0 {
-		for _, c := range cells {
+		for _, c := range rep.Cells {
 			if c.R == maxR && c.PutFrac == 0 {
 				rep.SpeedupAtMaxR[c.System] = c.GetTput / base
 			}
@@ -256,7 +171,13 @@ func ReadScaleSweep(pr Params) (*ReadScaleReport, error) {
 // ReadScaleFigure renders the read-only scaling row as a figure, one
 // series per system over the replication-factor axis.
 func ReadScaleFigure(rep *ReadScaleReport) *Figure {
-	fig := &Figure{
+	var readOnly []ReadScaleCell // system-major, then R: the grid's order
+	for _, c := range rep.Cells {
+		if c.PutFrac == 0 {
+			readOnly = append(readOnly, c)
+		}
+	}
+	return &Figure{
 		ID:     "readscale",
 		Title:  "Get throughput vs replication factor (single-partition working set)",
 		XLabel: "replication factor",
@@ -266,17 +187,7 @@ func ReadScaleFigure(rep *ReadScaleReport) *Figure {
 				rep.Nodes, rep.Clients, rep.Keys),
 			"harmonia: clean keys spread over all live replicas; dirty keys pinned to the primary",
 		},
+		Series: seriesOf(readScaleSystems, labels("%d", rep.Replicas), readOnly,
+			func(c ReadScaleCell) float64 { return c.GetTput }),
 	}
-	for _, sys := range readScaleSystems {
-		s := Series{System: sys}
-		for _, r := range rep.Replicas {
-			for _, c := range rep.Cells {
-				if c.System == sys && c.R == r && c.PutFrac == 0 {
-					s.Points = append(s.Points, Point{X: fmt.Sprintf("%d", r), Value: c.GetTput})
-				}
-			}
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
 }

@@ -155,7 +155,7 @@ func TestStorageSweepSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(storageSweepSystems) * len(StorageRatios); len(rep.Cells) != want {
+	if want := len(cacheSweepSystems) * len(StorageRatios); len(rep.Cells) != want {
 		t.Fatalf("%d cells, want %d", len(rep.Cells), want)
 	}
 	byRatio := make(map[float64]StorageCell)

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -23,9 +20,6 @@ import (
 
 // StorageRatios is the working-set-size ÷ memory-budget axis.
 var StorageRatios = []float64{0.5, 1, 2, 4, 8}
-
-// storageSweepSystems is the system axis; all run the durable engine.
-var storageSweepSystems = []string{"NICEKV", "NICEKV+LB", "NICEKV+cache"}
 
 const (
 	storageSweepRecords = 256
@@ -60,32 +54,6 @@ type StorageReport struct {
 	Heavy     []TrafficCell `json:"heavytraffic"`
 }
 
-// StorageCounters sums the durable engines' counters across the
-// deployment's nodes (all zero for legacy-store deployments).
-func (d *NICE) StorageCounters() metrics.StorageCounters {
-	var out metrics.StorageCounters
-	for _, n := range d.Nodes {
-		st, ok := n.Store().StorageStats()
-		if !ok {
-			continue
-		}
-		out.MemHits += st.MemHits
-		out.DiskReads += st.DiskReads
-		out.Evictions += st.Evictions
-		out.WALAppends += st.WALAppends
-		out.Fsyncs += st.Fsyncs
-		out.FsyncedRecords += st.FsyncedRecords
-		out.CoalescedSyncs += st.CoalescedSyncs
-		out.Snapshots += st.Snapshots
-		out.Recoveries += st.Recoveries
-		out.ReplayedRecords += st.ReplayedRecords
-		out.LostRecords += st.LostRecords
-		out.MemBytes += st.MemBytes
-		out.WALRecords += int64(st.WALRecords)
-	}
-	return out
-}
-
 // storageBudget sizes a node's memory budget so the expected resident
 // share of the replicated working set is 1/ratio: each of the nodes
 // holds records*value*R/nodes bytes of committed data on average.
@@ -94,170 +62,70 @@ func storageBudget(ratio float64) int64 {
 	return int64(perNode / ratio)
 }
 
-// storageSweepOpts builds one arm's deployment: the cachesweep system
-// variants with the durable engine layered under all of them.
-func storageSweepOpts(system string, seed int64, ratio float64) (Options, error) {
-	opts := DefaultOptions()
-	opts.Seed = seed
-	opts.Nodes = storageSweepNodes
-	opts.Clients = storageSweepClients
-	opts.DurableStore = true
-	opts.StoreMemoryBudget = storageBudget(ratio)
+// runStorageCell loads the keyspace, then drives a read-mostly measured
+// phase and reports throughput, tails and the engine counters. Every
+// arm is the cachesweep system variant with the durable group-commit
+// engine layered under it.
+func runStorageCell(pr Params, system string, ratio float64) (StorageCell, error) {
+	cell := StorageCell{System: system, Ratio: ratio, BudgetBytes: storageBudget(ratio)}
+	opts := cacheSweepBase(pr.Seed, storageSweepNodes, storageSweepClients)
+	opts.StoreMemoryBudget = cell.BudgetBytes
 	// Snapshot aggressively relative to the short measured window so the
 	// sweep includes checkpoint-write interference, not just fsyncs.
 	opts.StoreSnapshotEvery = 20 * time.Millisecond
-	// Group commit with a short gather window: concurrent commits on a
-	// node share fsyncs, so the sweep reports fsyncs < wal_appends.
-	opts.GroupCommit = true
-	opts.MaxSyncDelay = 20 * time.Microsecond
-	switch system {
-	case "NICEKV":
-	case "NICEKV+LB":
-		opts.LoadBalance = true
-	case "NICEKV+cache":
-		opts.Cache = true
-		opts.CacheCapacity = 64
-		opts.CacheSampleEvery = 1
-		opts.CacheHotThreshold = 4
-		opts.CacheDecayEvery = 10 * time.Second
-	default:
-		return opts, fmt.Errorf("cluster: unknown storagesweep system %q", system)
-	}
-	return opts, nil
-}
-
-// runStorageCell loads the keyspace, then drives a read-mostly measured
-// phase and reports throughput, tails and the engine counters.
-func runStorageCell(pr Params, seed int64, system string, ratio float64) (StorageCell, error) {
-	cell := StorageCell{System: system, Ratio: ratio, BudgetBytes: storageBudget(ratio)}
-	opts, err := storageSweepOpts(system, seed, ratio)
-	if err != nil {
-		return cell, err
-	}
-	d := NewNICE(opts)
-	defer d.Close()
-	if err := d.Settle(); err != nil {
-		return cell, err
-	}
-
-	key := func(i int) string { return fmt.Sprintf("user%d", i) }
-	chooser := workload.NewZipfianTheta(storageSweepRecords, workload.ZipfTheta)
-
-	// Load phase: client 0 writes every record, filling the engines (and
-	// overflowing the smaller budgets into the disk tier).
-	var loadErr error
-	d.Sim.Spawn("storage-load", func(p *sim.Proc) {
-		for i := 0; i < storageSweepRecords; i++ {
-			if _, err := d.Clients[0].Put(p, key(i), "v", storageSweepValue); err != nil {
-				loadErr = err
-				break
-			}
+	err := withBench(system+"+durable+groupcommit", opts, 0, func(b *bench) error {
+		// Load phase: filling the engines overflows the smaller budgets
+		// into the disk tier.
+		if err := b.loadUserKeys(storageSweepRecords, storageSweepValue); err != nil {
+			return err
 		}
-		d.Sim.Stop()
+
+		// Measured phase: read-mostly mixed traffic against the zipfian head.
+		var gets, puts metrics.Histogram
+		next := userKeys(workload.NewZipfianTheta(storageSweepRecords, workload.ZipfTheta))
+		seconds, err := b.mixedPhase(pr.Seed, 2000, pr.Ops, storageSweepPutFrac, storageSweepValue, next, &gets, &puts)
+		if err != nil {
+			return err
+		}
+		if seconds > 0 {
+			cell.Tput = float64(gets.N()+puts.N()) / seconds
+		}
+		cell.GetP99Micros = gets.Percentile(99) * 1e6
+		cell.PutP99Micros = puts.Percentile(99) * 1e6
+		sc := b.NICE.StorageCounters()
+		cell.MemHitRatio = sc.HitRate()
+		cell.Evictions = sc.Evictions
+		cell.WALAppends = sc.WALAppends
+		cell.Fsyncs = sc.Fsyncs
+		cell.Snapshots = sc.Snapshots
+		if b.NICE.Cache != nil {
+			cell.CacheHit = b.NICE.Cache.Stats().HitRate()
+		}
+		return nil
 	})
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	if loadErr != nil {
-		return cell, loadErr
-	}
-
-	// Measured phase: read-mostly mixed traffic against the zipfian head.
-	var getHist, putHist metrics.Histogram
-	ops := 0
-	start := d.Sim.Now()
-	var opErr error
-	g := sim.NewGroup(d.Sim)
-	for c := range d.Clients {
-		c := c
-		rng := rand.New(rand.NewSource(seed + 2000*int64(c+1)))
-		g.Add(1)
-		d.Sim.Spawn(fmt.Sprintf("storage-client%d", c), func(p *sim.Proc) {
-			defer g.Done()
-			for n := 0; n < pr.Ops; n++ {
-				k := key(chooser.Next(rng))
-				if rng.Float64() < storageSweepPutFrac {
-					res, err := d.Clients[c].Put(p, k, "v", storageSweepValue)
-					if err != nil {
-						opErr = err
-						return
-					}
-					putHist.Add(res.Latency)
-				} else {
-					res, err := d.Clients[c].Get(p, k)
-					if err != nil {
-						opErr = err
-						return
-					}
-					getHist.Add(res.Latency)
-				}
-				ops++
-			}
-		})
-	}
-	d.Sim.Spawn("storage-join", func(p *sim.Proc) { g.Wait(p); d.Sim.Stop() })
-	if err := d.Sim.Run(); err != nil {
-		return cell, err
-	}
-	if opErr != nil {
-		return cell, opErr
-	}
-
-	if elapsed := (d.Sim.Now() - start).Seconds(); elapsed > 0 {
-		cell.Tput = float64(ops) / elapsed
-	}
-	cell.GetP99Micros = getHist.Percentile(99) * 1e6
-	cell.PutP99Micros = putHist.Percentile(99) * 1e6
-	sc := d.StorageCounters()
-	cell.MemHitRatio = sc.HitRate()
-	cell.Evictions = sc.Evictions
-	cell.WALAppends = sc.WALAppends
-	cell.Fsyncs = sc.Fsyncs
-	cell.Snapshots = sc.Snapshots
-	if d.Cache != nil {
-		cell.CacheHit = d.Cache.Stats().HitRate()
-	}
-	return cell, nil
+	return cell, err
 }
 
 // StorageSweep runs the (system, ratio) grid on the RunCells worker
-// pool, then the heavytraffic arm: heavyClients open-loop virtual
-// clients (default 100k) against a durable +LB deployment whose budget
-// holds half the preloaded working set.
+// pool, then the heavytraffic arm (durableHeavyCell) under the seed of
+// the grid position after the last cell.
 func StorageSweep(pr Params, heavyClients int) (*StorageReport, error) {
 	rep := &StorageReport{
 		Records:   storageSweepRecords,
 		ValueSize: storageSweepValue,
 		Nodes:     storageSweepNodes,
 	}
-	n := len(storageSweepSystems) * len(StorageRatios)
-	rep.Cells = make([]StorageCell, n)
-	err := RunCells(pr, n, func(i int, seed int64) error {
-		sys := storageSweepSystems[i/len(StorageRatios)]
-		ratio := StorageRatios[i%len(StorageRatios)]
-		c, cerr := runStorageCell(pr, seed, sys, ratio)
-		rep.Cells[i] = c
-		return cerr
-	})
+	var err error
+	rep.Cells, err = grid[StorageCell]{
+		Dims: []int{len(cacheSweepSystems), len(StorageRatios)},
+		Cell: func(pr Params, ix []int) (StorageCell, error) {
+			return runStorageCell(pr, cacheSweepSystems[ix[0]], StorageRatios[ix[1]])
+		},
+	}.Run(pr)
 	if err != nil {
 		return nil, err
 	}
-
-	if heavyClients <= 0 {
-		heavyClients = 100_000
-	}
-	opts, err := heavyTrafficOptions("nicekv+lb", DeriveSeed(pr.Seed, n))
-	if err != nil {
-		return nil, err
-	}
-	opts.DurableStore = true
-	opts.GroupCommit = true
-	opts.MaxSyncDelay = 20 * time.Microsecond
-	// The traffic engine preloads 4096 records x 512 B, replicated R=3
-	// over 6 nodes = 1 MiB per node; budget half of it so the fleet's
-	// zipfian tail constantly promotes and evicts.
-	opts.StoreMemoryBudget = 512 << 10
-	heavy, err := runTrafficCell(opts, "nicekv+lb+durable", heavyClients, 60_000, 400*time.Millisecond)
+	heavy, err := durableHeavyCell("nicekv+lb+durable", DeriveSeed(pr.Seed, len(rep.Cells)), heavyClients, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -99,10 +99,8 @@ func TestSynthSrcIPs(t *testing.T) {
 // bookkeeping), a steady-state measurement window allocates ~nothing per
 // issued request. Mirrors BenchmarkFloodFanout's MemStats assertion.
 func TestTrafficArrivalZeroAlloc(t *testing.T) {
-	opts, err := heavyTrafficOptions("nicekv+lb", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := heavyTrafficBase(3)
+	opts.LoadBalance = true
 	// Silence heartbeat-driven failure handling so downed nodes stay down
 	// quietly instead of churning the controller.
 	opts.Heartbeat = time.Hour
