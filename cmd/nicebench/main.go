@@ -504,6 +504,7 @@ var kernelGates = map[string]bool{
 	"SleepWake":     true,
 	"EventChurn":    true,
 	"QueueHandoff":  true,
+	"ProcChurn":     true,
 	"BroadcastWake": true,
 	"GroupCommit":   true,
 }

@@ -38,10 +38,9 @@ func BenchmarkEventChurnDeep(b *testing.B) {
 }
 
 // BenchmarkSleepWake measures one Sleep round trip of a process: timer
-// event plus park-list insert/remove. With direct handoff a lone sleeper
-// drains its own wake event and resumes without any channel operation, so
-// this should sit close to EventChurn rather than paying two goroutine
-// switches per sleep.
+// event plus park-list insert/remove. A lone sleeper drains its own wake
+// event and resumes without leaving its coroutine, so this should sit
+// close to EventChurn rather than paying two switches per sleep.
 func BenchmarkSleepWake(b *testing.B) {
 	s := New(1)
 	done := false
@@ -90,8 +89,8 @@ func BenchmarkQueueHandoff(b *testing.B) {
 
 // BenchmarkProcChurn measures a full spawn→run→exit cycle — the shape of
 // per-request handler processes (rpc-handle, 2pc, qread). With the spawn
-// pool the steady state re-arms a parked goroutine instead of creating a
-// goroutine and channel per cycle, and allocates nothing.
+// pool the steady state re-arms an idle coroutine instead of creating one
+// per cycle, and allocates nothing.
 func BenchmarkProcChurn(b *testing.B) {
 	s := New(1)
 	done := 0
@@ -146,13 +145,15 @@ func BenchmarkBroadcastWake(b *testing.B) {
 }
 
 // BenchmarkCancelledTimers measures schedule+cancel churn — the pattern of
-// every PopTimeout/WaitTimeout deadline that does not fire.
+// every PopTimeout/WaitTimeout deadline that does not fire: a static At2
+// callback with its context in the event, so arming allocates nothing.
 func BenchmarkCancelledTimers(b *testing.B) {
 	s := New(1)
+	fired := func(a1, _ any) { a1.(*testing.B).Error("cancelled timer fired") }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := s.After(time.Microsecond, func() { b.Error("cancelled timer fired") })
+		ev := s.At2(s.Now()+time.Microsecond, fired, b, nil)
 		ev.Cancel()
 		if err := s.Run(); err != nil {
 			b.Fatal(err)

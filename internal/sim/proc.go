@@ -1,18 +1,24 @@
+//go:build go1.23
+
 package sim
 
-// Proc is a simulation process: a goroutine that runs protocol code under
+import "iter"
+
+// Proc is a simulation process: a coroutine that runs protocol code under
 // the virtual clock. The kernel guarantees that at most one process (or
 // event callback) executes at a time, so process code needs no locking and
 // the simulation stays deterministic.
 //
-// Control transfer is direct handoff: the scheduler is a *role*, not a
-// goroutine. Whichever goroutine just ran out of work — a parking process,
-// an exiting process, or the Run caller — drains the event heap itself
-// (Simulator.dispatch) and hands the run token straight to the next
-// runnable process with a single channel send, instead of bouncing every
-// park/unpark through a dedicated scheduler goroutine. A process whose own
-// wake event fires while it is draining the heap resumes with zero channel
-// operations. See DESIGN.md §11 for the state machine.
+// The scheduler is a *role*, not a goroutine. Whoever just ran out of work
+// — a parking process, an exiting process, or the Run caller — drains the
+// timer wheel itself (Simulator.dispatch). A process whose own wake event
+// fires while it is draining resumes with zero switches; otherwise it
+// leaves the successor dispatch chose in Simulator.handoff and yields to
+// the root trampoline (Simulator.drive), which resumes that successor.
+// Processes are iter.Pull coroutines, so both hops are runtime coroswitch
+// calls: they swap goroutines on the current thread without touching the
+// Go scheduler's run queues, and a proc switch costs the same at any
+// GOMAXPROCS. See DESIGN.md §11 for the state machine.
 //
 // A Proc may only block through the primitives in this package (Sleep,
 // Queue.Pop, Future.Wait, Cond.Wait, ...). Blocking on ordinary Go channels
@@ -20,10 +26,11 @@ package sim
 type Proc struct {
 	sim    *Simulator
 	name   string
-	resume chan struct{} // a send transfers the run token to this proc
-	fn     func(p *Proc) // current body; rebound on reuse from the free pool
-	wakeFn func()        // pre-bound p.enqueue, shared by every Sleep/wake
-	kill   bool          // set by Shutdown: next resume must unwind and die
+	next   func() (struct{}, bool) // root side: switch into the coroutine
+	yield  func(struct{}) bool     // proc side: switch back to the root
+	fn     func(p *Proc)           // current body; rebound on reuse from the free pool
+	wakeFn func()                  // pre-bound p.enqueue, shared by every Sleep/wake
+	kill   bool                    // set by Shutdown: next resume must unwind and die
 
 	// Intrusive membership in the simulator's parked list.
 	parkNext *Proc
@@ -44,10 +51,13 @@ type killed struct{}
 // virtual time, after the currently running event or process yields. The
 // name is used in failure reports only.
 //
-// Finished processes park their goroutine in a simulator-owned free pool;
-// a Spawn that can reuse one re-arms it with the new fn instead of
-// creating a goroutine and channel, so per-request/per-connection process
-// churn is allocation-free in steady state.
+// Finished processes leave their coroutine suspended in a simulator-owned
+// free pool; a Spawn that can reuse one re-arms it with the new fn instead
+// of creating a coroutine, so per-request/per-connection process churn is
+// allocation-free in steady state.
+//
+// Until its start event fires the process counts as parked, so a Shutdown
+// that comes first reaps it like any other parked process.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.nprocs++
 	p := s.freeProcs
@@ -59,47 +69,40 @@ func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.fn = fn
 		p.kill = false // a fresh tenant never inherits a pending kill
 	} else {
-		p = &Proc{sim: s, name: name, resume: make(chan struct{}), fn: fn}
+		p = &Proc{sim: s, name: name, fn: fn}
 		p.wakeFn = p.enqueue
-		go p.run()
+		p.next, _ = iter.Pull(p.run)
 	}
+	s.addParked(p)
 	s.After(0, p.wakeFn)
 	return p
 }
 
-// run is the body of a process goroutine. It outlives individual Spawns:
-// after fn returns, the goroutine returns its Proc to the simulator's free
-// pool, keeps driving the scheduler loop until it can hand the run token
-// away, and then blocks until a future Spawn re-arms it (or Shutdown kills
-// it). If its own next incarnation becomes ready while it is still
-// draining the heap, it runs the new fn directly without any channel ops.
-func (p *Proc) run() {
+// run is the body of a process coroutine. It outlives individual Spawns:
+// after fn returns, the coroutine returns its Proc to the simulator's free
+// pool, keeps driving the scheduler loop until another process is due, and
+// then yields until a future Spawn re-arms it (or Shutdown kills it). If
+// its own next incarnation becomes ready while it is still draining the
+// wheel, it runs the new fn directly without any switch. Returning ends
+// the coroutine, which the root sees exactly like a yield.
+func (p *Proc) run(yield func(struct{}) bool) {
 	s := p.sim
-	armed := false // true when we already hold the run token (self-handoff)
-	for {
-		if !armed {
-			<-p.resume
+	p.yield = yield
+	for p.fn != nil { // nil: killed while idle in the pool
+		if !p.kill { // else killed before its start event fired
+			p.body()
 		}
-		armed = false
-		if p.kill {
-			// Killed while idle in the pool: acknowledge Shutdown and die.
-			s.yield <- struct{}{}
-			return
-		}
-		p.body()
 		s.nprocs--
 		p.fn = nil
 		if p.kill {
-			// killed{} unwound the body: hand the token back to Shutdown.
-			s.yield <- struct{}{}
 			return
 		}
 		pooled := false
 		if p.isParked {
 			// The body was unwound by a panic while parked (an event fired
-			// from this goroutine's scheduler loop panicked). A stale wake
-			// event in the heap may still reference p, so it cannot be
-			// reused: unlink it and let the goroutine exit below.
+			// from this coroutine's scheduler loop panicked). A stale wake
+			// event in the wheel may still reference p, so it cannot be
+			// reused: unlink it and let the coroutine end below.
 			s.removeParked(p)
 		} else if s.npooled < maxFreeProcs {
 			p.nextSched = s.freeProcs
@@ -107,21 +110,15 @@ func (p *Proc) run() {
 			s.npooled++
 			pooled = true
 		}
-		// The goroutine still holds the scheduler role: keep the run going.
-		q := s.dispatch()
-		if q == p {
-			// Our own struct was re-armed by a Spawn fired from this very
-			// dispatch loop; stay hot and run the next tenant directly.
-			armed = true
-			continue
-		}
-		if q != nil {
-			q.resume <- struct{}{}
-		} else {
-			s.yield <- struct{}{}
-		}
-		if !pooled {
-			return
+		// The coroutine still holds the scheduler role: keep the run going.
+		// If dispatch returns p itself, a Spawn fired from this very loop
+		// re-armed our struct: stay hot and run the next tenant directly.
+		if q := s.dispatch(); q != p {
+			s.handoff = q
+			if !pooled {
+				return
+			}
+			yield(struct{}{})
 		}
 	}
 }
@@ -148,22 +145,18 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.Now() }
 
-// park suspends the process. The calling goroutine takes over the
-// scheduler role and drains the event heap; if an event marks this very
-// process ready again, park returns with zero channel operations.
-// Otherwise the goroutine hands the run token to the next runnable process
-// (or back to the Run caller when the run is done) and blocks until some
-// later scheduler-role holder pops it from the ready queue.
+// park suspends the process. The coroutine takes over the scheduler role
+// and drains the timer wheel; if an event marks this very process ready
+// again, park returns with zero switches. Otherwise it names the next
+// runnable process (nil when the run is done) in Simulator.handoff and
+// yields to the root, which resumes p once some later scheduler-role
+// holder pops it from the ready queue.
 func (p *Proc) park() {
 	s := p.sim
 	s.addParked(p)
 	if q := s.dispatch(); q != p {
-		if q != nil {
-			q.resume <- struct{}{}
-		} else {
-			s.yield <- struct{}{}
-		}
-		<-p.resume
+		s.handoff = q
+		p.yield(struct{}{})
 	}
 	if p.kill {
 		panic(killed{})
@@ -188,11 +181,13 @@ func (p *Proc) Sleep(d Time) {
 // waiter tracks a single blocking wait that can be woken by exactly one of
 // several sources (a value arriving, a timeout firing, ...). Waiters link
 // into intrusive wait lists through next and recycle through the
-// simulator's free list, so steady-state blocking allocates nothing.
+// simulator's free list, so steady-state blocking allocates nothing. A
+// waiter is on its wait list exactly while it has not fired: wakers pop it
+// and a timeout unlinks it.
 type waiter struct {
 	p     *Proc
 	fired bool
-	timed bool    // a deadline timer closure may still hold this waiter
+	timed bool    // owned by parkTimed, which recycles it; wakers must not
 	next  *waiter // wait-list / free-list link
 }
 
@@ -206,10 +201,10 @@ func (s *Simulator) newWaiter(p *Proc) *waiter {
 	return &waiter{p: p}
 }
 
-// freeWaiter recycles a waiter that has been popped from its wait list and
-// is referenced by nothing else. Timed waiters are left to the garbage
-// collector: the deadline timer armed for them captures the waiter, and a
-// stale timer firing must find fired=true, not a recycled waiter.
+// freeWaiter recycles a waiter that a waker popped from its wait list.
+// Timed waiters are skipped: their deadline event still references them,
+// so the waiting process recycles them itself (parkTimed) once that event
+// can no longer fire.
 func (s *Simulator) freeWaiter(w *waiter) {
 	if w.timed {
 		return
@@ -217,6 +212,30 @@ func (s *Simulator) freeWaiter(w *waiter) {
 	w.p = nil
 	w.next = s.freeWaiters
 	s.freeWaiters = w
+}
+
+// parkTimed parks p on l until a waker pops its waiter or the deadline
+// passes, whichever comes first. On return the waiter is off l and its
+// deadline event has fired or is cancelled, so nothing references it and
+// it goes back to the free list.
+func (p *Proc) parkTimed(l *wlist, deadline Time) {
+	s := p.sim
+	w := s.newWaiter(p)
+	w.timed = true
+	l.push(w)
+	timer := s.At2(deadline, waiterTimeout, w, l)
+	p.park()
+	timer.Cancel()
+	w.timed = false
+	s.freeWaiter(w)
+}
+
+// waiterTimeout is the static deadline callback armed by parkTimed: if no
+// waker got there first, it wakes the process and unlinks the waiter.
+func waiterTimeout(a1, a2 any) {
+	if w := a1.(*waiter); w.wake() {
+		a2.(*wlist).remove(w)
+	}
 }
 
 // wlist is a FIFO of waiters, linked intrusively through waiter.next.
@@ -246,6 +265,23 @@ func (l *wlist) pop() *waiter {
 	return w
 }
 
+// remove unlinks w, which must be on l.
+func (l *wlist) remove(w *waiter) {
+	if l.head == w {
+		l.pop()
+		return
+	}
+	prev := l.head
+	for prev.next != w {
+		prev = prev.next
+	}
+	prev.next = w.next
+	if l.tail == w {
+		l.tail = prev
+	}
+	w.next = nil
+}
+
 // wake resumes the waiting process if nothing woke it yet. It must be
 // called from event context. It reports whether this call did the waking.
 func (w *waiter) wake() bool {
@@ -257,7 +293,15 @@ func (w *waiter) wake() bool {
 	return true
 }
 
-// wakeAll fires every un-fired waiter on l in one pass: the waiting
+// wakeOne fires the oldest waiter on l, if any.
+func (s *Simulator) wakeOne(l *wlist) {
+	if w := l.pop(); w != nil {
+		w.wake()
+		s.freeWaiter(w)
+	}
+}
+
+// wakeAll fires every waiter on l in one pass: the waiting
 // processes are chained through nextSched and a single event moves the
 // whole chain to the ready queue in FIFO order. A broadcast that used to
 // schedule one wake event per waiter (multicast ack fan-in, Queue.Close,
@@ -278,15 +322,13 @@ func (w *waiter) wake() bool {
 func (s *Simulator) wakeAll(l *wlist) {
 	var head, tail *Proc
 	for w := l.pop(); w != nil; w = l.pop() {
-		if !w.fired {
-			w.fired = true
-			if tail == nil {
-				head = w.p
-			} else {
-				tail.nextSched = w.p
-			}
-			tail = w.p
+		w.fired = true
+		if tail == nil {
+			head = w.p
+		} else {
+			tail.nextSched = w.p
 		}
+		tail = w.p
 		s.freeWaiter(w)
 	}
 	if head == nil {

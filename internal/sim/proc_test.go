@@ -4,14 +4,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestShutdownAfterProcHeldSchedulerRole drives a run whose final
-// scheduler-role holder is a process goroutine (the last event fires from
-// an exiting proc's dispatch loop, which hands the run token back to the
-// Run caller), then shuts down. Both the still-parked process and the
-// pooled exited goroutine must be reaped without deadlock.
+// scheduler-role holder is a process (the last event fires from an exiting
+// proc's dispatch loop, which yields to the root with nothing left to run),
+// then shuts down. Both the still-parked process and the pooled idle
+// coroutine must be reaped.
 func TestShutdownAfterProcHeldSchedulerRole(t *testing.T) {
 	s := New(1)
 	q := NewQueue[int](s)
@@ -142,31 +141,146 @@ func TestSpawnPoolNoKillLeak(t *testing.T) {
 	}
 }
 
-// TestShutdownReapsPooledGoroutines checks that Shutdown terminates idle
-// pool goroutines, not just parked processes, so a torn-down simulator
-// leaks nothing.
-func TestShutdownReapsPooledGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	s := New(1)
-	for i := 0; i < 8; i++ {
-		s.Spawn("worker", func(p *Proc) { p.Sleep(ms(1)) })
+// TestShutdownReapsCoroutines checks that Shutdown ends every coroutine a
+// simulator created, whatever state its process was left in. A coroutine
+// ends inside the next() call that resumes it, so the goroutine count is
+// back at its pre-New baseline the moment Shutdown returns — no polling.
+func TestShutdownReapsCoroutines(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, s *Simulator)
+		live  int // LiveProcs before Shutdown
+	}{
+		{"never started", func(t *testing.T, s *Simulator) {
+			s.Spawn("unborn", func(p *Proc) { t.Error("never-started proc ran") })
+		}, 1},
+		{"parked", func(t *testing.T, s *Simulator) {
+			q := NewQueue[int](s)
+			for i := 0; i < 8; i++ {
+				s.Spawn("stuck", func(p *Proc) {
+					q.Pop(p)
+					t.Error("parked proc resumed past its wait")
+				})
+			}
+			run(t, s)
+		}, 8},
+		{"pooled idle", func(t *testing.T, s *Simulator) {
+			for i := 0; i < 8; i++ {
+				s.Spawn("worker", func(p *Proc) { p.Sleep(ms(1)) })
+			}
+			run(t, s)
+		}, 0},
+		{"pooled, re-armed, never started", func(t *testing.T, s *Simulator) {
+			first := s.Spawn("first", func(p *Proc) {})
+			run(t, s)
+			if s.Spawn("unborn", func(p *Proc) { t.Error("never-started tenant ran") }) != first {
+				t.Fatal("Spawn did not reuse the pooled proc")
+			}
+		}, 1},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			s := New(1)
+			c.setup(t, s)
+			if s.LiveProcs() != c.live {
+				t.Fatalf("LiveProcs = %d, want %d", s.LiveProcs(), c.live)
+			}
+			if runtime.NumGoroutine() <= before {
+				t.Fatal("setup created no coroutine; the test proves nothing")
+			}
+			s.Shutdown()
+			if s.LiveProcs() != 0 {
+				t.Errorf("after Shutdown LiveProcs = %d, want 0", s.LiveProcs())
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("after Shutdown %d goroutines, %d before New", n, before)
+			}
+		})
+	}
+}
+
+// run drives s to completion and fails the test on a process failure.
+func run(t *testing.T, s *Simulator) {
+	t.Helper()
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	s.Shutdown()
-	// Goroutine exit is asynchronous after the shutdown handshake; poll.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not drain: %d now, %d before", runtime.NumGoroutine(), before)
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+}
+
+// TestProcPanicInEventFromProcDispatch panics inside an event callback that
+// fires from a parked process's own dispatch loop. The panic unwinds that
+// process's stack, so it is reported as its procFailure; the struct is
+// still on the parked list with a wake event referencing it, so it must be
+// unlinked and must not enter the spawn pool.
+func TestProcPanicInEventFromProcDispatch(t *testing.T) {
+	s := New(1)
+	victim := s.Spawn("sleeper", func(p *Proc) {
+		s.After(ms(1), func() { panic("event boom") })
+		p.Sleep(ms(2)) // the sole proc: its park loop fires the event
+		t.Error("sleeper resumed after the failure")
+	})
+	err := s.Run()
+	if err == nil || !strings.Contains(err.Error(), "sleeper") || !strings.Contains(err.Error(), "event boom") {
+		t.Fatalf("failure = %v, want procFailure naming sleeper/event boom", err)
 	}
+	if victim.isParked || s.parked != nil {
+		t.Error("panic-unwound proc still on the parked list")
+	}
+	if s.npooled != 0 || s.freeProcs != nil {
+		t.Error("panic-unwound proc entered the spawn pool")
+	}
+	if s.LiveProcs() != 0 {
+		t.Errorf("LiveProcs = %d, want 0", s.LiveProcs())
+	}
+	s.Shutdown()
+}
+
+// countSwitches wraps p's resume function so every coroutine switch into p
+// is counted; the yields back pair with them one to one.
+func countSwitches(p *Proc, n *int) {
+	next := p.next
+	p.next = func() (struct{}, bool) { *n++; return next() }
+}
+
+// TestProcSelfWakeZeroSwitches pins the fast path the coroutine transfer
+// must not lose: a process whose own wake event fires during its own drain
+// of the wheel returns from park without leaving its coroutine. A lone
+// sleeper is switched into exactly once, however often it sleeps; two
+// processes that take turns are each switched into once per turn.
+func TestProcSelfWakeZeroSwitches(t *testing.T) {
+	s := New(1)
+	switches := 0
+	countSwitches(s.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Sleep(ms(1))
+		}
+	}), &switches)
+	run(t, s)
+	if switches != 1 {
+		t.Fatalf("lone sleeper: %d switches for 1000 sleeps, want 1 (the start)", switches)
+	}
+
+	// Two procs ping-ponging do switch: one resume per wake of each side.
+	s = New(1)
+	q := NewQueue[int](s)
+	var prod, cons int
+	countSwitches(s.Spawn("consumer", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			q.Pop(p)
+		}
+	}), &cons)
+	countSwitches(s.Spawn("producer", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			q.Push(i)
+			p.Sleep(0)
+		}
+	}), &prod)
+	run(t, s)
+	if cons != 101 || prod != 101 {
+		t.Fatalf("ping-pong: consumer %d, producer %d switches, want 101 each", cons, prod)
+	}
+	s.Shutdown()
 }
 
 // TestCondSignalBroadcast covers the Cond primitive: Signal wakes exactly

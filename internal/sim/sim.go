@@ -80,7 +80,7 @@ func (h *eventHeap) Pop() any {
 const maxFreeEvents = 4096
 
 // maxFreeProcs bounds the spawn pool: exited processes beyond this many
-// let their goroutines exit instead of idling for re-arm.
+// end their coroutines instead of idling for re-arm.
 const maxFreeProcs = 1024
 
 // Simulator owns the virtual clock, the event queue, and the set of live
@@ -90,11 +90,11 @@ type Simulator struct {
 	wheel       timerWheel
 	seq         uint64
 	rng         *rand.Rand
-	yield       chan struct{} // the run token returns to the Run/Shutdown caller
-	parked      *Proc         // intrusive doubly-linked list of parked procs
-	readyHead   *Proc         // FIFO of woken procs awaiting their turn
+	handoff     *Proc // successor named by the proc that just yielded to drive
+	parked      *Proc // intrusive doubly-linked list of parked procs
+	readyHead   *Proc // FIFO of woken procs awaiting their turn
 	readyTail   *Proc
-	freeProcs   *Proc // exited procs whose goroutines await re-arm (Spawn pool)
+	freeProcs   *Proc // exited procs whose coroutines await re-arm (Spawn pool)
 	npooled     int
 	free        []*event // recycled event structs
 	freeWaiters *waiter  // recycled wait-list nodes (see newWaiter)
@@ -112,10 +112,7 @@ const maxTime = Time(1<<63 - 1)
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	s := &Simulator{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
 	s.wheel.init()
 	return s
 }
@@ -219,7 +216,7 @@ func (ev *Event) Cancel() {
 	}
 }
 
-// procFailure carries a panic out of a process goroutine.
+// procFailure carries a panic out of a process coroutine.
 type procFailure struct {
 	proc *Proc
 	val  any
@@ -256,12 +253,12 @@ func (s *Simulator) readyPop() *Proc {
 	return p
 }
 
-// dispatch is the scheduler loop. The calling goroutine must hold the run
-// token; it fires due events until a process becomes ready — returned to
-// the caller, which transfers control to it — or the current run is done
-// (nil). Ready processes run before any further event fires: an event
-// that wakes several processes (wakeAll) queues them all and they execute
-// back-to-back in FIFO order.
+// dispatch is the scheduler loop, run by whoever holds the scheduler role
+// (the Run caller or the one executing process); it fires due events until
+// a process becomes ready — returned to the caller, which transfers control
+// to it — or the current run is done (nil). Ready processes run before any
+// further event fires: an event that wakes several processes (wakeAll)
+// queues them all and they execute back-to-back in FIFO order.
 func (s *Simulator) dispatch() *Proc {
 	for {
 		if p := s.readyPop(); p != nil {
@@ -286,14 +283,14 @@ func (s *Simulator) dispatch() *Proc {
 	}
 }
 
-// drive drains the simulation from the caller's goroutine. If control is
-// handed to a process, the caller blocks until the run token comes back —
-// which only happens once the run is done, since intermediate transfers go
-// process-to-process.
+// drive drains the simulation from the caller's goroutine. It is the root
+// trampoline of every process coroutine: it resumes the process dispatch
+// returned, and when that process yields or exits, the process has already
+// drained the wheel itself and left the next one to run in s.handoff (nil
+// once the run is done), so the root only ever relays.
 func (s *Simulator) drive() {
-	if q := s.dispatch(); q != nil {
-		q.resume <- struct{}{}
-		<-s.yield
+	for q := s.dispatch(); q != nil; q = s.handoff {
+		q.next()
 	}
 }
 
@@ -305,7 +302,7 @@ func (s *Simulator) drive() {
 // Run or RunUntil (after raising the limit) still sees it.
 //
 // Processes that are still blocked when Run returns remain parked; call
-// Shutdown to reap their goroutines.
+// Shutdown to reap their coroutines.
 func (s *Simulator) Run() error {
 	s.stopped = false
 	s.untilActive = false
@@ -378,18 +375,17 @@ func (s *Simulator) removeParked(p *Proc) {
 	p.isParked = false
 }
 
-// Shutdown terminates every parked process and every pooled idle goroutine
-// so nothing is left running. It is safe to call after Run returns —
-// including a run whose last scheduler-role holder was a process; by the
-// time Run returns, the run token is back with its caller. The simulator
-// must not be used afterward.
+// Shutdown terminates every parked process (spawned-but-unstarted ones
+// included) and every pooled idle coroutine, so no goroutine outlives it:
+// each is resumed with its kill flag set, unwinds, and has ended by the
+// time next returns. Call it between runs, never from inside one. The
+// simulator must not be used afterward.
 func (s *Simulator) Shutdown() {
 	for s.parked != nil {
 		p := s.parked
 		s.removeParked(p)
 		p.kill = true
-		p.resume <- struct{}{}
-		<-s.yield
+		p.next()
 	}
 	for s.freeProcs != nil {
 		p := s.freeProcs
@@ -397,8 +393,7 @@ func (s *Simulator) Shutdown() {
 		p.nextSched = nil
 		s.npooled--
 		p.kill = true
-		p.resume <- struct{}{}
-		<-s.yield
+		p.next()
 	}
 	s.fail = nil
 }

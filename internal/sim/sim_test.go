@@ -158,6 +158,74 @@ func TestQueuePopTimeout(t *testing.T) {
 	}
 }
 
+// TestTimedWaitLeavesNoWaiterBehind polls an idle queue and a pending
+// future with timeouts 10^5 times each. Every timed-out waiter must be unlinked
+// from its wait list and recycled, so the lists end empty and the steady
+// state allocates nothing.
+func TestTimedWaitLeavesNoWaiterBehind(t *testing.T) {
+	s := New(1)
+	q := NewQueue[int](s)
+	f := NewFuture[int](s)
+	var allocs float64
+	s.Spawn("poller", func(p *Proc) {
+		poll := func() {
+			if _, ok := q.PopTimeout(p, ms(1)); ok {
+				t.Error("PopTimeout on an idle queue returned a value")
+			}
+			if _, ok := f.WaitTimeout(p, ms(1)); ok {
+				t.Error("WaitTimeout on a pending future returned a value")
+			}
+		}
+		allocs = testing.AllocsPerRun(100000, poll)
+	})
+	run(t, s)
+	if q.waiters.head != nil || q.waiters.tail != nil || f.waiters.head != nil || f.waiters.tail != nil {
+		t.Error("timed-out waiters left on the wait list")
+	}
+	if allocs != 0 {
+		t.Errorf("timed wait allocates %.1f objects per PopTimeout+WaitTimeout, want 0", allocs)
+	}
+	// One waiter serves every wait: it goes back to the free list each time.
+	if w := s.freeWaiters; w == nil || w.next != nil {
+		t.Error("free list should hold exactly the one recycled waiter")
+	}
+}
+
+// TestTimedWaitStaleDeadline pins that a deadline event which outlives its
+// wait never touches the waiter's next tenant. The waiter is recycled as
+// soon as the waiting process resumes, and the process immediately blocks
+// again on it, untimed, across the old deadline — once with the deadline
+// event cancelled but still in the wheel, once with it firing at the very
+// instant a push already woke the process.
+func TestTimedWaitStaleDeadline(t *testing.T) {
+	s := New(1)
+	q, q2 := NewQueue[int](s), NewQueue[int](s)
+	s.At(ms(1), func() { q.Push(1) })
+	s.At(ms(15), func() { q.Push(2) }) // same instant as the second deadline, fires first
+	s.At(ms(10), func() { q2.Push(10) })
+	s.At(ms(20), func() { q2.Push(20) })
+	var got []int
+	var at []Time
+	s.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			v, ok := q.PopTimeout(p, ms(5))
+			if !ok {
+				t.Errorf("round %d: PopTimeout timed out, want a value", i)
+			}
+			w, _ := q2.Pop(p) // reuses the waiter the timed wait just freed
+			got = append(got, v, w)
+			at = append(at, p.Now())
+		}
+	})
+	run(t, s)
+	if len(got) != 4 || got[0] != 1 || got[1] != 10 || got[2] != 2 || got[3] != 20 {
+		t.Fatalf("got %v, want [1 10 2 20]", got)
+	}
+	if at[0] != ms(10) || at[1] != ms(20) {
+		t.Fatalf("untimed waits resumed at %v, want [10ms 20ms]: a stale deadline woke a recycled waiter", at)
+	}
+}
+
 func TestQueueClose(t *testing.T) {
 	s := New(1)
 	q := NewQueue[int](s)

@@ -37,7 +37,7 @@ func (q *Queue[T]) Push(v T) {
 		return
 	}
 	q.items = append(q.items, v)
-	q.wakeOne()
+	q.sim.wakeOne(&q.waiters)
 }
 
 // Close marks the queue closed: blocked and future Pops return ok=false
@@ -49,20 +49,6 @@ func (q *Queue[T]) Close() {
 	}
 	q.closed = true
 	q.sim.wakeAll(&q.waiters)
-}
-
-func (q *Queue[T]) wakeOne() {
-	for {
-		w := q.waiters.pop()
-		if w == nil {
-			return
-		}
-		woke := w.wake()
-		q.sim.freeWaiter(w)
-		if woke {
-			return
-		}
-	}
 }
 
 // take removes and returns the oldest buffered item; the buffer must be
@@ -104,11 +90,7 @@ func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {
 	}
 	deadline := p.sim.Now() + d
 	for {
-		w := &waiter{p: p, timed: true}
-		q.waiters.push(w)
-		timer := p.sim.At(deadline, func() { w.wake() })
-		p.park()
-		timer.Cancel()
+		p.parkTimed(&q.waiters, deadline)
 		if q.Len() > 0 {
 			return q.take(), true
 		}
@@ -183,11 +165,7 @@ func (f *Future[T]) WaitTimeout(p *Proc, d Time) (v T, ok bool) {
 	}
 	deadline := p.sim.Now() + d
 	for {
-		w := &waiter{p: p, timed: true}
-		f.waiters.push(w)
-		timer := p.sim.At(deadline, func() { w.wake() })
-		p.park()
-		timer.Cancel()
+		p.parkTimed(&f.waiters, deadline)
 		if f.set {
 			return f.value, true
 		}
@@ -249,19 +227,7 @@ func (c *Cond) Wait(p *Proc) {
 }
 
 // Signal wakes the oldest waiting process, if any.
-func (c *Cond) Signal() {
-	for {
-		w := c.waiters.pop()
-		if w == nil {
-			return
-		}
-		woke := w.wake()
-		c.sim.freeWaiter(w)
-		if woke {
-			return
-		}
-	}
-}
+func (c *Cond) Signal() { c.sim.wakeOne(&c.waiters) }
 
 // Broadcast wakes every waiting process with one batch-wake event; the
 // waiters run back-to-back in FIFO order off the ready queue.
