@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -40,6 +41,8 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/switchcache"
+	"repro/internal/workload"
 )
 
 // config is everything the flags set; experiments read it through run.
@@ -507,6 +510,7 @@ var kernelGates = map[string]bool{
 	"ProcChurn":     true,
 	"BroadcastWake": true,
 	"GroupCommit":   true,
+	"CacheAdmit":    true,
 }
 
 // checkKernelBaseline compares measured kernel benchmarks against a
@@ -700,6 +704,60 @@ func kernelBenchmarks() []kernelResult {
 			b.Fatal(err)
 		}
 		s.Shutdown()
+	})
+	add("CacheAdmit", func(b *testing.B) {
+		// Host-time cost of one hot-key admission decision against a full
+		// 512-entry switch table (internal/switchcache's
+		// BenchmarkCacheAdmission/index/C=512): 12 sampled misses per 5
+		// decisions over a zipfian key space 8x the table, the victim from
+		// the sketch's index, replaced when the candidate is hotter, the
+		// sketch halved every 16384 decisions. Gated — the detector runs
+		// this on every fetch reply of every cache arm.
+		const capacity = 512
+		s := switchcache.NewSketch(4, 1024)
+		keys := make([]string, 8*capacity)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("user%d", i)
+		}
+		resident := make(map[string]bool, capacity)
+		for _, k := range keys[len(keys)-capacity:] {
+			s.Track(k)
+			resident[k] = true
+		}
+		rng, zipf := rand.New(rand.NewSource(1)), workload.NewZipfian(len(keys))
+		stream := make([]int32, 1<<16)
+		for i := range stream {
+			stream[i] = int32(zipf.Next(rng))
+		}
+		pos := 0
+		decide := func(n int) {
+			if n%16384 == 16383 {
+				s.Halve()
+			}
+			var cand string
+			for samples := 2 + (n%5)/3; samples > 0; { // 2, 2, 2, 3, 3
+				cand = keys[stream[pos]]
+				pos = (pos + 1) % len(stream)
+				if !resident[cand] { // a resident key hits at the switch
+					s.Add(cand)
+					samples--
+				}
+			}
+			if victim, cold := s.Coldest(); cold < s.Estimate(cand) {
+				s.Untrack(victim)
+				delete(resident, victim)
+				s.Track(cand)
+				resident[cand] = true
+			}
+		}
+		for i := 0; i < 4*capacity; i++ {
+			decide(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			decide(i)
+		}
 	})
 	add("NetHostToHost", func(b *testing.B) {
 		s := sim.New(1)

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/controller"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -139,5 +142,64 @@ func TestTrafficArrivalZeroAlloc(t *testing.T) {
 	t.Logf("%d requests, %d B total, %d B/op", ops, m1.TotalAlloc-m0.TotalAlloc, bytesPerOp)
 	if bytesPerOp != 0 {
 		t.Fatalf("arrival hot path allocates %d B/op, want 0", bytesPerOp)
+	}
+}
+
+// TestCacheAdmissionPinned pins the hot-key manager's decisions on one
+// small leaf-spine cell: a 16-entry table under a zipfian open-loop get
+// stream over 256 keys, a 10ms sketch decay, and a closed-loop writer
+// invalidating the eight hottest keys while the table churns. The
+// expected counters were recorded from commit bc72f9c, where the victim
+// was chosen by scanning the sorted table; a different victim on any
+// tie (lowest estimate, then smallest key) moves them.
+func TestCacheAdmissionPinned(t *testing.T) {
+	base := heavyTrafficBase(3)
+	base.CacheCapacity = 16
+	base.CacheHotThreshold = 3
+	base.CacheDecayEvery = 10 * time.Millisecond
+	err := withBench("nicekv+lb+cache", base, 4, func(b *bench) error {
+		d := b.NICE
+		eng := NewTrafficEngine(d, TrafficOptions{
+			Clients: 500, Rate: 50_000, Duration: 80 * time.Millisecond, Records: 256, Seed: base.Seed,
+		})
+		loaded := sim.NewGroup(d.Sim)
+		loaded.Add(1)
+		if _, err := b.Run(2, func(c int, p *sim.Proc) error {
+			if c == 0 {
+				err := eng.Preload(p)
+				loaded.Done()
+				if err != nil {
+					return err
+				}
+				if res := eng.Run(p); res.Issued != 4006 || res.Completed != 4006 {
+					return fmt.Errorf("engine issued %d, completed %d, want 4006 of 4006", res.Issued, res.Completed)
+				}
+				return nil
+			}
+			loaded.Wait(p)
+			for i := 0; i < 120; i++ {
+				if _, err := b.Clients[3].Put(p, fmt.Sprintf("user%d", i%8), "w", 512); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		wantMgr := controller.CacheManagerStats{Sampled: 1641, Fetches: 532, Installs: 369, Evicts: 329}
+		if got := d.CacheMgr.Stats(); got != wantMgr {
+			t.Errorf("manager stats %+v, want %+v", got, wantMgr)
+		}
+		wantCache := metrics.CacheCounters{
+			Hits: 1371, Misses: 1641, Installs: 191, Evictions: 160, Invalidations: 15, Rejected: 174,
+			Occupancy: 16, Capacity: 16,
+		}
+		if got := d.Cache.Stats(); got != wantCache {
+			t.Errorf("switch counters %+v, want %+v", got, wantCache)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

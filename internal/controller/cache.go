@@ -46,8 +46,10 @@ type CacheManagerStats struct {
 // cache-management module): it watches the sampled miss stream the switch
 // mirrors up, ranks keys with a decayed count-min sketch, fetches objects
 // that cross the hot threshold from their partition primary, and installs
-// them — evicting the coldest resident entry when the table is full.
-// The data plane never waits on it: everything here is off the get path.
+// them — evicting the coldest resident entry when the table is full,
+// which the sketch's victim index (switchcache/victim.go) names without
+// a pass over the table. The data plane never waits on it: everything
+// here is off the get path.
 type CacheManager struct {
 	svc      *Service
 	cache    *switchcache.Cache
@@ -81,6 +83,12 @@ func (svc *Service) EnableCache(c *switchcache.Cache, cfg CacheManagerConfig) *C
 	}
 	svc.cacheMgr = cm
 	c.SetSampler(cm.OnSample)
+	// From here on the sketch's victim index follows the table's actual
+	// membership. A manager this one supersedes at a takeover loses the
+	// mirror, which is safe: its generation is fenced at the state store
+	// before this runs, so its onFetchReply returns ahead of the victim
+	// choice.
+	c.MirrorResidents(cm.sketch)
 	// A chain-backed takeover reconciles the switch table against the
 	// replicated install records: an entry the chain does not list as
 	// resident was evicted (or never recorded) under the old generation,
@@ -170,7 +178,7 @@ func (cm *CacheManager) onFetchReply(m *CacheFetchReply) {
 		return
 	}
 	if cm.cache.Len() >= cm.cache.Config().Capacity {
-		victim, cold := cm.coldest()
+		victim, cold := cm.sketch.Coldest()
 		if victim == "" || cold >= cm.sketch.Estimate(m.Key) {
 			return // nothing resident is colder than the candidate
 		}
@@ -180,15 +188,4 @@ func (cm *CacheManager) onFetchReply(m *CacheFetchReply) {
 	}
 	cm.cache.InstallAs(cm.svc.gen, m.Key, m.Value, m.Size, m.Ver)
 	cm.stats.Installs++
-}
-
-// coldest returns the resident key with the lowest sketch estimate.
-func (cm *CacheManager) coldest() (string, uint32) {
-	victim, cold := "", ^uint32(0)
-	for _, k := range cm.cache.Keys() {
-		if e := cm.sketch.Estimate(k); e < cold || (e == cold && (victim == "" || k < victim)) {
-			victim, cold = k, e
-		}
-	}
-	return victim, cold
 }

@@ -85,8 +85,8 @@ type entry struct {
 
 // invalCap bounds the invalidation-version memory: versions are only
 // needed to defeat the install/invalidate race (a fetch in flight while a
-// put commits), whose window is one control RTT, so arbitrary eviction
-// beyond the cap is safe in practice.
+// put commits), whose window is one control RTT, so forgetting the
+// oldest-recorded keys beyond the cap is safe in practice.
 const invalCap = 16384
 
 // Cache is the switch-resident table. It wraps the datapath's pipeline:
@@ -107,6 +107,12 @@ type Cache struct {
 	sampler func(key string)
 	stats   metrics.CacheCounters
 	misses  int64 // sampling phase counter
+
+	// invalOrder lists inval's keys oldest-recorded first, so that which
+	// fence is forgotten past invalCap never depends on map order.
+	invalOrder []string
+	// residents, when set, is told of every change to entries' key set.
+	residents *Sketch
 
 	// extraCtrl is injected control-path latency (gray management network);
 	// it stretches installs, evictions and miss sampling but never the
@@ -136,6 +142,33 @@ func Attach(dp *openflow.Datapath, parser Parser, cfg Config) *Cache {
 // (already delayed by the control latency).
 func (c *Cache) SetSampler(fn func(key string)) { c.sampler = fn }
 
+// MirrorResidents keeps s's victim index equal to the table's membership
+// from now on: the keys resident at the call are tracked, and every later
+// applied install, applied evict and write-through invalidation updates
+// it at the instant the table itself changes — not when the controller
+// issues the command. One sketch at a time; a later call takes over.
+func (c *Cache) MirrorResidents(s *Sketch) {
+	c.residents = s
+	for _, k := range c.Keys() {
+		s.Track(k)
+	}
+}
+
+// add and remove are the only places the table's key set changes.
+func (c *Cache) add(key string, e *entry) {
+	c.entries[key] = e
+	if c.residents != nil {
+		c.residents.Track(key)
+	}
+}
+
+func (c *Cache) remove(key string) {
+	delete(c.entries, key)
+	if c.residents != nil {
+		c.residents.Untrack(key)
+	}
+}
+
 // SetNext rechains the cache's fall-through target, letting further
 // pipeline stages (e.g. the harmonia dirty-set) interpose between the
 // cache and the flow tables: switch → cache → stage → datapath.
@@ -164,10 +197,9 @@ func (c *Cache) Contains(key string) bool {
 	return ok
 }
 
-// Keys lists the resident keys in sorted order. Callers feed this into
-// eviction policy and the ctrlchain takeover reconcile, both of which
-// must behave identically across replayed runs, so the map's iteration
-// order must never leak out.
+// Keys lists the resident keys in sorted order. The ctrlchain takeover
+// reconcile evicts in this order and must behave identically across
+// replayed runs, so the map's iteration order must never leak out.
 func (c *Cache) Keys() []string {
 	out := make([]string, 0, len(c.entries))
 	for k := range c.entries {
@@ -261,7 +293,7 @@ func (c *Cache) InstallAs(gen uint64, key string, value any, size int, ver uint6
 			c.stats.Rejected++
 			return
 		}
-		c.entries[key] = &entry{value: value, size: size, ver: ver}
+		c.add(key, &entry{value: value, size: size, ver: ver})
 		c.stats.Installs++
 	})
 }
@@ -286,7 +318,7 @@ func (c *Cache) EvictAs(gen uint64, key string) {
 			return
 		}
 		if _, ok := c.entries[key]; ok {
-			delete(c.entries, key)
+			c.remove(key)
 			c.stats.Evictions++
 		}
 	})
@@ -300,7 +332,7 @@ func (c *Cache) EvictAs(gen uint64, key string) {
 func (c *Cache) Invalidate(key string, ver uint64) {
 	c.recordVer(key, ver)
 	if _, ok := c.entries[key]; ok {
-		delete(c.entries, key)
+		c.remove(key)
 		c.stats.Invalidations++
 	}
 }
@@ -328,17 +360,26 @@ func (c *Cache) Update(key string, value any, size int, ver uint64) bool {
 
 // recordVer remembers the newest committed version per key so stale
 // installs lose the race; the map is bounded like the node's orphan
-// buffer.
+// buffer. Room for a new key past the cap is made oldest-recorded first.
+// A resident key's fence is kept, as it always was: it goes back behind
+// the youngest, and if every recorded key is resident the map grows
+// instead.
 func (c *Cache) recordVer(key string, ver uint64) {
-	if ver > c.inval[key] {
-		if len(c.inval) >= invalCap {
-			for k := range c.inval {
-				if _, resident := c.entries[k]; !resident {
-					delete(c.inval, k)
-					break
-				}
-			}
-		}
-		c.inval[key] = ver
+	old, known := c.inval[key]
+	if ver <= old {
+		return
 	}
+	if !known {
+		for n := len(c.invalOrder); n > 0 && len(c.inval) >= invalCap; n-- {
+			k := c.invalOrder[0]
+			c.invalOrder = c.invalOrder[1:]
+			if _, resident := c.entries[k]; resident {
+				c.invalOrder = append(c.invalOrder, k)
+				continue
+			}
+			delete(c.inval, k)
+		}
+		c.invalOrder = append(c.invalOrder, key)
+	}
+	c.inval[key] = ver
 }

@@ -1,6 +1,8 @@
 package switchcache
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ type rig struct {
 	got    []*netsim.Packet
 }
 
-func newRig(t *testing.T, cfg Config) *rig {
+func newRig(t testing.TB, cfg Config) *rig {
 	t.Helper()
 	s := sim.New(1)
 	nw := netsim.NewNetwork(s)
@@ -65,7 +67,7 @@ func (r *rig) sendGet(key string) {
 	r.client.Send(pkt)
 }
 
-func (r *rig) run(t *testing.T) {
+func (r *rig) run(t testing.TB) {
 	t.Helper()
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
@@ -320,5 +322,61 @@ func TestSketchDeterminism(t *testing.T) {
 		if a.Estimate(k) != b.Estimate(k) {
 			t.Fatalf("sketches diverged on %q", k)
 		}
+	}
+}
+
+// TestInvalOverflowIsDeterministic: which install fence is forgotten
+// once the version memory is past invalCap must not depend on map
+// iteration order. Two caches driven identically — the same residents,
+// the same invalCap+3000 write-throughs, some keys written twice — must
+// remember the same versions and give the same accept/reject answer to
+// the same replayed install sequence; and what they forget is the
+// oldest-recorded keys, never a resident's.
+func TestInvalOverflowIsDeterministic(t *testing.T) {
+	const extra = 3000
+	key := func(i int) string { return "k" + strconv.Itoa(i) }
+	drive := func() *rig {
+		cfg := DefaultConfig(testCtrlDelay)
+		cfg.Capacity = 4096 // room for every install the replay lets through
+		r := newRig(t, cfg)
+		for i := 0; i < 8; i++ { // residents among the oldest recorded keys
+			r.cache.Update(key(i*100), "v", 10, 5)
+			r.install(t, key(i*100), "v", 10, 5)
+		}
+		for i := 0; i < invalCap+extra; i++ {
+			r.cache.Update(key(i), "v", 10, 5)
+			if i%7 == 0 {
+				r.cache.Update(key(i/2), "v", 10, 6) // a second put of a known key
+			}
+		}
+		// Replay: installs at version 4 lose to every fence still held.
+		for i := 0; i < invalCap+extra; i += 5 {
+			r.cache.Install(key(i), "stale", 10, 4)
+		}
+		r.run(t)
+		return r
+	}
+	a, b := drive(), drive()
+	if !reflect.DeepEqual(a.cache.inval, b.cache.inval) {
+		t.Fatal("identically driven caches remember different install fences")
+	}
+	if !reflect.DeepEqual(a.cache.Keys(), b.cache.Keys()) || a.cache.Stats() != b.cache.Stats() {
+		t.Fatalf("replayed installs answered differently:\n  %+v\n  %+v", a.cache.Stats(), b.cache.Stats())
+	}
+	if len(a.cache.inval) != invalCap || len(a.cache.invalOrder) != invalCap {
+		t.Fatalf("version memory holds %d keys (%d queued), want %d", len(a.cache.inval), len(a.cache.invalOrder), invalCap)
+	}
+	for i := 0; i < invalCap+extra; i++ {
+		_, held := a.cache.inval[key(i)]
+		resident := i%100 == 0 && i < 800
+		if want := i >= extra+8 || resident; held != want {
+			t.Fatalf("fence of %s (resident=%v) held=%v, want %v", key(i), resident, held, want)
+		}
+	}
+	// The replay got through exactly where the fence was forgotten: the
+	// multiples of 5 below extra+8, less the 8 residents (all multiples of
+	// 5, fences held), on top of the 8 set-up installs.
+	if st, want := a.cache.Stats(), int64(8+(extra+8+4)/5-8); st.Installs != want {
+		t.Fatalf("%d installs applied (%d rejected), want %d", st.Installs, st.Rejected, want)
 	}
 }

@@ -6,9 +6,16 @@ package switchcache
 // keys). Conservative update only raises the counters that equal the
 // current minimum, which tightens the overestimate under skew — exactly
 // the regime a hot-key detector lives in.
+//
+// The sketch also carries the detector's victim index (victim.go): the
+// set of keys resident in the switch table, ordered by their estimates.
+// It lives here rather than in the detector because every operation that
+// can lower an estimate — Halve and Reset — has to repair it, and those
+// are reachable by anyone holding the sketch.
 type Sketch struct {
 	rows, cols int
 	counts     [][]uint32
+	victims    victimIndex
 }
 
 // sketchSeeds salt the row hash functions; fixed so two simulations with
@@ -31,6 +38,7 @@ func NewSketch(rows, cols int) *Sketch {
 		cols = 1
 	}
 	s := &Sketch{rows: rows, cols: cols}
+	s.victims.byKey = make(map[string]*victim)
 	s.counts = make([][]uint32, rows)
 	for r := range s.counts {
 		s.counts[r] = make([]uint32, cols)
@@ -49,12 +57,20 @@ func sketchHash(key string, seed uint64) uint64 {
 }
 
 // Add counts one occurrence (conservative update) and returns the new
-// estimate.
+// estimate. Counters only ever rise here, which is what keeps the victim
+// index's stored estimates valid lower bounds without touching it.
 func (s *Sketch) Add(key string) uint32 {
-	min := s.Estimate(key)
-	next := min + 1
+	var cell [len(sketchSeeds)]*uint32
+	min := ^uint32(0)
 	for r := 0; r < s.rows; r++ {
 		c := &s.counts[r][sketchHash(key, sketchSeeds[r])%uint64(s.cols)]
+		cell[r] = c
+		if *c < min {
+			min = *c
+		}
+	}
+	next := min + 1
+	for _, c := range cell[:s.rows] {
 		if *c < next {
 			*c = next
 		}
@@ -83,6 +99,7 @@ func (s *Sketch) Halve() {
 			row[i] >>= 1
 		}
 	}
+	s.victims.halve()
 }
 
 // Reset zeroes the sketch.
@@ -93,4 +110,5 @@ func (s *Sketch) Reset() {
 			row[i] = 0
 		}
 	}
+	s.victims.reset()
 }
