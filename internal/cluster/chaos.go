@@ -55,7 +55,7 @@ type chaosSystem struct {
 	// faultinject.Kind); nil keeps the default bias.
 	weights []int
 	// chainNodes is the control-chain replica count; non-zero lets the
-	// generator draw chainkill targets (ctrlchain systems only).
+	// generator draw chainkill targets (standby systems only).
 	chainNodes int
 }
 
@@ -97,9 +97,11 @@ func chaosSystems() []chaosSystem {
 		// fail-stop under it (chainkill), and storage nodes crash alongside
 		// — all while the hot standby must take over from the chain tail
 		// and fence the returning zombie. The in-switch cache is on with a
-		// hair trigger so takeovers land mid-install. Appended last: cell
-		// seeds derive from sweep position (see the durable cell's note).
-		{name: "NICEKV+ctrlchain", arm: "NICEKV+LB+cache+ctrlchain", weights: ctrlWeights(), chainNodes: 3},
+		// hair trigger so takeovers land mid-install. The cell keeps the
+		// name it had when the chain was an option of its own, so old repro
+		// lines still parse. Appended last: cell seeds derive from sweep
+		// position (see the durable cell's note).
+		{name: "NICEKV+ctrlchain", arm: "NICEKV+LB+cache+standby", weights: ctrlWeights(), chainNodes: 3},
 		// The harmonia cell routes reads through the in-switch dirty set
 		// under the mode's most adversarial write protocol: any-k quorum
 		// puts, where an acknowledged commit can leave laggard replicas
@@ -437,10 +439,7 @@ func runChaosCell(sys chaosSystem, sched faultinject.Schedule) (ChaosCell, error
 			}
 		}
 		if d.Standby != nil {
-			cell.Fenced = d.Service.Stats().FencedWrites + d.Core.Stats().FencedMods
-			if d.Chain != nil {
-				cell.Fenced += d.Chain.Stats().Fenced
-			}
+			cell.Fenced = d.Service.Stats().FencedWrites + d.Core.Stats().FencedMods + d.Chain.Stats().Fenced
 			if promoted := d.Standby.Promoted(); promoted != nil {
 				cell.Takeovers = 1
 				cell.Fenced += promoted.Stats().FencedWrites

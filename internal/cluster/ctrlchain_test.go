@@ -19,7 +19,6 @@ func ctrlChainOptions() Options {
 	opts := DefaultOptions()
 	opts.Nodes = 5
 	opts.Standby = true
-	opts.CtrlChain = true
 	opts.Heartbeat = ms(50)
 	opts.OpTimeout = ms(200)
 	opts.RetryWait = ms(100)
@@ -27,7 +26,11 @@ func ctrlChainOptions() Options {
 }
 
 func TestCtrlChainTakeoverRestoresState(t *testing.T) {
-	d := NewNICE(ctrlChainOptions())
+	onEveryFabric(t, testCtrlChainTakeoverRestoresState)
+}
+
+func testCtrlChainTakeoverRestoresState(t *testing.T, build func(Options) *NICE) {
+	d := build(ctrlChainOptions())
 	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestCtrlChainTakeoverRestoresState(t *testing.T) {
 			t.Errorf("promoted generation %d does not fence the primary's %d",
 				svc.Gen(), d.Service.Gen())
 		}
-		// Views restored from the chain, not the mirror: full replica set,
+		// Views restored from the chain tail: full replica set,
 		// epoch advanced past everything the primary announced.
 		v := svc.View(part)
 		if v == nil || len(v.Replicas) != 3 {
@@ -129,6 +132,95 @@ func TestCtrlChainTakeoverWithDegradedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Close()
+}
+
+// A takeover that lands while the chain is mid-repair must wait the
+// splice out and then restore the pre-crash views — never promote from
+// an empty or stale copy. The chain probes on a 1 ms grid and a repair
+// lasts ~350 µs from the probe that detects the dead store, so the
+// heartbeat is detuned by 20 µs to put the standby's watchdog ticks a
+// fraction of a millisecond past the grid; the same deployment then runs
+// once per kill offset, a chain replica fail-stopping between 0.1 and
+// 2.5 ms before the tick that promotes the standby. Every run must come
+// up with each partition's epoch exactly one past what the primary last
+// announced, and at least one run must really have had its snapshot
+// refused.
+func TestTakeoverDuringChainRepairRestoresEpochs(t *testing.T) {
+	// run crashes a storage node (so view epochs move past their initial
+	// value), then the controller, and fail-stops chain store 1 at killAt
+	// (0 = never). It reports when the standby's watchdog fired and how
+	// many chain reads were refused mid-repair.
+	run := func(killAt sim.Time) (tick sim.Time, blocked int64) {
+		opts := ctrlChainOptions()
+		opts.Heartbeat += 20 * time.Microsecond
+		d := NewNICE(opts)
+		defer d.Close()
+		if err := d.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		d.Standby.SetTrace(func(string, ...any) {
+			if tick == 0 {
+				tick = d.Sim.Now() // the first trace line is the watchdog's verdict
+			}
+		})
+		victim := d.Service.View(0).Replicas[1].Index
+		d.Sim.Spawn("driver", func(p *sim.Proc) {
+			defer d.Sim.Stop()
+			if _, err := d.Clients[0].Put(p, "repair", "v", 1024); err != nil {
+				t.Errorf("seed put: %v", err)
+				return
+			}
+			d.Nodes[victim].Crash()
+			p.Sleep(400 * time.Millisecond) // detection + handoff
+			var before []uint64
+			for part := 0; part < d.Opts.Nodes; part++ {
+				before = append(before, d.Service.View(part).Epoch)
+			}
+			if before[0] == 1 {
+				t.Error("the node failure never moved partition 0's epoch")
+				return
+			}
+			d.MetaHost.SetDown(true)
+			if killAt > 0 {
+				d.Sim.After(killAt-p.Now(), func() { d.Chain.SetDown(1, true) })
+			}
+			p.Sleep(500 * time.Millisecond)
+			svc := d.Standby.Promoted()
+			if svc == nil {
+				t.Errorf("kill at %v: standby never promoted", killAt)
+				return
+			}
+			blocked = d.Chain.Stats().ReadsBlocked
+			for part, epoch := range before {
+				v := svc.View(part)
+				if v.Epoch != epoch+1 || v.HasReplica(victim) {
+					t.Errorf("kill at %v: partition %d restored as epoch %d replicas %v, want epoch %d without node %d",
+						killAt, part, v.Epoch, v.Replicas, epoch+1, victim)
+				}
+			}
+		})
+		if err := d.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return tick, blocked
+	}
+
+	tick, blocked := run(0)
+	if tick == 0 {
+		t.Fatal("calibration run did not promote")
+	}
+	if blocked != 0 {
+		t.Fatalf("calibration run had %d refused chain reads with no chain fault", blocked)
+	}
+	waited := 0
+	for lead := 100 * time.Microsecond; lead <= 2500*time.Microsecond; lead += 100 * time.Microsecond {
+		if _, blocked := run(tick - lead); blocked > 0 {
+			waited++
+		}
+	}
+	if waited == 0 {
+		t.Errorf("watchdog tick %v: no kill offset made the takeover wait out a chain repair", tick)
+	}
 }
 
 // The split-brain fence: after a takeover, the old primary returns
@@ -210,74 +302,63 @@ func TestSplitBrainZombieControllerIsFenced(t *testing.T) {
 	d.Close()
 }
 
-// The satellite-1 regression: a controller loss mid-node-recovery must
-// not strand the rejoiner. The node crashes and restarts, its rejoin
-// begins, and the controller dies before the recovery completes; the
-// promoted standby inherits a Recovering node (through the chain or
-// the now status-complete mirror) and must finish the procedure —
+// A controller loss mid-node-recovery must not strand the rejoiner. The
+// node crashes and restarts, its rejoin begins, and the controller dies
+// before the recovery completes; the promoted standby inherits a
+// Recovering node from the chain and must finish the procedure —
 // previously the takeover could leave the node get-invisible forever.
 func TestTakeoverMidRecoveryDoesNotStrandRejoiner(t *testing.T) {
-	for _, chain := range []bool{false, true} {
-		name := "mirror"
-		if chain {
-			name = "chain"
-		}
-		t.Run(name, func(t *testing.T) {
-			opts := ctrlChainOptions()
-			opts.CtrlChain = chain
-			d := NewNICE(opts)
-			if err := d.Settle(); err != nil {
-				t.Fatal(err)
-			}
-			const part = 0
-			victim := d.Service.View(part).Replicas[0].Index
-			keys := d.keysInPartition(part, 6)
-
-			d.Sim.Spawn("driver", func(p *sim.Proc) {
-				defer d.Sim.Stop()
-				c := d.Clients[0]
-				for _, k := range keys[:3] {
-					if _, err := c.Put(p, k, "v", 1024); err != nil {
-						t.Errorf("seed put: %v", err)
-						return
-					}
-				}
-				// Crash the primary, let the failure be detected and the
-				// handoff installed, then bring the node back: its rejoin
-				// request starts the two-phase recovery.
-				d.Nodes[victim].Crash()
-				p.Sleep(300 * time.Millisecond)
-				d.Nodes[victim].Restart()
-				// Kill the controller while the rejoin is in flight.
-				p.Sleep(60 * time.Millisecond)
-				d.MetaHost.SetDown(true)
-				p.Sleep(1500 * time.Millisecond)
-				if d.Standby.Promoted() == nil {
-					t.Error("standby did not take over")
-					return
-				}
-				if d.Nodes[victim].Recovering() {
-					t.Error("takeover stranded the rejoining node in recovery")
-				}
-				for _, k := range keys[3:] {
-					if _, err := c.Put(p, k, "v", 1024); err != nil {
-						t.Errorf("put after recovery-spanning takeover: %v", err)
-						return
-					}
-				}
-				for _, k := range keys {
-					if res, err := c.Get(p, k); err != nil || !res.Found {
-						t.Errorf("get %s after recovery-spanning takeover: %+v %v", k, res, err)
-						return
-					}
-				}
-			})
-			if err := d.Sim.Run(); err != nil {
-				t.Fatal(err)
-			}
-			d.Close()
-		})
+	d := NewNICE(ctrlChainOptions())
+	if err := d.Settle(); err != nil {
+		t.Fatal(err)
 	}
+	const part = 0
+	victim := d.Service.View(part).Replicas[0].Index
+	keys := d.keysInPartition(part, 6)
+
+	d.Sim.Spawn("driver", func(p *sim.Proc) {
+		defer d.Sim.Stop()
+		c := d.Clients[0]
+		for _, k := range keys[:3] {
+			if _, err := c.Put(p, k, "v", 1024); err != nil {
+				t.Errorf("seed put: %v", err)
+				return
+			}
+		}
+		// Crash the primary, let the failure be detected and the
+		// handoff installed, then bring the node back: its rejoin
+		// request starts the two-phase recovery.
+		d.Nodes[victim].Crash()
+		p.Sleep(300 * time.Millisecond)
+		d.Nodes[victim].Restart()
+		// Kill the controller while the rejoin is in flight.
+		p.Sleep(60 * time.Millisecond)
+		d.MetaHost.SetDown(true)
+		p.Sleep(1500 * time.Millisecond)
+		if d.Standby.Promoted() == nil {
+			t.Error("standby did not take over")
+			return
+		}
+		if d.Nodes[victim].Recovering() {
+			t.Error("takeover stranded the rejoining node in recovery")
+		}
+		for _, k := range keys[3:] {
+			if _, err := c.Put(p, k, "v", 1024); err != nil {
+				t.Errorf("put after recovery-spanning takeover: %v", err)
+				return
+			}
+		}
+		for _, k := range keys {
+			if res, err := c.Get(p, k); err != nil || !res.Found {
+				t.Errorf("get %s after recovery-spanning takeover: %+v %v", k, res, err)
+				return
+			}
+		}
+	})
+	if err := d.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
 }
 
 // A node that crashes and restarts faster than the failure detector

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
 	"repro/internal/metrics"
@@ -13,16 +14,20 @@ import (
 // costs: at t0 the active metadata host fail-stops and, in the same
 // instant, one storage replica of partition 0 crashes — the worst
 // moment to lose the brain, because only a controller can install the
-// handoff that restores put availability for that partition. Three
-// arms differ only in the control plane:
+// handoff that restores put availability for that partition. Two arms
+// differ only in the control plane:
 //
-//   - none:        a single controller, no replica. The partition
-//                  never heals; the arm is the negative control.
-//   - hot-standby: the §4.1 mirror. The standby promotes from its
-//                  best-effort StateSync copy.
-//   - ctrlchain:   the standby restores views, statuses and cache
-//                  install records from the NetChain-style replicated
-//                  store (internal/ctrlchain) and fences the zombie.
+//   - none:    a single controller, no replica. The partition never
+//              heals; the arm is the negative control.
+//   - standby: the §4.1 hot standby. It restores views, statuses and
+//              cache install records from the NetChain-style replicated
+//              store it shares with the primary (internal/ctrlchain)
+//              and fences the zombie.
+//
+// t0 falls at a seed-drawn offset inside a heartbeat period: how long
+// the standby's watchdog takes to notice depends on where in its period
+// the pings stop, so the takeover latency is a distribution across
+// seeds, not one number.
 //
 // Every arm runs the in-switch cache with a hair trigger so the sweep
 // also times how long the cache stays headless: a key made hot only
@@ -37,8 +42,7 @@ const ctrlSweepCap = 3 * time.Second
 // in-switch cache.
 var ctrlArms = []system{
 	{"none", "NICEKV+cache"},
-	{"hot-standby", "NICEKV+cache+standby"},
-	{"ctrlchain", "NICEKV+cache+ctrlchain"},
+	{"standby", "NICEKV+cache+standby"},
 }
 
 // ctrlCell is one (arm, seed) measurement; negative latencies mean the
@@ -93,7 +97,9 @@ func ctrlSweepBase(seed int64) Options {
 // runCtrlCell executes one (arm, seed) failover measurement.
 func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
 	cell := ctrlCell{takeover: -1, handoff: -1, put: -1, cache: -1}
-	err := withBench(arm, ctrlSweepBase(pr.Seed), 0, func(b *bench) error {
+	base := ctrlSweepBase(pr.Seed)
+	crashPhase := sim.Time(rand.New(rand.NewSource(pr.Seed)).Int63n(int64(base.Heartbeat)))
+	err := withBench(arm, base, 0, func(b *bench) error {
 		if err := b.Settle(); err != nil {
 			return err
 		}
@@ -110,6 +116,7 @@ func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
 					return fmt.Errorf("warmup put: %w", err)
 				}
 			}
+			p.Sleep(crashPhase)
 			t0 := p.Now()
 			d.MetaHost.SetDown(true)
 			d.Nodes[victim].Crash()

@@ -1,0 +1,177 @@
+package cluster
+
+import (
+	"errors"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+)
+
+// testFabrics are the three switch layers assemble builds on.
+var testFabrics = []struct {
+	name  string
+	build func(Options) *NICE
+}{
+	{"single", NewNICE},
+	{"edgeovs", func(o Options) *NICE { o.EdgeOVS = true; return NewNICE(o) }},
+	{"leafspine3", func(o Options) *NICE { return NewNICELeafSpine(o, 3) }},
+}
+
+// onEveryFabric runs test once per fabric, as a subtest named after it.
+// The takeover tests use it: the switch identity takeover (the
+// meta-takeover rewrite rule) has to work wherever assemble can place a
+// standby, multi-switch included.
+func onEveryFabric(t *testing.T, test func(t *testing.T, build func(Options) *NICE)) {
+	for _, fab := range testFabrics {
+		t.Run(fab.name, func(t *testing.T) { test(t, fab.build) })
+	}
+}
+
+// niceFeatures lists the armFeatures tokens that switch on a NICE
+// subsystem (they change Options; the NOOB tokens change only the
+// baseline's own fields), sorted.
+func niceFeatures() []string {
+	var out []string
+	for name, feature := range armFeatures {
+		o := DefaultNOOBOptions()
+		before := o.Options
+		feature(&o)
+		if !reflect.DeepEqual(before, o.Options) {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// featureWired reports whether the deployment really carries the
+// subsystem a feature token names, for the tokens that leave a trace on
+// the NICE struct.
+var featureWired = map[string]func(d *NICE) bool{
+	"cache":    func(d *NICE) bool { return d.Cache != nil && d.CacheMgr != nil },
+	"harmonia": func(d *NICE) bool { return d.Harmonia != nil },
+	"standby":  func(d *NICE) bool { return d.Standby != nil && d.Chain != nil },
+	"durable": func(d *NICE) bool {
+		_, ok := d.Nodes[0].Store().StorageStats()
+		return ok
+	},
+}
+
+// TestFabricFeatureMatrix is the assembler's contract: every NICE
+// subsystem an arm can name builds, settles and serves a put and a get
+// on every fabric. The one combination that cannot exist — client edge
+// switches under a leaf-spine fabric — is refused, not ignored.
+func TestFabricFeatureMatrix(t *testing.T) {
+	features := niceFeatures()
+	if got := strings.Join(features, " "); got != "cache durable edgeovs groupcommit harmonia lb quorum standby" {
+		t.Fatalf("NICE features of armFeatures = %q; extend this test's expectations with the table", got)
+	}
+	for _, fab := range testFabrics {
+		for _, feature := range features {
+			t.Run(fab.name+"/"+feature, func(t *testing.T) {
+				base := DefaultOptions()
+				base.Nodes = 6
+				o, _, err := resolveArm("NICEKV+"+feature, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fab.name == "leafspine3" && feature == "edgeovs" {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "EdgeOVS") {
+							t.Errorf("leaf-spine with EdgeOVS: recovered %q, want the refusal", msg)
+						}
+					}()
+					fab.build(o.Options)
+					t.Fatal("leaf-spine accepted EdgeOVS")
+				}
+				d := fab.build(o.Options)
+				defer d.Close()
+				if err := d.Settle(); err != nil {
+					t.Fatal(err)
+				}
+				if wired := featureWired[feature]; wired != nil && !wired(d) {
+					t.Errorf("%s is not wired into the deployment", feature)
+				}
+				done := false
+				d.Sim.Spawn("driver", func(p *sim.Proc) {
+					defer d.Sim.Stop()
+					c := d.Clients[0]
+					if _, err := c.Put(p, "matrix", "v", 1024); err != nil {
+						t.Errorf("put: %v", err)
+						return
+					}
+					if res, err := c.Get(p, "matrix"); err != nil || !res.Found || res.Value != "v" {
+						t.Errorf("get = %+v, %v", res, err)
+						return
+					}
+					done = true
+				})
+				if err := d.Sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if !done {
+					t.Error("driver did not finish")
+				}
+			})
+		}
+	}
+}
+
+// TestLeafSpineHonoursTimeoutAndMappingOptions pins what the twin
+// builder dropped on the floor: the leaf-spine deployment used to ignore
+// AckTimeout, RetryMaxWait, MaxRetries, LazyMapping and MappingIdle, so a
+// client there retried on the core default budget whatever the options
+// said and the controller installed every vring rule at bootstrap.
+func TestLeafSpineHonoursTimeoutAndMappingOptions(t *testing.T) {
+	opts := chaosOptions(7)
+	opts.Heartbeat = time.Second // no failure verdict inside the test window
+	opts.MaxRetries = 1
+	opts.LazyMapping = true
+	d := NewNICELeafSpine(opts, 3)
+	defer d.Close()
+	if err := d.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Service.Stats().RulesPerPart; n != 0 {
+		t.Errorf("LazyMapping ignored: %d vring rules for partition 0 at bootstrap", n)
+	}
+	const part = 0
+	key := d.keysInPartition(part, 1)[0]
+	d.Sim.Spawn("driver", func(p *sim.Proc) {
+		defer d.Sim.Stop()
+		c := d.Clients[0]
+		if _, err := c.Put(p, key, "v", 512); err != nil {
+			t.Errorf("seed put: %v", err)
+			return
+		}
+		if n := d.Service.Stats().RulesPerPart; n == 0 {
+			t.Error("first packet for partition 0 installed no vring rule")
+		}
+		for _, r := range d.Service.View(part).Replicas {
+			d.Nodes[r.Index].Crash()
+		}
+		start := p.Now()
+		_, err := c.Get(p, key)
+		var opErr *core.OpError
+		if !errors.As(err, &opErr) {
+			t.Errorf("get against crashed replicas: got %v, want *core.OpError", err)
+			return
+		}
+		if opErr.Attempts != opts.MaxRetries+1 {
+			t.Errorf("client gave up after %d attempts, want MaxRetries+1 = %d", opErr.Attempts, opts.MaxRetries+1)
+		}
+		// Two timeouts and one capped back-off: far inside the core
+		// default budget of six one-second attempts.
+		if budget := 2*opts.OpTimeout + opts.RetryMaxWait*2; p.Now()-start > budget {
+			t.Errorf("get took %v, want at most %v", p.Now()-start, budget)
+		}
+	})
+	if err := d.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -54,9 +54,8 @@ var armFeatures = map[string]func(*NOOBOptions){
 			o.QuorumK = o.R/2 + 1
 		}
 	},
-	"standby":   func(o *NOOBOptions) { o.Standby = true },
-	"ctrlchain": func(o *NOOBOptions) { o.Standby, o.CtrlChain = true, true },
-	"edgeovs":   func(o *NOOBOptions) { o.EdgeOVS = true },
+	"standby": func(o *NOOBOptions) { o.Standby = true },
+	"edgeovs": func(o *NOOBOptions) { o.EdgeOVS = true },
 	// The NOOB baseline's §6.1/§6.2 access mechanisms and consistency.
 	"rog":        func(o *NOOBOptions) { o.Access, o.Gateway = noob.ViaGateway, noob.ROG },
 	"rag":        func(o *NOOBOptions) { o.Access, o.Gateway = noob.ViaGateway, noob.RAG },

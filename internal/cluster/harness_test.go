@@ -127,11 +127,9 @@ func TestArmTable(t *testing.T) {
 			t.Errorf("quorum at R=%d: k=%d, want %d", r, o.QuorumK, k)
 		}
 	}
-	if o, _, _ = resolveArm("NICEKV+ctrlchain", base); !o.Standby || !o.CtrlChain {
-		t.Errorf("ctrlchain must imply a standby: %+v", o.Options)
-	}
-
-	for _, bad := range []string{"NICEKV+warp", "NICEKV+", "OTHERKV+LB", ""} {
+	// "ctrlchain" stopped being a feature when every standby became
+	// chain-backed; the token is refused like any other unknown one.
+	for _, bad := range []string{"NICEKV+warp", "NICEKV+ctrlchain", "NICEKV+", "OTHERKV+LB", ""} {
 		if _, _, err := resolveArm(bad, base); err == nil {
 			t.Errorf("resolveArm(%q) accepted an unknown name", bad)
 		}

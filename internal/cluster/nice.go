@@ -57,19 +57,15 @@ type Options struct {
 	EdgeLatency   sim.Time
 	QuorumK       int      // any-k puts (0 = all replicas)
 	CPUPerOp      sim.Time // per-request node processing cost
-	Standby       bool     // deploy a hot-standby metadata replica (§4.1)
-	// CtrlChain replicates the controller's coordination state across a
-	// NetChain-style chain of switch-resident stores (internal/ctrlchain):
-	// takeover restores views, statuses and cache installs from the chain
-	// tail instead of the best-effort StateSync mirror, and writer
-	// generations fence a returning zombie primary out of the chain and
-	// the switches.
-	CtrlChain bool
-	// CtrlChainReplicas overrides the chain length (0 = ctrlchain default).
-	CtrlChainReplicas int
-	DynamicLB         bool     // workload-informed division rebalancing (§8)
-	LazyMapping       bool     // install vring rules on first packet (§5)
-	MappingIdle       sim.Time // idle expiry for vring rules (0 = never)
+	// Standby deploys a hot-standby metadata replica (§4.1). It shares a
+	// NetChain-style chain of switch-resident stores (internal/ctrlchain)
+	// with the active service: a takeover restores views, statuses and
+	// cache installs from the chain tail, and writer generations fence a
+	// returning zombie primary out of the chain and the switches.
+	Standby     bool
+	DynamicLB   bool     // workload-informed division rebalancing (§8)
+	LazyMapping bool     // install vring rules on first packet (§5)
+	MappingIdle sim.Time // idle expiry for vring rules (0 = never)
 	// ClientIPs overrides the default client placement (useful to pin
 	// clients into specific load-balancing divisions).
 	ClientIPs []netsim.IP
@@ -101,7 +97,7 @@ type Options struct {
 	// to the primary — until the next view install.
 	HarmoniaCapacity int
 	// TrafficGateways attaches one open-loop traffic gateway host per
-	// leaf (NewNICELeafSpine only); see internal/cluster/traffic.go.
+	// leaf (leaf-spine fabrics only); see internal/cluster/traffic.go.
 	TrafficGateways bool
 	// DurableStore backs every node with the durable sharded engine
 	// (internal/storage): WAL + fsync-on-ack, periodic compacting
@@ -223,7 +219,7 @@ type NICE struct {
 	Cache    *switchcache.Cache       // nil unless Opts.Cache
 	CacheMgr *controller.CacheManager // nil unless Opts.Cache
 	Harmonia *harmonia.DirtySet       // nil unless Opts.Harmonia
-	Chain    *ctrlchain.Chain         // nil unless Opts.CtrlChain
+	Chain    *ctrlchain.Chain         // nil unless Opts.Standby
 	// NodeLinks[i] is storage node i's access link (fault injection cuts
 	// and degrades these); ClientLinks likewise for clients (nil entries
 	// under EdgeOVS, where the client link is behind its own switch).
@@ -232,85 +228,76 @@ type NICE struct {
 	MetaLink    *netsim.Link
 }
 
-// NewNICE builds and boots a NICE deployment; call Settle before issuing
-// traffic so bootstrap rules and views are in place.
+// NewNICE builds and boots a NICE deployment on the paper's platform —
+// one OpenFlow switch, or with opts.EdgeOVS each client behind its own
+// Open vSwitch; call Settle before issuing traffic so bootstrap rules and
+// views are in place.
 func NewNICE(opts Options) *NICE {
+	nw := netsim.NewNetwork(sim.New(opts.Seed))
+	return assemble(opts, nw, coreSwitchFabric(nw, opts))
+}
+
+// NewNICELeafSpine builds a NICE deployment on a two-tier fabric: leaves
+// ToR switches under one spine, with storage nodes, the metadata hosts
+// and clients distributed round-robin across the leaves. It exercises the
+// §6 claim that NICE extends to multi-switch platforms: the controller
+// installs rewrite rules at every leaf and loop-free multicast trees
+// across the fabric.
+func NewNICELeafSpine(opts Options, leaves int) *NICE {
+	nw := netsim.NewNetwork(sim.New(opts.Seed))
+	return assemble(opts, nw, leafSpineFabric(nw, opts, leaves))
+}
+
+// assemble is the one deployment builder (DESIGN.md §7.1): given the
+// switch layer it creates every host, in the order the goldens depend on
+// — storage nodes, metadata, standby, clients, traffic gateways — boots
+// the controller (with its standby and their shared state store), chains
+// the in-switch stages onto the core datapath and starts nodes and
+// clients. Every option reaches every fabric because nothing here knows
+// which fabric it is on.
+func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 	if probeCPU > 0 {
 		opts.CPUPerOp = probeCPU
 	}
-	s := sim.New(opts.Seed)
-	nw := netsim.NewNetwork(s)
-	d := &NICE{Opts: opts, Sim: s, Net: nw, Space: ring.NewSpace(opts.Nodes)}
+	s := nw.Sim()
+	d := &NICE{Opts: opts, Sim: s, Net: nw, Core: fab.core, Space: ring.NewSpace(opts.Nodes)}
 
-	nPorts := opts.Nodes + opts.Clients + 3
-	sw := nw.NewSwitch("core", nPorts, opts.SwitchLatency)
-	d.Core = openflow.Attach(sw, opts.CtrlDelay)
-
-	var topo controller.Topology
-	single := controller.NewSingleSwitch(d.Core)
-	edge := controller.NewEdgeCore(d.Core)
-	if opts.EdgeOVS {
-		topo = edge
-	} else {
-		topo = single
-	}
-	attach := func(ip netsim.IP, port int) {
-		single.Attach(ip, port)
-		edge.AttachCore(ip, port)
-	}
-
-	// Storage nodes on ports [0, Nodes).
 	var addrs []controller.NodeAddr
 	for i := 0; i < opts.Nodes; i++ {
 		h := nw.NewHost("node"+strconv.Itoa(i), netsim.IPv4(10, 0, byte(i>>8), byte(i&0xff)).Add(1))
-		d.NodeLinks = append(d.NodeLinks, nw.Connect(h.Port(), sw.Port(i), opts.Link))
-		attach(h.IP(), i)
-		st := transport.NewStack(h)
-		d.Stacks = append(d.Stacks, st)
+		d.NodeLinks = append(d.NodeLinks, fab.attach(h))
+		d.Stacks = append(d.Stacks, transport.NewStack(h))
 		addrs = append(addrs, controller.NodeAddr{
 			Index: i, IP: h.IP(), MAC: h.MAC(), DataPort: DataPort, CtrlPort: CtrlPort,
 		})
 	}
-
-	// Metadata host on port Nodes.
-	metaHost := nw.NewHost("meta", netsim.MustParseIP("10.254.0.1"))
-	d.MetaLink = nw.Connect(metaHost.Port(), sw.Port(opts.Nodes), opts.Link)
-	attach(metaHost.IP(), opts.Nodes)
-	metaStack := transport.NewStack(metaHost)
-	d.MetaHost = metaHost
-
-	// Optional hot-standby metadata host on the last port.
+	d.MetaHost = nw.NewHost("meta", netsim.MustParseIP("10.254.0.1"))
+	d.MetaLink = fab.attach(d.MetaHost)
+	metaStack := transport.NewStack(d.MetaHost)
 	var standbyStack *transport.Stack
 	if opts.Standby {
-		sbHost := nw.NewHost("meta-standby", netsim.MustParseIP("10.254.0.2"))
-		nw.Connect(sbHost.Port(), sw.Port(nPorts-1), opts.Link)
-		attach(sbHost.IP(), nPorts-1)
-		standbyStack = transport.NewStack(sbHost)
+		h := nw.NewHost("meta-standby", netsim.MustParseIP("10.254.0.2"))
+		fab.attach(h)
+		standbyStack = transport.NewStack(h)
 	}
-
-	// Clients on ports [Nodes+1, ...), optionally behind their own edge
-	// Open vSwitch.
 	for i := 0; i < opts.Clients; i++ {
 		ip := clientIP(i, opts.R)
 		if i < len(opts.ClientIPs) {
 			ip = opts.ClientIPs[i]
 		}
 		h := nw.NewHost("client"+strconv.Itoa(i), ip)
-		port := opts.Nodes + 1 + i
-		if opts.EdgeOVS {
-			ovs := nw.NewSwitch("ovs"+strconv.Itoa(i), 2, opts.EdgeLatency)
-			dp := openflow.Attach(ovs, opts.CtrlDelay)
-			nw.Connect(h.Port(), ovs.Port(0), opts.Link)
-			nw.Connect(ovs.Port(1), sw.Port(port), opts.Link)
-			edge.AddEdge(dp, 1)
-			edge.AttachLocal(dp, ip, 0)
-			d.ClientLinks = append(d.ClientLinks, nil)
-		} else {
-			d.ClientLinks = append(d.ClientLinks, nw.Connect(h.Port(), sw.Port(port), opts.Link))
+		d.ClientLinks = append(d.ClientLinks, fab.attachClient(h))
+		d.CStacks = append(d.CStacks, transport.NewStack(h))
+	}
+	if opts.TrafficGateways {
+		// One open-loop traffic gateway per leaf, pinned to its leaf (not
+		// round-robin placed): the engine's return route sends every
+		// client-space-addressed packet entering a leaf to that leaf's
+		// gateway, so each gateway must terminate its own leaf's flows.
+		for i := 0; i < fab.leaves; i++ {
+			h := nw.NewHost("gw"+strconv.Itoa(i), netsim.IPv4(10, 20, 0, byte(i+1)))
+			d.Gateways = append(d.Gateways, fab.attachGateway(i, h))
 		}
-		attach(ip, port)
-		st := transport.NewStack(h)
-		d.CStacks = append(d.CStacks, st)
 	}
 
 	// Controller.
@@ -327,36 +314,34 @@ func NewNICE(opts Options) *NICE {
 	cfg.ClientSpace = netsim.MustParsePrefix("192.168.0.0/16")
 	cfg.CtrlPort = MetaPort
 	if opts.Standby {
+		// The active service and its standby share one chain-replicated
+		// state store: the standby restores from the chain tail, and the
+		// shared Acquire counter is what fences the old primary. Without
+		// a standby the service keeps its private, event-free MemStore.
 		cfg.StandbyIP = standbyStack.IP()
-	}
-	// The coordination-state store is shared between the active service
-	// and its standby: that is what keeps Acquire monotonic across a
-	// takeover and fences the old primary.
-	if opts.CtrlChain {
-		chcfg := ctrlchain.DefaultConfig()
-		if opts.CtrlChainReplicas > 0 {
-			chcfg.Replicas = opts.CtrlChainReplicas
-		}
-		d.Chain = ctrlchain.New(s, chcfg)
+		d.Chain = ctrlchain.New(s, ctrlchain.DefaultConfig())
 		cfg.Store = controller.NewChainStore(d.Chain)
-	} else if opts.Standby {
-		cfg.Store = controller.NewMemStore()
 	}
 	d.Unicast = cfg.Unicast
-	d.Service = controller.New(metaStack, topo, cfg, addrs)
+	d.Service = controller.New(metaStack, fab.topo, cfg, addrs)
 	d.Service.Start()
 	if opts.Standby {
 		d.Service.RegisterHost(standbyStack.IP(), standbyStack.Host().MAC())
-		d.Standby = controller.NewStandby(standbyStack, topo, cfg, addrs, metaStack.IP())
+		d.Standby = controller.NewStandby(standbyStack, fab.topo, cfg, addrs, metaStack.IP())
 		d.Standby.Start()
 	}
 	for _, cst := range d.CStacks {
 		d.Service.RegisterHost(cst.IP(), cst.Host().MAC())
 	}
+	for _, g := range d.Gateways {
+		d.Service.RegisterHost(g.Stack.IP(), g.Stack.Host().MAC())
+	}
 
-	// In-switch hot-key cache on the core datapath. Attach wraps the
-	// datapath's pipeline, so this must precede traffic but may follow
-	// rule bootstrap.
+	// In-switch hot-key cache on the core datapath (on leaf-spine the
+	// spine: the aggregation point every inter-leaf get traverses, while
+	// rack-local requests bypass it as they would a real spine cache).
+	// Attach wraps the datapath's pipeline, so this must precede traffic
+	// but may follow rule bootstrap.
 	if opts.Cache {
 		ccfg := switchcache.DefaultConfig(opts.CtrlDelay)
 		if opts.CacheCapacity > 0 {

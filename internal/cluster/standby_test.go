@@ -13,11 +13,15 @@ import (
 // again.
 
 func TestStandbyTakeoverIsTransparentToDataPath(t *testing.T) {
+	onEveryFabric(t, testStandbyTakeoverIsTransparentToDataPath)
+}
+
+func testStandbyTakeoverIsTransparentToDataPath(t *testing.T, build func(Options) *NICE) {
 	opts := DefaultOptions()
 	opts.Nodes = 5
 	opts.Standby = true
 	opts.Heartbeat = ms(100)
-	d := NewNICE(opts)
+	d := build(opts)
 	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +58,17 @@ func TestStandbyTakeoverIsTransparentToDataPath(t *testing.T) {
 }
 
 func TestStandbyHandlesNodeFailureAfterTakeover(t *testing.T) {
+	onEveryFabric(t, testStandbyHandlesNodeFailureAfterTakeover)
+}
+
+func testStandbyHandlesNodeFailureAfterTakeover(t *testing.T, build func(Options) *NICE) {
 	opts := DefaultOptions()
 	opts.Nodes = 5
 	opts.Standby = true
 	opts.Heartbeat = ms(100)
 	opts.OpTimeout = ms(400)
 	opts.RetryWait = ms(300)
-	d := NewNICE(opts)
+	d := build(opts)
 	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +93,7 @@ func TestStandbyHandlesNodeFailureAfterTakeover(t *testing.T) {
 			t.Error("standby did not take over")
 			return
 		}
-		// The promoted service mirrors the pre-failure views.
+		// The promoted service restored the pre-failure views.
 		v := svc.View(part)
 		if len(v.Replicas) != 3 {
 			t.Errorf("promoted service lost view state: %+v", v)

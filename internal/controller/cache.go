@@ -86,10 +86,11 @@ func (svc *Service) EnableCache(c *switchcache.Cache, cfg CacheManagerConfig) *C
 	// From here on the sketch's victim index follows the table's actual
 	// membership. A manager this one supersedes at a takeover loses the
 	// mirror, which is safe: its generation is fenced at the state store
-	// before this runs, so its onFetchReply returns ahead of the victim
-	// choice.
+	// before this runs, so whatever victim its stale index names, its
+	// onFetchReply returns at the intent write, ahead of any command to
+	// the switch.
 	c.MirrorResidents(cm.sketch)
-	// A chain-backed takeover reconciles the switch table against the
+	// A takeover reconciles the switch table against the
 	// replicated install records: an entry the chain does not list as
 	// resident was evicted (or never recorded) under the old generation,
 	// and the new controller cannot vouch for its version — evict it.
@@ -170,18 +171,26 @@ func (cm *CacheManager) onFetchReply(m *CacheFetchReply) {
 	if !m.Found || cm.cache.Contains(m.Key) {
 		return
 	}
-	// Write the install intent through to the state store first: a
-	// rejection means a newer controller generation owns cache
-	// management and this manager belongs to a fenced zombie.
+	// Admission first: when the table is full the candidate must beat the
+	// coldest resident, or nothing is written anywhere.
+	victim := ""
+	if cm.cache.Len() >= cm.cache.Config().Capacity {
+		var cold uint32
+		victim, cold = cm.sketch.Coldest()
+		if victim == "" || cold >= cm.sketch.Estimate(m.Key) {
+			return // nothing resident is colder than the candidate
+		}
+	}
+	// Write the install intent through to the state store before touching
+	// the switch — only now, so the store's resident list (what a
+	// takeover reconciles the table against) never holds a rejected
+	// candidate. A rejection means a newer controller generation owns
+	// cache management and this manager belongs to a fenced zombie.
 	if !cm.svc.store.WriteCache(cm.svc.gen, m.Key, m.Ver, true) {
 		cm.svc.stats.FencedWrites++
 		return
 	}
-	if cm.cache.Len() >= cm.cache.Config().Capacity {
-		victim, cold := cm.sketch.Coldest()
-		if victim == "" || cold >= cm.sketch.Estimate(m.Key) {
-			return // nothing resident is colder than the candidate
-		}
+	if victim != "" {
 		cm.svc.store.WriteCache(cm.svc.gen, victim, 0, false)
 		cm.cache.EvictAs(cm.svc.gen, victim)
 		cm.stats.Evicts++

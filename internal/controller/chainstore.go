@@ -89,8 +89,6 @@ func (cs *ChainStore) Snapshot() (StateSnapshot, bool) {
 	return snap, true
 }
 
-func (cs *ChainStore) Authoritative() bool { return true }
-
 // viewKey zero-pads the partition so the chain's sorted snapshot
 // yields views in partition order.
 func viewKey(p int) string { return fmt.Sprintf("view/%05d", p) }

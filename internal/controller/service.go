@@ -64,10 +64,11 @@ type Config struct {
 	// period before the rebalancer acts.
 	RebalanceMinOps int
 	// Store is the coordination-state backend (nil = a private
-	// MemStore, today's behavior). The cluster harness shares one store
-	// instance between the active controller and its standby so writer
-	// generations stay monotonic across a takeover — that monotonicity
-	// is the split-brain fence.
+	// MemStore, for a controller with no standby). The cluster builder
+	// shares one ChainStore between the active controller and its
+	// standby: the standby restores from it, and writer generations stay
+	// monotonic across the takeover — that monotonicity is the
+	// split-brain fence.
 	Store StateStore
 }
 
@@ -130,8 +131,8 @@ type Service struct {
 	// the store and at the datapaths.
 	store StateStore
 	gen   uint64
-	// restoredCache is the replicated switch-cache state a chain-backed
-	// takeover read from the store (introspection for tests).
+	// restoredCache is the replicated switch-cache state a takeover read
+	// from the store; EnableCache reconciles the switch table against it.
 	restoredCache []CacheState
 
 	// lastHolder remembers, per collapsed partition, the final replica
@@ -180,21 +181,20 @@ func New(stack *transport.Stack, topo Topology, cfg Config, nodes []NodeAddr) *S
 	if cfg.MissedHeartbeats <= 0 {
 		cfg.MissedHeartbeats = 3
 	}
+	if cfg.Store == nil {
+		cfg.Store = NewMemStore()
+	}
 	svc := &Service{
 		cfg:        cfg,
 		s:          stack.Sim(),
 		stack:      stack,
 		topo:       topo,
+		store:      cfg.Store,
 		known:      make(map[netsim.IP]hostLoc),
 		pending:    make(map[netsim.IP][]pendingPkt),
 		arped:      make(map[netsim.IP]sim.Time),
 		lastHolder: make(map[int]NodeAddr),
 	}
-	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
-		svc.cfg.Store = cfg.Store
-	}
-	svc.store = cfg.Store
 	for _, a := range nodes {
 		svc.nodes = append(svc.nodes, &nodeState{addr: a, status: nodeUp})
 	}
@@ -232,10 +232,6 @@ func (svc *Service) View(p int) *PartitionView { return svc.views[p] }
 
 // Gen returns this instance's writer generation (0 before Start).
 func (svc *Service) Gen() uint64 { return svc.gen }
-
-// RestoredCache returns the replicated switch-cache install records a
-// chain-backed takeover read from the state store (nil otherwise).
-func (svc *Service) RestoredCache() []CacheState { return svc.restoredCache }
 
 // NodeAddrOf returns the address record of node idx.
 func (svc *Service) NodeAddrOf(idx int) NodeAddr { return svc.nodes[idx].addr }
@@ -280,7 +276,7 @@ func (svc *Service) Start() {
 		}
 		svc.announce(svc.views[p], -1)
 	}
-	svc.startStandbySync()
+	svc.startStandbyPing()
 	svc.startDynamicLB()
 	svc.s.Spawn("metadata-listener", svc.listen)
 	svc.s.Spawn("metadata-detector", svc.detect)
@@ -449,7 +445,16 @@ func (svc *Service) fail(idx int) {
 	// Replicate the status change even when no view mentioned the node
 	// (announce covers the common case but not a no-view demotion).
 	svc.store.WriteStatuses(svc.gen, svc.statusVector())
-	svc.syncStandby(nil)
+}
+
+// statusVector is the membership status of every node, index-aligned,
+// in the form the state store replicates.
+func (svc *Service) statusVector() []int {
+	out := make([]int, len(svc.nodes))
+	for i, n := range svc.nodes {
+		out[i] = int(n.status)
+	}
+	return out
 }
 
 // removeAddr filters node idx out of a list, returning nil when the
@@ -484,8 +489,8 @@ func (svc *Service) pickHandoff(v *PartitionView) *NodeAddr {
 }
 
 // announce distributes a changed view to its participants (O(R)
-// messages regardless of cluster size), writes it through to the
-// state store, and mirrors it to the standby. A store rejection means
+// messages regardless of cluster size) after writing it through to the
+// state store. A store rejection means
 // a newer controller generation has taken over: this instance is a
 // fenced zombie and must not propagate the view at all.
 func (svc *Service) announce(v *PartitionView, failed int) {
@@ -495,7 +500,6 @@ func (svc *Service) announce(v *PartitionView, failed int) {
 		return
 	}
 	svc.store.WriteStatuses(svc.gen, svc.statusVector())
-	svc.syncStandby(v)
 	for _, r := range v.PutParticipants() {
 		if v.Handoff != nil && r.Index == v.Handoff.Index {
 			var failedAddr NodeAddr
@@ -628,7 +632,6 @@ func (svc *Service) handleRejoin(idx int) {
 	// rejoins); replicate the status vector anyway so a takeover during
 	// this window still knows the node is mid-rejoin.
 	svc.store.WriteStatuses(svc.gen, svc.statusVector())
-	svc.syncStandby(nil)
 }
 
 // handleConsistent completes phase two of either recovery or ring
@@ -671,10 +674,9 @@ func (svc *Service) handleConsistent(idx int) {
 		}
 	}
 	// Status-only completions (no view still listed the node) must
-	// reach the store and the mirror too, or a takeover would re-run a
-	// finished recovery.
+	// reach the store too, or a takeover would re-run a finished
+	// recovery.
 	svc.store.WriteStatuses(svc.gen, svc.statusVector())
-	svc.syncStandby(nil)
 }
 
 // AddReplica permanently grows partition part's replica set with node

@@ -15,58 +15,27 @@ import (
 // design feasible: the stored metadata is small and changes
 // infrequently, and the load on our metadata service is low."
 //
-// The active service streams every state change to the standby and
-// pings it each heartbeat period. When the pings stop, the standby
-// promotes itself: it reinstalls the forwarding state it mirrors and —
-// in proper NICE fashion — uses the switch itself to take over the
-// service identity, installing a rule that rewrites packets addressed
-// to the old metadata address onto its own host. Storage nodes keep
-// heartbeating the address they always knew.
-
-// StateSync mirrors one state change from the active metadata service.
-type StateSync struct {
-	View     *PartitionView // nil on pure status changes
-	Statuses []int          // node status codes, index-aligned
-}
+// The active service writes every state change through to the state
+// store it shares with the standby (a ChainStore; store.go) and pings
+// the standby each heartbeat period. When the pings stop, the standby
+// promotes itself: it reads the coordination state back from the chain
+// tail, reinstalls the forwarding state, and — in proper NICE fashion —
+// uses the switch itself to take over the service identity, installing a
+// rule that rewrites packets addressed to the old metadata address onto
+// its own host. Storage nodes keep heartbeating the address they always
+// knew.
 
 // MetaPing is the active service's liveness beacon to its standby.
 type MetaPing struct {
 	Seq uint64
 }
 
-// syncStandby pushes a changed view (and the status vector) to the
-// configured standby.
-func (svc *Service) syncStandby(v *PartitionView) {
+// startStandbyPing beacons the configured standby every heartbeat
+// period. State never travels this way: the standby reads it from the
+// shared store at takeover.
+func (svc *Service) startStandbyPing() {
 	if svc.cfg.StandbyIP == 0 {
 		return
-	}
-	msg := &StateSync{Statuses: svc.statusVector()}
-	if v != nil {
-		msg.View = v.Clone()
-	}
-	size := ctrlMsgSize
-	if v != nil {
-		size += sizeOfView(v)
-	}
-	svc.ctrl.SendTo(svc.cfg.StandbyIP, svc.cfg.StandbyPort, msg, size)
-}
-
-func (svc *Service) statusVector() []int {
-	out := make([]int, len(svc.nodes))
-	for i, n := range svc.nodes {
-		out[i] = int(n.status)
-	}
-	return out
-}
-
-// startStandbySync boots the replication stream: a full-state snapshot,
-// then a ping every heartbeat period (changes flow through syncStandby).
-func (svc *Service) startStandbySync() {
-	if svc.cfg.StandbyIP == 0 {
-		return
-	}
-	for _, v := range svc.views {
-		svc.syncStandby(v)
 	}
 	svc.s.Spawn("metadata-standby-ping", func(p *sim.Proc) {
 		var seq uint64
@@ -79,7 +48,7 @@ func (svc *Service) startStandbySync() {
 }
 
 // RestoreState overwrites the service's views and node statuses with a
-// mirrored snapshot; used by a standby immediately before Start.
+// state-store snapshot; used by a standby immediately before Start.
 func (svc *Service) RestoreState(views []*PartitionView, statuses []int) {
 	for _, v := range views {
 		if v != nil && v.Partition >= 0 && v.Partition < len(svc.views) {
@@ -107,8 +76,6 @@ type Standby struct {
 	active netsim.IP // the active service's address (the identity to adopt)
 
 	sock     *transport.UDPSocket
-	views    map[int]*PartitionView
-	statuses []int
 	lastPing sim.Time
 	promoted *Service
 	trace    func(format string, args ...any)
@@ -127,18 +94,12 @@ type Standby struct {
 	harmonia *harmonia.DirtySet
 }
 
-// NewStandby builds a standby on its own host. cfg must match the
-// active service's configuration; activeIP is the address storage nodes
-// send their heartbeats to.
+// NewStandby builds a standby on its own host. cfg must be the active
+// service's configuration, cfg.Store the replicated store the two share
+// (the standby has no other source of state); activeIP is the address
+// storage nodes send their heartbeats to.
 func NewStandby(stack *transport.Stack, topo Topology, cfg Config, nodes []NodeAddr, activeIP netsim.IP) *Standby {
-	return &Standby{
-		stack:  stack,
-		topo:   topo,
-		cfg:    cfg,
-		nodes:  nodes,
-		active: activeIP,
-		views:  make(map[int]*PartitionView),
-	}
+	return &Standby{stack: stack, topo: topo, cfg: cfg, nodes: nodes, active: activeIP}
 }
 
 // SetTrace installs an event logger.
@@ -168,7 +129,7 @@ func (sb *Standby) EnableHarmoniaOnTakeover(ds *harmonia.DirtySet) {
 	sb.harmonia = ds
 }
 
-// Start begins mirroring and watching the active service.
+// Start begins watching the active service.
 func (sb *Standby) Start() {
 	sb.sock = sb.stack.MustBindUDP(sb.cfg.StandbyPort)
 	sb.lastPing = sb.stack.Sim().Now()
@@ -179,17 +140,7 @@ func (sb *Standby) Start() {
 			if !ok {
 				return
 			}
-			switch m := d.Data.(type) {
-			case *StateSync:
-				if m.View != nil {
-					old := sb.views[m.View.Partition]
-					if old == nil || old.Epoch < m.View.Epoch {
-						sb.views[m.View.Partition] = m.View
-					}
-				}
-				sb.statuses = m.Statuses
-				sb.lastPing = s.Now()
-			case *MetaPing:
+			if _, ok := d.Data.(*MetaPing); ok {
 				sb.lastPing = s.Now()
 			}
 		}
@@ -206,42 +157,29 @@ func (sb *Standby) Start() {
 	})
 }
 
-// takeover promotes the standby: it stops mirroring, rebuilds the
-// service — from the authoritative replicated state store when one
-// exists, falling back to the best-effort StateSync mirror — and
-// redirects the old metadata address to itself in the fabric. The new
-// service acquires a fresh writer generation in Start, which fences
-// the old primary out of the store and the switches should it return.
+// takeover promotes the standby: it stops listening, rebuilds the
+// service from the replicated state store and redirects the old metadata
+// address to itself in the fabric. The new service acquires a fresh
+// writer generation in Start, which fences the old primary out of the
+// store and the switches should it return.
 func (sb *Standby) takeover(p *sim.Proc) {
 	sb.tracef("%v: metadata standby taking over for %s", sb.stack.Sim().Now(), sb.active)
 	sb.sock.Close() // free the port for the promoted service
 
 	cfg := sb.cfg
 	cfg.StandbyIP = 0 // no standby-of-standby
-	cfg.CtrlPort = sb.cfg.CtrlPort
 	svc := New(sb.stack, sb.topo, cfg, sb.nodes)
-	restored := false
-	if cfg.Store != nil && cfg.Store.Authoritative() {
-		// The chain refuses snapshots mid-repair (a healing chain never
-		// serves a pre-failure view); wait the splice out, bounded.
-		for try := 0; try < 50; try++ {
-			snap, ok := cfg.Store.Snapshot()
-			if ok {
-				svc.RestoreState(snap.Views, snap.Statuses)
-				svc.restoredCache = snap.Cache
-				restored = true
-				break
-			}
-			p.Sleep(sb.cfg.HeartbeatEvery / 4)
-		}
+	// The chain refuses snapshots mid-repair (a healing chain never
+	// serves a pre-failure view). Wait the splice out: promoting from
+	// anything but the committed state would announce views the nodes
+	// have already moved past.
+	snap, ok := cfg.Store.Snapshot()
+	for !ok {
+		p.Sleep(sb.cfg.HeartbeatEvery / 4)
+		snap, ok = cfg.Store.Snapshot()
 	}
-	if !restored {
-		views := make([]*PartitionView, 0, len(sb.views))
-		for _, v := range sb.views {
-			views = append(views, v)
-		}
-		svc.RestoreState(views, sb.statuses)
-	}
+	svc.RestoreState(snap.Views, snap.Statuses)
+	svc.restoredCache = snap.Cache
 	if sb.trace != nil {
 		svc.SetTrace(sb.trace)
 	}

@@ -2,12 +2,12 @@ package controller
 
 // StateStore is the controller's coordination-state backend,
 // decoupling membership/cache policy from where that state lives.
-// Two implementations exist: MemStore keeps it in the controller
-// process (today's behavior — state dies with the process and a hot
-// standby relies on the best-effort StateSync mirror), and ChainStore
-// replicates it across a chain of switch-resident stores
-// (internal/ctrlchain) so a takeover can read the authoritative state
-// sub-RTT from the chain tail.
+// One store per role: a controller with no standby keeps a private
+// MemStore (the live Service struct is the state; it dies with the
+// process, and nobody is there to read it), and a controller with a
+// standby shares a ChainStore with it, replicating the state across a
+// chain of switch-resident stores (internal/ctrlchain) so a takeover
+// reads it back sub-RTT from the chain tail.
 //
 // The store also owns split-brain fencing: Acquire hands out
 // monotonically increasing writer generations, and every write
@@ -26,14 +26,10 @@ type StateStore interface {
 	// WriteCache replicates one switch-cache install (resident=true)
 	// or evict (resident=false) with the installed object version.
 	WriteCache(gen uint64, key string, ver uint64, resident bool) bool
-	// Snapshot reads the authoritative state back. ok is false when
-	// the store has nothing authoritative to offer — MemStore always
-	// (its state died with the process), ChainStore only while a chain
-	// repair is in flight.
+	// Snapshot reads the replicated state back. ok is false when the
+	// store has nothing to offer right now — ChainStore while a chain
+	// repair is in flight (a takeover waits it out), MemStore always.
 	Snapshot() (StateSnapshot, bool)
-	// Authoritative reports whether Snapshot can ever succeed, so a
-	// takeover knows whether waiting out a transient !ok is worth it.
-	Authoritative() bool
 }
 
 // StateSnapshot is the coordination state a takeover restores.
@@ -51,11 +47,9 @@ type CacheState struct {
 	Resident bool
 }
 
-// MemStore is the in-process store: writes are generation-checked
-// no-ops (the live Service struct is the state), and Snapshot never
-// succeeds. Sharing one MemStore between an active controller and its
-// standby keeps Acquire monotonic across a takeover, which is what
-// fences the old primary.
+// MemStore is the in-process store of a controller with no standby:
+// writes are generation-checked no-ops (the live Service struct is the
+// state) that schedule no simulator event, and Snapshot never succeeds.
 type MemStore struct {
 	gen uint64
 }
@@ -77,5 +71,3 @@ func (m *MemStore) WriteCache(gen uint64, key string, ver uint64, resident bool)
 }
 
 func (m *MemStore) Snapshot() (StateSnapshot, bool) { return StateSnapshot{}, false }
-
-func (m *MemStore) Authoritative() bool { return false }
