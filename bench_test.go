@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/erasure"
 	"repro/internal/netsim"
 	"repro/internal/noob"
 	"repro/internal/sim"
@@ -437,84 +435,4 @@ func BenchmarkAblationDynamicLB(b *testing.B) {
 		b.ReportMetric(dyn*1e6, "dynamic-get-us")
 		b.ReportMetric(static/dyn, "dynamic-speedup")
 	}
-}
-
-// BenchmarkAblationErasureVsReplication compares the two §4.2 redundancy
-// techniques at equal fault tolerance (survive 2 losses): EC(4,2) at
-// 1.5x storage vs R=3 replication at 3x. Reported: put latency, network
-// bytes per put, and stored bytes per object.
-func BenchmarkAblationErasureVsReplication(b *testing.B) {
-	const objSize = 256 << 10
-	for i := 0; i < b.N; i++ {
-		// Replication: one R=3 put.
-		ropts := cluster.DefaultOptions()
-		rd := cluster.NewNICE(ropts)
-		if err := rd.Settle(); err != nil {
-			b.Fatal(err)
-		}
-		var repLat sim.Time
-		var repNet float64
-		rd.Sim.Spawn("driver", func(p *sim.Proc) {
-			rd.Net.ResetLinkStats()
-			res, err := rd.Clients[0].Put(p, "obj", "v", objSize)
-			if err != nil {
-				b.Fatal(err)
-			}
-			repLat = res.Latency
-			rd.Sim.Stop()
-		})
-		if err := rd.Sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-		repNet = float64(rd.Net.TotalLinkBytes())
-		rd.Close()
-
-		// Erasure coding: EC(4,2) over an R=1 cluster.
-		eopts := cluster.DefaultOptions()
-		eopts.R = 1
-		ed := cluster.NewNICE(eopts)
-		if err := ed.Settle(); err != nil {
-			b.Fatal(err)
-		}
-		kv := erasure.NewKV(erasure.MustCode(4, 2), ecBenchAdapter{ed.Clients[0]})
-		data := make([]byte, objSize)
-		var ecLat sim.Time
-		var ecNet float64
-		ed.Sim.Spawn("driver", func(p *sim.Proc) {
-			ed.Net.ResetLinkStats()
-			start := p.Now()
-			if err := kv.Put(p, "obj", data); err != nil {
-				b.Fatal(err)
-			}
-			ecLat = p.Now() - start
-			ed.Sim.Stop()
-		})
-		if err := ed.Sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-		ecNet = float64(ed.Net.TotalLinkBytes())
-		ed.Close()
-
-		b.ReportMetric(repLat.Seconds()*1e3, "replication-put-ms")
-		b.ReportMetric(ecLat.Seconds()*1e3, "ec42-put-ms")
-		b.ReportMetric(repNet/objSize, "replication-net-x")
-		b.ReportMetric(ecNet/objSize, "ec42-net-x")
-		b.ReportMetric(3.0, "replication-storage-x")
-		b.ReportMetric(1.5, "ec42-storage-x")
-	}
-}
-
-type ecBenchAdapter struct{ c *core.Client }
-
-func (a ecBenchAdapter) Put(p *sim.Proc, key string, value any, size int) error {
-	_, err := a.c.Put(p, key, value, size)
-	return err
-}
-
-func (a ecBenchAdapter) Get(p *sim.Proc, key string) (any, bool, error) {
-	res, err := a.c.Get(p, key)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Value, res.Found, nil
 }

@@ -321,9 +321,18 @@ func (c *ChaosCell) Repro() string {
 	return fmt.Sprintf("%s :: %s", c.System, c.Schedule)
 }
 
+// probeChaosPanicSeed, when non-zero, plants a simulation failure in the
+// chaos cell whose schedule carries that seed: its first client panics
+// (test instrumentation, like probeDropInvalidate).
+var probeChaosPanicSeed int64
+
 // runChaosCell executes one fault schedule against one system. The
 // simulator seed is the schedule seed, so the whole cell derives from
-// one number.
+// one number. A simulation that fails once the deployment is built (a
+// proc panicked) is that cell's finding, recorded as a "sim-failure"
+// violation with its repro line, not an error: one bad schedule must
+// not cost a sweep its other cells. Only a deployment that cannot be
+// built is an error.
 func runChaosCell(sys chaosSystem, sched faultinject.Schedule) (ChaosCell, error) {
 	cell := ChaosCell{System: sys.name, Schedule: sched}
 	opts := chaosCellOptions(sched.Seed)
@@ -332,7 +341,9 @@ func runChaosCell(sys chaosSystem, sched faultinject.Schedule) (ChaosCell, error
 		opts.TrafficGateways = true
 		leaves = 4
 	}
+	built := false
 	err := withBench(sys.arm, opts, leaves, func(b *bench) error {
+		built = true
 		d := b.NICE
 		if core.Debug {
 			d.Service.SetTrace(func(format string, args ...any) {
@@ -367,6 +378,9 @@ func runChaosCell(sys chaosSystem, sched faultinject.Schedule) (ChaosCell, error
 		if _, err := b.Run(len(d.Clients), func(ci int, p *sim.Proc) error {
 			cl := d.Clients[ci]
 			start := p.Now()
+			if ci == 0 && probeChaosPanicSeed != 0 && sched.Seed == probeChaosPanicSeed {
+				panic("chaos: planted simulation failure")
+			}
 			for j := 0; p.Now()-start < chaosHorizon; j++ {
 				key := chaosKeys[(ci+j)%len(chaosKeys)]
 				ev := checker.Event{Client: ci, Kind: checker.OpGet, Key: key, Invoke: p.Now()}
@@ -447,6 +461,10 @@ func runChaosCell(sys chaosSystem, sched faultinject.Schedule) (ChaosCell, error
 		}
 		return nil
 	})
+	if err != nil && built {
+		cell.Violations = append(cell.Violations, checker.Violation{Invariant: "sim-failure", Detail: err.Error()})
+		err = nil
+	}
 	return cell, err
 }
 

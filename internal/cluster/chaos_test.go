@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -131,5 +132,58 @@ func TestChaosCatchesInjectedViolation(t *testing.T) {
 	}
 	if !strings.HasPrefix(cell.Repro(), "NICEKV+cache :: seed=99") {
 		t.Errorf("unprintable repro: %q", cell.Repro())
+	}
+}
+
+// TestChaosSweepSurvivesSimFailure: a cell whose simulation fails (a
+// proc panicked) is that cell's violation, printed with its repro line;
+// the sweep still runs and reports every other cell.
+func TestChaosSweepSurvivesSimFailure(t *testing.T) {
+	const seed, failed = 42, 1 // the one cell of chaosSystems()[1]
+	probeChaosPanicSeed = DeriveSeed(seed, failed)
+	defer func() { probeChaosPanicSeed = 0 }()
+	rep, err := RunChaos(Params{Seed: seed}, 1, 0)
+	if err != nil {
+		t.Fatalf("one failed cell aborted the sweep: %v", err)
+	}
+	if len(rep.Cells) != len(chaosSystems()) {
+		t.Fatalf("report has %d cells, want %d", len(rep.Cells), len(chaosSystems()))
+	}
+	for i, c := range rep.Cells {
+		if i != failed {
+			if c.Ops == 0 || len(c.Violations) != 0 {
+				t.Errorf("cell %d (%s): ops=%d violations=%v", i, c.System, c.Ops, c.Violations)
+			}
+			continue
+		}
+		if len(c.Violations) != 1 || c.Violations[0].Invariant != "sim-failure" ||
+			!strings.Contains(c.Violations[0].Detail, "planted simulation failure") {
+			t.Errorf("failed cell's violations = %v, want one sim-failure", c.Violations)
+		}
+	}
+	if !rep.DeterminismOK {
+		t.Errorf("a failed cell must replay to the same failure: %v", rep.Mismatches)
+	}
+	var out strings.Builder
+	rep.Fprint(&out)
+	want := fmt.Sprintf("VIOLATION repro: %s :: seed=%d", chaosSystems()[failed].name, probeChaosPanicSeed)
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("report does not name the failed cell (%q):\n%s", want, out.String())
+	}
+}
+
+// TestChaosReplayLockOwnership replays the schedule that used to panic
+// with "unlock of unheld lock": a soft restart (RejoinOrder) drops a
+// node's locks but not its WAL, a new put takes a key whose record still
+// names an old one, and the resolution verdict on the old put then freed
+// the new put's lock. Release is owner-checked now, so the cell
+// completes, clean.
+func TestChaosReplayLockOwnership(t *testing.T) {
+	cell, err := ReplayChaos("NICEKV+heavytraffic :: seed=-8532797161650872670 | slowdisk n0 x=20.720718887827932 @102.232297ms +132.810256ms | delayspike n4 x=5.252439665865953 @141.635297ms +94.806003ms | delayspike n1 x=8.973461347105118 @247.765267ms +44.118438ms | loss n2 r=0.1468147721700231 @253.566178ms +73.199903ms | slownic n3 x=10.837564623045676 @347.712099ms +78.380329ms | loss n0 r=0.27989773575896265 @362.564305ms +158.688213ms | crash n3 @480.739921ms +101.217984ms | crash n1 @523.351516ms +92.58498ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Ops == 0 || len(cell.Violations) != 0 {
+		t.Fatalf("ops=%d violations=%v", cell.Ops, cell.Violations)
 	}
 }

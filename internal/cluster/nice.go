@@ -92,10 +92,6 @@ type Options struct {
 	// off, every switch-side and node-side code path is bit-identical to
 	// prior releases.
 	Harmonia bool
-	// HarmoniaCapacity bounds the switch dirty table (0 = harmonia
-	// default). Overflow taints the affected partition — reads fall back
-	// to the primary — until the next view install.
-	HarmoniaCapacity int
 	// TrafficGateways attaches one open-loop traffic gateway host per
 	// leaf (leaf-spine fabrics only); see internal/cluster/traffic.go.
 	TrafficGateways bool
@@ -113,9 +109,6 @@ type Options struct {
 	// StoreSnapshotEvery overrides the snapshot/log-truncate period
 	// (0 = engine default).
 	StoreSnapshotEvery sim.Time
-	// StoreNoFsync disables fsync-on-ack: commits become durable only
-	// through snapshots, trading the crash-loss window for ack latency.
-	StoreNoFsync bool
 	// GroupCommit coalesces concurrent WAL fsyncs on each node into one
 	// disk write (leader/follower group commit, DESIGN.md §16). Only
 	// meaningful with DurableStore; the durability contract
@@ -154,7 +147,6 @@ func (o Options) storageConfig() *storage.Config {
 	if o.StoreSnapshotEvery > 0 {
 		cfg.SnapshotEvery = o.StoreSnapshotEvery
 	}
-	cfg.FsyncOnAck = !o.StoreNoFsync
 	cfg.GroupCommit = o.GroupCommit
 	cfg.MaxSyncDelay = o.MaxSyncDelay
 	return &cfg
@@ -371,9 +363,6 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 	if opts.Harmonia {
 		hcfg := harmonia.DefaultConfig(opts.CtrlDelay)
 		hcfg.ReplicaPort = ReplicaPort
-		if opts.HarmoniaCapacity > 0 {
-			hcfg.Capacity = opts.HarmoniaCapacity
-		}
 		d.Harmonia = harmonia.Attach(d.Core, core.HarmoniaCodec{DataPort: DataPort}, d.Space.PartitionOf, hcfg)
 		if d.Cache != nil {
 			d.Core.Switch().SetPipeline(d.Cache) // cache stays at the head

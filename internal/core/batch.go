@@ -82,12 +82,8 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 			Client:     bi.req.Client,
 			ClientSeq:  bi.req.ClientSeq,
 		}
-		bi.obj.Version = bi.ts
-		n.applyLocal(part, bi.obj, false)
-		n.store.DropLog(bi.req.Key)
-		n.store.Unlock(bi.req.Key)
+		n.finish(part, bi.req.key(), bi.obj, bi.ts, false)
 		bi.ok = true
-		n.stats.Puts++
 		n.stats.PutsPrimary++
 		items = append(items, BatchTsItem{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: bi.req.Attempt})
 	}

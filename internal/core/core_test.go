@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -139,6 +140,99 @@ func TestItoa(t *testing.T) {
 	}{{0, "0"}, {7, "7"}, {15, "15"}, {120, "120"}} {
 		if got := itoa(c.n); got != c.want {
 			t.Errorf("itoa(%d) = %q, want %q", c.n, got, c.want)
+		}
+	}
+}
+
+// TestLateOutcomeEndsOnlyItsOwnPrepare drives the entry points through
+// which a put's outcome reaches a node whose handler for it is gone — a
+// late timestamp and a resolution order, commit and abort — against
+// every state a soft restart can leave the key in: the WAL keeps the old
+// put's record while the lock is still its own, free, or already a newer
+// put's (which may have logged too). The old put must be finished from
+// its record, and nothing of the newer put — lock, record, future —
+// touched.
+func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
+	old, newer := reqKey{Client: 1, Seq: 1}, reqKey{Client: 2, Seq: 9}
+	commit := kvstore.Timestamp{Primary: 7, PrimarySeq: 5, Client: old.Client, ClientSeq: old.Seq}
+	entries := []struct {
+		name    string
+		deliver func(n *Node, ts kvstore.Timestamp)
+	}{
+		{"lateTs", func(n *Node, ts kvstore.Timestamp) {
+			n.lateTs(&TsMsg{Req: old, Key: "k", Ts: ts, Abort: ts.IsZero()})
+		}},
+		{"ResolveOrder", func(n *Node, ts kvstore.Timestamp) {
+			n.applyOrder(&ResolveOrder{Key: "k", Req: old, Ts: ts})
+		}},
+	}
+	outcomes := []struct {
+		name string
+		ts   kvstore.Timestamp
+	}{{"commit", commit}, {"abort", kvstore.Timestamp{}}}
+	states := []struct {
+		name   string
+		record reqKey  // whose prepare the WAL holds
+		holder *reqKey // who holds the lock (nil = free)
+		live   bool    // the newer put's handler is still registered
+	}{
+		{"lock held by its own put", old, &old, false},
+		{"lock free", old, nil, false},
+		{"lock held by a newer put", old, &newer, false},
+		{"lock held by a newer put with a live handler", old, &newer, true},
+		{"lock and record of a newer put", newer, &newer, true},
+	}
+	for _, e := range entries {
+		for _, o := range outcomes {
+			for _, st := range states {
+				t.Run(e.name+"/"+o.name+"/"+st.name, func(t *testing.T) {
+					s, a, _ := pair(t)
+					defer s.Shutdown()
+					cfg := DefaultNodeConfig()
+					cfg.Addr.IP = a.IP()
+					cfg.Space = ring.NewSpace(4)
+					n := NewNode(a, cfg)
+					s.Spawn("test", func(p *sim.Proc) {
+						n.store.AppendLog(p, kvstore.LogRecord{Key: "k", Tag: st.record,
+							Obj: &kvstore.Object{Key: "k", Value: "prepared", Size: 1}})
+						if st.holder != nil {
+							n.store.Lock(p, "k", *st.holder, 0)
+						}
+						var ps *putState
+						if st.live {
+							ps = n.registerPut(&PutRequest{Key: "k", Client: newer.Client, ClientSeq: newer.Seq})
+						}
+
+						e.deliver(n, o.ts)
+
+						finished := st.record == old
+						rec, logged := n.store.LogOf("k")
+						if logged == finished || (logged && rec.Tag != newer) {
+							t.Errorf("WAL record left = %v (%+v), old put finished = %v", logged, rec.Tag, finished)
+						}
+						obj, have := n.store.Peek("k")
+						if want := finished && !o.ts.IsZero(); have != want || (have && obj.Version != o.ts) {
+							t.Errorf("committed = %v (%+v), want %v", have, obj, want)
+						}
+						if got := n.stats.Puts + n.stats.Aborts; finished != (got == 1) {
+							t.Errorf("puts+aborts = %d, old put finished = %v", got, finished)
+						}
+						newerHolds := st.holder == &newer
+						if n.store.Locked("k") != newerHolds {
+							t.Errorf("locked = %v, want %v", n.store.Locked("k"), newerHolds)
+						}
+						if ps != nil && ps.ts.Done() {
+							t.Error("the newer put's handler was handed the old put's outcome")
+						}
+						if newerHolds && (!n.store.Release("k", newer) || n.store.Locked("k")) {
+							t.Error("the lock is no longer the newer put's to release")
+						}
+					})
+					if err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }

@@ -42,12 +42,10 @@ const GetReqSize = getReqSize
 // exported for the same traffic generators.
 const BatchHeaderSize = batchHeader
 
-// reqKey identifies one client operation attempt; it keys the primary's
-// and secondaries' in-flight put state.
-type reqKey struct {
-	Client netsim.IP
-	Seq    uint64
-}
+// reqKey identifies one client operation across its delivery attempts;
+// it keys the primary's and secondaries' in-flight put state and owns the
+// put's lock and WAL record in the store.
+type reqKey = kvstore.PutID
 
 // PutRequest is the application message carried by the put multicast:
 // every replica receives the full object plus this header.
@@ -66,7 +64,7 @@ type PutRequest struct {
 	Attempt int
 }
 
-func (r *PutRequest) key() reqKey { return reqKey{r.Client, r.ClientSeq} }
+func (r *PutRequest) key() reqKey { return reqKey{Client: r.Client, Seq: r.ClientSeq} }
 
 // Ack1 is a secondary's first-phase acknowledgment: object locked,
 // logged, and written (Fig. 3).
@@ -238,9 +236,8 @@ type LockQuery struct {
 // LockInfo describes one locked object at a replica.
 type LockInfo struct {
 	Key    string
-	ReqTag reqKey            // which put this lock belongs to
-	Ts     kvstore.Timestamp // zero until the timestamp was seen
-	Obj    *kvstore.Object   // the prepared object from the WAL
+	ReqTag reqKey          // which put this lock belongs to
+	Obj    *kvstore.Object // the prepared object from the WAL
 }
 
 // LockQueryReply lists a replica's locked objects. MaxSeq is the
@@ -254,22 +251,15 @@ type LockQueryReply struct {
 	MaxSeq uint64
 }
 
-// CommitOrder tells replicas to commit a locked object with the given
-// timestamp (new-primary resolution).
-type CommitOrder struct {
+// ResolveOrder is the new primary's verdict on one put a dead primary
+// left locked (new-primary resolution): commit Req's prepare of Key under
+// Ts, or abandon it when Ts is zero. It names the put because a key's
+// WAL record may by now belong to a newer one, which the order must not
+// touch.
+type ResolveOrder struct {
 	Key string
+	Req reqKey
 	Ts  kvstore.Timestamp
-}
-
-// AbortOrder tells replicas to abandon a locked object.
-type AbortOrder struct {
-	Key string
-}
-
-// OrderAck confirms a CommitOrder/AbortOrder.
-type OrderAck struct {
-	Key  string
-	From int
 }
 
 // ResolveRequest asks the current primary of a partition to run lock

@@ -222,7 +222,7 @@ func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
 
 // recordCommit remembers a committed put for retry deduplication.
 func (n *Node) recordCommit(ts kvstore.Timestamp) {
-	k := reqKey{ts.Client, ts.ClientSeq}
+	k := reqKey{Client: ts.Client, Seq: ts.ClientSeq}
 	if _, ok := n.committed[k]; !ok {
 		n.committedLog = append(n.committedLog, k)
 		if len(n.committedLog) > committedCap {
@@ -612,10 +612,8 @@ func (n *Node) dataLoop(p *sim.Proc) {
 					n.handleGet(p, r, false, false)
 				}
 			})
-		case *CommitOrder:
-			n.applyCommitOrder(m)
-		case *AbortOrder:
-			n.applyAbortOrder(m)
+		case *ResolveOrder:
+			n.applyOrder(m)
 		case *ResolveRequest:
 			n.maybeResolve(m.Partition, nil)
 		}

@@ -39,17 +39,15 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 		n.duplicatePut(p, v, req, ts, isPrimary)
 		return
 	}
-	if rec, ok := n.store.LogOf(req.Key); ok {
-		if tag, _ := rec.Tag.(reqKey); tag == k {
-			// The same put is already prepared here but never committed (a
-			// laggard after a partial commit): re-ack phase one; the commit
-			// arrives via the primary's re-sent timestamp or resolution.
-			if !isPrimary {
-				pr := v.Primary()
-				n.data.SendTo(pr.IP, pr.DataPort, &Ack1{Req: k, From: me}, ackSize)
-			}
-			return
+	if rec, ok := n.store.LogOf(req.Key); ok && rec.Tag == k {
+		// The same put is already prepared here but never committed (a
+		// laggard after a partial commit): re-ack phase one; the commit
+		// arrives via the primary's re-sent timestamp or resolution.
+		if !isPrimary {
+			pr := v.Primary()
+			n.data.SendTo(pr.IP, pr.DataPort, &Ack1{Req: k, From: me}, ackSize)
 		}
+		return
 	}
 
 	ps := n.registerPut(req)
@@ -69,7 +67,7 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 	}
 
 	// Phase one: lock, +L, W.
-	if !n.store.Lock(p, req.Key, 2*n.cfg.AckTimeout) {
+	if !n.store.Lock(p, req.Key, k, 2*n.cfg.AckTimeout) {
 		n.stats.Aborts++
 		if isPrimary && !n.stale(ps) {
 			n.replyPut(req, false, "lock timeout", 0)
@@ -80,7 +78,7 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 		return // the granted lock died with the crash; don't touch the store
 	}
 	obj := &kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size}
-	rec := kvstore.LogRecord{Key: req.Key, Size: req.Size, Obj: obj, Tag: req.key(), Attempt: req.Attempt}
+	rec := kvstore.LogRecord{Key: req.Key, Size: req.Size, Obj: obj, Tag: k, Attempt: req.Attempt}
 	if n.cfg.PutBatchWindow > 0 {
 		// Batched prepare (DESIGN.md §16): co-arriving prepares on this
 		// replica share one forced disk write for their log records and
@@ -91,13 +89,10 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 		n.store.ChargeWrite(p, req.Size)
 	}
 	if n.stale(ps) {
-		// Crashed while forcing the WAL record: withdraw it unless a
-		// post-restart retry already replaced it with its own.
-		if rec, ok := n.store.LogOf(req.Key); ok {
-			if tag, _ := rec.Tag.(reqKey); tag == k {
-				n.store.DropLog(req.Key)
-			}
-		}
+		// Crashed while forcing the WAL record: withdraw it unless a newer
+		// put already replaced it with its own (this handler's lock died
+		// with the crash).
+		n.store.Release(req.Key, k)
 		return
 	}
 
@@ -254,10 +249,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		dbg("%v node%d ABORT %s: ack1=%v want=%d", p.Now(), n.cfg.Addr.Index, req.Key, ps.ack1, want)
 		// Abort: release everyone still waiting, clean up, fail the op.
 		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Abort: true, Attempt: req.Attempt}, tsMsgSize)
-		n.store.DropLog(req.Key)
-		n.store.Unlock(req.Key)
-		n.harmoniaAborted(req.Key, req.key())
-		n.stats.Aborts++
+		n.finish(part, req.key(), obj, kvstore.Timestamp{}, false)
 		n.replyPut(req, false, "replica unresponsive", 0)
 		return
 	}
@@ -283,11 +275,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 			Client:     req.Client,
 			ClientSeq:  req.ClientSeq,
 		}
-		obj.Version = ts
-		n.applyLocal(part, obj, false)
-		n.store.DropLog(req.Key)
-		n.store.Unlock(req.Key)
-		n.stats.Puts++
+		n.finish(part, req.key(), obj, ts, false)
 		n.stats.PutsPrimary++
 
 		// Durable engines fsync the commit record before anything
@@ -371,18 +359,10 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 		return
 	}
 	if tsm.Abort {
-		n.store.DropLog(req.Key)
-		n.store.Unlock(req.Key)
-		n.harmoniaAborted(req.Key, req.key())
-		n.stats.Aborts++
+		n.finish(part, req.key(), obj, kvstore.Timestamp{}, false)
 		return
 	}
-	n.observeTs(tsm.Ts)
-	obj.Version = tsm.Ts
-	n.applyLocal(part, obj, tsm.Dup)
-	n.store.DropLog(req.Key)
-	n.store.Unlock(req.Key)
-	n.stats.Puts++
+	n.finish(part, req.key(), obj, tsm.Ts, tsm.Dup)
 	// Fsync before Ack2: the primary counts this replica's copy toward
 	// the commit quorum, so the copy must survive a crash here. Free in
 	// legacy mode.
@@ -391,6 +371,27 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 		return
 	}
 	n.data.SendTo(primary.IP, primary.DataPort, &Ack2{Req: req.key(), From: me}, ackSize)
+}
+
+// finish ends put k's prepare of obj on this node — the one place a
+// prepare is closed (the -L and unlock of Fig. 3): a non-zero ts first
+// commits the object under it (dup as in applyLocal), the zero timestamp
+// abandons it. The release is owner-checked, so finishing a put whose
+// lock a newer put took over after a restart leaves that lock alone. The
+// statement order is load-bearing: applyLocal's write-through and
+// Release's waiter wake both schedule events.
+func (n *Node) finish(part int, k reqKey, obj *kvstore.Object, ts kvstore.Timestamp, dup bool) {
+	if ts.IsZero() {
+		n.store.Release(obj.Key, k)
+		n.harmoniaAborted(obj.Key, k)
+		n.stats.Aborts++
+		return
+	}
+	n.observeTs(ts)
+	obj.Version = ts
+	n.applyLocal(part, obj, dup)
+	n.store.Release(obj.Key, k)
+	n.stats.Puts++
 }
 
 // observeTs advances the node's primary logical clock past any witnessed
@@ -436,7 +437,7 @@ func (n *Node) replyPut(req *PutRequest, ok bool, errStr string, ver uint64) {
 // straight from the WAL record, keeping replicas convergent.
 func (n *Node) lateTs(m *TsMsg) {
 	rec, ok := n.store.LogOf(m.Key)
-	if !ok || rec.Tag != any(m.Req) || (m.Abort && rec.Attempt != m.Attempt) {
+	if !ok || rec.Tag != m.Req || (m.Abort && rec.Attempt != m.Attempt) {
 		if !m.Abort {
 			if obj, have := n.store.Peek(m.Key); have &&
 				obj.Version.Client == m.Req.Client && obj.Version.ClientSeq == m.Req.Seq {
@@ -471,23 +472,10 @@ func (n *Node) lateTs(m *TsMsg) {
 	}
 	part := n.cfg.Space.PartitionOf(m.Key)
 	if m.Abort {
-		n.store.DropLog(m.Key)
-		if n.store.Locked(m.Key) {
-			n.store.Unlock(m.Key)
-		}
-		n.harmoniaAborted(m.Key, m.Req)
-		n.stats.Aborts++
+		n.finish(part, m.Req, rec.Obj, kvstore.Timestamp{}, false)
 		return
 	}
-	obj := rec.Obj
-	n.observeTs(m.Ts)
-	obj.Version = m.Ts
-	n.applyLocal(part, obj, m.Dup)
-	n.store.DropLog(m.Key)
-	if n.store.Locked(m.Key) {
-		n.store.Unlock(m.Key)
-	}
-	n.stats.Puts++
+	n.finish(part, m.Req, rec.Obj, m.Ts, m.Dup)
 	v := n.views[part]
 	if v == nil {
 		return

@@ -66,8 +66,7 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 					if n.cfg.Space.PartitionOf(rec.Key) != req.Partition {
 						continue
 					}
-					rk, _ := rec.Tag.(reqKey)
-					pend = append(pend, PendingPut{Key: rec.Key, Req: rk})
+					pend = append(pend, PendingPut{Key: rec.Key, Req: rec.Tag})
 					size += 32
 				}
 			}
@@ -92,8 +91,7 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 				if n.cfg.Space.PartitionOf(rec.Key) != req.Partition {
 					continue
 				}
-				rk, _ := rec.Tag.(reqKey)
-				locked = append(locked, LockInfo{Key: rec.Key, ReqTag: rk, Obj: rec.Obj, Ts: rec.Ver})
+				locked = append(locked, LockInfo{Key: rec.Key, ReqTag: rec.Tag, Obj: rec.Obj})
 			}
 			rep := &LockQueryReply{From: n.cfg.Addr.Index, Locked: locked, MaxSeq: n.primarySeq}
 			if err := conn.Send(p, rep, replyOverhead+32*len(locked)); err != nil {
@@ -380,9 +378,7 @@ func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 	locked := make(map[string]lockedEnt)
 	for _, rec := range n.store.PendingLog() {
 		if n.cfg.Space.PartitionOf(rec.Key) == part {
-			if rk, ok := rec.Tag.(reqKey); ok {
-				locked[rec.Key] = lockedEnt{req: rk, obj: rec.Obj}
-			}
+			locked[rec.Key] = lockedEnt{req: rec.Tag, obj: rec.Obj}
 		}
 	}
 	peers := n.othersOf(v)
@@ -451,71 +447,32 @@ func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 
 	for _, k := range keys {
 		n.stats.Resolutions++
-		if ts, ok := committed[k]; ok {
-			order := &CommitOrder{Key: k, Ts: ts}
-			n.applyCommitOrder(order)
-			for _, peer := range peers {
-				n.data.SendTo(peer.IP, peer.DataPort, order, ackSize)
-			}
-		} else {
-			order := &AbortOrder{Key: k}
-			n.applyAbortOrder(order)
-			for _, peer := range peers {
-				n.data.SendTo(peer.IP, peer.DataPort, order, ackSize)
-			}
+		order := &ResolveOrder{Key: k, Req: locked[k].req, Ts: committed[k]}
+		n.applyOrder(order)
+		for _, peer := range peers {
+			n.data.SendTo(peer.IP, peer.DataPort, order, ackSize)
 		}
 	}
 }
 
-// applyCommitOrder finishes a resolved put locally: prefer waking the
-// still-blocked handler (it owns the lock); otherwise commit from the
-// WAL.
-func (n *Node) applyCommitOrder(m *CommitOrder) {
+// applyOrder carries out a resolution verdict locally. The order names a
+// put; when the WAL record under its key is gone or belongs to a newer
+// put there is nothing of that put left here to resolve. Otherwise prefer
+// waking the still-blocked handler (it finishes its own prepare, and
+// finishing here too would race it); with no live handler, finish
+// straight from the WAL record.
+func (n *Node) applyOrder(m *ResolveOrder) {
 	rec, ok := n.store.LogOf(m.Key)
-	if !ok {
-		return // already resolved here
+	if !ok || rec.Tag != m.Req {
+		return
 	}
-	rk, _ := rec.Tag.(reqKey)
-	if ps := n.puts[rk]; ps != nil {
-		// The handler is still alive and owns the lock: hand it the
-		// timestamp and let it finish. Even if its future is already set
-		// (the real TsMsg raced this order), committing here too would
-		// unlock a lock the handler is about to unlock itself.
+	if ps := n.puts[m.Req]; ps != nil {
+		// Even if the handler's future is already set (the real TsMsg raced
+		// this order), it is the handler that finishes.
 		if !ps.ts.Done() {
-			ps.ts.Set(&TsMsg{Req: rk, Key: m.Key, Ts: m.Ts})
+			ps.ts.Set(&TsMsg{Req: m.Req, Key: m.Key, Ts: m.Ts, Abort: m.Ts.IsZero()})
 		}
 		return
 	}
-	part := n.cfg.Space.PartitionOf(m.Key)
-	obj := rec.Obj
-	n.observeTs(m.Ts)
-	obj.Version = m.Ts
-	n.applyLocal(part, obj, false)
-	n.store.DropLog(m.Key)
-	if n.store.Locked(m.Key) {
-		n.store.Unlock(m.Key)
-	}
-	n.stats.Puts++
-}
-
-// applyAbortOrder abandons a resolved put locally.
-func (n *Node) applyAbortOrder(m *AbortOrder) {
-	rec, ok := n.store.LogOf(m.Key)
-	if !ok {
-		return
-	}
-	rk, _ := rec.Tag.(reqKey)
-	if ps := n.puts[rk]; ps != nil {
-		// See applyCommitOrder: the live handler owns the lock.
-		if !ps.ts.Done() {
-			ps.ts.Set(&TsMsg{Req: rk, Key: m.Key, Abort: true})
-		}
-		return
-	}
-	n.store.DropLog(m.Key)
-	if n.store.Locked(m.Key) {
-		n.store.Unlock(m.Key)
-	}
-	n.harmoniaAborted(m.Key, rk)
-	n.stats.Aborts++
+	n.finish(n.cfg.Space.PartitionOf(m.Key), m.Req, rec.Obj, m.Ts, false)
 }

@@ -54,9 +54,9 @@ func (st *Store) Engine() *storage.Engine { return st.eng }
 // fsync time. The put protocol calls it before acknowledging a commit
 // (primary: before the timestamp multicast; secondary: before Ack2), so
 // an acked write is always recoverable from the local WAL. A free no-op
-// in legacy mode and under FsyncOnAck=false.
+// in legacy mode.
 func (st *Store) Sync(p *sim.Proc) {
-	if st.eng != nil && st.eng.Config().FsyncOnAck {
+	if st.eng != nil {
 		st.eng.Sync(p)
 	}
 }

@@ -116,21 +116,21 @@ func TestLockMutualExclusionFIFO(t *testing.T) {
 	s := sim.New(1)
 	st := New(s, NullDisk())
 	var order []string
-	hold := func(name string, delay sim.Time) {
+	hold := func(name string, id uint64, delay sim.Time) {
 		s.Spawn(name, func(p *sim.Proc) {
 			p.Sleep(delay)
-			if !st.Lock(p, "k", 0) {
+			if !st.Lock(p, "k", PutID{Seq: id}, 0) {
 				t.Error("untimed lock failed")
 				return
 			}
 			order = append(order, name)
 			p.Sleep(10 * time.Millisecond)
-			st.Unlock("k")
+			st.Release("k", PutID{Seq: id})
 		})
 	}
-	hold("a", 0)
-	hold("b", time.Millisecond)
-	hold("c", 2*time.Millisecond)
+	hold("a", 1, 0)
+	hold("b", 2, time.Millisecond)
+	hold("c", 3, 2*time.Millisecond)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,21 +145,21 @@ func TestLockTimeout(t *testing.T) {
 	var timedOut bool
 	var gotLater bool
 	s.Spawn("holder", func(p *sim.Proc) {
-		st.Lock(p, "k", 0)
+		st.Lock(p, "k", PutID{Seq: 1}, 0)
 		p.Sleep(50 * time.Millisecond)
-		st.Unlock("k")
+		st.Release("k", PutID{Seq: 1})
 	})
 	s.Spawn("waiter", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		if !st.Lock(p, "k", 10*time.Millisecond) {
+		if !st.Lock(p, "k", PutID{Seq: 2}, 10*time.Millisecond) {
 			timedOut = true
 		}
 		// After the holder releases, the lock must be acquirable again —
 		// i.e. the timed-out waiter really withdrew.
 		p.Sleep(60 * time.Millisecond)
-		if st.Lock(p, "k", time.Millisecond) {
+		if st.Lock(p, "k", PutID{Seq: 2}, time.Millisecond) {
 			gotLater = true
-			st.Unlock("k")
+			st.Release("k", PutID{Seq: 2})
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -170,20 +170,51 @@ func TestLockTimeout(t *testing.T) {
 	}
 }
 
-func TestUnlockUnheldPanics(t *testing.T) {
-	s := sim.New(1)
-	st := New(s, NullDisk())
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// TestReleaseIsOwnerChecked: the WAL survives a restart and the locks do
+// not, so a key can carry put A's record under put B's lock. Releasing A
+// must end A's prepare only.
+func TestReleaseIsOwnerChecked(t *testing.T) {
+	a, b, c := PutID{Client: 1, Seq: 1}, PutID{Client: 1, Seq: 2}, PutID{Client: 2, Seq: 1}
+	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
+		st.Lock(p, "k", a, 0)
+		st.AppendLog(p, LogRecord{Key: "k", Tag: a})
+		st.ResetLocks()
+		st.Lock(p, "k", b, 0)
+
+		if !st.Release("k", a) || st.HasLog("k") {
+			t.Error("releasing the old put did not drop its record")
 		}
-	}()
-	st.Unlock("nope")
+		if !st.Locked("k") {
+			t.Fatal("releasing the old put freed the newer put's lock")
+		}
+		if st.Release("k", a) || !st.Locked("k") {
+			t.Error("a second release of the old put touched something")
+		}
+
+		// A waiter behind B is granted the lock, and with it ownership.
+		granted := false
+		p.Sim().Spawn("waiter", func(p *sim.Proc) { granted = st.Lock(p, "k", c, 0) })
+		p.Sleep(time.Millisecond)
+		st.AppendLog(p, LogRecord{Key: "k", Tag: b})
+		if !st.Release("k", b) || st.HasLog("k") {
+			t.Error("the owner's release did not drop its record")
+		}
+		p.Sleep(time.Millisecond)
+		if !granted || !st.Locked("k") {
+			t.Fatalf("waiter granted=%v locked=%v after the owner's release", granted, st.Locked("k"))
+		}
+		if st.Release("k", b) {
+			t.Error("the previous owner released the waiter's lock")
+		}
+		if !st.Release("k", c) || st.Locked("k") {
+			t.Error("the new owner's release did not free the lock")
+		}
+	})
 }
 
 func TestWAL(t *testing.T) {
 	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
-		rec := LogRecord{Key: "k", Size: 10, Ver: ts(1, 1)}
+		rec := LogRecord{Key: "k", Size: 10, Ver: ts(1, 1), Tag: PutID{Seq: 7}}
 		st.AppendLog(p, rec)
 		if !st.HasLog("k") {
 			t.Error("log record missing")
@@ -192,7 +223,7 @@ func TestWAL(t *testing.T) {
 		if len(pend) != 1 || pend[0].Key != "k" {
 			t.Errorf("PendingLog = %v", pend)
 		}
-		st.DropLog("k")
+		st.Release("k", PutID{Seq: 7})
 		if st.HasLog("k") || len(st.PendingLog()) != 0 {
 			t.Error("log record not dropped")
 		}

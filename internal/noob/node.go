@@ -122,27 +122,21 @@ func (n *Node) handle(p *sim.Proc, body any) (any, int) {
 	case *GetReq:
 		return n.handleGet(p, m)
 	case *Prepare:
-		n.store.Lock(p, m.Key, 0)
+		n.store.Lock(p, m.Key, putID(m.Ver), 0)
 		obj := &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: m.Ver}
-		n.store.AppendLog(p, kvstore.LogRecord{Key: m.Key, Size: m.Size, Ver: m.Ver, Obj: obj})
+		n.store.AppendLog(p, kvstore.LogRecord{Key: m.Key, Size: m.Size, Ver: m.Ver, Obj: obj, Tag: putID(m.Ver)})
 		n.store.ChargeWrite(p, m.Size)
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
 	case *Commit:
 		if rec, ok := n.store.LogOf(m.Key); ok && rec.Ver == m.Ver {
 			n.store.Apply(rec.Obj)
-			n.store.DropLog(m.Key)
-			if n.store.Locked(m.Key) {
-				n.store.Unlock(m.Key)
-			}
+			n.store.Release(m.Key, putID(m.Ver))
 			n.stats.Puts++
 		}
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
 	case *Abort:
 		if rec, ok := n.store.LogOf(m.Key); ok && rec.Ver == m.Ver {
-			n.store.DropLog(m.Key)
-			if n.store.Locked(m.Key) {
-				n.store.Unlock(m.Key)
-			}
+			n.store.Release(m.Key, putID(m.Ver))
 		}
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
 	case *LocalGet:
@@ -169,6 +163,12 @@ func (n *Node) handle(p *sim.Proc, body any) (any, int) {
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
 	}
 	return &PutResp{OK: false, Err: "unknown request"}, respOverhead
+}
+
+// putID names a 2PC put by its version: the primary stamps every put
+// with a fresh (its address, sequence number) pair.
+func putID(ver kvstore.Timestamp) kvstore.PutID {
+	return kvstore.PutID{Client: ver.Primary, Seq: ver.PrimarySeq}
 }
 
 // handlePut serves a write. A node that is not the key's primary proxies
@@ -274,9 +274,10 @@ func (n *Node) putPrimaryOnly(p *sim.Proc, m *PutReq, ver kvstore.Timestamp, sec
 // commit; the primary participates locally in both rounds.
 func (n *Node) put2PC(p *sim.Proc, m *PutReq, ver kvstore.Timestamp, secondaries []Addr) (any, int) {
 	// Local prepare.
-	n.store.Lock(p, m.Key, 0)
+	id := putID(ver)
+	n.store.Lock(p, m.Key, id, 0)
 	obj := &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: ver}
-	n.store.AppendLog(p, kvstore.LogRecord{Key: m.Key, Size: m.Size, Ver: ver, Obj: obj})
+	n.store.AppendLog(p, kvstore.LogRecord{Key: m.Key, Size: m.Size, Ver: ver, Obj: obj, Tag: id})
 	n.store.ChargeWrite(p, m.Size)
 
 	round := func(mk func() any, size int, quorum int) bool {
@@ -313,15 +314,13 @@ func (n *Node) put2PC(p *sim.Proc, m *PutReq, ver kvstore.Timestamp, secondaries
 		}
 	}
 	if !round(func() any { return &Prepare{Key: m.Key, Value: m.Value, Size: m.Size, Ver: ver} }, m.Size+reqOverhead, need) {
-		n.store.DropLog(m.Key)
-		n.store.Unlock(m.Key)
+		n.store.Release(m.Key, id)
 		round(func() any { return &Abort{Key: m.Key, Ver: ver} }, ackSize, 0)
 		return &PutResp{OK: false, Err: "prepare failed"}, respOverhead
 	}
 	// Local commit.
 	n.store.Apply(obj)
-	n.store.DropLog(m.Key)
-	n.store.Unlock(m.Key)
+	n.store.Release(m.Key, id)
 	n.stats.Puts++
 	if !round(func() any { return &Commit{Key: m.Key, Ver: ver} }, ackSize, need) {
 		return &PutResp{OK: false, Err: "commit failed"}, respOverhead

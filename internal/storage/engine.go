@@ -51,9 +51,6 @@ type Config struct {
 	// all shards (each shard owns budget/Shards). 0 = unbounded: nothing
 	// is ever evicted.
 	MemoryBudget int64
-	// FsyncOnAck makes Sync force the WAL tail; when false Sync is a
-	// no-op and commits become durable only through snapshots.
-	FsyncOnAck bool
 	// GroupCommit coalesces concurrent Sync callers into one fsync: the
 	// first caller leads the disk write and later arrivals whose records
 	// it covers piggyback on the result instead of forcing their own.
@@ -77,7 +74,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Shards:             8,
-		FsyncOnAck:         true,
 		SnapshotEvery:      200 * time.Millisecond,
 		WALRecordBytes:     64,
 		SnapshotEntryBytes: 32,
