@@ -254,12 +254,6 @@ func (f *niceFabric) SetDiskFactor(n int, factor float64) {
 
 func (f *niceFabric) SetCtrlFault(extra sim.Time, drop float64) {
 	f.d.Core.SetControlFault(extra, drop)
-	if f.d.Cache != nil {
-		f.d.Cache.SetExtraCtrlDelay(extra)
-	}
-	if f.d.Harmonia != nil {
-		f.d.Harmonia.SetExtraCtrlDelay(extra)
-	}
 }
 
 // CrashCtrl fail-stops the active metadata host: heartbeats, standby

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -65,14 +66,17 @@ var featureWired = map[string]func(d *NICE) bool{
 // TestFabricFeatureMatrix is the assembler's contract: every NICE
 // subsystem an arm can name builds, settles and serves a put and a get
 // on every fabric. The one combination that cannot exist — client edge
-// switches under a leaf-spine fabric — is refused, not ignored.
+// switches under a leaf-spine fabric — is refused, not ignored. The
+// in-switch stages are stages of the core datapath, never a wrapper around
+// it: the core switch's pipeline is d.Core whatever is deployed, and with
+// both deployed the cache runs ahead of the dirty set.
 func TestFabricFeatureMatrix(t *testing.T) {
 	features := niceFeatures()
 	if got := strings.Join(features, " "); got != "cache durable edgeovs groupcommit harmonia lb quorum standby" {
 		t.Fatalf("NICE features of armFeatures = %q; extend this test's expectations with the table", got)
 	}
 	for _, fab := range testFabrics {
-		for _, feature := range features {
+		for _, feature := range append(features, "cache+harmonia") {
 			t.Run(fab.name+"/"+feature, func(t *testing.T) {
 				base := DefaultOptions()
 				base.Nodes = 6
@@ -97,6 +101,9 @@ func TestFabricFeatureMatrix(t *testing.T) {
 				if wired := featureWired[feature]; wired != nil && !wired(d) {
 					t.Errorf("%s is not wired into the deployment", feature)
 				}
+				if d.Core.Switch().Pipeline() != netsim.Pipeline(d.Core) {
+					t.Errorf("the core switch's pipeline is %T, want the datapath itself", d.Core.Switch().Pipeline())
+				}
 				done := false
 				d.Sim.Spawn("driver", func(p *sim.Proc) {
 					defer d.Sim.Stop()
@@ -109,6 +116,9 @@ func TestFabricFeatureMatrix(t *testing.T) {
 						t.Errorf("get = %+v, %v", res, err)
 						return
 					}
+					if feature == "cache+harmonia" {
+						checkStageOrder(t, p, d)
+					}
 					done = true
 				})
 				if err := d.Sim.Run(); err != nil {
@@ -119,6 +129,32 @@ func TestFabricFeatureMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkStageOrder reads two keys of a partition whose primary sits
+// across the core from client 0: one resident in the switch cache, one
+// not. The hit is answered by the cache and never moves a dirty-set
+// counter; the miss passes on and the dirty set routes it.
+func checkStageOrder(t *testing.T, p *sim.Proc, d *NICE) {
+	keys := d.keysInPartition(0, 2)
+	d.Cache.InstallAs(0, keys[0], "cached", 100, 1)
+	p.Sleep(10 * d.Opts.CtrlDelay)
+	cache, dirty := d.Cache.Stats(), d.Harmonia.Stats()
+	if res, err := d.Clients[0].Get(p, keys[0]); err != nil || res.Value != "cached" {
+		t.Errorf("get of the resident key = %+v, %v", res, err)
+	}
+	if got := d.Cache.Stats(); got.Hits != cache.Hits+1 {
+		t.Errorf("the cache did not answer: %+v", got)
+	}
+	if got := d.Harmonia.Stats(); got != dirty {
+		t.Errorf("a cache hit reached the dirty set: %+v, was %+v", got, dirty)
+	}
+	if _, err := d.Clients[0].Get(p, keys[1]); err != nil {
+		t.Errorf("get of the uncached key: %v", err)
+	}
+	if got := d.Harmonia.Stats(); got.Routed != dirty.Routed+1 || d.Cache.Stats().Misses != cache.Misses+1 {
+		t.Errorf("a cache miss was not passed on to the dirty set: %+v", got)
 	}
 }
 

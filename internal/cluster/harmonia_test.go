@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/sim"
 )
@@ -48,6 +50,88 @@ func TestHarmoniaSmoke(t *testing.T) {
 	if replicaGets == 0 {
 		t.Errorf("no node served a get as non-primary replica (local=%d)", localGets)
 	}
+	d.Close()
+}
+
+// TestHarmoniaMultiPutMarksEveryKey: the switch sees every write, batched
+// framing included. A MultiPut whose ops share a vnode travels as one
+// batched prepare; the instant it crosses the switch every one of its keys
+// is dirty, reads issued inside the prepare→commit window fall back to the
+// primary instead of being replica-routed, and once every replica has
+// applied the commits the keys are clean and spread again.
+func TestHarmoniaMultiPutMarksEveryKey(t *testing.T) {
+	const n = 4
+	opts := DefaultOptions()
+	opts.Nodes = 5
+	opts.Clients = 1 + n
+	opts.Harmonia = true
+	opts.Disk.WriteLatency = ms(5) // a prepare→commit window wide enough to read inside
+	d := runNICE(t, opts, func(p *sim.Proc, d *NICE) {
+		// MultiPut packs by destination vnode address: n keys of one vnode
+		// are one batched prepare.
+		vnode := d.Unicast.AddrOfKey("obj-0")
+		keys := keysIn(func(k string) int {
+			if d.Unicast.AddrOfKey(k) == vnode {
+				return 0
+			}
+			return 1
+		}, "obj-%d", 0, n)
+		ops := make([]core.PutOp, n)
+		for i, k := range keys {
+			ops[i] = core.PutOp{Key: k, Value: i, Size: 512}
+		}
+		committed := false
+		g := sim.NewGroup(d.Sim)
+		g.Add(1)
+		d.Sim.Spawn("multiput", func(p *sim.Proc) {
+			defer g.Done()
+			_, errs := d.Clients[0].MultiPut(p, ops)
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("put %s: %v", keys[i], err)
+				}
+			}
+			committed = true
+		})
+		// One packet carries the batch: the first instant any key is
+		// marked, all of them are.
+		for d.Harmonia.Stats().Marks == 0 && !committed {
+			p.Sleep(time.Microsecond)
+		}
+		for _, k := range keys {
+			if !d.Harmonia.Dirty(k) {
+				t.Errorf("%s is not dirty while its batched prepare is in flight", k)
+			}
+		}
+		for i, k := range keys {
+			g.Add(1)
+			d.Sim.Spawn("reader", func(p *sim.Proc) {
+				defer g.Done()
+				if _, err := d.Clients[1+i].Get(p, k); err != nil {
+					t.Errorf("get %s mid-batch: %v", k, err)
+				}
+			})
+		}
+		p.Sleep(ms(1)) // the reads have crossed the switch, the commit is a disk write away
+		if mid := d.Harmonia.Stats(); committed || mid.DirtyFallbacks != n || mid.Routed != 0 || mid.Overflows != 0 {
+			t.Errorf("mid-batch reads were not all held back to the primary (committed=%v): %+v", committed, mid)
+		}
+		g.Wait(p)
+		p.Sleep(ms(20)) // every replica applies, clearing the marks
+		for _, k := range keys {
+			if d.Harmonia.Dirty(k) {
+				t.Errorf("%s is still dirty after its commit applied everywhere", k)
+			}
+		}
+		for i, k := range keys {
+			if res, err := d.Clients[1].Get(p, k); err != nil || res.Value != i {
+				t.Errorf("get %s after the batch = %+v, %v", k, res, err)
+			}
+		}
+		if st := d.Harmonia.Stats(); st.Marks != n || st.Clears != n || st.Routed != n {
+			t.Errorf("want %d marks, clears and clean reads: %+v", n, st)
+		}
+	})
 	d.Close()
 }
 

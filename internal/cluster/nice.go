@@ -82,8 +82,6 @@ type Options struct {
 	CacheHotThreshold uint32
 	// CacheDecayEvery overrides the detector's sketch-halving period.
 	CacheDecayEvery sim.Time
-	// CacheUpdateOnPut selects write-update over write-invalidate.
-	CacheUpdateOnPut bool
 	// Harmonia enables in-network conflict detection (internal/harmonia)
 	// on the core datapath: the switch tracks the dirty set of in-flight
 	// writes and spreads reads of clean keys across every live replica of
@@ -243,10 +241,10 @@ func NewNICELeafSpine(opts Options, leaves int) *NICE {
 // assemble is the one deployment builder (DESIGN.md §7.1): given the
 // switch layer it creates every host, in the order the goldens depend on
 // — storage nodes, metadata, standby, clients, traffic gateways — boots
-// the controller (with its standby and their shared state store), chains
-// the in-switch stages onto the core datapath and starts nodes and
-// clients. Every option reaches every fabric because nothing here knows
-// which fabric it is on.
+// the controller (with its standby, their shared state store and the
+// in-switch stages on the core datapath) and starts nodes and clients.
+// Every option reaches every fabric because nothing here knows which
+// fabric it is on.
 func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 	if probeCPU > 0 {
 		opts.CPUPerOp = probeCPU
@@ -305,6 +303,38 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 	cfg.MappingIdleTimeout = opts.MappingIdle
 	cfg.ClientSpace = netsim.MustParsePrefix("192.168.0.0/16")
 	cfg.CtrlPort = MetaPort
+
+	// In-switch stages on the core datapath (on leaf-spine the spine: the
+	// aggregation point every inter-leaf get traverses, while rack-local
+	// requests bypass it as they would a real spine cache). The datapath
+	// runs them in attach order, hot-key cache then dirty set: a cache
+	// hit never reaches the dirty set, a miss is spread across the key's
+	// replicas like any other clean read. They ride in the configuration
+	// the service shares with its standby, so whichever controller is
+	// active manages them.
+	codec := core.SwitchCodec{DataPort: DataPort}
+	if opts.Cache {
+		ccfg := switchcache.DefaultConfig()
+		if opts.CacheCapacity > 0 {
+			ccfg.Capacity = opts.CacheCapacity
+		}
+		if opts.CacheSampleEvery > 0 {
+			ccfg.SampleEvery = opts.CacheSampleEvery
+		}
+		d.Cache = switchcache.Attach(d.Core, codec, ccfg)
+		cfg.Cache = d.Cache
+		cfg.CacheManager = controller.DefaultCacheManagerConfig()
+		if opts.CacheHotThreshold > 0 {
+			cfg.CacheManager.HotThreshold = opts.CacheHotThreshold
+		}
+		if opts.CacheDecayEvery > 0 {
+			cfg.CacheManager.DecayEvery = opts.CacheDecayEvery
+		}
+	}
+	if opts.Harmonia {
+		d.Harmonia = harmonia.Attach(d.Core, codec, d.Space.PartitionOf, harmonia.Config{ReplicaPort: ReplicaPort})
+		cfg.Harmonia = d.Harmonia
+	}
 	if opts.Standby {
 		// The active service and its standby share one chain-replicated
 		// state store: the standby restores from the chain tail, and the
@@ -328,51 +358,8 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 	for _, g := range d.Gateways {
 		d.Service.RegisterHost(g.Stack.IP(), g.Stack.Host().MAC())
 	}
-
-	// In-switch hot-key cache on the core datapath (on leaf-spine the
-	// spine: the aggregation point every inter-leaf get traverses, while
-	// rack-local requests bypass it as they would a real spine cache).
-	// Attach wraps the datapath's pipeline, so this must precede traffic
-	// but may follow rule bootstrap.
-	if opts.Cache {
-		ccfg := switchcache.DefaultConfig(opts.CtrlDelay)
-		if opts.CacheCapacity > 0 {
-			ccfg.Capacity = opts.CacheCapacity
-		}
-		if opts.CacheSampleEvery > 0 {
-			ccfg.SampleEvery = opts.CacheSampleEvery
-		}
-		d.Cache = switchcache.Attach(d.Core, core.CacheCodec{DataPort: DataPort}, ccfg)
-		mcfg := controller.DefaultCacheManagerConfig()
-		if opts.CacheHotThreshold > 0 {
-			mcfg.HotThreshold = opts.CacheHotThreshold
-		}
-		if opts.CacheDecayEvery > 0 {
-			mcfg.DecayEvery = opts.CacheDecayEvery
-		}
-		d.CacheMgr = d.Service.EnableCache(d.Cache, mcfg)
-		if d.Standby != nil {
-			d.Standby.EnableCacheOnTakeover(d.Cache, mcfg)
-		}
-	}
-
-	// Harmonia dirty-set stage on the core datapath, behind the cache
-	// when both are enabled (switch → cache → dirty set → flow tables):
-	// a cache hit never reaches the stage, a miss is spread across the
-	// key's replicas like any other clean read.
-	if opts.Harmonia {
-		hcfg := harmonia.DefaultConfig(opts.CtrlDelay)
-		hcfg.ReplicaPort = ReplicaPort
-		d.Harmonia = harmonia.Attach(d.Core, core.HarmoniaCodec{DataPort: DataPort}, d.Space.PartitionOf, hcfg)
-		if d.Cache != nil {
-			d.Core.Switch().SetPipeline(d.Cache) // cache stays at the head
-			d.Cache.SetNext(d.Harmonia)
-		}
-		d.Service.EnableHarmonia(d.Harmonia)
-		if d.Standby != nil {
-			d.Standby.EnableHarmoniaOnTakeover(d.Harmonia)
-		}
-	}
+	d.Service.EnableStages()
+	d.CacheMgr = d.Service.CacheManager()
 
 	// Storage nodes.
 	for i := 0; i < opts.Nodes; i++ {
@@ -394,11 +381,9 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		ncfg.PutBatchMax = opts.PutBatchMax
 		if d.Cache != nil && !probeDropInvalidate {
 			ncfg.Cache = d.Cache
-			ncfg.CacheUpdateOnPut = opts.CacheUpdateOnPut
 		}
 		if d.Harmonia != nil {
 			ncfg.Harmonia = d.Harmonia
-			ncfg.HarmoniaServe = true
 			ncfg.ReplicaPort = ReplicaPort
 		}
 		node := core.NewNode(d.Stacks[i], ncfg)
@@ -415,9 +400,6 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		ccfg.R = opts.R
 		ccfg.QuorumK = opts.QuorumK
 		ccfg.OpTimeout = opts.OpTimeout
-		// The dirty-set stage cannot parse batched prepares; keep MultiPut
-		// on single-op framing so every put marks its key (client.go).
-		ccfg.PerOpPrepares = opts.Harmonia
 		ccfg.RetryWait = opts.RetryWait
 		if opts.RetryMaxWait > 0 {
 			ccfg.RetryMaxWait = opts.RetryMaxWait

@@ -60,10 +60,11 @@ type CacheManager struct {
 	stats    CacheManagerStats
 }
 
-// EnableCache attaches a hot-key detector managing c to the metadata
-// service. Call after Start; the switch's miss sampler is pointed at the
-// detector and the decay loop is spawned here.
-func (svc *Service) EnableCache(c *switchcache.Cache, cfg CacheManagerConfig) *CacheManager {
+// enableCache attaches a hot-key detector managing the configured switch
+// cache to the metadata service (EnableStages): the switch's miss sampler
+// is pointed at the detector and the decay loop is spawned here.
+func (svc *Service) enableCache() {
+	c, cfg := svc.cfg.Cache, svc.cfg.CacheManager
 	if cfg.HotThreshold == 0 {
 		cfg.HotThreshold = 8
 	}
@@ -119,7 +120,6 @@ func (svc *Service) EnableCache(c *switchcache.Cache, cfg CacheManagerConfig) *C
 			}
 		})
 	}
-	return cm
 }
 
 // Stats returns detector counters.

@@ -1,13 +1,10 @@
 package controller
 
-import (
-	"repro/internal/harmonia"
-	"repro/internal/netsim"
-)
+import "repro/internal/netsim"
 
-// EnableHarmonia attaches the in-switch dirty-set stage to the metadata
-// service. Call after Start; the current replica set of every partition
-// is installed immediately (fenced under this instance's writer
+// enableHarmonia attaches the configured dirty-set stage to the metadata
+// service (EnableStages): the current replica set of every partition is
+// installed immediately (fenced under this instance's writer
 // generation), and installPartition re-installs — flushing the dirty
 // set — on every subsequent membership event.
 //
@@ -17,12 +14,10 @@ import (
 // generation, which flushes resident entries to sticky (primary-only
 // until re-certified by a new-view commit), so a read can never be
 // routed on the strength of a dead controller's installs.
-func (svc *Service) EnableHarmonia(ds *harmonia.DirtySet) {
-	svc.harmonia = ds
-	for p, v := range svc.views {
-		if v != nil {
-			svc.installHarmonia(p)
-		}
+func (svc *Service) enableHarmonia() {
+	svc.harmonia = svc.cfg.Harmonia
+	for p := range svc.views {
+		svc.installHarmonia(p)
 	}
 }
 

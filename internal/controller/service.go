@@ -9,6 +9,7 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/ring"
 	"repro/internal/sim"
+	"repro/internal/switchcache"
 	"repro/internal/transport"
 )
 
@@ -70,6 +71,14 @@ type Config struct {
 	// monotonic across the takeover — that monotonicity is the
 	// split-brain fence.
 	Store StateStore
+	// Cache and Harmonia are the in-switch stages on the core datapath
+	// this service manages once EnableStages is called (nil = not
+	// deployed); CacheManager tunes the cache's hot-key detector. Like
+	// Store they are shared with the standby, whose promoted service
+	// adopts them at takeover.
+	Cache        *switchcache.Cache
+	CacheManager CacheManagerConfig
+	Harmonia     *harmonia.DirtySet
 }
 
 // DefaultConfig fills the timing knobs the paper implies.
@@ -132,7 +141,7 @@ type Service struct {
 	store StateStore
 	gen   uint64
 	// restoredCache is the replicated switch-cache state a takeover read
-	// from the store; EnableCache reconciles the switch table against it.
+	// from the store; enableCache reconciles the switch table against it.
 	restoredCache []CacheState
 
 	// lastHolder remembers, per collapsed partition, the final replica
@@ -153,10 +162,9 @@ type Service struct {
 	// dynamic load-balancing state (nil when disabled)
 	lb map[int]*lbState
 
-	// hot-key cache detector (nil unless EnableCache was called)
+	// hot-key cache detector and in-switch dirty-set stage (nil until
+	// EnableStages adopts the ones the configuration names)
 	cacheMgr *CacheManager
-
-	// in-switch dirty-set stage (nil unless EnableHarmonia was called)
 	harmonia *harmonia.DirtySet
 }
 
@@ -281,6 +289,24 @@ func (svc *Service) Start() {
 	svc.s.Spawn("metadata-listener", svc.listen)
 	svc.s.Spawn("metadata-detector", svc.detect)
 }
+
+// EnableStages takes over the in-switch stages the configuration names:
+// the miss sampler is pointed at a fresh hot-key detector, and every
+// partition's replica set is installed in the dirty set under this
+// instance's writer generation. Call after Start, on the active service
+// once the deployment's hosts are registered and on a promoted standby
+// at takeover.
+func (svc *Service) EnableStages() {
+	if svc.cfg.Cache != nil {
+		svc.enableCache()
+	}
+	if svc.cfg.Harmonia != nil {
+		svc.enableHarmonia()
+	}
+}
+
+// CacheManager returns the hot-key detector (nil without a cache stage).
+func (svc *Service) CacheManager() *CacheManager { return svc.cacheMgr }
 
 // listen handles node-to-controller messages.
 func (svc *Service) listen(p *sim.Proc) {

@@ -1,11 +1,9 @@
 package controller
 
 import (
-	"repro/internal/harmonia"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
 	"repro/internal/sim"
-	"repro/internal/switchcache"
 	"repro/internal/transport"
 )
 
@@ -79,25 +77,13 @@ type Standby struct {
 	lastPing sim.Time
 	promoted *Service
 	trace    func(format string, args ...any)
-
-	// cache/cacheCfg, when set, re-attach the in-switch cache manager
-	// to the promoted service at takeover — the switch cache would
-	// otherwise be orphaned with the dead controller (and its zombie's
-	// detector would keep sampling into the void).
-	cache    *switchcache.Cache
-	cacheCfg CacheManagerConfig
-
-	// harmonia, when set, is re-adopted at takeover: the promoted
-	// service re-installs every partition's replica set under its fresh
-	// writer generation, flushing the dirty set inherited from the dead
-	// controller's tenure.
-	harmonia *harmonia.DirtySet
 }
 
 // NewStandby builds a standby on its own host. cfg must be the active
-// service's configuration, cfg.Store the replicated store the two share
-// (the standby has no other source of state); activeIP is the address
-// storage nodes send their heartbeats to.
+// service's configuration: cfg.Store is the replicated store the two
+// share (the standby has no other source of state), and the in-switch
+// stages it names are the ones the promoted service adopts. activeIP is
+// the address storage nodes send their heartbeats to.
 func NewStandby(stack *transport.Stack, topo Topology, cfg Config, nodes []NodeAddr, activeIP netsim.IP) *Standby {
 	return &Standby{stack: stack, topo: topo, cfg: cfg, nodes: nodes, active: activeIP}
 }
@@ -114,20 +100,6 @@ func (sb *Standby) tracef(format string, args ...any) {
 // Promoted returns the service running on this standby after takeover,
 // or nil while the primary is alive.
 func (sb *Standby) Promoted() *Service { return sb.promoted }
-
-// EnableCacheOnTakeover registers the in-switch cache the promoted
-// service must adopt (pointing the miss sampler at its own manager).
-func (sb *Standby) EnableCacheOnTakeover(c *switchcache.Cache, cfg CacheManagerConfig) {
-	sb.cache = c
-	sb.cacheCfg = cfg
-}
-
-// EnableHarmoniaOnTakeover registers the in-switch dirty-set stage the
-// promoted service must adopt (re-installing and flushing every
-// partition under its own writer generation).
-func (sb *Standby) EnableHarmoniaOnTakeover(ds *harmonia.DirtySet) {
-	sb.harmonia = ds
-}
 
 // Start begins watching the active service.
 func (sb *Standby) Start() {
@@ -184,12 +156,11 @@ func (sb *Standby) takeover(p *sim.Proc) {
 		svc.SetTrace(sb.trace)
 	}
 	svc.Start()
-	if sb.cache != nil {
-		svc.EnableCache(sb.cache, sb.cacheCfg)
-	}
-	if sb.harmonia != nil {
-		svc.EnableHarmonia(sb.harmonia)
-	}
+	// Adopt the in-switch stages: the switch cache would otherwise be
+	// orphaned with the dead controller (its zombie's detector sampling
+	// into the void), and re-installing every replica set under the fresh
+	// generation flushes the dirty set inherited from its tenure.
+	svc.EnableStages()
 
 	// Adopt the service identity in the network: packets to the old
 	// metadata address now reach this host. The old primary, if it ever

@@ -28,14 +28,6 @@ type ClientConfig struct {
 	RetryWait    sim.Time
 	RetryMaxWait sim.Time // back-off cap (0 = 8x RetryWait)
 	MaxRetries   int
-	// PerOpPrepares makes MultiPut send one prepare multicast per op
-	// instead of packing a partition's ops into a BatchPutRequest. Set on
-	// harmonia clusters: the switch's dirty-set parser recognizes only
-	// single-op prepares, and a put it cannot see never marks its key
-	// dirty — a clean-read rewrite could then hit a replica the prepare
-	// has not reached. Gets are unaffected (batched gets bypass the
-	// rewrite stage, which costs spread, never safety).
-	PerOpPrepares bool
 }
 
 // DefaultClientConfig fills the protocol timing the evaluation uses:

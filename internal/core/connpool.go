@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -74,10 +77,19 @@ func (cp *connPool) Send(ip netsim.IP, port uint16, data any, size int) {
 	w.q.Push(outMsg{data: data, size: size})
 }
 
-// CloseAll drops every cached connection (node restart).
+// CloseAll drops every cached connection (node restart), in peer-address
+// order: each close wakes a writer whose FIN then queues on the node's
+// link, so the order must not be the map's.
 func (cp *connPool) CloseAll() {
-	for k, w := range cp.writers {
-		if !w.failed {
+	keys := make([]connPoolKey, 0, len(cp.writers))
+	for k := range cp.writers {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b connPoolKey) int {
+		return cmp.Or(cmp.Compare(a.ip, b.ip), cmp.Compare(a.port, b.port))
+	})
+	for _, k := range keys {
+		if w := cp.writers[k]; !w.failed {
 			w.q.Close()
 		}
 		delete(cp.writers, k)

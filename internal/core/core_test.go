@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,6 +117,92 @@ func TestConnPoolRedialsAfterPeerFailure(t *testing.T) {
 		t.Fatalf("messages missing after redial: got %v", got)
 	}
 	s.Shutdown()
+}
+
+// TestConnPoolCloseAllIsAddressOrdered: a restart closes the pooled
+// connections in peer-address order, never the map's — each close wakes a
+// writer whose FIN queues on the node's one link, so the order shows on
+// the wire. Two identically driven pools tear down alike, ascending.
+func TestConnPoolCloseAllIsAddressOrdered(t *testing.T) {
+	ports := []uint16{8005, 8001, 8007, 8003, 8000, 8006, 8002, 8004}
+	drive := func() []uint16 {
+		s, a, b := pair(t)
+		defer s.Shutdown()
+		var closed []uint16 // peer ports in the order their streams ended
+		for _, port := range ports {
+			ln := b.MustListen(port)
+			s.Spawn("server", func(p *sim.Proc) {
+				conn, ok := ln.Accept(p)
+				for ok {
+					_, ok = conn.Recv(p)
+				}
+				closed = append(closed, port)
+			})
+		}
+		pool := newConnPool(a)
+		s.At(0, func() {
+			for _, port := range ports {
+				pool.Send(b.IP(), port, "hello", 100)
+			}
+		})
+		s.At(100*time.Millisecond, pool.CloseAll)
+		if err := s.RunUntil(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return closed
+	}
+	first, second := drive(), drive()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("identically driven pools closed in different orders:\n  %v\n  %v", first, second)
+	}
+	if len(first) != len(ports) || !slices.IsSorted(first) {
+		t.Fatalf("streams ended in order %v, want all %d ascending", first, len(ports))
+	}
+}
+
+// TestOrphanOverflowForgetsOldestFirst: past orphanCap the early-message
+// buffer forgotten is the oldest created, never whichever the map meets
+// first, and a buffer a retry re-created is not forgotten on the strength
+// of its merged predecessor's age. Two identically driven nodes keep the
+// same buffers.
+func TestOrphanOverflowForgetsOldestFirst(t *testing.T) {
+	const extra = 100
+	key := func(i int) reqKey { return reqKey{Client: 1, Seq: uint64(i)} }
+	drive := func() *Node {
+		s, a, _ := pair(t)
+		defer s.Shutdown()
+		cfg := DefaultNodeConfig()
+		cfg.Addr.IP = a.IP()
+		n := NewNode(a, cfg)
+		for i := 0; i < orphanCap+extra; i++ {
+			n.orphan(key(i)).ack1[2] = true
+			if i == 50 { // its put registers, merging the buffer...
+				n.registerPut(&PutRequest{Client: 1, ClientSeq: 50})
+			}
+			if i == orphanCap { // ...and much later an ack of a retry re-creates it
+				n.orphan(key(50)).ack2[2] = true
+			}
+		}
+		return n
+	}
+	a, b := drive(), drive()
+	if !reflect.DeepEqual(a.orphans, b.orphans) {
+		t.Fatal("identically driven nodes remember different early messages")
+	}
+	// orphanCap+extra+1 buffers were created, so extra+1 are gone: the
+	// oldest, less number 50, whose place in the queue held nothing.
+	for i := 0; i < orphanCap+extra; i++ {
+		_, held := a.orphans[key(i)]
+		if want := i > extra || i == 50; held != want {
+			t.Fatalf("buffer %d held=%v, want %v", i, held, want)
+		}
+	}
+	if o := a.orphans[key(50)]; o.ack1[2] || !o.ack2[2] {
+		t.Fatalf("buffer 50 is not the re-created one: %+v", o)
+	}
+	if len(a.orphanAge) != orphanCap {
+		t.Fatalf("%d buffers queued, want %d", len(a.orphanAge), orphanCap)
+	}
 }
 
 func TestObserveTsAdvancesClock(t *testing.T) {

@@ -92,7 +92,7 @@ func (n *Node) replyFromStore(p *sim.Proc, req *GetRequest, replicaRouted bool) 
 		return
 	}
 	isPrimary := n.views[part].Primary().Index == n.cfg.Addr.Index
-	if n.cfg.HarmoniaServe && !replicaRouted && !isPrimary {
+	if n.cfg.Harmonia != nil && !replicaRouted && !isPrimary {
 		// Primary-routed read at a node that does not believe itself
 		// primary. The fabric may have remapped the partition's reads to a
 		// freshly promoted primary before the promotion announcement
@@ -104,7 +104,7 @@ func (n *Node) replyFromStore(p *sim.Proc, req *GetRequest, replicaRouted bool) 
 		n.stats.GetsHeldNotPrimary++
 		return
 	}
-	if n.cfg.HarmoniaServe && replicaRouted && (n.store.HasLog(req.Key) || n.store.Locked(req.Key)) {
+	if n.cfg.Harmonia != nil && replicaRouted && (n.store.HasLog(req.Key) || n.store.Locked(req.Key)) {
 		// Replica-side conflict gate: the dirty-set stage routed this read
 		// here believing the key clean, but a write is in flight locally
 		// (prepared or locked) — under any-k this node may be a laggard the
@@ -115,7 +115,7 @@ func (n *Node) replyFromStore(p *sim.Proc, req *GetRequest, replicaRouted bool) 
 		n.stats.GetsHeldConflict++
 		return
 	}
-	if n.cfg.HarmoniaServe {
+	if n.cfg.Harmonia != nil {
 		if isPrimary {
 			n.stats.GetsServedLocal++
 		} else {

@@ -3,54 +3,7 @@ package core
 import (
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 )
-
-// HarmoniaCodec adapts the NICEKV wire format to the in-switch dirty-set
-// stage (package harmonia): it recognizes client get datagrams and the
-// multicast chunk completing a put prepare's transfer in the switch
-// pipeline.
-type HarmoniaCodec struct {
-	// DataPort is the storage nodes' request port; only UDP datagrams to
-	// it are protocol traffic.
-	DataPort uint16
-}
-
-// ParseGet implements harmonia.Parser. The returned request identifier
-// mixes the client's stable request ID with its retry counter so
-// retries can hash to a different replica.
-func (c HarmoniaCodec) ParseGet(pkt *netsim.Packet) (string, uint64, bool) {
-	if pkt.Proto != netsim.ProtoUDP || pkt.DstPort != c.DataPort {
-		return "", 0, false
-	}
-	req, ok := pkt.Payload.(*GetRequest)
-	if !ok {
-		return "", 0, false
-	}
-	return req.Key, req.ReqID + uint64(req.Attempt)<<48, true
-}
-
-// ParsePut implements harmonia.Parser: a put prepare is the final
-// multicast chunk of a PutRequest transfer (only the last chunk carries
-// the message, so each traversal marks once; unicast repair
-// retransmissions re-deliver the same message and merge into the same
-// mark). The operation identity is the put's reqKey — stable across
-// client retries, recoverable from a committed object's version — so
-// the commit hooks can find the mark.
-func (c HarmoniaCodec) ParsePut(pkt *netsim.Packet) (string, any, bool) {
-	if pkt.Proto != netsim.ProtoUDP {
-		return "", nil, false
-	}
-	data, ok := transport.ChunkPayload(pkt.Payload)
-	if !ok {
-		return "", nil, false
-	}
-	req, ok := data.(*PutRequest)
-	if !ok {
-		return "", nil, false
-	}
-	return req.Key, req.key(), true
-}
 
 // HarmoniaHook is the slice of the in-switch dirty-set a storage node
 // drives: the commit/abort half of the conflict-detection protocol. In

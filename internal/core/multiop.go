@@ -65,34 +65,23 @@ func (c *Client) MultiPut(p *sim.Proc, ops []PutOp) ([]OpResult, []error) {
 
 	// One prepare multicast per partition, transfers in parallel. The
 	// receivers explode the batch into per-op handlers; replies come back
-	// per op. Under PerOpPrepares (harmonia clusters) each op keeps its
-	// own single-op framing so the in-switch dirty-set parser sees every
-	// prepare; the transfers still overlap.
+	// per op.
 	wg := sim.NewGroup(c.stack.Sim())
-	send := func(data any, size int, addr netsim.IP) {
+	for _, g := range groups {
 		wg.Add(1)
 		c.stack.Sim().Spawn("client-multiput", func(p *sim.Proc) {
 			defer wg.Done()
 			// A failed transfer surfaces as the ops' reply timeouts below.
 			_, _ = c.stack.SendMulticast(p, transport.McastOpts{
-				To:        addr,
+				To:        g.addr,
 				ToPort:    c.cfg.DataPort,
-				Data:      data,
-				Size:      size,
+				Data:      g.batch,
+				Size:      g.size,
 				Receivers: c.cfg.R,
 				K:         c.cfg.QuorumK,
 				Timeout:   c.cfg.OpTimeout,
 			})
 		})
-	}
-	for _, g := range groups {
-		if c.cfg.PerOpPrepares {
-			for _, req := range g.batch.Ops {
-				send(req, req.Size+putHeaderSize, g.addr)
-			}
-			continue
-		}
-		send(g.batch, g.size, g.addr)
 	}
 	wg.Wait(p)
 

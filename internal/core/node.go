@@ -31,27 +31,22 @@ type NodeConfig struct {
 	// (serial) CPU; it is what makes a hot node a bottleneck.
 	CPUPerOp sim.Time
 	// Cache, when non-nil, is the in-switch hot-key cache this node's
-	// traffic traverses; every commit write-throughs to it (invalidate or
-	// update) before the client can be acknowledged.
+	// traffic traverses; every commit invalidates its copy there before
+	// the client can be acknowledged.
 	Cache SwitchCache
-	// CacheUpdateOnPut selects write-update (refresh the cached copy in
-	// place) over the default write-invalidate.
-	CacheUpdateOnPut bool
 	// Harmonia, when non-nil, is the in-switch dirty-set stage this
 	// node's traffic traverses; every commit and abort is reported to it
-	// before the acknowledgment it unblocks can be generated.
+	// before the acknowledgment it unblocks can be generated. It also
+	// turns on replica-side read serving: a get landing on ReplicaPort
+	// (rewritten there by the dirty-set stage) is answered from the local
+	// store, gated on the key having no in-flight write here. Reads on
+	// the normal data port are primary-routed by definition and are held
+	// unless this node believes itself primary — the fabric can retarget
+	// the partition's reads to a freshly promoted primary before the
+	// promotion announcement reaches it, and an any-k laggard serving
+	// that window would return stale data. Nil, gets are served like
+	// before, so harmonia-off runs stay bit-identical.
 	Harmonia HarmoniaHook
-	// HarmoniaServe enables replica-side read serving: a get landing on
-	// ReplicaPort (rewritten there by the dirty-set stage) is answered
-	// from the local store, gated on the key having no in-flight write
-	// here. Reads on the normal data port are primary-routed by
-	// definition and are held unless this node believes itself primary —
-	// the fabric can retarget the partition's reads to a freshly promoted
-	// primary before the promotion announcement reaches it, and an any-k
-	// laggard serving that window would return stale data. Off, gets are
-	// served like before — the mode only exists so harmonia-off runs stay
-	// bit-identical.
-	HarmoniaServe bool
 	// ReplicaPort, when nonzero, is the second data port the node serves
 	// replica-routed reads on (the dirty-set stage rewrites clean gets to
 	// a replica's physical IP and this port).
@@ -136,6 +131,18 @@ type orphanState struct {
 	ts   *TsMsg
 }
 
+// orphanCap bounds the early-message buffers a node remembers: a buffer
+// is needed for one disk write at most, and the ones aborted operations
+// leave behind are forgotten oldest first.
+const orphanCap = 4096
+
+// orphanRef queues one buffer for forgetting; o tells a buffer since
+// merged into its put, or replaced by a retry's, from the live one.
+type orphanRef struct {
+	k reqKey
+	o *orphanState
+}
+
 // Node is one NICEKV storage node.
 type Node struct {
 	cfg   NodeConfig
@@ -155,6 +162,7 @@ type Node struct {
 
 	puts       map[reqKey]*putState
 	orphans    map[reqKey]*orphanState
+	orphanAge  []orphanRef // the last orphanCap buffers created, oldest first
 	primarySeq uint64
 	stats      NodeStats
 	recovering bool
@@ -646,11 +654,12 @@ func (n *Node) orphan(k reqKey) *orphanState {
 	if o == nil {
 		o = &orphanState{ack1: make(map[int]bool), ack2: make(map[int]bool)}
 		n.orphans[k] = o
-		if len(n.orphans) > 4096 {
-			// Bound stale entries from aborted operations.
-			for key := range n.orphans {
-				delete(n.orphans, key)
-				break
+		n.orphanAge = append(n.orphanAge, orphanRef{k, o})
+		if len(n.orphanAge) > orphanCap {
+			old := n.orphanAge[0]
+			n.orphanAge = n.orphanAge[1:]
+			if n.orphans[old.k] == old.o {
+				delete(n.orphans, old.k)
 			}
 		}
 	}
@@ -745,6 +754,7 @@ func (n *Node) Restart() {
 	n.store.ResetLocks()
 	n.puts = make(map[reqKey]*putState)
 	n.orphans = make(map[reqKey]*orphanState)
+	n.orphanAge = nil
 	n.pool.CloseAll()
 	// Leave all groups until the controller re-adds us.
 	for g := range n.joined {

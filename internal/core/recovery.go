@@ -61,7 +61,7 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 			// recovering replica never serves reads there, so the window is
 			// benign and the wire format stays byte-identical.
 			var pend []PendingPut
-			if n.cfg.HarmoniaServe {
+			if n.cfg.Harmonia != nil {
 				for _, rec := range n.store.PendingLog() {
 					if n.cfg.Space.PartitionOf(rec.Key) != req.Partition {
 						continue

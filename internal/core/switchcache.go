@@ -3,74 +3,29 @@ package core
 import (
 	"repro/internal/controller"
 	"repro/internal/kvstore"
-	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/switchcache"
 )
-
-// CacheCodec adapts the NICEKV wire format to the in-switch hot-key
-// cache (package switchcache): it recognizes client get datagrams in the
-// switch pipeline and synthesizes the GetReply a storage node would have
-// sent. The synthesized reply arrives on the client's UDP reply socket
-// instead of its TCP reply stream — the switch cannot speak a stream
-// protocol — which is why Client.Start also listens for datagram replies.
-type CacheCodec struct {
-	// DataPort is the storage nodes' request port; only UDP datagrams to
-	// it are candidate gets.
-	DataPort uint16
-}
-
-// ParseGet implements switchcache.Parser.
-func (c CacheCodec) ParseGet(pkt *netsim.Packet) (string, bool) {
-	if pkt.Proto != netsim.ProtoUDP || pkt.DstPort != c.DataPort {
-		return "", false
-	}
-	req, ok := pkt.Payload.(*GetRequest)
-	if !ok {
-		return "", false
-	}
-	return req.Key, true
-}
-
-// MakeReply implements switchcache.Parser.
-func (c CacheCodec) MakeReply(pkt *netsim.Packet, value any, size int, ver uint64) switchcache.Reply {
-	req := pkt.Payload.(*GetRequest)
-	return switchcache.Reply{
-		Payload: &GetReply{ReqID: req.ReqID, Found: true, Value: value, Size: size, Ver: ver},
-		Size:    size + replyOverhead,
-		DstPort: req.ClientPort,
-	}
-}
 
 // SwitchCache is the slice of the in-switch cache a storage node drives:
 // the write-through half of the invalidation protocol. The committing
-// put's traffic traverses the caching switch, so in hardware these are
-// inline effects; in the simulation the node invokes them synchronously
+// put's traffic traverses the caching switch, so in hardware this is an
+// inline effect; in the simulation the node invokes it synchronously
 // at commit time, strictly before the commit acknowledgment can reach
 // the client — the cache is never stale past commit.
 type SwitchCache interface {
 	// Invalidate drops the cached copy of key; ver (the committed put's
 	// primary sequence) fences in-flight installs of older values.
 	Invalidate(key string, ver uint64)
-	// Update refreshes a resident entry in place with the committed
-	// value, reporting whether one was resident.
-	Update(key string, value any, size int, ver uint64) bool
 }
 
-// writeThrough applies the configured cache write policy for a committed
-// object; called from applyLocal so every commit path — 2PC primary and
-// secondary, late timestamps, new-primary resolution — invalidates
-// before any acknowledgment is generated.
+// writeThrough invalidates the cached copy of a committed object; called
+// from applyLocal so every commit path — 2PC primary and secondary, late
+// timestamps, new-primary resolution — invalidates before any
+// acknowledgment is generated.
 func (n *Node) writeThrough(obj *kvstore.Object) {
-	if n.cfg.Cache == nil {
-		return
+	if n.cfg.Cache != nil {
+		n.cfg.Cache.Invalidate(obj.Key, obj.Version.PrimarySeq)
 	}
-	ver := obj.Version.PrimarySeq
-	if n.cfg.CacheUpdateOnPut {
-		n.cfg.Cache.Update(obj.Key, obj.Value, obj.Size, ver)
-		return
-	}
-	n.cfg.Cache.Invalidate(obj.Key, ver)
 }
 
 // handleCacheFetch answers the controller's request for a hot object's

@@ -41,7 +41,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
-	"repro/internal/sim"
 )
 
 // Parser adapts the storage system's wire format to the stage. Both
@@ -52,10 +51,11 @@ type Parser interface {
 	// a timed-out read can land on a different replica.
 	ParseGet(pkt *netsim.Packet) (key string, rid uint64, ok bool)
 	// ParsePut reports whether pkt completes a put prepare's multicast
-	// transfer, for which key, and an operation identity (comparable;
-	// stable across retries of the same logical put) used to match the
-	// commit hooks back to the mark.
-	ParsePut(pkt *netsim.Packet) (key string, op any, ok bool)
+	// transfer and carries an i-th operation (a batched prepare carries
+	// several; the stage asks for i = 0, 1, … until !ok), for which key,
+	// and an operation identity (comparable; stable across retries of the
+	// same logical put) used to match the commit hooks back to the mark.
+	ParsePut(pkt *netsim.Packet, i int) (key string, op any, ok bool)
 }
 
 // Config parameterizes one dirty-set stage.
@@ -63,10 +63,8 @@ type Config struct {
 	// Capacity bounds the dirty table; switch memory is the scarce
 	// resource. A put that cannot be tracked taints its partition
 	// (reads fall back to the primary) until the next view install.
+	// 0 = 4096, the size for the simulated deployments.
 	Capacity int
-	// CtrlDelay is the switch→controller latency charged on view
-	// installs, matching the datapath's control-channel latency.
-	CtrlDelay sim.Time
 	// ReplicaPort, when nonzero, is stamped as the destination port of
 	// rewritten clean-key reads. It makes the routing class explicit on
 	// the wire: nodes serve non-primary reads only on this port, so a
@@ -74,11 +72,6 @@ type Config struct {
 	// (possibly lagging) primary cannot be mistaken for one the switch
 	// vouched for.
 	ReplicaPort uint16
-}
-
-// DefaultConfig sizes the stage for the simulated deployments.
-func DefaultConfig(ctrlDelay sim.Time) Config {
-	return Config{Capacity: 4096, CtrlDelay: ctrlDelay}
 }
 
 // opState tracks one in-flight put under a dirty entry.
@@ -108,49 +101,36 @@ type partState struct {
 
 // DirtySet is the switch-resident stage. Dirty marking and read rewrite
 // are data-plane effects and apply synchronously with the traversing
-// packet; replica-set installs are controller→switch messages and take
-// effect after the control-channel delay, fenced by the writer
-// generation.
+// packet; replica-set installs are controller→switch commands and ride
+// the datapath's control channel (its delay, its injected fault, its FIFO
+// order, its writer fence).
 type DirtySet struct {
 	dp      *openflow.Datapath
-	next    netsim.Pipeline
 	parser  Parser
 	partOf  func(key string) int
 	cfg     Config
 	entries map[string]*entry
 	parts   map[int]*partState
 	stats   metrics.HarmoniaCounters
-
-	// extraCtrl is injected control-path latency (gray management
-	// network); it stretches view installs but never the data-plane
-	// mark/rewrite, which rides the traffic itself.
-	extraCtrl sim.Time
 }
 
-// Attach interposes a dirty-set stage in front of dp's forwarding
-// pipeline and returns it. Call before traffic starts. When another
-// stage (e.g. the switch cache) already heads the pipeline, rechain it
-// afterwards: head.SetNext(stage) and restore the head with
-// dp.Switch().SetPipeline(head).
+// Attach adds a dirty-set stage to dp's stage chain, behind the stages
+// already attached, and returns it. Call before traffic starts.
 func Attach(dp *openflow.Datapath, parser Parser, partOf func(key string) int, cfg Config) *DirtySet {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
 	}
 	d := &DirtySet{
 		dp:      dp,
-		next:    dp,
 		parser:  parser,
 		partOf:  partOf,
 		cfg:     cfg,
 		entries: make(map[string]*entry),
 		parts:   make(map[int]*partState),
 	}
-	dp.Switch().SetPipeline(d)
+	dp.AddStage(d)
 	return d
 }
-
-// Datapath returns the wrapped datapath.
-func (d *DirtySet) Datapath() *openflow.Datapath { return d.dp }
 
 // Stats snapshots the counters.
 func (d *DirtySet) Stats() metrics.HarmoniaCounters {
@@ -172,39 +152,31 @@ func (d *DirtySet) Tainted(part int) bool {
 	return p != nil && p.tainted
 }
 
-// SetExtraCtrlDelay injects (or, with 0, clears) additional control-path
-// latency for fault experiments.
-func (d *DirtySet) SetExtraCtrlDelay(delay sim.Time) { d.extraCtrl = delay }
-
-func (d *DirtySet) ctrlDelay() sim.Time { return d.cfg.CtrlDelay + d.extraCtrl }
-
-// Process implements netsim.Pipeline: mark put prepares, rewrite clean
-// reads, delegate everything else untouched.
-func (d *DirtySet) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
-	if key, op, ok := d.parser.ParsePut(pkt); ok {
-		d.mark(key, op)
-		d.next.Process(sw, pkt, inPort)
-		return
+// Process implements openflow.Stage: mark put prepares, rewrite clean
+// reads, and pass every packet on — the stage consumes nothing.
+func (d *DirtySet) Process(_ *netsim.Switch, pkt *netsim.Packet, _ int) bool {
+	if key, op, ok := d.parser.ParsePut(pkt, 0); ok {
+		for i := 1; ok; i++ {
+			d.mark(key, op)
+			key, op, ok = d.parser.ParsePut(pkt, i)
+		}
+		return false
 	}
 	key, rid, ok := d.parser.ParseGet(pkt)
 	if !ok {
-		d.next.Process(sw, pkt, inPort)
-		return
+		return false
 	}
 	p := d.parts[d.partOf(key)]
 	if p == nil || !p.installed || len(p.replicas) < 2 {
-		d.next.Process(sw, pkt, inPort)
-		return
+		return false
 	}
 	if p.tainted {
 		d.stats.TaintFallbacks++
-		d.next.Process(sw, pkt, inPort)
-		return
+		return false
 	}
 	if _, dirty := d.entries[key]; dirty {
 		d.stats.DirtyFallbacks++
-		d.next.Process(sw, pkt, inPort)
-		return
+		return false
 	}
 	// Clean: rewrite the destination to a hashed replica choice. The
 	// replica's physical address matches the datapath's host route
@@ -221,7 +193,7 @@ func (d *DirtySet) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
 	if d.cfg.ReplicaPort != 0 {
 		pkt.DstPort = d.cfg.ReplicaPort
 	}
-	d.next.Process(sw, pkt, inPort)
+	return false
 }
 
 // replicaHash is the deterministic read-spreading hash: FNV-1a over the
@@ -328,17 +300,12 @@ func (d *DirtySet) retire(key string, e *entry) {
 	}
 }
 
-// InstallView is InstallViewAs under the legacy unfenced writer.
-func (d *DirtySet) InstallView(part int, epoch uint64, replicas []netsim.IP) {
-	d.InstallViewAs(0, part, epoch, replicas)
-}
-
 // InstallViewAs installs (or re-installs) a partition's read-serving
-// replica set, applied after the control delay and fenced against the
-// datapath writer generation exactly like switchcache.InstallAs: an
-// install that was in flight when a standby took over and raised the
-// fence is rejected at apply time. replicas lists physical addresses,
-// primary first; the slice is not retained by reference.
+// replica set under writer generation gen (0 = the unfenced legacy
+// writer), delivered and fenced like switchcache.InstallAs: an install
+// that was in flight when a standby took over and raised the fence is
+// rejected at apply time. replicas lists physical addresses, primary
+// first; the slice is not retained by reference.
 //
 // A newer (gen, epoch) than the current install FLUSHES the partition:
 // every resident dirty entry becomes sticky (primary-only until a put
@@ -347,8 +314,8 @@ func (d *DirtySet) InstallView(part int, epoch uint64, replicas []netsim.IP) {
 // covered by stickiness of tracked keys plus the server-side holds.
 func (d *DirtySet) InstallViewAs(gen uint64, part int, epoch uint64, replicas []netsim.IP) {
 	rs := append([]netsim.IP(nil), replicas...)
-	d.dp.Switch().Sim().After(d.ctrlDelay(), func() {
-		if !d.dp.WriterAllowed(gen) {
+	d.dp.StageCommand(gen, func(admitted bool) {
+		if !admitted {
 			d.stats.RejectedInstalls++
 			return
 		}

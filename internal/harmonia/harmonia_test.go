@@ -15,7 +15,8 @@ type testOp struct {
 	seq    uint64
 }
 
-// putMsg / getMsg are the stub wire messages.
+// putMsg / getMsg are the stub wire messages; a []*putMsg payload is a
+// batched prepare.
 type putMsg struct {
 	key string
 	op  testOp
@@ -35,31 +36,25 @@ func (stubParser) ParseGet(pkt *netsim.Packet) (string, uint64, bool) {
 	return "", 0, false
 }
 
-func (stubParser) ParsePut(pkt *netsim.Packet) (string, any, bool) {
+func (stubParser) ParsePut(pkt *netsim.Packet, i int) (string, any, bool) {
+	batch, _ := pkt.Payload.([]*putMsg)
 	if m, ok := pkt.Payload.(*putMsg); ok {
-		return m.key, m.op, true
+		batch = []*putMsg{m}
+	}
+	if i < len(batch) {
+		return batch[i].key, batch[i].op, true
 	}
 	return "", nil, false
 }
 
-// recorder is a terminal pipeline stage capturing what fell through.
-type recorder struct {
-	pkts []*netsim.Packet
-}
-
-func (r *recorder) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
-	r.pkts = append(r.pkts, pkt)
-}
-
-func (r *recorder) last() *netsim.Packet { return r.pkts[len(r.pkts)-1] }
-
-// rig is a minimal switch + datapath + dirty-set stage.
+// rig is a minimal switch + datapath + dirty-set stage. Tests push
+// packets through the stage alone: it consumes nothing, so what it did is
+// read off the packet and the counters.
 type rig struct {
 	s    *sim.Simulator
 	sw   *netsim.Switch
 	dp   *openflow.Datapath
 	ds   *DirtySet
-	rec  *recorder
 	part func(string) int
 }
 
@@ -72,9 +67,7 @@ func newRig(t *testing.T, cfg Config, partOf func(string) int) *rig {
 	sw := nw.NewSwitch("sw", 4, 0)
 	dp := openflow.Attach(sw, ctrlDelay)
 	ds := Attach(dp, stubParser{}, partOf, cfg)
-	rec := &recorder{}
-	ds.next = rec // capture fall-through instead of hitting flow tables
-	return &rig{s: s, sw: sw, dp: dp, ds: ds, rec: rec, part: partOf}
+	return &rig{s: s, sw: sw, dp: dp, ds: ds, part: partOf}
 }
 
 // settle runs the simulator long enough for pending installs to apply.
@@ -86,15 +79,21 @@ func (r *rig) settle(t *testing.T) {
 }
 
 func (r *rig) put(key string, op testOp) {
-	r.ds.Process(r.sw, &netsim.Packet{Proto: netsim.ProtoUDP, Payload: &putMsg{key: key, op: op}}, 0)
+	r.process(&netsim.Packet{Proto: netsim.ProtoUDP, Payload: &putMsg{key: key, op: op}})
+}
+
+func (r *rig) process(pkt *netsim.Packet) {
+	if r.ds.Process(r.sw, pkt, 0) {
+		panic("the dirty-set stage consumed a packet")
+	}
 }
 
 // get pushes a read through the stage and returns the destination it was
 // forwarded with (the stage mutates DstIP on rewrite).
 func (r *rig) get(key string, rid uint64, dst netsim.IP) netsim.IP {
 	pkt := &netsim.Packet{Proto: netsim.ProtoUDP, DstIP: dst, Payload: &getMsg{key: key, rid: rid}}
-	r.ds.Process(r.sw, pkt, 0)
-	return r.rec.last().DstIP
+	r.process(pkt)
+	return pkt.DstIP
 }
 
 var (
@@ -121,7 +120,7 @@ func singlePartition(string) int { return 0 }
 // deterministically per (key, rid), and spread across the set as the
 // request id varies.
 func TestCleanRouting(t *testing.T) {
-	r := newRig(t, DefaultConfig(ctrlDelay), singlePartition)
+	r := newRig(t, Config{}, singlePartition)
 	r.ds.InstallViewAs(1, 0, 1, replicas)
 	r.settle(t)
 
@@ -149,7 +148,7 @@ func TestCleanRouting(t *testing.T) {
 // concurrent get crossing the mark/clear window never gets rewritten
 // while any replica is behind.
 func TestDirtyFallback(t *testing.T) {
-	r := newRig(t, DefaultConfig(ctrlDelay), singlePartition)
+	r := newRig(t, Config{}, singlePartition)
 	r.ds.InstallViewAs(1, 0, 1, replicas)
 	r.settle(t)
 
@@ -185,9 +184,63 @@ func TestDirtyFallback(t *testing.T) {
 	}
 }
 
+// TestBatchedPrepareMarksEveryKey: a batched prepare is one packet
+// carrying several ops; each marks its own key under its own identity.
+func TestBatchedPrepareMarksEveryKey(t *testing.T) {
+	r := newRig(t, Config{}, singlePartition)
+	r.ds.InstallViewAs(1, 0, 1, replicas)
+	r.settle(t)
+
+	ops := []*putMsg{{"a", testOp{seq: 1}}, {"b", testOp{seq: 2}}, {"c", testOp{seq: 3}}}
+	r.process(&netsim.Packet{Proto: netsim.ProtoUDP, Payload: ops})
+	for _, m := range ops {
+		if !r.ds.Dirty(m.key) {
+			t.Fatalf("batched prepare did not mark %q", m.key)
+		}
+	}
+	r.ds.OpAborted("b", ops[1].op)
+	if r.ds.Dirty("b") || !r.ds.Dirty("a") || !r.ds.Dirty("c") {
+		t.Fatal("batched ops do not clear independently")
+	}
+	if st := r.ds.Stats(); st.Marks != 3 {
+		t.Fatalf("marks = %d, want 3", st.Marks)
+	}
+}
+
+// TestInstallsStayFIFOAcrossFaultChange: view installs share the
+// datapath's ordered control session, so one issued after an injected
+// delay clears waits behind the one issued under it, and both apply in
+// epoch order.
+func TestInstallsStayFIFOAcrossFaultChange(t *testing.T) {
+	r := newRig(t, Config{}, singlePartition)
+	r.ds.InstallViewAs(1, 0, 1, replicas)
+	r.settle(t)
+
+	r.dp.SetControlFault(5*time.Millisecond, 0)
+	r.ds.InstallViewAs(1, 0, 2, replicas[:2])
+	r.dp.SetControlFault(0, 0)
+	newest := []netsim.IP{replicas[0], replicas[2]}
+	r.ds.InstallViewAs(1, 0, 3, newest)
+	r.settle(t) // 10 control delays: long past an unordered delivery, short of the fault
+	if st := r.ds.Stats(); st.Installs != 1 {
+		t.Fatalf("an install issued after the fault cleared overtook the delayed one: %+v", st)
+	}
+	if err := r.s.RunUntil(r.s.Now() + 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.ds.Stats(); st.Installs != 3 {
+		t.Fatalf("installs = %d, want all 3 applied in order", st.Installs)
+	}
+	for rid := uint64(0); rid < 16; rid++ {
+		if dst := r.get("k", rid, vringDst); !inSet(dst, newest) {
+			t.Fatalf("read routed to %v, outside the newest view", dst)
+		}
+	}
+}
+
 // TestAbortClears: an abandoned put stops holding its key dirty.
 func TestAbortClears(t *testing.T) {
-	r := newRig(t, DefaultConfig(ctrlDelay), singlePartition)
+	r := newRig(t, Config{}, singlePartition)
 	r.ds.InstallViewAs(1, 0, 1, replicas)
 	r.settle(t)
 
@@ -212,7 +265,7 @@ func TestAbortClears(t *testing.T) {
 // partition — every read falls back to the primary, never a replica that
 // might miss the untracked write — until the next view install resets it.
 func TestOverflowTaint(t *testing.T) {
-	cfg := DefaultConfig(ctrlDelay)
+	cfg := Config{}
 	cfg.Capacity = 2
 	r := newRig(t, cfg, singlePartition)
 	r.ds.InstallViewAs(1, 0, 1, replicas)
@@ -254,7 +307,7 @@ func TestOverflowTaint(t *testing.T) {
 // complete; only a put marked and fully applied under the NEW view
 // re-certifies the key for replica routing.
 func TestViewChangeFlush(t *testing.T) {
-	r := newRig(t, DefaultConfig(ctrlDelay), singlePartition)
+	r := newRig(t, Config{}, singlePartition)
 	r.ds.InstallViewAs(1, 0, 1, replicas)
 	r.settle(t)
 
@@ -300,12 +353,14 @@ func TestViewChangeFlush(t *testing.T) {
 // TestWriterFence: an install from a fenced (superseded) controller
 // generation is rejected at apply time, like switchcache installs.
 func TestWriterFence(t *testing.T) {
-	r := newRig(t, DefaultConfig(ctrlDelay), singlePartition)
+	r := newRig(t, Config{}, singlePartition)
 	r.ds.InstallViewAs(1, 0, 1, replicas)
 	r.settle(t)
 
+	// The zombie's install is already in flight when the fence rises: it
+	// is refused where it applies.
+	r.ds.InstallViewAs(1, 0, 5, []netsim.IP{replicas[0]})
 	r.dp.RaiseWriterFence(2)
-	r.ds.InstallViewAs(1, 0, 5, []netsim.IP{replicas[0]}) // zombie's install
 	r.settle(t)
 	if st := r.ds.Stats(); st.RejectedInstalls != 1 {
 		t.Fatalf("fenced install not rejected: %+v", st)
@@ -326,7 +381,7 @@ func TestWriterFence(t *testing.T) {
 // TestUninstalledPartition: partitions without an install (and replica
 // sets too small to spread) never rewrite and never track.
 func TestUninstalledPartition(t *testing.T) {
-	r := newRig(t, DefaultConfig(ctrlDelay), func(k string) int {
+	r := newRig(t, Config{}, func(k string) int {
 		if k == "other" {
 			return 1
 		}

@@ -136,7 +136,6 @@ type CacheCounters struct {
 	Installs      int64 // controller-installed entries
 	Evictions     int64 // controller-evicted entries
 	Invalidations int64 // entries dropped by the put write-through
-	Updates       int64 // entries refreshed in place by the put write-through
 	Rejected      int64 // installs refused (stale version, full table, oversize)
 	Occupancy     int   // entries resident now
 	Capacity      int   // table bound
@@ -153,9 +152,9 @@ func (c CacheCounters) HitRate() float64 {
 
 // String renders the counters for run summaries.
 func (c CacheCounters) String() string {
-	return fmt.Sprintf("hits=%d misses=%d (%.1f%% hit) installs=%d evictions=%d invalidations=%d updates=%d occupancy=%d/%d",
+	return fmt.Sprintf("hits=%d misses=%d (%.1f%% hit) installs=%d evictions=%d invalidations=%d occupancy=%d/%d",
 		c.Hits, c.Misses, 100*c.HitRate(), c.Installs, c.Evictions,
-		c.Invalidations, c.Updates, c.Occupancy, c.Capacity)
+		c.Invalidations, c.Occupancy, c.Capacity)
 }
 
 // HarmoniaCounters are the dirty-set stage's telemetry (internal/harmonia):

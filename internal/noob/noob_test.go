@@ -2,6 +2,8 @@ package noob
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -127,6 +129,41 @@ func TestRPCCallToDeadPeerFails(t *testing.T) {
 		t.Fatal("call to dead peer succeeded")
 	}
 	s.Shutdown()
+}
+
+// TestRPCFailWakesCallersOldestFirst: when a peer dies its pending
+// callers are woken in call order, never the pending map's — they go on
+// to retry or report, so their order is the simulation's. Two
+// identically driven peers wake their callers alike.
+func TestRPCFailWakesCallersOldestFirst(t *testing.T) {
+	const callers = 8
+	drive := func() []int {
+		s, stacks := wire(t, 2)
+		defer s.Shutdown()
+		srv, cli := stacks[0], stacks[1]
+		srv.Host().SetDown(true) // the dial times out under the queued calls
+		peer := newRPCPeer(cli, Addr{IP: srv.IP(), Port: 7000})
+		var woken []int
+		for i := 0; i < callers; i++ {
+			s.Spawn(fmt.Sprintf("caller%d", i), func(p *sim.Proc) {
+				if _, ok := peer.Call(p, i, 64); ok {
+					t.Errorf("caller %d: call to a dead peer succeeded", i)
+				}
+				woken = append(woken, i)
+			})
+		}
+		if err := s.RunUntil(rpcTimeout / 2); err != nil { // woken by fail, not by their own timeouts
+			t.Fatal(err)
+		}
+		return woken
+	}
+	first, second := drive(), drive()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("identically driven peers woke callers in different orders:\n  %v\n  %v", first, second)
+	}
+	if len(first) != callers || !sort.IntsAreSorted(first) {
+		t.Fatalf("callers woke in order %v, want all %d oldest first", first, callers)
+	}
 }
 
 func TestGatewayTargetSelection(t *testing.T) {

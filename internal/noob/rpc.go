@@ -1,6 +1,7 @@
 package noob
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -90,18 +91,24 @@ func (r *rpcPeer) start() {
 	})
 }
 
-// fail wakes every waiter with no answer and marks the peer for
-// re-dialing.
+// fail wakes every waiter with no answer, oldest call first (never in
+// map order: the woken callers act on the simulation), and marks the
+// peer for re-dialing.
 func (r *rpcPeer) fail() {
 	if r.dead {
 		return
 	}
 	r.dead = true
-	for id, f := range r.pending {
-		delete(r.pending, id)
-		if !f.Done() {
+	ids := make([]uint64, 0, len(r.pending))
+	for id := range r.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if f := r.pending[id]; !f.Done() {
 			f.Set(nil)
 		}
+		delete(r.pending, id)
 	}
 	r.outq.Close()
 }

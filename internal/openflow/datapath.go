@@ -23,6 +23,16 @@ const (
 	MissDrop
 )
 
+// Stage is a function resident in the switch pipeline ahead of the flow
+// tables (the hot-key cache, the dirty set). Process sees every packet the
+// stages before it passed on and reports whether it consumed pkt —
+// answered or dropped it, taking ownership. A packet it passes on,
+// possibly rewritten, goes to the next stage and finally the flow-table
+// lookup.
+type Stage interface {
+	Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) (consumed bool)
+}
+
 // ControlStats count control-channel messages; the membership-scalability
 // experiment reads these.
 type ControlStats struct {
@@ -34,13 +44,15 @@ type ControlStats struct {
 	FencedMods int64 // mutations rejected for a stale controller writer generation
 }
 
-// Datapath attaches OpenFlow forwarding to a netsim switch: a flow table,
-// a group table, and a control channel to at most one controller. Control
-// messages in either direction are delayed by CtrlDelay, modeling the
-// controller living on the management network.
+// Datapath attaches OpenFlow forwarding to a netsim switch: an ordered
+// chain of stages, a flow table, a group table, and a control channel to
+// at most one controller. Control messages in either direction are
+// delayed by CtrlDelay, modeling the controller living on the management
+// network.
 type Datapath struct {
 	name      string
 	sw        *netsim.Switch
+	stages    []Stage
 	table     *FlowTable
 	groups    *GroupTable
 	handler   ControllerHandler
@@ -94,14 +106,19 @@ func (dp *Datapath) Groups() *GroupTable { return dp.groups }
 // Stats returns control-channel message counters.
 func (dp *Datapath) Stats() ControlStats { return dp.stats }
 
+// AddStage appends st to the stage chain; stages run in the order added.
+// Call before traffic starts.
+func (dp *Datapath) AddStage(st Stage) { dp.stages = append(dp.stages, st) }
+
 // SetController registers the controller receiving PacketIns.
 func (dp *Datapath) SetController(h ControllerHandler) { dp.handler = h }
 
 // SetControlFault injects management-network trouble: extraDelay is added
 // to every control-channel exchange, and dropRate loses punted packets
-// and packet-outs with that probability. Flow and group mods are delayed
-// but never dropped — they ride the reliable control session — and the
-// channel stays FIFO across delay changes. Zero both to restore health.
+// and packet-outs with that probability. Flow mods, group mods and stage
+// commands are delayed but never dropped — they ride the reliable control
+// session — and the channel stays FIFO across delay changes. Zero both to
+// restore health.
 func (dp *Datapath) SetControlFault(extraDelay sim.Time, dropRate float64) {
 	dp.ctrlExtra = extraDelay
 	dp.ctrlDrop = dropRate
@@ -157,8 +174,14 @@ func (dp *Datapath) ctrlLossy() bool {
 // SetMissBehavior selects the table-miss policy.
 func (dp *Datapath) SetMissBehavior(m MissBehavior) { dp.miss = m }
 
-// Process implements netsim.Pipeline.
+// Process implements netsim.Pipeline: the stages in order, then the flow
+// tables.
 func (dp *Datapath) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
+	for _, st := range dp.stages {
+		if st.Process(sw, pkt, inPort) {
+			return
+		}
+	}
 	entry := dp.table.Lookup(pkt, inPort)
 	if entry == nil {
 		switch dp.miss {
@@ -272,9 +295,14 @@ func (dp *Datapath) punt(pkt *netsim.Packet, inPort int) {
 		return
 	}
 	dp.stats.PacketIns++
-	dp.sw.Sim().After(dp.ctrlDelay+dp.ctrlExtra, func() {
-		dp.handler.PacketIn(dp, pkt, inPort)
-	})
+	dp.Upcall(func() { dp.handler.PacketIn(dp, pkt, inPort) })
+}
+
+// Upcall runs fn controller-side one switch→controller traversal from
+// now: a packet-in's latency, for what a stage mirrors up beside packets
+// (the cache's miss samples).
+func (dp *Datapath) Upcall(fn func()) {
+	dp.sw.Sim().After(dp.ctrlDelay+dp.ctrlExtra, fn)
 }
 
 // Control-plane operations. Each models one controller-to-switch message:
@@ -298,6 +326,16 @@ func (dp *Datapath) AddFlow(e FlowEntry) *sim.Future[error] {
 // have been applied by the switch.
 func (dp *Datapath) Barrier(fn func()) {
 	dp.ctrlSched(fn)
+}
+
+// StageCommand carries one controller→switch command for a stage: fn
+// runs switch-side behind every mod and command submitted so far — a flow
+// mod's latency, injected fault and FIFO order, without counting as one —
+// and is told whether writer generation gen still passes the fence at
+// that instant, so a command in flight across a takeover is refused where
+// it applies.
+func (dp *Datapath) StageCommand(gen uint64, fn func(admitted bool)) {
+	dp.ctrlSched(func() { fn(dp.WriterAllowed(gen)) })
 }
 
 // RemoveFlows deletes rules matching pred.

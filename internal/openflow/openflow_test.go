@@ -1,6 +1,8 @@
 package openflow
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -268,6 +270,88 @@ func TestFlowModLatency(t *testing.T) {
 	}
 	if dp.Stats().FlowMods != 1 {
 		t.Fatalf("FlowMods = %d", dp.Stats().FlowMods)
+	}
+}
+
+// stageFunc adapts a function to Stage.
+type stageFunc func(pkt *netsim.Packet) bool
+
+func (f stageFunc) Process(_ *netsim.Switch, pkt *netsim.Packet, _ int) bool { return f(pkt) }
+
+// TestStagesRunAheadOfTheFlowTable: stages see a packet in the order they
+// were added; one that consumes it ends the walk, one that passes it on —
+// rewritten — hands it to the next stage and then the flow-table lookup.
+func TestStagesRunAheadOfTheFlowTable(t *testing.T) {
+	s, _, dp, client, servers := topo(t, 1, 0)
+	srv := servers[0]
+	dp.SetMissBehavior(MissDrop)
+	dp.Table().Add(FlowEntry{Priority: 5, Match: MatchDst(netsim.HostPrefix(srv.IP())), Actions: []Action{Output{Port: 1}}})
+	var seen []string
+	dp.AddStage(stageFunc(func(pkt *netsim.Packet) bool {
+		seen = append(seen, "first")
+		if pkt.DstPort == 1 { // consumed here
+			dp.Switch().Drop(pkt)
+			return true
+		}
+		pkt.DstIP = srv.IP() // passed on, rewritten
+		return false
+	}))
+	dp.AddStage(stageFunc(func(pkt *netsim.Packet) bool {
+		seen = append(seen, "second")
+		return false
+	}))
+	got := 0
+	srv.SetHandler(func(pkt *netsim.Packet) { got++ })
+	s.At(0, func() {
+		client.Send(&netsim.Packet{DstIP: ip("10.10.0.1"), DstPort: 1, Proto: netsim.ProtoUDP, Size: 10})
+		client.Send(&netsim.Packet{DstIP: ip("10.10.0.1"), DstPort: 2, Proto: netsim.ProtoUDP, Size: 10})
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"first", "first", "second"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("stages ran %v, want %v", seen, want)
+	}
+	if got != 1 {
+		t.Fatalf("server received %d packets, want the one the stages passed on", got)
+	}
+}
+
+// TestStageCommandRidesTheControlChannel: a stage command is delivered
+// like a flow mod — same latency, behind every mod submitted before it —
+// without counting as one, and learns at apply time whether its writer
+// generation is still admitted. An upcall takes a packet-in's latency.
+func TestStageCommandRidesTheControlChannel(t *testing.T) {
+	s, _, dp, _, servers := topo(t, 1, us(500))
+	var events []string
+	s.At(0, func() {
+		dp.SetControlFault(us(2000), 0)
+		dp.AddFlow(FlowEntry{Priority: 5, Match: MatchDst(netsim.HostPrefix(servers[0].IP()))})
+		dp.SetControlFault(0, 0)
+		dp.StageCommand(1, func(admitted bool) {
+			events = append(events, fmt.Sprintf("command admitted=%v rules=%d at %v", admitted, dp.Table().Len(), s.Now()))
+		})
+		dp.Upcall(func() { events = append(events, fmt.Sprintf("upcall at %v", s.Now())) })
+	})
+	s.At(us(2400), func() { // in flight when the fence rises
+		dp.StageCommand(1, func(admitted bool) {
+			events = append(events, fmt.Sprintf("command admitted=%v at %v", admitted, s.Now()))
+		})
+	})
+	s.At(us(2600), func() { dp.RaiseWriterFence(2) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"upcall at 500µs",
+		"command admitted=true rules=1 at 2.5ms",
+		"command admitted=false at 2.9ms",
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("events:\n  %q\nwant:\n  %q", events, want)
+	}
+	if st := dp.Stats(); st.FlowMods != 1 || st.FencedMods != 1 {
+		t.Fatalf("stats %+v, want 1 flow mod and 1 fenced command", st)
 	}
 }
 

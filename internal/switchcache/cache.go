@@ -25,7 +25,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
-	"repro/internal/sim"
 )
 
 // Reply is the Parser's recipe for answering a get from the cache: the
@@ -40,9 +39,10 @@ type Reply struct {
 // Parser adapts the storage system's wire format to the cache. Both
 // methods run on the switch's forwarding path.
 type Parser interface {
-	// ParseGet reports whether pkt is a cacheable read request and for
-	// which key.
-	ParseGet(pkt *netsim.Packet) (key string, ok bool)
+	// ParseGet reports whether pkt is a cacheable read request, for which
+	// key, and its request identifier (unused here; the signature is the
+	// one every stage's parser shares, so one codec serves them all).
+	ParseGet(pkt *netsim.Packet) (key string, rid uint64, ok bool)
 	// MakeReply builds the reply answering pkt (a packet ParseGet
 	// accepted) with the cached value and its committed version.
 	MakeReply(pkt *netsim.Packet, value any, size int, ver uint64) Reply
@@ -60,18 +60,14 @@ type Config struct {
 	// SampleEvery mirrors every Nth missed get key to the detector
 	// (1 = every miss). 0 disables sampling.
 	SampleEvery int
-	// CtrlDelay is the switch→controller latency charged on sampled
-	// keys, matching the datapath's control-channel latency.
-	CtrlDelay sim.Time
 }
 
 // DefaultConfig sizes the cache for the simulated deployments.
-func DefaultConfig(ctrlDelay sim.Time) Config {
+func DefaultConfig() Config {
 	return Config{
 		Capacity:     64,
 		MaxValueSize: 1200,
 		SampleEvery:  1,
-		CtrlDelay:    ctrlDelay,
 	}
 }
 
@@ -89,17 +85,17 @@ type entry struct {
 // oldest-recorded keys beyond the cap is safe in practice.
 const invalCap = 16384
 
-// Cache is the switch-resident table. It wraps the datapath's pipeline:
+// Cache is the switch-resident table, a stage of the datapath's pipeline:
 // cacheable gets that hit are answered on the ingress port, everything
-// else falls through to the OpenFlow flow tables untouched.
+// else passes on to the later stages and the flow tables untouched.
 //
 // Mutating operations come in two flavours mirroring who performs them in
-// hardware: Install/Evict are controller→switch messages and take effect
-// after the control-channel delay; Invalidate/Update are data-plane
-// write-through effects of put traffic and apply immediately.
+// hardware: InstallAs/EvictAs are controller→switch commands and ride the
+// datapath's control channel (its delay, its injected fault, its FIFO
+// order, its writer fence); Invalidate is the data-plane write-through
+// effect of put traffic and applies immediately.
 type Cache struct {
 	dp      *openflow.Datapath
-	next    netsim.Pipeline
 	parser  Parser
 	cfg     Config
 	entries map[string]*entry
@@ -113,28 +109,22 @@ type Cache struct {
 	invalOrder []string
 	// residents, when set, is told of every change to entries' key set.
 	residents *Sketch
-
-	// extraCtrl is injected control-path latency (gray management network);
-	// it stretches installs, evictions and miss sampling but never the
-	// data-plane write-through, which rides the put traffic itself.
-	extraCtrl sim.Time
 }
 
-// Attach interposes a cache in front of dp's forwarding pipeline and
-// returns it. Call before traffic starts.
+// Attach adds a cache to dp's stage chain and returns it. Call before
+// traffic starts.
 func Attach(dp *openflow.Datapath, parser Parser, cfg Config) *Cache {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 64
 	}
 	c := &Cache{
 		dp:      dp,
-		next:    dp,
 		parser:  parser,
 		cfg:     cfg,
 		entries: make(map[string]*entry),
 		inval:   make(map[string]uint64),
 	}
-	dp.Switch().SetPipeline(c)
+	dp.AddStage(c)
 	return c
 }
 
@@ -168,14 +158,6 @@ func (c *Cache) remove(key string) {
 		c.residents.Untrack(key)
 	}
 }
-
-// SetNext rechains the cache's fall-through target, letting further
-// pipeline stages (e.g. the harmonia dirty-set) interpose between the
-// cache and the flow tables: switch → cache → stage → datapath.
-func (c *Cache) SetNext(next netsim.Pipeline) { c.next = next }
-
-// Datapath returns the wrapped datapath.
-func (c *Cache) Datapath() *openflow.Datapath { return c.dp }
 
 // Config returns the cache's effective configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -217,24 +199,21 @@ func (c *Cache) HitsOf(key string) int64 {
 	return 0
 }
 
-// Process implements netsim.Pipeline: answer cache hits at the switch,
-// sample misses toward the detector, delegate everything else.
-func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
-	key, ok := c.parser.ParseGet(pkt)
+// Process implements openflow.Stage: answer cache hits at the switch,
+// sample misses toward the detector, pass everything else on.
+func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool {
+	key, _, ok := c.parser.ParseGet(pkt)
 	if !ok {
-		c.next.Process(sw, pkt, inPort)
-		return
+		return false
 	}
 	e, hit := c.entries[key]
 	if !hit {
 		c.stats.Misses++
 		c.misses++
 		if c.sampler != nil && c.cfg.SampleEvery > 0 && c.misses%int64(c.cfg.SampleEvery) == 0 {
-			k := key
-			sw.Sim().After(c.ctrlDelay(), func() { c.sampler(k) })
+			c.dp.Upcall(func() { c.sampler(key) })
 		}
-		c.next.Process(sw, pkt, inPort)
-		return
+		return false
 	}
 	c.stats.Hits++
 	e.hits++
@@ -253,25 +232,19 @@ func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
 	out.TTL = netsim.DefaultTTL
 	net.RecyclePacket(pkt) // request consumed at the switch
 	sw.Output(inPort, out)
+	return true
 }
 
-// Install is the controller's entry insertion: applied after the control
-// delay, rejected there if the table is full, the object oversize, or the
-// fetched version already superseded by a write-through (the fetch raced
-// a commit).
-func (c *Cache) Install(key string, value any, size int, ver uint64) {
-	c.InstallAs(0, key, value, size, ver)
-}
-
-// InstallAs is Install carrying the issuing controller's writer
-// generation: the fence is checked when the command *applies* (after
-// the control delay), so an install that was already in flight when a
-// standby took over and raised the switch writer fence is rejected at
-// the datapath — the "controller killed mid-cache-install" case.
-// Generation 0 is the legacy unfenced writer.
+// InstallAs is the controller's entry insertion, issued under writer
+// generation gen (0 = the unfenced legacy writer): applied one control
+// traversal later, rejected there if gen no longer passes the switch's
+// writer fence (an install in flight when a standby took over — the
+// "controller killed mid-cache-install" case), the table is full, the
+// object oversize, or the fetched version already superseded by a
+// write-through (the fetch raced a commit).
 func (c *Cache) InstallAs(gen uint64, key string, value any, size int, ver uint64) {
-	c.dp.Switch().Sim().After(c.ctrlDelay(), func() {
-		if !c.dp.WriterAllowed(gen) {
+	c.dp.StageCommand(gen, func(admitted bool) {
+		if !admitted {
 			c.stats.Rejected++
 			return
 		}
@@ -298,23 +271,11 @@ func (c *Cache) InstallAs(gen uint64, key string, value any, size int, ver uint6
 	})
 }
 
-// SetExtraCtrlDelay injects (or, with 0, clears) additional control-path
-// latency for fault experiments.
-func (c *Cache) SetExtraCtrlDelay(d sim.Time) { c.extraCtrl = d }
-
-// ctrlDelay is the effective control-channel latency.
-func (c *Cache) ctrlDelay() sim.Time { return c.cfg.CtrlDelay + c.extraCtrl }
-
-// Evict is the controller's entry removal, applied after the control
-// delay.
-func (c *Cache) Evict(key string) {
-	c.EvictAs(0, key)
-}
-
-// EvictAs is Evict with the writer-generation fence of InstallAs.
+// EvictAs is the controller's entry removal, delivered and fenced like
+// InstallAs.
 func (c *Cache) EvictAs(gen uint64, key string) {
-	c.dp.Switch().Sim().After(c.ctrlDelay(), func() {
-		if !c.dp.WriterAllowed(gen) {
+	c.dp.StageCommand(gen, func(admitted bool) {
+		if !admitted {
 			return
 		}
 		if _, ok := c.entries[key]; ok {
@@ -335,27 +296,6 @@ func (c *Cache) Invalidate(key string, ver uint64) {
 		c.remove(key)
 		c.stats.Invalidations++
 	}
-}
-
-// Update is the write-update variant of the write-through: a resident
-// entry is refreshed in place with the committed value instead of being
-// dropped, keeping the key servable at the switch across writes. Returns
-// whether an entry was refreshed.
-func (c *Cache) Update(key string, value any, size int, ver uint64) bool {
-	if size > c.cfg.MaxValueSize && c.cfg.MaxValueSize > 0 {
-		c.Invalidate(key, ver) // no longer cacheable at this size
-		return false
-	}
-	c.recordVer(key, ver)
-	e, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	if ver >= e.ver {
-		e.value, e.size, e.ver = value, size, ver
-		c.stats.Updates++
-	}
-	return true
 }
 
 // recordVer remembers the newest committed version per key so stale

@@ -15,12 +15,12 @@ import (
 // string as a get for that key.
 type stubParser struct{}
 
-func (stubParser) ParseGet(pkt *netsim.Packet) (string, bool) {
+func (stubParser) ParseGet(pkt *netsim.Packet) (string, uint64, bool) {
 	if pkt.Proto != netsim.ProtoUDP || pkt.DstPort != 7000 {
-		return "", false
+		return "", 0, false
 	}
 	k, ok := pkt.Payload.(string)
-	return k, ok
+	return k, 0, ok
 }
 
 func (stubParser) MakeReply(pkt *netsim.Packet, value any, size int, ver uint64) Reply {
@@ -35,6 +35,7 @@ type rig struct {
 	net    *netsim.Network
 	sw     *netsim.Switch
 	client *netsim.Host
+	dp     *openflow.Datapath
 	cache  *Cache
 	got    []*netsim.Packet
 }
@@ -47,7 +48,7 @@ func newRig(t testing.TB, cfg Config) *rig {
 	client := nw.NewHost("client", netsim.MustParseIP("192.168.0.1"))
 	nw.Connect(client.Port(), sw.Port(0), netsim.Gbps(1, time.Microsecond))
 	dp := openflow.Attach(sw, testCtrlDelay)
-	r := &rig{s: s, net: nw, sw: sw, client: client}
+	r := &rig{s: s, net: nw, sw: sw, client: client, dp: dp}
 	r.cache = Attach(dp, stubParser{}, cfg)
 	client.SetHandler(func(pkt *netsim.Packet) { r.got = append(r.got, pkt) })
 	return r
@@ -77,12 +78,12 @@ func (r *rig) run(t testing.TB) {
 // install synchronously places an entry (running the control delay out).
 func (r *rig) install(t *testing.T, key string, value any, size int, ver uint64) {
 	t.Helper()
-	r.cache.Install(key, value, size, ver)
+	r.cache.InstallAs(0, key, value, size, ver)
 	r.run(t)
 }
 
 func TestCacheHitSynthesizesReply(t *testing.T) {
-	r := newRig(t, DefaultConfig(testCtrlDelay))
+	r := newRig(t, DefaultConfig())
 	r.install(t, "hot", "cached-value", 200, 1)
 	if !r.cache.Contains("hot") {
 		t.Fatal("install did not land")
@@ -111,7 +112,7 @@ func TestCacheHitSynthesizesReply(t *testing.T) {
 }
 
 func TestCacheMissSamplesKey(t *testing.T) {
-	cfg := DefaultConfig(testCtrlDelay)
+	cfg := DefaultConfig()
 	cfg.SampleEvery = 2
 	r := newRig(t, cfg)
 	var sampled []string
@@ -137,8 +138,8 @@ func TestCacheMissSamplesKey(t *testing.T) {
 }
 
 func TestCacheInstallDelayedByControlChannel(t *testing.T) {
-	r := newRig(t, DefaultConfig(testCtrlDelay))
-	r.cache.Install("k", "v", 10, 1)
+	r := newRig(t, DefaultConfig())
+	r.cache.InstallAs(0, "k", "v", 10, 1)
 	if r.cache.Contains("k") {
 		t.Fatal("install visible before the control delay")
 	}
@@ -146,7 +147,7 @@ func TestCacheInstallDelayedByControlChannel(t *testing.T) {
 	if !r.cache.Contains("k") {
 		t.Fatal("install never landed")
 	}
-	r.cache.Evict("k")
+	r.cache.EvictAs(0, "k")
 	if !r.cache.Contains("k") {
 		t.Fatal("evict visible before the control delay")
 	}
@@ -160,8 +161,55 @@ func TestCacheInstallDelayedByControlChannel(t *testing.T) {
 	}
 }
 
+// TestCacheCommandsStayFIFOAcrossFaultChange: commands share the
+// datapath's ordered control session, so one issued after an injected
+// delay clears cannot overtake one issued under it. The evict frees the
+// only slot; the install issued next must find it free.
+func TestCacheCommandsStayFIFOAcrossFaultChange(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Capacity = 1
+	r := newRig(t, cfg)
+	r.install(t, "old", "v", 10, 1)
+
+	r.dp.SetControlFault(5*time.Millisecond, 0)
+	r.cache.EvictAs(0, "old")
+	r.dp.SetControlFault(0, 0)
+	r.cache.InstallAs(0, "new", "v", 10, 1)
+	if err := r.s.RunUntil(r.s.Now() + time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !r.cache.Contains("old") || r.cache.Contains("new") {
+		t.Fatal("a command issued after the fault cleared overtook the delayed one")
+	}
+	r.run(t)
+	if st := r.cache.Stats(); !r.cache.Contains("new") || st.Evictions != 1 || st.Rejected != 0 {
+		t.Fatalf("install did not apply behind the evict: %+v", st)
+	}
+}
+
+// TestCacheCommandsFencedAtApply: the writer fence is checked where a
+// command applies, so one already in flight when a promoted standby
+// raises the fence is refused — an install is counted rejected, an evict
+// silently dropped, both by the datapath's one command path.
+func TestCacheCommandsFencedAtApply(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	r.cache.InstallAs(1, "kept", "v", 10, 1)
+	r.run(t)
+
+	r.cache.InstallAs(1, "zombie", "stale", 10, 1)
+	r.cache.EvictAs(1, "kept")
+	r.dp.RaiseWriterFence(2)
+	r.run(t)
+	if r.cache.Contains("zombie") || !r.cache.Contains("kept") {
+		t.Fatalf("a fenced generation's in-flight commands applied: %v", r.cache.Keys())
+	}
+	if st := r.cache.Stats(); st.Rejected != 1 || r.dp.Stats().FencedMods != 2 {
+		t.Fatalf("rejected=%d fenced=%d, want 1 and 2", st.Rejected, r.dp.Stats().FencedMods)
+	}
+}
+
 func TestCacheInvalidateIsSynchronousAndFencesInstalls(t *testing.T) {
-	r := newRig(t, DefaultConfig(testCtrlDelay))
+	r := newRig(t, DefaultConfig())
 	r.install(t, "k", "v1", 10, 5)
 
 	// A put committing version 6 invalidates with no delay.
@@ -172,7 +220,7 @@ func TestCacheInvalidateIsSynchronousAndFencesInstalls(t *testing.T) {
 
 	// An install of the pre-commit copy (fetched before the put) must
 	// lose the race even though it applies later.
-	r.cache.Install("k", "v1", 10, 5)
+	r.cache.InstallAs(0, "k", "v1", 10, 5)
 	r.run(t)
 	if r.cache.Contains("k") {
 		t.Fatal("stale install (ver 5 < invalidated 6) was accepted")
@@ -188,40 +236,8 @@ func TestCacheInvalidateIsSynchronousAndFencesInstalls(t *testing.T) {
 	}
 }
 
-func TestCacheUpdateRefreshesInPlace(t *testing.T) {
-	r := newRig(t, DefaultConfig(testCtrlDelay))
-	r.install(t, "k", "v1", 10, 1)
-
-	if !r.cache.Update("k", "v2", 12, 2) {
-		t.Fatal("update on a resident entry must report true")
-	}
-	r.sendGet("k")
-	r.run(t)
-	if len(r.got) != 1 || r.got[0].Payload != "v2" {
-		t.Fatalf("hit after update returned %v, want v2", r.got)
-	}
-
-	// Older versions must not roll the entry back.
-	r.cache.Update("k", "v0", 10, 1)
-	r.sendGet("k")
-	r.run(t)
-	if r.got[1].Payload != "v2" {
-		t.Fatalf("stale update rolled entry back to %v", r.got[1].Payload)
-	}
-
-	// Updates on non-resident keys only record the version.
-	if r.cache.Update("other", "x", 10, 9) {
-		t.Fatal("update on non-resident key must report false")
-	}
-	r.cache.Install("other", "x", 10, 8)
-	r.run(t)
-	if r.cache.Contains("other") {
-		t.Fatal("install older than an updated version was accepted")
-	}
-}
-
 func TestCacheCapacityAndOversize(t *testing.T) {
-	cfg := DefaultConfig(testCtrlDelay)
+	cfg := DefaultConfig()
 	cfg.Capacity = 2
 	cfg.MaxValueSize = 100
 	r := newRig(t, cfg)
@@ -242,18 +258,10 @@ func TestCacheCapacityAndOversize(t *testing.T) {
 	if st := r.cache.Stats(); st.Occupancy != 2 || st.Capacity != 2 {
 		t.Fatalf("occupancy snapshot = %+v", st)
 	}
-
-	// Oversize write-update degrades to an invalidation.
-	if r.cache.Update("a", "v", 500, 2) {
-		t.Fatal("oversize update must not refresh")
-	}
-	if r.cache.Contains("a") {
-		t.Fatal("oversize update left a stale entry resident")
-	}
 }
 
 func TestCacheNonGetTrafficFallsThrough(t *testing.T) {
-	r := newRig(t, DefaultConfig(testCtrlDelay))
+	r := newRig(t, DefaultConfig())
 	pkt := r.net.NewPacket()
 	pkt.SrcIP = r.client.IP()
 	pkt.SrcMAC = r.client.MAC()
@@ -328,30 +336,36 @@ func TestSketchDeterminism(t *testing.T) {
 // TestInvalOverflowIsDeterministic: which install fence is forgotten
 // once the version memory is past invalCap must not depend on map
 // iteration order. Two caches driven identically — the same residents,
-// the same invalCap+3000 write-throughs, some keys written twice — must
-// remember the same versions and give the same accept/reject answer to
-// the same replayed install sequence; and what they forget is the
-// oldest-recorded keys, never a resident's.
+// the same invalCap+3000 write-throughs of non-resident keys, some keys
+// written twice — must remember the same versions and give the same
+// accept/reject answer to the same replayed install sequence; and what
+// they forget is the oldest-recorded keys, never a resident's.
 func TestInvalOverflowIsDeterministic(t *testing.T) {
 	const extra = 3000
 	key := func(i int) string { return "k" + strconv.Itoa(i) }
+	resident := func(i int) bool { return i%100 == 0 && i < 800 }
 	drive := func() *rig {
-		cfg := DefaultConfig(testCtrlDelay)
+		cfg := DefaultConfig()
 		cfg.Capacity = 4096 // room for every install the replay lets through
 		r := newRig(t, cfg)
-		for i := 0; i < 8; i++ { // residents among the oldest recorded keys
-			r.cache.Update(key(i*100), "v", 10, 5)
-			r.install(t, key(i*100), "v", 10, 5)
+		put := func(i int, ver uint64) {
+			if !resident(i) { // a put of a resident would drop it
+				r.cache.Invalidate(key(i), ver)
+			}
+		}
+		for i := 0; i < 800; i += 100 { // residents among the oldest recorded keys
+			r.cache.Invalidate(key(i), 5)
+			r.install(t, key(i), "v", 10, 5)
 		}
 		for i := 0; i < invalCap+extra; i++ {
-			r.cache.Update(key(i), "v", 10, 5)
+			put(i, 5)
 			if i%7 == 0 {
-				r.cache.Update(key(i/2), "v", 10, 6) // a second put of a known key
+				put(i/2, 6) // a second put of a known key
 			}
 		}
 		// Replay: installs at version 4 lose to every fence still held.
 		for i := 0; i < invalCap+extra; i += 5 {
-			r.cache.Install(key(i), "stale", 10, 4)
+			r.cache.InstallAs(0, key(i), "stale", 10, 4)
 		}
 		r.run(t)
 		return r
@@ -368,9 +382,8 @@ func TestInvalOverflowIsDeterministic(t *testing.T) {
 	}
 	for i := 0; i < invalCap+extra; i++ {
 		_, held := a.cache.inval[key(i)]
-		resident := i%100 == 0 && i < 800
-		if want := i >= extra+8 || resident; held != want {
-			t.Fatalf("fence of %s (resident=%v) held=%v, want %v", key(i), resident, held, want)
+		if want := i >= extra+8 || resident(i); held != want {
+			t.Fatalf("fence of %s (resident=%v) held=%v, want %v", key(i), resident(i), held, want)
 		}
 	}
 	// The replay got through exactly where the fence was forgotten: the

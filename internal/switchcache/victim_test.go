@@ -62,7 +62,7 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, mode := range []string{"every", "sparse"} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, mode), func(t *testing.T) {
-				cfg := DefaultConfig(testCtrlDelay)
+				cfg := DefaultConfig()
 				cfg.Capacity = 8
 				r := newRig(t, cfg)
 				s := NewSketch(2, 8)
@@ -73,7 +73,7 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 				}
 				// Start from a half-full table so the mirror has to seed.
 				for _, k := range keys[:4] {
-					r.cache.Install(k, "v", 10, 1)
+					r.cache.InstallAs(0, k, "v", 10, 1)
 				}
 				r.run(t)
 				r.cache.MirrorResidents(s)
@@ -86,15 +86,12 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 					case op < 45: // a sampled miss
 						s.Add(k)
 					case op < 60: // install; of a resident key it is a duplicate
-						r.cache.Install(k, "v", 10, ver)
+						r.cache.InstallAs(0, k, "v", 10, ver)
 					case op < 70: // evict; of a non-resident key it is a no-op
-						r.cache.Evict(k)
-					case op < 78: // a put's write-through
+						r.cache.EvictAs(0, k)
+					case op < 82: // a put's write-through
 						ver++
 						r.cache.Invalidate(k, ver)
-					case op < 82: // write-update, oversize ones invalidate
-						ver++
-						r.cache.Update(k, "w", 10+rng.Intn(2)*cfg.MaxValueSize, ver)
 					case op < 94: // the control channel drains
 						r.run(t)
 					case op < 99:
@@ -136,7 +133,7 @@ type admission struct {
 }
 
 func newAdmission(t testing.TB, capacity int) *admission {
-	cfg := DefaultConfig(testCtrlDelay)
+	cfg := DefaultConfig()
 	cfg.Capacity = capacity
 	a := &admission{c: newRig(t, cfg).cache, s: NewSketch(4, 1024)}
 	a.keys = make([]string, 8*capacity)
