@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/netsim"
+	"repro/internal/openflow"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/switchcache"
@@ -511,6 +512,8 @@ var kernelGates = map[string]bool{
 	"BroadcastWake": true,
 	"GroupCommit":   true,
 	"CacheAdmit":    true,
+	"WatchdogRearm": true,
+	"LookupRepeat":  true,
 }
 
 // checkKernelBaseline compares measured kernel benchmarks against a
@@ -757,6 +760,57 @@ func kernelBenchmarks() []kernelResult {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			decide(i)
+		}
+	})
+	add("WatchdogRearm", func(b *testing.B) {
+		// One 5 ms watchdog pushed back by every packet of a 10 µs train
+		// (an ack wait, a retransmission timer) beside 256 unrelated
+		// pending timers: Cancel + At2 per packet in one continuous run, so
+		// the figure includes whatever a cancelled timer costs the wheel
+		// after the call — 500 re-arms fall inside each watchdog period,
+		// which an arm-cancel-run loop on an empty wheel never sees.
+		s := sim.New(1)
+		for i := 0; i < 256; i++ {
+			s.After(time.Hour+time.Duration(i)*time.Millisecond, func() {})
+		}
+		expired := func(_, _ any) { b.Error("watchdog fired inside the train") }
+		var watchdog sim.Event
+		left := b.N
+		var packet func(_, _ any)
+		packet = func(_, _ any) {
+			watchdog.Cancel()
+			if left--; left == 0 {
+				s.Stop()
+				return
+			}
+			watchdog = s.At2(s.Now()+5*time.Millisecond, expired, nil, nil)
+			s.At2(s.Now()+10*time.Microsecond, packet, nil, nil)
+		}
+		s.At2(0, packet, nil, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	add("LookupRepeat", func(b *testing.B) {
+		// A flow's packets arrive back to back: 750 consecutive lookups of
+		// one header tuple (a 1 MB transfer's chunks) before the next flow,
+		// on the 32-node controller rule mix.
+		const train = 750
+		t := openflow.NewFlowTable(sim.New(1))
+		for _, r := range openflow.SyntheticRules(32, false) {
+			if _, err := t.Add(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pkts := openflow.SyntheticPackets(32, 1024, false, 7)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if t.Lookup(&pkts[i/train%len(pkts)], 2) == nil {
+				b.Fatal("table miss: every synthetic packet has a covering rule")
+			}
 		}
 	})
 	add("NetHostToHost", func(b *testing.B) {

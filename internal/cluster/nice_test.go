@@ -450,3 +450,24 @@ func TestNICELazyMappingDeployment(t *testing.T) {
 	}
 	d.Close()
 }
+
+// TestLargePutLeavesNoTimersBehind: one 1 MB put is ~750 chunks at each of
+// three replicas plus the sender's ack waits. Every timer armed along the
+// way is cancelled or fired by the time the put returns, and a cancelled
+// timer leaves the wheel, so the event queue is back to the deployment's
+// idle population (heartbeats, pollers) — not one corpse per chunk of the
+// last gapTimeout, as when Cancel only marked the event dead.
+func TestLargePutLeavesNoTimersBehind(t *testing.T) {
+	var before, after int
+	d := runNICE(t, DefaultOptions(), func(p *sim.Proc, d *NICE) {
+		before = d.Sim.Pending()
+		if _, err := d.Clients[0].Put(p, "big", "v", 1<<20); err != nil {
+			t.Errorf("put: %v", err)
+		}
+		after = d.Sim.Pending()
+	})
+	d.Close()
+	if after > before+8 {
+		t.Fatalf("pending events: %d before the put, %d right after", before, after)
+	}
+}

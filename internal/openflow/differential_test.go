@@ -60,26 +60,59 @@ func randPacket(rng *rand.Rand) *netsim.Packet {
 	}
 }
 
+// sameHit reports whether two tables resolved a probe to the same rule —
+// same cookie, same priority/insertion-order tie-break — with the same
+// packet and byte counters on it, or missed alike.
+func sameHit(a, b *FlowEntry) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Cookie == b.Cookie && a.Priority == b.Priority && a.seq == b.seq &&
+		a.Matches() == b.Matches() && a.MatchedBytes() == b.MatchedBytes()
+}
+
 // TestDifferentialLookup drives the indexed FlowTable and the linear
-// ReferenceTable through identical randomized histories of adds, removes,
-// clock advances, and lookups, and demands that every lookup resolves to
-// the identical entry — same cookie, same priority/insertion-order
-// tie-break — or misses in both. Well over 10k (ruleset, packet) cases.
+// ReferenceTable through identical randomized histories of adds, removes
+// (by cookie class, and of one victim when a capacity is reached), clock
+// advances, and lookups — a third of them repeating a recent packet, so
+// the microflow cache answers across every kind of table change — and
+// demands that every lookup resolves to the identical entry with
+// identical counters, or misses in both. A second FlowTable has its
+// microflow cache emptied before every lookup: the cache may change no
+// result, no counter and no idle-expiry instant. Well over 10k (ruleset,
+// packet) cases.
 func TestDifferentialLookup(t *testing.T) {
 	const (
 		iterations = 400
 		opsPerIter = 160
 	)
-	lookups := 0
+	lookups, repeats := 0, 0
 	for iter := 0; iter < iterations; iter++ {
 		rng := rand.New(rand.NewSource(int64(iter)))
 		s := sim.New(1)
 		ft := NewFlowTable(s)
+		cold := NewFlowTable(s) // ft with its microflow cache always empty
 		rt := NewReferenceTable(s)
+		capacity := 0
+		if iter%3 == 0 {
+			capacity = 12 + rng.Intn(12) // every add past it evicts a victim first
+		}
+		type probe struct {
+			pkt    *netsim.Packet
+			inPort int
+		}
+		var recent []probe
 		nrules := 0
 		for op := 0; op < opsPerIter; op++ {
 			switch r := rng.Intn(100); {
-			case r < 25: // install a rule in both tables
+			case r < 25: // install a rule in all tables
+				if capacity > 0 && rt.Len() >= capacity {
+					victim := rt.Entries()[rng.Intn(rt.Len())].Cookie
+					isVictim := func(e *FlowEntry) bool { return e.Cookie == victim }
+					ft.Remove(isVictim)
+					cold.Remove(isVictim)
+					rt.Remove(isVictim)
+				}
 				e := FlowEntry{
 					Priority: rng.Intn(5),
 					Match:    randMatch(rng),
@@ -92,34 +125,49 @@ func TestDifferentialLookup(t *testing.T) {
 				if _, err := ft.Add(e); err != nil {
 					t.Fatal(err)
 				}
+				if _, err := cold.Add(e); err != nil {
+					t.Fatal(err)
+				}
 				if _, err := rt.Add(e); err != nil {
 					t.Fatal(err)
 				}
-			case r < 32: // remove a random cookie class from both
+			case r < 32: // remove a random cookie class from all
 				pfx := fmt.Sprintf("c%d.", rng.Intn(4))
 				ft.RemoveCookie(pfx)
+				cold.RemoveCookie(pfx)
 				rt.RemoveCookie(pfx)
 			case r < 45: // advance the clock so idle timeouts bite
 				if err := s.RunUntil(s.Now() + time.Duration(1+rng.Intn(40))*time.Microsecond); err != nil {
 					t.Fatal(err)
 				}
-			default: // differential probe
-				pkt := randPacket(rng)
-				inPort := rng.Intn(4) - 1
-				got := ft.Lookup(pkt, inPort)
-				want := rt.Lookup(pkt, inPort)
-				lookups++
-				switch {
-				case (got == nil) != (want == nil):
-					t.Fatalf("iter %d op %d pkt %v in=%d: indexed=%v reference=%v",
-						iter, op, pkt, inPort, got, want)
-				case got != nil && (got.Cookie != want.Cookie || got.Priority != want.Priority || got.seq != want.seq):
-					t.Fatalf("iter %d op %d pkt %v in=%d: indexed hit %v, reference hit %v",
-						iter, op, pkt, inPort, got, want)
-				case got != nil && got.Matches() != want.Matches():
-					t.Fatalf("iter %d op %d: hit counters diverged: indexed=%d reference=%d",
-						iter, op, got.Matches(), want.Matches())
+			default: // differential probe, fresh or repeated
+				pr := probe{randPacket(rng), rng.Intn(4) - 1}
+				if len(recent) > 0 && rng.Intn(3) == 0 {
+					pr = recent[rng.Intn(len(recent))]
+					repeats++
+				} else if len(recent) < 8 {
+					recent = append(recent, pr)
+				} else {
+					recent[rng.Intn(len(recent))] = pr
 				}
+				got := ft.Lookup(pr.pkt, pr.inPort)
+				cold.ver++
+				uncached := cold.Lookup(pr.pkt, pr.inPort)
+				want := rt.Lookup(pr.pkt, pr.inPort)
+				lookups++
+				if !sameHit(got, want) {
+					t.Fatalf("iter %d op %d pkt %v in=%d: indexed hit %v, reference hit %v",
+						iter, op, pr.pkt, pr.inPort, got, want)
+				}
+				if !sameHit(got, uncached) {
+					t.Fatalf("iter %d op %d pkt %v in=%d: hit %v, with the microflow cache emptied %v",
+						iter, op, pr.pkt, pr.inPort, got, uncached)
+				}
+			}
+			// Idle expiry runs ahead of the cache on every lookup, so the
+			// two indexed tables hold the same rules at every step.
+			if ft.Len() != cold.Len() {
+				t.Fatalf("iter %d op %d: %d entries, %d with the microflow cache emptied", iter, op, ft.Len(), cold.Len())
 			}
 		}
 		// The indexed table reaps shadowed expired entries the reference
@@ -128,8 +176,86 @@ func TestDifferentialLookup(t *testing.T) {
 			t.Fatalf("iter %d: indexed table retains %d entries, reference %d", iter, ft.Len(), rt.Len())
 		}
 	}
-	if lookups < 10000 {
-		t.Fatalf("only %d differential lookups exercised, want >= 10000", lookups)
+	if lookups < 10000 || repeats < 3000 {
+		t.Fatalf("only %d differential lookups (%d of a repeated packet) exercised, want >= 10000 (3000)", lookups, repeats)
+	}
+}
+
+// TestMicroflowFollowsTableChanges walks one packet through every way the
+// rule that wins it can change between two identical lookups: a shadowing
+// higher-priority rule added, removed by predicate, removed by cookie, and
+// the winner idling out.
+func TestMicroflowFollowsTableChanges(t *testing.T) {
+	s := sim.New(1)
+	tbl := NewFlowTable(s)
+	pkt := udp("1.1.1.1", "10.0.0.5")
+	expect := func(want string) {
+		t.Helper()
+		got := "miss"
+		if e := tbl.Lookup(pkt, 0); e != nil {
+			got = e.Cookie
+		}
+		if got != want {
+			t.Fatalf("lookup resolved to %s, want %s", got, want)
+		}
+	}
+	expect("miss")
+	tbl.Add(FlowEntry{Priority: 1, Match: MatchDst(pfx("10.0.0.0/8")), Cookie: "low"})
+	expect("low") // a remembered miss does not outlive the add
+	expect("low")
+	tbl.Add(FlowEntry{Priority: 5, Match: MatchDst(pfx("10.0.0.0/24")), Cookie: "high"})
+	expect("high")
+	tbl.Remove(func(e *FlowEntry) bool { return e.Cookie == "high" })
+	expect("low")
+	tbl.Add(FlowEntry{Priority: 5, Match: MatchDst(pfx("10.0.0.5/32")), Cookie: "host.a"})
+	expect("host.a")
+	tbl.RemoveCookie("host.")
+	expect("low")
+	idle, _ := tbl.Add(FlowEntry{Priority: 9, Match: MatchDst(pfx("10.0.0.5/32")), Cookie: "idle", IdleTimeout: us(100)})
+	expect("idle")
+	s.RunUntil(us(90))
+	expect("idle") // refreshes lastUsed from the cache path too
+	s.RunUntil(us(180))
+	expect("idle")
+	s.RunUntil(us(281))
+	expect("low")
+	if idle.Matches() != 3 || tbl.Len() != 1 {
+		t.Fatalf("idle rule matched %d times, table holds %d entries", idle.Matches(), tbl.Len())
+	}
+}
+
+// TestMicroflowCollidingTuples: two flows that hash to the same slot of the
+// direct-mapped cache evict each other on every packet and still each
+// resolve to their own rule, with their own counters.
+func TestMicroflowCollidingTuples(t *testing.T) {
+	s := sim.New(1)
+	tbl := NewFlowTable(s)
+	a := udp("1.1.1.1", "10.0.0.5")
+	var b *netsim.Packet
+	for i := 0; b == nil; i++ {
+		c := udp("1.1.1.1", "10.0.0.5")
+		c.DstIP = netsim.IPv4(10, 1, byte(i>>8), byte(i))
+		if tupleOf(c, 0).slot() == tupleOf(a, 0).slot() {
+			b = c
+		}
+	}
+	ea, _ := tbl.Add(FlowEntry{Priority: 1, Match: MatchDst(pfx("10.0.0.0/16")), Cookie: "a"})
+	eb, _ := tbl.Add(FlowEntry{Priority: 1, Match: MatchDst(pfx("10.1.0.0/16")), Cookie: "b"})
+	for i := 0; i < 10; i++ {
+		if e := tbl.Lookup(a, 0); e != ea {
+			t.Fatalf("round %d: flow a resolved to %v", i, e)
+		}
+		if e := tbl.Lookup(b, 0); e != eb {
+			t.Fatalf("round %d: flow b resolved to %v", i, e)
+		}
+		if i%2 == 1 { // and twice in a row, so the slot also answers
+			if e := tbl.Lookup(b, 0); e != eb {
+				t.Fatalf("round %d: flow b resolved to %v the second time", i, e)
+			}
+		}
+	}
+	if ea.Matches() != 10 || eb.Matches() != 15 || ea.MatchedBytes() != 10*int64(a.Size) {
+		t.Fatalf("counters: a %d packets %d bytes, b %d packets", ea.Matches(), ea.MatchedBytes(), eb.Matches())
 	}
 }
 

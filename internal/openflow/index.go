@@ -113,6 +113,45 @@ func (g *matchGroup) pktKey(pkt *netsim.Packet, inPort int) flowKey {
 	return k
 }
 
+// The microflow cache in front of both tiers is OVS's exact-match cache
+// (the software twin of the ASIC's exact-match SRAM): a fixed,
+// direct-mapped array keyed by the packet's whole header tuple and
+// ingress port, remembering which entry the index resolved that tuple to
+// — nil for a table miss. The winner is a function of the tuple and the
+// installed rules alone, so a slot stays right until a rule is added or
+// removed; index and unindex bump FlowTable.ver and every older slot stops
+// answering. Slots hold nothing the index cannot recompute: counters,
+// lastUsed and idle expiry live on the entries and run on every Lookup.
+const (
+	microflowBits  = 10
+	microflowSlots = 1 << microflowBits
+)
+
+// microflow is one slot: the full tuple it answers for (as an unmasked
+// flowKey), the table version it was classified under, and the winner.
+type microflow struct {
+	key flowKey
+	ver uint64
+	e   *FlowEntry
+}
+
+// tupleOf is the microflow key of pkt arriving on inPort: every header
+// field a Match can read, unmasked.
+func tupleOf(pkt *netsim.Packet, inPort int) flowKey {
+	return flowKey{
+		src: pkt.SrcIP, dst: pkt.DstIP, proto: pkt.Proto,
+		srcPort: pkt.SrcPort, dstPort: pkt.DstPort, inPort: int32(inPort),
+	}
+}
+
+// slot hashes a full tuple to its (only) cache slot: two odd 64-bit
+// multipliers, top bits of the product.
+func (k flowKey) slot() int {
+	h := (uint64(k.src)<<32 | uint64(k.dst)) * 0x9e3779b97f4a7c15
+	h ^= (uint64(k.srcPort)<<48 | uint64(k.dstPort)<<32 | uint64(uint32(k.inPort))<<8 | uint64(k.proto)) * 0xc2b2ae3d27d4eb4f
+	return int(h >> (64 - microflowBits))
+}
+
 // beats reports whether e wins over cur (which may be nil): higher
 // priority, then earlier installation.
 func beats(e, cur *FlowEntry) bool {

@@ -46,7 +46,9 @@ func (e *FlowEntry) String() string {
 // highest-priority covering entry (insertion order breaks ties) in O(1)
 // map probes per mask signature: rules are indexed into exact-match hash
 // groups plus a short catch-all list (see index.go), and idle expiry runs
-// off an explicit deadline heap instead of being folded into the scan.
+// off an explicit deadline heap instead of being folded into the scan. A
+// packet of the flow a slot of the microflow cache remembers skips the
+// probes altogether.
 // Semantics are bit-identical to ReferenceTable, the linear-scan oracle.
 // Table size is bounded by Capacity when non-zero, modeling hardware TCAM
 // limits (§4.6).
@@ -60,11 +62,17 @@ type FlowTable struct {
 	bySig  map[maskSig]*matchGroup
 	wild   []*FlowEntry // tier two: all-wildcard rules, best-first
 	idle   expiryHeap
+
+	// ver counts index changes; a microflow slot answers only while its
+	// stamp equals it, so any rule added or removed empties the cache.
+	ver   uint64
+	micro [microflowSlots]microflow
 }
 
 // NewFlowTable returns an empty table clocked by s.
 func NewFlowTable(s *sim.Simulator) *FlowTable {
-	return &FlowTable{s: s, bySig: make(map[maskSig]*matchGroup)}
+	// ver starts past the zero stamp of an unused slot.
+	return &FlowTable{s: s, bySig: make(map[maskSig]*matchGroup), ver: 1}
 }
 
 // ErrTableFull is returned by Add when Capacity would be exceeded.
@@ -89,6 +97,7 @@ func (t *FlowTable) Add(e FlowEntry) (*FlowEntry, error) {
 
 // index files ep under its mask-signature group (or the wildcard list).
 func (t *FlowTable) index(ep *FlowEntry) {
+	t.ver++
 	sig := ep.Match.sig()
 	if sig == (maskSig{}) {
 		t.wild = insertOrdered(t.wild, ep)
@@ -112,6 +121,7 @@ func (t *FlowTable) index(ep *FlowEntry) {
 // master list. ep's pending idle node (if any) is left for the heap to
 // skip.
 func (t *FlowTable) unindex(ep *FlowEntry) {
+	t.ver++
 	ep.removed = true
 	if ep.IdleTimeout > 0 {
 		t.idle.dead++
@@ -200,12 +210,31 @@ func (t *FlowTable) evict(e *FlowEntry) {
 }
 
 // Lookup returns the matching entry for pkt on inPort, or nil on a table
-// miss, updating hit counters. Expired idle entries are reaped up front,
-// then the packet is resolved with one hash probe per mask signature and
-// a peek at the wildcard list.
+// miss, updating hit counters. Expired idle entries are reaped up front;
+// then the packet's microflow slot answers if it holds this very header
+// tuple as classified against the index as it stands, and otherwise is
+// refilled from the index.
 func (t *FlowTable) Lookup(pkt *netsim.Packet, inPort int) *FlowEntry {
 	now := t.s.Now()
 	t.expireIdle(now)
+	key := tupleOf(pkt, inPort)
+	mf := &t.micro[key.slot()]
+	if mf.ver != t.ver || mf.key != key {
+		*mf = microflow{key: key, ver: t.ver, e: t.classify(pkt, inPort)}
+	}
+	best := mf.e
+	if best == nil {
+		return nil
+	}
+	best.matches++
+	best.bytes += int64(pkt.Size)
+	best.lastUsed = now
+	return best
+}
+
+// classify resolves pkt against the index: one hash probe per mask
+// signature and a peek at the wildcard list.
+func (t *FlowTable) classify(pkt *netsim.Packet, inPort int) *FlowEntry {
 	var best *FlowEntry
 	for _, g := range t.groups {
 		if g.size == 0 || (best != nil && g.maxPrio < best.Priority) {
@@ -218,12 +247,6 @@ func (t *FlowTable) Lookup(pkt *netsim.Packet, inPort int) *FlowEntry {
 	if len(t.wild) > 0 && beats(t.wild[0], best) {
 		best = t.wild[0]
 	}
-	if best == nil {
-		return nil
-	}
-	best.matches++
-	best.bytes += int64(pkt.Size)
-	best.lastUsed = now
 	return best
 }
 

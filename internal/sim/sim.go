@@ -36,43 +36,15 @@ type event struct {
 	// a static function and its context rides in the event struct.
 	fn2        func(a1, a2 any)
 	arg1, arg2 any
-	gen        uint32 // incremented each time the struct is recycled
-	dead       bool   // cancelled
-	idx        int    // eventHeap index, -1 when popped (oracle only)
-}
-
-// eventHeap is a min-heap ordered by (at, seq). It was the production
-// event queue before the timer wheel (wheel.go) and is kept as the
-// executable oracle for the randomized wheel-vs-heap differential test:
-// its (at, seq) total order defines the dispatch order the wheel must
-// reproduce bit-for-bit.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	sim        *Simulator // owner; set once when the struct is allocated
+	gen        uint32     // incremented each time the struct is recycled
+	// Where the event sits while scheduled, kept by the wheel so Cancel can
+	// unlink it in O(1): lvl is the wheel level (inFront = the front
+	// cache), slot the bucket within the level, pos the index in the
+	// bucket's event list.
+	pos  int32
+	lvl  int8
+	slot uint8
 }
 
 // maxFreeEvents bounds the event free list so a burst (a figure cell's
@@ -135,14 +107,14 @@ func (s *Simulator) newEvent(t Time, fn func()) *event {
 		e.at = t
 		e.seq = s.seq
 		e.fn = fn
-		e.dead = false
 		return e
 	}
-	return &event{at: t, seq: s.seq, fn: fn}
+	return &event{at: t, seq: s.seq, fn: fn, sim: s}
 }
 
-// freeEvent recycles a fired or dead event. Bumping gen invalidates any
-// outstanding Event handles; dropping fn/args releases captured references.
+// freeEvent recycles a fired or cancelled event. Bumping gen invalidates
+// any outstanding Event handles; dropping fn/args releases captured
+// references.
 func (s *Simulator) freeEvent(e *event) {
 	e.fn = nil
 	e.fn2 = nil
@@ -208,12 +180,17 @@ type Event struct {
 	gen uint32
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
+// Cancel prevents the event from firing: it is unlinked from the event
+// queue and its struct recycled at once, so a cancelled timer costs
+// nothing after this call. Cancelling an already-fired or
 // already-cancelled event (or the zero Event) is a no-op.
 func (ev *Event) Cancel() {
-	if ev.e != nil && ev.gen == ev.e.gen {
-		ev.e.dead = true
+	e := ev.e
+	if e == nil || ev.gen != e.gen {
+		return
 	}
+	e.sim.wheel.remove(e)
+	e.sim.freeEvent(e)
 }
 
 // procFailure carries a panic out of a process coroutine.
@@ -275,10 +252,6 @@ func (s *Simulator) dispatch() *Proc {
 			}
 			return nil
 		}
-		if e.dead {
-			s.freeEvent(e)
-			continue
-		}
 		s.fire(e)
 	}
 }
@@ -339,8 +312,9 @@ func (s *Simulator) SetLimit(t Time) { s.limit = t }
 // calls Stop when its workload is done.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Pending reports the number of scheduled (possibly cancelled) events.
-// The wheel maintains the count, so this stays O(1).
+// Pending reports the number of scheduled events; a cancelled event stops
+// counting the moment it is cancelled. The wheel maintains the count, so
+// this stays O(1).
 func (s *Simulator) Pending() int { return s.wheel.n }
 
 // LiveProcs reports the number of processes that have been spawned and have

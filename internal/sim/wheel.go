@@ -7,12 +7,12 @@ import (
 )
 
 // This file implements the kernel's event queue as a hierarchical timer
-// wheel. The binary heap it replaced (eventHeap, kept in sim.go as the
-// differential-test oracle) made every schedule and dispatch O(log n) in
-// the pending-event count; DESIGN.md §11.6 measured its sift work at
-// ~54% of flat CPU in a figure sweep. The wheel makes both operations
-// O(1) amortized: an insert is two shifts, a bitmap OR and an append; a
-// pop is two TrailingZeros scans and a slice index.
+// wheel. The binary heap it replaced (eventHeap, kept in wheel_test.go as
+// the differential-test oracle) made every schedule and dispatch O(log n)
+// in the pending-event count. The wheel makes both operations O(1)
+// amortized: an insert is two shifts, a bitmap OR and an append; a pop is
+// two TrailingZeros scans and a slice index; a cancel is a swap-remove at
+// the position the event records.
 //
 // Shape: wheelLevels levels of wheelSlots buckets each. Level L buckets
 // span 2^(6L) ns of virtual time, so level 0 buckets hold exactly one
@@ -29,28 +29,35 @@ import (
 // total order on (at, seq). Two facts make the scan order-correct:
 //
 //   - cur is a lower bound on every scheduled event's time. It only
-//     advances to the start of the bucket holding the current minimum
-//     (and only when that start is within the run's bound, so user code
-//     never observes cur > now and causality keeps inserts at or after
-//     it). Under that invariant an event's level strictly identifies the
-//     highest field where it exceeds cur, hence the lowest non-empty
-//     level's lowest-index bucket always holds the global minimum.
+//     advances to the start of the bucket holding the current minimum,
+//     and only when that start is within the run's bound. Every queued
+//     event is live (remove unlinks a cancelled one), so the scan that
+//     moved the cursor ends by firing an event at or after it or by
+//     setting the clock to the bound: user code never observes cur > now
+//     and causality keeps inserts at or after it. Under that invariant an
+//     event's level strictly identifies the highest field where it
+//     exceeds cur, hence the lowest non-empty level's lowest-index bucket
+//     always holds the global minimum.
 //   - Within a level-0 bucket all events share one timestamp and only
 //     seq orders them. Direct inserts arrive in seq order, but a cascade
 //     can drop an older (smaller-seq) event into a bucket after a newer
-//     direct insert, so buckets sort by seq lazily on first pop after
-//     going out of order.
+//     direct insert, and a cancel fills the hole it leaves with the
+//     bucket's last event, so buckets sort by seq lazily on first pop
+//     after going out of order. Coarser buckets have no order to keep.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64 buckets per level
 	wheelMask   = wheelSlots - 1
 	wheelLevels = 11 // 6*11 = 66 bits ≥ the 63-bit Time range
+
+	inFront = -1 // event.lvl of the event held in the front cache
 )
 
 // wheelBucket is one slot's event list. head and unsorted are only
 // meaningful at level 0, where buckets are drained in place: events[:head]
 // have been popped, events[head:] are pending, and unsorted marks a
-// cascade having broken seq order. Capacity is reused across activations.
+// cascade or a cancel having broken seq order. Capacity is reused across
+// activations.
 type wheelBucket struct {
 	events   []*event
 	head     int
@@ -71,9 +78,7 @@ type timerWheel struct {
 	// timestamp. All bitmap indices are interpreted relative to its
 	// high-order fields.
 	cur Time
-	// n counts scheduled events (including next and cancelled ones still
-	// awaiting their pop) — the same semantics len(heap) had, so
-	// Pending() is O(1).
+	// n counts scheduled events (including next), so Pending() is O(1).
 	n int
 	// minAt is a conservative lower bound on the earliest pending event
 	// (maxTime when empty). wakeAll uses minAt > now as a cheap proof
@@ -105,6 +110,7 @@ func (w *timerWheel) push(e *event) {
 	if nx := w.next; nx == nil {
 		if e.at < w.minAt || w.summary == 0 {
 			w.next = e
+			e.lvl = inFront
 			w.n++
 			if e.at < w.minAt {
 				w.minAt = e.at
@@ -113,6 +119,7 @@ func (w *timerWheel) push(e *event) {
 		}
 	} else if e.at < nx.at {
 		w.next = e
+		e.lvl = inFront
 		if e.at < w.minAt {
 			w.minAt = e.at
 		}
@@ -136,6 +143,7 @@ func (w *timerWheel) pushBucket(e *event) {
 			b.unsorted = true // an older event cascaded in after newer inserts
 		}
 	}
+	e.lvl, e.slot, e.pos = int8(lvl), uint8(idx), int32(len(b.events))
 	b.events = append(b.events, e)
 	w.occupied[lvl] |= 1 << idx
 	w.summary |= 1 << lvl
@@ -204,22 +212,65 @@ func (w *timerWheel) popBucket(bound Time) *event {
 				}
 				return 1
 			})
+			for i := b.head; i < len(b.events); i++ {
+				b.events[i].pos = int32(i)
+			}
 			b.unsorted = false
 		}
 		e := b.events[b.head]
 		b.events[b.head] = nil
 		b.head++
 		if b.head == len(b.events) {
-			b.events = b.events[:0]
-			b.head = 0
-			w.occupied[0] &^= 1 << idx
-			if w.occupied[0] == 0 {
-				w.summary &^= 1
-			}
+			w.emptied(0, idx)
 		}
 		w.n--
 		w.refreshMin()
 		return e
+	}
+}
+
+// emptied resets bucket (lvl, idx), whose last pending event just left,
+// and clears its occupancy bits.
+func (w *timerWheel) emptied(lvl, idx int) {
+	b := &w.buckets[lvl][idx]
+	b.events = b.events[:0]
+	b.head = 0
+	b.unsorted = false
+	w.occupied[lvl] &^= 1 << idx
+	if w.occupied[lvl] == 0 {
+		w.summary &^= 1 << lvl
+	}
+}
+
+// remove unlinks a scheduled event (Event.Cancel) from wherever it sits.
+// A bucket's hole is filled with its last event: above level 0 order
+// within a bucket means nothing, at level 0 the unsorted bit restores it
+// on the next pop. The cursor does not move, and minAt stays a lower
+// bound: the front-cache event's time while there is one, recomputed
+// from the bitmaps otherwise.
+func (w *timerWheel) remove(e *event) {
+	w.n--
+	if e.lvl == inFront {
+		w.next = nil
+		w.refreshMin()
+		return
+	}
+	lvl, idx := int(e.lvl), int(e.slot)
+	b := &w.buckets[lvl][idx]
+	last := len(b.events) - 1
+	if pos := int(e.pos); pos != last {
+		moved := b.events[last]
+		b.events[pos] = moved
+		moved.pos = e.pos
+		b.unsorted = true
+	}
+	b.events[last] = nil
+	b.events = b.events[:last]
+	if last == b.head {
+		w.emptied(lvl, idx)
+	}
+	if w.next == nil {
+		w.refreshMin()
 	}
 }
 
@@ -229,13 +280,8 @@ func (w *timerWheel) popBucket(bound Time) *event {
 // differing field is below lvl.
 func (w *timerWheel) cascade(lvl, idx int, start Time) {
 	w.cur = start
-	w.occupied[lvl] &^= 1 << idx
-	if w.occupied[lvl] == 0 {
-		w.summary &^= 1 << lvl
-	}
-	b := &w.buckets[lvl][idx]
-	evs := b.events
-	b.events = b.events[:0]
+	evs := w.buckets[lvl][idx].events
+	w.emptied(lvl, idx)
 	w.n -= len(evs) // pushBucket re-counts
 	for i, e := range evs {
 		// pushBucket, not push: diverting the minimum into the front cache
@@ -245,10 +291,10 @@ func (w *timerWheel) cascade(lvl, idx int, start Time) {
 	}
 }
 
-// refreshMin recomputes the minAt lower bound after a pop (both callers
-// have the front cache empty, so buckets are everything): the exact next
-// timestamp when level 0 still holds events, else the start of the lowest
-// pending bucket (below every event in it), else maxTime.
+// refreshMin recomputes the minAt lower bound after a pop or a cancel (its
+// callers have the front cache empty, so buckets are everything): the
+// exact next timestamp when level 0 still holds events, else the start of
+// the lowest pending bucket (below every event in it), else maxTime.
 func (w *timerWheel) refreshMin() {
 	if w.summary == 0 {
 		w.minAt = maxTime

@@ -3,18 +3,63 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
+
+// eventHeap is a min-heap ordered by (at, seq). It was the production
+// event queue before the timer wheel and is kept as the executable oracle
+// for the randomized wheel-vs-heap differential test: its (at, seq) total
+// order defines the dispatch order the wheel must reproduce bit-for-bit.
+type eventHeap []*event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}
+
+// wheelEmpty reports whether nothing at all is left in w: no front-cache
+// event, a zero count, every occupancy bitmap clear and every bucket reset.
+func wheelEmpty(w *timerWheel) bool {
+	if w.next != nil || w.n != 0 || w.summary != 0 || w.minAt != maxTime {
+		return false
+	}
+	for lvl := range w.buckets {
+		if w.occupied[lvl] != 0 {
+			return false
+		}
+		for i := range w.buckets[lvl] {
+			if b := &w.buckets[lvl][i]; len(b.events) != 0 || b.head != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // TestWheelHeapDifferential drives the timer wheel and the retained
 // eventHeap oracle through a randomized schedule/cancel/drain workload
 // (following the dispatch loop's discipline: the clock only advances to
 // popped events or drain bounds, inserts are never in the past) and
 // asserts that the wheel pops the exact same event structs in the exact
-// same order the heap's (at, seq) total order defines. Delay magnitudes
-// span every wheel level, so cascades, the bound cutoff, and the lazy
-// per-bucket seq sort are all exercised.
+// same order the heap's (at, seq) total order defines, and that a cancel
+// removes the event from both at once. Delay magnitudes span every wheel
+// level, so cascades, the bound cutoff, the lazy per-bucket seq sort and
+// removal from the front cache and from every level are all exercised.
 func TestWheelHeapDifferential(t *testing.T) {
 	const iters = 60000
 	rng := rand.New(rand.NewSource(7))
@@ -23,8 +68,8 @@ func TestWheelHeapDifferential(t *testing.T) {
 	var h eventHeap
 	var seq uint64
 	var now Time
-	var live []*event
 	scheduled, popped, cancelled := 0, 0, 0
+	var cancelledAt [wheelLevels + 1]int // by level; last = front cache
 
 	// Delay scales: same-instant wakes through multi-hour timers, one per
 	// wheel level and then some.
@@ -43,7 +88,6 @@ func TestWheelHeapDifferential(t *testing.T) {
 		e := &event{at: now + delta(), seq: seq}
 		w.push(e)
 		heap.Push(&h, e)
-		live = append(live, e)
 		scheduled++
 	}
 	// popOne pops both structures and cross-checks; reports ok=false when
@@ -59,11 +103,14 @@ func TestWheelHeapDifferential(t *testing.T) {
 		}
 		he := heap.Pop(&h).(*event)
 		if we != he {
-			t.Fatalf("pop mismatch: wheel (at=%d seq=%d dead=%v) vs heap (at=%d seq=%d dead=%v)",
-				we.at, we.seq, we.dead, he.at, he.seq, he.dead)
+			t.Fatalf("pop mismatch: wheel (at=%d seq=%d) vs heap (at=%d seq=%d)",
+				we.at, we.seq, he.at, he.seq)
 		}
 		if we.at > bound {
 			t.Fatalf("wheel popped at=%d beyond bound %d", we.at, bound)
+		}
+		if w.cur > we.at {
+			t.Fatalf("cursor %d passed the event it popped (at=%d)", w.cur, we.at)
 		}
 		now = we.at
 		popped++
@@ -76,9 +123,15 @@ func TestWheelHeapDifferential(t *testing.T) {
 			for k := rng.Intn(4) + 1; k > 0; k-- {
 				push()
 			}
-		case r < 0.65: // cancel something (dead events still pop in order)
-			if len(live) > 0 {
-				live[rng.Intn(len(live))].dead = true
+		case r < 0.65: // cancel something: it leaves both queues
+			if h.Len() > 0 {
+				e := heap.Remove(&h, rng.Intn(h.Len())).(*event)
+				if e.lvl == inFront {
+					cancelledAt[wheelLevels]++
+				} else {
+					cancelledAt[e.lvl]++
+				}
+				w.remove(e)
 				cancelled++
 			}
 		case r < 0.85: // unbounded drain of a few events
@@ -93,19 +146,33 @@ func TestWheelHeapDifferential(t *testing.T) {
 		if w.n != h.Len() {
 			t.Fatalf("iter %d: wheel count %d != heap len %d", i, w.n, h.Len())
 		}
+		if w.cur > now {
+			t.Fatalf("iter %d: cursor %d ahead of the clock %d", i, w.cur, now)
+		}
+		if h.Len() > 0 && w.minAt > h[0].at {
+			t.Fatalf("iter %d: minAt %d exceeds the pending minimum %d", i, w.minAt, h[0].at)
+		}
 	}
 	for popOne(maxTime) {
 	}
-	if w.n != 0 || h.Len() != 0 {
+	if !wheelEmpty(w) || h.Len() != 0 {
 		t.Fatalf("final drain left wheel=%d heap=%d", w.n, h.Len())
 	}
-	if popped != scheduled {
-		t.Fatalf("popped %d of %d scheduled", popped, scheduled)
+	if popped+cancelled != scheduled {
+		t.Fatalf("popped %d + cancelled %d of %d scheduled", popped, cancelled, scheduled)
 	}
-	t.Logf("differential: %d scheduled, %d popped, %d cancelled over %d iterations",
-		scheduled, popped, cancelled, iters)
+	t.Logf("differential: %d scheduled, %d popped, %d cancelled (by level, front cache last: %v) over %d iterations",
+		scheduled, popped, cancelled, cancelledAt, iters)
 	if total := scheduled + popped + cancelled; total < 100000 {
 		t.Fatalf("workload too small for the differential claim: %d ops", total)
+	}
+	for lvl, n := range cancelledAt[:8] {
+		if n == 0 {
+			t.Fatalf("no cancel ever hit level %d", lvl)
+		}
+	}
+	if cancelledAt[wheelLevels] == 0 {
+		t.Fatal("no cancel ever hit the front cache")
 	}
 }
 
@@ -191,5 +258,150 @@ func TestWheelMinAtBound(t *testing.T) {
 	}
 	if w.minAt != maxTime {
 		t.Fatalf("drained wheel minAt = %d", w.minAt)
+	}
+}
+
+// TestCancelledTimerDoesNotMoveCursor: a cancelled timer that outlives the
+// last live event used to stay queued, drag the cursor to its own bucket
+// when the run drained it, and leave the clock behind — so the second
+// schedule after that Run panicked ("wheel insert at 22µs before cursor
+// 5ms"). A cancelled event now leaves the wheel, so nothing can move the
+// cursor past an instant the clock does not reach.
+func TestCancelledTimerDoesNotMoveCursor(t *testing.T) {
+	s := New(1)
+	var order []Time
+	note := func() { order = append(order, s.Now()) }
+	s.After(time.Microsecond, note)
+	ev := s.After(5*time.Millisecond, func() { t.Error("cancelled timer fired") })
+	s.After(2*time.Microsecond, ev.Cancel)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != 2*time.Microsecond || s.wheel.cur > s.Now() {
+		t.Fatalf("after the run: now %v, cursor %v", s.Now(), s.wheel.cur)
+	}
+	s.After(10*time.Microsecond, note)
+	s.After(20*time.Microsecond, note)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{time.Microsecond, 12 * time.Microsecond, 22 * time.Microsecond}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired at %v, want %v", order, want)
+	}
+}
+
+// TestCancelLeavesNothingInWheel arms 10^5 timers far enough out to sit in
+// the front cache and on levels 1–5, cancels them all in shuffled order —
+// some twice, one after it fired, one through a handle whose struct has
+// been recycled into a newer timer — and checks the wheel is as empty as
+// a new one: nothing pending, no occupancy bit, and a Run that fires
+// nothing and moves neither the clock nor the cursor.
+func TestCancelLeavesNothingInWheel(t *testing.T) {
+	const timers = 100000
+	s := New(1)
+	rng := rand.New(rand.NewSource(3))
+	fired := 0
+	count := func(_, _ any) { fired++ }
+
+	early := s.At2(time.Microsecond, count, nil, nil)
+	if err := s.Run(); err != nil || fired != 1 {
+		t.Fatalf("warm-up: fired %d, err %v", fired, err)
+	}
+	early.Cancel() // after it fired: no-op
+	fired = 0
+
+	handles := make([]Event, timers)
+	var levels [wheelLevels]int
+	front := 0
+	for i := range handles {
+		shift := uint(wheelBits + rng.Intn(5*wheelBits)) // 2^6 … 2^35 ns out
+		handles[i] = s.At2(s.Now()+Time(1)<<shift+Time(rng.Int63n(1<<shift)), count, nil, nil)
+	}
+	for _, ev := range handles {
+		if ev.e.lvl == inFront {
+			front++
+		} else {
+			levels[ev.e.lvl]++
+		}
+	}
+	for lvl := 1; lvl <= 5; lvl++ {
+		if levels[lvl] == 0 {
+			t.Fatalf("no timer on level %d (by level: %v)", lvl, levels)
+		}
+	}
+	if front != 1 || s.Pending() != timers {
+		t.Fatalf("front cache holds %d, pending %d", front, s.Pending())
+	}
+
+	rng.Shuffle(len(handles), func(i, j int) { handles[i], handles[j] = handles[j], handles[i] })
+	for i := range handles {
+		handles[i].Cancel()
+		if i%7 == 0 {
+			handles[rng.Intn(i+1)].Cancel() // double cancel: no-op
+		}
+		if s.Pending() != timers-i-1 {
+			t.Fatalf("after %d cancels: pending %d", i+1, s.Pending())
+		}
+	}
+	if !wheelEmpty(&s.wheel) {
+		t.Fatalf("wheel not empty: n=%d summary=%b", s.wheel.n, s.wheel.summary)
+	}
+
+	// A stale handle must not reach the timer that reuses its struct.
+	stale := s.At2(s.Now()+time.Second, count, nil, nil)
+	stale.Cancel()
+	fresh := s.At2(s.Now()+time.Millisecond, count, nil, nil)
+	if fresh.e != stale.e {
+		t.Fatal("the free list did not hand the last cancelled struct back")
+	}
+	stale.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("stale handle cancelled the struct's new timer: pending %d", s.Pending())
+	}
+	fresh.Cancel()
+
+	now, cur := s.Now(), s.wheel.cur
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 0 || s.Now() != now || s.wheel.cur != cur || !wheelEmpty(&s.wheel) {
+		t.Fatalf("run over cancelled timers: fired %d, now %v→%v, cursor %v→%v",
+			fired, now, s.Now(), cur, s.wheel.cur)
+	}
+
+	if a := testing.AllocsPerRun(1000, func() {
+		ev := s.At2(s.Now()+5*time.Millisecond, count, nil, nil)
+		ev.Cancel()
+	}); a != 0 {
+		t.Fatalf("arm+cancel allocates %v per round", a)
+	}
+}
+
+// TestWheelCancelKeepsSameInstantOrder: removing from the middle of a
+// level-0 bucket fills the hole with the bucket's last event; the events
+// left must still pop in seq order.
+func TestWheelCancelKeepsSameInstantOrder(t *testing.T) {
+	w := &timerWheel{}
+	w.init()
+	w.push(&event{at: 1, seq: 1}) // takes the front cache
+	evs := make([]*event, 6)
+	for i := range evs {
+		evs[i] = &event{at: 5, seq: uint64(i + 2)}
+		w.push(evs[i])
+	}
+	w.remove(evs[1])
+	w.popBound(maxTime) // seq 1; the bucket is now the whole wheel
+	if e := w.popBound(maxTime); e != evs[0] {
+		t.Fatalf("expected seq 2 first, got seq %d", e.seq)
+	}
+	w.remove(evs[3]) // with the bucket partly drained
+	for _, want := range []*event{evs[2], evs[4], evs[5]} {
+		if e := w.popBound(maxTime); e != want {
+			t.Fatalf("expected seq %d, got seq %d", want.seq, e.seq)
+		}
+	}
+	if !wheelEmpty(w) {
+		t.Fatalf("wheel not empty: n=%d", w.n)
 	}
 }

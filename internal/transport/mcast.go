@@ -39,6 +39,15 @@ const (
 	// StragglerTimeout is how long an any-k sender keeps serving repair
 	// traffic for receivers outside the quorum after returning.
 	StragglerTimeout = 250 * time.Millisecond
+	// finishedCap bounds the completed transfers a receiver remembers so
+	// that a late duplicate is re-confirmed with DONE. A sender re-solicits
+	// for mcastMaxRetries × mcastRTO = 100 ms past its last answer, and a
+	// 1 Gbps port completes at most ~80 one-chunk 1 KB transfers per ms, so
+	// the last 8192 completions cover that horizon at line rate. A
+	// duplicate of a forgotten transfer is taken for a new one: delivered
+	// again if it is the whole transfer (the put protocol knows a replay by
+	// its request id), NACKed gapMaxNacks times and dropped otherwise.
+	finishedCap = 8192
 	// mctrlSize is the wire size of ACK/NACK/DONE messages.
 	mctrlSize = 64
 )
@@ -103,20 +112,27 @@ type xferKey struct {
 	xfer uint64
 }
 
-// rxState tracks one in-flight inbound transfer.
+// rxState tracks one inbound transfer: in flight, then (with have
+// released) remembered as done until finishedCap later ones completed.
 type rxState struct {
-	have     []bool
-	count    int
-	total    int
-	contig   int
-	maxIdx   int // highest chunk index seen: NACKs never reach past it
-	fires    int // total gap-timer firings; bounds abandoned transfers
-	done     bool
-	gapTimer sim.Event
-	nacks    int
-	data     any // stashed from the data-bearing last chunk
-	size     int
-	hasData  bool
+	key     xferKey
+	ackPort uint16 // sender's control socket, from the latest chunk
+	have    []bool
+	count   int
+	total   int
+	contig  int
+	maxIdx  int // highest chunk index seen: NACKs never reach past it
+	fires   int // gap-watchdog expiries; bounds abandoned transfers
+	done    bool
+	nacks   int
+	data    any // stashed from the data-bearing last chunk
+	size    int
+	hasData bool
+	// One watchdog event is armed per incomplete transfer. A chunk only
+	// moves gapDeadline (latest chunk + gapTimeout; zero = never armed);
+	// the event re-arms itself for the remainder when it fires early.
+	gapDeadline sim.Time
+	watchdog    sim.Event
 }
 
 // MulticastReceiver receives reliable-multicast transfers on a port. Bind
@@ -128,6 +144,11 @@ type MulticastReceiver struct {
 	ctrl  *UDPSocket // replies to senders
 	rq    *sim.Queue[*Transfer]
 	rx    map[xferKey]*rxState
+	last  *rxState // the transfer the latest chunk belonged to, if still in rx
+	// finished is a ring of the last finishedCap completed transfers in
+	// completion order; finishedAt is the oldest once the ring is full.
+	finished   []*rxState
+	finishedAt int
 }
 
 // BindMulticast binds a multicast receiver on port.
@@ -182,14 +203,21 @@ func (r *MulticastReceiver) send(to netsim.IP, toPort uint16, m *mctrlMsg) {
 }
 
 // recvChunk is called by the stack for every arriving chunk (multicast or
-// unicast repair).
+// unicast repair). A chunk in the middle of a window costs no allocation
+// and no event: back-to-back chunks of one transfer skip the map probe,
+// and the stall watchdog is already armed.
 func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	key := xferKey{m.ackIP, m.xfer}
-	st, ok := r.rx[key]
-	if !ok {
-		st = &rxState{have: make([]bool, m.total), total: m.total}
-		r.rx[key] = st
+	st := r.last
+	if st == nil || st.key != key {
+		var ok bool
+		if st, ok = r.rx[key]; !ok {
+			st = &rxState{key: key, have: make([]bool, m.total), total: m.total}
+			r.rx[key] = st
+		}
+		r.last = st
 	}
+	st.ackPort = m.ackPort
 	if st.done {
 		// Duplicate tail of a finished transfer: re-confirm.
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
@@ -211,8 +239,8 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 		st.size = m.size
 	}
 	if st.count == st.total {
-		st.done = true
-		st.gapTimer.Cancel()
+		st.watchdog.Cancel()
+		r.finish(st)
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
 		r.rq.Push(&Transfer{
 			From:     m.ackIP,
@@ -222,21 +250,53 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 			Size:     st.size,
 			Xfer:     m.xfer,
 		})
+		st.data = nil
 		return
 	}
 	if m.needAck {
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlAck, xfer: m.xfer, upTo: st.contig})
 		if st.contig <= m.idx {
-			r.nackMissing(key, st, m, m.idx+1)
+			r.nackMissing(st, m.idx+1)
 		}
 	}
-	// (Re)arm the gap timer: if the transfer stalls, NACK what is missing.
-	st.gapTimer.Cancel()
-	st.gapTimer = r.stack.s.After(gapTimeout, func() { r.gapFired(key, m) })
+	// If the transfer stalls from here, NACK what is missing.
+	s := r.stack.s
+	armed := st.gapDeadline != 0
+	st.gapDeadline = s.Now() + gapTimeout
+	if !armed {
+		st.watchdog = s.At2(st.gapDeadline, gapWatchdog, r, st)
+	}
+}
+
+// finish marks st done, releases its chunk bitmap and files it as the
+// newest completed transfer, forgetting the oldest past finishedCap.
+func (r *MulticastReceiver) finish(st *rxState) {
+	st.done = true
+	st.have = nil
+	if len(r.finished) < finishedCap {
+		r.finished = append(r.finished, st)
+		return
+	}
+	old := r.finished[r.finishedAt]
+	r.finished[r.finishedAt] = st
+	r.finishedAt = (r.finishedAt + 1) % finishedCap
+	// A transfer forgotten and then finished a second time sits in the
+	// ring twice; only the entry the map still holds is its to delete.
+	if r.rx[old.key] == old {
+		r.forget(old)
+	}
+}
+
+// forget drops st from the receiver's memory.
+func (r *MulticastReceiver) forget(st *rxState) {
+	delete(r.rx, st.key)
+	if r.last == st {
+		r.last = nil
+	}
 }
 
 // nackMissing asks the sender to repair the missing chunks below bound.
-func (r *MulticastReceiver) nackMissing(key xferKey, st *rxState, m *chunkMsg, bound int) {
+func (r *MulticastReceiver) nackMissing(st *rxState, bound int) {
 	var missing []int
 	for i := st.contig; i < bound && i < st.total; i++ {
 		if !st.have[i] {
@@ -244,19 +304,34 @@ func (r *MulticastReceiver) nackMissing(key xferKey, st *rxState, m *chunkMsg, b
 		}
 	}
 	if len(missing) > 0 {
-		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlNack, xfer: m.xfer, missing: missing})
+		r.send(st.key.from, st.ackPort, &mctrlMsg{kind: mctrlNack, xfer: st.key.xfer, missing: missing})
 	}
 }
 
-func (r *MulticastReceiver) gapFired(key xferKey, m *chunkMsg) {
-	st, ok := r.rx[key]
-	if !ok || st.done {
-		return
+// gapWatchdog is the static callback of a transfer's one watchdog event
+// (armed only while the transfer is incomplete and remembered). Chunks
+// that arrived since it was armed moved the deadline without touching the
+// event, so an early firing re-arms for the remainder; a firing at the
+// deadline means gapTimeout passed with no chunk.
+func gapWatchdog(a1, a2 any) {
+	r, st := a1.(*MulticastReceiver), a2.(*rxState)
+	s := r.stack.s
+	if s.Now() >= st.gapDeadline {
+		if !r.gapFired(st) {
+			return
+		}
+		st.gapDeadline = s.Now() + gapTimeout
 	}
+	st.watchdog = s.At2(st.gapDeadline, gapWatchdog, r, st)
+}
+
+// gapFired handles a stalled transfer: NACK what is provably lost, or
+// give the transfer up (false) when the sender must be gone.
+func (r *MulticastReceiver) gapFired(st *rxState) bool {
 	st.fires++
 	if st.fires > 64 {
-		delete(r.rx, key) // abandoned transfer: sender gave up long ago
-		return
+		r.forget(st) // abandoned transfer: sender gave up long ago
+		return false
 	}
 	// Only chunks behind the highest index seen can be genuinely lost;
 	// everything past maxIdx may simply not have been transmitted yet
@@ -264,12 +339,12 @@ func (r *MulticastReceiver) gapFired(key xferKey, m *chunkMsg) {
 	if st.contig <= st.maxIdx {
 		st.nacks++
 		if st.nacks > gapMaxNacks {
-			delete(r.rx, key) // give up: sender is gone
-			return
+			r.forget(st) // give up: sender is gone
+			return false
 		}
-		r.nackMissing(key, st, m, st.maxIdx+1)
+		r.nackMissing(st, st.maxIdx+1)
 	}
-	st.gapTimer = r.stack.s.After(gapTimeout, func() { r.gapFired(key, m) })
+	return true
 }
 
 // McastOpts parameterizes one reliable multicast send.

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -623,4 +625,215 @@ func TestListenerClosedAcceptReturns(t *testing.T) {
 		t.Fatal("Accept returned ok after Close")
 	}
 	h.s.Shutdown()
+}
+
+// TestMulticastStallNacksAtGapTimeout pins the watchdog's timing under
+// loss: a NACK leaves the receiver either with the window-boundary chunk
+// that exposed the hole, or exactly a whole number of gapTimeouts after
+// the last chunk it received — and the first such stall NACK exactly one
+// gapTimeout after it, although the one armed event was scheduled from
+// the transfer's first chunk and only re-armed itself since.
+func TestMulticastStallNacksAtGapTimeout(t *testing.T) {
+	h := newHub(t, 2, netsim.LinkConfig{BandwidthBps: 1e9, LossRate: 0.1})
+	g := mcastGroup(h, 1)
+	r := h.stacks[1].MustBindMulticast(6000)
+	delivered := false
+	h.s.Spawn("recv", func(p *sim.Proc) { _, delivered = r.Recv(p) })
+
+	var lastChunk sim.Time
+	var stalls []sim.Time // how long after the last chunk each stall NACK left
+	h.net.AddTap(func(ev netsim.TraceEvent) {
+		switch m := ev.Pkt.Payload.(type) {
+		case *chunkMsg:
+			if ev.Dir == "rx" {
+				lastChunk = ev.At
+			}
+		case *mctrlMsg:
+			if ev.Dir == "tx" && m.kind == mctrlNack && ev.At != lastChunk {
+				stalls = append(stalls, ev.At-lastChunk)
+			}
+		}
+	})
+	var res *McastResult
+	var err error
+	h.s.Spawn("send", func(p *sim.Proc) {
+		res, err = h.stacks[0].SendMulticast(p, McastOpts{
+			To: g, ToPort: 6000, Data: "x", Size: 512 * 1024, Receivers: 1,
+			Timeout: 10 * time.Second,
+		})
+	})
+	h.run(t)
+	if err != nil || !delivered || res.Repairs == 0 {
+		t.Fatalf("err=%v delivered=%v repairs=%d", err, delivered, res.Repairs)
+	}
+	// 512 KB outlasts gapTimeout on the wire, so every stall below is seen
+	// by an event that fired early at least once before.
+	if len(stalls) < 5 || stalls[0] != gapTimeout {
+		t.Fatalf("stall NACKs left %v after the last chunk, want several, the first at exactly %v", stalls, sim.Time(gapTimeout))
+	}
+	for _, d := range stalls {
+		if d%gapTimeout != 0 {
+			t.Fatalf("a stall NACK left %v after the last chunk: not a multiple of %v", d, sim.Time(gapTimeout))
+		}
+	}
+}
+
+// TestMulticastChunkCostsNoEventNoAlloc: a loss-free 1 MB transfer to
+// three receivers keeps one watchdog armed per receiver, so the event
+// queue never holds more than the packets in flight; and a chunk in the
+// middle of a window, handed to the receiver directly, allocates nothing
+// and schedules nothing.
+func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
+	h := newHub(t, 4, netsim.Gbps(1, us(10)))
+	g := mcastGroup(h, 1, 2, 3)
+	for i := 1; i <= 3; i++ {
+		r := h.stacks[i].MustBindMulticast(6000)
+		h.s.Spawn("recv", func(p *sim.Proc) { r.Recv(p) })
+	}
+	maxPending := 0
+	h.net.AddTap(func(ev netsim.TraceEvent) {
+		if n := h.s.Pending(); n > maxPending {
+			maxPending = n
+		}
+	})
+	var res *McastResult
+	var err error
+	h.s.Spawn("send", func(p *sim.Proc) {
+		res, err = h.stacks[0].SendMulticast(p, McastOpts{
+			To: g, ToPort: 6000, Data: "x", Size: 1 << 20, Receivers: 3,
+		})
+	})
+	h.run(t)
+	if err != nil || res.Repairs != 0 || len(res.Finished) != 3 {
+		t.Fatalf("err=%v result=%+v", err, res)
+	}
+	// A window of chunks in flight, acks, three watchdogs and the sender's
+	// ack wait come to 39; one timer per chunk received in the last
+	// gapTimeout would be over 1 200.
+	if limit := 2 * McastWindow; maxPending > limit {
+		t.Fatalf("%d events pending at once during the transfer, want at most %d", maxPending, limit)
+	}
+
+	h = newHub(t, 2, netsim.Gbps(1, us(10)))
+	r := h.stacks[1].MustBindMulticast(6000)
+	pkt := &netsim.Packet{DstIP: g}
+	m := &chunkMsg{xfer: 1, total: 750, size: 1 << 20, ackIP: h.stacks[0].IP(), ackPort: 5000}
+	r.recvChunk(pkt, m) // chunk 0 creates the transfer and arms its watchdog
+	pending := h.s.Pending()
+	if pending != 1 {
+		t.Fatalf("%d events pending after the first chunk, want the watchdog alone", pending)
+	}
+	allocs := testing.AllocsPerRun(700, func() {
+		m.idx++
+		if m.idx%McastWindow == McastWindow-1 {
+			m.idx++ // a window's last chunk asks for an ack; stay mid-window
+		}
+		r.recvChunk(pkt, m)
+	})
+	if allocs != 0 || h.s.Pending() != pending {
+		t.Fatalf("mid-transfer chunk: %v allocs, %d events pending (was %d)", allocs, h.s.Pending(), pending)
+	}
+	h.s.Shutdown()
+}
+
+// TestMulticastFinishedSetBounded: a receiver remembers the last
+// finishedCap completed transfers (so a duplicate tail is re-confirmed,
+// not taken for a new transfer), without their chunk bitmaps, and forgets
+// older ones in completion order — never in whatever order a map yields.
+// Two identically driven receivers end up remembering the same transfers
+// and give a replayed duplicate the same answers.
+func TestMulticastFinishedSetBounded(t *testing.T) {
+	const extra = 100
+	type answer struct {
+		kind mctrlKind
+		xfer uint64
+	}
+	type outcome struct {
+		answers    []answer // what the sender heard back, in order
+		delivered  []uint64 // transfers handed to the application
+		remembered []uint64 // keys left in the receiver's map, ascending
+	}
+	replayed := []uint64{1, extra, extra + 1, finishedCap + extra}
+	drive := func() outcome {
+		var out outcome
+		h := newHub(t, 2, netsim.Gbps(1, us(10)))
+		r := h.stacks[1].MustBindMulticast(6000)
+		ctrl := h.stacks[0].MustBindUDP(5000)
+		h.s.Spawn("sender", func(p *sim.Proc) {
+			for {
+				d, ok := ctrl.Recv(p)
+				if !ok {
+					return
+				}
+				m := d.Data.(*mctrlMsg)
+				out.answers = append(out.answers, answer{m.kind, m.xfer})
+			}
+		})
+		h.s.Spawn("app", func(p *sim.Proc) {
+			for {
+				tr, ok := r.Recv(p)
+				if !ok {
+					return
+				}
+				out.delivered = append(out.delivered, tr.Xfer)
+			}
+		})
+		pkt := &netsim.Packet{DstIP: h.stacks[1].IP()}
+		chunk := func(xfer uint64, idx int) {
+			r.recvChunk(pkt, &chunkMsg{
+				xfer: xfer, idx: idx, total: 2, size: 2 * MTU, data: "v",
+				ackIP: h.stacks[0].IP(), ackPort: 5000,
+			})
+		}
+		h.s.Spawn("driver", func(p *sim.Proc) {
+			for x := uint64(1); x <= finishedCap+extra; x++ {
+				chunk(x, 0)
+				chunk(x, 1)
+				p.Sleep(us(20))
+			}
+			for _, x := range replayed {
+				chunk(x, 1)
+				p.Sleep(us(20))
+			}
+		})
+		if err := h.s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for k, st := range r.rx {
+			if !st.done || st.have != nil || st.data != nil {
+				t.Fatalf("transfer %d is remembered as %+v", k.xfer, st)
+			}
+			out.remembered = append(out.remembered, k.xfer)
+		}
+		slices.Sort(out.remembered)
+		h.s.Shutdown()
+		return out
+	}
+	a, b := drive(), drive()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("identically driven receivers remember or answer differently")
+	}
+
+	// The oldest `extra` are gone; the two of them replayed were taken for
+	// new transfers, NACKed for their first chunk until the receiver gave
+	// up, and are gone again.
+	if len(a.remembered) != finishedCap || a.remembered[0] != extra+1 || a.remembered[finishedCap-1] != finishedCap+extra {
+		t.Fatalf("remembers %d transfers, %d…%d", len(a.remembered), a.remembered[0], a.remembered[len(a.remembered)-1])
+	}
+	if len(a.delivered) != finishedCap+extra {
+		t.Fatalf("delivered %d transfers, want each of %d once", len(a.delivered), finishedCap+extra)
+	}
+	got := map[answer]int{}
+	for _, ans := range a.answers[finishedCap+extra:] {
+		got[ans]++
+	}
+	want := map[answer]int{
+		{mctrlNack, 1}:                   gapMaxNacks,
+		{mctrlNack, extra}:               gapMaxNacks,
+		{mctrlDone, extra + 1}:           1,
+		{mctrlDone, finishedCap + extra}: 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("answers to the replayed tails: %v, want %v", got, want)
+	}
 }
