@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -10,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/openflow"
 	"repro/internal/sim"
 )
 
@@ -210,4 +214,93 @@ func TestLeafSpineHonoursTimeoutAndMappingOptions(t *testing.T) {
 	if err := d.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ruleTablesHash folds every datapath's flow table (priority, match,
+// actions, cookie, in table order) and group table (id, buckets) into
+// one hash, switches in creation order.
+func ruleTablesHash(d *NICE) string {
+	h := sha256.New()
+	for _, sw := range d.Net.Switches() {
+		dp, ok := sw.Pipeline().(*openflow.Datapath)
+		if !ok {
+			continue
+		}
+		fmt.Fprintf(h, "== %s\n", sw.DeviceName())
+		for _, e := range dp.Table().Entries() {
+			fmt.Fprintf(h, "%d|%s|%s|%q\n", e.Priority, e.Match, actionsString(e.Actions), e.Cookie)
+		}
+		// Group ids are 64p+k (controller.installPartition).
+		for id := 0; id < 64*d.Opts.Nodes; id++ {
+			if g, ok := dp.Groups().Get(openflow.GroupID(id)); ok {
+				fmt.Fprintf(h, "group %d:", id)
+				for _, b := range g.Buckets {
+					fmt.Fprintf(h, " [%s]", actionsString(b.Actions))
+				}
+				fmt.Fprintln(h)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+func actionsString(actions []openflow.Action) string {
+	parts := make([]string, len(actions))
+	for i, a := range actions {
+		parts[i] = fmt.Sprintf("%T%v", a, a)
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestFabricRuleTablesGolden pins what the controller installs, on every
+// fabric, against hashes recorded before the controller learned to read
+// the switch tree off the cabling (at 87c3be0, when each fabric still
+// registered every port with a hand-written Topology): the rule and
+// group tables at bootstrap, and again after one node has failed, been
+// covered by a handoff and rejoined.
+func TestFabricRuleTablesGolden(t *testing.T) {
+	golden := map[string][2]string{
+		"single":     {"99936083b1c841f2", "e59f6d8c37621d6d"},
+		"edgeovs":    {"617cefc741fe2aa2", "49cd43e2d57ee039"},
+		"leafspine3": {"bfc5a436b1604263", "f24ea1af9e0cc7be"},
+	}
+	onEveryFabric(t, func(t *testing.T, build func(Options) *NICE) {
+		opts := DefaultOptions()
+		opts.Nodes = 6
+		opts.Clients = 2
+		opts.LoadBalance = true
+		opts.Cache = true
+		opts.Standby = true
+		opts.Heartbeat = ms(100)
+		d := build(opts)
+		defer d.Close()
+		if err := d.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		name := t.Name()[strings.LastIndexByte(t.Name(), '/')+1:]
+		want := golden[name]
+		if got := ruleTablesHash(d); got != want[0] {
+			t.Errorf("bootstrap rule tables hash %s, want %s", got, want[0])
+		}
+		const victim = 1
+		d.Sim.Spawn("driver", func(p *sim.Proc) {
+			defer d.Sim.Stop()
+			d.Nodes[victim].Crash()
+			p.Sleep(time.Second)
+			if v := d.Service.View(victim); v.HasReplica(victim) || v.Handoff == nil {
+				t.Errorf("failure not covered: %+v", v)
+			}
+			d.Nodes[victim].Restart()
+			p.Sleep(time.Second)
+			if v := d.Service.View(victim); !v.HasReplica(victim) || v.Handoff != nil {
+				t.Errorf("rejoin incomplete: %+v", v)
+			}
+		})
+		if err := d.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ruleTablesHash(d); got != want[1] {
+			t.Errorf("rule tables hash after failure and rejoin %s, want %s", got, want[1])
+		}
+	})
 }
