@@ -3,22 +3,19 @@ package cluster
 import (
 	"strconv"
 
-	"repro/internal/controller"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
-	"repro/internal/transport"
 )
 
-// fabric is the switch layer under a deployment, and everything assemble
-// needs to know about it. Its constructor creates the switches; assemble
-// then hands it every host in creation order, and the fabric cables the
-// host to the next free port of whichever switch it belongs on and
-// teaches the topology where it sits.
+// fabric is the switch layer under a deployment. Its constructor creates
+// the switches; assemble then hands it every host in creation order, and
+// the fabric cables the host to the next free port of whichever switch it
+// belongs on. Cabling is all it does: the controller reads the switch
+// tree off the wiring (controller.Fabric), so there is nothing to teach.
 type fabric struct {
-	topo controller.Topology
-	// core is the datapath the in-switch stages (cache, dirty set) attach
-	// to: the single switch, the hardware core behind edge OVSes, or the
-	// spine.
+	// core is the root of the switch tree, and the datapath the in-switch
+	// stages (cache, dirty set) attach to: the single switch, the hardware
+	// core behind edge OVSes, or the spine.
 	core *openflow.Datapath
 	// attach cables a server-side host (storage node, metadata, standby)
 	// and returns its access link.
@@ -30,7 +27,7 @@ type fabric struct {
 	// leaves is the number of racks a traffic gateway can be pinned to
 	// (0 on fabrics with no leaves); attachGateway cables h onto one.
 	leaves        int
-	attachGateway func(leaf int, h *netsim.Host) Gateway
+	attachGateway func(leaf int, h *netsim.Host)
 }
 
 // coreSwitchFabric is the paper's platform (§6): every host on one
@@ -38,33 +35,24 @@ type fabric struct {
 // is the §5.1 workaround instead — each client behind its own Open
 // vSwitch, which does the header rewriting the hardware core cannot.
 func coreSwitchFabric(nw *netsim.Network, opts Options) fabric {
-	sw := nw.NewSwitch("core", opts.Nodes+opts.Clients+3, opts.SwitchLatency)
-	f := fabric{core: openflow.Attach(sw, opts.CtrlDelay)}
-	var register func(ip netsim.IP, port int) // teaches the topology a core port
+	sw := nw.NewSwitch("core", opts.Nodes+opts.Clients+3, SwitchLatency)
 	next := 0
-	plug := func(peer *netsim.Port, ip netsim.IP) *netsim.Link {
-		l := nw.Connect(peer, sw.Port(next), opts.Link)
-		register(ip, next)
+	plug := func(peer *netsim.Port) *netsim.Link {
 		next++
-		return l
+		return nw.Connect(peer, sw.Port(next-1), opts.Link)
 	}
-	f.attach = func(h *netsim.Host) *netsim.Link { return plug(h.Port(), h.IP()) }
-	f.attachClient = f.attach
-	if !opts.EdgeOVS {
-		topo := controller.NewSingleSwitch(f.core)
-		f.topo, register = topo, topo.Attach
-		return f
-	}
-	topo := controller.NewEdgeCore(f.core)
-	f.topo, register = topo, topo.AttachCore
-	f.attachClient = func(h *netsim.Host) *netsim.Link {
-		ovs := nw.NewSwitch("ovs"+strconv.Itoa(len(topo.Edges)), 2, opts.EdgeLatency)
-		edge := openflow.Attach(ovs, opts.CtrlDelay)
-		nw.Connect(h.Port(), ovs.Port(0), opts.Link)
-		plug(ovs.Port(1), h.IP())
-		topo.AddEdge(edge, 1)
-		topo.AttachLocal(edge, h.IP(), 0)
-		return nil
+	attach := func(h *netsim.Host) *netsim.Link { return plug(h.Port()) }
+	f := fabric{core: openflow.Attach(sw, CtrlDelay), attach: attach, attachClient: attach}
+	if opts.EdgeOVS {
+		edges := 0
+		f.attachClient = func(h *netsim.Host) *netsim.Link {
+			ovs := nw.NewSwitch("ovs"+strconv.Itoa(edges), 2, EdgeLatency)
+			edges++
+			openflow.Attach(ovs, CtrlDelay)
+			nw.Connect(h.Port(), ovs.Port(0), opts.Link)
+			plug(ovs.Port(1))
+			return nil
+		}
 	}
 	return f
 }
@@ -87,35 +75,26 @@ func leafSpineFabric(nw *netsim.Network, opts Options, leaves int) fabric {
 	if opts.TrafficGateways {
 		perLeaf++
 	}
-	spineSw := nw.NewSwitch("spine", leaves, opts.SwitchLatency)
-	spine := openflow.Attach(spineSw, opts.CtrlDelay)
-	topo := controller.NewLeafSpine(spine)
+	spine := nw.NewSwitch("spine", leaves, SwitchLatency)
+	f := fabric{core: openflow.Attach(spine, CtrlDelay), leaves: leaves}
+	leaf := make([]*netsim.Switch, leaves)
 	next := make([]int, leaves) // next free host port on each leaf
-	for i := range next {
-		sw := nw.NewSwitch("leaf"+strconv.Itoa(i), perLeaf+1, opts.SwitchLatency)
-		dp := openflow.Attach(sw, opts.CtrlDelay)
-		nw.Connect(sw.Port(0), spineSw.Port(i), opts.Link)
-		topo.AddLeaf(dp, 0, i)
+	for i := range leaf {
+		leaf[i] = nw.NewSwitch("leaf"+strconv.Itoa(i), perLeaf+1, SwitchLatency)
+		openflow.Attach(leaf[i], CtrlDelay)
+		nw.Connect(leaf[i].Port(0), spine.Port(i), opts.Link)
 		next[i] = 1
 	}
-	attachAt := func(leaf int, h *netsim.Host) (*netsim.Link, int) {
-		dp, port := topo.Leaves[leaf], next[leaf]
-		next[leaf]++
-		l := nw.Connect(h.Port(), dp.Switch().Port(port), opts.Link)
-		topo.AttachHost(dp, h.IP(), port)
-		return l, port
+	attachAt := func(i int, h *netsim.Host) *netsim.Link {
+		next[i]++
+		return nw.Connect(h.Port(), leaf[i].Port(next[i]-1), opts.Link)
 	}
 	placed := 0
-	attach := func(h *netsim.Host) *netsim.Link {
-		l, _ := attachAt(placed%leaves, h)
+	f.attach = func(h *netsim.Host) *netsim.Link {
 		placed++
-		return l
+		return attachAt((placed-1)%leaves, h)
 	}
-	return fabric{
-		topo: topo, core: spine, attach: attach, attachClient: attach, leaves: leaves,
-		attachGateway: func(leaf int, h *netsim.Host) Gateway {
-			_, port := attachAt(leaf, h)
-			return Gateway{Stack: transport.NewStack(h), Leaf: topo.Leaves[leaf], Port: port}
-		},
-	}
+	f.attachClient = f.attach
+	f.attachGateway = func(i int, h *netsim.Host) { attachAt(i, h) }
+	return f
 }

@@ -143,7 +143,7 @@ func TestFabricFeatureMatrix(t *testing.T) {
 func checkStageOrder(t *testing.T, p *sim.Proc, d *NICE) {
 	keys := d.keysInPartition(0, 2)
 	d.Cache.InstallAs(0, keys[0], "cached", 100, 1)
-	p.Sleep(10 * d.Opts.CtrlDelay)
+	p.Sleep(10 * CtrlDelay)
 	cache, dirty := d.Cache.Stats(), d.Harmonia.Stats()
 	if res, err := d.Clients[0].Get(p, keys[0]); err != nil || res.Value != "cached" {
 		t.Errorf("get of the resident key = %+v, %v", res, err)

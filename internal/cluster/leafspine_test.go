@@ -10,23 +10,7 @@ import (
 
 func runLeafSpine(t *testing.T, opts Options, leaves int, fn func(p *sim.Proc, d *NICE)) *NICE {
 	t.Helper()
-	d := NewNICELeafSpine(opts, leaves)
-	if err := d.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	d.Sim.Spawn("driver", func(p *sim.Proc) {
-		fn(p, d)
-		done = true
-		d.Sim.Stop()
-	})
-	if err := d.Sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("driver did not finish")
-	}
-	return d
+	return runDriver(t, NewNICELeafSpine(opts, leaves), fn)
 }
 
 func TestLeafSpinePutGet(t *testing.T) {
@@ -51,41 +35,38 @@ func TestLeafSpinePutGet(t *testing.T) {
 }
 
 func TestLeafSpineMulticastDeliversExactlyOnce(t *testing.T) {
-	// Replicas live on different leaves: the multicast tree must deliver
-	// one copy to each, never reflecting packets back down the ingress
-	// leaf (which would double-deliver).
-	opts := DefaultOptions()
-	opts.Nodes = 9
-	d := runLeafSpine(t, opts, 3, func(p *sim.Proc, d *NICE) {
-		c := d.Clients[0]
-		if _, err := c.Put(p, "tree", "v", 64<<10); err != nil {
-			t.Errorf("put: %v", err)
-			return
-		}
-		p.Sleep(20 * time.Millisecond)
-		part := d.Space.PartitionOf("tree")
-		view := d.Service.View(part)
-		// With round-robin host placement, replicas i, i+1, i+2 sit on
-		// three different leaves.
-		for _, r := range view.Replicas {
-			obj, ok := d.Nodes[r.Index].Store().Peek("tree")
-			if !ok || obj.Version.IsZero() {
-				t.Errorf("replica %d missing committed object", r.Index)
+	// The multicast tree must deliver one copy of a put to each replica
+	// on every fabric the controller can read. Leaf-spine is the hard
+	// case and the test's name: round-robin placement puts replicas i,
+	// i+1, i+2 on three different leaves, and the spine must never reflect
+	// packets back down the ingress leaf (which would double-deliver).
+	onEveryFabric(t, func(t *testing.T, build func(Options) *NICE) {
+		opts := DefaultOptions()
+		opts.Nodes = 9
+		d := runDriver(t, build(opts), func(p *sim.Proc, d *NICE) {
+			c := d.Clients[0]
+			if _, err := c.Put(p, "tree", "v", 64<<10); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+			p.Sleep(20 * time.Millisecond)
+			for _, r := range d.Service.View(d.Space.PartitionOf("tree")).Replicas {
+				obj, ok := d.Nodes[r.Index].Store().Peek("tree")
+				if !ok || obj.Version.IsZero() {
+					t.Errorf("replica %d missing committed object", r.Index)
+				}
+			}
+		})
+		defer d.Close()
+		// Exactly-once: each replica's NIC saw the object bytes once.
+		for _, r := range d.Service.View(d.Space.PartitionOf("tree")).Replicas {
+			st := d.Stacks[r.Index].Host().Stats()
+			if st.BytesRecv > 2*(64<<10) {
+				t.Errorf("replica %d received %d bytes for one 64KiB object: duplicate delivery",
+					r.Index, st.BytesRecv)
 			}
 		}
 	})
-	// Exactly-once: each replica's NIC saw the object bytes once. The
-	// spine-to-leaf links each carried one copy.
-	part := d.Space.PartitionOf("tree")
-	view := d.Service.View(part)
-	for _, r := range view.Replicas {
-		st := d.Stacks[r.Index].Host().Stats()
-		if st.BytesRecv > 2*(64<<10) {
-			t.Errorf("replica %d received %d bytes for one 64KiB object: duplicate delivery",
-				r.Index, st.BytesRecv)
-		}
-	}
-	d.Close()
 }
 
 func TestLeafSpineMulticastNetworkLoadIsTreeOptimal(t *testing.T) {

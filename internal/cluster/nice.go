@@ -34,29 +34,35 @@ const (
 	ReplicaPort = 7001
 )
 
+// The platform's fixed latencies (§6): the hardware switches' forwarding
+// delay, the control channel between a switch and the metadata service,
+// and the software forwarding delay of a client-side Open vSwitch.
+const (
+	SwitchLatency = 2 * time.Microsecond
+	CtrlDelay     = 200 * time.Microsecond
+	EdgeLatency   = 10 * time.Microsecond
+)
+
 // Options describes a deployment, defaulting to the paper's platform
 // (§6): 1 Gbps links, one OpenFlow switch, replication level 3,
 // 15 storage nodes, SSD-backed stores.
 type Options struct {
-	Nodes         int
-	R             int
-	Clients       int
-	LoadBalance   bool
-	Seed          int64
-	Link          netsim.LinkConfig
-	SwitchLatency sim.Time
-	CtrlDelay     sim.Time
-	Disk          kvstore.DiskConfig
-	Heartbeat     sim.Time
-	AckTimeout    sim.Time // protocol-phase wait (0 = node default)
-	OpTimeout     sim.Time
-	RetryWait     sim.Time
-	RetryMaxWait  sim.Time // back-off cap (0 = client default)
-	MaxRetries    int      // per-op retry budget (0 = client default)
-	EdgeOVS       bool     // client-side Open vSwitch deployment (§5.1)
-	EdgeLatency   sim.Time
-	QuorumK       int      // any-k puts (0 = all replicas)
-	CPUPerOp      sim.Time // per-request node processing cost
+	Nodes        int
+	R            int
+	Clients      int
+	LoadBalance  bool
+	Seed         int64
+	Link         netsim.LinkConfig
+	Disk         kvstore.DiskConfig
+	Heartbeat    sim.Time
+	AckTimeout   sim.Time // protocol-phase wait (0 = node default)
+	OpTimeout    sim.Time
+	RetryWait    sim.Time
+	RetryMaxWait sim.Time // back-off cap (0 = client default)
+	MaxRetries   int      // per-op retry budget (0 = client default)
+	EdgeOVS      bool     // client-side Open vSwitch deployment (§5.1)
+	QuorumK      int      // any-k puts (0 = all replicas)
+	CPUPerOp     sim.Time // per-request node processing cost
 	// Standby deploys a hot-standby metadata replica (§4.1). It shares a
 	// NetChain-style chain of switch-resident stores (internal/ctrlchain)
 	// with the active service: a takeover restores views, statuses and
@@ -161,19 +167,16 @@ var probeDropInvalidate bool
 // DefaultOptions mirrors the paper's deployment configuration.
 func DefaultOptions() Options {
 	return Options{
-		Nodes:         15,
-		R:             3,
-		Clients:       1,
-		Seed:          1,
-		Link:          netsim.Gbps(1, 5*time.Microsecond),
-		SwitchLatency: 2 * time.Microsecond,
-		CtrlDelay:     200 * time.Microsecond,
-		Disk:          kvstore.SSD(),
-		Heartbeat:     500 * time.Millisecond,
-		OpTimeout:     time.Second,
-		RetryWait:     2 * time.Second,
-		EdgeLatency:   10 * time.Microsecond,
-		CPUPerOp:      100 * time.Microsecond,
+		Nodes:     15,
+		R:         3,
+		Clients:   1,
+		Seed:      1,
+		Link:      netsim.Gbps(1, 5*time.Microsecond),
+		Disk:      kvstore.SSD(),
+		Heartbeat: 500 * time.Millisecond,
+		OpTimeout: time.Second,
+		RetryWait: 2 * time.Second,
+		CPUPerOp:  100 * time.Microsecond,
 	}
 }
 
@@ -286,7 +289,8 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		// gateway, so each gateway must terminate its own leaf's flows.
 		for i := 0; i < fab.leaves; i++ {
 			h := nw.NewHost("gw"+strconv.Itoa(i), netsim.IPv4(10, 20, 0, byte(i+1)))
-			d.Gateways = append(d.Gateways, fab.attachGateway(i, h))
+			fab.attachGateway(i, h)
+			d.Gateways = append(d.Gateways, Gateway{Stack: transport.NewStack(h)})
 		}
 	}
 
@@ -345,11 +349,12 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		cfg.Store = controller.NewChainStore(d.Chain)
 	}
 	d.Unicast = cfg.Unicast
-	d.Service = controller.New(metaStack, fab.topo, cfg, addrs)
+	tree := controller.NewFabric(fab.core)
+	d.Service = controller.New(metaStack, tree, cfg, addrs)
 	d.Service.Start()
 	if opts.Standby {
 		d.Service.RegisterHost(standbyStack.IP(), standbyStack.Host().MAC())
-		d.Standby = controller.NewStandby(standbyStack, fab.topo, cfg, addrs, metaStack.IP())
+		d.Standby = controller.NewStandby(standbyStack, tree, cfg, addrs, metaStack.IP())
 		d.Standby.Start()
 	}
 	for _, cst := range d.CStacks {

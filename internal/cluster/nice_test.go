@@ -11,10 +11,16 @@ import (
 
 func ms(n int) sim.Time { return sim.Time(n) * time.Millisecond }
 
-// runNICE drives fn on client 0 and runs the simulation to completion.
+// runNICE drives fn on the paper's platform; see runDriver.
 func runNICE(t *testing.T, opts Options, fn func(p *sim.Proc, d *NICE)) *NICE {
 	t.Helper()
-	d := NewNICE(opts)
+	return runDriver(t, NewNICE(opts), fn)
+}
+
+// runDriver settles d, runs fn as its one driver proc to completion and
+// returns d for the caller to inspect and Close.
+func runDriver(t *testing.T, d *NICE, fn func(p *sim.Proc, d *NICE)) *NICE {
+	t.Helper()
 	if err := d.Settle(); err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func NewNOOB(opts NOOBOptions) *NOOB {
 	d := &NOOB{Opts: opts, Sim: s, Net: nw, Space: ring.NewSpace(opts.Nodes)}
 
 	nPorts := opts.Nodes + opts.Clients + 2
-	sw := nw.NewSwitch("l3", nPorts, opts.SwitchLatency)
+	sw := nw.NewSwitch("l3", nPorts, SwitchLatency)
 	d.Switch = sw
 
 	// Static L3 forwarding: dumb and fast, per the end-to-end principle.

@@ -45,8 +45,12 @@ const prioTrafficReply = 5
 // sink for that leaf's share of the virtual client fleet.
 type Gateway struct {
 	Stack *transport.Stack
-	Leaf  *openflow.Datapath
-	Port  int // the gateway's port on its leaf switch
+}
+
+// access reads the gateway's leaf, and its port there, off the cabling.
+func (g Gateway) access() (leaf *openflow.Datapath, port int) {
+	peer := g.Stack.Host().Port().Peer()
+	return peer.Dev.(*netsim.Switch).Pipeline().(*openflow.Datapath), peer.Index
 }
 
 // TrafficOptions parameterizes one open-loop run.
@@ -215,10 +219,11 @@ func NewTrafficEngine(d *NICE, opts TrafficOptions) *TrafficEngine {
 		// switch mirrors the request's addressing); the gateway terminates
 		// the whole client space so its NIC delivers them.
 		g.Stack.Host().AcceptPrefix(space)
-		g.Leaf.AddFlow(openflow.FlowEntry{
+		leaf, port := g.access()
+		leaf.AddFlow(openflow.FlowEntry{
 			Priority: prioTrafficReply,
 			Match:    openflow.MatchDst(space),
-			Actions:  []openflow.Action{openflow.Output{Port: g.Port}},
+			Actions:  []openflow.Action{openflow.Output{Port: port}},
 			Cookie:   "traffic/reply",
 		})
 		udp := g.Stack.MustBindUDP(TrafficPort)

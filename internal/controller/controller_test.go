@@ -25,7 +25,6 @@ type rig struct {
 	s     *sim.Simulator
 	net   *netsim.Network
 	dp    *openflow.Datapath
-	topo  *SingleSwitch
 	svc   *Service
 	nodes []*fakeNode
 	meta  *transport.Stack
@@ -44,19 +43,16 @@ func newRig(t *testing.T, n, r int, lb bool) *rig {
 	nw := netsim.NewNetwork(s)
 	sw := nw.NewSwitch("core", n+8, us(2))
 	dp := openflow.Attach(sw, us(50))
-	topo := NewSingleSwitch(dp)
-	rg := &rig{s: s, net: nw, dp: dp, topo: topo}
+	rg := &rig{s: s, net: nw, dp: dp}
 
 	metaHost := nw.NewHost("meta", netsim.MustParseIP("10.0.0.100"))
 	nw.Connect(metaHost.Port(), sw.Port(n), netsim.Gbps(1, us(5)))
-	topo.Attach(metaHost.IP(), n)
 	rg.meta = transport.NewStack(metaHost)
 
 	var addrs []NodeAddr
 	for i := 0; i < n; i++ {
 		h := nw.NewHost("node", netsim.IPv4(10, 0, 0, byte(i+1)))
 		nw.Connect(h.Port(), sw.Port(i), netsim.Gbps(1, us(5)))
-		topo.Attach(h.IP(), i)
 		st := transport.NewStack(h)
 		fn := &fakeNode{stack: st, ctrl: st.MustBindUDP(nodeCtrl), beat: true}
 		rg.nodes = append(rg.nodes, fn)
@@ -73,7 +69,7 @@ func newRig(t *testing.T, n, r int, lb bool) *rig {
 	cfg.HeartbeatEvery = ms(100)
 	cfg.LoadBalance = lb
 	cfg.ClientSpace = netsim.MustParsePrefix("192.168.0.0/16")
-	rg.svc = New(rg.meta, topo, cfg, addrs)
+	rg.svc = New(rg.meta, NewFabric(dp), cfg, addrs)
 	rg.svc.Start()
 
 	// Fake node loops: heartbeat + record control messages.
@@ -147,7 +143,6 @@ func TestUnicastVRingRouting(t *testing.T) {
 	// the primary of that partition must receive it rewritten.
 	client := rg.net.NewHost("client", netsim.MustParseIP("192.168.0.1"))
 	rg.net.Connect(client.Port(), rg.dp.Switch().Port(6), netsim.Gbps(1, us(5)))
-	rg.topo.Attach(client.IP(), 6)
 	cst := transport.NewStack(client)
 
 	key := "object-x"
@@ -211,7 +206,6 @@ func TestLoadBalancingDivisions(t *testing.T) {
 		h := rg.net.NewHost("client", ip)
 		port := 6 + d
 		rg.net.Connect(h.Port(), rg.dp.Switch().Port(port), netsim.Gbps(1, us(5)))
-		rg.topo.Attach(ip, port)
 		st := transport.NewStack(h)
 		rg.s.At(ms(5), func() {
 			st.MustBindUDP(0).SendTo(vaddr, dataPort, "get", 32)
@@ -393,7 +387,6 @@ func TestLearningSwitchARPPath(t *testing.T) {
 	// learning.
 	client := rg.net.NewHost("stranger", netsim.MustParseIP("192.168.5.5"))
 	rg.net.Connect(client.Port(), rg.dp.Switch().Port(7), netsim.Gbps(1, us(5)))
-	rg.topo.Attach(client.IP(), 7)
 	cst := transport.NewStack(client)
 	csock := cst.MustBindUDP(4000)
 
@@ -438,7 +431,7 @@ func TestLearningSwitchARPPath(t *testing.T) {
 
 func TestDivisionsMath(t *testing.T) {
 	rg := newRig(t, 4, 3, true)
-	divs := rg.svc.divisions(3)
+	divs := rg.svc.divisionsN(3)
 	if len(divs) != 3 {
 		t.Fatalf("got %d divisions", len(divs))
 	}
@@ -459,11 +452,9 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	nw := netsim.NewNetwork(s)
 	sw := nw.NewSwitch("core", 16, us(2))
 	dp := openflow.Attach(sw, us(50))
-	topo := NewSingleSwitch(dp)
 
 	metaHost := nw.NewHost("meta", netsim.MustParseIP("10.0.0.100"))
 	nw.Connect(metaHost.Port(), sw.Port(8), netsim.Gbps(1, us(5)))
-	topo.Attach(metaHost.IP(), 8)
 	meta := transport.NewStack(metaHost)
 
 	var addrs []NodeAddr
@@ -471,7 +462,6 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h := nw.NewHost("node", netsim.IPv4(10, 0, 0, byte(i+1)))
 		nw.Connect(h.Port(), sw.Port(i), netsim.Gbps(1, us(5)))
-		topo.Attach(h.IP(), i)
 		st := transport.NewStack(h)
 		st.MustBindUDP(dataPort)
 		stacks = append(stacks, st)
@@ -489,7 +479,7 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	cfg.RebalanceEvery = ms(200)
 	cfg.RebalanceMinOps = 20
 	cfg.ClientSpace = netsim.MustParsePrefix("192.168.0.0/16")
-	svc := New(meta, topo, cfg, addrs)
+	svc := New(meta, NewFabric(dp), cfg, addrs)
 	svc.Start()
 	// Keep heartbeats flowing so the detector stays quiet.
 	for i := range addrs {
@@ -515,7 +505,6 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 		h := nw.NewHost("client", ip)
 		port := 10 + ci
 		nw.Connect(h.Port(), sw.Port(port), netsim.Gbps(1, us(5)))
-		topo.Attach(ip, port)
 		st := transport.NewStack(h)
 		s.Spawn("getter", func(p *sim.Proc) {
 			sock := st.MustBindUDP(0)
@@ -555,11 +544,9 @@ func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
 	nw := netsim.NewNetwork(s)
 	sw := nw.NewSwitch("core", 8, us(2))
 	dp := openflow.Attach(sw, us(50))
-	topo := NewSingleSwitch(dp)
 
 	metaHost := nw.NewHost("meta", netsim.MustParseIP("10.0.0.100"))
 	nw.Connect(metaHost.Port(), sw.Port(4), netsim.Gbps(1, us(5)))
-	topo.Attach(metaHost.IP(), 4)
 	meta := transport.NewStack(metaHost)
 
 	var addrs []NodeAddr
@@ -567,14 +554,12 @@ func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h := nw.NewHost("node", netsim.IPv4(10, 0, 0, byte(i+1)))
 		nw.Connect(h.Port(), sw.Port(i), netsim.Gbps(1, us(5)))
-		topo.Attach(h.IP(), i)
 		st := transport.NewStack(h)
 		nodeSocks = append(nodeSocks, st.MustBindUDP(dataPort))
 		addrs = append(addrs, NodeAddr{Index: i, IP: h.IP(), MAC: h.MAC(), DataPort: dataPort, CtrlPort: nodeCtrl})
 	}
 	client := nw.NewHost("client", netsim.MustParseIP("192.168.0.1"))
 	nw.Connect(client.Port(), sw.Port(5), netsim.Gbps(1, us(5)))
-	topo.Attach(client.IP(), 5)
 	cst := transport.NewStack(client)
 
 	cfg := DefaultConfig()
@@ -584,7 +569,7 @@ func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
 	cfg.GroupBase = netsim.MustParseIP("239.0.0.0")
 	cfg.LazyMapping = true
 	cfg.MappingIdleTimeout = ms(200)
-	svc := New(meta, topo, cfg, addrs)
+	svc := New(meta, NewFabric(dp), cfg, addrs)
 	svc.Start()
 
 	countVring := func() int {

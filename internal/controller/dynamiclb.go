@@ -3,9 +3,9 @@ package controller
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/netsim"
-	"repro/internal/openflow"
 	"repro/internal/sim"
 )
 
@@ -83,7 +83,7 @@ func (svc *Service) divisionAssignment(part, ndiv, replicas int) []int {
 // readDivisionCounters polls the per-division rule match counters on the
 // first mapping datapath (a flow-stats request in OpenFlow terms).
 func (svc *Service) readDivisionCounters(part, ndiv int) []int64 {
-	dps := svc.topo.MappingDatapaths()
+	dps := svc.fabric.MappingDatapaths()
 	if len(dps) == 0 {
 		return nil
 	}
@@ -91,7 +91,7 @@ func (svc *Service) readDivisionCounters(part, ndiv int) []int64 {
 	out := make([]int64, ndiv)
 	for _, e := range dps[0].Table().Entries() {
 		var d int
-		if n, err := fmt.Sscanf(e.Cookie, "uni-p"+itoa(part)+".d%d", &d); err == nil && n == 1 {
+		if n, err := fmt.Sscanf(e.Cookie, "uni-p"+strconv.Itoa(part)+".d%d", &d); err == nil && n == 1 {
 			if d >= 0 && d < ndiv {
 				out[d] += e.Matches()
 			}
@@ -99,8 +99,6 @@ func (svc *Service) readDivisionCounters(part, ndiv int) []int64 {
 	}
 	return out
 }
-
-func itoa(i int) string { return fmt.Sprintf("%d", i) }
 
 // rebalance recomputes one partition's division assignment from the
 // counters observed since the last poll.
@@ -207,5 +205,3 @@ func (svc *Service) divisionsN(n int) []netsim.Prefix {
 	}
 	return out
 }
-
-var _ = openflow.FlowEntry{} // keep the import explicit for readers

@@ -43,7 +43,7 @@ func (svc *Service) PacketIn(dp *openflow.Datapath, pkt *netsim.Packet, inPort i
 		// retries until an operator or a rejoin restores the view.
 		if v := svc.views[part]; len(v.Replicas) > 0 {
 			primary := v.Primary()
-			if port, ok := svc.topo.PortToward(dp, primary.IP); ok {
+			if port, ok := svc.fabric.PortToward(dp, primary.IP); ok {
 				out := pkt.Clone()
 				out.DstIP = primary.IP
 				out.DstMAC = primary.MAC
@@ -58,12 +58,12 @@ func (svc *Service) PacketIn(dp *openflow.Datapath, pkt *netsim.Packet, inPort i
 		net.RecyclePacket(pkt)
 		return
 	}
-	if loc, ok := svc.known[pkt.DstIP]; ok {
+	if mac, ok := svc.known[pkt.DstIP]; ok {
 		// Location known but the rule had not landed when this packet hit
 		// the table: forward it directly.
-		if port, ok := svc.topo.PortToward(dp, pkt.DstIP); ok {
+		if port, ok := svc.fabric.PortToward(dp, pkt.DstIP); ok {
 			out := pkt.Clone()
-			out.DstMAC = loc.mac
+			out.DstMAC = mac
 			dp.PacketOut(out, port)
 		}
 		net.RecyclePacket(pkt)
@@ -85,7 +85,7 @@ func (svc *Service) PacketIn(dp *openflow.Datapath, pkt *netsim.Packet, inPort i
 
 // broadcastARP floods an ARP request for ip from the metadata host.
 func (svc *Service) broadcastARP(ip netsim.IP) {
-	for _, dp := range svc.topo.AllDatapaths() {
+	for _, dp := range svc.fabric.Datapaths() {
 		req := &netsim.Packet{
 			SrcIP:   svc.stack.IP(),
 			SrcMAC:  svc.stack.Host().MAC(),
@@ -103,13 +103,13 @@ func (svc *Service) broadcastARP(ip netsim.IP) {
 // flushes packets buffered for it.
 func (svc *Service) learn(ip netsim.IP, mac netsim.MAC) {
 	if _, ok := svc.known[ip]; !ok {
-		svc.known[ip] = hostLoc{mac: mac}
+		svc.known[ip] = mac
 		svc.installPhysRules(ip, mac)
 	}
 	buffered := svc.pending[ip]
 	delete(svc.pending, ip)
 	for _, pp := range buffered {
-		if port, ok := svc.topo.PortToward(pp.dp, ip); ok {
+		if port, ok := svc.fabric.PortToward(pp.dp, ip); ok {
 			out := pp.pkt.Clone()
 			out.DstMAC = mac
 			pp.dp.PacketOut(out, port)

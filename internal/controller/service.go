@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/harmonia"
@@ -124,15 +125,15 @@ type Stats struct {
 
 // Service is the metadata service: membership module + SDN controller.
 type Service struct {
-	cfg   Config
-	s     *sim.Simulator
-	stack *transport.Stack
-	topo  Topology
-	ctrl  *transport.UDPSocket
-	nodes []*nodeState
-	views []*PartitionView
-	stats Stats
-	trace func(format string, args ...any) // optional event log
+	cfg    Config
+	s      *sim.Simulator
+	stack  *transport.Stack
+	fabric *Fabric
+	ctrl   *transport.UDPSocket
+	nodes  []*nodeState
+	views  []*PartitionView
+	stats  Stats
+	trace  func(format string, args ...any) // optional event log
 
 	// store is the coordination-state backend; gen is this instance's
 	// writer generation (acquired at Start). All state writes and
@@ -155,7 +156,7 @@ type Service struct {
 	lastHolder map[int]NodeAddr
 
 	// learning-switch state (§5 mapping service)
-	known   map[netsim.IP]hostLoc
+	known   map[netsim.IP]netsim.MAC // discovered hosts; their ports are the fabric's to answer
 	pending map[netsim.IP][]pendingPkt
 	arped   map[netsim.IP]sim.Time
 
@@ -168,12 +169,6 @@ type Service struct {
 	harmonia *harmonia.DirtySet
 }
 
-type hostLoc struct {
-	mac netsim.MAC
-	// port per datapath is resolved through the topology; mac is what
-	// the learning path discovers.
-}
-
 type pendingPkt struct {
 	dp     *openflow.Datapath
 	pkt    *netsim.Packet
@@ -182,7 +177,7 @@ type pendingPkt struct {
 
 // New builds the service on the metadata host's transport stack. nodes
 // lists every storage node in ring order (index i = ring position i).
-func New(stack *transport.Stack, topo Topology, cfg Config, nodes []NodeAddr) *Service {
+func New(stack *transport.Stack, fabric *Fabric, cfg Config, nodes []NodeAddr) *Service {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 500 * time.Millisecond
 	}
@@ -196,9 +191,9 @@ func New(stack *transport.Stack, topo Topology, cfg Config, nodes []NodeAddr) *S
 		cfg:        cfg,
 		s:          stack.Sim(),
 		stack:      stack,
-		topo:       topo,
+		fabric:     fabric,
 		store:      cfg.Store,
-		known:      make(map[netsim.IP]hostLoc),
+		known:      make(map[netsim.IP]netsim.MAC),
 		pending:    make(map[netsim.IP][]pendingPkt),
 		arped:      make(map[netsim.IP]sim.Time),
 		lastHolder: make(map[int]NodeAddr),
@@ -248,7 +243,7 @@ func (svc *Service) NodeAddrOf(idx int) NodeAddr { return svc.nodes[idx].addr }
 // harness does this for infrastructure hosts; clients may instead be
 // learned through ARP, see learning.go).
 func (svc *Service) RegisterHost(ip netsim.IP, mac netsim.MAC) {
-	svc.known[ip] = hostLoc{mac: mac}
+	svc.known[ip] = mac
 	svc.installPhysRules(ip, mac)
 }
 
@@ -259,7 +254,7 @@ func (svc *Service) Start() {
 		v.Gen = svc.gen
 	}
 	svc.ctrl = svc.stack.MustBindUDP(svc.cfg.CtrlPort)
-	for _, dp := range svc.topo.AllDatapaths() {
+	for _, dp := range svc.fabric.Datapaths() {
 		dp.SetController(svc)
 		dp.RaiseWriterFence(svc.gen)
 		// All ARP traffic goes to the controller: it is both the ARP
@@ -396,8 +391,9 @@ func (svc *Service) barrierSend(a NodeAddr, msg any, size int) {
 		svc.sendToNode(a, msg, size)
 		return
 	}
+	groupDPs := svc.groupDatapaths()
 	remaining := 0
-	for _, dp := range svc.topo.GroupDatapaths() {
+	for _, dp := range groupDPs {
 		if dp.WriterAllowed(svc.gen) {
 			remaining++
 		}
@@ -406,7 +402,7 @@ func (svc *Service) barrierSend(a NodeAddr, msg any, size int) {
 		svc.sendToNode(a, msg, size)
 		return
 	}
-	for _, dp := range svc.topo.GroupDatapaths() {
+	for _, dp := range groupDPs {
 		if !dp.WriterAllowed(svc.gen) {
 			continue
 		}
@@ -417,6 +413,18 @@ func (svc *Service) barrierSend(a NodeAddr, msg any, size int) {
 			}
 		})
 	}
+}
+
+// groupDatapaths returns the datapaths that hold multicast groups (the
+// fan-out points): every switch with a storage node at or below it. A
+// client-side edge has none, so it holds no group and sends group
+// traffic on toward the nodes.
+func (svc *Service) groupDatapaths() []*openflow.Datapath {
+	ips := make([]netsim.IP, len(svc.nodes))
+	for i, n := range svc.nodes {
+		ips[i] = n.addr.IP
+	}
+	return svc.fabric.Holding(ips)
 }
 
 // fail runs the §4.4 failure-hiding procedure for node idx.
@@ -464,9 +472,7 @@ func (svc *Service) fail(idx int) {
 			svc.tracef("%v: partition %d primary failed; promoting node %d",
 				svc.s.Now(), v.Partition, v.Replicas[0].Index)
 		}
-		v.Epoch++
-		svc.installPartition(v.Partition)
-		svc.announce(v, idx)
+		svc.commitView(v, idx)
 	}
 	// Replicate the status change even when no view mentioned the node
 	// (announce covers the common case but not a no-view demotion).
@@ -512,6 +518,14 @@ func (svc *Service) pickHandoff(v *PartitionView) *NodeAddr {
 		return &a
 	}
 	return nil
+}
+
+// commitView publishes a membership change to v under a new epoch: flow
+// mods first, then the store write, then the announcements (announce).
+func (svc *Service) commitView(v *PartitionView, failed int) {
+	v.Epoch++
+	svc.installPartition(v.Partition)
+	svc.announce(v, failed)
 }
 
 // announce distributes a changed view to its participants (O(R)
@@ -643,9 +657,7 @@ func (svc *Service) handleRejoin(idx int) {
 			// ConsistentNotice.
 			v.Recovering = append(v.Recovering, n.addr)
 		}
-		v.Epoch++
-		svc.installPartition(part)
-		svc.announce(v, -1)
+		svc.commitView(v, -1)
 		info.Views = append(info.Views, v.Clone())
 		var h NodeAddr
 		if v.Handoff != nil {
@@ -692,9 +704,7 @@ func (svc *Service) handleConsistent(idx int) {
 			v.Handoff = nil
 		}
 		v.Replicas = append(v.Replicas, n.addr)
-		v.Epoch++
-		svc.installPartition(part)
-		svc.announce(v, -1)
+		svc.commitView(v, -1)
 		if released != nil {
 			svc.sendToNode(*released, &HandoffRelease{Partition: part}, ctrlMsgSize)
 		}
@@ -725,9 +735,7 @@ func (svc *Service) AddReplica(part, idx int) error {
 	}
 	a := n.addr
 	v.Recovering = append(v.Recovering, a)
-	v.Epoch++
-	svc.installPartition(part)
-	svc.announce(v, -1)
+	svc.commitView(v, -1)
 	svc.barrierSend(a, &ExpandAssign{View: v.Clone(), Source: v.Primary()}, sizeOfView(v))
 	svc.tracef("%v: node %d joining partition %d (put-visible)", svc.s.Now(), idx, part)
 	return nil
@@ -750,7 +758,7 @@ func (svc *Service) installPartition(p int) {
 		// could be found): there is no primary to route to. Drop the
 		// partition's mapping state so traffic punts to packet-in (and is
 		// dropped there) instead of chasing a dead address.
-		for _, dp := range svc.topo.MappingDatapaths() {
+		for _, dp := range svc.fabric.MappingDatapaths() {
 			if !dp.WriterAllowed(svc.gen) {
 				continue
 			}
@@ -763,7 +771,7 @@ func (svc *Service) installPartition(p int) {
 	mcPfx := svc.cfg.Multicast.SubgroupPrefix(p)
 
 	// Multicast groups first (the mapping rules reference them): every
-	// group datapath gets the loop-free replication plan the topology
+	// group datapath gets the loop-free replication plan the fabric
 	// computes for the current member set. Plan entry k uses group id
 	// 64p+k; the fallback (AnyPort) entry is what vring mapping rules
 	// jump to.
@@ -772,12 +780,12 @@ func (svc *Service) installPartition(p int) {
 		memberIPs = append(memberIPs, r.IP)
 	}
 	fallbackGid := make(map[*openflow.Datapath]openflow.GroupID)
-	for _, dp := range svc.topo.GroupDatapaths() {
+	for _, dp := range svc.groupDatapaths() {
 		if !dp.WriterAllowed(svc.gen) {
 			continue // fenced: a promoted controller owns this switch now
 		}
 		dp.RemoveCookie(fmt.Sprintf("gd-p%d.", p))
-		for k, pe := range svc.topo.MulticastPlan(dp, memberIPs) {
+		for k, pe := range svc.fabric.MulticastPlan(dp, memberIPs) {
 			if len(pe.Ports) == 0 {
 				continue
 			}
@@ -807,7 +815,7 @@ func (svc *Service) installPartition(p int) {
 		}
 	}
 
-	for _, dp := range svc.topo.MappingDatapaths() {
+	for _, dp := range svc.fabric.MappingDatapaths() {
 		if !dp.WriterAllowed(svc.gen) {
 			continue
 		}
@@ -816,7 +824,7 @@ func (svc *Service) installPartition(p int) {
 
 		// Unicast: default route to the primary.
 		primary := v.Primary()
-		if port, ok := svc.topo.PortToward(dp, primary.IP); ok {
+		if port, ok := svc.fabric.PortToward(dp, primary.IP); ok {
 			dp.AddFlow(openflow.FlowEntry{
 				Priority:    prioMapping,
 				Match:       openflow.MatchDst(uniPfx),
@@ -838,7 +846,7 @@ func (svc *Service) installPartition(p int) {
 			assign := svc.divisionAssignment(p, ndiv, len(v.Replicas))
 			for d, div := range svc.divisionsN(ndiv) {
 				r := v.Replicas[assign[d]]
-				port, ok := svc.topo.PortToward(dp, r.IP)
+				port, ok := svc.fabric.PortToward(dp, r.IP)
 				if !ok {
 					continue
 				}
@@ -859,12 +867,13 @@ func (svc *Service) installPartition(p int) {
 		}
 
 		// Multicast mapping: rewrite to the group address, then fan out
-		// through the local fallback group, or send toward the fabric
-		// core when this datapath holds no groups (client-edge OVS).
+		// through the local fallback group, or — when this datapath holds
+		// no groups (client-edge OVS), so every member lies the same way —
+		// send toward the primary.
 		actions := []openflow.Action{openflow.SetDstIP{IP: v.GroupIP}}
 		if gid, ok := fallbackGid[dp]; ok {
 			actions = append(actions, openflow.OutputGroup{Group: gid})
-		} else if port, ok := svc.topo.PortToward(dp, v.GroupIP); ok {
+		} else if port, ok := svc.fabric.PortToward(dp, primary.IP); ok {
 			actions = append(actions, openflow.Output{Port: port})
 		}
 		dp.AddFlow(openflow.FlowEntry{
@@ -883,19 +892,15 @@ func (svc *Service) installPartition(p int) {
 	svc.installHarmonia(p)
 }
 
-// divisions splits the client space into n power-of-two source prefixes
-// (§4.5: "each division size is a multiple of 2").
-func (svc *Service) divisions(n int) []netsim.Prefix { return svc.divisionsN(n) }
-
 // installPhysRules adds plain L3 forwarding for one physical host on
 // every datapath.
 func (svc *Service) installPhysRules(ip netsim.IP, mac netsim.MAC) {
 	cookie := "phys-" + ip.String()
-	for _, dp := range svc.topo.AllDatapaths() {
+	for _, dp := range svc.fabric.Datapaths() {
 		if !dp.WriterAllowed(svc.gen) {
 			continue
 		}
-		port, ok := svc.topo.PortToward(dp, ip)
+		port, ok := svc.fabric.PortToward(dp, ip)
 		if !ok {
 			continue
 		}
@@ -916,21 +921,17 @@ func (svc *Service) installPhysRules(ip netsim.IP, mac netsim.MAC) {
 // the mapping datapath: the §4.6 switch-scalability quantity (2 without
 // load balancing, R+1 with).
 func (svc *Service) rulesPerPartition() int {
-	dps := svc.topo.MappingDatapaths()
+	dps := svc.fabric.MappingDatapaths()
 	if len(dps) == 0 || len(svc.views) == 0 {
 		return 0
 	}
 	count := 0
 	for _, e := range dps[0].Table().Entries() {
-		if hasPrefix(e.Cookie, "uni-p0.") || hasPrefix(e.Cookie, "mc-p0.") {
+		if strings.HasPrefix(e.Cookie, "uni-p0.") || strings.HasPrefix(e.Cookie, "mc-p0.") {
 			count++
 		}
 	}
 	return count
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }
 
 // PermanentRemove executes the administrator's node-removal procedure

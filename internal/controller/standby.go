@@ -68,7 +68,7 @@ func (svc *Service) RestoreState(views []*PartitionView, statuses []int) {
 // Standby is the hot-standby metadata replica.
 type Standby struct {
 	stack  *transport.Stack
-	topo   Topology
+	fabric *Fabric
 	cfg    Config
 	nodes  []NodeAddr
 	active netsim.IP // the active service's address (the identity to adopt)
@@ -84,8 +84,8 @@ type Standby struct {
 // share (the standby has no other source of state), and the in-switch
 // stages it names are the ones the promoted service adopts. activeIP is
 // the address storage nodes send their heartbeats to.
-func NewStandby(stack *transport.Stack, topo Topology, cfg Config, nodes []NodeAddr, activeIP netsim.IP) *Standby {
-	return &Standby{stack: stack, topo: topo, cfg: cfg, nodes: nodes, active: activeIP}
+func NewStandby(stack *transport.Stack, fabric *Fabric, cfg Config, nodes []NodeAddr, activeIP netsim.IP) *Standby {
+	return &Standby{stack: stack, fabric: fabric, cfg: cfg, nodes: nodes, active: activeIP}
 }
 
 // SetTrace installs an event logger.
@@ -140,7 +140,7 @@ func (sb *Standby) takeover(p *sim.Proc) {
 
 	cfg := sb.cfg
 	cfg.StandbyIP = 0 // no standby-of-standby
-	svc := New(sb.stack, sb.topo, cfg, sb.nodes)
+	svc := New(sb.stack, sb.fabric, cfg, sb.nodes)
 	// The chain refuses snapshots mid-repair (a healing chain never
 	// serves a pre-failure view). Wait the splice out: promoting from
 	// anything but the committed state would announce views the nodes
@@ -165,8 +165,8 @@ func (sb *Standby) takeover(p *sim.Proc) {
 	// Adopt the service identity in the network: packets to the old
 	// metadata address now reach this host. The old primary, if it ever
 	// returns, is cut off the control plane until an operator intervenes.
-	for _, dp := range sb.topo.AllDatapaths() {
-		port, ok := sb.topo.PortToward(dp, sb.stack.IP())
+	for _, dp := range sb.fabric.Datapaths() {
+		port, ok := sb.fabric.PortToward(dp, sb.stack.IP())
 		if !ok {
 			continue
 		}
