@@ -147,8 +147,12 @@ func (h *Host) Recv(pkt *Packet, on *Port) {
 		h.net.RecyclePacket(pkt)
 		return
 	}
-	// NIC filter: our MAC, broadcast, or a subscribed multicast group.
-	if pkt.DstMAC != h.mac && pkt.DstMAC != BroadcastMAC && !h.mcast[pkt.DstIP] {
+	// NIC filter: our MAC, broadcast, or a subscribed multicast group. Both
+	// filters below ask about the group; the table is probed once.
+	forMAC := pkt.DstMAC == h.mac || pkt.DstMAC == BroadcastMAC
+	forIP := pkt.DstIP == h.ip
+	member := !(forMAC && forIP) && h.mcast[pkt.DstIP]
+	if !forMAC && !member {
 		h.net.drops++
 		h.net.RecyclePacket(pkt)
 		return
@@ -158,7 +162,7 @@ func (h *Host) Recv(pkt *Packet, on *Port) {
 		h.net.RecyclePacket(pkt)
 		return
 	}
-	if pkt.DstIP != h.ip && !h.mcast[pkt.DstIP] && !h.acceptsDst(pkt.DstIP) {
+	if !forIP && !member && !h.acceptsDst(pkt.DstIP) {
 		h.net.drops++
 		h.net.RecyclePacket(pkt)
 		return

@@ -44,15 +44,29 @@ type linkDir struct {
 	down      bool  // severed: everything sent is dropped
 	busyUntil sim.Time
 	stats     DirStats
+	// txSize → tx is the last serialization delay computed: a transfer's
+	// packets are all one size, so the divide runs once per run of them.
+	// The zero memo is correct under any configuration.
+	txSize int
+	tx     sim.Time
+}
+
+// setConfig installs cfg and forgets the memoised serialization delay.
+func (d *linkDir) setConfig(cfg LinkConfig) {
+	d.cfg = cfg
+	d.txSize, d.tx = 0, 0
 }
 
 // txTime returns the serialization delay of size bytes.
 func (d *linkDir) txTime(size int) sim.Time {
-	if d.cfg.BandwidthBps <= 0 {
-		return 0
+	if size != d.txSize {
+		d.txSize, d.tx = size, 0
+		if d.cfg.BandwidthBps > 0 {
+			sec := float64(size*8) / d.cfg.BandwidthBps
+			d.tx = sim.Time(sec * float64(time.Second))
+		}
 	}
-	sec := float64(size*8) / d.cfg.BandwidthBps
-	return sim.Time(sec * float64(time.Second))
+	return d.tx
 }
 
 // send serializes pkt onto the wire. Packets queue FIFO behind earlier
@@ -105,8 +119,8 @@ func (l *Link) TotalBytes() int64 { return l.ab.stats.Bytes + l.ba.stats.Bytes }
 // SetConfig changes the link's bandwidth/delay (both directions). The
 // quorum experiment uses this to throttle replicas mid-deployment.
 func (l *Link) SetConfig(cfg LinkConfig) {
-	l.ab.cfg = cfg
-	l.ba.cfg = cfg
+	l.ab.setConfig(cfg)
+	l.ba.setConfig(cfg)
 }
 
 // Config returns the current configuration (both directions share one).

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -426,5 +427,56 @@ func TestTapsObserveTraffic(t *testing.T) {
 	}
 	if counter.Pkts["b/udp"] != 2 {
 		t.Fatal("removed tap still counting")
+	}
+}
+
+// TestTapsFireInRegistrationOrder: every event reaches the taps in the
+// order they were added — a map of taps called them in a different order
+// from event to event and run to run, so two writers on one stream
+// interleaved nondeterministically — and removing one (here from inside
+// its own callback) leaves the order of the rest alone. The tap's header
+// snapshot carries the transport sequence field like any other header.
+func TestTapsFireInRegistrationOrder(t *testing.T) {
+	s, n, a, b := pair(t, Gbps(1, 0))
+	b.SetHandler(func(pkt *Packet) {})
+	const taps = 16
+	var order []int
+	var removeFifth func()
+	for i := 0; i < taps; i++ {
+		remove := n.AddTap(func(ev TraceEvent) {
+			if ev.Pkt.Seq != 77 {
+				t.Errorf("tap saw Seq %d, want 77", ev.Pkt.Seq)
+			}
+			order = append(order, i)
+			if i == 5 && len(order) > 3*taps {
+				removeFifth()
+			}
+		})
+		if i == 5 {
+			removeFifth = remove
+		}
+	}
+	s.At(0, func() {
+		for k := 0; k < 3; k++ {
+			a.Send(&Packet{DstIP: b.IP(), Proto: ProtoUDP, Size: 100, Seq: 77})
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Six events (3 tx, 3 rx): tap 5 sees the first four and is gone.
+	var want []int
+	for ev := 0; ev < 6; ev++ {
+		for i := 0; i < taps; i++ {
+			if i != 5 || ev < 4 {
+				want = append(want, i)
+			}
+		}
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("taps fired in order %v", order)
+	}
+	if c := n.ClonePacket(&Packet{Seq: 9}); c.Seq != 9 {
+		t.Fatal("ClonePacket dropped the sequence field")
 	}
 }

@@ -14,7 +14,7 @@ type Network struct {
 	macSeq   uint64
 	pktID    uint64
 	drops    int64
-	taps     map[int]Tap
+	taps     []tapEntry // in registration order
 	tapSeq   int
 	pktFree  []*Packet // recycled packet structs; see NewPacket
 }

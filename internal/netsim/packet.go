@@ -69,8 +69,13 @@ type Packet struct {
 	SrcPort, DstPort uint16
 	Size             int
 	Payload          any
-	TTL              int
-	ID               uint64 // unique per original packet; copies share it
+	// Seq is the transport header's sequence field (a multicast chunk's
+	// index and ack-request bit, a stream segment's or ack's number). Only
+	// the endpoint transports read it: the fabric neither matches on it nor
+	// rewrites it, and copies carry it like any other header.
+	Seq uint64
+	TTL int
+	ID  uint64 // unique per original packet; copies share it
 }
 
 // DefaultTTL bounds forwarding loops.

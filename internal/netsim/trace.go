@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -25,16 +26,23 @@ func (e TraceEvent) String() string {
 // anything.
 type Tap func(ev TraceEvent)
 
+// tapEntry is a registered tap and the id its remove function names.
+type tapEntry struct {
+	id  int
+	tap Tap
+}
+
 // AddTap registers a network-wide tap fed from every host NIC (both
-// directions). It returns a remove function.
+// directions). Taps see each event in registration order. It returns a
+// remove function, which builds a new list so that a tap may remove itself
+// (or another) from inside an event.
 func (n *Network) AddTap(tap Tap) func() {
 	n.tapSeq++
 	id := n.tapSeq
-	if n.taps == nil {
-		n.taps = make(map[int]Tap)
+	n.taps = append(n.taps, tapEntry{id, tap})
+	return func() {
+		n.taps = slices.DeleteFunc(slices.Clone(n.taps), func(e tapEntry) bool { return e.id == id })
 	}
-	n.taps[id] = tap
-	return func() { delete(n.taps, id) }
 }
 
 // emitTrace fans one event to all taps.
@@ -43,8 +51,8 @@ func (n *Network) emitTrace(dev, dir string, pkt *Packet) {
 		return
 	}
 	ev := TraceEvent{At: n.sim.Now(), Device: dev, Dir: dir, Pkt: *pkt}
-	for _, tap := range n.taps {
-		tap(ev)
+	for _, e := range n.taps {
+		e.tap(ev)
 	}
 }
 

@@ -9,21 +9,24 @@ import (
 // This file implements the kernel's event queue as a hierarchical timer
 // wheel. The binary heap it replaced (eventHeap, kept in wheel_test.go as
 // the differential-test oracle) made every schedule and dispatch O(log n)
-// in the pending-event count. The wheel makes both operations O(1)
-// amortized: an insert is two shifts, a bitmap OR and an append; a pop is
-// two TrailingZeros scans and a slice index; a cancel is a swap-remove at
-// the position the event records.
+// in the pending-event count. The wheel makes both O(1) amortized: an
+// insert is two shifts, a bitmap OR and an append (plus a few compares at
+// level 0); a pop is two TrailingZeros scans and a slice index; a cancel
+// is a swap-remove at the position the event records.
 //
-// Shape: wheelLevels levels of wheelSlots buckets each. Level L buckets
-// span 2^(6L) ns of virtual time, so level 0 buckets hold exactly one
-// timestamp and the top level spans the full 63-bit Time range. An event
-// at absolute time t files under the level of the highest 6-bit field in
-// which t differs from the wheel cursor `cur`, at index (t >> 6L) & 63 —
-// absolute indexing, no modular wrap. Far-future events sit in coarse
-// buckets until dispatch reaches them, then cascade toward level 0, each
-// re-filing strictly downward (after the cursor advances to the bucket's
-// start, the remaining difference is confined to lower fields), so every
-// event cascades at most wheelLevels-1 times over its lifetime.
+// Shape: wheelLevels levels of wheelSlots buckets each. A level-L bucket
+// spans 2^(bucketBits+6L) ns of virtual time: 4.096 µs at level 0, the
+// full 63-bit Time range at the top. An event at absolute time t files
+// under the level of the highest 6-bit field (above the low bucketBits) in
+// which t differs from the wheel cursor `cur`, at index
+// (t >> (bucketBits+6L)) & 63 — absolute indexing, no modular wrap.
+// Level 0 therefore takes everything due within 2^18 ns (262 µs) of the
+// cursor's window, and its buckets are kept in dispatch order, so such an
+// event is filed once and popped from where it was filed. Far-future
+// events sit in coarse buckets until dispatch reaches them, then cascade
+// toward level 0, each re-filing strictly downward (after the cursor
+// advances to the bucket's start, the remaining difference is confined to
+// lower fields).
 //
 // Determinism: dispatch order must stay bit-identical to the heap's
 // total order on (at, seq). Two facts make the scan order-correct:
@@ -38,26 +41,40 @@ import (
 //     event's level strictly identifies the highest field where it
 //     exceeds cur, hence the lowest non-empty level's lowest-index bucket
 //     always holds the global minimum.
-//   - Within a level-0 bucket all events share one timestamp and only
-//     seq orders them. Direct inserts arrive in seq order, but a cascade
-//     can drop an older (smaller-seq) event into a bucket after a newer
-//     direct insert, and a cancel fills the hole it leaves with the
-//     bucket's last event, so buckets sort by seq lazily on first pop
-//     after going out of order. Coarser buckets have no order to keep.
+//   - Within a level-0 bucket events[head:] is sorted by (at, seq), so its
+//     head is that minimum. An insert that belongs within nearTail places
+//     of the end is shifted into place; one that belongs further up (a
+//     cascade dropping old events in, a same-instant wake behind a long
+//     bucket) and a cancel (which fills its hole with the bucket's last
+//     event) set `unsorted`, and the first pop after that sorts the
+//     bucket. Coarser buckets have no order to keep.
 const (
-	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits // 64 buckets per level
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 11 // 6*11 = 66 bits ≥ the 63-bit Time range
+	wheelBits  = 6
+	wheelSlots = 1 << wheelBits // 64 buckets per level
+	wheelMask  = wheelSlots - 1
+	// bucketBits sets the level-0 bucket width, 2^12 ns. The delays a
+	// packet meets are 2 µs (switch), 5 µs (propagation) and 12 µs (one
+	// MTU at 1 Gbps): at this width all of them land inside level 0's
+	// 262 µs reach while a bucket still holds only a handful of events.
+	bucketBits  = 12
+	wheelLevels = 9 // 12 + 6*9 = 66 bits ≥ the 63-bit Time range
+	// nearTail bounds the in-place insertion walk, so filing a burst in
+	// descending time order costs one sort, not a quadratic shuffle.
+	nearTail = 8
 
 	inFront = -1 // event.lvl of the event held in the front cache
 )
 
+// before is the dispatch order: the total order on (at, seq).
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
 // wheelBucket is one slot's event list. head and unsorted are only
 // meaningful at level 0, where buckets are drained in place: events[:head]
-// have been popped, events[head:] are pending, and unsorted marks a
-// cascade or a cancel having broken seq order. Capacity is reused across
-// activations.
+// have been popped, events[head:] are pending, and unsorted marks an
+// insert or a cancel having broken dispatch order. Capacity is reused
+// across activations.
 type wheelBucket struct {
 	events   []*event
 	head     int
@@ -95,11 +112,14 @@ type timerWheel struct {
 func (w *timerWheel) init() { w.minAt = maxTime }
 
 // level returns the wheel level for an event at absolute time t: the
-// 6-bit field of the highest bit in which t differs from the cursor
-// (level 0 when t equals the cursor's 64 ns window).
+// 6-bit field of the highest bit in which t differs from the cursor. The
+// OR-ed bit folds every difference inside level 0's span onto level 0.
 func (w *timerWheel) level(t Time) int {
-	return (63 - bits.LeadingZeros64(uint64(t^w.cur))) / wheelBits
+	return (bits.Len64(uint64(t^w.cur)|1<<(bucketBits+wheelBits-1)) - 1 - bucketBits) / wheelBits
 }
+
+// shift returns the bit position of level lvl's bucket index.
+func shift(lvl int) uint { return bucketBits + uint(lvl)*wheelBits }
 
 // push files e, parking it in the front cache when it is provably the new
 // minimum: the buckets are empty, e beats the conservative minAt bound, or
@@ -136,15 +156,19 @@ func (w *timerWheel) pushBucket(e *event) {
 		panic(fmt.Sprintf("sim: wheel insert at %v before cursor %v", e.at, w.cur))
 	}
 	lvl := w.level(e.at)
-	idx := int(e.at>>(uint(lvl)*wheelBits)) & wheelMask
+	idx := int(e.at>>shift(lvl)) & wheelMask
 	b := &w.buckets[lvl][idx]
-	if lvl == 0 {
-		if n := len(b.events); n > b.head && e.seq < b.events[n-1].seq {
-			b.unsorted = true // an older event cascaded in after newer inserts
-		}
-	}
-	e.lvl, e.slot, e.pos = int8(lvl), uint8(idx), int32(len(b.events))
+	i := len(b.events)
 	b.events = append(b.events, e)
+	if lvl == 0 && !b.unsorted {
+		for stop := max(b.head, i-nearTail); i > stop && e.before(b.events[i-1]); i-- {
+			b.events[i] = b.events[i-1]
+			b.events[i].pos = int32(i)
+		}
+		b.events[i] = e
+		b.unsorted = i > b.head && e.before(b.events[i-1])
+	}
+	e.lvl, e.slot, e.pos = int8(lvl), uint8(idx), int32(i)
 	w.occupied[lvl] |= 1 << idx
 	w.summary |= 1 << lvl
 	w.n++
@@ -158,8 +182,8 @@ func (w *timerWheel) pushBucket(e *event) {
 // At the top level the shifted mask overflows to "keep nothing", which is
 // exactly right.
 func (w *timerWheel) bucketStart(lvl, idx int) Time {
-	shift := uint(lvl) * wheelBits
-	return Time(uint64(w.cur)&^(uint64(1)<<(shift+wheelBits)-1) | uint64(idx)<<shift)
+	sh := shift(lvl)
+	return Time(uint64(w.cur)&^(uint64(1)<<(sh+wheelBits)-1) | uint64(idx)<<sh)
 }
 
 // popBound removes and returns the earliest event if its time is at most
@@ -183,7 +207,7 @@ func (w *timerWheel) popBound(bound Time) *event {
 
 // popBucket is the bucket-scan slow path of popBound: it finds the lowest
 // pending bucket via the occupancy bitmaps, cascading coarse levels toward
-// level 0 until the minimum sits in a single-timestamp bucket.
+// level 0 until the minimum heads a sorted bucket.
 func (w *timerWheel) popBucket(bound Time) *event {
 	for {
 		if w.summary == 0 {
@@ -199,15 +223,10 @@ func (w *timerWheel) popBucket(bound Time) *event {
 			w.cascade(lvl, idx, start)
 			continue
 		}
-		// Level 0: the bucket holds exactly the events at time t.
-		t := w.cur&^Time(wheelMask) | Time(idx)
-		if t > bound {
-			return nil
-		}
 		b := &w.buckets[0][idx]
 		if b.unsorted {
 			slices.SortFunc(b.events[b.head:], func(a, c *event) int {
-				if a.seq < c.seq {
+				if a.before(c) {
 					return -1
 				}
 				return 1
@@ -218,6 +237,9 @@ func (w *timerWheel) popBucket(bound Time) *event {
 			b.unsorted = false
 		}
 		e := b.events[b.head]
+		if e.at > bound {
+			return nil
+		}
 		b.events[b.head] = nil
 		b.head++
 		if b.head == len(b.events) {
@@ -293,8 +315,8 @@ func (w *timerWheel) cascade(lvl, idx int, start Time) {
 
 // refreshMin recomputes the minAt lower bound after a pop or a cancel (its
 // callers have the front cache empty, so buckets are everything): the
-// exact next timestamp when level 0 still holds events, else the start of
-// the lowest pending bucket (below every event in it), else maxTime.
+// exact next timestamp when the lowest pending bucket is a sorted level-0
+// one, else that bucket's start (below every event in it), else maxTime.
 func (w *timerWheel) refreshMin() {
 	if w.summary == 0 {
 		w.minAt = maxTime
@@ -302,8 +324,8 @@ func (w *timerWheel) refreshMin() {
 	}
 	lvl := bits.TrailingZeros32(w.summary)
 	idx := bits.TrailingZeros64(w.occupied[lvl])
-	if lvl == 0 {
-		w.minAt = w.cur&^Time(wheelMask) | Time(idx)
+	if b := &w.buckets[0][idx]; lvl == 0 && !b.unsorted {
+		w.minAt = b.events[b.head].at
 		return
 	}
 	w.minAt = w.bucketStart(lvl, idx)

@@ -51,128 +51,288 @@ func wheelEmpty(w *timerWheel) bool {
 	return true
 }
 
-// TestWheelHeapDifferential drives the timer wheel and the retained
-// eventHeap oracle through a randomized schedule/cancel/drain workload
-// (following the dispatch loop's discipline: the clock only advances to
-// popped events or drain bounds, inserts are never in the past) and
-// asserts that the wheel pops the exact same event structs in the exact
-// same order the heap's (at, seq) total order defines, and that a cancel
-// removes the event from both at once. Delay magnitudes span every wheel
-// level, so cascades, the bound cutoff, the lazy per-bucket seq sort and
-// removal from the front cache and from every level are all exercised.
-func TestWheelHeapDifferential(t *testing.T) {
-	const iters = 60000
-	rng := rand.New(rand.NewSource(7))
-	w := &timerWheel{}
-	w.init()
-	var h eventHeap
-	var seq uint64
-	var now Time
-	scheduled, popped, cancelled := 0, 0, 0
-	var cancelledAt [wheelLevels + 1]int // by level; last = front cache
+// wheelDiff drives a timer wheel and the retained eventHeap oracle side by
+// side, following the dispatch loop's discipline: the clock only advances
+// to popped events or drain bounds, and inserts are never in the past.
+type wheelDiff struct {
+	t   *testing.T
+	w   timerWheel
+	h   eventHeap
+	seq uint64
+	now Time
 
-	// Delay scales: same-instant wakes through multi-hour timers, one per
-	// wheel level and then some.
-	scales := []Time{0, 1, 63, 1 << 6, 1 << 12, 1 << 18, 1 << 24, 1 << 30,
-		1 << 36, 1 << 42, 1 << 50, Time(3 * time.Hour)}
+	scheduled, popped, cancelled int
+	cancelledAt                  [wheelLevels + 1]int // by level; last = front cache
+}
 
-	delta := func() Time {
-		s := scales[rng.Intn(len(scales))]
-		if s == 0 {
-			return 0
-		}
-		return s + Time(rng.Int63n(int64(s)+1))
-	}
-	push := func() {
-		seq++
-		e := &event{at: now + delta(), seq: seq}
-		w.push(e)
-		heap.Push(&h, e)
-		scheduled++
-	}
-	// popOne pops both structures and cross-checks; reports ok=false when
-	// the wheel says nothing is due by bound.
-	popOne := func(bound Time) bool {
-		we := w.popBound(bound)
-		if we == nil {
-			if h.Len() > 0 && h[0].at <= bound {
-				t.Fatalf("wheel dry at bound %d, heap still holds (at=%d seq=%d)",
-					bound, h[0].at, h[0].seq)
-			}
-			return false
-		}
-		he := heap.Pop(&h).(*event)
-		if we != he {
-			t.Fatalf("pop mismatch: wheel (at=%d seq=%d) vs heap (at=%d seq=%d)",
-				we.at, we.seq, he.at, he.seq)
-		}
-		if we.at > bound {
-			t.Fatalf("wheel popped at=%d beyond bound %d", we.at, bound)
-		}
-		if w.cur > we.at {
-			t.Fatalf("cursor %d passed the event it popped (at=%d)", w.cur, we.at)
-		}
-		now = we.at
-		popped++
-		return true
-	}
+func (d *wheelDiff) push(at Time) {
+	d.seq++
+	e := &event{at: at, seq: d.seq}
+	d.w.push(e)
+	heap.Push(&d.h, e)
+	d.scheduled++
+}
 
-	for i := 0; i < iters; i++ {
-		switch r := rng.Float64(); {
-		case r < 0.55: // schedule a burst
-			for k := rng.Intn(4) + 1; k > 0; k-- {
-				push()
-			}
-		case r < 0.65: // cancel something: it leaves both queues
-			if h.Len() > 0 {
-				e := heap.Remove(&h, rng.Intn(h.Len())).(*event)
-				if e.lvl == inFront {
-					cancelledAt[wheelLevels]++
-				} else {
-					cancelledAt[e.lvl]++
-				}
-				w.remove(e)
-				cancelled++
-			}
-		case r < 0.85: // unbounded drain of a few events
-			for k := rng.Intn(6) + 1; k > 0 && popOne(maxTime); k-- {
-			}
-		default: // bounded drain, mimicking RunUntil: clock lands on the bound
-			bound := now + delta()
-			for popOne(bound) {
-			}
-			now = bound
-		}
-		if w.n != h.Len() {
-			t.Fatalf("iter %d: wheel count %d != heap len %d", i, w.n, h.Len())
-		}
-		if w.cur > now {
-			t.Fatalf("iter %d: cursor %d ahead of the clock %d", i, w.cur, now)
-		}
-		if h.Len() > 0 && w.minAt > h[0].at {
-			t.Fatalf("iter %d: minAt %d exceeds the pending minimum %d", i, w.minAt, h[0].at)
-		}
+// cancel removes the oracle's i-th event from both queues.
+func (d *wheelDiff) cancel(i int) {
+	e := heap.Remove(&d.h, i).(*event)
+	if e.lvl == inFront {
+		d.cancelledAt[wheelLevels]++
+	} else {
+		d.cancelledAt[e.lvl]++
 	}
-	for popOne(maxTime) {
+	d.w.remove(e)
+	d.cancelled++
+}
+
+// popOne pops both structures and cross-checks; it reports false when the
+// wheel says nothing is due by bound.
+func (d *wheelDiff) popOne(bound Time) bool {
+	t := d.t
+	we := d.w.popBound(bound)
+	if we == nil {
+		if d.h.Len() > 0 && d.h[0].at <= bound {
+			t.Fatalf("wheel dry at bound %d, heap still holds (at=%d seq=%d)",
+				bound, d.h[0].at, d.h[0].seq)
+		}
+		return false
 	}
-	if !wheelEmpty(w) || h.Len() != 0 {
-		t.Fatalf("final drain left wheel=%d heap=%d", w.n, h.Len())
+	he := heap.Pop(&d.h).(*event)
+	if we != he {
+		t.Fatalf("pop mismatch: wheel (at=%d seq=%d) vs heap (at=%d seq=%d)",
+			we.at, we.seq, he.at, he.seq)
 	}
-	if popped+cancelled != scheduled {
-		t.Fatalf("popped %d + cancelled %d of %d scheduled", popped, cancelled, scheduled)
+	if we.at > bound {
+		t.Fatalf("wheel popped at=%d beyond bound %d", we.at, bound)
 	}
-	t.Logf("differential: %d scheduled, %d popped, %d cancelled (by level, front cache last: %v) over %d iterations",
-		scheduled, popped, cancelled, cancelledAt, iters)
-	if total := scheduled + popped + cancelled; total < 100000 {
+	if d.w.cur > we.at {
+		t.Fatalf("cursor %d passed the event it popped (at=%d)", d.w.cur, we.at)
+	}
+	d.now = we.at
+	d.popped++
+	return true
+}
+
+// drainTo pops everything due by bound and lands the clock on it, as
+// RunUntil does.
+func (d *wheelDiff) drainTo(bound Time) {
+	for d.popOne(bound) {
+	}
+	d.now = bound
+}
+
+// check asserts the invariants that hold between any two operations.
+func (d *wheelDiff) check(i int) {
+	t := d.t
+	if d.w.n != d.h.Len() {
+		t.Fatalf("iter %d: wheel count %d != heap len %d", i, d.w.n, d.h.Len())
+	}
+	if d.w.cur > d.now {
+		t.Fatalf("iter %d: cursor %d ahead of the clock %d", i, d.w.cur, d.now)
+	}
+	if d.h.Len() > 0 && d.w.minAt > d.h[0].at {
+		t.Fatalf("iter %d: minAt %d exceeds the pending minimum %d", i, d.w.minAt, d.h[0].at)
+	}
+}
+
+// finish drains both queues and checks nothing was lost.
+func (d *wheelDiff) finish() {
+	t := d.t
+	for d.popOne(maxTime) {
+	}
+	if !wheelEmpty(&d.w) || d.h.Len() != 0 {
+		t.Fatalf("final drain left wheel=%d heap=%d", d.w.n, d.h.Len())
+	}
+	if d.popped+d.cancelled != d.scheduled {
+		t.Fatalf("popped %d + cancelled %d of %d scheduled", d.popped, d.cancelled, d.scheduled)
+	}
+	t.Logf("differential: %d scheduled, %d popped, %d cancelled (by level, front cache last: %v)",
+		d.scheduled, d.popped, d.cancelled, d.cancelledAt)
+	if total := d.scheduled + d.popped + d.cancelled; total < 100000 {
 		t.Fatalf("workload too small for the differential claim: %d ops", total)
 	}
-	for lvl, n := range cancelledAt[:8] {
-		if n == 0 {
-			t.Fatalf("no cancel ever hit level %d", lvl)
+}
+
+// TestWheelHeapDifferential asserts that the wheel pops the exact same
+// event structs in the exact same order the heap's (at, seq) total order
+// defines, that a cancel removes the event from both at once, and that
+// cur ≤ now and minAt ≤ the true minimum hold throughout.
+//
+// spread: delay magnitudes span every wheel level, so cascades, the bound
+// cutoff and removal from the front cache and from every level are all
+// exercised. clustered: thousands of events share one level-0 bucket —
+// equal times, descending times, inserts into the bucket being drained,
+// cancels from its middle, drain bounds that fall inside it — which is
+// where the in-place insertion and the lazy sort decide the order.
+func TestWheelHeapDifferential(t *testing.T) {
+	t.Run("spread", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		d := &wheelDiff{t: t}
+		d.w.init()
+		// Delay scales: same-instant wakes through multi-hour timers and a
+		// two-week one, at least one per wheel level up to topLvl.
+		const topBit = 50
+		const topLvl = (topBit - bucketBits) / wheelBits
+		scales := []Time{0, 1, 63, 1 << 6, 1 << 12, 1 << 18, 1 << 24, 1 << 30,
+			1 << 36, 1 << 42, 1 << 48, 1 << topBit, Time(3 * time.Hour)}
+		delta := func() Time {
+			s := scales[rng.Intn(len(scales))]
+			if s == 0 {
+				return 0
+			}
+			return s + Time(rng.Int63n(int64(s)+1))
+		}
+		for i := 0; i < 60000; i++ {
+			switch r := rng.Float64(); {
+			case r < 0.55: // schedule a burst
+				for k := rng.Intn(4) + 1; k > 0; k-- {
+					d.push(d.now + delta())
+				}
+			case r < 0.65: // cancel something: it leaves both queues
+				if d.h.Len() > 0 {
+					d.cancel(rng.Intn(d.h.Len()))
+				}
+			case r < 0.85: // unbounded drain of a few events
+				for k := rng.Intn(6) + 1; k > 0 && d.popOne(maxTime); k-- {
+				}
+			default: // bounded drain, mimicking RunUntil: clock lands on the bound
+				d.drainTo(d.now + delta())
+			}
+			d.check(i)
+		}
+		d.finish()
+		for lvl, n := range d.cancelledAt[:topLvl+1] {
+			if n == 0 {
+				t.Fatalf("no cancel ever hit level %d", lvl)
+			}
+		}
+		if d.cancelledAt[wheelLevels] == 0 {
+			t.Fatal("no cancel ever hit the front cache")
+		}
+	})
+
+	t.Run("clustered", func(t *testing.T) {
+		const width = Time(1) << bucketBits
+		rng := rand.New(rand.NewSource(11))
+		d := &wheelDiff{t: t}
+		d.w.init()
+		deepest, sorts := 0, 0
+		for i := 0; i < 400; i++ {
+			// Fill one bucket — the one being drained, or one a few ahead.
+			lo := d.now
+			if ahead := Time(rng.Intn(4)); ahead > 0 {
+				lo = (d.now>>bucketBits + ahead) << bucketBits
+			}
+			room := int64(width - lo&(width-1)) // ns left in lo's bucket
+			n := 50 + rng.Intn(1000)
+			for k := 0; k < n; k++ {
+				switch i % 4 {
+				case 0: // one instant: seq alone orders them
+					d.push(lo)
+				case 1: // descending: every insert belongs at the head
+					d.push(lo + Time(int64(n-1-k)*room/int64(n)))
+				case 2: // ascending with ties: every insert belongs at the tail
+					d.push(lo + Time(int64(k/3)*room/int64(n)))
+				default:
+					d.push(lo + Time(rng.Int63n(room)))
+				}
+			}
+			d.check(i)
+			b := &d.w.buckets[0][int(lo>>bucketBits)&wheelMask]
+			deepest = max(deepest, len(b.events)-b.head)
+
+			// Drain part of it, inserting behind the head and at the tail of
+			// the bucket being drained, and cancelling from its middle.
+			for k := rng.Intn(n); k > 0; k-- {
+				if b.unsorted {
+					sorts++
+				}
+				if !d.popOne(maxTime) {
+					break
+				}
+				switch rng.Intn(8) {
+				case 0:
+					d.push(d.now) // same-instant wake
+				case 1:
+					d.push(d.now + Time(rng.Int63n(int64(width))))
+				case 2:
+					d.push(d.now | (width - 1)) // the bucket's last instant
+				case 3:
+					if d.h.Len() > 2 {
+						d.cancel(1 + rng.Intn(d.h.Len()-1))
+					}
+				}
+			}
+			d.check(i)
+			if i%3 == 0 { // a RunUntil bound that falls inside a bucket
+				d.drainTo(d.now + Time(rng.Int63n(int64(width))))
+				d.check(i)
+			}
+		}
+		d.finish()
+		t.Logf("deepest bucket %d events, %d pops found it unsorted", deepest, sorts)
+		if deepest < 2000 || sorts == 0 {
+			t.Fatalf("clustered mode never built a deep bucket (%d) or never sorted one (%d)", deepest, sorts)
+		}
+		if d.cancelledAt[0] == 0 {
+			t.Fatal("no cancel ever hit a level-0 bucket")
+		}
+	})
+}
+
+// TestWheelDenseBucketIsNotQuadratic files 10^5 events into one level-0
+// bucket in descending time order — the worst case for insertion from the
+// tail — then drains it with one insert per pop, as a busy link does. The
+// budget is on comparisons, counted by what causes them: an insert makes
+// at most nearTail+1, so the filing is linear by construction, and every
+// pop that finds the bucket unsorted pays one n·log n sort. One sort for
+// the whole drain is the budget; a wheel that re-sorted (or walked the
+// bucket) per insert would need 10^5 of them.
+func TestWheelDenseBucketIsNotQuadratic(t *testing.T) {
+	const n = 100000
+	const width = Time(1) << bucketBits
+	var w timerWheel
+	w.init()
+	var seq uint64
+	push := func(at Time) {
+		seq++
+		w.push(&event{at: at, seq: seq})
+	}
+	push(0) // holds the front cache, so everything below files into the bucket
+	for k := n - 1; k >= 0; k-- {
+		push(width + Time(int64(k)*int64(width)/n))
+	}
+	b := &w.buckets[0][1]
+	if len(b.events) != n {
+		t.Fatalf("bucket holds %d of %d events", len(b.events), n)
+	}
+	w.popBound(maxTime)
+	sorts := 0
+	var last *event
+	for i := 0; i < n; i++ {
+		if b.unsorted {
+			sorts++
+		}
+		e := w.popBound(maxTime)
+		if last != nil && !last.before(e) {
+			t.Fatalf("pop %d out of order: (at=%d seq=%d) after (at=%d seq=%d)", i, e.at, e.seq, last.at, last.seq)
+		}
+		last = e
+		// Alternate the two inserts a delivery causes: the next hop three
+		// buckets on, and a follow-up at the end of the bucket being drained.
+		if i%2 == 0 {
+			push(e.at + 3*width)
+		} else {
+			push(e.at | (width - 1))
 		}
 	}
-	if cancelledAt[wheelLevels] == 0 {
-		t.Fatal("no cancel ever hit the front cache")
+	if sorts > 1 {
+		t.Fatalf("draining one dense bucket sorted it %d times", sorts)
+	}
+	for w.popBound(maxTime) != nil {
+	}
+	if !wheelEmpty(&w) {
+		t.Fatalf("wheel not empty: n=%d", w.n)
 	}
 }
 
@@ -291,8 +451,8 @@ func TestCancelledTimerDoesNotMoveCursor(t *testing.T) {
 	}
 }
 
-// TestCancelLeavesNothingInWheel arms 10^5 timers far enough out to sit in
-// the front cache and on levels 1–5, cancels them all in shuffled order —
+// TestCancelLeavesNothingInWheel arms 10^5 timers spread over the front
+// cache and the five lowest wheel levels, cancels them all in shuffled order —
 // some twice, one after it fired, one through a handle whose struct has
 // been recycled into a newer timer — and checks the wheel is as empty as
 // a new one: nothing pending, no occupancy bit, and a Run that fires
@@ -311,12 +471,16 @@ func TestCancelLeavesNothingInWheel(t *testing.T) {
 	early.Cancel() // after it fired: no-op
 	fired = 0
 
+	// One bit position per timer, drawn from inside level 0's reach up to
+	// the top of level topLvl's field: the level a timer files at follows
+	// from the geometry constants, not from a number written here.
+	const topLvl = 4
 	handles := make([]Event, timers)
 	var levels [wheelLevels]int
 	front := 0
 	for i := range handles {
-		shift := uint(wheelBits + rng.Intn(5*wheelBits)) // 2^6 … 2^35 ns out
-		handles[i] = s.At2(s.Now()+Time(1)<<shift+Time(rng.Int63n(1<<shift)), count, nil, nil)
+		sh := uint(wheelBits) + uint(rng.Intn(int(shift(topLvl+1))-wheelBits))
+		handles[i] = s.At2(s.Now()+Time(1)<<sh+Time(rng.Int63n(1<<sh)), count, nil, nil)
 	}
 	for _, ev := range handles {
 		if ev.e.lvl == inFront {
@@ -325,7 +489,7 @@ func TestCancelLeavesNothingInWheel(t *testing.T) {
 			levels[ev.e.lvl]++
 		}
 	}
-	for lvl := 1; lvl <= 5; lvl++ {
+	for lvl := 0; lvl <= topLvl; lvl++ {
 		if levels[lvl] == 0 {
 			t.Fatalf("no timer on level %d (by level: %v)", lvl, levels)
 		}

@@ -52,16 +52,33 @@ const (
 	mctrlSize = 64
 )
 
-// chunkMsg is one multicast data chunk.
+// chunkMsg describes a multicast transfer to whoever receives one of its
+// chunks. What differs from chunk to chunk — the index, and whether the
+// receiver should ack on receipt — rides in the packet's sequence field
+// (chunkSeq), so a transfer has two descriptors, not one per chunk: one
+// shared by every chunk but the last, and the last chunk's, which alone
+// carries the application message.
 type chunkMsg struct {
 	xfer    uint64
-	idx     int
 	total   int
 	size    int // total transfer payload bytes
 	data    any // application message, on the last chunk
 	ackIP   netsim.IP
 	ackPort uint16 // sender's control socket
-	needAck bool   // window boundary: receivers ack on receipt
+}
+
+// chunkSeq packs a chunk's index and its ack-request flag (set on window
+// boundaries) into a packet sequence field; chunkOf unpacks them.
+func chunkSeq(idx int, needAck bool) uint64 {
+	seq := uint64(idx) << 1
+	if needAck {
+		seq |= 1
+	}
+	return seq
+}
+
+func chunkOf(pkt *netsim.Packet) (idx int, needAck bool) {
+	return int(pkt.Seq >> 1), pkt.Seq&1 != 0
 }
 
 // ChunkPayload unwraps a multicast chunk's application message. It lets
@@ -193,6 +210,9 @@ func (r *MulticastReceiver) Close() {
 	if r.stack.mrecv[r.port] == r {
 		delete(r.stack.mrecv, r.port)
 	}
+	if r.stack.lastMrecv == r {
+		r.stack.lastMrecv = nil
+	}
 	r.ctrl.Close()
 	r.rq.Close()
 }
@@ -207,6 +227,7 @@ func (r *MulticastReceiver) send(to netsim.IP, toPort uint16, m *mctrlMsg) {
 // and no event: back-to-back chunks of one transfer skip the map probe,
 // and the stall watchdog is already armed.
 func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
+	idx, needAck := chunkOf(pkt)
 	key := xferKey{m.ackIP, m.xfer}
 	st := r.last
 	if st == nil || st.key != key {
@@ -223,17 +244,17 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
 		return
 	}
-	if m.idx >= 0 && m.idx < st.total && !st.have[m.idx] {
-		st.have[m.idx] = true
+	if idx >= 0 && idx < st.total && !st.have[idx] {
+		st.have[idx] = true
 		st.count++
-		if m.idx > st.maxIdx {
-			st.maxIdx = m.idx
+		if idx > st.maxIdx {
+			st.maxIdx = idx
 		}
 		for st.contig < st.total && st.have[st.contig] {
 			st.contig++
 		}
 	}
-	if m.idx == m.total-1 && !st.hasData {
+	if idx == m.total-1 && !st.hasData {
 		st.hasData = true
 		st.data = m.data
 		st.size = m.size
@@ -253,10 +274,10 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 		st.data = nil
 		return
 	}
-	if m.needAck {
+	if needAck {
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlAck, xfer: m.xfer, upTo: st.contig})
-		if st.contig <= m.idx {
-			r.nackMissing(st, m.idx+1)
+		if st.contig <= idx {
+			r.nackMissing(st, idx+1)
 		}
 	}
 	// If the transfer stalls from here, NACK what is missing.
@@ -404,16 +425,18 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 	res := &McastResult{Chunks: total}
 	peers := make(map[netsim.IP]*txPeer)
 
+	last := &chunkMsg{
+		xfer: xfer, total: total, size: opts.Size, data: opts.Data,
+		ackIP: st.IP(), ackPort: ctrl.Port(),
+	}
+	body := last // a one-chunk transfer needs no second descriptor
+	if total > 1 {
+		body = &chunkMsg{xfer: xfer, total: total, size: opts.Size, ackIP: last.ackIP, ackPort: last.ackPort}
+	}
 	sendChunk := func(idx int, unicastTo netsim.IP, needAck bool) {
-		m := &chunkMsg{
-			xfer: xfer, idx: idx, total: total, size: opts.Size,
-			ackIP: st.IP(), ackPort: ctrl.Port(), needAck: needAck,
-		}
+		m, chunkSize := body, MTU
 		if idx == total-1 {
-			m.data = opts.Data
-		}
-		chunkSize := MTU
-		if idx == total-1 {
+			m = last
 			chunkSize = opts.Size - (total-1)*MTU
 			if chunkSize <= 0 {
 				chunkSize = 1
@@ -424,7 +447,7 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 			dst = unicastTo
 			res.Repairs++
 		}
-		ctrl.SendTo(dst, opts.ToPort, m, chunkSize)
+		ctrl.send(st.IP(), dst, opts.ToPort, m, chunkSize, chunkSeq(idx, needAck))
 	}
 
 	// handle applies one control message to the sender's state.

@@ -50,6 +50,7 @@ type Stack struct {
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
 	mrecv     map[uint16]*MulticastReceiver
+	lastMrecv *MulticastReceiver // receiver of the latest chunk, if still bound
 	nextEphem uint16
 	xferSeq   uint64
 }
@@ -105,9 +106,14 @@ func (st *Stack) recv(pkt *netsim.Packet) {
 	case netsim.ProtoUDP:
 		switch pl := pkt.Payload.(type) {
 		case *chunkMsg:
-			if r, ok := st.mrecv[pkt.DstPort]; ok {
-				r.recvChunk(pkt, pl)
+			r := st.lastMrecv
+			if r == nil || r.port != pkt.DstPort {
+				if r = st.mrecv[pkt.DstPort]; r == nil {
+					break
+				}
+				st.lastMrecv = r
 			}
+			r.recvChunk(pkt, pl)
 		default:
 			if u, ok := st.udp[pkt.DstPort]; ok {
 				u.deliver(pkt)
@@ -167,17 +173,7 @@ func (u *UDPSocket) Port() uint16 { return u.port }
 // SendTo transmits one datagram of size payload bytes. Datagrams above
 // the MTU panic: callers must chunk (the multicast sender does).
 func (u *UDPSocket) SendTo(to netsim.IP, toPort uint16, data any, size int) {
-	if size > MTU {
-		panic(fmt.Sprintf("transport: %d-byte datagram exceeds MTU", size))
-	}
-	pkt := u.stack.host.Network().NewPacket()
-	pkt.DstIP = to
-	pkt.Proto = netsim.ProtoUDP
-	pkt.SrcPort = u.port
-	pkt.DstPort = toPort
-	pkt.Size = size + netsim.UDPHeaderSize
-	pkt.Payload = data
-	u.stack.host.Send(pkt)
+	u.send(u.stack.IP(), to, toPort, data, size, 0)
 }
 
 // SendToFrom is SendTo with a caller-chosen source address: the datagram
@@ -186,6 +182,12 @@ func (u *UDPSocket) SendTo(to netsim.IP, toPort uint16, data any, size int) {
 // way; replies must be addressed to the gateway's real IP (carried inside
 // the request), since nothing routes back to a synthesized source.
 func (u *UDPSocket) SendToFrom(src, to netsim.IP, toPort uint16, data any, size int) {
+	u.send(src, to, toPort, data, size, 0)
+}
+
+// send builds and transmits one datagram; seq is the packet's transport
+// sequence field (the multicast sender's chunk index and ack-request bit).
+func (u *UDPSocket) send(src, to netsim.IP, toPort uint16, data any, size int, seq uint64) {
 	if size > MTU {
 		panic(fmt.Sprintf("transport: %d-byte datagram exceeds MTU", size))
 	}
@@ -197,6 +199,7 @@ func (u *UDPSocket) SendToFrom(src, to netsim.IP, toPort uint16, data any, size 
 	pkt.DstPort = toPort
 	pkt.Size = size + netsim.UDPHeaderSize
 	pkt.Payload = data
+	pkt.Seq = seq
 	u.stack.host.SendFrom(pkt)
 }
 

@@ -35,16 +35,27 @@ const (
 	segFIN
 )
 
-// segMsg is the payload of a ProtoTCP packet.
+// segMsg is the payload of a ProtoTCP packet. A segment's own number —
+// data: its stream-wide segment number; ack: the cumulative next expected —
+// rides in the packet's sequence field, so a data segMsg describes a whole
+// message: one is shared by every segment but the last, and the last
+// segment's alone carries the body.
 type segMsg struct {
 	kind    segKind
-	seq     uint64 // data: stream-wide segment number; ack: cumulative next expected
-	msgID   uint64
-	idx     int // segment index within the message
-	total   int // segments in the message
-	msgSize int // message payload bytes
-	data    any // message body, carried on the last segment
+	first   uint64 // stream-wide number of the message's first segment
+	total   int    // segments in the message
+	msgSize int    // message payload bytes
+	data    any    // message body, carried on the last segment
 }
+
+// A control segment says nothing beyond its kind (an ack's number is in
+// the packet), so each kind is one immutable descriptor shared by all.
+var (
+	synSeg    = &segMsg{kind: segSYN}
+	synAckSeg = &segMsg{kind: segSYNACK}
+	ackSeg    = &segMsg{kind: segAck}
+	finSeg    = &segMsg{kind: segFIN}
+)
 
 // Message is a complete application message received on a stream.
 type Message struct {
@@ -62,13 +73,11 @@ type Conn struct {
 	// Sender state.
 	sendSeq  uint64 // next segment number to send
 	ackedSeq uint64 // cumulative acked
-	nextMsg  uint64
 	ackSig   *sim.Queue[struct{}]
 	sending  bool // one Send at a time per conn
 
 	// Receiver state.
 	wantSeq uint64
-	curMsg  uint64
 	got     int
 	recvQ   *sim.Queue[Message]
 
@@ -131,7 +140,7 @@ func (st *Stack) Dial(p *sim.Proc, to netsim.IP, port uint16) (*Conn, error) {
 	}
 	st.conns[connKey{to, port, c.localPort}] = c
 	for try := 0; try <= MaxRetries; try++ {
-		c.sendSeg(&segMsg{kind: segSYN}, ctrlSegSize)
+		c.sendSeg(synSeg, 0, ctrlSegSize)
 		if _, ok := c.established.WaitTimeout(p, handshakeRTO); ok {
 			return c, nil
 		}
@@ -146,8 +155,8 @@ func (c *Conn) Peer() netsim.IP { return c.peer }
 // PeerPort returns the remote port.
 func (c *Conn) PeerPort() uint16 { return c.peerPort }
 
-// sendSeg transmits one segment of the stream.
-func (c *Conn) sendSeg(m *segMsg, size int) {
+// sendSeg transmits one segment of the stream, numbered seq.
+func (c *Conn) sendSeg(m *segMsg, seq uint64, size int) {
 	pkt := c.stack.host.Network().NewPacket()
 	pkt.DstIP = c.peer
 	pkt.Proto = netsim.ProtoTCP
@@ -155,6 +164,7 @@ func (c *Conn) sendSeg(m *segMsg, size int) {
 	pkt.DstPort = c.peerPort
 	pkt.Size = size
 	pkt.Payload = m
+	pkt.Seq = seq
 	c.stack.host.Send(pkt)
 }
 
@@ -176,25 +186,24 @@ func (c *Conn) Send(p *sim.Proc, data any, size int) error {
 	if total == 0 {
 		total = 1
 	}
-	msgID := c.nextMsg
-	c.nextMsg++
 	base := c.sendSeq
 	final := base + uint64(total)
 
+	last := &segMsg{kind: segData, first: base, total: total, msgSize: size, data: data}
+	body := last // a one-segment message needs no second descriptor
+	if total > 1 {
+		body = &segMsg{kind: segData, first: base, total: total, msgSize: size}
+	}
 	sendOne := func(i uint64) {
-		idx := int(i - base)
-		segSize := MSS
-		if idx == total-1 {
+		m, segSize := body, MSS
+		if i == final-1 {
+			m = last
 			segSize = size - (total-1)*MSS
 			if segSize <= 0 {
 				segSize = 1
 			}
 		}
-		m := &segMsg{kind: segData, seq: i, msgID: msgID, idx: idx, total: total, msgSize: size}
-		if idx == total-1 {
-			m.data = data
-		}
-		c.sendSeg(m, segSize+netsim.TCPHeaderSize)
+		c.sendSeg(m, i, segSize+netsim.TCPHeaderSize)
 	}
 
 	retries := 0
@@ -237,7 +246,7 @@ func (c *Conn) Close() {
 		return
 	}
 	c.closed = true
-	c.sendSeg(&segMsg{kind: segFIN}, ctrlSegSize)
+	c.sendSeg(finSeg, 0, ctrlSegSize)
 	delete(c.stack.conns, connKey{c.peer, c.peerPort, c.localPort})
 	c.recvQ.Close()
 }
@@ -270,7 +279,7 @@ func (st *Stack) recvTCP(pkt *netsim.Packet) {
 			st.conns[key] = c
 			l.q.Push(c)
 		}
-		c.sendSeg(&segMsg{kind: segSYNACK}, ctrlSegSize)
+		c.sendSeg(synAckSeg, 0, ctrlSegSize)
 	case segSYNACK:
 		if exists && c.established != nil && !c.established.Done() {
 			c.established.Set(true)
@@ -279,13 +288,13 @@ func (st *Stack) recvTCP(pkt *netsim.Packet) {
 		if !exists {
 			return
 		}
-		c.recvData(m)
+		c.recvData(m, pkt.Seq)
 	case segAck:
 		if !exists {
 			return
 		}
-		if m.seq > c.ackedSeq {
-			c.ackedSeq = m.seq
+		if pkt.Seq > c.ackedSeq {
+			c.ackedSeq = pkt.Seq
 		}
 		c.ackSig.Push(struct{}{})
 	case segFIN:
@@ -300,19 +309,19 @@ func (st *Stack) recvTCP(pkt *netsim.Packet) {
 
 // recvData implements the receiver side: in-order acceptance (go-back-N
 // discipline), per-segment cumulative acks, message assembly.
-func (c *Conn) recvData(m *segMsg) {
-	if m.seq == c.wantSeq {
+func (c *Conn) recvData(m *segMsg, seq uint64) {
+	if seq == c.wantSeq {
 		c.wantSeq++
-		if m.idx == 0 {
-			c.curMsg = m.msgID
+		idx := int(seq - m.first)
+		if idx == 0 {
 			c.got = 0
 		}
 		c.got++
-		if m.idx == m.total-1 && c.got == m.total {
+		if idx == m.total-1 && c.got == m.total {
 			c.recvQ.Push(Message{Data: m.data, Size: m.msgSize})
 		}
 	}
 	// Cumulative ack (also for out-of-order arrivals, telling the sender
 	// where to resume).
-	c.sendSeg(&segMsg{kind: segAck, seq: c.wantSeq}, ctrlSegSize)
+	c.sendSeg(ackSeg, c.wantSeq, ctrlSegSize)
 }

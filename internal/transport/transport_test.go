@@ -2,6 +2,7 @@ package transport
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -43,18 +44,21 @@ func newHub(t *testing.T, n int, cfg netsim.LinkConfig) *hub {
 		h.stacks = append(h.stacks, NewStack(host))
 	}
 	h.sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
+		// Pooled copies, and the original back to the pool, so the fabric
+		// itself allocates nothing per packet (the allocation tests below
+		// measure whole runs).
 		if outs, ok := h.groups[pkt.DstIP]; ok {
 			for _, o := range outs {
-				c := pkt.Clone()
+				c := nw.ClonePacket(pkt)
 				c.DstMAC = netsim.BroadcastMAC
 				sw.Output(o, c)
 			}
+			nw.RecyclePacket(pkt)
 			return
 		}
 		if o, ok := h.ports[pkt.DstIP]; ok {
-			c := pkt.Clone()
-			c.DstMAC = h.host(o).MAC()
-			sw.Output(o, c)
+			pkt.DstMAC = h.host(o).MAC()
+			sw.Output(o, pkt)
 			return
 		}
 		sw.Drop(pkt)
@@ -290,6 +294,18 @@ func TestStreamSurvivesPacketLoss(t *testing.T) {
 		c, _ := ln.Accept(p)
 		got, _ = c.Recv(p)
 	})
+	// A data segment numbered at or below one already sent is go-back-N
+	// rewinding; the number is the packet's, not the descriptor's.
+	var highest uint64
+	rewound := 0
+	h.net.AddTap(func(ev netsim.TraceEvent) {
+		if m, ok := ev.Pkt.Payload.(*segMsg); ok && m.kind == segData && ev.Dir == "tx" {
+			if ev.Pkt.Seq <= highest && highest > 0 {
+				rewound++
+			}
+			highest = max(highest, ev.Pkt.Seq)
+		}
+	})
 	h.s.Spawn("client", func(p *sim.Proc) {
 		c, err := a.Dial(p, b.IP(), 5000)
 		if err != nil {
@@ -303,6 +319,9 @@ func TestStreamSurvivesPacketLoss(t *testing.T) {
 	h.run(t)
 	if got.Data != "lossy" || got.Size != 300*1024 {
 		t.Fatalf("got %+v", got)
+	}
+	if rewound == 0 {
+		t.Fatal("2% loss over 220 segments never made the sender rewind")
 	}
 }
 
@@ -678,43 +697,65 @@ func TestMulticastStallNacksAtGapTimeout(t *testing.T) {
 	}
 }
 
+// mallocsDuring counts the heap objects fn allocates.
+func mallocsDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestMulticastChunkCostsNoEventNoAlloc: a loss-free 1 MB transfer to
 // three receivers keeps one watchdog armed per receiver, so the event
-// queue never holds more than the packets in flight; and a chunk in the
-// middle of a window, handed to the receiver directly, allocates nothing
-// and schedules nothing.
+// queue never holds more than the packets in flight; the whole run —
+// sender, fabric and receivers — allocates per window (the acks), not per
+// chunk; and a chunk in the middle of a window, handed to the receiver
+// directly, allocates nothing and schedules nothing.
 func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
-	h := newHub(t, 4, netsim.Gbps(1, us(10)))
-	g := mcastGroup(h, 1, 2, 3)
-	for i := 1; i <= 3; i++ {
-		r := h.stacks[i].MustBindMulticast(6000)
-		h.s.Spawn("recv", func(p *sim.Proc) { r.Recv(p) })
-	}
 	maxPending := 0
-	h.net.AddTap(func(ev netsim.TraceEvent) {
-		if n := h.s.Pending(); n > maxPending {
-			maxPending = n
+	transfer := func(size int) uint64 {
+		h := newHub(t, 4, netsim.Gbps(1, us(10)))
+		g := mcastGroup(h, 1, 2, 3)
+		for i := 1; i <= 3; i++ {
+			r := h.stacks[i].MustBindMulticast(6000)
+			h.s.Spawn("recv", func(p *sim.Proc) { r.Recv(p) })
 		}
-	})
-	var res *McastResult
-	var err error
-	h.s.Spawn("send", func(p *sim.Proc) {
-		res, err = h.stacks[0].SendMulticast(p, McastOpts{
-			To: g, ToPort: 6000, Data: "x", Size: 1 << 20, Receivers: 3,
+		h.net.AddTap(func(ev netsim.TraceEvent) {
+			if n := h.s.Pending(); n > maxPending {
+				maxPending = n
+			}
 		})
-	})
-	h.run(t)
-	if err != nil || res.Repairs != 0 || len(res.Finished) != 3 {
-		t.Fatalf("err=%v result=%+v", err, res)
+		var res *McastResult
+		var err error
+		h.s.Spawn("send", func(p *sim.Proc) {
+			res, err = h.stacks[0].SendMulticast(p, McastOpts{
+				To: g, ToPort: 6000, Data: "x", Size: size, Receivers: 3,
+			})
+		})
+		mallocs := mallocsDuring(func() { h.run(t) })
+		if err != nil || res.Repairs != 0 || len(res.Finished) != 3 {
+			t.Fatalf("err=%v result=%+v", err, res)
+		}
+		return mallocs
 	}
+	one, two := transfer(1<<20), transfer(2<<20)
 	// A window of chunks in flight, acks, three watchdogs and the sender's
 	// ack wait come to 39; one timer per chunk received in the last
 	// gapTimeout would be over 1 200.
 	if limit := 2 * McastWindow; maxPending > limit {
-		t.Fatalf("%d events pending at once during the transfer, want at most %d", maxPending, limit)
+		t.Fatalf("%d events pending at once during a transfer, want at most %d", maxPending, limit)
+	}
+	// The second megabyte is 749 more chunks in 24 more windows, each acked
+	// by three receivers (a control message and its datagram apiece, ~14
+	// objects a window all told); a descriptor per chunk alone would be 749.
+	const moreWindows = (1 << 20) / MTU / McastWindow
+	if more := int(two) - int(one); more > 20*moreWindows {
+		t.Fatalf("the second megabyte allocated %d objects (%d → %d) in %d windows", more, one, two, moreWindows)
 	}
 
-	h = newHub(t, 2, netsim.Gbps(1, us(10)))
+	g := netsim.MustParseIP("239.1.2.3")
+	h := newHub(t, 2, netsim.Gbps(1, us(10)))
 	r := h.stacks[1].MustBindMulticast(6000)
 	pkt := &netsim.Packet{DstIP: g}
 	m := &chunkMsg{xfer: 1, total: 750, size: 1 << 20, ackIP: h.stacks[0].IP(), ackPort: 5000}
@@ -723,11 +764,13 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 	if pending != 1 {
 		t.Fatalf("%d events pending after the first chunk, want the watchdog alone", pending)
 	}
+	idx := 0
 	allocs := testing.AllocsPerRun(700, func() {
-		m.idx++
-		if m.idx%McastWindow == McastWindow-1 {
-			m.idx++ // a window's last chunk asks for an ack; stay mid-window
+		idx++
+		if idx%McastWindow == McastWindow-1 {
+			idx++ // a window's last chunk asks for an ack; stay mid-window
 		}
+		pkt.Seq = chunkSeq(idx, false)
 		r.recvChunk(pkt, m)
 	})
 	if allocs != 0 || h.s.Pending() != pending {
@@ -780,8 +823,9 @@ func TestMulticastFinishedSetBounded(t *testing.T) {
 		})
 		pkt := &netsim.Packet{DstIP: h.stacks[1].IP()}
 		chunk := func(xfer uint64, idx int) {
+			pkt.Seq = chunkSeq(idx, false)
 			r.recvChunk(pkt, &chunkMsg{
-				xfer: xfer, idx: idx, total: 2, size: 2 * MTU, data: "v",
+				xfer: xfer, total: 2, size: 2 * MTU, data: "v",
 				ackIP: h.stacks[0].IP(), ackPort: 5000,
 			})
 		}
@@ -835,5 +879,134 @@ func TestMulticastFinishedSetBounded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("answers to the replayed tails: %v, want %v", got, want)
+	}
+}
+
+// TestStreamMessageAllocsIndependentOfSize: on an established stream a
+// message costs its two descriptors (one when it fits a segment) whatever
+// its size — no object per segment, none per ack. Each size is sent five
+// times and the cheapest counts, so a pool growing for the first time is
+// not mistaken for a per-message cost; a 1 MB message also spans 9 ms, in
+// which its RTO timers may reach a coarse wheel bucket never used before,
+// hence the allowance of two on top.
+func TestStreamMessageAllocsIndependentOfSize(t *testing.T) {
+	h := newHub(t, 2, netsim.Gbps(1, us(10)))
+	a, b := h.stacks[0], h.stacks[1]
+	ln := b.MustListen(5000)
+	received := 0
+	h.s.Spawn("server", func(p *sim.Proc) {
+		c, _ := ln.Accept(p)
+		for {
+			if _, ok := c.Recv(p); !ok {
+				return
+			}
+			received++
+		}
+	})
+	cheapest := map[int]uint64{}
+	h.s.Spawn("client", func(p *sim.Proc) {
+		c, err := a.Dial(p, b.IP(), 5000)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for round := 0; round < 5; round++ {
+			for _, size := range []int{1 << 20, 64 << 10, 100} {
+				n := mallocsDuring(func() {
+					if err := c.Send(p, "m", size); err != nil {
+						t.Error(err)
+					}
+				})
+				if old, seen := cheapest[size]; !seen || n < old {
+					cheapest[size] = n
+				}
+			}
+		}
+		c.Close()
+	})
+	h.run(t)
+	if received != 15 {
+		t.Fatalf("server received %d of 15 messages", received)
+	}
+	if cheapest[1<<20] > 4 || cheapest[64<<10] != 2 || cheapest[100] != 1 {
+		t.Fatalf("objects per message: 1 MB %d (749 segments and acks; want 2 to 4), 64 KB %d (47; want 2), 100 B %d (want 1)",
+			cheapest[1<<20], cheapest[64<<10], cheapest[100])
+	}
+}
+
+// TestChunkPayloadOncePerTransfer: of everything a transfer puts on the
+// sender's wire, ChunkPayload finds the application message in the final
+// chunk and nowhere else — once in a loss-free 750-chunk transfer, once in
+// a one-chunk transfer, and again in each unicast repair of the final
+// chunk, which a stage therefore has to tolerate.
+func TestChunkPayloadOncePerTransfer(t *testing.T) {
+	type seen struct {
+		idx     int
+		unicast bool
+	}
+	// watch records every chunk host 0 transmits that carries the message.
+	watch := func(h *hub, g netsim.IP) *[]seen {
+		var carrying []seen
+		h.net.AddTap(func(ev netsim.TraceEvent) {
+			if ev.Dir != "tx" || ev.Pkt.SrcIP != h.stacks[0].IP() {
+				return
+			}
+			if data, ok := ChunkPayload(ev.Pkt.Payload); ok {
+				if data != "body" {
+					t.Errorf("ChunkPayload returned %v", data)
+				}
+				idx, _ := chunkOf(&ev.Pkt)
+				carrying = append(carrying, seen{idx, ev.Pkt.DstIP != g})
+			}
+		})
+		return &carrying
+	}
+	for _, size := range []int{750 * MTU, 100} {
+		h := newHub(t, 3, netsim.Gbps(1, us(10)))
+		g := mcastGroup(h, 1, 2)
+		for i := 1; i <= 2; i++ {
+			r := h.stacks[i].MustBindMulticast(6000)
+			h.s.Spawn("recv", func(p *sim.Proc) { r.Recv(p) })
+		}
+		carrying := watch(h, g)
+		h.s.Spawn("send", func(p *sim.Proc) {
+			if _, err := h.stacks[0].SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "body", Size: size, Receivers: 2}); err != nil {
+				t.Error(err)
+			}
+		})
+		h.run(t)
+		if want := []seen{{(size+MTU-1)/MTU - 1, false}}; !slices.Equal(*carrying, want) {
+			t.Fatalf("%d-byte transfer: message seen in chunks %v, want %v", size, *carrying, want)
+		}
+	}
+
+	// A receiver that asks for the final chunk again gets it by unicast —
+	// twice, the second copy re-requesting an ack — message included.
+	h := newHub(t, 2, netsim.Gbps(1, us(10)))
+	g := mcastGroup(h, 1)
+	carrying := watch(h, g)
+	var ackPort uint16
+	h.net.AddTap(func(ev netsim.TraceEvent) {
+		if m, ok := ev.Pkt.Payload.(*chunkMsg); ok {
+			ackPort = m.ackPort
+		}
+	})
+	h.s.Spawn("receiver", func(p *sim.Proc) {
+		sock := h.stacks[1].MustBindUDP(0)
+		p.Sleep(ms(1))
+		sock.SendTo(h.stacks[0].IP(), ackPort, &mctrlMsg{kind: mctrlNack, xfer: 1, missing: []int{1}}, mctrlSize)
+		p.Sleep(ms(1))
+		sock.SendTo(h.stacks[0].IP(), ackPort, &mctrlMsg{kind: mctrlDone, xfer: 1}, mctrlSize)
+	})
+	var res *McastResult
+	h.s.Spawn("send", func(p *sim.Proc) {
+		var err error
+		if res, err = h.stacks[0].SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "body", Size: 2 * MTU, Receivers: 1}); err != nil {
+			t.Error(err)
+		}
+	})
+	h.run(t)
+	if want := []seen{{1, false}, {1, true}, {1, true}}; !slices.Equal(*carrying, want) || res.Repairs != 2 {
+		t.Fatalf("message seen in chunks %v (repairs %d), want %v", *carrying, res.Repairs, want)
 	}
 }
