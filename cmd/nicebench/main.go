@@ -513,6 +513,7 @@ var kernelGates = map[string]bool{
 	"GroupCommit":   true,
 	"CacheAdmit":    true,
 	"WatchdogRearm": true,
+	"NearTimer":     true,
 	"LookupRepeat":  true,
 }
 
@@ -787,6 +788,33 @@ func kernelBenchmarks() []kernelResult {
 			s.At2(s.Now()+10*time.Microsecond, packet, nil, nil)
 		}
 		s.At2(0, packet, nil, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	add("NearTimer", func(b *testing.B) {
+		// 128 packets in flight, each delivered 12 µs after it was sent
+		// (one MTU at 1 Gbps) and sent straight on: every event is
+		// scheduled behind 127 earlier ones, so none of them takes the
+		// front cache — an op is one bucket insert and one bucket pop, the
+		// link-delivery pattern EventChurn's lone timer never sees.
+		const inflight = 128
+		const hopDelay = 12 * time.Microsecond
+		s := sim.New(1)
+		left := b.N
+		var hop func(_, _ any)
+		hop = func(_, _ any) {
+			if left--; left <= 0 {
+				s.Stop()
+				return
+			}
+			s.At2(s.Now()+hopDelay, hop, nil, nil)
+		}
+		for i := 0; i < inflight; i++ {
+			s.At2(hopDelay*time.Duration(i)/inflight, hop, nil, nil)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err := s.Run(); err != nil {

@@ -283,11 +283,12 @@ func TestWheelHeapDifferential(t *testing.T) {
 // TestWheelDenseBucketIsNotQuadratic files 10^5 events into one level-0
 // bucket in descending time order — the worst case for insertion from the
 // tail — then drains it with one insert per pop, as a busy link does. The
-// budget is on comparisons, counted by what causes them: an insert makes
-// at most nearTail+1, so the filing is linear by construction, and every
-// pop that finds the bucket unsorted pays one n·log n sort. One sort for
-// the whole drain is the budget; a wheel that re-sorted (or walked the
-// bucket) per insert would need 10^5 of them.
+// budget is on comparisons, counted by what causes them. An insert may
+// make nearTail+1 and no more: had the filing walked each event to its
+// place (5·10^9 steps) the bucket would come out of it sorted, so it must
+// come out unsorted. A pop that finds the bucket unsorted pays one
+// n·log n sort: the drain may need that one and no other, where a wheel
+// that re-sorted per insert would need 10^5.
 func TestWheelDenseBucketIsNotQuadratic(t *testing.T) {
 	const n = 100000
 	const width = Time(1) << bucketBits
@@ -303,8 +304,8 @@ func TestWheelDenseBucketIsNotQuadratic(t *testing.T) {
 		push(width + Time(int64(k)*int64(width)/n))
 	}
 	b := &w.buckets[0][1]
-	if len(b.events) != n {
-		t.Fatalf("bucket holds %d of %d events", len(b.events), n)
+	if len(b.events) != n || !b.unsorted {
+		t.Fatalf("bucket holds %d of %d events, unsorted=%v", len(b.events), n, b.unsorted)
 	}
 	w.popBound(maxTime)
 	sorts := 0
@@ -326,7 +327,7 @@ func TestWheelDenseBucketIsNotQuadratic(t *testing.T) {
 			push(e.at | (width - 1))
 		}
 	}
-	if sorts > 1 {
+	if sorts != 1 {
 		t.Fatalf("draining one dense bucket sorted it %d times", sorts)
 	}
 	for w.popBound(maxTime) != nil {
