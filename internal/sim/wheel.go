@@ -161,12 +161,15 @@ func (w *timerWheel) pushBucket(e *event) {
 	i := len(b.events)
 	b.events = append(b.events, e)
 	if lvl == 0 && !b.unsorted {
-		for stop := max(b.head, i-nearTail); i > stop && e.before(b.events[i-1]); i-- {
+		for stop := i - nearTail; i > b.head && e.before(b.events[i-1]); i-- {
+			if i == stop {
+				b.unsorted = true // belongs further up: leave it to the sort
+				break
+			}
 			b.events[i] = b.events[i-1]
 			b.events[i].pos = int32(i)
 		}
 		b.events[i] = e
-		b.unsorted = i > b.head && e.before(b.events[i-1])
 	}
 	e.lvl, e.slot, e.pos = int8(lvl), uint8(idx), int32(i)
 	w.occupied[lvl] |= 1 << idx

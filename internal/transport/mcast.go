@@ -431,7 +431,9 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 	}
 	body := last // a one-chunk transfer needs no second descriptor
 	if total > 1 {
-		body = &chunkMsg{xfer: xfer, total: total, size: opts.Size, ackIP: last.ackIP, ackPort: last.ackPort}
+		b := *last
+		b.data = nil
+		body = &b
 	}
 	sendChunk := func(idx int, unicastTo netsim.IP, needAck bool) {
 		m, chunkSize := body, MTU

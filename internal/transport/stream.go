@@ -192,7 +192,9 @@ func (c *Conn) Send(p *sim.Proc, data any, size int) error {
 	last := &segMsg{kind: segData, first: base, total: total, msgSize: size, data: data}
 	body := last // a one-segment message needs no second descriptor
 	if total > 1 {
-		body = &segMsg{kind: segData, first: base, total: total, msgSize: size}
+		b := *last
+		b.data = nil
+		body = &b
 	}
 	sendOne := func(i uint64) {
 		m, segSize := body, MSS
