@@ -4,16 +4,16 @@
 //
 // The figure sweeps run their (system, size) grids on all cores by
 // default (see internal/cluster.RunCells); -seq forces the sequential
-// path, and -compare runs both and reports the speedup. Wall-clock
-// timings are printed per experiment, and every report is written as
-// BENCH_<name>.json under -out-dir for tracking across commits.
+// path. Wall-clock timings are printed per experiment, and every sweep's
+// report is written as BENCH_<name>.json under -out-dir for tracking
+// across commits.
 //
 // Usage:
 //
 //	nicebench -experiment all             # everything, paper-scale op counts
 //	nicebench -experiment fig5 -ops 200   # one figure, reduced cost
-//	nicebench -experiment fig5 -compare   # parallel vs sequential wall clock
-//	nicebench -experiment kernel          # kernel + switch-scale micro-benchmarks -> BENCH_kernel.json, BENCH_switch.json
+//	nicebench -experiment ablations       # replication strategy, edge OVS, static and dynamic load balancing
+//	nicebench -experiment kernel          # kernel micro-benchmarks -> BENCH_kernel.json
 //	nicebench -experiment chaos           # randomized fault schedules + consistency checker
 //	nicebench -experiment readscale -out-dir ""   # run a sweep, write nothing
 package main
@@ -31,6 +31,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,7 +50,6 @@ import (
 // config is everything the flags set; experiments read it through run.
 type config struct {
 	pr           cluster.Params
-	compare      bool
 	ycsbOps      int
 	clients      int
 	chaosN       int
@@ -132,6 +132,11 @@ var registry = []experiment{
 	{name: "scale-out", extended: true, run: oneFigure(cluster.ScaleOutThroughput)},
 	{name: "fabric", extended: true, run: oneFigure(cluster.FabricComparison)},
 	{name: "quorum-read", extended: true, run: oneFigure(cluster.QuorumReadOverhead)},
+	{name: "ablations", parts: []string{"abl-replication", "abl-edgeovs", "abl-lb", "abl-dynamiclb"}, extended: true,
+		run: func(r *run, pr cluster.Params) error {
+			figs, err := cluster.Ablations(pr)
+			return r.show(err, figs...)
+		}},
 	{name: "kernel", extended: true, run: func(r *run, pr cluster.Params) error {
 		benchmarks := kernelBenchmarks()
 		r.table("", benchmarks)
@@ -139,15 +144,6 @@ var registry = []experiment{
 			Benchmarks []kernelResult `json:"benchmarks"`
 		}{benchmarks}); err != nil {
 			return err
-		}
-		// The switch-scale sweep exists for its file; skip it when nothing
-		// is written.
-		if r.outDir != "" {
-			if err := r.write("switch", struct {
-				Points []switchPoint `json:"points"`
-			}{switchBenchmarks(r.out)}); err != nil {
-				return err
-			}
 		}
 		if r.kernelBase != "" {
 			return checkKernelBaseline(r.out, r.kernelBase, benchmarks)
@@ -272,65 +268,25 @@ func experimentNames() string {
 // errUnknownExperiment makes main exit 2 (usage) instead of 1.
 var errUnknownExperiment = errors.New("unknown experiment")
 
-// figResult is one experiment's wall-clock measurement.
-type figResult struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-	// SecondsSequential and Speedup are filled by -compare.
-	SecondsSequential float64 `json:"seconds_sequential,omitempty"`
-	Speedup           float64 `json:"speedup,omitempty"`
-}
-
-// runExperiments runs every registry row exp selects, timing each. With
-// -compare it re-runs the row sequentially (discarding the repeated
-// output and files) so the timing carries both numbers and their ratio.
-// The paper's own figures' timings go to BENCH_figures.json.
+// runExperiments runs every registry row exp selects, printing each
+// one's wall-clock time.
 func runExperiments(cfg *config, exp string, out io.Writer) error {
-	var timings []figResult
 	ran := false
 	for _, e := range registry {
 		if !e.selected(exp) {
 			continue
 		}
 		ran = true
-		r := &run{config: cfg, exp: exp, name: e.name, out: out}
 		t0 := time.Now()
-		if err := e.run(r, cfg.pr); err != nil {
+		if err := e.run(&run{config: cfg, exp: exp, name: e.name, out: out}, cfg.pr); err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		res := figResult{Name: e.name, Seconds: time.Since(t0).Seconds()}
-		if cfg.compare && !cfg.pr.Seq {
-			quiet, seq := *cfg, cfg.pr
-			quiet.outDir, seq.Seq = "", true
-			t1 := time.Now()
-			if err := e.run(&run{config: &quiet, exp: exp, name: e.name, out: io.Discard}, seq); err != nil {
-				return fmt.Errorf("%s (sequential): %w", e.name, err)
-			}
-			res.SecondsSequential = time.Since(t1).Seconds()
-			if res.Seconds > 0 {
-				res.Speedup = res.SecondsSequential / res.Seconds
-			}
-			fmt.Fprintf(out, "-- %s: %.2fs wall (parallel), %.2fs (sequential), %.2fx speedup\n\n",
-				e.name, res.Seconds, res.SecondsSequential, res.Speedup)
-		} else {
-			fmt.Fprintf(out, "-- %s: %.2fs wall\n\n", e.name, res.Seconds)
-		}
-		if !e.extended {
-			timings = append(timings, res)
-		}
+		fmt.Fprintf(out, "-- %s: %.2fs wall\n\n", e.name, time.Since(t0).Seconds())
 	}
 	if !ran {
 		return fmt.Errorf("%w %q (want one of: all %s)", errUnknownExperiment, exp, experimentNames())
 	}
-	if len(timings) == 0 {
-		return nil
-	}
-	r := &run{config: cfg, out: out}
-	return r.write("figures", struct {
-		Ops      int         `json:"ops"`
-		Parallel bool        `json:"parallel"`
-		Figures  []figResult `json:"figures"`
-	}{cfg.pr.Ops, !cfg.pr.Seq, timings})
+	return nil
 }
 
 // show prints the figures -experiment asked for: all of them under
@@ -379,8 +335,8 @@ func (r *run) table(title string, rows any) {
 	tw.Flush()
 }
 
-// benchEnv records where a measurement was taken; a speedup number is
-// meaningless without the core count next to it.
+// benchEnv records where a measurement was taken; a host-time number is
+// meaningless without the machine next to it.
 type benchEnv struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -429,14 +385,13 @@ func main() {
 	flag.IntVar(&cfg.pr.Ops, "ops", 1000, "operations per measurement point (paper: 1000)")
 	flag.Int64Var(&cfg.pr.Seed, "seed", 42, "simulation seed")
 	flag.BoolVar(&cfg.pr.Seq, "seq", false, "run grid cells sequentially instead of on all cores (same results)")
-	flag.BoolVar(&cfg.compare, "compare", false, "time each experiment both parallel and sequential")
 	flag.IntVar(&cfg.ycsbOps, "ycsb-ops", 2000, "YCSB operations per client (paper: 20000)")
 	flag.IntVar(&cfg.clients, "clients", 10, "YCSB client count (paper: 10)")
 	flag.IntVar(&cfg.chaosN, "chaos-schedules", 50, "fault schedules per system for -experiment chaos")
 	flag.Float64Var(&cfg.chaosCtrl, "chaos-ctrl", 1, "controller-fault weight multiplier for the ctrlchain chaos cell (1 = default mix)")
 	flag.IntVar(&cfg.heavyClients, "heavy-clients", 100_000, "virtual-client fleet size for the storagesweep and batchsweep heavytraffic arms")
 	flag.StringVar(&cfg.trafficSizes, "traffic-sizes", "", "comma-separated virtual-client fleet sizes for -experiment heavytraffic (default 10000,100000,1000000)")
-	flag.StringVar(&cfg.kernelBase, "kernel-baseline", "", "compare kernel benchmarks against this JSON baseline; exit non-zero on >2x regression of a gated row")
+	flag.StringVar(&cfg.kernelBase, "kernel-baseline", "", "check kernel benchmarks against this JSON baseline; exit non-zero when a gated row regressed >2x or is missing on either side")
 	flag.StringVar(&cfg.outDir, "out-dir", ".", "directory for the BENCH_<name>.json reports (empty: write nothing)")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run here (view with: go tool pprof -top <file>)")
 	memProf := flag.String("memprofile", "", "write a heap profile at exit here")
@@ -519,7 +474,8 @@ var kernelGates = map[string]bool{
 
 // checkKernelBaseline compares measured kernel benchmarks against a
 // committed baseline file and errors when a gated benchmark regressed by
-// more than 2x.
+// more than 2x, or is missing from either side: a gate a rename dropped
+// from the file or from kernelBenchmarks must fail, not pass unmeasured.
 func checkKernelBaseline(w io.Writer, path string, got []kernelResult) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -535,12 +491,17 @@ func checkKernelBaseline(w io.Writer, path string, got []kernelResult) error {
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
 	}
-	var regressed []string
+	var failed []string
+	measured := make(map[string]bool, len(got))
 	fmt.Fprintf(w, "kernel benchmark delta vs %s:\n", path)
 	for _, g := range got {
+		measured[g.Name] = true
 		b, ok := baseline[g.Name]
 		if !ok || b.NsPerOp <= 0 {
 			fmt.Fprintf(w, "  %-22s %10.1f ns/op (no baseline)\n", g.Name, g.NsPerOp)
+			if kernelGates[g.Name] {
+				failed = append(failed, g.Name+" has no baseline")
+			}
 			continue
 		}
 		ratio := g.NsPerOp / b.NsPerOp
@@ -551,11 +512,17 @@ func checkKernelBaseline(w io.Writer, path string, got []kernelResult) error {
 		fmt.Fprintf(w, "  %s %-20s %10.1f ns/op vs %10.1f baseline (%.2fx)\n",
 			gate, g.Name, g.NsPerOp, b.NsPerOp, ratio)
 		if kernelGates[g.Name] && ratio > 2 {
-			regressed = append(regressed, fmt.Sprintf("%s %.2fx", g.Name, ratio))
+			failed = append(failed, fmt.Sprintf("%s regressed %.2fx", g.Name, ratio))
 		}
 	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("kernel benchmarks regressed >2x vs %s: %s", path, strings.Join(regressed, ", "))
+	for name := range kernelGates {
+		if !measured[name] {
+			failed = append(failed, name+" was not measured")
+		}
+	}
+	if len(failed) > 0 {
+		sort.Strings(failed)
+		return fmt.Errorf("kernel gate vs %s: %s", path, strings.Join(failed, ", "))
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,14 +63,25 @@ func TestRegistryRunsEveryName(t *testing.T) {
 			t.Errorf("-experiment %s printed no timing line:\n%s", name, out.String())
 		}
 		// A part shows only its own figure of the shared sweep.
-		if name == "fig6" && (strings.Contains(out.String(), "== fig5") || !strings.Contains(out.String(), "== fig6")) {
-			t.Errorf("-experiment fig6 should show fig6 alone:\n%s", out.String())
+		for part, sibling := range map[string]string{"fig6": "fig5", "abl-lb": "abl-edgeovs"} {
+			if name == part && (strings.Contains(out.String(), "== "+sibling) || !strings.Contains(out.String(), "== "+part)) {
+				t.Errorf("-experiment %s should show %s alone:\n%s", part, part, out.String())
+			}
 		}
 	}
 	for _, e := range registry {
 		if e.selected("all") == e.extended {
 			t.Errorf("-experiment all: %s selected=%v but extended=%v", e.name, !e.extended, e.extended)
 		}
+	}
+	// The paper's own figures only print; a BENCH file is a sweep's report.
+	cfg := smokeConfig()
+	cfg.outDir = t.TempDir()
+	if err := runExperiments(cfg, "tables", io.Discard); err != nil {
+		t.Error(err)
+	}
+	if left, _ := os.ReadDir(cfg.outDir); len(left) > 0 {
+		t.Errorf("-experiment tables wrote %s", left[0].Name())
 	}
 	err := runExperiments(smokeConfig(), "fig99", io.Discard)
 	if !errors.Is(err, errUnknownExperiment) || !strings.Contains(err.Error(), "readscale") {
@@ -117,4 +129,55 @@ func readReport(t *testing.T, path string) map[string]any {
 	}
 	delete(report, "env")
 	return report
+}
+
+// TestKernelGateCannotBeLostByARename: a gated benchmark absent from the
+// baseline file or from the measured rows is an error that names it; an
+// ungated row the file lacks is only reported.
+func TestKernelGateCannotBeLostByARename(t *testing.T) {
+	var rows []kernelResult
+	for name := range kernelGates {
+		rows = append(rows, kernelResult{Name: name, NsPerOp: 100})
+	}
+	without := func(name string) (out []kernelResult) {
+		for _, r := range rows {
+			if r.Name != name {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	baselineOf := func(rows []kernelResult) string {
+		data, err := json.Marshal(map[string]any{"benchmarks": rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "BENCH_kernel.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	var out strings.Builder
+	extra := append(slices.Clone(rows), kernelResult{Name: "Ungated", NsPerOp: 5})
+	if err := checkKernelBaseline(&out, baselineOf(rows), extra); err != nil {
+		t.Errorf("ungated row without a baseline: err = %v, want a report only", err)
+	}
+	if !strings.Contains(out.String(), "Ungated") || !strings.Contains(out.String(), "(no baseline)") {
+		t.Errorf("ungated row not reported:\n%s", out.String())
+	}
+	err := checkKernelBaseline(io.Discard, baselineOf(without("NearTimer")), rows)
+	if err == nil || !strings.Contains(err.Error(), "NearTimer has no baseline") {
+		t.Errorf("baseline without NearTimer: err = %v, want it named", err)
+	}
+	err = checkKernelBaseline(io.Discard, baselineOf(rows), without("NearTimer"))
+	if err == nil || !strings.Contains(err.Error(), "NearTimer was not measured") {
+		t.Errorf("NearTimer dropped from the measured rows: err = %v, want it named", err)
+	}
+	slow := append(without("SleepWake"), kernelResult{Name: "SleepWake", NsPerOp: 250})
+	err = checkKernelBaseline(io.Discard, baselineOf(rows), slow)
+	if err == nil || !strings.Contains(err.Error(), "SleepWake regressed 2.50x") {
+		t.Errorf("2.5x slower gated row: err = %v, want the regression", err)
+	}
 }

@@ -326,3 +326,40 @@ func TestExtendedExperiments(t *testing.T) {
 		t.Errorf("leaf-spine put (%.4g) should be <2x single switch (%.4g)", ls, ss)
 	}
 }
+
+// TestAblationShapes runs the four ablations at full size and asserts
+// what each one is for (the values are in EXPERIMENTS.md "Ablations").
+func TestAblationShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size ablations; the registry smoke runs them reduced")
+	}
+	figs, err := Ablations(Params{Ops: ablDynGets, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]*Figure)
+	for _, f := range figs {
+		byID[f.ID] = f
+	}
+	// One 1 MB put: the switch fans out once; unicast serialises R-1
+	// copies on the primary's link; the chain adds a store-and-forward hop.
+	rep := byID["abl-replication"]
+	mc, uni, chain := mustVal(t, rep, "multicast", "1MB"), mustVal(t, rep, "unicast", "1MB"), mustVal(t, rep, "chain", "1MB")
+	if !(mc < uni && uni < chain) {
+		t.Errorf("abl-replication: want multicast < unicast < chain, got %.4g / %.4g / %.4g", mc, uni, chain)
+	}
+	// §5.1: the client-edge workaround costs a software hop, a few percent.
+	edge := byID["abl-edgeovs"]
+	hw, ovs := mustVal(t, edge, "hw-rewrite", "64KB"), mustVal(t, edge, "edge-ovs", "64KB")
+	if over := (ovs - hw) / hw; over <= 0 || over >= 0.10 {
+		t.Errorf("abl-edgeovs: overhead = %.2f%%, want inside (0, 10%%)", over*100)
+	}
+	lb := byID["abl-lb"]
+	if on, off := mustVal(t, lb, "lb-on", "makespan"), mustVal(t, lb, "lb-off", "makespan"); off < 1.5*on {
+		t.Errorf("abl-lb: makespan %.4g with the division rules, %.4g without: want > 1.5x", on, off)
+	}
+	dyn := byID["abl-dynamiclb"]
+	if d, s := mustVal(t, dyn, "dynamic", "get"), mustVal(t, dyn, "static", "get"); d <= 0 || s < 1.2*d {
+		t.Errorf("abl-dynamiclb: mean get %.4g dynamic, %.4g static: want > 1.2x under the two-heavy-clients skew", d, s)
+	}
+}

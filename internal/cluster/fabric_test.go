@@ -65,6 +65,17 @@ var featureWired = map[string]func(d *NICE) bool{
 		_, ok := d.Nodes[0].Store().StorageStats()
 		return ok
 	},
+	// A partition's two mapping rules plus one rule per client division:
+	// R static divisions, or the rebalancer's finer grain — the smallest
+	// power of two holding 2R (controller.dynamicDivisionsFor).
+	"lb": func(d *NICE) bool { return d.Service.Stats().RulesPerPart == 2+d.Opts.R },
+	"dynamiclb": func(d *NICE) bool {
+		ndiv := 1
+		for ndiv < 2*d.Opts.R {
+			ndiv <<= 1
+		}
+		return d.Service.Stats().RulesPerPart == 2+ndiv
+	},
 }
 
 // TestFabricFeatureMatrix is the assembler's contract: every NICE
@@ -76,7 +87,7 @@ var featureWired = map[string]func(d *NICE) bool{
 // both deployed the cache runs ahead of the dirty set.
 func TestFabricFeatureMatrix(t *testing.T) {
 	features := niceFeatures()
-	if got := strings.Join(features, " "); got != "cache durable edgeovs groupcommit harmonia lb quorum standby" {
+	if got := strings.Join(features, " "); got != "cache durable dynamiclb edgeovs groupcommit harmonia lb quorum standby" {
 		t.Fatalf("NICE features of armFeatures = %q; extend this test's expectations with the table", got)
 	}
 	for _, fab := range testFabrics {

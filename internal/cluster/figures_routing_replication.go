@@ -22,9 +22,6 @@ type Params struct {
 	Seq bool
 }
 
-// DefaultParams mirrors the paper's operation counts.
-func DefaultParams() Params { return Params{Ops: 1000, Seed: 42} }
-
 // ObjectSizes is the x-axis of Figs. 4-6: 4 B to 1 MB.
 var ObjectSizes = []int{4, 1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 

@@ -41,10 +41,12 @@ import (
 // sweep's base options. NOOBOptions embeds Options, so one mutator type
 // covers both deployments.
 var armFeatures = map[string]func(*NOOBOptions){
-	"lb":       func(o *NOOBOptions) { o.LoadBalance = true },
-	"cache":    func(o *NOOBOptions) { o.Cache = true },
-	"harmonia": func(o *NOOBOptions) { o.Harmonia = true },
-	"durable":  func(o *NOOBOptions) { o.DurableStore = true },
+	"lb": func(o *NOOBOptions) { o.LoadBalance = true },
+	// The §8 rebalancer re-assigns the division rules "lb" installs.
+	"dynamiclb": func(o *NOOBOptions) { o.LoadBalance, o.DynamicLB = true, true },
+	"cache":     func(o *NOOBOptions) { o.Cache = true },
+	"harmonia":  func(o *NOOBOptions) { o.Harmonia = true },
+	"durable":   func(o *NOOBOptions) { o.DurableStore = true },
 	// Group commit with a short gather window: concurrent commits on a
 	// node share fsyncs without a lone writer noticing the linger.
 	"groupcommit": func(o *NOOBOptions) { o.GroupCommit, o.MaxSyncDelay = true, 20*time.Microsecond },
@@ -63,6 +65,7 @@ var armFeatures = map[string]func(*NOOBOptions){
 	"2pc":        func(o *NOOBOptions) { o.Consistency = noob.TwoPC },
 	"quorumrw":   func(o *NOOBOptions) { o.Consistency = noob.QuorumRW },
 	"roundrobin": func(o *NOOBOptions) { o.Gets = noob.GetRoundRobin },
+	"chain":      func(o *NOOBOptions) { o.Replication = noob.Chain },
 }
 
 // resolveArm is the one place a system name becomes deployment options.

@@ -80,7 +80,8 @@ func TestClientRNGSeeds(t *testing.T) {
 // uses, spot-checks what the features set, and requires unknown names to
 // be errors.
 func TestArmTable(t *testing.T) {
-	arms := []string{"NICE+edgeovs", "NOOB+2PC", "NOOB+quorumrw", "NOOB+RAG", "nicekv+lb+durable+groupcommit"}
+	arms := []string{"NICE+edgeovs", "NOOB+2PC", "NOOB+quorumrw", "NOOB+RAG", "nicekv+lb+durable+groupcommit",
+		"NOOB+chain", "NICE+dynamiclb"}
 	arms = append(arms, fig4Systems...)
 	arms = append(arms, cacheSweepSystems...)
 	arms = append(arms, HeavyTrafficArms...)
@@ -118,8 +119,15 @@ func TestArmTable(t *testing.T) {
 		o.Gateway != noob.RAG || o.Gets != noob.GetRoundRobin {
 		t.Errorf("NOOB+2PC+RAG+roundrobin resolved to %+v (noob=%v, err=%v)", o, isNOOB, err)
 	}
-	if o, _, _ = resolveArm("NOOB", base); o.Access != noob.RAC || o.Consistency != noob.PrimaryOnly {
-		t.Errorf("plain NOOB is not the RAC primary-only default: %+v", o)
+	if o, _, _ = resolveArm("NOOB", base); o.Access != noob.RAC || o.Consistency != noob.PrimaryOnly || o.Replication != noob.Unicast {
+		t.Errorf("plain NOOB is not the RAC primary-only unicast default: %+v", o)
+	}
+	if o, _, _ = resolveArm("NOOB+chain", base); o.Replication != noob.Chain {
+		t.Errorf("NOOB+chain does not replicate along a chain: %+v", o)
+	}
+	// The rebalancer moves the division rules, so the arm installs them.
+	if o, _, _ = resolveArm("NICE+dynamiclb", base); !o.DynamicLB || !o.LoadBalance {
+		t.Errorf("NICE+dynamiclb resolved to %+v", o.Options)
 	}
 	for r, k := range map[int]int{1: 0, 3: 2, 8: 5} {
 		base.R = r

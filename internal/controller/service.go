@@ -236,9 +236,6 @@ func (svc *Service) View(p int) *PartitionView { return svc.views[p] }
 // Gen returns this instance's writer generation (0 before Start).
 func (svc *Service) Gen() uint64 { return svc.gen }
 
-// NodeAddrOf returns the address record of node idx.
-func (svc *Service) NodeAddrOf(idx int) NodeAddr { return svc.nodes[idx].addr }
-
 // RegisterHost teaches the controller a host's location eagerly (the
 // harness does this for infrastructure hosts; clients may instead be
 // learned through ARP, see learning.go).

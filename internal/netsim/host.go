@@ -65,9 +65,6 @@ func (h *Host) Port() *Port { return h.port }
 // Stats returns the traffic counters.
 func (h *Host) Stats() HostStats { return h.stats }
 
-// ResetStats zeroes the traffic counters (used between experiment phases).
-func (h *Host) ResetStats() { h.stats = HostStats{} }
-
 // SetHandler registers the function receiving packets addressed to this
 // host. Exactly one handler is supported; the transport layer
 // demultiplexes further.
@@ -87,9 +84,6 @@ func (h *Host) JoinMulticast(group IP) { h.mcast[group] = true }
 
 // LeaveMulticast unsubscribes the host from a group.
 func (h *Host) LeaveMulticast(group IP) { delete(h.mcast, group) }
-
-// InMulticast reports whether the host is subscribed to group.
-func (h *Host) InMulticast(group IP) bool { return h.mcast[group] }
 
 // AcceptPrefix makes the host terminate an extra destination range: the
 // NIC delivers unicast packets whose DstIP falls inside p as if they were

@@ -134,9 +134,6 @@ func (l *Link) SetDown(down bool) {
 	l.ba.down = down
 }
 
-// IsDown reports whether the link is severed.
-func (l *Link) IsDown() bool { return l.ab.down }
-
 // SetLossRate changes only the loss probability, leaving capacity and
 // delay untouched (fault injection: a flaky cable or an overrun queue).
 func (l *Link) SetLossRate(rate float64) {

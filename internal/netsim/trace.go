@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"repro/internal/sim"
@@ -53,17 +52,6 @@ func (n *Network) emitTrace(dev, dir string, pkt *Packet) {
 	ev := TraceEvent{At: n.sim.Now(), Device: dev, Dir: dir, Pkt: *pkt}
 	for _, e := range n.taps {
 		e.tap(ev)
-	}
-}
-
-// WriterTap returns a Tap printing one line per event to w, optionally
-// filtered (nil filter = everything).
-func WriterTap(w io.Writer, filter func(TraceEvent) bool) Tap {
-	return func(ev TraceEvent) {
-		if filter != nil && !filter(ev) {
-			return
-		}
-		fmt.Fprintln(w, ev.String())
 	}
 }
 

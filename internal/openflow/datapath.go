@@ -134,9 +134,6 @@ func (dp *Datapath) RaiseWriterFence(gen uint64) {
 	}
 }
 
-// WriterFence returns the current fence generation (0 = unfenced).
-func (dp *Datapath) WriterFence() uint64 { return dp.writerFence }
-
 // WriterAllowed reports whether writer generation gen may still mutate
 // this datapath, counting rejections. Generation 0 is the legacy
 // unfenced writer and is always allowed.
@@ -322,8 +319,8 @@ func (dp *Datapath) AddFlow(e FlowEntry) *sim.Future[error] {
 
 // Barrier schedules fn on the control channel behind every mod
 // submitted so far — the OpenFlow barrier-request/reply pattern. When
-// fn runs, all earlier AddFlow/RemoveFlows/SetGroup/DeleteGroup calls
-// have been applied by the switch.
+// fn runs, all earlier AddFlow/RemoveFlows/SetGroup calls have been
+// applied by the switch.
 func (dp *Datapath) Barrier(fn func()) {
 	dp.ctrlSched(fn)
 }
@@ -359,14 +356,6 @@ func (dp *Datapath) SetGroup(g Group) {
 	dp.stats.GroupMods++
 	dp.ctrlSched(func() {
 		dp.groups.Set(g)
-	})
-}
-
-// DeleteGroup removes a group.
-func (dp *Datapath) DeleteGroup(id GroupID) {
-	dp.stats.GroupMods++
-	dp.ctrlSched(func() {
-		dp.groups.Delete(id)
 	})
 }
 

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// benchSizes are the deployment scales the switch-scale experiment sweeps.
+// benchSizes are the deployment scales the lookup benchmarks sweep.
 var benchSizes = []int{8, 32, 64, 128, 256}
 
 func runLookupBench(b *testing.B, nodes int, cache bool, linear bool) {

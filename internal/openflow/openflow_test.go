@@ -401,24 +401,3 @@ func TestSetFieldDoesNotAliasAcrossOutputs(t *testing.T) {
 		t.Fatalf("second copy not rewritten: %s", dst1)
 	}
 }
-
-func BenchmarkFlowTableLookup(b *testing.B) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
-	// 64 partitions x (unicast + multicast + group-direct) + phys rules,
-	// the shape of a real deployment's table.
-	for p := 0; p < 64; p++ {
-		base := netsim.IPv4(10, 10, byte(p), 0)
-		tbl.Add(FlowEntry{Priority: 50, Match: MatchDst(netsim.PrefixOf(base, 24))})
-	}
-	for h := 0; h < 64; h++ {
-		tbl.Add(FlowEntry{Priority: 10, Match: MatchDst(netsim.HostPrefix(netsim.IPv4(10, 0, 0, byte(h))))})
-	}
-	pkt := udp("192.168.0.1", "10.10.40.7")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tbl.Lookup(pkt, 0) == nil {
-			b.Fatal("miss")
-		}
-	}
-}

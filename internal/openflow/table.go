@@ -276,9 +276,6 @@ func NewGroupTable() *GroupTable {
 // Set installs or replaces a group.
 func (gt *GroupTable) Set(g Group) { gt.groups[g.ID] = &g }
 
-// Delete removes a group.
-func (gt *GroupTable) Delete(id GroupID) { delete(gt.groups, id) }
-
 // Get looks up a group.
 func (gt *GroupTable) Get(id GroupID) (*Group, bool) {
 	g, ok := gt.groups[id]

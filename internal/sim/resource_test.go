@@ -61,55 +61,3 @@ func TestResourceZeroDemandIsFree(t *testing.T) {
 		t.Fatalf("zero demand consumed time: at=%v busy=%v", at, r.BusyTime())
 	}
 }
-
-func BenchmarkEventScheduling(b *testing.B) {
-	s := New(1)
-	for i := 0; i < b.N; i++ {
-		s.After(Time(i), func() {})
-		if i%4096 == 4095 {
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkProcSleepSwitch(b *testing.B) {
-	s := New(1)
-	n := b.N
-	s.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkQueuePushPop(b *testing.B) {
-	s := New(1)
-	q := NewQueue[int](s)
-	n := b.N
-	s.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			q.Pop(p)
-		}
-	})
-	s.Spawn("producer", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			q.Push(i)
-			if i%64 == 63 {
-				p.Sleep(0)
-			}
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

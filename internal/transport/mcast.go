@@ -171,7 +171,7 @@ type MulticastReceiver struct {
 // BindMulticast binds a multicast receiver on port.
 func (st *Stack) BindMulticast(port uint16) (*MulticastReceiver, error) {
 	if _, dup := st.mrecv[port]; dup {
-		return nil, ErrClosed
+		return nil, st.portInUse("multicast", port)
 	}
 	ctrl, err := st.BindUDP(0)
 	if err != nil {

@@ -79,6 +79,12 @@ func (st *Stack) Sim() *sim.Simulator { return st.s }
 // IP returns the host address.
 func (st *Stack) IP() netsim.IP { return st.host.IP() }
 
+// portInUse is the error of binding a port that kind of socket already
+// holds on this host.
+func (st *Stack) portInUse(kind string, port uint16) error {
+	return fmt.Errorf("transport: %s port %d in use on %s", kind, port, st.host.DeviceName())
+}
+
 // ephemeralPort hands out client-side port numbers.
 func (st *Stack) ephemeralPort() uint16 {
 	for {
@@ -151,7 +157,7 @@ func (st *Stack) BindUDP(port uint16) (*UDPSocket, error) {
 		port = st.ephemeralPort()
 	}
 	if _, dup := st.udp[port]; dup {
-		return nil, fmt.Errorf("transport: UDP port %d in use on %s", port, st.host.DeviceName())
+		return nil, st.portInUse("UDP", port)
 	}
 	u := &UDPSocket{stack: st, port: port, rq: sim.NewQueue[*Datagram](st.s)}
 	st.udp[port] = u

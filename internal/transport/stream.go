@@ -95,7 +95,7 @@ type Listener struct {
 // Listen binds a stream listener.
 func (st *Stack) Listen(port uint16) (*Listener, error) {
 	if _, dup := st.listeners[port]; dup {
-		return nil, ErrClosed
+		return nil, st.portInUse("stream", port)
 	}
 	l := &Listener{stack: st, port: port, q: sim.NewQueue[*Conn](st.s)}
 	st.listeners[port] = l
@@ -113,11 +113,6 @@ func (st *Stack) MustListen(port uint16) *Listener {
 
 // Accept blocks until an inbound connection is established.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, bool) { return l.q.Pop(p) }
-
-// AcceptTimeout is Accept with a deadline.
-func (l *Listener) AcceptTimeout(p *sim.Proc, d sim.Time) (*Conn, bool) {
-	return l.q.PopTimeout(p, d)
-}
 
 // Close stops accepting.
 func (l *Listener) Close() {
@@ -151,9 +146,6 @@ func (st *Stack) Dial(p *sim.Proc, to netsim.IP, port uint16) (*Conn, error) {
 
 // Peer returns the remote address.
 func (c *Conn) Peer() netsim.IP { return c.peer }
-
-// PeerPort returns the remote port.
-func (c *Conn) PeerPort() uint16 { return c.peerPort }
 
 // sendSeg transmits one segment of the stream, numbered seq.
 func (c *Conn) sendSeg(m *segMsg, seq uint64, size int) {

@@ -129,6 +129,27 @@ func TestUDPPortConflict(t *testing.T) {
 	}
 }
 
+// TestPortInUseNamesThePort: every kind of socket reports a second bind
+// of its port the same way — which port, on which host — not as a closed
+// endpoint.
+func TestPortInUseNamesThePort(t *testing.T) {
+	st := newHub(t, 1, netsim.Gbps(1, 0)).stacks[0]
+	binds := map[string]func() error{
+		"UDP":       func() error { _, err := st.BindUDP(9); return err },
+		"stream":    func() error { _, err := st.Listen(9); return err },
+		"multicast": func() error { _, err := st.BindMulticast(9); return err },
+	}
+	for kind, bind := range binds {
+		if err := bind(); err != nil {
+			t.Fatalf("first %s bind: %v", kind, err)
+		}
+		want := "transport: " + kind + " port 9 in use on h"
+		if err := bind(); err == nil || err.Error() != want {
+			t.Errorf("second %s bind: err = %v, want %q", kind, err, want)
+		}
+	}
+}
+
 func TestStreamSmallMessage(t *testing.T) {
 	h := newHub(t, 2, netsim.Gbps(1, us(10)))
 	a, b := h.stacks[0], h.stacks[1]

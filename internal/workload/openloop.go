@@ -84,9 +84,6 @@ func (o *OpenLoop) file(c int32, at int64) {
 // Clients returns the fleet size.
 func (o *OpenLoop) Clients() int { return len(o.rng) }
 
-// TickWidth returns the calendar bucket width in virtual nanoseconds.
-func (o *OpenLoop) TickWidth() int64 { return o.tick }
-
 // Tick serves the next tick's arrival batch: fn is called once per
 // arriving client, and each served client is re-filed at its next
 // arrival. It returns the batch size. The caller owns pacing — the
