@@ -308,27 +308,6 @@ func TestHarmoniaFalseDeposalRegression(t *testing.T) {
 	}
 }
 
-// TestHarmoniaRecoveryFetchRaceRegression replays a schedule where a
-// rejoining replica's range fetch raced an in-flight any-k put: the
-// fetch snapshotted the pre-put value, the put's prepare predated the
-// rejoiner's multicast-group membership (the group mod was stretched by
-// an injected control-channel delay, and the recovery kickoff message
-// raced ahead of it), so neither the fetch nor the commit multicast
-// ever delivered the acked version — and a clean-key rewrite then read
-// stale from the freshly promoted replica. The fix is the
-// FetchRangeReply.Pending drain in syncPartition plus the
-// Service.barrierSend fence that keeps recovery kickoffs behind the
-// switch group mods.
-func TestHarmoniaRecoveryFetchRaceRegression(t *testing.T) {
-	cell, err := ReplayChaos("NICEKV+harmonia :: seed=96504334491089634 | loss n0 r=0.2897726581528765 @149.087948ms +110.438375ms | ctrl d=8.884751ms r=0.5183823915063865 @216.761979ms +146.001159ms | slowdisk n4 x=26.76215727940441 @285.103676ms +89.611877ms | loss n2 r=0.3947557742193006 @400.96345ms +85.004691ms | loss n1 r=0.1783060567657524 @451.828765ms +44.842407ms | loss n3 r=0.20273651132065884 @466.604376ms +187.3573ms | slowdisk n0 x=10.023722286590345 @468.13253ms +133.810291ms | slownic n4 x=19.34719389717938 @492.403432ms +196.317291ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range cell.Violations {
-		t.Errorf("replayed schedule violated: %s", v)
-	}
-}
-
 // TestCollapsedPartitionLastHolderReseat replays a quorum-cell schedule
 // where false-deposal cascades emptied every partition's view (the sole
 // remaining replica was deposed by heartbeat loss while alive) and an

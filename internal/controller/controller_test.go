@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -28,6 +29,8 @@ type rig struct {
 	svc   *Service
 	nodes []*fakeNode
 	meta  *transport.Stack
+	// onMsg, when set, sees each control message as node i receives it.
+	onMsg func(i int, m any)
 }
 
 type fakeNode struct {
@@ -91,6 +94,9 @@ func newRig(t *testing.T, n, r int, lb bool) *rig {
 					return
 				}
 				fn.msgs = append(fn.msgs, d.Data)
+				if rg.onMsg != nil {
+					rg.onMsg(i, d.Data)
+				}
 			}
 		})
 	}
@@ -644,4 +650,91 @@ func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
 		t.Fatalf("expired rule did not punt (PacketIns=%d, want %d)", dp.Stats().PacketIns, ins+1)
 	}
 	s.Shutdown()
+}
+
+// TestViewMessagesWaitForTheSwitch: with every flow and group mod held
+// 5 ms on the control channel, no node receives a view-bearing message —
+// a failure's PartitionUpdate and HandoffAssign, a rejoiner's RejoinInfo,
+// the views that complete its recovery and release the stand-in — before
+// the switch applied the view: the partition's unicast mapping already
+// rewrites to the view's primary and its group already fans out to
+// exactly the view's put participants.
+func TestViewMessagesWaitForTheSwitch(t *testing.T) {
+	rg := newRig(t, 5, 3, false)
+	rg.runUntil(t, ms(50))
+	rg.dp.SetControlFault(ms(5), 0)
+	applied := func(v *PartitionView) bool {
+		primary := false
+		for _, e := range rg.dp.Table().Entries() {
+			if e.Cookie != fmt.Sprintf("uni-p%d.", v.Partition) {
+				continue
+			}
+			for _, a := range e.Actions {
+				if set, ok := a.(openflow.SetDstIP); ok && set.IP == v.Primary().IP {
+					primary = true
+				}
+			}
+		}
+		g, ok := rg.dp.Groups().Get(openflow.GroupID(v.Partition * 64))
+		if !ok || !primary {
+			return false
+		}
+		ports := make(map[int]bool)
+		for _, b := range g.Buckets {
+			ports[b.Actions[0].(openflow.Output).Port] = true
+		}
+		for _, r := range v.PutParticipants() {
+			if !ports[r.Index] { // node i is cabled to switch port i
+				return false
+			}
+		}
+		return len(ports) == len(v.PutParticipants())
+	}
+	seen := make(map[string]int)
+	rg.onMsg = func(i int, m any) {
+		var views []*PartitionView
+		switch m := m.(type) {
+		case *PartitionUpdate:
+			views = []*PartitionView{m.View}
+		case *HandoffAssign:
+			views = []*PartitionView{m.View}
+		case *RejoinInfo:
+			views = m.Views
+		default:
+			return
+		}
+		name := fmt.Sprintf("%T", m)
+		seen[name]++
+		for _, v := range views {
+			if !applied(v) {
+				t.Errorf("%v: node %d received %s for partition %d epoch %d before the switch applied it",
+					rg.s.Now(), i, name, v.Partition, v.Epoch)
+			}
+		}
+	}
+	victim := 2
+	rg.s.At(ms(200), func() {
+		rg.nodes[victim].beat = false
+		rg.nodes[victim].stack.Host().SetDown(true)
+	})
+	rg.s.At(ms(1250), func() {
+		rg.nodes[victim].stack.Host().SetDown(false)
+		rg.nodes[victim].beat = true
+		sock := rg.nodes[victim].stack.MustBindUDP(0)
+		sock.SendTo(rg.meta.IP(), rg.svc.cfg.CtrlPort, &RejoinRequest{Node: victim}, 64)
+	})
+	rg.s.At(ms(1400), func() {
+		sock := rg.nodes[victim].stack.MustBindUDP(0)
+		sock.SendTo(rg.meta.IP(), rg.svc.cfg.CtrlPort, &ConsistentNotice{Node: victim}, 64)
+	})
+	rg.runUntil(t, ms(1600))
+	for _, name := range []string{"*controller.PartitionUpdate", "*controller.HandoffAssign", "*controller.RejoinInfo"} {
+		if seen[name] == 0 {
+			t.Errorf("no %s received", name)
+		}
+	}
+	if rg.svc.nodes[victim].status != nodeUp {
+		t.Fatal("victim did not recover")
+	}
+	rg.s.Shutdown()
 }

@@ -274,7 +274,7 @@ func (svc *Service) Start() {
 		if !svc.cfg.LazyMapping {
 			svc.installPartition(p)
 		}
-		svc.announce(svc.views[p], -1)
+		svc.announce(svc.views[p])
 	}
 	svc.startStandbyPing()
 	svc.startDynamicLB()
@@ -368,60 +368,38 @@ func (svc *Service) detect(p *sim.Proc) {
 	}
 }
 
-// sendToNode pushes a control message to a storage node.
+// sendToNode pushes a control message to a storage node. Messages that
+// carry a PartitionView go through sendView instead.
 func (svc *Service) sendToNode(a NodeAddr, msg any, size int) {
 	svc.stats.NodeMsgs++
 	svc.ctrl.SendTo(a.IP, a.CtrlPort, msg, size)
 }
 
-// barrierSend delivers msg to node a only after every group datapath
-// has applied the mods submitted so far (Datapath.Barrier). Harmonia
-// clusters need the fence on recovery kickoff messages: the recovering
-// node starts its range sync the moment the message lands, and the sync
-// only covers puts prepared before it if the node is already in the put
-// multicast group — a sync racing ahead of a delayed group mod misses
-// writes forever, and harmonia would later serve reads from that node.
-// Without harmonia a recovering replica never serves reads, so the
-// message goes out immediately and event timing is unchanged.
-func (svc *Service) barrierSend(a NodeAddr, msg any, size int) {
-	if svc.harmonia == nil {
-		svc.sendToNode(a, msg, size)
-		return
-	}
-	groupDPs := svc.groupDatapaths()
-	remaining := 0
-	for _, dp := range groupDPs {
+// sendView delivers a view-bearing message to node a only after every
+// datapath this generation may write has applied the mods and stage
+// commands submitted so far (Datapath.Barrier). No node acts on a view
+// the switches have not applied: a rejoiner starts its range sync inside
+// the put multicast group, and a promoted primary learns of its
+// promotion only once the fabric routes to it.
+func (svc *Service) sendView(a NodeAddr, msg any, size int) {
+	var dps []*openflow.Datapath
+	for _, dp := range svc.fabric.Datapaths() {
 		if dp.WriterAllowed(svc.gen) {
-			remaining++
+			dps = append(dps, dp)
 		}
 	}
+	remaining := len(dps)
 	if remaining == 0 {
 		svc.sendToNode(a, msg, size)
 		return
 	}
-	for _, dp := range groupDPs {
-		if !dp.WriterAllowed(svc.gen) {
-			continue
-		}
+	for _, dp := range dps {
 		dp.Barrier(func() {
-			remaining--
-			if remaining == 0 {
+			if remaining--; remaining == 0 {
 				svc.sendToNode(a, msg, size)
 			}
 		})
 	}
-}
-
-// groupDatapaths returns the datapaths that hold multicast groups (the
-// fan-out points): every switch with a storage node at or below it. A
-// client-side edge has none, so it holds no group and sends group
-// traffic on toward the nodes.
-func (svc *Service) groupDatapaths() []*openflow.Datapath {
-	ips := make([]netsim.IP, len(svc.nodes))
-	for i, n := range svc.nodes {
-		ips[i] = n.addr.IP
-	}
-	return svc.fabric.Holding(ips)
 }
 
 // fail runs the §4.4 failure-hiding procedure for node idx.
@@ -469,7 +447,9 @@ func (svc *Service) fail(idx int) {
 			svc.tracef("%v: partition %d primary failed; promoting node %d",
 				svc.s.Now(), v.Partition, v.Replicas[0].Index)
 		}
-		svc.commitView(v, idx)
+		// The node gets the view too: if the verdict was false (a lossy
+		// path, not a crash), that stops it acting as a member of v.
+		svc.commitView(v, n.addr)
 	}
 	// Replicate the status change even when no view mentioned the node
 	// (announce covers the common case but not a no-view demotion).
@@ -519,35 +499,38 @@ func (svc *Service) pickHandoff(v *PartitionView) *NodeAddr {
 
 // commitView publishes a membership change to v under a new epoch: flow
 // mods first, then the store write, then the announcements (announce).
-func (svc *Service) commitView(v *PartitionView, failed int) {
+func (svc *Service) commitView(v *PartitionView, dropped ...NodeAddr) {
 	v.Epoch++
 	svc.installPartition(v.Partition)
-	svc.announce(v, failed)
+	svc.announce(v, dropped...)
 }
 
-// announce distributes a changed view to its participants (O(R)
-// messages regardless of cluster size) after writing it through to the
-// state store. A store rejection means
+// announce distributes a changed view to its participants and to the
+// nodes the change dropped (O(R) messages regardless of cluster size)
+// after writing it through to the state store. A store rejection means
 // a newer controller generation has taken over: this instance is a
 // fenced zombie and must not propagate the view at all.
-func (svc *Service) announce(v *PartitionView, failed int) {
+func (svc *Service) announce(v *PartitionView, dropped ...NodeAddr) {
 	v.Gen = svc.gen
 	if !svc.store.WriteView(svc.gen, v) {
 		svc.stats.FencedWrites++
 		return
 	}
 	svc.store.WriteStatuses(svc.gen, svc.statusVector())
-	for _, r := range v.PutParticipants() {
-		if v.Handoff != nil && r.Index == v.Handoff.Index {
-			var failedAddr NodeAddr
-			if failed >= 0 {
-				failedAddr = svc.nodes[failed].addr
-			}
-			svc.sendToNode(r, &HandoffAssign{View: v.Clone(), Failed: failedAddr}, sizeOfView(v))
-			continue
-		}
-		svc.sendToNode(r, &PartitionUpdate{View: v.Clone()}, sizeOfView(v))
+	for _, r := range append(v.PutParticipants(), dropped...) {
+		svc.pushView(r, v)
 	}
+}
+
+// pushView sends node a the current view v: as a HandoffAssign when a is
+// v's stand-in, else as a PartitionUpdate — which, to a node v no longer
+// lists, is the order to drop the partition.
+func (svc *Service) pushView(a NodeAddr, v *PartitionView) {
+	if v.Handoff != nil && v.Handoff.Index == a.Index {
+		svc.sendView(a, &HandoffAssign{View: v.Clone()}, sizeOfView(v))
+		return
+	}
+	svc.sendView(a, &PartitionUpdate{View: v.Clone()}, sizeOfView(v))
 }
 
 // resyncViews repairs a node whose membership state went stale — a
@@ -565,22 +548,10 @@ func (svc *Service) resyncViews(idx int, epochs map[int]uint64) {
 		if reported >= v.Epoch {
 			continue
 		}
-		serves := false
-		for _, r := range v.PutParticipants() {
-			if r.Index == idx {
-				serves = true
-				break
-			}
-		}
-		switch {
-		case serves && v.Handoff != nil && v.Handoff.Index == idx:
-			svc.sendToNode(n.addr, &HandoffAssign{View: v.Clone()}, sizeOfView(v))
-		case serves:
-			svc.sendToNode(n.addr, &PartitionUpdate{View: v.Clone()}, sizeOfView(v))
-		case reported > 0:
-			// The node holds a stale view of a partition it no longer
-			// serves; the fresh view makes it drop out cleanly.
-			svc.sendToNode(n.addr, &PartitionUpdate{View: v.Clone()}, sizeOfView(v))
+		// A node holding a stale view of a partition it no longer serves
+		// gets the fresh view too: it makes the node drop out cleanly.
+		if reported > 0 || v.HasReplica(idx) || v.IsRecovering(idx) {
+			svc.pushView(n.addr, v)
 		}
 	}
 }
@@ -606,20 +577,13 @@ func (svc *Service) handleRejoin(idx int) {
 		svc.fail(idx)
 	case nodeRecovering:
 		n.lastHB = svc.s.Now()
-		info := &RejoinInfo{}
+		var views []*PartitionView
 		for _, part := range svc.homePartitions(idx) {
-			v := svc.views[part]
-			if !v.IsRecovering(idx) {
-				continue
+			if v := svc.views[part]; v.IsRecovering(idx) {
+				views = append(views, v)
 			}
-			info.Views = append(info.Views, v.Clone())
-			var h NodeAddr
-			if v.Handoff != nil {
-				h = *v.Handoff
-			}
-			info.Handoffs = append(info.Handoffs, h)
 		}
-		svc.barrierSend(n.addr, info, ctrlMsgSize+len(info.Views)*32)
+		svc.sendRejoinInfo(n.addr, views)
 		return
 	}
 	n.status = nodeRecovering
@@ -627,7 +591,7 @@ func (svc *Service) handleRejoin(idx int) {
 	svc.stats.Rejoins++
 	svc.tracef("%v: node %d rejoining (put-visible)", svc.s.Now(), idx)
 
-	info := &RejoinInfo{}
+	var views []*PartitionView
 	for _, part := range svc.homePartitions(idx) {
 		v := svc.views[part]
 		if v.HasReplica(idx) || v.IsRecovering(idx) {
@@ -654,19 +618,29 @@ func (svc *Service) handleRejoin(idx int) {
 			// ConsistentNotice.
 			v.Recovering = append(v.Recovering, n.addr)
 		}
-		svc.commitView(v, -1)
-		info.Views = append(info.Views, v.Clone())
-		var h NodeAddr
-		if v.Handoff != nil {
-			h = *v.Handoff
-		}
-		info.Handoffs = append(info.Handoffs, h)
+		svc.commitView(v)
+		views = append(views, v)
 	}
-	svc.barrierSend(n.addr, info, ctrlMsgSize+len(info.Views)*32)
+	svc.sendRejoinInfo(n.addr, views)
 	// The Recovering transition may have touched no view ("never left"
 	// rejoins); replicate the status vector anyway so a takeover during
 	// this window still knows the node is mid-rejoin.
 	svc.store.WriteStatuses(svc.gen, svc.statusVector())
+}
+
+// sendRejoinInfo tells rejoiner a the views it recovers in and who holds
+// the handoff data of each.
+func (svc *Service) sendRejoinInfo(a NodeAddr, views []*PartitionView) {
+	info := &RejoinInfo{}
+	for _, v := range views {
+		var h NodeAddr
+		if v.Handoff != nil {
+			h = *v.Handoff
+		}
+		info.Views = append(info.Views, v.Clone())
+		info.Handoffs = append(info.Handoffs, h)
+	}
+	svc.sendView(a, info, ctrlMsgSize+len(info.Views)*32)
 }
 
 // handleConsistent completes phase two of either recovery or ring
@@ -681,7 +655,7 @@ func (svc *Service) handleConsistent(idx int) {
 	}
 	svc.tracef("%v: node %d consistent (get-visible)", svc.s.Now(), idx)
 
-	for part, v := range svc.views {
+	for _, v := range svc.views {
 		if !v.IsRecovering(idx) {
 			continue
 		}
@@ -689,22 +663,16 @@ func (svc *Service) handleConsistent(idx int) {
 		// The stand-in keeps covering the partition until the last
 		// rejoiner completes; releasing it on the first completion would
 		// shrink the serving set while other members are still syncing.
-		var released *NodeAddr
+		// The released stand-in gets the view that omits it: its order to
+		// drop the handoff data and the multicast group.
+		var released []NodeAddr
 		if v.Handoff != nil && len(v.Recovering) == 0 {
-			for i := range v.Replicas {
-				if v.Replicas[i].Index == v.Handoff.Index {
-					v.Replicas = append(v.Replicas[:i], v.Replicas[i+1:]...)
-					break
-				}
-			}
-			released = v.Handoff
+			released = append(released, *v.Handoff)
+			v.Replicas = removeAddr(v.Replicas, v.Handoff.Index)
 			v.Handoff = nil
 		}
 		v.Replicas = append(v.Replicas, n.addr)
-		svc.commitView(v, -1)
-		if released != nil {
-			svc.sendToNode(*released, &HandoffRelease{Partition: part}, ctrlMsgSize)
-		}
+		svc.commitView(v, released...)
 	}
 	// Status-only completions (no view still listed the node) must
 	// reach the store too, or a takeover would re-run a finished
@@ -732,8 +700,8 @@ func (svc *Service) AddReplica(part, idx int) error {
 	}
 	a := n.addr
 	v.Recovering = append(v.Recovering, a)
-	svc.commitView(v, -1)
-	svc.barrierSend(a, &ExpandAssign{View: v.Clone(), Source: v.Primary()}, sizeOfView(v))
+	svc.commitView(v)
+	svc.sendView(a, &ExpandAssign{View: v.Clone()}, sizeOfView(v))
 	svc.tracef("%v: node %d joining partition %d (put-visible)", svc.s.Now(), idx, part)
 	return nil
 }
@@ -768,16 +736,21 @@ func (svc *Service) installPartition(p int) {
 	mcPfx := svc.cfg.Multicast.SubgroupPrefix(p)
 
 	// Multicast groups first (the mapping rules reference them): every
-	// group datapath gets the loop-free replication plan the fabric
-	// computes for the current member set. Plan entry k uses group id
-	// 64p+k; the fallback (AnyPort) entry is what vring mapping rules
-	// jump to.
+	// switch with a storage node at or below it (a client-side edge has
+	// none, so it sends group traffic on toward the nodes) gets the
+	// loop-free replication plan the fabric computes for the current
+	// member set. Plan entry k uses group id 64p+k; the fallback (AnyPort)
+	// entry is what vring mapping rules jump to.
 	memberIPs := make([]netsim.IP, 0, len(v.Replicas)+1)
 	for _, r := range v.PutParticipants() {
 		memberIPs = append(memberIPs, r.IP)
 	}
+	nodeIPs := make([]netsim.IP, len(svc.nodes))
+	for i, n := range svc.nodes {
+		nodeIPs[i] = n.addr.IP
+	}
 	fallbackGid := make(map[*openflow.Datapath]openflow.GroupID)
-	for _, dp := range svc.groupDatapaths() {
+	for _, dp := range svc.fabric.Holding(nodeIPs) {
 		if !dp.WriterAllowed(svc.gen) {
 			continue // fenced: a promoted controller owns this switch now
 		}
@@ -939,7 +912,7 @@ func (svc *Service) PermanentRemove(idx int) {
 	for _, v := range svc.views {
 		if v.Handoff != nil {
 			v.Handoff = nil // promotion to permanent member
-			svc.announce(v, -1)
+			svc.announce(v)
 		}
 	}
 	svc.tracef("%v: node %d permanently removed", svc.s.Now(), idx)

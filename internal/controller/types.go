@@ -139,7 +139,10 @@ type ConsistentNotice struct {
 
 // Controller-to-node messages (UDP to the node control port).
 
-// PartitionUpdate pushes a new view to an affected replica.
+// PartitionUpdate pushes a new view to an affected replica. A node the
+// view no longer lists — a failed-over member, a released handoff
+// stand-in — drops the partition, its handoff data and its multicast
+// group.
 type PartitionUpdate struct {
 	View *PartitionView
 }
@@ -148,14 +151,7 @@ type PartitionUpdate struct {
 // partition. The node starts accepting that partition's traffic into its
 // handoff namespace.
 type HandoffAssign struct {
-	View   *PartitionView
-	Failed NodeAddr
-}
-
-// HandoffRelease tells the former handoff node the original owner is
-// consistent again; it may drop the handoff data.
-type HandoffRelease struct {
-	Partition int
+	View *PartitionView
 }
 
 // RejoinOrder tells a node the controller believes it is down (its
@@ -174,11 +170,10 @@ type RejoinInfo struct {
 
 // ExpandAssign tells a node it is being added to a replica set
 // permanently (§4.4 ring re-configuration): it is already put-visible;
-// it must fetch the partition's full key range from Source and then
-// report consistent to become get-visible.
+// it must fetch the partition's full key range from the view's members
+// and then report consistent to become get-visible.
 type ExpandAssign struct {
-	View   *PartitionView
-	Source NodeAddr // the partition's primary
+	View *PartitionView
 }
 
 // CacheFetchRequest asks a partition primary for the current committed

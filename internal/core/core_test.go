@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
 	"repro/internal/ring"
@@ -177,7 +178,7 @@ func TestOrphanOverflowForgetsOldestFirst(t *testing.T) {
 		for i := 0; i < orphanCap+extra; i++ {
 			n.orphan(key(i)).ack1[2] = true
 			if i == 50 { // its put registers, merging the buffer...
-				n.registerPut(&PutRequest{Client: 1, ClientSeq: 50})
+				n.registerPut(&PutRequest{Client: 1, ClientSeq: 50}, 0)
 			}
 			if i == orphanCap { // ...and much later an ack of a retry re-creates it
 				n.orphan(key(50)).ack2[2] = true
@@ -248,7 +249,7 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 		deliver func(n *Node, ts kvstore.Timestamp)
 	}{
 		{"lateTs", func(n *Node, ts kvstore.Timestamp) {
-			n.lateTs(&TsMsg{Req: old, Key: "k", Ts: ts, Abort: ts.IsZero()})
+			n.lateTs(&TsMsg{Req: old, Key: "k", Ts: ts, Abort: ts.IsZero()}, 0)
 		}},
 		{"ResolveOrder", func(n *Node, ts kvstore.Timestamp) {
 			n.applyOrder(&ResolveOrder{Key: "k", Req: old, Ts: ts})
@@ -288,7 +289,7 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 						}
 						var ps *putState
 						if st.live {
-							ps = n.registerPut(&PutRequest{Key: "k", Client: newer.Client, ClientSeq: newer.Seq})
+							ps = n.registerPut(&PutRequest{Key: "k", Client: newer.Client, ClientSeq: newer.Seq}, 0)
 						}
 
 						e.deliver(n, o.ts)
@@ -323,4 +324,194 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRejoinWaitsOutAnOpenPrepare: a rejoiner whose range fetch reaches a
+// member while a put is prepared there but not yet resolved — its commit
+// will never reach the rejoiner, whose group membership postdates the
+// prepare — does not report itself consistent until the put resolves,
+// and then holds the committed copy. No dirty-set stage is configured:
+// the rule is the same in every mode.
+func TestRejoinWaitsOutAnOpenPrepare(t *testing.T) {
+	s, a, b := pair(t)
+	defer s.Shutdown()
+	const metaPort = 9000
+	addr := func(i int, st *transport.Stack) controller.NodeAddr {
+		return controller.NodeAddr{Index: i, IP: st.IP(), MAC: st.Host().MAC(), DataPort: 7000, CtrlPort: 7001}
+	}
+	newNode := func(i int, st *transport.Stack) *Node {
+		cfg := DefaultNodeConfig()
+		cfg.Addr = addr(i, st)
+		cfg.Meta, cfg.MetaPort = b.IP(), metaPort
+		cfg.Space = ring.NewSpace(4)
+		n := NewNode(st, cfg)
+		n.Start()
+		return n
+	}
+	member, rejoiner := newNode(0, b), newNode(1, a)
+	part := ring.NewSpace(4).PartitionOf("k")
+	view := &controller.PartitionView{Partition: part, Epoch: 1, GroupIP: netsim.MustParseIP("239.0.0.1"),
+		Replicas: []controller.NodeAddr{addr(0, b)}, Recovering: []controller.NodeAddr{addr(1, a)}}
+	member.applyView(view, false)
+
+	put := &PutRequest{Key: "k", Value: "v2", Size: 8, Client: 9, ClientSeq: 1}
+	committed := kvstore.Timestamp{Primary: b.IP(), PrimarySeq: 2, Client: 9, ClientSeq: 1}
+	var notice sim.Time
+	meta := b.MustBindUDP(metaPort)
+	s.Spawn("meta", func(p *sim.Proc) {
+		for notice == 0 {
+			d, ok := meta.Recv(p)
+			if !ok {
+				return
+			}
+			if _, ok := d.Data.(*controller.ConsistentNotice); ok {
+				notice = p.Now()
+				if obj, have := rejoiner.store.Peek("k"); !have || obj.Version != committed {
+					t.Errorf("consistent at %v holding %+v, want version %v", notice, obj, committed)
+				}
+			}
+		}
+	})
+	s.Spawn("prepare", func(p *sim.Proc) {
+		// The member holds the put prepared, its handler waiting on the
+		// primary's verdict.
+		member.store.Put(p, &kvstore.Object{Key: "k", Value: "v1", Size: 8, Version: kvstore.Timestamp{PrimarySeq: 1}})
+		member.registerPut(put, b.IP())
+		member.store.AppendLog(p, kvstore.LogRecord{Key: "k", Size: 8, Tag: put.key(),
+			Obj: &kvstore.Object{Key: "k", Value: "v2", Size: 8}})
+		rejoiner.recovering = true
+		s.Spawn("recover", func(p *sim.Proc) {
+			rejoiner.recover(p, &controller.RejoinInfo{Views: []*controller.PartitionView{view.Clone()},
+				Handoffs: []controller.NodeAddr{{}}})
+		})
+	})
+	const resolveAt = 50 * time.Millisecond
+	s.At(resolveAt, func() {
+		rec, _ := member.store.LogOf("k")
+		delete(member.puts, put.key())
+		member.finish(part, put.key(), rec.Obj, committed, false)
+	})
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if notice == 0 || notice < resolveAt {
+		t.Fatalf("ConsistentNotice at %v, want after the put resolved at %v", notice, resolveAt)
+	}
+}
+
+// TestPrimaryCommitPoint drives a primary's put handler to its commit
+// point against a scripted voter and checks what it commits: a vote from
+// a voter that already holds the put committed (a dedup Ack1) makes the
+// primary commit at that version, not a fresh one the voter could not
+// apply; a primary deposed while it collected the votes aborts; and a
+// timestamp from anyone but the coordinator is no verdict for a voter.
+func TestPrimaryCommitPoint(t *testing.T) {
+	const dataPort, clientPort = 7000, 8000
+	earlier := kvstore.Timestamp{PrimarySeq: 3, Client: 9, ClientSeq: 1}
+	for _, c := range []struct {
+		name    string
+		vote    *Ack1
+		deposed bool
+		wantOK  bool
+		wantVer uint64
+	}{
+		{"fresh vote", &Ack1{From: 1}, false, true, 1},
+		{"dedup vote", &Ack1{From: 1, Committed: &earlier}, false, true, earlier.PrimarySeq},
+		{"deposed while voting", &Ack1{From: 1}, true, false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, a, b := pair(t)
+			defer s.Shutdown()
+			cfg := DefaultNodeConfig()
+			cfg.Addr = controller.NodeAddr{Index: 0, IP: b.IP(), MAC: b.Host().MAC(), DataPort: dataPort, CtrlPort: 7001}
+			cfg.Space = ring.NewSpace(4)
+			primary := NewNode(b, cfg)
+			primary.Start()
+			voter := controller.NodeAddr{Index: 1, IP: a.IP(), MAC: a.Host().MAC(), DataPort: dataPort}
+			view := &controller.PartitionView{Partition: cfg.Space.PartitionOf("k"), Epoch: 1,
+				GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{cfg.Addr, voter}}
+			primary.applyView(view, false)
+
+			req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: a.IP(), ClientPort: clientPort, ClientSeq: 1}
+			sock := a.MustBindUDP(dataPort)
+			var reply *PutReply
+			ln := a.MustListen(clientPort)
+			s.Spawn("client", func(p *sim.Proc) {
+				if conn, ok := ln.Accept(p); ok {
+					if m, ok := conn.Recv(p); ok {
+						reply = m.Data.(*PutReply)
+					}
+				}
+			})
+			s.Spawn("put", func(p *sim.Proc) { primary.handlePut(p, req) })
+			s.At(time.Millisecond, func() {
+				if c.deposed {
+					v := view.Clone()
+					v.Epoch = 2
+					v.Replicas = []controller.NodeAddr{voter, cfg.Addr}
+					primary.applyView(v, false)
+				}
+				vote := *c.vote
+				vote.Req = req.key()
+				sock.SendTo(b.IP(), dataPort, &vote, ackSize)
+				sock.SendTo(b.IP(), dataPort, &Ack2{Req: req.key(), From: 1}, ackSize)
+			})
+			if err := s.RunUntil(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if reply == nil || reply.OK != c.wantOK || reply.Ver != c.wantVer {
+				t.Fatalf("reply %+v, want ok=%v ver=%d", reply, c.wantOK, c.wantVer)
+			}
+		})
+	}
+
+	t.Run("dedup vote carries the commit", func(t *testing.T) {
+		s, a, b := pair(t)
+		defer s.Shutdown()
+		cfg := DefaultNodeConfig()
+		cfg.Addr = controller.NodeAddr{Index: 1, IP: a.IP(), MAC: a.Host().MAC(), DataPort: dataPort, CtrlPort: 7001}
+		cfg.Space = ring.NewSpace(4)
+		voter := NewNode(a, cfg)
+		voter.Start()
+		primary := controller.NodeAddr{Index: 0, IP: b.IP(), MAC: b.Host().MAC(), DataPort: dataPort}
+		voter.applyView(&controller.PartitionView{Partition: cfg.Space.PartitionOf("k"), Epoch: 1,
+			GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{primary, cfg.Addr}}, false)
+		voter.recordCommit(earlier)
+		sock := b.MustBindUDP(dataPort)
+		var vote *Ack1
+		s.Spawn("primary", func(p *sim.Proc) {
+			for vote == nil {
+				d, ok := sock.Recv(p)
+				if !ok {
+					return
+				}
+				vote, _ = d.Data.(*Ack1)
+			}
+		})
+		req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: 9, ClientSeq: 1, Attempt: 1}
+		s.Spawn("retry", func(p *sim.Proc) { voter.handlePut(p, req) })
+		if err := s.RunUntil(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if vote == nil || vote.Committed == nil || *vote.Committed != earlier {
+			t.Fatalf("dedup vote %+v, want Committed %v", vote, earlier)
+		}
+	})
+
+	t.Run("verdict from a non-coordinator", func(t *testing.T) {
+		s, a, _ := pair(t)
+		defer s.Shutdown()
+		n := NewNode(a, DefaultNodeConfig())
+		coord, zombie := netsim.MustParseIP("10.0.0.2"), netsim.MustParseIP("10.0.0.9")
+		req := &PutRequest{Key: "k", Client: 9, ClientSeq: 1}
+		ps := n.registerPut(req, coord)
+		n.deliverTs(&TsMsg{Req: req.key(), Key: "k", Ts: earlier}, zombie)
+		if ps.ts.Done() {
+			t.Fatal("a deposed primary's timestamp became the verdict")
+		}
+		n.deliverTs(&TsMsg{Req: req.key(), Key: "k", Ts: earlier}, coord)
+		if !ps.ts.Done() {
+			t.Fatal("the coordinator's timestamp was not taken")
+		}
+	})
 }

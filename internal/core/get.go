@@ -92,14 +92,14 @@ func (n *Node) replyFromStore(p *sim.Proc, req *GetRequest, replicaRouted bool) 
 		return
 	}
 	isPrimary := n.views[part].Primary().Index == n.cfg.Addr.Index
-	if n.cfg.Harmonia != nil && !replicaRouted && !isPrimary {
+	if (n.cfg.Harmonia != nil || n.cfg.QuorumK > 0) && !replicaRouted && !isPrimary {
 		// Primary-routed read at a node that does not believe itself
-		// primary. The fabric may have remapped the partition's reads to a
-		// freshly promoted primary before the promotion announcement
-		// reached it (view updates and data packets race on independent
-		// paths) — and under any-k the promotee can be a laggard that never
-		// saw acked writes, leaving no local lock or log to gate on. Stay
-		// silent; the client's retry lands after the view settles.
+		// primary. A view reaches a node only after the switches applied
+		// it, so the fabric routes reads to a freshly promoted primary
+		// before the promotion reaches it — and under any-k (unlike full
+		// replication) the promotee can be a laggard that never saw acked
+		// writes, leaving no local lock or log to gate on. Stay silent; the
+		// client's retry lands after the view settles.
 		n.stats.GetsHeld++
 		n.stats.GetsHeldNotPrimary++
 		return

@@ -67,10 +67,13 @@ type PutRequest struct {
 func (r *PutRequest) key() reqKey { return reqKey{Client: r.Client, Seq: r.ClientSeq} }
 
 // Ack1 is a secondary's first-phase acknowledgment: object locked,
-// logged, and written (Fig. 3).
+// logged, and written (Fig. 3). Committed, when set, is the version the
+// sender already committed the put at (a retry answered from its dedup
+// record): the primary commits at that version too.
 type Ack1 struct {
-	Req  reqKey
-	From int // node index
+	Req       reqKey
+	From      int // node index
+	Committed *kvstore.Timestamp
 }
 
 // TsMsg is the primary's timestamp multicast: it commits the put and
@@ -209,12 +212,12 @@ type FetchRangeReq struct {
 	Partition int
 }
 
-// FetchRangeReply returns the partition's objects. Pending lists the
-// puts still open in the responder's WAL for the partition (harmonia
-// clusters only): their commits are not in Objects yet, and a fetcher
-// that was outside the put multicast group when they were prepared has
-// no other way to learn them — it must re-fetch until they resolve
-// before serving reads (see syncPartition).
+// FetchRangeReply returns the partition's objects, taken once the puts
+// open at the responder when the request arrived have resolved (settle).
+// Pending lists the puts that opened there since: their commits are not
+// in Objects yet, and a fetcher that was outside the put multicast group
+// when they were prepared has no other way to learn them — it re-fetches
+// once before serving reads (see syncPartition).
 type FetchRangeReply struct {
 	Objects []*kvstore.Object
 	Pending []PendingPut

@@ -39,13 +39,8 @@ type NodeConfig struct {
 	// before the acknowledgment it unblocks can be generated. It also
 	// turns on replica-side read serving: a get landing on ReplicaPort
 	// (rewritten there by the dirty-set stage) is answered from the local
-	// store, gated on the key having no in-flight write here. Reads on
-	// the normal data port are primary-routed by definition and are held
-	// unless this node believes itself primary — the fabric can retarget
-	// the partition's reads to a freshly promoted primary before the
-	// promotion announcement reaches it, and an any-k laggard serving
-	// that window would return stale data. Nil, gets are served like
-	// before, so harmonia-off runs stay bit-identical.
+	// store, gated on the key having no in-flight write here; reads on the
+	// normal data port are primary-routed by definition (get.go).
 	Harmonia HarmoniaHook
 	// ReplicaPort, when nonzero, is the second data port the node serves
 	// replica-routed reads on (the dirty-set stage rewrites clean gets to
@@ -115,6 +110,11 @@ type putState struct {
 	ack2 map[int]bool
 	sig  *sim.Queue[struct{}]
 	ts   *sim.Future[*TsMsg]
+	// coord is the primary this node acknowledges the put to; only its
+	// timestamp messages are verdicts on the put. A deposed primary not
+	// yet told may still commit its own attempt of the same operation, at
+	// a version the current primary's commit does not match.
+	coord netsim.IP
 	// gen is the node's restart generation at registration. A handler
 	// that blocked across a crash/restart observes a newer generation and
 	// abandons: its lock and put state were wiped by Restart, so touching
@@ -126,9 +126,10 @@ type putState struct {
 // orphanState buffers protocol messages that raced ahead of the local
 // put handler (acks can outrun the primary's own disk write).
 type orphanState struct {
-	ack1 map[int]bool
-	ack2 map[int]bool
-	ts   *TsMsg
+	ack1   map[int]bool
+	ack2   map[int]bool
+	ts     *TsMsg
+	tsFrom netsim.IP // the sender of ts
 }
 
 // orphanCap bounds the early-message buffers a node remembers: a buffer
@@ -330,8 +331,6 @@ func (n *Node) ctrlLoop(p *sim.Proc) {
 			n.applyView(m.View, false)
 		case *controller.HandoffAssign:
 			n.applyView(m.View, true)
-		case *controller.HandoffRelease:
-			n.releaseHandoff(m.Partition)
 		case *controller.RejoinInfo:
 			info := m
 			n.rejoined = true
@@ -414,7 +413,7 @@ func (n *Node) applyView(v *controller.PartitionView, asHandoff bool) {
 		gen := n.restartGen
 		n.s.Spawn(n.name("membersync"), func(p *sim.Proc) {
 			defer func() { n.syncing[part] = false }()
-			n.syncPartition(p, part, func() bool { return gen != n.restartGen })
+			n.syncPartition(p, part, func() bool { return gen != n.restartGen }, old)
 		})
 	}
 	n.joinGroup(v.GroupIP)
@@ -430,10 +429,8 @@ func (n *Node) applyView(v *controller.PartitionView, asHandoff bool) {
 
 // maybeResolve runs lock resolution for a partition this node leads,
 // debounced to one run at a time. old, when non-nil, is the superseded
-// view at the moment of promotion: members it names that the current
-// view dropped are chased during the post-promotion range sync, since a
-// falsely deposed (live) member can hold acked writes no current member
-// ever saw.
+// view at the moment of promotion, whose dropped members the
+// post-promotion range sync chases (syncPartition).
 func (n *Node) maybeResolve(part int, old *controller.PartitionView) {
 	v := n.views[part]
 	if v == nil || v.Primary().Index != n.cfg.Addr.Index || n.resolving[part] {
@@ -450,14 +447,6 @@ func (n *Node) maybeResolve(part int, old *controller.PartitionView) {
 		// Puts can flow again once resolution clears; gets stay held until
 		// the range sync below lands (get.go).
 		n.syncing[part] = true
-	}
-	var extra []controller.NodeAddr
-	if old != nil {
-		for _, m := range old.PutParticipants() {
-			if m.Index != n.cfg.Addr.Index {
-				extra = append(extra, m)
-			}
-		}
 	}
 	n.s.Spawn(n.name("resolve"), func(p *sim.Proc) {
 		defer func() { n.resolving[part] = false }()
@@ -478,7 +467,7 @@ func (n *Node) maybeResolve(part int, old *controller.PartitionView) {
 				}
 				nv := n.views[part]
 				return nv == nil || nv.Primary().Index != n.cfg.Addr.Index
-			}, extra...)
+			}, old)
 		})
 	})
 }
@@ -549,14 +538,6 @@ func (n *Node) adoptHandoff(part int) {
 	}
 }
 
-// releaseHandoff drops handoff data for a partition whose owner is back.
-func (n *Node) releaseHandoff(part int) {
-	n.dropHandoff(part)
-	// The controller's follow-up PartitionUpdate (without us) arrives
-	// separately and clears the view.
-	delete(n.views, part)
-}
-
 // replicaDataLoop serves reads the dirty-set stage rewrote to this node
 // as a non-primary replica. The dedicated port is the routing-class
 // signal: only packets the switch vouched for (key clean at traversal
@@ -591,6 +572,10 @@ func (n *Node) dataLoop(p *sim.Proc) {
 			req := m.Req
 			n.s.Spawn(n.name("fwdget"), func(p *sim.Proc) { n.handleGet(p, &req, true, false) })
 		case *Ack1:
+			if m.Committed != nil {
+				// A verdict to this node as the put's coordinator.
+				n.deliverTs(&TsMsg{Req: m.Req, Ts: *m.Committed}, n.cfg.Addr.IP)
+			}
 			if ps := n.puts[m.Req]; ps != nil {
 				ps.ack1[m.From] = true
 				ps.sig.Push(struct{}{})
@@ -605,13 +590,13 @@ func (n *Node) dataLoop(p *sim.Proc) {
 				n.orphan(m.Req).ack2[m.From] = true
 			}
 		case *TsMsg:
-			n.deliverTs(m)
+			n.deliverTs(m, d.From)
 		case *BatchTsMsg:
 			// A batched commit is its items: each routes to its own put
 			// state (or the late-timestamp path) exactly as if it had
 			// arrived as a single TsMsg.
 			for i := range m.Items {
-				n.deliverTs(m.Items[i].asTsMsg())
+				n.deliverTs(m.Items[i].asTsMsg(), d.From)
 			}
 		case *BatchGetRequest:
 			reqs := m.Reqs
@@ -628,23 +613,20 @@ func (n *Node) dataLoop(p *sim.Proc) {
 	}
 }
 
-// deliverTs routes a timestamp message to its in-flight put state, or to
-// the late-timestamp path when the handler is gone (or the abort names a
-// different delivery attempt than the live one).
-func (n *Node) deliverTs(m *TsMsg) {
+// deliverTs routes a timestamp message from node from to its in-flight
+// put state, or to the late-timestamp path when the handler is gone (or
+// the abort names a different delivery attempt than the live one). A
+// live handler heeds only its coordinator (putState.coord).
+func (n *Node) deliverTs(m *TsMsg, from netsim.IP) {
 	ps := n.puts[m.Req]
-	if ps != nil && m.Abort && m.Attempt != ps.req.Attempt {
+	if ps == nil || (m.Abort && m.Attempt != ps.req.Attempt) {
 		// An abort from a previous delivery attempt of the same
 		// operation must not reach the live attempt — its Ack1 may
 		// already count toward a commit. It may still name a
 		// leftover prepared record, which lateTs attempt-matches.
-		n.lateTs(m)
-	} else if ps != nil {
-		if !ps.ts.Done() {
-			ps.ts.Set(m)
-		}
-	} else {
-		n.lateTs(m)
+		n.lateTs(m, from)
+	} else if from == ps.coord && !ps.ts.Done() {
+		ps.ts.Set(m)
 	}
 }
 
@@ -666,16 +648,17 @@ func (n *Node) orphan(k reqKey) *orphanState {
 	return o
 }
 
-// registerPut installs put state, merging any messages that arrived
-// early.
-func (n *Node) registerPut(req *PutRequest) *putState {
+// registerPut installs put state for a put coordinated by coord, merging
+// any messages that arrived early.
+func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 	ps := &putState{
-		req:  req,
-		ack1: make(map[int]bool),
-		ack2: make(map[int]bool),
-		sig:  sim.NewQueue[struct{}](n.s),
-		ts:   sim.NewFuture[*TsMsg](n.s),
-		gen:  n.restartGen,
+		req:   req,
+		ack1:  make(map[int]bool),
+		ack2:  make(map[int]bool),
+		sig:   sim.NewQueue[struct{}](n.s),
+		ts:    sim.NewFuture[*TsMsg](n.s),
+		coord: coord,
+		gen:   n.restartGen,
 	}
 	k := req.key()
 	if o, ok := n.orphans[k]; ok {
@@ -686,7 +669,7 @@ func (n *Node) registerPut(req *PutRequest) *putState {
 		for f := range o.ack2 {
 			ps.ack2[f] = true
 		}
-		if o.ts != nil && (!o.ts.Abort || o.ts.Attempt == req.Attempt) {
+		if o.ts != nil && o.tsFrom == coord && (!o.ts.Abort || o.ts.Attempt == req.Attempt) {
 			ps.ts.Set(o.ts)
 		}
 	}
@@ -755,6 +738,10 @@ func (n *Node) Restart() {
 	n.puts = make(map[reqKey]*putState)
 	n.orphans = make(map[reqKey]*orphanState)
 	n.orphanAge = nil
+	// So does the dedup memory: a durable store may have lost a commit it
+	// records (a crash before the fsync), which a retry must not be acked on.
+	n.committed = make(map[reqKey]kvstore.Timestamp)
+	n.committedLog = nil
 	n.pool.CloseAll()
 	// Leave all groups until the controller re-adds us.
 	for g := range n.joined {

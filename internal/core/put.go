@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/kvstore"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -50,7 +51,7 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 		return
 	}
 
-	ps := n.registerPut(req)
+	ps := n.registerPut(req, v.Primary().IP)
 	defer func() {
 		// Post-restart, a retry of the same put may have re-registered
 		// under this key; only remove our own state.
@@ -129,11 +130,11 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 	dbg("%v node%d duplicatePut %s primary=%v ts=%v", p.Now(), n.cfg.Addr.Index, req.Key, isPrimary, ts)
 	if !isPrimary {
 		pr := v.Primary()
-		n.data.SendTo(pr.IP, pr.DataPort, &Ack1{Req: k, From: n.cfg.Addr.Index}, ackSize)
+		n.data.SendTo(pr.IP, pr.DataPort, &Ack1{Req: k, From: n.cfg.Addr.Index, Committed: &ts}, ackSize)
 		n.data.SendTo(pr.IP, pr.DataPort, &Ack2{Req: k, From: n.cfg.Addr.Index}, ackSize)
 		return
 	}
-	ps := n.registerPut(req)
+	ps := n.registerPut(req, n.cfg.Addr.IP)
 	defer func() {
 		if n.puts[k] == ps {
 			delete(n.puts, k)
@@ -189,6 +190,12 @@ func (n *Node) ackQuorum(v *controller.PartitionView) ([]controller.NodeAddr, in
 		proper = append(proper, r)
 	}
 	want := n.cfg.QuorumK - 1
+	if len(v.Recovering) > 0 {
+		// A rejoiner's range sync counts on every put prepared once it is
+		// in the multicast group reaching it (syncPartition): every proper
+		// member votes while one is mid-rejoin.
+		want = len(proper)
+	}
 	if want > len(proper) {
 		want = len(proper)
 	}
@@ -229,8 +236,8 @@ func (n *Node) waitAcks(p *sim.Proc, ps *putState, got map[int]bool, need []cont
 }
 
 // primaryCommit coordinates the put: collect first-phase acks, commit
-// with a fresh timestamp, multicast it, collect second-phase acks, and
-// answer the client.
+// with a fresh timestamp (or a verdict's, below), multicast it, collect
+// second-phase acks, and answer the client.
 func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutRequest, ps *putState, obj *kvstore.Object) {
 	part := v.Partition
 	// A freshly promoted primary must not issue timestamps until lock
@@ -242,23 +249,35 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	}
 	need, want := n.ackQuorum(v)
 
-	if !n.waitAcks(p, ps, ps.ack1, need, want) {
-		if n.stale(ps) {
-			return
-		}
+	acked := n.waitAcks(p, ps, ps.ack1, need, want)
+	if n.stale(ps) {
+		return
+	}
+	// The put may have been decided while this node collected the votes —
+	// by its own lock resolution (resolveLocks: committed under an earlier
+	// primary's timestamp, or abandoned), or by a voter that had already
+	// committed it (a dedup Ack1) — and that verdict stands.
+	var verdict *TsMsg
+	if ps.ts.Done() {
+		verdict = ps.ts.Value()
+	}
+	cur := n.views[part]
+	if verdict == nil && (!acked || cur == nil || cur.Primary().Index != n.cfg.Addr.Index) ||
+		verdict != nil && verdict.Abort {
 		dbg("%v node%d ABORT %s: ack1=%v want=%d", p.Now(), n.cfg.Addr.Index, req.Key, ps.ack1, want)
-		// Abort: release everyone still waiting, clean up, fail the op.
+		// Abort: a replica stayed silent, resolution abandoned the put, or
+		// this node was deposed while it collected the votes (the new
+		// primary may have resolved the put already; committing would split
+		// the verdict and the version sequence). Release everyone still
+		// waiting, clean up, fail the op.
 		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Abort: true, Attempt: req.Attempt}, tsMsgSize)
 		n.finish(part, req.key(), obj, kvstore.Timestamp{}, false)
 		n.replyPut(req, false, "replica unresponsive", 0)
 		return
 	}
-	if n.stale(ps) {
-		return
-	}
 
 	var ts kvstore.Timestamp
-	if n.cfg.PutBatchWindow > 0 {
+	if n.cfg.PutBatchWindow > 0 && verdict == nil {
 		// Accumulated commit point (batch.go): timestamp assignment, the
 		// local apply, the fsync and the timestamp multicast happen inside
 		// the partition's batch drain; this handler resumes holding its
@@ -268,14 +287,22 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 			return
 		}
 	} else {
-		n.primarySeq++
-		ts = kvstore.Timestamp{
-			Primary:    n.cfg.Addr.IP,
-			PrimarySeq: n.primarySeq,
-			Client:     req.Client,
-			ClientSeq:  req.ClientSeq,
+		// Everyone converges on a verdict's version, never on a fresh one
+		// its holders could not apply; like a dedup re-commit's, it may
+		// predate this node's tenure (TsMsg.Dup).
+		dup := verdict != nil
+		if dup {
+			ts = verdict.Ts
+		} else {
+			n.primarySeq++
+			ts = kvstore.Timestamp{
+				Primary:    n.cfg.Addr.IP,
+				PrimarySeq: n.primarySeq,
+				Client:     req.Client,
+				ClientSeq:  req.ClientSeq,
+			}
 		}
-		n.finish(part, req.key(), obj, ts, false)
+		n.finish(part, req.key(), obj, ts, dup)
 		n.stats.PutsPrimary++
 
 		// Durable engines fsync the commit record before anything
@@ -288,7 +315,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		}
 
 		// Commit phase: multicast the timestamp to the replica set.
-		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Ts: ts, Attempt: req.Attempt}, tsMsgSize)
+		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Ts: ts, Attempt: req.Attempt, Dup: dup}, tsMsgSize)
 	}
 
 	if !n.waitAcks(p, ps, ps.ack2, need, want) {
@@ -342,19 +369,9 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 		// settles, ask whoever leads the partition then to resolve it.
 		key := req.Key
 		n.s.After(4*n.cfg.AckTimeout, func() {
-			if !n.store.HasLog(key) {
-				return // already resolved
+			if n.store.HasLog(key) {
+				n.requestResolution(part)
 			}
-			cur := n.views[part]
-			if cur == nil {
-				return
-			}
-			if cur.Primary().Index == n.cfg.Addr.Index {
-				n.maybeResolve(part, nil)
-				return
-			}
-			pr := cur.Primary()
-			n.data.SendTo(pr.IP, pr.DataPort, &ResolveRequest{Partition: part}, ackSize)
 		})
 		return
 	}
@@ -432,31 +449,36 @@ func (n *Node) replyPut(req *PutRequest, ok bool, errStr string, ver uint64) {
 	n.pool.Send(req.Client, req.ClientPort, &PutReply{ReqID: req.ClientSeq, OK: ok, Err: errStr, Ver: ver}, replyOverhead)
 }
 
-// lateTs handles a timestamp that arrived after its put handler gave up
-// (or after a crash recovery re-registered nothing): commit or abort
-// straight from the WAL record, keeping replicas convergent.
-func (n *Node) lateTs(m *TsMsg) {
+// lateTs handles a timestamp from node from that arrived after its put
+// handler gave up (or after a crash recovery re-registered nothing):
+// commit or abort straight from the WAL record, keeping replicas
+// convergent.
+func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
+	part := n.cfg.Space.PartitionOf(m.Key)
 	rec, ok := n.store.LogOf(m.Key)
 	if !ok || rec.Tag != m.Req || (m.Abort && rec.Attempt != m.Attempt) {
 		if !m.Abort {
-			if obj, have := n.store.Peek(m.Key); have &&
-				obj.Version.Client == m.Req.Client && obj.Version.ClientSeq == m.Req.Seq {
+			// The committed copy lives where applyLocal put it: the handoff
+			// directory while this node stands in for the partition.
+			obj, have := n.store.Peek(m.Key)
+			if n.handoffFor[part] {
+				obj, have = n.store.PeekHandoff(m.Key)
+			}
+			if have && obj.Version.Client == m.Req.Client && obj.Version.ClientSeq == m.Req.Seq {
 				// This replica already committed the same logical put. A
 				// primary promoted without a dedup record may have re-run the
 				// retry under a newer timestamp: adopt it (same value, newer
 				// version) so replicas agree; an equal or older timestamp is
-				// the primary's dedup re-multicast and needs nothing.
+				// the primary's dedup re-multicast and needs nothing but the
+				// dirty-set stage's count of this member as applied.
 				if obj.Version.Less(m.Ts) {
 					n.observeTs(m.Ts)
 					clone := *obj
 					clone.Version = m.Ts
-					n.store.Apply(&clone)
-					n.recordCommit(m.Ts)
-					n.writeThrough(&clone)
+					n.applyLocal(part, &clone, m.Dup)
+				} else {
+					n.harmoniaApplied(obj)
 				}
-				// Committed here either way (pre-existing or just adopted):
-				// let the dirty-set stage count this member as applied.
-				n.harmoniaApplied(obj)
 				return
 			}
 		}
@@ -467,10 +489,9 @@ func (n *Node) lateTs(m *TsMsg) {
 		if m.Abort && o.ts != nil && !o.ts.Abort {
 			return
 		}
-		o.ts = m
+		o.ts, o.tsFrom = m, from
 		return
 	}
-	part := n.cfg.Space.PartitionOf(m.Key)
 	if m.Abort {
 		n.finish(part, m.Req, rec.Obj, kvstore.Timestamp{}, false)
 		return

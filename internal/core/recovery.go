@@ -32,6 +32,7 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 		}
 		switch req := m.Data.(type) {
 		case *FetchRangeReq:
+			n.settle(p, req.Partition)
 			var objs []*kvstore.Object
 			size := replyOverhead
 			for _, key := range n.store.Keys() {
@@ -53,23 +54,8 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 					size += obj.Size
 				}
 			}
-			// Harmonia clusters report in-flight puts: the fetcher must not
-			// declare itself read-serving until these resolve into the
-			// committed range (their prepares may predate the fetcher's
-			// multicast-group membership, so the commit multicast alone will
-			// never reach it). Non-harmonia clusters skip the report — a
-			// recovering replica never serves reads there, so the window is
-			// benign and the wire format stays byte-identical.
-			var pend []PendingPut
-			if n.cfg.Harmonia != nil {
-				for _, rec := range n.store.PendingLog() {
-					if n.cfg.Space.PartitionOf(rec.Key) != req.Partition {
-						continue
-					}
-					pend = append(pend, PendingPut{Key: rec.Key, Req: rec.Tag})
-					size += 32
-				}
-			}
+			pend := n.openPuts(req.Partition)
+			size += 32 * len(pend)
 			if err := conn.Send(p, &FetchRangeReply{Objects: objs, Pending: pend}, size); err != nil {
 				return
 			}
@@ -109,6 +95,57 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 				return
 			}
 		}
+	}
+}
+
+// openPuts lists the puts whose prepares are open in this node's WAL for
+// partition part.
+func (n *Node) openPuts(part int) []PendingPut {
+	var out []PendingPut
+	for _, rec := range n.store.PendingLog() {
+		if n.cfg.Space.PartitionOf(rec.Key) == part {
+			out = append(out, PendingPut{Key: rec.Key, Req: rec.Tag})
+		}
+	}
+	return out
+}
+
+// settle holds a range fetch until every put open here for part when it
+// arrived has resolved: committed, aborted, or superseded on its key by
+// a newer put's prepare. Each WAL change wakes it. A put whose handler is
+// gone — it gave up on a silent primary, or died in a crash — resolves
+// only through new-primary resolution, so settle asks for it, and asks
+// again each quiet 4·AckTimeout (the request or the verdict is a datagram
+// and may be lost). A node outside the partition's view takes part in no
+// resolution, so it answers at once.
+func (n *Node) settle(p *sim.Proc, part int) {
+	open := n.openPuts(part)
+	for gen := n.restartGen; len(open) > 0 && gen == n.restartGen && n.views[part] != nil; {
+		for _, pp := range open {
+			if n.puts[pp.Req] == nil {
+				n.requestResolution(part)
+				break
+			}
+		}
+		n.store.WaitLog(p, 4*n.cfg.AckTimeout)
+		still := open[:0]
+		for _, pp := range open {
+			if rec, ok := n.store.LogOf(pp.Key); ok && rec.Tag == pp.Req {
+				still = append(still, pp)
+			}
+		}
+		open = still
+	}
+}
+
+// requestResolution asks whoever leads part now to resolve the puts left
+// open there (new-primary resolution, resolveLocks).
+func (n *Node) requestResolution(part int) {
+	if cur := n.views[part]; cur != nil && cur.Primary().Index != n.cfg.Addr.Index {
+		pr := cur.Primary()
+		n.data.SendTo(pr.IP, pr.DataPort, &ResolveRequest{Partition: part}, ackSize)
+	} else {
+		n.maybeResolve(part, nil) // a no-op unless this node leads part
 	}
 }
 
@@ -168,41 +205,29 @@ func (n *Node) fetchObjects(p *sim.Proc, from controller.NodeAddr, req any) ([]P
 // recovers). stop aborts the wait — demotion, or another crash of this
 // node.
 //
-// extra peers are members of the superseded view that the current one
-// dropped. Under any-k a dropped member can be the sole in-view holder
-// of an acknowledged write — a false failure verdict (lossy heartbeats,
-// not a crash) deposes a live node without any data transfer, and the
-// union over the surviving members alone silently misses its writes. A
-// dropped-but-live peer still answers range fetches from its retained
-// store, so it is chased best-effort (syncExtraAttempts, bounded — it
-// may be genuinely dead) before the sync declares completion.
-func (n *Node) syncPartition(p *sim.Proc, part int, stop func() bool, extra ...controller.NodeAddr) {
+// old, when non-nil, is the superseded view. A member it names that the
+// current view dropped can be the sole holder of an acknowledged write:
+// a false failure verdict (lossy heartbeats, not a crash) deposes a live
+// node without any data transfer, and under any-k — or once a released
+// stand-in dropped its directory — the surviving members alone miss its
+// writes. A dropped-but-live peer still answers range fetches from its
+// retained store, so it is chased best-effort (syncExtraAttempts,
+// bounded — it may be genuinely dead) before the sync declares
+// completion.
+func (n *Node) syncPartition(p *sim.Proc, part int, stop func() bool, old *controller.PartitionView) {
+	var extra []controller.NodeAddr
+	if old != nil {
+		extra = n.othersOf(old)
+	}
 	synced := make(map[int]bool)
 	attempts := make(map[int]int)
-	// firstPending records, per member, the puts it held in flight when it
-	// first answered (harmonia clusters only — empty otherwise). A fetch
-	// taken between a put's prepare and its commit snapshots the pre-put
-	// value, and if the prepare predates this node's multicast-group
-	// membership the commit multicast will never arrive here either: the
-	// re-fetched committed range is the only channel. So a member is not
-	// synced until every put from its first answer has resolved out of its
-	// WAL — committed copies then ride the same reply that clears it.
-	// Later prepares need no such wait: this node is already in the group
-	// and receives them directly.
-	firstPending := make(map[int][]PendingPut)
-	answered := make(map[int]bool)
-	unresolved := func(idx int, now []PendingPut) bool {
-		cur := make(map[PendingPut]bool, len(now))
-		for _, pp := range now {
-			cur[pp] = true
-		}
-		for _, pp := range firstPending[idx] {
-			if cur[pp] {
-				return true
-			}
-		}
-		return false
-	}
+	// reported marks members whose first answer listed open puts
+	// (FetchRangeReply.Pending). Their prepares may predate this node's
+	// multicast-group membership, so only a re-fetch carries their
+	// commits; the member holds it until they resolve (settle). Later
+	// prepares reach this node directly: the view that started the sync
+	// was sent behind a switch barrier, so it is in the group.
+	reported := make(map[int]bool)
 	for {
 		if stop() {
 			return
@@ -211,24 +236,20 @@ func (n *Node) syncPartition(p *sim.Proc, part int, stop func() bool, extra ...c
 		if v == nil {
 			return
 		}
-		pending := false
-		members := n.othersOf(v)
-		for _, peer := range members {
+		// retry marks a peer that did not answer (worth a pause before the
+		// next round); again, a member to re-fetch at once.
+		retry, again := false, false
+		for _, peer := range n.othersOf(v) {
 			if synced[peer.Index] {
 				continue
 			}
-			if pend, ok := n.fetchObjects(p, peer, &FetchRangeReq{Partition: part}); ok {
-				if !answered[peer.Index] {
-					answered[peer.Index] = true
-					firstPending[peer.Index] = pend
-				}
-				if unresolved(peer.Index, pend) {
-					pending = true
-				} else {
-					synced[peer.Index] = true
-				}
+			if pend, ok := n.fetchObjects(p, peer, &FetchRangeReq{Partition: part}); !ok {
+				retry = true
+			} else if len(pend) > 0 && !reported[peer.Index] {
+				reported[peer.Index] = true
+				again = true
 			} else {
-				pending = true
+				synced[peer.Index] = true
 			}
 			if stop() {
 				return
@@ -238,14 +259,7 @@ func (n *Node) syncPartition(p *sim.Proc, part int, stop func() bool, extra ...c
 			if synced[peer.Index] || attempts[peer.Index] >= syncExtraAttempts {
 				continue
 			}
-			inView := false
-			for _, m := range members {
-				if m.Index == peer.Index {
-					inView = true
-					break
-				}
-			}
-			if inView {
+			if v.HasReplica(peer.Index) || v.IsRecovering(peer.Index) {
 				continue // rejoined the view: the member loop owns it now
 			}
 			attempts[peer.Index]++
@@ -254,17 +268,18 @@ func (n *Node) syncPartition(p *sim.Proc, part int, stop func() bool, extra ...c
 				// new primary's to resolve (resolveLocks), not this sync's.
 				synced[peer.Index] = true
 			} else if attempts[peer.Index] < syncExtraAttempts {
-				pending = true
+				retry = true
 			}
 			if stop() {
 				return
 			}
 		}
-		if !pending {
+		if retry {
+			n.stats.RecoveryFetchFails++
+			p.Sleep(2 * n.cfg.HeartbeatEvery)
+		} else if !again {
 			return
 		}
-		n.stats.RecoveryFetchFails++
-		p.Sleep(2 * n.cfg.HeartbeatEvery)
 	}
 }
 
@@ -300,7 +315,7 @@ func (n *Node) recover(p *sim.Proc, info *controller.RejoinInfo) {
 				p.Sleep(2 * n.cfg.HeartbeatEvery)
 			}
 		}
-		n.syncPartition(p, part, stop)
+		n.syncPartition(p, part, stop, nil)
 		if stop() {
 			return // crashed again mid-recovery; the new incarnation restarts rejoin
 		}
@@ -349,7 +364,7 @@ func (n *Node) expand(p *sim.Proc, view *controller.PartitionView) {
 	n.syncing[part] = true
 	n.applyView(view, false)
 	gen := n.restartGen
-	n.syncPartition(p, part, func() bool { return gen != n.restartGen })
+	n.syncPartition(p, part, func() bool { return gen != n.restartGen }, nil)
 	n.syncing[part] = false
 	if gen != n.restartGen {
 		return

@@ -226,6 +226,11 @@ func (c *Cond) Wait(p *Proc) {
 	p.park()
 }
 
+// WaitTimeout is Wait with a deadline d from now.
+func (c *Cond) WaitTimeout(p *Proc, d Time) {
+	p.parkTimed(&c.waiters, p.sim.Now()+d)
+}
+
 // Signal wakes the oldest waiting process, if any.
 func (c *Cond) Signal() { c.sim.wakeOne(&c.waiters) }
 
