@@ -515,3 +515,26 @@ func TestPrimaryCommitPoint(t *testing.T) {
 		}
 	})
 }
+
+// TestDedupMemoryIsAFIFORing: the put-dedup memory holds the last
+// committedCap distinct puts, evicts the oldest first, and does not move
+// a put recorded again.
+func TestDedupMemoryIsAFIFORing(t *testing.T) {
+	n := &Node{committed: make(map[reqKey]kvstore.Timestamp)}
+	record := func(seq uint64) { n.recordCommit(kvstore.Timestamp{Client: 9, ClientSeq: seq}) }
+	has := func(seq uint64) bool { _, ok := n.committed[reqKey{Client: 9, Seq: seq}]; return ok }
+	for seq := uint64(0); seq < committedCap+10; seq++ {
+		record(seq)
+		if seq == 5 {
+			record(0) // already held: keeps its place in the ring
+		}
+	}
+	if len(n.committed) != committedCap {
+		t.Fatalf("%d puts remembered, want %d", len(n.committed), committedCap)
+	}
+	for seq := uint64(0); seq < committedCap+10; seq++ {
+		if want := seq >= 10; has(seq) != want {
+			t.Errorf("put %d remembered=%v, want %v", seq, has(seq), want)
+		}
+	}
+}

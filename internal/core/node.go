@@ -194,9 +194,12 @@ type Node struct {
 	// client quadruplet, so a retry of an already-committed put converges
 	// on the original version instead of re-running 2PC (which could roll
 	// a newer value back). Bounded FIFO; an evicted entry only costs the
-	// retry a fresh — still convergent — protocol round.
-	committed    map[reqKey]kvstore.Timestamp
-	committedLog []reqKey
+	// retry a fresh — still convergent — protocol round. committedLog is
+	// a ring of committed's keys in arrival order; once full, the oldest
+	// sits at committedHead.
+	committed     map[reqKey]kvstore.Timestamp
+	committedLog  []reqKey
+	committedHead int
 }
 
 // committedCap bounds the put-dedup memory.
@@ -233,10 +236,12 @@ func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
 func (n *Node) recordCommit(ts kvstore.Timestamp) {
 	k := reqKey{Client: ts.Client, Seq: ts.ClientSeq}
 	if _, ok := n.committed[k]; !ok {
-		n.committedLog = append(n.committedLog, k)
-		if len(n.committedLog) > committedCap {
-			delete(n.committed, n.committedLog[0])
-			n.committedLog = n.committedLog[1:]
+		if len(n.committedLog) < committedCap {
+			n.committedLog = append(n.committedLog, k)
+		} else {
+			delete(n.committed, n.committedLog[n.committedHead])
+			n.committedLog[n.committedHead] = k
+			n.committedHead = (n.committedHead + 1) % committedCap
 		}
 	}
 	n.committed[k] = ts
@@ -741,7 +746,7 @@ func (n *Node) Restart() {
 	// So does the dedup memory: a durable store may have lost a commit it
 	// records (a crash before the fsync), which a retry must not be acked on.
 	n.committed = make(map[reqKey]kvstore.Timestamp)
-	n.committedLog = nil
+	n.committedLog, n.committedHead = n.committedLog[:0], 0
 	n.pool.CloseAll()
 	// Leave all groups until the controller re-adds us.
 	for g := range n.joined {

@@ -295,10 +295,9 @@ func (n *Node) recover(p *sim.Proc, info *controller.RejoinInfo) {
 	stop := func() bool { return gen != n.restartGen }
 	// A durable store first rebuilds itself from its own media — snapshot
 	// load plus WAL replay, charged as disk reads — before fetching what
-	// it missed from peers. Commits that land while the replay sleeps in
-	// disk time are safe: each one is version-checked against the
-	// engine's current state and appended to the WAL, so the replay
-	// (which runs in LSN order over the final log) converges on it.
+	// it missed from peers. The engine rebuilds before it sleeps in those
+	// reads, so a commit landing meanwhile is version-checked against the
+	// recovered state and appended after the replayed records.
 	// No-op in legacy mode, where the store resurrects.
 	n.store.RecoverStorage(p)
 	if stop() {

@@ -135,3 +135,47 @@ func TestLegacyStoreHasNoEngineHooks(t *testing.T) {
 		}
 	})
 }
+
+// TestStaleCommitDuringRecoveryLoses: a commit landing while
+// RecoverStorage sleeps in its disk reads is version-checked against the
+// recovered state, so an older version than the one recovered is refused
+// rather than installed. With a snapshot to load, the memory tier must
+// also stay consistent: every resident entry is a known key.
+func TestStaleCommitDuringRecoveryLoses(t *testing.T) {
+	disk := DiskConfig{WriteLatency: 100 * time.Microsecond, WriteBps: 100e6,
+		ReadLatency: time.Millisecond, ReadBps: 100e6}
+	for _, snapshot := range []bool{false, true} {
+		cfg := storage.DefaultConfig()
+		cfg.SnapshotEvery = 0
+		if snapshot {
+			cfg.SnapshotEvery = 2 * time.Millisecond
+		}
+		runDurable(t, disk, cfg, func(p *sim.Proc, st *Store) {
+			st.Apply(&Object{Key: "k", Value: "v5", Size: 100, Version: ts(5, 1)})
+			st.Sync(p)
+			if snapshot {
+				p.Sleep(3 * time.Millisecond)
+				if n := st.Engine().Stats().Snapshots; n != 1 {
+					t.Fatalf("%d snapshots before the crash, want 1", n)
+				}
+			}
+			st.CrashStorage()
+			applied := true
+			p.Sim().After(500*time.Microsecond, func() {
+				applied = st.Apply(&Object{Key: "k", Value: "v3", Size: 100, Version: ts(3, 1)})
+			})
+			if info, _ := st.RecoverStorage(p); info.Interrupted {
+				t.Fatal("recovery interrupted")
+			}
+			if applied {
+				t.Errorf("snapshot=%v: stale v3 applied during recovery", snapshot)
+			}
+			if got, ok := st.Peek("k"); !ok || got.Value != "v5" {
+				t.Errorf("snapshot=%v: Peek after recovery = %v, %v, want v5", snapshot, got, ok)
+			}
+			if est := st.Engine().Stats(); est.Resident > est.Entries {
+				t.Errorf("snapshot=%v: %d resident entries, %d known keys", snapshot, est.Resident, est.Entries)
+			}
+		})
+	}
+}

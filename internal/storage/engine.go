@@ -20,9 +20,9 @@
 //     are wiped at crash and rebuilt from the last complete snapshot
 //     plus the durable log suffix, charging disk-read time for both.
 //
-// Everything the engine enumerates (snapshot writers, Keys, replay) is
-// deterministic: shards are walked in index order and keys in sorted
-// order, never in Go map order.
+// Map order never leaves the engine: Keys is sorted, replay runs in LSN
+// order, and the snapshot map is built and loaded order-free (each key's
+// row is set once, sizes are summed).
 package storage
 
 import (
@@ -136,7 +136,6 @@ func (s Stats) MemHitRatio() float64 {
 // entry is one key's state: metadata always memory-resident, the value
 // reference served from the memory tier only while resident.
 type entry struct {
-	key      string
 	val      any
 	size     int
 	resident bool
@@ -160,18 +159,18 @@ type walRec struct {
 	size int
 }
 
-// snapEntry is one snapshot row; snapshots are written in sorted key
-// order so the write and the recovery load are deterministic.
-type snapEntry struct {
-	key  string
+// snapRow is one snapshot row, keyed by the object key.
+type snapRow struct {
 	val  any
 	size int
 }
 
 // snapshot is the last complete checkpoint: state as of WAL position
-// lsn, so recovery is snapshot + wal[lsn:].
+// lsn, so recovery is snapshot + wal[lsn:]. entries is nil until the
+// first checkpoint lands; each later one folds the records it retires
+// into it in place.
 type snapshot struct {
-	entries []snapEntry
+	entries map[string]snapRow
 	bytes   int64
 	lsn     uint64
 }
@@ -191,6 +190,9 @@ type Engine struct {
 	shards      []shard
 	shardBudget int64
 	stats       Stats
+	// stateBytes is Σ(size + SnapshotEntryBytes) over every key: the
+	// write a snapshot of the live state charges.
+	stateBytes int64
 
 	// WAL: wal[i] has LSN walBase+i; records below durableLSN are on
 	// disk, the rest are the volatile tail a crash discards.
@@ -245,8 +247,8 @@ func (e *Engine) Start() {
 		for {
 			p.Sleep(e.cfg.SnapshotEvery)
 			// No snapshots while crashed, and none while a recovery is
-			// rebuilding the tiers: a checkpoint of the half-replayed state
-			// would truncate WAL records it does not actually cover.
+			// reading the old snapshot and log back: the device finishes
+			// recovering before it checkpoints again.
 			if e.down || e.recovering {
 				continue
 			}
@@ -290,6 +292,7 @@ func (e *Engine) resetShards() {
 	for i := range e.shards {
 		e.shards[i].entries = make(map[string]*entry)
 	}
+	e.stateBytes = 0
 }
 
 func (e *Engine) tailLSN() uint64 { return e.walBase + uint64(len(e.wal)) }
@@ -352,12 +355,14 @@ func (e *Engine) install(key string, val any, size int) {
 	sh := e.shardOf(key)
 	en := sh.entries[key]
 	if en == nil {
-		en = &entry{key: key}
+		en = &entry{}
 		sh.entries[key] = en
+		e.stateBytes += int64(e.cfg.SnapshotEntryBytes)
 	} else if en.resident {
 		sh.memBytes -= int64(en.size)
 		sh.lruUnlink(en)
 	}
+	e.stateBytes += int64(size - en.size)
 	en.val, en.size, en.resident = val, size, true
 	sh.memBytes += int64(size)
 	sh.lruFront(en)
@@ -433,8 +438,9 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// Keys returns every key, sorted (deterministic enumeration for the
-// recovery wire protocol and the snapshot writer).
+// Keys returns every key, sorted: the deterministic enumeration the
+// recovery wire protocol ships objects in. The snapshot writer does not
+// use it.
 func (e *Engine) Keys() []string {
 	out := make([]string, 0, e.Len())
 	for i := range e.shards {
@@ -562,7 +568,7 @@ func (e *Engine) Crash() {
 			e.stats.TornRecords++
 		}
 	}
-	e.wal = e.wal[:e.durableLSN-e.walBase]
+	e.truncateWAL(e.durableLSN - e.walBase)
 	// Tear down any group-commit batch: the leader (gathering or mid
 	// write) and its followers all wake, see the generation moved, and
 	// return non-durable.
@@ -578,6 +584,10 @@ func (e *Engine) Crash() {
 // Loaded state starts disk-resident — the memory tier comes back cold
 // and warms on reads. Safe to re-run: a crash mid-recovery leaves the
 // next incarnation to start over.
+//
+// The rebuild happens before the reads are paid, so a commit racing the
+// recovery (kvstore.Apply version-checks against Peek) sees the recovered
+// state and a stale late version is refused.
 func (e *Engine) Recover(p *sim.Proc) RecoveryInfo {
 	e.down = false
 	e.recovering = true
@@ -591,6 +601,14 @@ func (e *Engine) Recover(p *sim.Proc) RecoveryInfo {
 		}
 	}()
 	e.resetShards()
+	for k, row := range e.snap.entries {
+		e.shardOf(k).entries[k] = &entry{val: row.val, size: row.size}
+	}
+	e.stateBytes = e.snap.bytes
+	replay := len(e.wal)
+	for _, rec := range e.wal {
+		e.install(rec.key, rec.val, rec.size)
+	}
 	var info RecoveryInfo
 	if e.snap.entries != nil {
 		info.SnapshotBytes = e.snap.bytes
@@ -599,60 +617,63 @@ func (e *Engine) Recover(p *sim.Proc) RecoveryInfo {
 			info.Interrupted = true
 			return info
 		}
-		for _, se := range e.snap.entries {
-			sh := e.shardOf(se.key)
-			sh.entries[se.key] = &entry{key: se.key, val: se.val, size: se.size}
-		}
 	}
-	if len(e.wal) > 0 {
-		e.disk.ReadDisk(p, len(e.wal)*e.cfg.WALRecordBytes)
+	if replay > 0 {
+		e.disk.ReadDisk(p, replay*e.cfg.WALRecordBytes)
 		if gen != e.gen {
 			info.Interrupted = true
 			return info
 		}
-		for _, rec := range e.wal {
-			e.install(rec.key, rec.val, rec.size)
-		}
-		info.ReplayedRecords = len(e.wal)
-		e.stats.ReplayedRecords += int64(len(e.wal))
+		info.ReplayedRecords = replay
+		e.stats.ReplayedRecords += int64(replay)
 	}
 	e.stats.Recoveries++
 	return info
 }
 
-// writeSnapshot checkpoints the committed state: enumerate every entry
-// in sorted key order, charge the full write to disk, and — if no crash
-// landed during the write — install the snapshot and retire the WAL
-// prefix it covers. Commits that land while the write is in flight are
-// not in the captured state but keep their WAL records, so nothing is
-// lost; a crash mid-write abandons the attempt and the previous
-// snapshot plus the full log still recover everything durable.
+// writeSnapshot checkpoints the committed state as of WAL position lsn:
+// charge one write of the live state's bytes, and — if no crash landed
+// during the write — fold the records it retires, wal[:lsn], into the
+// previous snapshot and drop them from the log. The previous snapshot
+// plus those records is exactly the live state at lsn, because only
+// Commit and Recover install and both go through the WAL or the
+// snapshot. Commits that land while the write is in flight stay in the
+// WAL, so nothing is lost; a crash mid-write abandons the attempt before
+// the fold, and the previous snapshot plus the full log still recover
+// everything durable.
 func (e *Engine) writeSnapshot(p *sim.Proc) {
 	gen := e.gen
 	lsn := e.tailLSN()
-	entries := make([]snapEntry, 0, e.Len())
-	bytes := int64(0)
-	for _, k := range e.Keys() {
-		en := e.shardOf(k).entries[k]
-		entries = append(entries, snapEntry{key: en.key, val: en.val, size: en.size})
-		bytes += int64(en.size) + int64(e.cfg.SnapshotEntryBytes)
-	}
+	bytes := e.stateBytes
 	e.disk.WriteDisk(p, int(bytes))
 	if gen != e.gen {
 		e.stats.SnapshotsAborted++
 		return
 	}
-	e.snap = snapshot{entries: entries, bytes: bytes, lsn: lsn}
+	if e.snap.entries == nil {
+		e.snap.entries = make(map[string]snapRow)
+	}
+	e.snap.bytes, e.snap.lsn = bytes, lsn
 	e.stats.Snapshots++
 	e.stats.SnapshotBytes = bytes
 	if lsn > e.walBase {
 		drop := lsn - e.walBase
+		for _, rec := range e.wal[:drop] {
+			e.snap.entries[rec.key] = snapRow{val: rec.val, size: rec.size}
+		}
 		e.stats.TruncatedRecords += int64(drop)
-		e.wal = append([]walRec(nil), e.wal[drop:]...)
+		e.truncateWAL(uint64(copy(e.wal, e.wal[drop:])))
 		e.walBase = lsn
 	}
 	if lsn > e.durableLSN {
 		// The snapshot durably covers every record it retired.
 		e.durableLSN = lsn
 	}
+}
+
+// truncateWAL keeps wal[:n] in place and zeroes the rest, so no dropped
+// record keeps its value reachable.
+func (e *Engine) truncateWAL(n uint64) {
+	clear(e.wal[n:])
+	e.wal = e.wal[:n]
 }

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,24 +94,37 @@ func TestTornFinalWALRecord(t *testing.T) {
 	})
 }
 
-// TestCrashDuringSnapshot: a crash mid-checkpoint abandons the write;
-// the previous snapshot plus the untruncated WAL still recover every
-// fsynced record, and nothing unfsynced comes back.
+// TestCrashDuringSnapshot: a crash mid-checkpoint abandons the write
+// before the fold, so the previous snapshot is untouched; that snapshot
+// plus the WAL the first checkpoint compacted in place still recover
+// every fsynced record, and nothing unfsynced comes back.
 func TestCrashDuringSnapshot(t *testing.T) {
 	disk := &fakeDisk{lat: time.Millisecond}
 	run(t, noSnap(), disk, func(p *sim.Proc, e *Engine) {
 		e.Commit("a", "v1", 100)
 		e.Commit("b", "v2", 100)
-		e.writeSnapshot(p) // snapshot 1 lands, WAL truncated
-		if st := e.Stats(); st.Snapshots != 1 || st.WALRecords != 0 || st.TruncatedRecords != 2 {
+		var before []walRec
+		p.Sim().After(500*time.Microsecond, func() {
+			e.Commit("a", "v1b", 100) // lands mid-write: not covered
+			before = e.wal
+		})
+		e.writeSnapshot(p) // snapshot 1 lands, WAL truncated to a's second record
+		if st := e.Stats(); st.Snapshots != 1 || st.WALRecords != 1 || st.TruncatedRecords != 2 {
 			t.Fatalf("after snapshot 1: %+v", st)
 		}
+		if &e.wal[0] != &before[0] || before[1] != (walRec{}) || before[2] != (walRec{}) {
+			t.Fatalf("truncation did not compact in place: wal %v, old slots %v", e.wal, before)
+		}
+		first := maps.Clone(e.snap.entries)
+		if want := map[string]snapRow{"a": {"v1", 100}, "b": {"v2", 100}}; !maps.Equal(first, want) {
+			t.Fatalf("snapshot 1 = %v, want %v", first, want)
+		}
 		e.Commit("c", "v3", 100)
-		e.Sync(p) // c durable via fsync
+		e.Sync(p) // a's second record and c durable via fsync
 		e.Commit("d", "v4", 100)
 
 		p.Sim().After(500*time.Microsecond, e.Crash)
-		e.writeSnapshot(p) // torn: would have covered c and d
+		e.writeSnapshot(p) // torn: would have covered a, c and d
 		st := e.Stats()
 		if st.SnapshotsAborted != 1 {
 			t.Errorf("SnapshotsAborted = %d, want 1", st.SnapshotsAborted)
@@ -117,15 +132,21 @@ func TestCrashDuringSnapshot(t *testing.T) {
 		if st.Snapshots != 1 {
 			t.Errorf("Snapshots = %d, want 1 (the aborted one must not count)", st.Snapshots)
 		}
+		if !maps.Equal(e.snap.entries, first) || e.snap.lsn != 2 || e.walBase != 2 {
+			t.Errorf("torn snapshot moved the first: %v at lsn %d, walBase %d", e.snap.entries, e.snap.lsn, e.walBase)
+		}
+		if want := []walRec{{"a", "v1b", 100}, {"c", "v3", 100}}; !slices.Equal(e.wal, want) {
+			t.Fatalf("durable WAL after the crash = %v, want %v", e.wal, want)
+		}
 
 		info := e.Recover(p)
-		if info.SnapshotBytes == 0 {
-			t.Error("recovery skipped the surviving snapshot")
+		if info.SnapshotBytes != 2*(100+32) {
+			t.Errorf("SnapshotBytes = %d, want snapshot 1's %d", info.SnapshotBytes, 2*(100+32))
 		}
-		if info.ReplayedRecords != 1 {
-			t.Errorf("ReplayedRecords = %d, want 1", info.ReplayedRecords)
+		if info.ReplayedRecords != 2 {
+			t.Errorf("ReplayedRecords = %d, want 2 (wal[walBase:])", info.ReplayedRecords)
 		}
-		for k, want := range map[string]string{"a": "v1", "b": "v2", "c": "v3"} {
+		for k, want := range map[string]string{"a": "v1b", "b": "v2", "c": "v3"} {
 			if v, ok := e.Peek(k); !ok || v != want {
 				t.Errorf("Peek(%q) = %v, %v, want %q", k, v, ok, want)
 			}
@@ -241,6 +262,14 @@ func differential(t *testing.T, seed int64) Stats {
 			case op < 0.97: // snapshot: same durability effect, plus truncate
 				e.writeSnapshot(p)
 				o.durable = copyMap(o.committed)
+				// Nothing committed during the write, so the folded snapshot
+				// must be the whole live state, and its charge the walk's sum.
+				if !maps.Equal(e.snap.entries, liveRows(e)) {
+					t.Fatalf("op %d: folded snapshot %v != live state %v", i, e.snap.entries, liveRows(e))
+				}
+				if got, want := e.Stats().SnapshotBytes, walkBytes(e); got != want {
+					t.Fatalf("op %d: SnapshotBytes = %d, walk = %d", i, got, want)
+				}
 			default: // crash + recover: roll back to durable
 				e.Crash()
 				e.Recover(p)
@@ -254,10 +283,35 @@ func differential(t *testing.T, seed int64) Stats {
 					}
 				}
 			}
+			if got, want := e.stateBytes, walkBytes(e); got != want {
+				t.Fatalf("op %d: stateBytes = %d, walk = %d", i, got, want)
+			}
 		}
 		final = e.Stats()
 	})
 	return final
+}
+
+// liveRows enumerates the live state the way a full snapshot would.
+func liveRows(e *Engine) map[string]snapRow {
+	out := make(map[string]snapRow, e.Len())
+	for i := range e.shards {
+		for k, en := range e.shards[i].entries {
+			out[k] = snapRow{val: en.val, size: en.size}
+		}
+	}
+	return out
+}
+
+// walkBytes sums what a snapshot of the live state charges.
+func walkBytes(e *Engine) int64 {
+	var n int64
+	for i := range e.shards {
+		for _, en := range e.shards[i].entries {
+			n += int64(en.size) + int64(e.cfg.SnapshotEntryBytes)
+		}
+	}
+	return n
 }
 
 // k2 exists so the get path sometimes probes keys never committed.
@@ -281,8 +335,7 @@ func TestDifferentialVsFlatMapOracle(t *testing.T) {
 }
 
 // TestSnapshotLoopPausesDuringOutage: the periodic checkpointer must
-// skip cycles while the engine is down or recovering — a checkpoint of
-// half-replayed state would truncate WAL records it does not cover.
+// skip cycles while the engine is down or recovering, and resume after.
 func TestSnapshotLoopPausesDuringOutage(t *testing.T) {
 	disk := &fakeDisk{lat: time.Millisecond}
 	cfg := DefaultConfig()
