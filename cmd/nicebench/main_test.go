@@ -147,17 +147,7 @@ func TestKernelGateCannotBeLostByARename(t *testing.T) {
 		}
 		return out
 	}
-	baselineOf := func(rows []kernelResult) string {
-		data, err := json.Marshal(map[string]any{"benchmarks": rows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "BENCH_kernel.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
+	baselineOf := func(rows []kernelResult) string { return writeBaseline(t, rows) }
 
 	var out strings.Builder
 	extra := append(slices.Clone(rows), kernelResult{Name: "Ungated", NsPerOp: 5})
@@ -179,5 +169,44 @@ func TestKernelGateCannotBeLostByARename(t *testing.T) {
 	err = checkKernelBaseline(io.Discard, baselineOf(rows), slow)
 	if err == nil || !strings.Contains(err.Error(), "SleepWake regressed 2.50x") {
 		t.Errorf("2.5x slower gated row: err = %v, want the regression", err)
+	}
+}
+
+// writeBaseline writes rows as a BENCH_kernel.json in a temporary
+// directory and returns its path.
+func writeBaseline(t *testing.T, rows []kernelResult) string {
+	t.Helper()
+	data, err := json.Marshal(map[string]any{"benchmarks": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_kernel.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestKernelGateCountsAllocations: a gated row allocating one object per
+// op more than its baseline fails however fast it ran; fewer objects, or
+// more on an ungated row, pass.
+func TestKernelGateCountsAllocations(t *testing.T) {
+	rows := func(name string, allocs int64) (out []kernelResult) {
+		for gate := range kernelGates {
+			r := kernelResult{Name: gate, NsPerOp: 100, AllocsPerOp: 6}
+			if gate == name {
+				r.AllocsPerOp = allocs
+			}
+			out = append(out, r)
+		}
+		return append(out, kernelResult{Name: "Ungated", NsPerOp: 100, AllocsPerOp: allocs})
+	}
+	base := writeBaseline(t, rows("", 0))
+	err := checkKernelBaseline(io.Discard, base, rows("McastPut", 7))
+	if err == nil || !strings.Contains(err.Error(), "McastPut allocates 7 objects per op, baseline 6") {
+		t.Errorf("one more object per op on a gated row: err = %v, want it named", err)
+	}
+	if err := checkKernelBaseline(io.Discard, base, rows("McastPut", 5)); err != nil {
+		t.Errorf("one object fewer: err = %v, want none", err)
 	}
 }

@@ -176,12 +176,12 @@ func TestOrphanOverflowForgetsOldestFirst(t *testing.T) {
 		cfg.Addr.IP = a.IP()
 		n := NewNode(a, cfg)
 		for i := 0; i < orphanCap+extra; i++ {
-			n.orphan(key(i)).ack1[2] = true
+			n.orphan(key(i)).ack1.add(2)
 			if i == 50 { // its put registers, merging the buffer...
 				n.registerPut(&PutRequest{Client: 1, ClientSeq: 50}, 0)
 			}
 			if i == orphanCap { // ...and much later an ack of a retry re-creates it
-				n.orphan(key(50)).ack2[2] = true
+				n.orphan(key(50)).ack2.add(2)
 			}
 		}
 		return n
@@ -198,7 +198,7 @@ func TestOrphanOverflowForgetsOldestFirst(t *testing.T) {
 			t.Fatalf("buffer %d held=%v, want %v", i, held, want)
 		}
 	}
-	if o := a.orphans[key(50)]; o.ack1[2] || !o.ack2[2] {
+	if o := a.orphans[key(50)]; o.ack1.has(2) || !o.ack2.has(2) {
 		t.Fatalf("buffer 50 is not the re-created one: %+v", o)
 	}
 	if len(a.orphanAge) != orphanCap {
@@ -536,5 +536,57 @@ func TestDedupMemoryIsAFIFORing(t *testing.T) {
 		if want := seq >= 10; has(seq) != want {
 			t.Errorf("put %d remembered=%v, want %v", seq, has(seq), want)
 		}
+	}
+}
+
+// TestNodeSetBeyondTheBitmap: an ack set keeps indexes below 64 in its
+// bitmap, with no map, and those from 64 up in a map alike; a merge is
+// the union; and a put registered after early acks of both phases holds
+// exactly the buffered sets.
+func TestNodeSetBeyondTheBitmap(t *testing.T) {
+	members := func(s *nodeSet) (out []int) {
+		for i := 0; i < 256; i++ {
+			if s.has(i) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	var low nodeSet
+	low.add(0)
+	low.add(63)
+	if low.high != nil || !slices.Equal(members(&low), []int{0, 63}) {
+		t.Fatalf("indexes below 64: members %v, map %v", members(&low), low.high)
+	}
+	var x, y nodeSet
+	for _, i := range []int{1, 64, 200} {
+		x.add(i)
+	}
+	for _, i := range []int{1, 2, 65, 200} {
+		y.add(i)
+	}
+	x.merge(&y)
+	if got, want := members(&x), []int{1, 2, 64, 65, 200}; !slices.Equal(got, want) {
+		t.Fatalf("union: %v, want %v", got, want)
+	}
+
+	s, a, _ := pair(t)
+	defer s.Shutdown()
+	cfg := DefaultNodeConfig()
+	cfg.Addr.IP = a.IP()
+	n := NewNode(a, cfg)
+	k := reqKey{Client: 1, Seq: 9}
+	for _, i := range []int{2, 70} {
+		n.orphan(k).ack1.add(i)
+	}
+	for _, i := range []int{4, 99} {
+		n.orphan(k).ack2.add(i)
+	}
+	ps := n.registerPut(&PutRequest{Client: 1, ClientSeq: 9}, 0)
+	if !slices.Equal(members(&ps.ack1), []int{2, 70}) || !slices.Equal(members(&ps.ack2), []int{4, 99}) {
+		t.Fatalf("registered put holds ack1 %v, ack2 %v; want [2 70], [4 99]", members(&ps.ack1), members(&ps.ack2))
+	}
+	if _, left := n.orphans[k]; left {
+		t.Fatal("the merged buffer is still held")
 	}
 }

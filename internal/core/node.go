@@ -103,11 +103,44 @@ type NodeStats struct {
 	BatchedPuts   int64 // puts committed through those batches
 }
 
+// nodeSet is a set of node indexes: a bitmap below 64, and a map, made on
+// first use, above (no deployment has more than 15 nodes).
+type nodeSet struct {
+	low  uint64
+	high map[int]bool
+}
+
+func (s *nodeSet) add(i int) {
+	if uint(i) < 64 {
+		s.low |= 1 << i
+		return
+	}
+	if s.high == nil {
+		s.high = make(map[int]bool)
+	}
+	s.high[i] = true
+}
+
+func (s *nodeSet) has(i int) bool {
+	if uint(i) < 64 {
+		return s.low&(1<<i) != 0
+	}
+	return s.high[i]
+}
+
+// merge adds every member of o to s.
+func (s *nodeSet) merge(o *nodeSet) {
+	s.low |= o.low
+	for i := range o.high {
+		s.add(i)
+	}
+}
+
 // putState tracks one in-flight put at a participant.
 type putState struct {
 	req  *PutRequest
-	ack1 map[int]bool
-	ack2 map[int]bool
+	ack1 nodeSet
+	ack2 nodeSet
 	sig  *sim.Queue[struct{}]
 	ts   *sim.Future[*TsMsg]
 	// coord is the primary this node acknowledges the put to; only its
@@ -126,8 +159,8 @@ type putState struct {
 // orphanState buffers protocol messages that raced ahead of the local
 // put handler (acks can outrun the primary's own disk write).
 type orphanState struct {
-	ack1   map[int]bool
-	ack2   map[int]bool
+	ack1   nodeSet
+	ack2   nodeSet
 	ts     *TsMsg
 	tsFrom netsim.IP // the sender of ts
 }
@@ -582,17 +615,17 @@ func (n *Node) dataLoop(p *sim.Proc) {
 				n.deliverTs(&TsMsg{Req: m.Req, Ts: *m.Committed}, n.cfg.Addr.IP)
 			}
 			if ps := n.puts[m.Req]; ps != nil {
-				ps.ack1[m.From] = true
+				ps.ack1.add(m.From)
 				ps.sig.Push(struct{}{})
 			} else {
-				n.orphan(m.Req).ack1[m.From] = true
+				n.orphan(m.Req).ack1.add(m.From)
 			}
 		case *Ack2:
 			if ps := n.puts[m.Req]; ps != nil {
-				ps.ack2[m.From] = true
+				ps.ack2.add(m.From)
 				ps.sig.Push(struct{}{})
 			} else {
-				n.orphan(m.Req).ack2[m.From] = true
+				n.orphan(m.Req).ack2.add(m.From)
 			}
 		case *TsMsg:
 			n.deliverTs(m, d.From)
@@ -639,7 +672,7 @@ func (n *Node) deliverTs(m *TsMsg, from netsim.IP) {
 func (n *Node) orphan(k reqKey) *orphanState {
 	o := n.orphans[k]
 	if o == nil {
-		o = &orphanState{ack1: make(map[int]bool), ack2: make(map[int]bool)}
+		o = &orphanState{}
 		n.orphans[k] = o
 		n.orphanAge = append(n.orphanAge, orphanRef{k, o})
 		if len(n.orphanAge) > orphanCap {
@@ -658,8 +691,6 @@ func (n *Node) orphan(k reqKey) *orphanState {
 func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 	ps := &putState{
 		req:   req,
-		ack1:  make(map[int]bool),
-		ack2:  make(map[int]bool),
 		sig:   sim.NewQueue[struct{}](n.s),
 		ts:    sim.NewFuture[*TsMsg](n.s),
 		coord: coord,
@@ -668,12 +699,8 @@ func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 	k := req.key()
 	if o, ok := n.orphans[k]; ok {
 		delete(n.orphans, k)
-		for f := range o.ack1 {
-			ps.ack1[f] = true
-		}
-		for f := range o.ack2 {
-			ps.ack2[f] = true
-		}
+		ps.ack1.merge(&o.ack1)
+		ps.ack2.merge(&o.ack2)
 		if o.ts != nil && o.tsFrom == coord && (!o.ts.Abort || o.ts.Attempt == req.Attempt) {
 			ps.ts.Set(o.ts)
 		}

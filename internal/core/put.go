@@ -142,7 +142,7 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 	}()
 	n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: k, Key: req.Key, Ts: ts, Dup: true}, tsMsgSize)
 	need, want := n.ackQuorum(v)
-	if !n.waitAcks(p, ps, ps.ack2, need, want) {
+	if !n.waitAcks(p, ps, &ps.ack2, need, want) {
 		if n.stale(ps) {
 			return
 		}
@@ -157,10 +157,12 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 	n.replyPut(req, true, "", ts.PrimarySeq)
 }
 
-// othersOf lists the put participants excluding this node.
+// othersOf lists the put participants excluding this node, filtering
+// PutParticipants' fresh slice in place.
 func (n *Node) othersOf(v *controller.PartitionView) []controller.NodeAddr {
-	var out []controller.NodeAddr
-	for _, r := range v.PutParticipants() {
+	all := v.PutParticipants()
+	out := all[:0]
+	for _, r := range all {
 		if r.Index != n.cfg.Addr.Index {
 			out = append(out, r)
 		}
@@ -208,12 +210,12 @@ func (n *Node) ackQuorum(v *controller.PartitionView) ([]controller.NodeAddr, in
 // waitAcks waits until at least want of the nodes in need appear in got,
 // tolerating one quiet phase; after a second timeout the missing peers
 // are reported to the metadata service (§4.4) and false is returned.
-func (n *Node) waitAcks(p *sim.Proc, ps *putState, got map[int]bool, need []controller.NodeAddr, want int) bool {
+func (n *Node) waitAcks(p *sim.Proc, ps *putState, got *nodeSet, need []controller.NodeAddr, want int) bool {
 	timeouts := 0
 	for {
 		present := 0
 		for _, r := range need {
-			if got[r.Index] {
+			if got.has(r.Index) {
 				present++
 			}
 		}
@@ -226,7 +228,7 @@ func (n *Node) waitAcks(p *sim.Proc, ps *putState, got map[int]bool, need []cont
 		timeouts++
 		if timeouts >= 2 {
 			for _, r := range need {
-				if !got[r.Index] {
+				if !got.has(r.Index) {
 					n.reportFailure(r.Index)
 				}
 			}
@@ -249,7 +251,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	}
 	need, want := n.ackQuorum(v)
 
-	acked := n.waitAcks(p, ps, ps.ack1, need, want)
+	acked := n.waitAcks(p, ps, &ps.ack1, need, want)
 	if n.stale(ps) {
 		return
 	}
@@ -264,7 +266,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	cur := n.views[part]
 	if verdict == nil && (!acked || cur == nil || cur.Primary().Index != n.cfg.Addr.Index) ||
 		verdict != nil && verdict.Abort {
-		dbg("%v node%d ABORT %s: ack1=%v want=%d", p.Now(), n.cfg.Addr.Index, req.Key, ps.ack1, want)
+		dbg("%v node%d ABORT %s: ack1=%b want=%d", p.Now(), n.cfg.Addr.Index, req.Key, ps.ack1.low, want)
 		// Abort: a replica stayed silent, resolution abandoned the put, or
 		// this node was deposed while it collected the votes (the new
 		// primary may have resolved the put already; committing would split
@@ -318,7 +320,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Ts: ts, Attempt: req.Attempt, Dup: dup}, tsMsgSize)
 	}
 
-	if !n.waitAcks(p, ps, ps.ack2, need, want) {
+	if !n.waitAcks(p, ps, &ps.ack2, need, want) {
 		if n.stale(ps) {
 			return
 		}

@@ -130,11 +130,15 @@ type xferKey struct {
 }
 
 // rxState tracks one inbound transfer: in flight, then (with have
-// released) remembered as done until finishedCap later ones completed.
+// released) remembered as done until finishedCap later ones completed,
+// then recycled for a later transfer (MulticastReceiver.free).
 type rxState struct {
 	key     xferKey
 	ackPort uint16 // sender's control socket, from the latest chunk
-	have    []bool
+	// have is the chunk bitmap; a transfer of at most 64 chunks (a 1 KB put
+	// is one) keeps it in inline and allocates none.
+	have    []uint64
+	inline  [1]uint64
 	count   int
 	total   int
 	contig  int
@@ -152,6 +156,9 @@ type rxState struct {
 	watchdog    sim.Event
 }
 
+// has reports whether chunk idx arrived.
+func (st *rxState) has(idx int) bool { return st.have[idx>>6]&(1<<(idx&63)) != 0 }
+
 // MulticastReceiver receives reliable-multicast transfers on a port. Bind
 // one per storage node; the node must separately join the group address
 // at its host NIC.
@@ -159,13 +166,16 @@ type MulticastReceiver struct {
 	stack *Stack
 	port  uint16
 	ctrl  *UDPSocket // replies to senders
-	rq    *sim.Queue[*Transfer]
+	rq    *sim.Queue[Transfer]
 	rx    map[xferKey]*rxState
 	last  *rxState // the transfer the latest chunk belonged to, if still in rx
 	// finished is a ring of the last finishedCap completed transfers in
 	// completion order; finishedAt is the oldest once the ring is full.
 	finished   []*rxState
 	finishedAt int
+	// free holds the states the ring evicted. Nothing else reaches one:
+	// its watchdog was cancelled at completion, and forget cleared last.
+	free []*rxState
 }
 
 // BindMulticast binds a multicast receiver on port.
@@ -181,7 +191,7 @@ func (st *Stack) BindMulticast(port uint16) (*MulticastReceiver, error) {
 		stack: st,
 		port:  port,
 		ctrl:  ctrl,
-		rq:    sim.NewQueue[*Transfer](st.s),
+		rq:    sim.NewQueue[Transfer](st.s),
 		rx:    make(map[xferKey]*rxState),
 	}
 	st.mrecv[port] = r
@@ -198,10 +208,10 @@ func (st *Stack) MustBindMulticast(port uint16) *MulticastReceiver {
 }
 
 // Recv blocks until a complete transfer arrives.
-func (r *MulticastReceiver) Recv(p *sim.Proc) (*Transfer, bool) { return r.rq.Pop(p) }
+func (r *MulticastReceiver) Recv(p *sim.Proc) (Transfer, bool) { return r.rq.Pop(p) }
 
 // RecvTimeout is Recv with a deadline.
-func (r *MulticastReceiver) RecvTimeout(p *sim.Proc, d sim.Time) (*Transfer, bool) {
+func (r *MulticastReceiver) RecvTimeout(p *sim.Proc, d sim.Time) (Transfer, bool) {
 	return r.rq.PopTimeout(p, d)
 }
 
@@ -233,7 +243,7 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	if st == nil || st.key != key {
 		var ok bool
 		if st, ok = r.rx[key]; !ok {
-			st = &rxState{key: key, have: make([]bool, m.total), total: m.total}
+			st = r.newRx(key, m.total)
 			r.rx[key] = st
 		}
 		r.last = st
@@ -244,13 +254,13 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
 		return
 	}
-	if idx >= 0 && idx < st.total && !st.have[idx] {
-		st.have[idx] = true
+	if idx >= 0 && idx < st.total && !st.has(idx) {
+		st.have[idx>>6] |= 1 << (idx & 63)
 		st.count++
 		if idx > st.maxIdx {
 			st.maxIdx = idx
 		}
-		for st.contig < st.total && st.have[st.contig] {
+		for st.contig < st.total && st.has(st.contig) {
 			st.contig++
 		}
 	}
@@ -263,7 +273,7 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 		st.watchdog.Cancel()
 		r.finish(st)
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
-		r.rq.Push(&Transfer{
+		r.rq.Push(Transfer{
 			From:     m.ackIP,
 			FromPort: m.ackPort,
 			To:       pkt.DstIP,
@@ -289,8 +299,29 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	}
 }
 
+// newRx returns a clean state for a new transfer of total chunks, reusing
+// an evicted one when there is one.
+func (r *MulticastReceiver) newRx(key xferKey, total int) *rxState {
+	var st *rxState
+	if n := len(r.free); n > 0 {
+		st = r.free[n-1]
+		r.free = r.free[:n-1]
+		*st = rxState{}
+	} else {
+		st = new(rxState)
+	}
+	st.key, st.total = key, total
+	if words := (total + 63) / 64; words <= len(st.inline) {
+		st.have = st.inline[:words]
+	} else {
+		st.have = make([]uint64, words)
+	}
+	return st
+}
+
 // finish marks st done, releases its chunk bitmap and files it as the
-// newest completed transfer, forgetting the oldest past finishedCap.
+// newest completed transfer, forgetting (and recycling) the oldest past
+// finishedCap.
 func (r *MulticastReceiver) finish(st *rxState) {
 	st.done = true
 	st.have = nil
@@ -305,6 +336,7 @@ func (r *MulticastReceiver) finish(st *rxState) {
 	// ring twice; only the entry the map still holds is its to delete.
 	if r.rx[old.key] == old {
 		r.forget(old)
+		r.free = append(r.free, old)
 	}
 }
 
@@ -320,7 +352,7 @@ func (r *MulticastReceiver) forget(st *rxState) {
 func (r *MulticastReceiver) nackMissing(st *rxState, bound int) {
 	var missing []int
 	for i := st.contig; i < bound && i < st.total; i++ {
-		if !st.have[i] {
+		if !st.has(i) {
 			missing = append(missing, i)
 		}
 	}
@@ -388,8 +420,98 @@ type McastResult struct {
 
 // txPeer tracks the sender's view of one receiver.
 type txPeer struct {
+	ip   netsim.IP
 	upTo int
 	done bool
+}
+
+// mcastSend is the sender's state of one transfer. The result and both
+// chunk descriptors live inside it, so a send allocates it, its peer list
+// and its Finished list, and nothing per chunk (packets are pooled).
+type mcastSend struct {
+	st    *Stack
+	ctrl  *UDPSocket
+	to    netsim.IP
+	port  uint16
+	size  int
+	total int
+	res   McastResult
+	// last describes the final chunk, the only one carrying the message;
+	// body every other chunk (a one-chunk transfer uses last alone).
+	last, body chunkMsg
+	peers      []txPeer // receivers heard from, in first-contact order
+}
+
+// sendChunk transmits chunk idx to the group, or as a unicast repair to
+// one receiver.
+func (tx *mcastSend) sendChunk(idx int, unicastTo netsim.IP, needAck bool) {
+	m, chunkSize := &tx.body, MTU
+	if idx == tx.total-1 {
+		m = &tx.last
+		chunkSize = tx.size - (tx.total-1)*MTU
+		if chunkSize <= 0 {
+			chunkSize = 1
+		}
+	}
+	dst := tx.to
+	if unicastTo != 0 {
+		dst = unicastTo
+		tx.res.Repairs++
+	}
+	tx.ctrl.send(tx.st.IP(), dst, tx.port, m, chunkSize, chunkSeq(idx, needAck))
+}
+
+// peer returns the record of receiver ip, adding one on first contact.
+func (tx *mcastSend) peer(ip netsim.IP) *txPeer {
+	for i := range tx.peers {
+		if tx.peers[i].ip == ip {
+			return &tx.peers[i]
+		}
+	}
+	tx.peers = append(tx.peers, txPeer{ip: ip})
+	return &tx.peers[len(tx.peers)-1]
+}
+
+// handle applies one control message to the sender's state. The control
+// socket delivers only this transfer's (UDPSocket.deliver).
+func (tx *mcastSend) handle(d Datagram) {
+	m := d.Data.(*mctrlMsg)
+	pe := tx.peer(d.From)
+	switch m.kind {
+	case mctrlAck:
+		if m.upTo > pe.upTo {
+			pe.upTo = m.upTo
+		}
+	case mctrlDone:
+		pe.upTo = tx.total
+		if !pe.done {
+			pe.done = true
+			tx.res.Finished = append(tx.res.Finished, d.From)
+		}
+	case mctrlNack:
+		if Debug {
+			dbg(tx.st.s, "NACK from %v: %d missing (first %d)", d.From, len(m.missing), m.missing[0])
+		}
+		for _, idx := range m.missing {
+			tx.sendChunk(idx, d.From, false)
+		}
+		// Repairing the tail re-requests an ack so flow control can
+		// make progress past the repaired window.
+		if n := len(m.missing); n > 0 {
+			tx.sendChunk(m.missing[n-1], d.From, true)
+		}
+	}
+}
+
+// countAt counts the receivers holding every chunk below mark.
+func (tx *mcastSend) countAt(mark int) int {
+	n := 0
+	for _, pe := range tx.peers {
+		if pe.upTo >= mark || pe.done {
+			n++
+		}
+	}
+	return n
 }
 
 // SendMulticast performs one reliable multicast transfer from this stack
@@ -411,105 +533,46 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 	}
 	deadline := st.s.Now() + timeout
 
-	ctrl, err := st.BindUDP(0)
+	ctrl, err := st.ctrlSocket()
 	if err != nil {
 		return nil, err
 	}
 	st.xferSeq++
-	xfer := st.xferSeq
+	ctrl.xfer = st.xferSeq
 
 	total := (opts.Size + MTU - 1) / MTU
 	if total == 0 {
 		total = 1
 	}
-	res := &McastResult{Chunks: total}
-	peers := make(map[netsim.IP]*txPeer)
-
-	last := &chunkMsg{
-		xfer: xfer, total: total, size: opts.Size, data: opts.Data,
-		ackIP: st.IP(), ackPort: ctrl.Port(),
+	tx := &mcastSend{
+		st: st, ctrl: ctrl, to: opts.To, port: opts.ToPort, size: opts.Size, total: total,
+		res: McastResult{Chunks: total, Finished: make([]netsim.IP, 0, opts.Receivers)},
+		last: chunkMsg{
+			xfer: ctrl.xfer, total: total, size: opts.Size, data: opts.Data,
+			ackIP: st.IP(), ackPort: ctrl.Port(),
+		},
+		peers: make([]txPeer, 0, opts.Receivers),
 	}
-	body := last // a one-chunk transfer needs no second descriptor
-	if total > 1 {
-		b := *last
-		b.data = nil
-		body = &b
-	}
-	sendChunk := func(idx int, unicastTo netsim.IP, needAck bool) {
-		m, chunkSize := body, MTU
-		if idx == total-1 {
-			m = last
-			chunkSize = opts.Size - (total-1)*MTU
-			if chunkSize <= 0 {
-				chunkSize = 1
-			}
-		}
-		dst := opts.To
-		if unicastTo != 0 {
-			dst = unicastTo
-			res.Repairs++
-		}
-		ctrl.send(st.IP(), dst, opts.ToPort, m, chunkSize, chunkSeq(idx, needAck))
-	}
-
-	// handle applies one control message to the sender's state.
-	handle := func(d *Datagram) {
-		m, ok := d.Data.(*mctrlMsg)
-		if !ok || m.xfer != xfer {
-			return
-		}
-		pe := peers[d.From]
-		if pe == nil {
-			pe = &txPeer{}
-			peers[d.From] = pe
-		}
-		switch m.kind {
-		case mctrlAck:
-			if m.upTo > pe.upTo {
-				pe.upTo = m.upTo
-			}
-		case mctrlDone:
-			pe.upTo = total
-			if !pe.done {
-				pe.done = true
-				res.Finished = append(res.Finished, d.From)
-			}
-		case mctrlNack:
-			dbg(st.s, "NACK from %v: %d missing (first %d)", d.From, len(m.missing), m.missing[0])
-			for _, idx := range m.missing {
-				sendChunk(idx, d.From, false)
-			}
-			// Repairing the tail re-requests an ack so flow control can
-			// make progress past the repaired window.
-			if n := len(m.missing); n > 0 {
-				sendChunk(m.missing[n-1], d.From, true)
-			}
-		}
-	}
-	countAt := func(mark int) int {
-		n := 0
-		for _, pe := range peers {
-			if pe.upTo >= mark || pe.done {
-				n++
-			}
-		}
-		return n
-	}
+	tx.body = tx.last
+	tx.body.data = nil
+	res := &tx.res
 
 	for base := 0; base < total; base += McastWindow {
 		end := base + McastWindow
 		if end > total {
 			end = total
 		}
-		dbg(st.s, "window %d-%d (k=%d)", base, end, k)
+		if Debug {
+			dbg(st.s, "window %d-%d (k=%d)", base, end, k)
+		}
 		for i := base; i < end; i++ {
-			sendChunk(i, 0, i == end-1)
+			tx.sendChunk(i, 0, i == end-1)
 		}
 		retries := 0
-		for countAt(end) < k {
+		for tx.countAt(end) < k {
 			remain := deadline - st.s.Now()
 			if remain <= 0 {
-				ctrl.Close()
+				st.releaseCtrl(ctrl)
 				return res, ErrTimeout
 			}
 			wait := sim.Time(mcastRTO)
@@ -520,15 +583,15 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 			if !ok {
 				retries++
 				if retries > mcastMaxRetries {
-					ctrl.Close()
+					st.releaseCtrl(ctrl)
 					return res, ErrTimeout
 				}
 				// Re-solicit acks by retransmitting the window tail.
-				sendChunk(end-1, 0, true)
+				tx.sendChunk(end-1, 0, true)
 				continue
 			}
 			retries = 0
-			handle(d)
+			tx.handle(d)
 		}
 	}
 
@@ -536,24 +599,25 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 	for len(res.Finished) < k {
 		remain := deadline - st.s.Now()
 		if remain <= 0 {
-			ctrl.Close()
+			st.releaseCtrl(ctrl)
 			return res, ErrTimeout
 		}
 		d, ok := ctrl.RecvTimeout(p, minTime(sim.Time(mcastRTO), remain))
 		if !ok {
-			sendChunk(total-1, 0, true)
+			tx.sendChunk(total-1, 0, true)
 			continue
 		}
-		handle(d)
+		tx.handle(d)
 	}
 
 	if len(res.Finished) >= opts.Receivers {
-		ctrl.Close()
+		st.releaseCtrl(ctrl)
 		return res, nil
 	}
 
 	// Quorum reached but stragglers remain: keep repairing in the
-	// background, then release the control socket.
+	// background, then release the control socket — not before, or a
+	// later send would share it.
 	st.s.Spawn("mcast-straggler", func(bp *sim.Proc) {
 		stop := st.s.Now() + StragglerTimeout
 		for len(res.Finished) < opts.Receivers {
@@ -565,9 +629,9 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 			if !ok {
 				break
 			}
-			handle(d)
+			tx.handle(d)
 		}
-		ctrl.Close()
+		st.releaseCtrl(ctrl)
 	})
 	return res, nil
 }

@@ -49,8 +49,10 @@ type Stack struct {
 	udp       map[uint16]*UDPSocket
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
+	dialed    map[uint16]int // live dialed streams per local port
 	mrecv     map[uint16]*MulticastReceiver
 	lastMrecv *MulticastReceiver // receiver of the latest chunk, if still bound
+	ctrlFree  []*UDPSocket       // idle multicast sender control sockets, still bound
 	nextEphem uint16
 	xferSeq   uint64
 }
@@ -63,6 +65,7 @@ func NewStack(h *netsim.Host) *Stack {
 		udp:       make(map[uint16]*UDPSocket),
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[connKey]*Conn),
+		dialed:    make(map[uint16]int),
 		mrecv:     make(map[uint16]*MulticastReceiver),
 		nextEphem: 49152,
 	}
@@ -85,7 +88,9 @@ func (st *Stack) portInUse(kind string, port uint16) error {
 	return fmt.Errorf("transport: %s port %d in use on %s", kind, port, st.host.DeviceName())
 }
 
-// ephemeralPort hands out client-side port numbers.
+// ephemeralPort hands out client-side port numbers, skipping every port a
+// bound socket, a listener or a live dialed stream holds: once the range
+// wraps, a second stream on a live one's port would replace it in conns.
 func (st *Stack) ephemeralPort() uint16 {
 	for {
 		p := st.nextEphem
@@ -97,6 +102,9 @@ func (st *Stack) ephemeralPort() uint16 {
 			continue
 		}
 		if _, lnUsed := st.listeners[p]; lnUsed {
+			continue
+		}
+		if st.dialed[p] > 0 {
 			continue
 		}
 		return p
@@ -148,7 +156,15 @@ type Datagram struct {
 type UDPSocket struct {
 	stack *Stack
 	port  uint16
-	rq    *sim.Queue[*Datagram]
+	rq    *sim.Queue[Datagram]
+	// mctrl marks a multicast sender's control socket. It is reused from
+	// send to send (Stack.ctrlSocket), so it accepts only the control
+	// messages of xfer, the transfer it serves now (none while pooled): an
+	// earlier transfer's late DONE or ACK is dropped on arrival, like a
+	// datagram to an unbound port, so it neither counts nor wakes the
+	// sender out of its RTO wait.
+	mctrl bool
+	xfer  uint64
 }
 
 // BindUDP binds a datagram socket; port 0 picks an ephemeral port.
@@ -159,9 +175,39 @@ func (st *Stack) BindUDP(port uint16) (*UDPSocket, error) {
 	if _, dup := st.udp[port]; dup {
 		return nil, st.portInUse("UDP", port)
 	}
-	u := &UDPSocket{stack: st, port: port, rq: sim.NewQueue[*Datagram](st.s)}
+	u := &UDPSocket{stack: st, port: port, rq: sim.NewQueue[Datagram](st.s)}
 	st.udp[port] = u
 	return u, nil
+}
+
+// ctrlSocket hands a multicast send a control socket: an idle one from
+// the stack's pool, or a new ephemeral bind. The send sets its xfer.
+func (st *Stack) ctrlSocket() (*UDPSocket, error) {
+	if n := len(st.ctrlFree); n > 0 {
+		u := st.ctrlFree[n-1]
+		st.ctrlFree = st.ctrlFree[:n-1]
+		return u, nil
+	}
+	u, err := st.BindUDP(0)
+	if err != nil {
+		return nil, err
+	}
+	u.mctrl = true
+	return u, nil
+}
+
+// releaseCtrl ends a send's use of its control socket: the socket stays
+// bound, deaf to every transfer, and goes back to the pool with its queue
+// drained. A socket closed meanwhile is not pooled.
+func (st *Stack) releaseCtrl(u *UDPSocket) {
+	u.xfer = 0
+	if st.udp[u.port] != u {
+		return
+	}
+	for u.rq.Len() > 0 {
+		u.rq.TryPop()
+	}
+	st.ctrlFree = append(st.ctrlFree, u)
 }
 
 // MustBindUDP is BindUDP that panics on error; for topology setup.
@@ -210,10 +256,10 @@ func (u *UDPSocket) send(src, to netsim.IP, toPort uint16, data any, size int, s
 }
 
 // Recv blocks until a datagram arrives.
-func (u *UDPSocket) Recv(p *sim.Proc) (*Datagram, bool) { return u.rq.Pop(p) }
+func (u *UDPSocket) Recv(p *sim.Proc) (Datagram, bool) { return u.rq.Pop(p) }
 
 // RecvTimeout is Recv with a deadline.
-func (u *UDPSocket) RecvTimeout(p *sim.Proc, d sim.Time) (*Datagram, bool) {
+func (u *UDPSocket) RecvTimeout(p *sim.Proc, d sim.Time) (Datagram, bool) {
 	return u.rq.PopTimeout(p, d)
 }
 
@@ -226,7 +272,12 @@ func (u *UDPSocket) Close() {
 }
 
 func (u *UDPSocket) deliver(pkt *netsim.Packet) {
-	u.rq.Push(&Datagram{
+	if u.mctrl {
+		if m, ok := pkt.Payload.(*mctrlMsg); !ok || m.xfer != u.xfer {
+			return
+		}
+	}
+	u.rq.Push(Datagram{
 		From:     pkt.SrcIP,
 		FromPort: pkt.SrcPort,
 		To:       pkt.DstIP,

@@ -133,15 +133,33 @@ func (st *Stack) Dial(p *sim.Proc, to netsim.IP, port uint16) (*Conn, error) {
 		recvQ:       sim.NewQueue[Message](st.s),
 		established: sim.NewFuture[bool](st.s),
 	}
-	st.conns[connKey{to, port, c.localPort}] = c
+	st.conns[c.key()] = c
+	st.dialed[c.localPort]++
 	for try := 0; try <= MaxRetries; try++ {
 		c.sendSeg(synSeg, 0, ctrlSegSize)
 		if _, ok := c.established.WaitTimeout(p, handshakeRTO); ok {
 			return c, nil
 		}
 	}
-	delete(st.conns, connKey{to, port, c.localPort})
+	st.dropConn(c)
 	return nil, ErrTimeout
+}
+
+func (c *Conn) key() connKey { return connKey{c.peer, c.peerPort, c.localPort} }
+
+// dropConn forgets a torn-down stream; a dialed one (the only kind with an
+// established future) also gives its local port back to ephemeralPort.
+func (st *Stack) dropConn(c *Conn) {
+	k := c.key()
+	if st.conns[k] != c {
+		return
+	}
+	delete(st.conns, k)
+	if c.established != nil {
+		if st.dialed[c.localPort]--; st.dialed[c.localPort] == 0 {
+			delete(st.dialed, c.localPort)
+		}
+	}
 }
 
 // Peer returns the remote address.
@@ -241,7 +259,7 @@ func (c *Conn) Close() {
 	}
 	c.closed = true
 	c.sendSeg(finSeg, 0, ctrlSegSize)
-	delete(c.stack.conns, connKey{c.peer, c.peerPort, c.localPort})
+	c.stack.dropConn(c)
 	c.recvQ.Close()
 }
 
@@ -295,7 +313,7 @@ func (st *Stack) recvTCP(pkt *netsim.Packet) {
 		if !exists {
 			return
 		}
-		delete(st.conns, key)
+		st.dropConn(c)
 		c.closed = true
 		c.recvQ.Close()
 	}
