@@ -475,6 +475,7 @@ var kernelGates = map[string]bool{
 	"NearTimer":     true,
 	"LookupRepeat":  true,
 	"McastPut":      true,
+	"NicePut":       true,
 }
 
 // checkKernelBaseline compares measured kernel benchmarks against a
@@ -861,6 +862,9 @@ func kernelBenchmarks() []kernelResult {
 	mcastPut, shutdown := mcastPutBenchmark()
 	add("McastPut", mcastPut)
 	shutdown()
+	nicePut, shutdown := nicePutBenchmark()
+	add("NicePut", nicePut)
+	shutdown()
 	add("NetHostToHost", func(b *testing.B) {
 		s := sim.New(1)
 		n := netsim.NewNetwork(s)
@@ -969,4 +973,50 @@ func mcastPutBenchmark() (bench func(b *testing.B), shutdown func()) {
 			b.Fatal(failure)
 		}
 	}, s.Shutdown
+}
+
+// nicePutBenchmark times one 1 KB put by one client on a 3-node, R=3
+// cluster.NewNICE deployment: the prepare multicast, both NICE-2PC phases
+// on every replica and the reply. Heartbeats are an hour apart, so a
+// round is the put and what it leaves behind. The fixture is warmed past
+// the nodes' committedCap-entry dedup rings and the receivers'
+// finished-transfer rings, with every free list full, so the count per
+// op is the put path's exact budget. shutdown ends the fixture's procs.
+func nicePutBenchmark() (bench func(b *testing.B), shutdown func()) {
+	opts := cluster.DefaultOptions()
+	opts.Nodes, opts.R = 3, 3
+	opts.Heartbeat = time.Hour
+	d := cluster.NewNICE(opts)
+	failure := d.Settle()
+	start := sim.NewQueue[struct{}](d.Sim)
+	d.Sim.Spawn("client", func(p *sim.Proc) {
+		for {
+			if _, ok := start.Pop(p); !ok {
+				return
+			}
+			if _, err := d.Clients[0].Put(p, "k", "v", 1024); err != nil && failure == nil {
+				failure = err
+			}
+			d.Sim.Stop()
+		}
+	})
+	put := func() {
+		start.Push(struct{}{})
+		if err := d.Sim.Run(); err != nil && failure == nil {
+			failure = err
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		put()
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			put()
+		}
+		if failure != nil {
+			b.Fatal(failure)
+		}
+	}, d.Close
 }

@@ -22,7 +22,9 @@ type putBatch struct {
 	done  *sim.Future[struct{}]
 }
 
-// batchItem is one put parked at the commit point.
+// batchItem is one put parked at the commit point, embedded in its put
+// state. The leader writes a joiner's item only before b.done.Set, and the
+// joiner leaves Wait only after it, so no item outlives its put state.
 type batchItem struct {
 	req *PutRequest
 	obj *kvstore.Object
@@ -40,7 +42,8 @@ const defaultPutBatchMax = 64
 // multicast is on the wire; the caller proceeds to second-phase acks.
 func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutRequest, ps *putState, obj *kvstore.Object) (kvstore.Timestamp, bool) {
 	part := v.Partition
-	it := &batchItem{req: req, obj: obj}
+	it := &ps.item
+	it.req, it.obj = req, obj
 	max := n.cfg.PutBatchMax
 	if max <= 0 {
 		max = defaultPutBatchMax
@@ -73,7 +76,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	}
 
 	// Drain: assign timestamps and commit locally in arrival order.
-	items := make([]BatchTsItem, 0, len(b.items))
+	items := make([]TsMsg, 0, len(b.items))
 	for _, bi := range b.items {
 		n.primarySeq++
 		bi.ts = kvstore.Timestamp{
@@ -85,7 +88,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		n.finish(part, bi.req.key(), bi.obj, bi.ts, false)
 		bi.ok = true
 		n.stats.PutsPrimary++
-		items = append(items, BatchTsItem{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: bi.req.Attempt})
+		items = append(items, TsMsg{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: bi.req.Attempt})
 	}
 	n.stats.BatchCommits++
 	n.stats.BatchedPuts += int64(len(b.items))

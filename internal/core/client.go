@@ -79,7 +79,28 @@ type Client struct {
 	stack   *transport.Stack
 	udp     *transport.UDPSocket
 	pending map[uint64]*sim.Future[any]
+	// replies recycles the single-op attempts' reply futures: one is
+	// returned once its attempt's pending entry is gone — dispatch
+	// deletes the entry before it resolves the future, and a timed-out
+	// attempt deletes it itself — so no reply can reach it any more.
+	replies []*sim.Future[any]
 	seq     uint64
+}
+
+// reply takes a pending reply future off the free list, or makes one.
+func (c *Client) reply() *sim.Future[any] {
+	if n := len(c.replies); n > 0 {
+		f := c.replies[n-1]
+		c.replies = c.replies[:n-1]
+		return f
+	}
+	return sim.NewFuture[any](c.stack.Sim())
+}
+
+// recycle returns an attempt's reply future to the free list.
+func (c *Client) recycle(f *sim.Future[any]) {
+	f.Reset()
+	c.replies = append(c.replies, f)
 }
 
 // NewClient attaches a client to a host's transport stack.
@@ -197,7 +218,7 @@ func (c *Client) putAttempts(p *sim.Proc, start sim.Time, key string, value any,
 			ClientSeq:  id,
 			Attempt:    attempt,
 		}
-		f := sim.NewFuture[any](c.stack.Sim())
+		f := c.reply()
 		c.pending[id] = f
 
 		_, err := c.stack.SendMulticast(p, transport.McastOpts{
@@ -214,6 +235,7 @@ func (c *Client) putAttempts(p *sim.Proc, start sim.Time, key string, value any,
 		} else if raw, ok := f.WaitTimeout(p, c.cfg.OpTimeout); ok {
 			rep := raw.(*PutReply)
 			if rep.OK {
+				c.recycle(f)
 				return OpResult{Latency: p.Now() - start, Retries: attempt, Size: size, Version: rep.Ver}, nil
 			}
 			last = rep.Err
@@ -221,6 +243,7 @@ func (c *Client) putAttempts(p *sim.Proc, start sim.Time, key string, value any,
 			last = "timeout"
 		}
 		delete(c.pending, id)
+		c.recycle(f)
 		if attempt < c.cfg.MaxRetries {
 			c.backoff(p, attempt)
 		}
@@ -252,12 +275,13 @@ func (c *Client) getAttempts(p *sim.Proc, start sim.Time, key string, id uint64,
 		ClientPort: c.cfg.ReplyPort,
 	}
 	for attempt := first; attempt <= c.cfg.MaxRetries; attempt++ {
-		f := sim.NewFuture[any](c.stack.Sim())
+		f := c.reply()
 		c.pending[id] = f
 		r := *req // per-attempt copy: the retry counter steers harmonia's replica hash
 		r.Attempt = attempt
 		c.udp.SendTo(c.cfg.Unicast.AddrOfKey(key), c.cfg.DataPort, &r, getReqSize)
 		if raw, ok := f.WaitTimeout(p, c.cfg.OpTimeout); ok {
+			c.recycle(f)
 			rep := raw.(*GetReply)
 			return OpResult{
 				Latency: p.Now() - start,
@@ -269,6 +293,7 @@ func (c *Client) getAttempts(p *sim.Proc, start sim.Time, key string, id uint64,
 			}, nil
 		}
 		delete(c.pending, id)
+		c.recycle(f)
 		if attempt < c.cfg.MaxRetries {
 			c.backoff(p, attempt)
 		}

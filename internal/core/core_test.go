@@ -520,22 +520,212 @@ func TestPrimaryCommitPoint(t *testing.T) {
 // committedCap distinct puts, evicts the oldest first, and does not move
 // a put recorded again.
 func TestDedupMemoryIsAFIFORing(t *testing.T) {
-	n := &Node{committed: make(map[reqKey]kvstore.Timestamp)}
+	n := &Node{}
 	record := func(seq uint64) { n.recordCommit(kvstore.Timestamp{Client: 9, ClientSeq: seq}) }
-	has := func(seq uint64) bool { _, ok := n.committed[reqKey{Client: 9, Seq: seq}]; return ok }
+	has := func(seq uint64) bool { _, ok := n.committed.get(reqKey{Client: 9, Seq: seq}); return ok }
 	for seq := uint64(0); seq < committedCap+10; seq++ {
 		record(seq)
 		if seq == 5 {
 			record(0) // already held: keeps its place in the ring
 		}
 	}
-	if len(n.committed) != committedCap {
-		t.Fatalf("%d puts remembered, want %d", len(n.committed), committedCap)
+	if n.committed.n != committedCap {
+		t.Fatalf("%d puts remembered, want %d", n.committed.n, committedCap)
 	}
 	for seq := uint64(0); seq < committedCap+10; seq++ {
 		if want := seq >= 10; has(seq) != want {
 			t.Errorf("put %d remembered=%v, want %v", seq, has(seq), want)
 		}
+	}
+}
+
+// TestRecycledPutStateStartsClean: a released put state leaves Node.puts
+// and, registered again for another put, carries nothing of the last one
+// — no acks, no verdict, no wake signals, no batch slot, an empty quorum
+// buffer that keeps its capacity.
+func TestRecycledPutStateStartsClean(t *testing.T) {
+	s, a, _ := pair(t)
+	defer s.Shutdown()
+	cfg := DefaultNodeConfig()
+	cfg.Addr.IP = a.IP()
+	n := NewNode(a, cfg)
+	view := &controller.PartitionView{Replicas: []controller.NodeAddr{{Index: 0}, {Index: 1}, {Index: 2}},
+		Recovering: []controller.NodeAddr{{Index: 3}}}
+
+	req := &PutRequest{Key: "k", Client: 9, ClientSeq: 1}
+	ps := n.registerPut(req, 7)
+	for _, i := range []int{1, 2, 70} {
+		ps.ack1.add(i)
+		ps.ack2.add(i)
+	}
+	ps.sig.Push(struct{}{})
+	ps.sig.Push(struct{}{})
+	ps.ts.Set(&TsMsg{Req: req.key()})
+	if need, want := n.ackQuorum(view, ps); want != 3 || len(need) != 3 || need[2].Index != 3 {
+		t.Fatalf("quorum %v of %d, want nodes 1, 2, 3 of 3", need, want)
+	}
+	ps.item = batchItem{req: req, obj: &kvstore.Object{Key: "k"}, ts: kvstore.Timestamp{PrimarySeq: 1}, ok: true}
+	n.releasePut(ps)
+	if _, live := n.puts[req.key()]; live {
+		t.Fatal("the released state is still registered")
+	}
+
+	next := &PutRequest{Key: "j", Client: 9, ClientSeq: 2}
+	again := n.registerPut(next, 8)
+	if again != ps {
+		t.Fatal("registerPut did not take the released state")
+	}
+	switch {
+	case again.req != next || again.coord != 8 || again.gen != n.restartGen || n.puts[next.key()] != again:
+		t.Errorf("registered as req %p coord %v gen %d", again.req, again.coord, again.gen)
+	case again.ack1.low != 0 || again.ack1.high != nil || again.ack2.low != 0 || again.ack2.high != nil:
+		t.Errorf("ack sets carried over: %+v %+v", again.ack1, again.ack2)
+	case again.ts.Done() || again.sig.Len() != 0:
+		t.Errorf("verdict set %v, %d wake signals left", again.ts.Done(), again.sig.Len())
+	case again.item != (batchItem{}):
+		t.Errorf("batch slot carried over: %+v", again.item)
+	case len(again.quorum) != 0 || cap(again.quorum) == 0:
+		t.Errorf("quorum buffer len %d cap %d, want empty with its capacity", len(again.quorum), cap(again.quorum))
+	}
+}
+
+// TestStaleHandlerReleaseSparesTheRetry: a handler that outlived a
+// Restart releases its put state without touching the registration a
+// retry of the same put made in the new incarnation.
+func TestStaleHandlerReleaseSparesTheRetry(t *testing.T) {
+	s, a, _ := pair(t)
+	defer s.Shutdown()
+	cfg := DefaultNodeConfig()
+	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
+	n := NewNode(a, cfg)
+	n.Start()
+	stale := n.registerPut(&PutRequest{Key: "k", Client: 9, ClientSeq: 1}, 0)
+	n.Restart()
+	retry := n.registerPut(&PutRequest{Key: "k", Client: 9, ClientSeq: 1, Attempt: 1}, 0)
+	if !n.stale(stale) || n.stale(retry) {
+		t.Fatalf("stale=%v, retry stale=%v", n.stale(stale), n.stale(retry))
+	}
+	n.releasePut(stale)
+	if n.puts[reqKey{Client: 9, Seq: 1}] != retry {
+		t.Fatal("releasing the stale handler's state dropped the retry's registration")
+	}
+	if n.freePuts != stale {
+		t.Fatal("the stale state was not recycled")
+	}
+}
+
+// TestSteadyPutBookkeepingAllocatesNothing: with the free list and the
+// dedup ring full, a put's registration, its quorum, its verdict routed in
+// place from a batched commit, its dedup record and its release allocate
+// nothing.
+func TestSteadyPutBookkeepingAllocatesNothing(t *testing.T) {
+	s, a, _ := pair(t)
+	defer s.Shutdown()
+	cfg := DefaultNodeConfig()
+	cfg.Addr.IP = a.IP()
+	n := NewNode(a, cfg)
+	view := &controller.PartitionView{Replicas: []controller.NodeAddr{{Index: 0}, {Index: 1}, {Index: 2}}}
+	const coord = 7
+	stamp := func(seq uint64) kvstore.Timestamp {
+		return kvstore.Timestamp{Primary: coord, PrimarySeq: seq, Client: 9, ClientSeq: seq}
+	}
+	for seq := uint64(1); seq <= committedCap; seq++ {
+		n.recordCommit(stamp(seq))
+	}
+	req := &PutRequest{Key: "k", Client: 9}
+	batch := &BatchTsMsg{Items: make([]TsMsg, 1)}
+	round := func() {
+		req.ClientSeq++
+		ps := n.registerPut(req, coord)
+		n.ackQuorum(view, ps)
+		batch.Items[0] = TsMsg{Req: req.key(), Key: req.Key, Ts: stamp(committedCap + req.ClientSeq)}
+		n.deliverTs(&batch.Items[0], coord)
+		if ps.ts.Value() != &batch.Items[0] {
+			t.Fatal("the batched verdict was not routed in place")
+		}
+		n.recordCommit(ps.ts.Value().Ts)
+		n.releasePut(ps)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("a steady put's bookkeeping allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestBatchedCommitMatchesSingle: a secondary holding a prepared put ends
+// in the same state whether the primary's verdict reaches it as a TsMsg
+// or as an item of a BatchTsMsg, and an item for a put it has not seen is
+// buffered exactly like the TsMsg it stands for.
+func TestBatchedCommitMatchesSingle(t *testing.T) {
+	const dataPort = 7000
+	type outcome struct {
+		Obj            kvstore.Object
+		Locked, Logged bool
+		Live           int
+		Dedup          kvstore.Timestamp
+		Stats          NodeStats
+		Early          TsMsg
+		Ack2           bool
+	}
+	run := func(batched bool) (out outcome) {
+		s, a, b := pair(t)
+		defer s.Shutdown()
+		cfg := DefaultNodeConfig()
+		cfg.Addr = controller.NodeAddr{Index: 1, IP: b.IP(), MAC: b.Host().MAC(), DataPort: dataPort, CtrlPort: 7001}
+		cfg.Space = ring.NewSpace(4)
+		n := NewNode(b, cfg)
+		n.Start()
+		primary := controller.NodeAddr{Index: 0, IP: a.IP(), MAC: a.Host().MAC(), DataPort: dataPort}
+		n.applyView(&controller.PartitionView{Partition: cfg.Space.PartitionOf("k"), Epoch: 1,
+			GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{primary, cfg.Addr}}, false)
+
+		req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: 9, ClientSeq: 1}
+		commit := TsMsg{Req: req.key(), Key: "k", Ts: kvstore.Timestamp{Primary: a.IP(), PrimarySeq: 4, Client: 9, ClientSeq: 1}}
+		early := TsMsg{Req: reqKey{Client: 9, Seq: 2}, Key: "k2",
+			Ts: kvstore.Timestamp{Primary: a.IP(), PrimarySeq: 5, Client: 9, ClientSeq: 2}}
+		sock := a.MustBindUDP(dataPort)
+		s.Spawn("primary", func(p *sim.Proc) {
+			for {
+				d, ok := sock.Recv(p)
+				if !ok {
+					return
+				}
+				switch d.Data.(type) {
+				case *Ack1:
+					if batched {
+						sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{commit, early}}, batchHeader+2*tsMsgSize)
+					} else {
+						c, e := commit, early
+						sock.SendTo(b.IP(), dataPort, &c, tsMsgSize)
+						sock.SendTo(b.IP(), dataPort, &e, tsMsgSize)
+					}
+				case *Ack2:
+					out.Ack2 = true
+				}
+			}
+		})
+		s.Spawn("put", func(p *sim.Proc) { n.handlePut(p, req) })
+		if err := s.RunUntil(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if obj, ok := n.store.Peek("k"); ok {
+			out.Obj = *obj
+		}
+		out.Locked, out.Logged, out.Live = n.store.Locked("k"), n.store.HasLog("k"), len(n.puts)
+		out.Dedup, _ = n.committed.get(req.key())
+		out.Stats = n.stats
+		if o := n.orphans[early.Req]; o != nil && o.ts != nil {
+			out.Early = *o.ts
+		}
+		return out
+	}
+	single, batched := run(false), run(true)
+	if !reflect.DeepEqual(single, batched) {
+		t.Fatalf("single commit left %+v\nbatched commit left %+v", single, batched)
+	}
+	if !single.Ack2 || single.Obj.Value != "v" || single.Obj.Version.PrimarySeq != 4 || single.Dedup.PrimarySeq != 4 ||
+		single.Locked || single.Logged || single.Live != 0 || single.Early.Key != "k2" {
+		t.Fatalf("the secondary did not commit the put and buffer the early verdict: %+v", single)
 	}
 }
 

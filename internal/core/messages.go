@@ -152,28 +152,14 @@ type BatchPutRequest struct {
 	Ops []*PutRequest
 }
 
-// BatchTsItem is one operation's slice of a batched commit multicast;
-// it carries exactly the fields of a TsMsg.
-type BatchTsItem struct {
-	Req     reqKey
-	Key     string
-	Ts      kvstore.Timestamp
-	Abort   bool
-	Attempt int
-	Dup     bool
-}
-
 // BatchTsMsg is the primary's batched commit: the put accumulator packs
 // the timestamps of co-arriving commits for one partition into a single
-// multicast. Receivers route each item to its per-op put state (or the
-// late-timestamp path), exactly as if it had arrived as its own TsMsg.
+// multicast. Receivers route a pointer to each item to its per-op put
+// state (or the late-timestamp path), exactly as if it had arrived as its
+// own TsMsg — every group member shares the items, as it shares a
+// multicast TsMsg, and no receiver writes to one.
 type BatchTsMsg struct {
-	Items []BatchTsItem
-}
-
-// asTsMsg expands one item back into the equivalent single-op message.
-func (it *BatchTsItem) asTsMsg() *TsMsg {
-	return &TsMsg{Req: it.Req, Key: it.Key, Ts: it.Ts, Abort: it.Abort, Attempt: it.Attempt, Dup: it.Dup}
+	Items []TsMsg
 }
 
 // BatchGetRequest is a client's batched read: MultiGet (and the traffic

@@ -136,13 +136,21 @@ func (s *nodeSet) merge(o *nodeSet) {
 	}
 }
 
-// putState tracks one in-flight put at a participant.
+// putState tracks one in-flight put at a participant. States are
+// recycled through the node's free list (registerPut, releasePut): the
+// put's handler owns one from registration to release, and everything
+// else reaches it only through Node.puts.
 type putState struct {
 	req  *PutRequest
 	ack1 nodeSet
 	ack2 nodeSet
 	sig  *sim.Queue[struct{}]
 	ts   *sim.Future[*TsMsg]
+	// quorum is ackQuorum's participant buffer, and item the put's slot in
+	// a commit batch (batch.go).
+	quorum []controller.NodeAddr
+	item   batchItem
+	next   *putState // free-list link
 	// coord is the primary this node acknowledges the put to; only its
 	// timestamp messages are verdicts on the put. A deposed primary not
 	// yet told may still commit its own attempt of the same operation, at
@@ -194,9 +202,13 @@ type Node struct {
 	handoffFor map[int]bool
 	joined     map[netsim.IP]bool
 
-	puts       map[reqKey]*putState
-	orphans    map[reqKey]*orphanState
-	orphanAge  []orphanRef // the last orphanCap buffers created, oldest first
+	puts     map[reqKey]*putState
+	freePuts *putState // released put states, linked through next
+	orphans  map[reqKey]*orphanState
+	// orphanAge is a ring of the last orphanCap buffers created; once
+	// full, the oldest sits at orphanHead.
+	orphanAge  []orphanRef
+	orphanHead int
 	primarySeq uint64
 	stats      NodeStats
 	recovering bool
@@ -230,9 +242,12 @@ type Node struct {
 	// retry a fresh — still convergent — protocol round. committedLog is
 	// a ring of committed's keys in arrival order; once full, the oldest
 	// sits at committedHead.
-	committed     map[reqKey]kvstore.Timestamp
+	committed     dedupTable
 	committedLog  []reqKey
 	committedHead int
+
+	// names holds the per-op procs' names, built once in Start.
+	names struct{ put, get, fwdget, rget, bget string }
 }
 
 // committedCap bounds the put-dedup memory.
@@ -258,7 +273,6 @@ func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
 		resolving:    make(map[int]bool),
 		syncing:      make(map[int]bool),
 		cpu:          sim.NewResource(stack.Sim()),
-		committed:    make(map[reqKey]kvstore.Timestamp),
 		staleHandoff: make(map[int]map[string]bool),
 		reads:        make(map[string]*readState),
 		batches:      make(map[int]*putBatch),
@@ -267,17 +281,17 @@ func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
 
 // recordCommit remembers a committed put for retry deduplication.
 func (n *Node) recordCommit(ts kvstore.Timestamp) {
-	k := reqKey{Client: ts.Client, Seq: ts.ClientSeq}
-	if _, ok := n.committed[k]; !ok {
+	k := tsKey(ts)
+	if _, ok := n.committed.get(k); !ok {
 		if len(n.committedLog) < committedCap {
 			n.committedLog = append(n.committedLog, k)
 		} else {
-			delete(n.committed, n.committedLog[n.committedHead])
+			n.committed.del(n.committedLog[n.committedHead])
 			n.committedLog[n.committedHead] = k
 			n.committedHead = (n.committedHead + 1) % committedCap
 		}
 	}
-	n.committed[k] = ts
+	n.committed.put(ts)
 }
 
 // Store exposes the local engine (tests and experiments inspect it).
@@ -298,6 +312,8 @@ func (n *Node) Start() {
 	n.mcast = n.stack.MustBindMulticast(n.cfg.Addr.DataPort)
 	n.ctrl = n.stack.MustBindUDP(n.cfg.Addr.CtrlPort)
 	ln := n.stack.MustListen(n.cfg.Addr.DataPort)
+	n.names.put, n.names.get, n.names.fwdget = n.name("put"), n.name("get"), n.name("fwdget")
+	n.names.rget, n.names.bget = n.name("rget"), n.name("bget")
 
 	n.s.Spawn(n.name("hb"), n.heartbeatLoop)
 	n.s.Spawn(n.name("ctrl"), n.ctrlLoop)
@@ -318,6 +334,7 @@ func (n *Node) Start() {
 	})
 }
 
+// name builds a proc name for a rare spawn; the per-op ones are n.names.
 func (n *Node) name(role string) string {
 	return "node" + itoa(n.cfg.Addr.Index) + "-" + role
 }
@@ -589,7 +606,7 @@ func (n *Node) replicaDataLoop(p *sim.Proc) {
 		}
 		if m, ok := d.Data.(*GetRequest); ok {
 			req := m
-			n.s.Spawn(n.name("rget"), func(p *sim.Proc) { n.handleGet(p, req, false, true) })
+			n.s.Spawn(n.names.rget, func(p *sim.Proc) { n.handleGet(p, req, false, true) })
 		}
 	}
 }
@@ -605,10 +622,10 @@ func (n *Node) dataLoop(p *sim.Proc) {
 		switch m := d.Data.(type) {
 		case *GetRequest:
 			req := m
-			n.s.Spawn(n.name("get"), func(p *sim.Proc) { n.handleGet(p, req, false, false) })
+			n.s.Spawn(n.names.get, func(p *sim.Proc) { n.handleGet(p, req, false, false) })
 		case *ForwardedGet:
 			req := m.Req
-			n.s.Spawn(n.name("fwdget"), func(p *sim.Proc) { n.handleGet(p, &req, true, false) })
+			n.s.Spawn(n.names.fwdget, func(p *sim.Proc) { n.handleGet(p, &req, true, false) })
 		case *Ack1:
 			if m.Committed != nil {
 				// A verdict to this node as the put's coordinator.
@@ -630,15 +647,15 @@ func (n *Node) dataLoop(p *sim.Proc) {
 		case *TsMsg:
 			n.deliverTs(m, d.From)
 		case *BatchTsMsg:
-			// A batched commit is its items: each routes to its own put
-			// state (or the late-timestamp path) exactly as if it had
-			// arrived as a single TsMsg.
+			// A batched commit is its items: each routes, in place, to its
+			// own put state (or the late-timestamp path) exactly as if it
+			// had arrived as a single TsMsg.
 			for i := range m.Items {
-				n.deliverTs(m.Items[i].asTsMsg(), d.From)
+				n.deliverTs(&m.Items[i], d.From)
 			}
 		case *BatchGetRequest:
 			reqs := m.Reqs
-			n.s.Spawn(n.name("bget"), func(p *sim.Proc) {
+			n.s.Spawn(n.names.bget, func(p *sim.Proc) {
 				for _, r := range reqs {
 					n.handleGet(p, r, false, false)
 				}
@@ -674,28 +691,29 @@ func (n *Node) orphan(k reqKey) *orphanState {
 	if o == nil {
 		o = &orphanState{}
 		n.orphans[k] = o
-		n.orphanAge = append(n.orphanAge, orphanRef{k, o})
-		if len(n.orphanAge) > orphanCap {
-			old := n.orphanAge[0]
-			n.orphanAge = n.orphanAge[1:]
-			if n.orphans[old.k] == old.o {
-				delete(n.orphans, old.k)
-			}
+		if len(n.orphanAge) < orphanCap {
+			n.orphanAge = append(n.orphanAge, orphanRef{k, o})
+			return o
 		}
+		if old := n.orphanAge[n.orphanHead]; n.orphans[old.k] == old.o {
+			delete(n.orphans, old.k)
+		}
+		n.orphanAge[n.orphanHead] = orphanRef{k, o}
+		n.orphanHead = (n.orphanHead + 1) % orphanCap
 	}
 	return o
 }
 
-// registerPut installs put state for a put coordinated by coord, merging
-// any messages that arrived early.
+// registerPut installs put state, taken from the free list, for a put
+// coordinated by coord, merging any messages that arrived early.
 func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
-	ps := &putState{
-		req:   req,
-		sig:   sim.NewQueue[struct{}](n.s),
-		ts:    sim.NewFuture[*TsMsg](n.s),
-		coord: coord,
-		gen:   n.restartGen,
+	ps := n.freePuts
+	if ps != nil {
+		n.freePuts, ps.next = ps.next, nil
+	} else {
+		ps = &putState{sig: sim.NewQueue[struct{}](n.s), ts: sim.NewFuture[*TsMsg](n.s)}
 	}
+	ps.req, ps.coord, ps.gen = req, coord, n.restartGen
 	k := req.key()
 	if o, ok := n.orphans[k]; ok {
 		delete(n.orphans, k)
@@ -707,6 +725,26 @@ func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 	}
 	n.puts[k] = ps
 	return ps
+}
+
+// releasePut ends a put handler's ownership of ps: it leaves Node.puts
+// unless Restart replaced the map and a retry registered there, and goes
+// on the free list with its wait queue and verdict future reset
+// (leftover ack signals are dropped). The handler calls it on return, not
+// in a defer: Simulator.Shutdown unwinds a parked handler by panicking
+// out of its wait, with its waiter still on ps, and such a state is
+// dropped with the simulator instead.
+func (n *Node) releasePut(ps *putState) {
+	if k := ps.req.key(); n.puts[k] == ps {
+		delete(n.puts, k)
+	}
+	ps.sig.Reset()
+	ps.ts.Reset()
+	ps.req, ps.coord, ps.gen = nil, 0, 0
+	ps.ack1, ps.ack2 = nodeSet{}, nodeSet{}
+	ps.quorum = ps.quorum[:0]
+	ps.item = batchItem{}
+	ps.next, n.freePuts = n.freePuts, ps
 }
 
 // mcastLoop receives put transfers and spawns a handler per put. A
@@ -722,11 +760,11 @@ func (n *Node) mcastLoop(p *sim.Proc) {
 		switch m := tr.Data.(type) {
 		case *PutRequest:
 			req := m
-			n.s.Spawn(n.name("put"), func(p *sim.Proc) { n.handlePut(p, req) })
+			n.s.Spawn(n.names.put, func(p *sim.Proc) { n.handlePut(p, req) })
 		case *BatchPutRequest:
 			for _, req := range m.Ops {
 				req := req
-				n.s.Spawn(n.name("put"), func(p *sim.Proc) { n.handlePut(p, req) })
+				n.s.Spawn(n.names.put, func(p *sim.Proc) { n.handlePut(p, req) })
 			}
 		}
 	}
@@ -769,10 +807,10 @@ func (n *Node) Restart() {
 	n.store.ResetLocks()
 	n.puts = make(map[reqKey]*putState)
 	n.orphans = make(map[reqKey]*orphanState)
-	n.orphanAge = nil
+	n.orphanAge, n.orphanHead = n.orphanAge[:0], 0
 	// So does the dedup memory: a durable store may have lost a commit it
 	// records (a crash before the fsync), which a retry must not be acked on.
-	n.committed = make(map[reqKey]kvstore.Timestamp)
+	n.committed.reset()
 	n.committedLog, n.committedHead = n.committedLog[:0], 0
 	n.pool.CloseAll()
 	// Leave all groups until the controller re-adds us.

@@ -36,7 +36,7 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 		// (same request ID) will satisfy the client's retry.
 		return
 	}
-	if ts, ok := n.committed[k]; ok {
+	if ts, ok := n.committed.get(k); ok {
 		n.duplicatePut(p, v, req, ts, isPrimary)
 		return
 	}
@@ -52,16 +52,17 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 	}
 
 	ps := n.registerPut(req, v.Primary().IP)
-	defer func() {
-		// Post-restart, a retry of the same put may have re-registered
-		// under this key; only remove our own state.
-		if n.puts[k] == ps {
-			delete(n.puts, k)
-		}
-	}()
 	if Debug {
 		dbg("%v node%d handlePut %s primary=%v", p.Now(), me, req.Key, isPrimary)
 	}
+	n.preparePut(p, v, req, ps, isPrimary, part)
+	n.releasePut(ps)
+}
+
+// preparePut runs phase one for the put registered as ps and hands the
+// prepared object to the commit phase of this node's role.
+func (n *Node) preparePut(p *sim.Proc, v *controller.PartitionView, req *PutRequest, ps *putState, isPrimary bool, part int) {
+	k := req.key()
 	n.cpu.Use(p, n.cfg.CPUPerOp)
 	if n.stale(ps) {
 		return
@@ -135,39 +136,41 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 		return
 	}
 	ps := n.registerPut(req, n.cfg.Addr.IP)
-	defer func() {
-		if n.puts[k] == ps {
-			delete(n.puts, k)
-		}
-	}()
 	n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: k, Key: req.Key, Ts: ts, Dup: true}, tsMsgSize)
-	need, want := n.ackQuorum(v)
-	if !n.waitAcks(p, ps, &ps.ack2, need, want) {
-		if n.stale(ps) {
-			return
+	need, want := n.ackQuorum(v, ps)
+	acked := n.waitAcks(p, ps, &ps.ack2, need, want)
+	if !n.stale(ps) {
+		if acked {
+			n.replyPut(req, true, "", ts.PrimarySeq)
+		} else {
+			// The client retries; replicas keep converging via the WAL/dedup
+			// paths until the whole set confirms.
+			n.replyPut(req, false, "replica unresponsive in commit phase", 0)
 		}
-		// The client retries; replicas keep converging via the WAL/dedup
-		// paths until the whole set confirms.
-		n.replyPut(req, false, "replica unresponsive in commit phase", 0)
-		return
 	}
-	if n.stale(ps) {
-		return
-	}
-	n.replyPut(req, true, "", ts.PrimarySeq)
+	n.releasePut(ps)
 }
 
-// othersOf lists the put participants excluding this node, filtering
-// PutParticipants' fresh slice in place.
+// othersOf lists the put participants excluding this node, in a fresh
+// slice.
 func (n *Node) othersOf(v *controller.PartitionView) []controller.NodeAddr {
-	all := v.PutParticipants()
-	out := all[:0]
-	for _, r := range all {
+	return n.appendOthers(make([]controller.NodeAddr, 0, len(v.Replicas)+len(v.Recovering)), v)
+}
+
+// appendOthers appends the put participants of v other than this node to
+// dst, replicas first (PutParticipants' order).
+func (n *Node) appendOthers(dst []controller.NodeAddr, v *controller.PartitionView) []controller.NodeAddr {
+	for _, r := range v.Replicas {
 		if r.Index != n.cfg.Addr.Index {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out
+	for _, r := range v.Recovering {
+		if r.Index != n.cfg.Addr.Index {
+			dst = append(dst, r)
+		}
+	}
+	return dst
 }
 
 // ackQuorum returns the nodes whose acks may count toward the commit
@@ -178,14 +181,14 @@ func (n *Node) othersOf(v *controller.PartitionView) []controller.NodeAddr {
 // substitute for a proper member's — the controller may later drop the
 // stand-in from the view with no data transfer, so a quorum that leaned
 // on it would leave an acked version held only by nodes that can all
-// leave the member set at once.
-func (n *Node) ackQuorum(v *controller.PartitionView) ([]controller.NodeAddr, int) {
-	others := n.othersOf(v)
+// leave the member set at once. The nodes are listed in ps's buffer.
+func (n *Node) ackQuorum(v *controller.PartitionView, ps *putState) ([]controller.NodeAddr, int) {
+	ps.quorum = n.appendOthers(ps.quorum[:0], v)
 	if n.cfg.QuorumK <= 0 {
-		return others, len(others)
+		return ps.quorum, len(ps.quorum)
 	}
-	var proper []controller.NodeAddr
-	for _, r := range others {
+	proper := ps.quorum[:0]
+	for _, r := range ps.quorum {
 		if v.Handoff != nil && r.Index == v.Handoff.Index {
 			continue
 		}
@@ -249,7 +252,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	if n.stale(ps) {
 		return
 	}
-	need, want := n.ackQuorum(v)
+	need, want := n.ackQuorum(v, ps)
 
 	acked := n.waitAcks(p, ps, &ps.ack1, need, want)
 	if n.stale(ps) {

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -167,6 +168,55 @@ func TestLockTimeout(t *testing.T) {
 	}
 	if !timedOut || !gotLater {
 		t.Fatalf("timedOut=%v gotLater=%v", timedOut, gotLater)
+	}
+}
+
+// TestRecycledLockStateKeepsFIFOAndWithdrawal: a lock whose state came
+// off the free list grants its waiters in arrival order, a waiter that
+// timed out withdraws and is never granted, and the freed state is pooled
+// again; taking and releasing a free lock allocates nothing.
+func TestRecycledLockStateKeepsFIFOAndWithdrawal(t *testing.T) {
+	s := sim.New(1)
+	st := New(s, NullDisk())
+	st.Lock(nil, "other", PutID{Seq: 99}, 0) // a free lock never parks
+	st.Release("other", PutID{Seq: 99})
+	pooled := st.freeLocks[len(st.freeLocks)-1]
+
+	var order []string
+	timedOut := false
+	hold := func(name string, id uint64, delay, timeout sim.Time) {
+		s.Spawn(name, func(p *sim.Proc) {
+			p.Sleep(delay)
+			if !st.Lock(p, "k", PutID{Seq: id}, timeout) {
+				timedOut = true
+				return
+			}
+			if name == "a" && st.locks["k"] != pooled {
+				t.Error("the first lock did not take the pooled state")
+			}
+			order = append(order, name)
+			p.Sleep(10 * time.Millisecond)
+			st.Release("k", PutID{Seq: id})
+		})
+	}
+	hold("a", 1, 0, 0)
+	hold("b", 2, time.Millisecond, 0)
+	hold("late", 3, 2*time.Millisecond, 5*time.Millisecond) // gives up while a holds
+	hold("c", 4, 3*time.Millisecond, 0)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !timedOut || !slices.Equal(order, []string{"a", "b", "c"}) {
+		t.Fatalf("order %v, timed out %v; want [a b c], true", order, timedOut)
+	}
+	if st.Locked("k") || len(st.freeLocks) != 1 || st.freeLocks[0] != pooled {
+		t.Fatalf("after the last release: locked %v, %d pooled", st.Locked("k"), len(st.freeLocks))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		st.Lock(nil, "k", PutID{Seq: 5}, 0)
+		st.Release("k", PutID{Seq: 5})
+	}); n != 0 {
+		t.Fatalf("a free lock's take and release allocate %v objects, want 0", n)
 	}
 }
 

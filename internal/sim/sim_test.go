@@ -321,6 +321,52 @@ func TestFutureDoubleSetPanics(t *testing.T) {
 	f.Set(2)
 }
 
+// TestResetRefusesAParkedWaiter: a queue or future reset while a process
+// waits on it panics; reset once its waiter left, it is fresh — buffered
+// items dropped, a closed queue reopened, a resolved future pending.
+func TestResetRefusesAParkedWaiter(t *testing.T) {
+	mustPanic := func(what string, reset func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s reset under a parked waiter did not panic", what)
+			}
+		}()
+		reset()
+	}
+	s := New(1)
+	q := NewQueue[int](s)
+	f := NewFuture[int](s)
+	s.Spawn("queue waiter", func(p *Proc) { q.PopTimeout(p, ms(10)) })
+	s.Spawn("future waiter", func(p *Proc) { f.Wait(p) })
+	if err := s.RunUntil(ms(1)); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("queue", q.Reset)
+	mustPanic("future", f.Reset)
+	f.Set(7)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	q.Push(1)
+	q.Push(2)
+	q.Close()
+	q.Reset()
+	f.Reset()
+	if q.Len() != 0 || f.Done() {
+		t.Fatalf("after reset: queue holds %d, future done=%v", q.Len(), f.Done())
+	}
+	q.Push(3)
+	if v, ok := q.TryPop(); !ok || v != 3 {
+		t.Fatalf("reset queue: TryPop = %d,%v, want 3,true", v, ok)
+	}
+	f.Set(8)
+	if f.Value() != 8 {
+		t.Fatalf("reset future resolved to %d, want 8", f.Value())
+	}
+}
+
 func TestGroup(t *testing.T) {
 	s := New(1)
 	g := NewGroup(s)

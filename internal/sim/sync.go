@@ -109,6 +109,18 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 	return q.take(), true
 }
 
+// Reset returns the queue to its fresh state for reuse: buffered items
+// are dropped (their buffer's capacity kept) and a closed queue reopens.
+// It panics if a process is parked on the queue — only the queue's last
+// reader may recycle it.
+func (q *Queue[T]) Reset() {
+	if q.waiters.head != nil {
+		panic("sim: Queue.Reset with a parked waiter")
+	}
+	clear(q.items)
+	q.items, q.head, q.closed = q.items[:0], 0, false
+}
+
 // Future is a write-once value that processes can await. It is the
 // rendezvous for request/reply protocols.
 type Future[T any] struct {
@@ -137,6 +149,16 @@ func (f *Future[T]) Set(v T) {
 
 // Done reports whether the future is resolved.
 func (f *Future[T]) Done() bool { return f.set }
+
+// Reset returns the future to its pending state for reuse. It panics if a
+// process is parked on the future — only its last waiter may recycle it.
+func (f *Future[T]) Reset() {
+	if f.waiters.head != nil {
+		panic("sim: Future.Reset with a parked waiter")
+	}
+	var zero T
+	f.value, f.set = zero, false
+}
 
 // Value returns the resolved value; it panics if the future is pending.
 func (f *Future[T]) Value() T {
