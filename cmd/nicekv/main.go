@@ -149,12 +149,8 @@ func main() {
 			commits, meanBatch, combined, coalGets)
 		if *durable {
 			sc := d.StorageCounters()
-			meanSync := 0.0
-			if sc.Fsyncs > 0 {
-				meanSync = float64(sc.FsyncedRecords) / float64(sc.Fsyncs)
-			}
 			fmt.Printf("batching: fsyncs=%d coalesced fsyncs=%d records/fsync=%.2f\n",
-				sc.Fsyncs, sc.CoalescedSyncs, meanSync)
+				sc.Fsyncs, sc.CoalescedSyncs, sc.MeanSyncBatch())
 		}
 	}
 	if d.Cache != nil {

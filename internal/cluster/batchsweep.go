@@ -222,9 +222,7 @@ func runBatchCell(pr Params, cell BatchCell) (BatchCell, error) {
 		cell.WALAppends = sc.WALAppends
 		cell.Fsyncs = sc.Fsyncs
 		cell.CoalescedSyncs = sc.CoalescedSyncs
-		if sc.Fsyncs > 0 {
-			cell.MeanSyncBatch = float64(sc.FsyncedRecords) / float64(sc.Fsyncs)
-		}
+		cell.MeanSyncBatch = sc.MeanSyncBatch()
 		return nil
 	})
 	return cell, err

@@ -48,7 +48,6 @@ func cacheSweepBase(seed int64, nodes, clients int) Options {
 		opts.R = nodes
 	}
 	opts.CacheCapacity = 64
-	opts.CacheSampleEvery = 1
 	// Install quickly: the sweeps run far fewer ops than a production
 	// trace, so the detector must react within the measured window.
 	opts.CacheHotThreshold = 4

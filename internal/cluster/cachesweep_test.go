@@ -18,7 +18,6 @@ func cacheTestOpts(seed int64) Options {
 	opts.R = 3
 	opts.Cache = true
 	opts.CacheCapacity = 32
-	opts.CacheSampleEvery = 1
 	opts.CacheHotThreshold = 3
 	return opts
 }

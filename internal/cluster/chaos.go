@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/checker"
 	"repro/internal/core"
+	"repro/internal/ctrlchain"
 	"repro/internal/faultinject"
 	"repro/internal/kvstore"
 	"repro/internal/sim"
@@ -106,7 +107,7 @@ func chaosSystems() []chaosSystem {
 		// name it had when the chain was an option of its own, so old repro
 		// lines still parse. Appended last: cell seeds derive from sweep
 		// position (see the durable cell's note).
-		{name: "NICEKV+ctrlchain", arm: "NICEKV+LB+cache+standby", weights: ctrlWeights(), chainNodes: 3},
+		{name: "NICEKV+ctrlchain", arm: "NICEKV+LB+cache+standby", weights: ctrlWeights(), chainNodes: ctrlchain.Replicas},
 		// The harmonia cell routes reads through the in-switch dirty set
 		// under the mode's most adversarial write protocol: any-k quorum
 		// puts, where an acknowledged commit can leave laggard replicas
@@ -176,7 +177,6 @@ func chaosOptions(seed int64) Options {
 func chaosCellOptions(seed int64) Options {
 	opts := chaosOptions(seed)
 	opts.CacheHotThreshold = 4
-	opts.CacheSampleEvery = 1
 	opts.CacheDecayEvery = 200 * time.Millisecond
 	opts.StoreMemoryBudget = int64(len(chaosKeys) * chaosValSize / 2)
 	opts.StoreShards = 2

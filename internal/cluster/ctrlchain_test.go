@@ -232,7 +232,6 @@ func TestSplitBrainZombieControllerIsFenced(t *testing.T) {
 	opts := ctrlChainOptions()
 	opts.Cache = true
 	opts.CacheHotThreshold = 4
-	opts.CacheSampleEvery = 1
 	d := NewNICE(opts)
 	if err := d.Settle(); err != nil {
 		t.Fatal(err)

@@ -90,7 +90,6 @@ func ctrlSweepBase(seed int64) Options {
 	opts.RetryWait = 2 * time.Millisecond
 	opts.RetryMaxWait = 4 * time.Millisecond
 	opts.CacheHotThreshold = 4
-	opts.CacheSampleEvery = 1
 	return opts
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -18,9 +19,9 @@ const (
 	ablEdgeGets = 20  // abl-edgeovs: gets of the one object
 	ablLBGets   = 30  // abl-lb: gets per client
 	ablDynGets  = 250 // abl-dynamiclb: gets per unit of client weight
-	// ablDynWarmup is one rebalance period (2 s) plus a second of slack: the
+	// ablDynWarmup is one rebalance period plus a second of slack: the
 	// measured tail starts after the rebalancer has acted.
-	ablDynWarmup = 3 * time.Second
+	ablDynWarmup = controller.RebalanceEvery + time.Second
 )
 
 // Ablations runs the four ablations: replication strategy, edge-OVS

@@ -326,10 +326,9 @@ func gossipDissemination(d *NOOB) (msgs int64, rounds int, err error) {
 	for _, st := range d.Stacks {
 		ips = append(ips, st.IP())
 	}
-	cfg := noob.DefaultGossipConfig()
 	var members []*noob.GossipMember
 	for i, st := range d.Stacks {
-		g := noob.NewGossipMember(st, cfg, i, ips, 7100)
+		g := noob.NewGossipMember(st, i, ips, 7100)
 		g.Start()
 		members = append(members, g)
 	}
@@ -337,7 +336,7 @@ func gossipDissemination(d *NOOB) (msgs int64, rounds int, err error) {
 	deadline := d.Sim.Now()
 	allKnow := -1
 	for step := 1; step <= 4*len(members); step++ {
-		deadline += cfg.Period
+		deadline += noob.GossipPeriod
 		if err := d.Sim.RunUntil(deadline); err != nil {
 			return 0, 0, err
 		}

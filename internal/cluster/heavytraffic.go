@@ -116,7 +116,7 @@ func runTrafficCell(label, arm string, base Options, clients int, rate float64, 
 		}
 		if d.Opts.DurableStore {
 			sc := d.StorageCounters()
-			cell.MemHitFrac = sc.HitRate()
+			cell.MemHitFrac = sc.MemHitRatio()
 			cell.Evictions = sc.Evictions
 		}
 		return nil

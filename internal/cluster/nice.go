@@ -13,7 +13,6 @@ import (
 	"repro/internal/ctrlchain"
 	"repro/internal/harmonia"
 	"repro/internal/kvstore"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
 	"repro/internal/ring"
@@ -55,11 +54,11 @@ type Options struct {
 	Link         netsim.LinkConfig
 	Disk         kvstore.DiskConfig
 	Heartbeat    sim.Time
-	AckTimeout   sim.Time // protocol-phase wait (0 = node default)
+	AckTimeout   sim.Time // protocol-phase wait
 	OpTimeout    sim.Time
 	RetryWait    sim.Time
-	RetryMaxWait sim.Time // back-off cap (0 = client default)
-	MaxRetries   int      // per-op retry budget (0 = client default)
+	RetryMaxWait sim.Time // back-off cap (0 = 8x RetryWait)
+	MaxRetries   int      // per-op retry budget
 	EdgeOVS      bool     // client-side Open vSwitch deployment (§5.1)
 	QuorumK      int      // any-k puts (0 = all replicas)
 	CPUPerOp     sim.Time // per-request node processing cost
@@ -78,15 +77,11 @@ type Options struct {
 	// Cache enables the in-switch hot-key cache (internal/switchcache) on
 	// the core datapath, managed by the metadata service's detector.
 	Cache bool
-	// CacheCapacity bounds the switch table (0 = switchcache default).
+	// CacheCapacity bounds the switch table.
 	CacheCapacity int
-	// CacheSampleEvery mirrors every Nth missed get key to the detector
-	// (0 = every miss).
-	CacheSampleEvery int
-	// CacheHotThreshold is the sketch estimate that triggers an install
-	// (0 = detector default).
+	// CacheHotThreshold is the sketch estimate that triggers an install.
 	CacheHotThreshold uint32
-	// CacheDecayEvery overrides the detector's sketch-halving period.
+	// CacheDecayEvery is the detector's sketch-halving period.
 	CacheDecayEvery sim.Time
 	// Harmonia enables in-network conflict detection (internal/harmonia)
 	// on the core datapath: the switch tracks the dirty set of in-flight
@@ -107,11 +102,9 @@ type Options struct {
 	// StoreMemoryBudget bounds each node's memory tier in bytes
 	// (0 = unbounded: nothing is evicted).
 	StoreMemoryBudget int64
-	// StoreShards overrides the engine's hash-partition count (0 = engine
-	// default).
+	// StoreShards is the engine's hash-partition count.
 	StoreShards int
-	// StoreSnapshotEvery overrides the snapshot/log-truncate period
-	// (0 = engine default).
+	// StoreSnapshotEvery is the snapshot/log-truncate period.
 	StoreSnapshotEvery sim.Time
 	// GroupCommit coalesces concurrent WAL fsyncs on each node into one
 	// disk write (leader/follower group commit, DESIGN.md §16). Only
@@ -143,40 +136,44 @@ func (o Options) storageConfig() *storage.Config {
 	if !o.DurableStore {
 		return nil
 	}
-	cfg := storage.DefaultConfig()
-	cfg.MemoryBudget = o.StoreMemoryBudget
-	if o.StoreShards > 0 {
-		cfg.Shards = o.StoreShards
+	return &storage.Config{
+		Shards:        o.StoreShards,
+		MemoryBudget:  o.StoreMemoryBudget,
+		GroupCommit:   o.GroupCommit,
+		MaxSyncDelay:  o.MaxSyncDelay,
+		SnapshotEvery: o.StoreSnapshotEvery,
 	}
-	if o.StoreSnapshotEvery > 0 {
-		cfg.SnapshotEvery = o.StoreSnapshotEvery
-	}
-	cfg.GroupCommit = o.GroupCommit
-	cfg.MaxSyncDelay = o.MaxSyncDelay
-	return &cfg
 }
-
-// probeCPU, when non-zero, overrides CPUPerOp (test instrumentation).
-var probeCPU sim.Time
 
 // probeDropInvalidate, when set, suppresses the cache write-through on
 // puts (test instrumentation: the chaos checker must catch the resulting
 // stale switch-cache reads).
 var probeDropInvalidate bool
 
-// DefaultOptions mirrors the paper's deployment configuration.
+// DefaultOptions mirrors the paper's deployment configuration. Knobs a
+// subsystem owns start from that subsystem's own defaults.
 func DefaultOptions() Options {
+	node, client := core.DefaultNodeConfig(), core.DefaultClientConfig()
+	detector, store := controller.DefaultCacheManagerConfig(), storage.DefaultConfig()
 	return Options{
-		Nodes:     15,
-		R:         3,
-		Clients:   1,
-		Seed:      1,
-		Link:      netsim.Gbps(1, 5*time.Microsecond),
-		Disk:      kvstore.SSD(),
-		Heartbeat: 500 * time.Millisecond,
-		OpTimeout: time.Second,
-		RetryWait: 2 * time.Second,
-		CPUPerOp:  100 * time.Microsecond,
+		Nodes:              15,
+		R:                  3,
+		Clients:            1,
+		Seed:               1,
+		Link:               netsim.Gbps(1, 5*time.Microsecond),
+		Disk:               node.Disk,
+		Heartbeat:          node.HeartbeatEvery,
+		AckTimeout:         node.AckTimeout,
+		OpTimeout:          client.OpTimeout,
+		RetryWait:          client.RetryWait,
+		RetryMaxWait:       client.RetryMaxWait,
+		MaxRetries:         client.MaxRetries,
+		CPUPerOp:           100 * time.Microsecond,
+		CacheCapacity:      switchcache.DefaultConfig().Capacity,
+		CacheHotThreshold:  detector.HotThreshold,
+		CacheDecayEvery:    detector.DecayEvery,
+		StoreShards:        store.Shards,
+		StoreSnapshotEvery: store.SnapshotEvery,
 	}
 }
 
@@ -249,9 +246,6 @@ func NewNICELeafSpine(opts Options, leaves int) *NICE {
 // Every option reaches every fabric because nothing here knows which
 // fabric it is on.
 func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
-	if probeCPU > 0 {
-		opts.CPUPerOp = probeCPU
-	}
 	s := nw.Sim()
 	d := &NICE{Opts: opts, Sim: s, Net: nw, Core: fab.core, Space: ring.NewSpace(opts.Nodes)}
 
@@ -318,22 +312,10 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 	// active manages them.
 	codec := core.SwitchCodec{DataPort: DataPort}
 	if opts.Cache {
-		ccfg := switchcache.DefaultConfig()
-		if opts.CacheCapacity > 0 {
-			ccfg.Capacity = opts.CacheCapacity
-		}
-		if opts.CacheSampleEvery > 0 {
-			ccfg.SampleEvery = opts.CacheSampleEvery
-		}
-		d.Cache = switchcache.Attach(d.Core, codec, ccfg)
+		d.Cache = switchcache.Attach(d.Core, codec, switchcache.Config{Capacity: opts.CacheCapacity})
 		cfg.Cache = d.Cache
-		cfg.CacheManager = controller.DefaultCacheManagerConfig()
-		if opts.CacheHotThreshold > 0 {
-			cfg.CacheManager.HotThreshold = opts.CacheHotThreshold
-		}
-		if opts.CacheDecayEvery > 0 {
-			cfg.CacheManager.DecayEvery = opts.CacheDecayEvery
-		}
+		cfg.CacheManager.HotThreshold = opts.CacheHotThreshold
+		cfg.CacheManager.DecayEvery = opts.CacheDecayEvery
 	}
 	if opts.Harmonia {
 		d.Harmonia = harmonia.Attach(d.Core, codec, d.Space.PartitionOf, harmonia.Config{ReplicaPort: ReplicaPort})
@@ -345,7 +327,7 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		// shared Acquire counter is what fences the old primary. Without
 		// a standby the service keeps its private, event-free MemStore.
 		cfg.StandbyIP = standbyStack.IP()
-		d.Chain = ctrlchain.New(s, ctrlchain.DefaultConfig())
+		d.Chain = ctrlchain.New(s)
 		cfg.Store = controller.NewChainStore(d.Chain)
 	}
 	d.Unicast = cfg.Unicast
@@ -374,9 +356,7 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		ncfg.MetaPort = MetaPort
 		ncfg.Space = d.Space
 		ncfg.HeartbeatEvery = opts.Heartbeat
-		if opts.AckTimeout > 0 {
-			ncfg.AckTimeout = opts.AckTimeout
-		}
+		ncfg.AckTimeout = opts.AckTimeout
 		ncfg.Disk = opts.Disk
 		ncfg.QuorumK = opts.QuorumK
 		ncfg.CPUPerOp = opts.CPUPerOp
@@ -406,12 +386,8 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		ccfg.QuorumK = opts.QuorumK
 		ccfg.OpTimeout = opts.OpTimeout
 		ccfg.RetryWait = opts.RetryWait
-		if opts.RetryMaxWait > 0 {
-			ccfg.RetryMaxWait = opts.RetryMaxWait
-		}
-		if opts.MaxRetries > 0 {
-			ccfg.MaxRetries = opts.MaxRetries
-		}
+		ccfg.RetryMaxWait = opts.RetryMaxWait
+		ccfg.MaxRetries = opts.MaxRetries
 		cl := core.NewClient(d.CStacks[i], ccfg)
 		cl.Start()
 		d.Clients = append(d.Clients, cl)
@@ -430,26 +406,12 @@ func (d *NICE) Close() { d.Sim.Shutdown() }
 
 // StorageCounters sums the durable engines' counters across the
 // deployment's nodes (all zero for legacy-store deployments).
-func (d *NICE) StorageCounters() metrics.StorageCounters {
-	var out metrics.StorageCounters
+func (d *NICE) StorageCounters() storage.Stats {
+	var out storage.Stats
 	for _, n := range d.Nodes {
-		st, ok := n.Store().StorageStats()
-		if !ok {
-			continue
+		if st, ok := n.Store().StorageStats(); ok {
+			out.Add(st)
 		}
-		out.MemHits += st.MemHits
-		out.DiskReads += st.DiskReads
-		out.Evictions += st.Evictions
-		out.WALAppends += st.WALAppends
-		out.Fsyncs += st.Fsyncs
-		out.FsyncedRecords += st.FsyncedRecords
-		out.CoalescedSyncs += st.CoalescedSyncs
-		out.Snapshots += st.Snapshots
-		out.Recoveries += st.Recoveries
-		out.ReplayedRecords += st.ReplayedRecords
-		out.LostRecords += st.LostRecords
-		out.MemBytes += st.MemBytes
-		out.WALRecords += int64(st.WALRecords)
 	}
 	return out
 }

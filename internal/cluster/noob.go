@@ -53,9 +53,6 @@ type NOOB struct {
 
 // NewNOOB builds and boots a NOOB deployment.
 func NewNOOB(opts NOOBOptions) *NOOB {
-	if probeCPU > 0 {
-		opts.CPUPerOp = probeCPU
-	}
 	s := sim.New(opts.Seed)
 	nw := netsim.NewNetwork(s)
 	d := &NOOB{Opts: opts, Sim: s, Net: nw, Space: ring.NewSpace(opts.Nodes)}

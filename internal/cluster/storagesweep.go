@@ -93,7 +93,7 @@ func runStorageCell(pr Params, system string, ratio float64) (StorageCell, error
 		cell.GetP99Micros = gets.Percentile(99) * 1e6
 		cell.PutP99Micros = puts.Percentile(99) * 1e6
 		sc := b.NICE.StorageCounters()
-		cell.MemHitRatio = sc.HitRate()
+		cell.MemHitRatio = sc.MemHitRatio()
 		cell.Evictions = sc.Evictions
 		cell.WALAppends = sc.WALAppends
 		cell.Fsyncs = sc.Fsyncs

@@ -13,26 +13,26 @@ type CacheManagerConfig struct {
 	// HotThreshold is the sketch estimate at which a sampled key is
 	// considered hot and fetched for installation.
 	HotThreshold uint32
-	// SketchRows/SketchCols size the count-min sketch.
-	SketchRows, SketchCols int
 	// DecayEvery is the sketch halving period (the detector's sliding
 	// window); 0 disables decay.
 	DecayEvery sim.Time
-	// FetchTimeout clears a fetch that never came back (primary failed),
-	// letting the key be retried.
-	FetchTimeout sim.Time
 }
 
 // DefaultCacheManagerConfig tunes the detector for the simulated runs.
 func DefaultCacheManagerConfig() CacheManagerConfig {
 	return CacheManagerConfig{
 		HotThreshold: 8,
-		SketchRows:   4,
-		SketchCols:   1024,
 		DecayEvery:   500 * time.Millisecond,
-		FetchTimeout: 100 * time.Millisecond,
 	}
 }
+
+const (
+	// SketchRows/SketchCols size the detector's count-min sketch.
+	SketchRows, SketchCols = 4, 1024
+	// FetchTimeout clears a fetch that never came back (primary failed),
+	// letting the key be retried.
+	FetchTimeout = 100 * time.Millisecond
+)
 
 // CacheManagerStats counts detector activity.
 type CacheManagerStats struct {
@@ -65,21 +65,12 @@ type CacheManager struct {
 // is pointed at the detector and the decay loop is spawned here.
 func (svc *Service) enableCache() {
 	c, cfg := svc.cfg.Cache, svc.cfg.CacheManager
-	if cfg.HotThreshold == 0 {
-		cfg.HotThreshold = 8
-	}
-	if cfg.SketchRows <= 0 {
-		cfg.SketchRows = 4
-	}
-	if cfg.SketchCols <= 0 {
-		cfg.SketchCols = 1024
-	}
 	cm := &CacheManager{
 		svc:      svc,
 		cache:    c,
 		cfg:      cfg,
 		space:    ring.NewSpace(svc.cfg.Placement.N),
-		sketch:   switchcache.NewSketch(cfg.SketchRows, cfg.SketchCols),
+		sketch:   switchcache.NewSketch(SketchRows, SketchCols),
 		inflight: make(map[string]bool),
 	}
 	svc.cacheMgr = cm
@@ -152,14 +143,9 @@ func (cm *CacheManager) fetch(key string) {
 	}
 	cm.inflight[key] = true
 	cm.stats.Fetches++
-	cm.svc.sendToNode(v.Primary(), &CacheFetchRequest{Key: key, MaxSize: cm.maxSize()}, ctrlMsgSize)
-	if cm.cfg.FetchTimeout > 0 {
-		k := key
-		cm.svc.s.After(cm.cfg.FetchTimeout, func() { delete(cm.inflight, k) })
-	}
+	cm.svc.sendToNode(v.Primary(), &CacheFetchRequest{Key: key, MaxSize: switchcache.MaxValueSize}, ctrlMsgSize)
+	cm.svc.s.After(FetchTimeout, func() { delete(cm.inflight, key) })
 }
-
-func (cm *CacheManager) maxSize() int { return cm.cache.Config().MaxValueSize }
 
 // onFetchReply completes an install: make room if the table is full
 // (evicting the resident key the sketch ranks coldest, and only when the

@@ -482,8 +482,6 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	cfg.HeartbeatEvery = ms(100)
 	cfg.LoadBalance = true
 	cfg.DynamicLB = true
-	cfg.RebalanceEvery = ms(200)
-	cfg.RebalanceMinOps = 20
 	cfg.ClientSpace = netsim.MustParsePrefix("192.168.0.0/16")
 	svc := New(meta, NewFabric(dp), cfg, addrs)
 	svc.Start()
@@ -502,7 +500,8 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	// Dynamic mode uses 8 divisions over 192.168.0.0/16 (/19 each); the
 	// default round-robin maps divisions {0,3,6} to replica slot 0.
 	// Put hot clients in divisions 0 and 3: both initially hammer the
-	// same replica.
+	// same replica, each with twice the gets per rebalance period the
+	// rebalancer needs before it acts.
 	key := "hot"
 	part := ring.NewSpace(3).PartitionOf(key)
 	vaddr := cfg.Unicast.AddrOfKey(key)
@@ -516,12 +515,12 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 			sock := st.MustBindUDP(0)
 			for {
 				sock.SendTo(vaddr, dataPort, "get", 32)
-				p.Sleep(ms(2))
+				p.Sleep(RebalanceEvery / (2 * RebalanceMinOps))
 			}
 		})
 	}
 
-	if err := s.RunUntil(ms(150)); err != nil {
+	if err := s.RunUntil(RebalanceEvery - ms(50)); err != nil {
 		t.Fatal(err)
 	}
 	// Before the first rebalance both hot divisions share a replica.
@@ -529,7 +528,7 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	if initial[0] != initial[3] {
 		t.Fatalf("precondition: divisions 0 and 3 should start colocated: %v", initial)
 	}
-	if err := s.RunUntil(ms(1500)); err != nil {
+	if err := s.RunUntil(2*RebalanceEvery + ms(100)); err != nil {
 		t.Fatal(err)
 	}
 	got := svc.LBAssignment(part)

@@ -45,7 +45,7 @@ func (svc *Service) startDynamicLB() {
 	svc.lb = make(map[int]*lbState)
 	svc.s.Spawn("metadata-rebalancer", func(p *sim.Proc) {
 		for {
-			p.Sleep(svc.cfg.RebalanceEvery)
+			p.Sleep(RebalanceEvery)
 			if svc.stack.Host().Down() {
 				continue
 			}
@@ -132,7 +132,7 @@ func (svc *Service) rebalance(part int) {
 		st.last[d] = counters[d]
 		total += delta[d]
 	}
-	if total < int64(svc.cfg.RebalanceMinOps) {
+	if total < RebalanceMinOps {
 		return // too little signal to act on
 	}
 

@@ -33,9 +33,6 @@ type Config struct {
 	GroupBase netsim.IP
 	// HeartbeatEvery is the node heartbeat period (detector granularity).
 	HeartbeatEvery sim.Time
-	// MissedHeartbeats is how many periods of silence declare a node
-	// failed (the paper uses three).
-	MissedHeartbeats int
 	// LoadBalance enables per-source-division get steering (§4.5).
 	LoadBalance bool
 	// ClientSpace is the client source-address space carved into
@@ -60,11 +57,6 @@ type Config struct {
 	// DynamicLB enables the workload-informed division rebalancer (the
 	// §8 future-work extension); requires LoadBalance.
 	DynamicLB bool
-	// RebalanceEvery is the flow-stats polling period of the rebalancer.
-	RebalanceEvery sim.Time
-	// RebalanceMinOps is the minimum per-partition request count in one
-	// period before the rebalancer acts.
-	RebalanceMinOps int
 	// Store is the coordination-state backend (nil = a private
 	// MemStore, for a controller with no standby). The cluster builder
 	// shares one ChainStore between the active controller and its
@@ -85,14 +77,24 @@ type Config struct {
 // DefaultConfig fills the timing knobs the paper implies.
 func DefaultConfig() Config {
 	return Config{
-		HeartbeatEvery:   500 * time.Millisecond,
-		MissedHeartbeats: 3,
-		CtrlPort:         9000,
-		StandbyPort:      9090,
-		RebalanceEvery:   2 * time.Second,
-		RebalanceMinOps:  50,
+		HeartbeatEvery: 500 * time.Millisecond,
+		CtrlPort:       9000,
+		StandbyPort:    9090,
+		CacheManager:   DefaultCacheManagerConfig(),
 	}
 }
+
+const (
+	// MissedHeartbeats is how many periods of silence declare a node
+	// failed (the paper uses three).
+	MissedHeartbeats = 3
+	// RebalanceEvery is the flow-stats polling period of the dynamic
+	// load-balancing rebalancer.
+	RebalanceEvery = 2 * time.Second
+	// RebalanceMinOps is the minimum per-partition request count in one
+	// period before the rebalancer acts.
+	RebalanceMinOps = 50
+)
 
 type nodeStatus int
 
@@ -178,12 +180,6 @@ type pendingPkt struct {
 // New builds the service on the metadata host's transport stack. nodes
 // lists every storage node in ring order (index i = ring position i).
 func New(stack *transport.Stack, fabric *Fabric, cfg Config, nodes []NodeAddr) *Service {
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if cfg.MissedHeartbeats <= 0 {
-		cfg.MissedHeartbeats = 3
-	}
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
@@ -347,7 +343,7 @@ func (svc *Service) listen(p *sim.Proc) {
 
 // detect is the heartbeat watchdog: three missed heartbeats fail a node.
 func (svc *Service) detect(p *sim.Proc) {
-	limit := svc.cfg.HeartbeatEvery * sim.Time(svc.cfg.MissedHeartbeats)
+	limit := svc.cfg.HeartbeatEvery * MissedHeartbeats
 	for {
 		p.Sleep(svc.cfg.HeartbeatEvery)
 		if svc.stack.Host().Down() {
@@ -361,7 +357,7 @@ func (svc *Service) detect(p *sim.Proc) {
 		now := svc.s.Now()
 		for _, n := range svc.nodes {
 			if n.status == nodeUp && now-n.lastHB > limit {
-				svc.tracef("%v: node %d missed %d heartbeats", now, n.addr.Index, svc.cfg.MissedHeartbeats)
+				svc.tracef("%v: node %d missed %d heartbeats", now, n.addr.Index, MissedHeartbeats)
 				svc.fail(n.addr.Index)
 			}
 		}

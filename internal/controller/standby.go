@@ -118,7 +118,7 @@ func (sb *Standby) Start() {
 		}
 	})
 	s.Spawn("standby-watchdog", func(p *sim.Proc) {
-		limit := sb.cfg.HeartbeatEvery * sim.Time(sb.cfg.MissedHeartbeats)
+		limit := sb.cfg.HeartbeatEvery * MissedHeartbeats
 		for sb.promoted == nil {
 			p.Sleep(sb.cfg.HeartbeatEvery)
 			if s.Now()-sb.lastPing > limit {

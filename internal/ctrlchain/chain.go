@@ -25,35 +25,24 @@ import (
 	"repro/internal/sim"
 )
 
-// Config sizes the chain and its failure detector.
-type Config struct {
+// The chain geometry and its failure detector: three switch-resident
+// stores, as in NetChain.
+const (
 	// Replicas is the chain length (head..tail).
-	Replicas int
-	// HopDelay is the one-hop propagation delay between adjacent
-	// chain stores (and the head's ingress delay).
-	HopDelay sim.Time
+	Replicas = 3
+	// HopDelay is the one-hop propagation delay between adjacent chain
+	// stores (and the head's ingress delay).
+	HopDelay = 50 * time.Microsecond
 	// ProbeEvery is the failure-detector probe period.
-	ProbeEvery sim.Time
+	ProbeEvery = time.Millisecond
 	// MissedProbes is how many consecutive probes a store must miss
 	// before it is spliced out.
-	MissedProbes int
+	MissedProbes = 2
 	// CopyDelay is the base latency of the repair state copy from the
-	// surviving replica (in-flight writes are also drained, so the
-	// total repair window is CopyDelay plus a chain traversal).
-	CopyDelay sim.Time
-}
-
-// DefaultConfig returns the chain geometry used by the cluster
-// harness: three replicas, 50µs hops, 1ms probes.
-func DefaultConfig() Config {
-	return Config{
-		Replicas:     3,
-		HopDelay:     50 * time.Microsecond,
-		ProbeEvery:   time.Millisecond,
-		MissedProbes: 2,
-		CopyDelay:    200 * time.Microsecond,
-	}
-}
+	// surviving replica (in-flight writes are also drained, so the total
+	// repair window is CopyDelay plus a chain traversal).
+	CopyDelay = 200 * time.Microsecond
+)
 
 // Entry is one replicated key. Ver must be monotonic per key across
 // all writers (the controller composes writer generation and a
@@ -104,7 +93,6 @@ type pendingWrite struct {
 // probe proc.
 type Chain struct {
 	s      *sim.Simulator
-	cfg    Config
 	stores []*store
 	order  []int // live chain, head first, tail last
 	epoch  uint64
@@ -117,26 +105,10 @@ type Chain struct {
 	stats     Stats
 }
 
-// New builds a chain of cfg.Replicas stores and starts its failure
-// detector.
-func New(s *sim.Simulator, cfg Config) *Chain {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = DefaultConfig().Replicas
-	}
-	if cfg.HopDelay <= 0 {
-		cfg.HopDelay = DefaultConfig().HopDelay
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = DefaultConfig().ProbeEvery
-	}
-	if cfg.MissedProbes <= 0 {
-		cfg.MissedProbes = DefaultConfig().MissedProbes
-	}
-	if cfg.CopyDelay <= 0 {
-		cfg.CopyDelay = DefaultConfig().CopyDelay
-	}
-	c := &Chain{s: s, cfg: cfg, epoch: 1}
-	for i := 0; i < cfg.Replicas; i++ {
+// New builds a chain of Replicas stores and starts its failure detector.
+func New(s *sim.Simulator) *Chain {
+	c := &Chain{s: s, epoch: 1}
+	for i := 0; i < Replicas; i++ {
 		c.stores = append(c.stores, &store{idx: i, data: make(map[string]Entry)})
 		c.order = append(c.order, i)
 	}
@@ -196,7 +168,7 @@ func (c *Chain) Write(gen uint64, e Entry, done func(ok bool)) bool {
 // the repair's state copy from the surviving upstream replica
 // restores the chain invariant for everything the dead store missed.
 func (c *Chain) propagate(path []int, i int, e Entry, done func(bool)) {
-	c.s.After(c.cfg.HopDelay, func() {
+	c.s.After(HopDelay, func() {
 		st := c.stores[path[i]]
 		if st.down {
 			c.stats.Dropped++
@@ -271,13 +243,13 @@ func (c *Chain) inOrder(idx int) bool {
 // consecutive probes and rejoining a revived store at the tail.
 func (c *Chain) monitor(p *sim.Proc) {
 	for {
-		p.Sleep(c.cfg.ProbeEvery)
+		p.Sleep(ProbeEvery)
 		for _, st := range c.stores {
 			live := c.inOrder(st.idx)
 			switch {
 			case st.down && live:
 				st.miss++
-				if st.miss >= c.cfg.MissedProbes {
+				if st.miss >= MissedProbes {
 					c.splice(st.idx)
 				}
 			case !st.down && !live:
@@ -308,8 +280,8 @@ func (c *Chain) splice(dead int) {
 	}
 	c.order = out
 	c.stores[dead].miss = 0
-	drain := c.cfg.HopDelay * sim.Time(len(c.order)+1)
-	c.s.After(c.cfg.CopyDelay+drain, func() {
+	drain := HopDelay * sim.Time(len(c.order)+1)
+	c.s.After(CopyDelay+drain, func() {
 		if len(c.order) > 0 {
 			src := c.stores[c.order[0]]
 			for _, i := range c.order[1:] {
@@ -332,8 +304,8 @@ func (c *Chain) rejoin(idx int) {
 	c.repairing = true
 	c.epoch++
 	c.stats.Rejoins++
-	drain := c.cfg.HopDelay * sim.Time(len(c.order)+1)
-	c.s.After(c.cfg.CopyDelay+drain, func() {
+	drain := HopDelay * sim.Time(len(c.order)+1)
+	c.s.After(CopyDelay+drain, func() {
 		if c.stores[idx].down {
 			// Died again while the copy was in flight; abandon the
 			// rejoin and let the probe loop sort it out.

@@ -12,7 +12,7 @@ func ms(n int) sim.Time { return sim.Time(n) * time.Millisecond }
 func testChain(t *testing.T) (*sim.Simulator, *Chain) {
 	t.Helper()
 	s := sim.New(1)
-	c := New(s, DefaultConfig())
+	c := New(s)
 	return s, c
 }
 
@@ -30,7 +30,7 @@ func TestWriteReachesTailAndAcks(t *testing.T) {
 		t.Fatal("write rejected")
 	}
 	s.RunUntil(s.Now() + ms(10))
-	want := start + 3*DefaultConfig().HopDelay // one hop per replica
+	want := start + Replicas*HopDelay // one hop per replica
 	if ackedAt != want {
 		t.Fatalf("tail ack at %v, want %v", ackedAt, want)
 	}
@@ -96,7 +96,7 @@ func TestSpliceRepairPreservesState(t *testing.T) {
 	// Wait for detection (MissedProbes probes) to start the repair.
 	deadline := s.Now() + ms(20)
 	for s.Now() < deadline && !c.Repairing() {
-		s.RunUntil(s.Now() + c.cfg.ProbeEvery)
+		s.RunUntil(s.Now() + ProbeEvery)
 	}
 	if !c.Repairing() {
 		t.Fatal("repair never started")
@@ -127,7 +127,7 @@ func TestBufferedWritesFlushAndRejoin(t *testing.T) {
 	c.SetDown(2, true)
 	deadline := s.Now() + ms(20)
 	for s.Now() < deadline && !c.Repairing() {
-		s.RunUntil(s.Now() + c.cfg.ProbeEvery)
+		s.RunUntil(s.Now() + ProbeEvery)
 	}
 	if !c.Repairing() {
 		t.Fatal("repair never started")

@@ -276,12 +276,6 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 	if cfg.Nodes <= 0 || cfg.Events <= 0 || cfg.Horizon <= 0 {
 		return sched
 	}
-	if cfg.MaxOutages <= 0 {
-		cfg.MaxOutages = 1
-	}
-	if cfg.MinOutage <= 0 {
-		cfg.MinOutage = cfg.Horizon / 10
-	}
 	if cfg.MaxOutage < cfg.MinOutage {
 		cfg.MaxOutage = cfg.MinOutage
 	}

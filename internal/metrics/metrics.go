@@ -193,42 +193,6 @@ func (h HarmoniaCounters) String() string {
 		h.Occupancy, h.Capacity)
 }
 
-// StorageCounters are the durable-engine telemetry (internal/storage)
-// the storagesweep experiment reports, summed across a deployment's
-// nodes. MemBytes and WALRecords are snapshots; everything else counts
-// since boot, crashes included.
-type StorageCounters struct {
-	MemHits         int64 // gets served from the memory tier
-	DiskReads       int64 // gets of evicted objects (paid a disk read)
-	Evictions       int64 // memory-tier residents demoted to disk-only
-	WALAppends      int64 // commit records appended
-	Fsyncs          int64 // forced WAL writes
-	FsyncedRecords  int64 // records made durable by those writes
-	CoalescedSyncs  int64 // sync calls satisfied by another caller's fsync
-	Snapshots       int64 // complete snapshots installed
-	Recoveries      int64 // crash recoveries completed
-	ReplayedRecords int64 // WAL records replayed across recoveries
-	LostRecords     int64 // unfsynced tail records dropped by crashes
-	MemBytes        int64 // bytes resident in memory tiers now
-	WALRecords      int64 // live WAL records now
-}
-
-// HitRate returns memory-tier hits over all gets that found the key.
-func (c StorageCounters) HitRate() float64 {
-	total := c.MemHits + c.DiskReads
-	if total == 0 {
-		return 0
-	}
-	return float64(c.MemHits) / float64(total)
-}
-
-// String renders the counters for run summaries.
-func (c StorageCounters) String() string {
-	return fmt.Sprintf("memhits=%d diskreads=%d (%.1f%% mem) evictions=%d wal=%d fsyncs=%d snapshots=%d recoveries=%d replayed=%d",
-		c.MemHits, c.DiskReads, 100*c.HitRate(), c.Evictions,
-		c.WALAppends, c.Fsyncs, c.Snapshots, c.Recoveries, c.ReplayedRecords)
-}
-
 // TimeSeries buckets event counts by time: the ops/sec timelines of
 // Fig. 11.
 type TimeSeries struct {

@@ -8,17 +8,12 @@ import (
 	"repro/internal/transport"
 )
 
-// GossipConfig tunes the epidemic membership protocol (§2.1: "an
-// epidemic protocol entailing O(log n) steps and over O(N) messages").
-type GossipConfig struct {
-	Fanout int      // peers infected per round
-	Period sim.Time // round length
-}
-
-// DefaultGossipConfig uses the classic fanout-2 push protocol.
-func DefaultGossipConfig() GossipConfig {
-	return GossipConfig{Fanout: 2, Period: 50 * time.Millisecond}
-}
+// The epidemic membership protocol (§2.1: "an epidemic protocol entailing
+// O(log n) steps and over O(N) messages") is the classic fanout-2 push.
+const (
+	GossipFanout = 2                     // peers infected per round
+	GossipPeriod = 50 * time.Millisecond // round length
+)
 
 // gossipMsg carries one membership rumor.
 type gossipMsg struct {
@@ -37,7 +32,6 @@ type GossipStats struct {
 // dissemination. It is deliberately independent of the storage node so
 // the membership-cost experiment can run it at any N cheaply.
 type GossipMember struct {
-	cfg     GossipConfig
 	stack   *transport.Stack
 	self    int
 	peers   []netsim.IP
@@ -52,8 +46,8 @@ type GossipMember struct {
 }
 
 // NewGossipMember binds a member on its host.
-func NewGossipMember(stack *transport.Stack, cfg GossipConfig, self int, peers []netsim.IP, port uint16) *GossipMember {
-	g := &GossipMember{cfg: cfg, stack: stack, self: self, peers: peers, port: port}
+func NewGossipMember(stack *transport.Stack, self int, peers []netsim.IP, port uint16) *GossipMember {
+	g := &GossipMember{stack: stack, self: self, peers: peers, port: port}
 	g.sock = stack.MustBindUDP(port)
 	return g
 }
@@ -83,12 +77,12 @@ func (g *GossipMember) Start() {
 	})
 	s.Spawn("gossip-rounds", func(p *sim.Proc) {
 		for {
-			p.Sleep(g.cfg.Period)
+			p.Sleep(GossipPeriod)
 			if !g.hot {
 				continue
 			}
 			g.rounds++
-			// Push the rumor to Fanout random peers. A fixed number of
+			// Push the rumor to GossipFanout random peers. A fixed number of
 			// forwarding rounds suffices for whp dissemination; 2*log2(N)
 			// is the textbook bound.
 			limit := 2 * log2ceil(len(g.peers))
@@ -96,7 +90,7 @@ func (g *GossipMember) Start() {
 				g.hot = false
 				continue
 			}
-			for i := 0; i < g.cfg.Fanout; i++ {
+			for i := 0; i < GossipFanout; i++ {
 				target := g.peers[s.Rand().Intn(len(g.peers))]
 				if target == g.stack.IP() {
 					continue

@@ -239,7 +239,7 @@ func TestGossipDisseminatesToAllMembers(t *testing.T) {
 		}
 		var members []*GossipMember
 		for i, st := range stacks {
-			g := NewGossipMember(st, DefaultGossipConfig(), i, ips, 7100)
+			g := NewGossipMember(st, i, ips, 7100)
 			g.Start()
 			members = append(members, g)
 		}
@@ -276,7 +276,7 @@ func TestGossipStaleRumorsDie(t *testing.T) {
 	}
 	var members []*GossipMember
 	for i, st := range stacks {
-		g := NewGossipMember(st, DefaultGossipConfig(), i, ips, 7100)
+		g := NewGossipMember(st, i, ips, 7100)
 		g.Start()
 		members = append(members, g)
 	}

@@ -26,6 +26,7 @@
 package storage
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -63,22 +64,23 @@ type Config struct {
 	MaxSyncDelay sim.Time
 	// SnapshotEvery is the snapshot + log-truncate period (0 = never).
 	SnapshotEvery sim.Time
-	// WALRecordBytes is the on-disk size charged per WAL record.
-	WALRecordBytes int
-	// SnapshotEntryBytes is the per-entry metadata overhead charged on
-	// top of the value bytes when writing or loading a snapshot.
-	SnapshotEntryBytes int
 }
 
 // DefaultConfig sizes the engine for a simulated node.
 func DefaultConfig() Config {
 	return Config{
-		Shards:             8,
-		SnapshotEvery:      200 * time.Millisecond,
-		WALRecordBytes:     64,
-		SnapshotEntryBytes: 32,
+		Shards:        8,
+		SnapshotEvery: 200 * time.Millisecond,
 	}
 }
+
+const (
+	// WALRecordBytes is the on-disk size charged per WAL record.
+	WALRecordBytes = 64
+	// SnapshotEntryBytes is the per-entry metadata overhead charged on top
+	// of the value bytes when writing or loading a snapshot.
+	SnapshotEntryBytes = 32
+)
 
 // Stats counts engine activity. Gauges (Entries, Resident, MemBytes,
 // WALRecords) are snapshots at read time; everything else accumulates
@@ -131,6 +133,39 @@ func (s Stats) MemHitRatio() float64 {
 		return 0
 	}
 	return float64(s.MemHits) / float64(total)
+}
+
+// Add accumulates o into s: a deployment's totals across its nodes.
+func (s *Stats) Add(o Stats) {
+	s.Commits += o.Commits
+	s.MemHits += o.MemHits
+	s.DiskReads += o.DiskReads
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.WALAppends += o.WALAppends
+	s.Fsyncs += o.Fsyncs
+	s.FsyncedRecords += o.FsyncedRecords
+	s.LostRecords += o.LostRecords
+	s.TornRecords += o.TornRecords
+	s.CoalescedSyncs += o.CoalescedSyncs
+	s.SyncedBatchBytes += o.SyncedBatchBytes
+	s.Snapshots += o.Snapshots
+	s.SnapshotsAborted += o.SnapshotsAborted
+	s.SnapshotBytes += o.SnapshotBytes
+	s.TruncatedRecords += o.TruncatedRecords
+	s.Recoveries += o.Recoveries
+	s.ReplayedRecords += o.ReplayedRecords
+	s.Entries += o.Entries
+	s.Resident += o.Resident
+	s.MemBytes += o.MemBytes
+	s.WALRecords += o.WALRecords
+}
+
+// String renders the counters for run summaries.
+func (s Stats) String() string {
+	return fmt.Sprintf("memhits=%d diskreads=%d (%.1f%% mem) evictions=%d wal=%d fsyncs=%d snapshots=%d recoveries=%d replayed=%d",
+		s.MemHits, s.DiskReads, 100*s.MemHitRatio(), s.Evictions,
+		s.WALAppends, s.Fsyncs, s.Snapshots, s.Recoveries, s.ReplayedRecords)
 }
 
 // entry is one key's state: metadata always memory-resident, the value
@@ -219,15 +254,6 @@ type Engine struct {
 // NewEngine builds an empty engine clocked by s, charging disk time
 // through disk. Call Start to arm the snapshot loop.
 func NewEngine(s *sim.Simulator, cfg Config, disk DiskTier) *Engine {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultConfig().Shards
-	}
-	if cfg.WALRecordBytes <= 0 {
-		cfg.WALRecordBytes = DefaultConfig().WALRecordBytes
-	}
-	if cfg.SnapshotEntryBytes <= 0 {
-		cfg.SnapshotEntryBytes = DefaultConfig().SnapshotEntryBytes
-	}
 	e := &Engine{s: s, cfg: cfg, disk: disk, syncDone: sim.NewCond(s)}
 	if cfg.MemoryBudget > 0 {
 		e.shardBudget = (cfg.MemoryBudget + int64(cfg.Shards) - 1) / int64(cfg.Shards)
@@ -256,9 +282,6 @@ func (e *Engine) Start() {
 		}
 	})
 }
-
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Stats returns counters plus current gauges.
 func (e *Engine) Stats() Stats {
@@ -357,7 +380,7 @@ func (e *Engine) install(key string, val any, size int) {
 	if en == nil {
 		en = &entry{}
 		sh.entries[key] = en
-		e.stateBytes += int64(e.cfg.SnapshotEntryBytes)
+		e.stateBytes += SnapshotEntryBytes
 	} else if en.resident {
 		sh.memBytes -= int64(en.size)
 		sh.lruUnlink(en)
@@ -476,7 +499,7 @@ func (e *Engine) Sync(p *sim.Proc) {
 		pending := int(target - e.durableLSN)
 		gen := e.gen
 		e.syncing++
-		e.disk.WriteDisk(p, pending*e.cfg.WALRecordBytes)
+		e.disk.WriteDisk(p, pending*WALRecordBytes)
 		e.syncing--
 		if gen != e.gen {
 			return // crashed mid-fsync: the records were torn, not written
@@ -533,7 +556,7 @@ func (e *Engine) leadSync(p *sim.Proc) {
 		e.syncDone.Broadcast()
 		return
 	}
-	bytes := int(target-e.durableLSN) * e.cfg.WALRecordBytes
+	bytes := int(target-e.durableLSN) * WALRecordBytes
 	e.syncing++
 	e.disk.WriteDisk(p, bytes)
 	e.syncing--
@@ -619,7 +642,7 @@ func (e *Engine) Recover(p *sim.Proc) RecoveryInfo {
 		}
 	}
 	if replay > 0 {
-		e.disk.ReadDisk(p, replay*e.cfg.WALRecordBytes)
+		e.disk.ReadDisk(p, replay*WALRecordBytes)
 		if gen != e.gen {
 			info.Interrupted = true
 			return info

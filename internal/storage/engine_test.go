@@ -308,7 +308,7 @@ func walkBytes(e *Engine) int64 {
 	var n int64
 	for i := range e.shards {
 		for _, en := range e.shards[i].entries {
-			n += int64(en.size) + int64(e.cfg.SnapshotEntryBytes)
+			n += int64(en.size) + SnapshotEntryBytes
 		}
 	}
 	return n

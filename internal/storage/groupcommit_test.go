@@ -69,11 +69,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if disk.writes != 1 {
 		t.Errorf("disk writes = %d, want 1", disk.writes)
 	}
-	if want := 2 * e.Config().WALRecordBytes; disk.writeBytes != want {
+	if want := 2 * WALRecordBytes; disk.writeBytes != want {
 		t.Errorf("batch bytes = %d, want %d", disk.writeBytes, want)
 	}
-	if st.SyncedBatchBytes != int64(2*e.Config().WALRecordBytes) {
-		t.Errorf("SyncedBatchBytes = %d, want %d", st.SyncedBatchBytes, 2*e.Config().WALRecordBytes)
+	if st.SyncedBatchBytes != int64(2*WALRecordBytes) {
+		t.Errorf("SyncedBatchBytes = %d, want %d", st.SyncedBatchBytes, 2*WALRecordBytes)
 	}
 }
 

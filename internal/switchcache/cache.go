@@ -1,9 +1,9 @@
 // Package switchcache implements a NetCache-style in-switch hot-key
 // cache on top of the openflow datapath: a bounded key→value table
 // resident in the switch pipeline that answers matching get requests
-// directly on the ingress port — zero server hops — while punting a
-// sample of missed keys toward a controller-side hot-key detector that
-// decides what to install and evict.
+// directly on the ingress port — zero server hops — while punting every
+// missed key toward a controller-side hot-key detector that decides what
+// to install and evict.
 //
 // The paper's in-network load balancing (§4.5) only spreads a skewed get
 // stream across the R replicas of a partition, so a single hot key is
@@ -54,22 +54,16 @@ type Config struct {
 	// (NetCache budgets tens of thousands of entries; we default far
 	// smaller so eviction pressure is visible at simulation scale).
 	Capacity int
-	// MaxValueSize rejects objects too large for a single synthesized
-	// reply frame; bigger objects bypass the cache entirely.
-	MaxValueSize int
-	// SampleEvery mirrors every Nth missed get key to the detector
-	// (1 = every miss). 0 disables sampling.
-	SampleEvery int
 }
 
 // DefaultConfig sizes the cache for the simulated deployments.
 func DefaultConfig() Config {
-	return Config{
-		Capacity:     64,
-		MaxValueSize: 1200,
-		SampleEvery:  1,
-	}
+	return Config{Capacity: 64}
 }
+
+// MaxValueSize rejects objects too large for a single synthesized reply
+// frame; bigger objects bypass the cache entirely.
+const MaxValueSize = 1200
 
 // entry is one cached object.
 type entry struct {
@@ -102,7 +96,6 @@ type Cache struct {
 	inval   map[string]uint64 // key -> newest invalidated/committed version
 	sampler func(key string)
 	stats   metrics.CacheCounters
-	misses  int64 // sampling phase counter
 
 	// invalOrder lists inval's keys oldest-recorded first, so that which
 	// fence is forgotten past invalCap never depends on map order.
@@ -114,9 +107,6 @@ type Cache struct {
 // Attach adds a cache to dp's stage chain and returns it. Call before
 // traffic starts.
 func Attach(dp *openflow.Datapath, parser Parser, cfg Config) *Cache {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 64
-	}
 	c := &Cache{
 		dp:      dp,
 		parser:  parser,
@@ -128,7 +118,7 @@ func Attach(dp *openflow.Datapath, parser Parser, cfg Config) *Cache {
 	return c
 }
 
-// SetSampler registers the detector callback receiving sampled miss keys
+// SetSampler registers the detector callback receiving every missed key
 // (already delayed by the control latency).
 func (c *Cache) SetSampler(fn func(key string)) { c.sampler = fn }
 
@@ -200,7 +190,7 @@ func (c *Cache) HitsOf(key string) int64 {
 }
 
 // Process implements openflow.Stage: answer cache hits at the switch,
-// sample misses toward the detector, pass everything else on.
+// mirror misses to the detector, pass everything else on.
 func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool {
 	key, _, ok := c.parser.ParseGet(pkt)
 	if !ok {
@@ -209,8 +199,7 @@ func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool 
 	e, hit := c.entries[key]
 	if !hit {
 		c.stats.Misses++
-		c.misses++
-		if c.sampler != nil && c.cfg.SampleEvery > 0 && c.misses%int64(c.cfg.SampleEvery) == 0 {
+		if c.sampler != nil {
 			c.dp.Upcall(func() { c.sampler(key) })
 		}
 		return false
@@ -248,7 +237,7 @@ func (c *Cache) InstallAs(gen uint64, key string, value any, size int, ver uint6
 			c.stats.Rejected++
 			return
 		}
-		if size > c.cfg.MaxValueSize && c.cfg.MaxValueSize > 0 {
+		if size > MaxValueSize {
 			c.stats.Rejected++
 			return
 		}

@@ -112,9 +112,7 @@ func TestCacheHitSynthesizesReply(t *testing.T) {
 }
 
 func TestCacheMissSamplesKey(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SampleEvery = 2
-	r := newRig(t, cfg)
+	r := newRig(t, DefaultConfig())
 	var sampled []string
 	r.cache.SetSampler(func(k string) { sampled = append(sampled, k) })
 
@@ -123,9 +121,9 @@ func TestCacheMissSamplesKey(t *testing.T) {
 	}
 	r.run(t)
 
-	// Every 2nd miss mirrors to the detector.
-	if len(sampled) != 2 {
-		t.Fatalf("sampled %d keys, want 2", len(sampled))
+	// Every miss mirrors its key to the detector.
+	if !reflect.DeepEqual(sampled, []string{"cold", "cold", "cold", "cold"}) {
+		t.Fatalf("sampled %v, want every miss", sampled)
 	}
 	st := r.cache.Stats()
 	if st.Misses != 4 || st.Hits != 0 {
@@ -239,18 +237,17 @@ func TestCacheInvalidateIsSynchronousAndFencesInstalls(t *testing.T) {
 func TestCacheCapacityAndOversize(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Capacity = 2
-	cfg.MaxValueSize = 100
 	r := newRig(t, cfg)
 
-	r.install(t, "a", "v", 10, 1)
-	r.install(t, "b", "v", 10, 1)
-	r.install(t, "c", "v", 10, 1) // over capacity
-	if r.cache.Len() != 2 || r.cache.Contains("c") {
-		t.Fatalf("capacity bound violated: len=%d", r.cache.Len())
-	}
-	r.install(t, "big", "v", 101, 1) // over MaxValueSize
+	r.install(t, "big", "v", MaxValueSize+1, 1) // over MaxValueSize, with room to spare
 	if r.cache.Contains("big") {
 		t.Fatal("oversize object cached")
+	}
+	r.install(t, "a", "v", MaxValueSize, 1) // exactly at the limit
+	r.install(t, "b", "v", 10, 1)
+	r.install(t, "c", "v", 10, 1) // over capacity
+	if r.cache.Len() != 2 || !r.cache.Contains("a") || r.cache.Contains("c") {
+		t.Fatalf("capacity bound violated: keys=%v", r.cache.Keys())
 	}
 	if st := r.cache.Stats(); st.Rejected != 2 {
 		t.Fatalf("rejected = %d, want 2", st.Rejected)
