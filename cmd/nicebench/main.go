@@ -475,6 +475,7 @@ var kernelGates = map[string]bool{
 	"NearTimer":     true,
 	"LookupRepeat":  true,
 	"McastPut":      true,
+	"StreamMsg":     true,
 	"NicePut":       true,
 }
 
@@ -862,6 +863,9 @@ func kernelBenchmarks() []kernelResult {
 	mcastPut, shutdown := mcastPutBenchmark()
 	add("McastPut", mcastPut)
 	shutdown()
+	streamMsg, shutdown := streamMsgBenchmark()
+	add("StreamMsg", streamMsg)
+	shutdown()
 	nicePut, shutdown := nicePutBenchmark()
 	add("NicePut", nicePut)
 	shutdown()
@@ -889,30 +893,24 @@ func kernelBenchmarks() []kernelResult {
 	return out
 }
 
-// mcastPutBenchmark times one 1 KB reliable multicast to three receivers:
-// a put's transfer, chunk, DONEs and all. Four hosts built as in
-// NetHostToHost hang off one switch whose static pipeline fans the group
-// out to hosts 1-3 and forwards unicast by address, in pooled copies. The
-// fixture outlives the benchmark's rounds: it is warmed once past the
-// receivers' 8192-transfer finished rings, so every timed send recycles
-// the receive state it evicts and the count per op is exact — the send
-// state with its peer and Finished lists, and the three DONEs. shutdown
-// ends the fixture's procs.
-func mcastPutBenchmark() (bench func(b *testing.B), shutdown func()) {
+// benchStar cables the given number of hosts, each with a transport stack
+// and built as in NetHostToHost, to one switch whose static pipeline fans
+// group out to every host but the first and forwards unicast by address,
+// in pooled copies.
+func benchStar(hosts int, group netsim.IP) (*sim.Simulator, []*transport.Stack) {
 	s := sim.New(1)
 	n := netsim.NewNetwork(s)
-	sw := n.NewSwitch("sw", 4, time.Microsecond)
-	group := netsim.MustParseIP("239.1.1.1")
+	sw := n.NewSwitch("sw", hosts, time.Microsecond)
 	var stacks []*transport.Stack
-	for i := 0; i < 4; i++ {
+	for i := 0; i < hosts; i++ {
 		h := n.NewHost(fmt.Sprintf("h%d", i), netsim.IPv4(10, 0, 0, byte(i+1)))
 		n.Connect(h.Port(), sw.Port(i), netsim.Gbps(10, time.Microsecond))
 		stacks = append(stacks, transport.NewStack(h))
 	}
-	hosts := n.Hosts()
+	all := n.Hosts()
 	sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, in int) {
 		if pkt.DstIP == group {
-			for o := 1; o < len(hosts); o++ {
+			for o := 1; o < len(all); o++ {
 				c := n.ClonePacket(pkt)
 				c.DstMAC = netsim.BroadcastMAC
 				sw.Output(o, c)
@@ -920,7 +918,7 @@ func mcastPutBenchmark() (bench func(b *testing.B), shutdown func()) {
 			n.RecyclePacket(pkt)
 			return
 		}
-		for o, h := range hosts {
+		for o, h := range all {
 			if h.IP() == pkt.DstIP {
 				pkt.DstMAC = h.MAC()
 				sw.Output(o, pkt)
@@ -929,6 +927,18 @@ func mcastPutBenchmark() (bench func(b *testing.B), shutdown func()) {
 		}
 		sw.Drop(pkt)
 	}))
+	return s, stacks
+}
+
+// mcastPutBenchmark times one 1 KB reliable multicast to three receivers
+// on a four-host benchStar: a put's transfer, chunk, DONEs and all. The
+// fixture outlives the benchmark's rounds: it is warmed once past the
+// receivers' 8192-transfer finished rings, so neither a ring nor a
+// transfer table grows in a timed send and the count per op is exact — the
+// send state alone. shutdown ends the fixture's procs.
+func mcastPutBenchmark() (bench func(b *testing.B), shutdown func()) {
+	group := netsim.MustParseIP("239.1.1.1")
+	s, stacks := benchStar(4, group)
 	for _, st := range stacks[1:] {
 		st.Host().JoinMulticast(group)
 		rx := st.MustBindMulticast(cluster.DataPort)
@@ -968,6 +978,58 @@ func mcastPutBenchmark() (bench func(b *testing.B), shutdown func()) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			put()
+		}
+		if failure != nil {
+			b.Fatal(failure)
+		}
+	}, s.Shutdown
+}
+
+// streamMsgBenchmark times one 64 KB message on an established stream
+// between two hosts of a benchStar: 47 segments, their acks and the
+// delivery. The stream is dialled and warmed once, so the count per op is
+// a message's own: none, since its descriptors live in the connection.
+// shutdown ends the fixture's procs.
+func streamMsgBenchmark() (bench func(b *testing.B), shutdown func()) {
+	s, stacks := benchStar(2, 0)
+	ln := stacks[1].MustListen(cluster.DataPort)
+	s.Spawn("rx", func(p *sim.Proc) {
+		c, ok := ln.Accept(p)
+		for ok {
+			_, ok = c.Recv(p)
+		}
+	})
+	start := sim.NewQueue[struct{}](s)
+	var failure error
+	s.Spawn("tx", func(p *sim.Proc) {
+		c, err := stacks[0].Dial(p, stacks[1].IP(), cluster.DataPort)
+		if err != nil {
+			failure = err
+			return
+		}
+		for {
+			if _, ok := start.Pop(p); !ok {
+				return
+			}
+			if err := c.Send(p, "m", 64<<10); err != nil && failure == nil {
+				failure = err
+			}
+		}
+	})
+	send := func() {
+		start.Push(struct{}{})
+		if err := s.Run(); err != nil && failure == nil {
+			failure = err
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		send()
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			send()
 		}
 		if failure != nil {
 			b.Fatal(failure)

@@ -197,7 +197,8 @@ func NewTrafficEngine(d *NICE, opts TrafficOptions) *TrafficEngine {
 		src:     make([]netsim.IP, opts.Clients),
 		gwOf:    make([]uint8, opts.Clients),
 		gwIP:    make([]netsim.IP, len(d.Gateways)),
-		lat:     &metrics.Histogram{},
+		// One sample per completed get: sized once for the offered arrivals.
+		lat: metrics.NewHistogram(int(opts.Rate * opts.Duration.Seconds())),
 	}
 	mean := int64(float64(opts.Clients) / opts.Rate * 1e9)
 	e.arr = workload.NewOpenLoop(opts.Clients, mean, int64(opts.Tick), DeriveSeed(opts.Seed, 7002))

@@ -202,9 +202,10 @@ type Node struct {
 	handoffFor map[int]bool
 	joined     map[netsim.IP]bool
 
-	puts     map[reqKey]*putState
-	freePuts *putState // released put states, linked through next
-	orphans  map[reqKey]*orphanState
+	puts      map[reqKey]*putState
+	freePuts  *putState // released put states, linked through next
+	freeTasks *putTask  // idle put-handler spawns, linked through next
+	orphans   map[reqKey]*orphanState
 	// orphanAge is a ring of the last orphanCap buffers created; once
 	// full, the oldest sits at orphanHead.
 	orphanAge  []orphanRef
@@ -759,15 +760,43 @@ func (n *Node) mcastLoop(p *sim.Proc) {
 		}
 		switch m := tr.Data.(type) {
 		case *PutRequest:
-			req := m
-			n.s.Spawn(n.names.put, func(p *sim.Proc) { n.handlePut(p, req) })
+			n.spawnPut(m)
 		case *BatchPutRequest:
 			for _, req := range m.Ops {
-				req := req
-				n.s.Spawn(n.names.put, func(p *sim.Proc) { n.handlePut(p, req) })
+				n.spawnPut(req)
 			}
 		}
 	}
+}
+
+// putTask hands one put to its handler proc. Tasks are pooled per Node,
+// and run, the spawned function, is bound once when a task is made (as
+// Proc.wakeFn is), so spawning a handler allocates nothing.
+type putTask struct {
+	n    *Node
+	req  *PutRequest
+	run  func(p *sim.Proc)
+	next *putTask // free-list link
+}
+
+// spawnPut starts a handler proc for req.
+func (n *Node) spawnPut(req *PutRequest) {
+	t := n.freeTasks
+	if t != nil {
+		n.freeTasks, t.next = t.next, nil
+	} else {
+		t = &putTask{n: n}
+		t.run = t.exec
+	}
+	t.req = req
+	n.s.Spawn(n.names.put, t.run)
+}
+
+// exec is a put task's proc body: it frees the task, then handles the put.
+func (t *putTask) exec(p *sim.Proc) {
+	n, req := t.n, t.req
+	t.req, t.next, n.freeTasks = nil, n.freeTasks, t
+	n.handlePut(p, req)
 }
 
 // reportFailure accuses a peer to the metadata service.

@@ -18,6 +18,12 @@ type Histogram struct {
 	sorted  bool
 }
 
+// NewHistogram returns a histogram with room for n samples, so that
+// recording up to n allocates nothing.
+func NewHistogram(n int) *Histogram {
+	return &Histogram{samples: make([]float64, 0, n)}
+}
+
 // Add records one duration.
 func (h *Histogram) Add(d sim.Time) {
 	h.samples = append(h.samples, d.Seconds())

@@ -104,14 +104,34 @@ const (
 	mctrlDone
 )
 
-// mctrlMsg is a receiver-to-sender control message (unicast UDP).
+// mctrlMsg is a receiver-to-sender control message (unicast UDP). The
+// transfer it answers and, on an ACK, the contiguous chunks received ride
+// in the packet's sequence field (ctrlSeq), so ACK and DONE say nothing
+// beyond their kind and are the shared descriptors ackCtrl and doneCtrl.
+// Only a NACK, which loss alone provokes, allocates one, for its list.
 type mctrlMsg struct {
 	kind    mctrlKind
-	xfer    uint64
-	upTo    int   // ack: contiguous chunks received
 	missing []int // nack: chunk indexes to repair
-	port    uint16
 }
+
+var (
+	ackCtrl  = &mctrlMsg{kind: mctrlAck}
+	doneCtrl = &mctrlMsg{kind: mctrlDone}
+)
+
+// ctrlSeq packs a control message's transfer and chunk count into a packet
+// sequence field: the count (below 2^32 chunks, 5.6 TB) in the low 32 bits,
+// the transfer's low 32 bits above. A control socket compares only those
+// (answers), so it would take a late message of the transfer 2^32 sends
+// before its own for one of its own — a message that stayed in flight
+// while its sender started four billion more sends. ctrlOf unpacks the
+// count.
+func ctrlSeq(xfer uint64, upTo int) uint64 { return xfer<<32 | uint64(uint32(upTo)) }
+
+func ctrlOf(seq uint64) (upTo int) { return int(uint32(seq)) }
+
+// answers reports whether a control message's sequence field names xfer.
+func answers(seq, xfer uint64) bool { return uint32(seq>>32) == uint32(xfer) }
 
 // Transfer is a complete multicast message delivered to a receiver.
 type Transfer struct {
@@ -129,22 +149,23 @@ type xferKey struct {
 	xfer uint64
 }
 
-// rxState tracks one inbound transfer: in flight, then (with have
-// released) remembered as done until finishedCap later ones completed,
-// then recycled for a later transfer (MulticastReceiver.free).
+// rxState tracks one inbound transfer while it is in flight. Completion
+// or abandonment recycles it for a later transfer (MulticastReceiver.free);
+// a finished transfer is remembered by its key alone (rxTable).
 type rxState struct {
 	key     xferKey
 	ackPort uint16 // sender's control socket, from the latest chunk
 	// have is the chunk bitmap; a transfer of at most 64 chunks (a 1 KB put
-	// is one) keeps it in inline and allocates none.
+	// is one) keeps it in inline and allocates none, a longer one in spill,
+	// which the state keeps, with its capacity, from tenant to tenant.
 	have    []uint64
 	inline  [1]uint64
+	spill   []uint64
 	count   int
 	total   int
 	contig  int
 	maxIdx  int // highest chunk index seen: NACKs never reach past it
 	fires   int // gap-watchdog expiries; bounds abandoned transfers
-	done    bool
 	nacks   int
 	data    any // stashed from the data-bearing last chunk
 	size    int
@@ -167,14 +188,15 @@ type MulticastReceiver struct {
 	port  uint16
 	ctrl  *UDPSocket // replies to senders
 	rq    *sim.Queue[Transfer]
-	rx    map[xferKey]*rxState
-	last  *rxState // the transfer the latest chunk belonged to, if still in rx
+	rx    rxTable
+	last  *rxState // the transfer the latest chunk belonged to, if in flight
 	// finished is a ring of the last finishedCap completed transfers in
 	// completion order; finishedAt is the oldest once the ring is full.
-	finished   []*rxState
+	finished   []xferKey
 	finishedAt int
-	// free holds the states the ring evicted. Nothing else reaches one:
-	// its watchdog was cancelled at completion, and forget cleared last.
+	// free holds the states of transfers that completed or were given up.
+	// Nothing else reaches one: its watchdog was cancelled at completion or
+	// fired for the last time at abandonment, and release cleared last.
 	free []*rxState
 }
 
@@ -192,7 +214,6 @@ func (st *Stack) BindMulticast(port uint16) (*MulticastReceiver, error) {
 		port:  port,
 		ctrl:  ctrl,
 		rq:    sim.NewQueue[Transfer](st.s),
-		rx:    make(map[xferKey]*rxState),
 	}
 	st.mrecv[port] = r
 	return r, nil
@@ -227,14 +248,14 @@ func (r *MulticastReceiver) Close() {
 	r.rq.Close()
 }
 
-func (r *MulticastReceiver) send(to netsim.IP, toPort uint16, m *mctrlMsg) {
-	m.port = r.port
-	r.ctrl.SendTo(to, toPort, m, mctrlSize-netsim.UDPHeaderSize)
+// send answers transfer xfer's sender with a control message.
+func (r *MulticastReceiver) send(to netsim.IP, toPort uint16, m *mctrlMsg, xfer uint64, upTo int) {
+	r.ctrl.send(r.stack.IP(), to, toPort, m, mctrlSize-netsim.UDPHeaderSize, ctrlSeq(xfer, upTo))
 }
 
 // recvChunk is called by the stack for every arriving chunk (multicast or
 // unicast repair). A chunk in the middle of a window costs no allocation
-// and no event: back-to-back chunks of one transfer skip the map probe,
+// and no event: back-to-back chunks of one transfer skip the table probe,
 // and the stall watchdog is already armed.
 func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	idx, needAck := chunkOf(pkt)
@@ -242,18 +263,17 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	st := r.last
 	if st == nil || st.key != key {
 		var ok bool
-		if st, ok = r.rx[key]; !ok {
+		if st, ok = r.rx.get(key); !ok {
 			st = r.newRx(key, m.total)
-			r.rx[key] = st
+			r.rx.set(key, st)
+		} else if st == nil {
+			// Duplicate tail of a finished transfer: re-confirm.
+			r.send(m.ackIP, m.ackPort, doneCtrl, m.xfer, m.total)
+			return
 		}
 		r.last = st
 	}
 	st.ackPort = m.ackPort
-	if st.done {
-		// Duplicate tail of a finished transfer: re-confirm.
-		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
-		return
-	}
 	if idx >= 0 && idx < st.total && !st.has(idx) {
 		st.have[idx>>6] |= 1 << (idx & 63)
 		st.count++
@@ -271,21 +291,21 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	}
 	if st.count == st.total {
 		st.watchdog.Cancel()
-		r.finish(st)
-		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
-		r.rq.Push(Transfer{
+		tr := Transfer{
 			From:     m.ackIP,
 			FromPort: m.ackPort,
 			To:       pkt.DstIP,
 			Data:     st.data,
 			Size:     st.size,
 			Xfer:     m.xfer,
-		})
-		st.data = nil
+		}
+		r.finish(st)
+		r.send(m.ackIP, m.ackPort, doneCtrl, m.xfer, m.total)
+		r.rq.Push(tr)
 		return
 	}
 	if needAck {
-		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlAck, xfer: m.xfer, upTo: st.contig})
+		r.send(m.ackIP, m.ackPort, ackCtrl, m.xfer, st.contig)
 		if st.contig <= idx {
 			r.nackMissing(st, idx+1)
 		}
@@ -300,13 +320,13 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 }
 
 // newRx returns a clean state for a new transfer of total chunks, reusing
-// an evicted one when there is one.
+// a released one, and its heap bitmap, when there is one.
 func (r *MulticastReceiver) newRx(key xferKey, total int) *rxState {
 	var st *rxState
 	if n := len(r.free); n > 0 {
 		st = r.free[n-1]
 		r.free = r.free[:n-1]
-		*st = rxState{}
+		*st = rxState{spill: st.spill}
 	} else {
 		st = new(rxState)
 	}
@@ -314,38 +334,48 @@ func (r *MulticastReceiver) newRx(key xferKey, total int) *rxState {
 	if words := (total + 63) / 64; words <= len(st.inline) {
 		st.have = st.inline[:words]
 	} else {
-		st.have = make([]uint64, words)
+		if cap(st.spill) < words {
+			st.spill = make([]uint64, words)
+		}
+		st.have = st.spill[:words]
+		clear(st.have)
 	}
 	return st
 }
 
-// finish marks st done, releases its chunk bitmap and files it as the
-// newest completed transfer, forgetting (and recycling) the oldest past
-// finishedCap.
+// finish remembers st's transfer as the newest completed one, forgetting
+// the oldest past finishedCap, and recycles st. A key sits in the ring at
+// most once: it finishes only while in flight, and only its ring entry's
+// eviction forgets a finished transfer, so the eviction deletes exactly
+// the table entry that entry made.
 func (r *MulticastReceiver) finish(st *rxState) {
-	st.done = true
-	st.have = nil
+	key := st.key
+	r.rx.set(key, nil)
+	r.release(st)
 	if len(r.finished) < finishedCap {
-		r.finished = append(r.finished, st)
+		r.finished = append(r.finished, key)
 		return
 	}
-	old := r.finished[r.finishedAt]
-	r.finished[r.finishedAt] = st
+	r.rx.del(r.finished[r.finishedAt])
+	r.finished[r.finishedAt] = key
 	r.finishedAt = (r.finishedAt + 1) % finishedCap
-	// A transfer forgotten and then finished a second time sits in the
-	// ring twice; only the entry the map still holds is its to delete.
-	if r.rx[old.key] == old {
-		r.forget(old)
-		r.free = append(r.free, old)
-	}
 }
 
-// forget drops st from the receiver's memory.
-func (r *MulticastReceiver) forget(st *rxState) {
-	delete(r.rx, st.key)
+// release puts the state of a transfer that completed or was given up on
+// the free list.
+func (r *MulticastReceiver) release(st *rxState) {
 	if r.last == st {
 		r.last = nil
 	}
+	st.data = nil
+	r.free = append(r.free, st)
+}
+
+// abandon forgets an incomplete transfer and recycles its state; a later
+// chunk of it starts the transfer afresh.
+func (r *MulticastReceiver) abandon(st *rxState) {
+	r.rx.del(st.key)
+	r.release(st)
 }
 
 // nackMissing asks the sender to repair the missing chunks below bound.
@@ -357,7 +387,7 @@ func (r *MulticastReceiver) nackMissing(st *rxState, bound int) {
 		}
 	}
 	if len(missing) > 0 {
-		r.send(st.key.from, st.ackPort, &mctrlMsg{kind: mctrlNack, xfer: st.key.xfer, missing: missing})
+		r.send(st.key.from, st.ackPort, &mctrlMsg{kind: mctrlNack, missing: missing}, st.key.xfer, 0)
 	}
 }
 
@@ -383,7 +413,7 @@ func gapWatchdog(a1, a2 any) {
 func (r *MulticastReceiver) gapFired(st *rxState) bool {
 	st.fires++
 	if st.fires > 64 {
-		r.forget(st) // abandoned transfer: sender gave up long ago
+		r.abandon(st) // sender gave up long ago
 		return false
 	}
 	// Only chunks behind the highest index seen can be genuinely lost;
@@ -392,7 +422,7 @@ func (r *MulticastReceiver) gapFired(st *rxState) bool {
 	if st.contig <= st.maxIdx {
 		st.nacks++
 		if st.nacks > gapMaxNacks {
-			r.forget(st) // give up: sender is gone
+			r.abandon(st) // sender is gone
 			return false
 		}
 		r.nackMissing(st, st.maxIdx+1)
@@ -425,9 +455,14 @@ type txPeer struct {
 	done bool
 }
 
-// mcastSend is the sender's state of one transfer. The result and both
-// chunk descriptors live inside it, so a send allocates it, its peer list
-// and its Finished list, and nothing per chunk (packets are pooled).
+// inlinePeers is how many receivers a send tracks in its own struct: the
+// replica count, R = 3, of every default deployment.
+const inlinePeers = 3
+
+// mcastSend is the sender's state of one transfer. The result, both chunk
+// descriptors and, up to inlinePeers receivers, the peer and Finished
+// lists live inside it, so a send allocates it alone, and nothing per
+// chunk (packets are pooled) or per control message.
 type mcastSend struct {
 	st    *Stack
 	ctrl  *UDPSocket
@@ -440,6 +475,8 @@ type mcastSend struct {
 	// body every other chunk (a one-chunk transfer uses last alone).
 	last, body chunkMsg
 	peers      []txPeer // receivers heard from, in first-contact order
+	peerBuf    [inlinePeers]txPeer
+	finBuf     [inlinePeers]netsim.IP
 }
 
 // sendChunk transmits chunk idx to the group, or as a unicast repair to
@@ -479,8 +516,8 @@ func (tx *mcastSend) handle(d Datagram) {
 	pe := tx.peer(d.From)
 	switch m.kind {
 	case mctrlAck:
-		if m.upTo > pe.upTo {
-			pe.upTo = m.upTo
+		if upTo := ctrlOf(d.seq); upTo > pe.upTo {
+			pe.upTo = upTo
 		}
 	case mctrlDone:
 		pe.upTo = tx.total
@@ -546,12 +583,16 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 	}
 	tx := &mcastSend{
 		st: st, ctrl: ctrl, to: opts.To, port: opts.ToPort, size: opts.Size, total: total,
-		res: McastResult{Chunks: total, Finished: make([]netsim.IP, 0, opts.Receivers)},
+		res: McastResult{Chunks: total},
 		last: chunkMsg{
 			xfer: ctrl.xfer, total: total, size: opts.Size, data: opts.Data,
 			ackIP: st.IP(), ackPort: ctrl.Port(),
 		},
-		peers: make([]txPeer, 0, opts.Receivers),
+	}
+	tx.peers, tx.res.Finished = tx.peerBuf[:0], tx.finBuf[:0]
+	if opts.Receivers > inlinePeers {
+		tx.peers = make([]txPeer, 0, opts.Receivers)
+		tx.res.Finished = make([]netsim.IP, 0, opts.Receivers)
 	}
 	tx.body = tx.last
 	tx.body.data = nil

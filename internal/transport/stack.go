@@ -150,6 +150,9 @@ type Datagram struct {
 	ToPort uint16
 	Data   any
 	Size   int // payload bytes
+	// seq is the packet's transport sequence field: on a multicast control
+	// message, the transfer it answers and its chunk count (ctrlSeq).
+	seq uint64
 }
 
 // UDPSocket sends and receives datagrams on a bound port.
@@ -159,10 +162,10 @@ type UDPSocket struct {
 	rq    *sim.Queue[Datagram]
 	// mctrl marks a multicast sender's control socket. It is reused from
 	// send to send (Stack.ctrlSocket), so it accepts only the control
-	// messages of xfer, the transfer it serves now (none while pooled): an
-	// earlier transfer's late DONE or ACK is dropped on arrival, like a
-	// datagram to an unbound port, so it neither counts nor wakes the
-	// sender out of its RTO wait.
+	// messages of xfer, the transfer it serves now (none while pooled), as
+	// their packet headers name it (ctrlSeq): an earlier transfer's late
+	// DONE or ACK is dropped on arrival, like a datagram to an unbound
+	// port, so it neither counts nor wakes the sender out of its RTO wait.
 	mctrl bool
 	xfer  uint64
 }
@@ -273,7 +276,7 @@ func (u *UDPSocket) Close() {
 
 func (u *UDPSocket) deliver(pkt *netsim.Packet) {
 	if u.mctrl {
-		if m, ok := pkt.Payload.(*mctrlMsg); !ok || m.xfer != u.xfer {
+		if _, ok := pkt.Payload.(*mctrlMsg); !ok || u.xfer == 0 || !answers(pkt.Seq, u.xfer) {
 			return
 		}
 	}
@@ -284,5 +287,6 @@ func (u *UDPSocket) deliver(pkt *netsim.Packet) {
 		ToPort:   pkt.DstPort,
 		Data:     pkt.Payload,
 		Size:     pkt.Size - netsim.UDPHeaderSize,
+		seq:      pkt.Seq,
 	})
 }

@@ -39,7 +39,7 @@ const (
 // data: its stream-wide segment number; ack: the cumulative next expected —
 // rides in the packet's sequence field, so a data segMsg describes a whole
 // message: one is shared by every segment but the last, and the last
-// segment's alone carries the body.
+// segment's alone carries the body. Both live in the sending Conn.
 type segMsg struct {
 	kind    segKind
 	first   uint64 // stream-wide number of the message's first segment
@@ -75,6 +75,12 @@ type Conn struct {
 	ackedSeq uint64 // cumulative acked
 	ackSig   *sim.Queue[struct{}]
 	sending  bool // one Send at a time per conn
+	// last and body describe the message being sent; each Send rewrites
+	// them when it starts. The peer reads a data descriptor only for the
+	// segment it wants next (recvData), and a Send starts only once every
+	// segment of the previous message is acked, so a late copy of one is
+	// numbered below that and never reads the rewrite.
+	last, body segMsg
 
 	// Receiver state.
 	wantSeq uint64
@@ -199,12 +205,12 @@ func (c *Conn) Send(p *sim.Proc, data any, size int) error {
 	base := c.sendSeq
 	final := base + uint64(total)
 
-	last := &segMsg{kind: segData, first: base, total: total, msgSize: size, data: data}
-	body := last // a one-segment message needs no second descriptor
+	c.last = segMsg{kind: segData, first: base, total: total, msgSize: size, data: data}
+	last, body := &c.last, &c.last // a one-segment message needs no body
 	if total > 1 {
-		b := *last
-		b.data = nil
-		body = &b
+		c.body = c.last
+		c.body.data = nil
+		body = &c.body
 	}
 	sendOne := func(i uint64) {
 		m, segSize := body, MSS

@@ -24,6 +24,8 @@ type hub struct {
 	ports  map[netsim.IP]int
 	groups map[netsim.IP][]int
 	stacks []*Stack
+	// drop, when set, loses the packets it returns true for at the switch.
+	drop func(*netsim.Packet) bool
 }
 
 func newHub(t *testing.T, n int, cfg netsim.LinkConfig) *hub {
@@ -44,6 +46,10 @@ func newHub(t *testing.T, n int, cfg netsim.LinkConfig) *hub {
 		h.stacks = append(h.stacks, NewStack(host))
 	}
 	h.sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
+		if h.drop != nil && h.drop(pkt) {
+			sw.Drop(pkt)
+			return
+		}
 		// Pooled copies, and the original back to the pool, so the fabric
 		// itself allocates nothing per packet (the allocation tests below
 		// measure whole runs).
@@ -730,9 +736,10 @@ func mallocsDuring(fn func()) uint64 {
 // TestMulticastChunkCostsNoEventNoAlloc: a loss-free 1 MB transfer to
 // three receivers keeps one watchdog armed per receiver, so the event
 // queue never holds more than the packets in flight; the whole run —
-// sender, fabric and receivers — allocates per window (the acks), not per
-// chunk; and a chunk in the middle of a window, handed to the receiver
-// directly, allocates nothing and schedules nothing.
+// sender, fabric and receivers — allocates per window (the wheel buckets
+// its timers reach), not per chunk or per ack; and a chunk in the middle of
+// a window, handed to the receiver directly, allocates nothing and
+// schedules nothing.
 func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 	maxPending := 0
 	transfer := func(size int) uint64 {
@@ -768,11 +775,11 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 		t.Fatalf("%d events pending at once during a transfer, want at most %d", maxPending, limit)
 	}
 	// The second megabyte is 749 more chunks in 24 more windows, each acked
-	// by three receivers (a control message apiece, delivered by value; with
-	// the timer-wheel buckets the run's timers first reach, ~9 objects a
-	// window all told); a descriptor per chunk alone would be 749.
+	// by three receivers (a shared descriptor apiece, delivered by value).
+	// What remains is the timer-wheel buckets the run's timers first reach,
+	// ~6 objects a window; a descriptor per chunk alone would be 749.
 	const moreWindows = (1 << 20) / MTU / McastWindow
-	if more := int(two) - int(one); more > 12*moreWindows {
+	if more := int(two) - int(one); more > 7*moreWindows {
 		t.Fatalf("the second megabyte allocated %d objects (%d → %d) in %d windows", more, one, two, moreWindows)
 	}
 
@@ -803,8 +810,8 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 
 // TestMulticastFinishedSetBounded: a receiver remembers the last
 // finishedCap completed transfers (so a duplicate tail is re-confirmed,
-// not taken for a new transfer), without their chunk bitmaps, and forgets
-// older ones in completion order — never in whatever order a map yields.
+// not taken for a new transfer), by key alone, and forgets older ones in
+// completion order — never in whatever order a map yields.
 // Two identically driven receivers end up remembering the same transfers
 // and give a replayed duplicate the same answers.
 func TestMulticastFinishedSetBounded(t *testing.T) {
@@ -830,8 +837,7 @@ func TestMulticastFinishedSetBounded(t *testing.T) {
 				if !ok {
 					return
 				}
-				m := d.Data.(*mctrlMsg)
-				out.answers = append(out.answers, answer{m.kind, m.xfer})
+				out.answers = append(out.answers, answer{d.Data.(*mctrlMsg).kind, d.seq >> 32})
 			}
 		})
 		h.s.Spawn("app", func(p *sim.Proc) {
@@ -865,11 +871,17 @@ func TestMulticastFinishedSetBounded(t *testing.T) {
 		if err := h.s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for k, st := range r.rx {
-			if !st.done || st.have != nil || st.data != nil {
-				t.Fatalf("transfer %d is remembered as %+v", k.xfer, st)
+		for _, s := range r.rx.slots {
+			if s.key == (xferKey{}) {
+				continue
 			}
-			out.remembered = append(out.remembered, k.xfer)
+			if s.st != nil {
+				t.Fatalf("transfer %d is remembered in flight, as %+v", s.key.xfer, s.st)
+			}
+			out.remembered = append(out.remembered, s.key.xfer)
+		}
+		if len(out.remembered) != r.rx.n {
+			t.Fatalf("the table counts %d transfers and holds %d", r.rx.n, len(out.remembered))
 		}
 		slices.Sort(out.remembered)
 		h.s.Shutdown()
@@ -905,12 +917,12 @@ func TestMulticastFinishedSetBounded(t *testing.T) {
 }
 
 // TestStreamMessageAllocsIndependentOfSize: on an established stream a
-// message costs its two descriptors (one when it fits a segment) whatever
-// its size — no object per segment, none per ack. Each size is sent five
-// times and the cheapest counts, so a pool growing for the first time is
-// not mistaken for a per-message cost; a 1 MB message also spans 9 ms, in
-// which its RTO timers may reach a coarse wheel bucket never used before,
-// hence the allowance of two on top.
+// message allocates nothing whatever its size — its descriptors live in the
+// connection, and there is no object per segment, none per ack. Each size
+// is sent five times and the cheapest counts, so a pool growing for the
+// first time is not mistaken for a per-message cost; a 1 MB message also
+// spans 9 ms, in which its RTO timers may reach a coarse wheel bucket never
+// used before, hence the allowance of two.
 func TestStreamMessageAllocsIndependentOfSize(t *testing.T) {
 	h := newHub(t, 2, netsim.Gbps(1, us(10)))
 	a, b := h.stacks[0], h.stacks[1]
@@ -950,9 +962,76 @@ func TestStreamMessageAllocsIndependentOfSize(t *testing.T) {
 	if received != 15 {
 		t.Fatalf("server received %d of 15 messages", received)
 	}
-	if cheapest[1<<20] > 4 || cheapest[64<<10] != 2 || cheapest[100] != 1 {
-		t.Fatalf("objects per message: 1 MB %d (749 segments and acks; want 2 to 4), 64 KB %d (47; want 2), 100 B %d (want 1)",
+	if cheapest[1<<20] > 2 || cheapest[64<<10] != 0 || cheapest[100] != 0 {
+		t.Fatalf("objects per message: 1 MB %d (749 segments and acks; want at most 2), 64 KB %d (47; want 0), 100 B %d (want 0)",
 			cheapest[1<<20], cheapest[64<<10], cheapest[100])
+	}
+}
+
+// TestStaleSegmentNeverReadsTheNextMessage: a Send rewrites its
+// connection's descriptors, so a late copy of an earlier message's segment
+// must not be taken for the new message's. The receiver sits behind a slow
+// link, where a segment takes 15 ms to serialize and the 25 ms RTO covers
+// one ack gap but not two: message 1 loses one ack, the sender times out
+// and go-back-N resends the rest of its window behind the originals. The
+// originals' acks complete message 1, message 2 starts and rewrites the
+// descriptors, and only then do the resent copies arrive. Each message is
+// delivered once, with its own data and size.
+func TestStaleSegmentNeverReadsTheNextMessage(t *testing.T) {
+	h := newHub(t, 2, netsim.Gbps(1, us(10)))
+	a, b := h.stacks[0], h.stacks[1]
+	h.host(1).Port().Link().SetConfig(netsim.LinkConfig{BandwidthBps: 768e3})
+	lost := false
+	h.drop = func(pkt *netsim.Packet) bool {
+		m, ok := pkt.Payload.(*segMsg)
+		if ok && m.kind == segAck && pkt.Seq == 2 && !lost {
+			lost = true
+			return true
+		}
+		return false
+	}
+	ln := b.MustListen(5000)
+	var got []Message
+	h.s.Spawn("server", func(p *sim.Proc) {
+		c, _ := ln.Accept(p)
+		for {
+			m, ok := c.Recv(p)
+			if !ok {
+				return
+			}
+			got = append(got, m)
+		}
+	})
+	const size1, size2 = 4 * MSS, 3*MSS - 100 // segments 0-3, then 4-6
+	var start2 sim.Time
+	stale := 0 // copies of message 1's segments reaching the receiver after message 2 started
+	h.net.AddTap(func(ev netsim.TraceEvent) {
+		if m, ok := ev.Pkt.Payload.(*segMsg); ok && m.kind == segData && ev.Dir == "rx" &&
+			ev.Pkt.DstIP == b.IP() && ev.Device == "h" && ev.Pkt.Seq < 4 && start2 > 0 {
+			stale++
+		}
+	})
+	h.s.Spawn("client", func(p *sim.Proc) {
+		c, err := a.Dial(p, b.IP(), 5000)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.Send(p, "one", size1); err != nil {
+			t.Error(err)
+		}
+		start2 = p.Now()
+		if err := c.Send(p, "two", size2); err != nil {
+			t.Error(err)
+		}
+		c.Close()
+	})
+	h.run(t)
+	if !lost || stale == 0 {
+		t.Fatalf("ack lost: %v; %d stale copies arrived after message 2 started, want some", lost, stale)
+	}
+	if want := []Message{{"one", size1}, {"two", size2}}; !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
 	}
 }
 
@@ -1016,9 +1095,9 @@ func TestChunkPayloadOncePerTransfer(t *testing.T) {
 	h.s.Spawn("receiver", func(p *sim.Proc) {
 		sock := h.stacks[1].MustBindUDP(0)
 		p.Sleep(ms(1))
-		sock.SendTo(h.stacks[0].IP(), ackPort, &mctrlMsg{kind: mctrlNack, xfer: 1, missing: []int{1}}, mctrlSize)
+		sendCtrl(sock, h.stacks[0].IP(), ackPort, &mctrlMsg{kind: mctrlNack, missing: []int{1}}, 1, 0)
 		p.Sleep(ms(1))
-		sock.SendTo(h.stacks[0].IP(), ackPort, &mctrlMsg{kind: mctrlDone, xfer: 1}, mctrlSize)
+		sendCtrl(sock, h.stacks[0].IP(), ackPort, doneCtrl, 1, 2)
 	})
 	var res *McastResult
 	h.s.Spawn("send", func(p *sim.Proc) {
@@ -1083,6 +1162,12 @@ func TestEphemeralPortSkipsLiveStreams(t *testing.T) {
 	}
 }
 
+// sendCtrl sends a multicast control message from sock as a receiver
+// does: m answers transfer xfer, with upTo chunks, in the packet header.
+func sendCtrl(sock *UDPSocket, to netsim.IP, toPort uint16, m *mctrlMsg, xfer uint64, upTo int) {
+	sock.send(sock.stack.IP(), to, toPort, m, mctrlSize-netsim.UDPHeaderSize, ctrlSeq(xfer, upTo))
+}
+
 // ctrlPorts records each transfer's sender control port, as its chunks
 // carry it.
 func ctrlPorts(h *hub) map[uint64]uint16 {
@@ -1119,7 +1204,7 @@ func TestReusedControlSocketIgnoresItsLastTransfer(t *testing.T) {
 	h.net.AddTap(func(ev netsim.TraceEvent) {
 		m, ok := ev.Pkt.Payload.(*mctrlMsg)
 		if ok && ev.Dir == "rx" && ev.Pkt.DstIP == sender.IP() && ev.Device == "h" &&
-			m.xfer == 1 && m.kind == mctrlDone && ev.Pkt.SrcIP == h.stacks[2].IP() {
+			ev.Pkt.Seq>>32 == 1 && m.kind == mctrlDone && ev.Pkt.SrcIP == h.stacks[2].IP() {
 			lateDone = ev.At
 		}
 	})
@@ -1133,8 +1218,8 @@ func TestReusedControlSocketIgnoresItsLastTransfer(t *testing.T) {
 			return
 		}
 		stray := h.stacks[3].MustBindUDP(0)
-		stray.SendTo(sender.IP(), ports[1], &mctrlMsg{kind: mctrlAck, xfer: 1, upTo: 1 << 20}, mctrlSize)
-		stray.SendTo(sender.IP(), ports[1], &mctrlMsg{kind: mctrlDone, xfer: 1}, mctrlSize)
+		sendCtrl(stray, sender.IP(), ports[1], ackCtrl, 1, 1<<20)
+		sendCtrl(stray, sender.IP(), ports[1], doneCtrl, 1, 1)
 		// Transfer 2, 1 MB to host 1 alone, spans the late arrivals.
 		start2 = p.Now()
 		if res2, err = sender.SendMulticast(p, McastOpts{To: h.stacks[1].IP(), ToPort: 6000, Data: "two", Size: 1 << 20, Receivers: 1}); err != nil {
@@ -1210,10 +1295,13 @@ func TestStragglerKeepsItsControlSocket(t *testing.T) {
 	}
 }
 
-// TestRecycledRxStateStartsClean: a transfer that lands in a state the
-// finished ring evicted — one that had NACKed, fired its watchdog and
-// carried a message — NACKs exactly its own missing chunk and delivers its
-// own message, in an inline bitmap (3 chunks) and a heap one (100).
+// TestRecycledRxStateStartsClean: a transfer that lands in a recycled
+// state — one that had NACKed, fired its watchdog and carried a message —
+// NACKs exactly its own missing chunk and delivers its own message, in an
+// inline bitmap (3 chunks) and a heap one (100). Every completion recycles
+// its state, so one state serves every transfer here, the finished ring's
+// evictions included, and the second 100-chunk transfer reuses the first's
+// full heap bitmap.
 func TestRecycledRxStateStartsClean(t *testing.T) {
 	type nack struct {
 		xfer    uint64
@@ -1230,7 +1318,7 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 				return
 			}
 			if m := d.Data.(*mctrlMsg); m.kind == mctrlNack {
-				nacks = append(nacks, nack{m.xfer, m.missing})
+				nacks = append(nacks, nack{d.seq >> 32, m.missing})
 			}
 		}
 	})
@@ -1264,39 +1352,43 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 		p.Sleep(gapTimeout + us(1))
 		chunk(xfer, total, hole)
 	}
-	const a, b = finishedCap + 2, finishedCap + 3
-	var reused [2]bool
+	const a, b, c = finishedCap + 2, finishedCap + 3, finishedCap + 4
+	var first *rxState
+	var reused [3]bool
 	h.s.Spawn("chunks", func(p *sim.Proc) {
 		stalled(p, 1, 3, 1)
+		first = r.free[0]
 		stalled(p, 2, 2, 0)
-		evicted := [2]*rxState{r.finished[0], r.finished[1]}
 		for x := uint64(3); x < a; x++ {
 			chunk(x, 1, 0)
 			p.Sleep(us(20))
 		}
-		// Transfer a's first chunk lands in transfer 1's state, b's in 2's.
-		for i, x := range []uint64{a, b} {
+		for i, x := range []uint64{a, b, c} {
 			total, hole := 3, 1
-			if x == b {
+			switch x {
+			case b:
 				total, hole = 100, 70
+			case c:
+				total, hole = 100, 30
 			}
 			chunk(x, total, 0)
-			reused[i] = r.rx[xferKey{h.stacks[0].IP(), x}] == evicted[i]
+			st, _ := r.rx.get(xferKey{h.stacks[0].IP(), x})
+			reused[i] = st == first
 			stalled(p, x, total, hole)
 		}
 	})
 	h.run(t)
-	if reused != [2]bool{true, true} {
-		t.Fatalf("transfers %d and %d reused the evicted states: %v", a, b, reused)
+	if reused != [3]bool{true, true, true} || len(r.free) != 1 {
+		t.Fatalf("transfers %d, %d and %d reused transfer 1's state: %v; %d states free, want 1", a, b, c, reused, len(r.free))
 	}
-	want := []nack{{1, []int{1}}, {2, []int{0}}, {a, []int{1}}, {b, []int{70}}}
+	want := []nack{{1, []int{1}}, {2, []int{0}}, {a, []int{1}}, {b, []int{70}}, {c, []int{30}}}
 	if !reflect.DeepEqual(nacks, want) {
 		t.Fatalf("NACKs %v, want %v", nacks, want)
 	}
 	for _, c := range []struct {
 		xfer  uint64
 		total int
-	}{{a, 3}, {b, 100}} {
+	}{{a, 3}, {b, 100}, {c, 100}} {
 		if tr := delivered[c.xfer]; tr.Data != c.xfer || tr.Size != c.total*MTU {
 			t.Fatalf("transfer %d delivered %+v, want its own message of %d bytes", c.xfer, tr, c.total*MTU)
 		}
@@ -1304,10 +1396,10 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 }
 
 // TestOneChunkMulticastAllocs: with every receiver's finished ring full,
-// so that each completion recycles the rxState it evicts, a 1 KB reliable
-// multicast to three receivers allocates the sender's state with its peer
-// and Finished lists, and each receiver's DONE message — no Datagram, no
-// rxState, no chunk bitmap, no socket, no peer map.
+// so that the ring and the transfer table no longer grow, a 1 KB reliable
+// multicast to three receivers allocates the sender's state and nothing
+// else — no control message, no Datagram, no rxState, no chunk bitmap, no
+// socket, no peer or Finished list.
 func TestOneChunkMulticastAllocs(t *testing.T) {
 	h := newHub(t, 4, netsim.Gbps(1, us(10)))
 	defer h.s.Shutdown()
@@ -1343,8 +1435,8 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 	for i := 0; i < finishedCap+100; i++ {
 		send()
 	}
-	if allocs := testing.AllocsPerRun(1000, send); allocs != 6 {
-		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, want 6: the send state, its peer and Finished lists, 3 DONEs", allocs)
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 1 {
+		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, want 1: the send state", allocs)
 	}
 	if len(h.stacks[0].udp) != 1 {
 		t.Fatalf("the sender holds %d sockets, want its one pooled control socket", len(h.stacks[0].udp))
@@ -1354,7 +1446,10 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 // TestReleasedControlSocketIsDrainedAndDeaf: a control socket goes back
 // to the pool with nothing queued, even what arrived for its transfer
 // after the send stopped reading, and takes in no control message while
-// pooled — so its next send reads only its own.
+// pooled — so its next send reads only its own. Past 2^32 sends the header
+// names a transfer by its low 32 bits: the socket serving transfer 2^32
+// (bits 0, a pooled socket's number) takes its own DONE, not its
+// predecessor's, and once pooled takes neither.
 func TestReleasedControlSocketIsDrainedAndDeaf(t *testing.T) {
 	h := newHub(t, 1, netsim.Gbps(1, 0))
 	st := h.stacks[0]
@@ -1362,19 +1457,22 @@ func TestReleasedControlSocketIsDrainedAndDeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrive := func(xfer uint64) {
-		u.deliver(&netsim.Packet{Proto: netsim.ProtoUDP, Size: mctrlSize, Payload: &mctrlMsg{kind: mctrlDone, xfer: xfer}})
+	arrive := func(xfers ...uint64) {
+		for _, x := range xfers {
+			u.deliver(&netsim.Packet{Proto: netsim.ProtoUDP, Size: mctrlSize, Payload: doneCtrl, Seq: ctrlSeq(x, 1)})
+		}
 	}
-	u.xfer = 7
-	arrive(7)
-	arrive(6)
-	if n := u.rq.Len(); n != 1 {
-		t.Fatalf("%d messages queued for transfer 7, want its own one", n)
-	}
-	st.releaseCtrl(u)
-	arrive(7)
-	if again, _ := st.ctrlSocket(); again != u || u.rq.Len() != 0 {
-		t.Fatalf("reacquired socket is the released one: %v; %d messages queued, want 0", again == u, u.rq.Len())
+	for _, xfer := range []uint64{7, 1 << 32} {
+		u.xfer = xfer
+		arrive(xfer, xfer-1)
+		if n := u.rq.Len(); n != 1 {
+			t.Fatalf("%d messages queued for transfer %d, want its own one", n, xfer)
+		}
+		st.releaseCtrl(u)
+		arrive(xfer, 0)
+		if again, _ := st.ctrlSocket(); again != u || u.rq.Len() != 0 {
+			t.Fatalf("reacquired socket is the released one: %v; %d messages queued, want 0", again == u, u.rq.Len())
+		}
 	}
 	h.s.Shutdown()
 }
