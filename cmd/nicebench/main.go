@@ -477,6 +477,7 @@ var kernelGates = map[string]bool{
 	"McastPut":      true,
 	"StreamMsg":     true,
 	"NicePut":       true,
+	"BatchedPut":    true,
 }
 
 // checkKernelBaseline compares measured kernel benchmarks against a
@@ -866,8 +867,11 @@ func kernelBenchmarks() []kernelResult {
 	streamMsg, shutdown := streamMsgBenchmark()
 	add("StreamMsg", streamMsg)
 	shutdown()
-	nicePut, shutdown := nicePutBenchmark()
+	nicePut, shutdown := nicePutBenchmark(false)
 	add("NicePut", nicePut)
+	shutdown()
+	batchedPut, shutdown := nicePutBenchmark(true)
+	add("BatchedPut", batchedPut)
 	shutdown()
 	add("NetHostToHost", func(b *testing.B) {
 		s := sim.New(1)
@@ -1043,11 +1047,20 @@ func streamMsgBenchmark() (bench func(b *testing.B), shutdown func()) {
 // round is the put and what it leaves behind. The fixture is warmed past
 // the nodes' committedCap-entry dedup rings and the receivers'
 // finished-transfer rings, with every free list full, so the count per
-// op is the put path's exact budget. shutdown ends the fixture's procs.
-func nicePutBenchmark() (bench func(b *testing.B), shutdown func()) {
+// op is the put path's exact budget. With batched, the put takes the
+// durable-write workload's path: the durable engine with group commit,
+// the prepare combiner and the commit accumulator, each gathering 100 µs;
+// a lone client's put leads every gather and batch it reaches, so the row
+// counts their pools. shutdown ends the fixture's procs.
+func nicePutBenchmark(batched bool) (bench func(b *testing.B), shutdown func()) {
 	opts := cluster.DefaultOptions()
 	opts.Nodes, opts.R = 3, 3
 	opts.Heartbeat = time.Hour
+	if batched {
+		opts.DurableStore, opts.GroupCommit = true, true
+		opts.MaxSyncDelay = 100 * time.Microsecond
+		opts.PutBatchWindow = 100 * time.Microsecond
+	}
 	d := cluster.NewNICE(opts)
 	failure := d.Settle()
 	start := sim.NewQueue[struct{}](d.Sim)

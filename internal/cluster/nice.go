@@ -125,8 +125,7 @@ type Options struct {
 	// co-arriving commits share one fsync and one batched timestamp
 	// multicast. 0 = off (bit-identical default path).
 	PutBatchWindow sim.Time
-	// PutBatchMax caps the ops drained per accumulated commit batch
-	// (0 = node default).
+	// PutBatchMax caps the ops drained per accumulated commit batch.
 	PutBatchMax int
 }
 
@@ -174,6 +173,7 @@ func DefaultOptions() Options {
 		CacheDecayEvery:    detector.DecayEvery,
 		StoreShards:        store.Shards,
 		StoreSnapshotEvery: store.SnapshotEvery,
+		PutBatchMax:        node.PutBatchMax,
 	}
 }
 

@@ -16,10 +16,18 @@ import (
 // per-op (dedup records, attempt-scoped aborts, ack2 collection, the
 // client reply) stays with the op's own handler.
 
-// putBatch is one open (or draining) commit batch for a partition.
+// putBatch is one open (or draining) commit batch for a partition,
+// recycled through the node's free list (newBatch, leaveBatch). The leader
+// and each joiner hold it until they leave — the leader right after
+// done.Set, a joiner once its Wait returns — and the last to leave
+// recycles it. Recycling at Set would strand a joiner that Set woke but
+// that has not yet resumed: it would find done reset, park again and never
+// wake. A handler Simulator.Shutdown unwinds never leaves, so its batch is
+// dropped instead of reused, like its put state.
 type putBatch struct {
-	items []*batchItem
-	done  *sim.Future[struct{}]
+	items   []*batchItem
+	done    *sim.Future[struct{}]
+	holders int
 }
 
 // batchItem is one put parked at the commit point, embedded in its put
@@ -32,8 +40,30 @@ type batchItem struct {
 	ok  bool // drained: timestamp assigned and object applied
 }
 
-// defaultPutBatchMax caps a batch when PutBatchMax is unset.
-const defaultPutBatchMax = 64
+// newBatch opens a batch led by the caller, reusing a recycled one.
+func (n *Node) newBatch() *putBatch {
+	var b *putBatch
+	if k := len(n.freeBatches); k > 0 {
+		b = n.freeBatches[k-1]
+		n.freeBatches = n.freeBatches[:k-1]
+	} else {
+		b = &putBatch{done: sim.NewFuture[struct{}](n.s)}
+	}
+	b.holders = 1
+	return b
+}
+
+// leaveBatch ends one holder's use of b, whose done is set; the last
+// holder recycles it.
+func (n *Node) leaveBatch(b *putBatch) {
+	if b.holders--; b.holders > 0 {
+		return
+	}
+	clear(b.items)
+	b.items = b.items[:0]
+	b.done.Reset()
+	n.freeBatches = append(n.freeBatches, b)
+}
 
 // batchCommit runs the commit point of a primary put through the
 // accumulator. It returns the op's committed timestamp, or ok=false when
@@ -44,21 +74,19 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	part := v.Partition
 	it := &ps.item
 	it.req, it.obj = req, obj
-	max := n.cfg.PutBatchMax
-	if max <= 0 {
-		max = defaultPutBatchMax
-	}
-	if b := n.batches[part]; b != nil && len(b.items) < max {
+	if b := n.batches[part]; b != nil && len(b.items) < n.cfg.PutBatchMax {
 		// Join the open batch and park until its leader drains it.
 		b.items = append(b.items, it)
+		b.holders++
 		b.done.Wait(p)
+		n.leaveBatch(b)
 		if n.stale(ps) || !it.ok {
 			return kvstore.Timestamp{}, false
 		}
 		return it.ts, true
 	}
 
-	b := &putBatch{done: sim.NewFuture[struct{}](n.s)}
+	b := n.newBatch()
 	b.items = append(b.items, it)
 	n.batches[part] = b
 	p.Sleep(n.cfg.PutBatchWindow)
@@ -72,6 +100,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		// states were wiped by Restart; just release the parked handlers so
 		// they can observe the staleness themselves.
 		b.done.Set(struct{}{})
+		n.leaveBatch(b)
 		return kvstore.Timestamp{}, false
 	}
 
@@ -99,6 +128,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	n.store.Sync(p)
 	if n.stale(ps) {
 		b.done.Set(struct{}{})
+		n.leaveBatch(b)
 		return kvstore.Timestamp{}, false
 	}
 
@@ -115,5 +145,6 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		items = items[len(chunk):]
 	}
 	b.done.Set(struct{}{})
+	n.leaveBatch(b)
 	return it.ts, true
 }

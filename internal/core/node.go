@@ -62,8 +62,7 @@ type NodeConfig struct {
 	// one timestamp-assignment pass, one fsync, one batched timestamp
 	// multicast. 0 = off (bit-identical default path).
 	PutBatchWindow sim.Time
-	// PutBatchMax caps the ops drained per accumulated commit batch
-	// (0 = 64).
+	// PutBatchMax caps the ops drained per accumulated commit batch.
 	PutBatchMax int
 }
 
@@ -74,6 +73,7 @@ func DefaultNodeConfig() NodeConfig {
 		AckTimeout:     250 * time.Millisecond,
 		Disk:           kvstore.SSD(),
 		CPUPerOp:       25 * time.Microsecond,
+		PutBatchMax:    64,
 	}
 }
 
@@ -234,7 +234,8 @@ type Node struct {
 	// batches holds the per-partition open commit batch (PutBatchWindow):
 	// puts reaching the commit point while a batch leader lingers join it
 	// instead of committing alone.
-	batches map[int]*putBatch
+	batches     map[int]*putBatch
+	freeBatches []*putBatch // recycled batches (newBatch, leaveBatch)
 
 	// committed remembers the versions of recently committed puts by
 	// client quadruplet, so a retry of an already-committed put converges

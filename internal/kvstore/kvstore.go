@@ -147,8 +147,11 @@ type Store struct {
 	freeLocks []*lockState
 	stats     Stats
 	// combining is the open prepare-combiner batch (AppendLogCombined);
-	// nil when no gather is in flight.
-	combining *writeBatch
+	// nil when no gather is in flight. freeGathers recycles finished ones.
+	combining   *writeBatch
+	freeGathers []*writeBatch
+	// freeGrants recycles the grant queues of lock waiters (Lock).
+	freeGrants []*sim.Queue[struct{}]
 	// eng, when non-nil, replaces the flat objects map with the durable
 	// sharded engine (see durable.go); the legacy map stays unused.
 	eng *storage.Engine
@@ -218,8 +221,28 @@ func (st *Store) Lock(p *sim.Proc, key string, owner PutID, d sim.Time) bool {
 		st.locks[key] = ls
 		return true
 	}
-	q := sim.NewQueue[struct{}](st.s)
+	// Queue behind the holder on a pooled grant queue, recycled as Lock
+	// returns: the waiter is then its only holder, since Release popped it
+	// from the wait list before granting, or the timeout withdrew it. Not
+	// in a defer: a waiter Simulator.Shutdown unwinds is still parked on
+	// it, and the queue is dropped instead.
+	var q *sim.Queue[struct{}]
+	if n := len(st.freeGrants); n > 0 {
+		q = st.freeGrants[n-1]
+		st.freeGrants = st.freeGrants[:n-1]
+	} else {
+		q = sim.NewQueue[struct{}](st.s)
+	}
 	ls.waiters = append(ls.waiters, lockWaiter{owner, q})
+	granted := awaitGrant(p, ls, q, d)
+	q.Reset()
+	st.freeGrants = append(st.freeGrants, q)
+	return granted
+}
+
+// awaitGrant parks a queued waiter until Release grants it the lock, or
+// withdraws it from ls's wait list after d (d <= 0 waits forever).
+func awaitGrant(p *sim.Proc, ls *lockState, q *sim.Queue[struct{}], d sim.Time) bool {
 	if d <= 0 {
 		q.Pop(p)
 		return true
@@ -286,10 +309,38 @@ func (st *Store) AppendLog(p *sim.Proc, rec LogRecord) {
 
 // writeBatch is one open prepare-combiner gather: callers add their
 // bytes while the leader lingers, and one charged disk write covers all
-// of them.
+// of them. Gathers are recycled by the rule of core's commit batches: the
+// leader and each joiner hold one until they leave it — the leader after
+// done.Set, a joiner once its Wait returns — and the last to leave puts
+// it back (leaveGather). A caller Simulator.Shutdown unwinds never leaves,
+// and its gather is dropped.
 type writeBatch struct {
-	bytes int
-	done  *sim.Future[struct{}]
+	bytes   int
+	done    *sim.Future[struct{}]
+	holders int
+}
+
+// newGather opens a gather led by the caller, reusing a recycled one.
+func (st *Store) newGather(bytes int) *writeBatch {
+	var b *writeBatch
+	if n := len(st.freeGathers); n > 0 {
+		b = st.freeGathers[n-1]
+		st.freeGathers = st.freeGathers[:n-1]
+	} else {
+		b = &writeBatch{done: sim.NewFuture[struct{}](st.s)}
+	}
+	b.bytes, b.holders = bytes, 1
+	return b
+}
+
+// leaveGather ends one holder's use of b, whose done is set; the last
+// holder recycles it.
+func (st *Store) leaveGather(b *writeBatch) {
+	if b.holders--; b.holders > 0 {
+		return
+	}
+	b.done.Reset()
+	st.freeGathers = append(st.freeGathers, b)
 }
 
 // AppendLogCombined is AppendLog plus the op's data write (+L and W of
@@ -308,11 +359,13 @@ func (st *Store) AppendLogCombined(p *sim.Proc, rec LogRecord, window sim.Time) 
 	bytes := 64 + rec.Size
 	if b := st.combining; b != nil {
 		b.bytes += bytes
+		b.holders++
 		st.stats.CombinedWrites++
 		b.done.Wait(p)
+		st.leaveGather(b)
 		return
 	}
-	b := &writeBatch{bytes: bytes, done: sim.NewFuture[struct{}](st.s)}
+	b := st.newGather(bytes)
 	st.combining = b
 	p.Sleep(window)
 	// Close the gather before the charged write: a prepare arriving once
@@ -322,6 +375,7 @@ func (st *Store) AppendLogCombined(p *sim.Proc, rec LogRecord, window sim.Time) 
 	}
 	st.diskRes.Use(p, xferTime(st.disk.WriteLatency, st.disk.WriteBps, b.bytes))
 	b.done.Set(struct{}{})
+	st.leaveGather(b)
 }
 
 // PendingLog returns the WAL records still open — what a new primary

@@ -220,6 +220,110 @@ func TestRecycledLockStateKeepsFIFOAndWithdrawal(t *testing.T) {
 	}
 }
 
+// TestGrantQueuesArePooled: contended waiters queue on pooled grant
+// queues — granted in arrival order, or withdrawn on timeout — and every
+// queue goes back to the pool empty: the next round's waiters, on the same
+// queues, are granted in order again, and the pool holds as many queues
+// as waited at once however many rounds run.
+func TestGrantQueuesArePooled(t *testing.T) {
+	s := sim.New(1)
+	st := New(s, NullDisk())
+	var next uint64
+	rounds := func(n int) {
+		for r := 0; r < n; r++ {
+			base := next
+			next += 4
+			var order []uint64
+			s.Spawn("holder", func(p *sim.Proc) {
+				st.Lock(p, "k", PutID{Seq: base}, 0)
+				p.Sleep(10 * time.Millisecond)
+				st.Release("k", PutID{Seq: base})
+			})
+			// The second waiter gives up at 7 ms, while the holder still holds.
+			for i, timeout := range []sim.Time{0, 5 * time.Millisecond, 0} {
+				id := PutID{Seq: base + 1 + uint64(i)}
+				s.Spawn("waiter", func(p *sim.Proc) {
+					p.Sleep(sim.Time(i+1) * time.Millisecond)
+					if st.Lock(p, "k", id, timeout) {
+						order = append(order, id.Seq)
+						p.Sleep(time.Millisecond)
+						st.Release("k", id)
+					}
+				})
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(order, []uint64{base + 1, base + 3}) || st.Locked("k") {
+				t.Fatalf("round %d: granted %v, locked after %v; want [%d %d], unlocked", base/4, order, st.Locked("k"), base+1, base+3)
+			}
+		}
+	}
+	rounds(4)
+	afterN := len(st.freeGrants)
+	rounds(4)
+	if afterN != 3 || len(st.freeGrants) != 3 {
+		t.Fatalf("pooled grant queues: %d after 4 rounds, %d after 8; want 3, one per waiter", afterN, len(st.freeGrants))
+	}
+	s.Shutdown()
+}
+
+// TestGatherOutlivesItsWakingJoiners: a prepare gather is recycled only
+// once its last joiner has left it. Each round's leader opens the next
+// gather the moment its own write returns, while the joiners Set woke have
+// not yet resumed; every joiner still returns when its own gather's write
+// completes, and the free list does not grow with the rounds.
+func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
+	const joiners, window = 3, 100 * time.Microsecond
+	s := sim.New(1)
+	st := New(s, SSD())
+	var written []sim.Time // each round's leader return
+	type ret struct {
+		round int
+		at    sim.Time
+	}
+	var rets []ret
+	seq := 0
+	prepare := func(p *sim.Proc) {
+		seq++
+		st.AppendLogCombined(p, LogRecord{Key: fmt.Sprint("k", seq), Size: 512, Tag: PutID{Seq: uint64(seq)}}, window)
+	}
+	lead := func(rounds int) {
+		s.Spawn("leader", func(p *sim.Proc) {
+			for r := 0; r < rounds; r++ {
+				round := len(written)
+				for j := 0; j < joiners; j++ {
+					s.Spawn("joiner", func(p *sim.Proc) {
+						p.Sleep(10 * time.Microsecond)
+						prepare(p)
+						rets = append(rets, ret{round, p.Now()})
+					})
+				}
+				prepare(p)
+				written = append(written, p.Now())
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lead(8)
+	afterN := len(st.freeGathers)
+	lead(8)
+	if len(rets) != 16*joiners || st.Stats().CombinedWrites != 16*joiners {
+		t.Fatalf("%d joiners returned, %d combined writes; want %d", len(rets), st.Stats().CombinedWrites, 16*joiners)
+	}
+	for _, r := range rets {
+		if r.at != written[r.round] {
+			t.Fatalf("a joiner of round %d returned at %v, want its gather's write at %v", r.round, r.at, written[r.round])
+		}
+	}
+	if afterN == 0 || len(st.freeGathers) != afterN {
+		t.Fatalf("free gathers: %d after 8 rounds, %d after 16; want the same, nonzero", afterN, len(st.freeGathers))
+	}
+	s.Shutdown()
+}
+
 // TestReleaseIsOwnerChecked: the WAL survives a restart and the locks do
 // not, so a key can carry put A's record under put B's lock. Releasing A
 // must end A's prepare only.

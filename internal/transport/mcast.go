@@ -441,11 +441,39 @@ type McastOpts struct {
 	Timeout   sim.Time
 }
 
-// McastResult reports a completed multicast send.
+// McastResult reports a completed multicast send. It is a value that
+// shares nothing with the send's pooled state: up to inlinePeers receivers
+// (every R = 3 group) the finished list rides inside it, so returning it
+// allocates nothing.
 type McastResult struct {
-	Finished []netsim.IP // receivers that completed, in completion order
-	Chunks   int
-	Repairs  int // chunks retransmitted via unicast repair
+	Chunks  int
+	Repairs int // chunks retransmitted via unicast repair
+	nfin    int
+	fin     [inlinePeers]netsim.IP
+	spill   []netsim.IP // the finished list, past inlinePeers receivers
+}
+
+// Finished lists the receivers that completed, in completion order. An
+// any-k send's result holds those that had finished when it returned.
+func (r *McastResult) Finished() []netsim.IP {
+	if r.spill != nil {
+		return r.spill
+	}
+	return r.fin[:r.nfin]
+}
+
+// finished appends ip to the finished list, moving it out of line when it
+// outgrows the inline array.
+func (r *McastResult) finished(ip netsim.IP) {
+	switch {
+	case r.spill != nil:
+		r.spill = append(r.spill, ip)
+	case r.nfin < inlinePeers:
+		r.fin[r.nfin] = ip
+		r.nfin++
+	default:
+		r.spill = append(r.fin[:r.nfin:r.nfin], ip)
+	}
 }
 
 // txPeer tracks the sender's view of one receiver.
@@ -459,10 +487,11 @@ type txPeer struct {
 // replica count, R = 3, of every default deployment.
 const inlinePeers = 3
 
-// mcastSend is the sender's state of one transfer. The result, both chunk
-// descriptors and, up to inlinePeers receivers, the peer and Finished
-// lists live inside it, so a send allocates it alone, and nothing per
-// chunk (packets are pooled) or per control message.
+// mcastSend is the sender's state of one transfer, pooled per Stack
+// (newSend, releaseSend). The result and, up to inlinePeers receivers, the
+// peer list live inside it, so a send allocates only its chunk
+// descriptors, and nothing per chunk (packets are pooled) or per control
+// message.
 type mcastSend struct {
 	st    *Stack
 	ctrl  *UDPSocket
@@ -472,19 +501,46 @@ type mcastSend struct {
 	total int
 	res   McastResult
 	// last describes the final chunk, the only one carrying the message;
-	// body every other chunk (a one-chunk transfer uses last alone).
-	last, body chunkMsg
+	// body every other chunk (nil in a one-chunk transfer). They are the
+	// transfer's own, never recycled: a late chunk reads xfer and total from
+	// its descriptor, so a reused one would graft it onto a newer transfer.
+	last, body *chunkMsg
 	peers      []txPeer // receivers heard from, in first-contact order
 	peerBuf    [inlinePeers]txPeer
-	finBuf     [inlinePeers]netsim.IP
+}
+
+// newSend takes a clean send state from the stack's pool, or makes one.
+func (st *Stack) newSend() *mcastSend {
+	if n := len(st.txFree); n > 0 {
+		tx := st.txFree[n-1]
+		st.txFree = st.txFree[:n-1]
+		return tx
+	}
+	return &mcastSend{st: st}
+}
+
+// releaseSend ends a send: its control socket goes back to the pool, and
+// its state, cleared, with it. It runs where the send stops reading
+// control messages — on return, or when an any-k send's straggler ends.
+func (st *Stack) releaseSend(tx *mcastSend) {
+	st.releaseCtrl(tx.ctrl)
+	*tx = mcastSend{st: st}
+	st.txFree = append(st.txFree, tx)
+}
+
+// end releases tx and returns its result, copied out first.
+func (tx *mcastSend) end(err error) (McastResult, error) {
+	res := tx.res
+	tx.st.releaseSend(tx)
+	return res, err
 }
 
 // sendChunk transmits chunk idx to the group, or as a unicast repair to
 // one receiver.
 func (tx *mcastSend) sendChunk(idx int, unicastTo netsim.IP, needAck bool) {
-	m, chunkSize := &tx.body, MTU
+	m, chunkSize := tx.body, MTU
 	if idx == tx.total-1 {
-		m = &tx.last
+		m = tx.last
 		chunkSize = tx.size - (tx.total-1)*MTU
 		if chunkSize <= 0 {
 			chunkSize = 1
@@ -523,7 +579,7 @@ func (tx *mcastSend) handle(d Datagram) {
 		pe.upTo = tx.total
 		if !pe.done {
 			pe.done = true
-			tx.res.Finished = append(tx.res.Finished, d.From)
+			tx.res.finished(d.From)
 		}
 	case mctrlNack:
 		if Debug {
@@ -556,7 +612,7 @@ func (tx *mcastSend) countAt(mark int) int {
 // whole message. Repair traffic for stragglers continues in the
 // background after an any-k send returns, as in the paper's quorum
 // transport.
-func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error) {
+func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (McastResult, error) {
 	if opts.Receivers <= 0 {
 		panic("transport: SendMulticast needs Receivers > 0")
 	}
@@ -572,7 +628,7 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 
 	ctrl, err := st.ctrlSocket()
 	if err != nil {
-		return nil, err
+		return McastResult{}, err
 	}
 	st.xferSeq++
 	ctrl.xfer = st.xferSeq
@@ -581,22 +637,27 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 	if total == 0 {
 		total = 1
 	}
-	tx := &mcastSend{
-		st: st, ctrl: ctrl, to: opts.To, port: opts.ToPort, size: opts.Size, total: total,
-		res: McastResult{Chunks: total},
-		last: chunkMsg{
-			xfer: ctrl.xfer, total: total, size: opts.Size, data: opts.Data,
-			ackIP: st.IP(), ackPort: ctrl.Port(),
-		},
+	tx := st.newSend()
+	tx.ctrl, tx.to, tx.port, tx.size, tx.total = ctrl, opts.To, opts.ToPort, opts.Size, total
+	tx.res.Chunks = total
+	desc := chunkMsg{
+		xfer: ctrl.xfer, total: total, size: opts.Size, data: opts.Data,
+		ackIP: st.IP(), ackPort: ctrl.Port(),
 	}
-	tx.peers, tx.res.Finished = tx.peerBuf[:0], tx.finBuf[:0]
+	if total == 1 {
+		tx.last = new(chunkMsg)
+		*tx.last = desc
+	} else {
+		d := new([2]chunkMsg)
+		d[0], d[1] = desc, desc
+		d[1].data = nil
+		tx.last, tx.body = &d[0], &d[1]
+	}
+	tx.peers = tx.peerBuf[:0]
 	if opts.Receivers > inlinePeers {
 		tx.peers = make([]txPeer, 0, opts.Receivers)
-		tx.res.Finished = make([]netsim.IP, 0, opts.Receivers)
+		tx.res.spill = make([]netsim.IP, 0, opts.Receivers)
 	}
-	tx.body = tx.last
-	tx.body.data = nil
-	res := &tx.res
 
 	for base := 0; base < total; base += McastWindow {
 		end := base + McastWindow
@@ -613,8 +674,7 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 		for tx.countAt(end) < k {
 			remain := deadline - st.s.Now()
 			if remain <= 0 {
-				st.releaseCtrl(ctrl)
-				return res, ErrTimeout
+				return tx.end(ErrTimeout)
 			}
 			wait := sim.Time(mcastRTO)
 			if wait > remain {
@@ -624,8 +684,7 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 			if !ok {
 				retries++
 				if retries > mcastMaxRetries {
-					st.releaseCtrl(ctrl)
-					return res, ErrTimeout
+					return tx.end(ErrTimeout)
 				}
 				// Re-solicit acks by retransmitting the window tail.
 				tx.sendChunk(end-1, 0, true)
@@ -637,11 +696,10 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 	}
 
 	// Wait for K completions.
-	for len(res.Finished) < k {
+	for len(tx.res.Finished()) < k {
 		remain := deadline - st.s.Now()
 		if remain <= 0 {
-			st.releaseCtrl(ctrl)
-			return res, ErrTimeout
+			return tx.end(ErrTimeout)
 		}
 		d, ok := ctrl.RecvTimeout(p, minTime(sim.Time(mcastRTO), remain))
 		if !ok {
@@ -651,17 +709,16 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 		tx.handle(d)
 	}
 
-	if len(res.Finished) >= opts.Receivers {
-		st.releaseCtrl(ctrl)
-		return res, nil
+	if len(tx.res.Finished()) >= opts.Receivers {
+		return tx.end(nil)
 	}
 
 	// Quorum reached but stragglers remain: keep repairing in the
-	// background, then release the control socket — not before, or a
-	// later send would share it.
+	// background, then release the control socket and the send state — not
+	// before, or a later send would share them.
 	st.s.Spawn("mcast-straggler", func(bp *sim.Proc) {
 		stop := st.s.Now() + StragglerTimeout
-		for len(res.Finished) < opts.Receivers {
+		for len(tx.res.Finished()) < opts.Receivers {
 			remain := stop - st.s.Now()
 			if remain <= 0 {
 				break
@@ -672,9 +729,9 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (*McastResult, error
 			}
 			tx.handle(d)
 		}
-		st.releaseCtrl(ctrl)
+		st.releaseSend(tx)
 	})
-	return res, nil
+	return tx.res, nil
 }
 
 func minTime(a, b sim.Time) sim.Time {

@@ -53,6 +53,7 @@ type Stack struct {
 	mrecv     map[uint16]*MulticastReceiver
 	lastMrecv *MulticastReceiver // receiver of the latest chunk, if still bound
 	ctrlFree  []*UDPSocket       // idle multicast sender control sockets, still bound
+	txFree    []*mcastSend       // idle multicast send states (newSend)
 	nextEphem uint16
 	xferSeq   uint64
 }

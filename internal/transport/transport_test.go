@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -377,7 +378,7 @@ func TestMulticastAllReceivers(t *testing.T) {
 			}
 		})
 	}
-	var res *McastResult
+	var res McastResult
 	var err error
 	h.s.Spawn("send", func(p *sim.Proc) {
 		res, err = h.stacks[0].SendMulticast(p, McastOpts{
@@ -388,8 +389,8 @@ func TestMulticastAllReceivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Finished) != 3 || len(transfers) != 3 {
-		t.Fatalf("finished=%d transfers=%d", len(res.Finished), len(transfers))
+	if len(res.Finished()) != 3 || len(transfers) != 3 {
+		t.Fatalf("finished=%d transfers=%d", len(res.Finished()), len(transfers))
 	}
 	for _, tr := range transfers {
 		if tr.Data != "payload" || tr.Size != 100*1024 || tr.To != g {
@@ -416,7 +417,7 @@ func TestMulticastRepairsLoss(t *testing.T) {
 			}
 		})
 	}
-	var res *McastResult
+	var res McastResult
 	var err error
 	h.s.Spawn("send", func(p *sim.Proc) {
 		res, err = h.stacks[0].SendMulticast(p, McastOpts{
@@ -615,7 +616,7 @@ func TestMulticastSizeProperty(t *testing.T) {
 				}
 			})
 		}
-		var res *McastResult
+		var res McastResult
 		var err error
 		h.s.Spawn("send", func(p *sim.Proc) {
 			res, err = h.stacks[0].SendMulticast(p, McastOpts{
@@ -629,7 +630,7 @@ func TestMulticastSizeProperty(t *testing.T) {
 		h.s.Shutdown()
 		wantChunks := (size + MTU - 1) / MTU
 		return err == nil && delivered == receivers && res.Chunks == wantChunks &&
-			len(res.Finished) == receivers
+			len(res.Finished()) == receivers
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -700,7 +701,7 @@ func TestMulticastStallNacksAtGapTimeout(t *testing.T) {
 			}
 		}
 	})
-	var res *McastResult
+	var res McastResult
 	var err error
 	h.s.Spawn("send", func(p *sim.Proc) {
 		res, err = h.stacks[0].SendMulticast(p, McastOpts{
@@ -754,7 +755,7 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 				maxPending = n
 			}
 		})
-		var res *McastResult
+		var res McastResult
 		var err error
 		h.s.Spawn("send", func(p *sim.Proc) {
 			res, err = h.stacks[0].SendMulticast(p, McastOpts{
@@ -762,7 +763,7 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 			})
 		})
 		mallocs := mallocsDuring(func() { h.run(t) })
-		if err != nil || res.Repairs != 0 || len(res.Finished) != 3 {
+		if err != nil || res.Repairs != 0 || len(res.Finished()) != 3 {
 			t.Fatalf("err=%v result=%+v", err, res)
 		}
 		return mallocs
@@ -1099,7 +1100,7 @@ func TestChunkPayloadOncePerTransfer(t *testing.T) {
 		p.Sleep(ms(1))
 		sendCtrl(sock, h.stacks[0].IP(), ackPort, doneCtrl, 1, 2)
 	})
-	var res *McastResult
+	var res McastResult
 	h.s.Spawn("send", func(p *sim.Proc) {
 		var err error
 		if res, err = h.stacks[0].SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "body", Size: 2 * MTU, Receivers: 1}); err != nil {
@@ -1208,7 +1209,7 @@ func TestReusedControlSocketIgnoresItsLastTransfer(t *testing.T) {
 			lateDone = ev.At
 		}
 	})
-	var res1, res2 *McastResult
+	var res1, res2 McastResult
 	var start2, end2 sim.Time
 	h.s.Spawn("send", func(p *sim.Proc) {
 		var err error
@@ -1238,14 +1239,95 @@ func TestReusedControlSocketIgnoresItsLastTransfer(t *testing.T) {
 		t.Fatalf("the late DONE arrived at %v, outside transfer 2 (%v–%v)", lateDone, start2, end2)
 	}
 	h1 := h.stacks[1].IP()
-	if !slices.Equal(res1.Finished, []netsim.IP{h1}) || !slices.Equal(res2.Finished, []netsim.IP{h1}) {
-		t.Fatalf("finished: transfer 1 %v, transfer 2 %v; want host 1 alone in each", res1.Finished, res2.Finished)
+	if !slices.Equal(res1.Finished(), []netsim.IP{h1}) || !slices.Equal(res2.Finished(), []netsim.IP{h1}) {
+		t.Fatalf("finished: transfer 1 %v, transfer 2 %v; want host 1 alone in each", res1.Finished(), res2.Finished())
+	}
+}
+
+// TestLateDuplicateMeetsARecycledSend: a late duplicate of a finished
+// one-chunk transfer reaches its receiver while the next send holds the
+// first one's pooled state and control socket. The duplicate still names
+// transfer 1 — a chunk descriptor is its transfer's own, never recycled —
+// so the receiver re-confirms transfer 1 with DONE; the new send's socket
+// drops that DONE, and transfer 2 is delivered once, with its own data,
+// before its send returns.
+func TestLateDuplicateMeetsARecycledSend(t *testing.T) {
+	h := newHub(t, 2, netsim.Gbps(1, us(10)))
+	sender, rcv := h.stacks[0], h.stacks[1]
+	r := rcv.MustBindMulticast(6000)
+	var got []Transfer
+	var delivered2 sim.Time
+	h.s.Spawn("recv", func(p *sim.Proc) {
+		for {
+			tr, ok := r.Recv(p)
+			if !ok {
+				return
+			}
+			got = append(got, tr)
+			if tr.Xfer == 2 {
+				delivered2 = p.Now()
+			}
+		}
+	})
+	ports := ctrlPorts(h)
+	var first *chunkMsg // transfer 1's descriptor, as its chunk carried it
+	var dones []sim.Time
+	h.net.AddTap(func(ev netsim.TraceEvent) {
+		if m, ok := ev.Pkt.Payload.(*chunkMsg); ok && m.xfer == 1 && first == nil {
+			first = m
+		}
+		m, ok := ev.Pkt.Payload.(*mctrlMsg)
+		if ok && ev.Dir == "rx" && ev.Device == "h" && ev.Pkt.DstIP == sender.IP() &&
+			m.kind == mctrlDone && ev.Pkt.Seq>>32 == 1 {
+			dones = append(dones, ev.At)
+		}
+	})
+	var res2 McastResult
+	var start2, end2, dupAt sim.Time
+	pooledAtDup := -1
+	h.s.Spawn("send", func(p *sim.Proc) {
+		if _, err := sender.SendMulticast(p, McastOpts{To: rcv.IP(), ToPort: 6000, Data: "one", Size: 100, Receivers: 1}); err != nil {
+			t.Error(err)
+			return
+		}
+		// Transfer 1's chunk again, 100 µs into transfer 2 (256 KB, ~2 ms).
+		dup := sender.MustBindUDP(0)
+		h.s.After(us(100), func() {
+			dupAt, pooledAtDup = h.s.Now(), len(sender.txFree)
+			dup.send(sender.IP(), rcv.IP(), 6000, first, 100, chunkSeq(0, false))
+		})
+		start2 = p.Now()
+		var err error
+		if res2, err = sender.SendMulticast(p, McastOpts{To: rcv.IP(), ToPort: 6000, Data: "two", Size: 256 << 10, Receivers: 1}); err != nil {
+			t.Error(err)
+		}
+		end2 = p.Now()
+	})
+	h.run(t)
+	if t.Failed() {
+		return
+	}
+	if ports[1] != ports[2] || pooledAtDup != 0 || len(sender.txFree) != 1 {
+		t.Fatalf("control ports %d and %d, %d states pooled when the duplicate left, %d after: want one state and socket reused",
+			ports[1], ports[2], pooledAtDup, len(sender.txFree))
+	}
+	if len(dones) != 2 || dones[1] <= dupAt || dones[1] >= end2 {
+		t.Fatalf("DONEs of transfer 1 reached the sender at %v; want the original and a re-confirmation of the duplicate sent at %v, before %v",
+			dones, dupAt, end2)
+	}
+	if len(got) != 2 || got[0].Xfer != 1 || got[0].Data != "one" || got[1].Xfer != 2 || got[1].Data != "two" || got[1].Size != 256<<10 {
+		t.Fatalf("delivered %+v; want transfer 1 and transfer 2 once each, with their own data", got)
+	}
+	if h1 := rcv.IP(); delivered2 <= start2 || end2 < delivered2 || !slices.Equal(res2.Finished(), []netsim.IP{h1}) {
+		t.Fatalf("transfer 2 delivered at %v, its send ran %v–%v and finished %v: the stale DONE completed it",
+			delivered2, start2, end2, res2.Finished())
 	}
 }
 
 // TestStragglerKeepsItsControlSocket: after an any-k send returns, its
-// straggler proc still listens on the control socket, so a send made
-// meanwhile binds another; once the straggler ends, the socket is reused.
+// straggler proc still listens on the control socket and holds the send
+// state, so a send made meanwhile binds another socket and takes a fresh
+// state; once the straggler ends, both go back to the pool and are reused.
 func TestStragglerKeepsItsControlSocket(t *testing.T) {
 	h := newHub(t, 3, netsim.Gbps(1, us(10)))
 	g := mcastGroup(h, 1, 2)
@@ -1263,22 +1345,24 @@ func TestStragglerKeepsItsControlSocket(t *testing.T) {
 		})
 	}
 	ports := ctrlPorts(h)
-	var quorum *McastResult
+	st := h.stacks[0]
+	var pooled [3]int // send states in the pool after each send returns
 	h.s.Spawn("send", func(p *sim.Proc) {
-		send := func(to netsim.IP, size, receivers, k int) *McastResult {
-			res, err := h.stacks[0].SendMulticast(p, McastOpts{To: to, ToPort: 6000, Data: "x", Size: size, Receivers: receivers, K: k})
+		send := func(i int, to netsim.IP, size, receivers, k int) McastResult {
+			res, err := st.SendMulticast(p, McastOpts{To: to, ToPort: 6000, Data: "x", Size: size, Receivers: receivers, K: k})
 			if err != nil {
 				t.Error(err)
 			}
+			pooled[i] = len(st.txFree)
 			return res
 		}
-		quorum = send(g, 256*1024, 2, 1) // host 1 finishes; host 2 straggles
-		if len(quorum.Finished) != 1 {
-			t.Errorf("any-1 send returned with %v finished", quorum.Finished)
+		quorum := send(0, g, 256*1024, 2, 1) // host 1 finishes; host 2 straggles
+		if len(quorum.Finished()) != 1 {
+			t.Errorf("any-1 send returned with %v finished", quorum.Finished())
 		}
-		send(h.stacks[1].IP(), 100, 1, 0)
+		send(1, h.stacks[1].IP(), 100, 1, 0)
 		p.Sleep(StragglerTimeout)
-		send(h.stacks[1].IP(), 100, 1, 0)
+		send(2, h.stacks[1].IP(), 100, 1, 0)
 	})
 	h.run(t)
 	if t.Failed() {
@@ -1290,8 +1374,14 @@ func TestStragglerKeepsItsControlSocket(t *testing.T) {
 	if ports[3] != ports[1] {
 		t.Fatalf("after the straggler ended the next send used port %d, want its released %d", ports[3], ports[1])
 	}
-	if len(quorum.Finished) != 2 || delivered[1] != 3 || delivered[2] != 1 {
-		t.Fatalf("finished %v, deliveries %v: the straggler did not complete host 2", quorum.Finished, delivered[1:])
+	// The any-1 send's state stays out of the pool while its straggler runs
+	// (0 pooled, then only the second send's), and joins it when the
+	// straggler ends: the third send takes one of two and returns it.
+	if pooled != [3]int{0, 1, 2} {
+		t.Fatalf("send states pooled after each send: %v, want [0 1 2]", pooled)
+	}
+	if delivered[1] != 3 || delivered[2] != 1 {
+		t.Fatalf("deliveries %v: the straggler did not complete host 2", delivered[1:])
 	}
 }
 
@@ -1397,9 +1487,10 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 
 // TestOneChunkMulticastAllocs: with every receiver's finished ring full,
 // so that the ring and the transfer table no longer grow, a 1 KB reliable
-// multicast to three receivers allocates the sender's state and nothing
-// else — no control message, no Datagram, no rxState, no chunk bitmap, no
-// socket, no peer or Finished list.
+// multicast to three receivers allocates its one chunk descriptor and
+// nothing else — no send state, no result, no control message, no
+// Datagram, no rxState, no chunk bitmap, no socket, no peer or Finished
+// list.
 func TestOneChunkMulticastAllocs(t *testing.T) {
 	h := newHub(t, 4, netsim.Gbps(1, us(10)))
 	defer h.s.Shutdown()
@@ -1421,8 +1512,8 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 				return
 			}
 			res, err := h.stacks[0].SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "v", Size: 1024, Receivers: 3})
-			if err != nil || len(res.Finished) != 3 {
-				t.Errorf("err=%v finished=%v", err, res.Finished)
+			if n := len(res.Finished()); err != nil || n != 3 {
+				t.Errorf("err=%v, %d finished", err, n)
 			}
 		}
 	})
@@ -1435,11 +1526,19 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 	for i := 0; i < finishedCap+100; i++ {
 		send()
 	}
-	if allocs := testing.AllocsPerRun(1000, send); allocs != 1 {
-		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, want 1: the send state", allocs)
+	// AllocsPerRun counts whole objects per run; the bytes, over the same
+	// runs and its one warm-up, are floored alike.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	objects := testing.AllocsPerRun(1000, send)
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / 1001
+	if desc := uint64(unsafe.Sizeof(chunkMsg{})); objects != 1 || bytes > desc {
+		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, %d bytes; want 1 of at most %d: the chunk descriptor",
+			objects, bytes, desc)
 	}
-	if len(h.stacks[0].udp) != 1 {
-		t.Fatalf("the sender holds %d sockets, want its one pooled control socket", len(h.stacks[0].udp))
+	if len(h.stacks[0].udp) != 1 || len(h.stacks[0].txFree) != 1 {
+		t.Fatalf("the sender holds %d sockets and %d pooled send states, want one of each", len(h.stacks[0].udp), len(h.stacks[0].txFree))
 	}
 }
 
