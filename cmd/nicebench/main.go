@@ -846,11 +846,9 @@ func kernelBenchmarks() []kernelResult {
 		// one header tuple (a 1 MB transfer's chunks) before the next flow,
 		// on the 32-node controller rule mix.
 		const train = 750
-		t := openflow.NewFlowTable(sim.New(1))
+		t := openflow.NewFlowTable()
 		for _, r := range openflow.SyntheticRules(32, false) {
-			if _, err := t.Add(r); err != nil {
-				b.Fatal(err)
-			}
+			t.Add(r)
 		}
 		pkts := openflow.SyntheticPackets(32, 1024, false, 7)
 		b.ReportAllocs()

@@ -344,11 +344,6 @@ func runChaosCell(sys chaosSystem, sched faultinject.Schedule) (ChaosCell, error
 	err := withBench(sys.arm, opts, leaves, func(b *bench) error {
 		built = true
 		d := b.NICE
-		if core.Debug {
-			d.Service.SetTrace(func(format string, args ...any) {
-				fmt.Printf("CTRL "+format+"\n", args...)
-			})
-		}
 		if err := b.Settle(); err != nil {
 			return err
 		}

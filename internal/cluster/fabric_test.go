@@ -173,23 +173,18 @@ func checkStageOrder(t *testing.T, p *sim.Proc, d *NICE) {
 	}
 }
 
-// TestLeafSpineHonoursTimeoutAndMappingOptions pins what the twin
-// builder dropped on the floor: the leaf-spine deployment used to ignore
-// AckTimeout, RetryMaxWait, MaxRetries, LazyMapping and MappingIdle, so a
-// client there retried on the core default budget whatever the options
-// said and the controller installed every vring rule at bootstrap.
-func TestLeafSpineHonoursTimeoutAndMappingOptions(t *testing.T) {
+// TestLeafSpineHonoursTimeoutOptions pins what the twin builder dropped
+// on the floor: the leaf-spine deployment used to ignore AckTimeout,
+// RetryMaxWait and MaxRetries, so a client there retried on the core
+// default budget whatever the options said.
+func TestLeafSpineHonoursTimeoutOptions(t *testing.T) {
 	opts := chaosOptions(7)
 	opts.Heartbeat = time.Second // no failure verdict inside the test window
 	opts.MaxRetries = 1
-	opts.LazyMapping = true
 	d := NewNICELeafSpine(opts, 3)
 	defer d.Close()
 	if err := d.Settle(); err != nil {
 		t.Fatal(err)
-	}
-	if n := d.Service.Stats().RulesPerPart; n != 0 {
-		t.Errorf("LazyMapping ignored: %d vring rules for partition 0 at bootstrap", n)
 	}
 	const part = 0
 	key := d.keysInPartition(part, 1)[0]
@@ -199,9 +194,6 @@ func TestLeafSpineHonoursTimeoutAndMappingOptions(t *testing.T) {
 		if _, err := c.Put(p, key, "v", 512); err != nil {
 			t.Errorf("seed put: %v", err)
 			return
-		}
-		if n := d.Service.Stats().RulesPerPart; n == 0 {
-			t.Error("first packet for partition 0 installed no vring rule")
 		}
 		for _, r := range d.Service.View(part).Replicas {
 			d.Nodes[r.Index].Crash()

@@ -27,10 +27,6 @@ const (
 	DataPort = 7000
 	CtrlPort = 9001
 	MetaPort = 9000
-	// ReplicaPort carries harmonia replica-routed reads: the dirty-set
-	// stage rewrites clean gets to a replica's physical IP and this port,
-	// and nodes serve non-primary reads only from it.
-	ReplicaPort = 7001
 )
 
 // The platform's fixed latencies (§6): the hardware switches' forwarding
@@ -67,10 +63,8 @@ type Options struct {
 	// with the active service: a takeover restores views, statuses and
 	// cache installs from the chain tail, and writer generations fence a
 	// returning zombie primary out of the chain and the switches.
-	Standby     bool
-	DynamicLB   bool     // workload-informed division rebalancing (§8)
-	LazyMapping bool     // install vring rules on first packet (§5)
-	MappingIdle sim.Time // idle expiry for vring rules (0 = never)
+	Standby   bool
+	DynamicLB bool // workload-informed division rebalancing (§8)
 	// ClientIPs overrides the default client placement (useful to pin
 	// clients into specific load-balancing divisions).
 	ClientIPs []netsim.IP
@@ -297,8 +291,6 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 	cfg.HeartbeatEvery = opts.Heartbeat
 	cfg.LoadBalance = opts.LoadBalance
 	cfg.DynamicLB = opts.DynamicLB
-	cfg.LazyMapping = opts.LazyMapping
-	cfg.MappingIdleTimeout = opts.MappingIdle
 	cfg.ClientSpace = netsim.MustParsePrefix("192.168.0.0/16")
 	cfg.CtrlPort = MetaPort
 
@@ -318,7 +310,7 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		cfg.CacheManager.DecayEvery = opts.CacheDecayEvery
 	}
 	if opts.Harmonia {
-		d.Harmonia = harmonia.Attach(d.Core, codec, d.Space.PartitionOf, harmonia.Config{ReplicaPort: ReplicaPort})
+		d.Harmonia = harmonia.Attach(d.Core, codec, d.Space.PartitionOf, harmonia.Config{})
 		cfg.Harmonia = d.Harmonia
 	}
 	if opts.Standby {
@@ -369,7 +361,6 @@ func assemble(opts Options, nw *netsim.Network, fab fabric) *NICE {
 		}
 		if d.Harmonia != nil {
 			ncfg.Harmonia = d.Harmonia
-			ncfg.ReplicaPort = ReplicaPort
 		}
 		node := core.NewNode(d.Stacks[i], ncfg)
 		node.Start()

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -399,62 +398,6 @@ func TestNICEDeterministicReplay(t *testing.T) {
 	if a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
 	}
-}
-
-func TestNICELazyMappingDeployment(t *testing.T) {
-	// The §5 lazy mapping mode end to end: no vring rules at bootstrap,
-	// yet puts and gets work (first packets punt; the multicast
-	// transport's RTO covers the install window), and idle rules lapse.
-	opts := DefaultOptions()
-	opts.Nodes = 5
-	opts.LazyMapping = true
-	opts.MappingIdle = 500 * time.Millisecond
-	d := NewNICE(opts)
-	if err := d.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	countVring := func() int {
-		n := 0
-		for _, e := range d.Core.Table().Entries() {
-			c := e.Cookie
-			if len(c) > 3 && (c[:3] == "uni" || c[:2] == "mc") {
-				n++
-			}
-		}
-		return n
-	}
-	if countVring() != 0 {
-		t.Fatalf("lazy deployment installed %d vring rules at bootstrap", countVring())
-	}
-	d.Sim.Spawn("driver", func(p *sim.Proc) {
-		defer d.Sim.Stop()
-		c := d.Clients[0]
-		for i := 0; i < 5; i++ {
-			key := fmt.Sprintf("lazy-%d", i)
-			if _, err := c.Put(p, key, i, 2048); err != nil {
-				t.Errorf("lazy put %s: %v", key, err)
-				return
-			}
-			res, err := c.Get(p, key)
-			if err != nil || !res.Found || res.Value != i {
-				t.Errorf("lazy get %s: %+v %v", key, res, err)
-				return
-			}
-		}
-		if countVring() == 0 {
-			t.Error("no vring rules installed after traffic")
-		}
-		// Let the rules idle out; the table shrinks back.
-		p.Sleep(2 * time.Second)
-		_ = d.Core.Table().Lookup(&netsim.Packet{DstIP: netsim.MustParseIP("9.9.9.9")}, 0)
-		if countVring() != 0 {
-			t.Errorf("%d vring rules survived the idle timeout", countVring())
-		}
-	})
-	if err := d.Sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
 }
 
 // TestLargePutLeavesNoTimersBehind: one 1 MB put is ~750 chunks at each of

@@ -116,10 +116,6 @@ func (svc *Service) enableCache() {
 // Stats returns detector counters.
 func (cm *CacheManager) Stats() CacheManagerStats { return cm.stats }
 
-// Sketch exposes the frequency estimator (tests and the eviction policy
-// read it).
-func (cm *CacheManager) Sketch() *switchcache.Sketch { return cm.sketch }
-
 // OnSample receives one sampled miss key from the switch (already delayed
 // by the control channel) and decides whether to start an install.
 func (cm *CacheManager) OnSample(key string) {

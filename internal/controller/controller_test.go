@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -544,7 +545,12 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	s.Shutdown()
 }
 
-func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
+// TestPuntedVnodePacketReinstallsItsPartition: a packet to a vnode
+// address whose partition has no rules on the switch (a collapsed
+// partition, a rebooted switch) misses the table and punts; the
+// controller re-installs the partition's mapping and forwards the packet
+// to the primary itself, and the next packet rides the restored rules.
+func TestPuntedVnodePacketReinstallsItsPartition(t *testing.T) {
 	s := sim.New(1)
 	nw := netsim.NewNetwork(s)
 	sw := nw.NewSwitch("core", 8, us(2))
@@ -572,24 +578,23 @@ func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
 	cfg.Unicast = ring.MustVRing(netsim.MustParsePrefix("10.10.0.0/16"), 3, 8)
 	cfg.Multicast = ring.MustVRing(netsim.MustParsePrefix("10.11.0.0/16"), 3, 8)
 	cfg.GroupBase = netsim.MustParseIP("239.0.0.0")
-	cfg.LazyMapping = true
-	cfg.MappingIdleTimeout = ms(200)
 	svc := New(meta, NewFabric(dp), cfg, addrs)
 	svc.Start()
 
+	key := "punted-object"
+	part := ring.NewSpace(3).PartitionOf(key)
+	vaddr := cfg.Unicast.AddrOfKey(key)
+	primary := svc.View(part).Primary()
+	uni, mc := fmt.Sprintf("uni-p%d.", part), fmt.Sprintf("mc-p%d.", part)
 	countVring := func() int {
 		n := 0
 		for _, e := range dp.Table().Entries() {
-			if len(e.Cookie) > 3 && (e.Cookie[:3] == "uni" || e.Cookie[:2] == "mc") {
+			if strings.HasPrefix(e.Cookie, uni) || strings.HasPrefix(e.Cookie, mc) {
 				n++
 			}
 		}
 		return n
 	}
-	key := "lazy-object"
-	part := ring.NewSpace(3).PartitionOf(key)
-	vaddr := cfg.Unicast.AddrOfKey(key)
-	primary := svc.View(part).Primary()
 	got := 0
 	for i := range nodeSocks {
 		i := i
@@ -609,23 +614,36 @@ func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
 	if err := s.RunUntil(ms(10)); err != nil {
 		t.Fatal(err)
 	}
-	if countVring() != 0 {
-		t.Fatalf("lazy bootstrap installed %d vring rules", countVring())
+	installed := countVring()
+	if installed == 0 {
+		t.Fatalf("bootstrap installed no vring rules for partition %d", part)
 	}
-	// First packet: punts, installs, and is forwarded by the controller.
+	dp.RemoveCookie(uni)
+	dp.RemoveCookie(mc)
+	if err := s.RunUntil(ms(11)); err != nil {
+		t.Fatal(err)
+	}
+	if n := countVring(); n != 0 {
+		t.Fatalf("%d vring rules for partition %d survive their removal", n, part)
+	}
+	// First packet: misses, punts, is forwarded to the primary by the
+	// controller, and brings the partition's rules back.
+	ins := dp.Stats().PacketIns
 	csock := cst.MustBindUDP(0)
 	s.After(0, func() { csock.SendTo(vaddr, dataPort, "get1", 32) })
 	if err := s.RunUntil(ms(20)); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
-		t.Fatalf("first lazy packet not delivered (got=%d)", got)
+		t.Fatalf("punted packet not delivered to the primary (got=%d)", got)
 	}
-	if countVring() == 0 {
-		t.Fatal("no vring rules installed after first packet")
+	if dp.Stats().PacketIns != ins+1 {
+		t.Fatalf("PacketIns = %d, want %d: the first packet must punt", dp.Stats().PacketIns, ins+1)
 	}
-	ins := dp.Stats().PacketIns
-	// Second packet: flows through the installed rule.
+	if n := countVring(); n != installed {
+		t.Fatalf("%d vring rules for partition %d after the punt, want the %d bootstrap installed", n, part, installed)
+	}
+	// Second packet: flows through the reinstalled rule.
 	s.After(0, func() { csock.SendTo(vaddr, dataPort, "get2", 32) })
 	if err := s.RunUntil(ms(40)); err != nil {
 		t.Fatal(err)
@@ -633,20 +651,8 @@ func TestLazyMappingInstallsOnFirstPacket(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("second packet not delivered (got=%d)", got)
 	}
-	if dp.Stats().PacketIns != ins {
-		t.Fatal("second packet still punted")
-	}
-	// Idle expiry: after 200ms of silence the rules lapse and the next
-	// packet punts again.
-	s.After(ms(400), func() { csock.SendTo(vaddr, dataPort, "get3", 32) })
-	if err := s.RunUntil(ms(500)); err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Fatalf("post-expiry packet not delivered (got=%d)", got)
-	}
 	if dp.Stats().PacketIns != ins+1 {
-		t.Fatalf("expired rule did not punt (PacketIns=%d, want %d)", dp.Stats().PacketIns, ins+1)
+		t.Fatal("second packet still punted")
 	}
 	s.Shutdown()
 }

@@ -31,7 +31,8 @@ func (svc *Service) PacketIn(dp *openflow.Datapath, pkt *netsim.Packet, inPort i
 		net.RecyclePacket(pkt)
 		return
 	}
-	// A vnode address: install (or refresh) that partition's vring
+	// A vnode address whose mapping is not on the switch (a collapsed
+	// partition, removed rules): re-install that partition's vring
 	// mapping and forward this packet along the unicast path. Multicast
 	// first-packets are simply dropped here — the reliable multicast
 	// transport retransmits within its RTO, by which time the rules and

@@ -44,16 +44,6 @@ type Config struct {
 	// (§4.1); zero disables replication.
 	StandbyIP   netsim.IP
 	StandbyPort uint16
-	// LazyMapping defers vring rule installation until the first packet
-	// for a partition punts to the controller (§5: "if the address is a
-	// vnode address, update the switch to map the address"), instead of
-	// installing every mapping at bootstrap. Combine with
-	// MappingIdleTimeout to keep the flow table proportional to the
-	// active working set.
-	LazyMapping bool
-	// MappingIdleTimeout expires unused vring rules (§2.2: rules "have
-	// an expiry period that is set by the controller"); zero = never.
-	MappingIdleTimeout sim.Time
 	// DynamicLB enables the workload-informed division rebalancer (the
 	// §8 future-work extension); requires LoadBalance.
 	DynamicLB bool
@@ -267,9 +257,7 @@ func (svc *Service) Start() {
 		n.lastHB = svc.s.Now()
 	}
 	for p := range svc.views {
-		if !svc.cfg.LazyMapping {
-			svc.installPartition(p)
-		}
+		svc.installPartition(p)
 		svc.announce(svc.views[p])
 	}
 	svc.startStandbyPing()
@@ -792,9 +780,8 @@ func (svc *Service) installPartition(p int) {
 		primary := v.Primary()
 		if port, ok := svc.fabric.PortToward(dp, primary.IP); ok {
 			dp.AddFlow(openflow.FlowEntry{
-				Priority:    prioMapping,
-				Match:       openflow.MatchDst(uniPfx),
-				IdleTimeout: svc.cfg.MappingIdleTimeout,
+				Priority: prioMapping,
+				Match:    openflow.MatchDst(uniPfx),
 				Actions: []openflow.Action{
 					openflow.SetDstIP{IP: primary.IP},
 					openflow.SetDstMAC{MAC: primary.MAC},
@@ -819,9 +806,8 @@ func (svc *Service) installPartition(p int) {
 				m := openflow.MatchDst(uniPfx)
 				m.SrcIP = div
 				dp.AddFlow(openflow.FlowEntry{
-					Priority:    prioLB,
-					Match:       m,
-					IdleTimeout: svc.cfg.MappingIdleTimeout,
+					Priority: prioLB,
+					Match:    m,
 					Actions: []openflow.Action{
 						openflow.SetDstIP{IP: r.IP},
 						openflow.SetDstMAC{MAC: r.MAC},
@@ -843,11 +829,10 @@ func (svc *Service) installPartition(p int) {
 			actions = append(actions, openflow.Output{Port: port})
 		}
 		dp.AddFlow(openflow.FlowEntry{
-			Priority:    prioMapping,
-			Match:       openflow.MatchDst(mcPfx),
-			IdleTimeout: svc.cfg.MappingIdleTimeout,
-			Actions:     actions,
-			Cookie:      fmt.Sprintf("mc-p%d.", p),
+			Priority: prioMapping,
+			Match:    openflow.MatchDst(mcPfx),
+			Actions:  actions,
+			Cookie:   fmt.Sprintf("mc-p%d.", p),
 		})
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -161,9 +160,6 @@ func (c *Client) dispatch(data any) {
 		f.Set(data)
 	}
 }
-
-// IP returns the client's address.
-func (c *Client) IP() netsim.IP { return c.stack.IP() }
 
 // backoff sleeps before retry attempt (0-based): RetryWait doubled per
 // attempt up to RetryMaxWait, jittered ±25% from the simulation RNG —

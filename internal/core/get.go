@@ -30,9 +30,6 @@ func (n *Node) handleGet(p *sim.Proc, req *GetRequest, forwarded, replicaRouted 
 		// stand-in tenure (and a newer pre-failure version may exist), so
 		// it falls through to the forward path like a miss.
 		if obj, ok := n.store.GetHandoff(p, req.Key); ok && !n.staleHandoff[part][req.Key] {
-			if Debug {
-				dbg("%v node%d handoff-hit %s ver=%d", p.Now(), n.cfg.Addr.Index, req.Key, obj.Version.PrimarySeq)
-			}
 			n.sendGetReply(req, obj)
 			return
 		}
@@ -176,13 +173,6 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 
 // sendStoreReply answers one get from a completed store read.
 func (n *Node) sendStoreReply(p *sim.Proc, req *GetRequest, obj *kvstore.Object, ok bool) {
-	if Debug {
-		ver := uint64(0)
-		if ok {
-			ver = obj.Version.PrimarySeq
-		}
-		dbg("%v node%d replyFromStore %s found=%v ver=%d", p.Now(), n.cfg.Addr.Index, req.Key, ok, ver)
-	}
 	rep := &GetReply{ReqID: req.ReqID, Found: ok}
 	size := replyOverhead
 	if ok {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/harmonia"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
 	"repro/internal/ring"
@@ -37,15 +38,12 @@ type NodeConfig struct {
 	// Harmonia, when non-nil, is the in-switch dirty-set stage this
 	// node's traffic traverses; every commit and abort is reported to it
 	// before the acknowledgment it unblocks can be generated. It also
-	// turns on replica-side read serving: a get landing on ReplicaPort
-	// (rewritten there by the dirty-set stage) is answered from the local
-	// store, gated on the key having no in-flight write here; reads on the
-	// normal data port are primary-routed by definition (get.go).
+	// turns on replica-side read serving: a get landing on
+	// harmonia.ReplicaPort (rewritten there by the dirty-set stage) is
+	// answered from the local store, gated on the key having no in-flight
+	// write here; reads on the normal data port are primary-routed by
+	// definition (get.go).
 	Harmonia HarmoniaHook
-	// ReplicaPort, when nonzero, is the second data port the node serves
-	// replica-routed reads on (the dirty-set stage rewrites clean gets to
-	// a replica's physical IP and this port).
-	ReplicaPort uint16
 	// Storage, when non-nil, backs the node's store with the durable
 	// sharded engine (internal/storage): crash drops unfsynced WAL state
 	// and recovery really replays the log instead of resurrecting memory.
@@ -302,12 +300,6 @@ func (n *Node) Store() *kvstore.Store { return n.store }
 // Stats returns protocol counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
-// Index returns the node's ring index.
-func (n *Node) Index() int { return n.cfg.Addr.Index }
-
-// IP returns the node's address.
-func (n *Node) IP() netsim.IP { return n.cfg.Addr.IP }
-
 // Start binds the node's endpoints and spawns its service processes.
 func (n *Node) Start() {
 	n.data = n.stack.MustBindUDP(n.cfg.Addr.DataPort)
@@ -321,8 +313,8 @@ func (n *Node) Start() {
 	n.s.Spawn(n.name("ctrl"), n.ctrlLoop)
 	n.s.Spawn(n.name("data"), n.dataLoop)
 	n.s.Spawn(n.name("mcast"), n.mcastLoop)
-	if n.cfg.ReplicaPort != 0 {
-		n.rdata = n.stack.MustBindUDP(n.cfg.ReplicaPort)
+	if n.cfg.Harmonia != nil {
+		n.rdata = n.stack.MustBindUDP(harmonia.ReplicaPort)
 		n.s.Spawn(n.name("rdata"), n.replicaDataLoop)
 	}
 	n.s.Spawn(n.name("accept"), func(p *sim.Proc) {
@@ -442,9 +434,6 @@ func (n *Node) applyView(v *controller.PartitionView, asHandoff bool) {
 		return
 	}
 	n.views[v.Partition] = v
-	if Debug {
-		dbg("node%d applyView part=%d epoch=%d handoff=%v members=%v", me, v.Partition, v.Epoch, asHandoff, v.PutParticipants())
-	}
 	adopted := false
 	if asHandoff {
 		n.handoffFor[v.Partition] = true

@@ -1,22 +1,11 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/controller"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
-
-// Debug enables protocol tracing to stdout (tests only).
-var Debug bool
-
-func dbg(format string, args ...any) {
-	if Debug {
-		fmt.Printf(format+"\n", args...)
-	}
-}
 
 // handlePut runs one replica's side of the NICE-2PC put (Fig. 3). The
 // object arrived complete via the multicast transport; phase one locks,
@@ -52,9 +41,6 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 	}
 
 	ps := n.registerPut(req, v.Primary().IP)
-	if Debug {
-		dbg("%v node%d handlePut %s primary=%v", p.Now(), me, req.Key, isPrimary)
-	}
 	n.preparePut(p, v, req, ps, isPrimary, part)
 	n.releasePut(ps)
 }
@@ -128,7 +114,6 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 		// every replica dedups the retry the mark retires again.
 		n.cfg.Harmonia.MemberApplied(req.Key, k, n.cfg.Addr.IP)
 	}
-	dbg("%v node%d duplicatePut %s primary=%v ts=%v", p.Now(), n.cfg.Addr.Index, req.Key, isPrimary, ts)
 	if !isPrimary {
 		pr := v.Primary()
 		n.data.SendTo(pr.IP, pr.DataPort, &Ack1{Req: k, From: n.cfg.Addr.Index, Committed: &ts}, ackSize)
@@ -269,7 +254,6 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	cur := n.views[part]
 	if verdict == nil && (!acked || cur == nil || cur.Primary().Index != n.cfg.Addr.Index) ||
 		verdict != nil && verdict.Abort {
-		dbg("%v node%d ABORT %s: ack1=%b want=%d", p.Now(), n.cfg.Addr.Index, req.Key, ps.ack1.low, want)
 		// Abort: a replica stayed silent, resolution abandoned the put, or
 		// this node was deposed while it collected the votes (the new
 		// primary may have resolved the put already; committing would split
@@ -356,9 +340,6 @@ func (n *Node) stale(ps *putState) bool { return ps.gen != n.restartGen }
 func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutRequest, ps *putState, obj *kvstore.Object, part int) {
 	me := n.cfg.Addr.Index
 	primary := v.Primary()
-	if Debug {
-		dbg("%v node%d ack1 -> %d for %s", p.Now(), me, primary.Index, req.Key)
-	}
 	n.data.SendTo(primary.IP, primary.DataPort, &Ack1{Req: req.key(), From: me}, ackSize)
 
 	tsm, ok := ps.ts.WaitTimeout(p, n.cfg.AckTimeout)

@@ -124,9 +124,6 @@ func (c *Chain) Acquire() uint64 {
 	return c.gen
 }
 
-// Gen returns the newest acquired writer generation.
-func (c *Chain) Gen() uint64 { return c.gen }
-
 // Epoch returns the chain epoch, bumped on every splice or rejoin.
 func (c *Chain) Epoch() uint64 { return c.epoch }
 

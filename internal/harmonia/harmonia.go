@@ -58,6 +58,13 @@ type Parser interface {
 	ParsePut(pkt *netsim.Packet, i int) (key string, op any, ok bool)
 }
 
+// ReplicaPort is stamped as the destination port of rewritten clean-key
+// reads. It makes the routing class explicit on the wire: nodes serve
+// non-primary reads only on this port, so a primary-routed read that the
+// fabric remapped to a freshly promoted (possibly lagging) primary cannot
+// be mistaken for one the switch vouched for.
+const ReplicaPort = 7001
+
 // Config parameterizes one dirty-set stage.
 type Config struct {
 	// Capacity bounds the dirty table; switch memory is the scarce
@@ -65,13 +72,6 @@ type Config struct {
 	// (reads fall back to the primary) until the next view install.
 	// 0 = 4096, the size for the simulated deployments.
 	Capacity int
-	// ReplicaPort, when nonzero, is stamped as the destination port of
-	// rewritten clean-key reads. It makes the routing class explicit on
-	// the wire: nodes serve non-primary reads only on this port, so a
-	// primary-routed read that the fabric remapped to a freshly promoted
-	// (possibly lagging) primary cannot be mistaken for one the switch
-	// vouched for.
-	ReplicaPort uint16
 }
 
 // opState tracks one in-flight put under a dirty entry.
@@ -189,10 +189,7 @@ func (d *DirtySet) Process(_ *netsim.Switch, pkt *netsim.Packet, _ int) bool {
 	if idx != 0 {
 		d.stats.RoutedReplica++
 	}
-	pkt.DstIP = p.replicas[idx]
-	if d.cfg.ReplicaPort != 0 {
-		pkt.DstPort = d.cfg.ReplicaPort
-	}
+	pkt.DstIP, pkt.DstPort = p.replicas[idx], ReplicaPort
 	return false
 }
 

@@ -116,9 +116,9 @@ func inSet(ip netsim.IP, set []netsim.IP) bool {
 
 func singlePartition(string) int { return 0 }
 
-// TestCleanRouting: clean keys are rewritten to an installed replica,
-// deterministically per (key, rid), and spread across the set as the
-// request id varies.
+// TestCleanRouting: clean keys are rewritten to an installed replica and
+// ReplicaPort, deterministically per (key, rid), and spread across the
+// set as the request id varies.
 func TestCleanRouting(t *testing.T) {
 	r := newRig(t, Config{}, singlePartition)
 	r.ds.InstallViewAs(1, 0, 1, replicas)
@@ -137,6 +137,11 @@ func TestCleanRouting(t *testing.T) {
 	}
 	if len(seen) != len(replicas) {
 		t.Errorf("64 rids only reached %d of %d replicas: %v", len(seen), len(replicas), seen)
+	}
+	pkt := &netsim.Packet{Proto: netsim.ProtoUDP, DstIP: vringDst, DstPort: 7000, Payload: &getMsg{key: "k"}}
+	r.process(pkt)
+	if pkt.DstPort != ReplicaPort {
+		t.Errorf("rewritten read carries port %d, want ReplicaPort %d", pkt.DstPort, ReplicaPort)
 	}
 	if st := r.ds.Stats(); st.Routed == 0 || st.RoutedReplica == 0 {
 		t.Errorf("routing counters empty: %+v", st)

@@ -42,11 +42,6 @@ type GatewayConfig struct {
 	CPUPerOp sim.Time
 }
 
-// GatewayStats counts proxied traffic.
-type GatewayStats struct {
-	Puts, Gets int64
-}
-
 // Gateway is the off-the-shelf load balancer NOOB deployments put in
 // front of the storage nodes (§2.1). It proxies whole requests and
 // responses, adding the hop(s) the paper measures.
@@ -57,16 +52,12 @@ type Gateway struct {
 	pool  *rpcPool
 	cpu   *sim.Resource
 	rr    int
-	stats GatewayStats
 }
 
 // NewGateway builds a gateway on a host stack.
 func NewGateway(stack *transport.Stack, cfg GatewayConfig) *Gateway {
 	return &Gateway{cfg: cfg, stack: stack, s: stack.Sim(), pool: newRPCPool(stack), cpu: sim.NewResource(stack.Sim())}
 }
-
-// Stats returns proxy counters.
-func (g *Gateway) Stats() GatewayStats { return g.stats }
 
 // Start begins proxying.
 func (g *Gateway) Start() {
@@ -95,14 +86,12 @@ func (g *Gateway) handle(p *sim.Proc, body any) (any, int) {
 	g.cpu.Use(p, g.cfg.CPUPerOp)
 	switch m := body.(type) {
 	case *PutReq:
-		g.stats.Puts++
 		resp, ok := g.pool.Call(p, g.target(m.Key, false), m, m.Size+reqOverhead)
 		if !ok {
 			return &PutResp{OK: false, Err: "backend unreachable"}, respOverhead
 		}
 		return resp, respOverhead
 	case *GetReq:
-		g.stats.Gets++
 		resp, ok := g.pool.Call(p, g.target(m.Key, true), m, reqOverhead)
 		if !ok {
 			return &GetResp{}, respOverhead

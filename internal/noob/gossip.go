@@ -21,13 +21,6 @@ type gossipMsg struct {
 	Failed []int
 }
 
-// GossipStats measures one dissemination for the membership-cost
-// comparison.
-type GossipStats struct {
-	Msgs   int64
-	Rounds int
-}
-
 // GossipMember is a node endpoint participating in epidemic membership
 // dissemination. It is deliberately independent of the storage node so
 // the membership-cost experiment can run it at any N cheaply.

@@ -3,14 +3,13 @@ package openflow
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/netsim"
 )
 
 // This file synthesizes the rule populations and traffic the switch-scale
-// benchmark replays. The shapes (cookies, priorities, match structure,
-// idle timeouts) mirror what internal/controller installs on a mapping
+// benchmark replays. The shapes (cookies, priorities, match structure)
+// mirror what internal/controller installs on a mapping
 // datapath so the lookup numbers reflect the table a real deployment
 // carries, without paying for a full cluster boot per benchmark point.
 
@@ -23,11 +22,6 @@ const (
 	benchPrioMapping = 50
 	benchPrioPhys    = 10
 )
-
-// benchIdle parks mapping rules on the expiry heap without ever firing
-// during a benchmark (the virtual clock is frozen), so Lookup pays the
-// real heap-peek cost.
-const benchIdle = 10 * time.Second
 
 // benchDivisions is the client-space split the LB tier uses (§4.5,
 // R=3 plus the primary: four /10 source divisions).
@@ -59,40 +53,40 @@ const benchHotKeys = 64
 // (the switchcache tier) sit above the LB rules.
 func SyntheticRules(n int, cache bool) []FlowEntry {
 	var rules []FlowEntry
-	add := func(prio int, m Match, idle time.Duration, cookie string) {
-		rules = append(rules, FlowEntry{Priority: prio, Match: m, IdleTimeout: idle, Cookie: cookie})
+	add := func(prio int, m Match, cookie string) {
+		rules = append(rules, FlowEntry{Priority: prio, Match: m, Cookie: cookie})
 	}
 
 	arp := NewMatch()
 	arp.Proto = netsim.ProtoARP
-	add(benchPrioARP, arp, 0, "arp-punt")
+	add(benchPrioARP, arp, "arp-punt")
 
 	divs := benchDivisions()
 	for p := 0; p < n; p++ {
 		uni := benchUniPrefix(p)
-		add(benchPrioMapping, MatchDst(uni), benchIdle, fmt.Sprintf("uni-p%d.", p))
+		add(benchPrioMapping, MatchDst(uni), fmt.Sprintf("uni-p%d.", p))
 		for d, div := range divs {
 			m := MatchDst(uni)
 			m.SrcIP = div
-			add(benchPrioLB, m, benchIdle, fmt.Sprintf("uni-p%d.d%d", p, d))
+			add(benchPrioLB, m, fmt.Sprintf("uni-p%d.d%d", p, d))
 		}
-		add(benchPrioMapping, MatchDst(benchMcPrefix(p)), benchIdle, fmt.Sprintf("mc-p%d.", p))
+		add(benchPrioMapping, MatchDst(benchMcPrefix(p)), fmt.Sprintf("mc-p%d.", p))
 		gd := MatchDst(netsim.HostPrefix(benchMcPrefix(p).Nth(1)))
 		prio := benchPrioMapping
 		if p%4 == 0 { // a quarter of the group-direct entries are ingress-specific
 			gd.InPort = p % 8
 			prio += 2
 		}
-		add(prio, gd, 0, fmt.Sprintf("gd-p%d.k0", p))
+		add(prio, gd, fmt.Sprintf("gd-p%d.k0", p))
 	}
 	for i := 0; i < n; i++ {
-		add(benchPrioPhys, MatchDst(netsim.HostPrefix(benchHostIP(i))), 0, "phys-"+benchHostIP(i).String())
+		add(benchPrioPhys, MatchDst(netsim.HostPrefix(benchHostIP(i))), "phys-"+benchHostIP(i).String())
 	}
 	if cache {
 		for k := 0; k < benchHotKeys; k++ {
 			m := MatchDst(netsim.HostPrefix(benchUniPrefix(k % n).Nth(1)))
 			m.DstPort = 9000
-			add(benchPrioCache, m, benchIdle, fmt.Sprintf("cache-k%d", k))
+			add(benchPrioCache, m, fmt.Sprintf("cache-k%d", k))
 		}
 	}
 	return rules

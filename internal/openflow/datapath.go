@@ -12,17 +12,6 @@ type ControllerHandler interface {
 	PacketIn(dp *Datapath, pkt *netsim.Packet, inPort int)
 }
 
-// MissBehavior selects what a datapath does on a flow-table miss.
-type MissBehavior int
-
-const (
-	// MissToController punts misses to the controller (the default, and
-	// what NICE's learning controller relies on).
-	MissToController MissBehavior = iota
-	// MissDrop silently discards misses.
-	MissDrop
-)
-
 // Stage is a function resident in the switch pipeline ahead of the flow
 // tables (the hot-key cache, the dirty set). Process sees every packet the
 // stages before it passed on and reports whether it consumed pkt —
@@ -57,7 +46,6 @@ type Datapath struct {
 	groups    *GroupTable
 	handler   ControllerHandler
 	ctrlDelay sim.Time
-	miss      MissBehavior
 	stats     ControlStats
 
 	// Injected control-channel fault (SetControlFault): extra latency on
@@ -83,7 +71,7 @@ func Attach(sw *netsim.Switch, ctrlDelay sim.Time) *Datapath {
 	dp := &Datapath{
 		name:      sw.DeviceName(),
 		sw:        sw,
-		table:     NewFlowTable(sw.Sim()),
+		table:     NewFlowTable(),
 		groups:    NewGroupTable(),
 		ctrlDelay: ctrlDelay,
 	}
@@ -168,11 +156,8 @@ func (dp *Datapath) ctrlLossy() bool {
 	return false
 }
 
-// SetMissBehavior selects the table-miss policy.
-func (dp *Datapath) SetMissBehavior(m MissBehavior) { dp.miss = m }
-
 // Process implements netsim.Pipeline: the stages in order, then the flow
-// tables.
+// tables. A table miss is punted to the controller.
 func (dp *Datapath) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
 	for _, st := range dp.stages {
 		if st.Process(sw, pkt, inPort) {
@@ -181,12 +166,7 @@ func (dp *Datapath) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
 	}
 	entry := dp.table.Lookup(pkt, inPort)
 	if entry == nil {
-		switch dp.miss {
-		case MissToController:
-			dp.punt(pkt, inPort)
-		default:
-			sw.Drop(pkt)
-		}
+		dp.punt(pkt, inPort)
 		return
 	}
 	dp.apply(entry.Actions, pkt, inPort)
@@ -281,7 +261,8 @@ func (dp *Datapath) applyGroup(id GroupID, pkt *netsim.Packet, inPort int) {
 	}
 }
 
-// punt sends a PacketIn to the controller after the control latency.
+// punt sends a PacketIn to the controller after the control latency, or
+// drops pkt when no controller is attached.
 func (dp *Datapath) punt(pkt *netsim.Packet, inPort int) {
 	if dp.handler == nil {
 		dp.sw.Drop(pkt)
@@ -305,16 +286,12 @@ func (dp *Datapath) Upcall(fn func()) {
 // Control-plane operations. Each models one controller-to-switch message:
 // it is counted immediately and takes effect after the control latency.
 
-// AddFlow installs a rule. The error future resolves when the switch has
-// applied (or rejected) the mod.
-func (dp *Datapath) AddFlow(e FlowEntry) *sim.Future[error] {
+// AddFlow installs a rule.
+func (dp *Datapath) AddFlow(e FlowEntry) {
 	dp.stats.FlowMods++
-	f := sim.NewFuture[error](dp.sw.Sim())
 	dp.ctrlSched(func() {
-		_, err := dp.table.Add(e)
-		f.Set(err)
+		dp.table.Add(e)
 	})
-	return f
 }
 
 // Barrier schedules fn on the control channel behind every mod

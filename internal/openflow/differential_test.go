@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // randPrefix draws a prefix biased toward the shapes the controller
@@ -73,14 +71,14 @@ func sameHit(a, b *FlowEntry) bool {
 
 // TestDifferentialLookup drives the indexed FlowTable and the linear
 // ReferenceTable through identical randomized histories of adds, removes
-// (by cookie class, and of one victim when a capacity is reached), clock
-// advances, and lookups — a third of them repeating a recent packet, so
-// the microflow cache answers across every kind of table change — and
-// demands that every lookup resolves to the identical entry with
-// identical counters, or misses in both. A second FlowTable has its
-// microflow cache emptied before every lookup: the cache may change no
-// result, no counter and no idle-expiry instant. Well over 10k (ruleset,
-// packet) cases.
+// (by cookie class, and of one victim when a size bound is reached) and
+// lookups — a third of them repeating a recent packet, so the microflow
+// cache answers across every kind of table change — and demands that
+// every lookup resolves to the identical entry with identical counters,
+// or misses in both, and that all tables hold the same number of rules at
+// every step. A second FlowTable has its microflow cache emptied before
+// every lookup: the cache may change no result and no counter. Well over
+// 10k (ruleset, packet) cases.
 func TestDifferentialLookup(t *testing.T) {
 	const (
 		iterations = 400
@@ -89,13 +87,12 @@ func TestDifferentialLookup(t *testing.T) {
 	lookups, repeats := 0, 0
 	for iter := 0; iter < iterations; iter++ {
 		rng := rand.New(rand.NewSource(int64(iter)))
-		s := sim.New(1)
-		ft := NewFlowTable(s)
-		cold := NewFlowTable(s) // ft with its microflow cache always empty
-		rt := NewReferenceTable(s)
-		capacity := 0
+		ft := NewFlowTable()
+		cold := NewFlowTable() // ft with its microflow cache always empty
+		rt := NewReferenceTable()
+		bound := 0
 		if iter%3 == 0 {
-			capacity = 12 + rng.Intn(12) // every add past it evicts a victim first
+			bound = 12 + rng.Intn(12) // every add past it removes a victim first
 		}
 		type probe struct {
 			pkt    *netsim.Packet
@@ -106,7 +103,7 @@ func TestDifferentialLookup(t *testing.T) {
 		for op := 0; op < opsPerIter; op++ {
 			switch r := rng.Intn(100); {
 			case r < 25: // install a rule in all tables
-				if capacity > 0 && rt.Len() >= capacity {
+				if bound > 0 && rt.Len() >= bound {
 					victim := rt.Entries()[rng.Intn(rt.Len())].Cookie
 					isVictim := func(e *FlowEntry) bool { return e.Cookie == victim }
 					ft.Remove(isVictim)
@@ -118,28 +115,15 @@ func TestDifferentialLookup(t *testing.T) {
 					Match:    randMatch(rng),
 					Cookie:   fmt.Sprintf("c%d.r%d", rng.Intn(4), nrules),
 				}
-				if rng.Intn(3) == 0 {
-					e.IdleTimeout = time.Duration(1+rng.Intn(50)) * time.Microsecond
-				}
 				nrules++
-				if _, err := ft.Add(e); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := cold.Add(e); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := rt.Add(e); err != nil {
-					t.Fatal(err)
-				}
+				ft.Add(e)
+				cold.Add(e)
+				rt.Add(e)
 			case r < 32: // remove a random cookie class from all
 				pfx := fmt.Sprintf("c%d.", rng.Intn(4))
 				ft.RemoveCookie(pfx)
 				cold.RemoveCookie(pfx)
 				rt.RemoveCookie(pfx)
-			case r < 45: // advance the clock so idle timeouts bite
-				if err := s.RunUntil(s.Now() + time.Duration(1+rng.Intn(40))*time.Microsecond); err != nil {
-					t.Fatal(err)
-				}
 			default: // differential probe, fresh or repeated
 				pr := probe{randPacket(rng), rng.Intn(4) - 1}
 				if len(recent) > 0 && rng.Intn(3) == 0 {
@@ -164,16 +148,10 @@ func TestDifferentialLookup(t *testing.T) {
 						iter, op, pr.pkt, pr.inPort, got, uncached)
 				}
 			}
-			// Idle expiry runs ahead of the cache on every lookup, so the
-			// two indexed tables hold the same rules at every step.
-			if ft.Len() != cold.Len() {
-				t.Fatalf("iter %d op %d: %d entries, %d with the microflow cache emptied", iter, op, ft.Len(), cold.Len())
+			if ft.Len() != rt.Len() || cold.Len() != rt.Len() {
+				t.Fatalf("iter %d op %d: %d entries, %d with the microflow cache emptied, reference %d",
+					iter, op, ft.Len(), cold.Len(), rt.Len())
 			}
-		}
-		// The indexed table reaps shadowed expired entries the reference
-		// never visits, so it can only ever hold fewer.
-		if ft.Len() > rt.Len() {
-			t.Fatalf("iter %d: indexed table retains %d entries, reference %d", iter, ft.Len(), rt.Len())
 		}
 	}
 	if lookups < 10000 || repeats < 3000 {
@@ -183,11 +161,9 @@ func TestDifferentialLookup(t *testing.T) {
 
 // TestMicroflowFollowsTableChanges walks one packet through every way the
 // rule that wins it can change between two identical lookups: a shadowing
-// higher-priority rule added, removed by predicate, removed by cookie, and
-// the winner idling out.
+// higher-priority rule added, removed by predicate, and removed by cookie.
 func TestMicroflowFollowsTableChanges(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
+	tbl := NewFlowTable()
 	pkt := udp("1.1.1.1", "10.0.0.5")
 	expect := func(want string) {
 		t.Helper()
@@ -211,25 +187,13 @@ func TestMicroflowFollowsTableChanges(t *testing.T) {
 	expect("host.a")
 	tbl.RemoveCookie("host.")
 	expect("low")
-	idle, _ := tbl.Add(FlowEntry{Priority: 9, Match: MatchDst(pfx("10.0.0.5/32")), Cookie: "idle", IdleTimeout: us(100)})
-	expect("idle")
-	s.RunUntil(us(90))
-	expect("idle") // refreshes lastUsed from the cache path too
-	s.RunUntil(us(180))
-	expect("idle")
-	s.RunUntil(us(281))
-	expect("low")
-	if idle.Matches() != 3 || tbl.Len() != 1 {
-		t.Fatalf("idle rule matched %d times, table holds %d entries", idle.Matches(), tbl.Len())
-	}
 }
 
 // TestMicroflowCollidingTuples: two flows that hash to the same slot of the
 // direct-mapped cache evict each other on every packet and still each
 // resolve to their own rule, with their own counters.
 func TestMicroflowCollidingTuples(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
+	tbl := NewFlowTable()
 	a := udp("1.1.1.1", "10.0.0.5")
 	var b *netsim.Packet
 	for i := 0; b == nil; i++ {
@@ -239,8 +203,8 @@ func TestMicroflowCollidingTuples(t *testing.T) {
 			b = c
 		}
 	}
-	ea, _ := tbl.Add(FlowEntry{Priority: 1, Match: MatchDst(pfx("10.0.0.0/16")), Cookie: "a"})
-	eb, _ := tbl.Add(FlowEntry{Priority: 1, Match: MatchDst(pfx("10.1.0.0/16")), Cookie: "b"})
+	ea := tbl.Add(FlowEntry{Priority: 1, Match: MatchDst(pfx("10.0.0.0/16")), Cookie: "a"})
+	eb := tbl.Add(FlowEntry{Priority: 1, Match: MatchDst(pfx("10.1.0.0/16")), Cookie: "b"})
 	for i := 0; i < 10; i++ {
 		if e := tbl.Lookup(a, 0); e != ea {
 			t.Fatalf("round %d: flow a resolved to %v", i, e)
@@ -259,66 +223,10 @@ func TestMicroflowCollidingTuples(t *testing.T) {
 	}
 }
 
-// TestShadowedIdleRuleExpires is the regression test for the idle-expiry
-// gap: under the old scan-coupled eviction, an idle rule sorted below a
-// hot rule was never visited by Lookup and survived forever. The deadline
-// heap must reap it regardless of shadowing.
-func TestShadowedIdleRuleExpires(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
-	tbl.Add(FlowEntry{Priority: 10, Match: MatchDst(pfx("10.0.0.0/8")), Cookie: "hot"})
-	tbl.Add(FlowEntry{
-		Priority:    5,
-		Match:       MatchDst(pfx("10.0.0.0/8")),
-		Cookie:      "shadowed",
-		IdleTimeout: us(100),
-	})
-	// Steady traffic hits the hot rule; the shadowed rule is never used.
-	for i := 1; i <= 6; i++ {
-		s.At(us(50*i), func() {
-			if e := tbl.Lookup(udp("1.1.1.1", "10.0.0.5"), 0); e == nil || e.Cookie != "hot" {
-				t.Errorf("lookup resolved to %v, want hot rule", e)
-			}
-		})
-	}
-	s.At(us(400), func() {
-		if tbl.Len() != 1 {
-			t.Errorf("Len = %d after shadowed idle expiry, want 1", tbl.Len())
-		}
-		for _, e := range tbl.Entries() {
-			if e.Cookie == "shadowed" {
-				t.Error("shadowed idle rule still resident")
-			}
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Document the reference behavior the heap fixes: the linear table
-	// still holds the shadowed rule after the same history.
-	s2 := sim.New(1)
-	ref := NewReferenceTable(s2)
-	ref.Add(FlowEntry{Priority: 10, Match: MatchDst(pfx("10.0.0.0/8")), Cookie: "hot"})
-	ref.Add(FlowEntry{Priority: 5, Match: MatchDst(pfx("10.0.0.0/8")), Cookie: "shadowed", IdleTimeout: us(100)})
-	for i := 1; i <= 6; i++ {
-		s2.At(us(50*i), func() { ref.Lookup(udp("1.1.1.1", "10.0.0.5"), 0) })
-	}
-	s2.At(us(400), func() {
-		if ref.Len() != 2 {
-			t.Errorf("reference Len = %d, want 2 (shadowed rule leaks by design)", ref.Len())
-		}
-	})
-	if err := s2.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEntriesSnapshotIsolated verifies Entries hands out a copy: callers
 // shuffling or truncating the slice must not corrupt index invariants.
 func TestEntriesSnapshotIsolated(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
+	tbl := NewFlowTable()
 	tbl.Add(FlowEntry{Priority: 2, Match: MatchDst(pfx("10.0.0.0/8")), Cookie: "a"})
 	tbl.Add(FlowEntry{Priority: 1, Match: NewMatch(), Cookie: "b"})
 	es := tbl.Entries()

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // This file holds the two-tier match index behind FlowTable.Lookup.
@@ -23,11 +22,6 @@ import (
 // Tier two is a short priority-ordered list for rules that constrain
 // nothing at all (the default-miss catch-alls); it is consulted after the
 // groups and loses ties by the same (priority, insertion order) rule.
-//
-// Idle expiry is an explicit min-heap on lastUsed+IdleTimeout deadlines
-// (lazily refreshed, like a hashed timer wheel), replacing the old
-// evict-while-scanning approach that never visited entries shadowed by an
-// earlier match.
 
 // maskSig is the mask signature of a Match: which fields it pins and the
 // prefix lengths it pins them at. The zero maskSig is the all-wildcard
@@ -120,8 +114,8 @@ func (g *matchGroup) pktKey(pkt *netsim.Packet, inPort int) flowKey {
 // — nil for a table miss. The winner is a function of the tuple and the
 // installed rules alone, so a slot stays right until a rule is added or
 // removed; index and unindex bump FlowTable.ver and every older slot stops
-// answering. Slots hold nothing the index cannot recompute: counters,
-// lastUsed and idle expiry live on the entries and run on every Lookup.
+// answering. Slots hold nothing the index cannot recompute: the hit
+// counters live on the entries and are bumped on every Lookup.
 const (
 	microflowBits  = 10
 	microflowSlots = 1 << microflowBits
@@ -183,85 +177,4 @@ func removeFrom(list []*FlowEntry, e *FlowEntry) []*FlowEntry {
 		}
 	}
 	return list
-}
-
-// expNode is one pending idle deadline. at may be stale (the entry was
-// used after scheduling); the pop path re-checks against the entry's true
-// deadline and re-arms.
-type expNode struct {
-	at sim.Time
-	e  *FlowEntry
-}
-
-// expiryHeap is a binary min-heap of idle deadlines. Removed entries
-// leave their node behind (marked via FlowEntry.removed) and are skipped
-// on pop; dead counts them so compact can bound the garbage.
-type expiryHeap struct {
-	nodes []expNode
-	dead  int
-}
-
-func (h *expiryHeap) push(at sim.Time, e *FlowEntry) {
-	h.nodes = append(h.nodes, expNode{at: at, e: e})
-	i := len(h.nodes) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.nodes[parent].at <= h.nodes[i].at {
-			break
-		}
-		h.nodes[parent], h.nodes[i] = h.nodes[i], h.nodes[parent]
-		i = parent
-	}
-}
-
-func (h *expiryHeap) pop() expNode {
-	n := h.nodes[0]
-	last := len(h.nodes) - 1
-	h.nodes[0] = h.nodes[last]
-	h.nodes[last] = expNode{}
-	h.nodes = h.nodes[:last]
-	h.siftDown(0)
-	return n
-}
-
-func (h *expiryHeap) siftDown(i int) {
-	n := len(h.nodes)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.nodes[l].at < h.nodes[small].at {
-			small = l
-		}
-		if r < n && h.nodes[r].at < h.nodes[small].at {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h.nodes[i], h.nodes[small] = h.nodes[small], h.nodes[i]
-		i = small
-	}
-}
-
-// compact drops dead nodes once they outnumber live ones, keeping the
-// heap proportional to the resident idle-rule count across the
-// controller's install/remove churn.
-func (h *expiryHeap) compact() {
-	if h.dead <= len(h.nodes)/2 || len(h.nodes) < 64 {
-		return
-	}
-	live := h.nodes[:0]
-	for _, n := range h.nodes {
-		if !n.e.removed {
-			live = append(live, n)
-		}
-	}
-	for i := len(live); i < len(h.nodes); i++ {
-		h.nodes[i] = expNode{}
-	}
-	h.nodes = live
-	h.dead = 0
-	for i := len(h.nodes)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
 }

@@ -5,31 +5,25 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // benchSizes are the deployment scales the lookup benchmarks sweep.
 var benchSizes = []int{8, 32, 64, 128, 256}
 
 func runLookupBench(b *testing.B, nodes int, cache bool, linear bool) {
-	s := sim.New(1)
 	rules := SyntheticRules(nodes, cache)
 	pkts := SyntheticPackets(nodes, 1024, cache, 7)
 	var lookup func(pkt *netsim.Packet, inPort int) *FlowEntry
 	if linear {
-		t := NewReferenceTable(s)
+		t := NewReferenceTable()
 		for _, r := range rules {
-			if _, err := t.Add(r); err != nil {
-				b.Fatal(err)
-			}
+			t.Add(r)
 		}
 		lookup = t.Lookup
 	} else {
-		t := NewFlowTable(s)
+		t := NewFlowTable()
 		for _, r := range rules {
-			if _, err := t.Add(r); err != nil {
-				b.Fatal(err)
-			}
+			t.Add(r)
 		}
 		lookup = t.Lookup
 	}

@@ -47,10 +47,9 @@ func TestMatchCovers(t *testing.T) {
 }
 
 func TestFlowTablePriority(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
-	lo, _ := tbl.Add(FlowEntry{Priority: 1, Match: NewMatch(), Cookie: "default"})
-	hi, _ := tbl.Add(FlowEntry{Priority: 10, Match: MatchDst(pfx("10.10.0.0/16")), Cookie: "vring"})
+	tbl := NewFlowTable()
+	lo := tbl.Add(FlowEntry{Priority: 1, Match: NewMatch(), Cookie: "default"})
+	hi := tbl.Add(FlowEntry{Priority: 10, Match: MatchDst(pfx("10.10.0.0/16")), Cookie: "vring"})
 
 	if e := tbl.Lookup(udp("1.1.1.1", "10.10.0.5"), 0); e != hi {
 		t.Fatalf("lookup hit %v, want high-priority entry", e)
@@ -64,55 +63,16 @@ func TestFlowTablePriority(t *testing.T) {
 }
 
 func TestFlowTableInsertionOrderTieBreak(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
-	first, _ := tbl.Add(FlowEntry{Priority: 5, Match: NewMatch(), Cookie: "first"})
+	tbl := NewFlowTable()
+	first := tbl.Add(FlowEntry{Priority: 5, Match: NewMatch(), Cookie: "first"})
 	tbl.Add(FlowEntry{Priority: 5, Match: NewMatch(), Cookie: "second"})
 	if e := tbl.Lookup(udp("1.1.1.1", "2.2.2.2"), 0); e != first {
 		t.Fatalf("tie broke to %q, want first", e.Cookie)
 	}
 }
 
-func TestFlowTableIdleTimeout(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
-	tbl.Add(FlowEntry{Priority: 5, Match: NewMatch(), Cookie: "x", IdleTimeout: us(100)})
-	s.At(us(50), func() {
-		if tbl.Lookup(udp("1.1.1.1", "2.2.2.2"), 0) == nil {
-			t.Error("entry expired too early")
-		}
-	})
-	s.At(us(200), func() { // 150us after last use: expired
-		if tbl.Lookup(udp("1.1.1.1", "2.2.2.2"), 0) != nil {
-			t.Error("entry should have expired")
-		}
-		if tbl.Len() != 0 {
-			t.Errorf("Len = %d after expiry", tbl.Len())
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlowTableCapacity(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
-	tbl.Capacity = 2
-	if _, err := tbl.Add(FlowEntry{Priority: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Add(FlowEntry{Priority: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Add(FlowEntry{Priority: 3}); err != ErrTableFull {
-		t.Fatalf("err = %v, want ErrTableFull", err)
-	}
-}
-
 func TestRemoveCookie(t *testing.T) {
-	s := sim.New(1)
-	tbl := NewFlowTable(s)
+	tbl := NewFlowTable()
 	tbl.Add(FlowEntry{Priority: 1, Cookie: "vring-unicast-p0"})
 	tbl.Add(FlowEntry{Priority: 1, Cookie: "vring-unicast-p1"})
 	tbl.Add(FlowEntry{Priority: 1, Cookie: "vring-mcast-p0"})
@@ -155,7 +115,6 @@ func TestRewriteAndForward(t *testing.T) {
 		Actions:  []Action{SetDstIP{srv.IP()}, SetDstMAC{srv.MAC()}, Output{Port: 1}},
 		Cookie:   "vring",
 	})
-	dp.SetMissBehavior(MissDrop)
 	var got *netsim.Packet
 	srv.SetHandler(func(pkt *netsim.Packet) { got = pkt })
 	s.At(0, func() { client.Send(&netsim.Packet{DstIP: vaddr, Proto: netsim.ProtoUDP, Size: 200}) })
@@ -189,7 +148,6 @@ func TestGroupMulticast(t *testing.T) {
 		Match:    MatchDst(pfx("10.11.1.0/24")),
 		Actions:  []Action{SetDstIP{group}, SetDstMAC{netsim.BroadcastMAC}, OutputGroup{Group: 7}},
 	})
-	dp.SetMissBehavior(MissDrop)
 	got := make([]int, len(servers))
 	for i := range servers {
 		i := i
@@ -246,7 +204,6 @@ func TestPacketInOut(t *testing.T) {
 
 func TestFlowModLatency(t *testing.T) {
 	s, _, dp, client, servers := topo(t, 1, us(500))
-	dp.SetMissBehavior(MissDrop)
 	srv := servers[0]
 	got := 0
 	srv.SetHandler(func(pkt *netsim.Packet) { got++ })
@@ -284,7 +241,6 @@ func (f stageFunc) Process(_ *netsim.Switch, pkt *netsim.Packet, _ int) bool { r
 func TestStagesRunAheadOfTheFlowTable(t *testing.T) {
 	s, _, dp, client, servers := topo(t, 1, 0)
 	srv := servers[0]
-	dp.SetMissBehavior(MissDrop)
 	dp.Table().Add(FlowEntry{Priority: 5, Match: MatchDst(netsim.HostPrefix(srv.IP())), Actions: []Action{Output{Port: 1}}})
 	var seen []string
 	dp.AddStage(stageFunc(func(pkt *netsim.Packet) bool {
@@ -357,7 +313,6 @@ func TestStageCommandRidesTheControlChannel(t *testing.T) {
 
 func TestActionListStopsOnDrop(t *testing.T) {
 	s, _, dp, client, servers := topo(t, 1, 0)
-	dp.SetMissBehavior(MissDrop)
 	dp.Table().Add(FlowEntry{
 		Priority: 5,
 		Match:    NewMatch(),
@@ -378,7 +333,6 @@ func TestSetFieldDoesNotAliasAcrossOutputs(t *testing.T) {
 	// Output, then rewrite, then output again: the first copy must keep
 	// the original header.
 	s, _, dp, client, servers := topo(t, 2, 0)
-	dp.SetMissBehavior(MissDrop)
 	dp.Table().Add(FlowEntry{
 		Priority: 5,
 		Match:    NewMatch(),

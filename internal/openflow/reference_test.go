@@ -5,41 +5,27 @@ import (
 	"strings"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // ReferenceTable is the pre-index flow table: a priority-sorted slice
-// scanned linearly on every lookup, evicting idle-expired entries as the
-// scan passes them. It is kept verbatim as the executable specification
-// of matching semantics — the differential property test runs it side by
-// side with FlowTable on randomized rule sets, and the switch-scale
-// benchmark uses it as the O(n) baseline.
-//
-// Its one known deviation is deliberate: entries shadowed by an
-// earlier match are never visited by the scan, so their idle timeout
-// never fires (the bug the deadline heap fixes). Shadowed expired
-// entries are unreturnable in both implementations, so Lookup results
-// still agree exactly.
+// scanned linearly on every lookup. It is kept as the executable
+// specification of matching semantics — the differential property test
+// runs it side by side with FlowTable on randomized rule sets, and the
+// switch-scale benchmark uses it as the O(n) baseline.
 type ReferenceTable struct {
-	s        *sim.Simulator
-	entries  []*FlowEntry
-	seq      uint64
-	Capacity int // 0 = unlimited
+	entries []*FlowEntry
+	seq     uint64
 }
 
-// NewReferenceTable returns an empty linear-scan table clocked by s.
-func NewReferenceTable(s *sim.Simulator) *ReferenceTable {
-	return &ReferenceTable{s: s}
+// NewReferenceTable returns an empty linear-scan table.
+func NewReferenceTable() *ReferenceTable {
+	return &ReferenceTable{}
 }
 
 // Add inserts a rule and keeps the table sorted by descending priority.
-func (t *ReferenceTable) Add(e FlowEntry) (*FlowEntry, error) {
-	if t.Capacity > 0 && len(t.entries) >= t.Capacity {
-		return nil, ErrTableFull
-	}
+func (t *ReferenceTable) Add(e FlowEntry) *FlowEntry {
 	t.seq++
 	e.seq = t.seq
-	e.lastUsed = t.s.Now()
 	ep := &e
 	i := sort.Search(len(t.entries), func(i int) bool {
 		return t.entries[i].Priority < ep.Priority
@@ -47,7 +33,7 @@ func (t *ReferenceTable) Add(e FlowEntry) (*FlowEntry, error) {
 	t.entries = append(t.entries, nil)
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = ep
-	return ep, nil
+	return ep
 }
 
 // Remove deletes all entries for which pred returns true and reports how
@@ -75,22 +61,12 @@ func (t *ReferenceTable) RemoveCookie(prefix string) int {
 }
 
 // Lookup returns the matching entry for pkt on inPort, or nil on a table
-// miss, updating hit counters and evicting idle entries it passes.
+// miss, updating hit counters.
 func (t *ReferenceTable) Lookup(pkt *netsim.Packet, inPort int) *FlowEntry {
-	now := t.s.Now()
-	for i := 0; i < len(t.entries); i++ {
-		e := t.entries[i]
-		if e.IdleTimeout > 0 && now-e.lastUsed > e.IdleTimeout {
-			copy(t.entries[i:], t.entries[i+1:])
-			t.entries[len(t.entries)-1] = nil
-			t.entries = t.entries[:len(t.entries)-1]
-			i--
-			continue
-		}
+	for _, e := range t.entries {
 		if e.Match.Covers(pkt, inPort) {
 			e.matches++
 			e.bytes += int64(pkt.Size)
-			e.lastUsed = now
 			return e
 		}
 	}

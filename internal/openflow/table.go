@@ -2,28 +2,23 @@ package openflow
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // FlowEntry is one rule: a priority, a match, and an action list. Cookie
 // is a free-form label the controller uses to find and delete its own
 // rules; it plays the role of the OpenFlow cookie field.
 type FlowEntry struct {
-	Priority    int
-	Match       Match
-	Actions     []Action
-	Cookie      string
-	IdleTimeout sim.Time // 0 = never expires
+	Priority int
+	Match    Match
+	Actions  []Action
+	Cookie   string
 
-	matches  int64
-	bytes    int64
-	lastUsed sim.Time
-	seq      uint64 // insertion order, tie-break within a priority
-	removed  bool   // deleted or idle-expired; stale heap nodes check this
+	matches int64
+	bytes   int64
+	seq     uint64 // insertion order, tie-break within a priority
 }
 
 // Matches returns how many packets hit this entry.
@@ -45,23 +40,18 @@ func (e *FlowEntry) String() string {
 // FlowTable is a priority-ordered rule table. Lookup returns the
 // highest-priority covering entry (insertion order breaks ties) in O(1)
 // map probes per mask signature: rules are indexed into exact-match hash
-// groups plus a short catch-all list (see index.go), and idle expiry runs
-// off an explicit deadline heap instead of being folded into the scan. A
-// packet of the flow a slot of the microflow cache remembers skips the
-// probes altogether.
+// groups plus a short catch-all list (see index.go). A packet of the flow
+// a slot of the microflow cache remembers skips the probes altogether.
+// The table holds exactly what the controller installed: a rule leaves
+// only when the controller removes it.
 // Semantics are bit-identical to ReferenceTable, the linear-scan oracle.
-// Table size is bounded by Capacity when non-zero, modeling hardware TCAM
-// limits (§4.6).
 type FlowTable struct {
-	s        *sim.Simulator
-	entries  []*FlowEntry // priority-ordered master list
-	seq      uint64
-	Capacity int // 0 = unlimited
+	entries []*FlowEntry // priority-ordered master list
+	seq     uint64
 
 	groups []*matchGroup // tier one, in first-installation order
 	bySig  map[maskSig]*matchGroup
 	wild   []*FlowEntry // tier two: all-wildcard rules, best-first
-	idle   expiryHeap
 
 	// ver counts index changes; a microflow slot answers only while its
 	// stamp equals it, so any rule added or removed empties the cache.
@@ -69,30 +59,20 @@ type FlowTable struct {
 	micro [microflowSlots]microflow
 }
 
-// NewFlowTable returns an empty table clocked by s.
-func NewFlowTable(s *sim.Simulator) *FlowTable {
+// NewFlowTable returns an empty table.
+func NewFlowTable() *FlowTable {
 	// ver starts past the zero stamp of an unused slot.
-	return &FlowTable{s: s, bySig: make(map[maskSig]*matchGroup), ver: 1}
+	return &FlowTable{bySig: make(map[maskSig]*matchGroup), ver: 1}
 }
 
-// ErrTableFull is returned by Add when Capacity would be exceeded.
-var ErrTableFull = fmt.Errorf("openflow: flow table full")
-
 // Add inserts a rule and keeps the table sorted by descending priority.
-func (t *FlowTable) Add(e FlowEntry) (*FlowEntry, error) {
-	if t.Capacity > 0 && len(t.entries) >= t.Capacity {
-		return nil, ErrTableFull
-	}
+func (t *FlowTable) Add(e FlowEntry) *FlowEntry {
 	t.seq++
 	e.seq = t.seq
-	e.lastUsed = t.s.Now()
 	ep := &e
 	t.entries = insertOrdered(t.entries, ep)
 	t.index(ep)
-	if ep.IdleTimeout > 0 {
-		t.idle.push(ep.lastUsed+ep.IdleTimeout, ep)
-	}
-	return ep, nil
+	return ep
 }
 
 // index files ep under its mask-signature group (or the wildcard list).
@@ -117,15 +97,9 @@ func (t *FlowTable) index(ep *FlowEntry) {
 	g.size++
 }
 
-// unindex removes ep from its group or the wildcard list, and from the
-// master list. ep's pending idle node (if any) is left for the heap to
-// skip.
+// unindex removes ep from its group or the wildcard list.
 func (t *FlowTable) unindex(ep *FlowEntry) {
 	t.ver++
-	ep.removed = true
-	if ep.IdleTimeout > 0 {
-		t.idle.dead++
-	}
 	sig := ep.Match.sig()
 	if sig == (maskSig{}) {
 		t.wild = removeFrom(t.wild, ep)
@@ -159,7 +133,6 @@ func (t *FlowTable) Remove(pred func(*FlowEntry) bool) int {
 		t.entries[i] = nil
 	}
 	t.entries = kept
-	t.idle.compact()
 	return removed
 }
 
@@ -168,55 +141,11 @@ func (t *FlowTable) RemoveCookie(prefix string) int {
 	return t.Remove(func(e *FlowEntry) bool { return strings.HasPrefix(e.Cookie, prefix) })
 }
 
-// expireIdle evicts every entry whose idle deadline has passed. Deadlines
-// in the heap are lazily stale: an entry used since scheduling is re-armed
-// at its true deadline instead of evicted. Unlike the old scan-coupled
-// eviction this reaps entries shadowed by higher-priority rules too.
-func (t *FlowTable) expireIdle(now sim.Time) {
-	for len(t.idle.nodes) > 0 && t.idle.nodes[0].at < now {
-		n := t.idle.pop()
-		if n.e.removed {
-			t.idle.dead--
-			continue
-		}
-		deadline := n.e.lastUsed + n.e.IdleTimeout
-		if deadline < now {
-			t.evict(n.e)
-		} else {
-			t.idle.push(deadline, n.e)
-		}
-	}
-	// Periodic tombstone compaction (§10.2): Remove compacts at its own
-	// call sites, but this is the path every lookup takes, so checking the
-	// (two-comparison) threshold here bounds the heap no matter who
-	// removed the entries or when.
-	t.idle.compact()
-}
-
-// evict drops an idle-expired entry from the master list and the index.
-func (t *FlowTable) evict(e *FlowEntry) {
-	i := sort.Search(len(t.entries), func(i int) bool { return !beats(t.entries[i], e) })
-	for i < len(t.entries) && t.entries[i] != e {
-		i++ // identical (priority, seq) cannot repeat; defensive only
-	}
-	if i == len(t.entries) {
-		return
-	}
-	copy(t.entries[i:], t.entries[i+1:])
-	t.entries[len(t.entries)-1] = nil
-	t.entries = t.entries[:len(t.entries)-1]
-	t.unindex(e)
-	t.idle.dead-- // the node that triggered eviction is already popped
-}
-
 // Lookup returns the matching entry for pkt on inPort, or nil on a table
-// miss, updating hit counters. Expired idle entries are reaped up front;
-// then the packet's microflow slot answers if it holds this very header
-// tuple as classified against the index as it stands, and otherwise is
-// refilled from the index.
+// miss, updating hit counters. The packet's microflow slot answers if it
+// holds this very header tuple as classified against the index as it
+// stands, and otherwise is refilled from the index.
 func (t *FlowTable) Lookup(pkt *netsim.Packet, inPort int) *FlowEntry {
-	now := t.s.Now()
-	t.expireIdle(now)
 	key := tupleOf(pkt, inPort)
 	mf := &t.micro[key.slot()]
 	if mf.ver != t.ver || mf.key != key {
@@ -228,7 +157,6 @@ func (t *FlowTable) Lookup(pkt *netsim.Packet, inPort int) *FlowEntry {
 	}
 	best.matches++
 	best.bytes += int64(pkt.Size)
-	best.lastUsed = now
 	return best
 }
 

@@ -1,23 +1,11 @@
 package transport
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
-
-// Debug enables multicast transport tracing (tests only).
-var Debug bool
-
-func dbg(s *sim.Simulator, format string, args ...any) {
-	if Debug {
-		fmt.Printf("%v mcast ", s.Now())
-		fmt.Printf(format, args...)
-		fmt.Println()
-	}
-}
 
 // Multicast transport tuning (§5 "Replication"): data is chunked below a
 // single MTU, NACKs repair losses over unicast, and ACKs drive flow
@@ -230,11 +218,6 @@ func (st *Stack) MustBindMulticast(port uint16) *MulticastReceiver {
 
 // Recv blocks until a complete transfer arrives.
 func (r *MulticastReceiver) Recv(p *sim.Proc) (Transfer, bool) { return r.rq.Pop(p) }
-
-// RecvTimeout is Recv with a deadline.
-func (r *MulticastReceiver) RecvTimeout(p *sim.Proc, d sim.Time) (Transfer, bool) {
-	return r.rq.PopTimeout(p, d)
-}
 
 // Close unbinds the receiver.
 func (r *MulticastReceiver) Close() {
@@ -582,9 +565,6 @@ func (tx *mcastSend) handle(d Datagram) {
 			tx.res.finished(d.From)
 		}
 	case mctrlNack:
-		if Debug {
-			dbg(tx.st.s, "NACK from %v: %d missing (first %d)", d.From, len(m.missing), m.missing[0])
-		}
 		for _, idx := range m.missing {
 			tx.sendChunk(idx, d.From, false)
 		}
@@ -663,9 +643,6 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (McastResult, error)
 		end := base + McastWindow
 		if end > total {
 			end = total
-		}
-		if Debug {
-			dbg(st.s, "window %d-%d (k=%d)", base, end, k)
 		}
 		for i := base; i < end; i++ {
 			tx.sendChunk(i, 0, i == end-1)

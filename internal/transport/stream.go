@@ -168,9 +168,6 @@ func (st *Stack) dropConn(c *Conn) {
 	}
 }
 
-// Peer returns the remote address.
-func (c *Conn) Peer() netsim.IP { return c.peer }
-
 // sendSeg transmits one segment of the stream, numbered seq.
 func (c *Conn) sendSeg(m *segMsg, seq uint64, size int) {
 	pkt := c.stack.host.Network().NewPacket()

@@ -81,9 +81,6 @@ func (o *OpenLoop) file(c int32, at int64) {
 	o.head[b] = c
 }
 
-// Clients returns the fleet size.
-func (o *OpenLoop) Clients() int { return len(o.rng) }
-
 // Tick serves the next tick's arrival batch: fn is called once per
 // arriving client, and each served client is re-filed at its next
 // arrival. It returns the batch size. The caller owns pacing — the
