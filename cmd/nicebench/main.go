@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
 	"repro/internal/sim"
@@ -478,6 +480,7 @@ var kernelGates = map[string]bool{
 	"StreamMsg":     true,
 	"NicePut":       true,
 	"BatchedPut":    true,
+	"NiceGet":       true,
 }
 
 // checkKernelBaseline compares measured kernel benchmarks against a
@@ -871,6 +874,9 @@ func kernelBenchmarks() []kernelResult {
 	batchedPut, shutdown := nicePutBenchmark(true)
 	add("BatchedPut", batchedPut)
 	shutdown()
+	niceGet, shutdown := niceGetBenchmark()
+	add("NiceGet", niceGet)
+	shutdown()
 	add("NetHostToHost", func(b *testing.B) {
 		s := sim.New(1)
 		n := netsim.NewNetwork(s)
@@ -1087,6 +1093,104 @@ func nicePutBenchmark(batched bool) (bench func(b *testing.B), shutdown func()) 
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			put()
+		}
+		if failure != nil {
+			b.Fatal(failure)
+		}
+	}, d.Close
+}
+
+// niceGetBenchmark times the serving side of two gets on a 3-node, R=3
+// cluster.NewNICE deployment with the in-switch cache: one the switch
+// answers from its table, one it mirrors as a miss and a storage node
+// serves from memory. The requester is a bare socket pair that reuses its
+// two requests and frees their reply rooms, as the traffic engine does,
+// so the count per op is the serving side's alone. The hot key is
+// installed directly and the detector's threshold is out of reach, so
+// the missed key is sampled but never fetched; heartbeats are an hour
+// apart. shutdown ends the fixture's procs.
+func niceGetBenchmark() (bench func(b *testing.B), shutdown func()) {
+	const replyPort = 8100
+	opts := cluster.DefaultOptions()
+	opts.Nodes, opts.R = 3, 3
+	opts.Heartbeat = time.Hour
+	opts.Cache = true
+	opts.CacheHotThreshold = math.MaxUint32
+	d := cluster.NewNICE(opts)
+	failure := d.Settle()
+	st := d.CStacks[0]
+	reqs := []*core.GetRequest{{Key: "hot", ReqID: 1}, {Key: "cold", ReqID: 2}}
+	d.Sim.Spawn("preload", func(p *sim.Proc) {
+		for _, r := range reqs {
+			res, err := d.Clients[0].Put(p, r.Key, "v", 1024)
+			if err != nil && failure == nil {
+				failure = err
+			}
+			if r.Key == "hot" {
+				d.Cache.InstallAs(0, r.Key, "v", 1024, res.Version)
+			}
+			r.Client, r.ClientPort = st.IP(), replyPort
+		}
+		p.Sleep(time.Millisecond) // the install rides the control channel
+		d.Sim.Stop()
+	})
+	if err := d.Sim.Run(); err != nil && failure == nil {
+		failure = err
+	}
+	pending := 0
+	answered := func(data any) {
+		rep, ok := data.(*core.GetReply)
+		if !ok || rep.ReqID == 0 || rep.ReqID > uint64(len(reqs)) || !rep.Found {
+			if failure == nil {
+				failure = fmt.Errorf("NiceGet: unexpected reply %#v", data)
+			}
+			return
+		}
+		reqs[rep.ReqID-1].FreeReply(rep)
+		if pending--; pending == 0 {
+			d.Sim.Stop()
+		}
+	}
+	udp := st.MustBindUDP(replyPort)
+	d.Sim.Spawn("udp-replies", func(p *sim.Proc) {
+		for {
+			dg, ok := udp.Recv(p)
+			if !ok {
+				return
+			}
+			answered(dg.Data)
+		}
+	})
+	ln := st.MustListen(replyPort)
+	d.Sim.Spawn("stream-replies", func(p *sim.Proc) {
+		c, ok := ln.Accept(p)
+		for ok {
+			var m transport.Message
+			if m, ok = c.Recv(p); ok {
+				answered(m.Data)
+			}
+		}
+	})
+	get := func() {
+		pending = len(reqs)
+		for _, r := range reqs {
+			udp.SendTo(d.Unicast.AddrOfKey(r.Key), cluster.DataPort, r, core.GetReqSize)
+		}
+		if err := d.Sim.Run(); err != nil && failure == nil {
+			failure = err
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		get()
+	}
+	if failure == nil && d.Cache.HitsOf("hot") != 10_000 {
+		failure = fmt.Errorf("NiceGet: %d of 10000 hot gets hit the switch cache", d.Cache.HitsOf("hot"))
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get()
 		}
 		if failure != nil {
 			b.Fatal(failure)

@@ -118,8 +118,10 @@ type TrafficResult struct {
 }
 
 // trafficSlot is one in-flight request's pooled state. The embedded
-// GetRequest is what goes on the wire (&slot.req), so a slot is only
-// recycled through the generation check that also fences late replies.
+// GetRequest is what goes on the wire (&slot.req) and carries the room
+// its reply is written into (DESIGN.md §7.2). A reissued slot rewrites
+// the request while a timed-out attempt's packet may still hold it
+// (§12.4); the generation in ReqID fences the replies.
 type trafficSlot struct {
 	req      core.GetRequest
 	issuedAt sim.Time
@@ -197,8 +199,10 @@ func NewTrafficEngine(d *NICE, opts TrafficOptions) *TrafficEngine {
 		src:     make([]netsim.IP, opts.Clients),
 		gwOf:    make([]uint8, opts.Clients),
 		gwIP:    make([]netsim.IP, len(d.Gateways)),
-		// One sample per completed get: sized once for the offered arrivals.
-		lat: metrics.NewHistogram(int(opts.Rate * opts.Duration.Seconds())),
+		// One sample per completed get: sized once for the offered
+		// arrivals, plus 1 % for their spread (one standard deviation is
+		// 0.24 % of 180 k), so a run never regrows it.
+		lat: metrics.NewHistogram(int(1.01 * opts.Rate * opts.Duration.Seconds())),
 	}
 	mean := int64(float64(opts.Clients) / opts.Rate * 1e9)
 	e.arr = workload.NewOpenLoop(opts.Clients, mean, int64(opts.Tick), DeriveSeed(opts.Seed, 7002))
@@ -430,6 +434,7 @@ func (e *TrafficEngine) handleReply(data any, now sim.Time) {
 		return
 	}
 	sl := e.slot(int32(si))
+	sl.req.FreeReply(rep) // read: the room may take the next answer
 	if !sl.live || sl.gen != uint32(rep.ReqID) {
 		return
 	}

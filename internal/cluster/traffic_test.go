@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -201,5 +202,61 @@ func TestCacheAdmissionPinned(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLateReplyAfterSlotReuseIsFenced: a get times out, its slot is
+// reissued to a new get, and the new get is answered; the old get's reply,
+// arriving only then, neither completes nor alters the new op. Its reader
+// frees the request's reply room, so the next answer is written there
+// again. Replies are made by the switch cache's codec, the same room rule
+// a node's answers follow; the storage nodes are down so nothing else
+// answers.
+func TestLateReplyAfterSlotReuseIsFenced(t *testing.T) {
+	opts := heavyTrafficBase(3)
+	opts.Heartbeat = time.Hour
+	d := NewNICELeafSpine(opts, 2)
+	defer d.Close()
+	eng := NewTrafficEngine(d, TrafficOptions{Clients: 1, Rate: 1000, Duration: time.Second, Records: 16, Seed: 3})
+	if err := d.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range d.Stacks {
+		st.Host().SetDown(true)
+	}
+	answer := func(sl *trafficSlot, value string) *core.GetReply {
+		return core.SwitchCodec{}.MakeReply(&netsim.Packet{Payload: &sl.req}, value, 8, 1).Payload.(*core.GetReply)
+	}
+	t0 := d.Sim.Now()
+	eng.issue(t0, 0)
+	sl := eng.slot(0)
+	oldID := sl.req.ReqID
+	old := answer(sl, "old") // in flight until the end
+	t1 := t0 + eng.opts.OpTimeout
+	eng.reap(t1)
+	eng.issue(t1, 0)
+	if eng.slot(0) != sl || sl.req.ReqID == oldID || eng.timedOut != 1 {
+		t.Fatalf("slot not reissued: ReqID %x (old %x), %d timed out", sl.req.ReqID, oldID, eng.timedOut)
+	}
+	wire := func(r *core.GetRequest) core.GetRequest { // the exported fields
+		return core.GetRequest{Key: r.Key, ReqID: r.ReqID, Client: r.Client, ClientPort: r.ClientPort, Attempt: r.Attempt}
+	}
+	newReq := wire(&sl.req)
+	fresh := answer(sl, "new")
+	if fresh == old || old.ReqID != oldID || old.Value != "old" {
+		t.Fatalf("the new get's answer rewrote the old one in flight: %+v", *old)
+	}
+	eng.handleReply(old, t1+time.Millisecond)
+	if eng.completed != 0 || !sl.live || wire(&sl.req) != newReq || fresh.ReqID != newReq.ReqID || fresh.Value != "new" {
+		t.Fatalf("the late reply touched the new op: %d completed, live %v, request %+v, reply %+v",
+			eng.completed, sl.live, wire(&sl.req), *fresh)
+	}
+	eng.handleReply(fresh, t1+2*time.Millisecond)
+	if eng.completed != 1 || sl.live || eng.lat.N() != 1 || eng.lat.Percentile(50) != 0.002 {
+		t.Fatalf("the new op: %d completed, live %v, latency %v s", eng.completed, sl.live, eng.lat.Percentile(50))
+	}
+	eng.issue(t1+2*time.Millisecond, 0)
+	if again := answer(eng.slot(0), "next"); again != old {
+		t.Fatal("the room freed by the late reply's read was not reused")
 	}
 }

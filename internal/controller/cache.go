@@ -139,8 +139,15 @@ func (cm *CacheManager) fetch(key string) {
 	}
 	cm.inflight[key] = true
 	cm.stats.Fetches++
-	cm.svc.sendToNode(v.Primary(), &CacheFetchRequest{Key: key, MaxSize: switchcache.MaxValueSize}, ctrlMsgSize)
-	cm.svc.s.After(FetchTimeout, func() { delete(cm.inflight, key) })
+	req := &CacheFetchRequest{Key: key, MaxSize: switchcache.MaxValueSize}
+	cm.svc.sendToNode(v.Primary(), req, ctrlMsgSize)
+	cm.svc.s.At2(cm.svc.s.Now()+FetchTimeout, fetchExpired, cm, req)
+}
+
+// fetchExpired clears a fetch's in-flight mark FetchTimeout after it was
+// sent, whether or not a later fetch of the key has set it again.
+func fetchExpired(a1, a2 any) {
+	delete(a1.(*CacheManager).inflight, a2.(*CacheFetchRequest).Key)
 }
 
 // onFetchReply completes an install: make room if the table is full

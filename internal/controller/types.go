@@ -184,6 +184,21 @@ type CacheFetchRequest struct {
 	// MaxSize caps the reply: objects larger than a cacheable value are
 	// not worth shipping.
 	MaxSize int
+
+	// reply is room for the answer: the controller is its one reader
+	// and sends a fresh request per fetch, so the room is never freed.
+	reply    CacheFetchReply
+	occupied bool
+}
+
+// Reply returns the reply to fill and send for r: r's room the first
+// time, a fresh reply after, so a sent reply is never written again.
+func (r *CacheFetchRequest) Reply() *CacheFetchReply {
+	if r.occupied {
+		return &CacheFetchReply{}
+	}
+	r.occupied = true
+	return &r.reply
 }
 
 // CacheFetchReply carries the object (and its committed version, for the

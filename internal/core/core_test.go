@@ -29,9 +29,8 @@ func pair(t *testing.T) (*sim.Simulator, *transport.Stack, *transport.Stack) {
 	macs := map[netsim.IP]netsim.MAC{a.IP(): a.MAC(), b.IP(): b.MAC()}
 	sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, in int) {
 		if port, ok := hosts[pkt.DstIP]; ok {
-			c := pkt.Clone()
-			c.DstMAC = macs[pkt.DstIP]
-			sw.Output(port, c)
+			pkt.DstMAC = macs[pkt.DstIP]
+			sw.Output(port, pkt)
 			return
 		}
 		sw.Drop(pkt)

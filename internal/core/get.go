@@ -30,14 +30,16 @@ func (n *Node) handleGet(p *sim.Proc, req *GetRequest, forwarded, replicaRouted 
 		// stand-in tenure (and a newer pre-failure version may exist), so
 		// it falls through to the forward path like a miss.
 		if obj, ok := n.store.GetHandoff(p, req.Key); ok && !n.staleHandoff[part][req.Key] {
-			n.sendGetReply(req, obj)
+			n.sendGetReply(req, obj, true)
 			return
 		}
 		v := n.views[part]
 		if !forwarded && v != nil && v.Primary().Index != n.cfg.Addr.Index {
 			pr := v.Primary()
 			n.stats.GetForwards++
-			n.data.SendTo(pr.IP, pr.DataPort, &ForwardedGet{Req: *req}, getReqSize)
+			fwd := &ForwardedGet{Req: *req}
+			fwd.Req.reply, fwd.Req.occupied = GetReply{}, false // the copy's room starts free
+			n.data.SendTo(pr.IP, pr.DataPort, fwd, getReqSize)
 			return
 		}
 		// Handoff-led partition (no live proper primary to forward to):
@@ -46,20 +48,13 @@ func (n *Node) handleGet(p *sim.Proc, req *GetRequest, forwarded, replicaRouted 
 		// only writes issued since the failure, so silence (the client
 		// retries once membership settles) beats a lie.
 		if obj, ok := n.store.Get(p, req.Key); ok {
-			n.sendGetReply(req, obj)
+			n.sendGetReply(req, obj, true)
 			return
 		}
 		n.stats.GetsHeld++
 		return
 	}
 	n.replyFromStore(p, req, replicaRouted)
-}
-
-// sendGetReply answers a get hit, carrying the committed version.
-func (n *Node) sendGetReply(req *GetRequest, obj *kvstore.Object) {
-	n.pool.Send(req.Client, req.ClientPort,
-		&GetReply{ReqID: req.ReqID, Found: true, Value: obj.Value, Size: obj.Size, Ver: obj.Version.PrimarySeq},
-		obj.Size+replyOverhead)
 }
 
 // replyFromStore answers a get from the main namespace.
@@ -137,7 +132,7 @@ type readState struct {
 func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 	if !n.cfg.CoalesceGets {
 		obj, ok := n.store.Get(p, req.Key)
-		n.sendStoreReply(p, req, obj, ok)
+		n.sendGetReply(req, obj, ok)
 		return
 	}
 	if rs := n.reads[req.Key]; rs != nil {
@@ -165,15 +160,17 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 	if cur, have := n.store.Peek(req.Key); have {
 		obj, ok = cur, true
 	}
-	n.sendStoreReply(p, req, obj, ok)
+	n.sendGetReply(req, obj, ok)
 	for _, w := range rs.waiters {
-		n.sendStoreReply(p, w, obj, ok)
+		n.sendGetReply(w, obj, ok)
 	}
 }
 
-// sendStoreReply answers one get from a completed store read.
-func (n *Node) sendStoreReply(p *sim.Proc, req *GetRequest, obj *kvstore.Object, ok bool) {
-	rep := &GetReply{ReqID: req.ReqID, Found: ok}
+// sendGetReply answers one get from a completed store read, in the room
+// the request carries; a hit carries the committed version.
+func (n *Node) sendGetReply(req *GetRequest, obj *kvstore.Object, ok bool) {
+	rep := req.answer()
+	*rep = GetReply{ReqID: req.ReqID, Found: ok}
 	size := replyOverhead
 	if ok {
 		rep.Value = obj.Value

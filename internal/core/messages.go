@@ -124,6 +124,30 @@ type GetRequest struct {
 	// escapes to a different replica on retry instead of timing out
 	// MaxRetries times against the same dead node.
 	Attempt int
+
+	// reply is room for the answer, and occupied marks it written and
+	// not yet read (DESIGN.md §7.2): a request has one reader of its
+	// reply, so the answer rides in it instead of being allocated.
+	reply    GetReply
+	occupied bool
+}
+
+// answer returns the reply to fill and send for r: r's room if free,
+// else a fresh reply, so a sent reply is never written again.
+func (r *GetRequest) answer() *GetReply {
+	if r.occupied {
+		return &GetReply{}
+	}
+	r.occupied = true
+	return &r.reply
+}
+
+// FreeReply frees r's reply room if rep, a reply its reader has done
+// with, was written there. Only a requester that reuses r needs it.
+func (r *GetRequest) FreeReply(rep *GetReply) {
+	if rep == &r.reply {
+		r.occupied = false
+	}
 }
 
 // GetReply answers a GetRequest on the client's reply stream.

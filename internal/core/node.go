@@ -202,7 +202,7 @@ type Node struct {
 
 	puts      map[reqKey]*putState
 	freePuts  *putState // released put states, linked through next
-	freeTasks *putTask  // idle put-handler spawns, linked through next
+	freeTasks *task     // idle handler spawns, linked through next
 	orphans   map[reqKey]*orphanState
 	// orphanAge is a ring of the last orphanCap buffers created; once
 	// full, the oldest sits at orphanHead.
@@ -247,7 +247,7 @@ type Node struct {
 	committedHead int
 
 	// names holds the per-op procs' names, built once in Start.
-	names struct{ put, get, fwdget, rget, bget string }
+	names struct{ put, get, fwdget, rget, bget, cachefetch string }
 }
 
 // committedCap bounds the put-dedup memory.
@@ -307,7 +307,7 @@ func (n *Node) Start() {
 	n.ctrl = n.stack.MustBindUDP(n.cfg.Addr.CtrlPort)
 	ln := n.stack.MustListen(n.cfg.Addr.DataPort)
 	n.names.put, n.names.get, n.names.fwdget = n.name("put"), n.name("get"), n.name("fwdget")
-	n.names.rget, n.names.bget = n.name("rget"), n.name("bget")
+	n.names.rget, n.names.bget, n.names.cachefetch = n.name("rget"), n.name("bget"), n.name("cachefetch")
 
 	n.s.Spawn(n.name("hb"), n.heartbeatLoop)
 	n.s.Spawn(n.name("ctrl"), n.ctrlLoop)
@@ -393,8 +393,7 @@ func (n *Node) ctrlLoop(p *sim.Proc) {
 			view := m.View
 			n.s.Spawn(n.name("expand"), func(p *sim.Proc) { n.expand(p, view) })
 		case *controller.CacheFetchRequest:
-			req := m
-			n.s.Spawn(n.name("cachefetch"), func(p *sim.Proc) { n.handleCacheFetch(p, req) })
+			n.spawn(n.names.cachefetch, m, false)
 		}
 	}
 }
@@ -596,8 +595,7 @@ func (n *Node) replicaDataLoop(p *sim.Proc) {
 			return
 		}
 		if m, ok := d.Data.(*GetRequest); ok {
-			req := m
-			n.s.Spawn(n.names.rget, func(p *sim.Proc) { n.handleGet(p, req, false, true) })
+			n.spawn(n.names.rget, m, true)
 		}
 	}
 }
@@ -612,11 +610,9 @@ func (n *Node) dataLoop(p *sim.Proc) {
 		}
 		switch m := d.Data.(type) {
 		case *GetRequest:
-			req := m
-			n.s.Spawn(n.names.get, func(p *sim.Proc) { n.handleGet(p, req, false, false) })
+			n.spawn(n.names.get, m, false)
 		case *ForwardedGet:
-			req := m.Req
-			n.s.Spawn(n.names.fwdget, func(p *sim.Proc) { n.handleGet(p, &req, true, false) })
+			n.spawn(n.names.fwdget, m, false)
 		case *Ack1:
 			if m.Committed != nil {
 				// A verdict to this node as the put's coordinator.
@@ -645,12 +641,7 @@ func (n *Node) dataLoop(p *sim.Proc) {
 				n.deliverTs(&m.Items[i], d.From)
 			}
 		case *BatchGetRequest:
-			reqs := m.Reqs
-			n.s.Spawn(n.names.bget, func(p *sim.Proc) {
-				for _, r := range reqs {
-					n.handleGet(p, r, false, false)
-				}
-			})
+			n.spawn(n.names.bget, m, false)
 		case *ResolveOrder:
 			n.applyOrder(m)
 		case *ResolveRequest:
@@ -750,43 +741,60 @@ func (n *Node) mcastLoop(p *sim.Proc) {
 		}
 		switch m := tr.Data.(type) {
 		case *PutRequest:
-			n.spawnPut(m)
+			n.spawn(n.names.put, m, false)
 		case *BatchPutRequest:
 			for _, req := range m.Ops {
-				n.spawnPut(req)
+				n.spawn(n.names.put, req, false)
 			}
 		}
 	}
 }
 
-// putTask hands one put to its handler proc. Tasks are pooled per Node,
-// and run, the spawned function, is bound once when a task is made (as
-// Proc.wakeFn is), so spawning a handler allocates nothing.
-type putTask struct {
-	n    *Node
-	req  *PutRequest
-	run  func(p *sim.Proc)
-	next *putTask // free-list link
+// task hands one message to its handler proc: a put, a get (plain,
+// replica-routed, forwarded or batched) or a cache fetch. Tasks are
+// pooled per Node, and run, the spawned function, is bound once when a
+// task is made (as Proc.wakeFn is), so spawning a handler allocates
+// nothing.
+type task struct {
+	n             *Node
+	msg           any
+	replicaRouted bool // a *GetRequest that arrived on the replica port
+	run           func(p *sim.Proc)
+	next          *task // free-list link
 }
 
-// spawnPut starts a handler proc for req.
-func (n *Node) spawnPut(req *PutRequest) {
+// spawn starts a handler proc named name for msg.
+func (n *Node) spawn(name string, msg any, replicaRouted bool) {
 	t := n.freeTasks
 	if t != nil {
 		n.freeTasks, t.next = t.next, nil
 	} else {
-		t = &putTask{n: n}
+		t = &task{n: n}
 		t.run = t.exec
 	}
-	t.req = req
-	n.s.Spawn(n.names.put, t.run)
+	t.msg, t.replicaRouted = msg, replicaRouted
+	n.s.Spawn(name, t.run)
 }
 
-// exec is a put task's proc body: it frees the task, then handles the put.
-func (t *putTask) exec(p *sim.Proc) {
-	n, req := t.n, t.req
-	t.req, t.next, n.freeTasks = nil, n.freeTasks, t
-	n.handlePut(p, req)
+// exec is a task's proc body: it frees the task, then handles the
+// message.
+func (t *task) exec(p *sim.Proc) {
+	n, msg, replicaRouted := t.n, t.msg, t.replicaRouted
+	t.msg, t.replicaRouted, t.next, n.freeTasks = nil, false, n.freeTasks, t
+	switch m := msg.(type) {
+	case *PutRequest:
+		n.handlePut(p, m)
+	case *GetRequest:
+		n.handleGet(p, m, false, replicaRouted)
+	case *ForwardedGet:
+		n.handleGet(p, &m.Req, true, false)
+	case *BatchGetRequest:
+		for _, r := range m.Reqs {
+			n.handleGet(p, r, false, false)
+		}
+	case *controller.CacheFetchRequest:
+		n.handleCacheFetch(p, m)
+	}
 }
 
 // reportFailure accuses a peer to the metadata service.

@@ -33,7 +33,8 @@ func (n *Node) writeThrough(obj *kvstore.Object) {
 // it from the store — charging the disk — and ship it to the metadata
 // service, which forwards it to the switch as an Install.
 func (n *Node) handleCacheFetch(p *sim.Proc, req *controller.CacheFetchRequest) {
-	rep := &controller.CacheFetchReply{Key: req.Key}
+	rep := req.Reply()
+	*rep = controller.CacheFetchReply{Key: req.Key}
 	size := ctrlMsgSize
 	if obj, ok := n.store.Get(p, req.Key); ok && (req.MaxSize <= 0 || obj.Size <= req.MaxSize) {
 		rep.Found = true

@@ -35,11 +35,14 @@ func (c SwitchCodec) ParseGet(pkt *netsim.Packet) (string, uint64, bool) {
 // MakeReply synthesizes the GetReply a storage node would have sent. It
 // arrives on the client's UDP reply socket instead of its TCP reply
 // stream — the switch cannot speak a stream protocol — which is why
-// Client.Start also listens for datagram replies.
+// Client.Start also listens for datagram replies. The reply is written
+// into the room the request carries, as a storage node's is.
 func (c SwitchCodec) MakeReply(pkt *netsim.Packet, value any, size int, ver uint64) switchcache.Reply {
 	req := pkt.Payload.(*GetRequest)
+	rep := req.answer()
+	*rep = GetReply{ReqID: req.ReqID, Found: true, Value: value, Size: size, Ver: ver}
 	return switchcache.Reply{
-		Payload: &GetReply{ReqID: req.ReqID, Found: true, Value: value, Size: size, Ver: ver},
+		Payload: rep,
 		Size:    size + replyOverhead,
 		DstPort: req.ClientPort,
 	}

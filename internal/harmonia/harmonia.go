@@ -311,7 +311,7 @@ func (d *DirtySet) retire(key string, e *entry) {
 // covered by stickiness of tracked keys plus the server-side holds.
 func (d *DirtySet) InstallViewAs(gen uint64, part int, epoch uint64, replicas []netsim.IP) {
 	rs := append([]netsim.IP(nil), replicas...)
-	d.dp.StageCommand(gen, func(admitted bool) {
+	d.dp.StageCommand(gen, openflow.StageFunc(func(admitted bool) {
 		if !admitted {
 			d.stats.RejectedInstalls++
 			return
@@ -340,5 +340,5 @@ func (d *DirtySet) InstallViewAs(gen uint64, part int, epoch uint64, replicas []
 				d.stats.Flushes++
 			}
 		}
-	})
+	}))
 }

@@ -64,6 +64,32 @@ type Datapath struct {
 	// controller returning after a split brain cannot clobber the
 	// fabric. Zero means unfenced (the legacy single-writer world).
 	writerFence uint64
+
+	// stageQ holds the stage commands in flight, oldest at stageHead.
+	// The control channel delivers in submission order, so each
+	// delivery applies the oldest one.
+	stageQ    []pendingCmd
+	stageHead int
+}
+
+// StageCmd is one controller→switch command for a stage (StageCommand).
+type StageCmd interface {
+	// Apply runs switch-side; admitted reports whether the command's
+	// writer generation still passes the fence.
+	Apply(admitted bool)
+}
+
+// StageFunc adapts a function to a StageCmd.
+type StageFunc func(admitted bool)
+
+// Apply calls f.
+func (f StageFunc) Apply(admitted bool) { f(admitted) }
+
+// pendingCmd is a stage command and the writer generation it was issued
+// under.
+type pendingCmd struct {
+	gen uint64
+	cmd StageCmd
 }
 
 // Attach builds a datapath on sw and installs it as the switch pipeline.
@@ -133,16 +159,20 @@ func (dp *Datapath) WriterAllowed(gen uint64) bool {
 	return true
 }
 
-// ctrlSched schedules fn one control-channel traversal from now,
-// honouring the injected extra delay and the channel's FIFO ordering.
+// ctrlSched schedules fn one control-channel traversal from now.
 func (dp *Datapath) ctrlSched(fn func()) {
-	s := dp.sw.Sim()
-	t := s.Now() + dp.ctrlDelay + dp.ctrlExtra
+	dp.sw.Sim().At(dp.ctrlAt(), fn)
+}
+
+// ctrlAt returns the delivery time of a control message sent now,
+// honouring the injected extra delay and the channel's FIFO ordering.
+func (dp *Datapath) ctrlAt() sim.Time {
+	t := dp.sw.Sim().Now() + dp.ctrlDelay + dp.ctrlExtra
 	if t < dp.lastDeliver {
 		t = dp.lastDeliver
 	}
 	dp.lastDeliver = t
-	s.At(t, fn)
+	return t
 }
 
 // ctrlLossy reports whether a packet-carrying control message is lost to
@@ -273,14 +303,16 @@ func (dp *Datapath) punt(pkt *netsim.Packet, inPort int) {
 		return
 	}
 	dp.stats.PacketIns++
-	dp.Upcall(func() { dp.handler.PacketIn(dp, pkt, inPort) })
+	dp.Upcall(func(_, _ any) { dp.handler.PacketIn(dp, pkt, inPort) }, nil, nil)
 }
 
-// Upcall runs fn controller-side one switch→controller traversal from
-// now: a packet-in's latency, for what a stage mirrors up beside packets
-// (the cache's miss samples).
-func (dp *Datapath) Upcall(fn func()) {
-	dp.sw.Sim().After(dp.ctrlDelay+dp.ctrlExtra, fn)
+// Upcall runs fn(a1, a2) controller-side one switch→controller traversal
+// from now: a packet-in's latency, for what a stage mirrors up beside
+// packets (the cache's miss samples). As with sim.At2, a static fn whose
+// context rides in a1 and a2 allocates nothing.
+func (dp *Datapath) Upcall(fn func(a1, a2 any), a1, a2 any) {
+	s := dp.sw.Sim()
+	s.At2(s.Now()+dp.ctrlDelay+dp.ctrlExtra, fn, a1, a2)
 }
 
 // Control-plane operations. Each models one controller-to-switch message:
@@ -302,14 +334,32 @@ func (dp *Datapath) Barrier(fn func()) {
 	dp.ctrlSched(fn)
 }
 
-// StageCommand carries one controller→switch command for a stage: fn
-// runs switch-side behind every mod and command submitted so far — a flow
-// mod's latency, injected fault and FIFO order, without counting as one —
-// and is told whether writer generation gen still passes the fence at
-// that instant, so a command in flight across a takeover is refused where
-// it applies.
-func (dp *Datapath) StageCommand(gen uint64, fn func(admitted bool)) {
-	dp.ctrlSched(func() { fn(dp.WriterAllowed(gen)) })
+// StageCommand carries one controller→switch command for a stage: cmd
+// applies switch-side behind every mod and command submitted so far — a
+// flow mod's latency, injected fault and FIFO order, without counting as
+// one — and is told whether writer generation gen still passes the fence
+// at that instant, so a command in flight across a takeover is refused
+// where it applies. Queuing a command allocates nothing once the queue
+// has grown to the commands in flight.
+func (dp *Datapath) StageCommand(gen uint64, cmd StageCmd) {
+	if dp.stageHead > 0 && len(dp.stageQ) == cap(dp.stageQ) {
+		n := copy(dp.stageQ, dp.stageQ[dp.stageHead:])
+		clear(dp.stageQ[n:])
+		dp.stageQ, dp.stageHead = dp.stageQ[:n], 0
+	}
+	dp.stageQ = append(dp.stageQ, pendingCmd{gen, cmd})
+	dp.sw.Sim().At2(dp.ctrlAt(), applyStageCmd, dp, nil)
+}
+
+// applyStageCmd delivers the oldest stage command in flight.
+func applyStageCmd(a1, _ any) {
+	dp := a1.(*Datapath)
+	c := dp.stageQ[dp.stageHead]
+	dp.stageQ[dp.stageHead] = pendingCmd{}
+	if dp.stageHead++; dp.stageHead == len(dp.stageQ) {
+		dp.stageQ, dp.stageHead = dp.stageQ[:0], 0
+	}
+	c.cmd.Apply(dp.WriterAllowed(c.gen))
 }
 
 // RemoveFlows deletes rules matching pred.

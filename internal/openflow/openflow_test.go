@@ -284,15 +284,15 @@ func TestStageCommandRidesTheControlChannel(t *testing.T) {
 		dp.SetControlFault(us(2000), 0)
 		dp.AddFlow(FlowEntry{Priority: 5, Match: MatchDst(netsim.HostPrefix(servers[0].IP()))})
 		dp.SetControlFault(0, 0)
-		dp.StageCommand(1, func(admitted bool) {
+		dp.StageCommand(1, StageFunc(func(admitted bool) {
 			events = append(events, fmt.Sprintf("command admitted=%v rules=%d at %v", admitted, dp.Table().Len(), s.Now()))
-		})
-		dp.Upcall(func() { events = append(events, fmt.Sprintf("upcall at %v", s.Now())) })
+		}))
+		dp.Upcall(func(_, _ any) { events = append(events, fmt.Sprintf("upcall at %v", s.Now())) }, nil, nil)
 	})
 	s.At(us(2400), func() { // in flight when the fence rises
-		dp.StageCommand(1, func(admitted bool) {
+		dp.StageCommand(1, StageFunc(func(admitted bool) {
 			events = append(events, fmt.Sprintf("command admitted=%v at %v", admitted, s.Now()))
-		})
+		}))
 	})
 	s.At(us(2600), func() { dp.RaiseWriterFence(2) })
 	if err := s.Run(); err != nil {

@@ -71,6 +71,27 @@ type entry struct {
 	size  int
 	ver   uint64 // version of the committed put that produced the value
 	hits  int64
+	next  *entry // free-list link
+}
+
+// missSample carries one mirrored miss to the detector. It holds the key
+// itself: the packet's request may be rewritten (a traffic slot
+// reissued) before the upcall fires.
+type missSample struct {
+	c    *Cache
+	key  string
+	next *missSample // free-list link
+}
+
+// cacheCmd is one InstallAs or EvictAs in flight on the control channel.
+type cacheCmd struct {
+	c     *Cache
+	evict bool
+	key   string
+	value any
+	size  int
+	ver   uint64
+	next  *cacheCmd // free-list link
 }
 
 // invalCap bounds the invalidation-version memory: versions are only
@@ -102,6 +123,11 @@ type Cache struct {
 	invalOrder []string
 	// residents, when set, is told of every change to entries' key set.
 	residents *Sketch
+
+	// Free lists: removed entries, delivered samples, applied commands.
+	freeEntries *entry
+	freeSamples *missSample
+	freeCmds    *cacheCmd
 }
 
 // Attach adds a cache to dp's stage chain and returns it. Call before
@@ -142,11 +168,24 @@ func (c *Cache) add(key string, e *entry) {
 	}
 }
 
-func (c *Cache) remove(key string) {
+// remove also frees e, the entry key held, for newEntry.
+func (c *Cache) remove(key string, e *entry) {
 	delete(c.entries, key)
 	if c.residents != nil {
 		c.residents.Untrack(key)
 	}
+	*e = entry{next: c.freeEntries}
+	c.freeEntries = e
+}
+
+// newEntry takes an entry off the free list, or makes one.
+func (c *Cache) newEntry() *entry {
+	e := c.freeEntries
+	if e == nil {
+		return &entry{}
+	}
+	c.freeEntries, e.next = e.next, nil
+	return e
 }
 
 // Config returns the cache's effective configuration.
@@ -200,7 +239,7 @@ func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool 
 	if !hit {
 		c.stats.Misses++
 		if c.sampler != nil {
-			c.dp.Upcall(func() { c.sampler(key) })
+			c.dp.Upcall(deliverSample, c.sample(key), nil)
 		}
 		return false
 	}
@@ -224,6 +263,36 @@ func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool 
 	return true
 }
 
+// sample takes a miss sample off the free list, or makes one, for key.
+func (c *Cache) sample(key string) *missSample {
+	ms := c.freeSamples
+	if ms == nil {
+		ms = &missSample{c: c}
+	} else {
+		c.freeSamples, ms.next = ms.next, nil
+	}
+	ms.key = key
+	return ms
+}
+
+// deliverSample hands a mirrored miss to the detector and frees it.
+func deliverSample(a1, _ any) {
+	ms := a1.(*missSample)
+	c, key := ms.c, ms.key
+	ms.key, ms.next, c.freeSamples = "", c.freeSamples, ms
+	c.sampler(key)
+}
+
+// command takes a command off the free list, or makes one.
+func (c *Cache) command() *cacheCmd {
+	cmd := c.freeCmds
+	if cmd == nil {
+		return &cacheCmd{c: c}
+	}
+	c.freeCmds, cmd.next = cmd.next, nil
+	return cmd
+}
+
 // InstallAs is the controller's entry insertion, issued under writer
 // generation gen (0 = the unfenced legacy writer): applied one control
 // traversal later, rejected there if gen no longer passes the switch's
@@ -232,46 +301,69 @@ func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool 
 // object oversize, or the fetched version already superseded by a
 // write-through (the fetch raced a commit).
 func (c *Cache) InstallAs(gen uint64, key string, value any, size int, ver uint64) {
-	c.dp.StageCommand(gen, func(admitted bool) {
-		if !admitted {
-			c.stats.Rejected++
-			return
-		}
-		if size > MaxValueSize {
-			c.stats.Rejected++
-			return
-		}
-		if ver < c.inval[key] {
-			c.stats.Rejected++ // stale: a put committed past this value
-			return
-		}
-		if e, ok := c.entries[key]; ok {
-			if ver >= e.ver {
-				e.value, e.size, e.ver = value, size, ver
-			}
-			return
-		}
-		if len(c.entries) >= c.cfg.Capacity {
-			c.stats.Rejected++
-			return
-		}
-		c.add(key, &entry{value: value, size: size, ver: ver})
-		c.stats.Installs++
-	})
+	cmd := c.command()
+	cmd.key, cmd.value, cmd.size, cmd.ver = key, value, size, ver
+	c.dp.StageCommand(gen, cmd)
 }
 
 // EvictAs is the controller's entry removal, delivered and fenced like
 // InstallAs.
 func (c *Cache) EvictAs(gen uint64, key string) {
-	c.dp.StageCommand(gen, func(admitted bool) {
-		if !admitted {
-			return
+	cmd := c.command()
+	cmd.evict, cmd.key = true, key
+	c.dp.StageCommand(gen, cmd)
+}
+
+// Apply implements openflow.StageCmd: it applies the command to the
+// table, then frees it.
+func (cmd *cacheCmd) Apply(admitted bool) {
+	c := cmd.c
+	if cmd.evict {
+		c.evict(admitted, cmd.key)
+	} else {
+		c.install(admitted, cmd.key, cmd.value, cmd.size, cmd.ver)
+	}
+	*cmd = cacheCmd{c: c, next: c.freeCmds}
+	c.freeCmds = cmd
+}
+
+func (c *Cache) install(admitted bool, key string, value any, size int, ver uint64) {
+	if !admitted {
+		c.stats.Rejected++
+		return
+	}
+	if size > MaxValueSize {
+		c.stats.Rejected++
+		return
+	}
+	if ver < c.inval[key] {
+		c.stats.Rejected++ // stale: a put committed past this value
+		return
+	}
+	if e, ok := c.entries[key]; ok {
+		if ver >= e.ver {
+			e.value, e.size, e.ver = value, size, ver
 		}
-		if _, ok := c.entries[key]; ok {
-			c.remove(key)
-			c.stats.Evictions++
-		}
-	})
+		return
+	}
+	if len(c.entries) >= c.cfg.Capacity {
+		c.stats.Rejected++
+		return
+	}
+	e := c.newEntry()
+	e.value, e.size, e.ver = value, size, ver
+	c.add(key, e)
+	c.stats.Installs++
+}
+
+func (c *Cache) evict(admitted bool, key string) {
+	if !admitted {
+		return
+	}
+	if e, ok := c.entries[key]; ok {
+		c.remove(key, e)
+		c.stats.Evictions++
+	}
 }
 
 // Invalidate is the put path's write-through: the committing put's
@@ -281,8 +373,8 @@ func (c *Cache) EvictAs(gen uint64, key string) {
 // older value.
 func (c *Cache) Invalidate(key string, ver uint64) {
 	c.recordVer(key, ver)
-	if _, ok := c.entries[key]; ok {
-		c.remove(key)
+	if e, ok := c.entries[key]; ok {
+		c.remove(key, e)
 		c.stats.Invalidations++
 	}
 }

@@ -179,9 +179,8 @@ func (a *admission) decide(coldest func() (string, uint32)) {
 		a.s.Add(cand)
 	}
 	if victim, cold := coldest(); cold < a.s.Estimate(cand) {
-		e := a.c.entries[victim]
-		a.c.remove(victim)
-		a.c.add(cand, e)
+		a.c.remove(victim, a.c.entries[victim])
+		a.c.add(cand, a.c.newEntry())
 	}
 }
 
