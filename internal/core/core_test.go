@@ -281,8 +281,8 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 					cfg.Space = ring.NewSpace(4)
 					n := NewNode(a, cfg)
 					s.Spawn("test", func(p *sim.Proc) {
-						n.store.AppendLog(p, kvstore.LogRecord{Key: "k", Tag: st.record,
-							Obj: &kvstore.Object{Key: "k", Value: "prepared", Size: 1}})
+						n.store.AppendLog(p, kvstore.LogRecord{Tag: st.record,
+							Obj: kvstore.Object{Key: "k", Value: "prepared", Size: 1}})
 						if st.holder != nil {
 							n.store.Lock(p, "k", *st.holder, 0)
 						}
@@ -376,8 +376,8 @@ func TestRejoinWaitsOutAnOpenPrepare(t *testing.T) {
 		// primary's verdict.
 		member.store.Put(p, &kvstore.Object{Key: "k", Value: "v1", Size: 8, Version: kvstore.Timestamp{PrimarySeq: 1}})
 		member.registerPut(put, b.IP())
-		member.store.AppendLog(p, kvstore.LogRecord{Key: "k", Size: 8, Tag: put.key(),
-			Obj: &kvstore.Object{Key: "k", Value: "v2", Size: 8}})
+		member.store.AppendLog(p, kvstore.LogRecord{Tag: put.key(),
+			Obj: kvstore.Object{Key: "k", Value: "v2", Size: 8}})
 		rejoiner.recovering = true
 		s.Spawn("recover", func(p *sim.Proc) {
 			rejoiner.recover(p, &controller.RejoinInfo{Views: []*controller.PartitionView{view.Clone()},
@@ -388,7 +388,7 @@ func TestRejoinWaitsOutAnOpenPrepare(t *testing.T) {
 	s.At(resolveAt, func() {
 		rec, _ := member.store.LogOf("k")
 		delete(member.puts, put.key())
-		member.finish(part, put.key(), rec.Obj, committed, false)
+		member.finish(part, put.key(), &rec.Obj, committed, false)
 	})
 	if err := s.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
@@ -563,7 +563,8 @@ func TestRecycledPutStateStartsClean(t *testing.T) {
 	if need, want := n.ackQuorum(view, ps); want != 3 || len(need) != 3 || need[2].Index != 3 {
 		t.Fatalf("quorum %v of %d, want nodes 1, 2, 3 of 3", need, want)
 	}
-	ps.item = batchItem{req: req, obj: &kvstore.Object{Key: "k"}, ts: kvstore.Timestamp{PrimarySeq: 1}, ok: true}
+	ps.item = batchItem{req: req, obj: &ps.obj, ts: kvstore.Timestamp{PrimarySeq: 1}, ok: true}
+	ps.obj = kvstore.Object{Key: "k", Value: "v", Size: 1}
 	n.releasePut(ps)
 	if _, live := n.puts[req.key()]; live {
 		t.Fatal("the released state is still registered")
@@ -581,10 +582,67 @@ func TestRecycledPutStateStartsClean(t *testing.T) {
 		t.Errorf("ack sets carried over: %+v %+v", again.ack1, again.ack2)
 	case again.ts.Done() || again.sig.Len() != 0:
 		t.Errorf("verdict set %v, %d wake signals left", again.ts.Done(), again.sig.Len())
-	case again.item != (batchItem{}):
-		t.Errorf("batch slot carried over: %+v", again.item)
+	case again.item != (batchItem{}) || again.obj != (kvstore.Object{}):
+		t.Errorf("batch slot %+v or prepared object %+v carried over", again.item, again.obj)
 	case len(again.quorum) != 0 || cap(again.quorum) == 0:
 		t.Errorf("quorum buffer len %d cap %d, want empty with its capacity", len(again.quorum), cap(again.quorum))
+	}
+}
+
+// TestRecycledPutStateLeavesItsWALRecord: a secondary's handler that gave
+// up waiting for its timestamp releases its put state, whose prepared
+// object the next put's prepare overwrites; the late timestamp then
+// commits the first put from its WAL record, which holds its own copy of
+// the object.
+func TestRecycledPutStateLeavesItsWALRecord(t *testing.T) {
+	s, a, b := pair(t)
+	defer s.Shutdown()
+	cfg := DefaultNodeConfig()
+	cfg.Addr = controller.NodeAddr{Index: 1, IP: b.IP(), MAC: b.Host().MAC(), DataPort: 7000, CtrlPort: 7001}
+	cfg.Space = ring.NewSpace(4)
+	n := NewNode(b, cfg)
+	n.Start()
+	primary := controller.NodeAddr{Index: 0, IP: a.IP(), MAC: a.Host().MAC(), DataPort: 7000}
+	for part := 0; part < 4; part++ {
+		n.applyView(&controller.PartitionView{Partition: part, Epoch: 1, GroupIP: netsim.MustParseIP("239.0.0.1") + netsim.IP(part),
+			Replicas: []controller.NodeAddr{primary, cfg.Addr}}, false)
+	}
+
+	first := &PutRequest{Key: "k", Value: "v1", Size: 8, Client: 9, ClientSeq: 1}
+	second := &PutRequest{Key: "j", Value: "v2", Size: 16, Client: 9, ClientSeq: 2}
+	ack := cfg.AckTimeout
+	var firstPS, secondPS *putState
+	s.Spawn("first", func(p *sim.Proc) { n.handlePut(p, first) })
+	s.At(ack, func() { firstPS = n.puts[first.key()] })
+	s.At(3*ack, func() {
+		if n.puts[first.key()] != nil || !n.store.HasLog("k") {
+			t.Error("the first handler did not give up with its put prepared")
+		}
+		s.Spawn("second", func(p *sim.Proc) { n.handlePut(p, second) })
+	})
+	ts := kvstore.Timestamp{Primary: a.IP(), PrimarySeq: 4, Client: 9, ClientSeq: 1}
+	s.At(3*ack+ack/2, func() {
+		secondPS = n.puts[second.key()]
+		if secondPS == nil || secondPS.obj.Key != "j" {
+			t.Fatal("the second put is not prepared")
+		}
+		n.deliverTs(&TsMsg{Req: first.key(), Key: "k", Ts: ts}, a.IP())
+	})
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if firstPS == nil || secondPS != firstPS {
+		t.Fatalf("the second put did not reuse the first's put state (%p, %p)", firstPS, secondPS)
+	}
+	want := kvstore.Object{Key: "k", Value: "v1", Size: 8, Version: ts}
+	if got, ok := n.store.Peek("k"); !ok || got != want {
+		t.Errorf("committed %+v (found %v), want %+v", got, ok, want)
+	}
+	if n.store.HasLog("k") || n.store.Locked("k") {
+		t.Error("the late commit left its prepare open")
+	}
+	if _, ok := n.store.Peek("j"); ok {
+		t.Error("the second put, never committed, is in the store")
 	}
 }
 
@@ -779,9 +837,7 @@ func TestBatchedCommitMatchesSingle(t *testing.T) {
 		if err := s.RunUntil(time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if obj, ok := n.store.Peek("k"); ok {
-			out.Obj = *obj
-		}
+		out.Obj, _ = n.store.Peek("k")
 		out.Locked, out.Logged, out.Live = n.store.Locked("k"), n.store.HasLog("k"), len(n.puts)
 		out.Dedup, _ = n.committed.get(req.key())
 		out.Stats = n.stats

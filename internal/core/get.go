@@ -168,7 +168,7 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 
 // sendGetReply answers one get from a completed store read, in the room
 // the request carries; a hit carries the committed version.
-func (n *Node) sendGetReply(req *GetRequest, obj *kvstore.Object, ok bool) {
+func (n *Node) sendGetReply(req *GetRequest, obj kvstore.Object, ok bool) {
 	rep := req.answer()
 	*rep = GetReply{ReqID: req.ReqID, Found: ok}
 	size := replyOverhead

@@ -49,8 +49,8 @@ func TestAnswerNeverRewritesAnInFlightReply(t *testing.T) {
 		got = append(got, *rep)
 		reps = append(reps, rep)
 	})
-	n.sendGetReply(req, &kvstore.Object{Value: "v1", Size: 10, Version: kvstore.Timestamp{PrimarySeq: 1}}, true)
-	n.sendGetReply(req, &kvstore.Object{Value: "v2", Size: 20, Version: kvstore.Timestamp{PrimarySeq: 2}}, true)
+	n.sendGetReply(req, kvstore.Object{Value: "v1", Size: 10, Version: kvstore.Timestamp{PrimarySeq: 1}}, true)
+	n.sendGetReply(req, kvstore.Object{Value: "v2", Size: 20, Version: kvstore.Timestamp{PrimarySeq: 2}}, true)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ type FetchHandoffReq struct {
 // FetchHandoffReply returns the handoff objects. Size on the stream is
 // the sum of object sizes, so recovery traffic is charged realistically.
 type FetchHandoffReply struct {
-	Objects []*kvstore.Object
+	Objects []kvstore.Object
 }
 
 // FetchRangeReq asks a partition's primary for every object in the
@@ -229,7 +229,7 @@ type FetchRangeReq struct {
 // when they were prepared has no other way to learn them — it re-fetches
 // once before serving reads (see syncPartition).
 type FetchRangeReply struct {
-	Objects []*kvstore.Object
+	Objects []kvstore.Object
 	Pending []PendingPut
 }
 
@@ -249,8 +249,8 @@ type LockQuery struct {
 // LockInfo describes one locked object at a replica.
 type LockInfo struct {
 	Key    string
-	ReqTag reqKey          // which put this lock belongs to
-	Obj    *kvstore.Object // the prepared object from the WAL
+	ReqTag reqKey         // which put this lock belongs to
+	Obj    kvstore.Object // a copy of the prepared object from the WAL
 }
 
 // LockQueryReply lists a replica's locked objects. MaxSeq is the

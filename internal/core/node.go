@@ -144,10 +144,12 @@ type putState struct {
 	ack2 nodeSet
 	sig  *sim.Queue[struct{}]
 	ts   *sim.Future[*TsMsg]
-	// quorum is ackQuorum's participant buffer, and item the put's slot in
-	// a commit batch (batch.go).
+	// quorum is ackQuorum's participant buffer, item the put's slot in a
+	// commit batch (batch.go), and obj the object phase one prepares
+	// (preparePut); the store and the WAL keep copies of it.
 	quorum []controller.NodeAddr
 	item   batchItem
+	obj    kvstore.Object
 	next   *putState // free-list link
 	// coord is the primary this node acknowledges the put to; only its
 	// timestamp messages are verdicts on the put. A deposed primary not
@@ -577,7 +579,7 @@ func (n *Node) adoptHandoff(part int) {
 	for _, obj := range n.store.HandoffObjects() {
 		if n.cfg.Space.PartitionOf(obj.Key) == part {
 			n.observeTs(obj.Version)
-			n.store.Apply(obj)
+			n.store.Apply(&obj)
 			n.store.DeleteHandoff(obj.Key)
 		}
 	}
@@ -726,6 +728,7 @@ func (n *Node) releasePut(ps *putState) {
 	ps.ack1, ps.ack2 = nodeSet{}, nodeSet{}
 	ps.quorum = ps.quorum[:0]
 	ps.item = batchItem{}
+	ps.obj = kvstore.Object{}
 	ps.next, n.freePuts = n.freePuts, ps
 }
 

@@ -65,8 +65,11 @@ func (n *Node) preparePut(p *sim.Proc, v *controller.PartitionView, req *PutRequ
 	if n.stale(ps) {
 		return // the granted lock died with the crash; don't touch the store
 	}
-	obj := &kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size}
-	rec := kvstore.LogRecord{Key: req.Key, Size: req.Size, Obj: obj, Tag: k, Attempt: req.Attempt}
+	// The prepared object lives in the put state; the WAL record holds its
+	// own copy, which outlives the put state if the handler gives up.
+	ps.obj = kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size}
+	obj := &ps.obj
+	rec := kvstore.LogRecord{Obj: ps.obj, Tag: k, Attempt: req.Attempt}
 	if n.cfg.PutBatchWindow > 0 {
 		// Batched prepare (DESIGN.md §16): co-arriving prepares on this
 		// replica share one forced disk write for their log records and
@@ -459,11 +462,10 @@ func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
 				// dirty-set stage's count of this member as applied.
 				if obj.Version.Less(m.Ts) {
 					n.observeTs(m.Ts)
-					clone := *obj
-					clone.Version = m.Ts
-					n.applyLocal(part, &clone, m.Dup)
+					obj.Version = m.Ts
+					n.applyLocal(part, &obj, m.Dup)
 				} else {
-					n.harmoniaApplied(obj)
+					n.harmoniaApplied(&obj)
 				}
 				return
 			}
@@ -479,10 +481,10 @@ func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
 		return
 	}
 	if m.Abort {
-		n.finish(part, m.Req, rec.Obj, kvstore.Timestamp{}, false)
+		n.finish(part, m.Req, &rec.Obj, kvstore.Timestamp{}, false)
 		return
 	}
-	n.finish(part, m.Req, rec.Obj, m.Ts, m.Dup)
+	n.finish(part, m.Req, &rec.Obj, m.Ts, m.Dup)
 	v := n.views[part]
 	if v == nil {
 		return

@@ -33,7 +33,7 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 		switch req := m.Data.(type) {
 		case *FetchRangeReq:
 			n.settle(p, req.Partition)
-			var objs []*kvstore.Object
+			var objs []kvstore.Object
 			size := replyOverhead
 			for _, key := range n.store.Keys() {
 				if n.cfg.Space.PartitionOf(key) != req.Partition {
@@ -60,7 +60,7 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 				return
 			}
 		case *FetchHandoffReq:
-			var objs []*kvstore.Object
+			var objs []kvstore.Object
 			size := replyOverhead
 			for _, obj := range n.store.HandoffObjects() {
 				if n.cfg.Space.PartitionOf(obj.Key) == req.Partition {
@@ -74,10 +74,10 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 		case *LockQuery:
 			var locked []LockInfo
 			for _, rec := range n.store.PendingLog() {
-				if n.cfg.Space.PartitionOf(rec.Key) != req.Partition {
+				if n.cfg.Space.PartitionOf(rec.Obj.Key) != req.Partition {
 					continue
 				}
-				locked = append(locked, LockInfo{Key: rec.Key, ReqTag: rec.Tag, Obj: rec.Obj})
+				locked = append(locked, LockInfo{Key: rec.Obj.Key, ReqTag: rec.Tag, Obj: rec.Obj})
 			}
 			rep := &LockQueryReply{From: n.cfg.Addr.Index, Locked: locked, MaxSeq: n.primarySeq}
 			if err := conn.Send(p, rep, replyOverhead+32*len(locked)); err != nil {
@@ -103,8 +103,8 @@ func (n *Node) serveConn(p *sim.Proc, conn *transport.Conn) {
 func (n *Node) openPuts(part int) []PendingPut {
 	var out []PendingPut
 	for _, rec := range n.store.PendingLog() {
-		if n.cfg.Space.PartitionOf(rec.Key) == part {
-			out = append(out, PendingPut{Key: rec.Key, Req: rec.Tag})
+		if n.cfg.Space.PartitionOf(rec.Obj.Key) == part {
+			out = append(out, PendingPut{Key: rec.Obj.Key, Req: rec.Tag})
 		}
 	}
 	return out
@@ -175,7 +175,7 @@ func (n *Node) fetchObjects(p *sim.Proc, from controller.NodeAddr, req any) ([]P
 	if !ok {
 		return nil, false
 	}
-	var objs []*kvstore.Object
+	var objs []kvstore.Object
 	var pend []PendingPut
 	switch rep := raw.(type) {
 	case *FetchRangeReply:
@@ -186,9 +186,10 @@ func (n *Node) fetchObjects(p *sim.Proc, from controller.NodeAddr, req any) ([]P
 	default:
 		return nil, false
 	}
-	for _, obj := range objs {
-		n.observeTs(obj.Version)
-		n.store.Put(p, obj)
+	// The store installs copies: the responder's objects stay its own.
+	for i := range objs {
+		n.observeTs(objs[i].Version)
+		n.store.Put(p, &objs[i])
 	}
 	return pend, true
 }
@@ -385,14 +386,10 @@ func (n *Node) expand(p *sim.Proc, view *controller.PartitionView) {
 // node must not touch the reborn store.
 func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 	part := v.Partition
-	type lockedEnt struct {
-		req reqKey
-		obj *kvstore.Object
-	}
-	locked := make(map[string]lockedEnt)
+	locked := make(map[string]reqKey)
 	for _, rec := range n.store.PendingLog() {
-		if n.cfg.Space.PartitionOf(rec.Key) == part {
-			locked[rec.Key] = lockedEnt{req: rec.Tag, obj: rec.Obj}
+		if n.cfg.Space.PartitionOf(rec.Obj.Key) == part {
+			locked[rec.Obj.Key] = rec.Tag
 		}
 	}
 	peers := n.othersOf(v)
@@ -414,7 +411,7 @@ func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 			}
 			for _, li := range rep.Locked {
 				if _, seen := locked[li.Key]; !seen {
-					locked[li.Key] = lockedEnt{req: li.ReqTag, obj: li.Obj}
+					locked[li.Key] = li.ReqTag
 				}
 			}
 		}
@@ -434,8 +431,7 @@ func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 	// Round two: who committed what?
 	committed := make(map[string]kvstore.Timestamp)
 	consider := func(k string, ts kvstore.Timestamp) {
-		ent := locked[k]
-		if ts.Client == ent.req.Client && ts.ClientSeq == ent.req.Seq {
+		if req := locked[k]; ts.Client == req.Client && ts.ClientSeq == req.Seq {
 			committed[k] = ts
 		}
 	}
@@ -461,7 +457,7 @@ func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 
 	for _, k := range keys {
 		n.stats.Resolutions++
-		order := &ResolveOrder{Key: k, Req: locked[k].req, Ts: committed[k]}
+		order := &ResolveOrder{Key: k, Req: locked[k], Ts: committed[k]}
 		n.applyOrder(order)
 		for _, peer := range peers {
 			n.data.SendTo(peer.IP, peer.DataPort, order, ackSize)
@@ -488,5 +484,5 @@ func (n *Node) applyOrder(m *ResolveOrder) {
 		}
 		return
 	}
-	n.finish(n.cfg.Space.PartitionOf(m.Key), m.Req, rec.Obj, m.Ts, false)
+	n.finish(n.cfg.Space.PartitionOf(m.Key), m.Req, &rec.Obj, m.Ts, false)
 }

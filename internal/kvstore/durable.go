@@ -23,7 +23,7 @@ import (
 // slowdisk fault degrades all of them together.
 func NewDurable(s *sim.Simulator, disk DiskConfig, cfg storage.Config) *Store {
 	st := New(s, disk)
-	st.eng = storage.NewEngine(s, cfg, (*storeDisk)(st))
+	st.eng = storage.NewEngineOf[Object](s, cfg, (*storeDisk)(st))
 	st.eng.Start()
 	return st
 }
@@ -48,7 +48,7 @@ func (st *Store) Durable() bool { return st.eng != nil }
 
 // Engine exposes the durable engine (nil in legacy mode); tests and
 // experiments inspect it.
-func (st *Store) Engine() *storage.Engine { return st.eng }
+func (st *Store) Engine() *storage.EngineOf[Object] { return st.eng }
 
 // Sync forces the engine's outstanding commit records to disk, charging
 // fsync time. The put protocol calls it before acknowledging a commit

@@ -179,3 +179,37 @@ func TestStaleCommitDuringRecoveryLoses(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashKeepsTheDurableVersionsValue: a version made durable, by an
+// fsync or by a snapshot, comes back from a crash with its own value even
+// though a later, lost version of the same key was committed over it —
+// the WAL and the snapshot hold each version by value, not one object per
+// key that the later commit rewrote.
+func TestCrashKeepsTheDurableVersionsValue(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		cfg := storage.DefaultConfig()
+		cfg.SnapshotEvery = 0
+		if snapshot {
+			cfg.SnapshotEvery = 2 * time.Millisecond
+		}
+		runDurable(t, NullDisk(), cfg, func(p *sim.Proc, st *Store) {
+			obj := Object{Key: "k", Value: "v1", Size: 10, Version: ts(1, 1)}
+			v1 := obj
+			st.Apply(&obj)
+			st.Sync(p)
+			if snapshot {
+				p.Sleep(3 * time.Millisecond)
+			}
+			obj.Value, obj.Size, obj.Version = "v2", 20, ts(2, 1)
+			st.Apply(&obj)
+			st.CrashStorage()
+			info, _ := st.RecoverStorage(p)
+			if got, ok := st.Peek("k"); !ok || got != v1 {
+				t.Errorf("snapshot=%v: Peek after recovery = %+v, %v, want %+v", snapshot, got, ok, v1)
+			}
+			if snapshot != (info.SnapshotBytes > 0) || snapshot == (info.ReplayedRecords > 0) {
+				t.Errorf("snapshot=%v: recovered from %+v", snapshot, info)
+			}
+		})
+	}
+}

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 func ts(pseq, cseq uint64) Timestamp {
@@ -286,7 +288,7 @@ func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
 	seq := 0
 	prepare := func(p *sim.Proc) {
 		seq++
-		st.AppendLogCombined(p, LogRecord{Key: fmt.Sprint("k", seq), Size: 512, Tag: PutID{Seq: uint64(seq)}}, window)
+		st.AppendLogCombined(p, LogRecord{Obj: Object{Key: fmt.Sprint("k", seq), Size: 512}, Tag: PutID{Seq: uint64(seq)}}, window)
 	}
 	lead := func(rounds int) {
 		s.Spawn("leader", func(p *sim.Proc) {
@@ -331,7 +333,7 @@ func TestReleaseIsOwnerChecked(t *testing.T) {
 	a, b, c := PutID{Client: 1, Seq: 1}, PutID{Client: 1, Seq: 2}, PutID{Client: 2, Seq: 1}
 	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
 		st.Lock(p, "k", a, 0)
-		st.AppendLog(p, LogRecord{Key: "k", Tag: a})
+		st.AppendLog(p, LogRecord{Obj: Object{Key: "k"}, Tag: a})
 		st.ResetLocks()
 		st.Lock(p, "k", b, 0)
 
@@ -349,7 +351,7 @@ func TestReleaseIsOwnerChecked(t *testing.T) {
 		granted := false
 		p.Sim().Spawn("waiter", func(p *sim.Proc) { granted = st.Lock(p, "k", c, 0) })
 		p.Sleep(time.Millisecond)
-		st.AppendLog(p, LogRecord{Key: "k", Tag: b})
+		st.AppendLog(p, LogRecord{Obj: Object{Key: "k"}, Tag: b})
 		if !st.Release("k", b) || st.HasLog("k") {
 			t.Error("the owner's release did not drop its record")
 		}
@@ -368,13 +370,13 @@ func TestReleaseIsOwnerChecked(t *testing.T) {
 
 func TestWAL(t *testing.T) {
 	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
-		rec := LogRecord{Key: "k", Size: 10, Ver: ts(1, 1), Tag: PutID{Seq: 7}}
+		rec := LogRecord{Obj: Object{Key: "k", Size: 10, Version: ts(1, 1)}, Tag: PutID{Seq: 7}}
 		st.AppendLog(p, rec)
 		if !st.HasLog("k") {
 			t.Error("log record missing")
 		}
 		pend := st.PendingLog()
-		if len(pend) != 1 || pend[0].Key != "k" {
+		if len(pend) != 1 || pend[0].Obj.Key != "k" {
 			t.Errorf("PendingLog = %v", pend)
 		}
 		st.Release("k", PutID{Seq: 7})
@@ -382,6 +384,11 @@ func TestWAL(t *testing.T) {
 			t.Error("log record not dropped")
 		}
 	})
+	// A map stores values over 128 bytes out of line, at one allocation
+	// per insert: the WAL keeps its records inline only below that.
+	if size := unsafe.Sizeof(LogRecord{}); size > 128 {
+		t.Errorf("a LogRecord is %d bytes, over 128", size)
+	}
 }
 
 func TestHandoffNamespaceIsSeparate(t *testing.T) {
@@ -439,8 +446,8 @@ func TestVersionConvergenceProperty(t *testing.T) {
 					max = q
 				}
 			}
-			got, _ := st.Peek("k")
-			ok = got != nil && got.Version.PrimarySeq == max
+			got, found := st.Peek("k")
+			ok = found && got.Version.PrimarySeq == max
 		})
 		if err := s.Run(); err != nil {
 			return false
@@ -466,4 +473,82 @@ func BenchmarkStorePutGet(b *testing.B) {
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// eachMode runs fn against a legacy store and against a durable one whose
+// engine snapshots every millisecond.
+func eachMode(t *testing.T, fn func(t *testing.T, p *sim.Proc, st *Store)) {
+	t.Run("legacy", func(t *testing.T) {
+		run(t, NullDisk(), func(p *sim.Proc, st *Store) { fn(t, p, st) })
+	})
+	t.Run("durable", func(t *testing.T) {
+		cfg := storage.DefaultConfig()
+		cfg.SnapshotEvery = time.Millisecond
+		runDurable(t, NullDisk(), cfg, func(p *sim.Proc, st *Store) { fn(t, p, st) })
+	})
+}
+
+// TestStoreOwnsItsObjects: a store keeps its own copy of every object it
+// installs and hands out copies, so neither the installer's later writes
+// nor a reader's writes reach a stored version.
+func TestStoreOwnsItsObjects(t *testing.T) {
+	eachMode(t, func(t *testing.T, p *sim.Proc, st *Store) {
+		a := Object{Key: "a", Value: "a1", Size: 1, Version: ts(1, 1)}
+		b := Object{Key: "b", Value: "b1", Size: 2, Version: ts(1, 2)}
+		h := Object{Key: "h", Value: "h1", Size: 3, Version: ts(1, 3)}
+		want := map[string]Object{"a": a, "b": b, "h": h}
+		st.Apply(&a)
+		st.Put(p, &b)
+		st.ApplyHandoff(&h)
+		check := func(when string) {
+			t.Helper()
+			for _, k := range []string{"a", "b"} {
+				peek, _ := st.Peek(k)
+				read, _ := st.Get(p, k)
+				if peek != want[k] || read != want[k] {
+					t.Errorf("%s: Peek(%q) = %+v, Get = %+v, want %+v", when, k, peek, read, want[k])
+				}
+			}
+			peek, _ := st.PeekHandoff("h")
+			read, _ := st.GetHandoff(p, "h")
+			all := st.HandoffObjects()
+			if peek != want["h"] || read != want["h"] || len(all) != 1 || all[0] != want["h"] {
+				t.Errorf("%s: PeekHandoff = %+v, GetHandoff = %+v, HandoffObjects = %+v, want %+v", when, peek, read, all, want["h"])
+			}
+		}
+		for _, o := range []*Object{&a, &b, &h} {
+			o.Value, o.Version = "rewritten", ts(9, 9)
+		}
+		check("after the installer rewrote its objects")
+
+		peek, _ := st.Peek("a")
+		read, _ := st.Get(p, "b")
+		hand, _ := st.GetHandoff(p, "h")
+		for _, o := range []*Object{&peek, &read, &hand, &st.HandoffObjects()[0]} {
+			o.Value, o.Version = "rewritten", ts(9, 9)
+		}
+		check("after a reader rewrote its copies")
+	})
+}
+
+// TestSteadyCommitAllocatesNothing: re-committing a key the store already
+// holds allocates nothing, in either mode — the durable engine's WAL has
+// regained its capacity from the last snapshot.
+func TestSteadyCommitAllocatesNothing(t *testing.T) {
+	eachMode(t, func(t *testing.T, p *sim.Proc, st *Store) {
+		obj := Object{Key: "k", Value: "v", Size: 64}
+		commit := func() {
+			obj.Version.PrimarySeq++
+			if !st.Apply(&obj) {
+				t.Fatal("a newer version was refused")
+			}
+		}
+		for i := 0; i < 300; i++ {
+			commit()
+		}
+		p.Sleep(2 * time.Millisecond) // a snapshot retires the records
+		if allocs := testing.AllocsPerRun(200, commit); allocs != 0 {
+			t.Fatalf("re-committing a key allocates %v objects, want 0", allocs)
+		}
+	})
 }

@@ -123,19 +123,19 @@ func (n *Node) handle(p *sim.Proc, body any) (any, int) {
 		return n.handleGet(p, m)
 	case *Prepare:
 		n.store.Lock(p, m.Key, putID(m.Ver), 0)
-		obj := &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: m.Ver}
-		n.store.AppendLog(p, kvstore.LogRecord{Key: m.Key, Size: m.Size, Ver: m.Ver, Obj: obj, Tag: putID(m.Ver)})
+		obj := kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: m.Ver}
+		n.store.AppendLog(p, kvstore.LogRecord{Obj: obj, Tag: putID(m.Ver)})
 		n.store.ChargeWrite(p, m.Size)
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
 	case *Commit:
-		if rec, ok := n.store.LogOf(m.Key); ok && rec.Ver == m.Ver {
-			n.store.Apply(rec.Obj)
+		if rec, ok := n.store.LogOf(m.Key); ok && rec.Obj.Version == m.Ver {
+			n.store.Apply(&rec.Obj)
 			n.store.Release(m.Key, putID(m.Ver))
 			n.stats.Puts++
 		}
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
 	case *Abort:
-		if rec, ok := n.store.LogOf(m.Key); ok && rec.Ver == m.Ver {
+		if rec, ok := n.store.LogOf(m.Key); ok && rec.Obj.Version == m.Ver {
 			n.store.Release(m.Key, putID(m.Ver))
 		}
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
@@ -147,8 +147,7 @@ func (n *Node) handle(p *sim.Proc, body any) (any, int) {
 		return &LocalGetResp{Found: true, Value: obj.Value, Size: obj.Size, Ver: obj.Version},
 			obj.Size + respOverhead
 	case *Replicate:
-		obj := &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: m.Ver}
-		n.store.Put(p, obj)
+		n.store.Put(p, &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: m.Ver})
 		n.stats.Puts++
 		if len(m.Chain) > 0 {
 			// Chain replication: forward before acking upstream so the
@@ -213,8 +212,7 @@ func (n *Node) primaryPut(p *sim.Proc, m *PutReq, replicas []Addr) (any, int) {
 // putPrimaryOnly writes locally then pushes copies (Fig. 2 solid path):
 // concurrent unicast streams, a chain, or an any-k quorum of them.
 func (n *Node) putPrimaryOnly(p *sim.Proc, m *PutReq, ver kvstore.Timestamp, secondaries []Addr) (any, int) {
-	obj := &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: ver}
-	n.store.Put(p, obj)
+	n.store.Put(p, &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: ver})
 	n.stats.Puts++
 
 	if len(secondaries) == 0 {
@@ -276,8 +274,8 @@ func (n *Node) put2PC(p *sim.Proc, m *PutReq, ver kvstore.Timestamp, secondaries
 	// Local prepare.
 	id := putID(ver)
 	n.store.Lock(p, m.Key, id, 0)
-	obj := &kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: ver}
-	n.store.AppendLog(p, kvstore.LogRecord{Key: m.Key, Size: m.Size, Ver: ver, Obj: obj, Tag: id})
+	obj := kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: ver}
+	n.store.AppendLog(p, kvstore.LogRecord{Obj: obj, Tag: id})
 	n.store.ChargeWrite(p, m.Size)
 
 	round := func(mk func() any, size int, quorum int) bool {
@@ -319,7 +317,7 @@ func (n *Node) put2PC(p *sim.Proc, m *PutReq, ver kvstore.Timestamp, secondaries
 		return &PutResp{OK: false, Err: "prepare failed"}, respOverhead
 	}
 	// Local commit.
-	n.store.Apply(obj)
+	n.store.Apply(&obj)
 	n.store.Release(m.Key, id)
 	n.stats.Puts++
 	if !round(func() any { return &Commit{Key: m.Key, Ver: ver} }, ackSize, need) {

@@ -169,34 +169,34 @@ func (s Stats) String() string {
 }
 
 // entry is one key's state: metadata always memory-resident, the value
-// reference served from the memory tier only while resident.
-type entry struct {
-	val      any
+// served from the memory tier only while resident.
+type entry[V any] struct {
+	val      V
 	size     int
 	resident bool
 	// LRU intrusive list links (resident entries only).
-	prev, next *entry
+	prev, next *entry[V]
 }
 
 // shard is one hash partition: its own map, LRU list and budget slice.
-type shard struct {
-	entries  map[string]*entry
-	lruHead  *entry // most recently used
-	lruTail  *entry // eviction victim
+type shard[V any] struct {
+	entries  map[string]*entry[V]
+	lruHead  *entry[V] // most recently used
+	lruTail  *entry[V] // eviction victim
 	memBytes int64
 }
 
 // walRec is one commit record: enough to reinstall the committed
 // version at replay.
-type walRec struct {
+type walRec[V any] struct {
 	key  string
-	val  any
+	val  V
 	size int
 }
 
 // snapRow is one snapshot row, keyed by the object key.
-type snapRow struct {
-	val  any
+type snapRow[V any] struct {
+	val  V
 	size int
 }
 
@@ -204,8 +204,8 @@ type snapRow struct {
 // lsn, so recovery is snapshot + wal[lsn:]. entries is nil until the
 // first checkpoint lands; each later one folds the records it retires
 // into it in place.
-type snapshot struct {
-	entries map[string]snapRow
+type snapshot[V any] struct {
+	entries map[string]snapRow[V]
 	bytes   int64
 	lsn     uint64
 }
@@ -217,12 +217,14 @@ type RecoveryInfo struct {
 	Interrupted     bool  // a second crash landed mid-recovery
 }
 
-// Engine is one node's storage engine.
-type Engine struct {
+// EngineOf is one node's storage engine, holding values of type V: a
+// caller that stores a struct by value commits, logs and snapshots it
+// without boxing it into an interface.
+type EngineOf[V any] struct {
 	s           *sim.Simulator
 	cfg         Config
 	disk        DiskTier
-	shards      []shard
+	shards      []shard[V]
 	shardBudget int64
 	stats       Stats
 	// stateBytes is Σ(size + SnapshotEntryBytes) over every key: the
@@ -231,7 +233,7 @@ type Engine struct {
 
 	// WAL: wal[i] has LSN walBase+i; records below durableLSN are on
 	// disk, the rest are the volatile tail a crash discards.
-	wal        []walRec
+	wal        []walRec[V]
 	walBase    uint64
 	durableLSN uint64
 	syncing    int // Sync calls currently sleeping in the disk write
@@ -242,7 +244,7 @@ type Engine struct {
 	syncActive bool
 	syncDone   *sim.Cond
 
-	snap snapshot
+	snap snapshot[V]
 
 	// gen counts crashes; procs sleeping in disk time capture it and
 	// abandon their structural updates when it moved (their world died).
@@ -251,10 +253,18 @@ type Engine struct {
 	recovering bool
 }
 
-// NewEngine builds an empty engine clocked by s, charging disk time
-// through disk. Call Start to arm the snapshot loop.
+// Engine is the engine over boxed values.
+type Engine = EngineOf[any]
+
+// NewEngine builds an empty engine of boxed values clocked by s, charging
+// disk time through disk. Call Start to arm the snapshot loop.
 func NewEngine(s *sim.Simulator, cfg Config, disk DiskTier) *Engine {
-	e := &Engine{s: s, cfg: cfg, disk: disk, syncDone: sim.NewCond(s)}
+	return NewEngineOf[any](s, cfg, disk)
+}
+
+// NewEngineOf builds an empty engine of V values, as NewEngine.
+func NewEngineOf[V any](s *sim.Simulator, cfg Config, disk DiskTier) *EngineOf[V] {
+	e := &EngineOf[V]{s: s, cfg: cfg, disk: disk, syncDone: sim.NewCond(s)}
 	if cfg.MemoryBudget > 0 {
 		e.shardBudget = (cfg.MemoryBudget + int64(cfg.Shards) - 1) / int64(cfg.Shards)
 	}
@@ -265,7 +275,7 @@ func NewEngine(s *sim.Simulator, cfg Config, disk DiskTier) *Engine {
 // Start spawns the periodic snapshot process (no-op without a period).
 // The process belongs to the device, not the node software: it skips
 // cycles while the node is crashed and survives restarts.
-func (e *Engine) Start() {
+func (e *EngineOf[V]) Start() {
 	if e.cfg.SnapshotEvery <= 0 {
 		return
 	}
@@ -284,7 +294,7 @@ func (e *Engine) Start() {
 }
 
 // Stats returns counters plus current gauges.
-func (e *Engine) Stats() Stats {
+func (e *EngineOf[V]) Stats() Stats {
 	st := e.stats
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -301,7 +311,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // fnv1a hashes a key to its shard.
-func (e *Engine) shardOf(key string) *shard {
+func (e *EngineOf[V]) shardOf(key string) *shard[V] {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -310,18 +320,18 @@ func (e *Engine) shardOf(key string) *shard {
 	return &e.shards[h%uint32(len(e.shards))]
 }
 
-func (e *Engine) resetShards() {
-	e.shards = make([]shard, e.cfg.Shards)
+func (e *EngineOf[V]) resetShards() {
+	e.shards = make([]shard[V], e.cfg.Shards)
 	for i := range e.shards {
-		e.shards[i].entries = make(map[string]*entry)
+		e.shards[i].entries = make(map[string]*entry[V])
 	}
 	e.stateBytes = 0
 }
 
-func (e *Engine) tailLSN() uint64 { return e.walBase + uint64(len(e.wal)) }
+func (e *EngineOf[V]) tailLSN() uint64 { return e.walBase + uint64(len(e.wal)) }
 
 // lruUnlink removes en from its shard's LRU list.
-func (sh *shard) lruUnlink(en *entry) {
+func (sh *shard[V]) lruUnlink(en *entry[V]) {
 	if en.prev != nil {
 		en.prev.next = en.next
 	} else {
@@ -336,7 +346,7 @@ func (sh *shard) lruUnlink(en *entry) {
 }
 
 // lruFront pushes en as most-recently-used.
-func (sh *shard) lruFront(en *entry) {
+func (sh *shard[V]) lruFront(en *entry[V]) {
 	en.prev, en.next = nil, sh.lruHead
 	if sh.lruHead != nil {
 		sh.lruHead.prev = en
@@ -348,7 +358,7 @@ func (sh *shard) lruFront(en *entry) {
 }
 
 // touch moves a resident entry to the LRU front.
-func (sh *shard) touch(en *entry) {
+func (sh *shard[V]) touch(en *entry[V]) {
 	if sh.lruHead == en {
 		return
 	}
@@ -359,7 +369,7 @@ func (sh *shard) touch(en *entry) {
 // evict demotes LRU victims until the shard fits its budget. Demotion is
 // free: the value bytes are already on disk (the W step forced them);
 // only the memory-tier reference is dropped.
-func (e *Engine) evict(sh *shard) {
+func (e *EngineOf[V]) evict(sh *shard[V]) {
 	if e.shardBudget <= 0 {
 		return
 	}
@@ -374,11 +384,11 @@ func (e *Engine) evict(sh *shard) {
 
 // install places a committed version in the memory tier (write-allocate)
 // and rebalances the shard against its budget.
-func (e *Engine) install(key string, val any, size int) {
+func (e *EngineOf[V]) install(key string, val V, size int) {
 	sh := e.shardOf(key)
 	en := sh.entries[key]
 	if en == nil {
-		en = &entry{}
+		en = &entry[V]{}
 		sh.entries[key] = en
 		e.stateBytes += SnapshotEntryBytes
 	} else if en.resident {
@@ -398,7 +408,7 @@ func (e *Engine) install(key string, val any, size int) {
 // Sync or snapshot. Version ordering is the caller's contract — the
 // caller checks Peek before committing, so WAL order is version order
 // per key on this node.
-func (e *Engine) Commit(key string, val any, size int) {
+func (e *EngineOf[V]) Commit(key string, val V, size int) {
 	if e.down {
 		// No caller should reach a crashed engine (the node's handlers
 		// are generation-fenced); tolerate it as a dropped write rather
@@ -407,19 +417,20 @@ func (e *Engine) Commit(key string, val any, size int) {
 		return
 	}
 	e.install(key, val, size)
-	e.wal = append(e.wal, walRec{key: key, val: val, size: size})
+	e.wal = append(e.wal, walRec[V]{key: key, val: val, size: size})
 	e.stats.Commits++
 	e.stats.WALAppends++
 }
 
 // Get reads key. A memory-tier hit is free; an evicted key charges a
 // disk read of its size and is promoted back into the memory tier.
-func (e *Engine) Get(p *sim.Proc, key string) (any, bool) {
+func (e *EngineOf[V]) Get(p *sim.Proc, key string) (V, bool) {
 	sh := e.shardOf(key)
 	en := sh.entries[key]
 	if en == nil {
 		e.stats.Misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	if en.resident {
 		e.stats.MemHits++
@@ -444,16 +455,17 @@ func (e *Engine) Get(p *sim.Proc, key string) (any, bool) {
 // Peek returns key's committed value without charging time or touching
 // the LRU state: metadata (the version inside the value) is always
 // memory-resident.
-func (e *Engine) Peek(key string) (any, bool) {
+func (e *EngineOf[V]) Peek(key string) (V, bool) {
 	en := e.shardOf(key).entries[key]
 	if en == nil {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	return en.val, true
 }
 
 // Len returns the number of keys known to the engine.
-func (e *Engine) Len() int {
+func (e *EngineOf[V]) Len() int {
 	n := 0
 	for i := range e.shards {
 		n += len(e.shards[i].entries)
@@ -464,7 +476,7 @@ func (e *Engine) Len() int {
 // Keys returns every key, sorted: the deterministic enumeration the
 // recovery wire protocol ships objects in. The snapshot writer does not
 // use it.
-func (e *Engine) Keys() []string {
+func (e *EngineOf[V]) Keys() []string {
 	out := make([]string, 0, e.Len())
 	for i := range e.shards {
 		for k := range e.shards[i].entries {
@@ -490,7 +502,7 @@ func (e *Engine) Keys() []string {
 // appended before the call is on disk (or the engine crashed, tearing
 // the whole in-flight batch — torn followers return non-durable exactly
 // like a torn solo fsync, and callers' generation fences catch it).
-func (e *Engine) Sync(p *sim.Proc) {
+func (e *EngineOf[V]) Sync(p *sim.Proc) {
 	target := e.tailLSN()
 	if e.durableLSN >= target {
 		return
@@ -540,7 +552,7 @@ func (e *Engine) Sync(p *sim.Proc) {
 // racing in can join, size the write to every record then pending, and
 // charge one disk write for the whole batch. Only called when no batch
 // is active; exactly one leader exists at a time.
-func (e *Engine) leadSync(p *sim.Proc) {
+func (e *EngineOf[V]) leadSync(p *sim.Proc) {
 	e.syncActive = true
 	gen := e.gen
 	if d := e.cfg.MaxSyncDelay; d > 0 {
@@ -575,13 +587,13 @@ func (e *Engine) leadSync(p *sim.Proc) {
 
 // Durable reports whether every committed record is covered by an fsync
 // or snapshot (test instrumentation).
-func (e *Engine) Durable() bool { return e.durableLSN >= e.tailLSN() }
+func (e *EngineOf[V]) Durable() bool { return e.durableLSN >= e.tailLSN() }
 
 // Crash models a node fail-stop at this instant: the volatile tiers
 // (memory tier, unfsynced WAL tail) vanish deterministically and the
 // engine refuses traffic until Recover rebuilds it from the durable
 // media. An fsync in flight is torn — its records never reached disk.
-func (e *Engine) Crash() {
+func (e *EngineOf[V]) Crash() {
 	e.gen++
 	e.down = true
 	lost := e.tailLSN() - e.durableLSN
@@ -611,7 +623,7 @@ func (e *Engine) Crash() {
 // The rebuild happens before the reads are paid, so a commit racing the
 // recovery (kvstore.Apply version-checks against Peek) sees the recovered
 // state and a stale late version is refused.
-func (e *Engine) Recover(p *sim.Proc) RecoveryInfo {
+func (e *EngineOf[V]) Recover(p *sim.Proc) RecoveryInfo {
 	e.down = false
 	e.recovering = true
 	gen := e.gen
@@ -625,7 +637,7 @@ func (e *Engine) Recover(p *sim.Proc) RecoveryInfo {
 	}()
 	e.resetShards()
 	for k, row := range e.snap.entries {
-		e.shardOf(k).entries[k] = &entry{val: row.val, size: row.size}
+		e.shardOf(k).entries[k] = &entry[V]{val: row.val, size: row.size}
 	}
 	e.stateBytes = e.snap.bytes
 	replay := len(e.wal)
@@ -664,7 +676,7 @@ func (e *Engine) Recover(p *sim.Proc) RecoveryInfo {
 // WAL, so nothing is lost; a crash mid-write abandons the attempt before
 // the fold, and the previous snapshot plus the full log still recover
 // everything durable.
-func (e *Engine) writeSnapshot(p *sim.Proc) {
+func (e *EngineOf[V]) writeSnapshot(p *sim.Proc) {
 	gen := e.gen
 	lsn := e.tailLSN()
 	bytes := e.stateBytes
@@ -674,7 +686,7 @@ func (e *Engine) writeSnapshot(p *sim.Proc) {
 		return
 	}
 	if e.snap.entries == nil {
-		e.snap.entries = make(map[string]snapRow)
+		e.snap.entries = make(map[string]snapRow[V])
 	}
 	e.snap.bytes, e.snap.lsn = bytes, lsn
 	e.stats.Snapshots++
@@ -682,7 +694,7 @@ func (e *Engine) writeSnapshot(p *sim.Proc) {
 	if lsn > e.walBase {
 		drop := lsn - e.walBase
 		for _, rec := range e.wal[:drop] {
-			e.snap.entries[rec.key] = snapRow{val: rec.val, size: rec.size}
+			e.snap.entries[rec.key] = snapRow[V]{val: rec.val, size: rec.size}
 		}
 		e.stats.TruncatedRecords += int64(drop)
 		e.truncateWAL(uint64(copy(e.wal, e.wal[drop:])))
@@ -696,7 +708,7 @@ func (e *Engine) writeSnapshot(p *sim.Proc) {
 
 // truncateWAL keeps wal[:n] in place and zeroes the rest, so no dropped
 // record keeps its value reachable.
-func (e *Engine) truncateWAL(n uint64) {
+func (e *EngineOf[V]) truncateWAL(n uint64) {
 	clear(e.wal[n:])
 	e.wal = e.wal[:n]
 }

@@ -103,7 +103,7 @@ func TestCrashDuringSnapshot(t *testing.T) {
 	run(t, noSnap(), disk, func(p *sim.Proc, e *Engine) {
 		e.Commit("a", "v1", 100)
 		e.Commit("b", "v2", 100)
-		var before []walRec
+		var before []walRec[any]
 		p.Sim().After(500*time.Microsecond, func() {
 			e.Commit("a", "v1b", 100) // lands mid-write: not covered
 			before = e.wal
@@ -112,11 +112,11 @@ func TestCrashDuringSnapshot(t *testing.T) {
 		if st := e.Stats(); st.Snapshots != 1 || st.WALRecords != 1 || st.TruncatedRecords != 2 {
 			t.Fatalf("after snapshot 1: %+v", st)
 		}
-		if &e.wal[0] != &before[0] || before[1] != (walRec{}) || before[2] != (walRec{}) {
+		if &e.wal[0] != &before[0] || before[1] != (walRec[any]{}) || before[2] != (walRec[any]{}) {
 			t.Fatalf("truncation did not compact in place: wal %v, old slots %v", e.wal, before)
 		}
 		first := maps.Clone(e.snap.entries)
-		if want := map[string]snapRow{"a": {"v1", 100}, "b": {"v2", 100}}; !maps.Equal(first, want) {
+		if want := map[string]snapRow[any]{"a": {"v1", 100}, "b": {"v2", 100}}; !maps.Equal(first, want) {
 			t.Fatalf("snapshot 1 = %v, want %v", first, want)
 		}
 		e.Commit("c", "v3", 100)
@@ -135,7 +135,7 @@ func TestCrashDuringSnapshot(t *testing.T) {
 		if !maps.Equal(e.snap.entries, first) || e.snap.lsn != 2 || e.walBase != 2 {
 			t.Errorf("torn snapshot moved the first: %v at lsn %d, walBase %d", e.snap.entries, e.snap.lsn, e.walBase)
 		}
-		if want := []walRec{{"a", "v1b", 100}, {"c", "v3", 100}}; !slices.Equal(e.wal, want) {
+		if want := []walRec[any]{{"a", "v1b", 100}, {"c", "v3", 100}}; !slices.Equal(e.wal, want) {
 			t.Fatalf("durable WAL after the crash = %v, want %v", e.wal, want)
 		}
 
@@ -293,11 +293,11 @@ func differential(t *testing.T, seed int64) Stats {
 }
 
 // liveRows enumerates the live state the way a full snapshot would.
-func liveRows(e *Engine) map[string]snapRow {
-	out := make(map[string]snapRow, e.Len())
+func liveRows(e *Engine) map[string]snapRow[any] {
+	out := make(map[string]snapRow[any], e.Len())
 	for i := range e.shards {
 		for k, en := range e.shards[i].entries {
-			out[k] = snapRow{val: en.val, size: en.size}
+			out[k] = snapRow[any]{val: en.val, size: en.size}
 		}
 	}
 	return out
