@@ -117,7 +117,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		n.finish(part, bi.req.key(), bi.obj, bi.ts, false)
 		bi.ok = true
 		n.stats.PutsPrimary++
-		items = append(items, TsMsg{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: bi.req.Attempt})
+		items = append(items, TsMsg{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: int32(bi.req.Attempt)})
 	}
 	n.stats.BatchCommits++
 	n.stats.BatchedPuts += int64(len(b.items))

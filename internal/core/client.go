@@ -144,7 +144,9 @@ func (c *Client) Start() {
 	})
 }
 
-// dispatch matches a reply to its waiting operation.
+// dispatch matches a reply to its waiting operation. A put reply no op
+// waits for any more is read here for the last time, so it goes back to
+// its sender (homed).
 func (c *Client) dispatch(data any) {
 	var id uint64
 	switch m := data.(type) {
@@ -158,6 +160,8 @@ func (c *Client) dispatch(data any) {
 	if f, ok := c.pending[id]; ok {
 		delete(c.pending, id)
 		f.Set(data)
+	} else if m, ok := data.(*PutReply); ok {
+		m.release()
 	}
 }
 
@@ -230,11 +234,13 @@ func (c *Client) putAttempts(p *sim.Proc, start sim.Time, key string, value any,
 			last = err.Error()
 		} else if raw, ok := f.WaitTimeout(p, c.cfg.OpTimeout); ok {
 			rep := raw.(*PutReply)
-			if rep.OK {
+			acked, ver, errStr := rep.OK, rep.Ver, rep.Err
+			rep.release()
+			if acked {
 				c.recycle(f)
-				return OpResult{Latency: p.Now() - start, Retries: attempt, Size: size, Version: rep.Ver}, nil
+				return OpResult{Latency: p.Now() - start, Retries: attempt, Size: size, Version: ver}, nil
 			}
-			last = rep.Err
+			last = errStr
 		} else {
 			last = "timeout"
 		}

@@ -415,7 +415,7 @@ func TestPrimaryCommitPoint(t *testing.T) {
 		wantVer uint64
 	}{
 		{"fresh vote", &Ack1{From: 1}, false, true, 1},
-		{"dedup vote", &Ack1{From: 1, Committed: &earlier}, false, true, earlier.PrimarySeq},
+		{"dedup vote", &Ack1{From: 1, Committed: earlier}, false, true, earlier.PrimarySeq},
 		{"deposed while voting", &Ack1{From: 1}, true, false, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -492,7 +492,7 @@ func TestPrimaryCommitPoint(t *testing.T) {
 		if err := s.RunUntil(time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if vote == nil || vote.Committed == nil || *vote.Committed != earlier {
+		if vote == nil || vote.Committed != earlier {
 			t.Fatalf("dedup vote %+v, want Committed %v", vote, earlier)
 		}
 	})

@@ -119,7 +119,9 @@ func (n *Node) replyFromStore(p *sim.Proc, req *GetRequest, replicaRouted bool) 
 
 // readState is one in-flight coalescable store read (CoalesceGets):
 // gets arriving while the leader's charged read is on the disk enqueue
-// here and are answered from its result.
+// here and are answered from its result. Once the leader has taken it
+// out of Node.reads, or Restart has replaced the map, the leader is its
+// only owner, and it recycles the state through Node.freeReads.
 type readState struct {
 	waiters []*GetRequest
 }
@@ -140,7 +142,7 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 		rs.waiters = append(rs.waiters, req)
 		return
 	}
-	rs := &readState{}
+	rs := take(&n.freeReads)
 	n.reads[req.Key] = rs
 	gen := n.restartGen
 	obj, ok := n.store.Get(p, req.Key)
@@ -151,6 +153,7 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 		// Crashed while the read was on the disk: this incarnation must not
 		// answer for the reborn node. The waiters go unanswered too — their
 		// clients retry, same as any handler that blocked across a crash.
+		n.freeRead(rs)
 		return
 	}
 	// Commits may have landed while the read slept on the disk. Refresh
@@ -164,6 +167,14 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 	for _, w := range rs.waiters {
 		n.sendGetReply(w, obj, ok)
 	}
+	n.freeRead(rs)
+}
+
+// freeRead recycles a read state its leader is done with.
+func (n *Node) freeRead(rs *readState) {
+	clear(rs.waiters)
+	rs.waiters = rs.waiters[:0]
+	n.freeReads = append(n.freeReads, rs)
 }
 
 // sendGetReply answers one get from a completed store read, in the room

@@ -122,3 +122,51 @@ func TestSteadyGetAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d replies for %d gets, want %d", replies, n.stats.Gets, want)
 	}
 }
+
+// TestCoalescedReadStateIsRecycled: a coalescing read leader hands its
+// read state back once it has answered itself and its waiter, with no
+// waiter left in it, and the next leader reads through the same state.
+// A leader whose node restarted while it read hands its state back too.
+func TestCoalescedReadStateIsRecycled(t *testing.T) {
+	s, a, b := pair(t)
+	defer s.Shutdown()
+	var leader, waiter *GetRequest
+	replies := 0
+	n, leader := getFixture(t, s, a, b, func(rep *GetReply) {
+		leader.FreeReply(rep)
+		waiter.FreeReply(rep)
+		replies++
+	})
+	n.cfg.CoalesceGets = true
+	waiter = &GetRequest{Key: leader.Key, ReqID: 8, Client: leader.Client, ClientPort: leader.ClientPort}
+	var held []*readState // the state each round's leader reads through
+	round := func(restart bool) {
+		s.Spawn("leader", func(p *sim.Proc) { n.serveRead(p, leader) })
+		s.Spawn("waiter", func(p *sim.Proc) {
+			held = append(held, n.reads[leader.Key])
+			n.serveRead(p, waiter)
+			if restart {
+				n.restartGen++ // what Restart does to a read in flight
+				n.reads = make(map[string]*readState)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(false)
+	round(false)
+	if replies != 4 || n.stats.GetsCoalesced != 2 {
+		t.Fatalf("%d replies, %d coalesced gets; want 4, 2", replies, n.stats.GetsCoalesced)
+	}
+	if held[0] == nil || held[1] != held[0] || len(n.freeReads) != 1 || n.freeReads[0] != held[0] {
+		t.Fatalf("leaders read through %v, free list %v; want one state, reused and back", held, n.freeReads)
+	}
+	if rs := n.freeReads[0]; len(rs.waiters) != 0 || cap(rs.waiters) == 0 {
+		t.Fatalf("recycled state holds %d waiters (cap %d), want none with its capacity", len(rs.waiters), cap(rs.waiters))
+	}
+	round(true)
+	if replies != 4 || len(n.freeReads) != 1 || n.freeReads[0] != held[0] || len(n.freeReads[0].waiters) != 0 {
+		t.Fatalf("after a restart mid-read: %d replies, free list %v; want no new reply and the state back", replies, n.freeReads)
+	}
+}

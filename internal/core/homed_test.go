@@ -1,0 +1,305 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/controller"
+	"repro/internal/kvstore"
+	"repro/internal/netsim"
+	"repro/internal/ring"
+	"repro/internal/sim"
+	"repro/internal/transport"
+)
+
+// trio wires a client and three storage nodes through one switch that
+// forwards unicast by address and floods everything else, so the put and
+// timestamp multicasts reach the nodes that joined the group. The nodes
+// serve both partitions of the key space, node 0 their primary, and each
+// partition's put group is its address on the client's multicast vring
+// (no vnode bits). Heartbeats are an hour apart. put runs one put of key
+// to completion and fails the test if it fails.
+func trio(t *testing.T) (s *sim.Simulator, c *Client, nodes []*Node, put func(key string)) {
+	t.Helper()
+	s = sim.New(1)
+	nw := netsim.NewNetwork(s)
+	sw := nw.NewSwitch("sw", 4, time.Microsecond)
+	ports := map[netsim.IP]int{}
+	macs := map[netsim.IP]netsim.MAC{}
+	var stacks []*transport.Stack
+	for i := 0; i < 4; i++ {
+		h := nw.NewHost("h"+itoa(i), netsim.IPv4(10, 0, 0, byte(i+1)))
+		nw.Connect(h.Port(), sw.Port(i), netsim.Gbps(1, 0))
+		ports[h.IP()], macs[h.IP()] = i, h.MAC()
+		stacks = append(stacks, transport.NewStack(h))
+	}
+	sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, in int) {
+		if port, ok := ports[pkt.DstIP]; ok {
+			pkt.DstMAC = macs[pkt.DstIP]
+			sw.Output(port, pkt)
+			return
+		}
+		sw.Flood(pkt, in)
+		sw.Network().RecyclePacket(pkt)
+	}))
+
+	const parts = 2
+	groups := ring.MustVRing(netsim.PrefixOf(netsim.MustParseIP("239.1.0.0"), 24), parts, 0)
+	var replicas []controller.NodeAddr
+	for i, st := range stacks[1:] {
+		replicas = append(replicas, controller.NodeAddr{Index: i, IP: st.IP(), MAC: st.Host().MAC(), DataPort: 7000, CtrlPort: 7001})
+	}
+	for i, st := range stacks[1:] {
+		cfg := DefaultNodeConfig()
+		cfg.Addr, cfg.Space, cfg.HeartbeatEvery = replicas[i], ring.NewSpace(parts), time.Hour
+		n := NewNode(st, cfg)
+		n.Start()
+		for part := 0; part < parts; part++ {
+			n.applyView(&controller.PartitionView{Partition: part, Epoch: 1, GroupIP: groups.SubgroupPrefix(part).Addr, Replicas: replicas}, false)
+		}
+		nodes = append(nodes, n)
+	}
+	ccfg := DefaultClientConfig()
+	ccfg.Multicast, ccfg.R = groups, 3
+	c = NewClient(stacks[0], ccfg)
+	c.Start()
+
+	var failure error
+	start := sim.NewQueue[string](s)
+	s.Spawn("client", func(p *sim.Proc) {
+		for {
+			key, ok := start.Pop(p)
+			if !ok {
+				return
+			}
+			if _, err := c.Put(p, key, "v", 1024); err != nil && failure == nil {
+				failure = err
+			}
+			s.Stop()
+		}
+	})
+	put = func(key string) {
+		start.Push(key)
+		if err := s.Run(); err != nil && failure == nil {
+			failure = err
+		}
+		if failure != nil {
+			t.Fatal(failure)
+		}
+	}
+	return s, c, nodes, put
+}
+
+// TestAcksAndReplyReturnToTheirSender: after a put on three nodes, each
+// secondary's Ack1 and Ack2 are back on that secondary's free list and
+// the PutReply on the primary's, and the next put sends the same ones
+// again. A message built by hand is never pooled, and releasing a
+// message twice panics.
+func TestAcksAndReplyReturnToTheirSender(t *testing.T) {
+	s, _, nodes, put := trio(t)
+	defer s.Shutdown()
+	put("k")
+	first := make([][3]any, len(nodes))
+	for i, n := range nodes {
+		wantAcks, wantReplies := 1, 0
+		if i == 0 {
+			wantAcks, wantReplies = 0, 1
+		}
+		if len(n.ack1s) != wantAcks || len(n.ack2s) != wantAcks || len(n.putReplies) != wantReplies {
+			t.Fatalf("node %d holds %d Ack1, %d Ack2, %d PutReply; want %d, %d, %d",
+				i, len(n.ack1s), len(n.ack2s), len(n.putReplies), wantAcks, wantAcks, wantReplies)
+		}
+		for _, h := range homes(n) {
+			if h.home != n || !h.idle {
+				t.Fatalf("node %d holds a message homed at %p, idle %v", i, h.home, h.idle)
+			}
+		}
+		first[i] = pooled(n)
+	}
+	put("j")
+	for i, n := range nodes {
+		if pooled(n) != first[i] {
+			t.Fatalf("node %d did not send the messages it got back", i)
+		}
+	}
+
+	sec := nodes[1]
+	hand := &Ack2{Req: reqKey{Client: 9, Seq: 1}, From: 1}
+	hand.release()
+	if hand.idle || len(sec.ack2s) != 1 {
+		t.Fatal("a hand-built ack was pooled")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second release did not panic")
+		}
+		if len(sec.ack2s) != 1 {
+			t.Fatalf("the second release pooled the ack again: %d on the free list", len(sec.ack2s))
+		}
+	}()
+	sec.ack2s[0].release()
+}
+
+// homes lists the return addresses of the messages on n's free lists.
+func homes(n *Node) (hs []*homed) {
+	for _, m := range n.ack1s {
+		hs = append(hs, &m.homed)
+	}
+	for _, m := range n.ack2s {
+		hs = append(hs, &m.homed)
+	}
+	for _, m := range n.putReplies {
+		hs = append(hs, &m.homed)
+	}
+	return hs
+}
+
+// pooled names the first message on each of n's free lists.
+func pooled(n *Node) (out [3]any) {
+	if len(n.ack1s) > 0 {
+		out[0] = n.ack1s[0]
+	}
+	if len(n.ack2s) > 0 {
+		out[1] = n.ack2s[0]
+	}
+	if len(n.putReplies) > 0 {
+		out[2] = n.putReplies[0]
+	}
+	return out
+}
+
+// TestLateAckCountsForItsOwnPut: an ack that reaches the primary after it
+// released the put lands in that put's orphan buffer, and the secondary,
+// reusing the returned ack for another put, leaves that buffer as it was:
+// the primary kept the ack's fields, not the ack.
+func TestLateAckCountsForItsOwnPut(t *testing.T) {
+	s, a, b := pair(t)
+	defer s.Shutdown()
+	start := func(st *transport.Stack, index int) *Node {
+		cfg := DefaultNodeConfig()
+		cfg.Addr = controller.NodeAddr{Index: index, IP: st.IP(), MAC: st.Host().MAC(), DataPort: 7000, CtrlPort: 7001}
+		n := NewNode(st, cfg)
+		n.Start()
+		return n
+	}
+	primary, secondary := start(b, 0), start(a, 1)
+	late, next := reqKey{Client: 9, Seq: 1}, reqKey{Client: 9, Seq: 2}
+	primary.releasePut(primary.registerPut(&PutRequest{Key: "k", Client: late.Client, ClientSeq: late.Seq}, b.IP()))
+
+	secondary.sendAck1(primary.cfg.Addr, late, kvstore.Timestamp{})
+	if err := s.RunUntil(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	o := primary.orphans[late]
+	if o == nil || !o.ack1.has(1) || o.ack2.has(1) || len(secondary.ack1s) != 1 {
+		t.Fatalf("late ack: orphan %+v, %d acks back at the secondary; want ack1 from node 1, one ack back", o, len(secondary.ack1s))
+	}
+	reused := secondary.ack1s[0]
+	before := *o
+	secondary.sendAck1(primary.cfg.Addr, next, kvstore.Timestamp{})
+	if err := s.RunUntil(2 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(secondary.ack1s) != 1 || secondary.ack1s[0] != reused {
+		t.Fatal("the secondary did not reuse its returned ack")
+	}
+	if !reflect.DeepEqual(*primary.orphans[late], before) {
+		t.Fatalf("the reused ack changed the late put's buffer: %+v, was %+v", *primary.orphans[late], before)
+	}
+	if o := primary.orphans[next]; o == nil || !o.ack1.has(1) {
+		t.Fatalf("the reused ack did not count for its own put: %+v", o)
+	}
+}
+
+// TestLatePutReplyIsReleasedOnce: a put reply no op waits for goes back to
+// its sender from dispatch, and one an op waits for stays out until the
+// op has read it; MultiPut hands back every reply it read.
+func TestLatePutReplyIsReleasedOnce(t *testing.T) {
+	s, c, nodes, put := trio(t)
+	defer s.Shutdown()
+	put("k") // the primary's reply comes back
+	primary := nodes[0]
+	late := take(&primary.putReplies)
+	*late = PutReply{ReqID: 99, OK: true, homed: homed{home: primary}}
+	c.dispatch(late)
+	if len(primary.putReplies) != 1 || primary.putReplies[0] != late {
+		t.Fatal("dispatch did not hand back a reply no op waits for")
+	}
+	waited := take(&primary.putReplies)
+	*waited = PutReply{ReqID: 100, OK: true, homed: homed{home: primary}}
+	f := c.reply()
+	c.pending[100] = f
+	c.dispatch(waited)
+	if len(primary.putReplies) != 0 || f.Value() != any(waited) {
+		t.Fatal("dispatch handed back a reply an op waits for")
+	}
+
+	// The primary answers from these three, so all three are back once
+	// MultiPut has read every reply, however many it had out at once.
+	stock := map[*PutReply]bool{}
+	for range 3 {
+		m := &PutReply{homed: homed{home: primary, idle: true}}
+		primary.putReplies = append(primary.putReplies, m)
+		stock[m] = true
+	}
+	var errs []error
+	s.Spawn("multiput", func(p *sim.Proc) {
+		_, errs = c.MultiPut(p, []PutOp{{Key: "a", Value: "v", Size: 8}, {Key: "b", Value: "v", Size: 8}, {Key: "c", Value: "v", Size: 8}})
+		s.Stop()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if len(primary.putReplies) != len(stock) {
+		t.Fatalf("%d replies back at the primary after a 3-op MultiPut, want %d", len(primary.putReplies), len(stock))
+	}
+	for _, m := range primary.putReplies {
+		if !stock[m] || !m.idle {
+			t.Fatalf("reply %p back at the primary: from its stock %v, idle %v", m, stock[m], m.idle)
+		}
+	}
+}
+
+// TestSteadyPutAllocations: a put on three nodes, warmed past the dedup
+// rings and the multicast receivers' finished-transfer rings, allocates
+// three objects: the client's PutRequest, the chunk descriptor of its
+// multicast and the primary's TsMsg. Its acks, its reply and every piece
+// of bookkeeping are recycled.
+func TestSteadyPutAllocations(t *testing.T) {
+	s, _, _, put := trio(t)
+	defer s.Shutdown()
+	for range 10_000 { // past committedCap and the receivers' 8192-transfer rings
+		put("k")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { put("k") }); allocs != 3 {
+		t.Fatalf("a steady put allocates %v objects, want 3", allocs)
+	}
+}
+
+// TestWireLayouts pins the sizes the put path's allocation budget rests
+// on: the timestamp packs into 24 bytes, the timestamp multicast into a
+// 64-byte size class, a stored object into 64 bytes, and a WAL record
+// stays small enough to store inline.
+func TestWireLayouts(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+		exact     bool
+	}{
+		{"kvstore.Timestamp", unsafe.Sizeof(kvstore.Timestamp{}), 24, true},
+		{"TsMsg", unsafe.Sizeof(TsMsg{}), 64, true},
+		{"kvstore.Object", unsafe.Sizeof(kvstore.Object{}), 64, true},
+		{"kvstore.LogRecord", unsafe.Sizeof(kvstore.LogRecord{}), 128, false},
+	} {
+		if c.size > c.max || c.exact && c.size != c.max {
+			t.Errorf("%s is %d B, want %d", c.name, c.size, c.max)
+		}
+	}
+}

@@ -66,26 +66,70 @@ type PutRequest struct {
 
 func (r *PutRequest) key() reqKey { return reqKey{Client: r.Client, Seq: r.ClientSeq} }
 
+// homed is the return address of a message with one reader (DESIGN.md
+// §7.2): its sender takes it from its own free list, and the reader hands
+// it back once it has read it. A message with no home, built by hand, is
+// never pooled.
+type homed struct {
+	home *Node
+	idle bool // on home's free list
+}
+
+// free marks the message idle, reporting whether it has a home to go
+// back to. Releasing a message twice panics: its sender may already have
+// sent it again.
+func (h *homed) free() bool {
+	if h.home == nil {
+		return false
+	}
+	if h.idle {
+		panic("core: message released twice")
+	}
+	h.idle = true
+	return true
+}
+
+// take takes the last item off a free list, or makes one.
+func take[M any](free *[]*M) *M {
+	k := len(*free)
+	if k == 0 {
+		return new(M)
+	}
+	m := (*free)[k-1]
+	*free = (*free)[:k-1]
+	return m
+}
+
 // Ack1 is a secondary's first-phase acknowledgment: object locked,
 // logged, and written (Fig. 3). Committed, when set, is the version the
 // sender already committed the put at (a retry answered from its dedup
-// record): the primary commits at that version too.
+// record): the primary commits at that version too. Zero is a fresh
+// vote.
 type Ack1 struct {
 	Req       reqKey
 	From      int // node index
-	Committed *kvstore.Timestamp
+	Committed kvstore.Timestamp
+	homed
+}
+
+// release hands m back to its sender; the reader must not touch it after.
+func (m *Ack1) release() {
+	if m.free() {
+		m.home.ack1s = append(m.home.ack1s, m)
+	}
 }
 
 // TsMsg is the primary's timestamp multicast: it commits the put and
-// orders it against other puts to the same key (§4.3).
+// orders it against other puts to the same key (§4.3). Every group member
+// reads it, so it is never pooled; it packs into 64 bytes instead.
 type TsMsg struct {
-	Req   reqKey
-	Key   string
-	Ts    kvstore.Timestamp
-	Abort bool // primary aborted the operation; release without applying
+	Req reqKey
+	Key string
+	Ts  kvstore.Timestamp
 	// Attempt scopes an abort to the delivery attempt it cancels (see
 	// PutRequest.Attempt). Commits converge any attempt and ignore it.
-	Attempt int
+	Attempt int32
+	Abort   bool // primary aborted the operation; release without applying
 	// Dup marks the dedup path's re-multicast of an already-committed
 	// timestamp: the version may predate the current membership, so a
 	// handoff stand-in must not treat the install as a post-failure write
@@ -98,6 +142,14 @@ type TsMsg struct {
 type Ack2 struct {
 	Req  reqKey
 	From int
+	homed
+}
+
+// release hands m back to its sender; the reader must not touch it after.
+func (m *Ack2) release() {
+	if m.free() {
+		m.home.ack2s = append(m.home.ack2s, m)
+	}
 }
 
 // PutReply is the primary's final answer to the client (on the client's
@@ -109,6 +161,14 @@ type PutReply struct {
 	// Ver is the committed version's primary sequence number; the
 	// consistency checker orders acknowledged puts by it.
 	Ver uint64
+	homed
+}
+
+// release hands m back to its sender; the reader must not touch it after.
+func (m *PutReply) release() {
+	if m.free() {
+		m.home.putReplies = append(m.home.putReplies, m)
+	}
 }
 
 // GetRequest is the client's read, sent as one UDP datagram to the

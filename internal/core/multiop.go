@@ -91,17 +91,16 @@ func (c *Client) MultiPut(p *sim.Proc, ops []PutOp) ([]OpResult, []error) {
 	// retry path under the same ClientSeq.
 	deadline := start + c.cfg.OpTimeout
 	for i := range ops {
-		var rep *PutReply
-		if raw, ok := futs[i].WaitTimeout(p, deadline-p.Now()); ok {
-			rep = raw.(*PutReply)
-		}
-		if rep != nil && rep.OK {
-			results[i] = OpResult{Latency: p.Now() - start, Size: ops[i].Size, Version: rep.Ver}
-			continue
-		}
 		last := "timeout"
-		if rep != nil {
+		if raw, ok := futs[i].WaitTimeout(p, deadline-p.Now()); ok {
+			rep := raw.(*PutReply)
+			acked, ver := rep.OK, rep.Ver
 			last = rep.Err
+			rep.release()
+			if acked {
+				results[i] = OpResult{Latency: p.Now() - start, Size: ops[i].Size, Version: ver}
+				continue
+			}
 		}
 		delete(c.pending, ids[i])
 		if c.cfg.MaxRetries < 1 {

@@ -229,13 +229,20 @@ type Node struct {
 	// reads tracks in-flight coalescable store reads by key
 	// (CoalesceGets): the first get to reach the store becomes the read
 	// leader, later arrivals park here and are answered from its result.
-	reads map[string]*readState
+	reads     map[string]*readState
+	freeReads []*readState // read states their leaders are done with
 
 	// batches holds the per-partition open commit batch (PutBatchWindow):
 	// puts reaching the commit point while a batch leader lingers join it
 	// instead of committing alone.
 	batches     map[int]*putBatch
 	freeBatches []*putBatch // recycled batches (newBatch, leaveBatch)
+
+	// The single-reader messages this node sends, handed back by their
+	// readers (homed).
+	ack1s      []*Ack1
+	ack2s      []*Ack2
+	putReplies []*PutReply
 
 	// committed remembers the versions of recently committed puts by
 	// client quadruplet, so a retry of an already-committed put converges
@@ -616,22 +623,26 @@ func (n *Node) dataLoop(p *sim.Proc) {
 		case *ForwardedGet:
 			n.spawn(n.names.fwdget, m, false)
 		case *Ack1:
-			if m.Committed != nil {
+			k, from, committed := m.Req, m.From, m.Committed
+			m.release()
+			if !committed.IsZero() {
 				// A verdict to this node as the put's coordinator.
-				n.deliverTs(&TsMsg{Req: m.Req, Ts: *m.Committed}, n.cfg.Addr.IP)
+				n.deliverTs(&TsMsg{Req: k, Ts: committed}, n.cfg.Addr.IP)
 			}
-			if ps := n.puts[m.Req]; ps != nil {
-				ps.ack1.add(m.From)
+			if ps := n.puts[k]; ps != nil {
+				ps.ack1.add(from)
 				ps.sig.Push(struct{}{})
 			} else {
-				n.orphan(m.Req).ack1.add(m.From)
+				n.orphan(k).ack1.add(from)
 			}
 		case *Ack2:
-			if ps := n.puts[m.Req]; ps != nil {
-				ps.ack2.add(m.From)
+			k, from := m.Req, m.From
+			m.release()
+			if ps := n.puts[k]; ps != nil {
+				ps.ack2.add(from)
 				ps.sig.Push(struct{}{})
 			} else {
-				n.orphan(m.Req).ack2.add(m.From)
+				n.orphan(k).ack2.add(from)
 			}
 		case *TsMsg:
 			n.deliverTs(m, d.From)
@@ -658,7 +669,7 @@ func (n *Node) dataLoop(p *sim.Proc) {
 // live handler heeds only its coordinator (putState.coord).
 func (n *Node) deliverTs(m *TsMsg, from netsim.IP) {
 	ps := n.puts[m.Req]
-	if ps == nil || (m.Abort && m.Attempt != ps.req.Attempt) {
+	if ps == nil || (m.Abort && int(m.Attempt) != ps.req.Attempt) {
 		// An abort from a previous delivery attempt of the same
 		// operation must not reach the live attempt — its Ack1 may
 		// already count toward a commit. It may still name a
@@ -703,7 +714,7 @@ func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 		delete(n.orphans, k)
 		ps.ack1.merge(&o.ack1)
 		ps.ack2.merge(&o.ack2)
-		if o.ts != nil && o.tsFrom == coord && (!o.ts.Abort || o.ts.Attempt == req.Attempt) {
+		if o.ts != nil && o.tsFrom == coord && (!o.ts.Abort || int(o.ts.Attempt) == req.Attempt) {
 			ps.ts.Set(o.ts)
 		}
 	}

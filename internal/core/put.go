@@ -34,8 +34,7 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 		// laggard after a partial commit): re-ack phase one; the commit
 		// arrives via the primary's re-sent timestamp or resolution.
 		if !isPrimary {
-			pr := v.Primary()
-			n.data.SendTo(pr.IP, pr.DataPort, &Ack1{Req: k, From: me}, ackSize)
+			n.sendAck1(v.Primary(), k, kvstore.Timestamp{})
 		}
 		return
 	}
@@ -118,9 +117,8 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 		n.cfg.Harmonia.MemberApplied(req.Key, k, n.cfg.Addr.IP)
 	}
 	if !isPrimary {
-		pr := v.Primary()
-		n.data.SendTo(pr.IP, pr.DataPort, &Ack1{Req: k, From: n.cfg.Addr.Index, Committed: &ts}, ackSize)
-		n.data.SendTo(pr.IP, pr.DataPort, &Ack2{Req: k, From: n.cfg.Addr.Index}, ackSize)
+		n.sendAck1(v.Primary(), k, ts)
+		n.sendAck2(v.Primary(), k)
 		return
 	}
 	ps := n.registerPut(req, n.cfg.Addr.IP)
@@ -262,7 +260,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		// primary may have resolved the put already; committing would split
 		// the verdict and the version sequence). Release everyone still
 		// waiting, clean up, fail the op.
-		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Abort: true, Attempt: req.Attempt}, tsMsgSize)
+		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Abort: true, Attempt: int32(req.Attempt)}, tsMsgSize)
 		n.finish(part, req.key(), obj, kvstore.Timestamp{}, false)
 		n.replyPut(req, false, "replica unresponsive", 0)
 		return
@@ -307,7 +305,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		}
 
 		// Commit phase: multicast the timestamp to the replica set.
-		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Ts: ts, Attempt: req.Attempt, Dup: dup}, tsMsgSize)
+		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Ts: ts, Attempt: int32(req.Attempt), Dup: dup}, tsMsgSize)
 	}
 
 	if !n.waitAcks(p, ps, &ps.ack2, need, want) {
@@ -341,9 +339,8 @@ func (n *Node) stale(ps *putState) bool { return ps.gen != n.restartGen }
 // completes the commit. A primary quiet for two phases is reported and
 // the object is left locked and logged for new-primary resolution.
 func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutRequest, ps *putState, obj *kvstore.Object, part int) {
-	me := n.cfg.Addr.Index
 	primary := v.Primary()
-	n.data.SendTo(primary.IP, primary.DataPort, &Ack1{Req: req.key(), From: me}, ackSize)
+	n.sendAck1(primary, req.key(), kvstore.Timestamp{})
 
 	tsm, ok := ps.ts.WaitTimeout(p, n.cfg.AckTimeout)
 	if !ok {
@@ -376,7 +373,7 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 	if n.stale(ps) {
 		return
 	}
-	n.data.SendTo(primary.IP, primary.DataPort, &Ack2{Req: req.key(), From: me}, ackSize)
+	n.sendAck2(primary, req.key())
 }
 
 // finish ends put k's prepare of obj on this node — the one place a
@@ -433,9 +430,28 @@ func (n *Node) applyLocal(part int, obj *kvstore.Object, dup bool) {
 }
 
 // replyPut answers the client over its reply stream; ver is the committed
-// version's primary sequence (0 when nothing committed).
+// version's primary sequence (0 when nothing committed). The reply comes
+// from this node's free list, and the client hands it back (homed).
 func (n *Node) replyPut(req *PutRequest, ok bool, errStr string, ver uint64) {
-	n.pool.Send(req.Client, req.ClientPort, &PutReply{ReqID: req.ClientSeq, OK: ok, Err: errStr, Ver: ver}, replyOverhead)
+	m := take(&n.putReplies)
+	*m = PutReply{ReqID: req.ClientSeq, OK: ok, Err: errStr, Ver: ver, homed: homed{home: n}}
+	n.pool.Send(req.Client, req.ClientPort, m, replyOverhead)
+}
+
+// sendAck1 votes for put k to its primary pr, committed as in Ack1. The
+// vote, like sendAck2's ack, comes off this node's free list, and the
+// primary hands it back (homed).
+func (n *Node) sendAck1(pr controller.NodeAddr, k reqKey, committed kvstore.Timestamp) {
+	m := take(&n.ack1s)
+	*m = Ack1{Req: k, From: n.cfg.Addr.Index, Committed: committed, homed: homed{home: n}}
+	n.data.SendTo(pr.IP, pr.DataPort, m, ackSize)
+}
+
+// sendAck2 confirms put k's commit to its primary pr.
+func (n *Node) sendAck2(pr controller.NodeAddr, k reqKey) {
+	m := take(&n.ack2s)
+	*m = Ack2{Req: k, From: n.cfg.Addr.Index, homed: homed{home: n}}
+	n.data.SendTo(pr.IP, pr.DataPort, m, ackSize)
 }
 
 // lateTs handles a timestamp from node from that arrived after its put
@@ -445,7 +461,7 @@ func (n *Node) replyPut(req *PutRequest, ok bool, errStr string, ver uint64) {
 func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
 	part := n.cfg.Space.PartitionOf(m.Key)
 	rec, ok := n.store.LogOf(m.Key)
-	if !ok || rec.Tag != m.Req || (m.Abort && rec.Attempt != m.Attempt) {
+	if !ok || rec.Tag != m.Req || (m.Abort && rec.Attempt != int(m.Attempt)) {
 		if !m.Abort {
 			// The committed copy lives where applyLocal put it: the handoff
 			// directory while this node stands in for the partition.
@@ -503,9 +519,9 @@ func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
 			if gen != n.restartGen {
 				return
 			}
-			n.data.SendTo(pr.IP, pr.DataPort, &Ack2{Req: m.Req, From: n.cfg.Addr.Index}, ackSize)
+			n.sendAck2(pr, m.Req)
 		})
 		return
 	}
-	n.data.SendTo(pr.IP, pr.DataPort, &Ack2{Req: m.Req, From: n.cfg.Addr.Index}, ackSize)
+	n.sendAck2(pr, m.Req)
 }
