@@ -28,6 +28,9 @@ type putBatch struct {
 	items   []*batchItem
 	done    *sim.Future[struct{}]
 	holders int
+	// out holds the drain's timestamp multicasts between the drain and the
+	// fsync that must precede their send.
+	out []*BatchTsMsg
 }
 
 // batchItem is one put parked at the commit point, embedded in its put
@@ -104,8 +107,10 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		return kvstore.Timestamp{}, false
 	}
 
-	// Drain: assign timestamps and commit locally in arrival order.
-	items := make([]TsMsg, 0, len(b.items))
+	// Drain: assign timestamps and commit locally in arrival order. The
+	// timestamps fill multicasts of at most maxTsItemsPerMsg items, each
+	// below the transport MTU and independently complete (items route
+	// per-op on arrival), so splitting changes framing only.
 	for _, bi := range b.items {
 		n.primarySeq++
 		bi.ts = kvstore.Timestamp{
@@ -117,7 +122,11 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		n.finish(part, bi.req.key(), bi.obj, bi.ts, false)
 		bi.ok = true
 		n.stats.PutsPrimary++
-		items = append(items, TsMsg{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: int32(bi.req.Attempt)})
+		if k := len(b.out); k == 0 || len(b.out[k-1].Items) == maxTsItemsPerMsg {
+			b.out = append(b.out, n.tsMsg())
+		}
+		m := b.out[len(b.out)-1]
+		m.Items = append(m.Items, TsMsg{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: int32(bi.req.Attempt)})
 	}
 	n.stats.BatchCommits++
 	n.stats.BatchedPuts += int64(len(b.items))
@@ -126,23 +135,20 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	// whole point of accumulating. Same contract as the single-op path:
 	// durable before anything downstream learns of the commits.
 	n.store.Sync(p)
-	if n.stale(ps) {
+	stale := n.stale(ps)
+	for _, m := range b.out {
+		if stale {
+			m.release() // never sent
+		} else {
+			n.multicastTs(v, m, batchHeader+len(m.Items)*tsMsgSize)
+		}
+	}
+	clear(b.out)
+	b.out = b.out[:0]
+	if stale {
 		b.done.Set(struct{}{})
 		n.leaveBatch(b)
 		return kvstore.Timestamp{}, false
-	}
-
-	// Fragment below the transport MTU; each fragment is independently
-	// complete (items route per-op on arrival), so splitting changes
-	// framing only.
-	for len(items) > 0 {
-		chunk := items
-		if len(chunk) > maxTsItemsPerMsg {
-			chunk = chunk[:maxTsItemsPerMsg]
-		}
-		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &BatchTsMsg{Items: chunk},
-			batchHeader+len(chunk)*tsMsgSize)
-		items = items[len(chunk):]
 	}
 	b.done.Set(struct{}{})
 	n.leaveBatch(b)

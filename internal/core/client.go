@@ -83,6 +83,11 @@ type Client struct {
 	// deletes the entry before it resolves the future, and a timed-out
 	// attempt deletes it itself — so no reply can reach it any more.
 	replies []*sim.Future[any]
+	// putReqs holds the put requests every holder let go of, and
+	// getReqs the get requests whose own attempt was answered: the reply
+	// came in the request's room, so no copy of it is left in flight.
+	putReqs []*PutRequest
+	getReqs []*GetRequest
 	seq     uint64
 }
 
@@ -146,7 +151,7 @@ func (c *Client) Start() {
 
 // dispatch matches a reply to its waiting operation. A put reply no op
 // waits for any more is read here for the last time, so it goes back to
-// its sender (homed).
+// its sender (counted).
 func (c *Client) dispatch(data any) {
 	var id uint64
 	switch m := data.(type) {
@@ -206,18 +211,13 @@ func (c *Client) Put(p *sim.Proc, key string, value any, size int) (OpResult, er
 // commit wherever it did land.
 func (c *Client) putAttempts(p *sim.Proc, start sim.Time, key string, value any, size int, id uint64, first int, last string) (OpResult, error) {
 	for attempt := first; attempt <= c.cfg.MaxRetries; attempt++ {
-		// A fresh request per attempt: messages travel by reference in the
-		// sim, and each attempt must carry its own number so a replica can
-		// tell a stale abort from one aimed at the prepare it holds.
-		req := &PutRequest{
-			Key:        key,
-			Value:      value,
-			Size:       size,
-			Client:     c.stack.IP(),
-			ClientPort: c.cfg.ReplyPort,
-			ClientSeq:  id,
-			Attempt:    attempt,
-		}
+		// A request per attempt: messages travel by reference in the sim,
+		// and each attempt must carry its own number so a replica can tell
+		// a stale abort from one aimed at the prepare it holds. The client
+		// holds it until the attempt is answered.
+		req := takeCounted(&c.putReqs)
+		req.Key, req.Value, req.Size = key, value, size
+		req.Client, req.ClientPort, req.ClientSeq, req.Attempt = c.stack.IP(), c.cfg.ReplyPort, id, attempt
 		f := c.reply()
 		c.pending[id] = f
 
@@ -236,6 +236,10 @@ func (c *Client) putAttempts(p *sim.Proc, start sim.Time, key string, value any,
 			rep := raw.(*PutReply)
 			acked, ver, errStr := rep.OK, rep.Ver, rep.Err
 			rep.release()
+			// Answered: the client is done with the request. An attempt
+			// that failed or timed out keeps its hold, and its request goes
+			// to the GC.
+			req.release()
 			if acked {
 				c.recycle(f)
 				return OpResult{Latency: p.Now() - start, Retries: attempt, Size: size, Version: ver}, nil
@@ -270,29 +274,37 @@ func (c *Client) Get(p *sim.Proc, key string) (OpResult, error) {
 // batched datagram left unanswered; the stable id keeps a late reply to
 // the batch attempt acceptable.
 func (c *Client) getAttempts(p *sim.Proc, start sim.Time, key string, id uint64, first int) (OpResult, error) {
-	req := &GetRequest{
-		Key:        key,
-		ReqID:      id,
-		Client:     c.stack.IP(),
-		ClientPort: c.cfg.ReplyPort,
-	}
 	for attempt := first; attempt <= c.cfg.MaxRetries; attempt++ {
 		f := c.reply()
 		c.pending[id] = f
-		r := *req // per-attempt copy: the retry counter steers harmonia's replica hash
-		r.Attempt = attempt
-		c.udp.SendTo(c.cfg.Unicast.AddrOfKey(key), c.cfg.DataPort, &r, getReqSize)
+		// A request per attempt: the retry counter steers harmonia's
+		// replica hash, and a timed-out attempt's request may still be in
+		// flight.
+		r := take(&c.getReqs)
+		*r = GetRequest{
+			Key:        key,
+			ReqID:      id,
+			Client:     c.stack.IP(),
+			ClientPort: c.cfg.ReplyPort,
+			Attempt:    attempt,
+		}
+		c.udp.SendTo(c.cfg.Unicast.AddrOfKey(key), c.cfg.DataPort, r, getReqSize)
 		if raw, ok := f.WaitTimeout(p, c.cfg.OpTimeout); ok {
 			c.recycle(f)
 			rep := raw.(*GetReply)
-			return OpResult{
+			res := OpResult{
 				Latency: p.Now() - start,
 				Retries: attempt,
 				Found:   rep.Found,
 				Value:   rep.Value,
 				Size:    rep.Size,
 				Version: rep.Ver,
-			}, nil
+			}
+			if rep == &r.reply {
+				// Answered in its own room: whoever read r has done with it.
+				c.getReqs = append(c.getReqs, r)
+			}
+			return res, nil
 		}
 		delete(c.pending, id)
 		c.recycle(f)

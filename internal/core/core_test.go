@@ -248,7 +248,7 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 		deliver func(n *Node, ts kvstore.Timestamp)
 	}{
 		{"lateTs", func(n *Node, ts kvstore.Timestamp) {
-			n.lateTs(&TsMsg{Req: old, Key: "k", Ts: ts, Abort: ts.IsZero()}, 0)
+			n.lateTs(TsMsg{Req: old, Key: "k", Ts: ts, Abort: ts.IsZero()}, 0)
 		}},
 		{"ResolveOrder", func(n *Node, ts kvstore.Timestamp) {
 			n.applyOrder(&ResolveOrder{Key: "k", Req: old, Ts: ts})
@@ -504,11 +504,11 @@ func TestPrimaryCommitPoint(t *testing.T) {
 		coord, zombie := netsim.MustParseIP("10.0.0.2"), netsim.MustParseIP("10.0.0.9")
 		req := &PutRequest{Key: "k", Client: 9, ClientSeq: 1}
 		ps := n.registerPut(req, coord)
-		n.deliverTs(&TsMsg{Req: req.key(), Key: "k", Ts: earlier}, zombie)
+		n.deliverTs(TsMsg{Req: req.key(), Key: "k", Ts: earlier}, zombie)
 		if ps.ts.Done() {
 			t.Fatal("a deposed primary's timestamp became the verdict")
 		}
-		n.deliverTs(&TsMsg{Req: req.key(), Key: "k", Ts: earlier}, coord)
+		n.deliverTs(TsMsg{Req: req.key(), Key: "k", Ts: earlier}, coord)
 		if !ps.ts.Done() {
 			t.Fatal("the coordinator's timestamp was not taken")
 		}
@@ -559,7 +559,7 @@ func TestRecycledPutStateStartsClean(t *testing.T) {
 	}
 	ps.sig.Push(struct{}{})
 	ps.sig.Push(struct{}{})
-	ps.ts.Set(&TsMsg{Req: req.key()})
+	ps.ts.Set(TsMsg{Req: req.key()})
 	if need, want := n.ackQuorum(view, ps); want != 3 || len(need) != 3 || need[2].Index != 3 {
 		t.Fatalf("quorum %v of %d, want nodes 1, 2, 3 of 3", need, want)
 	}
@@ -626,7 +626,7 @@ func TestRecycledPutStateLeavesItsWALRecord(t *testing.T) {
 		if secondPS == nil || secondPS.obj.Key != "j" {
 			t.Fatal("the second put is not prepared")
 		}
-		n.deliverTs(&TsMsg{Req: first.key(), Key: "k", Ts: ts}, a.IP())
+		n.deliverTs(TsMsg{Req: first.key(), Key: "k", Ts: ts}, a.IP())
 	})
 	if err := s.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
@@ -672,8 +672,8 @@ func TestStaleHandlerReleaseSparesTheRetry(t *testing.T) {
 }
 
 // TestSteadyPutBookkeepingAllocatesNothing: with the free list and the
-// dedup ring full, a put's registration, its quorum, its verdict routed in
-// place from a batched commit, its dedup record and its release allocate
+// dedup ring full, a put's registration, its quorum, its verdict routed by
+// value from a batched commit, its dedup record and its release allocate
 // nothing.
 func TestSteadyPutBookkeepingAllocatesNothing(t *testing.T) {
 	s, a, _ := pair(t)
@@ -696,9 +696,9 @@ func TestSteadyPutBookkeepingAllocatesNothing(t *testing.T) {
 		ps := n.registerPut(req, coord)
 		n.ackQuorum(view, ps)
 		batch.Items[0] = TsMsg{Req: req.key(), Key: req.Key, Ts: stamp(committedCap + req.ClientSeq)}
-		n.deliverTs(&batch.Items[0], coord)
-		if ps.ts.Value() != &batch.Items[0] {
-			t.Fatal("the batched verdict was not routed in place")
+		n.deliverTs(batch.Items[0], coord)
+		if ps.ts.Value() != batch.Items[0] {
+			t.Fatal("the batched verdict was not routed to its put")
 		}
 		n.recordCommit(ps.ts.Value().Ts)
 		n.releasePut(ps)
@@ -782,9 +782,9 @@ func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 }
 
 // TestBatchedCommitMatchesSingle: a secondary holding a prepared put ends
-// in the same state whether the primary's verdict reaches it as a TsMsg
-// or as an item of a BatchTsMsg, and an item for a put it has not seen is
-// buffered exactly like the TsMsg it stands for.
+// in the same state whether the primary's verdicts reach it one per
+// timestamp multicast or packed into one, and an item for a put it has
+// not seen is buffered exactly like the lone verdict it stands for.
 func TestBatchedCommitMatchesSingle(t *testing.T) {
 	const dataPort = 7000
 	type outcome struct {
@@ -824,9 +824,8 @@ func TestBatchedCommitMatchesSingle(t *testing.T) {
 					if batched {
 						sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{commit, early}}, batchHeader+2*tsMsgSize)
 					} else {
-						c, e := commit, early
-						sock.SendTo(b.IP(), dataPort, &c, tsMsgSize)
-						sock.SendTo(b.IP(), dataPort, &e, tsMsgSize)
+						sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{commit}}, tsMsgSize)
+						sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{early}}, tsMsgSize)
 					}
 				case *Ack2:
 					out.Ack2 = true
@@ -841,8 +840,8 @@ func TestBatchedCommitMatchesSingle(t *testing.T) {
 		out.Locked, out.Logged, out.Live = n.store.Locked("k"), n.store.HasLog("k"), len(n.puts)
 		out.Dedup, _ = n.committed.get(req.key())
 		out.Stats = n.stats
-		if o := n.orphans[early.Req]; o != nil && o.ts != nil {
-			out.Early = *o.ts
+		if o := n.orphans[early.Req]; o != nil && o.hasTs {
+			out.Early = o.ts
 		}
 		return out
 	}

@@ -48,7 +48,13 @@ const BatchHeaderSize = batchHeader
 type reqKey = kvstore.PutID
 
 // PutRequest is the application message carried by the put multicast:
-// every replica receives the full object plus this header.
+// every replica receives the full object plus this header. Every member
+// of the put's group reads the same request, so its holders are the
+// client until its attempt is answered, the multicast send until its
+// state is reused, and each delivery until that replica's handler
+// returns (counted). The count grows as holders appear instead of being
+// fixed at the send: a multicast reaches whoever is in the group as it
+// crosses the switch, which its sender's view does not always know.
 type PutRequest struct {
 	Key        string
 	Value      any
@@ -62,31 +68,57 @@ type PutRequest struct {
 	// from attempt N must not kill attempt N+1's prepare after its Ack1
 	// was counted toward a commit quorum.
 	Attempt int
+
+	counted
 }
 
 func (r *PutRequest) key() reqKey { return reqKey{Client: r.Client, Seq: r.ClientSeq} }
 
-// homed is the return address of a message with one reader (DESIGN.md
-// §7.2): its sender takes it from its own free list, and the reader hands
-// it back once it has read it. A message with no home, built by hand, is
-// never pooled.
-type homed struct {
-	home *Node
-	idle bool // on home's free list
+// Holders lets the transport count r's copies (transport.Counted).
+func (r *PutRequest) Holders() *netsim.Holds { return r.holders() }
+
+// counted is the lifetime of a message its sender takes off a free list
+// of its own (takeCounted; DESIGN.md §7.2). Its holders count themselves
+// in holds (netsim.Holds): the sender holds it, a message with one reader
+// passes that hold on to the reader, and one with several readers —
+// PutRequest, BatchTsMsg — is held by each packet and queued delivery
+// carrying it and each reader in turn. The last to let go hands it back
+// (holds.Last). A message built by hand has no Last: it counts nothing
+// and is never pooled.
+type counted struct{ holds netsim.Holds }
+
+func (c *counted) counter() *counted { return c }
+
+// release lets go of one hold; the holder must not touch the message
+// after. Releasing past the last holder panics: the sender may already
+// have sent the message again.
+func (c *counted) release() {
+	if c.holds.Last != nil {
+		c.holds.Release()
+	}
 }
 
-// free marks the message idle, reporting whether it has a home to go
-// back to. Releasing a message twice panics: its sender may already have
-// sent it again.
-func (h *homed) free() bool {
-	if h.home == nil {
-		return false
+// holders returns the count, or nil for a message built by hand.
+func (c *counted) holders() *netsim.Holds {
+	if c.holds.Last == nil {
+		return nil
 	}
-	if h.idle {
-		panic("core: message released twice")
+	return &c.holds
+}
+
+// takeCounted takes a message off free, or makes one whose last holder
+// hands it back there, and holds it for the caller.
+func takeCounted[M any, P interface {
+	*M
+	counter() *counted
+}](free *[]*M) *M {
+	m := take(free)
+	c := P(m).counter()
+	if c.holds.Last == nil {
+		c.holds.Last = func() { *free = append(*free, m) }
 	}
-	h.idle = true
-	return true
+	c.holds.Hold()
+	return m
 }
 
 // take takes the last item off a free list, or makes one.
@@ -109,19 +141,13 @@ type Ack1 struct {
 	Req       reqKey
 	From      int // node index
 	Committed kvstore.Timestamp
-	homed
+	counted
 }
 
-// release hands m back to its sender; the reader must not touch it after.
-func (m *Ack1) release() {
-	if m.free() {
-		m.home.ack1s = append(m.home.ack1s, m)
-	}
-}
-
-// TsMsg is the primary's timestamp multicast: it commits the put and
-// orders it against other puts to the same key (§4.3). Every group member
-// reads it, so it is never pooled; it packs into 64 bytes instead.
+// TsMsg is the primary's verdict on one put: it commits the put and
+// orders it against other puts to the same key (§4.3). It travels as an
+// item of a BatchTsMsg and is read by value, so no reader keeps it; it
+// packs into 64 bytes.
 type TsMsg struct {
 	Req reqKey
 	Key string
@@ -142,14 +168,7 @@ type TsMsg struct {
 type Ack2 struct {
 	Req  reqKey
 	From int
-	homed
-}
-
-// release hands m back to its sender; the reader must not touch it after.
-func (m *Ack2) release() {
-	if m.free() {
-		m.home.ack2s = append(m.home.ack2s, m)
-	}
+	counted
 }
 
 // PutReply is the primary's final answer to the client (on the client's
@@ -161,14 +180,7 @@ type PutReply struct {
 	// Ver is the committed version's primary sequence number; the
 	// consistency checker orders acknowledged puts by it.
 	Ver uint64
-	homed
-}
-
-// release hands m back to its sender; the reader must not touch it after.
-func (m *PutReply) release() {
-	if m.free() {
-		m.home.putReplies = append(m.home.putReplies, m)
-	}
+	counted
 }
 
 // GetRequest is the client's read, sent as one UDP datagram to the
@@ -236,15 +248,22 @@ type BatchPutRequest struct {
 	Ops []*PutRequest
 }
 
-// BatchTsMsg is the primary's batched commit: the put accumulator packs
-// the timestamps of co-arriving commits for one partition into a single
-// multicast. Receivers route a pointer to each item to its per-op put
-// state (or the late-timestamp path), exactly as if it had arrived as its
-// own TsMsg — every group member shares the items, as it shares a
-// multicast TsMsg, and no receiver writes to one.
+// BatchTsMsg is the primary's timestamp multicast: one verdict, sent at
+// tsMsgSize, or the timestamps of co-arriving commits for one partition
+// packed by the put accumulator. Receivers route each item, by value, to
+// its per-op put state (or the late-timestamp path), exactly as if it had
+// arrived alone. Every group member reads the message, so its holders are
+// its builder until it is sent, each packet, and each queued delivery
+// until dataLoop has routed it (counted); the last hands it back to the
+// primary that sent it.
 type BatchTsMsg struct {
 	Items []TsMsg
+
+	counted
 }
+
+// Holders lets the transport count m's copies (transport.Counted).
+func (m *BatchTsMsg) Holders() *netsim.Holds { return m.holders() }
 
 // BatchGetRequest is a client's batched read: MultiGet (and the traffic
 // engine's batched arms) packs the gets headed for one node into a

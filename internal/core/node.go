@@ -143,7 +143,7 @@ type putState struct {
 	ack1 nodeSet
 	ack2 nodeSet
 	sig  *sim.Queue[struct{}]
-	ts   *sim.Future[*TsMsg]
+	ts   *sim.Future[TsMsg]
 	// quorum is ackQuorum's participant buffer, item the put's slot in a
 	// commit batch (batch.go), and obj the object phase one prepares
 	// (preparePut); the store and the WAL keep copies of it.
@@ -169,7 +169,8 @@ type putState struct {
 type orphanState struct {
 	ack1   nodeSet
 	ack2   nodeSet
-	ts     *TsMsg
+	ts     TsMsg
+	hasTs  bool
 	tsFrom netsim.IP // the sender of ts
 }
 
@@ -238,11 +239,12 @@ type Node struct {
 	batches     map[int]*putBatch
 	freeBatches []*putBatch // recycled batches (newBatch, leaveBatch)
 
-	// The single-reader messages this node sends, handed back by their
-	// readers (homed).
+	// The messages this node sends, handed back by the last of their
+	// holders (counted).
 	ack1s      []*Ack1
 	ack2s      []*Ack2
 	putReplies []*PutReply
+	tsMsgs     []*BatchTsMsg
 
 	// committed remembers the versions of recently committed puts by
 	// client quadruplet, so a retry of an already-committed put converges
@@ -627,7 +629,7 @@ func (n *Node) dataLoop(p *sim.Proc) {
 			m.release()
 			if !committed.IsZero() {
 				// A verdict to this node as the put's coordinator.
-				n.deliverTs(&TsMsg{Req: k, Ts: committed}, n.cfg.Addr.IP)
+				n.deliverTs(TsMsg{Req: k, Ts: committed}, n.cfg.Addr.IP)
 			}
 			if ps := n.puts[k]; ps != nil {
 				ps.ack1.add(from)
@@ -644,15 +646,14 @@ func (n *Node) dataLoop(p *sim.Proc) {
 			} else {
 				n.orphan(k).ack2.add(from)
 			}
-		case *TsMsg:
-			n.deliverTs(m, d.From)
 		case *BatchTsMsg:
-			// A batched commit is its items: each routes, in place, to its
-			// own put state (or the late-timestamp path) exactly as if it
-			// had arrived as a single TsMsg.
+			// A timestamp multicast is its items: each routes, by value, to
+			// its own put state (or the late-timestamp path), and nothing
+			// reads the message after that.
 			for i := range m.Items {
-				n.deliverTs(&m.Items[i], d.From)
+				n.deliverTs(m.Items[i], d.From)
 			}
+			m.release()
 		case *BatchGetRequest:
 			n.spawn(n.names.bget, m, false)
 		case *ResolveOrder:
@@ -666,8 +667,9 @@ func (n *Node) dataLoop(p *sim.Proc) {
 // deliverTs routes a timestamp message from node from to its in-flight
 // put state, or to the late-timestamp path when the handler is gone (or
 // the abort names a different delivery attempt than the live one). A
-// live handler heeds only its coordinator (putState.coord).
-func (n *Node) deliverTs(m *TsMsg, from netsim.IP) {
+// live handler heeds only its coordinator (putState.coord). Whoever keeps
+// m keeps a copy.
+func (n *Node) deliverTs(m TsMsg, from netsim.IP) {
 	ps := n.puts[m.Req]
 	if ps == nil || (m.Abort && int(m.Attempt) != ps.req.Attempt) {
 		// An abort from a previous delivery attempt of the same
@@ -706,7 +708,7 @@ func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 	if ps != nil {
 		n.freePuts, ps.next = ps.next, nil
 	} else {
-		ps = &putState{sig: sim.NewQueue[struct{}](n.s), ts: sim.NewFuture[*TsMsg](n.s)}
+		ps = &putState{sig: sim.NewQueue[struct{}](n.s), ts: sim.NewFuture[TsMsg](n.s)}
 	}
 	ps.req, ps.coord, ps.gen = req, coord, n.restartGen
 	k := req.key()
@@ -714,7 +716,7 @@ func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 		delete(n.orphans, k)
 		ps.ack1.merge(&o.ack1)
 		ps.ack2.merge(&o.ack2)
-		if o.ts != nil && o.tsFrom == coord && (!o.ts.Abort || int(o.ts.Attempt) == req.Attempt) {
+		if o.hasTs && o.tsFrom == coord && (!o.ts.Abort || int(o.ts.Attempt) == req.Attempt) {
 			ps.ts.Set(o.ts)
 		}
 	}
@@ -798,6 +800,7 @@ func (t *task) exec(p *sim.Proc) {
 	switch m := msg.(type) {
 	case *PutRequest:
 		n.handlePut(p, m)
+		m.release() // the hold of the delivery this handler served
 	case *GetRequest:
 		n.handleGet(p, m, false, replicaRouted)
 	case *ForwardedGet:

@@ -122,7 +122,7 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 		return
 	}
 	ps := n.registerPut(req, n.cfg.Addr.IP)
-	n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: k, Key: req.Key, Ts: ts, Dup: true}, tsMsgSize)
+	n.sendTs(v, TsMsg{Req: k, Key: req.Key, Ts: ts, Dup: true})
 	need, want := n.ackQuorum(v, ps)
 	acked := n.waitAcks(p, ps, &ps.ack2, need, want)
 	if !n.stale(ps) {
@@ -248,26 +248,27 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	// by its own lock resolution (resolveLocks: committed under an earlier
 	// primary's timestamp, or abandoned), or by a voter that had already
 	// committed it (a dedup Ack1) — and that verdict stands.
-	var verdict *TsMsg
-	if ps.ts.Done() {
+	decided := ps.ts.Done()
+	var verdict TsMsg
+	if decided {
 		verdict = ps.ts.Value()
 	}
 	cur := n.views[part]
-	if verdict == nil && (!acked || cur == nil || cur.Primary().Index != n.cfg.Addr.Index) ||
-		verdict != nil && verdict.Abort {
+	if !decided && (!acked || cur == nil || cur.Primary().Index != n.cfg.Addr.Index) ||
+		decided && verdict.Abort {
 		// Abort: a replica stayed silent, resolution abandoned the put, or
 		// this node was deposed while it collected the votes (the new
 		// primary may have resolved the put already; committing would split
 		// the verdict and the version sequence). Release everyone still
 		// waiting, clean up, fail the op.
-		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Abort: true, Attempt: int32(req.Attempt)}, tsMsgSize)
+		n.sendTs(v, TsMsg{Req: req.key(), Key: req.Key, Abort: true, Attempt: int32(req.Attempt)})
 		n.finish(part, req.key(), obj, kvstore.Timestamp{}, false)
 		n.replyPut(req, false, "replica unresponsive", 0)
 		return
 	}
 
 	var ts kvstore.Timestamp
-	if n.cfg.PutBatchWindow > 0 && verdict == nil {
+	if n.cfg.PutBatchWindow > 0 && !decided {
 		// Accumulated commit point (batch.go): timestamp assignment, the
 		// local apply, the fsync and the timestamp multicast happen inside
 		// the partition's batch drain; this handler resumes holding its
@@ -280,7 +281,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		// Everyone converges on a verdict's version, never on a fresh one
 		// its holders could not apply; like a dedup re-commit's, it may
 		// predate this node's tenure (TsMsg.Dup).
-		dup := verdict != nil
+		dup := decided
 		if dup {
 			ts = verdict.Ts
 		} else {
@@ -305,7 +306,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		}
 
 		// Commit phase: multicast the timestamp to the replica set.
-		n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, &TsMsg{Req: req.key(), Key: req.Key, Ts: ts, Attempt: int32(req.Attempt), Dup: dup}, tsMsgSize)
+		n.sendTs(v, TsMsg{Req: req.key(), Key: req.Key, Ts: ts, Attempt: int32(req.Attempt), Dup: dup})
 	}
 
 	if !n.waitAcks(p, ps, &ps.ack2, need, want) {
@@ -431,26 +432,48 @@ func (n *Node) applyLocal(part int, obj *kvstore.Object, dup bool) {
 
 // replyPut answers the client over its reply stream; ver is the committed
 // version's primary sequence (0 when nothing committed). The reply comes
-// from this node's free list, and the client hands it back (homed).
+// from this node's free list, and the client hands it back (counted).
 func (n *Node) replyPut(req *PutRequest, ok bool, errStr string, ver uint64) {
-	m := take(&n.putReplies)
-	*m = PutReply{ReqID: req.ClientSeq, OK: ok, Err: errStr, Ver: ver, homed: homed{home: n}}
+	m := takeCounted(&n.putReplies)
+	m.ReqID, m.OK, m.Err, m.Ver = req.ClientSeq, ok, errStr, ver
 	n.pool.Send(req.Client, req.ClientPort, m, replyOverhead)
+}
+
+// tsMsg takes a timestamp multicast off this node's free list, held by
+// its builder until multicastTs sends it.
+func (n *Node) tsMsg() *BatchTsMsg {
+	m := takeCounted(&n.tsMsgs)
+	m.Items = m.Items[:0]
+	return m
+}
+
+// multicastTs sends m, of size wire bytes, to v's group and lets go of
+// the builder's hold: from here the packets and their readers hold it.
+func (n *Node) multicastTs(v *controller.PartitionView, m *BatchTsMsg, size int) {
+	n.data.SendTo(v.GroupIP, n.cfg.Addr.DataPort, m, size)
+	m.release()
+}
+
+// sendTs multicasts one verdict to v's group.
+func (n *Node) sendTs(v *controller.PartitionView, ts TsMsg) {
+	m := n.tsMsg()
+	m.Items = append(m.Items, ts)
+	n.multicastTs(v, m, tsMsgSize)
 }
 
 // sendAck1 votes for put k to its primary pr, committed as in Ack1. The
 // vote, like sendAck2's ack, comes off this node's free list, and the
-// primary hands it back (homed).
+// primary hands it back (counted).
 func (n *Node) sendAck1(pr controller.NodeAddr, k reqKey, committed kvstore.Timestamp) {
-	m := take(&n.ack1s)
-	*m = Ack1{Req: k, From: n.cfg.Addr.Index, Committed: committed, homed: homed{home: n}}
+	m := takeCounted(&n.ack1s)
+	m.Req, m.From, m.Committed = k, n.cfg.Addr.Index, committed
 	n.data.SendTo(pr.IP, pr.DataPort, m, ackSize)
 }
 
 // sendAck2 confirms put k's commit to its primary pr.
 func (n *Node) sendAck2(pr controller.NodeAddr, k reqKey) {
-	m := take(&n.ack2s)
-	*m = Ack2{Req: k, From: n.cfg.Addr.Index, homed: homed{home: n}}
+	m := takeCounted(&n.ack2s)
+	m.Req, m.From = k, n.cfg.Addr.Index
 	n.data.SendTo(pr.IP, pr.DataPort, m, ackSize)
 }
 
@@ -458,7 +481,7 @@ func (n *Node) sendAck2(pr controller.NodeAddr, k reqKey) {
 // handler gave up (or after a crash recovery re-registered nothing):
 // commit or abort straight from the WAL record, keeping replicas
 // convergent.
-func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
+func (n *Node) lateTs(m TsMsg, from netsim.IP) {
 	part := n.cfg.Space.PartitionOf(m.Key)
 	rec, ok := n.store.LogOf(m.Key)
 	if !ok || rec.Tag != m.Req || (m.Abort && rec.Attempt != int(m.Attempt)) {
@@ -490,10 +513,10 @@ func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
 		// displaces a buffered commit: the commit is authoritative, and the
 		// abort can only belong to some other (dead) attempt.
 		o := n.orphan(m.Req)
-		if m.Abort && o.ts != nil && !o.ts.Abort {
+		if m.Abort && o.hasTs && !o.ts.Abort {
 			return
 		}
-		o.ts, o.tsFrom = m, from
+		o.ts, o.hasTs, o.tsFrom = m, true, from
 		return
 	}
 	if m.Abort {
@@ -513,13 +536,13 @@ func (n *Node) lateTs(m *TsMsg, from netsim.IP) {
 		// forced write is charged to a spawned process and the ack follows
 		// it; the restart-generation fence drops the ack if this
 		// incarnation dies while the fsync is in flight.
-		gen := n.restartGen
+		gen, k := n.restartGen, m.Req
 		n.s.Spawn(n.name("latesync"), func(p *sim.Proc) {
 			n.store.Sync(p)
 			if gen != n.restartGen {
 				return
 			}
-			n.sendAck2(pr, m.Req)
+			n.sendAck2(pr, k)
 		})
 		return
 	}

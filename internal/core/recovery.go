@@ -480,7 +480,7 @@ func (n *Node) applyOrder(m *ResolveOrder) {
 		// Even if the handler's future is already set (the real TsMsg raced
 		// this order), it is the handler that finishes.
 		if !ps.ts.Done() {
-			ps.ts.Set(&TsMsg{Req: m.Req, Key: m.Key, Ts: m.Ts, Abort: m.Ts.IsZero()})
+			ps.ts.Set(TsMsg{Req: m.Req, Key: m.Key, Ts: m.Ts, Abort: m.Ts.IsZero()})
 		}
 		return
 	}

@@ -59,7 +59,7 @@ func (c SwitchCodec) ParsePut(pkt *netsim.Packet, i int) (string, any, bool) {
 	if pkt.Proto != netsim.ProtoUDP {
 		return "", nil, false
 	}
-	data, _ := transport.ChunkPayload(pkt.Payload)
+	data, _ := transport.ChunkData(pkt)
 	switch m := data.(type) {
 	case *PutRequest:
 		if i == 0 {

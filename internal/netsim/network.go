@@ -55,9 +55,15 @@ func (n *Network) ClonePacket(pkt *Packet) *Packet {
 		n.pktFree[ln-1] = nil
 		n.pktFree = n.pktFree[:ln-1]
 		*c = *pkt
+		if c.Holds != nil {
+			c.Holds.Hold()
+		}
 		return c
 	}
 	c := *pkt
+	if c.Holds != nil {
+		c.Holds.Hold()
+	}
 	return &c
 }
 
@@ -67,6 +73,10 @@ func (n *Network) ClonePacket(pkt *Packet) *Packet {
 func (n *Network) RecyclePacket(pkt *Packet) {
 	if pkt == nil {
 		return
+	}
+	if h := pkt.Holds; h != nil {
+		pkt.Holds = nil
+		h.Release()
 	}
 	pkt.Payload = nil // drop the payload reference so the GC can reclaim it
 	if len(n.pktFree) < maxFreePackets {

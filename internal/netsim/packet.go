@@ -69,6 +69,9 @@ type Packet struct {
 	SrcPort, DstPort uint16
 	Size             int
 	Payload          any
+	// Holds, when set, counts the holders of a Payload that several
+	// packets, queues and readers share; this copy holds it once.
+	Holds *Holds
 	// Seq is the transport header's sequence field (a multicast chunk's
 	// index and ack-request bit, a stream segment's or ack's number). Only
 	// the endpoint transports read it: the fabric neither matches on it nor
@@ -81,10 +84,51 @@ type Packet struct {
 // DefaultTTL bounds forwarding loops.
 const DefaultTTL = 16
 
+// Holds counts the holders of a payload several packets share, so that
+// its owner can reuse it once the last one lets go (DESIGN.md §7.2).
+// Every copy of a packet that names it in Packet.Holds holds it once: the
+// sender's transport for the packet it builds, a clone again (ClonePacket,
+// Clone), and RecyclePacket lets go. A copy nobody recycles keeps its
+// hold, and the payload is never reused. Holders past the fabric — a
+// delivery queued at a receiver, the reader of it — hold it in their turn.
+type Holds struct {
+	n int32
+	// Last runs when the last holder lets go; nil does nothing.
+	Last func()
+}
+
+// Hold adds a holder.
+func (h *Holds) Hold() { h.n++ }
+
+// Release removes a holder, running Last if it was the last one.
+// Releasing a payload nobody holds panics: its owner may already have
+// reused it.
+func (h *Holds) Release() {
+	if h.n--; h.n <= 0 {
+		h.lastGone()
+	}
+}
+
+// lastGone is Release's slow path, kept out of line so that Release,
+// called for every recycled copy, inlines.
+//
+//go:noinline
+func (h *Holds) lastGone() {
+	if h.n < 0 {
+		panic("netsim: payload released past its last holder")
+	}
+	if h.Last != nil {
+		h.Last()
+	}
+}
+
 // Clone returns a shallow copy (payload shared) used for multicast
 // fan-out and flooding.
 func (pkt *Packet) Clone() *Packet {
 	c := *pkt
+	if c.Holds != nil {
+		c.Holds.Hold()
+	}
 	return &c
 }
 

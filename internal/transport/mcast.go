@@ -45,37 +45,66 @@ const (
 // receiver should ack on receipt — rides in the packet's sequence field
 // (chunkSeq), so a transfer has two descriptors, not one per chunk: one
 // shared by every chunk but the last, and the last chunk's, which alone
-// carries the application message.
+// carries the application message. Both live in the send's pooled state
+// (mcastSend), which every packet carrying one of them holds
+// (netsim.Holds), so the state is reused only once the last such packet
+// is delivered or dropped. A copy that escaped the count — one a tap kept,
+// or one made by hand — may still point at a descriptor that describes a
+// newer transfer by now, so the sequence field also names the transfer a
+// chunk belongs to, and a reader trusts a descriptor only while the two
+// agree (describes).
 type chunkMsg struct {
 	xfer    uint64
 	total   int
-	size    int // total transfer payload bytes
-	data    any // application message, on the last chunk
+	size    int           // total transfer payload bytes
+	data    any           // application message, on the last chunk
+	holds   *netsim.Holds // counts data's holders, if it does
 	ackIP   netsim.IP
 	ackPort uint16 // sender's control socket
 }
 
-// chunkSeq packs a chunk's index and its ack-request flag (set on window
-// boundaries) into a packet sequence field; chunkOf unpacks them.
-func chunkSeq(idx int, needAck bool) uint64 {
-	seq := uint64(idx) << 1
+// chunkSeq packs a chunk's transfer, index and ack-request flag (set on
+// window boundaries) into a packet sequence field: the transfer's low 32
+// bits on top, as in ctrlSeq, and below them the index (under 2^31
+// chunks, 2.8 TB) and the flag. chunkOf unpacks the index and flag.
+func chunkSeq(xfer uint64, idx int, needAck bool) uint64 {
+	seq := uint64(uint32(idx) << 1)
 	if needAck {
 		seq |= 1
 	}
-	return seq
+	return xfer<<32 | seq
 }
 
 func chunkOf(pkt *netsim.Packet) (idx int, needAck bool) {
-	return int(pkt.Seq >> 1), pkt.Seq&1 != 0
+	low := uint32(pkt.Seq)
+	return int(low >> 1), low&1 != 0
 }
 
-// ChunkPayload unwraps a multicast chunk's application message. It lets
+// describes reports whether m still describes the transfer chunk pkt
+// belongs to. A copy that escaped the count may reach a reader after its
+// send state was cleared or reused for a newer transfer; it reads nothing
+// from the descriptor.
+func (m *chunkMsg) describes(pkt *netsim.Packet) bool { return answers(pkt.Seq, m.xfer) }
+
+// ChunkData unwraps the application message of a multicast chunk. It lets
 // switch-resident stages (e.g. the harmonia dirty-set) recognize the
 // protocol message a multicast transfer carries without exporting the
 // chunk framing itself: only the final chunk of a transfer carries the
 // message, so a stage acting on it sees each transfer exactly once per
 // switch traversal (retransmitted repairs re-deliver the same message,
-// so stages must be idempotent).
+// so stages must be idempotent). A chunk whose descriptor describes a
+// newer transfer by now carries nothing.
+func ChunkData(pkt *netsim.Packet) (any, bool) {
+	m, ok := pkt.Payload.(*chunkMsg)
+	if !ok || m.data == nil || !m.describes(pkt) {
+		return nil, false
+	}
+	return m.data, true
+}
+
+// ChunkPayload is ChunkData for a caller holding only the payload. It
+// cannot tell a late chunk from a current one, so it may return a newer
+// transfer's message; stages use ChunkData.
 func ChunkPayload(payload any) (any, bool) {
 	m, ok := payload.(*chunkMsg)
 	if !ok || m.data == nil {
@@ -156,6 +185,7 @@ type rxState struct {
 	fires   int // gap-watchdog expiries; bounds abandoned transfers
 	nacks   int
 	data    any // stashed from the data-bearing last chunk
+	holds   *netsim.Holds
 	size    int
 	hasData bool
 	// One watchdog event is armed per incomplete transfer. A chunk only
@@ -233,14 +263,18 @@ func (r *MulticastReceiver) Close() {
 
 // send answers transfer xfer's sender with a control message.
 func (r *MulticastReceiver) send(to netsim.IP, toPort uint16, m *mctrlMsg, xfer uint64, upTo int) {
-	r.ctrl.send(r.stack.IP(), to, toPort, m, mctrlSize-netsim.UDPHeaderSize, ctrlSeq(xfer, upTo))
+	r.ctrl.send(r.stack.IP(), to, toPort, m, mctrlSize-netsim.UDPHeaderSize, ctrlSeq(xfer, upTo), nil)
 }
 
 // recvChunk is called by the stack for every arriving chunk (multicast or
 // unicast repair). A chunk in the middle of a window costs no allocation
 // and no event: back-to-back chunks of one transfer skip the table probe,
-// and the stall watchdog is already armed.
+// and the stall watchdog is already armed. A chunk its descriptor no
+// longer describes is dropped unread.
 func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
+	if !m.describes(pkt) {
+		return
+	}
 	idx, needAck := chunkOf(pkt)
 	key := xferKey{m.ackIP, m.xfer}
 	st := r.last
@@ -269,7 +303,7 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	}
 	if idx == m.total-1 && !st.hasData {
 		st.hasData = true
-		st.data = m.data
+		st.data, st.holds = m.data, m.holds
 		st.size = m.size
 	}
 	if st.count == st.total {
@@ -281,6 +315,9 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 			Data:     st.data,
 			Size:     st.size,
 			Xfer:     m.xfer,
+		}
+		if st.holds != nil {
+			st.holds.Hold() // the queued transfer's, until its reader releases
 		}
 		r.finish(st)
 		r.send(m.ackIP, m.ackPort, doneCtrl, m.xfer, m.total)
@@ -350,7 +387,7 @@ func (r *MulticastReceiver) release(st *rxState) {
 	if r.last == st {
 		r.last = nil
 	}
-	st.data = nil
+	st.data, st.holds = nil, nil
 	r.free = append(r.free, st)
 }
 
@@ -413,7 +450,8 @@ func (r *MulticastReceiver) gapFired(st *rxState) bool {
 	return true
 }
 
-// McastOpts parameterizes one reliable multicast send.
+// McastOpts parameterizes one reliable multicast send. Data may count
+// its holders (Counted).
 type McastOpts struct {
 	To        netsim.IP // group (or multicast-vring) address
 	ToPort    uint16
@@ -471,10 +509,10 @@ type txPeer struct {
 const inlinePeers = 3
 
 // mcastSend is the sender's state of one transfer, pooled per Stack
-// (newSend, releaseSend). The result and, up to inlinePeers receivers, the
-// peer list live inside it, so a send allocates only its chunk
-// descriptors, and nothing per chunk (packets are pooled) or per control
-// message.
+// (newSend, recycle). The result, the chunk descriptors and, up to
+// inlinePeers receivers, the peer list live inside it, so a send allocates
+// nothing: not per chunk (packets are pooled), per control message or per
+// transfer.
 type mcastSend struct {
 	st    *Stack
 	ctrl  *UDPSocket
@@ -483,47 +521,67 @@ type mcastSend struct {
 	size  int
 	total int
 	res   McastResult
-	// last describes the final chunk, the only one carrying the message;
-	// body every other chunk (nil in a one-chunk transfer). They are the
-	// transfer's own, never recycled: a late chunk reads xfer and total from
-	// its descriptor, so a reused one would graft it onto a newer transfer.
-	last, body *chunkMsg
-	peers      []txPeer // receivers heard from, in first-contact order
-	peerBuf    [inlinePeers]txPeer
+	// desc[0] describes the final chunk, the only one carrying the message;
+	// desc[1] every other chunk.
+	desc    [2]chunkMsg
+	peers   []txPeer // receivers heard from, in first-contact order
+	peerBuf [inlinePeers]txPeer
+	// holds counts the send itself, until it stops reading control
+	// messages, and every packet that carries one of its descriptors. A
+	// receiver takes delivery of the message only from such a packet, so
+	// the state, and its hold on the message, outlive every delivery.
+	holds netsim.Holds
 }
 
-// newSend takes a clean send state from the stack's pool, or makes one.
+// newSend takes a clean send state from the stack's pool, or makes one,
+// held by the send.
 func (st *Stack) newSend() *mcastSend {
+	var tx *mcastSend
 	if n := len(st.txFree); n > 0 {
-		tx := st.txFree[n-1]
+		tx = st.txFree[n-1]
 		st.txFree = st.txFree[:n-1]
-		return tx
+	} else {
+		tx = &mcastSend{st: st}
+		tx.holds.Last = tx.recycle
 	}
-	return &mcastSend{st: st}
+	tx.holds.Hold()
+	return tx
 }
 
-// releaseSend ends a send: its control socket goes back to the pool, and
-// its state, cleared, with it. It runs where the send stops reading
-// control messages — on return, or when an any-k send's straggler ends.
-func (st *Stack) releaseSend(tx *mcastSend) {
+// endSend ends a send where it stops reading control messages — on
+// return, or when an any-k send's straggler ends: its control socket goes
+// back to the pool, and the send lets go of its state.
+func (st *Stack) endSend(tx *mcastSend) {
 	st.releaseCtrl(tx.ctrl)
+	tx.ctrl = nil
+	tx.holds.Release()
+}
+
+// recycle runs when the last holder of tx lets go: it lets go of the
+// message and puts the state, cleared, back in the pool.
+func (tx *mcastSend) recycle() {
+	if h := tx.desc[0].holds; h != nil {
+		h.Release()
+	}
+	st, last := tx.st, tx.holds.Last
 	*tx = mcastSend{st: st}
+	tx.holds.Last = last
 	st.txFree = append(st.txFree, tx)
 }
 
-// end releases tx and returns its result, copied out first.
+// end ends tx and returns its result, copied out first.
 func (tx *mcastSend) end(err error) (McastResult, error) {
 	res := tx.res
-	tx.st.releaseSend(tx)
+	tx.st.endSend(tx)
 	return res, err
 }
 
 // sendChunk transmits chunk idx to the group, or as a unicast repair to
 // one receiver.
 func (tx *mcastSend) sendChunk(idx int, unicastTo netsim.IP, needAck bool) {
-	m, chunkSize := tx.body, MTU
+	m, chunkSize := &tx.desc[1], MTU
 	if idx == tx.total-1 {
-		m = tx.last
+		m = &tx.desc[0]
 		chunkSize = tx.size - (tx.total-1)*MTU
 		if chunkSize <= 0 {
 			chunkSize = 1
@@ -534,7 +592,7 @@ func (tx *mcastSend) sendChunk(idx int, unicastTo netsim.IP, needAck bool) {
 		dst = unicastTo
 		tx.res.Repairs++
 	}
-	tx.ctrl.send(tx.st.IP(), dst, tx.port, m, chunkSize, chunkSeq(idx, needAck))
+	tx.ctrl.send(tx.st.IP(), dst, tx.port, m, chunkSize, chunkSeq(tx.ctrl.xfer, idx, needAck), &tx.holds)
 }
 
 // peer returns the record of receiver ip, adding one on first contact.
@@ -611,6 +669,9 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (McastResult, error)
 		return McastResult{}, err
 	}
 	st.xferSeq++
+	if uint32(st.xferSeq) == 0 {
+		st.xferSeq++ // a cleared descriptor names transfer 0: no chunk does
+	}
 	ctrl.xfer = st.xferSeq
 
 	total := (opts.Size + MTU - 1) / MTU
@@ -620,19 +681,16 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (McastResult, error)
 	tx := st.newSend()
 	tx.ctrl, tx.to, tx.port, tx.size, tx.total = ctrl, opts.To, opts.ToPort, opts.Size, total
 	tx.res.Chunks = total
-	desc := chunkMsg{
-		xfer: ctrl.xfer, total: total, size: opts.Size, data: opts.Data,
+	tx.desc[0] = chunkMsg{
+		xfer: ctrl.xfer, total: total, size: opts.Size,
+		data: opts.Data, holds: holdsOf(opts.Data),
 		ackIP: st.IP(), ackPort: ctrl.Port(),
 	}
-	if total == 1 {
-		tx.last = new(chunkMsg)
-		*tx.last = desc
-	} else {
-		d := new([2]chunkMsg)
-		d[0], d[1] = desc, desc
-		d[1].data = nil
-		tx.last, tx.body = &d[0], &d[1]
+	if h := tx.desc[0].holds; h != nil {
+		h.Hold() // until the state is recycled
 	}
+	tx.desc[1] = tx.desc[0]
+	tx.desc[1].data, tx.desc[1].holds = nil, nil
 	tx.peers = tx.peerBuf[:0]
 	if opts.Receivers > inlinePeers {
 		tx.peers = make([]txPeer, 0, opts.Receivers)
@@ -706,7 +764,7 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (McastResult, error)
 			}
 			tx.handle(d)
 		}
-		st.releaseSend(tx)
+		st.endSend(tx)
 	})
 	return tx.res, nil
 }

@@ -229,7 +229,26 @@ func (u *UDPSocket) Port() uint16 { return u.port }
 // SendTo transmits one datagram of size payload bytes. Datagrams above
 // the MTU panic: callers must chunk (the multicast sender does).
 func (u *UDPSocket) SendTo(to netsim.IP, toPort uint16, data any, size int) {
-	u.send(u.stack.IP(), to, toPort, data, size, 0)
+	u.send(u.stack.IP(), to, toPort, data, size, 0, holdsOf(data))
+}
+
+// Counted is an application message that counts its holders
+// (netsim.Holds) so that its sender can reuse it once the last lets go.
+// Sent as a datagram, the packet and each copy of it hold it, and so does
+// each datagram a receiver queues, until its reader releases it; sent by
+// multicast, the send holds it until its state is reused, and each
+// delivered Transfer until its reader releases it. Holders may return nil:
+// the message is not counted.
+type Counted interface {
+	Holders() *netsim.Holds
+}
+
+// holdsOf returns the count of data's holders, if it keeps one.
+func holdsOf(data any) *netsim.Holds {
+	if c, ok := data.(Counted); ok {
+		return c.Holders()
+	}
+	return nil
 }
 
 // SendToFrom is SendTo with a caller-chosen source address: the datagram
@@ -238,12 +257,13 @@ func (u *UDPSocket) SendTo(to netsim.IP, toPort uint16, data any, size int) {
 // way; replies must be addressed to the gateway's real IP (carried inside
 // the request), since nothing routes back to a synthesized source.
 func (u *UDPSocket) SendToFrom(src, to netsim.IP, toPort uint16, data any, size int) {
-	u.send(src, to, toPort, data, size, 0)
+	u.send(src, to, toPort, data, size, 0, holdsOf(data))
 }
 
 // send builds and transmits one datagram; seq is the packet's transport
-// sequence field (the multicast sender's chunk index and ack-request bit).
-func (u *UDPSocket) send(src, to netsim.IP, toPort uint16, data any, size int, seq uint64) {
+// sequence field (a multicast chunk's transfer, index and ack-request
+// bit), and h, if set, counts the holders of data (netsim.Holds).
+func (u *UDPSocket) send(src, to netsim.IP, toPort uint16, data any, size int, seq uint64, h *netsim.Holds) {
 	if size > MTU {
 		panic(fmt.Sprintf("transport: %d-byte datagram exceeds MTU", size))
 	}
@@ -255,6 +275,10 @@ func (u *UDPSocket) send(src, to netsim.IP, toPort uint16, data any, size int, s
 	pkt.DstPort = toPort
 	pkt.Size = size + netsim.UDPHeaderSize
 	pkt.Payload = data
+	if h != nil {
+		pkt.Holds = h
+		h.Hold()
+	}
 	pkt.Seq = seq
 	u.stack.host.SendFrom(pkt)
 }
@@ -280,6 +304,9 @@ func (u *UDPSocket) deliver(pkt *netsim.Packet) {
 		if _, ok := pkt.Payload.(*mctrlMsg); !ok || u.xfer == 0 || !answers(pkt.Seq, u.xfer) {
 			return
 		}
+	}
+	if pkt.Holds != nil {
+		pkt.Holds.Hold() // the queued datagram's, until its reader releases
 	}
 	u.rq.Push(Datagram{
 		From:     pkt.SrcIP,

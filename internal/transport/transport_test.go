@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -787,7 +786,7 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 	g := netsim.MustParseIP("239.1.2.3")
 	h := newHub(t, 2, netsim.Gbps(1, us(10)))
 	r := h.stacks[1].MustBindMulticast(6000)
-	pkt := &netsim.Packet{DstIP: g}
+	pkt := &netsim.Packet{DstIP: g, Seq: chunkSeq(1, 0, false)}
 	m := &chunkMsg{xfer: 1, total: 750, size: 1 << 20, ackIP: h.stacks[0].IP(), ackPort: 5000}
 	r.recvChunk(pkt, m) // chunk 0 creates the transfer and arms its watchdog
 	pending := h.s.Pending()
@@ -800,7 +799,7 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 		if idx%McastWindow == McastWindow-1 {
 			idx++ // a window's last chunk asks for an ack; stay mid-window
 		}
-		pkt.Seq = chunkSeq(idx, false)
+		pkt.Seq = chunkSeq(1, idx, false)
 		r.recvChunk(pkt, m)
 	})
 	if allocs != 0 || h.s.Pending() != pending {
@@ -852,7 +851,7 @@ func TestMulticastFinishedSetBounded(t *testing.T) {
 		})
 		pkt := &netsim.Packet{DstIP: h.stacks[1].IP()}
 		chunk := func(xfer uint64, idx int) {
-			pkt.Seq = chunkSeq(idx, false)
+			pkt.Seq = chunkSeq(xfer, idx, false)
 			r.recvChunk(pkt, &chunkMsg{
 				xfer: xfer, total: 2, size: 2 * MTU, data: "v",
 				ackIP: h.stacks[0].IP(), ackPort: 5000,
@@ -1037,10 +1036,12 @@ func TestStaleSegmentNeverReadsTheNextMessage(t *testing.T) {
 }
 
 // TestChunkPayloadOncePerTransfer: of everything a transfer puts on the
-// sender's wire, ChunkPayload finds the application message in the final
+// sender's wire, ChunkData finds the application message in the final
 // chunk and nowhere else — once in a loss-free 750-chunk transfer, once in
 // a one-chunk transfer, and again in each unicast repair of the final
-// chunk, which a stage therefore has to tolerate.
+// chunk, which a stage therefore has to tolerate. On the sender's wire,
+// where every descriptor is current, ChunkPayload answers as ChunkData
+// does.
 func TestChunkPayloadOncePerTransfer(t *testing.T) {
 	type seen struct {
 		idx     int
@@ -1053,9 +1054,13 @@ func TestChunkPayloadOncePerTransfer(t *testing.T) {
 			if ev.Dir != "tx" || ev.Pkt.SrcIP != h.stacks[0].IP() {
 				return
 			}
-			if data, ok := ChunkPayload(ev.Pkt.Payload); ok {
+			data, ok := ChunkData(&ev.Pkt)
+			if pdata, pok := ChunkPayload(ev.Pkt.Payload); pdata != data || pok != ok {
+				t.Errorf("chunk %d: ChunkPayload returned %v, %v; ChunkData %v, %v", ev.Pkt.Seq, pdata, pok, data, ok)
+			}
+			if ok {
 				if data != "body" {
-					t.Errorf("ChunkPayload returned %v", data)
+					t.Errorf("ChunkData returned %v", data)
 				}
 				idx, _ := chunkOf(&ev.Pkt)
 				carrying = append(carrying, seen{idx, ev.Pkt.DstIP != g})
@@ -1166,7 +1171,7 @@ func TestEphemeralPortSkipsLiveStreams(t *testing.T) {
 // sendCtrl sends a multicast control message from sock as a receiver
 // does: m answers transfer xfer, with upTo chunks, in the packet header.
 func sendCtrl(sock *UDPSocket, to netsim.IP, toPort uint16, m *mctrlMsg, xfer uint64, upTo int) {
-	sock.send(sock.stack.IP(), to, toPort, m, mctrlSize-netsim.UDPHeaderSize, ctrlSeq(xfer, upTo))
+	sock.send(sock.stack.IP(), to, toPort, m, mctrlSize-netsim.UDPHeaderSize, ctrlSeq(xfer, upTo), nil)
 }
 
 // ctrlPorts records each transfer's sender control port, as its chunks
@@ -1244,16 +1249,23 @@ func TestReusedControlSocketIgnoresItsLastTransfer(t *testing.T) {
 	}
 }
 
-// TestLateDuplicateMeetsARecycledSend: a late duplicate of a finished
-// one-chunk transfer reaches its receiver while the next send holds the
-// first one's pooled state and control socket. The duplicate still names
-// transfer 1 — a chunk descriptor is its transfer's own, never recycled —
-// so the receiver re-confirms transfer 1 with DONE; the new send's socket
-// drops that DONE, and transfer 2 is delivered once, with its own data,
-// before its send returns.
+// TestLateDuplicateMeetsARecycledSend: transfer 1's descriptor lives in the
+// pooled send state, and transfer 2 (one chunk, to the same group) reuses
+// it. While transfer 2's own chunk is still on the wire, two late chunks
+// of transfer 1 reach the receiver — a duplicated multicast clone and a
+// unicast repair asking for an ack — still pointing at that descriptor.
+// They are copies that escaped the count (made by hand here, as a tap
+// could keep one), so nothing kept the state from being reused. Their
+// headers name transfer 1, so neither the receiver nor a switch
+// stage reading the message (ChunkData) sees transfer 2's message through
+// them: nothing is delivered early or answered, and transfer 2 is
+// delivered once, from its own chunk, before its send returns. Without the
+// header check the late clone would deliver transfer 2 from a chunk of
+// transfer 1.
 func TestLateDuplicateMeetsARecycledSend(t *testing.T) {
 	h := newHub(t, 2, netsim.Gbps(1, us(10)))
 	sender, rcv := h.stacks[0], h.stacks[1]
+	g := mcastGroup(h, 1)
 	r := rcv.MustBindMulticast(6000)
 	var got []Transfer
 	var delivered2 sim.Time
@@ -1269,36 +1281,45 @@ func TestLateDuplicateMeetsARecycledSend(t *testing.T) {
 			}
 		}
 	})
-	ports := ctrlPorts(h)
-	var first *chunkMsg // transfer 1's descriptor, as its chunk carried it
-	var dones []sim.Time
+	var desc *chunkMsg // transfer 1's descriptor, as its chunk carried it
+	var arrived2 sim.Time
+	var answers int // control messages the receiver sent
 	h.net.AddTap(func(ev netsim.TraceEvent) {
-		if m, ok := ev.Pkt.Payload.(*chunkMsg); ok && m.xfer == 1 && first == nil {
-			first = m
+		if m, ok := ev.Pkt.Payload.(*chunkMsg); ok && ev.Dir == "tx" && desc == nil {
+			desc = m
 		}
-		m, ok := ev.Pkt.Payload.(*mctrlMsg)
-		if ok && ev.Dir == "rx" && ev.Device == "h" && ev.Pkt.DstIP == sender.IP() &&
-			m.kind == mctrlDone && ev.Pkt.Seq>>32 == 1 {
-			dones = append(dones, ev.At)
+		if _, ok := ev.Pkt.Payload.(*chunkMsg); ok && ev.Dir == "rx" && ev.Pkt.Seq>>32 == 2 {
+			arrived2 = ev.At
+		}
+		if _, ok := ev.Pkt.Payload.(*mctrlMsg); ok && ev.Dir == "tx" && ev.Pkt.SrcIP == rcv.IP() {
+			answers++
 		}
 	})
-	var res2 McastResult
-	var start2, end2, dupAt sim.Time
-	pooledAtDup := -1
+	var staged []any // what a stage read from the late chunks
+	var answersBefore int
+	var end2 sim.Time
 	h.s.Spawn("send", func(p *sim.Proc) {
-		if _, err := sender.SendMulticast(p, McastOpts{To: rcv.IP(), ToPort: 6000, Data: "one", Size: 100, Receivers: 1}); err != nil {
+		if _, err := sender.SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "one", Size: 100, Receivers: 1}); err != nil {
 			t.Error(err)
 			return
 		}
-		// Transfer 1's chunk again, 100 µs into transfer 2 (256 KB, ~2 ms).
-		dup := sender.MustBindUDP(0)
-		h.s.After(us(100), func() {
-			dupAt, pooledAtDup = h.s.Now(), len(sender.txFree)
-			dup.send(sender.IP(), rcv.IP(), 6000, first, 100, chunkSeq(0, false))
+		h.s.After(us(1), func() {
+			if desc.xfer != 2 {
+				t.Errorf("the descriptor describes transfer %d when the late chunks arrive, want 2: not reused", desc.xfer)
+			}
+			answersBefore = answers
+			for _, late := range []*netsim.Packet{
+				{DstIP: g, Seq: chunkSeq(1, 0, false)},       // a duplicated clone
+				{DstIP: rcv.IP(), Seq: chunkSeq(1, 0, true)}, // a repair of the tail
+			} {
+				late.Proto, late.SrcIP, late.DstPort, late.Payload = netsim.ProtoUDP, sender.IP(), 6000, desc
+				if data, ok := ChunkData(late); ok {
+					staged = append(staged, data)
+				}
+				r.recvChunk(late, desc)
+			}
 		})
-		start2 = p.Now()
-		var err error
-		if res2, err = sender.SendMulticast(p, McastOpts{To: rcv.IP(), ToPort: 6000, Data: "two", Size: 256 << 10, Receivers: 1}); err != nil {
+		if _, err := sender.SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "two", Size: 100, Receivers: 1}); err != nil {
 			t.Error(err)
 		}
 		end2 = p.Now()
@@ -1307,20 +1328,17 @@ func TestLateDuplicateMeetsARecycledSend(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if ports[1] != ports[2] || pooledAtDup != 0 || len(sender.txFree) != 1 {
-		t.Fatalf("control ports %d and %d, %d states pooled when the duplicate left, %d after: want one state and socket reused",
-			ports[1], ports[2], pooledAtDup, len(sender.txFree))
+	if len(staged) != 0 {
+		t.Fatalf("a stage read %v from the late chunks", staged)
 	}
-	if len(dones) != 2 || dones[1] <= dupAt || dones[1] >= end2 {
-		t.Fatalf("DONEs of transfer 1 reached the sender at %v; want the original and a re-confirmation of the duplicate sent at %v, before %v",
-			dones, dupAt, end2)
-	}
-	if len(got) != 2 || got[0].Xfer != 1 || got[0].Data != "one" || got[1].Xfer != 2 || got[1].Data != "two" || got[1].Size != 256<<10 {
+	if len(got) != 2 || got[0].Xfer != 1 || got[0].Data != "one" || got[1].Xfer != 2 || got[1].Data != "two" {
 		t.Fatalf("delivered %+v; want transfer 1 and transfer 2 once each, with their own data", got)
 	}
-	if h1 := rcv.IP(); delivered2 <= start2 || end2 < delivered2 || !slices.Equal(res2.Finished(), []netsim.IP{h1}) {
-		t.Fatalf("transfer 2 delivered at %v, its send ran %v–%v and finished %v: the stale DONE completed it",
-			delivered2, start2, end2, res2.Finished())
+	if arrived2 == 0 || delivered2 < arrived2 || delivered2 > end2 {
+		t.Fatalf("transfer 2 delivered at %v; its chunk arrived at %v and its send returned at %v", delivered2, arrived2, end2)
+	}
+	if answers != answersBefore+1 {
+		t.Fatalf("the receiver sent %d control messages from the late chunks on, want transfer 2's DONE alone", answers-answersBefore)
 	}
 }
 
@@ -1428,7 +1446,7 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 		if idx == total-1 {
 			m.data = xfer
 		}
-		pkt.Seq = chunkSeq(idx, false)
+		pkt.Seq = chunkSeq(xfer, idx, false)
 		r.recvChunk(pkt, m)
 	}
 	// stalled delivers every chunk of xfer but hole, lets the watchdog NACK
@@ -1487,10 +1505,9 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 
 // TestOneChunkMulticastAllocs: with every receiver's finished ring full,
 // so that the ring and the transfer table no longer grow, a 1 KB reliable
-// multicast to three receivers allocates its one chunk descriptor and
-// nothing else — no send state, no result, no control message, no
-// Datagram, no rxState, no chunk bitmap, no socket, no peer or Finished
-// list.
+// multicast to three receivers allocates nothing — no chunk descriptor, no
+// send state, no result, no control message, no Datagram, no rxState, no
+// chunk bitmap, no socket, no peer or Finished list.
 func TestOneChunkMulticastAllocs(t *testing.T) {
 	h := newHub(t, 4, netsim.Gbps(1, us(10)))
 	defer h.s.Shutdown()
@@ -1533,9 +1550,8 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 	objects := testing.AllocsPerRun(1000, send)
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / 1001
-	if desc := uint64(unsafe.Sizeof(chunkMsg{})); objects != 1 || bytes > desc {
-		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, %d bytes; want 1 of at most %d: the chunk descriptor",
-			objects, bytes, desc)
+	if objects != 0 || bytes != 0 {
+		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, %d bytes; want none", objects, bytes)
 	}
 	if len(h.stacks[0].udp) != 1 || len(h.stacks[0].txFree) != 1 {
 		t.Fatalf("the sender holds %d sockets and %d pooled send states, want one of each", len(h.stacks[0].udp), len(h.stacks[0].txFree))
