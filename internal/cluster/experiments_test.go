@@ -63,6 +63,12 @@ func TestFig567Shapes(t *testing.T) {
 			t.Errorf("fig5: %s (%.4g) should be >2x NICE (%.4g) at 1MB", sys, v, nice)
 		}
 	}
+	// The paper's headline, NOOB+ROG at 4.3x NICE, is reproduced: 4.29x
+	// here, banded 4.1-4.5x (about 5 % either side). A multicast sender
+	// that idles a round trip per window lands at 3.99x.
+	if r := mustVal(t, f5, "NOOB+ROG", "1MB") / nice; r < 4.1 || r > 4.5 {
+		t.Errorf("fig5: NOOB+ROG:NICE at 1MB = %.3g, want 4.1-4.5 (paper 4.3)", r)
+	}
 	// Fig 6: NICE moves the least bytes; RAC is ~R*S vs NICE ~(R+1)*S/2ish
 	// (paper: 1.7x-3.5x reduction).
 	niceLoad := mustVal(t, f6, "NICE", "1MB")
@@ -91,13 +97,19 @@ func TestFig8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small quorums dodge the slow replicas: NICE >= 2x faster than NOOB
-	// at k in {1,3} (paper: up to 5.6x); both collapse at k in {5,7}.
-	for _, k := range []string{"1", "3"} {
-		nice := mustVal(t, figT, "NICE", k)
-		noob := mustVal(t, figT, "NOOB", k)
-		if noob < 2*nice {
-			t.Errorf("fig8 k=%s: NOOB (%.4g) should be >2x NICE (%.4g)", k, noob, nice)
+	// Small quorums dodge the slow replicas: NICE beats NOOB at k in
+	// {1,3} (paper: up to 5.6x); both collapse at k in {5,7}. Measured
+	// 2.66x and 3.94x; each floor sits about 4 % below, where a multicast
+	// sender that idles a round trip per window (2.47x, 3.66x) fails, and
+	// the paper's 5.6x is the ceiling.
+	for _, c := range []struct {
+		k     string
+		floor float64
+	}{{"1", 2.55}, {"3", 3.8}} {
+		nice := mustVal(t, figT, "NICE", c.k)
+		noob := mustVal(t, figT, "NOOB", c.k)
+		if r := noob / nice; r < c.floor || r > 5.6 {
+			t.Errorf("fig8 k=%s: NOOB (%.4g) is %.3gx NICE (%.4g), want %.3g-5.6x", c.k, noob, r, nice, c.floor)
 		}
 	}
 	nice1 := mustVal(t, figT, "NICE", "1")

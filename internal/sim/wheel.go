@@ -61,6 +61,9 @@ const (
 	// nearTail bounds the in-place insertion walk, so filing a burst in
 	// descending time order costs one sort, not a quadratic shuffle.
 	nearTail = 8
+	// bucketCap is the capacity init gives each level-0 and level-1 bucket,
+	// room for the handful of events a level-0 bucket holds at a time.
+	bucketCap = 4
 
 	inFront = -1 // event.lvl of the event held in the front cache
 )
@@ -109,7 +112,19 @@ type timerWheel struct {
 	buckets  [wheelLevels][wheelSlots]wheelBucket
 }
 
-func (w *timerWheel) init() { w.minAt = maxTime }
+// init empties the wheel and gives every bucket of the two lowest levels,
+// which nearly every timer passes through, its first bucketCap slots out
+// of one array, so a run does not grow each bucket it reaches from nothing.
+func (w *timerWheel) init() {
+	w.minAt = maxTime
+	slots := make([]*event, 2*wheelSlots*bucketCap)
+	for lvl := range 2 {
+		for i := range w.buckets[lvl] {
+			at := (lvl*wheelSlots + i) * bucketCap
+			w.buckets[lvl][i].events = slots[at : at : at+bucketCap]
+		}
+	}
+}
 
 // level returns the wheel level for an event at absolute time t: the
 // 6-bit field of the highest bit in which t differs from the cursor. The

@@ -12,12 +12,20 @@ import (
 // control. The quorum ("any-k") variant advances its window when any k
 // receivers acknowledge and returns when any k finish.
 const (
-	// McastWindow is the flow-control window in chunks (~45 KB).
+	// McastWindow is the ack cadence in chunks (~45 KB): the sender asks
+	// for an ack on every McastWindow-th chunk and on the last.
 	McastWindow = 32
-	// mcastRTO is how long the sender waits for window acks before
-	// retransmitting.
+	// mcastInFlight bounds the chunks sent beyond what k receivers have
+	// acknowledged. The quarter window past an ack-requesting chunk is
+	// the time its ack has to come back before the window closes: 8
+	// chunks take ~93 µs at 1 Gbps, more than a round trip through the
+	// leaf-spine fabric. More would only deepen the queue each sender
+	// keeps at a contended port, ahead of everyone else's packets.
+	mcastInFlight = McastWindow + McastWindow/4
+	// mcastRTO is how long the sender waits for a control message before
+	// re-soliciting acks.
 	mcastRTO = 25 * time.Millisecond
-	// mcastMaxRetries bounds sender persistence per window.
+	// mcastMaxRetries bounds the RTOs a sender waits out in a row.
 	mcastMaxRetries = 4
 	// gapTimeout is how long a receiver waits on an incomplete transfer
 	// before NACKing the missing chunks.
@@ -697,50 +705,30 @@ func (st *Stack) SendMulticast(p *sim.Proc, opts McastOpts) (McastResult, error)
 		tx.res.spill = make([]netsim.IP, 0, opts.Receivers)
 	}
 
-	for base := 0; base < total; base += McastWindow {
-		end := base + McastWindow
-		if end > total {
-			end = total
-		}
-		for i := base; i < end; i++ {
-			tx.sendChunk(i, 0, i == end-1)
-		}
-		retries := 0
-		for tx.countAt(end) < k {
-			remain := deadline - st.s.Now()
-			if remain <= 0 {
-				return tx.end(ErrTimeout)
-			}
-			wait := sim.Time(mcastRTO)
-			if wait > remain {
-				wait = remain
-			}
-			d, ok := ctrl.RecvTimeout(p, wait)
-			if !ok {
-				retries++
-				if retries > mcastMaxRetries {
-					return tx.end(ErrTimeout)
-				}
-				// Re-solicit acks by retransmitting the window tail.
-				tx.sendChunk(end-1, 0, true)
-				continue
-			}
-			retries = 0
-			tx.handle(d)
-		}
-	}
-
-	// Wait for K completions.
+	// Slide: keep at most mcastInFlight chunks beyond what k receivers
+	// hold, asking for an ack on every McastWindow-th chunk and the last.
+	// Until k receivers finish, an RTO with no control message re-solicits
+	// acks by retransmitting the newest chunk sent.
+	next, retries := 0, 0
 	for len(tx.res.Finished()) < k {
+		for next < total && (next < mcastInFlight || tx.countAt(next+1-mcastInFlight) >= k) {
+			tx.sendChunk(next, 0, next%McastWindow == McastWindow-1 || next == total-1)
+			next++
+		}
 		remain := deadline - st.s.Now()
 		if remain <= 0 {
 			return tx.end(ErrTimeout)
 		}
 		d, ok := ctrl.RecvTimeout(p, minTime(sim.Time(mcastRTO), remain))
 		if !ok {
-			tx.sendChunk(total-1, 0, true)
+			retries++
+			if retries > mcastMaxRetries {
+				return tx.end(ErrTimeout)
+			}
+			tx.sendChunk(next-1, 0, true)
 			continue
 		}
+		retries = 0
 		tx.handle(d)
 	}
 

@@ -477,6 +477,152 @@ func TestMulticastAnyK(t *testing.T) {
 	}
 }
 
+// oneChunkRoundTrip is the path round trip of a multicast on an idle
+// 1 Gbps hub (10 µs links): how long a send of one full chunk to one
+// receiver takes, its DONE included.
+func oneChunkRoundTrip(t *testing.T) sim.Time {
+	h := newHub(t, 2, netsim.Gbps(1, us(10)))
+	g := mcastGroup(h, 1)
+	r := h.stacks[1].MustBindMulticast(6000)
+	h.s.Spawn("recv", func(p *sim.Proc) { r.Recv(p) })
+	var took sim.Time
+	h.s.Spawn("send", func(p *sim.Proc) {
+		start := p.Now()
+		if _, err := h.stacks[0].SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "x", Size: MTU, Receivers: 1}); err != nil {
+			t.Error(err)
+		}
+		took = p.Now() - start
+	})
+	h.run(t)
+	return took
+}
+
+// serialization is how long a 1 Gbps link takes to send bytes back to
+// back.
+func serialization(bytes int64) sim.Time { return sim.Time(bytes * 8) }
+
+// TestMulticastSlidesAtLineRate: a loss-free 1 MB send to three receivers
+// on an idle 1 Gbps hub keeps its link busy from the first chunk to the
+// last, so it finishes within one path round trip of its chunks'
+// back-to-back serialization. A sender that stops after every window
+// until its acks return idles a round trip per window, 23 in all.
+func TestMulticastSlidesAtLineRate(t *testing.T) {
+	rtt := oneChunkRoundTrip(t)
+	h := newHub(t, 4, netsim.Gbps(1, us(10)))
+	g := mcastGroup(h, 1, 2, 3)
+	for i := 1; i <= 3; i++ {
+		r := h.stacks[i].MustBindMulticast(6000)
+		h.s.Spawn("recv", func(p *sim.Proc) { r.Recv(p) })
+	}
+	var took sim.Time
+	h.s.Spawn("send", func(p *sim.Proc) {
+		start := p.Now()
+		res, err := h.stacks[0].SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "x", Size: 1 << 20, Receivers: 3})
+		if err != nil || res.Repairs != 0 || len(res.Finished()) != 3 {
+			t.Errorf("err=%v result=%+v", err, res)
+		}
+		took = p.Now() - start
+	})
+	h.run(t)
+	wire := serialization(h.host(0).Stats().BytesSent)
+	if took > wire+rtt {
+		t.Fatalf("a 1 MB send took %v: %v past its %v of serialization, over one %v round trip", took, took-wire, wire, rtt)
+	}
+}
+
+// TestAnyKSlidesPastASlowReceiver: an any-2 send to three receivers, one
+// behind a 50 Mbps link, paces itself by the two fast receivers' acks, so
+// both of them, and the send, finish within one path round trip of the
+// chunks' serialization at the sender's 1 Gbps.
+func TestAnyKSlidesPastASlowReceiver(t *testing.T) {
+	rtt := oneChunkRoundTrip(t)
+	h := newHub(t, 4, netsim.Gbps(1, us(10)))
+	g := mcastGroup(h, 1, 2, 3)
+	h.host(3).Port().Link().SetConfig(netsim.Mbps(50, us(10)))
+	var done [4]sim.Time
+	for i := 1; i <= 3; i++ {
+		r := h.stacks[i].MustBindMulticast(6000)
+		h.s.Spawn("recv", func(p *sim.Proc) {
+			if _, ok := r.Recv(p); ok {
+				done[i] = p.Now()
+			}
+		})
+	}
+	var wire sim.Time
+	h.s.Spawn("send", func(p *sim.Proc) {
+		res, err := h.stacks[0].SendMulticast(p, McastOpts{
+			To: g, ToPort: 6000, Data: "x", Size: 1 << 20, Receivers: 3, K: 2, Timeout: 10 * time.Second,
+		})
+		if err != nil || len(res.Finished()) != 2 {
+			t.Errorf("err=%v result=%+v", err, res)
+		}
+		done[0] = p.Now()
+		wire = serialization(h.host(0).Stats().BytesSent)
+	})
+	h.run(t)
+	for i, who := range []string{"the send", "receiver 1", "receiver 2"} {
+		if done[i] > wire+rtt {
+			t.Errorf("%s finished at %v: %v past the %v of serialization, over one %v round trip", who, done[i], done[i]-wire, wire, rtt)
+		}
+	}
+	if done[3] == 0 {
+		t.Fatal("the slow receiver never finished")
+	}
+}
+
+// TestMulticastAckCadence: a loss-free 1 MB send to three receivers asks
+// for as many acks as a window-at-a-time sender, one per McastWindow
+// chunks, so the sender hears one ACK per receiver and window plus each
+// receiver's DONE; and each ack is back before the window closes, so the
+// sender hands its link the next chunk before the one ahead of it has
+// left.
+func TestMulticastAckCadence(t *testing.T) {
+	h := newHub(t, 4, netsim.Gbps(1, us(10)))
+	g := mcastGroup(h, 1, 2, 3)
+	for i := 1; i <= 3; i++ {
+		r := h.stacks[i].MustBindMulticast(6000)
+		h.s.Spawn("recv", func(p *sim.Proc) { r.Recv(p) })
+	}
+	sender := h.stacks[0].IP()
+	heard := map[mctrlKind]int{}
+	var chunks int
+	var busyUntil sim.Time // when the sender's link finishes what it was handed
+	var idle []int         // chunks handed to an idle link, after the first
+	h.net.AddTap(func(ev netsim.TraceEvent) {
+		switch m := ev.Pkt.Payload.(type) {
+		case *chunkMsg:
+			if ev.Dir != "tx" {
+				return
+			}
+			if chunks > 0 && ev.At > busyUntil {
+				idle = append(idle, chunks)
+			}
+			busyUntil = max(busyUntil, ev.At) + serialization(int64(ev.Pkt.Size))
+			chunks++
+		case *mctrlMsg:
+			if ev.Dir == "rx" && ev.Pkt.DstIP == sender {
+				heard[m.kind]++
+			}
+		}
+	})
+	var total int
+	h.s.Spawn("send", func(p *sim.Proc) {
+		res, err := h.stacks[0].SendMulticast(p, McastOpts{To: g, ToPort: 6000, Data: "x", Size: 1 << 20, Receivers: 3})
+		if err != nil || res.Repairs != 0 {
+			t.Errorf("err=%v result=%+v", err, res)
+		}
+		total = res.Chunks
+	})
+	h.run(t)
+	windows := (total - 1) / McastWindow // ack-requesting chunks before the last
+	if heard[mctrlAck] != 3*windows || heard[mctrlDone] != 3 || heard[mctrlNack] != 0 {
+		t.Fatalf("the sender heard %v for %d chunks, want %d ACKs and 3 DONEs", heard, total, 3*windows)
+	}
+	if chunks != total || len(idle) != 0 {
+		t.Fatalf("%d of %d chunks sent; the link idled before chunks %v", chunks, total, idle)
+	}
+}
+
 func TestMulticastStragglersEventuallyFinish(t *testing.T) {
 	h := newHub(t, 3, netsim.Gbps(1, us(10)))
 	g := mcastGroup(h, 1, 2)
