@@ -241,6 +241,10 @@ func TestChaosLedgerRegressions(t *testing.T) {
 		{"durable-handoff-adoption", "NICEKV+durable :: seed=2613738530009786255 | slowdisk n0 x=32.053435742283554 @229.983847ms +133.032041ms | loss n3 r=0.10353975909189793 @265.007858ms +157.625674ms | crash n4 @279.962473ms +151.354158ms | slownic n2 x=14.540466505392576 @337.76609ms +169.16729ms | crash n1 @464.163206ms +88.955131ms"},
 		// Every proper member votes while one is mid-rejoin.
 		{"harmonia-rejoiner-missed-put", "NICEKV+harmonia :: seed=6142457956634621845 | loss n2 r=0.2775666272793173 @238.970093ms +114.995165ms | slowdisk n1 x=8.199483877603166 @325.892317ms +87.689983ms | loss n4 r=0.06716120799592883 @362.475366ms +81.456337ms | crash n0 @419.764945ms +81.126224ms | loss n3 r=0.10388706188393 @547.754174ms +190.116139ms"},
+		// A slow replica's abort of a superseded attempt retired the live
+		// retry's dirty-set mark (harmonia DirtySet.OpAborted).
+		{"harmonia-superseded-abort", "NICEKV+harmonia :: seed=9056862084434398244 | loss n3 r=0.07971200273737267 @86.470056ms +90.692351ms | slowdisk n4 x=23.970177166810732 @142.62796ms +179.843101ms | loss n3 r=0.3727206874818632 @272.776087ms +50.465512ms | crash n1 @366.143475ms +133.514795ms | delayspike n2 x=5.037843469149669 @528.97314ms +112.125567ms | slownic n0 x=8.285924953616728 @549.056189ms +179.486502ms"},
+		{"harmonia-superseded-abort-2", "NICEKV+harmonia :: seed=8134742671474412031 | delayspike n1 x=9.259184876422417 @84.68399ms +157.57575ms | crash n0 @217.103513ms +127.146473ms | delayspike n3 x=5.591105341963189 @235.234521ms +58.633867ms | loss n0 r=0.20204719228572804 @442.741075ms +106.884692ms | slowdisk n4 x=45.86407233505317 @452.296162ms +144.708203ms | delayspike n2 x=7.909532324473604 @475.242694ms +175.852148ms"},
 		// The primary commits at a verdict's version: its own resolution's,
 		// or a voter's earlier commit.
 		{"2pc-resolution-verdict", "NICEKV/2PC :: seed=5694221423795747153 | ctrl d=3.594659ms r=0.4521252247458983 @415.341622ms +122.640216ms | loss n4 r=0.18584710729837456 @464.153569ms +180.856374ms | partition n2,3 @484.811856ms +103.071298ms | loss n0 r=0.13567696701310294 @508.183707ms +195.963319ms | loss n1 r=0.25043580399284954 @541.908927ms +116.397397ms"},

@@ -119,7 +119,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 			Client:     bi.req.Client,
 			ClientSeq:  bi.req.ClientSeq,
 		}
-		n.finish(part, bi.req.key(), bi.obj, bi.ts, false)
+		n.finish(part, bi.req.key(), bi.req.Attempt, bi.obj, bi.ts, false)
 		bi.ok = true
 		n.stats.PutsPrimary++
 		if k := len(b.out); k == 0 || len(b.out[k-1].Items) == maxTsItemsPerMsg {

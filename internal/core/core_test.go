@@ -388,7 +388,7 @@ func TestRejoinWaitsOutAnOpenPrepare(t *testing.T) {
 	s.At(resolveAt, func() {
 		rec, _ := member.store.LogOf("k")
 		delete(member.puts, put.key())
-		member.finish(part, put.key(), &rec.Obj, committed, false)
+		member.finish(part, put.key(), rec.Attempt, &rec.Obj, committed, false)
 	})
 	if err := s.RunUntil(time.Second); err != nil {
 		t.Fatal(err)

@@ -16,8 +16,9 @@ type HarmoniaHook interface {
 	// MemberApplied records that member holds op's committed object for
 	// key.
 	MemberApplied(key string, op any, member netsim.IP)
-	// OpAborted records that op was abandoned and will never commit.
-	OpAborted(key string, op any)
+	// OpAborted records that one delivery attempt of op was abandoned
+	// and will never commit.
+	OpAborted(key string, op any, attempt int)
 }
 
 // harmoniaApplied reports a local commit of obj to the dirty-set stage;
@@ -33,10 +34,11 @@ func (n *Node) harmoniaApplied(obj *kvstore.Object) {
 	n.cfg.Harmonia.MemberApplied(obj.Key, op, n.cfg.Addr.IP)
 }
 
-// harmoniaAborted reports an abandoned put to the dirty-set stage.
-func (n *Node) harmoniaAborted(key string, op reqKey) {
+// harmoniaAborted reports an abandoned attempt of a put to the dirty-set
+// stage.
+func (n *Node) harmoniaAborted(key string, op reqKey, attempt int) {
 	if n.cfg.Harmonia == nil {
 		return
 	}
-	n.cfg.Harmonia.OpAborted(key, op)
+	n.cfg.Harmonia.OpAborted(key, op, attempt)
 }

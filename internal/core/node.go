@@ -270,6 +270,7 @@ func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
 	if cfg.Storage != nil {
 		store = kvstore.NewDurable(stack.Sim(), cfg.Disk, *cfg.Storage)
 	}
+	store.SetNIC(stack.Host().Port())
 	return &Node{
 		cfg:          cfg,
 		stack:        stack,

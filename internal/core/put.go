@@ -262,7 +262,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		// the verdict and the version sequence). Release everyone still
 		// waiting, clean up, fail the op.
 		n.sendTs(v, TsMsg{Req: req.key(), Key: req.Key, Abort: true, Attempt: int32(req.Attempt)})
-		n.finish(part, req.key(), obj, kvstore.Timestamp{}, false)
+		n.finish(part, req.key(), req.Attempt, obj, kvstore.Timestamp{}, false)
 		n.replyPut(req, false, "replica unresponsive", 0)
 		return
 	}
@@ -293,7 +293,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 				ClientSeq:  req.ClientSeq,
 			}
 		}
-		n.finish(part, req.key(), obj, ts, dup)
+		n.finish(part, req.key(), req.Attempt, obj, ts, dup)
 		n.stats.PutsPrimary++
 
 		// Durable engines fsync the commit record before anything
@@ -363,10 +363,10 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 		return
 	}
 	if tsm.Abort {
-		n.finish(part, req.key(), obj, kvstore.Timestamp{}, false)
+		n.finish(part, req.key(), req.Attempt, obj, kvstore.Timestamp{}, false)
 		return
 	}
-	n.finish(part, req.key(), obj, tsm.Ts, tsm.Dup)
+	n.finish(part, req.key(), req.Attempt, obj, tsm.Ts, tsm.Dup)
 	// Fsync before Ack2: the primary counts this replica's copy toward
 	// the commit quorum, so the copy must survive a crash here. Free in
 	// legacy mode.
@@ -380,14 +380,15 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 // finish ends put k's prepare of obj on this node — the one place a
 // prepare is closed (the -L and unlock of Fig. 3): a non-zero ts first
 // commits the object under it (dup as in applyLocal), the zero timestamp
-// abandons it. The release is owner-checked, so finishing a put whose
-// lock a newer put took over after a restart leaves that lock alone. The
-// statement order is load-bearing: applyLocal's write-through and
-// Release's waiter wake both schedule events.
-func (n *Node) finish(part int, k reqKey, obj *kvstore.Object, ts kvstore.Timestamp, dup bool) {
+// abandons it; attempt names the delivery attempt an abort abandons. The
+// release is owner-checked, so finishing a put whose lock a newer put
+// took over after a restart leaves that lock alone. The statement order
+// is load-bearing: applyLocal's write-through and Release's waiter wake
+// both schedule events.
+func (n *Node) finish(part int, k reqKey, attempt int, obj *kvstore.Object, ts kvstore.Timestamp, dup bool) {
 	if ts.IsZero() {
 		n.store.Release(obj.Key, k)
-		n.harmoniaAborted(obj.Key, k)
+		n.harmoniaAborted(obj.Key, k, attempt)
 		n.stats.Aborts++
 		return
 	}
@@ -520,10 +521,10 @@ func (n *Node) lateTs(m TsMsg, from netsim.IP) {
 		return
 	}
 	if m.Abort {
-		n.finish(part, m.Req, &rec.Obj, kvstore.Timestamp{}, false)
+		n.finish(part, m.Req, rec.Attempt, &rec.Obj, kvstore.Timestamp{}, false)
 		return
 	}
-	n.finish(part, m.Req, &rec.Obj, m.Ts, m.Dup)
+	n.finish(part, m.Req, rec.Attempt, &rec.Obj, m.Ts, m.Dup)
 	v := n.views[part]
 	if v == nil {
 		return

@@ -484,5 +484,5 @@ func (n *Node) applyOrder(m *ResolveOrder) {
 		}
 		return
 	}
-	n.finish(n.cfg.Space.PartitionOf(m.Key), m.Req, &rec.Obj, m.Ts, false)
+	n.finish(n.cfg.Space.PartitionOf(m.Key), m.Req, rec.Attempt, &rec.Obj, m.Ts, false)
 }

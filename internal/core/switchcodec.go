@@ -54,21 +54,22 @@ func (c SwitchCodec) MakeReply(pkt *netsim.Packet, value any, size int, ver uint
 // marks once; unicast repair retransmissions re-deliver the same message
 // and merge into the same marks. The operation identity is the put's
 // reqKey — stable across client retries, recoverable from a committed
-// object's version — so the commit hooks can find the mark.
-func (c SwitchCodec) ParsePut(pkt *netsim.Packet, i int) (string, any, bool) {
+// object's version — so the commit hooks can find the mark; the attempt
+// scopes an abort to the marks it may retire.
+func (c SwitchCodec) ParsePut(pkt *netsim.Packet, i int) (string, any, int, bool) {
 	if pkt.Proto != netsim.ProtoUDP {
-		return "", nil, false
+		return "", nil, 0, false
 	}
 	data, _ := transport.ChunkData(pkt)
 	switch m := data.(type) {
 	case *PutRequest:
 		if i == 0 {
-			return m.Key, m.key(), true
+			return m.Key, m.key(), m.Attempt, true
 		}
 	case *BatchPutRequest:
 		if i < len(m.Ops) {
-			return m.Ops[i].Key, m.Ops[i].key(), true
+			return m.Ops[i].Key, m.Ops[i].key(), m.Ops[i].Attempt, true
 		}
 	}
-	return "", nil, false
+	return "", nil, 0, false
 }

@@ -53,9 +53,10 @@ type Parser interface {
 	// ParsePut reports whether pkt completes a put prepare's multicast
 	// transfer and carries an i-th operation (a batched prepare carries
 	// several; the stage asks for i = 0, 1, … until !ok), for which key,
-	// and an operation identity (comparable; stable across retries of the
-	// same logical put) used to match the commit hooks back to the mark.
-	ParsePut(pkt *netsim.Packet, i int) (key string, op any, ok bool)
+	// an operation identity (comparable; stable across retries of the
+	// same logical put) used to match the commit hooks back to the mark,
+	// and the client's delivery attempt that sent it.
+	ParsePut(pkt *netsim.Packet, i int) (key string, op any, attempt int, ok bool)
 }
 
 // ReplicaPort is stamped as the destination port of rewritten clean-key
@@ -76,8 +77,9 @@ type Config struct {
 
 // opState tracks one in-flight put under a dirty entry.
 type opState struct {
-	gen   uint64 // partition install generation at mark time
-	epoch uint64 // partition install epoch at mark time
+	gen     uint64 // partition install generation at mark time
+	epoch   uint64 // partition install epoch at mark time
+	attempt int    // latest delivery attempt that marked the op
 	// applied records which replicas have committed the op locally.
 	applied map[netsim.IP]bool
 }
@@ -155,10 +157,10 @@ func (d *DirtySet) Tainted(part int) bool {
 // Process implements openflow.Stage: mark put prepares, rewrite clean
 // reads, and pass every packet on — the stage consumes nothing.
 func (d *DirtySet) Process(_ *netsim.Switch, pkt *netsim.Packet, _ int) bool {
-	if key, op, ok := d.parser.ParsePut(pkt, 0); ok {
+	if key, op, attempt, ok := d.parser.ParsePut(pkt, 0); ok {
 		for i := 1; ok; i++ {
-			d.mark(key, op)
-			key, op, ok = d.parser.ParsePut(pkt, i)
+			d.mark(key, op, attempt)
+			key, op, attempt, ok = d.parser.ParsePut(pkt, i)
 		}
 		return false
 	}
@@ -209,8 +211,9 @@ func replicaHash(key string, rid uint64) uint64 {
 
 // mark records a put prepare traversing the switch. Idempotent per
 // (key, op): multicast repair retransmissions and client retries of the
-// same logical put merge into one tracked operation.
-func (d *DirtySet) mark(key string, op any) {
+// same logical put merge into one tracked operation, which remembers the
+// latest attempt that renewed it.
+func (d *DirtySet) mark(key string, op any, attempt int) {
 	part := d.partOf(key)
 	p := d.parts[part]
 	if p == nil || !p.installed || len(p.replicas) < 2 {
@@ -233,8 +236,10 @@ func (d *DirtySet) mark(key string, op any) {
 		d.entries[key] = e
 		d.stats.Marks++
 	}
-	if e.ops[op] == nil {
-		e.ops[op] = &opState{gen: p.gen, epoch: p.epoch, applied: make(map[netsim.IP]bool)}
+	if os := e.ops[op]; os == nil {
+		e.ops[op] = &opState{gen: p.gen, epoch: p.epoch, attempt: attempt, applied: make(map[netsim.IP]bool)}
+	} else if attempt > os.attempt {
+		os.attempt = attempt
 	}
 }
 
@@ -273,16 +278,18 @@ func (d *DirtySet) MemberApplied(key string, op any, member netsim.IP) {
 	d.retire(key, e)
 }
 
-// OpAborted is the abort-side hook: the put was abandoned (primary
-// abort broadcast, secondary/late abort, or new-primary resolution).
-// Replicas may still hold the prepare's WAL record briefly; reads
-// routed there are held server-side until the abort lands.
-func (d *DirtySet) OpAborted(key string, op any) {
+// OpAborted is the abort-side hook: one delivery attempt of the put was
+// abandoned (primary abort broadcast, secondary/late abort, or
+// new-primary resolution). Replicas may still hold the prepare's WAL record briefly;
+// reads routed there are held server-side until the abort lands. An
+// abort retires the mark only if no later attempt renewed it: a slow
+// replica's abort of a superseded attempt leaves the live retry dirty.
+func (d *DirtySet) OpAborted(key string, op any, attempt int) {
 	e := d.entries[key]
 	if e == nil {
 		return
 	}
-	if _, ok := e.ops[op]; !ok {
+	if os, ok := e.ops[op]; !ok || attempt < os.attempt {
 		return
 	}
 	delete(e.ops, op)

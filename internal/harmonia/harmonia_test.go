@@ -18,8 +18,9 @@ type testOp struct {
 // putMsg / getMsg are the stub wire messages; a []*putMsg payload is a
 // batched prepare.
 type putMsg struct {
-	key string
-	op  testOp
+	key     string
+	op      testOp
+	attempt int
 }
 type getMsg struct {
 	key string
@@ -36,15 +37,15 @@ func (stubParser) ParseGet(pkt *netsim.Packet) (string, uint64, bool) {
 	return "", 0, false
 }
 
-func (stubParser) ParsePut(pkt *netsim.Packet, i int) (string, any, bool) {
+func (stubParser) ParsePut(pkt *netsim.Packet, i int) (string, any, int, bool) {
 	batch, _ := pkt.Payload.([]*putMsg)
 	if m, ok := pkt.Payload.(*putMsg); ok {
 		batch = []*putMsg{m}
 	}
 	if i < len(batch) {
-		return batch[i].key, batch[i].op, true
+		return batch[i].key, batch[i].op, batch[i].attempt, true
 	}
-	return "", nil, false
+	return "", nil, 0, false
 }
 
 // rig is a minimal switch + datapath + dirty-set stage. Tests push
@@ -78,8 +79,11 @@ func (r *rig) settle(t *testing.T) {
 	}
 }
 
-func (r *rig) put(key string, op testOp) {
-	r.process(&netsim.Packet{Proto: netsim.ProtoUDP, Payload: &putMsg{key: key, op: op}})
+func (r *rig) put(key string, op testOp) { r.putAttempt(key, op, 0) }
+
+// putAttempt pushes delivery attempt attempt of op's prepare.
+func (r *rig) putAttempt(key string, op testOp, attempt int) {
+	r.process(&netsim.Packet{Proto: netsim.ProtoUDP, Payload: &putMsg{key: key, op: op, attempt: attempt}})
 }
 
 func (r *rig) process(pkt *netsim.Packet) {
@@ -196,14 +200,14 @@ func TestBatchedPrepareMarksEveryKey(t *testing.T) {
 	r.ds.InstallViewAs(1, 0, 1, replicas)
 	r.settle(t)
 
-	ops := []*putMsg{{"a", testOp{seq: 1}}, {"b", testOp{seq: 2}}, {"c", testOp{seq: 3}}}
+	ops := []*putMsg{{"a", testOp{seq: 1}, 0}, {"b", testOp{seq: 2}, 0}, {"c", testOp{seq: 3}, 0}}
 	r.process(&netsim.Packet{Proto: netsim.ProtoUDP, Payload: ops})
 	for _, m := range ops {
 		if !r.ds.Dirty(m.key) {
 			t.Fatalf("batched prepare did not mark %q", m.key)
 		}
 	}
-	r.ds.OpAborted("b", ops[1].op)
+	r.ds.OpAborted("b", ops[1].op, 0)
 	if r.ds.Dirty("b") || !r.ds.Dirty("a") || !r.ds.Dirty("c") {
 		t.Fatal("batched ops do not clear independently")
 	}
@@ -251,7 +255,7 @@ func TestAbortClears(t *testing.T) {
 
 	op := testOp{seq: 1}
 	r.put("k", op)
-	r.ds.OpAborted("k", op)
+	r.ds.OpAborted("k", op, 0)
 	if r.ds.Dirty("k") {
 		t.Fatal("aborted op left the key dirty")
 	}
@@ -260,9 +264,30 @@ func TestAbortClears(t *testing.T) {
 	op2, op3 := testOp{seq: 2}, testOp{seq: 3}
 	r.put("k", op2)
 	r.put("k", op3)
-	r.ds.OpAborted("k", op2)
+	r.ds.OpAborted("k", op2, 0)
 	if !r.ds.Dirty("k") {
 		t.Fatal("second in-flight op lost its mark")
+	}
+}
+
+// TestSupersededAbortKeepsTheRetryDirty: a slow replica's abort of an
+// attempt that a retry of the same put has since renewed must not retire
+// the retry's mark; the live attempt's own abort does.
+func TestSupersededAbortKeepsTheRetryDirty(t *testing.T) {
+	r := newRig(t, Config{}, singlePartition)
+	r.ds.InstallViewAs(1, 0, 1, replicas)
+	r.settle(t)
+
+	op := testOp{seq: 1}
+	r.putAttempt("k", op, 1)
+	r.putAttempt("k", op, 2)
+	r.ds.OpAborted("k", op, 1)
+	if !r.ds.Dirty("k") {
+		t.Fatal("the abort of attempt 1 retired attempt 2's mark")
+	}
+	r.ds.OpAborted("k", op, 2)
+	if r.ds.Dirty("k") {
+		t.Fatal("the live attempt's abort left the key dirty")
 	}
 }
 

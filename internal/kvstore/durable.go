@@ -38,6 +38,9 @@ func (d *storeDisk) ReadDisk(p *sim.Proc, bytes int) {
 	st.diskRes.Use(p, xferTime(st.disk.ReadLatency, st.disk.ReadBps, bytes))
 }
 
+// StreamDisk reads an evicted key that feeds a reply (Store.streamRead).
+func (d *storeDisk) StreamDisk(p *sim.Proc, bytes int) { (*Store)(d).streamRead(p, bytes) }
+
 func (d *storeDisk) WriteDisk(p *sim.Proc, bytes int) {
 	st := (*Store)(d)
 	st.diskRes.Use(p, xferTime(st.disk.WriteLatency, st.disk.WriteBps, bytes))

@@ -80,11 +80,13 @@ type Node struct {
 
 // NewNode builds a NOOB node on a host stack.
 func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
+	store := kvstore.New(stack.Sim(), cfg.Disk)
+	store.SetNIC(stack.Host().Port())
 	return &Node{
 		cfg:   cfg,
 		stack: stack,
 		s:     stack.Sim(),
-		store: kvstore.New(stack.Sim(), cfg.Disk),
+		store: store,
 		pool:  newRPCPool(stack),
 		cpu:   sim.NewResource(stack.Sim()),
 	}

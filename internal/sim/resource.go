@@ -15,7 +15,13 @@ func NewResource(s *Simulator) *Resource { return &Resource{s: s} }
 
 // Use blocks p while it queues for and consumes d of service time.
 // A zero or negative demand returns immediately without queueing.
-func (r *Resource) Use(p *Proc, d Time) {
+func (r *Resource) Use(p *Proc, d Time) { r.UseHead(p, d, d) }
+
+// UseHead books d of service exactly as Use does, but resumes p once the
+// first head of it is served (a head above d counts as d): a streamed
+// disk read hands its first segment to the reply while the device reads
+// the rest. Later users still queue behind all of d.
+func (r *Resource) UseHead(p *Proc, d, head Time) {
 	if d <= 0 {
 		return
 	}
@@ -26,7 +32,7 @@ func (r *Resource) Use(p *Proc, d Time) {
 	}
 	r.busyUntil = start + d
 	r.busyTotal += d
-	p.Sleep(r.busyUntil - now)
+	p.Sleep(start + min(head, d) - now)
 }
 
 // BusyTime returns the total service time consumed (utilization

@@ -61,3 +61,42 @@ func TestResourceZeroDemandIsFree(t *testing.T) {
 		t.Fatalf("zero demand consumed time: at=%v busy=%v", at, r.BusyTime())
 	}
 }
+
+// TestUseHeadWakesAtItsHeadAndBooksAll: UseHead resumes its user after
+// the head of its demand but holds the resource for all of it, so a user
+// arriving meanwhile queues behind the whole demand; a head of d or more
+// is exactly Use.
+func TestUseHeadWakesAtItsHeadAndBooksAll(t *testing.T) {
+	s := New(1)
+	r := NewResource(s)
+	var a, b, c Time
+	s.Spawn("a", func(p *Proc) {
+		r.UseHead(p, ms(10), ms(2))
+		a = p.Now()
+	})
+	s.Spawn("b", func(p *Proc) {
+		p.Sleep(ms(1))
+		r.UseHead(p, ms(5), ms(7)) // head past the demand: Use
+		b = p.Now()
+	})
+	s.Spawn("c", func(p *Proc) {
+		p.Sleep(ms(3))
+		r.Use(p, ms(1))
+		c = p.Now()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a != ms(2) {
+		t.Errorf("a woke at %v, want its 2ms head", a)
+	}
+	if b != ms(15) {
+		t.Errorf("b woke at %v, want 15ms (queued behind all of a's 10ms)", b)
+	}
+	if c != ms(16) {
+		t.Errorf("c woke at %v, want 16ms", c)
+	}
+	if r.BusyTime() != ms(16) {
+		t.Errorf("BusyTime = %v, want 16ms", r.BusyTime())
+	}
+}

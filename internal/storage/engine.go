@@ -43,6 +43,16 @@ type DiskTier interface {
 	WriteDisk(p *sim.Proc, bytes int)
 }
 
+// StreamTier is a DiskTier that can stream a read into a reply: the
+// device is booked for the whole read, but the reader resumes once the
+// reply's first segment is read (kvstore's streamed read). The engine
+// reads evicted keys through it; recovery reads stay whole, and a tier
+// without StreamDisk reads evicted keys whole too.
+type StreamTier interface {
+	DiskTier
+	StreamDisk(p *sim.Proc, bytes int)
+}
+
 // Config parameterizes one engine.
 type Config struct {
 	// Shards is the hash-partition count; each shard has its own map,
@@ -423,7 +433,8 @@ func (e *EngineOf[V]) Commit(key string, val V, size int) {
 }
 
 // Get reads key. A memory-tier hit is free; an evicted key charges a
-// disk read of its size and is promoted back into the memory tier.
+// streamed disk read of its size (StreamTier) and is promoted back into
+// the memory tier.
 func (e *EngineOf[V]) Get(p *sim.Proc, key string) (V, bool) {
 	sh := e.shardOf(key)
 	en := sh.entries[key]
@@ -440,7 +451,11 @@ func (e *EngineOf[V]) Get(p *sim.Proc, key string) (V, bool) {
 	e.stats.DiskReads++
 	val, size := en.val, en.size
 	gen := e.gen
-	e.disk.ReadDisk(p, size)
+	if st, ok := e.disk.(StreamTier); ok {
+		st.StreamDisk(p, size)
+	} else {
+		e.disk.ReadDisk(p, size)
+	}
 	if gen == e.gen && !en.resident {
 		// Promote, unless a crash rebuilt the world (or a concurrent
 		// reader already promoted) while we slept in the disk read.
