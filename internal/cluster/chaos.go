@@ -236,13 +236,13 @@ func (f *niceFabric) SetLinkDown(n int, down bool) { f.d.NodeLinks[n].SetDown(do
 func (f *niceFabric) SetLinkLoss(n int, rate float64) { f.d.NodeLinks[n].SetLossRate(rate) }
 
 func (f *niceFabric) SetLinkDelayFactor(n int, factor float64) {
-	cfg := f.d.Opts.Link
+	cfg := platformLink
 	cfg.Delay = sim.Time(float64(cfg.Delay) * factor)
 	f.d.NodeLinks[n].SetConfig(cfg)
 }
 
 func (f *niceFabric) SetNICFactor(n int, factor float64) {
-	cfg := f.d.Opts.Link
+	cfg := platformLink
 	cfg.BandwidthBps /= factor
 	f.d.NodeLinks[n].SetConfig(cfg)
 }

@@ -39,7 +39,7 @@ func coreSwitchFabric(nw *netsim.Network, opts Options) fabric {
 	next := 0
 	plug := func(peer *netsim.Port) *netsim.Link {
 		next++
-		return nw.Connect(peer, sw.Port(next-1), opts.Link)
+		return nw.Connect(peer, sw.Port(next-1), platformLink)
 	}
 	attach := func(h *netsim.Host) *netsim.Link { return plug(h.Port()) }
 	f := fabric{core: openflow.Attach(sw, CtrlDelay), attach: attach, attachClient: attach}
@@ -49,7 +49,7 @@ func coreSwitchFabric(nw *netsim.Network, opts Options) fabric {
 			ovs := nw.NewSwitch("ovs"+strconv.Itoa(edges), 2, EdgeLatency)
 			edges++
 			openflow.Attach(ovs, CtrlDelay)
-			nw.Connect(h.Port(), ovs.Port(0), opts.Link)
+			nw.Connect(h.Port(), ovs.Port(0), platformLink)
 			plug(ovs.Port(1))
 			return nil
 		}
@@ -82,12 +82,12 @@ func leafSpineFabric(nw *netsim.Network, opts Options, leaves int) fabric {
 	for i := range leaf {
 		leaf[i] = nw.NewSwitch("leaf"+strconv.Itoa(i), perLeaf+1, SwitchLatency)
 		openflow.Attach(leaf[i], CtrlDelay)
-		nw.Connect(leaf[i].Port(0), spine.Port(i), opts.Link)
+		nw.Connect(leaf[i].Port(0), spine.Port(i), platformLink)
 		next[i] = 1
 	}
 	attachAt := func(i int, h *netsim.Host) *netsim.Link {
 		next[i]++
-		return nw.Connect(h.Port(), leaf[i].Port(next[i]-1), opts.Link)
+		return nw.Connect(h.Port(), leaf[i].Port(next[i]-1), platformLink)
 	}
 	placed := 0
 	f.attach = func(h *netsim.Host) *netsim.Link {

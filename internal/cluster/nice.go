@@ -38,6 +38,9 @@ const (
 	EdgeLatency   = 10 * time.Microsecond
 )
 
+// platformLink is every cable of a deployment: 1 Gbps, 5 µs (§6).
+var platformLink = netsim.Gbps(1, 5*time.Microsecond)
+
 // Options describes a deployment, defaulting to the paper's platform
 // (§6): 1 Gbps links, one OpenFlow switch, replication level 3,
 // 15 storage nodes, SSD-backed stores.
@@ -47,7 +50,6 @@ type Options struct {
 	Clients      int
 	LoadBalance  bool
 	Seed         int64
-	Link         netsim.LinkConfig
 	Disk         kvstore.DiskConfig
 	Heartbeat    sim.Time
 	AckTimeout   sim.Time // protocol-phase wait
@@ -153,7 +155,6 @@ func DefaultOptions() Options {
 		R:                  3,
 		Clients:            1,
 		Seed:               1,
-		Link:               netsim.Gbps(1, 5*time.Microsecond),
 		Disk:               node.Disk,
 		Heartbeat:          node.HeartbeatEvery,
 		AckTimeout:         node.AckTimeout,

@@ -74,7 +74,7 @@ func NewNOOB(opts NOOBOptions) *NOOB {
 		sw.Drop(pkt)
 	}))
 	attach := func(h *netsim.Host, port int) {
-		nw.Connect(h.Port(), sw.Port(port), opts.Link)
+		nw.Connect(h.Port(), sw.Port(port), platformLink)
 		ports[h.IP()] = port
 		macs[h.IP()] = h.MAC()
 	}

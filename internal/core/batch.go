@@ -45,11 +45,8 @@ type batchItem struct {
 
 // newBatch opens a batch led by the caller, reusing a recycled one.
 func (n *Node) newBatch() *putBatch {
-	var b *putBatch
-	if k := len(n.freeBatches); k > 0 {
-		b = n.freeBatches[k-1]
-		n.freeBatches = n.freeBatches[:k-1]
-	} else {
+	b := n.freeBatches.Take()
+	if b == nil {
 		b = &putBatch{done: sim.NewFuture[struct{}](n.s)}
 	}
 	b.holders = 1
@@ -65,7 +62,7 @@ func (n *Node) leaveBatch(b *putBatch) {
 	clear(b.items)
 	b.items = b.items[:0]
 	b.done.Reset()
-	n.freeBatches = append(n.freeBatches, b)
+	n.freeBatches.Put(b)
 }
 
 // batchCommit runs the commit point of a primary put through the

@@ -82,20 +82,18 @@ type Client struct {
 	// returned once its attempt's pending entry is gone — dispatch
 	// deletes the entry before it resolves the future, and a timed-out
 	// attempt deletes it itself — so no reply can reach it any more.
-	replies []*sim.Future[any]
+	replies sim.Free[sim.Future[any]]
 	// putReqs holds the put requests every holder let go of, and
 	// getReqs the get requests whose own attempt was answered: the reply
 	// came in the request's room, so no copy of it is left in flight.
-	putReqs []*PutRequest
-	getReqs []*GetRequest
+	putReqs sim.Free[PutRequest]
+	getReqs sim.Free[GetRequest]
 	seq     uint64
 }
 
 // reply takes a pending reply future off the free list, or makes one.
 func (c *Client) reply() *sim.Future[any] {
-	if n := len(c.replies); n > 0 {
-		f := c.replies[n-1]
-		c.replies = c.replies[:n-1]
+	if f := c.replies.Take(); f != nil {
 		return f
 	}
 	return sim.NewFuture[any](c.stack.Sim())
@@ -104,7 +102,7 @@ func (c *Client) reply() *sim.Future[any] {
 // recycle returns an attempt's reply future to the free list.
 func (c *Client) recycle(f *sim.Future[any]) {
 	f.Reset()
-	c.replies = append(c.replies, f)
+	c.replies.Put(f)
 }
 
 // NewClient attaches a client to a host's transport stack.
@@ -280,7 +278,10 @@ func (c *Client) getAttempts(p *sim.Proc, start sim.Time, key string, id uint64,
 		// A request per attempt: the retry counter steers harmonia's
 		// replica hash, and a timed-out attempt's request may still be in
 		// flight.
-		r := take(&c.getReqs)
+		r := c.getReqs.Take()
+		if r == nil {
+			r = new(GetRequest)
+		}
 		*r = GetRequest{
 			Key:        key,
 			ReqID:      id,
@@ -302,7 +303,7 @@ func (c *Client) getAttempts(p *sim.Proc, start sim.Time, key string, id uint64,
 			}
 			if rep == &r.reply {
 				// Answered in its own room: whoever read r has done with it.
-				c.getReqs = append(c.getReqs, r)
+				c.getReqs.Put(r)
 			}
 			return res, nil
 		}

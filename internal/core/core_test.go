@@ -666,7 +666,7 @@ func TestStaleHandlerReleaseSparesTheRetry(t *testing.T) {
 	if n.puts[reqKey{Client: 9, Seq: 1}] != retry {
 		t.Fatal("releasing the stale handler's state dropped the retry's registration")
 	}
-	if n.freePuts != stale {
+	if top(&n.freePuts) != stale {
 		t.Fatal("the stale state was not recycled")
 	}
 }
@@ -755,7 +755,7 @@ func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 				}
 				commit(p, round)
 				drained = append(drained, p.Now())
-				pooled = append(pooled, len(n.freeBatches))
+				pooled = append(pooled, n.freeBatches.Len())
 			}
 			p.Sleep(time.Millisecond) // the last round's joiners leave
 			s.Stop()
@@ -765,7 +765,7 @@ func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 		}
 	}
 	lead(8)
-	afterN := len(n.freeBatches)
+	afterN := n.freeBatches.Len()
 	lead(8)
 	if len(results) != 16*(joiners+1) {
 		t.Fatalf("%d puts returned from 16 rounds of %d", len(results), joiners+1)
@@ -776,8 +776,8 @@ func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 				r.seq, r.round, r.ok, r.ts, r.at, drained[r.round])
 		}
 	}
-	if afterN == 0 || len(n.freeBatches) != afterN {
-		t.Fatalf("free batches: %d after 8 rounds, %d after 16; want the same, nonzero (per round: %v)", afterN, len(n.freeBatches), pooled)
+	if afterN == 0 || n.freeBatches.Len() != afterN {
+		t.Fatalf("free batches: %d after 8 rounds, %d after 16; want the same, nonzero (per round: %v)", afterN, n.freeBatches.Len(), pooled)
 	}
 }
 

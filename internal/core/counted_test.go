@@ -107,9 +107,9 @@ func TestAcksAndReplyReturnToTheirSender(t *testing.T) {
 		if i == 0 {
 			wantAcks, wantReplies = 0, 1
 		}
-		if len(n.ack1s) != wantAcks || len(n.ack2s) != wantAcks || len(n.putReplies) != wantReplies {
+		if n.ack1s.Len() != wantAcks || n.ack2s.Len() != wantAcks || n.putReplies.Len() != wantReplies {
 			t.Fatalf("node %d holds %d Ack1, %d Ack2, %d PutReply; want %d, %d, %d",
-				i, len(n.ack1s), len(n.ack2s), len(n.putReplies), wantAcks, wantAcks, wantReplies)
+				i, n.ack1s.Len(), n.ack2s.Len(), n.putReplies.Len(), wantAcks, wantAcks, wantReplies)
 		}
 		first[i] = pooled(n)
 	}
@@ -123,32 +123,32 @@ func TestAcksAndReplyReturnToTheirSender(t *testing.T) {
 	sec := nodes[1]
 	hand := &Ack2{Req: reqKey{Client: 9, Seq: 1}, From: 1}
 	hand.release()
-	if len(sec.ack2s) != 1 {
+	if sec.ack2s.Len() != 1 {
 		t.Fatal("a hand-built ack was pooled")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a second release did not panic")
 		}
-		if len(sec.ack2s) != 1 {
-			t.Fatalf("the second release pooled the ack again: %d on the free list", len(sec.ack2s))
+		if sec.ack2s.Len() != 1 {
+			t.Fatalf("the second release pooled the ack again: %d on the free list", sec.ack2s.Len())
 		}
 	}()
-	sec.ack2s[0].release()
+	top(&sec.ack2s).release()
 }
 
-// pooled names the first message on each of n's free lists.
-func pooled(n *Node) (out [3]any) {
-	if len(n.ack1s) > 0 {
-		out[0] = n.ack1s[0]
+// top returns the object f hands out next, and leaves it there.
+func top[T any](f *sim.Free[T]) *T {
+	x := f.Take()
+	if x != nil {
+		f.Put(x)
 	}
-	if len(n.ack2s) > 0 {
-		out[1] = n.ack2s[0]
-	}
-	if len(n.putReplies) > 0 {
-		out[2] = n.putReplies[0]
-	}
-	return out
+	return x
+}
+
+// pooled names the next message on each of n's free lists.
+func pooled(n *Node) [3]any {
+	return [3]any{top(&n.ack1s), top(&n.ack2s), top(&n.putReplies)}
 }
 
 // TestLateAckCountsForItsOwnPut: an ack that reaches the primary after it
@@ -174,16 +174,16 @@ func TestLateAckCountsForItsOwnPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := primary.orphans[late]
-	if o == nil || !o.ack1.has(1) || o.ack2.has(1) || len(secondary.ack1s) != 1 {
-		t.Fatalf("late ack: orphan %+v, %d acks back at the secondary; want ack1 from node 1, one ack back", o, len(secondary.ack1s))
+	if o == nil || !o.ack1.has(1) || o.ack2.has(1) || secondary.ack1s.Len() != 1 {
+		t.Fatalf("late ack: orphan %+v, %d acks back at the secondary; want ack1 from node 1, one ack back", o, secondary.ack1s.Len())
 	}
-	reused := secondary.ack1s[0]
+	reused := top(&secondary.ack1s)
 	before := *o
 	secondary.sendAck1(primary.cfg.Addr, next, kvstore.Timestamp{})
 	if err := s.RunUntil(2 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if len(secondary.ack1s) != 1 || secondary.ack1s[0] != reused {
+	if secondary.ack1s.Len() != 1 || top(&secondary.ack1s) != reused {
 		t.Fatal("the secondary did not reuse its returned ack")
 	}
 	if !reflect.DeepEqual(*primary.orphans[late], before) {
@@ -205,7 +205,7 @@ func TestLatePutReplyIsReleasedOnce(t *testing.T) {
 	late := takeCounted(&primary.putReplies)
 	late.ReqID, late.OK = 99, true
 	c.dispatch(late)
-	if len(primary.putReplies) != 1 || primary.putReplies[0] != late {
+	if primary.putReplies.Len() != 1 || top(&primary.putReplies) != late {
 		t.Fatal("dispatch did not hand back a reply no op waits for")
 	}
 	waited := takeCounted(&primary.putReplies)
@@ -213,7 +213,7 @@ func TestLatePutReplyIsReleasedOnce(t *testing.T) {
 	f := c.reply()
 	c.pending[100] = f
 	c.dispatch(waited)
-	if len(primary.putReplies) != 0 || f.Value() != any(waited) {
+	if primary.putReplies.Len() != 0 || f.Value() != any(waited) {
 		t.Fatal("dispatch handed back a reply an op waits for")
 	}
 
@@ -241,10 +241,10 @@ func TestLatePutReplyIsReleasedOnce(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	if len(primary.putReplies) != len(stock) {
-		t.Fatalf("%d replies back at the primary after a 3-op MultiPut, want %d", len(primary.putReplies), len(stock))
+	if primary.putReplies.Len() != len(stock) {
+		t.Fatalf("%d replies back at the primary after a 3-op MultiPut, want %d", primary.putReplies.Len(), len(stock))
 	}
-	for _, m := range primary.putReplies {
+	for m := primary.putReplies.Take(); m != nil; m = primary.putReplies.Take() {
 		if !stock[m] {
 			t.Fatalf("reply %p back at the primary is not from its stock", m)
 		}
@@ -294,11 +294,11 @@ func TestSharedMessagesReturnOnce(t *testing.T) {
 	primary := nodes[0]
 	returned := func(when string) (*PutRequest, *BatchTsMsg) {
 		t.Helper()
-		if len(c.putReqs) != 1 || len(primary.tsMsgs) != 1 {
+		if c.putReqs.Len() != 1 || primary.tsMsgs.Len() != 1 {
 			t.Fatalf("%s: %d requests back at the client, %d timestamp multicasts at the primary; want one of each",
-				when, len(c.putReqs), len(primary.tsMsgs))
+				when, c.putReqs.Len(), primary.tsMsgs.Len())
 		}
-		return c.putReqs[0], primary.tsMsgs[0]
+		return top(&c.putReqs), top(&primary.tsMsgs)
 	}
 	put("k")
 	req, ts := returned("after a put")
@@ -314,15 +314,15 @@ func TestSharedMessagesReturnOnce(t *testing.T) {
 			t.Error("a put with a member down succeeded")
 		}
 	})
-	if len(primary.tsMsgs) != 1 || primary.tsMsgs[0] != ts || !ts.Items[0].Abort {
-		t.Fatalf("with a member down: %d timestamp multicasts at the primary, want the abort once", len(primary.tsMsgs))
+	if primary.tsMsgs.Len() != 1 || top(&primary.tsMsgs) != ts || !ts.Items[0].Abort {
+		t.Fatalf("with a member down: %d timestamp multicasts at the primary, want the abort once", primary.tsMsgs.Len())
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a release past the last holder did not panic")
 		}
-		if len(primary.tsMsgs) != 1 {
-			t.Fatalf("the extra release pooled the message again: %d on the free list", len(primary.tsMsgs))
+		if primary.tsMsgs.Len() != 1 {
+			t.Fatalf("the extra release pooled the message again: %d on the free list", primary.tsMsgs.Len())
 		}
 	}()
 	ts.release()
@@ -348,8 +348,8 @@ func TestTimedOutAttemptsAreNeverRecycled(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if len(c.getReqs) != 1 || len(c.putReqs) != 1 {
-		t.Fatalf("answered put and get: %d put and %d get requests back, want one of each", len(c.putReqs), len(c.getReqs))
+	if c.getReqs.Len() != 1 || c.putReqs.Len() != 1 {
+		t.Fatalf("answered put and get: %d put and %d get requests back, want one of each", c.putReqs.Len(), c.getReqs.Len())
 	}
 
 	nodes[2].Crash()
@@ -358,8 +358,8 @@ func TestTimedOutAttemptsAreNeverRecycled(t *testing.T) {
 			t.Error("a put with a member down succeeded")
 		}
 	})
-	if len(c.putReqs) != 0 {
-		t.Fatalf("the timed-out put attempt's request: %d on the free list, want none", len(c.putReqs))
+	if c.putReqs.Len() != 0 {
+		t.Fatalf("the timed-out put attempt's request: %d on the free list, want none", c.putReqs.Len())
 	}
 	nodes[0].Crash()
 	nodes[1].Crash()
@@ -368,8 +368,8 @@ func TestTimedOutAttemptsAreNeverRecycled(t *testing.T) {
 			t.Error("a get from a crashed node succeeded")
 		}
 	})
-	if len(c.getReqs) != 0 {
-		t.Fatalf("the timed-out get attempt's request: %d on the free list, want none", len(c.getReqs))
+	if c.getReqs.Len() != 0 {
+		t.Fatalf("the timed-out get attempt's request: %d on the free list, want none", c.getReqs.Len())
 	}
 }
 

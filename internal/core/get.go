@@ -142,7 +142,10 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 		rs.waiters = append(rs.waiters, req)
 		return
 	}
-	rs := take(&n.freeReads)
+	rs := n.freeReads.Take()
+	if rs == nil {
+		rs = new(readState)
+	}
 	n.reads[req.Key] = rs
 	gen := n.restartGen
 	obj, ok := n.store.Get(p, req.Key)
@@ -174,7 +177,7 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 func (n *Node) freeRead(rs *readState) {
 	clear(rs.waiters)
 	rs.waiters = rs.waiters[:0]
-	n.freeReads = append(n.freeReads, rs)
+	n.freeReads.Put(rs)
 }
 
 // sendGetReply answers one get from a completed store read, in the room

@@ -111,7 +111,7 @@ func TestSteadyGetAllocatesNothing(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if task := n.freeTasks; task == nil || task.msg != nil || task.replicaRouted || task.next != nil {
+	if task := top(&n.freeTasks); task == nil || task.msg != nil || task.replicaRouted {
 		t.Fatalf("the replica-routed get's task came back as %+v, want a clean one", task)
 	}
 	round()
@@ -159,14 +159,14 @@ func TestCoalescedReadStateIsRecycled(t *testing.T) {
 	if replies != 4 || n.stats.GetsCoalesced != 2 {
 		t.Fatalf("%d replies, %d coalesced gets; want 4, 2", replies, n.stats.GetsCoalesced)
 	}
-	if held[0] == nil || held[1] != held[0] || len(n.freeReads) != 1 || n.freeReads[0] != held[0] {
-		t.Fatalf("leaders read through %v, free list %v; want one state, reused and back", held, n.freeReads)
+	if held[0] == nil || held[1] != held[0] || n.freeReads.Len() != 1 || top(&n.freeReads) != held[0] {
+		t.Fatalf("leaders read through %v, %d free states; want one state, reused and back", held, n.freeReads.Len())
 	}
-	if rs := n.freeReads[0]; len(rs.waiters) != 0 || cap(rs.waiters) == 0 {
+	if rs := top(&n.freeReads); len(rs.waiters) != 0 || cap(rs.waiters) == 0 {
 		t.Fatalf("recycled state holds %d waiters (cap %d), want none with its capacity", len(rs.waiters), cap(rs.waiters))
 	}
 	round(true)
-	if replies != 4 || len(n.freeReads) != 1 || n.freeReads[0] != held[0] || len(n.freeReads[0].waiters) != 0 {
-		t.Fatalf("after a restart mid-read: %d replies, free list %v; want no new reply and the state back", replies, n.freeReads)
+	if rs := top(&n.freeReads); replies != 4 || n.freeReads.Len() != 1 || rs != held[0] || len(rs.waiters) != 0 {
+		t.Fatalf("after a restart mid-read: %d replies, %d free states; want no new reply and the state back", replies, n.freeReads.Len())
 	}
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -111,24 +112,16 @@ func (c *counted) holders() *netsim.Holds {
 func takeCounted[M any, P interface {
 	*M
 	counter() *counted
-}](free *[]*M) *M {
-	m := take(free)
+}](free *sim.Free[M]) *M {
+	m := free.Take()
+	if m == nil {
+		m = new(M)
+	}
 	c := P(m).counter()
 	if c.holds.Last == nil {
-		c.holds.Last = func() { *free = append(*free, m) }
+		c.holds.Last = func() { free.Put(m) }
 	}
 	c.holds.Hold()
-	return m
-}
-
-// take takes the last item off a free list, or makes one.
-func take[M any](free *[]*M) *M {
-	k := len(*free)
-	if k == 0 {
-		return new(M)
-	}
-	m := (*free)[k-1]
-	*free = (*free)[:k-1]
 	return m
 }
 

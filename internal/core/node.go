@@ -150,7 +150,6 @@ type putState struct {
 	quorum []controller.NodeAddr
 	item   batchItem
 	obj    kvstore.Object
-	next   *putState // free-list link
 	// coord is the primary this node acknowledges the put to; only its
 	// timestamp messages are verdicts on the put. A deposed primary not
 	// yet told may still commit its own attempt of the same operation, at
@@ -204,8 +203,8 @@ type Node struct {
 	joined     map[netsim.IP]bool
 
 	puts      map[reqKey]*putState
-	freePuts  *putState // released put states, linked through next
-	freeTasks *task     // idle handler spawns, linked through next
+	freePuts  sim.Free[putState] // released put states
+	freeTasks sim.Free[task]     // idle handler spawns
 	orphans   map[reqKey]*orphanState
 	// orphanAge is a ring of the last orphanCap buffers created; once
 	// full, the oldest sits at orphanHead.
@@ -231,20 +230,20 @@ type Node struct {
 	// (CoalesceGets): the first get to reach the store becomes the read
 	// leader, later arrivals park here and are answered from its result.
 	reads     map[string]*readState
-	freeReads []*readState // read states their leaders are done with
+	freeReads sim.Free[readState] // read states their leaders are done with
 
 	// batches holds the per-partition open commit batch (PutBatchWindow):
 	// puts reaching the commit point while a batch leader lingers join it
 	// instead of committing alone.
 	batches     map[int]*putBatch
-	freeBatches []*putBatch // recycled batches (newBatch, leaveBatch)
+	freeBatches sim.Free[putBatch] // recycled batches (newBatch, leaveBatch)
 
 	// The messages this node sends, handed back by the last of their
 	// holders (counted).
-	ack1s      []*Ack1
-	ack2s      []*Ack2
-	putReplies []*PutReply
-	tsMsgs     []*BatchTsMsg
+	ack1s      sim.Free[Ack1]
+	ack2s      sim.Free[Ack2]
+	putReplies sim.Free[PutReply]
+	tsMsgs     sim.Free[BatchTsMsg]
 
 	// committed remembers the versions of recently committed puts by
 	// client quadruplet, so a retry of an already-committed put converges
@@ -705,10 +704,8 @@ func (n *Node) orphan(k reqKey) *orphanState {
 // registerPut installs put state, taken from the free list, for a put
 // coordinated by coord, merging any messages that arrived early.
 func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
-	ps := n.freePuts
-	if ps != nil {
-		n.freePuts, ps.next = ps.next, nil
-	} else {
+	ps := n.freePuts.Take()
+	if ps == nil {
 		ps = &putState{sig: sim.NewQueue[struct{}](n.s), ts: sim.NewFuture[TsMsg](n.s)}
 	}
 	ps.req, ps.coord, ps.gen = req, coord, n.restartGen
@@ -743,7 +740,7 @@ func (n *Node) releasePut(ps *putState) {
 	ps.quorum = ps.quorum[:0]
 	ps.item = batchItem{}
 	ps.obj = kvstore.Object{}
-	ps.next, n.freePuts = n.freePuts, ps
+	n.freePuts.Put(ps)
 }
 
 // mcastLoop receives put transfers and spawns a handler per put. A
@@ -777,15 +774,12 @@ type task struct {
 	msg           any
 	replicaRouted bool // a *GetRequest that arrived on the replica port
 	run           func(p *sim.Proc)
-	next          *task // free-list link
 }
 
 // spawn starts a handler proc named name for msg.
 func (n *Node) spawn(name string, msg any, replicaRouted bool) {
-	t := n.freeTasks
-	if t != nil {
-		n.freeTasks, t.next = t.next, nil
-	} else {
+	t := n.freeTasks.Take()
+	if t == nil {
 		t = &task{n: n}
 		t.run = t.exec
 	}
@@ -797,7 +791,8 @@ func (n *Node) spawn(name string, msg any, replicaRouted bool) {
 // message.
 func (t *task) exec(p *sim.Proc) {
 	n, msg, replicaRouted := t.n, t.msg, t.replicaRouted
-	t.msg, t.replicaRouted, t.next, n.freeTasks = nil, false, n.freeTasks, t
+	t.msg, t.replicaRouted = nil, false
+	n.freeTasks.Put(t)
 	switch m := msg.(type) {
 	case *PutRequest:
 		n.handlePut(p, m)

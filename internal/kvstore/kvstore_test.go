@@ -182,7 +182,8 @@ func TestRecycledLockStateKeepsFIFOAndWithdrawal(t *testing.T) {
 	st := New(s, NullDisk())
 	st.Lock(nil, "other", PutID{Seq: 99}, 0) // a free lock never parks
 	st.Release("other", PutID{Seq: 99})
-	pooled := st.freeLocks[len(st.freeLocks)-1]
+	pooled := st.freeLocks.Take()
+	st.freeLocks.Put(pooled)
 
 	var order []string
 	timedOut := false
@@ -211,9 +212,11 @@ func TestRecycledLockStateKeepsFIFOAndWithdrawal(t *testing.T) {
 	if !timedOut || !slices.Equal(order, []string{"a", "b", "c"}) {
 		t.Fatalf("order %v, timed out %v; want [a b c], true", order, timedOut)
 	}
-	if st.Locked("k") || len(st.freeLocks) != 1 || st.freeLocks[0] != pooled {
-		t.Fatalf("after the last release: locked %v, %d pooled", st.Locked("k"), len(st.freeLocks))
+	n, last := st.freeLocks.Len(), st.freeLocks.Take()
+	if st.Locked("k") || n != 1 || last != pooled {
+		t.Fatalf("after the last release: locked %v, %d pooled", st.Locked("k"), n)
 	}
+	st.freeLocks.Put(last)
 	if n := testing.AllocsPerRun(100, func() {
 		st.Lock(nil, "k", PutID{Seq: 5}, 0)
 		st.Release("k", PutID{Seq: 5})
@@ -226,7 +229,8 @@ func TestRecycledLockStateKeepsFIFOAndWithdrawal(t *testing.T) {
 // queues — granted in arrival order, or withdrawn on timeout — and every
 // queue goes back to the pool empty: the next round's waiters, on the same
 // queues, are granted in order again, and the pool holds as many queues
-// as waited at once however many rounds run.
+// as waited at once however many rounds run. The pooled lock state keeps
+// its wait list's array from round to round.
 func TestGrantQueuesArePooled(t *testing.T) {
 	s := sim.New(1)
 	st := New(s, NullDisk())
@@ -261,11 +265,23 @@ func TestGrantQueuesArePooled(t *testing.T) {
 			}
 		}
 	}
+	// waitArray is the start of the pooled lock state's wait-list array.
+	waitArray := func() *lockWaiter {
+		ls := st.freeLocks.Take()
+		st.freeLocks.Put(ls)
+		if ls == nil || cap(ls.waiters) == 0 {
+			t.Fatal("no pooled lock state with a wait list")
+		}
+		return &ls.waiters[:1][0]
+	}
 	rounds(4)
-	afterN := len(st.freeGrants)
+	afterN, arr := st.freeGrants.Len(), waitArray()
 	rounds(4)
-	if afterN != 3 || len(st.freeGrants) != 3 {
-		t.Fatalf("pooled grant queues: %d after 4 rounds, %d after 8; want 3, one per waiter", afterN, len(st.freeGrants))
+	if afterN != 3 || st.freeGrants.Len() != 3 {
+		t.Fatalf("pooled grant queues: %d after 4 rounds, %d after 8; want 3, one per waiter", afterN, st.freeGrants.Len())
+	}
+	if waitArray() != arr {
+		t.Fatal("the pooled lock state's wait list was reallocated by later rounds")
 	}
 	s.Shutdown()
 }
@@ -310,7 +326,7 @@ func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
 		}
 	}
 	lead(8)
-	afterN := len(st.freeGathers)
+	afterN := st.freeGathers.Len()
 	lead(8)
 	if len(rets) != 16*joiners || st.Stats().CombinedWrites != 16*joiners {
 		t.Fatalf("%d joiners returned, %d combined writes; want %d", len(rets), st.Stats().CombinedWrites, 16*joiners)
@@ -320,8 +336,8 @@ func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
 			t.Fatalf("a joiner of round %d returned at %v, want its gather's write at %v", r.round, r.at, written[r.round])
 		}
 	}
-	if afterN == 0 || len(st.freeGathers) != afterN {
-		t.Fatalf("free gathers: %d after 8 rounds, %d after 16; want the same, nonzero", afterN, len(st.freeGathers))
+	if afterN == 0 || st.freeGathers.Len() != afterN {
+		t.Fatalf("free gathers: %d after 8 rounds, %d after 16; want the same, nonzero", afterN, st.freeGathers.Len())
 	}
 	s.Shutdown()
 }

@@ -16,7 +16,7 @@ type Network struct {
 	drops    int64
 	taps     []tapEntry // in registration order
 	tapSeq   int
-	pktFree  []*Packet // recycled packet structs; see NewPacket
+	pktFree  sim.Free[Packet] // recycled packet structs; see NewPacket
 }
 
 // maxFreePackets bounds the packet free list. A multicast fan-out burst
@@ -36,35 +36,27 @@ const maxFreePackets = 1024
 // Clone first or simply never recycle.
 func (n *Network) NewPacket() *Packet {
 	n.pktID++
-	if ln := len(n.pktFree); ln > 0 {
-		pkt := n.pktFree[ln-1]
-		n.pktFree[ln-1] = nil
-		n.pktFree = n.pktFree[:ln-1]
-		*pkt = Packet{ID: n.pktID}
-		return pkt
+	pkt := n.pktFree.Take()
+	if pkt == nil {
+		pkt = new(Packet)
 	}
-	return &Packet{ID: n.pktID}
+	*pkt = Packet{ID: n.pktID}
+	return pkt
 }
 
 // ClonePacket returns a copy of pkt (payload shared, same ID) drawn from
 // the free list. Used for multicast fan-out, flooding, and OpenFlow
 // rewrite actions.
 func (n *Network) ClonePacket(pkt *Packet) *Packet {
-	if ln := len(n.pktFree); ln > 0 {
-		c := n.pktFree[ln-1]
-		n.pktFree[ln-1] = nil
-		n.pktFree = n.pktFree[:ln-1]
-		*c = *pkt
-		if c.Holds != nil {
-			c.Holds.Hold()
-		}
-		return c
+	c := n.pktFree.Take()
+	if c == nil {
+		c = new(Packet)
 	}
-	c := *pkt
+	*c = *pkt
 	if c.Holds != nil {
 		c.Holds.Hold()
 	}
-	return &c
+	return c
 }
 
 // RecyclePacket returns pkt to the free list. Callers must be the sole
@@ -79,14 +71,14 @@ func (n *Network) RecyclePacket(pkt *Packet) {
 		h.Release()
 	}
 	pkt.Payload = nil // drop the payload reference so the GC can reclaim it
-	if len(n.pktFree) < maxFreePackets {
-		n.pktFree = append(n.pktFree, pkt)
-	}
+	n.pktFree.Put(pkt)
 }
 
 // NewNetwork creates an empty fabric driven by s.
 func NewNetwork(s *sim.Simulator) *Network {
-	return &Network{sim: s}
+	n := &Network{sim: s}
+	n.pktFree.Max = maxFreePackets
+	return n
 }
 
 // Sim returns the driving simulator.

@@ -37,10 +37,8 @@ type Proc struct {
 	parkPrev *Proc
 	isParked bool
 
-	// nextSched links this proc into exactly one of: the ready queue, a
-	// pending batch-wake chain (wakeAll), or the spawn free pool. The
-	// three states are mutually exclusive — ready and wake-chain procs are
-	// alive, pooled procs have exited.
+	// nextSched links this proc into exactly one of: the ready queue or a
+	// pending batch-wake chain (wakeAll).
 	nextSched *Proc
 }
 
@@ -60,11 +58,8 @@ type killed struct{}
 // that comes first reaps it like any other parked process.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.nprocs++
-	p := s.freeProcs
+	p := s.freeProcs.Take()
 	if p != nil {
-		s.freeProcs = p.nextSched
-		s.npooled--
-		p.nextSched = nil
 		p.name = name
 		p.fn = fn
 		p.kill = false // a fresh tenant never inherits a pending kill
@@ -104,11 +99,8 @@ func (p *Proc) run(yield func(struct{}) bool) {
 			// event in the wheel may still reference p, so it cannot be
 			// reused: unlink it and let the coroutine end below.
 			s.removeParked(p)
-		} else if s.npooled < maxFreeProcs {
-			p.nextSched = s.freeProcs
-			s.freeProcs = p
-			s.npooled++
-			pooled = true
+		} else {
+			pooled = s.freeProcs.Put(p)
 		}
 		// The coroutine still holds the scheduler role: keep the run going.
 		// If dispatch returns p itself, a Spawn fired from this very loop
@@ -193,8 +185,7 @@ type waiter struct {
 
 // newWaiter takes a waiter off the free list, or allocates one.
 func (s *Simulator) newWaiter(p *Proc) *waiter {
-	if w := s.freeWaiters; w != nil {
-		s.freeWaiters = w.next
+	if w := s.freeWaiters.Take(); w != nil {
 		w.p, w.fired, w.next = p, false, nil
 		return w
 	}
@@ -210,8 +201,7 @@ func (s *Simulator) freeWaiter(w *waiter) {
 		return
 	}
 	w.p = nil
-	w.next = s.freeWaiters
-	s.freeWaiters = w
+	s.freeWaiters.Put(w)
 }
 
 // parkTimed parks p on l until a waker pops its waiter or the deadline

@@ -227,7 +227,7 @@ func TestProcPanicInEventFromProcDispatch(t *testing.T) {
 	if victim.isParked || s.parked != nil {
 		t.Error("panic-unwound proc still on the parked list")
 	}
-	if s.npooled != 0 || s.freeProcs != nil {
+	if s.freeProcs.Len() != 0 {
 		t.Error("panic-unwound proc entered the spawn pool")
 	}
 	if s.LiveProcs() != 0 {

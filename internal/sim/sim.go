@@ -66,10 +66,9 @@ type Simulator struct {
 	parked      *Proc // intrusive doubly-linked list of parked procs
 	readyHead   *Proc // FIFO of woken procs awaiting their turn
 	readyTail   *Proc
-	freeProcs   *Proc // exited procs whose coroutines await re-arm (Spawn pool)
-	npooled     int
-	free        []*event // recycled event structs
-	freeWaiters *waiter  // recycled wait-list nodes (see newWaiter)
+	freeProcs   Free[Proc]   // exited procs whose coroutines await re-arm (Spawn pool)
+	free        Free[event]  // recycled event structs
+	freeWaiters Free[waiter] // recycled wait-list nodes (see newWaiter)
 	nprocs      int
 	fail        error // first process failure, stops the run
 	limit       Time  // 0 = no limit
@@ -85,6 +84,8 @@ const maxTime = Time(1<<63 - 1)
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
 	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
+	s.free.Max = maxFreeEvents
+	s.freeProcs.Max = maxFreeProcs
 	s.wheel.init()
 	return s
 }
@@ -100,10 +101,7 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // initializes it for scheduling.
 func (s *Simulator) newEvent(t Time, fn func()) *event {
 	s.seq++
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	if e := s.free.Take(); e != nil {
 		e.at = t
 		e.seq = s.seq
 		e.fn = fn
@@ -120,9 +118,7 @@ func (s *Simulator) freeEvent(e *event) {
 	e.fn2 = nil
 	e.arg1, e.arg2 = nil, nil
 	e.gen++
-	if len(s.free) < maxFreeEvents {
-		s.free = append(s.free, e)
-	}
+	s.free.Put(e)
 }
 
 // fire advances the clock to e, recycles it, and runs its callback. The
@@ -361,11 +357,7 @@ func (s *Simulator) Shutdown() {
 		p.kill = true
 		p.next()
 	}
-	for s.freeProcs != nil {
-		p := s.freeProcs
-		s.freeProcs = p.nextSched
-		p.nextSched = nil
-		s.npooled--
+	for p := s.freeProcs.Take(); p != nil; p = s.freeProcs.Take() {
 		p.kill = true
 		p.next()
 	}

@@ -186,7 +186,7 @@ func TestTimedWaitLeavesNoWaiterBehind(t *testing.T) {
 		t.Errorf("timed wait allocates %.1f objects per PopTimeout+WaitTimeout, want 0", allocs)
 	}
 	// One waiter serves every wait: it goes back to the free list each time.
-	if w := s.freeWaiters; w == nil || w.next != nil {
+	if s.freeWaiters.Len() != 1 {
 		t.Error("free list should hold exactly the one recycled waiter")
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
+	"repro/internal/sim"
 )
 
 // Reply is the Parser's recipe for answering a get from the cache: the
@@ -71,16 +72,14 @@ type entry struct {
 	size  int
 	ver   uint64 // version of the committed put that produced the value
 	hits  int64
-	next  *entry // free-list link
 }
 
 // missSample carries one mirrored miss to the detector. It holds the key
 // itself: the packet's request may be rewritten (a traffic slot
 // reissued) before the upcall fires.
 type missSample struct {
-	c    *Cache
-	key  string
-	next *missSample // free-list link
+	c   *Cache
+	key string
 }
 
 // cacheCmd is one InstallAs or EvictAs in flight on the control channel.
@@ -91,7 +90,6 @@ type cacheCmd struct {
 	value any
 	size  int
 	ver   uint64
-	next  *cacheCmd // free-list link
 }
 
 // invalCap bounds the invalidation-version memory: versions are only
@@ -125,9 +123,9 @@ type Cache struct {
 	residents *Sketch
 
 	// Free lists: removed entries, delivered samples, applied commands.
-	freeEntries *entry
-	freeSamples *missSample
-	freeCmds    *cacheCmd
+	freeEntries sim.Free[entry]
+	freeSamples sim.Free[missSample]
+	freeCmds    sim.Free[cacheCmd]
 }
 
 // Attach adds a cache to dp's stage chain and returns it. Call before
@@ -174,18 +172,16 @@ func (c *Cache) remove(key string, e *entry) {
 	if c.residents != nil {
 		c.residents.Untrack(key)
 	}
-	*e = entry{next: c.freeEntries}
-	c.freeEntries = e
+	*e = entry{}
+	c.freeEntries.Put(e)
 }
 
 // newEntry takes an entry off the free list, or makes one.
 func (c *Cache) newEntry() *entry {
-	e := c.freeEntries
-	if e == nil {
-		return &entry{}
+	if e := c.freeEntries.Take(); e != nil {
+		return e
 	}
-	c.freeEntries, e.next = e.next, nil
-	return e
+	return &entry{}
 }
 
 // Config returns the cache's effective configuration.
@@ -265,11 +261,9 @@ func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool 
 
 // sample takes a miss sample off the free list, or makes one, for key.
 func (c *Cache) sample(key string) *missSample {
-	ms := c.freeSamples
+	ms := c.freeSamples.Take()
 	if ms == nil {
 		ms = &missSample{c: c}
-	} else {
-		c.freeSamples, ms.next = ms.next, nil
 	}
 	ms.key = key
 	return ms
@@ -279,18 +273,17 @@ func (c *Cache) sample(key string) *missSample {
 func deliverSample(a1, _ any) {
 	ms := a1.(*missSample)
 	c, key := ms.c, ms.key
-	ms.key, ms.next, c.freeSamples = "", c.freeSamples, ms
+	ms.key = ""
+	c.freeSamples.Put(ms)
 	c.sampler(key)
 }
 
 // command takes a command off the free list, or makes one.
 func (c *Cache) command() *cacheCmd {
-	cmd := c.freeCmds
-	if cmd == nil {
-		return &cacheCmd{c: c}
+	if cmd := c.freeCmds.Take(); cmd != nil {
+		return cmd
 	}
-	c.freeCmds, cmd.next = cmd.next, nil
-	return cmd
+	return &cacheCmd{c: c}
 }
 
 // InstallAs is the controller's entry insertion, issued under writer
@@ -323,8 +316,8 @@ func (cmd *cacheCmd) Apply(admitted bool) {
 	} else {
 		c.install(admitted, cmd.key, cmd.value, cmd.size, cmd.ver)
 	}
-	*cmd = cacheCmd{c: c, next: c.freeCmds}
-	c.freeCmds = cmd
+	*cmd = cacheCmd{c: c}
+	c.freeCmds.Put(cmd)
 }
 
 func (c *Cache) install(admitted bool, key string, value any, size int, ver uint64) {

@@ -223,7 +223,7 @@ type MulticastReceiver struct {
 	// free holds the states of transfers that completed or were given up.
 	// Nothing else reaches one: its watchdog was cancelled at completion or
 	// fired for the last time at abandonment, and release cleared last.
-	free []*rxState
+	free sim.Free[rxState]
 }
 
 // BindMulticast binds a multicast receiver on port.
@@ -350,13 +350,11 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 // newRx returns a clean state for a new transfer of total chunks, reusing
 // a released one, and its heap bitmap, when there is one.
 func (r *MulticastReceiver) newRx(key xferKey, total int) *rxState {
-	var st *rxState
-	if n := len(r.free); n > 0 {
-		st = r.free[n-1]
-		r.free = r.free[:n-1]
-		*st = rxState{spill: st.spill}
-	} else {
+	st := r.free.Take()
+	if st == nil {
 		st = new(rxState)
+	} else {
+		*st = rxState{spill: st.spill}
 	}
 	st.key, st.total = key, total
 	if words := (total + 63) / 64; words <= len(st.inline) {
@@ -396,7 +394,7 @@ func (r *MulticastReceiver) release(st *rxState) {
 		r.last = nil
 	}
 	st.data, st.holds = nil, nil
-	r.free = append(r.free, st)
+	r.free.Put(st)
 }
 
 // abandon forgets an incomplete transfer and recycles its state; a later
@@ -544,11 +542,8 @@ type mcastSend struct {
 // newSend takes a clean send state from the stack's pool, or makes one,
 // held by the send.
 func (st *Stack) newSend() *mcastSend {
-	var tx *mcastSend
-	if n := len(st.txFree); n > 0 {
-		tx = st.txFree[n-1]
-		st.txFree = st.txFree[:n-1]
-	} else {
+	tx := st.txFree.Take()
+	if tx == nil {
 		tx = &mcastSend{st: st}
 		tx.holds.Last = tx.recycle
 	}
@@ -574,7 +569,7 @@ func (tx *mcastSend) recycle() {
 	st, last := tx.st, tx.holds.Last
 	*tx = mcastSend{st: st}
 	tx.holds.Last = last
-	st.txFree = append(st.txFree, tx)
+	st.txFree.Put(tx)
 }
 
 // end ends tx and returns its result, copied out first.

@@ -51,9 +51,9 @@ type Stack struct {
 	conns     map[connKey]*Conn
 	dialed    map[uint16]int // live dialed streams per local port
 	mrecv     map[uint16]*MulticastReceiver
-	lastMrecv *MulticastReceiver // receiver of the latest chunk, if still bound
-	ctrlFree  []*UDPSocket       // idle multicast sender control sockets, still bound
-	txFree    []*mcastSend       // idle multicast send states (newSend)
+	lastMrecv *MulticastReceiver  // receiver of the latest chunk, if still bound
+	ctrlFree  sim.Free[UDPSocket] // idle multicast sender control sockets, still bound
+	txFree    sim.Free[mcastSend] // idle multicast send states (newSend)
 	nextEphem uint16
 	xferSeq   uint64
 }
@@ -187,9 +187,7 @@ func (st *Stack) BindUDP(port uint16) (*UDPSocket, error) {
 // ctrlSocket hands a multicast send a control socket: an idle one from
 // the stack's pool, or a new ephemeral bind. The send sets its xfer.
 func (st *Stack) ctrlSocket() (*UDPSocket, error) {
-	if n := len(st.ctrlFree); n > 0 {
-		u := st.ctrlFree[n-1]
-		st.ctrlFree = st.ctrlFree[:n-1]
+	if u := st.ctrlFree.Take(); u != nil {
 		return u, nil
 	}
 	u, err := st.BindUDP(0)
@@ -211,7 +209,7 @@ func (st *Stack) releaseCtrl(u *UDPSocket) {
 	for u.rq.Len() > 0 {
 		u.rq.TryPop()
 	}
-	st.ctrlFree = append(st.ctrlFree, u)
+	st.ctrlFree.Put(u)
 }
 
 // MustBindUDP is BindUDP that panics on error; for topology setup.

@@ -1517,7 +1517,7 @@ func TestStragglerKeepsItsControlSocket(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			pooled[i] = len(st.txFree)
+			pooled[i] = st.txFree.Len()
 			return res
 		}
 		quorum := send(0, g, 256*1024, 2, 1) // host 1 finishes; host 2 straggles
@@ -1611,7 +1611,8 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 	var reused [3]bool
 	h.s.Spawn("chunks", func(p *sim.Proc) {
 		stalled(p, 1, 3, 1)
-		first = r.free[0]
+		first = r.free.Take() // the only free state
+		r.free.Put(first)
 		stalled(p, 2, 2, 0)
 		for x := uint64(3); x < a; x++ {
 			chunk(x, 1, 0)
@@ -1632,8 +1633,8 @@ func TestRecycledRxStateStartsClean(t *testing.T) {
 		}
 	})
 	h.run(t)
-	if reused != [3]bool{true, true, true} || len(r.free) != 1 {
-		t.Fatalf("transfers %d, %d and %d reused transfer 1's state: %v; %d states free, want 1", a, b, c, reused, len(r.free))
+	if reused != [3]bool{true, true, true} || r.free.Len() != 1 {
+		t.Fatalf("transfers %d, %d and %d reused transfer 1's state: %v; %d states free, want 1", a, b, c, reused, r.free.Len())
 	}
 	want := []nack{{1, []int{1}}, {2, []int{0}}, {a, []int{1}}, {b, []int{70}}, {c, []int{30}}}
 	if !reflect.DeepEqual(nacks, want) {
@@ -1699,8 +1700,8 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 	if objects != 0 || bytes != 0 {
 		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, %d bytes; want none", objects, bytes)
 	}
-	if len(h.stacks[0].udp) != 1 || len(h.stacks[0].txFree) != 1 {
-		t.Fatalf("the sender holds %d sockets and %d pooled send states, want one of each", len(h.stacks[0].udp), len(h.stacks[0].txFree))
+	if len(h.stacks[0].udp) != 1 || h.stacks[0].txFree.Len() != 1 {
+		t.Fatalf("the sender holds %d sockets and %d pooled send states, want one of each", len(h.stacks[0].udp), h.stacks[0].txFree.Len())
 	}
 }
 
