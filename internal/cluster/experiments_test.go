@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -146,6 +147,14 @@ func TestFig9Shape(t *testing.T) {
 	}
 	if twopc < prim {
 		t.Errorf("fig9 4B: 2PC (%.4g) should cost more than primary-only (%.4g)", twopc, prim)
+	}
+	// R = 1 has nothing to replicate, and every system forces a put's
+	// object once (a prepare's WAL record carries it): the three put a 4 B
+	// object within 2 % of each other.
+	r1 := []float64{mustVal(t, small, "NICE", "1"), mustVal(t, small, "NOOB primary-only", "1"),
+		mustVal(t, small, "NOOB 2PC", "1")}
+	if lo, hi := slices.Min(r1), slices.Max(r1); hi > 1.02*lo {
+		t.Errorf("fig9 4B R=1: puts span %.4g-%.4g (%.3gx), want within 2 %%", lo, hi, hi/lo)
 	}
 	// 1MB: NOOB degrades steeply with R (paper ~7x from R=1 to 9); NICE
 	// degrades only slightly (paper 17%).

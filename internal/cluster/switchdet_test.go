@@ -8,12 +8,14 @@ import (
 
 // fig5GoldenHash is the FNV-1a hash of the rendered fig5/6/7 figures at
 // Ops=40, Seed=42, first captured from the linear-scan flow table before
-// the indexed fast path landed, and re-recorded once since, when the
+// the indexed fast path landed, and re-recorded twice since: when the
 // multicast sender began to slide its window (NICE's puts of 64 KB and up
-// moved; no NOOB column and no smaller row did). The indexed table must
-// reproduce the sweep bit-identically: any drift in match selection,
-// tie-breaking, or idle expiry shows up here as a different hash.
-const fig5GoldenHash uint64 = 0x8096a3ed425070d0
+// moved; no NOOB column and no smaller row did), and when a prepare became
+// one forced write (every NICE put moved; no NOOB column did). The
+// indexed table must reproduce the sweep bit-identically: any drift in
+// match selection, tie-breaking, or idle expiry shows up here as a
+// different hash.
+const fig5GoldenHash uint64 = 0xf838d5b592ce53c3
 
 // TestFig5BitIdenticalGolden locks the replication sweep's metrics to the
 // pre-index implementation.

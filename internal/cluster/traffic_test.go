@@ -151,8 +151,10 @@ func TestTrafficArrivalZeroAlloc(t *testing.T) {
 // stream over 256 keys, a 10ms sketch decay, and a closed-loop writer
 // invalidating the eight hottest keys while the table churns. The
 // expected counters were recorded from commit bc72f9c, where the victim
-// was chosen by scanning the sorted table; a different victim on any
-// tie (lowest estimate, then smallest key) moves them.
+// was chosen by scanning the sorted table, and re-recorded once since,
+// when a prepare became one forced write and the writer's puts got
+// faster; a different victim on any tie (lowest estimate, then smallest
+// key) moves them.
 func TestCacheAdmissionPinned(t *testing.T) {
 	base := heavyTrafficBase(3)
 	base.CacheCapacity = 16
@@ -187,12 +189,12 @@ func TestCacheAdmissionPinned(t *testing.T) {
 		}); err != nil {
 			return err
 		}
-		wantMgr := controller.CacheManagerStats{Sampled: 1641, Fetches: 532, Installs: 369, Evicts: 329}
+		wantMgr := controller.CacheManagerStats{Sampled: 1675, Fetches: 577, Installs: 399, Evicts: 354}
 		if got := d.CacheMgr.Stats(); got != wantMgr {
 			t.Errorf("manager stats %+v, want %+v", got, wantMgr)
 		}
 		wantCache := metrics.CacheCounters{
-			Hits: 1371, Misses: 1641, Installs: 191, Evictions: 160, Invalidations: 15, Rejected: 174,
+			Hits: 1337, Misses: 1675, Installs: 201, Evictions: 171, Invalidations: 14, Rejected: 191,
 			Occupancy: 16, Capacity: 16,
 		}
 		if got := d.Cache.Stats(); got != wantCache {

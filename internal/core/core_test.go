@@ -282,7 +282,7 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 					n := NewNode(a, cfg)
 					s.Spawn("test", func(p *sim.Proc) {
 						n.store.AppendLog(p, kvstore.LogRecord{Tag: st.record,
-							Obj: kvstore.Object{Key: "k", Value: "prepared", Size: 1}})
+							Obj: kvstore.Object{Key: "k", Value: "prepared", Size: 1}}, 0)
 						if st.holder != nil {
 							n.store.Lock(p, "k", *st.holder, 0)
 						}
@@ -377,7 +377,7 @@ func TestRejoinWaitsOutAnOpenPrepare(t *testing.T) {
 		member.store.Put(p, &kvstore.Object{Key: "k", Value: "v1", Size: 8, Version: kvstore.Timestamp{PrimarySeq: 1}})
 		member.registerPut(put, b.IP())
 		member.store.AppendLog(p, kvstore.LogRecord{Tag: put.key(),
-			Obj: kvstore.Object{Key: "k", Value: "v2", Size: 8}})
+			Obj: kvstore.Object{Key: "k", Value: "v2", Size: 8}}, 0)
 		rejoiner.recovering = true
 		s.Spawn("recover", func(p *sim.Proc) {
 			rejoiner.recover(p, &controller.RejoinInfo{Views: []*controller.PartitionView{view.Clone()},

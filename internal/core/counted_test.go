@@ -14,22 +14,15 @@ import (
 	"repro/internal/transport"
 )
 
-// trio wires a client and three storage nodes through one switch that
-// forwards unicast by address and floods everything else, so the put and
-// timestamp multicasts reach the nodes that joined the group. The nodes
-// serve both partitions of the key space, node 0 their primary, and each
-// partition's put group is its address on the client's multicast vring
-// (no vnode bits). Heartbeats are an hour apart. put runs one put of key
-// to completion and fails the test if it fails.
-func trio(t *testing.T) (s *sim.Simulator, c *Client, nodes []*Node, put func(key string)) {
-	t.Helper()
-	s = sim.New(1)
+// star wires hosts 10.0.0.1… to one switch that forwards unicast by
+// address and floods everything else.
+func star(s *sim.Simulator, hosts int) []*transport.Stack {
 	nw := netsim.NewNetwork(s)
-	sw := nw.NewSwitch("sw", 4, time.Microsecond)
+	sw := nw.NewSwitch("sw", hosts, time.Microsecond)
 	ports := map[netsim.IP]int{}
 	macs := map[netsim.IP]netsim.MAC{}
 	var stacks []*transport.Stack
-	for i := 0; i < 4; i++ {
+	for i := 0; i < hosts; i++ {
 		h := nw.NewHost("h"+itoa(i), netsim.IPv4(10, 0, 0, byte(i+1)))
 		nw.Connect(h.Port(), sw.Port(i), netsim.Gbps(1, 0))
 		ports[h.IP()], macs[h.IP()] = i, h.MAC()
@@ -44,6 +37,19 @@ func trio(t *testing.T) (s *sim.Simulator, c *Client, nodes []*Node, put func(ke
 		sw.Flood(pkt, in)
 		sw.Network().RecyclePacket(pkt)
 	}))
+	return stacks
+}
+
+// trio wires a client and three storage nodes through a star, so the put
+// and timestamp multicasts reach the nodes that joined the group. The nodes
+// serve both partitions of the key space, node 0 their primary, and each
+// partition's put group is its address on the client's multicast vring
+// (no vnode bits). Heartbeats are an hour apart. put runs one put of key
+// to completion and fails the test if it fails.
+func trio(t *testing.T) (s *sim.Simulator, c *Client, nodes []*Node, put func(key string)) {
+	t.Helper()
+	s = sim.New(1)
+	stacks := star(s, 4)
 
 	const parts = 2
 	groups := ring.MustVRing(netsim.PrefixOf(netsim.MustParseIP("239.1.0.0"), 24), parts, 0)

@@ -69,15 +69,10 @@ func (n *Node) preparePut(p *sim.Proc, v *controller.PartitionView, req *PutRequ
 	ps.obj = kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size}
 	obj := &ps.obj
 	rec := kvstore.LogRecord{Obj: ps.obj, Tag: k, Attempt: req.Attempt}
-	if n.cfg.PutBatchWindow > 0 {
-		// Batched prepare (DESIGN.md §16): co-arriving prepares on this
-		// replica share one forced disk write for their log records and
-		// object bytes, mirroring the batched commit on the primary.
-		n.store.AppendLogCombined(p, rec, n.cfg.PutBatchWindow)
-	} else {
-		n.store.AppendLog(p, rec)
-		n.store.ChargeWrite(p, req.Size)
-	}
+	// One forced write is +L and W (DESIGN.md §6). With a batch window,
+	// co-arriving prepares on this replica share it, mirroring the
+	// primary's batched commit (§16).
+	n.store.AppendLog(p, rec, n.cfg.PutBatchWindow)
 	if n.stale(ps) {
 		// Crashed while forcing the WAL record: withdraw it unless a newer
 		// put already replaced it with its own (this handler's lock died

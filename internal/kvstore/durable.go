@@ -41,10 +41,7 @@ func (d *storeDisk) ReadDisk(p *sim.Proc, bytes int) {
 // StreamDisk reads an evicted key that feeds a reply (Store.streamRead).
 func (d *storeDisk) StreamDisk(p *sim.Proc, bytes int) { (*Store)(d).streamRead(p, bytes) }
 
-func (d *storeDisk) WriteDisk(p *sim.Proc, bytes int) {
-	st := (*Store)(d)
-	st.diskRes.Use(p, xferTime(st.disk.WriteLatency, st.disk.WriteBps, bytes))
-}
+func (d *storeDisk) WriteDisk(p *sim.Proc, bytes int) { (*Store)(d).forceWrite(p, bytes) }
 
 // Durable reports whether the main namespace is engine-backed.
 func (st *Store) Durable() bool { return st.eng != nil }

@@ -304,7 +304,7 @@ func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
 	seq := 0
 	prepare := func(p *sim.Proc) {
 		seq++
-		st.AppendLogCombined(p, LogRecord{Obj: Object{Key: fmt.Sprint("k", seq), Size: 512}, Tag: PutID{Seq: uint64(seq)}}, window)
+		st.AppendLog(p, LogRecord{Obj: Object{Key: fmt.Sprint("k", seq), Size: 512}, Tag: PutID{Seq: uint64(seq)}}, window)
 	}
 	lead := func(rounds int) {
 		s.Spawn("leader", func(p *sim.Proc) {
@@ -342,6 +342,43 @@ func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
 	s.Shutdown()
 }
 
+// TestUnbatchedPrepareNeverGathers: with no window, AppendLog books one
+// forced write of the record and its object the moment it is called and
+// opens no gather. Two prepares arriving in the same instant finish FIFO,
+// each on its own write, and each record is open in the WAL while its
+// write is in flight.
+func TestUnbatchedPrepareNeverGathers(t *testing.T) {
+	disk := SSD()
+	w := xferTime(disk.WriteLatency, disk.WriteBps, 64+1024)
+	s := sim.New(1)
+	st := New(s, disk)
+	var done []string
+	for i := 1; i <= 2; i++ {
+		key := fmt.Sprint("k", i)
+		s.Spawn("prepare", func(p *sim.Proc) {
+			st.AppendLog(p, LogRecord{Obj: Object{Key: key, Size: 1024}, Tag: PutID{Seq: uint64(i)}}, 0)
+			if want := sim.Time(i) * w; p.Now() != want {
+				t.Errorf("%s prepared at %v, want %v", key, p.Now(), want)
+			}
+			done = append(done, key)
+		})
+	}
+	s.At(w/2, func() {
+		if !st.HasLog("k1") || !st.HasLog("k2") {
+			t.Error("a prepare whose write is in flight is missing from the WAL")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	if got := st.Stats(); !slices.Equal(done, []string{"k1", "k2"}) || got.DiskWrites != 2 ||
+		got.CombinedWrites != 0 || got.DiskBusy != 2*w || st.freeGathers.Len() != 0 {
+		t.Fatalf("prepared %v with %d writes, %d combined, %v booked, %d gathers; want [k1 k2], 2, 0, %v, 0",
+			done, got.DiskWrites, got.CombinedWrites, got.DiskBusy, st.freeGathers.Len(), 2*w)
+	}
+}
+
 // TestReleaseIsOwnerChecked: the WAL survives a restart and the locks do
 // not, so a key can carry put A's record under put B's lock. Releasing A
 // must end A's prepare only.
@@ -349,7 +386,7 @@ func TestReleaseIsOwnerChecked(t *testing.T) {
 	a, b, c := PutID{Client: 1, Seq: 1}, PutID{Client: 1, Seq: 2}, PutID{Client: 2, Seq: 1}
 	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
 		st.Lock(p, "k", a, 0)
-		st.AppendLog(p, LogRecord{Obj: Object{Key: "k"}, Tag: a})
+		st.AppendLog(p, LogRecord{Obj: Object{Key: "k"}, Tag: a}, 0)
 		st.ResetLocks()
 		st.Lock(p, "k", b, 0)
 
@@ -367,7 +404,7 @@ func TestReleaseIsOwnerChecked(t *testing.T) {
 		granted := false
 		p.Sim().Spawn("waiter", func(p *sim.Proc) { granted = st.Lock(p, "k", c, 0) })
 		p.Sleep(time.Millisecond)
-		st.AppendLog(p, LogRecord{Obj: Object{Key: "k"}, Tag: b})
+		st.AppendLog(p, LogRecord{Obj: Object{Key: "k"}, Tag: b}, 0)
 		if !st.Release("k", b) || st.HasLog("k") {
 			t.Error("the owner's release did not drop its record")
 		}
@@ -387,7 +424,7 @@ func TestReleaseIsOwnerChecked(t *testing.T) {
 func TestWAL(t *testing.T) {
 	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
 		rec := LogRecord{Obj: Object{Key: "k", Size: 10, Version: ts(1, 1)}, Tag: PutID{Seq: 7}}
-		st.AppendLog(p, rec)
+		st.AppendLog(p, rec, 0)
 		if !st.HasLog("k") {
 			t.Error("log record missing")
 		}

@@ -174,7 +174,7 @@ func TestEvictedReadStreams(t *testing.T) {
 	var woke, next sim.Time
 	n.read("big", &woke)
 	n.s.Spawn("write", func(p *sim.Proc) {
-		n.st.ChargeWrite(p, 512)
+		n.st.AppendLog(p, LogRecord{Obj: Object{Key: "w", Size: 512 - 64}}, 0)
 		next = p.Now()
 	})
 	n.run(t)

@@ -126,8 +126,7 @@ func (n *Node) handle(p *sim.Proc, body any) (any, int) {
 	case *Prepare:
 		n.store.Lock(p, m.Key, putID(m.Ver), 0)
 		obj := kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: m.Ver}
-		n.store.AppendLog(p, kvstore.LogRecord{Obj: obj, Tag: putID(m.Ver)})
-		n.store.ChargeWrite(p, m.Size)
+		n.store.AppendLog(p, kvstore.LogRecord{Obj: obj, Tag: putID(m.Ver)}, 0)
 		return &Ack{OK: true, From: n.cfg.Self.Index}, ackSize
 	case *Commit:
 		if rec, ok := n.store.LogOf(m.Key); ok && rec.Obj.Version == m.Ver {
@@ -277,8 +276,7 @@ func (n *Node) put2PC(p *sim.Proc, m *PutReq, ver kvstore.Timestamp, secondaries
 	id := putID(ver)
 	n.store.Lock(p, m.Key, id, 0)
 	obj := kvstore.Object{Key: m.Key, Value: m.Value, Size: m.Size, Version: ver}
-	n.store.AppendLog(p, kvstore.LogRecord{Obj: obj, Tag: id})
-	n.store.ChargeWrite(p, m.Size)
+	n.store.AppendLog(p, kvstore.LogRecord{Obj: obj, Tag: id}, 0)
 
 	round := func(mk func() any, size int, quorum int) bool {
 		if len(secondaries) == 0 {
