@@ -770,7 +770,7 @@ func kernelBenchmarks() []kernelResult {
 					samples--
 				}
 			}
-			if victim, cold := s.Coldest(); cold < s.Estimate(cand) {
+			if victim, cold := s.Coldest(); cold < uint64(s.Estimate(cand)) {
 				s.Untrack(victim)
 				delete(resident, victim)
 				s.Track(cand)
@@ -1106,15 +1106,16 @@ func nicePutBenchmark(batched bool) (bench func(b *testing.B), shutdown func()) 
 // serves from memory. The requester is a bare socket pair that reuses its
 // two requests and frees their reply rooms, as the traffic engine does,
 // so the count per op is the serving side's alone. The hot key is
-// installed directly and the detector's threshold is out of reach, so
-// the missed key is sampled but never fetched; heartbeats are an hour
-// apart. shutdown ends the fixture's procs.
+// installed directly into a one-entry table and the detector's threshold
+// is out of reach, so the missed key is sampled but never fetched;
+// heartbeats are an hour apart. shutdown ends the fixture's procs.
 func niceGetBenchmark() (bench func(b *testing.B), shutdown func()) {
 	const replyPort = 8100
 	opts := cluster.DefaultOptions()
 	opts.Nodes, opts.R = 3, 3
 	opts.Heartbeat = time.Hour
 	opts.Cache = true
+	opts.CacheCapacity = 1
 	opts.CacheHotThreshold = math.MaxUint32
 	d := cluster.NewNICE(opts)
 	failure := d.Settle()
@@ -1183,8 +1184,8 @@ func niceGetBenchmark() (bench func(b *testing.B), shutdown func()) {
 	for i := 0; i < 10_000; i++ {
 		get()
 	}
-	if failure == nil && d.Cache.HitsOf("hot") != 10_000 {
-		failure = fmt.Errorf("NiceGet: %d of 10000 hot gets hit the switch cache", d.Cache.HitsOf("hot"))
+	if hits := d.Cache.Stats().Hits; failure == nil && hits != 10_000 {
+		failure = fmt.Errorf("NiceGet: %d of 10000 hot gets hit the switch cache", hits)
 	}
 	return func(b *testing.B) {
 		b.ReportAllocs()

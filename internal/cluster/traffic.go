@@ -211,7 +211,11 @@ func NewTrafficEngine(d *NICE, opts TrafficOptions) *TrafficEngine {
 		e.keys[i] = fmt.Sprintf("user%d", i)
 		e.addr[i] = d.Unicast.AddrOfKey(e.keys[i])
 	}
-	synthSrcIPs(e.src, d.Opts.R)
+	realIPs := make([]netsim.IP, len(d.CStacks))
+	for i, st := range d.CStacks {
+		realIPs[i] = st.IP()
+	}
+	synthSrcIPs(e.src, d.Opts.R, realIPs)
 	for c := range e.gwOf {
 		e.gwOf[c] = uint8(c % len(d.Gateways))
 	}
@@ -267,11 +271,16 @@ func NewTrafficEngine(d *NICE, opts TrafficOptions) *TrafficEngine {
 // synthSrcIPs fills src with per-division virtual client addresses inside
 // 192.168.0.0/16: client i lands in load-balancing division i mod r, at a
 // bit-reversed offset so sequential clients spread uniformly over each
-// division's range. The space holds 2^16 addresses, so above ~65k clients
-// offsets repeat — harmless, since nothing routes on the virtual source
-// (replies return by the request's embedded gateway address and MAC) and
-// the LB rules classify on the division prefix.
-func synthSrcIPs(src []netsim.IP, r int) {
+// division's range. The space holds 2^16 addresses, so above ~49k clients
+// (at r = 3) offsets repeat. Virtual clients may share an address: a
+// node's reply returns by the request's embedded gateway address, a
+// cache hit's by the leaf's client-space route to its gateway, and the LB
+// rules classify on the division prefix. A real client's address is
+// different: its host route takes a cache hit's reply to that client, and
+// the virtual get times out. So an offset landing on an address in realIPs
+// moves to the far half of its division, then on to the next offset that
+// is not; every other client keeps its address.
+func synthSrcIPs(src []netsim.IP, r int, realIPs []netsim.IP) {
 	if r < 1 {
 		r = 1
 	}
@@ -281,10 +290,18 @@ func synthSrcIPs(src []netsim.IP, r int) {
 	}
 	width := uint32(1) << (16 - divBits)
 	base := netsim.MustParseIP("192.168.0.0")
+	taken := make(map[netsim.IP]bool, len(realIPs))
+	for _, ip := range realIPs {
+		taken[ip] = true
+	}
 	for i := range src {
 		div := uint32(i % r)
 		off := bits.Reverse32(uint32(i/r)) >> (16 + divBits)
-		src[i] = base.Add(div*width + off%width)
+		ip := base.Add(div*width + off%width)
+		for n := uint32(0); taken[ip] && n < width; n++ {
+			ip = base.Add(div*width + (off+width/2+n)%width)
+		}
+		src[i] = ip
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -69,17 +70,23 @@ func TestHeavyTrafficDeterminism(t *testing.T) {
 }
 
 // TestSynthSrcIPs checks the virtual source synthesis: every address in
-// client space, division assignment i mod r, and offsets spread across
-// each division's range rather than clustering at its base.
+// client space, division assignment i mod r, offsets spread across each
+// division's range rather than clustering at its base, and — at a fleet
+// large enough for offsets to wrap — no virtual client on a real
+// client's address, with every client not landing on one left where the
+// bit-reversed offset put it.
 func TestSynthSrcIPs(t *testing.T) {
 	const r = 3
-	src := make([]netsim.IP, 4096)
-	synthSrcIPs(src, r)
+	realIPs := []netsim.IP{clientIP(0, r), clientIP(1, r), clientIP(2, r), clientIP(3, r)}
+	src := make([]netsim.IP, 1<<16)
+	synthSrcIPs(src, r, realIPs)
+	plain := make([]netsim.IP, len(src))
+	synthSrcIPs(plain, r, nil)
 	space := netsim.MustParsePrefix("192.168.0.0/16")
 	base := netsim.MustParseIP("192.168.0.0")
 	// r=3 rounds up to 4 division slots of 2^14 addresses.
 	const width = 1 << 14
-	seenHigh := 0
+	seenHigh, moved := 0, 0
 	for i, ip := range src {
 		if !space.Contains(ip) {
 			t.Fatalf("client %d: %v outside client space", i, ip)
@@ -91,9 +98,21 @@ func TestSynthSrcIPs(t *testing.T) {
 		if off%width >= width/2 {
 			seenHigh++
 		}
+		if slices.Contains(realIPs, ip) {
+			t.Fatalf("client %d: %v is a real client's address", i, ip)
+		}
+		if ip != plain[i] {
+			if !slices.Contains(realIPs, plain[i]) {
+				t.Fatalf("client %d moved from %v, which no real client holds", i, plain[i])
+			}
+			moved++
+		}
 	}
 	if seenHigh < len(src)/4 {
 		t.Fatalf("offsets cluster low: only %d/%d in upper half of division range", seenHigh, len(src))
+	}
+	if moved == 0 {
+		t.Fatal("no virtual client landed on a real one; the fleet is too small to test the remap")
 	}
 }
 
@@ -151,10 +170,11 @@ func TestTrafficArrivalZeroAlloc(t *testing.T) {
 // stream over 256 keys, a 10ms sketch decay, and a closed-loop writer
 // invalidating the eight hottest keys while the table churns. The
 // expected counters were recorded from commit bc72f9c, where the victim
-// was chosen by scanning the sorted table, and re-recorded once since,
+// was chosen by scanning the sorted table, and re-recorded twice since:
 // when a prepare became one forced write and the writer's puts got
-// faster; a different victim on any tie (lowest estimate, then smallest
-// key) moves them.
+// faster, and when residents came to rank by estimate plus switch hits
+// and free slots to fill on a key's first miss. A different victim on
+// any tie (lowest rank, then smallest key) moves them.
 func TestCacheAdmissionPinned(t *testing.T) {
 	base := heavyTrafficBase(3)
 	base.CacheCapacity = 16
@@ -189,12 +209,12 @@ func TestCacheAdmissionPinned(t *testing.T) {
 		}); err != nil {
 			return err
 		}
-		wantMgr := controller.CacheManagerStats{Sampled: 1675, Fetches: 577, Installs: 399, Evicts: 354}
+		wantMgr := controller.CacheManagerStats{Sampled: 1458, Fetches: 484, Installs: 134, Evicts: 80}
 		if got := d.CacheMgr.Stats(); got != wantMgr {
 			t.Errorf("manager stats %+v, want %+v", got, wantMgr)
 		}
 		wantCache := metrics.CacheCounters{
-			Hits: 1337, Misses: 1675, Installs: 201, Evictions: 171, Invalidations: 14, Rejected: 191,
+			Hits: 1554, Misses: 1458, Installs: 92, Evictions: 62, Invalidations: 14, Rejected: 41,
 			Occupancy: 16, Capacity: 16,
 		}
 		if got := d.Cache.Stats(); got != wantCache {
@@ -204,6 +224,54 @@ func TestCacheAdmissionPinned(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheKeepsItsHotSet: under a write-free zipfian get stream the
+// in-switch cache keeps the keys it serves: once a 64-entry table over
+// 512 keys has filled, the run's last 500 ms install fewer than half as
+// many keys as it has slots (6–19 on seeds 1–3). When residents were
+// ranked by the sampled misses that admitted them, frozen there and
+// halved every decay, the same 500 ms made about 1,000 installs.
+func TestCacheKeepsItsHotSet(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		base := heavyTrafficBase(seed)
+		base.CacheCapacity = 64
+		err := withBench("nicekv+lb+cache", base, 4, func(b *bench) error {
+			d := b.NICE
+			eng := NewTrafficEngine(d, TrafficOptions{
+				Clients: 2000, Rate: 50_000, Duration: 1500 * time.Millisecond, Records: 512, Seed: seed,
+			})
+			var warm, late int64
+			_, err := b.Run(1, func(_ int, p *sim.Proc) error {
+				if err := eng.Preload(p); err != nil {
+					return err
+				}
+				d.Sim.Spawn("watch", func(p *sim.Proc) {
+					p.Sleep(1000 * time.Millisecond)
+					warm = d.Cache.Stats().Installs
+					p.Sleep(500 * time.Millisecond)
+					late = d.Cache.Stats().Installs - warm
+				})
+				if res := eng.Run(p); res.TimedOut != 0 || res.CacheHits == 0 {
+					return fmt.Errorf("engine: %+v", res)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if occ := d.Cache.Len(); occ != 64 || warm < 64 {
+				return fmt.Errorf("seed %d: %d installs in the first second, %d resident", seed, warm, occ)
+			}
+			if late >= 32 {
+				return fmt.Errorf("seed %d: %d installs in the last 500 ms after %d in the first second", seed, late, warm)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 // CacheManagerConfig parameterizes the hot-key detector.
 type CacheManagerConfig struct {
 	// HotThreshold is the sketch estimate at which a sampled key is
-	// considered hot and fetched for installation.
+	// considered hot and fetched for installation once the table is full;
+	// while it has a free slot, a missed key is fetched on its first
+	// sample.
 	HotThreshold uint32
 	// DecayEvery is the sketch halving period (the detector's sliding
 	// window); 0 disables decay.
@@ -45,19 +47,26 @@ type CacheManagerStats struct {
 // CacheManager is the controller half of the in-switch cache (NetCache's
 // cache-management module): it watches the sampled miss stream the switch
 // mirrors up, ranks keys with a decayed count-min sketch, fetches objects
-// that cross the hot threshold from their partition primary, and installs
-// them — evicting the coldest resident entry when the table is full,
-// which the sketch's victim index (switchcache/victim.go) names without
-// a pass over the table. The data plane never waits on it: everything
-// here is off the get path.
+// from their partition primary, and installs them. While the table has a
+// free slot a missed key is fetched on its first sample; once it is full
+// a key must cross the hot threshold and then outrank the coldest
+// resident — by estimate plus decayed switch hits, which the sketch's
+// victim index (switchcache/victim.go) names without a pass over the
+// table — and that resident is evicted. The data plane never waits on
+// it: everything here is off the get path.
 type CacheManager struct {
-	svc      *Service
-	cache    *switchcache.Cache
-	cfg      CacheManagerConfig
-	space    ring.Space
-	sketch   *switchcache.Sketch
-	inflight map[string]bool // fetches awaiting a reply
-	stats    CacheManagerStats
+	svc    *Service
+	cache  *switchcache.Cache
+	cfg    CacheManagerConfig
+	space  ring.Space
+	sketch *switchcache.Sketch
+	// inflight maps a key to its outstanding fetch, the token its
+	// FetchTimeout timer must still find to clear the mark.
+	inflight map[string]*CacheFetchRequest
+	// refused holds keys whose fetch came back absent or oversize; they
+	// are not fetched again on free-slot grounds until the next decay.
+	refused map[string]bool
+	stats   CacheManagerStats
 }
 
 // enableCache attaches a hot-key detector managing the configured switch
@@ -71,16 +80,19 @@ func (svc *Service) enableCache() {
 		cfg:      cfg,
 		space:    ring.NewSpace(svc.cfg.Placement.N),
 		sketch:   switchcache.NewSketch(SketchRows, SketchCols),
-		inflight: make(map[string]bool),
+		inflight: make(map[string]*CacheFetchRequest),
+		refused:  make(map[string]bool),
 	}
 	svc.cacheMgr = cm
 	c.SetSampler(cm.OnSample)
 	// From here on the sketch's victim index follows the table's actual
-	// membership. A manager this one supersedes at a takeover loses the
-	// mirror, which is safe: its generation is fenced at the state store
-	// before this runs, so whatever victim its stale index names, its
-	// onFetchReply returns at the intent write, ahead of any command to
-	// the switch.
+	// membership, and its decay halves the entries' hit counts. A manager
+	// this one supersedes at a takeover loses the mirror — its index
+	// empties and its decay loop no longer touches the table — which is
+	// safe: its generation is fenced at the state store before this runs,
+	// so its onFetchReply returns at the intent write (or, with nothing
+	// to evict from a full table, before it), ahead of any command to the
+	// switch.
 	c.MirrorResidents(cm.sketch)
 	// A takeover reconciles the switch table against the
 	// replicated install records: an entry the chain does not list as
@@ -108,6 +120,7 @@ func (svc *Service) enableCache() {
 			for {
 				p.Sleep(cfg.DecayEvery)
 				cm.sketch.Halve()
+				clear(cm.refused)
 			}
 		})
 	}
@@ -117,14 +130,19 @@ func (svc *Service) enableCache() {
 func (cm *CacheManager) Stats() CacheManagerStats { return cm.stats }
 
 // OnSample receives one sampled miss key from the switch (already delayed
-// by the control channel) and decides whether to start an install.
+// by the control channel) and decides whether to start an install: at
+// once while resident entries plus fetches in flight leave a slot free,
+// at the hot threshold otherwise.
 func (cm *CacheManager) OnSample(key string) {
 	cm.stats.Sampled++
 	est := cm.sketch.Add(key)
-	if est < cm.cfg.HotThreshold || cm.cache.Contains(key) || cm.inflight[key] {
+	if cm.cache.Contains(key) || cm.inflight[key] != nil {
 		return
 	}
-	cm.fetch(key)
+	free := cm.cache.Len()+len(cm.inflight) < cm.cache.Config().Capacity && !cm.refused[key]
+	if free || est >= cm.cfg.HotThreshold {
+		cm.fetch(key)
+	}
 }
 
 // fetch asks the key's partition primary for the committed object.
@@ -137,36 +155,43 @@ func (cm *CacheManager) fetch(key string) {
 	if v == nil || len(v.Replicas) == 0 {
 		return
 	}
-	cm.inflight[key] = true
 	cm.stats.Fetches++
 	req := &CacheFetchRequest{Key: key, MaxSize: switchcache.MaxValueSize}
+	cm.inflight[key] = req
 	cm.svc.sendToNode(v.Primary(), req, ctrlMsgSize)
 	cm.svc.s.At2(cm.svc.s.Now()+FetchTimeout, fetchExpired, cm, req)
 }
 
 // fetchExpired clears a fetch's in-flight mark FetchTimeout after it was
-// sent, whether or not a later fetch of the key has set it again.
+// sent, unless the mark has since passed to a later fetch of the key.
 func fetchExpired(a1, a2 any) {
-	delete(a1.(*CacheManager).inflight, a2.(*CacheFetchRequest).Key)
+	cm, req := a1.(*CacheManager), a2.(*CacheFetchRequest)
+	if cm.inflight[req.Key] == req {
+		delete(cm.inflight, req.Key)
+	}
 }
 
 // onFetchReply completes an install: make room if the table is full
-// (evicting the resident key the sketch ranks coldest, and only when the
-// new key is hotter), then push the entry to the switch. The switch-side
-// version fence rejects the install if a put committed past the fetched
-// copy while it was in flight.
+// (evicting the resident key ranked coldest, and only when the new key's
+// estimate is above that rank), then push the entry to the switch. The
+// switch-side version fence rejects the install if a put committed past
+// the fetched copy while it was in flight.
 func (cm *CacheManager) onFetchReply(m *CacheFetchReply) {
 	delete(cm.inflight, m.Key)
-	if !m.Found || cm.cache.Contains(m.Key) {
+	if !m.Found {
+		cm.refused[m.Key] = true // absent, or too large to cache
+		return
+	}
+	if cm.cache.Contains(m.Key) {
 		return
 	}
 	// Admission first: when the table is full the candidate must beat the
 	// coldest resident, or nothing is written anywhere.
 	victim := ""
 	if cm.cache.Len() >= cm.cache.Config().Capacity {
-		var cold uint32
+		var cold uint64
 		victim, cold = cm.sketch.Coldest()
-		if victim == "" || cold >= cm.sketch.Estimate(m.Key) {
+		if victim == "" || cold >= uint64(cm.sketch.Estimate(m.Key)) {
 			return // nothing resident is colder than the candidate
 		}
 	}

@@ -71,7 +71,7 @@ type entry struct {
 	value any
 	size  int
 	ver   uint64 // version of the committed put that produced the value
-	hits  int64
+	hits  uint64 // switch hits, halved with the mirrored sketch (victim.go)
 }
 
 // missSample carries one mirrored miss to the detector. It holds the key
@@ -150,11 +150,17 @@ func (c *Cache) SetSampler(fn func(key string)) { c.sampler = fn }
 // from now on: the keys resident at the call are tracked, and every later
 // applied install, applied evict and write-through invalidation updates
 // it at the instant the table itself changes — not when the controller
-// issues the command. One sketch at a time; a later call takes over.
+// issues the command. s ranks each resident by its estimate plus the
+// entry's hit count, and s.Halve halves those counts. One sketch at a
+// time: a later call takes over, and the sketch it replaces forgets the
+// table, so its decay no longer touches the live counts.
 func (c *Cache) MirrorResidents(s *Sketch) {
+	if c.residents != nil {
+		c.residents.forget()
+	}
 	c.residents = s
 	for _, k := range c.Keys() {
-		s.Track(k)
+		s.track(k, &c.entries[k].hits)
 	}
 }
 
@@ -162,7 +168,7 @@ func (c *Cache) MirrorResidents(s *Sketch) {
 func (c *Cache) add(key string, e *entry) {
 	c.entries[key] = e
 	if c.residents != nil {
-		c.residents.Track(key)
+		c.residents.track(key, &e.hits)
 	}
 }
 
@@ -216,8 +222,9 @@ func (c *Cache) Keys() []string {
 	return out
 }
 
-// HitsOf returns the per-entry hit counter (0 when not resident).
-func (c *Cache) HitsOf(key string) int64 {
+// HitsOf returns the entry's hit count, halved at each decay of the
+// mirrored sketch (0 when not resident).
+func (c *Cache) HitsOf(key string) uint64 {
 	if e, ok := c.entries[key]; ok {
 		return e.hits
 	}

@@ -8,10 +8,10 @@ package switchcache
 // the regime a hot-key detector lives in.
 //
 // The sketch also carries the detector's victim index (victim.go): the
-// set of keys resident in the switch table, ordered by their estimates.
-// It lives here rather than in the detector because every operation that
-// can lower an estimate — Halve and Reset — has to repair it, and those
-// are reachable by anyone holding the sketch.
+// set of keys resident in the switch table, ordered by their ranks
+// (estimate plus switch hits). It lives here rather than in the detector
+// because every operation that can lower a rank — Halve and Reset — has
+// to repair it, and those are reachable by anyone holding the sketch.
 type Sketch struct {
 	rows, cols int
 	counts     [][]uint32
@@ -58,7 +58,7 @@ func sketchHash(key string, seed uint64) uint64 {
 
 // Add counts one occurrence (conservative update) and returns the new
 // estimate. Counters only ever rise here, which is what keeps the victim
-// index's stored estimates valid lower bounds without touching it.
+// index's stored ranks valid lower bounds without touching it.
 func (s *Sketch) Add(key string) uint32 {
 	var cell [len(sketchSeeds)]*uint32
 	min := ^uint32(0)
@@ -91,7 +91,9 @@ func (s *Sketch) Estimate(key string) uint32 {
 }
 
 // Halve decays every counter by half: the detector's sliding window, run
-// periodically so cold keys age out of the hot set.
+// periodically so cold keys age out of the hot set. The hit counts of the
+// table entries the sketch mirrors (Cache.MirrorResidents) halve in the
+// same step, so a resident's rank decays as a whole.
 func (s *Sketch) Halve() {
 	for r := range s.counts {
 		row := s.counts[r]
@@ -99,10 +101,10 @@ func (s *Sketch) Halve() {
 			row[i] >>= 1
 		}
 	}
-	s.victims.halve()
+	s.rerank(true)
 }
 
-// Reset zeroes the sketch.
+// Reset zeroes the sketch; the mirrored entries' hit counts stay.
 func (s *Sketch) Reset() {
 	for r := range s.counts {
 		row := s.counts[r]
@@ -110,5 +112,5 @@ func (s *Sketch) Reset() {
 			row[i] = 0
 		}
 	}
-	s.victims.reset()
+	s.rerank(false)
 }

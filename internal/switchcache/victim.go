@@ -3,28 +3,34 @@ package switchcache
 import "container/heap"
 
 // The victim index answers the detector's admission question — which
-// resident key does the sketch rank coldest, ties to the smallest key —
-// without visiting the whole table. It is a min-heap over the keys the
-// switch table holds right now (Cache.MirrorResidents keeps the set
-// equal to the table's membership), ordered by (estimate, key).
+// resident key ranks coldest, ties to the smallest key — without visiting
+// the whole table. It is a min-heap over the keys the switch table holds
+// right now (Cache.MirrorResidents keeps the set equal to the table's
+// membership), ordered by (rank, key). A resident's rank is its sketch
+// estimate plus its entry's decayed switch hit count: a key the switch
+// answers never reaches the sketch again, so the estimate alone would
+// freeze at admission and halve away while the key stays hot (NetCache
+// ranks its cached keys by their switch counters the same way).
 //
-// The stored estimates are lower bounds, not current values: Add only
-// raises counters, so an estimate computed earlier can only be too low,
-// and Halve and Reset — the two operations that lower counters — halve
-// or zero the stored values alike and rebuild the heap (halving is
-// monotone but not strictly so, which can reorder ties). Coldest
-// therefore needs to look at the top alone: it re-estimates the top and
-// sifts it down until the top's stored value is exact. At that point
-// every other key's true (estimate, key) is at least its stored pair,
-// which is above the top's, so the top is the answer the full scan
-// would give. Nothing here iterates a map, so neither the answer nor the
-// heap's layout depends on map order.
+// The stored ranks are lower bounds, not current values: Add only raises
+// counters and a hit only raises its entry's count, so a rank computed
+// earlier can only be too low. Halve and Reset — the operations that
+// lower ranks — recompute every stored rank exactly and rebuild the heap.
+// Halving the stored sum instead would not do: ⌊(s+h)/2⌋ can exceed
+// ⌊s/2⌋+⌊h/2⌋, which would leave a stored rank above the true one.
+// Coldest therefore needs to look at the top alone: it re-ranks the top
+// and sifts it down until the top's stored value is exact. At that point
+// every other key's true (rank, key) is at least its stored pair, which
+// is above the top's, so the top is the answer the full scan would give.
+// Nothing here iterates a map, so neither the answer nor the heap's
+// layout depends on map order.
 
 // victim is one resident key in the index.
 type victim struct {
-	key string
-	est uint32 // lower bound on Estimate(key), exact when last computed
-	idx int    // position in victimIndex.heap
+	key  string
+	rank uint64  // lower bound on the key's rank, exact when last computed
+	hits *uint64 // the resident entry's hit count; nil for a bare Track
+	idx  int     // position in victimIndex.heap
 }
 
 // victimIndex implements heap.Interface over the resident keys.
@@ -37,7 +43,7 @@ func (x *victimIndex) Len() int { return len(x.heap) }
 
 func (x *victimIndex) Less(i, j int) bool {
 	a, b := x.heap[i], x.heap[j]
-	return a.est < b.est || (a.est == b.est && a.key < b.key)
+	return a.rank < b.rank || (a.rank == b.rank && a.key < b.key)
 }
 
 func (x *victimIndex) Swap(i, j int) {
@@ -59,30 +65,50 @@ func (x *victimIndex) Pop() any {
 	return e
 }
 
-func (x *victimIndex) halve() {
-	for _, v := range x.heap {
-		v.est >>= 1
+// rank is v's current rank: its estimate plus its entry's hit count.
+func (s *Sketch) rank(v *victim) uint64 {
+	r := uint64(s.Estimate(v.key))
+	if v.hits != nil {
+		r += *v.hits
 	}
-	heap.Init(x)
+	return r
 }
 
-func (x *victimIndex) reset() {
+// rerank recomputes every stored rank exactly and rebuilds the heap; with
+// decay set it first halves each tracked entry's hit count, the table's
+// share of the sketch's Halve.
+func (s *Sketch) rerank(decay bool) {
+	x := &s.victims
 	for _, v := range x.heap {
-		v.est = 0
+		if decay && v.hits != nil {
+			*v.hits >>= 1
+		}
+		v.rank = s.rank(v)
 	}
 	heap.Init(x)
 }
 
 // Track adds key to the victim index: the key became resident in the
-// switch table. Tracking a tracked key is a no-op.
-func (s *Sketch) Track(key string) {
+// switch table. Tracking a tracked key is a no-op. A key tracked here
+// ranks by its estimate alone; Cache.MirrorResidents tracks its entries
+// with their hit counts.
+func (s *Sketch) Track(key string) { s.track(key, nil) }
+
+func (s *Sketch) track(key string, hits *uint64) {
 	x := &s.victims
 	if _, ok := x.byKey[key]; ok {
 		return
 	}
-	v := &victim{key: key, est: s.Estimate(key)}
+	v := &victim{key: key, hits: hits}
+	v.rank = s.rank(v)
 	x.byKey[key] = v
 	heap.Push(x, v)
+}
+
+// forget empties the victim index: the table s mirrored now mirrors into
+// another sketch, so s must neither name its keys nor decay their hits.
+func (s *Sketch) forget() {
+	s.victims = victimIndex{byKey: make(map[string]*victim)}
 }
 
 // Untrack removes key from the victim index: the key left the switch
@@ -95,20 +121,20 @@ func (s *Sketch) Untrack(key string) {
 	}
 }
 
-// Coldest returns the tracked key with the lowest estimate, ties to the
-// smallest key, and that estimate; ("", max uint32) when nothing is
-// tracked. O(1) when the top's stored estimate is still exact, O(log C)
-// per stale top otherwise; it allocates nothing.
-func (s *Sketch) Coldest() (string, uint32) {
+// Coldest returns the tracked key with the lowest rank, ties to the
+// smallest key, and that rank; ("", max uint64) when nothing is tracked.
+// O(1) when the top's stored rank is still exact, O(log C) per stale top
+// otherwise; it allocates nothing.
+func (s *Sketch) Coldest() (string, uint64) {
 	x := &s.victims
 	for len(x.heap) > 0 {
 		top := x.heap[0]
-		est := s.Estimate(top.key)
-		if est == top.est {
-			return top.key, est
+		r := s.rank(top)
+		if r == top.rank {
+			return top.key, r
 		}
-		top.est = est
+		top.rank = r
 		heap.Fix(x, 0)
 	}
-	return "", ^uint32(0)
+	return "", ^uint64(0)
 }

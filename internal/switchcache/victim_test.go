@@ -8,15 +8,15 @@ import (
 	"repro/internal/workload"
 )
 
-// scanColdest is the admission rule as the detector computed it before
-// the victim index existed, kept as the index's oracle: visit every
-// resident key in sorted order, take the lowest sketch estimate, ties to
-// the smallest key.
-func scanColdest(c *Cache, s *Sketch) (string, uint32) {
-	victim, cold := "", ^uint32(0)
+// scanColdest is the admission rule computed without the victim index,
+// kept as the index's oracle: visit every resident key in sorted order,
+// take the lowest rank — sketch estimate plus the entry's hit count —,
+// ties to the smallest key.
+func scanColdest(c *Cache, s *Sketch) (string, uint64) {
+	victim, cold := "", ^uint64(0)
 	for _, k := range c.Keys() {
-		if e := s.Estimate(k); e < cold || (e == cold && (victim == "" || k < victim)) {
-			victim, cold = k, e
+		if r := uint64(s.Estimate(k)) + c.HitsOf(k); r < cold || (r == cold && (victim == "" || k < victim)) {
+			victim, cold = k, r
 		}
 	}
 	return victim, cold
@@ -24,8 +24,8 @@ func scanColdest(c *Cache, s *Sketch) (string, uint32) {
 
 // checkIndex verifies what Coldest relies on without calling it (Coldest
 // repairs the heap, checkIndex must not): the index holds exactly the
-// table's keys, every stored estimate is a lower bound, and the heap
-// order and back-pointers are intact.
+// table's keys, every stored rank is a lower bound, and the heap order
+// and back-pointers are intact.
 func checkIndex(t *testing.T, c *Cache, s *Sketch) {
 	t.Helper()
 	x := &s.victims
@@ -39,8 +39,8 @@ func checkIndex(t *testing.T, c *Cache, s *Sketch) {
 		if v.idx != i || x.byKey[v.key] != v {
 			t.Fatalf("index entry %q at %d has idx %d", v.key, i, v.idx)
 		}
-		if est := s.Estimate(v.key); v.est > est {
-			t.Fatalf("stored estimate of %q is %d, above the sketch's %d", v.key, v.est, est)
+		if r := uint64(s.Estimate(v.key)) + c.HitsOf(v.key); v.rank > r {
+			t.Fatalf("stored rank of %q is %d, above its true %d", v.key, v.rank, r)
 		}
 		if i > 0 && x.Less(i, (i-1)/2) {
 			t.Fatalf("heap order broken between %d and its parent", i)
@@ -52,11 +52,11 @@ func checkIndex(t *testing.T, c *Cache, s *Sketch) {
 // control channel through randomized histories and requires the index to
 // name the scan's victim. The key space (24 keys over an 8-entry table)
 // and the sketch (2 x 8 counters) are small enough that estimates collide
-// and tie constantly. Commands are issued and left in flight across
-// steps, so membership changes land when they apply, not when they are
-// sent. In "every" mode the decision is compared after every step; in
-// "sparse" mode only now and then, so that stored estimates go stale
-// several layers deep before the next repair.
+// and tie constantly. Commands and gets are issued and left in flight
+// across steps, so membership changes and hits land when they reach the
+// switch, not when they are sent. In "every" mode the decision is
+// compared after every step; in "sparse" mode only now and then, so that
+// stored ranks go stale several layers deep before the next repair.
 func TestVictimIndexMatchesScan(t *testing.T) {
 	const steps = 12000
 	for seed := int64(1); seed <= 4; seed++ {
@@ -83,8 +83,10 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 				for step := 0; step < steps; step++ {
 					k := keys[rng.Intn(len(keys))]
 					switch op := rng.Intn(100); {
-					case op < 45: // a sampled miss
+					case op < 35: // a sampled miss
 						s.Add(k)
+					case op < 45: // a get; of a resident key it is a hit
+						r.sendGet(k)
 					case op < 60: // install; of a resident key it is a duplicate
 						r.cache.InstallAs(0, k, "v", 10, ver)
 					case op < 70: // evict; of a non-resident key it is a no-op
@@ -102,15 +104,15 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 					checkIndex(t, r.cache, s)
 					if mode == "every" || rng.Intn(16) == 0 {
 						decisions++
-						gotKey, gotEst := s.Coldest()
-						wantKey, wantEst := scanColdest(r.cache, s)
-						if gotKey != wantKey || gotEst != wantEst {
-							t.Fatalf("step %d: index says (%q, %d), scan says (%q, %d)", step, gotKey, gotEst, wantKey, wantEst)
+						gotKey, gotRank := s.Coldest()
+						wantKey, wantRank := scanColdest(r.cache, s)
+						if gotKey != wantKey || gotRank != wantRank {
+							t.Fatalf("step %d: index says (%q, %d), scan says (%q, %d)", step, gotKey, gotRank, wantKey, wantRank)
 						}
 					}
 				}
 				st := r.cache.Stats()
-				if st.Installs < 100 || st.Evictions < 100 || st.Invalidations < 100 || decisions < 500 {
+				if st.Installs < 100 || st.Evictions < 100 || st.Invalidations < 100 || st.Hits < 200 || decisions < 500 {
 					t.Fatalf("history too thin to mean anything: %+v, %d decisions", st, decisions)
 				}
 			})
@@ -167,7 +169,7 @@ func (a *admission) nextMiss() string {
 
 // decide runs one admission decision, preceded by its share of samples;
 // coldest is the victim choice under test.
-func (a *admission) decide(coldest func() (string, uint32)) {
+func (a *admission) decide(coldest func() (string, uint64)) {
 	samples := 2 + (a.n%5)/3 // 2, 2, 2, 3, 3
 	a.n++
 	if a.n%16384 == 0 {
@@ -178,7 +180,7 @@ func (a *admission) decide(coldest func() (string, uint32)) {
 		cand = a.nextMiss()
 		a.s.Add(cand)
 	}
-	if victim, cold := coldest(); cold < a.s.Estimate(cand) {
+	if victim, cold := coldest(); cold < uint64(a.s.Estimate(cand)) {
 		a.c.remove(victim, a.c.entries[victim])
 		a.c.add(cand, a.c.newEntry())
 	}
@@ -215,7 +217,7 @@ func BenchmarkCacheAdmission(b *testing.B) {
 				a := newAdmission(b, capacity)
 				coldest := a.s.Coldest
 				if impl == "scan" {
-					coldest = func() (string, uint32) { return scanColdest(a.c, a.s) }
+					coldest = func() (string, uint64) { return scanColdest(a.c, a.s) }
 				}
 				for i := 0; i < 4*capacity; i++ {
 					a.decide(coldest)
@@ -227,5 +229,39 @@ func BenchmarkCacheAdmission(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestHitsDecayWithTheMirroredSketchOnly: a resident's switch hits count
+// toward its rank and halve with the sketch the table mirrors into; once
+// the mirror passes to another sketch (a takeover), the old one forgets
+// the table and its decay leaves the live counts alone.
+func TestHitsDecayWithTheMirroredSketchOnly(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	r.install(t, "hot", "v", 10, 1)
+	old, cur := NewSketch(2, 8), NewSketch(2, 8)
+	r.cache.MirrorResidents(old)
+	for i := 0; i < 7; i++ {
+		r.sendGet("hot")
+	}
+	r.run(t)
+	if key, rank := old.Coldest(); key != "hot" || rank != 7 || r.cache.HitsOf("hot") != 7 {
+		t.Fatalf("after 7 hits: coldest (%q, %d), hits %d", key, rank, r.cache.HitsOf("hot"))
+	}
+	old.Halve()
+	if got := r.cache.HitsOf("hot"); got != 3 {
+		t.Fatalf("hits after the mirrored sketch's decay = %d, want 3", got)
+	}
+	r.cache.MirrorResidents(cur)
+	old.Halve()
+	if got := r.cache.HitsOf("hot"); got != 3 {
+		t.Fatalf("the superseded sketch's decay halved the live hits to %d", got)
+	}
+	if key, _ := old.Coldest(); key != "" {
+		t.Fatalf("the superseded sketch still names %q", key)
+	}
+	cur.Halve()
+	if key, rank := cur.Coldest(); key != "hot" || rank != 1 || r.cache.HitsOf("hot") != 1 {
+		t.Fatalf("after the current sketch's decay: coldest (%q, %d), hits %d", key, rank, r.cache.HitsOf("hot"))
 	}
 }
