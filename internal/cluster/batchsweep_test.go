@@ -69,56 +69,61 @@ func TestBatchSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosDurableGroupCommit pins the regression the +durable chaos
-// cell now guards: with WAL group commit enabled (the cell's tuned
-// default), crash-heavy schedules must still pass the linearizability
-// check AND the durability audit — coalescing fsyncs must never weaken
-// fsync-before-ack. The repro line must also replay bit-identically, so
-// group commit leadership is deterministic under faults.
+// TestChaosDurableGroupCommit: both durable cells — group commit alone,
+// and with durable-write's commit batches, prepare gathers and coalesced
+// gets — pass the linearizability check and the durability audit on
+// crash-heavy schedules, so no batch weakens fsync-before-ack, and each
+// repro line replays bit-identically, so batch leadership is
+// deterministic under faults.
 func TestChaosDurableGroupCommit(t *testing.T) {
-	var sys chaosSystem
-	for _, s := range chaosSystems() {
-		if s.name == "NICEKV+durable" {
-			sys = s
-		}
-	}
-	if sys.name == "" {
-		t.Fatal("NICEKV+durable missing from chaosSystems")
-	}
-	opts, _, err := resolveArm(sys.arm, chaosCellOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !opts.GroupCommit || opts.MaxSyncDelay == 0 {
-		t.Fatalf("+durable chaos cell must run with group commit on, got %+v/%v",
-			opts.GroupCommit, opts.MaxSyncDelay)
-	}
-
-	recoveries := int64(0)
-	for sched := 0; sched < 3; sched++ {
-		sched := faultinject.Generate(DeriveSeed(13, sched), chaosGenConfig(sys, 0))
-		cell, err := runChaosCell(sys, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cell.Violations) > 0 {
-			t.Errorf("violations under group commit, repro: %s", cell.Repro())
-			for _, v := range cell.Violations {
-				t.Logf("    %s", v)
+	for _, tc := range []struct {
+		name    string
+		batched bool
+	}{{"NICEKV+durable", false}, {"NICEKV+batch", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sys chaosSystem
+			for _, s := range chaosSystems() {
+				if s.name == tc.name {
+					sys = s
+				}
 			}
-		}
-		recoveries += cell.Recoveries
-
-		replayed, err := ReplayChaos(cell.Repro())
-		if err != nil {
-			t.Fatalf("ReplayChaos(%q): %v", cell.Repro(), err)
-		}
-		if replayed.Hash != cell.Hash || replayed.Recoveries != cell.Recoveries {
-			t.Errorf("replay diverged: hash %x/%x recoveries %d/%d (%s)",
-				cell.Hash, replayed.Hash, cell.Recoveries, replayed.Recoveries, cell.Repro())
-		}
-	}
-	if recoveries == 0 {
-		t.Error("no crash recoveries across the schedules; the audit proved nothing")
+			if sys.name == "" {
+				t.Fatalf("%s missing from chaosSystems", tc.name)
+			}
+			opts, _, err := resolveArm(sys.arm, chaosCellOptions(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !opts.GroupCommit || opts.MaxSyncDelay == 0 || (opts.PutBatchWindow > 0) != tc.batched || opts.CoalesceGets != tc.batched {
+				t.Fatalf("group commit %v/%v, put batch window %v, coalesced gets %v; want group commit on and batching %v",
+					opts.GroupCommit, opts.MaxSyncDelay, opts.PutBatchWindow, opts.CoalesceGets, tc.batched)
+			}
+			recoveries := int64(0)
+			for sched := 0; sched < 3; sched++ {
+				sched := faultinject.Generate(DeriveSeed(13, sched), chaosGenConfig(sys, 0))
+				cell, err := runChaosCell(sys, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cell.Violations) > 0 {
+					t.Errorf("violations under group commit, repro: %s", cell.Repro())
+					for _, v := range cell.Violations {
+						t.Logf("    %s", v)
+					}
+				}
+				recoveries += cell.Recoveries
+				replayed, err := ReplayChaos(cell.Repro())
+				if err != nil {
+					t.Fatalf("ReplayChaos(%q): %v", cell.Repro(), err)
+				}
+				if replayed.Hash != cell.Hash || replayed.Recoveries != cell.Recoveries {
+					t.Errorf("replay diverged: hash %x/%x recoveries %d/%d (%s)",
+						cell.Hash, replayed.Hash, cell.Recoveries, replayed.Recoveries, cell.Repro())
+				}
+			}
+			if recoveries == 0 {
+				t.Error("no crash recoveries across the schedules; the audit proved nothing")
+			}
+		})
 	}
 }

@@ -116,6 +116,11 @@ func chaosSystems() []chaosSystem {
 		// reason as the quorum cell. Appended last: cell seeds derive from
 		// sweep position (see the durable cell's note).
 		{name: "NICEKV+harmonia", arm: "NICEKV+harmonia+quorum", maxOutages: 1},
+		// The batch cell is durable-write's configuration under the
+		// durable cell's fault mix: crashes land while commit batches,
+		// prepare gathers and group-commit fsyncs linger or write.
+		// Appended last (see the durable cell's note).
+		{name: "NICEKV+batch", arm: "NICEKV+LB+durable+groupcommit+batch+coalesce", weights: durableWeights()},
 	}
 }
 

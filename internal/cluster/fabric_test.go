@@ -87,7 +87,7 @@ var featureWired = map[string]func(d *NICE) bool{
 // both deployed the cache runs ahead of the dirty set.
 func TestFabricFeatureMatrix(t *testing.T) {
 	features := niceFeatures()
-	if got := strings.Join(features, " "); got != "cache durable dynamiclb edgeovs groupcommit harmonia lb quorum standby" {
+	if got := strings.Join(features, " "); got != "batch cache coalesce durable dynamiclb edgeovs groupcommit harmonia lb quorum standby" {
 		t.Fatalf("NICE features of armFeatures = %q; extend this test's expectations with the table", got)
 	}
 	for _, fab := range testFabrics {

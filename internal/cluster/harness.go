@@ -50,6 +50,10 @@ var armFeatures = map[string]func(*NOOBOptions){
 	// Group commit with a short gather window: concurrent commits on a
 	// node share fsyncs without a lone writer noticing the linger.
 	"groupcommit": func(o *NOOBOptions) { o.GroupCommit, o.MaxSyncDelay = true, 20*time.Microsecond },
+	// The put accumulator and prepare combiner at durable-write's window,
+	// and get coalescing (DESIGN.md §16).
+	"batch":    func(o *NOOBOptions) { o.PutBatchWindow = 100 * time.Microsecond },
+	"coalesce": func(o *NOOBOptions) { o.CoalesceGets = true },
 	// Any-k puts acked by a majority of the R replicas.
 	"quorum": func(o *NOOBOptions) {
 		if o.R > 1 {
