@@ -16,53 +16,26 @@ import (
 // per-op (dedup records, attempt-scoped aborts, ack2 collection, the
 // client reply) stays with the op's own handler.
 
-// putBatch is one open (or draining) commit batch for a partition,
-// recycled through the node's free list (newBatch, leaveBatch). The leader
-// and each joiner hold it until they leave — the leader right after
-// done.Set, a joiner once its Wait returns — and the last to leave
-// recycles it. Recycling at Set would strand a joiner that Set woke but
-// that has not yet resumed: it would find done reset, park again and never
-// wake. A handler Simulator.Shutdown unwinds never leaves, so its batch is
-// dropped instead of reused, like its put state.
+// putBatch is the payload of one open (or draining) commit batch for a
+// partition: a sim.Gather on the node's free list, whose leader drains the
+// items and whose End releases the joiners. A handler Simulator.Shutdown
+// unwinds never leaves, so its batch is dropped instead of reused, like
+// its put state.
 type putBatch struct {
-	items   []*batchItem
-	done    *sim.Future[struct{}]
-	holders int
+	items []*batchItem
 	// out holds the drain's timestamp multicasts between the drain and the
 	// fsync that must precede their send.
 	out []*BatchTsMsg
 }
 
 // batchItem is one put parked at the commit point, embedded in its put
-// state. The leader writes a joiner's item only before b.done.Set, and the
-// joiner leaves Wait only after it, so no item outlives its put state.
+// state. The leader writes a joiner's item only before the batch ends, and
+// the joiner leaves Join only after it, so no item outlives its put state.
 type batchItem struct {
 	req *PutRequest
 	obj *kvstore.Object
 	ts  kvstore.Timestamp
 	ok  bool // drained: timestamp assigned and object applied
-}
-
-// newBatch opens a batch led by the caller, reusing a recycled one.
-func (n *Node) newBatch() *putBatch {
-	b := n.freeBatches.Take()
-	if b == nil {
-		b = &putBatch{done: sim.NewFuture[struct{}](n.s)}
-	}
-	b.holders = 1
-	return b
-}
-
-// leaveBatch ends one holder's use of b, whose done is set; the last
-// holder recycles it.
-func (n *Node) leaveBatch(b *putBatch) {
-	if b.holders--; b.holders > 0 {
-		return
-	}
-	clear(b.items)
-	b.items = b.items[:0]
-	b.done.Reset()
-	n.freeBatches.Put(b)
 }
 
 // batchCommit runs the commit point of a primary put through the
@@ -74,20 +47,18 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	part := v.Partition
 	it := &ps.item
 	it.req, it.obj = req, obj
-	if b := n.batches[part]; b != nil && len(b.items) < n.cfg.PutBatchMax {
+	if b := n.batches[part]; b != nil && len(b.Val.items) < n.cfg.PutBatchMax {
 		// Join the open batch and park until its leader drains it.
-		b.items = append(b.items, it)
-		b.holders++
-		b.done.Wait(p)
-		n.leaveBatch(b)
+		b.Val.items = append(b.Val.items, it)
+		b.Join(p)
 		if n.stale(ps) || !it.ok {
 			return kvstore.Timestamp{}, false
 		}
 		return it.ts, true
 	}
 
-	b := n.newBatch()
-	b.items = append(b.items, it)
+	b := sim.OpenGather(n.s, &n.freeBatches)
+	b.Val.items = append(b.Val.items, it)
 	n.batches[part] = b
 	p.Sleep(n.cfg.PutBatchWindow)
 	// Close the batch before any yield point below: ops arriving once the
@@ -99,8 +70,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		// Crashed during the linger. The joined items' locks, logs and put
 		// states were wiped by Restart; just release the parked handlers so
 		// they can observe the staleness themselves.
-		b.done.Set(struct{}{})
-		n.leaveBatch(b)
+		endBatch(b)
 		return kvstore.Timestamp{}, false
 	}
 
@@ -108,7 +78,8 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	// timestamps fill multicasts of at most maxTsItemsPerMsg items, each
 	// below the transport MTU and independently complete (items route
 	// per-op on arrival), so splitting changes framing only.
-	for _, bi := range b.items {
+	bt := &b.Val
+	for _, bi := range bt.items {
 		n.primarySeq++
 		bi.ts = kvstore.Timestamp{
 			Primary:    n.cfg.Addr.IP,
@@ -119,35 +90,40 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		n.finish(part, bi.req.key(), bi.req.Attempt, bi.obj, bi.ts, false)
 		bi.ok = true
 		n.stats.PutsPrimary++
-		if k := len(b.out); k == 0 || len(b.out[k-1].Items) == maxTsItemsPerMsg {
-			b.out = append(b.out, n.tsMsg())
+		if k := len(bt.out); k == 0 || len(bt.out[k-1].Items) == maxTsItemsPerMsg {
+			bt.out = append(bt.out, n.tsMsg())
 		}
-		m := b.out[len(b.out)-1]
+		m := bt.out[len(bt.out)-1]
 		m.Items = append(m.Items, TsMsg{Req: bi.req.key(), Key: bi.req.Key, Ts: bi.ts, Attempt: int32(bi.req.Attempt)})
 	}
 	n.stats.BatchCommits++
-	n.stats.BatchedPuts += int64(len(b.items))
+	n.stats.BatchedPuts += int64(len(bt.items))
 
 	// One fsync covers every commit record the drain appended — the
 	// whole point of accumulating. Same contract as the single-op path:
 	// durable before anything downstream learns of the commits.
 	n.store.Sync(p)
 	stale := n.stale(ps)
-	for _, m := range b.out {
+	for _, m := range bt.out {
 		if stale {
 			m.release() // never sent
 		} else {
 			n.multicastTs(v, m, batchHeader+len(m.Items)*tsMsgSize)
 		}
 	}
-	clear(b.out)
-	b.out = b.out[:0]
+	clear(bt.out)
+	bt.out = bt.out[:0]
+	endBatch(b)
 	if stale {
-		b.done.Set(struct{}{})
-		n.leaveBatch(b)
 		return kvstore.Timestamp{}, false
 	}
-	b.done.Set(struct{}{})
-	n.leaveBatch(b)
 	return it.ts, true
+}
+
+// endBatch is the leader's End of b. The items go first: the joiners read
+// only their own, and a recycled batch must not keep their put states.
+func endBatch(b *sim.Gather[putBatch]) {
+	clear(b.Val.items)
+	b.Val.items = b.Val.items[:0]
+	b.End()
 }

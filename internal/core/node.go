@@ -235,8 +235,8 @@ type Node struct {
 	// batches holds the per-partition open commit batch (PutBatchWindow):
 	// puts reaching the commit point while a batch leader lingers join it
 	// instead of committing alone.
-	batches     map[int]*putBatch
-	freeBatches sim.Free[putBatch] // recycled batches (newBatch, leaveBatch)
+	batches     map[int]*sim.Gather[putBatch]
+	freeBatches sim.Free[sim.Gather[putBatch]]
 
 	// The messages this node sends, handed back by the last of their
 	// holders (counted).
@@ -286,7 +286,7 @@ func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
 		cpu:          sim.NewResource(stack.Sim()),
 		staleHandoff: make(map[int]map[string]bool),
 		reads:        make(map[string]*readState),
-		batches:      make(map[int]*putBatch),
+		batches:      make(map[int]*sim.Gather[putBatch]),
 	}
 }
 
@@ -865,7 +865,7 @@ func (n *Node) Restart() {
 	// inside a read leader or batch leader observe the generation bump and
 	// abandon; fresh ops must not join their corpses.
 	n.reads = make(map[string]*readState)
-	n.batches = make(map[int]*putBatch)
+	n.batches = make(map[int]*sim.Gather[putBatch])
 	// A handoff stint ends with the crash: the directory missed every
 	// write while this node was down, so serving it in a later stint
 	// would resurrect stale versions. The recovering owner does not need

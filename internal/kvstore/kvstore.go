@@ -180,10 +180,10 @@ type Store struct {
 	// waiter touches its lockState only while still queued on it.
 	freeLocks sim.Free[lockState]
 	stats     Stats
-	// combining is the open prepare-combiner batch (AppendLog);
-	// nil when no gather is in flight. freeGathers recycles finished ones.
-	combining   *writeBatch
-	freeGathers sim.Free[writeBatch]
+	// combining is the open prepare-combiner gather (AppendLog), its
+	// value the bytes of its one write; nil when none is open.
+	combining   *sim.Gather[int]
+	freeGathers sim.Free[sim.Gather[int]]
 	// freeGrants recycles the grant queues of lock waiters (Lock).
 	freeGrants sim.Free[sim.Queue[struct{}]]
 	// eng, when non-nil, replaces the flat objects map with the durable
@@ -338,39 +338,6 @@ func (st *Store) Release(key string, owner PutID) bool {
 // Locked reports whether key's lock is held.
 func (st *Store) Locked(key string) bool { return st.locks[key] != nil }
 
-// writeBatch is one open prepare-combiner gather: callers add their
-// bytes while the leader lingers, and one charged disk write covers all
-// of them. Gathers are recycled by the rule of core's commit batches: the
-// leader and each joiner hold one until they leave it — the leader after
-// done.Set, a joiner once its Wait returns — and the last to leave puts
-// it back (leaveGather). A caller Simulator.Shutdown unwinds never leaves,
-// and its gather is dropped.
-type writeBatch struct {
-	bytes   int
-	done    *sim.Future[struct{}]
-	holders int
-}
-
-// newGather opens a gather led by the caller, reusing a recycled one.
-func (st *Store) newGather(bytes int) *writeBatch {
-	b := st.freeGathers.Take()
-	if b == nil {
-		b = &writeBatch{done: sim.NewFuture[struct{}](st.s)}
-	}
-	b.bytes, b.holders = bytes, 1
-	return b
-}
-
-// leaveGather ends one holder's use of b, whose done is set; the last
-// holder recycles it.
-func (st *Store) leaveGather(b *writeBatch) {
-	if b.holders--; b.holders > 0 {
-		return
-	}
-	b.done.Reset()
-	st.freeGathers.Put(b)
-}
-
 // AppendLog forces a prepare to disk: the WAL record (+L of Fig. 3)
 // carries the prepared object, so one forced write of 64 + rec.Obj.Size
 // bytes is both +L and W. The record is open in the WAL from the call on,
@@ -391,25 +358,23 @@ func (st *Store) AppendLog(p *sim.Proc, rec LogRecord, window sim.Time) {
 		st.forceWrite(p, bytes)
 		return
 	}
-	if b := st.combining; b != nil {
-		b.bytes += bytes
-		b.holders++
+	if g := st.combining; g != nil {
+		g.Val += bytes
 		st.stats.CombinedWrites++
-		b.done.Wait(p)
-		st.leaveGather(b)
+		g.Join(p)
 		return
 	}
-	b := st.newGather(bytes)
-	st.combining = b
+	g := sim.OpenGather(st.s, &st.freeGathers)
+	g.Val = bytes
+	st.combining = g
 	p.Sleep(window)
 	// Close the gather before the charged write: a prepare arriving once
 	// the disk op started must lead a fresh batch, not ride this one.
-	if st.combining == b {
+	if st.combining == g {
 		st.combining = nil
 	}
-	st.forceWrite(p, b.bytes)
-	b.done.Set(struct{}{})
-	st.leaveGather(b)
+	st.forceWrite(p, g.Val)
+	g.End()
 }
 
 // forceWrite books one forced write of bytes on the device.

@@ -54,6 +54,36 @@ func TestFree(t *testing.T) {
 // A struct field named free* or *Free whose type is a pointer or a slice of
 // pointers is a hand-rolled one, an intrusive link or a slice stack.
 func TestOneFreeListType(t *testing.T) {
+	eachField(t, func(pos token.Position, name string, typ ast.Expr) {
+		if pointerList(typ) && (strings.HasPrefix(strings.ToLower(name), "free") || strings.HasSuffix(name, "Free")) {
+			t.Errorf("%s: field %s is a hand-rolled free list; use sim.Free", pos, name)
+		}
+	})
+}
+
+// TestOneGatherType: every leader/joiner batch in the internal packages is
+// a Gather. A holders int field outside this package is a hand-rolled
+// holder count; Gather's own is the one the walk must find.
+func TestOneGatherType(t *testing.T) {
+	own := 0
+	eachField(t, func(pos token.Position, name string, typ ast.Expr) {
+		if id, ok := typ.(*ast.Ident); !ok || id.Name != "int" || name != "holders" {
+			return
+		}
+		if filepath.Base(filepath.Dir(pos.Filename)) == "sim" {
+			own++
+			return
+		}
+		t.Errorf("%s: field holders counts a hand-rolled gather's holders; use sim.Gather", pos)
+	})
+	if own != 1 {
+		t.Fatalf("found %d holders fields in sim, want Gather's one", own)
+	}
+}
+
+// eachField calls check on every named struct field of every non-test
+// source file in the internal packages.
+func eachField(t *testing.T, check func(pos token.Position, name string, typ ast.Expr)) {
 	files, err := filepath.Glob("../*/*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -70,17 +100,10 @@ func TestOneFreeListType(t *testing.T) {
 		}
 		checked++
 		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !pointerList(field.Type) {
-					continue
-				}
-				for _, name := range field.Names {
-					if strings.HasPrefix(strings.ToLower(name.Name), "free") || strings.HasSuffix(name.Name, "Free") {
-						t.Errorf("%s: field %s is a hand-rolled free list; use sim.Free", fset.Position(name.Pos()), name.Name)
+			if st, ok := n.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						check(fset.Position(name.Pos()), name.Name, field.Type)
 					}
 				}
 			}

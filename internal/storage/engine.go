@@ -248,11 +248,11 @@ type EngineOf[V any] struct {
 	durableLSN uint64
 	syncing    int // Sync calls currently sleeping in the disk write
 
-	// Group commit: while a leader gathers or writes, syncActive is set
-	// and followers park on syncDone until the batch lands (or a crash
-	// tears it — Crash broadcasts too, and the gen fence sorts them out).
-	syncActive bool
-	syncDone   *sim.Cond
+	// Group commit: group is the batch a leader gathers or writes, nil
+	// when none is; followers Join it until it lands (or a crash tears it
+	// — Crash wakes them too, and the gen fence sorts them out).
+	group  *sim.Gather[struct{}]
+	groups sim.Free[sim.Gather[struct{}]]
 
 	snap snapshot[V]
 
@@ -274,7 +274,7 @@ func NewEngine(s *sim.Simulator, cfg Config, disk DiskTier) *Engine {
 
 // NewEngineOf builds an empty engine of V values, as NewEngine.
 func NewEngineOf[V any](s *sim.Simulator, cfg Config, disk DiskTier) *EngineOf[V] {
-	e := &EngineOf[V]{s: s, cfg: cfg, disk: disk, syncDone: sim.NewCond(s)}
+	e := &EngineOf[V]{s: s, cfg: cfg, disk: disk}
 	if cfg.MemoryBudget > 0 {
 		e.shardBudget = (cfg.MemoryBudget + int64(cfg.Shards) - 1) / int64(cfg.Shards)
 	}
@@ -541,12 +541,12 @@ func (e *EngineOf[V]) Sync(p *sim.Proc) {
 	gen := e.gen
 	led := false
 	for e.durableLSN < target {
-		if e.syncActive {
+		if g := e.group; g != nil {
 			// A leader is gathering or writing. If its batch covers our
 			// records we piggyback on the result; if not (we appended after
 			// it sized the write) we still wait it out and contend to lead
 			// the next batch.
-			e.syncDone.Wait(p)
+			g.Join(p)
 			if gen != e.gen {
 				return // crashed: the batch we were riding was torn
 			}
@@ -568,36 +568,36 @@ func (e *EngineOf[V]) Sync(p *sim.Proc) {
 // charge one disk write for the whole batch. Only called when no batch
 // is active; exactly one leader exists at a time.
 func (e *EngineOf[V]) leadSync(p *sim.Proc) {
-	e.syncActive = true
+	g := sim.OpenGather(e.s, &e.groups)
+	e.group = g
 	gen := e.gen
 	if d := e.cfg.MaxSyncDelay; d > 0 {
 		p.Sleep(d)
 		if gen != e.gen {
-			return // crashed during the gather window; Crash reset the batch
+			g.End() // crashed during the gather window; Crash woke the batch
+			return
 		}
 	}
-	target := e.tailLSN()
-	if target <= e.durableLSN {
-		// A snapshot covered everything while we gathered.
-		e.syncActive = false
-		e.syncDone.Broadcast()
-		return
+	// The target may already be durable: a snapshot covered everything
+	// while we gathered.
+	if target := e.tailLSN(); target > e.durableLSN {
+		bytes := int(target-e.durableLSN) * WALRecordBytes
+		e.syncing++
+		e.disk.WriteDisk(p, bytes)
+		e.syncing--
+		if gen != e.gen {
+			g.End() // crashed mid-fsync: the whole batch was torn, not written
+			return
+		}
+		if target > e.durableLSN {
+			e.stats.Fsyncs++
+			e.stats.FsyncedRecords += int64(target - e.durableLSN)
+			e.stats.SyncedBatchBytes += int64(bytes)
+			e.durableLSN = target
+		}
 	}
-	bytes := int(target-e.durableLSN) * WALRecordBytes
-	e.syncing++
-	e.disk.WriteDisk(p, bytes)
-	e.syncing--
-	if gen != e.gen {
-		return // crashed mid-fsync: the whole batch was torn, not written
-	}
-	e.syncActive = false
-	if target > e.durableLSN {
-		e.stats.Fsyncs++
-		e.stats.FsyncedRecords += int64(target - e.durableLSN)
-		e.stats.SyncedBatchBytes += int64(bytes)
-		e.durableLSN = target
-	}
-	e.syncDone.Broadcast()
+	e.group = nil
+	g.End()
 }
 
 // Durable reports whether every committed record is covered by an fsync
@@ -619,11 +619,13 @@ func (e *EngineOf[V]) Crash() {
 		}
 	}
 	e.truncateWAL(e.durableLSN - e.walBase)
-	// Tear down any group-commit batch: the leader (gathering or mid
-	// write) and its followers all wake, see the generation moved, and
-	// return non-durable.
-	e.syncActive = false
-	e.syncDone.Broadcast()
+	// Tear down any group-commit batch: its followers wake now, its leader
+	// (gathering or mid write) when its sleep ends; all see the generation
+	// moved and return non-durable.
+	if e.group != nil {
+		e.group.Wake()
+		e.group = nil
+	}
 	// The in-memory view dies with the process; Recover rebuilds it.
 	e.resetShards()
 }
