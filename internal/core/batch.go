@@ -66,10 +66,9 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	if n.batches[part] == b {
 		delete(n.batches, part)
 	}
-	if n.stale(ps) {
-		// Crashed during the linger. The joined items' locks, logs and put
-		// states were wiped by Restart; just release the parked handlers so
-		// they can observe the staleness themselves.
+	if b.Ended() || n.stale(ps) {
+		// Crashed during the linger: Crash ended the batch and released the
+		// joiners, which never drained (ok=false).
 		endBatch(b)
 		return kvstore.Timestamp{}, false
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/controller"
@@ -826,9 +827,22 @@ func (n *Node) reportFailure(suspect int) {
 // the failure instant: the memory tier and every unfsynced WAL record
 // are dropped deterministically, and recovery later rebuilds the store
 // from snapshot + log replay.
+//
+// The crash also ends every open commit batch, in partition order: its
+// parked handlers return at once, and its leader finds the batch ended
+// when its linger does, so nothing drains onto the dead node.
 func (n *Node) Crash() {
 	n.stack.Host().SetDown(true)
 	n.store.CrashStorage()
+	parts := make([]int, 0, len(n.batches))
+	for part := range n.batches {
+		parts = append(parts, part)
+	}
+	sort.Ints(parts)
+	for _, part := range parts {
+		n.batches[part].Wake()
+		delete(n.batches, part)
+	}
 }
 
 // Recovering reports whether the node is still get-invisible
