@@ -343,12 +343,10 @@ func (st *Store) Locked(key string) bool { return st.locks[key] != nil }
 // bytes is both +L and W. The record is open in the WAL from the call on,
 // so recovery scans and range fetches see the prepare while its write is
 // in flight; when this returns, the record and its object are on disk.
-// With window <= 0 the write is booked at once. With window > 0 it goes
-// through a write combiner: co-arriving prepares on this store share one
-// forced write of their summed bytes. The first caller opens a gather and
-// lingers window; later arrivals add their bytes and park until the
-// leader's write completes — a caller's bytes always join a gather before
-// its write starts, never an in-flight one.
+// With window <= 0 the write is booked at once. With window > 0
+// co-arriving prepares share one forced write of their summed bytes: the
+// first caller opens a gather and lingers window, and a caller's bytes
+// always join a gather before its write starts.
 func (st *Store) AppendLog(p *sim.Proc, rec LogRecord, window sim.Time) {
 	st.wal[rec.Obj.Key] = rec
 	st.walMod.Broadcast()
@@ -495,16 +493,10 @@ func (st *Store) Keys() []string {
 	return out
 }
 
-// PutHandoff stores a copy of obj in the handoff namespace: objects a
-// node holds on behalf of a failed peer, kept apart to simplify recovery.
-func (st *Store) PutHandoff(p *sim.Proc, obj *Object) {
-	st.forceWrite(p, obj.Size)
-	st.ApplyHandoff(obj)
-}
-
-// ApplyHandoff installs a copy of obj in the handoff namespace without
-// charging disk time, reporting whether it was newer than the resident
-// copy.
+// ApplyHandoff installs a copy of obj in the handoff namespace — objects
+// a node holds on behalf of a failed peer, kept apart to simplify
+// recovery — without charging disk time, reporting whether it was newer
+// than the resident copy.
 func (st *Store) ApplyHandoff(obj *Object) bool {
 	if old, ok := st.handoff[obj.Key]; ok && !old.Version.Less(obj.Version) {
 		return false
@@ -551,9 +543,6 @@ func (st *Store) HandoffObjects() []Object {
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
-
-// HandoffLen returns the handoff namespace size.
-func (st *Store) HandoffLen() int { return len(st.handoff) }
 
 // ClearHandoff empties the handoff namespace (after the owner recovered).
 func (st *Store) ClearHandoff() { st.handoff = make(map[string]Object) }

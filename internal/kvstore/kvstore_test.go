@@ -390,7 +390,7 @@ func TestWAL(t *testing.T) {
 
 func TestHandoffNamespaceIsSeparate(t *testing.T) {
 	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
-		st.PutHandoff(p, &Object{Key: "h", Value: 1, Size: 1, Version: ts(1, 1)})
+		st.ApplyHandoff(&Object{Key: "h", Value: 1, Size: 1, Version: ts(1, 1)})
 		if _, ok := st.Get(p, "h"); ok {
 			t.Error("handoff object visible in main namespace")
 		}
@@ -401,11 +401,11 @@ func TestHandoffNamespaceIsSeparate(t *testing.T) {
 		if _, ok := st.GetHandoff(p, "m"); ok {
 			t.Error("main object visible in handoff namespace")
 		}
-		if st.HandoffLen() != 1 || len(st.HandoffObjects()) != 1 {
+		if len(st.HandoffObjects()) != 1 {
 			t.Error("handoff enumeration wrong")
 		}
 		st.ClearHandoff()
-		if st.HandoffLen() != 0 {
+		if len(st.HandoffObjects()) != 0 {
 			t.Error("handoff not cleared")
 		}
 	})
