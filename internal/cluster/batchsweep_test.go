@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -80,50 +81,40 @@ func TestChaosDurableGroupCommit(t *testing.T) {
 		name    string
 		batched bool
 	}{{"NICEKV+durable", false}, {"NICEKV+batch", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var sys chaosSystem
-			for _, s := range chaosSystems() {
-				if s.name == tc.name {
-					sys = s
-				}
-			}
-			if sys.name == "" {
-				t.Fatalf("%s missing from chaosSystems", tc.name)
-			}
-			opts, _, err := resolveArm(sys.arm, chaosCellOptions(1))
+		i := slices.IndexFunc(chaosSystems(), func(s chaosSystem) bool { return s.name == tc.name })
+		if i < 0 {
+			t.Fatalf("%s missing from chaosSystems", tc.name)
+		}
+		sys := chaosSystems()[i]
+		opts, _, err := resolveArm(sys.arm, chaosCellOptions(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !opts.GroupCommit || opts.MaxSyncDelay == 0 || (opts.PutBatchWindow > 0) != tc.batched || opts.CoalesceGets != tc.batched {
+			t.Fatalf("%s: group commit %v/%v, put batch window %v, coalesced gets %v; want group commit on and batching %v",
+				tc.name, opts.GroupCommit, opts.MaxSyncDelay, opts.PutBatchWindow, opts.CoalesceGets, tc.batched)
+		}
+		recoveries := int64(0)
+		for sched := 0; sched < 3; sched++ {
+			cell, err := runChaosCell(sys, faultinject.Generate(DeriveSeed(13, sched), chaosGenConfig(sys, 0)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !opts.GroupCommit || opts.MaxSyncDelay == 0 || (opts.PutBatchWindow > 0) != tc.batched || opts.CoalesceGets != tc.batched {
-				t.Fatalf("group commit %v/%v, put batch window %v, coalesced gets %v; want group commit on and batching %v",
-					opts.GroupCommit, opts.MaxSyncDelay, opts.PutBatchWindow, opts.CoalesceGets, tc.batched)
+			if len(cell.Violations) > 0 {
+				t.Errorf("violations under group commit, repro: %s\n%v", cell.Repro(), cell.Violations)
 			}
-			recoveries := int64(0)
-			for sched := 0; sched < 3; sched++ {
-				sched := faultinject.Generate(DeriveSeed(13, sched), chaosGenConfig(sys, 0))
-				cell, err := runChaosCell(sys, sched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(cell.Violations) > 0 {
-					t.Errorf("violations under group commit, repro: %s", cell.Repro())
-					for _, v := range cell.Violations {
-						t.Logf("    %s", v)
-					}
-				}
-				recoveries += cell.Recoveries
-				replayed, err := ReplayChaos(cell.Repro())
-				if err != nil {
-					t.Fatalf("ReplayChaos(%q): %v", cell.Repro(), err)
-				}
-				if replayed.Hash != cell.Hash || replayed.Recoveries != cell.Recoveries {
-					t.Errorf("replay diverged: hash %x/%x recoveries %d/%d (%s)",
-						cell.Hash, replayed.Hash, cell.Recoveries, replayed.Recoveries, cell.Repro())
-				}
+			recoveries += cell.Recoveries
+			replayed, err := ReplayChaos(cell.Repro())
+			if err != nil {
+				t.Fatalf("ReplayChaos(%q): %v", cell.Repro(), err)
 			}
-			if recoveries == 0 {
-				t.Error("no crash recoveries across the schedules; the audit proved nothing")
+			if replayed.Hash != cell.Hash || replayed.Recoveries != cell.Recoveries {
+				t.Errorf("replay diverged: hash %x/%x recoveries %d/%d (%s)",
+					cell.Hash, replayed.Hash, cell.Recoveries, replayed.Recoveries, cell.Repro())
 			}
-		})
+		}
+		if recoveries == 0 {
+			t.Errorf("%s: no crash recoveries across the schedules; the audit proved nothing", tc.name)
+		}
 	}
 }

@@ -17,10 +17,8 @@ import (
 // client reply) stays with the op's own handler.
 
 // putBatch is the payload of one open (or draining) commit batch for a
-// partition: a sim.Gather on the node's free list, whose leader drains the
-// items and whose End releases the joiners. A handler Simulator.Shutdown
-// unwinds never leaves, so its batch is dropped instead of reused, like
-// its put state.
+// partition: a sim.Gather whose leader drains the items, reset when it
+// opens the batch, and whose End releases the joiners.
 type putBatch struct {
 	items []*batchItem
 	// out holds the drain's timestamp multicasts between the drain and the
@@ -58,7 +56,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	}
 
 	b := sim.OpenGather(n.s, &n.freeBatches)
-	b.Val.items = append(b.Val.items, it)
+	b.Val.items = append(b.Val.items[:0], it)
 	n.batches[part] = b
 	p.Sleep(n.cfg.PutBatchWindow)
 	// Close the batch before any yield point below: ops arriving once the
@@ -69,7 +67,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	if b.Ended() || n.stale(ps) {
 		// Crashed during the linger: Crash ended the batch and released the
 		// joiners, which never drained (ok=false).
-		endBatch(b)
+		b.End()
 		return kvstore.Timestamp{}, false
 	}
 
@@ -112,17 +110,9 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	}
 	clear(bt.out)
 	bt.out = bt.out[:0]
-	endBatch(b)
+	b.End()
 	if stale {
 		return kvstore.Timestamp{}, false
 	}
 	return it.ts, true
-}
-
-// endBatch is the leader's End of b. The items go first: the joiners read
-// only their own, and a recycled batch must not keep their put states.
-func endBatch(b *sim.Gather[putBatch]) {
-	clear(b.Val.items)
-	b.Val.items = b.Val.items[:0]
-	b.End()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -713,44 +714,35 @@ func TestSteadyPutBookkeepingAllocatesNothing(t *testing.T) {
 // ends the batch. Its joiners return ok=false at the crash, its leader
 // ok=false when its linger ends, and nothing drains onto the dead node.
 func TestCrashEndsTheOpenCommitBatch(t *testing.T) {
-	const window, crash = 100 * time.Microsecond, 50 * time.Microsecond
 	s, a, _ := pair(t)
 	defer s.Shutdown()
 	cfg := DefaultNodeConfig()
 	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
-	cfg.PutBatchWindow = window
+	cfg.PutBatchWindow = 100 * time.Microsecond
 	n := NewNode(a, cfg)
 	n.Start()
 	view := &controller.PartitionView{GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{cfg.Addr}}
-	type ret struct {
-		key string
-		ok  bool
-		at  sim.Time
-	}
-	var rets []ret
+	var rets []string
 	for i := range 4 { // k0 leads, k1-k3 join
 		s.Spawn("put", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * time.Microsecond)
 			req := &PutRequest{Key: "k" + itoa(i), Value: "v", Size: 8, Client: 9, ClientSeq: uint64(i + 1)}
 			ps := n.registerPut(req, a.IP())
 			_, ok := n.batchCommit(p, view, req, ps, &kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size})
-			rets = append(rets, ret{req.Key, ok, p.Now()})
+			_, stored := n.store.Peek(req.Key)
+			rets = append(rets, fmt.Sprintf("%s ok=%v stored=%v at %v", req.Key, ok, stored, p.Now()))
 			n.releasePut(ps)
 		})
 	}
-	s.At(crash, n.Crash)
+	s.At(50*time.Microsecond, n.Crash)
 	s.At(time.Millisecond, s.Stop)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []ret{{"k1", false, crash}, {"k2", false, crash}, {"k3", false, crash}, {"k0", false, window}}
-	if !slices.Equal(rets, want) || n.stats.Puts != 0 || n.stats.BatchCommits != 0 {
-		t.Fatalf("returned %v with %d puts applied in %d batches; want %v and none", rets, n.stats.Puts, n.stats.BatchCommits, want)
-	}
-	for _, r := range rets {
-		if _, ok := n.store.Peek(r.key); ok {
-			t.Errorf("%s reached the crashed node's store", r.key)
-		}
+	want := []string{"k1 ok=false stored=false at 50µs", "k2 ok=false stored=false at 50µs",
+		"k3 ok=false stored=false at 50µs", "k0 ok=false stored=false at 100µs"}
+	if !slices.Equal(rets, want) || n.stats.BatchCommits != 0 {
+		t.Fatalf("returned %q after %d batch drains; want %q and none", rets, n.stats.BatchCommits, want)
 	}
 }
 

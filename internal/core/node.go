@@ -826,11 +826,8 @@ func (n *Node) reportFailure(suspect int) {
 // Restart. With a durable engine, the storage crash happens here, at
 // the failure instant: the memory tier and every unfsynced WAL record
 // are dropped deterministically, and recovery later rebuilds the store
-// from snapshot + log replay.
-//
-// The crash also ends every open commit batch, in partition order: its
-// parked handlers return at once, and its leader finds the batch ended
-// when its linger does, so nothing drains onto the dead node.
+// from snapshot + log replay. Every open commit batch ends too, in
+// partition order: its joiners return, and its leader drains nothing.
 func (n *Node) Crash() {
 	n.stack.Host().SetDown(true)
 	n.store.CrashStorage()
@@ -841,8 +838,8 @@ func (n *Node) Crash() {
 	sort.Ints(parts)
 	for _, part := range parts {
 		n.batches[part].Wake()
-		delete(n.batches, part)
 	}
+	clear(n.batches)
 }
 
 // Recovering reports whether the node is still get-invisible

@@ -61,23 +61,19 @@ func TestOneFreeListType(t *testing.T) {
 	})
 }
 
-// TestOneGatherType: every leader/joiner batch in the internal packages is
-// a Gather. A holders int field outside this package is a hand-rolled
-// holder count; Gather's own is the one the walk must find.
+// TestOneGatherType: every leader/joiner batch is a Gather; a holders int
+// field other than Gather's own, which the walk must find, is hand-rolled.
 func TestOneGatherType(t *testing.T) {
-	own := 0
+	found := 0
 	eachField(t, func(pos token.Position, name string, typ ast.Expr) {
-		if id, ok := typ.(*ast.Ident); !ok || id.Name != "int" || name != "holders" {
-			return
+		if id, ok := typ.(*ast.Ident); ok && id.Name == "int" && name == "holders" {
+			if found++; filepath.Base(filepath.Dir(pos.Filename)) != "sim" {
+				t.Errorf("%s: field holders counts a hand-rolled gather's holders; use sim.Gather", pos)
+			}
 		}
-		if filepath.Base(filepath.Dir(pos.Filename)) == "sim" {
-			own++
-			return
-		}
-		t.Errorf("%s: field holders counts a hand-rolled gather's holders; use sim.Gather", pos)
 	})
-	if own != 1 {
-		t.Fatalf("found %d holders fields in sim, want Gather's one", own)
+	if found != 1 {
+		t.Fatalf("found %d holders fields, want Gather's one", found)
 	}
 }
 
@@ -85,11 +81,10 @@ func TestOneGatherType(t *testing.T) {
 // source file in the internal packages.
 func eachField(t *testing.T, check func(pos token.Position, name string, typ ast.Expr)) {
 	files, err := filepath.Glob("../*/*.go")
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(files) == 0 {
+		t.Fatal("no source files found", err)
 	}
 	fset := token.NewFileSet()
-	checked := 0
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -98,7 +93,6 @@ func eachField(t *testing.T, check func(pos token.Position, name string, typ ast
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked++
 		ast.Inspect(file, func(n ast.Node) bool {
 			if st, ok := n.(*ast.StructType); ok {
 				for _, field := range st.Fields.List {
@@ -109,9 +103,6 @@ func eachField(t *testing.T, check func(pos token.Position, name string, typ ast
 			}
 			return true
 		})
-	}
-	if checked == 0 {
-		t.Fatal("no source files found")
 	}
 }
 

@@ -1,19 +1,18 @@
 package sim
 
-// Gather is one leader/joiner batch: the rule the commit batch, the
-// prepare combiner and WAL group commit share (DESIGN.md §16.1). The
-// first caller opens it and leads; while its owner keeps it open, later
-// callers Join and park; the leader's one charged action covers them all
-// and its End wakes every joiner. When to close it to new joiners is the
-// owner's call, made by dropping its reference, so Gather has no branch
-// for any one caller.
+// Gather is one leader/joiner batch, the rule the commit batch, the
+// prepare gather and WAL group commit share (DESIGN.md §16.1). The first
+// caller opens it and leads; while its owner keeps it open, later callers
+// Join and park; the leader's one charged action covers them all, and its
+// End wakes them. The owner closes it to new joiners by dropping its
+// reference, so Gather has no branch for any one caller.
 //
-// The leader and each joiner hold the gather until they leave it — the
-// leader in End, a joiner once its Join returns — and the last to leave
+// The leader and each joiner hold the gather until they leave it, the
+// leader in End and a joiner as its Join returns, and the last to leave
 // puts it back on its free list. Recycling at End would strand a joiner
-// that End woke but that has not yet resumed: it would find the gather
-// reopened, park again and never wake. A holder that Simulator.Shutdown
-// unwinds never leaves, so its gather is dropped instead of reused.
+// End woke but that has not yet resumed: it would find the gather open
+// again and never wake. A holder Simulator.Shutdown unwinds never leaves,
+// so its gather is dropped.
 type Gather[T any] struct {
 	// Val is the owner's payload. It survives recycling, so a slice in it
 	// keeps its array; the leader resets what it reads.
@@ -49,7 +48,7 @@ func (g *Gather[T]) Join(p *Proc) {
 func (g *Gather[T]) Ended() bool { return g.ended }
 
 // Wake ends g for its joiners without leaving it: a crash tears a batch
-// its leader still holds. The leader's End then only leaves.
+// its leader still holds, whose End then only leaves.
 func (g *Gather[T]) Wake() {
 	if !g.ended {
 		g.ended = true
@@ -57,14 +56,12 @@ func (g *Gather[T]) Wake() {
 	}
 }
 
-// End is the leader's: it wakes every joiner, unless Wake already did,
-// and leaves g.
+// End is the leader's: it wakes the joiners, unless Wake did, and leaves.
 func (g *Gather[T]) End() {
 	g.Wake()
 	g.leave()
 }
 
-// leave ends one holder's use of g; the last holder recycles it.
 func (g *Gather[T]) leave() {
 	if g.holders--; g.holders == 0 {
 		g.pool.Put(g)

@@ -1,119 +1,79 @@
 package sim
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
-// TestGatherOutlivesItsWakingJoiners: a gather goes back to its free list
-// only once its last joiner has left it. Each round's leader opens the next
-// gather the moment its own End returns, while the joiners End woke have
-// not yet resumed; every joiner still returns at its own gather's End, the
-// list does not grow with the rounds, and a warm round allocates nothing.
-// A crash's Wake ends a gather before its leader does: the joiners return
-// at the crash, and the leader's End only leaves.
+// TestGatherOutlivesItsWakingJoiners: a gather is recycled only once its
+// last joiner left it. Each round's leader opens the next gather as its End
+// returns, before the joiners End woke resume; each still returns at its
+// own gather's End, and a warm round allocates nothing. A crash's Wake ends
+// a gather early: its joiners return, and its leader holds it until End.
 func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
 	const joiners, window = 3, Time(100)
 	s := New(1)
 	defer s.Shutdown()
-	var (
-		free  Free[Gather[int]]
-		open  *Gather[int]
-		start = NewQueue[struct{}](s)
-		wake  [joiners]*Queue[struct{}]
-		rets  []Time // every caller's return
-		sizes []int  // each gather's callers, counted at its End
-	)
-	// The owner's rule, as the prepare combiner's: join the open gather,
-	// or open one, linger, close it and charge one action for all.
-	gather := func(p *Proc) {
-		if g := open; g != nil {
-			g.Val++
-			g.Join(p)
-			return
-		}
-		g := OpenGather(s, &free)
-		g.Val = 1
-		open = g
-		p.Sleep(window)
-		if open == g {
-			open = nil
-		}
-		p.Sleep(window)
-		sizes = append(sizes, g.Val)
-		g.End()
-	}
-	for i := range wake {
-		wake[i] = NewQueue[struct{}](s)
-		s.Spawn("joiner", func(p *Proc) {
+	var free Free[Gather[struct{}]]
+	var open *Gather[struct{}]
+	var rets []Time // every caller's return, in order
+	var kicks [joiners + 1]*Queue[struct{}]
+	for i := range kicks {
+		kicks[i] = NewQueue[struct{}](s)
+		// Each round caller 0 leads and caller i joins i tenths of a window
+		// later, by the prepare gather's rule: join, or open, linger, close.
+		s.Spawn("caller", func(p *Proc) {
 			for {
-				wake[i].Pop(p)
-				p.Sleep(window / 10)
-				gather(p)
+				if kicks[i].Pop(p); i > 0 { // the leader must not yield
+					p.Sleep(Time(i) * window / 10)
+				}
+				if g := open; g != nil {
+					g.Join(p)
+				} else {
+					g = OpenGather(s, &free)
+					open = g
+					p.Sleep(window)
+					open = nil
+					p.Sleep(window)
+					g.End()
+				}
 				rets = append(rets, p.Now())
 			}
 		})
 	}
-	s.Spawn("leader", func(p *Proc) {
-		for {
-			start.Pop(p)
-			for _, q := range wake {
+	// run kicks n rounds back to back; the i-th return must come at(i) in.
+	run := func(n int, at func(i int) Time) {
+		base := s.Now()
+		rets = rets[:0]
+		for range n {
+			for _, q := range kicks {
 				q.Push(struct{}{})
 			}
-			gather(p)
-			rets = append(rets, p.Now())
-		}
-	})
-	// rounds runs n back-to-back rounds and checks that every caller of
-	// round r returned at its End, 2(r+1) windows in.
-	rounds := func(n int) {
-		t.Helper()
-		base := s.Now()
-		rets, sizes = rets[:0], sizes[:0]
-		for range n {
-			start.Push(struct{}{})
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		slices.Sort(rets)
-		ok := len(rets) == n*(joiners+1) && len(sizes) == n
-		for i, at := range rets {
-			ok = ok && at == base+Time(2*(i/(joiners+1)+1))*window
-		}
-		for _, k := range sizes {
-			ok = ok && k == joiners+1
+		ok := len(rets) == n*(joiners+1)
+		for i, got := range rets {
+			ok = ok && got == base+at(i)
 		}
 		if !ok {
-			t.Fatalf("%d rounds from %v: callers returned at %v from gathers of %v; want %d at each End, 2 windows apart",
-				n, base, rets, sizes, joiners+1)
+			t.Fatalf("%d rounds from %v returned at %v", n, base, rets)
 		}
 	}
-	rounds(8)
-	pooled := free.Len()
-	rounds(8)
-	if pooled == 0 || free.Len() != pooled {
-		t.Fatalf("free gathers: %d after 8 rounds, %d after 16; want the same, nonzero", pooled, free.Len())
+	// Round r's callers all return at its End, 2(r+1) windows in.
+	atEnd := func(i int) Time { return Time(2*(i/(joiners+1)+1)) * window }
+	run(8, atEnd)
+	if n := testing.AllocsPerRun(100, func() { run(1, atEnd) }); n != 0 || free.Len() == 0 {
+		t.Fatalf("a warm round allocates %v objects, with %d gathers free; want 0, some", n, free.Len())
 	}
-	if n := testing.AllocsPerRun(100, func() { rounds(1) }); n != 0 {
-		t.Fatalf("a warm round allocates %v objects, want 0", n)
-	}
-
-	// A crash mid-linger: Wake ends the gather and the owner drops it.
-	base := s.Now()
-	s.At(base+window/2, func() {
-		open.Wake()
-		open = nil
+	pooled, held := free.Len(), 0
+	s.At(s.Now()+window/2, func() { open.Wake(); open = nil }) // a crash mid-linger
+	s.At(s.Now()+window, func() { held = pooled - free.Len() })
+	run(1, func(i int) Time {
+		if i < joiners {
+			return window / 2
+		}
+		return 2 * window
 	})
-	rets = rets[:0]
-	start.Push(struct{}{})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	slices.Sort(rets)
-	crash, end := base+window/2, base+2*window
-	if !slices.Equal(rets, []Time{crash, crash, crash, end}) || free.Len() != pooled {
-		t.Fatalf("after a crash at %v, callers returned at %v with %d gathers free; want the joiners then, the leader at %v, %d free",
-			crash, rets, free.Len(), end, pooled)
+	if held != 1 || free.Len() != pooled {
+		t.Fatalf("%d gathers held between a crash and its leader's End, %d free after; want 1, %d", held, free.Len(), pooled)
 	}
 }

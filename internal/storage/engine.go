@@ -523,42 +523,23 @@ func (e *EngineOf[V]) Sync(p *sim.Proc) {
 		return
 	}
 	if !e.cfg.GroupCommit {
-		pending := int(target - e.durableLSN)
-		gen := e.gen
-		e.syncing++
-		e.disk.WriteDisk(p, pending*WALRecordBytes)
-		e.syncing--
-		if gen != e.gen {
-			return // crashed mid-fsync: the records were torn, not written
-		}
-		if target > e.durableLSN {
-			e.stats.Fsyncs++
-			e.stats.FsyncedRecords += int64(target - e.durableLSN)
-			e.durableLSN = target
-		}
+		e.fsync(p, target)
 		return
 	}
 	gen := e.gen
 	led := false
-	for e.durableLSN < target {
+	for e.durableLSN < target && gen == e.gen {
+		// A follower whose records the open batch does not cover (it
+		// appended after the leader sized the write) waits it out and
+		// contends to lead the next one. A crash tears the batch.
 		if g := e.group; g != nil {
-			// A leader is gathering or writing. If its batch covers our
-			// records we piggyback on the result; if not (we appended after
-			// it sized the write) we still wait it out and contend to lead
-			// the next batch.
 			g.Join(p)
-			if gen != e.gen {
-				return // crashed: the batch we were riding was torn
-			}
-			continue
-		}
-		led = true
-		e.leadSync(p)
-		if gen != e.gen {
-			return
+		} else {
+			led = true
+			e.leadSync(p)
 		}
 	}
-	if !led {
+	if !led && gen == e.gen {
 		e.stats.CoalescedSyncs++
 	}
 }
@@ -573,31 +554,37 @@ func (e *EngineOf[V]) leadSync(p *sim.Proc) {
 	gen := e.gen
 	if d := e.cfg.MaxSyncDelay; d > 0 {
 		p.Sleep(d)
-		if gen != e.gen {
-			g.End() // crashed during the gather window; Crash woke the batch
-			return
-		}
 	}
-	// The target may already be durable: a snapshot covered everything
-	// while we gathered.
-	if target := e.tailLSN(); target > e.durableLSN {
-		bytes := int(target-e.durableLSN) * WALRecordBytes
-		e.syncing++
-		e.disk.WriteDisk(p, bytes)
-		e.syncing--
-		if gen != e.gen {
-			g.End() // crashed mid-fsync: the whole batch was torn, not written
-			return
-		}
-		if target > e.durableLSN {
-			e.stats.Fsyncs++
-			e.stats.FsyncedRecords += int64(target - e.durableLSN)
-			e.stats.SyncedBatchBytes += int64(bytes)
-			e.durableLSN = target
-		}
+	// A snapshot may have covered everything while we gathered.
+	if target := e.tailLSN(); gen != e.gen || (target > e.durableLSN && !e.fsync(p, target)) {
+		g.End() // crashed while gathering or writing: Crash woke the batch
+		return
 	}
 	e.group = nil
 	g.End()
+}
+
+// fsync forces the records below target with one disk write and reports
+// whether the engine survived it: a crash during the write tears it, and
+// the records stay volatile.
+func (e *EngineOf[V]) fsync(p *sim.Proc, target uint64) bool {
+	gen := e.gen
+	bytes := int(target-e.durableLSN) * WALRecordBytes
+	e.syncing++
+	e.disk.WriteDisk(p, bytes)
+	e.syncing--
+	if gen != e.gen {
+		return false
+	}
+	if target > e.durableLSN {
+		e.stats.Fsyncs++
+		e.stats.FsyncedRecords += int64(target - e.durableLSN)
+		if e.cfg.GroupCommit {
+			e.stats.SyncedBatchBytes += int64(bytes)
+		}
+		e.durableLSN = target
+	}
+	return true
 }
 
 // Durable reports whether every committed record is covered by an fsync
