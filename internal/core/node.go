@@ -826,8 +826,9 @@ func (n *Node) reportFailure(suspect int) {
 // Restart. With a durable engine, the storage crash happens here, at
 // the failure instant: the memory tier and every unfsynced WAL record
 // are dropped deterministically, and recovery later rebuilds the store
-// from snapshot + log replay. Every open commit batch ends too, in
-// partition order: its joiners return, and its leader drains nothing.
+// from snapshot + log replay. Every commit batch still open to joiners
+// ends too, in partition order: its joiners return, its leader drains
+// nothing.
 func (n *Node) Crash() {
 	n.stack.Host().SetDown(true)
 	n.store.CrashStorage()
