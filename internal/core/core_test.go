@@ -710,6 +710,78 @@ func TestSteadyPutBookkeepingAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCommitBatchOutlivesItsWakingJoiners: a commit batch is recycled only
+// once its last joiner has left it. Each round's leader opens the next
+// batch the moment its own batchCommit returns, while the joiners Set woke
+// have not yet resumed; every joiner still returns at its batch's drain,
+// with its own timestamp, and the free list does not grow with the rounds.
+func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
+	const joiners = 3
+	s, a, _ := pair(t)
+	defer s.Shutdown()
+	cfg := DefaultNodeConfig()
+	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
+	cfg.PutBatchWindow = 100 * time.Microsecond
+	n := NewNode(a, cfg)
+	n.Start()
+	view := &controller.PartitionView{GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{cfg.Addr}}
+	type result struct {
+		round int
+		seq   uint64
+		ts    kvstore.Timestamp
+		ok    bool
+		at    sim.Time
+	}
+	var results []result
+	var drained []sim.Time // each round's return of its leader
+	var seq uint64
+	commit := func(p *sim.Proc, round int) {
+		seq++
+		req := &PutRequest{Key: "k" + itoa(int(seq)), Value: "v", Size: 8, Client: 9, ClientSeq: seq}
+		ps := n.registerPut(req, a.IP())
+		ts, ok := n.batchCommit(p, view, req, ps, &kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size})
+		results = append(results, result{round, req.ClientSeq, ts, ok, p.Now()})
+		n.releasePut(ps)
+	}
+	var pooled []int // free batches after each round
+	lead := func(rounds int) {
+		s.Spawn("leader", func(p *sim.Proc) {
+			for r := 0; r < rounds; r++ {
+				round := len(drained)
+				for j := 0; j < joiners; j++ {
+					s.Spawn("joiner", func(p *sim.Proc) {
+						p.Sleep(10 * time.Microsecond)
+						commit(p, round)
+					})
+				}
+				commit(p, round)
+				drained = append(drained, p.Now())
+				pooled = append(pooled, n.freeBatches.Len())
+			}
+			p.Sleep(time.Millisecond) // the last round's joiners leave
+			s.Stop()
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lead(8)
+	afterN := n.freeBatches.Len()
+	lead(8)
+	if len(results) != 16*(joiners+1) {
+		t.Fatalf("%d puts returned from 16 rounds of %d", len(results), joiners+1)
+	}
+	for _, r := range results {
+		if !r.ok || r.ts.Client != 9 || r.ts.ClientSeq != r.seq || r.at != drained[r.round] {
+			t.Fatalf("put %d of round %d returned ok=%v with %v at %v; want its own timestamp at the drain, %v",
+				r.seq, r.round, r.ok, r.ts, r.at, drained[r.round])
+		}
+	}
+	if afterN == 0 || n.freeBatches.Len() != afterN {
+		t.Fatalf("free batches: %d after 8 rounds, %d after 16; want the same, nonzero (per round: %v)", afterN, n.freeBatches.Len(), pooled)
+	}
+}
+
 // TestCrashEndsTheOpenCommitBatch: a crash during a commit batch's linger
 // ends the batch. Its joiners return ok=false at the crash, its leader
 // ok=false when its linger ends, and nothing drains onto the dead node.

@@ -286,6 +286,62 @@ func TestGrantQueuesArePooled(t *testing.T) {
 	s.Shutdown()
 }
 
+// TestGatherOutlivesItsWakingJoiners: a prepare gather is recycled only
+// once its last joiner has left it. Each round's leader opens the next
+// gather the moment its own write returns, while the joiners Set woke have
+// not yet resumed; every joiner still returns when its own gather's write
+// completes, and the free list does not grow with the rounds.
+func TestGatherOutlivesItsWakingJoiners(t *testing.T) {
+	const joiners, window = 3, 100 * time.Microsecond
+	s := sim.New(1)
+	st := New(s, SSD())
+	var written []sim.Time // each round's leader return
+	type ret struct {
+		round int
+		at    sim.Time
+	}
+	var rets []ret
+	seq := 0
+	prepare := func(p *sim.Proc) {
+		seq++
+		st.AppendLog(p, LogRecord{Obj: Object{Key: fmt.Sprint("k", seq), Size: 512}, Tag: PutID{Seq: uint64(seq)}}, window)
+	}
+	lead := func(rounds int) {
+		s.Spawn("leader", func(p *sim.Proc) {
+			for r := 0; r < rounds; r++ {
+				round := len(written)
+				for j := 0; j < joiners; j++ {
+					s.Spawn("joiner", func(p *sim.Proc) {
+						p.Sleep(10 * time.Microsecond)
+						prepare(p)
+						rets = append(rets, ret{round, p.Now()})
+					})
+				}
+				prepare(p)
+				written = append(written, p.Now())
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lead(8)
+	afterN := st.freeGathers.Len()
+	lead(8)
+	if len(rets) != 16*joiners || st.Stats().CombinedWrites != 16*joiners {
+		t.Fatalf("%d joiners returned, %d combined writes; want %d", len(rets), st.Stats().CombinedWrites, 16*joiners)
+	}
+	for _, r := range rets {
+		if r.at != written[r.round] {
+			t.Fatalf("a joiner of round %d returned at %v, want its gather's write at %v", r.round, r.at, written[r.round])
+		}
+	}
+	if afterN == 0 || st.freeGathers.Len() != afterN {
+		t.Fatalf("free gathers: %d after 8 rounds, %d after 16; want the same, nonzero", afterN, st.freeGathers.Len())
+	}
+	s.Shutdown()
+}
+
 // TestUnbatchedPrepareNeverGathers: with no window, AppendLog books one
 // forced write of the record and its object the moment it is called and
 // opens no gather. Two prepares arriving in the same instant finish FIFO,
