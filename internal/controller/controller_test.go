@@ -388,50 +388,36 @@ func TestMembershipMessageScalability(t *testing.T) {
 	}
 }
 
-func TestLearningSwitchARPPath(t *testing.T) {
+func TestMissForAnUnregisteredHostIsOneCountedDrop(t *testing.T) {
 	rg := newRig(t, 3, 2, false)
-	// A client the controller has never seen; replies to it require ARP
-	// learning.
-	client := rg.net.NewHost("stranger", netsim.MustParseIP("192.168.5.5"))
-	rg.net.Connect(client.Port(), rg.dp.Switch().Port(7), netsim.Gbps(1, us(5)))
-	cst := transport.NewStack(client)
-	csock := cst.MustBindUDP(4000)
-
-	delivered := false
-	rg.s.Spawn("client", func(p *sim.Proc) {
-		if _, ok := csock.RecvTimeout(p, ms(500)); ok {
-			delivered = true
-		}
-	})
-	// A storage node sends to the unknown client: first packet misses,
-	// controller ARPs, learns, flushes.
+	// A host cabled to the switch but never registered: no rule names its
+	// address, so a packet to it misses the table and is punted.
+	stranger := rg.net.NewHost("stranger", netsim.MustParseIP("192.168.5.5"))
+	rg.net.Connect(stranger.Port(), rg.dp.Switch().Port(7), netsim.Gbps(1, us(5)))
+	received := 0
+	stranger.SetHandler(func(*netsim.Packet) { received++ })
+	var before openflow.ControlStats
+	var dropped int64
 	rg.s.At(ms(5), func() {
+		before, dropped = rg.dp.Stats(), rg.dp.Switch().Stats().Dropped
 		sock := rg.nodes[0].stack.MustBindUDP(0)
-		sock.SendTo(client.IP(), 4000, "reply", 100)
+		sock.SendTo(stranger.IP(), 4000, "reply", 100)
 	})
 	rg.runUntil(t, ms(600))
-	if !delivered {
-		t.Fatal("packet to unknown host was not delivered via ARP learning")
+	after := rg.dp.Stats()
+	if n := after.PacketIns - before.PacketIns; n != 1 {
+		t.Errorf("%d packet-ins, want the one miss", n)
 	}
-	// And the rule is now installed: a second packet flows without the
-	// controller.
-	ins := rg.dp.Stats().PacketIns
-	delivered = false
-	rg.s.Spawn("client2", func(p *sim.Proc) {
-		if _, ok := csock.RecvTimeout(p, ms(500)); ok {
-			delivered = true
-		}
-	})
-	rg.s.After(0, func() {
-		sock := rg.nodes[1].stack.MustBindUDP(0)
-		sock.SendTo(client.IP(), 4000, "again", 100)
-	})
-	rg.runUntil(t, rg.s.Now()+ms(600))
-	if !delivered {
-		t.Fatal("second packet not delivered")
+	// The controller neither forwards the packet nor floods a query for
+	// its address: the miss ends as one drop the switch counts.
+	if n := after.PacketOuts - before.PacketOuts; n != 0 {
+		t.Errorf("%d packet-outs, want none", n)
 	}
-	if rg.dp.Stats().PacketIns > ins {
-		t.Fatal("second packet still punted to controller")
+	if n := rg.dp.Switch().Stats().Dropped - dropped; n != 1 {
+		t.Errorf("%d switch drops, want 1", n)
+	}
+	if received != 0 {
+		t.Errorf("the unregistered host received %d packets", received)
 	}
 	rg.s.Shutdown()
 }

@@ -16,7 +16,6 @@ import (
 
 // Rule priorities, highest wins.
 const (
-	prioARP     = 90 // punt ARP to the controller
 	prioLB      = 60 // per-division load-balancing rules
 	prioMapping = 50 // vring mapping and group-direct rules
 	prioPhys    = 10 // physical host forwarding
@@ -147,11 +146,6 @@ type Service struct {
 	// partition to the operator, which is the conservative outcome.
 	lastHolder map[int]NodeAddr
 
-	// learning-switch state (§5 mapping service)
-	known   map[netsim.IP]netsim.MAC // discovered hosts; their ports are the fabric's to answer
-	pending map[netsim.IP][]pendingPkt
-	arped   map[netsim.IP]sim.Time
-
 	// dynamic load-balancing state (nil when disabled)
 	lb map[int]*lbState
 
@@ -159,12 +153,6 @@ type Service struct {
 	// EnableStages adopts the ones the configuration names)
 	cacheMgr *CacheManager
 	harmonia *harmonia.DirtySet
-}
-
-type pendingPkt struct {
-	dp     *openflow.Datapath
-	pkt    *netsim.Packet
-	inPort int
 }
 
 // New builds the service on the metadata host's transport stack. nodes
@@ -179,9 +167,6 @@ func New(stack *transport.Stack, fabric *Fabric, cfg Config, nodes []NodeAddr) *
 		stack:      stack,
 		fabric:     fabric,
 		store:      cfg.Store,
-		known:      make(map[netsim.IP]netsim.MAC),
-		pending:    make(map[netsim.IP][]pendingPkt),
-		arped:      make(map[netsim.IP]sim.Time),
 		lastHolder: make(map[int]NodeAddr),
 	}
 	for _, a := range nodes {
@@ -222,11 +207,11 @@ func (svc *Service) View(p int) *PartitionView { return svc.views[p] }
 // Gen returns this instance's writer generation (0 before Start).
 func (svc *Service) Gen() uint64 { return svc.gen }
 
-// RegisterHost teaches the controller a host's location eagerly (the
-// harness does this for infrastructure hosts; clients may instead be
-// learned through ARP, see learning.go).
+// RegisterHost installs forwarding to a host on every datapath. Start
+// registers the metadata host and the storage nodes; the harness
+// registers the standby, the clients and the gateways before any
+// traffic. A packet for an unregistered address is dropped (PacketIn).
 func (svc *Service) RegisterHost(ip netsim.IP, mac netsim.MAC) {
-	svc.known[ip] = mac
 	svc.installPhysRules(ip, mac)
 }
 
@@ -240,16 +225,6 @@ func (svc *Service) Start() {
 	for _, dp := range svc.fabric.Datapaths() {
 		dp.SetController(svc)
 		dp.RaiseWriterFence(svc.gen)
-		// All ARP traffic goes to the controller: it is both the ARP
-		// requester (host discovery) and the consumer of replies.
-		arpMatch := openflow.NewMatch()
-		arpMatch.Proto = netsim.ProtoARP
-		dp.AddFlow(openflow.FlowEntry{
-			Priority: prioARP,
-			Match:    arpMatch,
-			Actions:  []openflow.Action{openflow.ToController{}},
-			Cookie:   "arp-punt",
-		})
 	}
 	svc.RegisterHost(svc.stack.IP(), svc.stack.Host().MAC())
 	for _, n := range svc.nodes {

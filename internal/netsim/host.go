@@ -14,8 +14,7 @@ type HostStats struct {
 // Host is an end system with a single NIC. The transport layer (package
 // transport) registers a handler to receive packets; the host itself
 // implements the small amount of "OS kernel" behaviour the paper assumes:
-// answering ARP for its own address, an ARP cache, and IP multicast group
-// subscription filtering.
+// NIC address filtering and IP multicast group subscription.
 type Host struct {
 	name    string
 	net     *Network
@@ -23,7 +22,6 @@ type Host struct {
 	mac     MAC
 	port    *Port
 	handler func(pkt *Packet)
-	arp     map[IP]MAC
 	mcast   map[IP]bool // subscribed multicast group addresses
 	stats   HostStats
 	down    bool
@@ -38,7 +36,6 @@ func (n *Network) NewHost(name string, ip IP) *Host {
 		net:    n,
 		ip:     ip,
 		mac:    n.nextMAC(),
-		arp:    make(map[IP]MAC),
 		mcast:  make(map[IP]bool),
 		nextID: &n.pktID,
 	}
@@ -91,10 +88,9 @@ func (h *Host) LeaveMulticast(group IP) { delete(h.mcast, group) }
 // addressed to the virtual client space it fronts.
 func (h *Host) AcceptPrefix(p Prefix) { h.accepts = append(h.accepts, p) }
 
-// Send fills in the host's source addresses, resolves the destination MAC
-// from the ARP cache (broadcast if unknown — the OpenFlow fabric routes on
-// IP and rewrites MACs, so this is how first packets reach the controller),
-// and transmits.
+// Send fills in the host's source addresses and transmits. A packet with
+// no destination MAC goes out as broadcast: the OpenFlow fabric routes on
+// IP and rewrites the MAC toward the destination host.
 func (h *Host) Send(pkt *Packet) {
 	pkt.SrcIP = h.ip
 	h.SendFrom(pkt)
@@ -105,7 +101,7 @@ func (h *Host) Send(pkt *Packet) {
 // open-loop traffic gateway uses it to emit requests on behalf of many
 // virtual clients, so switch rules that classify on source address (the
 // load-balancing divisions) see one flow per virtual client rather than
-// one per gateway. Everything else — source MAC, ARP resolution, TTL, ID,
+// one per gateway. Everything else — source MAC, destination MAC, TTL, ID,
 // counters — is stamped exactly as Send does, and replies addressed to
 // the virtual source route back by MAC, not IP.
 func (h *Host) SendFrom(pkt *Packet) {
@@ -115,11 +111,7 @@ func (h *Host) SendFrom(pkt *Packet) {
 	}
 	pkt.SrcMAC = h.mac
 	if pkt.DstMAC == 0 {
-		if m, ok := h.arp[pkt.DstIP]; ok {
-			pkt.DstMAC = m
-		} else {
-			pkt.DstMAC = BroadcastMAC
-		}
+		pkt.DstMAC = BroadcastMAC
 	}
 	if pkt.TTL == 0 {
 		pkt.TTL = DefaultTTL
@@ -132,8 +124,7 @@ func (h *Host) SendFrom(pkt *Packet) {
 	h.port.Send(pkt)
 }
 
-// Recv implements Device: NIC filtering, ARP handling, then the
-// registered handler.
+// Recv implements Device: NIC filtering, then the registered handler.
 func (h *Host) Recv(pkt *Packet, on *Port) {
 	// Each delivered packet pointer is unique to this host (switches clone
 	// per output port), so drop paths below the handler may recycle it.
@@ -148,11 +139,6 @@ func (h *Host) Recv(pkt *Packet, on *Port) {
 	member := !(forMAC && forIP) && h.mcast[pkt.DstIP]
 	if !forMAC && !member {
 		h.net.drops++
-		h.net.RecyclePacket(pkt)
-		return
-	}
-	if pkt.Proto == ProtoARP {
-		h.recvARP(pkt)
 		h.net.RecyclePacket(pkt)
 		return
 	}
@@ -176,33 +162,6 @@ func (h *Host) acceptsDst(ip IP) bool {
 		}
 	}
 	return false
-}
-
-func (h *Host) recvARP(pkt *Packet) {
-	arp, ok := pkt.Payload.(*ARPPayload)
-	if !ok {
-		return
-	}
-	switch arp.Op {
-	case ARPRequest:
-		if arp.TargetIP != h.ip {
-			return
-		}
-		reply := h.net.NewPacket()
-		reply.DstIP = arp.SenderIP
-		reply.DstMAC = pkt.SrcMAC
-		reply.Proto = ProtoARP
-		reply.Size = ARPPacketSize
-		reply.Payload = &ARPPayload{
-			Op:       ARPReply,
-			TargetIP: h.ip,
-			SenderIP: h.ip,
-			Sender:   h.mac,
-		}
-		h.Send(reply)
-	case ARPReply:
-		h.arp[arp.SenderIP] = arp.Sender
-	}
 }
 
 // Sim returns the simulator driving this host's network.

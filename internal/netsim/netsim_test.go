@@ -187,34 +187,6 @@ func TestMulticastSubscription(t *testing.T) {
 	}
 }
 
-func TestARPResolution(t *testing.T) {
-	s, _, a, b := pair(t, Gbps(1, us(5)))
-	s.At(0, func() {
-		a.Send(&Packet{
-			DstIP:   b.IP(),
-			Proto:   ProtoARP,
-			Size:    ARPPacketSize,
-			Payload: &ARPPayload{Op: ARPRequest, TargetIP: b.IP(), SenderIP: a.IP()},
-		})
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a.arp[b.IP()] != b.MAC() {
-		t.Fatalf("ARP cache = %v, want %v", a.arp[b.IP()], b.MAC())
-	}
-	// Subsequent sends use the learned MAC.
-	var gotMAC MAC
-	b.SetHandler(func(pkt *Packet) { gotMAC = pkt.DstMAC })
-	s.After(0, func() { a.Send(&Packet{DstIP: b.IP(), Proto: ProtoUDP, Size: 64}) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if gotMAC != b.MAC() {
-		t.Fatalf("DstMAC = %v, want %v", gotMAC, b.MAC())
-	}
-}
-
 func TestHostDown(t *testing.T) {
 	s, _, a, b := pair(t, Gbps(1, 0))
 	got := 0

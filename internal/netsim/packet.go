@@ -14,8 +14,6 @@ const (
 	ProtoUDP
 	// ProtoTCP carries reliable-stream segments.
 	ProtoTCP
-	// ProtoARP carries address-resolution requests and replies.
-	ProtoARP
 )
 
 // String returns the conventional protocol name.
@@ -27,8 +25,6 @@ func (p Proto) String() string {
 		return "udp"
 	case ProtoTCP:
 		return "tcp"
-	case ProtoARP:
-		return "arp"
 	}
 	return fmt.Sprintf("proto(%d)", uint8(p))
 }
@@ -38,25 +34,7 @@ func (p Proto) String() string {
 const (
 	UDPHeaderSize = 46 // Ethernet(18) + IP(20) + UDP(8)
 	TCPHeaderSize = 58 // Ethernet(18) + IP(20) + TCP(20)
-	ARPPacketSize = 64 // minimum Ethernet frame
 )
-
-// ARPOp distinguishes ARP requests from replies.
-type ARPOp uint8
-
-// ARP operations.
-const (
-	ARPRequest ARPOp = 1
-	ARPReply   ARPOp = 2
-)
-
-// ARPPayload is the payload of a ProtoARP packet.
-type ARPPayload struct {
-	Op       ARPOp
-	TargetIP IP  // the address being resolved (request) or answered (reply)
-	SenderIP IP  // resolver / answerer
-	Sender   MAC // answerer's MAC (reply)
-}
 
 // Packet is a simulated frame. Payload carries the message object by
 // reference (the simulator never serializes it); Size is the number of

@@ -33,9 +33,6 @@ type OutputGroup struct{ Group GroupID }
 // ToController punts the packet to the controller as a PacketIn.
 type ToController struct{}
 
-// Flood outputs the packet on every port except the ingress port.
-type Flood struct{}
-
 // Drop discards the packet explicitly.
 type Drop struct{}
 
@@ -46,7 +43,6 @@ func (a SetSrcMAC) actionString() string    { return "set_src_mac:" + a.MAC.Stri
 func (a Output) actionString() string       { return fmt.Sprintf("output:%d", a.Port) }
 func (a OutputGroup) actionString() string  { return fmt.Sprintf("group:%d", a.Group) }
 func (a ToController) actionString() string { return "controller" }
-func (a Flood) actionString() string        { return "flood" }
 func (a Drop) actionString() string         { return "drop" }
 
 // GroupID names a group table entry.

@@ -16,7 +16,6 @@ import (
 // Priorities as installed by the controller (internal/controller) plus
 // the hot-key cache tier above the LB rules.
 const (
-	benchPrioARP     = 90
 	benchPrioCache   = 70
 	benchPrioLB      = 60
 	benchPrioMapping = 50
@@ -47,7 +46,7 @@ func benchHostIP(i int) netsim.IP { return netsim.IPv4(10, 0, byte(i>>8), byte(i
 const benchHotKeys = 64
 
 // SyntheticRules builds the flow-table population of a mapping datapath
-// in an n-node deployment (one partition per node): ARP punt, per-division
+// in an n-node deployment (one partition per node): per-division
 // LB rules, unicast/multicast vring mappings, group-direct entries, and
 // per-host physical forwarding. With cache set, hot-key exact-match rules
 // (the switchcache tier) sit above the LB rules.
@@ -56,10 +55,6 @@ func SyntheticRules(n int, cache bool) []FlowEntry {
 	add := func(prio int, m Match, cookie string) {
 		rules = append(rules, FlowEntry{Priority: prio, Match: m, Cookie: cookie})
 	}
-
-	arp := NewMatch()
-	arp.Proto = netsim.ProtoARP
-	add(benchPrioARP, arp, "arp-punt")
 
 	divs := benchDivisions()
 	for p := 0; p < n; p++ {

@@ -252,9 +252,6 @@ func (dp *Datapath) apply(actions []Action, pkt *netsim.Packet, inPort int) {
 		case OutputGroup:
 			dp.applyGroup(a.Group, cur, inPort) // borrows cur
 			emitted = true
-		case Flood:
-			dp.sw.Flood(cur, inPort) // clones per port, borrows cur
-			emitted = true
 		case ToController:
 			dp.punt(cur, inPort)
 			owned = false // the controller now holds cur
@@ -386,8 +383,7 @@ func (dp *Datapath) SetGroup(g Group) {
 	})
 }
 
-// PacketOut injects a packet out of a specific port (or floods it with
-// port = FloodPort).
+// PacketOut injects a packet out of a specific port.
 func (dp *Datapath) PacketOut(pkt *netsim.Packet, outPort int) {
 	if dp.ctrlLossy() {
 		dp.sw.Drop(pkt)
@@ -395,14 +391,6 @@ func (dp *Datapath) PacketOut(pkt *netsim.Packet, outPort int) {
 	}
 	dp.stats.PacketOuts++
 	dp.ctrlSched(func() {
-		if outPort == FloodPort {
-			dp.sw.Flood(pkt, -1) // per-port clones; the original goes back
-			dp.sw.Network().RecyclePacket(pkt)
-			return
-		}
 		dp.sw.Output(outPort, pkt)
 	})
 }
-
-// FloodPort is the PacketOut pseudo-port that floods all ports.
-const FloodPort = -2

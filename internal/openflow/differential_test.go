@@ -32,7 +32,7 @@ func randMatch(rng *rand.Rand) Match {
 		m.SrcIP = randPrefix(rng)
 	}
 	if rng.Intn(4) == 0 {
-		m.Proto = []netsim.Proto{netsim.ProtoUDP, netsim.ProtoTCP, netsim.ProtoARP}[rng.Intn(3)]
+		m.Proto = []netsim.Proto{netsim.ProtoUDP, netsim.ProtoTCP}[rng.Intn(2)]
 	}
 	if rng.Intn(5) == 0 {
 		m.SrcPort = uint16(7000 + rng.Intn(3))
@@ -51,7 +51,7 @@ func randPacket(rng *rand.Rand) *netsim.Packet {
 	return &netsim.Packet{
 		SrcIP:   netsim.IPv4(10, byte(rng.Intn(3)), byte(rng.Intn(4)), byte(rng.Intn(6))),
 		DstIP:   netsim.IPv4(10, byte(rng.Intn(3)), byte(rng.Intn(4)), byte(rng.Intn(6))),
-		Proto:   []netsim.Proto{netsim.ProtoNone, netsim.ProtoUDP, netsim.ProtoTCP, netsim.ProtoARP}[rng.Intn(4)],
+		Proto:   []netsim.Proto{netsim.ProtoNone, netsim.ProtoUDP, netsim.ProtoTCP}[rng.Intn(3)],
 		SrcPort: ports[rng.Intn(len(ports))],
 		DstPort: ports[rng.Intn(len(ports))],
 		Size:    1 + rng.Intn(1400),
