@@ -566,7 +566,7 @@ func (r *ChaosReport) Fprint(w io.Writer) {
 
 // RunChaos sweeps `schedules` randomized fault schedules over every
 // chaos system on the RunCells worker pool, then replays schedule 0 of
-// each system to confirm determinism. ctrlBias scales the
+// each system from its repro line to confirm determinism. ctrlBias scales the
 // controller-fault weights of the systems that use them (the
 // -chaos-ctrl knob; 0 or 1 leaves the default mix).
 func RunChaos(pr Params, schedules int, ctrlBias float64) (*ChaosReport, error) {
@@ -589,7 +589,9 @@ func RunChaos(pr Params, schedules int, ctrlBias float64) (*ChaosReport, error) 
 	rep.DeterminismOK = true
 	for si, sys := range systems {
 		first := &rep.Cells[si*schedules]
-		again, err := g.Rerun(pr, si*schedules)
+		// Replayed from its printed repro line, so the line a user copies
+		// is the one this sweep proves reproduces the cell.
+		again, err := ReplayChaos(first.Repro())
 		if err != nil {
 			return nil, err
 		}
