@@ -120,7 +120,7 @@ func TestSynthSrcIPs(t *testing.T) {
 // 10^5 virtual clients with every storage node blackholed (so every
 // request times out and recycles through the reaper, the worst case for
 // bookkeeping), a steady-state measurement window allocates ~nothing per
-// issued request. Mirrors BenchmarkFloodFanout's MemStats assertion.
+// issued request.
 func TestTrafficArrivalZeroAlloc(t *testing.T) {
 	opts := heavyTrafficBase(3)
 	opts.LoadBalance = true
@@ -149,20 +149,29 @@ func TestTrafficArrivalZeroAlloc(t *testing.T) {
 	start := d.Sim.Now()
 	d.Sim.RunUntil(start + sim.Time(600*time.Millisecond))
 	issued0 := eng.issued
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	d.Sim.RunUntil(start + sim.Time(800*time.Millisecond))
-	runtime.ReadMemStats(&m1)
+	total := bytesDuring(func() { d.Sim.RunUntil(start + sim.Time(800*time.Millisecond)) })
 	ops := eng.issued - issued0
 
 	if ops < 30_000 {
 		t.Fatalf("measurement window issued only %d requests", ops)
 	}
-	bytesPerOp := (m1.TotalAlloc - m0.TotalAlloc) / uint64(ops)
-	t.Logf("%d requests, %d B total, %d B/op", ops, m1.TotalAlloc-m0.TotalAlloc, bytesPerOp)
+	bytesPerOp := total / uint64(ops)
+	t.Logf("%d requests, %d B total, %d B/op", ops, total, bytesPerOp)
 	if bytesPerOp != 0 {
 		t.Fatalf("arrival hot path allocates %d B/op, want 0", bytesPerOp)
 	}
+}
+
+// bytesDuring reports the heap bytes allocated while fn runs, with
+// GOMAXPROCS pinned to 1 as testing.AllocsPerRun pins it, so the count
+// is fn's own work and not another goroutine's.
+func bytesDuring(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestCacheAdmissionPinned pins the hot-key manager's decisions on one

@@ -870,13 +870,16 @@ func TestMulticastStallNacksAtGapTimeout(t *testing.T) {
 	}
 }
 
-// mallocsDuring counts the heap objects fn allocates.
-func mallocsDuring(fn func()) uint64 {
+// allocsDuring counts the heap objects and bytes allocated while fn
+// runs, with GOMAXPROCS pinned to 1 as testing.AllocsPerRun pins it, so
+// the count is fn's own work and not another goroutine's.
+func allocsDuring(fn func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestMulticastChunkCostsNoEventNoAlloc: a loss-free 1 MB transfer to
@@ -907,7 +910,7 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 				To: g, ToPort: 6000, Data: "x", Size: size, Receivers: 3,
 			})
 		})
-		mallocs := mallocsDuring(func() { h.run(t) })
+		mallocs, _ := allocsDuring(func() { h.run(t) })
 		if err != nil || res.Repairs != 0 || len(res.Finished()) != 3 {
 			t.Fatalf("err=%v result=%+v", err, res)
 		}
@@ -1092,7 +1095,7 @@ func TestStreamMessageAllocsIndependentOfSize(t *testing.T) {
 		}
 		for round := 0; round < 5; round++ {
 			for _, size := range []int{1 << 20, 64 << 10, 100} {
-				n := mallocsDuring(func() {
+				n, _ := allocsDuring(func() {
 					if err := c.Send(p, "m", size); err != nil {
 						t.Error(err)
 					}
@@ -1692,11 +1695,9 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 	}
 	// AllocsPerRun counts whole objects per run; the bytes, over the same
 	// runs and its one warm-up, are floored alike.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	objects := testing.AllocsPerRun(1000, send)
-	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / 1001
+	var objects float64
+	_, bytes := allocsDuring(func() { objects = testing.AllocsPerRun(1000, send) })
+	bytes /= 1001
 	if objects != 0 || bytes != 0 {
 		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, %d bytes; want none", objects, bytes)
 	}

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestOpenLoopRate: over many ticks the served arrival count converges on
 // clients * elapsed / mean — the open-loop offered rate.
@@ -66,16 +63,13 @@ func TestOpenLoopOncePerTick(t *testing.T) {
 func TestOpenLoopZeroAlloc(t *testing.T) {
 	o := NewOpenLoop(10_000, 1_000_000, 10_000, 9)
 	fn := func(int32) {}
-	for i := 0; i < 1000; i++ { // warm up the closure and any lazy state
-		o.Tick(fn)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < 100_000; i++ {
-		o.Tick(fn)
-	}
-	runtime.ReadMemStats(&m1)
-	if d := m1.TotalAlloc - m0.TotalAlloc; d != 0 {
-		t.Fatalf("calendar allocated %d B over 100k ticks, want 0", d)
+	// One run is 100k ticks, so a single object anywhere in them fails;
+	// AllocsPerRun's warm-up run settles the closure and any lazy state.
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100_000; i++ {
+			o.Tick(fn)
+		}
+	}); n != 0 {
+		t.Fatalf("calendar allocated %v objects over 100k ticks, want 0", n)
 	}
 }
