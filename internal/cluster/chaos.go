@@ -493,7 +493,7 @@ type ChaosReport struct {
 	Systems   []string
 	Cells     []ChaosCell
 	// DeterminismOK reports the post-sweep recheck: schedule 0 of every
-	// system replayed and its history hash compared.
+	// system replayed from its repro line and compared field by field.
 	DeterminismOK bool
 	Mismatches    []string
 }

@@ -145,6 +145,3 @@ func NewNOOB(opts NOOBOptions) *NOOB {
 	}
 	return d
 }
-
-// Close reaps all simulation processes.
-func (d *NOOB) Close() { d.Sim.Shutdown() }

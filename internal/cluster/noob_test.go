@@ -76,7 +76,7 @@ func TestNOOBPutGetAcrossConfigurations(t *testing.T) {
 					t.Errorf("missing key: %+v %v", res, err)
 				}
 			})
-			d.Close()
+			d.Sim.Shutdown()
 		})
 	}
 }
@@ -110,7 +110,7 @@ func TestNOOBReplicationReachesAllReplicas(t *testing.T) {
 				t.Errorf("non-replica %d has object", i)
 			}
 		}
-		d.Close()
+		d.Sim.Shutdown()
 	}
 }
 
@@ -138,7 +138,7 @@ func TestNOOBRoutingHopLatencyOrdering(t *testing.T) {
 				total += res.Latency
 			}
 		})
-		d.Close()
+		d.Sim.Shutdown()
 		return total
 	}
 	rog := lat(noob.ViaGateway, noob.ROG)
@@ -164,7 +164,7 @@ func TestNOOBChainReplication(t *testing.T) {
 			t.Errorf("chain replica %d missing object", idx)
 		}
 	}
-	d.Close()
+	d.Sim.Shutdown()
 }
 
 func TestNOOBQuorumReturnsEarly(t *testing.T) {
@@ -194,7 +194,7 @@ func TestNOOBQuorumReturnsEarly(t *testing.T) {
 		if err := d.Sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		d.Close()
+		d.Sim.Shutdown()
 		return lat
 	}
 	fast := run(1)
@@ -228,7 +228,7 @@ func TestNOOBGetRoundRobinSpreadsLoad(t *testing.T) {
 			t.Errorf("replica %d served no gets under round robin", idx)
 		}
 	}
-	d.Close()
+	d.Sim.Shutdown()
 }
 
 func TestNOOBMembershipBroadcastIsLinear(t *testing.T) {
@@ -238,7 +238,7 @@ func TestNOOBMembershipBroadcastIsLinear(t *testing.T) {
 		d := NewNOOB(opts)
 		d.Member.BroadcastChange([]int{1})
 		got := d.Member.MsgsSent()
-		d.Close()
+		d.Sim.Shutdown()
 		return got
 	}
 	if c5, c20 := count(5), count(20); c5 != 5 || c20 != 20 {
@@ -278,7 +278,7 @@ func TestNOOBQuorumRWConsistency(t *testing.T) {
 			t.Errorf("only %d replicas hold the object after quorum writes", have)
 		}
 	})
-	d.Close()
+	d.Sim.Shutdown()
 }
 
 func TestNOOBQuorumReadTouchesMajority(t *testing.T) {
@@ -317,5 +317,5 @@ func TestNOOBQuorumReadTouchesMajority(t *testing.T) {
 	if served < noob.Majority(5) {
 		t.Fatalf("only %d replicas involved in quorum reads, want >= %d", served, noob.Majority(5))
 	}
-	d.Close()
+	d.Sim.Shutdown()
 }

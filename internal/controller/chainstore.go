@@ -24,9 +24,6 @@ type ChainStore struct {
 // chain itself.
 func NewChainStore(ch *ctrlchain.Chain) *ChainStore { return &ChainStore{chain: ch} }
 
-// Chain exposes the underlying chain (tests and the fault fabric).
-func (cs *ChainStore) Chain() *ctrlchain.Chain { return cs.chain }
-
 // ver composes a chain entry version: the writer generation in the
 // high bits dominates, the low bits keep one writer's own stream
 // monotonic.

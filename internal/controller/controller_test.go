@@ -518,10 +518,10 @@ func TestDynamicLBRebalancesHotDivisions(t *testing.T) {
 	if err := s.RunUntil(2*RebalanceEvery + ms(100)); err != nil {
 		t.Fatal(err)
 	}
-	got := svc.LBAssignment(part)
-	if got == nil {
+	if svc.lb[part] == nil {
 		t.Fatal("rebalancer never ran")
 	}
+	got := svc.lb[part].assign
 	if got[0] == got[3] {
 		t.Fatalf("hot divisions 0 and 3 still share replica slot: %v", got)
 	}

@@ -171,17 +171,6 @@ func (svc *Service) rebalance(part int) {
 	svc.installPartition(part)
 }
 
-// LBAssignment exposes the current division mapping of a partition for
-// tests and tooling (nil when static).
-func (svc *Service) LBAssignment(part int) []int {
-	if svc.lb == nil || svc.lb[part] == nil {
-		return nil
-	}
-	out := make([]int, len(svc.lb[part].assign))
-	copy(out, svc.lb[part].assign)
-	return out
-}
-
 // ndivFor returns the division count installPartition should use.
 func (svc *Service) ndivFor(replicas int) int {
 	if svc.cfg.DynamicLB {

@@ -124,12 +124,6 @@ func (c *Chain) Acquire() uint64 {
 	return c.gen
 }
 
-// Epoch returns the chain epoch, bumped on every splice or rejoin.
-func (c *Chain) Epoch() uint64 { return c.epoch }
-
-// Repairing reports whether a splice is in flight (reads refused).
-func (c *Chain) Repairing() bool { return c.repairing }
-
 // Live returns the number of stores currently in the chain.
 func (c *Chain) Live() int { return len(c.order) }
 
@@ -181,18 +175,6 @@ func (c *Chain) propagate(path []int, i int, e Entry, done func(bool)) {
 			done(true)
 		}
 	})
-}
-
-// Read serves key from the tail, sub-RTT. ok is false mid-repair or
-// when the whole chain is down.
-func (c *Chain) Read(key string) (Entry, bool) {
-	if c.repairing || len(c.order) == 0 {
-		c.stats.ReadsBlocked++
-		return Entry{}, false
-	}
-	c.stats.Reads++
-	e, ok := c.stores[c.order[len(c.order)-1]].data[key]
-	return e, ok
 }
 
 // Snapshot returns every entry held by the tail, sorted by key for

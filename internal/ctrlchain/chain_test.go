@@ -16,6 +16,18 @@ func testChain(t *testing.T) (*sim.Simulator, *Chain) {
 	return s, c
 }
 
+// tailRead finds key in the tail's snapshot; ok is false while the chain
+// refuses reads (mid-repair or all down) or the tail lacks the key.
+func tailRead(c *Chain, key string) (Entry, bool) {
+	entries, _ := c.Snapshot() // nil while refused
+	for _, e := range entries {
+		if e.Key == key {
+			return e, true
+		}
+	}
+	return Entry{}, false
+}
+
 func TestWriteReachesTailAndAcks(t *testing.T) {
 	s, c := testChain(t)
 	gen := c.Acquire()
@@ -34,7 +46,7 @@ func TestWriteReachesTailAndAcks(t *testing.T) {
 	if ackedAt != want {
 		t.Fatalf("tail ack at %v, want %v", ackedAt, want)
 	}
-	e, ok := c.Read("view/0")
+	e, ok := tailRead(c, "view/0")
 	if !ok || e.Val != "a" {
 		t.Fatalf("tail read = %+v, %v", e, ok)
 	}
@@ -77,7 +89,7 @@ func TestStaleGenerationFenced(t *testing.T) {
 	if got := c.Stats().Fenced; got != 1 {
 		t.Fatalf("Fenced = %d, want 1", got)
 	}
-	if e, ok := c.Read("k"); !ok || e.Val != "new" {
+	if e, ok := tailRead(c, "k"); !ok || e.Val != "new" {
 		t.Fatalf("read = %+v, %v", e, ok)
 	}
 }
@@ -90,31 +102,31 @@ func TestSpliceRepairPreservesState(t *testing.T) {
 	gen := c.Acquire()
 	c.Write(gen, Entry{Key: "view/0", Ver: 3, Val: "keep"}, nil)
 	s.RunUntil(s.Now() + ms(5))
-	epoch0 := c.Epoch()
+	epoch0 := c.epoch
 
 	c.SetDown(1, true) // kill the middle store
 	// Wait for detection (MissedProbes probes) to start the repair.
 	deadline := s.Now() + ms(20)
-	for s.Now() < deadline && !c.Repairing() {
+	for s.Now() < deadline && !c.repairing {
 		s.RunUntil(s.Now() + ProbeEvery)
 	}
-	if !c.Repairing() {
+	if !c.repairing {
 		t.Fatal("repair never started")
 	}
 	if _, ok := c.Snapshot(); ok {
 		t.Fatal("healing chain served a read")
 	}
 	s.RunUntil(s.Now() + ms(20))
-	if c.Repairing() {
+	if c.repairing {
 		t.Fatal("repair never finished")
 	}
-	if c.Epoch() != epoch0+1 {
-		t.Fatalf("epoch = %d, want %d", c.Epoch(), epoch0+1)
+	if c.epoch != epoch0+1 {
+		t.Fatalf("epoch = %d, want %d", c.epoch, epoch0+1)
 	}
 	if c.Live() != 2 {
 		t.Fatalf("live = %d, want 2", c.Live())
 	}
-	if e, ok := c.Read("view/0"); !ok || e.Val != "keep" {
+	if e, ok := tailRead(c, "view/0"); !ok || e.Val != "keep" {
 		t.Fatalf("post-repair read = %+v, %v", e, ok)
 	}
 }
@@ -126,10 +138,10 @@ func TestBufferedWritesFlushAndRejoin(t *testing.T) {
 	gen := c.Acquire()
 	c.SetDown(2, true)
 	deadline := s.Now() + ms(20)
-	for s.Now() < deadline && !c.Repairing() {
+	for s.Now() < deadline && !c.repairing {
 		s.RunUntil(s.Now() + ProbeEvery)
 	}
-	if !c.Repairing() {
+	if !c.repairing {
 		t.Fatal("repair never started")
 	}
 	acked := false
@@ -140,21 +152,21 @@ func TestBufferedWritesFlushAndRejoin(t *testing.T) {
 	if !acked {
 		t.Fatal("buffered write never acked")
 	}
-	if e, ok := c.Read("mid"); !ok || e.Val != "x" {
+	if e, ok := tailRead(c, "mid"); !ok || e.Val != "x" {
 		t.Fatalf("read = %+v, %v", e, ok)
 	}
 
 	// Revive: the store rejoins at the tail and serves the full state.
-	epoch := c.Epoch()
+	epoch := c.epoch
 	c.SetDown(2, false)
 	s.RunUntil(s.Now() + ms(20))
 	if c.Live() != 3 {
 		t.Fatalf("live = %d, want 3 after rejoin", c.Live())
 	}
-	if c.Epoch() <= epoch {
-		t.Fatalf("epoch = %d, want > %d after rejoin", c.Epoch(), epoch)
+	if c.epoch <= epoch {
+		t.Fatalf("epoch = %d, want > %d after rejoin", c.epoch, epoch)
 	}
-	if e, ok := c.Read("mid"); !ok || e.Val != "x" {
+	if e, ok := tailRead(c, "mid"); !ok || e.Val != "x" {
 		t.Fatalf("tail read after rejoin = %+v, %v", e, ok)
 	}
 	if c.Stats().Rejoins != 1 {
@@ -172,10 +184,10 @@ func TestRepairCopyRestoresInFlightWrite(t *testing.T) {
 	c.SetDown(2, true)
 	c.Write(gen, Entry{Key: "inflight", Ver: 1, Val: "v"}, nil)
 	s.RunUntil(s.Now() + ms(30)) // detection + splice + copy
-	if c.Repairing() {
+	if c.repairing {
 		t.Fatal("repair never finished")
 	}
-	if e, ok := c.Read("inflight"); !ok || e.Val != "v" {
+	if e, ok := tailRead(c, "inflight"); !ok || e.Val != "v" {
 		t.Fatalf("read after repair = %+v, %v (dropped=%d)", e, ok, c.Stats().Dropped)
 	}
 }

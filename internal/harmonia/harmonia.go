@@ -148,12 +148,6 @@ func (d *DirtySet) Dirty(key string) bool {
 	return ok
 }
 
-// Tainted reports whether part currently falls back wholesale (tests).
-func (d *DirtySet) Tainted(part int) bool {
-	p := d.parts[part]
-	return p != nil && p.tainted
-}
-
 // Process implements openflow.Stage: mark put prepares, rewrite clean
 // reads, and pass every packet on — the stage consumes nothing.
 func (d *DirtySet) Process(_ *netsim.Switch, pkt *netsim.Packet, _ int) bool {

@@ -307,7 +307,7 @@ func TestOverflowTaint(t *testing.T) {
 	if r.ds.Dirty("c") {
 		t.Fatal("over-capacity put was tracked")
 	}
-	if !r.ds.Tainted(0) {
+	if !r.ds.parts[0].tainted {
 		t.Fatal("overflow did not taint the partition")
 	}
 	// The untracked key AND every clean key fall back while tainted.
@@ -323,7 +323,7 @@ func TestOverflowTaint(t *testing.T) {
 	// The next view install (epoch bump) lifts the taint.
 	r.ds.InstallViewAs(1, 0, 2, replicas)
 	r.settle(t)
-	if r.ds.Tainted(0) {
+	if r.ds.parts[0].tainted {
 		t.Fatal("view install did not reset the taint")
 	}
 	if dst := r.get("never-written", 9, vringDst); !inSet(dst, replicas) {

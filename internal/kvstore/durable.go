@@ -46,10 +46,6 @@ func (d *storeDisk) WriteDisk(p *sim.Proc, bytes int) { (*Store)(d).forceWrite(p
 // Durable reports whether the main namespace is engine-backed.
 func (st *Store) Durable() bool { return st.eng != nil }
 
-// Engine exposes the durable engine (nil in legacy mode); tests and
-// experiments inspect it.
-func (st *Store) Engine() *storage.EngineOf[Object] { return st.eng }
-
 // Sync forces the engine's outstanding commit records to disk, charging
 // fsync time. The put protocol calls it before acknowledging a commit
 // (primary: before the timestamp multicast; secondary: before Ack2), so

@@ -26,8 +26,8 @@ func runDurable(t *testing.T, disk DiskConfig, cfg storage.Config, fn func(p *si
 func TestDurableApplyVersioning(t *testing.T) {
 	cfg := storage.DefaultConfig()
 	cfg.SnapshotEvery = 0
-	runDurable(t, NullDisk(), cfg, func(p *sim.Proc, st *Store) {
-		if !st.Durable() || st.Engine() == nil {
+	runDurable(t, DiskConfig{}, cfg, func(p *sim.Proc, st *Store) {
+		if !st.Durable() || st.eng == nil {
 			t.Fatal("NewDurable store not durable")
 		}
 		if !st.Apply(&Object{Key: "k", Value: "new", Size: 3, Version: ts(5, 1)}) {
@@ -45,10 +45,10 @@ func TestDurableApplyVersioning(t *testing.T) {
 		if st.Stats().BytesOnDisk != 6 {
 			t.Errorf("BytesOnDisk = %d, want 6", st.Stats().BytesOnDisk)
 		}
-		if st.Len() != 1 || len(st.Keys()) != 1 {
-			t.Errorf("Len = %d, Keys = %v", st.Len(), st.Keys())
+		if len(st.Keys()) != 1 {
+			t.Errorf("Keys = %v", st.Keys())
 		}
-		est := st.Engine().Stats()
+		est := st.eng.Stats()
 		if est.Commits != 2 || est.WALAppends != 2 {
 			t.Errorf("engine saw %d commits, %d WAL appends, want 2/2", est.Commits, est.WALAppends)
 		}
@@ -118,7 +118,7 @@ func TestDurableSlowDiskRetunesEngineIO(t *testing.T) {
 // is a free no-op, so default-path timing is untouched.
 func TestLegacyStoreHasNoEngineHooks(t *testing.T) {
 	run(t, SSD(), func(p *sim.Proc, st *Store) {
-		if st.Durable() || st.Engine() != nil {
+		if st.Durable() || st.eng != nil {
 			t.Fatal("legacy store claims an engine")
 		}
 		before := p.Now()
@@ -155,7 +155,7 @@ func TestStaleCommitDuringRecoveryLoses(t *testing.T) {
 			st.Sync(p)
 			if snapshot {
 				p.Sleep(3 * time.Millisecond)
-				if n := st.Engine().Stats().Snapshots; n != 1 {
+				if n := st.eng.Stats().Snapshots; n != 1 {
 					t.Fatalf("%d snapshots before the crash, want 1", n)
 				}
 			}
@@ -173,7 +173,7 @@ func TestStaleCommitDuringRecoveryLoses(t *testing.T) {
 			if got, ok := st.Peek("k"); !ok || got.Value != "v5" {
 				t.Errorf("snapshot=%v: Peek after recovery = %v, %v, want v5", snapshot, got, ok)
 			}
-			if est := st.Engine().Stats(); est.Resident > est.Entries {
+			if est := st.eng.Stats(); est.Resident > est.Entries {
 				t.Errorf("snapshot=%v: %d resident entries, %d known keys", snapshot, est.Resident, est.Entries)
 			}
 		})
@@ -192,7 +192,7 @@ func TestCrashKeepsTheDurableVersionsValue(t *testing.T) {
 		if snapshot {
 			cfg.SnapshotEvery = 2 * time.Millisecond
 		}
-		runDurable(t, NullDisk(), cfg, func(p *sim.Proc, st *Store) {
+		runDurable(t, DiskConfig{}, cfg, func(p *sim.Proc, st *Store) {
 			obj := Object{Key: "k", Value: "v1", Size: 10, Version: ts(1, 1)}
 			v1 := obj
 			st.Apply(&obj)

@@ -111,9 +111,6 @@ func SSD() DiskConfig {
 	}
 }
 
-// NullDisk charges no time; for tests that isolate protocol behaviour.
-func NullDisk() DiskConfig { return DiskConfig{} }
-
 func xferTime(lat sim.Time, bps float64, size int) sim.Time {
 	d := lat
 	if bps > 0 {
@@ -240,14 +237,6 @@ func (st *Store) SetDisk(cfg DiskConfig) { st.disk = cfg }
 // SetNIC names the node's access port. A read feeding a reply paces its
 // head against that port's link rate at the moment of the read.
 func (st *Store) SetNIC(port *netsim.Port) { st.nic = port }
-
-// Len returns the number of objects in the main namespace.
-func (st *Store) Len() int {
-	if st.eng != nil {
-		return st.eng.Len()
-	}
-	return len(st.objects)
-}
 
 // Lock acquires the in-memory lock for key on behalf of owner, queueing
 // FIFO behind the current holder. It returns false if the deadline d

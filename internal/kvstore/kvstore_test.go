@@ -66,7 +66,7 @@ func run(t *testing.T, disk DiskConfig, fn func(p *sim.Proc, st *Store)) {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
+	run(t, DiskConfig{}, func(p *sim.Proc, st *Store) {
 		obj := &Object{Key: "k", Value: "v", Size: 3, Version: ts(1, 1)}
 		if !st.Put(p, obj) {
 			t.Error("fresh put rejected")
@@ -85,7 +85,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestPutVersioning(t *testing.T) {
-	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
+	run(t, DiskConfig{}, func(p *sim.Proc, st *Store) {
 		st.Put(p, &Object{Key: "k", Value: "new", Size: 3, Version: ts(5, 1)})
 		if st.Put(p, &Object{Key: "k", Value: "stale", Size: 5, Version: ts(3, 9)}) {
 			t.Error("stale version overwrote newer")
@@ -117,7 +117,7 @@ func TestDiskTimingCharged(t *testing.T) {
 
 func TestLockMutualExclusionFIFO(t *testing.T) {
 	s := sim.New(1)
-	st := New(s, NullDisk())
+	st := New(s, DiskConfig{})
 	var order []string
 	hold := func(name string, id uint64, delay sim.Time) {
 		s.Spawn(name, func(p *sim.Proc) {
@@ -144,7 +144,7 @@ func TestLockMutualExclusionFIFO(t *testing.T) {
 
 func TestLockTimeout(t *testing.T) {
 	s := sim.New(1)
-	st := New(s, NullDisk())
+	st := New(s, DiskConfig{})
 	var timedOut bool
 	var gotLater bool
 	s.Spawn("holder", func(p *sim.Proc) {
@@ -179,7 +179,7 @@ func TestLockTimeout(t *testing.T) {
 // again; taking and releasing a free lock allocates nothing.
 func TestRecycledLockStateKeepsFIFOAndWithdrawal(t *testing.T) {
 	s := sim.New(1)
-	st := New(s, NullDisk())
+	st := New(s, DiskConfig{})
 	st.Lock(nil, "other", PutID{Seq: 99}, 0) // a free lock never parks
 	st.Release("other", PutID{Seq: 99})
 	pooled := st.freeLocks.Take()
@@ -233,7 +233,7 @@ func TestRecycledLockStateKeepsFIFOAndWithdrawal(t *testing.T) {
 // its wait list's array from round to round.
 func TestGrantQueuesArePooled(t *testing.T) {
 	s := sim.New(1)
-	st := New(s, NullDisk())
+	st := New(s, DiskConfig{})
 	var next uint64
 	rounds := func(n int) {
 		for r := 0; r < n; r++ {
@@ -384,7 +384,7 @@ func TestUnbatchedPrepareNeverGathers(t *testing.T) {
 // must end A's prepare only.
 func TestReleaseIsOwnerChecked(t *testing.T) {
 	a, b, c := PutID{Client: 1, Seq: 1}, PutID{Client: 1, Seq: 2}, PutID{Client: 2, Seq: 1}
-	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
+	run(t, DiskConfig{}, func(p *sim.Proc, st *Store) {
 		st.Lock(p, "k", a, 0)
 		st.AppendLog(p, LogRecord{Obj: Object{Key: "k"}, Tag: a}, 0)
 		st.ResetLocks()
@@ -422,7 +422,7 @@ func TestReleaseIsOwnerChecked(t *testing.T) {
 }
 
 func TestWAL(t *testing.T) {
-	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
+	run(t, DiskConfig{}, func(p *sim.Proc, st *Store) {
 		rec := LogRecord{Obj: Object{Key: "k", Size: 10, Version: ts(1, 1)}, Tag: PutID{Seq: 7}}
 		st.AppendLog(p, rec, 0)
 		if !st.HasLog("k") {
@@ -445,7 +445,7 @@ func TestWAL(t *testing.T) {
 }
 
 func TestHandoffNamespaceIsSeparate(t *testing.T) {
-	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
+	run(t, DiskConfig{}, func(p *sim.Proc, st *Store) {
 		st.ApplyHandoff(&Object{Key: "h", Value: 1, Size: 1, Version: ts(1, 1)})
 		if _, ok := st.Get(p, "h"); ok {
 			t.Error("handoff object visible in main namespace")
@@ -468,12 +468,12 @@ func TestHandoffNamespaceIsSeparate(t *testing.T) {
 }
 
 func TestKeysEnumeration(t *testing.T) {
-	run(t, NullDisk(), func(p *sim.Proc, st *Store) {
+	run(t, DiskConfig{}, func(p *sim.Proc, st *Store) {
 		for i := 0; i < 10; i++ {
 			st.Put(p, &Object{Key: fmt.Sprintf("k%d", i), Size: 1, Version: ts(uint64(i+1), 0)})
 		}
-		if len(st.Keys()) != 10 || st.Len() != 10 {
-			t.Errorf("Keys = %d, Len = %d", len(st.Keys()), st.Len())
+		if len(st.Keys()) != 10 || len(st.objects) != 10 {
+			t.Errorf("Keys = %d, objects = %d", len(st.Keys()), len(st.objects))
 		}
 	})
 }
@@ -489,7 +489,7 @@ func TestVersionConvergenceProperty(t *testing.T) {
 			seqs = seqs[:32]
 		}
 		s := sim.New(1)
-		st := New(s, NullDisk())
+		st := New(s, DiskConfig{})
 		var max uint64
 		ok := true
 		s.Spawn("t", func(p *sim.Proc) {
@@ -514,7 +514,7 @@ func TestVersionConvergenceProperty(t *testing.T) {
 
 func BenchmarkStorePutGet(b *testing.B) {
 	s := sim.New(1)
-	st := New(s, NullDisk())
+	st := New(s, DiskConfig{})
 	n := b.N
 	s.Spawn("bench", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
@@ -532,12 +532,12 @@ func BenchmarkStorePutGet(b *testing.B) {
 // engine snapshots every millisecond.
 func eachMode(t *testing.T, fn func(t *testing.T, p *sim.Proc, st *Store)) {
 	t.Run("legacy", func(t *testing.T) {
-		run(t, NullDisk(), func(p *sim.Proc, st *Store) { fn(t, p, st) })
+		run(t, DiskConfig{}, func(p *sim.Proc, st *Store) { fn(t, p, st) })
 	})
 	t.Run("durable", func(t *testing.T) {
 		cfg := storage.DefaultConfig()
 		cfg.SnapshotEvery = time.Millisecond
-		runDurable(t, NullDisk(), cfg, func(p *sim.Proc, st *Store) { fn(t, p, st) })
+		runDurable(t, DiskConfig{}, cfg, func(p *sim.Proc, st *Store) { fn(t, p, st) })
 	})
 }
 

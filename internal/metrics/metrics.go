@@ -45,19 +45,6 @@ func (h *Histogram) Mean() float64 {
 	return sum / float64(len(h.samples))
 }
 
-// Stddev returns the population standard deviation in seconds.
-func (h *Histogram) Stddev() float64 {
-	if len(h.samples) < 2 {
-		return 0
-	}
-	m := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		ss += (v - m) * (v - m)
-	}
-	return math.Sqrt(ss / float64(len(h.samples)))
-}
-
 func (h *Histogram) sort() {
 	if !h.sorted {
 		sort.Float64s(h.samples)
@@ -81,15 +68,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.samples[idx]
 }
 
-// Min returns the smallest sample in seconds.
-func (h *Histogram) Min() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.samples[0]
-}
-
 // Max returns the largest sample in seconds.
 func (h *Histogram) Max() float64 {
 	if len(h.samples) == 0 {
@@ -97,11 +75,6 @@ func (h *Histogram) Max() float64 {
 	}
 	h.sort()
 	return h.samples[len(h.samples)-1]
-}
-
-// MeanDuration returns the mean as a sim.Time.
-func (h *Histogram) MeanDuration() sim.Time {
-	return sim.Time(h.Mean() * float64(time.Second))
 }
 
 // Summary is the per-op latency digest the end-of-run reports print:

@@ -9,7 +9,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Mean() != 0 || h.Percentile(50) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must read zero")
 	}
 	for _, ms := range []int{10, 20, 30, 40} {
@@ -21,8 +21,8 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Mean(); got < 0.0249 || got > 0.0251 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := h.Min(); got != 0.010 {
-		t.Fatalf("Min = %v", got)
+	if got := h.Percentile(0); got != 0.010 {
+		t.Fatalf("P0 = %v", got)
 	}
 	if got := h.Max(); got != 0.040 {
 		t.Fatalf("Max = %v", got)
@@ -32,12 +32,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if got := h.Percentile(100); got != 0.040 {
 		t.Fatalf("P100 = %v", got)
-	}
-	if h.Stddev() <= 0 {
-		t.Fatal("Stddev should be positive")
-	}
-	if h.MeanDuration() != 25*time.Millisecond {
-		t.Fatalf("MeanDuration = %v", h.MeanDuration())
 	}
 }
 

@@ -104,16 +104,6 @@ func (n *Network) nextMAC() MAC {
 	return MAC(0x020000000000 | n.macSeq)
 }
 
-// HostByIP finds the host owning ip, or nil.
-func (n *Network) HostByIP(ip IP) *Host {
-	for _, h := range n.hosts {
-		if h.ip == ip {
-			return h
-		}
-	}
-	return nil
-}
-
 // TotalLinkBytes sums the bytes carried by every link in both directions:
 // the paper's "total network link load" metric (Fig. 6).
 func (n *Network) TotalLinkBytes() int64 {

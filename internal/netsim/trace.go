@@ -54,25 +54,3 @@ func (n *Network) emitTrace(dev, dir string, pkt *Packet) {
 		e.tap(ev)
 	}
 }
-
-// CountingTap tallies packets and bytes per (device, protocol); useful
-// for asserting traffic shapes in tests.
-type CountingTap struct {
-	Pkts  map[string]int64
-	Bytes map[string]int64
-}
-
-// NewCountingTap returns an empty counting tap.
-func NewCountingTap() *CountingTap {
-	return &CountingTap{Pkts: make(map[string]int64), Bytes: make(map[string]int64)}
-}
-
-// Tap is the Tap function to register.
-func (c *CountingTap) Tap(ev TraceEvent) {
-	if ev.Dir != "rx" {
-		return // count each delivery once
-	}
-	key := ev.Device + "/" + ev.Pkt.Proto.String()
-	c.Pkts[key]++
-	c.Bytes[key] += int64(ev.Pkt.Size)
-}

@@ -43,29 +43,6 @@ func MatchDst(p netsim.Prefix) Match {
 	return m
 }
 
-// Covers reports whether the match admits pkt arriving on inPort.
-func (m Match) Covers(pkt *netsim.Packet, inPort int) bool {
-	if m.InPort != AnyPort && m.InPort != inPort {
-		return false
-	}
-	if !m.SrcIP.IsWildcard() && !m.SrcIP.Contains(pkt.SrcIP) {
-		return false
-	}
-	if !m.DstIP.IsWildcard() && !m.DstIP.Contains(pkt.DstIP) {
-		return false
-	}
-	if m.Proto != netsim.ProtoNone && m.Proto != pkt.Proto {
-		return false
-	}
-	if m.SrcPort != 0 && m.SrcPort != pkt.SrcPort {
-		return false
-	}
-	if m.DstPort != 0 && m.DstPort != pkt.DstPort {
-		return false
-	}
-	return true
-}
-
 // String renders the non-wildcard fields.
 func (m Match) String() string {
 	var parts []string

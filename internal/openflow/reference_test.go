@@ -66,7 +66,6 @@ func (t *ReferenceTable) Lookup(pkt *netsim.Packet, inPort int) *FlowEntry {
 	for _, e := range t.entries {
 		if e.Match.Covers(pkt, inPort) {
 			e.matches++
-			e.bytes += int64(pkt.Size)
 			return e
 		}
 	}
@@ -81,4 +80,28 @@ func (t *ReferenceTable) Entries() []*FlowEntry {
 	out := make([]*FlowEntry, len(t.entries))
 	copy(out, t.entries)
 	return out
+}
+
+// Covers reports whether the match admits pkt arriving on inPort: the
+// reference's matching rule, field by field.
+func (m Match) Covers(pkt *netsim.Packet, inPort int) bool {
+	if m.InPort != AnyPort && m.InPort != inPort {
+		return false
+	}
+	if !m.SrcIP.IsWildcard() && !m.SrcIP.Contains(pkt.SrcIP) {
+		return false
+	}
+	if !m.DstIP.IsWildcard() && !m.DstIP.Contains(pkt.DstIP) {
+		return false
+	}
+	if m.Proto != netsim.ProtoNone && m.Proto != pkt.Proto {
+		return false
+	}
+	if m.SrcPort != 0 && m.SrcPort != pkt.SrcPort {
+		return false
+	}
+	if m.DstPort != 0 && m.DstPort != pkt.DstPort {
+		return false
+	}
+	return true
 }

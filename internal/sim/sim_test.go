@@ -70,8 +70,8 @@ func TestProcSleep(t *testing.T) {
 	if wake != ms(42) {
 		t.Fatalf("woke at %v, want %v", wake, ms(42))
 	}
-	if s.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d, want 0", s.LiveProcs())
+	if s.nprocs != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -278,7 +278,7 @@ func TestFuture(t *testing.T) {
 	results := make([]int, 2)
 	for i := 0; i < 2; i++ {
 		i := i
-		s.Spawn("w", func(p *Proc) { results[i] = f.Wait(p) })
+		s.Spawn("w", func(p *Proc) { results[i], _ = f.WaitTimeout(p, ms(100)) })
 	}
 	s.At(ms(7), func() { f.Set(99) })
 	if err := s.Run(); err != nil {
@@ -338,7 +338,7 @@ func TestResetRefusesAParkedWaiter(t *testing.T) {
 	q := NewQueue[int](s)
 	f := NewFuture[int](s)
 	s.Spawn("queue waiter", func(p *Proc) { q.PopTimeout(p, ms(10)) })
-	s.Spawn("future waiter", func(p *Proc) { f.Wait(p) })
+	s.Spawn("future waiter", func(p *Proc) { f.WaitTimeout(p, ms(10)) })
 	if err := s.RunUntil(ms(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -408,12 +408,12 @@ func TestShutdownReapsParkedProcs(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LiveProcs() != 5 {
-		t.Fatalf("LiveProcs = %d, want 5", s.LiveProcs())
+	if s.nprocs != 5 {
+		t.Fatalf("LiveProcs = %d, want 5", s.nprocs)
 	}
 	s.Shutdown()
-	if s.LiveProcs() != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.LiveProcs())
+	if s.nprocs != 0 {
+		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
 	}
 }
 

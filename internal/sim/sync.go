@@ -168,16 +168,8 @@ func (f *Future[T]) Value() T {
 	return f.value
 }
 
-// Wait blocks p until the future resolves and returns the value.
-func (f *Future[T]) Wait(p *Proc) T {
-	for !f.set {
-		f.waiters.push(f.sim.newWaiter(p))
-		p.park()
-	}
-	return f.value
-}
-
-// WaitTimeout is Wait with a deadline d from now; ok is false on timeout.
+// WaitTimeout blocks p until the future resolves, for at most d from
+// now, and returns the value; ok is false on timeout.
 func (f *Future[T]) WaitTimeout(p *Proc, d Time) (v T, ok bool) {
 	if f.set {
 		return f.value, true
@@ -231,7 +223,7 @@ func (g *Group) Wait(p *Proc) {
 }
 
 // Cond is a condition variable for processes: Wait parks until a later
-// Signal or Broadcast. There is no associated lock — the simulation's
+// Broadcast. There is no associated lock — the simulation's
 // single-threaded discipline replaces it — so the idiom is simply to
 // re-check the guarded predicate after every Wait.
 type Cond struct {
@@ -242,7 +234,7 @@ type Cond struct {
 // NewCond returns a condition variable bound to s.
 func NewCond(s *Simulator) *Cond { return &Cond{sim: s} }
 
-// Wait parks p until the next Signal or Broadcast.
+// Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters.push(c.sim.newWaiter(p))
 	p.park()
@@ -252,9 +244,6 @@ func (c *Cond) Wait(p *Proc) {
 func (c *Cond) WaitTimeout(p *Proc, d Time) {
 	p.parkTimed(&c.waiters, p.sim.Now()+d)
 }
-
-// Signal wakes the oldest waiting process, if any.
-func (c *Cond) Signal() { c.sim.wakeOne(&c.waiters) }
 
 // Broadcast wakes every waiting process with one batch-wake event; the
 // waiters run back-to-back in FIFO order off the ready queue.

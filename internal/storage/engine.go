@@ -587,10 +587,6 @@ func (e *EngineOf[V]) fsync(p *sim.Proc, target uint64) bool {
 	return true
 }
 
-// Durable reports whether every committed record is covered by an fsync
-// or snapshot (test instrumentation).
-func (e *EngineOf[V]) Durable() bool { return e.durableLSN >= e.tailLSN() }
-
 // Crash models a node fail-stop at this instant: the volatile tiers
 // (memory tier, unfsynced WAL tail) vanish deterministically and the
 // engine refuses traffic until Recover rebuilds it from the durable

@@ -43,7 +43,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		func(p *sim.Proc, e *Engine) { // leader
 			e.Commit("a", "v1", 100)
 			e.Sync(p)
-			if !e.Durable() {
+			if !durable(e) {
 				t.Error("leader returned before its record was durable")
 			}
 		},
@@ -51,7 +51,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			p.Sleep(200 * time.Microsecond)
 			e.Commit("b", "v2", 100)
 			e.Sync(p)
-			if !e.Durable() {
+			if !durable(e) {
 				t.Error("follower returned before its record was durable")
 			}
 		},
@@ -94,7 +94,7 @@ func TestGroupCommitFollowerWaitsForCoverage(t *testing.T) {
 			e.Commit("b", "v2", 100)
 			e.Sync(p)
 			lateDone = p.Now()
-			if !e.Durable() {
+			if !durable(e) {
 				t.Error("late caller returned before its record was durable")
 			}
 		},
@@ -173,7 +173,7 @@ func TestGroupCommitLoneWriterDelay(t *testing.T) {
 			e.Commit("a", "v1", 100)
 			e.Sync(p)
 			done = p.Now()
-			if !e.Durable() {
+			if !durable(e) {
 				t.Error("lone writer not durable after Sync")
 			}
 		},

@@ -222,15 +222,6 @@ func (c *Cache) Keys() []string {
 	return out
 }
 
-// HitsOf returns the entry's hit count, halved at each decay of the
-// mirrored sketch (0 when not resident).
-func (c *Cache) HitsOf(key string) uint64 {
-	if e, ok := c.entries[key]; ok {
-		return e.hits
-	}
-	return 0
-}
-
 // Process implements openflow.Stage: answer cache hits at the switch,
 // mirror misses to the detector, pass everything else on.
 func (c *Cache) Process(sw *netsim.Switch, pkt *netsim.Packet, inPort int) bool {

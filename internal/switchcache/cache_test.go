@@ -106,8 +106,8 @@ func TestCacheHitSynthesizesReply(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("stats = %+v, want 1 hit", st)
 	}
-	if r.cache.HitsOf("hot") != 1 {
-		t.Fatalf("per-entry hits = %d", r.cache.HitsOf("hot"))
+	if hitsOf(r.cache, "hot") != 1 {
+		t.Fatalf("per-entry hits = %d", hitsOf(r.cache, "hot"))
 	}
 }
 
@@ -291,10 +291,6 @@ func TestSketchEstimateAndHalve(t *testing.T) {
 	s.Halve()
 	if got := s.Estimate("x"); got != 5 {
 		t.Fatalf("after halve estimate(x) = %d, want 5", got)
-	}
-	s.Reset()
-	if s.Estimate("x") != 0 {
-		t.Fatal("reset sketch must estimate 0")
 	}
 }
 

@@ -103,14 +103,3 @@ func (s *Sketch) Halve() {
 	}
 	s.rerank(true)
 }
-
-// Reset zeroes the sketch; the mirrored entries' hit counts stay.
-func (s *Sketch) Reset() {
-	for r := range s.counts {
-		row := s.counts[r]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-	s.rerank(false)
-}

@@ -8,6 +8,15 @@ import (
 	"repro/internal/workload"
 )
 
+// hitsOf returns a resident entry's switch hits, halved at each decay of
+// the mirrored sketch (0 when not resident).
+func hitsOf(c *Cache, key string) uint64 {
+	if e, ok := c.entries[key]; ok {
+		return e.hits
+	}
+	return 0
+}
+
 // scanColdest is the admission rule computed without the victim index,
 // kept as the index's oracle: visit every resident key in sorted order,
 // take the lowest rank — sketch estimate plus the entry's hit count —,
@@ -15,7 +24,7 @@ import (
 func scanColdest(c *Cache, s *Sketch) (string, uint64) {
 	victim, cold := "", ^uint64(0)
 	for _, k := range c.Keys() {
-		if r := uint64(s.Estimate(k)) + c.HitsOf(k); r < cold || (r == cold && (victim == "" || k < victim)) {
+		if r := uint64(s.Estimate(k)) + hitsOf(c, k); r < cold || (r == cold && (victim == "" || k < victim)) {
 			victim, cold = k, r
 		}
 	}
@@ -39,7 +48,7 @@ func checkIndex(t *testing.T, c *Cache, s *Sketch) {
 		if v.idx != i || x.byKey[v.key] != v {
 			t.Fatalf("index entry %q at %d has idx %d", v.key, i, v.idx)
 		}
-		if r := uint64(s.Estimate(v.key)) + c.HitsOf(v.key); v.rank > r {
+		if r := uint64(s.Estimate(v.key)) + hitsOf(c, v.key); v.rank > r {
 			t.Fatalf("stored rank of %q is %d, above its true %d", v.key, v.rank, r)
 		}
 		if i > 0 && x.Less(i, (i-1)/2) {
@@ -96,10 +105,8 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 						r.cache.Invalidate(k, ver)
 					case op < 94: // the control channel drains
 						r.run(t)
-					case op < 99:
-						s.Halve()
 					default:
-						s.Reset()
+						s.Halve()
 					}
 					checkIndex(t, r.cache, s)
 					if mode == "every" || rng.Intn(16) == 0 {
@@ -245,23 +252,23 @@ func TestHitsDecayWithTheMirroredSketchOnly(t *testing.T) {
 		r.sendGet("hot")
 	}
 	r.run(t)
-	if key, rank := old.Coldest(); key != "hot" || rank != 7 || r.cache.HitsOf("hot") != 7 {
-		t.Fatalf("after 7 hits: coldest (%q, %d), hits %d", key, rank, r.cache.HitsOf("hot"))
+	if key, rank := old.Coldest(); key != "hot" || rank != 7 || hitsOf(r.cache, "hot") != 7 {
+		t.Fatalf("after 7 hits: coldest (%q, %d), hits %d", key, rank, hitsOf(r.cache, "hot"))
 	}
 	old.Halve()
-	if got := r.cache.HitsOf("hot"); got != 3 {
+	if got := hitsOf(r.cache, "hot"); got != 3 {
 		t.Fatalf("hits after the mirrored sketch's decay = %d, want 3", got)
 	}
 	r.cache.MirrorResidents(cur)
 	old.Halve()
-	if got := r.cache.HitsOf("hot"); got != 3 {
+	if got := hitsOf(r.cache, "hot"); got != 3 {
 		t.Fatalf("the superseded sketch's decay halved the live hits to %d", got)
 	}
 	if key, _ := old.Coldest(); key != "" {
 		t.Fatalf("the superseded sketch still names %q", key)
 	}
 	cur.Halve()
-	if key, rank := cur.Coldest(); key != "hot" || rank != 1 || r.cache.HitsOf("hot") != 1 {
-		t.Fatalf("after the current sketch's decay: coldest (%q, %d), hits %d", key, rank, r.cache.HitsOf("hot"))
+	if key, rank := cur.Coldest(); key != "hot" || rank != 1 || hitsOf(r.cache, "hot") != 1 {
+		t.Fatalf("after the current sketch's decay: coldest (%q, %d), hits %d", key, rank, hitsOf(r.cache, "hot"))
 	}
 }

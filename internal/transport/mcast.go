@@ -257,18 +257,6 @@ func (st *Stack) MustBindMulticast(port uint16) *MulticastReceiver {
 // Recv blocks until a complete transfer arrives.
 func (r *MulticastReceiver) Recv(p *sim.Proc) (Transfer, bool) { return r.rq.Pop(p) }
 
-// Close unbinds the receiver.
-func (r *MulticastReceiver) Close() {
-	if r.stack.mrecv[r.port] == r {
-		delete(r.stack.mrecv, r.port)
-	}
-	if r.stack.lastMrecv == r {
-		r.stack.lastMrecv = nil
-	}
-	r.ctrl.Close()
-	r.rq.Close()
-}
-
 // send answers transfer xfer's sender with a control message.
 func (r *MulticastReceiver) send(to netsim.IP, toPort uint16, m *mctrlMsg, xfer uint64, upTo int) {
 	r.ctrl.send(r.stack.IP(), to, toPort, m, mctrlSize-netsim.UDPHeaderSize, ctrlSeq(xfer, upTo), nil)

@@ -120,12 +120,6 @@ func (st *Stack) MustListen(port uint16) *Listener {
 // Accept blocks until an inbound connection is established.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, bool) { return l.q.Pop(p) }
 
-// Close stops accepting.
-func (l *Listener) Close() {
-	delete(l.stack.listeners, l.port)
-	l.q.Close()
-}
-
 // Dial opens a stream to to:port, blocking through the handshake. It
 // fails with ErrTimeout when the peer does not answer (down host, no
 // route, no listener).

@@ -802,29 +802,6 @@ func TestUDPRecvTimeout(t *testing.T) {
 	h.s.Shutdown()
 }
 
-func TestListenerClosedAcceptReturns(t *testing.T) {
-	h := newHub(t, 1, netsim.Gbps(1, 0))
-	ln := h.stacks[0].MustListen(5000)
-	accepted := true
-	h.s.Spawn("acceptor", func(p *sim.Proc) {
-		_, accepted = ln.Accept(p)
-	})
-	h.s.At(ms(5), func() { ln.Close() })
-	if err := h.s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if accepted {
-		t.Fatal("Accept returned ok after Close")
-	}
-	h.s.Shutdown()
-}
-
-// TestMulticastStallNacksAtGapTimeout pins the watchdog's timing under
-// loss: a NACK leaves the receiver either with the window-boundary chunk
-// that exposed the hole, or exactly a whole number of gapTimeouts after
-// the last chunk it received — and the first such stall NACK exactly one
-// gapTimeout after it, although the one armed event was scheduled from
-// the transfer's first chunk and only re-armed itself since.
 func TestMulticastStallNacksAtGapTimeout(t *testing.T) {
 	h := newHub(t, 2, netsim.LinkConfig{BandwidthBps: 1e9, LossRate: 0.1})
 	g := mcastGroup(h, 1)

@@ -232,9 +232,6 @@ func MustDefine(name string, records int) *Workload {
 	return w
 }
 
-// Records returns the preload record count (it grows under inserts).
-func (w *Workload) Records() int { return w.records }
-
 // Key renders record index i as its YCSB key.
 func (w *Workload) Key(i int) string { return fmt.Sprintf("user%d", i) }
 
@@ -252,10 +249,4 @@ func (w *Workload) Next(rng *rand.Rand) Op {
 		w.records++
 		return Op{Type: Insert, Key: w.Key(w.records - 1)}
 	}
-}
-
-// PutFraction returns the fraction of operations that write (updates,
-// inserts, and the write half of read-modify-writes count as puts).
-func (w *Workload) PutFraction() float64 {
-	return w.updateProp + w.insertProp + w.rmwProp
 }

@@ -60,8 +60,8 @@ func TestWorkloadDInserts(t *testing.T) {
 	if inserts == 0 {
 		t.Fatal("workload D produced no inserts")
 	}
-	if w.Records() != 1000+inserts {
-		t.Fatalf("records = %d, want %d", w.Records(), 1000+inserts)
+	if w.records != 1000+inserts {
+		t.Fatalf("records = %d, want %d", w.records, 1000+inserts)
 	}
 }
 
@@ -131,9 +131,9 @@ func TestLatestFavorsRecentRecords(t *testing.T) {
 		if _, err := fscan(op.Key, &idx); err != nil {
 			t.Fatal(err)
 		}
-		if idx >= w.Records()-100 {
+		if idx >= w.records-100 {
 			recent++
-		} else if idx < w.Records()-500 {
+		} else if idx < w.records-500 {
 			old++
 		}
 	}
@@ -158,11 +158,14 @@ func sscanf(key string, n *int) (int, error) {
 	return v, nil
 }
 
+// TestPutFraction: updates, inserts and the write half of
+// read-modify-writes are the puts.
 func TestPutFraction(t *testing.T) {
-	if f := MustDefine("C", 10).PutFraction(); f != 0 {
+	puts := func(w *Workload) float64 { return w.updateProp + w.insertProp + w.rmwProp }
+	if f := puts(MustDefine("C", 10)); f != 0 {
 		t.Fatalf("C put fraction = %v", f)
 	}
-	if f := MustDefine("F", 10).PutFraction(); f != 0.5 {
+	if f := puts(MustDefine("F", 10)); f != 0.5 {
 		t.Fatalf("F put fraction = %v", f)
 	}
 }
