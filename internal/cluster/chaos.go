@@ -566,8 +566,8 @@ func (r *ChaosReport) Fprint(w io.Writer) {
 
 // RunChaos sweeps `schedules` randomized fault schedules over every
 // chaos system on the RunCells worker pool, then replays schedule 0 of
-// each system from its repro line to confirm determinism. ctrlBias scales the
-// controller-fault weights of the systems that use them (the
+// each system from its repro line to confirm determinism. ctrlBias
+// scales the controller-fault weights of the systems that use them (the
 // -chaos-ctrl knob; 0 or 1 leaves the default mix).
 func RunChaos(pr Params, schedules int, ctrlBias float64) (*ChaosReport, error) {
 	systems := chaosSystems()

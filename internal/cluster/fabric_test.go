@@ -260,8 +260,8 @@ func actionsString(actions []openflow.Action) string {
 // node has failed, been covered by a handoff and rejoined. The hashes
 // date from before the controller read the switch tree off the cabling
 // (87c3be0, when each fabric registered every port with a hand-written
-// Topology); they were re-recorded once when the ARP punt rule left every
-// datapath, the tables otherwise unchanged.
+// Topology); they were re-recorded once when the address-resolution punt
+// rule left every datapath, the tables otherwise unchanged.
 func TestFabricRuleTablesGolden(t *testing.T) {
 	golden := map[string][2]string{
 		"single":     {"ebb0c5e5355ccc12", "54e2ee0f7e9606e5"},

@@ -408,8 +408,8 @@ func TestMissForAnUnregisteredHostIsOneCountedDrop(t *testing.T) {
 	if n := after.PacketIns - before.PacketIns; n != 1 {
 		t.Errorf("%d packet-ins, want the one miss", n)
 	}
-	// The controller neither forwards the packet nor floods a query for
-	// its address: the miss ends as one drop the switch counts.
+	// The controller sends nothing back out: the miss ends as one drop
+	// the switch counts, and nothing holds the packet for later.
 	if n := after.PacketOuts - before.PacketOuts; n != 0 {
 		t.Errorf("%d packet-outs, want none", n)
 	}

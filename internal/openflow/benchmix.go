@@ -46,8 +46,8 @@ func benchHostIP(i int) netsim.IP { return netsim.IPv4(10, 0, byte(i>>8), byte(i
 const benchHotKeys = 64
 
 // SyntheticRules builds the flow-table population of a mapping datapath
-// in an n-node deployment (one partition per node): per-division
-// LB rules, unicast/multicast vring mappings, group-direct entries, and
+// in an n-node deployment (one partition per node): per-division LB
+// rules, unicast/multicast vring mappings, group-direct entries, and
 // per-host physical forwarding. With cache set, hot-key exact-match rules
 // (the switchcache tier) sit above the LB rules.
 func SyntheticRules(n int, cache bool) []FlowEntry {

@@ -24,11 +24,11 @@ func TestShutdownAfterProcHeldSchedulerRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.nprocs != 1 {
-		t.Fatalf("LiveProcs = %d, want 1 (parked consumer)", s.nprocs)
+		t.Fatalf("live procs = %d, want 1 (parked consumer)", s.nprocs)
 	}
 	s.Shutdown()
 	if s.nprocs != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
+		t.Fatalf("after Shutdown live procs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -50,11 +50,11 @@ func TestShutdownAfterStopFromProc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.nprocs != 4 {
-		t.Fatalf("LiveProcs = %d, want 4", s.nprocs)
+		t.Fatalf("live procs = %d, want 4", s.nprocs)
 	}
 	s.Shutdown()
 	if s.nprocs != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
+		t.Fatalf("after Shutdown live procs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestProcPanicMidHandoff(t *testing.T) {
 	}
 	s.Shutdown()
 	if s.nprocs != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
+		t.Fatalf("after Shutdown live procs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestSpawnPoolNoKillLeak(t *testing.T) {
 	// Kill the parked victim plus the pooled goroutine; everything exits.
 	s.Shutdown()
 	if s.nprocs != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
+		t.Fatalf("after Shutdown live procs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestShutdownReapsCoroutines(t *testing.T) {
 	cases := []struct {
 		name  string
 		setup func(t *testing.T, s *Simulator)
-		live  int // LiveProcs before Shutdown
+		live  int // live procs before Shutdown
 	}{
 		{"never started", func(t *testing.T, s *Simulator) {
 			s.Spawn("unborn", func(p *Proc) { t.Error("never-started proc ran") })
@@ -184,14 +184,14 @@ func TestShutdownReapsCoroutines(t *testing.T) {
 			s := New(1)
 			c.setup(t, s)
 			if s.nprocs != c.live {
-				t.Fatalf("LiveProcs = %d, want %d", s.nprocs, c.live)
+				t.Fatalf("live procs = %d, want %d", s.nprocs, c.live)
 			}
 			if runtime.NumGoroutine() <= before {
 				t.Fatal("setup created no coroutine; the test proves nothing")
 			}
 			s.Shutdown()
 			if s.nprocs != 0 {
-				t.Errorf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
+				t.Errorf("after Shutdown live procs = %d, want 0", s.nprocs)
 			}
 			if n := runtime.NumGoroutine(); n > before {
 				t.Errorf("after Shutdown %d goroutines, %d before New", n, before)
@@ -231,7 +231,7 @@ func TestProcPanicInEventFromProcDispatch(t *testing.T) {
 		t.Error("panic-unwound proc entered the spawn pool")
 	}
 	if s.nprocs != 0 {
-		t.Errorf("LiveProcs = %d, want 0", s.nprocs)
+		t.Errorf("live procs = %d, want 0", s.nprocs)
 	}
 	s.Shutdown()
 }
@@ -283,12 +283,10 @@ func TestProcSelfWakeZeroSwitches(t *testing.T) {
 	s.Shutdown()
 }
 
-// TestCondSignalBroadcast covers the Cond primitive: Signal wakes exactly
-// the oldest waiter, Broadcast wakes the rest in FIFO order, and an event
-// scheduled after the Broadcast runs only once every waiter has resumed —
-// the batch wake occupies the broadcaster's position in the event order.
-// TestCondBroadcast: Broadcast wakes every waiter in wait order, before
-// any event scheduled after it.
+// TestCondBroadcast covers the Cond primitive: Broadcast wakes every
+// waiter in FIFO order, and an event scheduled after the Broadcast runs
+// only once every waiter has resumed — the batch wake occupies the
+// broadcaster's position in the event order.
 func TestCondBroadcast(t *testing.T) {
 	s := New(1)
 	c := NewCond(s)

@@ -71,7 +71,7 @@ func TestProcSleep(t *testing.T) {
 		t.Fatalf("woke at %v, want %v", wake, ms(42))
 	}
 	if s.nprocs != 0 {
-		t.Fatalf("LiveProcs = %d, want 0", s.nprocs)
+		t.Fatalf("live procs = %d, want 0", s.nprocs)
 	}
 }
 
@@ -409,11 +409,11 @@ func TestShutdownReapsParkedProcs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.nprocs != 5 {
-		t.Fatalf("LiveProcs = %d, want 5", s.nprocs)
+		t.Fatalf("live procs = %d, want 5", s.nprocs)
 	}
 	s.Shutdown()
 	if s.nprocs != 0 {
-		t.Fatalf("after Shutdown LiveProcs = %d, want 0", s.nprocs)
+		t.Fatalf("after Shutdown live procs = %d, want 0", s.nprocs)
 	}
 }
 
