@@ -35,11 +35,11 @@ func (d *fakeDisk) WriteDisk(p *sim.Proc, bytes int) {
 	p.Sleep(d.lat + d.perByte*sim.Time(bytes))
 }
 
-// run drives fn as the single test proc against a fresh engine.
 // durable reports whether every committed record is covered by an fsync
 // or snapshot.
 func durable(e *Engine) bool { return e.durableLSN >= e.tailLSN() }
 
+// run drives fn as the single test proc against a fresh engine.
 func run(t *testing.T, cfg Config, disk *fakeDisk, fn func(p *sim.Proc, e *Engine)) {
 	t.Helper()
 	s := sim.New(1)

@@ -101,5 +101,5 @@ func (s *Sketch) Halve() {
 			row[i] >>= 1
 		}
 	}
-	s.rerank(true)
+	s.rerank()
 }

@@ -74,13 +74,13 @@ func (s *Sketch) rank(v *victim) uint64 {
 	return r
 }
 
-// rerank recomputes every stored rank exactly and rebuilds the heap; with
-// decay set it first halves each tracked entry's hit count, the table's
-// share of the sketch's Halve.
-func (s *Sketch) rerank(decay bool) {
+// rerank halves each tracked entry's hit count, the table's share of the
+// sketch's Halve, then recomputes every stored rank exactly and rebuilds
+// the heap.
+func (s *Sketch) rerank() {
 	x := &s.victims
 	for _, v := range x.heap {
-		if decay && v.hits != nil {
+		if v.hits != nil {
 			*v.hits >>= 1
 		}
 		v.rank = s.rank(v)

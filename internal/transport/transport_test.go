@@ -802,6 +802,12 @@ func TestUDPRecvTimeout(t *testing.T) {
 	h.s.Shutdown()
 }
 
+// TestMulticastStallNacksAtGapTimeout pins the watchdog's timing under
+// loss: a NACK leaves the receiver either with the window-boundary chunk
+// that exposed the hole, or exactly a whole number of gapTimeouts after
+// the last chunk it received — and the first such stall NACK exactly one
+// gapTimeout after it, although the one armed event was scheduled from
+// the transfer's first chunk and only re-armed itself since.
 func TestMulticastStallNacksAtGapTimeout(t *testing.T) {
 	h := newHub(t, 2, netsim.LinkConfig{BandwidthBps: 1e9, LossRate: 0.1})
 	g := mcastGroup(h, 1)
