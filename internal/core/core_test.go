@@ -672,6 +672,58 @@ func TestStaleHandlerReleaseSparesTheRetry(t *testing.T) {
 	}
 }
 
+// TestPutAcrossARestartLeavesNoLock: a put handler still waiting on its
+// CPU charge when its node crashes and restarts returns without locking
+// the reborn store, so the next put of the same key commits at once
+// instead of waiting out the lock's 2·AckTimeout.
+func TestPutAcrossARestartLeavesNoLock(t *testing.T) {
+	s, a, b := pair(t)
+	defer s.Shutdown()
+	cfg := DefaultNodeConfig()
+	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
+	cfg.Space = ring.NewSpace(2)
+	n := NewNode(a, cfg)
+	n.Start()
+	part := cfg.Space.PartitionOf("k")
+	view := &controller.PartitionView{Partition: part, Replicas: []controller.NodeAddr{cfg.Addr}}
+	n.views[part] = view
+	var committed sim.Time
+	ln := b.MustListen(8000)
+	s.Spawn("client", func(p *sim.Proc) {
+		c, ok := ln.Accept(p)
+		for ok {
+			var m transport.Message
+			if m, ok = c.Recv(p); ok && m.Data.(*PutReply).OK && committed == 0 {
+				committed = p.Now()
+			}
+		}
+	})
+	put := func(seq uint64) {
+		req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: b.IP(), ClientPort: 8000, ClientSeq: seq}
+		s.Spawn("put", func(p *sim.Proc) { n.handlePut(p, req) })
+	}
+	put(1)
+	restartAt, nextAt := cfg.CPUPerOp/2, 2*cfg.CPUPerOp
+	s.At(restartAt, func() {
+		n.Crash()
+		n.Restart()
+		n.views[part] = view // what the rejoin installs
+	})
+	if err := s.RunUntil(nextAt); err != nil {
+		t.Fatal(err)
+	}
+	if n.store.Locked("k") {
+		t.Fatal("the put that straddled the restart locked the reborn store")
+	}
+	put(2)
+	if err := s.RunUntil(nextAt + 2*cfg.AckTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if committed == 0 || committed > nextAt+cfg.AckTimeout/10 {
+		t.Fatalf("the next put committed at %v, want within %v of its start at %v", committed, cfg.AckTimeout/10, nextAt)
+	}
+}
+
 // TestSteadyPutBookkeepingAllocatesNothing: with the free list and the
 // dedup ring full, a put's registration, its quorum, its verdict routed by
 // value from a batched commit, its dedup record and its release allocate

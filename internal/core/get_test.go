@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/controller"
 	"repro/internal/kvstore"
@@ -168,5 +169,43 @@ func TestCoalescedReadStateIsRecycled(t *testing.T) {
 	round(true)
 	if rs := top(&n.freeReads); replies != 4 || n.freeReads.Len() != 1 || rs != held[0] || len(rs.waiters) != 0 {
 		t.Fatalf("after a restart mid-read: %d replies, %d free states; want no new reply and the state back", replies, n.freeReads.Len())
+	}
+}
+
+// TestRecoveringNodeAnswersNoGet: from its restart until its rejoin
+// completes a node is put-visible only (§4.4). A get that reaches it
+// then, even one for a key its store holds under a view it has
+// installed, gets no reply and counts as held; once the rejoin is done
+// the same get is answered.
+func TestRecoveringNodeAnswersNoGet(t *testing.T) {
+	s, a, b := pair(t)
+	defer s.Shutdown()
+	var req *GetRequest
+	var n *Node
+	replies := 0
+	n, req = getFixture(t, s, a, b, func(rep *GetReply) {
+		req.FreeReply(rep)
+		replies++
+	})
+	n.Start()
+	part := n.cfg.Space.PartitionOf(req.Key)
+	view := n.views[part]
+	n.Crash()
+	n.Restart()
+	n.views[part] = view // what the rejoin installs before its range sync
+	get := func() {
+		n.spawn(n.names.get, req, false)
+		if err := s.RunUntil(s.Now() + time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get()
+	if replies != 0 || n.stats.GetsHeld != 1 {
+		t.Fatalf("mid-rejoin: %d replies, %d gets held; want none answered, one held", replies, n.stats.GetsHeld)
+	}
+	n.recovering = false // the rejoin's range sync landed
+	get()
+	if replies != 1 || n.stats.GetsHeld != 1 {
+		t.Fatalf("after the rejoin: %d replies, %d gets held; want the get answered", replies, n.stats.GetsHeld)
 	}
 }
