@@ -49,7 +49,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 		// Join the open batch and park until its leader drains it.
 		b.Val.items = append(b.Val.items, it)
 		b.Join(p)
-		if n.stale(ps) || !it.ok {
+		if n.ended(ps.life) || !it.ok {
 			return kvstore.Timestamp{}, false
 		}
 		return it.ts, true
@@ -64,7 +64,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	if n.batches[part] == b {
 		delete(n.batches, part)
 	}
-	if b.Ended() || n.stale(ps) {
+	if b.Ended() || n.ended(ps.life) {
 		// Crashed during the linger: Crash ended the batch and released the
 		// joiners, which never drained (ok=false).
 		b.End()
@@ -100,7 +100,7 @@ func (n *Node) batchCommit(p *sim.Proc, v *controller.PartitionView, req *PutReq
 	// whole point of accumulating. Same contract as the single-op path:
 	// durable before anything downstream learns of the commits.
 	n.store.Sync(p)
-	stale := n.stale(ps)
+	stale := n.ended(ps.life)
 	for _, m := range bt.out {
 		if stale {
 			m.release() // never sent

@@ -105,9 +105,3 @@ func (t *dedupTable) del(k reqKey) {
 	}
 	t.slots[hole] = kvstore.Timestamp{}
 }
-
-// reset forgets every entry, keeping the slot array.
-func (t *dedupTable) reset() {
-	clear(t.slots)
-	t.n = 0
-}

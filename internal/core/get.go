@@ -147,12 +147,12 @@ func (n *Node) serveRead(p *sim.Proc, req *GetRequest) {
 		rs = new(readState)
 	}
 	n.reads[req.Key] = rs
-	gen := n.restartGen
+	life := n.incarnation
 	obj, ok := n.store.Get(p, req.Key)
 	if n.reads[req.Key] == rs {
 		delete(n.reads, req.Key)
 	}
-	if gen != n.restartGen {
+	if n.ended(life) {
 		// Crashed while the read was on the disk: this incarnation must not
 		// answer for the reborn node. The waiters go unanswered too — their
 		// clients retry, same as any handler that blocked across a crash.

@@ -147,8 +147,7 @@ func TestCoalescedReadStateIsRecycled(t *testing.T) {
 			held = append(held, n.reads[leader.Key])
 			n.serveRead(p, waiter)
 			if restart {
-				n.restartGen++ // what Restart does to a read in flight
-				n.reads = make(map[string]*readState)
+				n.incarnation = newIncarnation(true) // what Restart does to a read in flight
 			}
 		})
 		if err := s.Run(); err != nil {

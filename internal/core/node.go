@@ -156,12 +156,11 @@ type putState struct {
 	// yet told may still commit its own attempt of the same operation, at
 	// a version the current primary's commit does not match.
 	coord netsim.IP
-	// gen is the node's restart generation at registration. A handler
-	// that blocked across a crash/restart observes a newer generation and
-	// abandons: its lock and put state were wiped by Restart, so touching
-	// the store would corrupt the reborn node (e.g. unlocking a lock a
-	// post-restart put now holds).
-	gen int
+	// life is the incarnation the put registered in. A handler that
+	// blocked across a crash/restart finds it ended and abandons: its lock
+	// and put state died with it, so touching the store would corrupt the
+	// reborn node (e.g. unlocking a lock a post-restart put now holds).
+	life *incarnation
 }
 
 // orphanState buffers protocol messages that raced ahead of the local
@@ -186,8 +185,11 @@ type orphanRef struct {
 	o *orphanState
 }
 
-// Node is one NICEKV storage node.
+// Node is one NICEKV storage node. Its fields outlive a crash; what one
+// life of the node knows is its incarnation.
 type Node struct {
+	*incarnation
+
 	cfg   NodeConfig
 	stack *transport.Stack
 	s     *sim.Simulator
@@ -199,44 +201,13 @@ type Node struct {
 	mcast *transport.MulticastReceiver
 	ctrl  *transport.UDPSocket
 
-	views      map[int]*controller.PartitionView
-	handoffFor map[int]bool
-	joined     map[netsim.IP]bool
-
-	puts      map[reqKey]*putState
-	freePuts  sim.Free[putState] // released put states
-	freeTasks sim.Free[task]     // idle handler spawns
-	orphans   map[reqKey]*orphanState
-	// orphanAge is a ring of the last orphanCap buffers created; once
-	// full, the oldest sits at orphanHead.
-	orphanAge  []orphanRef
-	orphanHead int
 	primarySeq uint64
 	stats      NodeStats
-	recovering bool
-	rejoined   bool          // RejoinInfo received since the last Restart
-	restartGen int           // invalidates older rejoin-retry processes
-	resolving  map[int]bool  // partitions with a resolution in flight
-	syncing    map[int]bool  // promoted any-k primary still range-syncing
 	cpu        *sim.Resource // per-node serial processing
 
-	// staleHandoff marks handoff-directory keys installed by a dedup
-	// re-commit (TsMsg.Dup): the version may predate this node's stand-in
-	// tenure, so a directory hit on such a key is forwarded to the
-	// primary instead of served (get.go). Cleared when a genuine commit
-	// supersedes the entry or the handoff stint ends.
-	staleHandoff map[int]map[string]bool
-
-	// reads tracks in-flight coalescable store reads by key
-	// (CoalesceGets): the first get to reach the store becomes the read
-	// leader, later arrivals park here and are answered from its result.
-	reads     map[string]*readState
-	freeReads sim.Free[readState] // read states their leaders are done with
-
-	// batches holds the per-partition open commit batch (PutBatchWindow):
-	// puts reaching the commit point while a batch leader lingers join it
-	// instead of committing alone.
-	batches     map[int]*sim.Gather[putBatch]
+	freePuts    sim.Free[putState]  // released put states
+	freeTasks   sim.Free[task]      // idle handler spawns
+	freeReads   sim.Free[readState] // read states their leaders are done with
 	freeBatches sim.Free[sim.Gather[putBatch]]
 
 	// The messages this node sends, handed back by the last of their
@@ -246,20 +217,83 @@ type Node struct {
 	putReplies sim.Free[PutReply]
 	tsMsgs     sim.Free[BatchTsMsg]
 
+	// names holds the per-op procs' names, built once in Start.
+	names struct{ put, get, fwdget, rget, bget, cachefetch string }
+}
+
+// incarnation is one life of a node, from its start or a Restart to the
+// next Restart: everything a fail-stop crash loses. Restart installs a
+// fresh one, and a proc that started in an earlier life finds it ended
+// (Node.ended) and touches nothing of the new one.
+type incarnation struct {
+	views      map[int]*controller.PartitionView
+	handoffFor map[int]bool // partitions this node stands in for
+	joined     map[netsim.IP]bool
+
+	puts    map[reqKey]*putState
+	orphans map[reqKey]*orphanState
+	// orphanAge is a ring of the last orphanCap buffers created; once
+	// full, the oldest sits at orphanHead.
+	orphanAge  []orphanRef
+	orphanHead int
+	recovering bool
+	rejoined   bool         // RejoinInfo received in this life
+	resolving  map[int]bool // partitions with a resolution in flight
+	syncing    map[int]bool // promoted any-k primary still range-syncing
+
+	// staleHandoff marks handoff-directory keys installed by a dedup
+	// re-commit (TsMsg.Dup): the version may predate this node's stand-in
+	// tenure, so a directory hit on such a key is forwarded to the
+	// primary instead of served (get.go). Cleared when a genuine commit
+	// supersedes the entry or the handoff stint ends. A stint also ends
+	// with the crash: the directory missed every write while this node
+	// was down, and serving it in a later stint would resurrect stale
+	// versions.
+	staleHandoff map[int]map[string]bool
+
+	// reads tracks in-flight coalescable store reads by key
+	// (CoalesceGets): the first get to reach the store becomes the read
+	// leader, later arrivals park here and are answered from its result.
+	reads map[string]*readState
+
+	// batches holds the per-partition open commit batch (PutBatchWindow):
+	// puts reaching the commit point while a batch leader lingers join it
+	// instead of committing alone.
+	batches map[int]*sim.Gather[putBatch]
+
 	// committed remembers the versions of recently committed puts by
 	// client quadruplet, so a retry of an already-committed put converges
 	// on the original version instead of re-running 2PC (which could roll
 	// a newer value back). Bounded FIFO; an evicted entry only costs the
 	// retry a fresh — still convergent — protocol round. committedLog is
 	// a ring of committed's keys in arrival order; once full, the oldest
-	// sits at committedHead.
+	// sits at committedHead. It dies with the life: a durable store may
+	// have lost a commit it records (a crash before the fsync), which a
+	// retry must not be acked on.
 	committed     dedupTable
 	committedLog  []reqKey
 	committedHead int
-
-	// names holds the per-op procs' names, built once in Start.
-	names struct{ put, get, fwdget, rget, bget, cachefetch string }
 }
+
+func newIncarnation(recovering bool) *incarnation {
+	return &incarnation{
+		views:        make(map[int]*controller.PartitionView),
+		handoffFor:   make(map[int]bool),
+		joined:       make(map[netsim.IP]bool),
+		puts:         make(map[reqKey]*putState),
+		orphans:      make(map[reqKey]*orphanState),
+		recovering:   recovering,
+		resolving:    make(map[int]bool),
+		syncing:      make(map[int]bool),
+		staleHandoff: make(map[int]map[string]bool),
+		reads:        make(map[string]*readState),
+		batches:      make(map[int]*sim.Gather[putBatch]),
+	}
+}
+
+// ended reports whether life, the incarnation a proc started in, is over:
+// the node restarted since, and the proc must leave the new life alone.
+func (n *Node) ended(life *incarnation) bool { return n.incarnation != life }
 
 // committedCap bounds the put-dedup memory.
 const committedCap = 4096
@@ -272,22 +306,13 @@ func NewNode(stack *transport.Stack, cfg NodeConfig) *Node {
 	}
 	store.SetNIC(stack.Host().Port())
 	return &Node{
-		cfg:          cfg,
-		stack:        stack,
-		s:            stack.Sim(),
-		store:        store,
-		pool:         newConnPool(stack),
-		views:        make(map[int]*controller.PartitionView),
-		handoffFor:   make(map[int]bool),
-		joined:       make(map[netsim.IP]bool),
-		puts:         make(map[reqKey]*putState),
-		orphans:      make(map[reqKey]*orphanState),
-		resolving:    make(map[int]bool),
-		syncing:      make(map[int]bool),
-		cpu:          sim.NewResource(stack.Sim()),
-		staleHandoff: make(map[int]map[string]bool),
-		reads:        make(map[string]*readState),
-		batches:      make(map[int]*sim.Gather[putBatch]),
+		incarnation: newIncarnation(false),
+		cfg:         cfg,
+		stack:       stack,
+		s:           stack.Sim(),
+		store:       store,
+		pool:        newConnPool(stack),
+		cpu:         sim.NewResource(stack.Sim()),
 	}
 }
 
@@ -467,10 +492,10 @@ func (n *Node) applyView(v *controller.PartitionView, asHandoff bool) {
 		// need no sync; a recovering node syncs in recover() instead.
 		part := v.Partition
 		n.syncing[part] = true
-		gen := n.restartGen
+		life := n.incarnation
 		n.s.Spawn(n.name("membersync"), func(p *sim.Proc) {
 			defer func() { n.syncing[part] = false }()
-			n.syncPartition(p, part, func() bool { return gen != n.restartGen }, old)
+			n.syncPartition(p, part, func() bool { return n.ended(life) }, old)
 		})
 	}
 	n.joinGroup(v.GroupIP)
@@ -494,7 +519,7 @@ func (n *Node) maybeResolve(part int, old *controller.PartitionView) {
 		return
 	}
 	n.resolving[part] = true
-	gen := n.restartGen
+	life := n.incarnation
 	syncAfter := n.cfg.QuorumK > 0 && !n.syncing[part]
 	if syncAfter {
 		// Any-k promotion: this node may never have seen commits the old
@@ -507,11 +532,11 @@ func (n *Node) maybeResolve(part int, old *controller.PartitionView) {
 	}
 	n.s.Spawn(n.name("resolve"), func(p *sim.Proc) {
 		defer func() { n.resolving[part] = false }()
-		n.resolveLocks(p, v, gen)
+		n.resolveLocks(p, v, life)
 		if !syncAfter {
 			return
 		}
-		if gen != n.restartGen {
+		if n.ended(life) {
 			n.syncing[part] = false
 			return
 		}
@@ -519,7 +544,7 @@ func (n *Node) maybeResolve(part int, old *controller.PartitionView) {
 		n.s.Spawn(n.name("sync"), func(p *sim.Proc) {
 			defer func() { n.syncing[part] = false }()
 			n.syncPartition(p, part, func() bool {
-				if gen != n.restartGen {
+				if n.ended(life) {
 					return true
 				}
 				nv := n.views[part]
@@ -709,7 +734,7 @@ func (n *Node) registerPut(req *PutRequest, coord netsim.IP) *putState {
 	if ps == nil {
 		ps = &putState{sig: sim.NewQueue[struct{}](n.s), ts: sim.NewFuture[TsMsg](n.s)}
 	}
-	ps.req, ps.coord, ps.gen = req, coord, n.restartGen
+	ps.req, ps.coord, ps.life = req, coord, n.incarnation
 	k := req.key()
 	if o, ok := n.orphans[k]; ok {
 		delete(n.orphans, k)
@@ -736,7 +761,7 @@ func (n *Node) releasePut(ps *putState) {
 	}
 	ps.sig.Reset()
 	ps.ts.Reset()
-	ps.req, ps.coord, ps.gen = nil, 0, 0
+	ps.req, ps.coord, ps.life = nil, 0, nil
 	ps.ack1, ps.ack2 = nodeSet{}, nodeSet{}
 	ps.quorum = ps.quorum[:0]
 	ps.item = batchItem{}
@@ -851,50 +876,30 @@ func (n *Node) Recovering() bool { return n.recovering }
 // holds none); tests assert a fenced zombie controller never moves it.
 func (n *Node) View(part int) *controller.PartitionView { return n.views[part] }
 
-// Restart brings a crashed node back: memory state is reset and the node
+// Restart brings a crashed node back: it starts a new incarnation and
 // rejoins through the two-phase §4.4 procedure, fetching missed objects
 // from its handoff before becoming get-visible.
 func (n *Node) Restart() {
 	n.stack.Host().SetDown(false)
 	n.store.ResetLocks()
-	n.puts = make(map[reqKey]*putState)
-	n.orphans = make(map[reqKey]*orphanState)
-	n.orphanAge, n.orphanHead = n.orphanAge[:0], 0
-	// So does the dedup memory: a durable store may have lost a commit it
-	// records (a crash before the fsync), which a retry must not be acked on.
-	n.committed.reset()
-	n.committedLog, n.committedHead = n.committedLog[:0], 0
 	n.pool.CloseAll()
 	// Leave all groups until the controller re-adds us.
 	for g := range n.joined {
 		n.stack.Host().LeaveMulticast(g)
-		delete(n.joined, g)
 	}
-	n.views = make(map[int]*controller.PartitionView)
-	n.resolving = make(map[int]bool)
-	n.syncing = make(map[int]bool)
-	// Coalescing/batching state dies with the crash. Procs still parked
-	// inside a read leader or batch leader observe the generation bump and
-	// abandon; fresh ops must not join their corpses.
-	n.reads = make(map[string]*readState)
-	n.batches = make(map[int]*sim.Gather[putBatch])
-	// A handoff stint ends with the crash: the directory missed every
-	// write while this node was down, so serving it in a later stint
-	// would resurrect stale versions. The recovering owner does not need
-	// it either — recovery syncs from the surviving members.
-	n.handoffFor = make(map[int]bool)
+	// The handoff directory ends with the stint (staleHandoff); the
+	// recovering owner does not need it either — recovery syncs from the
+	// surviving members.
 	n.store.ClearHandoff()
-	n.recovering = true
-	n.rejoined = false
-	n.restartGen++
-	gen := n.restartGen
+	life := newIncarnation(true)
+	n.incarnation = life
 	n.ctrl.SendTo(n.cfg.Meta, n.cfg.MetaPort, &controller.RejoinRequest{Node: n.cfg.Addr.Index}, ctrlMsgSize)
 	// The request is a datagram and the network may be lossy; retry until
 	// the controller's RejoinInfo arrives (handleRejoin is idempotent).
 	n.s.Spawn(n.name("rejoin-retry"), func(p *sim.Proc) {
 		for {
 			p.Sleep(2 * n.cfg.HeartbeatEvery)
-			if gen != n.restartGen || n.rejoined {
+			if n.ended(life) || n.rejoined {
 				return
 			}
 			n.ctrl.SendTo(n.cfg.Meta, n.cfg.MetaPort, &controller.RejoinRequest{Node: n.cfg.Addr.Index}, ctrlMsgSize)

@@ -49,19 +49,19 @@ func (n *Node) handlePut(p *sim.Proc, req *PutRequest) {
 func (n *Node) preparePut(p *sim.Proc, v *controller.PartitionView, req *PutRequest, ps *putState, isPrimary bool, part int) {
 	k := req.key()
 	n.cpu.Use(p, n.cfg.CPUPerOp)
-	if n.stale(ps) {
+	if n.ended(ps.life) {
 		return
 	}
 
 	// Phase one: lock, +L, W.
 	if !n.store.Lock(p, req.Key, k, 2*n.cfg.AckTimeout) {
 		n.stats.Aborts++
-		if isPrimary && !n.stale(ps) {
+		if isPrimary && !n.ended(ps.life) {
 			n.replyPut(req, false, "lock timeout", 0)
 		}
 		return
 	}
-	if n.stale(ps) {
+	if n.ended(ps.life) {
 		return // the granted lock died with the crash; don't touch the store
 	}
 	// The prepared object lives in the put state; the WAL record holds its
@@ -73,7 +73,7 @@ func (n *Node) preparePut(p *sim.Proc, v *controller.PartitionView, req *PutRequ
 	// co-arriving prepares on this replica share it, mirroring the
 	// primary's batched commit (§16).
 	n.store.AppendLog(p, rec, n.cfg.PutBatchWindow)
-	if n.stale(ps) {
+	if n.ended(ps.life) {
 		// Crashed while forcing the WAL record: withdraw it unless a newer
 		// put already replaced it with its own (this handler's lock died
 		// with the crash).
@@ -120,7 +120,7 @@ func (n *Node) duplicatePut(p *sim.Proc, v *controller.PartitionView, req *PutRe
 	n.sendTs(v, TsMsg{Req: k, Key: req.Key, Ts: ts, Dup: true})
 	need, want := n.ackQuorum(v, ps)
 	acked := n.waitAcks(p, ps, &ps.ack2, need, want)
-	if !n.stale(ps) {
+	if !n.ended(ps.life) {
 		if acked {
 			n.replyPut(req, true, "", ts.PrimarySeq)
 		} else {
@@ -230,13 +230,13 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	// resolution has synchronized its logical clock with its peers (the
 	// old primary may have committed versions this node never witnessed).
 	n.waitResolved(p, part)
-	if n.stale(ps) {
+	if n.ended(ps.life) {
 		return
 	}
 	need, want := n.ackQuorum(v, ps)
 
 	acked := n.waitAcks(p, ps, &ps.ack1, need, want)
-	if n.stale(ps) {
+	if n.ended(ps.life) {
 		return
 	}
 	// The put may have been decided while this node collected the votes —
@@ -296,7 +296,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 		// transitively, the client ack): an acknowledged put must survive
 		// this node's crash. Free in legacy mode.
 		n.store.Sync(p)
-		if n.stale(ps) {
+		if n.ended(ps.life) {
 			return
 		}
 
@@ -305,7 +305,7 @@ func (n *Node) primaryCommit(p *sim.Proc, v *controller.PartitionView, req *PutR
 	}
 
 	if !n.waitAcks(p, ps, &ps.ack2, need, want) {
-		if n.stale(ps) {
+		if n.ended(ps.life) {
 			return
 		}
 		// Committed locally and possibly remotely; the client will retry
@@ -327,10 +327,6 @@ func (n *Node) waitResolved(p *sim.Proc, part int) {
 	}
 }
 
-// stale reports whether the node crashed and restarted since ps was
-// registered (see putState.gen).
-func (n *Node) stale(ps *putState) bool { return ps.gen != n.restartGen }
-
 // secondaryCommit acknowledges phase one, waits for the timestamp, and
 // completes the commit. A primary quiet for two phases is reported and
 // the object is left locked and logged for new-primary resolution.
@@ -342,7 +338,7 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 	if !ok {
 		tsm, ok = ps.ts.WaitTimeout(p, n.cfg.AckTimeout)
 	}
-	if n.stale(ps) {
+	if n.ended(ps.life) {
 		return
 	}
 	if !ok {
@@ -366,7 +362,7 @@ func (n *Node) secondaryCommit(p *sim.Proc, v *controller.PartitionView, req *Pu
 	// the commit quorum, so the copy must survive a crash here. Free in
 	// legacy mode.
 	n.store.Sync(p)
-	if n.stale(ps) {
+	if n.ended(ps.life) {
 		return
 	}
 	n.sendAck2(primary, req.key())
@@ -530,12 +526,12 @@ func (n *Node) lateTs(m TsMsg, from netsim.IP) {
 		// secondaryCommit: the primary treats this ack as "the copy
 		// survives a crash here". lateTs runs on the dispatch loop, so the
 		// forced write is charged to a spawned process and the ack follows
-		// it; the restart-generation fence drops the ack if this
-		// incarnation dies while the fsync is in flight.
-		gen, k := n.restartGen, m.Req
+		// it; the ack is dropped if this incarnation ends while the fsync
+		// is in flight.
+		life, k := n.incarnation, m.Req
 		n.s.Spawn(n.name("latesync"), func(p *sim.Proc) {
 			n.store.Sync(p)
-			if gen != n.restartGen {
+			if n.ended(life) {
 				return
 			}
 			n.sendAck2(pr, k)

@@ -120,7 +120,7 @@ func (n *Node) openPuts(part int) []PendingPut {
 // resolution, so it answers at once.
 func (n *Node) settle(p *sim.Proc, part int) {
 	open := n.openPuts(part)
-	for gen := n.restartGen; len(open) > 0 && gen == n.restartGen && n.views[part] != nil; {
+	for life := n.incarnation; len(open) > 0 && !n.ended(life) && n.views[part] != nil; {
 		for _, pp := range open {
 			if n.puts[pp.Req] == nil {
 				n.requestResolution(part)
@@ -292,8 +292,8 @@ func (n *Node) syncPartition(p *sim.Proc, part int, stop func() bool, old *contr
 // member-range sync is the correctness anchor, and the node stays
 // get-invisible (handleGet holds) until it finishes.
 func (n *Node) recover(p *sim.Proc, info *controller.RejoinInfo) {
-	gen := n.restartGen
-	stop := func() bool { return gen != n.restartGen }
+	life := n.incarnation
+	stop := func() bool { return n.ended(life) }
 	// A durable store first rebuilds itself from its own media — snapshot
 	// load plus WAL replay, charged as disk reads — before fetching what
 	// it missed from peers. The engine rebuilds before it sleeps in those
@@ -363,15 +363,16 @@ func (n *Node) expand(p *sim.Proc, view *controller.PartitionView) {
 	part := view.Partition
 	n.syncing[part] = true
 	n.applyView(view, false)
-	gen := n.restartGen
-	n.syncPartition(p, part, func() bool { return gen != n.restartGen }, nil)
+	life := n.incarnation
+	stop := func() bool { return n.ended(life) }
+	n.syncPartition(p, part, stop, nil)
 	n.syncing[part] = false
-	if gen != n.restartGen {
+	if stop() {
 		return
 	}
 	// As in recover: the fetched range is volatile until fsynced.
 	n.store.Sync(p)
-	if gen != n.restartGen {
+	if stop() {
 		return
 	}
 	n.notifyConsistent(p)
@@ -381,10 +382,10 @@ func (n *Node) expand(p *sim.Proc, view *controller.PartitionView) {
 // every object still locked anywhere in the partition; commit the ones
 // the old primary committed anywhere (their committed version carries the
 // put's client quadruplet), abort the rest.
-// gen is the restart generation at promotion: the procedure spans many
-// RTTs, and a resolver that blocked across a crash/restart of its own
-// node must not touch the reborn store.
-func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
+// life is the incarnation at promotion: the procedure spans many RTTs,
+// and a resolver that blocked across a crash/restart of its own node
+// must not touch the reborn store.
+func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, life *incarnation) {
 	part := v.Partition
 	locked := make(map[string]reqKey)
 	for _, rec := range n.store.PendingLog() {
@@ -395,7 +396,7 @@ func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 	peers := n.othersOf(v)
 	for _, peer := range peers {
 		raw, ok := n.rpc(p, peer, &LockQuery{Partition: part}, getReqSize)
-		if gen != n.restartGen {
+		if n.ended(life) {
 			return
 		}
 		if !ok {
@@ -442,7 +443,7 @@ func (n *Node) resolveLocks(p *sim.Proc, v *controller.PartitionView, gen int) {
 	}
 	for _, peer := range peers {
 		raw, ok := n.rpc(p, peer, &VersionQuery{Keys: keys}, getReqSize+16*len(keys))
-		if gen != n.restartGen {
+		if n.ended(life) {
 			return
 		}
 		if !ok {
