@@ -92,7 +92,13 @@ func (d *linkDir) send(pkt *Packet) {
 		d.net.RecyclePacket(pkt) // lost on the wire: nobody else holds it
 		return
 	}
-	s.At2(done+d.cfg.Delay, deliverEvent, d.dst, pkt)
+	at := done + d.cfg.Delay
+	if sw, ok := d.dst.Dev.(*Switch); ok {
+		// A switch hop is one event: the pipeline latency is charged here,
+		// and Switch.Recv runs the pipeline on delivery.
+		at += sw.latency
+	}
+	s.At2(at, deliverEvent, d.dst, pkt)
 }
 
 // deliverEvent is the static At2 callback for link delivery: no closure is

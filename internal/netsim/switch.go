@@ -86,8 +86,8 @@ func (sw *Switch) Pipeline() Pipeline { return sw.pipe }
 // Sim returns the simulator driving this switch's network.
 func (sw *Switch) Sim() *sim.Simulator { return sw.net.sim }
 
-// Recv implements Device: charge the pipeline latency, then run the
-// forwarding pipeline.
+// Recv implements Device: run the forwarding pipeline. The link that
+// delivers pkt has already charged the pipeline latency (linkDir.send).
 func (sw *Switch) Recv(pkt *Packet, on *Port) {
 	sw.stats.PktsIn++
 	sw.stats.BytesIn += int64(pkt.Size)
@@ -102,16 +102,7 @@ func (sw *Switch) Recv(pkt *Packet, on *Port) {
 		sw.net.RecyclePacket(pkt)
 		return
 	}
-	s := sw.net.sim
-	s.At2(s.Now()+sw.latency, processEvent, on, pkt)
-}
-
-// processEvent is the static At2 callback running the forwarding pipeline
-// after the pipeline latency; the ingress port carries the needed context.
-func processEvent(a1, a2 any) {
-	on := a1.(*Port)
-	sw := on.Dev.(*Switch)
-	sw.pipe.Process(sw, a2.(*Packet), on.Index)
+	sw.pipe.Process(sw, pkt, on.Index)
 }
 
 // Output transmits pkt on port i, taking ownership: a packet aimed at a
