@@ -80,12 +80,10 @@ func BenchmarkSwitchForward(b *testing.B) {
 
 // BenchmarkFloodFanout measures multicast-style cloning: one packet in,
 // seven pooled clones out, all dropped at non-subscribed NICs (and thus
-// recycled). One untimed warm-up iteration fills the packet and event
-// free lists so the timed region is pure steady state, and the benchmark
-// asserts that state allocates nothing: the residual B/op this benchmark
-// used to report was free-list growth amortized over too few iterations,
-// not a per-packet allocation — now any real allocation on the flood path
-// fails the run instead of hiding in the rounding.
+// recycled). Untimed warm-up floods fill the packet and event free lists
+// and grow the timer wheel's buckets, so the timed region is steady
+// state, and the benchmark asserts that state allocates nothing: any
+// real allocation on the flood path fails the run, even at b.N = 1.
 func BenchmarkFloodFanout(b *testing.B) {
 	s := sim.New(1)
 	n := NewNetwork(s)
@@ -111,7 +109,15 @@ func BenchmarkFloodFanout(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	flood() // warm up the packet/event pools outside the timed region
+	// The seven clones of a flood land at one instant, overflowing the
+	// slots a wheel bucket starts with, and each flood lands in other
+	// buckets. 20 ms of floods, more than a turn of the wheel's two
+	// lowest levels (16.8 ms), grows every bucket a burst can reach there
+	// before timing starts; a burst crossing into a coarser bucket, once
+	// every 16.8 ms, grows it by a few bytes, far under one per flood.
+	for s.Now() < 20*time.Millisecond {
+		flood()
+	}
 	// Pinned as testing.AllocsPerRun pins it, so the bytes counted are the
 	// flood path's own and not another goroutine's.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
