@@ -420,9 +420,12 @@ func (e *EngineOf[V]) install(key string, val V, size int) {
 // per key on this node.
 func (e *EngineOf[V]) Commit(key string, val V, size int) {
 	if e.down {
-		// No caller should reach a crashed engine (the node's handlers
-		// are generation-fenced); tolerate it as a dropped write rather
-		// than corrupting recovery state.
+		// Two callers do reach a crashed engine: core's primaryCommit →
+		// finish and syncPartition → fetchObjects, in procs that wake
+		// between the node's Crash and its Restart (4 commits at 200
+		// chaos schedules, seed 99); only Restart ends their incarnation,
+		// until a crash does too (ROADMAP.md item 28(ii)). The write is
+		// dropped and counted rather than corrupting recovery state.
 		e.stats.LostRecords++
 		return
 	}
