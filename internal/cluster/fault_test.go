@@ -228,6 +228,17 @@ func TestPermanentRemove(t *testing.T) {
 		if v.Handoff != nil {
 			t.Errorf("partition %d still marked with a temporary handoff", pi)
 		}
+		// The members hold that view too: a promotion announced at an
+		// unchanged epoch is dropped by every node, leaving the stand-in
+		// a stand-in forever.
+		for _, r := range v.PutParticipants() {
+			if nv := d.Nodes[r.Index].View(pi); nv == nil {
+				t.Errorf("partition %d: member %d holds no view", pi, r.Index)
+			} else if nv.Handoff != nil || nv.Epoch != v.Epoch {
+				t.Errorf("partition %d: member %d holds epoch %d with handoff %v, the controller epoch %d with none",
+					pi, r.Index, nv.Epoch, nv.Handoff, v.Epoch)
+			}
+		}
 	}
 	d.Close()
 }

@@ -278,7 +278,7 @@ func TestPeerReportTriggersImmediateFailure(t *testing.T) {
 		sock.SendTo(rg.meta.IP(), rg.svc.cfg.CtrlPort, &FailureReport{Reporter: 0, Suspect: 2}, 64)
 	})
 	rg.runUntil(t, ms(360))
-	if rg.svc.Stats().Failures != 1 || rg.svc.nodes[2].status != nodeDown {
+	if rg.svc.Stats().Failures != 1 || rg.svc.status[2] != nodeDown {
 		t.Fatalf("suspect not failed: %+v", rg.svc.Stats())
 	}
 	rg.s.Shutdown()
@@ -305,7 +305,7 @@ func TestRejoinTwoPhases(t *testing.T) {
 		rg.nodes[victim].stack.Host().SetDown(true)
 	})
 	rg.runUntil(t, ms(1200))
-	if rg.svc.nodes[victim].status != nodeDown {
+	if rg.svc.status[victim] != nodeDown {
 		t.Fatal("victim not failed")
 	}
 
@@ -317,10 +317,10 @@ func TestRejoinTwoPhases(t *testing.T) {
 		sock.SendTo(rg.meta.IP(), rg.svc.cfg.CtrlPort, &RejoinRequest{Node: victim}, 64)
 	})
 	rg.runUntil(t, ms(1400))
-	if rg.svc.nodes[victim].status != nodeRecovering {
+	if rg.svc.status[victim] != nodeRecovering {
 		t.Fatal("victim not recovering after rejoin")
 	}
-	home := rg.svc.homePartitions(victim)
+	home := homePartitions(rg.svc.cfg.Placement, victim)
 	for _, p := range home {
 		v := rg.svc.View(p)
 		if !v.IsRecovering(victim) {
@@ -347,7 +347,7 @@ func TestRejoinTwoPhases(t *testing.T) {
 		sock.SendTo(rg.meta.IP(), rg.svc.cfg.CtrlPort, &ConsistentNotice{Node: victim}, 64)
 	})
 	rg.runUntil(t, ms(1600))
-	if rg.svc.nodes[victim].status != nodeUp {
+	if rg.svc.status[victim] != nodeUp {
 		t.Fatal("victim not up after consistent notice")
 	}
 	for _, p := range home {
@@ -724,7 +724,7 @@ func TestViewMessagesWaitForTheSwitch(t *testing.T) {
 			t.Errorf("no %s received", name)
 		}
 	}
-	if rg.svc.nodes[victim].status != nodeUp {
+	if rg.svc.status[victim] != nodeUp {
 		t.Fatal("victim did not recover")
 	}
 	rg.s.Shutdown()

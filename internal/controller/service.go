@@ -85,21 +85,6 @@ const (
 	RebalanceMinOps = 50
 )
 
-type nodeStatus int
-
-const (
-	nodeUp nodeStatus = iota
-	nodeDown
-	nodeRecovering
-)
-
-type nodeState struct {
-	addr   NodeAddr
-	status nodeStatus
-	lastHB sim.Time
-	load   LoadStats
-}
-
 // Stats counts control-plane work for the scalability experiments.
 type Stats struct {
 	NodeMsgs     int64 // membership messages sent to storage nodes
@@ -121,10 +106,15 @@ type Service struct {
 	stack  *transport.Stack
 	fabric *Fabric
 	ctrl   *transport.UDPSocket
-	nodes  []*nodeState
-	views  []*PartitionView
 	stats  Stats
 	trace  func(format string, args ...any) // optional event log
+
+	// membership is the state the §4.4 policy (transition) rules on. Its
+	// holders are local soft state: a standby takeover forgets them,
+	// leaving a collapsed partition to the operator, which is the
+	// conservative outcome.
+	membership
+	lastHB []sim.Time // per node: when it last heartbeat
 
 	// store is the coordination-state backend; gen is this instance's
 	// writer generation (acquired at Start). All state writes and
@@ -135,16 +125,6 @@ type Service struct {
 	// restoredCache is the replicated switch-cache state a takeover read
 	// from the store; enableCache reconciles the switch table against it.
 	restoredCache []CacheState
-
-	// lastHolder remembers, per collapsed partition, the final replica
-	// that was removed when the view emptied. Only that node's return
-	// reseats the partition: as the last primary standing it held every
-	// acknowledged write, while any other rejoiner's resurrected store
-	// may predate acks the deposed holder issued — reseating one of
-	// those would serve (and version against) lost state. Local soft
-	// state: a standby takeover forgets it, leaving the collapsed
-	// partition to the operator, which is the conservative outcome.
-	lastHolder map[int]NodeAddr
 
 	// dynamic load-balancing state (nil when disabled)
 	lb map[int]*lbState
@@ -161,18 +141,15 @@ func New(stack *transport.Stack, fabric *Fabric, cfg Config, nodes []NodeAddr) *
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	svc := &Service{
-		cfg:        cfg,
-		s:          stack.Sim(),
-		stack:      stack,
-		fabric:     fabric,
-		store:      cfg.Store,
-		lastHolder: make(map[int]NodeAddr),
+	svc := &Service{cfg: cfg, s: stack.Sim(), stack: stack, fabric: fabric, store: cfg.Store}
+	svc.membership = membership{
+		place:   cfg.Placement,
+		addrs:   append([]NodeAddr(nil), nodes...),
+		status:  make([]nodeStatus, len(nodes)), // all nodeUp
+		views:   make([]*PartitionView, cfg.Placement.N),
+		holders: make(map[int]NodeAddr),
 	}
-	for _, a := range nodes {
-		svc.nodes = append(svc.nodes, &nodeState{addr: a, status: nodeUp})
-	}
-	svc.views = make([]*PartitionView, cfg.Placement.N)
+	svc.lastHB = make([]sim.Time, len(nodes))
 	for p := 0; p < cfg.Placement.N; p++ {
 		v := &PartitionView{Partition: p, Epoch: 1, GroupIP: cfg.GroupBase.Add(uint32(p))}
 		for _, idx := range cfg.Placement.Replicas(p) {
@@ -227,13 +204,12 @@ func (svc *Service) Start() {
 		dp.RaiseWriterFence(svc.gen)
 	}
 	svc.RegisterHost(svc.stack.IP(), svc.stack.Host().MAC())
-	for _, n := range svc.nodes {
-		svc.RegisterHost(n.addr.IP, n.addr.MAC)
-		n.lastHB = svc.s.Now()
+	for i, a := range svc.addrs {
+		svc.RegisterHost(a.IP, a.MAC)
+		svc.lastHB[i] = svc.s.Now()
 	}
-	for p := range svc.views {
-		svc.installPartition(p)
-		svc.announce(svc.views[p])
+	for _, v := range svc.views {
+		svc.commitView(v)
 	}
 	svc.startStandbyPing()
 	svc.startDynamicLB()
@@ -269,33 +245,30 @@ func (svc *Service) listen(p *sim.Proc) {
 		switch m := d.Data.(type) {
 		case *Heartbeat:
 			svc.stats.HBReceived++
-			n := svc.nodes[m.Node]
-			n.lastHB = svc.s.Now()
-			n.load = m.Load
-			switch n.status {
+			svc.lastHB[m.Node] = svc.s.Now()
+			switch svc.status[m.Node] {
 			case nodeDown:
 				// A zombie: alive but marked failed (its RejoinRequest was
 				// lost, or a failure verdict raced its restart). Its switch
 				// rules are gone so it serves nothing; order it back through
 				// the rejoin procedure rather than leaving it stranded.
-				svc.sendToNode(n.addr, &RejoinOrder{}, ctrlMsgSize)
+				svc.sendToNode(svc.addrs[m.Node], &RejoinOrder{}, ctrlMsgSize)
 			case nodeUp:
 				svc.resyncViews(m.Node, m.Epochs)
 			}
 		case *FailureReport:
 			svc.stats.PeerReports++
-			suspect := svc.nodes[m.Suspect]
 			// Sanity-check the accusation against heartbeat freshness: a
 			// node that reported in this period is alive; the reporter
 			// likely raced a membership change.
-			if suspect.status == nodeUp && svc.s.Now()-suspect.lastHB > svc.cfg.HeartbeatEvery {
+			if svc.status[m.Suspect] == nodeUp && svc.s.Now()-svc.lastHB[m.Suspect] > svc.cfg.HeartbeatEvery {
 				svc.tracef("%v: peer %d reported %d failed", svc.s.Now(), m.Reporter, m.Suspect)
-				svc.fail(m.Suspect)
+				svc.apply(change{kind: evFail, node: m.Suspect})
 			}
 		case *RejoinRequest:
-			svc.handleRejoin(m.Node)
+			svc.apply(change{kind: evRejoin, node: m.Node})
 		case *ConsistentNotice:
-			svc.handleConsistent(m.Node)
+			svc.apply(change{kind: evConsistent, node: m.Node})
 		case *CacheFetchReply:
 			if svc.cacheMgr != nil {
 				svc.cacheMgr.onFetchReply(m)
@@ -312,16 +285,16 @@ func (svc *Service) detect(p *sim.Proc) {
 		if svc.stack.Host().Down() {
 			// A crashed metadata host computes nothing; when it returns
 			// it must not act on heartbeats it could never have received.
-			for _, n := range svc.nodes {
-				n.lastHB = svc.s.Now()
+			for i := range svc.lastHB {
+				svc.lastHB[i] = svc.s.Now()
 			}
 			continue
 		}
 		now := svc.s.Now()
-		for _, n := range svc.nodes {
-			if n.status == nodeUp && now-n.lastHB > limit {
-				svc.tracef("%v: node %d missed %d heartbeats", now, n.addr.Index, MissedHeartbeats)
-				svc.fail(n.addr.Index)
+		for i, st := range svc.status {
+			if st == nodeUp && now-svc.lastHB[i] > limit {
+				svc.tracef("%v: node %d missed %d heartbeats", now, i, MissedHeartbeats)
+				svc.apply(change{kind: evFail, node: i})
 			}
 		}
 	}
@@ -361,115 +334,24 @@ func (svc *Service) sendView(a NodeAddr, msg any, size int) {
 	}
 }
 
-// fail runs the §4.4 failure-hiding procedure for node idx.
-func (svc *Service) fail(idx int) {
-	n := svc.nodes[idx]
-	if n.status == nodeDown {
-		return
-	}
-	n.status = nodeDown
-	svc.stats.Failures++
-	for _, v := range svc.views {
-		if len(v.Replicas) == 0 {
-			continue // fully collapsed partition: operator territory
-		}
-		changed := false
-		wasPrimary := v.Replicas[0].Index == idx
-		// Remove the failed node wherever it appears.
-		for i := 0; i < len(v.Replicas); i++ {
-			if v.Replicas[i].Index == idx {
-				v.Replicas = append(v.Replicas[:i], v.Replicas[i+1:]...)
-				changed = true
-				i--
-			}
-		}
-		if v.IsRecovering(idx) {
-			v.Recovering = removeAddr(v.Recovering, idx)
-			changed = true
-		}
-		if !changed {
-			continue
-		}
-		// Select a handoff node to restore the replica set (§4.4). With
-		// R=1 the handoff is also the only — hence primary — replica.
-		if h := svc.pickHandoff(v); h != nil {
-			v.Replicas = append(v.Replicas, *h)
-			v.Handoff = h
-			svc.tracef("%v: partition %d handoff -> node %d", svc.s.Now(), v.Partition, h.Index)
-		}
-		if len(v.Replicas) == 0 {
-			svc.lastHolder[v.Partition] = n.addr
-			svc.tracef("%v: partition %d lost its last replica", svc.s.Now(), v.Partition)
-			continue // nothing to install or announce until the holder returns
-		}
-		if wasPrimary {
-			svc.tracef("%v: partition %d primary failed; promoting node %d",
-				svc.s.Now(), v.Partition, v.Replicas[0].Index)
-		}
-		// The node gets the view too: if the verdict was false (a lossy
-		// path, not a crash), that stops it acting as a member of v.
-		svc.commitView(v, n.addr)
-	}
-	// Replicate the status change even when no view mentioned the node
-	// (announce covers the common case but not a no-view demotion).
-	svc.store.WriteStatuses(svc.gen, svc.statusVector())
-}
-
 // statusVector is the membership status of every node, index-aligned,
 // in the form the state store replicates.
 func (svc *Service) statusVector() []int {
-	out := make([]int, len(svc.nodes))
-	for i, n := range svc.nodes {
-		out[i] = int(n.status)
+	out := make([]int, len(svc.status))
+	for i, st := range svc.status {
+		out[i] = int(st)
 	}
 	return out
 }
 
-// removeAddr filters node idx out of a list, returning nil when the
-// list empties so `== nil` health checks keep working.
-func removeAddr(list []NodeAddr, idx int) []NodeAddr {
-	var out []NodeAddr
-	for _, a := range list {
-		if a.Index != idx {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// pickHandoff returns the lowest-indexed up node outside the replica
-// set, or nil when none exists.
-func (svc *Service) pickHandoff(v *PartitionView) *NodeAddr {
-	for _, n := range svc.nodes {
-		if n.status != nodeUp {
-			continue
-		}
-		if v.HasReplica(n.addr.Index) {
-			continue
-		}
-		if v.IsRecovering(n.addr.Index) {
-			continue
-		}
-		a := n.addr
-		return &a
-	}
-	return nil
-}
-
-// commitView publishes a membership change to v under a new epoch: flow
-// mods first, then the store write, then the announcements (announce).
+// commitView publishes partition view v, at Start and for every view a
+// transition changes: flow mods first, then the store writes, then the
+// view to its participants and to the nodes the change dropped (O(R)
+// messages regardless of cluster size). A store rejection means a newer
+// controller generation has taken over: this instance is a fenced zombie
+// and must not propagate the view at all.
 func (svc *Service) commitView(v *PartitionView, dropped ...NodeAddr) {
-	v.Epoch++
 	svc.installPartition(v.Partition)
-	svc.announce(v, dropped...)
-}
-
-// announce distributes a changed view to its participants and to the
-// nodes the change dropped (O(R) messages regardless of cluster size)
-// after writing it through to the state store. A store rejection means
-// a newer controller generation has taken over: this instance is a
-// fenced zombie and must not propagate the view at all.
-func (svc *Service) announce(v *PartitionView, dropped ...NodeAddr) {
 	v.Gen = svc.gen
 	if !svc.store.WriteView(svc.gen, v) {
 		svc.stats.FencedWrites++
@@ -501,7 +383,6 @@ func (svc *Service) resyncViews(idx int, epochs map[int]uint64) {
 	if epochs == nil {
 		return // legacy heartbeat without view state
 	}
-	n := svc.nodes[idx]
 	for _, v := range svc.views {
 		reported := epochs[v.Partition]
 		if reported >= v.Epoch {
@@ -510,133 +391,9 @@ func (svc *Service) resyncViews(idx int, epochs map[int]uint64) {
 		// A node holding a stale view of a partition it no longer serves
 		// gets the fresh view too: it makes the node drop out cleanly.
 		if reported > 0 || v.HasReplica(idx) || v.IsRecovering(idx) {
-			svc.pushView(n.addr, v)
+			svc.pushView(svc.addrs[idx], v)
 		}
 	}
-}
-
-// handleRejoin makes a recovered node put-visible (phase one of §4.4
-// node recovery) and tells it where to fetch what it missed. It is
-// idempotent: a node retrying a lost RejoinRequest (status already
-// Recovering) gets its RejoinInfo rebuilt and resent without a second
-// round of epoch bumps.
-func (svc *Service) handleRejoin(idx int) {
-	n := svc.nodes[idx]
-	switch n.status {
-	case nodeUp:
-		// Not a duplicate: a node that asks to rejoin while marked up
-		// restarted (and lost its runtime state) inside the detection
-		// window, or a promoted standby inherited a status vector that
-		// missed the Recovering transition. Silently ignoring the
-		// request would strand the node put-visible with its gets held
-		// forever — and anything committed while it was dark would
-		// never be replayed. Demote it like a detected failure, then
-		// run the normal two-phase rejoin below.
-		svc.tracef("%v: node %d rejoin request while marked up; demoting first", svc.s.Now(), idx)
-		svc.fail(idx)
-	case nodeRecovering:
-		n.lastHB = svc.s.Now()
-		var views []*PartitionView
-		for _, part := range svc.homePartitions(idx) {
-			if v := svc.views[part]; v.IsRecovering(idx) {
-				views = append(views, v)
-			}
-		}
-		svc.sendRejoinInfo(n.addr, views)
-		return
-	}
-	n.status = nodeRecovering
-	n.lastHB = svc.s.Now()
-	svc.stats.Rejoins++
-	svc.tracef("%v: node %d rejoining (put-visible)", svc.s.Now(), idx)
-
-	var views []*PartitionView
-	for _, part := range svc.homePartitions(idx) {
-		v := svc.views[part]
-		if v.HasReplica(idx) || v.IsRecovering(idx) {
-			continue // never left (failed before any view update?)
-		}
-		if len(v.Replicas) == 0 {
-			// The partition collapsed — every member failed before a
-			// handoff could stand in. Only the recorded last holder may
-			// reseat it: it alone is known to hold every acknowledged
-			// write. A different rejoiner (deposed earlier, store behind)
-			// skips the partition — reseating it would ack fresh puts at
-			// stale versions while the real holder is merely unreachable.
-			lh, ok := svc.lastHolder[v.Partition]
-			if !ok || lh.Index != idx {
-				continue
-			}
-			delete(svc.lastHolder, v.Partition)
-			v.Replicas = append(v.Replicas, n.addr)
-			svc.tracef("%v: partition %d reseated on returning holder %d",
-				svc.s.Now(), v.Partition, idx)
-		} else {
-			// Appending (not replacing) lets several nodes be mid-rejoin on
-			// one partition when failures overlap; each completes on its own
-			// ConsistentNotice.
-			v.Recovering = append(v.Recovering, n.addr)
-		}
-		svc.commitView(v)
-		views = append(views, v)
-	}
-	svc.sendRejoinInfo(n.addr, views)
-	// The Recovering transition may have touched no view ("never left"
-	// rejoins); replicate the status vector anyway so a takeover during
-	// this window still knows the node is mid-rejoin.
-	svc.store.WriteStatuses(svc.gen, svc.statusVector())
-}
-
-// sendRejoinInfo tells rejoiner a the views it recovers in and who holds
-// the handoff data of each.
-func (svc *Service) sendRejoinInfo(a NodeAddr, views []*PartitionView) {
-	info := &RejoinInfo{}
-	for _, v := range views {
-		var h NodeAddr
-		if v.Handoff != nil {
-			h = *v.Handoff
-		}
-		info.Views = append(info.Views, v.Clone())
-		info.Handoffs = append(info.Handoffs, h)
-	}
-	svc.sendView(a, info, ctrlMsgSize+len(info.Views)*32)
-}
-
-// handleConsistent completes phase two of either recovery or ring
-// expansion: everywhere the node is marked Recovering it becomes a full
-// (get-visible) replica, and any handoff standing in for it is released.
-func (svc *Service) handleConsistent(idx int) {
-	n := svc.nodes[idx]
-	if n.status == nodeRecovering {
-		n.status = nodeUp
-		n.lastHB = svc.s.Now()
-		svc.stats.Recoveries++
-	}
-	svc.tracef("%v: node %d consistent (get-visible)", svc.s.Now(), idx)
-
-	for _, v := range svc.views {
-		if !v.IsRecovering(idx) {
-			continue
-		}
-		v.Recovering = removeAddr(v.Recovering, idx)
-		// The stand-in keeps covering the partition until the last
-		// rejoiner completes; releasing it on the first completion would
-		// shrink the serving set while other members are still syncing.
-		// The released stand-in gets the view that omits it: its order to
-		// drop the handoff data and the multicast group.
-		var released []NodeAddr
-		if v.Handoff != nil && len(v.Recovering) == 0 {
-			released = append(released, *v.Handoff)
-			v.Replicas = removeAddr(v.Replicas, v.Handoff.Index)
-			v.Handoff = nil
-		}
-		v.Replicas = append(v.Replicas, n.addr)
-		svc.commitView(v, released...)
-	}
-	// Status-only completions (no view still listed the node) must
-	// reach the store too, or a takeover would re-run a finished
-	// recovery.
-	svc.store.WriteStatuses(svc.gen, svc.statusVector())
 }
 
 // AddReplica permanently grows partition part's replica set with node
@@ -646,30 +403,7 @@ func (svc *Service) handleConsistent(idx int) {
 // on its ConsistentNotice — at which point the load-balancing divisions
 // are recomputed over the larger set.
 func (svc *Service) AddReplica(part, idx int) error {
-	n := svc.nodes[idx]
-	if n.status != nodeUp {
-		return fmt.Errorf("controller: node %d is not up", idx)
-	}
-	v := svc.views[part]
-	if v.HasReplica(idx) || v.IsRecovering(idx) {
-		return fmt.Errorf("controller: node %d already serves partition %d", idx, part)
-	}
-	if len(v.Replicas) == 0 {
-		return fmt.Errorf("controller: partition %d has no primary to expand from", part)
-	}
-	a := n.addr
-	v.Recovering = append(v.Recovering, a)
-	svc.commitView(v)
-	svc.sendView(a, &ExpandAssign{View: v.Clone()}, sizeOfView(v))
-	svc.tracef("%v: node %d joining partition %d (put-visible)", svc.s.Now(), idx, part)
-	return nil
-}
-
-// homePartitions returns the partitions node idx serves in the home
-// placement.
-func (svc *Service) homePartitions(idx int) []int {
-	prim, sec := svc.cfg.Placement.PartitionsOf(idx)
-	return append(prim, sec...)
+	return svc.apply(change{kind: evExpand, node: idx, part: part})
 }
 
 // installPartition (re)installs every rule belonging to partition p:
@@ -704,9 +438,9 @@ func (svc *Service) installPartition(p int) {
 	for _, r := range v.PutParticipants() {
 		memberIPs = append(memberIPs, r.IP)
 	}
-	nodeIPs := make([]netsim.IP, len(svc.nodes))
-	for i, n := range svc.nodes {
-		nodeIPs[i] = n.addr.IP
+	nodeIPs := make([]netsim.IP, len(svc.addrs))
+	for i, a := range svc.addrs {
+		nodeIPs[i] = a.IP
 	}
 	fallbackGid := make(map[*openflow.Datapath]openflow.GroupID)
 	for _, dp := range svc.fabric.Holding(nodeIPs) {
@@ -861,15 +595,53 @@ func (svc *Service) rulesPerPartition() int {
 }
 
 // PermanentRemove executes the administrator's node-removal procedure
-// (§4.4 ring re-configuration): the handoff (if any) stays as a durable
-// replica and all affected nodes are informed.
+// (§4.4 ring re-configuration): every view listing the node drops it, and
+// the stand-in each of those views takes, if any, joins as a durable
+// replica. A node already marked down changes no view.
 func (svc *Service) PermanentRemove(idx int) {
-	svc.fail(idx) // hiding + handoff
-	for _, v := range svc.views {
-		if v.Handoff != nil {
-			v.Handoff = nil // promotion to permanent member
-			svc.announce(v)
+	svc.apply(change{kind: evRemove, node: idx})
+}
+
+// apply rules on membership event e (transition) and carries the ruling
+// out step by step. A view is stored into the existing PartitionView,
+// which callers of View hold.
+func (svc *Service) apply(e change) error {
+	next, steps, err := transition(svc.membership, e)
+	if err != nil {
+		return err
+	}
+	now := svc.s.Now()
+	for _, st := range steps {
+		switch st := st.(type) {
+		case statusStep:
+			if st.to != nodeDown {
+				svc.lastHB[st.node] = now
+			}
+			if svc.status[st.node] != st.to {
+				svc.status[st.node] = st.to
+				switch st.to {
+				case nodeDown:
+					svc.stats.Failures++
+				case nodeRecovering:
+					svc.stats.Rejoins++
+				case nodeUp:
+					svc.stats.Recoveries++
+				}
+			}
+		case viewStep:
+			v := svc.views[st.v.Partition]
+			*v = *st.v
+			if st.publish {
+				svc.commitView(v, st.dropped...)
+			}
+		case sendStep:
+			svc.sendView(svc.addrs[st.node], st.msg, st.size)
+		case statusesStep:
+			svc.store.WriteStatuses(svc.gen, svc.statusVector())
+		case noteStep:
+			svc.tracef("%v: %s", now, st)
 		}
 	}
-	svc.tracef("%v: node %d permanently removed", svc.s.Now(), idx)
+	svc.holders = next.holders
+	return nil
 }

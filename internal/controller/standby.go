@@ -58,9 +58,9 @@ func (svc *Service) RestoreState(views []*PartitionView, statuses []int) {
 		}
 	}
 	for i, st := range statuses {
-		if i < len(svc.nodes) {
-			svc.nodes[i].status = nodeStatus(st)
-			svc.nodes[i].lastHB = svc.s.Now()
+		if i < len(svc.status) {
+			svc.status[i] = nodeStatus(st)
+			svc.lastHB[i] = svc.s.Now()
 		}
 	}
 }

@@ -895,7 +895,8 @@ func (n *Node) Restart() {
 	n.incarnation = life
 	n.ctrl.SendTo(n.cfg.Meta, n.cfg.MetaPort, &controller.RejoinRequest{Node: n.cfg.Addr.Index}, ctrlMsgSize)
 	// The request is a datagram and the network may be lossy; retry until
-	// the controller's RejoinInfo arrives (handleRejoin is idempotent).
+	// the controller's RejoinInfo arrives (a repeated request only gets
+	// its RejoinInfo again).
 	n.s.Spawn(n.name("rejoin-retry"), func(p *sim.Proc) {
 		for {
 			p.Sleep(2 * n.cfg.HeartbeatEvery)

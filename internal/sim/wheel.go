@@ -61,9 +61,10 @@ const (
 	// nearTail bounds the in-place insertion walk, so filing a burst in
 	// descending time order costs one sort, not a quadratic shuffle.
 	nearTail = 8
-	// bucketCap is the capacity init gives each level-0 and level-1 bucket,
-	// room for the handful of events a level-0 bucket holds at a time.
-	bucketCap = 4
+	// bucketCap is the capacity init gives every bucket: room for a
+	// same-instant burst (a flood's seven clones), so a run grows no
+	// bucket it reaches from nothing, whichever level a burst files in.
+	bucketCap = 8
 
 	inFront = -1 // event.lvl of the event held in the front cache
 )
@@ -112,13 +113,14 @@ type timerWheel struct {
 	buckets  [wheelLevels][wheelSlots]wheelBucket
 }
 
-// init empties the wheel and gives every bucket of the two lowest levels,
-// which nearly every timer passes through, its first bucketCap slots out
-// of one array, so a run does not grow each bucket it reaches from nothing.
+// init empties the wheel and gives every bucket its first bucketCap slots
+// out of one array. A burst crossing a coarse boundary of the cursor files
+// into a coarser bucket, so carving only the levels nearly every timer
+// passes through would still grow each coarse bucket a run reaches.
 func (w *timerWheel) init() {
 	w.minAt = maxTime
-	slots := make([]*event, 2*wheelSlots*bucketCap)
-	for lvl := range 2 {
+	slots := make([]*event, wheelLevels*wheelSlots*bucketCap)
+	for lvl := range wheelLevels {
 		for i := range w.buckets[lvl] {
 			at := (lvl*wheelSlots + i) * bucketCap
 			w.buckets[lvl][i].events = slots[at : at : at+bucketCap]

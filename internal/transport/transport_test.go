@@ -908,8 +908,9 @@ func TestMulticastChunkCostsNoEventNoAlloc(t *testing.T) {
 	}
 	// The second megabyte is 749 more chunks in 24 more windows, each acked
 	// by three receivers (a shared descriptor apiece, delivered by value).
-	// What remains is the timer-wheel buckets the run's timers first reach,
-	// ~6 objects a window; a descriptor per chunk alone would be 749.
+	// What remains is the timer-wheel buckets the run's timers fill past
+	// their first slots, ~2.5 objects a window; a descriptor per chunk
+	// alone would be 749.
 	const moreWindows = (1 << 20) / MTU / McastWindow
 	if more := int(two) - int(one); more > 7*moreWindows {
 		t.Fatalf("the second megabyte allocated %d objects (%d → %d) in %d windows", more, one, two, moreWindows)
@@ -1052,9 +1053,9 @@ func TestMulticastFinishedSetBounded(t *testing.T) {
 // message allocates nothing whatever its size — its descriptors live in the
 // connection, and there is no object per segment, none per ack. Each size
 // is sent five times and the cheapest counts, so a pool growing for the
-// first time is not mistaken for a per-message cost; a 1 MB message also
-// spans 9 ms, in which its RTO timers may reach a coarse wheel bucket never
-// used before, hence the allowance of two.
+// first time is not mistaken for a per-message cost (a 1 MB message spans
+// 9 ms, in which its timers may fill a wheel bucket past any depth it had
+// before).
 func TestStreamMessageAllocsIndependentOfSize(t *testing.T) {
 	h := newHub(t, 2, netsim.Gbps(1, us(10)))
 	a, b := h.stacks[0], h.stacks[1]
@@ -1094,8 +1095,8 @@ func TestStreamMessageAllocsIndependentOfSize(t *testing.T) {
 	if received != 15 {
 		t.Fatalf("server received %d of 15 messages", received)
 	}
-	if cheapest[1<<20] > 2 || cheapest[64<<10] != 0 || cheapest[100] != 0 {
-		t.Fatalf("objects per message: 1 MB %d (749 segments and acks; want at most 2), 64 KB %d (47; want 0), 100 B %d (want 0)",
+	if cheapest[1<<20] != 0 || cheapest[64<<10] != 0 || cheapest[100] != 0 {
+		t.Fatalf("objects per message: 1 MB %d (749 segments and acks; want 0), 64 KB %d (47; want 0), 100 B %d (want 0)",
 			cheapest[1<<20], cheapest[64<<10], cheapest[100])
 	}
 }
@@ -1676,11 +1677,12 @@ func TestOneChunkMulticastAllocs(t *testing.T) {
 	for i := 0; i < finishedCap+100; i++ {
 		send()
 	}
-	// AllocsPerRun counts whole objects per run; the bytes, over the same
-	// runs and its one warm-up, are floored alike.
-	var objects float64
-	_, bytes := allocsDuring(func() { objects = testing.AllocsPerRun(1000, send) })
-	bytes /= 1001
+	// Exact totals over 1000 sends: one object or byte anywhere fails.
+	objects, bytes := allocsDuring(func() {
+		for range 1000 {
+			send()
+		}
+	})
 	if objects != 0 || bytes != 0 {
 		t.Fatalf("a 1 KB multicast to 3 receivers allocated %v objects, %d bytes; want none", objects, bytes)
 	}
