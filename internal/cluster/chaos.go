@@ -569,6 +569,11 @@ func (r *ChaosReport) Fprint(w io.Writer) {
 // each system from its repro line to confirm determinism. ctrlBias
 // scales the controller-fault weights of the systems that use them (the
 // -chaos-ctrl knob; 0 or 1 leaves the default mix).
+//
+// A cell is seeded by its coordinates, DeriveSeed(DeriveSeed(seed,
+// system), schedule), not by its flat grid index: the first n schedules
+// of a longer sweep are the n of a shorter one, and a system appended to
+// chaosSystems reseeds no other.
 func RunChaos(pr Params, schedules int, ctrlBias float64) (*ChaosReport, error) {
 	systems := chaosSystems()
 	rep := &ChaosReport{Schedules: schedules}
@@ -577,9 +582,10 @@ func RunChaos(pr Params, schedules int, ctrlBias float64) (*ChaosReport, error) 
 	}
 	g := grid[ChaosCell]{
 		Dims: []int{len(systems), schedules},
-		Cell: func(pr Params, ix []int) (ChaosCell, error) {
+		Cell: func(_ Params, ix []int) (ChaosCell, error) {
 			sys := systems[ix[0]]
-			return runChaosCell(sys, faultinject.Generate(pr.Seed, chaosGenConfig(sys, ctrlBias)))
+			seed := DeriveSeed(DeriveSeed(pr.Seed, ix[0]), ix[1])
+			return runChaosCell(sys, faultinject.Generate(seed, chaosGenConfig(sys, ctrlBias)))
 		},
 	}
 	var err error

@@ -69,6 +69,27 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestChaosSeedsArePrefixStable: a chaos cell's schedule depends on its
+// system and schedule index alone, so the schedules of a short sweep are
+// the first ones of a longer sweep under the same seed.
+func TestChaosSeedsArePrefixStable(t *testing.T) {
+	short, err := RunChaos(Params{Seed: 11}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := RunChaos(Params{Seed: 11}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, name := range short.Systems {
+		a, b := short.Cells[si], long.Cells[si*2]
+		if a.Schedule.String() != b.Schedule.String() || a.Hash != b.Hash {
+			t.Errorf("%s schedule 0: 1-schedule sweep ran %q (hash %x), 2-schedule sweep %q (hash %x)",
+				name, a.Repro(), a.Hash, b.Repro(), b.Hash)
+		}
+	}
+}
+
 // TestChaosReplayRoundTrip: the repro line a violating (or any) cell
 // prints must replay to the exact same execution.
 func TestChaosReplayRoundTrip(t *testing.T) {
@@ -140,7 +161,7 @@ func TestChaosCatchesInjectedViolation(t *testing.T) {
 // the sweep still runs and reports every other cell.
 func TestChaosSweepSurvivesSimFailure(t *testing.T) {
 	const seed, failed = 42, 1 // the one cell of chaosSystems()[1]
-	probeChaosPanicSeed = DeriveSeed(seed, failed)
+	probeChaosPanicSeed = DeriveSeed(DeriveSeed(seed, failed), 0)
 	defer func() { probeChaosPanicSeed = 0 }()
 	rep, err := RunChaos(Params{Seed: seed}, 1, 0)
 	if err != nil {
