@@ -4,9 +4,9 @@
 //
 // The figure sweeps run their (system, size) grids on all cores by
 // default (see internal/cluster.RunCells); -seq forces the sequential
-// path. Wall-clock timings are printed per experiment, and every sweep's
-// report is written as BENCH_<name>.json under -out-dir for tracking
-// across commits.
+// path. Wall-clock timings are printed per experiment, and every sweep
+// writes BENCH_<name>.json under -out-dir: the hash of its cells and its
+// banded claims, for tracking across commits.
 //
 // Usage:
 //
@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -173,66 +174,24 @@ var registry = []experiment{
 		if err != nil {
 			return err
 		}
-		cells, err := cluster.HeavyTrafficSweep(pr, sizes)
-		if err != nil {
-			return err
-		}
-		r.table("heavytraffic: open-loop fleet sweep (aggregate offered load held constant)", cells)
-		return r.write("traffic", struct {
-			Cells []cluster.TrafficCell `json:"cells"`
-		}{cells})
+		cells, claims, err := cluster.HeavyTrafficSweep(pr, sizes)
+		return r.record(err, "traffic", "heavytraffic: open-loop fleet sweep (aggregate offered load held constant)", claims, cells)
 	}},
 	{name: "storagesweep", extended: true, run: func(r *run, pr cluster.Params) error {
-		rep, err := cluster.StorageSweep(pr, r.heavyClients)
-		if err != nil {
-			return err
-		}
-		r.table(fmt.Sprintf("storagesweep: durable engine under memory pressure (%d records x %dB, R=3, %d nodes)",
-			rep.Records, rep.ValueSize, rep.Nodes), rep.Cells)
-		r.table("", rep.Heavy)
-		return r.write("storage", rep)
+		cells, heavy, claims, err := cluster.StorageSweep(pr, r.heavyClients)
+		return r.record(err, "storage", "storagesweep: durable engine under memory pressure", claims, cells, []cluster.TrafficCell{heavy})
 	}},
 	{name: "batchsweep", extended: true, run: func(r *run, pr cluster.Params) error {
-		rep, err := cluster.BatchSweep(pr, r.heavyClients)
-		if err != nil {
-			return err
-		}
-		r.table(fmt.Sprintf("batchsweep: end-to-end batching (%d clients x %d ops, %dB values, %d nodes)",
-			rep.Clients, rep.OpsPerClient, rep.ValueSize, rep.Nodes), rep.Cells)
-		r.table("", rep.Heavy)
-		fmt.Fprintf(r.out, "durable put speedup vs per-op fsync baseline: %.2fx\n", rep.DurableSpeedup)
-		fmt.Fprintf(r.out, "determinism recheck: ok=%v\n", rep.DeterminismOK)
-		if err := r.write("batch", rep); err != nil {
-			return err
-		}
-		if !rep.DeterminismOK {
-			return errors.New("determinism recheck failed")
-		}
-		return nil
+		cells, heavy, claims, err := cluster.BatchSweep(pr, r.heavyClients)
+		return r.record(err, "batch", "batchsweep: end-to-end batching", claims, cells, []cluster.TrafficCell{heavy})
 	}},
 	{name: "ctrlsweep", extended: true, run: func(r *run, pr cluster.Params) error {
-		rep, err := cluster.CtrlFailoverSweep(pr, 10)
-		if err != nil {
-			return err
-		}
-		rep.Fprint(r.out)
-		return r.write("ctrl", rep)
+		cells, claims, err := cluster.CtrlFailoverSweep(pr)
+		return r.record(err, "ctrl", "ctrlsweep: controller death + partition-0 replica crash, per arm and crash phase", claims, cells)
 	}},
 	{name: "readscale", extended: true, run: func(r *run, pr cluster.Params) error {
-		rep, err := cluster.ReadScaleSweep(pr)
-		if err != nil {
-			return err
-		}
-		r.table(fmt.Sprintf("readscale: get scaling vs replication factor (%d nodes, %d clients, %d keys on one partition)",
-			rep.Nodes, rep.Clients, rep.Keys), rep.Cells)
-		maxR := rep.Replicas[len(rep.Replicas)-1]
-		for _, c := range rep.Cells {
-			if c.R == maxR && c.PutFrac == 0 {
-				fmt.Fprintf(r.out, "read-only speedup at R=%d: %-18s %.2fx\n", maxR, c.System, rep.SpeedupAtMaxR[c.System])
-			}
-		}
-		cluster.ReadScaleFigure(rep).Fprint(r.out)
-		return r.write("readscale", rep)
+		cells, claims, err := cluster.ReadScaleSweep(pr)
+		return r.record(err, "readscale", "readscale: get scaling vs replication factor (single-partition working set)", claims, cells)
 	}},
 }
 
@@ -336,6 +295,39 @@ func (r *run) table(title string, rows any) {
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
+}
+
+// sweepRecord is a sweep's BENCH_<name>.json body after the envelope:
+// the run's size, the hash of its cells and the claims they back.
+type sweepRecord struct {
+	Ops    int             `json:"ops"`
+	Hash   string          `json:"hash"`
+	Claims []cluster.Claim `json:"claims"`
+}
+
+// record is the one path from a sweep to its BENCH file. It prints each
+// table of cells (the first under title) and the claims, and writes the
+// record: Hash is FNV-1a 64 over the tables' JSON in order, so every
+// value a cell carries moves it. It passes err through so registry rows
+// stay one statement.
+func (r *run) record(err error, name, title string, claims []cluster.Claim, tables ...any) error {
+	if err != nil {
+		return err
+	}
+	h := fnv.New64a()
+	for _, rows := range tables {
+		r.table(title, rows)
+		title = ""
+		data, err := json.Marshal(rows)
+		if err != nil {
+			return err
+		}
+		h.Write(data)
+	}
+	for _, c := range claims {
+		fmt.Fprintln(r.out, c)
+	}
+	return r.write(name, sweepRecord{r.pr.Ops, fmt.Sprintf("%016x", h.Sum64()), claims})
 }
 
 // benchEnv records where a measurement was taken; a host-time number is

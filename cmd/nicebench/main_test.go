@@ -1,13 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -29,8 +30,9 @@ func smokeConfig() *config {
 	}
 }
 
-// committed maps each BENCH_<x>.json at the repository root that must
-// regenerate bit for bit to the experiment that writes it.
+// committed maps each sweep's BENCH_<x>.json at the repository root to
+// the experiment that writes it; its hash and claims must regenerate bit
+// for bit.
 var committed = map[string]string{
 	"readscale": "readscale", "ctrl": "ctrlsweep", "storage": "storagesweep",
 	"traffic": "heavytraffic", "batch": "batchsweep",
@@ -89,46 +91,124 @@ func TestRegistryRunsEveryName(t *testing.T) {
 	}
 }
 
-// TestBenchFilesReproduce re-runs the five sweeps whose reports are
-// committed and requires them to regenerate the BENCH_<x>.json files at
-// the repository root bit for bit, ignoring the env block: the files pin
-// every sweep's behaviour the way the fig5 golden hash pins the figures.
+// TestBenchFilesReproduce re-runs the five sweeps whose records are
+// committed, at the seed and size each file names, and requires every
+// BENCH_<x>.json at the repository root to regenerate bit for bit,
+// ignoring the env block: the hash pins every value of every cell the
+// way the fig5 golden hash pins the figures, and each claim must keep
+// its value, its band, and lie in that band.
 func TestBenchFilesReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five full sweeps")
 	}
 	for name, experiment := range committed {
-		cfg := &config{pr: cluster.Params{Ops: 1000, Seed: 42}, heavyClients: 100_000, outDir: t.TempDir()}
-		if name == "batch" {
-			cfg.pr.Ops = 48 // BENCH_batch.json is recorded at -ops 48
-		}
+		file := "BENCH_" + name + ".json"
+		want := readRecord(t, filepath.Join("..", "..", file))
+		cfg := &config{pr: cluster.Params{Ops: want.Ops, Seed: want.Seed}, heavyClients: 100_000, outDir: t.TempDir()}
 		if err := runExperiments(cfg, experiment, io.Discard); err != nil {
 			t.Fatalf("%s: %v", experiment, err)
 		}
-		file := "BENCH_" + name + ".json"
-		got, want := readReport(t, filepath.Join(cfg.outDir, file)), readReport(t, filepath.Join("..", "..", file))
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s no longer regenerates from -experiment %s (diff the file against a fresh run)", file, experiment)
+		if err := checkRecord(want, readRecord(t, filepath.Join(cfg.outDir, file))); err != nil {
+			t.Errorf("%s no longer regenerates from -experiment %s:\n%v", file, experiment, err)
 		}
 	}
 }
 
-// readReport parses a BENCH file without its env block.
-func readReport(t *testing.T, path string) map[string]any {
+// benchFile is a committed sweep file: the envelope and the record.
+type benchFile struct {
+	Env  benchEnv `json:"env"`
+	Seed int64    `json:"seed"`
+	sweepRecord
+}
+
+// readRecord parses a sweep's BENCH file; a field outside the envelope
+// and the record is an error, so nothing rides in unchecked.
+func readRecord(t *testing.T, path string) benchFile {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report map[string]any
-	if err := json.Unmarshal(data, &report); err != nil {
+	var f benchFile
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	if _, ok := report["env"]; !ok {
+	if f.Env == (benchEnv{}) {
 		t.Errorf("%s has no env block", path)
 	}
-	delete(report, "env")
-	return report
+	return f
+}
+
+// checkRecord compares a fresh sweep file with the committed one, env
+// aside, and names every difference: the seed or size, the hash, a claim
+// missing from either side, a claim whose value or band moved, and a
+// fresh claim outside its band.
+func checkRecord(committed, fresh benchFile) error {
+	var errs []error
+	if committed.Seed != fresh.Seed || committed.Ops != fresh.Ops {
+		errs = append(errs, fmt.Errorf("ran at seed %d ops %d, committed at seed %d ops %d",
+			fresh.Seed, fresh.Ops, committed.Seed, committed.Ops))
+	}
+	if committed.Hash != fresh.Hash {
+		errs = append(errs, fmt.Errorf("cells hash %s, committed %s", fresh.Hash, committed.Hash))
+	}
+	want := make(map[string]cluster.Claim)
+	for _, c := range committed.Claims {
+		want[c.Name] = c
+	}
+	for _, c := range fresh.Claims {
+		w, ok := want[c.Name]
+		delete(want, c.Name)
+		if !ok {
+			errs = append(errs, fmt.Errorf("claim %s is not in the committed file", c.Name))
+		} else if w != c {
+			errs = append(errs, fmt.Errorf("claim %s = %v in [%v, %v], committed %v in [%v, %v]",
+				c.Name, c.Value, c.Lo, c.Hi, w.Value, w.Lo, w.Hi))
+		}
+		if !c.InBand() {
+			errs = append(errs, fmt.Errorf("claim %s = %v is outside its band [%v, %v]", c.Name, c.Value, c.Lo, c.Hi))
+		}
+	}
+	for _, c := range committed.Claims {
+		if _, ok := want[c.Name]; ok {
+			errs = append(errs, fmt.Errorf("claim %s is committed but no longer computed", c.Name))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// TestSweepClaimsCannotBeLost: a claim that leaves its band, disappears
+// from the file or from the code, and a cells hash that moves each fail
+// the comparison, and the failure names what was lost.
+func TestSweepClaimsCannotBeLost(t *testing.T) {
+	record := func(hash string, claims ...cluster.Claim) benchFile {
+		return benchFile{Env: benchEnv{GOOS: "linux"}, Seed: 42, sweepRecord: sweepRecord{Ops: 1000, Hash: hash, Claims: claims}}
+	}
+	speedup := cluster.Claim{Name: "speedup", Value: 7, Lo: 6, Hi: 8}
+	share := cluster.Claim{Name: "share", Value: 0.87, Lo: 0.8, Hi: 0.9}
+	file := record("00000000000000aa", speedup, share)
+	if err := checkRecord(file, file); err != nil {
+		t.Fatalf("identical records: %v", err)
+	}
+	slow := speedup
+	slow.Value = 5
+	for _, tc := range []struct {
+		name      string
+		committed benchFile
+		fresh     benchFile
+		want      string
+	}{
+		{"out of band", record("00000000000000aa", slow, share), record("00000000000000aa", slow, share), "claim speedup = 5 is outside its band [6, 8]"},
+		{"missing from the file", record("00000000000000aa", share), file, "claim speedup is not in the committed file"},
+		{"missing from the code", file, record("00000000000000aa", speedup), "claim share is committed but no longer computed"},
+		{"hash moved", file, record("00000000000000ab", speedup, share), "cells hash 00000000000000ab, committed 00000000000000aa"},
+	} {
+		if err := checkRecord(tc.committed, tc.fresh); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestKernelGateCannotBeLostByARename: a gated benchmark absent from the

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -34,48 +33,35 @@ import (
 // after t0 cannot be installed until a live controller manages the
 // switch again.
 
-// ctrlSweepCap bounds how long one cell waits for recovery; a metric
-// that misses the cap is reported in Unrecovered, not in the summary.
-const ctrlSweepCap = 3 * time.Second
+// ctrlSweepCap bounds how long one cell waits for recovery; each arm is
+// measured at ctrlSweepSeeds crash phases.
+const (
+	ctrlSweepCap   = 3 * time.Second
+	ctrlSweepSeeds = 10
+)
 
-// ctrlArms lists the sweep arms in report order; every arm runs the
+// ctrlArms lists the sweep arms in grid order; every arm runs the
 // in-switch cache.
 var ctrlArms = []system{
 	{"none", "NICEKV+cache"},
 	{"standby", "NICEKV+cache+standby"},
 }
 
-// ctrlCell is one (arm, seed) measurement; negative latencies mean the
-// event never happened before ctrlSweepCap.
-type ctrlCell struct {
-	takeover, handoff, put, cache sim.Time
-}
-
-// CtrlArmResult aggregates one arm across seeds. All summaries are in
-// seconds and cover only the seeds where the event occurred; Seeds
-// minus a summary's N is how often it never did.
-type CtrlArmResult struct {
-	Arm   string `json:"arm"`
-	Seeds int    `json:"seeds"`
-	// Recovered counts seeds where partition 0 accepted a put again.
-	Recovered int `json:"recovered"`
-	// Takeover: controller death -> standby promoted.
-	Takeover metrics.Summary `json:"takeover"`
-	// Handoff: controller death -> replacement view (crashed replica
-	// out, handoff in) installed by the new controller.
-	Handoff metrics.Summary `json:"handoff"`
-	// Put: controller death -> first acked put to the orphaned
-	// partition.
-	Put metrics.Summary `json:"put"`
-	// CacheInstall: controller death -> first post-takeover switch
-	// cache install of a key made hot after the crash.
-	CacheInstall metrics.Summary `json:"cache_install"`
-}
-
-// CtrlReport is the ctrlsweep outcome, one result per arm.
-type CtrlReport struct {
-	Seeds int             `json:"seeds_per_arm"`
-	Arms  []CtrlArmResult `json:"arms"`
+// CtrlCell is one (arm, seed) measurement. Each latency runs from the
+// controller's death; a negative one means the event never happened
+// before ctrlSweepCap.
+type CtrlCell struct {
+	Arm string `json:"arm"`
+	// Takeover: the standby promoted.
+	Takeover sim.Time `json:"takeover_ns"`
+	// Handoff: the replacement view (crashed replica out, handoff in)
+	// installed by the new controller.
+	Handoff sim.Time `json:"handoff_ns"`
+	// Put: the first acked put to the orphaned partition.
+	Put sim.Time `json:"put_ns"`
+	// CacheInstall: the first post-takeover switch cache install of a
+	// key made hot after the crash.
+	CacheInstall sim.Time `json:"cache_install_ns"`
 }
 
 // ctrlSweepBase is the cell deployment: the chaos cluster shape with
@@ -94,11 +80,11 @@ func ctrlSweepBase(seed int64) Options {
 }
 
 // runCtrlCell executes one (arm, seed) failover measurement.
-func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
-	cell := ctrlCell{takeover: -1, handoff: -1, put: -1, cache: -1}
+func runCtrlCell(pr Params, arm system) (CtrlCell, error) {
+	cell := CtrlCell{Arm: arm.Name, Takeover: -1, Handoff: -1, Put: -1, CacheInstall: -1}
 	base := ctrlSweepBase(pr.Seed)
 	crashPhase := sim.Time(rand.New(rand.NewSource(pr.Seed)).Int63n(int64(base.Heartbeat)))
-	err := withBench(arm, base, 0, func(b *bench) error {
+	err := withBench(arm.Arm, base, 0, func(b *bench) error {
 		if err := b.Settle(); err != nil {
 			return err
 		}
@@ -126,12 +112,12 @@ func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
 				d.Sim.Spawn("ctrlsweep-watch", func(wp *sim.Proc) {
 					for wp.Now()-t0 < sim.Time(ctrlSweepCap) {
 						if svc := d.Standby.Promoted(); svc != nil {
-							if cell.takeover < 0 {
-								cell.takeover = wp.Now() - t0
+							if cell.Takeover < 0 {
+								cell.Takeover = wp.Now() - t0
 							}
 							v := svc.View(part)
 							if v != nil && !v.HasReplica(victim) && v.Handoff != nil {
-								cell.handoff = wp.Now() - t0
+								cell.Handoff = wp.Now() - t0
 								return
 							}
 						}
@@ -143,12 +129,12 @@ func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
 			// Put prober: availability of the orphaned partition.
 			for p.Now()-t0 < sim.Time(ctrlSweepCap) {
 				if _, err := c.Put(p, keys[0], "probe", chaosValSize); err == nil {
-					cell.put = p.Now() - t0
+					cell.Put = p.Now() - t0
 					break
 				}
 				p.Sleep(5 * time.Millisecond)
 			}
-			if cell.put < 0 {
+			if cell.Put < 0 {
 				return nil // never recovered; cache metric is moot
 			}
 
@@ -162,7 +148,7 @@ func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
 					continue
 				}
 				if d.Cache.Stats().Installs > base {
-					cell.cache = p.Now() - t0
+					cell.CacheInstall = p.Now() - t0
 					return nil
 				}
 				p.Sleep(time.Millisecond)
@@ -174,61 +160,38 @@ func runCtrlCell(pr Params, arm string) (ctrlCell, error) {
 	return cell, err
 }
 
-// CtrlFailoverSweep runs `seeds` failover measurements per arm on the
-// RunCells worker pool.
-func CtrlFailoverSweep(pr Params, seeds int) (*CtrlReport, error) {
-	if seeds <= 0 {
-		seeds = 10
-	}
-	cells, err := grid[ctrlCell]{
-		Dims: []int{len(ctrlArms), seeds},
-		Cell: func(pr Params, ix []int) (ctrlCell, error) { return runCtrlCell(pr, ctrlArms[ix[0]].Arm) },
+// CtrlFailoverSweep runs ctrlSweepSeeds failover measurements per arm
+// on the RunCells worker pool and returns the cells arm-major, with the
+// sweep's claims.
+func CtrlFailoverSweep(pr Params) ([]CtrlCell, []Claim, error) {
+	cells, err := grid[CtrlCell]{
+		Dims: []int{len(ctrlArms), ctrlSweepSeeds},
+		Cell: func(pr Params, ix []int) (CtrlCell, error) { return runCtrlCell(pr, ctrlArms[ix[0]]) },
 	}.Run(pr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rep := &CtrlReport{Seeds: seeds}
-	for ai, arm := range ctrlArms {
-		// summarize covers only the seeds where the event happened.
-		summarize := func(latency func(ctrlCell) sim.Time) metrics.Summary {
-			var h metrics.Histogram
-			for _, c := range cells[ai*seeds : (ai+1)*seeds] {
-				if v := latency(c); v >= 0 {
-					h.Add(v)
-				}
-			}
-			return h.Summary()
-		}
-		res := CtrlArmResult{
-			Arm:          arm.Name,
-			Seeds:        seeds,
-			Takeover:     summarize(func(c ctrlCell) sim.Time { return c.takeover }),
-			Handoff:      summarize(func(c ctrlCell) sim.Time { return c.handoff }),
-			Put:          summarize(func(c ctrlCell) sim.Time { return c.put }),
-			CacheInstall: summarize(func(c ctrlCell) sim.Time { return c.cache }),
-		}
-		res.Recovered = res.Put.N
-		rep.Arms = append(rep.Arms, res)
-	}
-	return rep, nil
+	return cells, ctrlClaims(cells), nil
 }
 
-// Fprint renders the sweep, one arm per block.
-func (r *CtrlReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== ctrlsweep: controller death + partition-0 replica crash, %d seeds per arm ==\n", r.Seeds)
-	for _, a := range r.Arms {
-		fmt.Fprintf(w, "%-12s recovered %d/%d\n", a.Arm, a.Recovered, a.Seeds)
-		if a.Takeover.N > 0 {
-			fmt.Fprintf(w, "  takeover      %s\n", a.Takeover)
+// ctrlClaims: without a replica the orphaned partition never heals;
+// with the standby it heals at every crash phase, and the standby takes
+// over after its watchdog misses three to four 20 ms heartbeats
+// (60-80 ms), depending on where in a period the pings stopped.
+func ctrlClaims(cells []CtrlCell) []Claim {
+	recovered := make(map[string]float64)
+	var takeover metrics.Histogram
+	for _, c := range cells {
+		if c.Put >= 0 {
+			recovered[c.Arm]++
 		}
-		if a.Handoff.N > 0 {
-			fmt.Fprintf(w, "  handoff       %s\n", a.Handoff)
+		if c.Arm == "standby" && c.Takeover >= 0 {
+			takeover.Add(c.Takeover)
 		}
-		if a.Put.N > 0 {
-			fmt.Fprintf(w, "  put-recovery  %s\n", a.Put)
-		}
-		if a.CacheInstall.N > 0 {
-			fmt.Fprintf(w, "  cache-install %s\n", a.CacheInstall)
-		}
+	}
+	return []Claim{
+		{"none_recovered", recovered["none"], 0, 0},
+		{"standby_recovered", recovered["standby"], ctrlSweepSeeds, ctrlSweepSeeds},
+		{"standby_takeover_p50_ms", takeover.Percentile(50) * 1e3, 60, 80},
 	}
 }

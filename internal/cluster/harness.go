@@ -29,7 +29,8 @@ import (
 //   - RunClients is the closed-loop phase driver: spawn one proc per
 //     client, join them all, stop the simulator, first error wins;
 //   - grid runs a typed cell function over a row-major axis product on
-//     the RunCells pool and can re-run one cell for a determinism recheck.
+//     the RunCells pool;
+//   - a sweep backs its sentences with Claims, each a value and its band.
 //
 // Adding an experiment is one cell function on top of these plus one
 // registry row in cmd/nicebench.
@@ -343,25 +344,37 @@ func (g grid[T]) Run(pr Params) ([]T, error) {
 	}
 	out := make([]T, n)
 	err := RunCells(pr, n, func(i int, seed int64) (err error) {
-		out[i], err = g.at(pr, i, seed)
+		ix := make([]int, len(g.Dims))
+		for a, j := len(g.Dims)-1, i; a >= 0; a-- {
+			ix[a], j = j%g.Dims[a], j/g.Dims[a]
+		}
+		cell := pr
+		cell.Seed = seed
+		out[i], err = g.Cell(cell, ix)
 		return err
 	})
 	return out, err
 }
 
-// Rerun executes cell i again under the seed Run gave it — the
-// determinism recheck: the caller compares it with Run's result.
-func (g grid[T]) Rerun(pr Params, i int) (T, error) {
-	return g.at(pr, i, DeriveSeed(pr.Seed, i))
+// Claim is one sentence a sweep exists to support, as the measured
+// Value and the band [Lo, Hi] the sentence allows. Each sweep computes
+// its claims from its cells, with the bands written beside them.
+type Claim struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Lo    float64 `json:"lo"`
+	Hi    float64 `json:"hi"`
 }
 
-func (g grid[T]) at(pr Params, i int, seed int64) (T, error) {
-	ix := make([]int, len(g.Dims))
-	for a := len(g.Dims) - 1; a >= 0; a-- {
-		ix[a], i = i%g.Dims[a], i/g.Dims[a]
+// InBand reports whether the sentence holds: Lo <= Value <= Hi.
+func (c Claim) InBand() bool { return c.Lo <= c.Value && c.Value <= c.Hi }
+
+func (c Claim) String() string {
+	s := fmt.Sprintf("%-30s %.4g in [%g, %g]", c.Name, c.Value, c.Lo, c.Hi)
+	if !c.InBand() {
+		s += "  OUT OF BAND"
 	}
-	pr.Seed = seed
-	return g.Cell(pr, ix)
+	return s
 }
 
 // seriesOf assembles one Series per name from a names x xs block of

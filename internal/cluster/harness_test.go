@@ -145,8 +145,7 @@ func TestArmTable(t *testing.T) {
 }
 
 // TestGridAxesAndSeeds checks the grid executor decodes a flat index
-// row-major (last axis fastest), hands each cell its DeriveSeed seed,
-// and re-runs a cell under the same seed.
+// row-major (last axis fastest) and hands each cell its DeriveSeed seed.
 func TestGridAxesAndSeeds(t *testing.T) {
 	type seen struct {
 		ix   [3]int
@@ -170,9 +169,6 @@ func TestGridAxesAndSeeds(t *testing.T) {
 		want := seen{[3]int{i / 12, (i / 4) % 3, i % 4}, DeriveSeed(pr.Seed, i)}
 		if c != want {
 			t.Errorf("cell %d = %+v, want %+v", i, c, want)
-		}
-		if again, _ := g.Rerun(pr, i); again != c {
-			t.Errorf("rerun of cell %d = %+v, want %+v", i, again, c)
 		}
 	}
 	series := seriesOf([]string{"a", "b"}, []string{"x", "y", "z"}, []float64{1, 2, 3, 4, 5, 6}, identity)

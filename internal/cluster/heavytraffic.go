@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/sim"
@@ -132,14 +133,37 @@ func runTrafficCell(label, arm string, base Options, clients int, rate float64, 
 // reads/s), so queueing is visible, load balancing measurably flattens
 // it, and the in-switch cache removes most of it — without tipping the
 // no-cache arms into unbounded backlog.
-func HeavyTrafficSweep(pr Params, sizes []int) ([]TrafficCell, error) {
+func HeavyTrafficSweep(pr Params, sizes []int) ([]TrafficCell, []Claim, error) {
 	if len(sizes) == 0 {
 		sizes = []int{10_000, 100_000, 1_000_000}
 	}
-	return grid[TrafficCell]{
+	cells, err := grid[TrafficCell]{
 		Dims: []int{len(HeavyTrafficArms), len(sizes)},
 		Cell: func(pr Params, ix []int) (TrafficCell, error) {
 			return RunHeavyTrafficCell(HeavyTrafficArms[ix[0]], sizes[ix[1]], pr.Seed, heavyRate, heavyDuration)
 		},
 	}.Run(pr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cells, trafficClaims(cells), nil
+}
+
+// trafficClaims: every arm sustains the offered rate at every fleet size
+// with no timeouts (an open-loop engine adds delay, never drops), and
+// the spine cache answers most gets of the zipfian load.
+func trafficClaims(cells []TrafficCell) []Claim {
+	minAchieved, maxTimeouts, minCacheHit := math.Inf(1), 0.0, math.Inf(1)
+	for _, c := range cells {
+		minAchieved = min(minAchieved, c.Achieved/c.Offered)
+		maxTimeouts = max(maxTimeouts, c.TimeoutFrac)
+		if c.System == "nicekv+lb+cache" {
+			minCacheHit = min(minCacheHit, c.CacheHit)
+		}
+	}
+	return []Claim{
+		{"min_achieved_over_offered", minAchieved, 0.99, 1.05},
+		{"max_timeout_frac", maxTimeouts, 0, 0},
+		{"cache_arm_min_hit_frac", minCacheHit, 0.7, 0.8},
+	}
 }

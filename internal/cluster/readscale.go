@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -55,19 +54,6 @@ type ReadScaleCell struct {
 	ServedReplica int64   `json:"served_replica"` // gets answered by non-primary replicas
 	Routed        int64   `json:"harmonia_routed"`
 	Fallbacks     int64   `json:"harmonia_fallbacks"`
-}
-
-// ReadScaleReport is the full sweep result.
-type ReadScaleReport struct {
-	Nodes    int             `json:"nodes"`
-	Clients  int             `json:"clients"`
-	Keys     int             `json:"keys"`
-	Replicas []int           `json:"replicas"`
-	PutFracs []float64       `json:"put_fracs"`
-	Cells    []ReadScaleCell `json:"cells"`
-	// SpeedupAtMaxR is each system's read-only throughput at the largest
-	// replication factor, relative to the NICEKV baseline in the same row.
-	SpeedupAtMaxR map[string]float64 `json:"speedup_at_max_r"`
 }
 
 // readScaleRun measures one cell: load the working set, let the write
@@ -130,64 +116,44 @@ func readScaleRun(pr Params, system string, r int, putFrac float64) (ReadScaleCe
 	return cell, err
 }
 
-// ReadScaleSweep runs the full grid on the RunCells worker pool.
-func ReadScaleSweep(pr Params) (*ReadScaleReport, error) {
-	rep := &ReadScaleReport{
-		Nodes:    readScaleNodes,
-		Clients:  readScaleClients,
-		Keys:     readScaleKeys,
-		Replicas: ReadScaleReplicas,
-		PutFracs: ReadScalePutFracs,
-	}
-	var err error
-	rep.Cells, err = grid[ReadScaleCell]{
+// ReadScaleSweep runs the full grid on the RunCells worker pool and
+// returns its cells in grid order with the sweep's claims.
+func ReadScaleSweep(pr Params) ([]ReadScaleCell, []Claim, error) {
+	cells, err := grid[ReadScaleCell]{
 		Dims: []int{len(readScaleSystems), len(ReadScaleReplicas), len(ReadScalePutFracs)},
 		Cell: func(pr Params, ix []int) (ReadScaleCell, error) {
 			return readScaleRun(pr, readScaleSystems[ix[0]], ReadScaleReplicas[ix[1]], ReadScalePutFracs[ix[2]])
 		},
 	}.Run(pr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	rep.SpeedupAtMaxR = make(map[string]float64)
-	maxR := ReadScaleReplicas[len(ReadScaleReplicas)-1]
-	var base float64
-	for _, c := range rep.Cells {
-		if c.System == "NICEKV" && c.R == maxR && c.PutFrac == 0 {
-			base = c.GetTput
-		}
-	}
-	if base > 0 {
-		for _, c := range rep.Cells {
-			if c.R == maxR && c.PutFrac == 0 {
-				rep.SpeedupAtMaxR[c.System] = c.GetTput / base
-			}
-		}
-	}
-	return rep, nil
+	return cells, readScaleClaims(cells), nil
 }
 
-// ReadScaleFigure renders the read-only scaling row as a figure, one
-// series per system over the replication-factor axis.
-func ReadScaleFigure(rep *ReadScaleReport) *Figure {
-	var readOnly []ReadScaleCell // system-major, then R: the grid's order
-	for _, c := range rep.Cells {
-		if c.PutFrac == 0 {
-			readOnly = append(readOnly, c)
+// readScaleClaims are the sentences the sweep backs, read off the
+// read-only cells at the largest R against the primary-reads baseline
+// (NICEKV) there: harmonia scales near-linearly, well past the 2x bar,
+// with most reads served by non-primary replicas (7/8 if spread evenly
+// over R=8); static LB, which spreads every read, sits at R; and only
+// harmonia cells touch the harmonia counters.
+func readScaleClaims(cells []ReadScaleCell) []Claim {
+	maxR := ReadScaleReplicas[len(ReadScaleReplicas)-1]
+	readOnly := make(map[string]ReadScaleCell)
+	var foreign float64
+	for _, c := range cells {
+		if c.R == maxR && c.PutFrac == 0 {
+			readOnly[c.System] = c
+		}
+		if c.System != "NICEKV+harmonia" {
+			foreign += float64(c.Routed + c.Fallbacks)
 		}
 	}
-	return &Figure{
-		ID:     "readscale",
-		Title:  "Get throughput vs replication factor (single-partition working set)",
-		XLabel: "replication factor",
-		YLabel: "gets per second, aggregate",
-		Notes: []string{
-			fmt.Sprintf("%d nodes, %d closed-loop clients, %d keys on one partition, read-only row",
-				rep.Nodes, rep.Clients, rep.Keys),
-			"harmonia: clean keys spread over all live replicas; dirty keys pinned to the primary",
-		},
-		Series: seriesOf(readScaleSystems, labels("%d", rep.Replicas), readOnly,
-			func(c ReadScaleCell) float64 { return c.GetTput }),
+	base, harm := readOnly["NICEKV"].GetTput, readOnly["NICEKV+harmonia"]
+	return []Claim{
+		{"harmonia_read_speedup_r8", harm.GetTput / base, 6, 8},
+		{"lb_read_speedup_r8", readOnly["NICEKV+LB"].GetTput / base, 7.5, 8.1},
+		{"harmonia_replica_share_r8", float64(harm.ServedReplica) / float64(harm.ServedLocal+harm.ServedReplica), 0.8, 0.9},
+		{"harmonia_counters_elsewhere", foreign, 0, 0},
 	}
 }

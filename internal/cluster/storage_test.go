@@ -151,15 +151,15 @@ func TestStaleAbortDoesNotPoisonRetry(t *testing.T) {
 // checks the pressure curve has the right shape: full-budget arms never
 // evict, over-committed arms do and their memory hit ratio drops.
 func TestStorageSweepSmoke(t *testing.T) {
-	rep, err := StorageSweep(Params{Ops: 60, Seed: 42}, 1000)
+	cells, h, _, err := StorageSweep(Params{Ops: 60, Seed: 42}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(cacheSweepSystems) * len(StorageRatios); len(rep.Cells) != want {
-		t.Fatalf("%d cells, want %d", len(rep.Cells), want)
+	if want := len(cacheSweepSystems) * len(StorageRatios); len(cells) != want {
+		t.Fatalf("%d cells, want %d", len(cells), want)
 	}
 	byRatio := make(map[float64]StorageCell)
-	for _, c := range rep.Cells {
+	for _, c := range cells {
 		if c.Tput <= 0 {
 			t.Errorf("%s ratio %.1f: no throughput", c.System, c.Ratio)
 		}
@@ -180,10 +180,6 @@ func TestStorageSweepSmoke(t *testing.T) {
 		t.Errorf("over-committed arm shows no pressure: %+v", c)
 	}
 
-	if len(rep.Heavy) != 1 {
-		t.Fatalf("heavytraffic arm missing: %+v", rep.Heavy)
-	}
-	h := rep.Heavy[0]
 	if h.Clients != 1000 || h.Issued == 0 {
 		t.Errorf("heavy arm did not run: %+v", h)
 	}

@@ -45,15 +45,6 @@ type StorageCell struct {
 	CacheHit     float64 `json:"cache_hit_frac,omitempty"`
 }
 
-// StorageReport is the BENCH_storage.json payload.
-type StorageReport struct {
-	Records   int           `json:"records"`
-	ValueSize int           `json:"value_size"`
-	Nodes     int           `json:"nodes"`
-	Cells     []StorageCell `json:"cells"`
-	Heavy     []TrafficCell `json:"heavytraffic"`
-}
-
 // storageBudget sizes a node's memory budget so the expected resident
 // share of the replicated working set is 1/ratio: each of the nodes
 // holds records*value*R/nodes bytes of committed data on average.
@@ -109,26 +100,44 @@ func runStorageCell(pr Params, system string, ratio float64) (StorageCell, error
 // StorageSweep runs the (system, ratio) grid on the RunCells worker
 // pool, then the heavytraffic arm (durableHeavyCell) under the seed of
 // the grid position after the last cell.
-func StorageSweep(pr Params, heavyClients int) (*StorageReport, error) {
-	rep := &StorageReport{
-		Records:   storageSweepRecords,
-		ValueSize: storageSweepValue,
-		Nodes:     storageSweepNodes,
-	}
-	var err error
-	rep.Cells, err = grid[StorageCell]{
+func StorageSweep(pr Params, heavyClients int) ([]StorageCell, TrafficCell, []Claim, error) {
+	cells, err := grid[StorageCell]{
 		Dims: []int{len(cacheSweepSystems), len(StorageRatios)},
 		Cell: func(pr Params, ix []int) (StorageCell, error) {
 			return runStorageCell(pr, cacheSweepSystems[ix[0]], StorageRatios[ix[1]])
 		},
 	}.Run(pr)
 	if err != nil {
-		return nil, err
+		return nil, TrafficCell{}, nil, err
 	}
-	heavy, err := durableHeavyCell("nicekv+lb+durable", DeriveSeed(pr.Seed, len(rep.Cells)), heavyClients, 0)
+	heavy, err := durableHeavyCell("nicekv+lb+durable", DeriveSeed(pr.Seed, len(cells)), heavyClients, 0)
 	if err != nil {
-		return nil, err
+		return nil, TrafficCell{}, nil, err
 	}
-	rep.Heavy = append(rep.Heavy, heavy)
-	return rep, nil
+	return cells, heavy, storageClaims(cells, heavy), nil
+}
+
+// storageClaims are the memory-pressure curve's two ends and the
+// open-loop arm: at 0.5x every arm holds its whole share in memory, so
+// nothing is evicted and every read hits; at 8x only an eighth of
+// NICEKV's share is resident, yet the zipfian head keeps most reads in
+// memory; and the 10^5-client fleet on half its share still hits memory
+// for most gets.
+func storageClaims(cells []StorageCell, heavy TrafficCell) []Claim {
+	minHitHalf, evictedHalf, hitAt8 := 1.0, 0.0, 0.0
+	for _, c := range cells {
+		switch {
+		case c.Ratio == 0.5:
+			minHitHalf = min(minHitHalf, c.MemHitRatio)
+			evictedHalf += float64(c.Evictions)
+		case c.Ratio == 8 && c.System == "NICEKV":
+			hitAt8 = c.MemHitRatio
+		}
+	}
+	return []Claim{
+		{"evictions_at_0.5x", evictedHalf, 0, 0},
+		{"min_mem_hit_ratio_at_0.5x", minHitHalf, 1, 1},
+		{"nicekv_mem_hit_ratio_at_8x", hitAt8, 0.65, 0.75},
+		{"heavy_mem_hit_frac", heavy.MemHitFrac, 0.85, 0.95},
+	}
 }
