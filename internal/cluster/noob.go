@@ -66,9 +66,8 @@ func NewNOOB(opts NOOBOptions) *NOOB {
 	macs := make(map[netsim.IP]netsim.MAC)
 	sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, inPort int) {
 		if port, ok := ports[pkt.DstIP]; ok {
-			out := pkt.Clone()
-			out.DstMAC = macs[pkt.DstIP]
-			sw.Output(port, out)
+			pkt.DstMAC = macs[pkt.DstIP]
+			sw.Output(port, pkt)
 			return
 		}
 		sw.Drop(pkt)

@@ -52,6 +52,32 @@ func noobMatrix() []NOOBOptions {
 	return out
 }
 
+// heldMsg is a payload that counts its holders (transport.Counted).
+type heldMsg struct{ holds netsim.Holds }
+
+func (m *heldMsg) Holders() *netsim.Holds { return &m.holds }
+
+// TestNOOBSwitchLetsGoOfWhatItForwards: NOOB's static L3 switch forwards
+// each packet itself, not a copy, so a counted payload that crosses it
+// goes back to its owner once its reader lets go.
+func TestNOOBSwitchLetsGoOfWhatItForwards(t *testing.T) {
+	back := 0
+	m := &heldMsg{holds: netsim.Holds{Last: func() { back++ }}}
+	runNOOB(t, DefaultNOOBOptions(), func(p *sim.Proc, d *NOOB) {
+		rx := d.Stacks[1].MustBindUDP(9000)
+		m.holds.Hold() // the sender's, let go once the datagram is out
+		d.CStacks[0].MustBindUDP(9000).SendTo(d.Stacks[1].IP(), 9000, m, 100)
+		m.holds.Release()
+		if dg, ok := rx.Recv(p); ok {
+			dg.Data.(*heldMsg).holds.Release()
+		}
+		p.Sleep(time.Millisecond)
+	}).Sim.Shutdown()
+	if back != 1 {
+		t.Fatalf("the payload went back to its owner %d times, want once", back)
+	}
+}
+
 func TestNOOBPutGetAcrossConfigurations(t *testing.T) {
 	for i, opts := range noobMatrix() {
 		opts := opts

@@ -27,7 +27,7 @@ func (svc *Service) PacketIn(dp *openflow.Datapath, pkt *netsim.Packet, inPort i
 		if v := svc.views[part]; len(v.Replicas) > 0 {
 			primary := v.Primary()
 			if port, ok := svc.fabric.PortToward(dp, primary.IP); ok {
-				out := pkt.Clone()
+				out := net.ClonePacket(pkt)
 				out.DstIP = primary.IP
 				out.DstMAC = primary.MAC
 				dp.PacketOut(out, port)

@@ -4,69 +4,31 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/controller"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
-	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
-// pair wires two hosts through a tiny L3 switch and returns their
-// stacks.
-func pair(t *testing.T) (*sim.Simulator, *transport.Stack, *transport.Stack) {
-	t.Helper()
-	s := sim.New(1)
-	nw := netsim.NewNetwork(s)
-	a := nw.NewHost("a", netsim.MustParseIP("10.0.0.1"))
-	b := nw.NewHost("b", netsim.MustParseIP("10.0.0.2"))
-	sw := nw.NewSwitch("sw", 2, time.Microsecond)
-	nw.Connect(a.Port(), sw.Port(0), netsim.Gbps(1, 0))
-	nw.Connect(b.Port(), sw.Port(1), netsim.Gbps(1, 0))
-	hosts := map[netsim.IP]int{a.IP(): 0, b.IP(): 1}
-	macs := map[netsim.IP]netsim.MAC{a.IP(): a.MAC(), b.IP(): b.MAC()}
-	sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, in int) {
-		if port, ok := hosts[pkt.DstIP]; ok {
-			pkt.DstMAC = macs[pkt.DstIP]
-			sw.Output(port, pkt)
-			return
-		}
-		sw.Drop(pkt)
-	}))
-	return s, transport.NewStack(a), transport.NewStack(b)
-}
-
 func TestConnPoolPreservesOrderAcrossQueuedSends(t *testing.T) {
-	s, a, b := pair(t)
-	ln := b.MustListen(8000)
+	f := newFixture(t, 2)
+	a, b := f.hosts[0], f.hosts[1]
 	var got []int
-	s.Spawn("server", func(p *sim.Proc) {
-		conn, ok := ln.Accept(p)
-		if !ok {
-			return
-		}
-		for {
-			m, ok := conn.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, m.Data.(int))
-		}
-	})
+	f.serve(1, 8000, func(m transport.Message) { got = append(got, m.Data.(int)) })
 	pool := newConnPool(a)
-	s.At(0, func() {
+	f.s.At(0, func() {
 		// Burst of sends before the dial even completes: the writer proc
 		// must deliver them in order.
 		for i := 0; i < 10; i++ {
 			pool.Send(b.IP(), 8000, i, 1000)
 		}
 	})
-	if err := s.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(time.Second)
 	if len(got) != 10 {
 		t.Fatalf("received %d messages, want 10", len(got))
 	}
@@ -75,30 +37,13 @@ func TestConnPoolPreservesOrderAcrossQueuedSends(t *testing.T) {
 			t.Fatalf("out of order: %v", got)
 		}
 	}
-	s.Shutdown()
 }
 
 func TestConnPoolRedialsAfterPeerFailure(t *testing.T) {
-	s, a, b := pair(t)
-	ln := b.MustListen(8000)
+	f := newFixture(t, 2)
+	s, a, b := f.s, f.hosts[0], f.hosts[1]
 	var got []string
-	s.Spawn("server", func(p *sim.Proc) {
-		for {
-			conn, ok := ln.Accept(p)
-			if !ok {
-				return
-			}
-			s.Spawn("reader", func(p *sim.Proc) {
-				for {
-					m, ok := conn.Recv(p)
-					if !ok {
-						return
-					}
-					got = append(got, m.Data.(string))
-				}
-			})
-		}
-	})
+	f.serve(1, 8000, func(m transport.Message) { got = append(got, m.Data.(string)) })
 	pool := newConnPool(a)
 	s.At(0, func() { pool.Send(b.IP(), 8000, "one", 100) })
 	// Cut the peer: the cached writer dies.
@@ -107,9 +52,7 @@ func TestConnPoolRedialsAfterPeerFailure(t *testing.T) {
 	// Peer returns: the next Send must establish a fresh connection.
 	s.At(500*time.Millisecond, func() { b.Host().SetDown(false) })
 	s.At(600*time.Millisecond, func() { pool.Send(b.IP(), 8000, "two", 100) })
-	if err := s.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(2 * time.Second)
 	want := map[string]bool{"one": true, "two": true}
 	for _, v := range got {
 		delete(want, v)
@@ -117,7 +60,6 @@ func TestConnPoolRedialsAfterPeerFailure(t *testing.T) {
 	if len(want) != 0 {
 		t.Fatalf("messages missing after redial: got %v", got)
 	}
-	s.Shutdown()
 }
 
 // TestConnPoolCloseAllIsAddressOrdered: a restart closes the pooled
@@ -127,8 +69,8 @@ func TestConnPoolRedialsAfterPeerFailure(t *testing.T) {
 func TestConnPoolCloseAllIsAddressOrdered(t *testing.T) {
 	ports := []uint16{8005, 8001, 8007, 8003, 8000, 8006, 8002, 8004}
 	drive := func() []uint16 {
-		s, a, b := pair(t)
-		defer s.Shutdown()
+		f := newFixture(t, 2)
+		s, a, b := f.s, f.hosts[0], f.hosts[1]
 		var closed []uint16 // peer ports in the order their streams ended
 		for _, port := range ports {
 			ln := b.MustListen(port)
@@ -147,9 +89,7 @@ func TestConnPoolCloseAllIsAddressOrdered(t *testing.T) {
 			}
 		})
 		s.At(100*time.Millisecond, pool.CloseAll)
-		if err := s.RunUntil(time.Second); err != nil {
-			t.Fatal(err)
-		}
+		f.runTo(time.Second)
 		return closed
 	}
 	first, second := drive(), drive()
@@ -170,11 +110,7 @@ func TestOrphanOverflowForgetsOldestFirst(t *testing.T) {
 	const extra = 100
 	key := func(i int) reqKey { return reqKey{Client: 1, Seq: uint64(i)} }
 	drive := func() *Node {
-		s, a, _ := pair(t)
-		defer s.Shutdown()
-		cfg := DefaultNodeConfig()
-		cfg.Addr.IP = a.IP()
-		n := NewNode(a, cfg)
+		n := newFixture(t, 1).node(0, nil)
 		for i := 0; i < orphanCap+extra; i++ {
 			n.orphan(key(i)).ack1.add(2)
 			if i == 50 { // its put registers, merging the buffer...
@@ -207,10 +143,7 @@ func TestOrphanOverflowForgetsOldestFirst(t *testing.T) {
 }
 
 func TestObserveTsAdvancesClock(t *testing.T) {
-	s, a, _ := pair(t)
-	cfg := DefaultNodeConfig()
-	cfg.Addr.IP = a.IP()
-	n := NewNode(a, cfg)
+	n := newFixture(t, 1).node(0, nil)
 	n.observeTs(kvstore.Timestamp{PrimarySeq: 7})
 	if n.primarySeq != 7 {
 		t.Fatalf("primarySeq = %d, want 7", n.primarySeq)
@@ -218,18 +151,6 @@ func TestObserveTsAdvancesClock(t *testing.T) {
 	n.observeTs(kvstore.Timestamp{PrimarySeq: 3}) // older: no regression
 	if n.primarySeq != 7 {
 		t.Fatalf("primarySeq regressed to %d", n.primarySeq)
-	}
-	s.Shutdown()
-}
-
-func TestItoa(t *testing.T) {
-	for _, c := range []struct {
-		n    int
-		want string
-	}{{0, "0"}, {7, "7"}, {15, "15"}, {120, "120"}} {
-		if got := itoa(c.n); got != c.want {
-			t.Errorf("itoa(%d) = %q, want %q", c.n, got, c.want)
-		}
 	}
 }
 
@@ -275,13 +196,9 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 		for _, o := range outcomes {
 			for _, st := range states {
 				t.Run(e.name+"/"+o.name+"/"+st.name, func(t *testing.T) {
-					s, a, _ := pair(t)
-					defer s.Shutdown()
-					cfg := DefaultNodeConfig()
-					cfg.Addr.IP = a.IP()
-					cfg.Space = ring.NewSpace(4)
-					n := NewNode(a, cfg)
-					s.Spawn("test", func(p *sim.Proc) {
+					f := newFixture(t, 1)
+					n := f.node(0, nil)
+					f.run(func(p *sim.Proc) {
 						n.store.AppendLog(p, kvstore.LogRecord{Tag: st.record,
 							Obj: kvstore.Object{Key: "k", Value: "prepared", Size: 1}}, 0)
 						if st.holder != nil {
@@ -317,9 +234,6 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 							t.Error("the lock is no longer the newer put's to release")
 						}
 					})
-					if err := s.Run(); err != nil {
-						t.Fatal(err)
-					}
 				})
 			}
 		}
@@ -333,32 +247,21 @@ func TestLateOutcomeEndsOnlyItsOwnPrepare(t *testing.T) {
 // and then holds the committed copy. No dirty-set stage is configured:
 // the rule is the same in every mode.
 func TestRejoinWaitsOutAnOpenPrepare(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
+	f := newFixture(t, 2)
+	a, b := f.hosts[0], f.hosts[1]
 	const metaPort = 9000
-	addr := func(i int, st *transport.Stack) controller.NodeAddr {
-		return controller.NodeAddr{Index: i, IP: st.IP(), MAC: st.Host().MAC(), DataPort: 7000, CtrlPort: 7001}
-	}
-	newNode := func(i int, st *transport.Stack) *Node {
-		cfg := DefaultNodeConfig()
-		cfg.Addr = addr(i, st)
-		cfg.Meta, cfg.MetaPort = b.IP(), metaPort
-		cfg.Space = ring.NewSpace(4)
-		n := NewNode(st, cfg)
-		n.Start()
-		return n
-	}
-	member, rejoiner := newNode(0, b), newNode(1, a)
-	part := ring.NewSpace(4).PartitionOf("k")
-	view := &controller.PartitionView{Partition: part, Epoch: 1, GroupIP: netsim.MustParseIP("239.0.0.1"),
-		Replicas: []controller.NodeAddr{addr(0, b)}, Recovering: []controller.NodeAddr{addr(1, a)}}
+	toMeta := func(cfg *NodeConfig) { cfg.Meta, cfg.MetaPort = b.IP(), metaPort }
+	member, rejoiner := f.start(1, toMeta), f.start(0, toMeta)
+	part := member.cfg.Space.PartitionOf("k")
+	view := f.view(part, 1)
+	view.Recovering = []controller.NodeAddr{f.addr(0)}
 	member.applyView(view, false)
 
 	put := &PutRequest{Key: "k", Value: "v2", Size: 8, Client: 9, ClientSeq: 1}
 	committed := kvstore.Timestamp{Primary: b.IP(), PrimarySeq: 2, Client: 9, ClientSeq: 1}
 	var notice sim.Time
 	meta := b.MustBindUDP(metaPort)
-	s.Spawn("meta", func(p *sim.Proc) {
+	f.s.Spawn("meta", func(p *sim.Proc) {
 		for notice == 0 {
 			d, ok := meta.Recv(p)
 			if !ok {
@@ -372,28 +275,25 @@ func TestRejoinWaitsOutAnOpenPrepare(t *testing.T) {
 			}
 		}
 	})
-	s.Spawn("prepare", func(p *sim.Proc) {
+	const resolveAt = 50 * time.Millisecond
+	f.s.Spawn("script", func(p *sim.Proc) {
 		// The member holds the put prepared, its handler waiting on the
 		// primary's verdict.
 		member.store.Put(p, &kvstore.Object{Key: "k", Value: "v1", Size: 8, Version: kvstore.Timestamp{PrimarySeq: 1}})
 		member.registerPut(put, b.IP())
 		member.store.AppendLog(p, kvstore.LogRecord{Tag: put.key(),
 			Obj: kvstore.Object{Key: "k", Value: "v2", Size: 8}}, 0)
-		rejoiner.recovering = true
-		s.Spawn("recover", func(p *sim.Proc) {
-			rejoiner.recover(p, &controller.RejoinInfo{Views: []*controller.PartitionView{view.Clone()},
-				Handoffs: []controller.NodeAddr{{}}})
-		})
-	})
-	const resolveAt = 50 * time.Millisecond
-	s.At(resolveAt, func() {
+		// The controller orders the rejoiner to rejoin and answers it.
+		meta.SendTo(a.IP(), 7001, &controller.RejoinOrder{}, ctrlMsgSize)
+		meta.SendTo(a.IP(), 7001, &controller.RejoinInfo{Views: []*controller.PartitionView{view.Clone()},
+			Handoffs: []controller.NodeAddr{{}}}, ctrlMsgSize)
+		// The put resolves.
+		p.Sleep(resolveAt - p.Now())
 		rec, _ := member.store.LogOf("k")
 		delete(member.puts, put.key())
 		member.finish(part, put.key(), rec.Attempt, &rec.Obj, committed, false)
 	})
-	if err := s.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(time.Second)
 	if notice == 0 || notice < resolveAt {
 		t.Fatalf("ConsistentNotice at %v, want after the put resolved at %v", notice, resolveAt)
 	}
@@ -409,99 +309,67 @@ func TestPrimaryCommitPoint(t *testing.T) {
 	const dataPort, clientPort = 7000, 8000
 	earlier := kvstore.Timestamp{PrimarySeq: 3, Client: 9, ClientSeq: 1}
 	for _, c := range []struct {
-		name    string
-		vote    *Ack1
-		deposed bool
-		wantOK  bool
-		wantVer uint64
+		name      string
+		committed kvstore.Timestamp // the vote's
+		deposed   bool
+		wantOK    bool
+		wantVer   uint64
 	}{
-		{"fresh vote", &Ack1{From: 1}, false, true, 1},
-		{"dedup vote", &Ack1{From: 1, Committed: earlier}, false, true, earlier.PrimarySeq},
-		{"deposed while voting", &Ack1{From: 1}, true, false, 0},
+		{"fresh vote", kvstore.Timestamp{}, false, true, 1},
+		{"dedup vote", earlier, false, true, earlier.PrimarySeq},
+		{"deposed while voting", kvstore.Timestamp{}, true, false, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, a, b := pair(t)
-			defer s.Shutdown()
-			cfg := DefaultNodeConfig()
-			cfg.Addr = controller.NodeAddr{Index: 0, IP: b.IP(), MAC: b.Host().MAC(), DataPort: dataPort, CtrlPort: 7001}
-			cfg.Space = ring.NewSpace(4)
-			primary := NewNode(b, cfg)
-			primary.Start()
-			voter := controller.NodeAddr{Index: 1, IP: a.IP(), MAC: a.Host().MAC(), DataPort: dataPort}
-			view := &controller.PartitionView{Partition: cfg.Space.PartitionOf("k"), Epoch: 1,
-				GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{cfg.Addr, voter}}
-			primary.applyView(view, false)
+			// Node 1 is the primary, host 0 its scripted voter and client.
+			f := newFixture(t, 2)
+			a, b := f.hosts[0], f.hosts[1]
+			primary := f.start(1, nil, 1, 0)
+			part := primary.cfg.Space.PartitionOf("k")
 
 			req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: a.IP(), ClientPort: clientPort, ClientSeq: 1}
-			sock := a.MustBindUDP(dataPort)
-			var reply *PutReply
-			ln := a.MustListen(clientPort)
-			s.Spawn("client", func(p *sim.Proc) {
-				if conn, ok := ln.Accept(p); ok {
-					if m, ok := conn.Recv(p); ok {
-						reply = m.Data.(*PutReply)
-					}
-				}
-			})
-			s.Spawn("put", func(p *sim.Proc) { primary.handlePut(p, req) })
-			s.At(time.Millisecond, func() {
+			var replies []*PutReply
+			f.serve(0, clientPort, func(m transport.Message) { replies = append(replies, m.Data.(*PutReply)) })
+			f.s.Spawn("put", func(p *sim.Proc) { primary.handlePut(p, req) })
+			voter := a.MustBindUDP(dataPort)
+			f.s.Spawn("script", func(p *sim.Proc) {
+				p.Sleep(time.Millisecond)
 				if c.deposed {
-					v := view.Clone()
+					v := f.view(part, 0, 1)
 					v.Epoch = 2
-					v.Replicas = []controller.NodeAddr{voter, cfg.Addr}
 					primary.applyView(v, false)
 				}
-				vote := *c.vote
-				vote.Req = req.key()
-				sock.SendTo(b.IP(), dataPort, &vote, ackSize)
-				sock.SendTo(b.IP(), dataPort, &Ack2{Req: req.key(), From: 1}, ackSize)
+				voter.SendTo(b.IP(), dataPort, &Ack1{Req: req.key(), Committed: c.committed}, ackSize)
+				voter.SendTo(b.IP(), dataPort, &Ack2{Req: req.key()}, ackSize)
 			})
-			if err := s.RunUntil(time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if reply == nil || reply.OK != c.wantOK || reply.Ver != c.wantVer {
-				t.Fatalf("reply %+v, want ok=%v ver=%d", reply, c.wantOK, c.wantVer)
+			f.runTo(time.Second)
+			if len(replies) != 1 || replies[0].OK != c.wantOK || replies[0].Ver != c.wantVer {
+				t.Fatalf("replies %+v, want one with ok=%v ver=%d", replies, c.wantOK, c.wantVer)
 			}
 		})
 	}
 
 	t.Run("dedup vote carries the commit", func(t *testing.T) {
-		s, a, b := pair(t)
-		defer s.Shutdown()
-		cfg := DefaultNodeConfig()
-		cfg.Addr = controller.NodeAddr{Index: 1, IP: a.IP(), MAC: a.Host().MAC(), DataPort: dataPort, CtrlPort: 7001}
-		cfg.Space = ring.NewSpace(4)
-		voter := NewNode(a, cfg)
-		voter.Start()
-		primary := controller.NodeAddr{Index: 0, IP: b.IP(), MAC: b.Host().MAC(), DataPort: dataPort}
-		voter.applyView(&controller.PartitionView{Partition: cfg.Space.PartitionOf("k"), Epoch: 1,
-			GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{primary, cfg.Addr}}, false)
+		// Node 0 votes on a retry, host 1 its scripted primary.
+		f := newFixture(t, 2)
+		voter := f.start(0, nil, 1, 0)
 		voter.recordCommit(earlier)
-		sock := b.MustBindUDP(dataPort)
+		votes := f.park(carrying[*Ack1])
 		var vote *Ack1
-		s.Spawn("primary", func(p *sim.Proc) {
-			for vote == nil {
-				d, ok := sock.Recv(p)
-				if !ok {
-					return
-				}
-				vote, _ = d.Data.(*Ack1)
-			}
+		f.s.Spawn("script", func(p *sim.Proc) {
+			pk := votes.next(p)
+			vote = pk.pkt.Payload.(*Ack1)
+			f.drop(pk)
 		})
 		req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: 9, ClientSeq: 1, Attempt: 1}
-		s.Spawn("retry", func(p *sim.Proc) { voter.handlePut(p, req) })
-		if err := s.RunUntil(time.Second); err != nil {
-			t.Fatal(err)
-		}
+		f.s.Spawn("retry", func(p *sim.Proc) { voter.handlePut(p, req) })
+		f.runTo(time.Second)
 		if vote == nil || vote.Committed != earlier {
 			t.Fatalf("dedup vote %+v, want Committed %v", vote, earlier)
 		}
 	})
 
 	t.Run("verdict from a non-coordinator", func(t *testing.T) {
-		s, a, _ := pair(t)
-		defer s.Shutdown()
-		n := NewNode(a, DefaultNodeConfig())
+		n := newFixture(t, 1).node(0, nil)
 		coord, zombie := netsim.MustParseIP("10.0.0.2"), netsim.MustParseIP("10.0.0.9")
 		req := &PutRequest{Key: "k", Client: 9, ClientSeq: 1}
 		ps := n.registerPut(req, coord)
@@ -544,11 +412,7 @@ func TestDedupMemoryIsAFIFORing(t *testing.T) {
 // — no acks, no verdict, no wake signals, no batch slot, an empty quorum
 // buffer that keeps its capacity.
 func TestRecycledPutStateStartsClean(t *testing.T) {
-	s, a, _ := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr.IP = a.IP()
-	n := NewNode(a, cfg)
+	n := newFixture(t, 1).node(0, nil)
 	view := &controller.PartitionView{Replicas: []controller.NodeAddr{{Index: 0}, {Index: 1}, {Index: 2}},
 		Recovering: []controller.NodeAddr{{Index: 3}}}
 
@@ -596,42 +460,34 @@ func TestRecycledPutStateStartsClean(t *testing.T) {
 // commits the first put from its WAL record, which holds its own copy of
 // the object.
 func TestRecycledPutStateLeavesItsWALRecord(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr = controller.NodeAddr{Index: 1, IP: b.IP(), MAC: b.Host().MAC(), DataPort: 7000, CtrlPort: 7001}
-	cfg.Space = ring.NewSpace(4)
-	n := NewNode(b, cfg)
-	n.Start()
-	primary := controller.NodeAddr{Index: 0, IP: a.IP(), MAC: a.Host().MAC(), DataPort: 7000}
-	for part := 0; part < 4; part++ {
-		n.applyView(&controller.PartitionView{Partition: part, Epoch: 1, GroupIP: netsim.MustParseIP("239.0.0.1") + netsim.IP(part),
-			Replicas: []controller.NodeAddr{primary, cfg.Addr}}, false)
-	}
+	// Node 1 is the secondary, host 0 its scripted primary.
+	f := newFixture(t, 2)
+	a, b := f.hosts[0], f.hosts[1]
+	n := f.start(1, nil, 0, 1)
 
 	first := &PutRequest{Key: "k", Value: "v1", Size: 8, Client: 9, ClientSeq: 1}
 	second := &PutRequest{Key: "j", Value: "v2", Size: 16, Client: 9, ClientSeq: 2}
-	ack := cfg.AckTimeout
+	ts := kvstore.Timestamp{Primary: a.IP(), PrimarySeq: 4, Client: 9, ClientSeq: 1}
+	ack := n.cfg.AckTimeout
 	var firstPS, secondPS *putState
-	s.Spawn("first", func(p *sim.Proc) { n.handlePut(p, first) })
-	s.At(ack, func() { firstPS = n.puts[first.key()] })
-	s.At(3*ack, func() {
+	primary := a.MustBindUDP(7000)
+	f.s.Spawn("first", func(p *sim.Proc) { n.handlePut(p, first) })
+	f.s.Spawn("script", func(p *sim.Proc) {
+		p.Sleep(ack)
+		firstPS = n.puts[first.key()]
+		p.Sleep(2 * ack)
 		if n.puts[first.key()] != nil || !n.store.HasLog("k") {
 			t.Error("the first handler did not give up with its put prepared")
 		}
-		s.Spawn("second", func(p *sim.Proc) { n.handlePut(p, second) })
-	})
-	ts := kvstore.Timestamp{Primary: a.IP(), PrimarySeq: 4, Client: 9, ClientSeq: 1}
-	s.At(3*ack+ack/2, func() {
-		secondPS = n.puts[second.key()]
-		if secondPS == nil || secondPS.obj.Key != "j" {
-			t.Fatal("the second put is not prepared")
+		f.s.Spawn("second", func(p *sim.Proc) { n.handlePut(p, second) })
+		p.Sleep(ack / 2)
+		if secondPS = n.puts[second.key()]; secondPS == nil || secondPS.obj.Key != "j" {
+			t.Error("the second put is not prepared")
+			return
 		}
-		n.deliverTs(TsMsg{Req: first.key(), Key: "k", Ts: ts}, a.IP())
+		primary.SendTo(b.IP(), 7000, &BatchTsMsg{Items: []TsMsg{{Req: first.key(), Key: "k", Ts: ts}}}, tsMsgSize)
 	})
-	if err := s.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(time.Second)
 	if firstPS == nil || secondPS != firstPS {
 		t.Fatalf("the second put did not reuse the first's put state (%p, %p)", firstPS, secondPS)
 	}
@@ -651,12 +507,7 @@ func TestRecycledPutStateLeavesItsWALRecord(t *testing.T) {
 // Restart releases its put state without touching the registration a
 // retry of the same put made in the new incarnation.
 func TestStaleHandlerReleaseSparesTheRetry(t *testing.T) {
-	s, a, _ := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
-	n := NewNode(a, cfg)
-	n.Start()
+	n := newFixture(t, 1).start(0, nil)
 	stale := n.registerPut(&PutRequest{Key: "k", Client: 9, ClientSeq: 1}, 0)
 	n.Restart()
 	retry := n.registerPut(&PutRequest{Key: "k", Client: 9, ClientSeq: 1, Attempt: 1}, 0)
@@ -718,25 +569,17 @@ func TestOnlyNamedFieldsOutliveALife(t *testing.T) {
 // the reborn store, so the next put of the same key commits at once
 // instead of waiting out the lock's 2·AckTimeout.
 func TestPutAcrossARestartLeavesNoLock(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
-	cfg.Space = ring.NewSpace(2)
-	n := NewNode(a, cfg)
-	n.Start()
+	f := newFixture(t, 2)
+	s, b := f.s, f.hosts[1]
+	n := f.start(0, nil)
+	cfg := n.cfg
 	part := cfg.Space.PartitionOf("k")
-	view := &controller.PartitionView{Partition: part, Replicas: []controller.NodeAddr{cfg.Addr}}
+	view := f.view(part, 0)
 	n.views[part] = view
 	var committed sim.Time
-	ln := b.MustListen(8000)
-	s.Spawn("client", func(p *sim.Proc) {
-		c, ok := ln.Accept(p)
-		for ok {
-			var m transport.Message
-			if m, ok = c.Recv(p); ok && m.Data.(*PutReply).OK && committed == 0 {
-				committed = p.Now()
-			}
+	f.serve(1, 8000, func(m transport.Message) {
+		if m.Data.(*PutReply).OK && committed == 0 {
+			committed = s.Now()
 		}
 	})
 	put := func(seq uint64) {
@@ -750,18 +593,34 @@ func TestPutAcrossARestartLeavesNoLock(t *testing.T) {
 		n.Restart()
 		n.views[part] = view // what the rejoin installs
 	})
-	if err := s.RunUntil(nextAt); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(nextAt)
 	if n.store.Locked("k") {
 		t.Fatal("the put that straddled the restart locked the reborn store")
 	}
 	put(2)
-	if err := s.RunUntil(nextAt + 2*cfg.AckTimeout); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(nextAt + 2*cfg.AckTimeout)
 	if committed == 0 || committed > nextAt+cfg.AckTimeout/10 {
 		t.Fatalf("the next put committed at %v, want within %v of its start at %v", committed, cfg.AckTimeout/10, nextAt)
+	}
+}
+
+// TestEndedSecondaryAccusesNoOne: a secondary's handler still waiting for
+// its timestamp when its node crashes and restarts returns without
+// reporting the primary, whose silence its own node's crash explains.
+func TestEndedSecondaryAccusesNoOne(t *testing.T) {
+	f := newFixture(t, 2)
+	n := f.start(1, nil, 0, 1)
+	req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: 9, ClientSeq: 1}
+	f.s.Spawn("put", func(p *sim.Proc) { n.handlePut(p, req) })
+	ack := n.cfg.AckTimeout
+	f.s.Spawn("script", func(p *sim.Proc) {
+		p.Sleep(ack / 2)
+		n.Crash()
+		n.Restart()
+	})
+	f.runTo(3 * ack)
+	if !n.store.HasLog("k") || n.stats.Reports != 0 {
+		t.Fatalf("put prepared %v, %d failure reports; want prepared and none", n.store.HasLog("k"), n.stats.Reports)
 	}
 }
 
@@ -770,11 +629,7 @@ func TestPutAcrossARestartLeavesNoLock(t *testing.T) {
 // value from a batched commit, its dedup record and its release allocate
 // nothing.
 func TestSteadyPutBookkeepingAllocatesNothing(t *testing.T) {
-	s, a, _ := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr.IP = a.IP()
-	n := NewNode(a, cfg)
+	n := newFixture(t, 1).node(0, nil)
 	view := &controller.PartitionView{Replicas: []controller.NodeAddr{{Index: 0}, {Index: 1}, {Index: 2}}}
 	const coord = 7
 	stamp := func(seq uint64) kvstore.Timestamp {
@@ -810,14 +665,9 @@ func TestSteadyPutBookkeepingAllocatesNothing(t *testing.T) {
 // with its own timestamp, and the free list does not grow with the rounds.
 func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 	const joiners = 3
-	s, a, _ := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
-	cfg.PutBatchWindow = 100 * time.Microsecond
-	n := NewNode(a, cfg)
-	n.Start()
-	view := &controller.PartitionView{GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{cfg.Addr}}
+	f := newFixture(t, 1)
+	n := f.start(0, func(cfg *NodeConfig) { cfg.PutBatchWindow = 100 * time.Microsecond })
+	view := f.view(0, 0)
 	type result struct {
 		round int
 		seq   uint64
@@ -830,19 +680,19 @@ func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 	var seq uint64
 	commit := func(p *sim.Proc, round int) {
 		seq++
-		req := &PutRequest{Key: "k" + itoa(int(seq)), Value: "v", Size: 8, Client: 9, ClientSeq: seq}
-		ps := n.registerPut(req, a.IP())
+		req := &PutRequest{Key: "k" + strconv.Itoa(int(seq)), Value: "v", Size: 8, Client: 9, ClientSeq: seq}
+		ps := n.registerPut(req, n.cfg.Addr.IP)
 		ts, ok := n.batchCommit(p, view, req, ps, &kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size})
 		results = append(results, result{round, req.ClientSeq, ts, ok, p.Now()})
 		n.releasePut(ps)
 	}
 	var pooled []int // free batches after each round
 	lead := func(rounds int) {
-		s.Spawn("leader", func(p *sim.Proc) {
+		f.run(func(p *sim.Proc) {
 			for r := 0; r < rounds; r++ {
 				round := len(drained)
 				for j := 0; j < joiners; j++ {
-					s.Spawn("joiner", func(p *sim.Proc) {
+					f.s.Spawn("joiner", func(p *sim.Proc) {
 						p.Sleep(10 * time.Microsecond)
 						commit(p, round)
 					})
@@ -852,11 +702,7 @@ func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 				pooled = append(pooled, n.freeBatches.Len())
 			}
 			p.Sleep(time.Millisecond) // the last round's joiners leave
-			s.Stop()
 		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	lead(8)
 	afterN := n.freeBatches.Len()
@@ -879,20 +725,16 @@ func TestCommitBatchOutlivesItsWakingJoiners(t *testing.T) {
 // ends the batch. Its joiners return ok=false at the crash, its leader
 // ok=false when its linger ends, and nothing drains onto the dead node.
 func TestCrashEndsTheOpenCommitBatch(t *testing.T) {
-	s, a, _ := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
-	cfg.PutBatchWindow = 100 * time.Microsecond
-	n := NewNode(a, cfg)
-	n.Start()
-	view := &controller.PartitionView{GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{cfg.Addr}}
+	f := newFixture(t, 1)
+	s := f.s
+	n := f.start(0, func(cfg *NodeConfig) { cfg.PutBatchWindow = 100 * time.Microsecond })
+	view := f.view(0, 0)
 	var rets []string
 	for i := range 4 { // k0 leads, k1-k3 join
 		s.Spawn("put", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * time.Microsecond)
-			req := &PutRequest{Key: "k" + itoa(i), Value: "v", Size: 8, Client: 9, ClientSeq: uint64(i + 1)}
-			ps := n.registerPut(req, a.IP())
+			req := &PutRequest{Key: "k" + strconv.Itoa(i), Value: "v", Size: 8, Client: 9, ClientSeq: uint64(i + 1)}
+			ps := n.registerPut(req, n.cfg.Addr.IP)
 			_, ok := n.batchCommit(p, view, req, ps, &kvstore.Object{Key: req.Key, Value: req.Value, Size: req.Size})
 			_, stored := n.store.Peek(req.Key)
 			rets = append(rets, fmt.Sprintf("%s ok=%v stored=%v at %v", req.Key, ok, stored, p.Now()))
@@ -901,9 +743,7 @@ func TestCrashEndsTheOpenCommitBatch(t *testing.T) {
 	}
 	s.At(50*time.Microsecond, n.Crash)
 	s.At(time.Millisecond, s.Stop)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	f.run(nil)
 	want := []string{"k1 ok=false stored=false at 50µs", "k2 ok=false stored=false at 50µs",
 		"k3 ok=false stored=false at 50µs", "k0 ok=false stored=false at 100µs"}
 	if !slices.Equal(rets, want) || n.stats.BatchCommits != 0 {
@@ -927,45 +767,30 @@ func TestBatchedCommitMatchesSingle(t *testing.T) {
 		Ack2           bool
 	}
 	run := func(batched bool) (out outcome) {
-		s, a, b := pair(t)
-		defer s.Shutdown()
-		cfg := DefaultNodeConfig()
-		cfg.Addr = controller.NodeAddr{Index: 1, IP: b.IP(), MAC: b.Host().MAC(), DataPort: dataPort, CtrlPort: 7001}
-		cfg.Space = ring.NewSpace(4)
-		n := NewNode(b, cfg)
-		n.Start()
-		primary := controller.NodeAddr{Index: 0, IP: a.IP(), MAC: a.Host().MAC(), DataPort: dataPort}
-		n.applyView(&controller.PartitionView{Partition: cfg.Space.PartitionOf("k"), Epoch: 1,
-			GroupIP: netsim.MustParseIP("239.0.0.1"), Replicas: []controller.NodeAddr{primary, cfg.Addr}}, false)
+		// Node 1 is the secondary, host 0 its scripted primary.
+		f := newFixture(t, 2)
+		a, b := f.hosts[0], f.hosts[1]
+		n := f.start(1, nil, 0, 1)
 
 		req := &PutRequest{Key: "k", Value: "v", Size: 8, Client: 9, ClientSeq: 1}
 		commit := TsMsg{Req: req.key(), Key: "k", Ts: kvstore.Timestamp{Primary: a.IP(), PrimarySeq: 4, Client: 9, ClientSeq: 1}}
 		early := TsMsg{Req: reqKey{Client: 9, Seq: 2}, Key: "k2",
 			Ts: kvstore.Timestamp{Primary: a.IP(), PrimarySeq: 5, Client: 9, ClientSeq: 2}}
 		sock := a.MustBindUDP(dataPort)
-		s.Spawn("primary", func(p *sim.Proc) {
-			for {
-				d, ok := sock.Recv(p)
-				if !ok {
-					return
-				}
-				switch d.Data.(type) {
-				case *Ack1:
-					if batched {
-						sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{commit, early}}, batchHeader+2*tsMsgSize)
-					} else {
-						sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{commit}}, tsMsgSize)
-						sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{early}}, tsMsgSize)
-					}
-				case *Ack2:
-					out.Ack2 = true
-				}
+		votes, confirms := f.park(carrying[*Ack1]), f.park(carrying[*Ack2])
+		f.s.Spawn("script", func(p *sim.Proc) {
+			f.drop(votes.next(p))
+			if batched {
+				sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{commit, early}}, batchHeader+2*tsMsgSize)
+			} else {
+				sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{commit}}, tsMsgSize)
+				sock.SendTo(b.IP(), dataPort, &BatchTsMsg{Items: []TsMsg{early}}, tsMsgSize)
 			}
+			f.drop(confirms.next(p))
+			out.Ack2 = true
 		})
-		s.Spawn("put", func(p *sim.Proc) { n.handlePut(p, req) })
-		if err := s.RunUntil(time.Second); err != nil {
-			t.Fatal(err)
-		}
+		f.s.Spawn("put", func(p *sim.Proc) { n.handlePut(p, req) })
+		f.runTo(time.Second)
 		out.Obj, _ = n.store.Peek("k")
 		out.Locked, out.Logged, out.Live = n.store.Locked("k"), n.store.HasLog("k"), len(n.puts)
 		out.Dedup, _ = n.committed.get(req.key())
@@ -1016,11 +841,7 @@ func TestNodeSetBeyondTheBitmap(t *testing.T) {
 		t.Fatalf("union: %v, want %v", got, want)
 	}
 
-	s, a, _ := pair(t)
-	defer s.Shutdown()
-	cfg := DefaultNodeConfig()
-	cfg.Addr.IP = a.IP()
-	n := NewNode(a, cfg)
+	n := newFixture(t, 1).node(0, nil)
 	k := reqKey{Client: 1, Seq: 9}
 	for _, i := range []int{2, 70} {
 		n.orphan(k).ack1.add(i)

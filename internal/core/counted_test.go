@@ -6,97 +6,11 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/controller"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
 	"repro/internal/ring"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
-
-// star wires hosts 10.0.0.1… to one switch that forwards unicast by
-// address and floods everything else.
-func star(s *sim.Simulator, hosts int) []*transport.Stack {
-	nw := netsim.NewNetwork(s)
-	sw := nw.NewSwitch("sw", hosts, time.Microsecond)
-	ports := map[netsim.IP]int{}
-	macs := map[netsim.IP]netsim.MAC{}
-	var stacks []*transport.Stack
-	for i := 0; i < hosts; i++ {
-		h := nw.NewHost("h"+itoa(i), netsim.IPv4(10, 0, 0, byte(i+1)))
-		nw.Connect(h.Port(), sw.Port(i), netsim.Gbps(1, 0))
-		ports[h.IP()], macs[h.IP()] = i, h.MAC()
-		stacks = append(stacks, transport.NewStack(h))
-	}
-	sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, in int) {
-		if port, ok := ports[pkt.DstIP]; ok {
-			pkt.DstMAC = macs[pkt.DstIP]
-			sw.Output(port, pkt)
-			return
-		}
-		sw.Flood(pkt, in)
-		sw.Network().RecyclePacket(pkt)
-	}))
-	return stacks
-}
-
-// trio wires a client and three storage nodes through a star, so the put
-// and timestamp multicasts reach the nodes that joined the group. The nodes
-// serve both partitions of the key space, node 0 their primary, and each
-// partition's put group is its address on the client's multicast vring
-// (no vnode bits). Heartbeats are an hour apart. put runs one put of key
-// to completion and fails the test if it fails.
-func trio(t *testing.T) (s *sim.Simulator, c *Client, nodes []*Node, put func(key string)) {
-	t.Helper()
-	s = sim.New(1)
-	stacks := star(s, 4)
-
-	const parts = 2
-	groups := ring.MustVRing(netsim.PrefixOf(netsim.MustParseIP("239.1.0.0"), 24), parts, 0)
-	var replicas []controller.NodeAddr
-	for i, st := range stacks[1:] {
-		replicas = append(replicas, controller.NodeAddr{Index: i, IP: st.IP(), MAC: st.Host().MAC(), DataPort: 7000, CtrlPort: 7001})
-	}
-	for i, st := range stacks[1:] {
-		cfg := DefaultNodeConfig()
-		cfg.Addr, cfg.Space, cfg.HeartbeatEvery = replicas[i], ring.NewSpace(parts), time.Hour
-		n := NewNode(st, cfg)
-		n.Start()
-		for part := 0; part < parts; part++ {
-			n.applyView(&controller.PartitionView{Partition: part, Epoch: 1, GroupIP: groups.SubgroupPrefix(part).Addr, Replicas: replicas}, false)
-		}
-		nodes = append(nodes, n)
-	}
-	ccfg := DefaultClientConfig()
-	ccfg.Multicast, ccfg.R = groups, 3
-	c = NewClient(stacks[0], ccfg)
-	c.Start()
-
-	var failure error
-	start := sim.NewQueue[string](s)
-	s.Spawn("client", func(p *sim.Proc) {
-		for {
-			key, ok := start.Pop(p)
-			if !ok {
-				return
-			}
-			if _, err := c.Put(p, key, "v", 1024); err != nil && failure == nil {
-				failure = err
-			}
-			s.Stop()
-		}
-	})
-	put = func(key string) {
-		start.Push(key)
-		if err := s.Run(); err != nil && failure == nil {
-			failure = err
-		}
-		if failure != nil {
-			t.Fatal(failure)
-		}
-	}
-	return s, c, nodes, put
-}
 
 // TestAcksAndReplyReturnToTheirSender: after a put on three nodes, each
 // secondary's Ack1 and Ack2 are back on that secondary's free list and
@@ -104,9 +18,9 @@ func trio(t *testing.T) (s *sim.Simulator, c *Client, nodes []*Node, put func(ke
 // again. A message built by hand is never pooled, and releasing a
 // message twice panics.
 func TestAcksAndReplyReturnToTheirSender(t *testing.T) {
-	s, _, nodes, put := trio(t)
-	defer s.Shutdown()
-	put("k")
+	f := newFixture(t, 4)
+	_, nodes := f.cluster()
+	f.put("k")
 	first := make([][3]any, len(nodes))
 	for i, n := range nodes {
 		wantAcks, wantReplies := 1, 0
@@ -119,7 +33,7 @@ func TestAcksAndReplyReturnToTheirSender(t *testing.T) {
 		}
 		first[i] = pooled(n)
 	}
-	put("j")
+	f.put("j")
 	for i, n := range nodes {
 		if pooled(n) != first[i] {
 			t.Fatalf("node %d did not send the messages it got back", i)
@@ -162,40 +76,29 @@ func pooled(n *Node) [3]any {
 // reusing the returned ack for another put, leaves that buffer as it was:
 // the primary kept the ack's fields, not the ack.
 func TestLateAckCountsForItsOwnPut(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
-	start := func(st *transport.Stack, index int) *Node {
-		cfg := DefaultNodeConfig()
-		cfg.Addr = controller.NodeAddr{Index: index, IP: st.IP(), MAC: st.Host().MAC(), DataPort: 7000, CtrlPort: 7001}
-		n := NewNode(st, cfg)
-		n.Start()
-		return n
-	}
-	primary, secondary := start(b, 0), start(a, 1)
+	f := newFixture(t, 2)
+	primary, secondary := f.start(1, nil), f.start(0, nil)
+	from := secondary.cfg.Addr.Index
 	late, next := reqKey{Client: 9, Seq: 1}, reqKey{Client: 9, Seq: 2}
-	primary.releasePut(primary.registerPut(&PutRequest{Key: "k", Client: late.Client, ClientSeq: late.Seq}, b.IP()))
+	primary.releasePut(primary.registerPut(&PutRequest{Key: "k", Client: late.Client, ClientSeq: late.Seq}, primary.cfg.Addr.IP))
 
 	secondary.sendAck1(primary.cfg.Addr, late, kvstore.Timestamp{})
-	if err := s.RunUntil(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(time.Millisecond)
 	o := primary.orphans[late]
-	if o == nil || !o.ack1.has(1) || o.ack2.has(1) || secondary.ack1s.Len() != 1 {
-		t.Fatalf("late ack: orphan %+v, %d acks back at the secondary; want ack1 from node 1, one ack back", o, secondary.ack1s.Len())
+	if o == nil || !o.ack1.has(from) || o.ack2.has(from) || secondary.ack1s.Len() != 1 {
+		t.Fatalf("late ack: orphan %+v, %d acks back at the secondary; want ack1 from node %d, one ack back", o, secondary.ack1s.Len(), from)
 	}
 	reused := top(&secondary.ack1s)
 	before := *o
 	secondary.sendAck1(primary.cfg.Addr, next, kvstore.Timestamp{})
-	if err := s.RunUntil(2 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	f.runTo(2 * time.Millisecond)
 	if secondary.ack1s.Len() != 1 || top(&secondary.ack1s) != reused {
 		t.Fatal("the secondary did not reuse its returned ack")
 	}
 	if !reflect.DeepEqual(*primary.orphans[late], before) {
 		t.Fatalf("the reused ack changed the late put's buffer: %+v, was %+v", *primary.orphans[late], before)
 	}
-	if o := primary.orphans[next]; o == nil || !o.ack1.has(1) {
+	if o := primary.orphans[next]; o == nil || !o.ack1.has(from) {
 		t.Fatalf("the reused ack did not count for its own put: %+v", o)
 	}
 }
@@ -204,9 +107,9 @@ func TestLateAckCountsForItsOwnPut(t *testing.T) {
 // its sender from dispatch, and one an op waits for stays out until the
 // op has read it; MultiPut hands back every reply it read.
 func TestLatePutReplyIsReleasedOnce(t *testing.T) {
-	s, c, nodes, put := trio(t)
-	defer s.Shutdown()
-	put("k") // the primary's reply comes back
+	f := newFixture(t, 4)
+	c, nodes := f.cluster()
+	f.put("k") // the primary's reply comes back
 	primary := nodes[0]
 	late := takeCounted(&primary.putReplies)
 	late.ReqID, late.OK = 99, true
@@ -216,10 +119,10 @@ func TestLatePutReplyIsReleasedOnce(t *testing.T) {
 	}
 	waited := takeCounted(&primary.putReplies)
 	waited.ReqID, waited.OK = 100, true
-	f := c.reply()
-	c.pending[100] = f
+	reply := c.reply()
+	c.pending[100] = reply
 	c.dispatch(waited)
-	if primary.putReplies.Len() != 0 || f.Value() != any(waited) {
+	if primary.putReplies.Len() != 0 || reply.Value() != any(waited) {
 		t.Fatal("dispatch handed back a reply an op waits for")
 	}
 
@@ -235,13 +138,9 @@ func TestLatePutReplyIsReleasedOnce(t *testing.T) {
 		m.release()
 	}
 	var errs []error
-	s.Spawn("multiput", func(p *sim.Proc) {
+	f.run(func(p *sim.Proc) {
 		_, errs = c.MultiPut(p, []PutOp{{Key: "a", Value: "v", Size: 8}, {Key: "b", Value: "v", Size: 8}, {Key: "c", Value: "v", Size: 8}})
-		s.Stop()
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
@@ -263,27 +162,13 @@ func TestLatePutReplyIsReleasedOnce(t *testing.T) {
 // go back to their senders once their last holder lets go, and so do its
 // acks, its reply and every piece of bookkeeping.
 func TestSteadyPutAllocations(t *testing.T) {
-	s, _, _, put := trio(t)
-	defer s.Shutdown()
+	f := newFixture(t, 4)
+	f.cluster()
 	for range 10_000 { // past committedCap and the receivers' 8192-transfer rings
-		put("k")
+		f.put("k")
 	}
-	if allocs := testing.AllocsPerRun(200, func() { put("k") }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { f.put("k") }); allocs != 0 {
 		t.Fatalf("a steady put allocates %v objects, want 0", allocs)
-	}
-}
-
-// settle runs op in a proc of s, then two more virtual seconds, so every
-// handler the op started has returned, and stops the run.
-func settle(t *testing.T, s *sim.Simulator, op func(p *sim.Proc)) {
-	t.Helper()
-	s.Spawn("op", func(p *sim.Proc) {
-		op(p)
-		p.Sleep(2 * time.Second)
-		s.Stop()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -295,8 +180,8 @@ func settle(t *testing.T, s *sim.Simulator, op func(p *sim.Proc)) {
 // drops, the abort still comes back to the primary once. A release past
 // the last holder panics.
 func TestSharedMessagesReturnOnce(t *testing.T) {
-	s, c, nodes, put := trio(t)
-	defer s.Shutdown()
+	f := newFixture(t, 4)
+	c, nodes := f.cluster()
 	primary := nodes[0]
 	returned := func(when string) (*PutRequest, *BatchTsMsg) {
 		t.Helper()
@@ -306,16 +191,16 @@ func TestSharedMessagesReturnOnce(t *testing.T) {
 		}
 		return top(&c.putReqs), top(&primary.tsMsgs)
 	}
-	put("k")
+	f.put("k")
 	req, ts := returned("after a put")
-	put("j")
+	f.put("j")
 	if again, ts2 := returned("after a second put"); again != req || ts2 != ts {
 		t.Fatal("the second put did not reuse the first one's request and timestamp multicast")
 	}
 
 	nodes[2].Crash()
 	c.cfg.MaxRetries = 0
-	settle(t, s, func(p *sim.Proc) {
+	f.drain(func(p *sim.Proc) {
 		if _, err := c.Put(p, "k", "v", 1024); err == nil {
 			t.Error("a put with a member down succeeded")
 		}
@@ -339,9 +224,9 @@ func TestSharedMessagesReturnOnce(t *testing.T) {
 // out; neither request goes back to the client's free list, since a copy
 // of it may still be in flight. An answered get's request does.
 func TestTimedOutAttemptsAreNeverRecycled(t *testing.T) {
-	s, c, nodes, put := trio(t)
-	defer s.Shutdown()
-	put("k")
+	f := newFixture(t, 4)
+	c, nodes := f.cluster()
+	f.put("k")
 	c.cfg.MaxRetries = 0
 	// Partition 0's reads go to node 0, partition 1's to node 1.
 	c.cfg.Unicast = ring.MustVRing(netsim.PrefixOf(nodes[0].cfg.Addr.IP, 31), 2, 0)
@@ -349,7 +234,7 @@ func TestTimedOutAttemptsAreNeverRecycled(t *testing.T) {
 		_, err := c.Get(p, "k")
 		return err
 	}
-	settle(t, s, func(p *sim.Proc) {
+	f.drain(func(p *sim.Proc) {
 		if err := get(p); err != nil {
 			t.Error(err)
 		}
@@ -359,7 +244,7 @@ func TestTimedOutAttemptsAreNeverRecycled(t *testing.T) {
 	}
 
 	nodes[2].Crash()
-	settle(t, s, func(p *sim.Proc) {
+	f.drain(func(p *sim.Proc) {
 		if _, err := c.Put(p, "k", "v", 1024); err == nil {
 			t.Error("a put with a member down succeeded")
 		}
@@ -369,7 +254,7 @@ func TestTimedOutAttemptsAreNeverRecycled(t *testing.T) {
 	}
 	nodes[0].Crash()
 	nodes[1].Crash()
-	settle(t, s, func(p *sim.Proc) {
+	f.drain(func(p *sim.Proc) {
 		if err := get(p); err == nil {
 			t.Error("a get from a crashed node succeeded")
 		}

@@ -4,57 +4,26 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/controller"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
-	"repro/internal/ring"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
-
-// getFixture is a one-node cluster on a's stack serving key "k" as the
-// primary of its partition, and a reader on b's reply port that hands
-// every reply it receives to onReply.
-func getFixture(t *testing.T, s *sim.Simulator, a, b *transport.Stack, onReply func(*GetReply)) (*Node, *GetRequest) {
-	t.Helper()
-	cfg := DefaultNodeConfig()
-	cfg.Addr = controller.NodeAddr{IP: a.IP(), DataPort: 7000, CtrlPort: 7001}
-	cfg.Space = ring.NewSpace(2)
-	n := NewNode(a, cfg)
-	n.names.get, n.names.rget = "get", "rget"
-	n.views[cfg.Space.PartitionOf("k")] = &controller.PartitionView{Replicas: []controller.NodeAddr{cfg.Addr}}
-	n.store.Apply(&kvstore.Object{Key: "k", Value: "v", Size: 100, Version: kvstore.Timestamp{PrimarySeq: 1}})
-	ln := b.MustListen(8000)
-	s.Spawn("reader", func(p *sim.Proc) {
-		c, ok := ln.Accept(p)
-		for ok {
-			var m transport.Message
-			if m, ok = c.Recv(p); ok {
-				onReply(m.Data.(*GetReply))
-			}
-		}
-	})
-	return n, &GetRequest{Key: "k", ReqID: 7, Client: b.IP(), ClientPort: 8000}
-}
 
 // TestAnswerNeverRewritesAnInFlightReply: a request answered twice before
 // its reader has read the first reply gets a second, distinct reply, and
 // the first keeps its fields; once the reader frees the room, the next
 // answer is written there again.
 func TestAnswerNeverRewritesAnInFlightReply(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
+	f := newFixture(t, 2)
 	var got []GetReply // the fields each reply had when it was read
 	var reps []*GetReply
-	n, req := getFixture(t, s, a, b, func(rep *GetReply) {
+	n, req := f.getServer(func(rep *GetReply) {
 		got = append(got, *rep)
 		reps = append(reps, rep)
 	})
 	n.sendGetReply(req, kvstore.Object{Value: "v1", Size: 10, Version: kvstore.Timestamp{PrimarySeq: 1}}, true)
 	n.sendGetReply(req, kvstore.Object{Value: "v2", Size: 20, Version: kvstore.Timestamp{PrimarySeq: 2}}, true)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	f.run(nil)
 	want := []GetReply{
 		{ReqID: 7, Found: true, Value: "v1", Size: 10, Ver: 1},
 		{ReqID: 7, Found: true, Value: "v2", Size: 20, Ver: 2},
@@ -90,12 +59,11 @@ func TestAnswerNeverRewritesAnInFlightReply(t *testing.T) {
 // nothing, and a recycled task starts clean whatever kind of get it last
 // carried.
 func TestSteadyGetAllocatesNothing(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
+	f := newFixture(t, 2)
 	var req *GetRequest
 	var n *Node
 	replies := 0
-	n, req = getFixture(t, s, a, b, func(rep *GetReply) {
+	n, req = f.getServer(func(rep *GetReply) {
 		if rep != &req.reply || rep.Value != "v" {
 			t.Errorf("reply %p %+v, want the room holding the stored value", rep, *rep)
 		}
@@ -104,14 +72,10 @@ func TestSteadyGetAllocatesNothing(t *testing.T) {
 	})
 	round := func() {
 		n.spawn(n.names.get, req, false)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
+		f.run(nil)
 	}
 	n.spawn(n.names.rget, req, true)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	f.run(nil)
 	if task := top(&n.freeTasks); task == nil || task.msg != nil || task.replicaRouted {
 		t.Fatalf("the replica-routed get's task came back as %+v, want a clean one", task)
 	}
@@ -129,11 +93,11 @@ func TestSteadyGetAllocatesNothing(t *testing.T) {
 // waiter left in it, and the next leader reads through the same state.
 // A leader whose node restarted while it read hands its state back too.
 func TestCoalescedReadStateIsRecycled(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
+	f := newFixture(t, 2)
+	s := f.s
 	var leader, waiter *GetRequest
 	replies := 0
-	n, leader := getFixture(t, s, a, b, func(rep *GetReply) {
+	n, leader := f.getServer(func(rep *GetReply) {
 		leader.FreeReply(rep)
 		waiter.FreeReply(rep)
 		replies++
@@ -150,9 +114,7 @@ func TestCoalescedReadStateIsRecycled(t *testing.T) {
 				n.incarnation = newIncarnation(true) // what Restart does to a read in flight
 			}
 		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
+		f.run(nil)
 	}
 	round(false)
 	round(false)
@@ -177,12 +139,11 @@ func TestCoalescedReadStateIsRecycled(t *testing.T) {
 // installed, gets no reply and counts as held; once the rejoin is done
 // the same get is answered.
 func TestRecoveringNodeAnswersNoGet(t *testing.T) {
-	s, a, b := pair(t)
-	defer s.Shutdown()
+	f := newFixture(t, 2)
 	var req *GetRequest
 	var n *Node
 	replies := 0
-	n, req = getFixture(t, s, a, b, func(rep *GetReply) {
+	n, req = f.getServer(func(rep *GetReply) {
 		req.FreeReply(rep)
 		replies++
 	})
@@ -194,9 +155,7 @@ func TestRecoveringNodeAnswersNoGet(t *testing.T) {
 	n.views[part] = view // what the rejoin installs before its range sync
 	get := func() {
 		n.spawn(n.names.get, req, false)
-		if err := s.RunUntil(s.Now() + time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+		f.runTo(f.s.Now() + time.Millisecond)
 	}
 	get()
 	if replies != 0 || n.stats.GetsHeld != 1 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/controller"
@@ -367,21 +368,7 @@ func (n *Node) Start() {
 
 // name builds a proc name for a rare spawn; the per-op ones are n.names.
 func (n *Node) name(role string) string {
-	return "node" + itoa(n.cfg.Addr.Index) + "-" + role
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	pos := len(b)
-	for i > 0 {
-		pos--
-		b[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[pos:])
+	return "node" + strconv.Itoa(n.cfg.Addr.Index) + "-" + role
 }
 
 // heartbeatLoop reports liveness and load to the metadata service.

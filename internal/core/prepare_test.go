@@ -27,18 +27,17 @@ func TestPrepareIsOneForcedWrite(t *testing.T) {
 	}
 
 	t.Run("nice", func(t *testing.T) {
-		s, _, nodes, put := trio(t)
-		defer s.Shutdown()
-		put("k")
+		f := newFixture(t, 4)
+		_, nodes := f.cluster()
+		f.put("k")
 		for i, n := range nodes {
 			check(t, i, n.store)
 		}
 	})
 
 	t.Run("noob-2pc", func(t *testing.T) {
-		s := sim.New(1)
-		defer s.Shutdown()
-		stacks := star(s, 4)
+		f := newFixture(t, 4)
+		stacks := f.hosts
 		var addrs []noob.Addr
 		for i, st := range stacks[1:] {
 			addrs = append(addrs, noob.Addr{Index: i, IP: st.IP(), Port: 7000})
@@ -52,7 +51,7 @@ func TestPrepareIsOneForcedWrite(t *testing.T) {
 			nodes = append(nodes, n)
 		}
 		c := noob.NewClient(stacks[0], noob.ClientConfig{Mode: noob.RAC, Nodes: addrs, Placement: placement, Space: space})
-		settle(t, s, func(p *sim.Proc) {
+		f.drain(func(p *sim.Proc) {
 			if _, err := c.Put(p, "k", "v", 1024); err != nil {
 				t.Error(err)
 			}
@@ -63,12 +62,12 @@ func TestPrepareIsOneForcedWrite(t *testing.T) {
 	})
 
 	t.Run("crash mid-write", func(t *testing.T) {
-		s, c, nodes, _ := trio(t)
-		defer s.Shutdown()
+		f := newFixture(t, 4)
+		c, nodes := f.cluster()
 		c.cfg.MaxRetries = 0
 		member := nodes[2]
 		var crashed sim.Time
-		s.Spawn("crasher", func(p *sim.Proc) {
+		f.s.Spawn("crasher", func(p *sim.Proc) {
 			for member.store.Stats().DiskWrites == 0 {
 				p.Sleep(time.Microsecond)
 			}
@@ -78,7 +77,7 @@ func TestPrepareIsOneForcedWrite(t *testing.T) {
 			p.Sleep(10 * time.Microsecond)
 			member.Restart()
 		})
-		settle(t, s, func(p *sim.Proc) { c.Put(p, "k", "v", 1024) })
+		f.drain(func(p *sim.Proc) { c.Put(p, "k", "v", 1024) })
 		if crashed == 0 || member.store.Stats().DiskWrites != 1 {
 			t.Fatalf("the member crashed at %v after %d writes; want during its one prepare write",
 				crashed, member.store.Stats().DiskWrites)

@@ -269,7 +269,7 @@ func TestSwitchMulticastFanOutLoad(t *testing.T) {
 	sw.SetPipeline(PipelineFunc(func(sw *Switch, pkt *Packet, inPort int) {
 		if pkt.DstIP == group {
 			for p := 1; p <= 3; p++ {
-				sw.Output(p, pkt.Clone())
+				sw.Output(p, sw.Network().ClonePacket(pkt))
 			}
 			return
 		}

@@ -33,7 +33,7 @@ const maxFreePackets = 1024
 // provably copy everything they need out of the packet (the transport
 // stack) recycle it after dispatch. Code that retains a packet beyond the
 // current event (the OpenFlow punt path, taps that keep pointers) must
-// Clone first or simply never recycle.
+// copy it first (ClonePacket) or simply never recycle.
 func (n *Network) NewPacket() *Packet {
 	n.pktID++
 	pkt := n.pktFree.Take()

@@ -65,8 +65,8 @@ const DefaultTTL = 16
 // Holds counts the holders of a payload several packets share, so that
 // its owner can reuse it once the last one lets go (DESIGN.md §7.2).
 // Every copy of a packet that names it in Packet.Holds holds it once: the
-// sender's transport for the packet it builds, a clone again (ClonePacket,
-// Clone), and RecyclePacket lets go. A copy nobody recycles keeps its
+// sender's transport for the packet it builds, a clone again
+// (ClonePacket), and RecyclePacket lets go. A copy nobody recycles keeps its
 // hold, and the payload is never reused. Holders past the fabric — a
 // delivery queued at a receiver, the reader of it — hold it in their turn.
 type Holds struct {
@@ -98,16 +98,6 @@ func (h *Holds) lastGone() {
 	if h.Last != nil {
 		h.Last()
 	}
-}
-
-// Clone returns a shallow copy (payload shared) used for multicast
-// fan-out and flooding.
-func (pkt *Packet) Clone() *Packet {
-	c := *pkt
-	if c.Holds != nil {
-		c.Holds.Hold()
-	}
-	return &c
 }
 
 // String summarizes the headers for traces and test failures.

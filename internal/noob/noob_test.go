@@ -31,9 +31,8 @@ func wire(t *testing.T, n int) (*sim.Simulator, []*transport.Stack) {
 	}
 	sw.SetPipeline(netsim.PipelineFunc(func(sw *netsim.Switch, pkt *netsim.Packet, in int) {
 		if port, ok := ports[pkt.DstIP]; ok {
-			c := pkt.Clone()
-			c.DstMAC = macs[pkt.DstIP]
-			sw.Output(port, c)
+			pkt.DstMAC = macs[pkt.DstIP]
+			sw.Output(port, pkt)
 			return
 		}
 		sw.Drop(pkt)
